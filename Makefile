@@ -18,7 +18,7 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 
 .PHONY: help test lint coverage bench bench-smoke bench-compare \
 	cache-smoke cluster-smoke serve-smoke explore-smoke program-smoke \
-	trace-smoke obs-analyze-smoke smoke docs-check check
+	trace-smoke obs-analyze-smoke perfbench-quick smoke docs-check check
 
 help:  ## list targets with their descriptions
 	@awk -F':.*## ' '/^[a-zA-Z][a-zA-Z0-9_-]*:.*## / \
@@ -98,8 +98,12 @@ obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
 		$(BENCH_OUT)/analysis.json $(BENCH_OUT)/analysis.json
 
+perfbench-quick:  ## host-time benchmark at 1/50 scale (output checks on)
+	$(PYTHON) -m perfbench --quick
+
 smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
-	program-smoke trace-smoke obs-analyze-smoke  ## all *-smoke targets
+	program-smoke trace-smoke obs-analyze-smoke \
+	perfbench-quick  ## all *-smoke targets + perfbench-quick
 
 docs-check:  ## docstring + __all__ export lint
 	$(PYTHON) tools/docs_check.py

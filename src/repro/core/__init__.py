@@ -11,21 +11,18 @@
 
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import BatchedEagerPredictor, EagerPredictor
-from repro.core.ffn_reuse import BatchedFFNReuse, FFNReuse
+from repro.core.eager_prediction import EagerPredictor
+from repro.core.ffn_reuse import FFNReuse
 from repro.core.logdomain import (
     leading_one_position,
     lod_approximate,
     log_domain_matmul,
-    log_domain_matmul_batched,
     ts_lod_approximate,
 )
 from repro.core.pipeline import ExionPipeline, GenerationResult
 from repro.core.sparsity import RunStats
 
 __all__ = [
-    "BatchedEagerPredictor",
-    "BatchedFFNReuse",
     "Bitmask",
     "EagerPredictor",
     "ExionConfig",
@@ -36,6 +33,5 @@ __all__ = [
     "leading_one_position",
     "lod_approximate",
     "log_domain_matmul",
-    "log_domain_matmul_batched",
     "ts_lod_approximate",
 ]

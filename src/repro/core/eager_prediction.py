@@ -15,11 +15,12 @@ engine may skip:
 The paper's TS-LOD refinement (two-step leading-one detection) is what
 makes the prediction accurate enough for diffusion models (Fig. 15).
 
-:class:`EagerPredictor` drives one generation at a time;
-:class:`BatchedEagerPredictor` applies the same decisions over a leading
-batch axis for the ``repro.serve`` serving layer, with per-request
-quantization scales and per-request statistics so each request computes
-exactly what a sequential run would.
+:class:`EagerPredictor` is the interpreted predictor for one generation
+(the reference oracle); :func:`ep_attention_step` is its plan-compiled
+step, and :mod:`repro.exec.batched` applies the same decisions over a
+leading batch axis for the serving layer, with per-request quantization
+scales and per-request statistics so each request computes exactly what
+a sequential run would.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.core.config import ExionConfig
 from repro.core.logdomain import (
     LogOperand,
     log_domain_matmul,
-    log_domain_matmul_batched,
     log_domain_matmul_prepared,
     prepare_log_operand,
 )
@@ -422,173 +422,3 @@ def _merge_heads_batched(x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_split_heads_batched`."""
     batch, heads, tokens, head_dim = x.shape
     return x.transpose(0, 2, 1, 3).reshape(batch, tokens, heads * head_dim)
-
-
-@dataclass
-class BatchedDecision:
-    """Skip decisions for every (request, head) pair of a micro-batch."""
-
-    keep: np.ndarray  # (batch, heads, tq, tk) bool
-    one_hot_rows: np.ndarray  # (batch, heads, tq) bool: dominance collapse
-    one_hot_cols: np.ndarray  # (batch, heads, tq) int: argmax columns
-
-
-class BatchedEagerPredictor:
-    """Eager prediction over a ``(batch, tokens, dim)`` activation stack.
-
-    Predictions are quantized per request (`log_domain_matmul_batched`),
-    decisions are taken per (request, head) score matrix, and statistics
-    land in one :class:`RunStats` per request, so the batched run matches
-    sequential :class:`EagerPredictor` runs request for request.
-    """
-
-    def __init__(self, config: ExionConfig, batch_stats: list,
-                 collect_keepmasks: bool = False) -> None:
-        if not batch_stats:
-            raise ValueError("need at least one per-request RunStats")
-        self.config = config
-        self.batch_stats = list(batch_stats)
-        self.collect_keepmasks = collect_keepmasks
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.batch_stats)
-
-    # ------------------------------------------------------------------
-    # prediction
-    # ------------------------------------------------------------------
-    def predict_scores(
-        self, layer: MultiHeadAttention, x: np.ndarray, kv_input: np.ndarray
-    ) -> np.ndarray:
-        """Predicted attention scores, shape ``(batch, heads, tq, tk)``."""
-        mode = self.config.lod_mode
-        bits = self.config.prediction_bits
-        q_pred = log_domain_matmul_batched(x, layer.wq.weight, mode, bits)
-        k_pred = log_domain_matmul_batched(kv_input, layer.wk.weight, mode, bits)
-        if layer.wq.bias is not None:
-            q_pred = q_pred + layer.wq.bias
-        if layer.wk.bias is not None:
-            k_pred = k_pred + layer.wk.bias
-        qh = _split_heads_batched(q_pred, layer.num_heads)
-        kh = _split_heads_batched(k_pred, layer.num_heads)
-        return np.einsum("bhtd,bhsd->bhts", qh, kh) * layer.scale
-
-    def decide(self, predicted: np.ndarray) -> BatchedDecision:
-        """Keep masks and one-hot rows for every (request, head) pair.
-
-        Row-wise operations (top-k selection, dominance gap, argmax) act
-        along the last axis only, so each (request, head) slice gets the
-        decisions :meth:`EagerPredictor._decide_head` would take on it.
-        """
-        tk = predicted.shape[-1]
-        keep_count = max(1, int(np.ceil(self.config.top_k_ratio * tk)))
-
-        keep = np.zeros(predicted.shape, dtype=bool)
-        if keep_count >= tk:
-            keep[:] = True
-        else:
-            top_idx = np.argpartition(
-                -predicted, keep_count - 1, axis=-1
-            )[..., :keep_count]
-            np.put_along_axis(keep, top_idx, True, axis=-1)
-
-        one_hot_cols = np.argmax(predicted, axis=-1)
-        if tk >= 2:
-            sorted_scores = np.sort(predicted, axis=-1)
-            gap = sorted_scores[..., -1] - sorted_scores[..., -2]
-            one_hot_rows = gap > self.config.q_threshold
-        else:
-            one_hot_rows = np.ones(predicted.shape[:-1], dtype=bool)
-        keep[one_hot_rows] = False
-        return BatchedDecision(keep=keep, one_hot_rows=one_hot_rows,
-                               one_hot_cols=one_hot_cols)
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run(self, layer: MultiHeadAttention, x: np.ndarray,
-            context: Optional[np.ndarray]) -> np.ndarray:
-        """EP-guided sparse attention over the batched input."""
-        kv_input = x if context is None else context
-        batch, tq, _ = x.shape
-        tk = kv_input.shape[1]
-        heads = layer.num_heads
-        if batch != self.batch_size:
-            raise ValueError(
-                f"expected batch {self.batch_size}, got {batch}"
-            )
-
-        predicted = self.predict_scores(layer, x, kv_input)
-        dec = self.decide(predicted)
-
-        q = _split_heads_batched(layer.wq(x), heads)
-        k = _split_heads_batched(layer.wk(kv_input), heads)
-        v = _split_heads_batched(layer.wv(kv_input), heads)
-
-        exact = np.einsum("bhtd,bhsd->bhts", q, k) * layer.scale
-        masked = np.where(dec.keep, exact, -np.inf)
-
-        has_keep = dec.keep.any(axis=-1)  # (batch, heads, tq)
-        oh_rows = dec.one_hot_rows | ~has_keep
-        normal_rows = ~oh_rows
-        probs = np.zeros((batch, heads, tq, tk))
-        if np.any(normal_rows):
-            probs[normal_rows] = softmax(masked[normal_rows], axis=-1)
-
-        bb, hh, rr = np.nonzero(oh_rows)
-        cc = dec.one_hot_cols[bb, hh, rr]
-        probs[bb, hh, rr, cc] = 1.0
-        attended = np.zeros((batch, heads, tq, layer.head_dim))
-        attended[bb, hh, rr] = v[bb, hh, cc]
-        # The normal-row GEMM runs on exactly the row subset the sequential
-        # executor uses: BLAS picks different kernels for different row
-        # counts, so a full-matrix matmul would drift by an ULP.
-        for b in range(batch):
-            for h in range(heads):
-                nr = np.flatnonzero(normal_rows[b, h])
-                if nr.size:
-                    attended[b, h, nr] = probs[b, h, nr] @ v[b, h]
-
-        out = layer.wo(_merge_heads_batched(attended))
-        self._record_stats(layer, dec, tq, tk, heads)
-        return out
-
-    def _record_stats(self, layer: MultiHeadAttention, dec: BatchedDecision,
-                      tq: int, tk: int, heads: int) -> None:
-        batch = self.batch_size
-        total_scores = heads * tq * tk
-        head_dim = layer.head_dim
-        dim_in = layer.wq.in_features
-
-        kept = dec.keep.reshape(batch, -1).sum(axis=1)
-        # Projection skipping (paper II-B): a row one-hot in every head
-        # skips Q projection; a column kept nowhere (and never the argmax
-        # of a one-hot row) skips K and V projection.
-        q_rows_needed = (~dec.one_hot_rows).any(axis=1).sum(axis=1)
-        kv_needed = dec.keep.any(axis=(1, 2))  # (batch, tk)
-        bb, hh, rr = np.nonzero(dec.one_hot_rows)
-        kv_needed[bb, dec.one_hot_cols[bb, hh, rr]] = True
-        kv_cols_needed = kv_needed.sum(axis=1)
-
-        for b, stats in enumerate(self.batch_stats):
-            skipped = total_scores - int(kept[b])
-            stats.attention_scores.add(
-                total_scores * head_dim, (total_scores - skipped) * head_dim
-            )
-            stats.q_projection.add(
-                tq * dim_in * layer.dim,
-                int(q_rows_needed[b]) * dim_in * layer.dim,
-            )
-            stats.kv_projection.add(
-                2 * tk * layer.wk.in_features * layer.dim,
-                2 * int(kv_cols_needed[b]) * layer.wk.in_features * layer.dim,
-            )
-            sparsity = skipped / total_scores if total_scores else 0.0
-            stats.attention_sparsities.append(sparsity)
-            stats.prediction_overhead_macs += (
-                (tq + tk) * dim_in * layer.dim + total_scores * head_dim
-            )
-            if self.collect_keepmasks:
-                # Copy: a view would pin the whole batch-wide keep array
-                # through any single request's retained stats.
-                stats.attention_keepmasks.append(dec.keep[b].copy())

@@ -12,11 +12,12 @@ bitmask, and for the following ``N`` *sparse iterations*:
   (computed once at the dense iteration) and accumulates only the
   recomputed elements' products on top.
 
-Two managers share the phase machinery: :class:`FFNReuse` runs one
-generation (the accuracy-evaluation path), while :class:`BatchedFFNReuse`
-carries per-request dense-iteration state along a leading batch axis for
-the ``repro.serve`` multi-request serving layer. Per request, the batched
-manager computes exactly what the sequential one would.
+:class:`FFNReuse` is the interpreted manager for one generation (the
+accuracy-evaluation path and the reference oracle);
+:func:`ffn_dense_compile` / :func:`ffn_sparse_step` are its plan-compiled
+halves, and :mod:`repro.exec.batched` carries them along a leading batch
+axis for the serving layer. Per request, every path computes exactly what
+the interpreted manager would.
 """
 
 from __future__ import annotations
@@ -44,27 +45,7 @@ class _BlockState:
     threshold: float
 
 
-class _PhaseControl:
-    """Shared dense/sparse phase machinery of the FFN-Reuse managers."""
-
-    config: ExionConfig
-    _iteration: int
-
-    @property
-    def dense_period(self) -> int:
-        return self.config.sparse_iters_n + 1
-
-    @property
-    def is_dense_iteration(self) -> bool:
-        """Dense iterations recur every ``N + 1`` steps, starting at step 0."""
-        return self._iteration % self.dense_period == 0
-
-    @property
-    def dense_index(self) -> int:
-        return self._iteration // self.dense_period
-
-
-class FFNReuse(_PhaseControl):
+class FFNReuse:
     """Stateful FFN-Reuse manager for one generation run.
 
     One instance spans all transformer blocks of the network; call
@@ -91,6 +72,19 @@ class FFNReuse(_PhaseControl):
     # ------------------------------------------------------------------
     # phase control
     # ------------------------------------------------------------------
+    @property
+    def dense_period(self) -> int:
+        return self.config.sparse_iters_n + 1
+
+    @property
+    def is_dense_iteration(self) -> bool:
+        """Dense iterations recur every ``N + 1`` steps, starting at step 0."""
+        return self._iteration % self.dense_period == 0
+
+    @property
+    def dense_index(self) -> int:
+        return self._iteration // self.dense_period
+
     def begin_iteration(self, iteration: int) -> None:
         """Mark the start of denoising iteration ``iteration``."""
         if iteration < 0:
@@ -201,148 +195,6 @@ class FFNReuse(_PhaseControl):
     # ------------------------------------------------------------------
     def state_for_block(self, block: int) -> Optional[_BlockState]:
         """Dense-iteration state of a block (None before the first dense)."""
-        return self._states[block]
-
-
-@dataclass
-class _BatchedBlockState:
-    """Per-block dense-iteration artifacts, batched over requests."""
-
-    hidden_dense: np.ndarray  # (batch, tokens, hidden)
-    mask: np.ndarray  # (batch, tokens, hidden) bool: 1 = recompute
-    partial_sums: np.ndarray  # (batch, tokens, dim)
-    thresholds: np.ndarray  # (batch,)
-
-
-class BatchedFFNReuse(_PhaseControl):
-    """FFN-Reuse over a ``(batch, tokens, dim)`` activation stack.
-
-    One instance serves a whole micro-batch of generation requests: the
-    dense-iteration hidden state, bitmask and partial sums carry a leading
-    batch axis, and statistics are recorded into one :class:`RunStats` per
-    request. Thresholds are resolved per request (each request's own
-    magnitude quantile), so every request's outputs and statistics are
-    identical to what a sequential :class:`FFNReuse` run would produce.
-    """
-
-    def __init__(
-        self,
-        config: ExionConfig,
-        num_blocks: int,
-        batch_stats: list,
-        threshold_table: Optional[ThresholdTable] = None,
-        collect_bitmasks: bool = False,
-    ) -> None:
-        if not batch_stats:
-            raise ValueError("need at least one per-request RunStats")
-        self.config = config
-        self.num_blocks = num_blocks
-        self.batch_stats = list(batch_stats)
-        self.threshold_table = threshold_table
-        self.collect_bitmasks = collect_bitmasks
-        self._states: list[Optional[_BatchedBlockState]] = [None] * num_blocks
-        self._iteration = -1
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.batch_stats)
-
-    def begin_iteration(self, iteration: int) -> None:
-        """Mark the start of denoising iteration ``iteration``."""
-        if iteration < 0:
-            raise ValueError("iteration must be >= 0")
-        self._iteration = iteration
-        for stats in self.batch_stats:
-            if self.is_dense_iteration:
-                stats.dense_iterations += 1
-            else:
-                stats.sparse_iterations += 1
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    def run(self, layer: FeedForward, x: np.ndarray, block: int) -> np.ndarray:
-        """Run the FFN of ``block`` over the batched input ``x``."""
-        if not 0 <= block < self.num_blocks:
-            raise IndexError(f"block {block} out of range [0, {self.num_blocks})")
-        if self._iteration < 0:
-            raise RuntimeError("begin_iteration() was never called")
-        if x.ndim != 3 or x.shape[0] != self.batch_size:
-            raise ValueError(
-                f"expected ({self.batch_size}, tokens, dim) input, got {x.shape}"
-            )
-        if self.is_dense_iteration or self._states[block] is None:
-            return self._run_dense(layer, x, block)
-        return self._run_sparse(layer, x, block)
-
-    def _resolve_thresholds(self, hidden: np.ndarray, block: int) -> np.ndarray:
-        batch = hidden.shape[0]
-        if self.config.ffn_threshold is not None:
-            return np.full(batch, self.config.ffn_threshold)
-        if self.threshold_table is not None:
-            stored = self.threshold_table.get(self.dense_index, block)
-            if stored is not None:
-                return np.full(batch, stored)
-        # Per-request quantile: identical to quantile_threshold() on each
-        # request's own hidden activations.
-        mags = np.abs(hidden.reshape(batch, -1).astype(np.float64))
-        return np.quantile(mags, self.config.ffn_target_sparsity, axis=1)
-
-    def _run_dense(self, layer: FeedForward, x: np.ndarray, block: int) -> np.ndarray:
-        tokens = x.shape[1]
-        hidden = layer.nonlinear(layer.linear1(x))
-        out = layer.linear2(hidden)
-
-        thresholds = self._resolve_thresholds(hidden, block)
-        mask = np.abs(hidden) > thresholds[:, None, None]
-        reused = hidden * ~mask
-        partial = reused @ layer.linear2.weight
-        if layer.linear2.bias is not None:
-            partial = partial + layer.linear2.bias
-        self._states[block] = _BatchedBlockState(
-            hidden_dense=hidden,
-            mask=mask,
-            partial_sums=partial,
-            thresholds=thresholds,
-        )
-
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
-        for b, stats in enumerate(self.batch_stats):
-            stats.ffn_layer1.add(full_l1, full_l1)
-            stats.ffn_layer2.add(full_l2, full_l2)
-            if self.collect_bitmasks:
-                stats.ffn_bitmasks.append(Bitmask(mask[b]))
-        return out
-
-    def _run_sparse(self, layer: FeedForward, x: np.ndarray, block: int) -> np.ndarray:
-        state = self._states[block]
-        assert state is not None
-        tokens = x.shape[1]
-        mask = state.mask
-
-        hidden_recomputed = layer.nonlinear(layer.linear1(x))
-        hidden = np.where(mask, hidden_recomputed, state.hidden_dense)
-        updates = (hidden * mask) @ layer.linear2.weight
-        out = state.partial_sums + updates
-
-        elements = mask.shape[1] * mask.shape[2]
-        nnz = mask.reshape(self.batch_size, -1).sum(axis=1)
-        l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
-        for b, stats in enumerate(self.batch_stats):
-            nnz_b = int(nnz[b])
-            stats.ffn_layer1.add(full_l1, nnz_b * layer.dim * l1_cols_per_hidden)
-            stats.ffn_layer2.add(full_l2, nnz_b * layer.dim)
-            stats.ffn_sparsities.append(1.0 - nnz_b / elements)
-        return out
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def state_for_block(self, block: int) -> Optional[_BatchedBlockState]:
-        """Batched dense-iteration state (None before the first dense)."""
         return self._states[block]
 
 

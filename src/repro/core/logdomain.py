@@ -180,26 +180,3 @@ def log_domain_matmul(
     return log_domain_matmul_prepared(
         prepare_log_operand(a, mode, bits), prepare_log_operand(b, mode, bits)
     )
-
-
-def log_domain_matmul_batched(
-    a: np.ndarray,
-    b: np.ndarray,
-    mode: str = "ts_lod",
-    bits: int = 12,
-) -> np.ndarray:
-    """Batched :func:`log_domain_matmul`: ``a`` is ``(batch, tokens, in)``.
-
-    The weight operand ``b`` is shared across the batch (one quantization),
-    while every activation slice ``a[i]`` gets its own quantization scale,
-    so each batch item's prediction equals the sequential
-    ``log_domain_matmul(a[i], b)`` result bit for bit.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 3:
-        raise ValueError(f"expected (batch, tokens, in) input, got {a.shape}")
-    a_int, a_scales = quantize_symmetric_batched(a, bits)
-    b_int, b_scale = quantize_symmetric(b, bits)
-    a_approx = approximate(a_int, mode).astype(np.float64)
-    b_approx = approximate(b_int, mode).astype(np.float64)
-    return (a_approx @ b_approx) * (a_scales[:, None, None] * b_scale)

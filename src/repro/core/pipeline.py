@@ -41,6 +41,9 @@ class ExionPipeline:
     iteration replays pure gather/scatter kernels. Results are
     bit-identical to the interpreted path, which remains the reference
     oracle (and the only path that can collect per-iteration traces).
+    ``generate_batch(batched=True)`` always runs on the one batched
+    engine (:class:`repro.exec.ContinuousExecutor`), whatever ``compiled``
+    says — it is byte-identical to the sequential loop either way.
 
     Example::
 
@@ -65,6 +68,7 @@ class ExionPipeline:
         self.collect_masks = collect_masks
         self.compiled = compiled
         self._compiled_executor = None
+        self._batched_delegates: dict = {}  # vanilla? -> BatchedPipeline
 
     def _executor(self):
         """The plan-compiled executor, built once per pipeline."""
@@ -79,6 +83,28 @@ class ExionPipeline:
                 collect_masks=self.collect_masks,
             )
         return self._compiled_executor
+
+    def _batched(self, vanilla: bool):
+        """The batched delegate (and its engine), built once per pipeline."""
+        delegate = self._batched_delegates.get(vanilla)
+        if delegate is None:
+            from repro.serve.batched import BatchedPipeline
+
+            if vanilla:
+                # Vanilla disables every optimization, like generate_vanilla().
+                delegate = BatchedPipeline(
+                    self.model, self.config.ablation("base")
+                )
+            else:
+                delegate = BatchedPipeline(
+                    self.model,
+                    self.config,
+                    threshold_table=self.threshold_table,
+                    activation_bits=self.activation_bits,
+                    collect_masks=self.collect_masks,
+                )
+            self._batched_delegates[vanilla] = delegate
+        return delegate
 
     def generate(
         self,
@@ -144,29 +170,15 @@ class ExionPipeline:
 
         ``batched=True`` routes the seeds through the vectorized
         :class:`repro.serve.batched.BatchedPipeline` (one shared denoising
-        loop for the whole batch) instead of a Python-level loop; the
-        per-seed samples and statistics are identical either way.
+        loop for the whole batch on the batched engine) instead of a
+        Python-level loop; the per-seed samples and statistics are
+        identical either way.
         """
         seeds = list(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         if batched:
-            from repro.serve.batched import BatchedPipeline
-
-            if vanilla:
-                # Vanilla disables every optimization, like generate_vanilla().
-                delegate = BatchedPipeline(self.model, self.config.ablation("base"),
-                                           compiled=self.compiled)
-            else:
-                delegate = BatchedPipeline(
-                    self.model,
-                    self.config,
-                    threshold_table=self.threshold_table,
-                    activation_bits=self.activation_bits,
-                    collect_masks=self.collect_masks,
-                    compiled=self.compiled,
-                )
-            return delegate.generate_batch(
+            return self._batched(vanilla).generate_batch(
                 seeds, prompt=prompt, class_label=class_label
             )
         results = []

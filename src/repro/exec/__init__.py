@@ -22,16 +22,17 @@ bitmask → gather conversion
 cross-attention K/V constants
 ==============================  ========================================
 
-:class:`CompiledExecutor` runs one generation;
-:class:`CompiledBatchedExecutor` runs a micro-batch. Both are
-**bit-identical** to their interpreted counterparts — the interpreted
-path stays in the tree as the reference oracle, and the differential
-parity suite in ``tests/exec/`` holds samples and
+:class:`CompiledExecutor` runs one generation on 2-D operands;
+:class:`ContinuousExecutor` is the one batched engine — it advances a
+mutable set of requests one plan step per tick, and a drained micro-batch
+(:meth:`ContinuousExecutor.run_batch`) is that loop with no membership
+edits. Both are **bit-identical** to the sequential interpreted path,
+which stays in the tree as the reference oracle: the differential parity
+suite in ``tests/exec/`` holds samples and
 :class:`~repro.core.sparsity.RunStats` byte-for-byte equal across every
 model, ablation and seed it sweeps.
 """
 
-from repro.exec.batched import CompiledBatchedExecutor
 from repro.exec.continuous import (
     ContinuousExecutor,
     PhaseSyncError,
@@ -40,7 +41,6 @@ from repro.exec.continuous import (
 from repro.exec.executor import CompiledExecutor
 
 __all__ = [
-    "CompiledBatchedExecutor",
     "CompiledExecutor",
     "ContinuousExecutor",
     "PhaseSyncError",

@@ -1,22 +1,23 @@
-"""Batched compiled executor: one precompiled loop, many requests.
+"""Batched compiled kernels: one gather/scatter, many requests.
 
-Mirrors :class:`repro.serve.batched.BatchedPipeline` (itself the batched
-mirror of the sequential interpreted pipeline) with the same plan-time
-hoists as :class:`repro.exec.executor.CompiledExecutor`: timestep and
-adaLN tables, cached log-domain weight operands, per-phase FFN gather
-sets and per-batch cross-attention constants. Per-request results and
-statistics stay byte-identical to the interpreted batched path — which
-``tests/serve`` in turn holds byte-identical to sequential runs.
+The step-time kernels of :class:`repro.exec.continuous.ContinuousExecutor`
+— the batch-axis twins of :func:`repro.core.ffn_reuse.ffn_dense_compile`
+/ :func:`~repro.core.ffn_reuse.ffn_sparse_step` and
+:func:`repro.core.eager_prediction.ep_attention_step`, with the same
+plan-time hoists (cached log-domain weight operands, per-phase FFN gather
+sets, per-batch cross-attention constants). Quantization scales,
+thresholds and statistics are per request, so every request's rows are
+byte-identical to its own sequential interpreted run whatever the batch's
+composition (``tests/exec/test_parity.py``, ``tests/serve/``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
     CompiledPrediction,
@@ -25,24 +26,13 @@ from repro.core.eager_prediction import (
     ep_decide,
 )
 from repro.core.logdomain import approximate, quantize_symmetric_batched
-from repro.core.pipeline import GenerationResult
-from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.activations import gelu as gelu_kernel
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
-from repro.models.network import NetworkType
-from repro.models.pipeline import DiffusionResult
-from repro.models.scheduler import DDPMScheduler
-from repro.models.transformer import TransformerBlock
-from repro.models.zoo import BenchmarkModel
-from repro.program.cache import compiled_plan_for
-from repro.program.compiled import CompiledPlan
-from repro.serve.request import GenerationRequest
 
 from repro.exec.arena import ExecArena, arena_zeros
-from repro.exec.executor import build_prediction_tables, build_step_tables
 
 
 def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
@@ -55,9 +45,9 @@ def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
 def _prepare_activation_batched(
     x: np.ndarray, mode: str, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-request quantize + LOD-approximate, as
-    :func:`repro.core.logdomain.log_domain_matmul_batched` does for its
-    activation operand."""
+    """Per-request quantize + LOD-approximate: the batch-axis twin of
+    :func:`repro.core.logdomain.prepare_log_operand` for an activation
+    operand (each ``x[b]`` gets its own scale)."""
     ints, scales = quantize_symmetric_batched(x, bits)
     return approximate(ints, mode).astype(np.float64), scales
 
@@ -87,316 +77,6 @@ class _BatchedFFNPhaseState:
     gate_indices: Optional[np.ndarray] = None
 
 
-@dataclass
-class _BatchState:
-    """Mutable per-run_batch state threaded through the step loop."""
-
-    stats: list
-    ffn_states: list
-    is_dense: bool = True
-    phase: int = 0
-    context: Optional[np.ndarray] = None
-    cross_kv: dict = field(default_factory=dict)
-    cross_exact_kv: dict = field(default_factory=dict)
-
-
-class CompiledBatchedExecutor:
-    """Runs micro-batches of requests through a precompiled plan."""
-
-    def __init__(
-        self,
-        model: BenchmarkModel,
-        config: ExionConfig,
-        threshold_table: Optional[ThresholdTable] = None,
-        activation_bits: Optional[int] = None,
-        collect_masks: bool = False,
-        compiled_plan: Optional[CompiledPlan] = None,
-    ) -> None:
-        self.model = model
-        self.config = config
-        self.threshold_table = threshold_table
-        self.activation_bits = activation_bits
-        self.collect_masks = collect_masks
-        if compiled_plan is None:
-            compiled_plan = compiled_plan_for(model.spec, config)
-        self.compiled_plan = compiled_plan
-        self._timesteps, self._t_embeds, self._adaln_tables = (
-            build_step_tables(model)
-        )
-        self._preds = build_prediction_tables(model.network, config)
-        # Per-iteration scratch reused across steps (see repro.exec.arena).
-        self._arena = ExecArena()
-
-    # ------------------------------------------------------------------
-    # entry point
-    # ------------------------------------------------------------------
-    def run_batch(
-        self, requests: Sequence[GenerationRequest]
-    ) -> list[GenerationResult]:
-        """One sample per request, bit-identical to
-        ``BatchedPipeline.run_batch()``."""
-        requests = list(requests)
-        if not requests:
-            raise ValueError("need at least one request")
-        batch = len(requests)
-        network = self.model.network
-        scheduler = self.model.scheduler
-        pipeline = self.model.make_pipeline()
-        if hasattr(scheduler, "reset"):
-            scheduler.reset()
-
-        rngs = [np.random.default_rng(r.seed) for r in requests]
-        x = np.stack(
-            [rng.standard_normal((network.tokens, network.dim)) for rng in rngs]
-        )
-        embeddings: dict = {}
-        contexts = []
-        for r in requests:
-            key = (r.prompt, r.class_label)
-            if key not in embeddings:
-                embeddings[key] = pipeline.embed_prompt(r.prompt, r.class_label)
-            contexts.append(embeddings[key])
-        context = None
-        if any(c is not None for c in contexts):
-            context = np.stack(contexts)
-
-        state = _BatchState(
-            stats=[RunStats() for _ in requests],
-            ffn_states=[None] * network.num_transformer_blocks,
-        )
-        if context is not None and self.activation_bits is not None:
-            state.context = _fake_quantize_batched(
-                context, self.activation_bits
-            )
-        else:
-            state.context = context
-
-        count_iterations = self.config.enable_ffn_reuse
-        timesteps = self._timesteps
-        for step in self.compiled_plan.steps:
-            state.phase = step.phase
-            state.is_dense = step.is_dense
-            if count_iterations:
-                for stats in state.stats:
-                    if step.is_dense:
-                        stats.dense_iterations += 1
-                    else:
-                        stats.sparse_iterations += 1
-            eps = self._forward(x, step.index, context, state)
-            i = step.index
-            t = int(timesteps[i])
-            prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
-            if isinstance(scheduler, DDPMScheduler):
-                x = np.stack([
-                    scheduler.step(eps[b], t, x[b], prev_t=prev_t, rng=rngs[b])
-                    for b in range(batch)
-                ])
-            else:
-                x = scheduler.step(eps, t, x, prev_t=prev_t, rng=None)
-
-        return [
-            GenerationResult(
-                sample=x[b].copy(),
-                stats=state.stats[b],
-                diffusion=DiffusionResult(
-                    sample=x[b].copy(), iterations=len(timesteps)
-                ),
-            )
-            for b in range(batch)
-        ]
-
-    # ------------------------------------------------------------------
-    # network forward (mirrors BatchedPipeline._forward)
-    # ------------------------------------------------------------------
-    def _forward(
-        self,
-        x: np.ndarray,
-        step_index: int,
-        raw_context: Optional[np.ndarray],
-        state: _BatchState,
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = x
-            for i, block in enumerate(network.blocks):
-                h = self._block(block, h, raw_context, step_index, i, state)
-            return network.out_proj(network.final_norm(h))
-
-        half = max(1, network.depth // 2)
-        t_embed = self._t_embeds[step_index]
-        h = x
-        for i in range(half):
-            h = self._stage(i, h, t_embed, raw_context, step_index, state)
-        skip = h
-        h = self._downsample(h)
-        for i in range(half, network.depth):
-            h = self._stage(i, h, t_embed, raw_context, step_index, state)
-        h = self._upsample(h, network.tokens) + skip
-        return network.out_proj(network.final_norm(h))
-
-    def _stage(
-        self,
-        index: int,
-        h: np.ndarray,
-        t_embed: np.ndarray,
-        raw_context: Optional[np.ndarray],
-        step_index: int,
-        state: _BatchState,
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.resblocks:
-            resblock = network.resblocks[index]
-            h = np.stack([
-                network._apply_resblock(resblock, h[b], t_embed)
-                for b in range(h.shape[0])
-            ])
-        return self._block(
-            network.blocks[index], h, raw_context, step_index, index, state
-        )
-
-    def _downsample(self, h: np.ndarray) -> np.ndarray:
-        network = self.model.network
-        tokens = h.shape[1]
-        if tokens % 2 == 1:
-            h = np.concatenate([h, h[:, -1:]], axis=1)
-        pooled = 0.5 * (h[:, 0::2] + h[:, 1::2])
-        return network.down_proj(pooled)
-
-    def _upsample(self, h: np.ndarray, target_tokens: int) -> np.ndarray:
-        network = self.model.network
-        up = np.repeat(h, 2, axis=1)[:, :target_tokens]
-        if up.shape[1] < target_tokens:
-            pad = np.repeat(up[:, -1:], target_tokens - up.shape[1], axis=1)
-            up = np.concatenate([up, pad], axis=1)
-        return network.up_proj(up)
-
-    def _block(
-        self,
-        block: TransformerBlock,
-        x: np.ndarray,
-        raw_context: Optional[np.ndarray],
-        step_index: int,
-        block_index: int,
-        state: _BatchState,
-    ) -> np.ndarray:
-        h = block.norm1(x)
-        table = self._adaln_tables[block_index]
-        if table is not None:
-            shift, scale, gate = table[step_index]
-            h = h * (1.0 + scale) + shift
-        else:
-            gate = 1.0
-        x = x + gate * self._attention(block.self_attn, h, None, block_index,
-                                       state)
-        if block.cross_attn is not None and raw_context is not None:
-            assert block.norm_cross is not None
-            x = x + self._attention(
-                block.cross_attn, block.norm_cross(x), state.context,
-                block_index, state,
-            )
-        x = x + self._ffn(block.ffn, block.norm2(x), block_index, state)
-        return x
-
-    # ------------------------------------------------------------------
-    # attention
-    # ------------------------------------------------------------------
-    def _attention(
-        self,
-        layer: MultiHeadAttention,
-        x: np.ndarray,
-        context: Optional[np.ndarray],
-        block_index: int,
-        state: _BatchState,
-    ) -> np.ndarray:
-        if self.activation_bits is not None:
-            x = _fake_quantize_batched(x, self.activation_bits)
-        if not self._preds:
-            if context is None:
-                return _attention_exact_batched(layer, x, x)
-            cached = state.cross_exact_kv.get(block_index)
-            if cached is None:
-                cached = (
-                    _split_heads_batched(layer.wk(context), layer.num_heads),
-                    _split_heads_batched(layer.wv(context), layer.num_heads),
-                )
-                state.cross_exact_kv[block_index] = cached
-            return _attention_exact_batched(layer, x, context, kv=cached)
-        which = "self" if context is None else "cross"
-        pred = self._preds[block_index][which]
-        kv = None
-        if context is not None:
-            kv = state.cross_kv.get(block_index)
-            if kv is None:
-                kv = _ep_cross_kv_batched(layer, context, pred, self.config)
-                state.cross_kv[block_index] = kv
-        return _ep_attention_step_batched(
-            layer, x, context, pred, self.config, state.stats,
-            collect_keepmasks=self.collect_masks, kv=kv, arena=self._arena,
-        )
-
-    # ------------------------------------------------------------------
-    # FFN
-    # ------------------------------------------------------------------
-    def _ffn(
-        self,
-        layer: FeedForward,
-        x: np.ndarray,
-        block_index: int,
-        state: _BatchState,
-    ) -> np.ndarray:
-        if self.activation_bits is not None:
-            x = _fake_quantize_batched(x, self.activation_bits)
-        if not self.config.enable_ffn_reuse:
-            return layer.linear2(layer.nonlinear(layer.linear1(x)))
-        tokens = x.shape[1]
-        if state.is_dense or state.ffn_states[block_index] is None:
-            out, phase_state = self._ffn_dense_compile(
-                layer, x, block_index, state.phase
-            )
-            state.ffn_states[block_index] = phase_state
-            full_l1 = layer.linear1.macs(tokens)
-            full_l2 = layer.linear2.macs(tokens)
-            for b, stats in enumerate(state.stats):
-                stats.ffn_layer1.add(full_l1, full_l1)
-                stats.ffn_layer2.add(full_l2, full_l2)
-                if self.collect_masks:
-                    stats.ffn_bitmasks.append(Bitmask(phase_state.mask[b]))
-            return out
-        phase_state = state.ffn_states[block_index]
-        out = _ffn_sparse_step_batched(
-            layer, x, phase_state, arena=self._arena
-        )
-        elements = phase_state.mask.shape[1] * phase_state.mask.shape[2]
-        l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
-        for b, stats in enumerate(state.stats):
-            nnz_b = int(phase_state.nnz_per_request[b])
-            stats.ffn_layer1.add(full_l1, nnz_b * layer.dim * l1_cols_per_hidden)
-            stats.ffn_layer2.add(full_l2, nnz_b * layer.dim)
-            stats.ffn_sparsities.append(1.0 - nnz_b / elements)
-        return out
-
-    def _resolve_thresholds(
-        self, hidden: np.ndarray, block: int, dense_index: int
-    ) -> np.ndarray:
-        """Mirror of :meth:`BatchedFFNReuse._resolve_thresholds`."""
-        batch = hidden.shape[0]
-        return resolve_thresholds_batched(
-            hidden, block, np.full(batch, dense_index),
-            self.config, self.threshold_table,
-        )
-
-    def _ffn_dense_compile(
-        self, layer: FeedForward, x: np.ndarray, block: int, phase: int
-    ) -> tuple[np.ndarray, _BatchedFFNPhaseState]:
-        """Batched :func:`repro.core.ffn_reuse.ffn_dense_compile`."""
-        return ffn_dense_compile_batched(
-            layer, x, block, np.full(x.shape[0], phase),
-            self.config, self.threshold_table,
-        )
-
-
 def resolve_thresholds_batched(
     hidden: np.ndarray,
     block: int,
@@ -410,7 +90,8 @@ def resolve_thresholds_batched(
     continuous batch (:mod:`repro.exec.continuous`) mixes requests whose
     dense compiles fall on different calibrated phases — so the table
     lookup is per request. Each request's resolution is identical to what
-    :meth:`BatchedFFNReuse._resolve_thresholds` computes for it alone.
+    :meth:`repro.core.ffn_reuse.FFNReuse._resolve_threshold` computes for
+    it alone.
     """
     batch = hidden.shape[0]
     if config.ffn_threshold is not None:
@@ -589,8 +270,8 @@ def _ep_attention_step_batched(
     kv: Optional[tuple] = None,
     arena: Optional[ExecArena] = None,
 ) -> np.ndarray:
-    """Batched EP attention step, bit-identical to
-    :meth:`BatchedEagerPredictor.run` with cached weight operands.
+    """Batched EP attention step: per request, bit-identical to
+    :func:`repro.core.eager_prediction.ep_attention_step`.
 
     ``arena`` reuses the probability/attended scratch tensors across
     iterations (zero-filled each call, bit-equal to ``np.zeros``;
@@ -653,7 +334,10 @@ def _ep_attention_step_batched(
 
     out = layer.wo(_merge_heads_batched(attended))
 
-    # Statistics: same arithmetic as BatchedEagerPredictor._record_stats.
+    # Statistics, per request: same arithmetic as ep_attention_step.
+    # Projection skipping (paper II-B): a row one-hot in every head skips
+    # Q projection; a column kept nowhere (and never the argmax of a
+    # one-hot row) skips K and V projection.
     total_scores = heads * tq * tk
     head_dim = layer.head_dim
     dim_in = layer.wq.in_features
@@ -683,5 +367,7 @@ def _ep_attention_step_batched(
             (tq + tk) * dim_in * layer.dim + total_scores * head_dim
         )
         if collect_keepmasks:
+            # Copy: a view would pin the whole batch-wide keep array
+            # through any single request's retained stats.
             stats.attention_keepmasks.append(keep[b].copy())
     return out

@@ -1,11 +1,11 @@
-"""Iteration-level continuous batching over the compiled plan.
+"""The batched engine: iteration-level batching over the compiled plan.
 
-:class:`~repro.exec.batched.CompiledBatchedExecutor` runs a *drained*
-micro-batch: every request enters at step 0 and leaves at the last step
-together. :class:`ContinuousExecutor` relaxes exactly that: it advances a
-set of :class:`RequestRun` cursors one plan step per :meth:`run_tick`,
-and the set may change **between** ticks — requests join, finish, or are
-evicted while the others keep denoising.
+:class:`ContinuousExecutor` advances a set of :class:`RequestRun` cursors
+one plan step per :meth:`~ContinuousExecutor.run_tick`, and the set may
+change **between** ticks — requests join, finish, or are evicted while
+the others keep denoising. A *drained* micro-batch (every request enters
+at step 0 and leaves at the last step together) is the same loop with no
+membership edits: :meth:`~ContinuousExecutor.run_batch`.
 
 The FFN-Reuse schedule constrains *when* membership may change:
 
@@ -22,13 +22,13 @@ gather/scatter sets are rebuilt by **index-set edits** — restacking the
 surviving per-run masks and recomputing flat indices — with zero model
 re-tracing (no new thresholds, no new dense compile, no re-quantization).
 
-Every kernel is the exact batched kernel from
-:mod:`repro.exec.batched`, whose per-request rows are proven independent
-of batch composition by the serve parity suite — so a request served
-continuously produces **byte-identical** samples and
+Every kernel comes from :mod:`repro.exec.batched`, whose per-request
+rows are proven independent of batch composition by the serve parity
+suite — so a request produces **byte-identical** samples and
 :class:`~repro.core.sparsity.RunStats` to its own solo sequential run,
-regardless of who shared its ticks. ``tests/serve/test_continuous_*``
-enforces this differentially against the interpreted oracle.
+regardless of who shared its ticks. ``tests/serve/`` and
+``tests/exec/test_parity.py`` enforce this differentially against the
+interpreted oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
 from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
@@ -99,8 +100,13 @@ class RequestRun:
         scheduler,
         context: Optional[np.ndarray],
         num_blocks: int,
+        serial: int,
     ) -> None:
         self.request = request
+        #: Per-executor start order. Identifies the run in the batch-wide
+        #: cache signature; ``id()`` cannot, because CPython hands a dead
+        #: run's address to a later one.
+        self.serial = serial
         self.x = x
         self.rng = rng
         self.scheduler = scheduler
@@ -123,12 +129,14 @@ class ContinuousExecutor:
         config: ExionConfig,
         threshold_table: Optional[ThresholdTable] = None,
         activation_bits: Optional[int] = None,
+        collect_masks: bool = False,
         compiled_plan: Optional[CompiledPlan] = None,
     ) -> None:
         self.model = model
         self.config = config
         self.threshold_table = threshold_table
         self.activation_bits = activation_bits
+        self.collect_masks = collect_masks
         if compiled_plan is None:
             compiled_plan = compiled_plan_for(model.spec, config)
         self.compiled_plan = compiled_plan
@@ -145,8 +153,13 @@ class ContinuousExecutor:
         # (see repro.exec.arena); the restack buffers below are keyed per
         # block because every block's batch state is alive at once.
         self._arena = ExecArena()
-        # Batch-wide caches, valid only for one membership signature.
-        self._membership: tuple = ()
+        self._runs_started = 0
+        self._reset_batch_caches(())
+
+    def _reset_batch_caches(self, membership: tuple) -> None:
+        """Batch-wide caches, valid only for one membership signature
+        (the member runs' serials, in batch order)."""
+        self._membership = membership
         self._ffn_batch: dict = {}  # block -> _BatchedFFNPhaseState
         self._cross_kv: dict = {}  # block -> EP (kh, k, v)
         self._cross_exact_kv: dict = {}  # block -> (k, v)
@@ -160,20 +173,30 @@ class ContinuousExecutor:
 
     def start_run(self, request: GenerationRequest) -> RequestRun:
         """Materialize a request's initial state (cursor 0, own RNG)."""
-        network = self.model.network
-        rng = np.random.default_rng(request.seed)
-        x = rng.standard_normal((network.tokens, network.dim))
+        return self._start_run(request, self._embed(request))
+
+    def _embed(self, request: GenerationRequest) -> Optional[np.ndarray]:
+        """The request's (possibly quantized) conditioning context."""
         context = self._pipeline.embed_prompt(
             request.prompt, request.class_label
         )
         if context is not None and self.activation_bits is not None:
             context = _fake_quantize(context, self.activation_bits)
+        return context
+
+    def _start_run(
+        self, request: GenerationRequest, context: Optional[np.ndarray]
+    ) -> RequestRun:
+        network = self.model.network
+        rng = np.random.default_rng(request.seed)
+        x = rng.standard_normal((network.tokens, network.dim))
         scheduler = self.model.scheduler
         if hasattr(scheduler, "reset"):
             # Multistep solvers carry per-trajectory state; each run gets
             # its own fresh copy. Stateless schedulers are shared.
             scheduler = copy.deepcopy(scheduler)
             scheduler.reset()
+        self._runs_started += 1
         return RequestRun(
             request=request,
             x=x,
@@ -181,10 +204,11 @@ class ContinuousExecutor:
             scheduler=scheduler,
             context=context,
             num_blocks=network.num_transformer_blocks,
+            serial=self._runs_started,
         )
 
     def finish_run(self, run: RequestRun) -> GenerationResult:
-        """Package a completed run exactly like the batched executor."""
+        """Package a completed run as a :class:`GenerationResult`."""
         if run.cursor != self.iterations:
             raise PhaseSyncError(
                 f"run {run.request_id} finished at cursor {run.cursor}, "
@@ -197,6 +221,32 @@ class ContinuousExecutor:
                 sample=run.x.copy(), iterations=len(self._timesteps)
             ),
         )
+
+    def run_batch(
+        self, requests: Sequence[GenerationRequest]
+    ) -> list[GenerationResult]:
+        """One sample per request through a drained micro-batch.
+
+        Every request starts at step 0 and all finish on the last tick:
+        the continuous loop with no membership edits. Requests with the
+        same conditioning share one encoder pass.
+        """
+        requests = list(requests)
+        if not requests:
+            raise ValueError("need at least one request")
+        embeddings: dict = {}
+        runs = []
+        for request in requests:
+            key = (request.prompt, request.class_label)
+            if key not in embeddings:
+                embeddings[key] = self._embed(request)
+            runs.append(self._start_run(request, embeddings[key]))
+        for _ in range(self.iterations):
+            self.run_tick(runs)
+        # Every member is done: release the batch-wide FFN/K-V state now
+        # instead of holding it resident until the next batch's first tick.
+        self._reset_batch_caches(())
+        return [self.finish_run(run) for run in runs]
 
     # ------------------------------------------------------------------
     # one lockstep tick
@@ -228,7 +278,7 @@ class ContinuousExecutor:
             )
         self._tick_dense = densities.pop()
 
-        membership = tuple(id(r) for r in runs)
+        membership = tuple(r.serial for r in runs)
         if membership != self._membership:
             # Index-set edit: the batch-wide caches die with the old
             # membership; FFN stacks are rebuilt lazily from per-run
@@ -238,10 +288,7 @@ class ContinuousExecutor:
                     len(self._membership), len(membership),
                     rebuilt=bool(self._membership),
                 )
-            self._membership = membership
-            self._ffn_batch = {}
-            self._cross_kv = {}
-            self._cross_exact_kv = {}
+            self._reset_batch_caches(membership)
 
         # Per-tick latent/context stacks land in reusable arena buffers:
         # the stack sources are always fresh per-run arrays (scheduler
@@ -293,7 +340,12 @@ class ContinuousExecutor:
         return finished
 
     # ------------------------------------------------------------------
-    # network forward (mirrors CompiledBatchedExecutor, per-run cursors)
+    # network forward (mirrors DiffusionNetwork.__call__ over a batch
+    # axis, per-run cursors)
+    #
+    # Any topology change in models/network.py or models/transformer.py
+    # must be reflected here; tests/exec/ and tests/serve/ fail on any
+    # divergence.
     # ------------------------------------------------------------------
     def _forward(
         self,
@@ -365,8 +417,8 @@ class ContinuousExecutor:
         table = self._adaln_tables[block_index]
         if table is not None:
             # Per-run modulation rows, broadcast over tokens: identical
-            # elementwise arithmetic to the per-step scalar broadcast of
-            # the drained executor.
+            # elementwise arithmetic to the single-stream executor's
+            # per-step vector broadcast.
             entries = [table[run.cursor] for run in runs]
             shift = np.stack([e[0] for e in entries])[:, None, :]
             scale = np.stack([e[1] for e in entries])[:, None, :]
@@ -420,7 +472,8 @@ class ContinuousExecutor:
                 self._cross_kv[block_index] = kv
         return _ep_attention_step_batched(
             layer, x, context, pred, self.config,
-            [run.stats for run in runs], kv=kv, arena=self._arena,
+            [run.stats for run in runs],
+            collect_keepmasks=self.collect_masks, kv=kv, arena=self._arena,
         )
 
     # ------------------------------------------------------------------
@@ -458,6 +511,10 @@ class ContinuousExecutor:
                 )
                 run.stats.ffn_layer1.add(full_l1, full_l1)
                 run.stats.ffn_layer2.add(full_l2, full_l2)
+                if self.collect_masks:
+                    run.stats.ffn_bitmasks.append(
+                        Bitmask(batch_state.mask[b])
+                    )
             return out
 
         batch_state = self._ffn_batch.get(block_index)

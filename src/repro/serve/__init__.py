@@ -7,8 +7,10 @@ concurrent requests*:
 - :mod:`repro.serve.request` — request/result records;
 - :mod:`repro.serve.queue` / :mod:`repro.serve.scheduler` — FIFO queue
   plus the micro-batching policy (max batch size, max wait);
-- :mod:`repro.serve.batched` — :class:`BatchedPipeline`, the vectorized
-  batch-axis twin of :class:`repro.core.pipeline.ExionPipeline`;
+- :mod:`repro.serve.batched` — :class:`BatchedPipeline`, the
+  request-level front of the one batched engine
+  (:class:`repro.exec.ContinuousExecutor`); a drained micro-batch is a
+  continuous batch with no membership edits;
 - :mod:`repro.serve.cache` — cross-request memoization of built models
   and offline-calibrated threshold tables;
 - :mod:`repro.serve.server` — :class:`ExionServer`, the front door;

@@ -1,14 +1,14 @@
 """Batched EXION generation: one denoising loop, many requests.
 
-:class:`BatchedPipeline` vectorizes :class:`repro.core.pipeline.ExionPipeline`
-over a leading batch axis. All requests of a micro-batch share the model,
-the ExionConfig and the timestep trajectory (they differ only in seed and
-conditioning), so every network operation — norms, projections, attention,
-FFN, the scheduler update — runs once per iteration on a
-``(batch, tokens, dim)`` stack instead of once per request. The FFN-Reuse
-dense-iteration state and the eager-prediction decisions are batched the
-same way (:class:`repro.core.ffn_reuse.BatchedFFNReuse`,
-:class:`repro.core.eager_prediction.BatchedEagerPredictor`).
+:class:`BatchedPipeline` is the request-level front of the batched engine,
+:class:`repro.exec.ContinuousExecutor`. All requests of a micro-batch
+share the model, the ExionConfig and the timestep trajectory (they differ
+only in seed and conditioning), so every network operation — norms,
+projections, attention, FFN — runs once per iteration on a
+``(batch, tokens, dim)`` stack instead of once per request. The pipeline
+holds no numeric code of its own: it builds the executor once and hands
+each micro-batch to :meth:`ContinuousExecutor.run_batch
+<repro.exec.ContinuousExecutor.run_batch>`.
 
 Per-request semantics are preserved exactly:
 
@@ -18,10 +18,10 @@ Per-request semantics are preserved exactly:
   resolved per request;
 - every request gets its own :class:`~repro.core.sparsity.RunStats`.
 
-A batch of one computes bit-for-bit what ``ExionPipeline.generate()``
-computes; the throughput benchmark
-(``benchmarks/bench_serve_throughput.py``) checks both this equivalence
-and the batching speedup.
+Every request of a batch computes bit-for-bit what a sequential
+``ExionPipeline.generate()`` computes; ``tests/serve/test_batched.py`` and
+the throughput benchmark (``benchmarks/bench_serve_throughput.py``) check
+this equivalence, the latter together with the batching speedup.
 """
 
 from __future__ import annotations
@@ -31,51 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import (
-    BatchedEagerPredictor,
-    _merge_heads_batched,
-    _split_heads_batched,
-)
-from repro.core.ffn_reuse import BatchedFFNReuse
-from repro.core.logdomain import quantize_symmetric_batched
 from repro.core.pipeline import GenerationResult
-from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
-from repro.models.activations import softmax
-from repro.models.attention import MultiHeadAttention
-from repro.models.ffn import FeedForward
-from repro.models.network import DiffusionNetwork, NetworkType
-from repro.models.pipeline import DiffusionResult
-from repro.models.scheduler import DDPMScheduler
-from repro.models.transformer import TransformerBlock
 from repro.models.zoo import BenchmarkModel
 from repro.serve.request import GenerationRequest
-
-
-def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
-    """Per-request activation fake-quantization (INT datapath emulation)."""
-    ints, scales = quantize_symmetric_batched(x, bits)
-    expand = (slice(None),) + (None,) * (x.ndim - 1)
-    return ints.astype(np.float64) * scales[expand]
-
-
-def _attention_exact_batched(
-    layer: MultiHeadAttention, x: np.ndarray, context: Optional[np.ndarray]
-) -> np.ndarray:
-    """Dense attention over ``(batch, tokens, dim)`` activations."""
-    kv_input = x if context is None else context
-    q = _split_heads_batched(layer.wq(x), layer.num_heads)
-    k = _split_heads_batched(layer.wk(kv_input), layer.num_heads)
-    v = _split_heads_batched(layer.wv(kv_input), layer.num_heads)
-    scores = np.einsum("bhtd,bhsd->bhts", q, k) * layer.scale
-    probs = softmax(scores, axis=-1)
-    attended = np.einsum("bhts,bhsd->bhtd", probs, v)
-    return layer.wo(_merge_heads_batched(attended))
-
-
-def _ffn_exact_batched(layer: FeedForward, x: np.ndarray) -> np.ndarray:
-    """Dense FFN over ``(batch, tokens, dim)`` activations."""
-    return layer.linear2(layer.nonlinear(layer.linear1(x)))
 
 
 class BatchedPipeline:
@@ -99,33 +58,30 @@ class BatchedPipeline:
         threshold_table: Optional[ThresholdTable] = None,
         activation_bits: Optional[int] = None,
         collect_masks: bool = False,
-        compiled: bool = False,
     ) -> None:
         self.model = model
         self.config = config
         self.threshold_table = threshold_table
         self.activation_bits = activation_bits
         self.collect_masks = collect_masks
-        self.compiled = compiled
-        self._compiled_executor = None
+        self._engine = None
 
     def _executor(self):
-        """The plan-compiled batched executor, built once per pipeline."""
-        if self._compiled_executor is None:
-            from repro.exec import CompiledBatchedExecutor
+        """The batched engine, built once per pipeline."""
+        if self._engine is None:
+            # Local import: repro.exec imports repro.serve.request, whose
+            # package init imports this module.
+            from repro.exec import ContinuousExecutor
 
-            self._compiled_executor = CompiledBatchedExecutor(
+            self._engine = ContinuousExecutor(
                 self.model,
                 self.config,
                 threshold_table=self.threshold_table,
                 activation_bits=self.activation_bits,
                 collect_masks=self.collect_masks,
             )
-        return self._compiled_executor
+        return self._engine
 
-    # ------------------------------------------------------------------
-    # entry points
-    # ------------------------------------------------------------------
     def generate(
         self,
         seed: int = 0,
@@ -165,211 +121,4 @@ class BatchedPipeline:
         self, requests: Sequence[GenerationRequest]
     ) -> list[GenerationResult]:
         """Generate one sample per request through a shared batched loop."""
-        requests = list(requests)
-        if not requests:
-            raise ValueError("need at least one request")
-        if self.compiled:
-            return self._executor().run_batch(requests)
-        batch = len(requests)
-        network = self.model.network
-        scheduler = self.model.scheduler
-        pipeline = self.model.make_pipeline()
-        if hasattr(scheduler, "reset"):
-            scheduler.reset()
-
-        rngs = [np.random.default_rng(r.seed) for r in requests]
-        x = np.stack(
-            [rng.standard_normal((network.tokens, network.dim)) for rng in rngs]
-        )
-        # Requests with the same conditioning share one encoder pass: the
-        # CLI and generate_batch() submit whole batches under one prompt,
-        # which would otherwise re-run the conditioning transformer per
-        # request.
-        embeddings: dict = {}
-        contexts = []
-        for r in requests:
-            key = (r.prompt, r.class_label)
-            if key not in embeddings:
-                embeddings[key] = pipeline.embed_prompt(r.prompt, r.class_label)
-            contexts.append(embeddings[key])
-        context = None
-        if any(c is not None for c in contexts):
-            context = np.stack(contexts)
-
-        stats = [RunStats() for _ in requests]
-        ffn_reuse: Optional[BatchedFFNReuse] = None
-        if self.config.enable_ffn_reuse:
-            ffn_reuse = BatchedFFNReuse(
-                self.config,
-                num_blocks=network.num_transformer_blocks,
-                batch_stats=stats,
-                threshold_table=self.threshold_table,
-                collect_bitmasks=self.collect_masks,
-            )
-        predictor: Optional[BatchedEagerPredictor] = None
-        if self.config.enable_eager_prediction:
-            predictor = BatchedEagerPredictor(
-                self.config, batch_stats=stats,
-                collect_keepmasks=self.collect_masks,
-            )
-
-        timesteps = scheduler.timesteps(pipeline.num_inference_steps)
-        for i, t in enumerate(timesteps):
-            if ffn_reuse is not None:
-                ffn_reuse.begin_iteration(i)
-            eps = self._forward(x, int(t), context, ffn_reuse, predictor)
-            prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
-            if isinstance(scheduler, DDPMScheduler):
-                # Ancestral sampling draws noise per request so each seed's
-                # trajectory matches its sequential run.
-                x = np.stack([
-                    scheduler.step(eps[b], int(t), x[b], prev_t=prev_t,
-                                   rng=rngs[b])
-                    for b in range(batch)
-                ])
-            else:
-                x = scheduler.step(eps, int(t), x, prev_t=prev_t, rng=None)
-
-        return [
-            GenerationResult(
-                sample=x[b].copy(),
-                stats=stats[b],
-                diffusion=DiffusionResult(
-                    sample=x[b].copy(), iterations=len(timesteps)
-                ),
-            )
-            for b in range(batch)
-        ]
-
-    # ------------------------------------------------------------------
-    # batched network forward (mirrors DiffusionNetwork.__call__)
-    #
-    # Any topology change in models/network.py or models/transformer.py
-    # must be reflected here; the bit-for-bit parity tests in
-    # tests/serve/test_batched.py cover all three network types and fail
-    # on any divergence.
-    # ------------------------------------------------------------------
-    def _forward(
-        self,
-        x: np.ndarray,
-        t: int,
-        context: Optional[np.ndarray],
-        ffn_reuse: Optional[BatchedFFNReuse],
-        predictor: Optional[BatchedEagerPredictor],
-    ) -> np.ndarray:
-        network = self.model.network
-        t_embed = network._embed_timestep(t)
-
-        if network.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = x
-            for i, block in enumerate(network.blocks):
-                h = self._block(block, h, context, t_embed, ffn_reuse,
-                                predictor, i)
-            return network.out_proj(network.final_norm(h))
-
-        # UNet shape: encoder half at full resolution, decoder half at
-        # half resolution, residual path across the downsample.
-        half = max(1, network.depth // 2)
-        h = x
-        for i in range(half):
-            h = self._stage(network, i, h, t_embed, context, ffn_reuse,
-                            predictor)
-        skip = h
-        h = self._downsample(network, h)
-        for i in range(half, network.depth):
-            h = self._stage(network, i, h, t_embed, context, ffn_reuse,
-                            predictor)
-        h = self._upsample(network, h, network.tokens) + skip
-        return network.out_proj(network.final_norm(h))
-
-    def _stage(
-        self,
-        network: DiffusionNetwork,
-        index: int,
-        h: np.ndarray,
-        t_embed: np.ndarray,
-        context: Optional[np.ndarray],
-        ffn_reuse: Optional[BatchedFFNReuse],
-        predictor: Optional[BatchedEagerPredictor],
-    ) -> np.ndarray:
-        if network.resblocks:
-            # ResBlocks run on per-request 2D grids; the convolution is the
-            # one stage that stays per-request.
-            resblock = network.resblocks[index]
-            h = np.stack([
-                network._apply_resblock(resblock, h[b], t_embed)
-                for b in range(h.shape[0])
-            ])
-        return self._block(network.blocks[index], h, context, t_embed,
-                           ffn_reuse, predictor, index)
-
-    def _downsample(self, network: DiffusionNetwork, h: np.ndarray) -> np.ndarray:
-        tokens = h.shape[1]
-        if tokens % 2 == 1:
-            h = np.concatenate([h, h[:, -1:]], axis=1)
-        pooled = 0.5 * (h[:, 0::2] + h[:, 1::2])
-        return network.down_proj(pooled)
-
-    def _upsample(
-        self, network: DiffusionNetwork, h: np.ndarray, target_tokens: int
-    ) -> np.ndarray:
-        up = np.repeat(h, 2, axis=1)[:, :target_tokens]
-        if up.shape[1] < target_tokens:
-            pad = np.repeat(up[:, -1:], target_tokens - up.shape[1], axis=1)
-            up = np.concatenate([up, pad], axis=1)
-        return network.up_proj(up)
-
-    def _block(
-        self,
-        block: TransformerBlock,
-        x: np.ndarray,
-        context: Optional[np.ndarray],
-        t_embed: Optional[np.ndarray],
-        ffn_reuse: Optional[BatchedFFNReuse],
-        predictor: Optional[BatchedEagerPredictor],
-        block_index: int,
-    ) -> np.ndarray:
-        h = block.norm1(x)
-        if block.adaln is not None and t_embed is not None:
-            shift, scale, gate = block.adaln(t_embed)
-            h = h * (1.0 + scale) + shift
-        else:
-            gate = 1.0
-        x = x + gate * self._attention(block.self_attn, h, None, predictor)
-
-        if block.cross_attn is not None and context is not None:
-            assert block.norm_cross is not None
-            x = x + self._attention(
-                block.cross_attn, block.norm_cross(x), context, predictor
-            )
-
-        x = x + self._ffn(block.ffn, block.norm2(x), ffn_reuse, block_index)
-        return x
-
-    def _attention(
-        self,
-        layer: MultiHeadAttention,
-        x: np.ndarray,
-        context: Optional[np.ndarray],
-        predictor: Optional[BatchedEagerPredictor],
-    ) -> np.ndarray:
-        if self.activation_bits is not None:
-            x = _fake_quantize_batched(x, self.activation_bits)
-            if context is not None:
-                context = _fake_quantize_batched(context, self.activation_bits)
-        if predictor is not None:
-            return predictor.run(layer, x, context)
-        return _attention_exact_batched(layer, x, context)
-
-    def _ffn(
-        self,
-        layer: FeedForward,
-        x: np.ndarray,
-        ffn_reuse: Optional[BatchedFFNReuse],
-        block_index: int,
-    ) -> np.ndarray:
-        if self.activation_bits is not None:
-            x = _fake_quantize_batched(x, self.activation_bits)
-        if ffn_reuse is not None:
-            return ffn_reuse.run(layer, x, block_index)
-        return _ffn_exact_batched(layer, x)
+        return self._executor().run_batch(requests)

@@ -6,8 +6,10 @@
 micro-batches under the configured :class:`~repro.serve.scheduler.BatchingPolicy`,
 and each batch runs through one
 :class:`~repro.serve.batched.BatchedPipeline` drawn from the
-:class:`~repro.serve.cache.ThresholdCache`. Results come back as
-:class:`~repro.serve.request.RequestResult` records carrying the same
+:class:`~repro.serve.cache.ThresholdCache` — a drained
+:meth:`repro.exec.ContinuousExecutor.run_batch` on the same compiled
+engine :class:`~repro.serve.continuous.ContinuousServer` ticks. Results
+come back as :class:`~repro.serve.request.RequestResult` records with the
 sample and statistics a sequential ``ExionPipeline.generate()`` call
 would have produced, plus serving metadata (batch size, queue wait,
 service time).

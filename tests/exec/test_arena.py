@@ -69,3 +69,21 @@ class TestArenaByteIdentity:
         # the second generation allocated nothing new
         assert executor._arena.allocations == allocations_after_first
         assert executor._arena.reuses > 0
+
+    def test_repeated_drained_batches_are_bit_equal(self):
+        """The batched twin: a second ``run_batch`` of the same seeds on
+        one engine is all-reuse and bit-identical to the first."""
+        from repro.exec import ContinuousExecutor
+        from repro.models.zoo import build_model
+        from repro.serve.request import GenerationRequest
+
+        model = build_model("dit", total_iterations=4)
+        executor = ContinuousExecutor(model, ExionConfig.for_model("dit"))
+        requests = [GenerationRequest(i, seed=i) for i in range(3)]
+        first = executor.run_batch(requests)
+        allocations_after_first = executor._arena.allocations
+        second = executor.run_batch(requests)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.sample, b.sample)
+        assert executor._arena.allocations == allocations_after_first
+        assert executor._arena.reuses > 0

@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdCalibrator
+from repro.exec import ContinuousExecutor
 from repro.models.zoo import build_model
 from repro.serve.batched import BatchedPipeline
 from repro.serve.request import GenerationRequest
@@ -48,6 +49,8 @@ class TestBatchOfOne:
             BatchedPipeline(serve_dit_model, dit_config).run_batch([])
         with pytest.raises(ValueError):
             BatchedPipeline(serve_dit_model, dit_config).generate_batch([])
+        with pytest.raises(ValueError):
+            ContinuousExecutor(serve_dit_model, dit_config).run_batch([])
 
 
 class TestHeterogeneousBatch:
@@ -79,15 +82,20 @@ class TestHeterogeneousBatch:
             assert np.array_equal(g.sample, w.sample)
 
     def test_mixed_prompts_cross_attention_model(self):
+        """Mixed ``(prompt, class_label)`` conditioning, with repeats that
+        share one encoder pass inside the batch."""
         model = build_model("mld", seed=0, total_iterations=5)
         config = ExionConfig.for_model("mld")
-        prompts = ["a person walks", "a person jumps high", "spin"]
+        conditioning = [
+            ("a person walks", None), ("a person jumps high", None),
+            ("spin", 3), ("a person walks", None), (None, 3),
+        ]
         sequential = ExionPipeline(model, config)
-        want = [sequential.generate(seed=i, prompt=p)
-                for i, p in enumerate(prompts)]
+        want = [sequential.generate(seed=i, prompt=p, class_label=c)
+                for i, (p, c) in enumerate(conditioning)]
         requests = [
-            GenerationRequest(request_id=i, seed=i, prompt=p)
-            for i, p in enumerate(prompts)
+            GenerationRequest(request_id=i, seed=i, prompt=p, class_label=c)
+            for i, (p, c) in enumerate(conditioning)
         ]
         got = BatchedPipeline(model, config).run_batch(requests)
         for g, w in zip(got, want):

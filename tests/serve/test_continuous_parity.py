@@ -16,7 +16,14 @@ import pytest
 
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
-from repro.serve import ContinuousPolicy, ContinuousServer, Priority
+from repro.exec import ContinuousExecutor
+from repro.models.zoo import build_model
+from repro.serve import (
+    ContinuousPolicy,
+    ContinuousServer,
+    GenerationRequest,
+    Priority,
+)
 from repro.serve.cache import ThresholdCache
 
 FAST_ITERATIONS = 6
@@ -119,3 +126,52 @@ def test_single_request_continuous_equals_solo():
     assert len(served) == 1
     assert served[0].batch_size == 1
     _assert_solo_identical("all", served)
+
+
+# ----------------------------------------------------------------------
+# batch-wide caches are keyed on run serials, not object addresses
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _mld():
+    return (build_model("mld", seed=0, total_iterations=FAST_ITERATIONS),
+            ExionConfig.for_model("mld"))
+
+
+def _drain(executor, run):
+    while not executor.run_tick([run]):
+        pass
+    return executor.finish_run(run)
+
+
+def test_reused_run_address_gets_fresh_batch_caches():
+    """CPython hands a dead run's address to a later ``RequestRun``; the
+    dead run's cross-attention K/V must not be served to the new one."""
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    second = GenerationRequest(1, seed=2, prompt="a person jumps high")
+    run = executor.start_run(
+        GenerationRequest(0, seed=1, prompt="a person walks")
+    )
+    _drain(executor, run)
+    # Whether the allocator reuses the address is up to it; re-housing the
+    # next run's state in the dead run's object makes the reuse certain.
+    run.__dict__ = executor.start_run(second).__dict__
+    got = _drain(executor, run)
+    fresh = ContinuousExecutor(model, config)
+    want = _drain(fresh, fresh.start_run(second))
+    assert np.array_equal(got.sample, want.sample)
+    assert got.stats.summary() == want.stats.summary()
+
+
+def test_back_to_back_drained_batches_do_not_share_caches():
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    executor.run_batch([
+        GenerationRequest(i, seed=i, prompt="a person walks") for i in range(2)
+    ])
+    second = [GenerationRequest(i, seed=i, prompt="spin") for i in range(2)]
+    got = executor.run_batch(second)
+    want = ContinuousExecutor(model, config).run_batch(second)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.sample, w.sample)
+        assert g.stats.summary() == w.stats.summary()
