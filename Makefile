@@ -18,7 +18,8 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 
 .PHONY: help test lint coverage bench bench-smoke bench-compare \
 	cache-smoke cluster-smoke serve-smoke explore-smoke program-smoke \
-	trace-smoke obs-analyze-smoke perfbench-quick smoke docs-check check
+	trace-smoke obs-analyze-smoke perfbench-quick smoke docs-check check \
+	fleet-digests
 
 help:  ## list targets with their descriptions
 	@awk -F':.*## ' '/^[a-zA-Z][a-zA-Z0-9_-]*:.*## / \
@@ -104,6 +105,9 @@ perfbench-quick:  ## host-time benchmark at 1/50 scale (output checks on)
 smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
 	program-smoke trace-smoke obs-analyze-smoke \
 	perfbench-quick  ## all *-smoke targets + perfbench-quick
+
+fleet-digests:  ## sha256 per fleet artefact, drain + continuous (diff across commits)
+	$(PYTHON) tools/fleet_digests.py
 
 docs-check:  ## docstring + __all__ export lint
 	$(PYTHON) tools/docs_check.py

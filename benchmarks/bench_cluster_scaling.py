@@ -33,7 +33,7 @@ from repro.cluster import (
     simulate_cluster,
     synthesize_trace,
 )
-from repro.serve import BatchingPolicy
+from repro.serve import ContinuousPolicy
 
 from .conftest import emit_result
 
@@ -42,7 +42,7 @@ RATE_RPS = 400.0  # saturates even the 4-replica fleet
 SEED = 0
 REPLICA_COUNTS = (1, 2, 4)
 ROUTER_NAMES = ("round_robin", "jsq", "cache_affinity")
-POLICY = BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
+POLICY = ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=0.0)
 
 
 def _run_cell(trace, service_model, replicas, router_name, slo=None):

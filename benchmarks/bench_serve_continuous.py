@@ -48,7 +48,7 @@ from repro.cluster import (
 )
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
-from repro.serve import BatchingPolicy, ContinuousPolicy, ContinuousServer
+from repro.serve import ContinuousPolicy, ContinuousServer
 
 from .conftest import emit_result
 
@@ -86,7 +86,9 @@ def _run_fleet(service_model, continuous):
             min_service_s=service_model.latency_s(MODEL, ABLATION, MAX_BATCH),
         )
     else:
-        policy = BatchingPolicy(max_batch_size=MAX_BATCH, max_wait_s=0.0)
+        policy = ContinuousPolicy(
+            drain=True, max_batch_size=MAX_BATCH, max_wait_s=0.0
+        )
     return simulate_cluster(
         _trace(),
         replicas=build_replicas(

@@ -36,9 +36,9 @@ Quickstart::
 
 Serving quickstart::
 
-    from repro import BatchingPolicy, ExionServer
+    from repro import ContinuousPolicy, ContinuousServer
 
-    server = ExionServer("dit", policy=BatchingPolicy(max_batch_size=8))
+    server = ContinuousServer("dit", policy=ContinuousPolicy(max_batch_size=8))
     ids = [server.submit(seed=s, class_label=207) for s in range(8)]
     results = server.run_until_drained()
 
@@ -58,15 +58,15 @@ from repro._version import __version__
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline, GenerationResult
 from repro.models.zoo import BENCHMARK_MODELS, build_model
-from repro.serve import BatchedPipeline, BatchingPolicy, ExionServer
+from repro.serve import BatchedPipeline, ContinuousPolicy, ContinuousServer
 
 __all__ = [
     "BENCHMARK_MODELS",
     "BatchedPipeline",
-    "BatchingPolicy",
+    "ContinuousPolicy",
+    "ContinuousServer",
     "ExionConfig",
     "ExionPipeline",
-    "ExionServer",
     "GenerationResult",
     "__version__",
     "build_model",

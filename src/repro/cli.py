@@ -238,7 +238,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.config import ExionConfig
-    from repro.serve import BatchingPolicy, ExionServer
+    from repro.serve import ContinuousPolicy, ContinuousServer
 
     config = ExionConfig.for_model(args.model).ablation(args.ablation)
     observer = None
@@ -246,116 +246,71 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.obs import Observer
 
         observer = Observer()
+    drain = not args.continuous
     # --simulate ACCEL: the server reads a simulated clock and prices
     # batches/ticks with the hardware latency model, so the report (and
     # any --json/--trace-out/--metrics-out output) is byte-identical
     # across runs and machines. Generation itself still executes.
-    clock = None
+    simulated = {}
     if args.simulate is not None:
         from repro.cluster.replica import ServiceTimeModel, SimClock
-        from repro.obs.scenario import make_service_time, make_tick_time
+        from repro.obs.scenario import drain_simulated, make_tick_time
 
-        clock = SimClock()
         service_model = ServiceTimeModel(
             args.simulate, iterations=args.iterations
         )
-    if args.continuous:
-        from repro.serve import ContinuousPolicy, ContinuousServer
-
-        weights = _parse_tenant_weights(args.tenants)
-        server = ContinuousServer(
-            args.model,
-            config=config,
-            policy=ContinuousPolicy(
-                max_batch_size=args.batch_size,
-                quantum=args.quantum,
-                preempt=not args.no_preempt,
-                aging_s=args.aging,
-                timeout_s=args.timeout,
-            ),
-            tenant_weights=weights,
-            model_seed=args.model_seed,
-            total_iterations=args.iterations,
-            calibrate=args.calibrate,
-            calibration_seed=args.calibration_seed,
-            observer=observer,
-            **(
-                {}
-                if clock is None
-                else dict(
-                    clock=clock,
-                    tick_time=make_tick_time(
-                        service_model, args.model, args.ablation
-                    ),
-                )
+        simulated = dict(
+            clock=SimClock(),
+            tick_time=make_tick_time(
+                service_model, args.model, args.ablation, drain
             ),
         )
-        tenants = sorted(weights) if weights else ["default"]
-        now_fn = clock if clock is not None else time.perf_counter
-        for i in range(args.requests):
-            deadline = (
+    weights = _parse_tenant_weights(args.tenants)
+    server = ContinuousServer(
+        args.model,
+        config=config,
+        policy=ContinuousPolicy(
+            max_batch_size=args.batch_size,
+            quantum=args.quantum,
+            preempt=not args.no_preempt,
+            aging_s=args.aging,
+            timeout_s=args.timeout,
+            max_wait_s=args.max_wait,
+            drain=drain,
+        ),
+        tenant_weights=weights,
+        model_seed=args.model_seed,
+        total_iterations=args.iterations,
+        calibrate=args.calibrate,
+        calibration_seed=args.calibration_seed,
+        observer=observer,
+        **simulated,
+    )
+    tenants = sorted(weights) if weights else ["default"]
+    now_fn = simulated.get("clock", time.perf_counter)
+    for i in range(args.requests):
+        server.submit(
+            seed=args.seed + i,
+            prompt=args.prompt,
+            class_label=args.class_label,
+            tenant=tenants[i % len(tenants)],
+            deadline_s=(
                 now_fn() + args.deadline
                 if args.deadline is not None else None
-            )
-            server.submit(
-                seed=args.seed + i,
-                prompt=args.prompt,
-                class_label=args.class_label,
-                tenant=tenants[i % len(tenants)],
-                deadline_s=deadline,
-            )
-        if clock is not None:
-            from repro.obs.scenario import drain_simulated
-
-            results = drain_simulated(server, clock)
-        else:
-            results = server.run_until_drained()
-    else:
-        server = ExionServer(
-            args.model,
-            config=config,
-            policy=BatchingPolicy(max_batch_size=args.batch_size,
-                                  max_wait_s=args.max_wait),
-            model_seed=args.model_seed,
-            total_iterations=args.iterations,
-            calibrate=args.calibrate,
-            calibration_seed=args.calibration_seed,
-            observer=observer,
-            **(
-                {}
-                if clock is None
-                else dict(
-                    clock=clock,
-                    service_time=make_service_time(
-                        service_model, args.model, args.ablation
-                    ),
-                )
             ),
         )
-        for i in range(args.requests):
-            server.submit(
-                seed=args.seed + i,
-                prompt=args.prompt,
-                class_label=args.class_label,
-            )
-        if clock is not None:
-            from repro.obs.scenario import drain_simulated
-
-            results = drain_simulated(server, clock)
-        else:
-            # Serve through step() so the batching policy governs
-            # dispatch: full batches go immediately, a partial tail
-            # waits --max-wait.
-            results = []
-            while True:
-                served = server.step()
-                if served:
-                    results.extend(served)
-                elif len(server.queue) == 0:
-                    break
-                else:
-                    time.sleep(min(0.05, max(args.max_wait, 0.001)))
-            results.sort(key=lambda r: r.request_id)
+    if simulated:
+        results = drain_simulated(server, simulated["clock"])
+    else:
+        # Serve through step() so the batching policy governs
+        # dispatch: full batches go immediately, a partial tail
+        # waits --max-wait.
+        results = []
+        while server.has_work:
+            results.extend(server.step())
+            if not server.last_tick_phase:  # pending but not due
+                time.sleep(min(0.05, max(args.max_wait, 0.001)))
+        results.sort(key=lambda r: r.request_id)
     report = server.report()
 
     rows = [
@@ -462,7 +417,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         simulate_cluster,
         synthesize_trace,
     )
-    from repro.serve import BatchingPolicy
+    from repro.serve import ContinuousPolicy
 
     if args.trace is not None:
         requests = load_trace(args.trace)
@@ -496,22 +451,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         max_queue_depth=args.max_queue_depth,
     )
-    if args.continuous:
-        from repro.serve import ContinuousPolicy
-
-        policy = ContinuousPolicy(
+    replicas = build_replicas(
+        args.replicas,
+        accelerator=args.accelerator,
+        policy=ContinuousPolicy(
             max_batch_size=args.batch_size,
             quantum=args.quantum,
             preempt=not args.no_preempt,
             aging_s=args.aging,
-        )
-    else:
-        policy = BatchingPolicy(max_batch_size=args.batch_size,
-                                max_wait_s=args.max_wait)
-    replicas = build_replicas(
-        args.replicas,
-        accelerator=args.accelerator,
-        policy=policy,
+            max_wait_s=args.max_wait,
+        ),
         execute=args.execute,
         execute_iterations=args.iterations,
         continuous=args.continuous,
@@ -1012,22 +961,19 @@ def build_parser() -> argparse.ArgumentParser:
                           "join/leave the live batch at dense-phase "
                           "boundaries instead of drain-and-refill")
     srv.add_argument("--quantum", type=float, default=1.0,
-                     help="fair-queuing deficit credit per round "
-                          "(continuous mode)")
+                     help="fair-queuing deficit credit per round")
     srv.add_argument("--aging", type=float, default=None,
                      help="promote a queued request one priority class "
-                          "per this many seconds waited (continuous)")
+                          "per this many seconds waited")
     srv.add_argument("--no-preempt", action="store_true",
                      help="disable priority preemption at boundaries")
     srv.add_argument("--timeout", type=float, default=None,
-                     help="drop queued requests older than this "
-                          "(continuous mode)")
+                     help="drop queued requests older than this")
     srv.add_argument("--deadline", type=float, default=None,
-                     help="relative deadline applied to every request "
-                          "(continuous mode SLA)")
+                     help="relative deadline applied to every request")
     srv.add_argument("--tenants", default=None,
                      help="tenant weights 'alice=2,bob=1'; requests are "
-                          "assigned round-robin (continuous mode)")
+                          "assigned round-robin")
     srv.add_argument("--simulate", default=None, metavar="ACCEL",
                      choices=["exion4", "exion24", "exion42"],
                      help="run in simulated time: batch/tick durations "
@@ -1094,11 +1040,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replicas run iteration-level continuous "
                           "batching instead of drain-and-refill")
     clu.add_argument("--quantum", type=float, default=1.0,
-                     help="fair-queuing deficit credit per round "
-                          "(continuous mode)")
+                     help="fair-queuing deficit credit per round")
     clu.add_argument("--aging", type=float, default=None,
-                     help="priority aging interval in simulated seconds "
-                          "(continuous mode)")
+                     help="priority aging interval in simulated seconds")
     clu.add_argument("--no-preempt", action="store_true",
                      help="disable priority preemption at boundaries")
     clu.add_argument("--tenants", default=None,

@@ -2,9 +2,10 @@
 
 The paper evaluates distinct deployment points (EXION4 edge, EXION24
 server, EXION42 — Table II); this package scales the reproduction from
-one synchronous :class:`~repro.serve.server.ExionServer` to a *fleet* of
-them, fed by open-loop traffic and measured on the axes a serving
-operator cares about — tail latency, queue wait, utilization, drops:
+one synchronous :class:`~repro.serve.continuous.ContinuousServer` to a
+*fleet* of them, fed by open-loop traffic and measured on the axes a
+serving operator cares about — tail latency, queue wait, utilization,
+drops:
 
 - :mod:`repro.cluster.traffic` — arrival processes (Poisson, bursty
   MMPP, diurnal ramp, replayable trace files) and workload mixes over
@@ -45,7 +46,6 @@ and ``python -m repro cluster`` for the CLI.
 
 from repro.cluster.replica import (
     ACCELERATORS,
-    ContinuousReplica,
     Dispatch,
     DroppedRequest,
     Replica,
@@ -88,7 +88,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRequest",
     "ClusterSimulator",
-    "ContinuousReplica",
     "Dispatch",
     "DiurnalProcess",
     "DroppedRequest",

@@ -1,15 +1,15 @@
 """One fleet member: an accelerator-backed serving replica in sim time.
 
 A :class:`Replica` wraps real serving machinery — per-(model, ablation)
-:class:`~repro.serve.server.ExionServer` instances sharing one
+:class:`~repro.serve.continuous.ContinuousServer` instances sharing one
 :class:`~repro.serve.cache.ThresholdCache` — behind a :class:`SimClock`
 the event loop advances, so batching decisions (coalescing, max-wait
-dispatch) are exactly what the serving layer would do, while **service
-times come from the hardware simulator**, not from wall clock:
-:class:`ServiceTimeModel` lowers each (model, ablation, batch) point
-once through :func:`repro.program.lower_plan` and prices the plan with
-:meth:`repro.hw.accelerator.ExionAccelerator.simulate_plan` for the
-replica's Table II configuration (exion4 / exion24 / exion42).
+dispatch, joins at dense boundaries) are exactly what the serving layer
+would do, while **service times come from the hardware simulator**, not
+from wall clock: :class:`ServiceTimeModel` lowers each (model, ablation,
+batch) point once through :func:`repro.program.lower_plan` and prices
+the plan with :meth:`repro.hw.accelerator.ExionAccelerator.simulate_plan`
+for the replica's Table II configuration (exion4 / exion24 / exion42).
 
 The first batch of a ``(model, ablation)`` on a replica pays a
 *cold-start* penalty — one vanilla batch-1 generation, mirroring how the
@@ -17,21 +17,19 @@ serving layer's offline threshold calibration costs a full vanilla run —
 which is what makes cache-affinity routing worth having.
 
 By default replicas run ``dry_run`` servers (accounting only); pass
-``execute=True`` to actually run the numeric generation pipeline per
-batch (slow, but results then carry real samples and sparsity stats).
+``execute=True`` to actually run the numeric generation (slow, but
+results then carry real samples and sparsity stats).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.serve.cache import ThresholdCache
-from repro.serve.scheduler import BatchingPolicy
-from repro.serve.server import ExionServer
+from repro.serve.continuous import ContinuousPolicy, ContinuousServer
 from repro.workloads.specs import get_spec
 
 #: Table II deployment points by CLI/scenario name.
@@ -293,312 +291,31 @@ class Dispatch:
 
 
 class Replica:
-    """One accelerator's worth of serving capacity inside the fleet."""
+    """One accelerator's worth of serving capacity inside the fleet.
 
-    def __init__(
-        self,
-        index: int,
-        accelerator: Union[str, ExionAccelerator] = "exion24",
-        policy: Optional[BatchingPolicy] = None,
-        service_model: Optional[ServiceTimeModel] = None,
-        execute: bool = False,
-        execute_iterations: Optional[int] = None,
-        model_seed: int = 0,
-        calibration_seed: int = 0,
-    ) -> None:
-        self.index = index
-        self.policy = policy if policy is not None else BatchingPolicy()
-        self.service_model = (
-            service_model
-            if service_model is not None
-            else ServiceTimeModel(accelerator)
-        )
-        self.execute = execute
-        self.execute_iterations = execute_iterations
-        self.model_seed = model_seed
-        self.calibration_seed = calibration_seed
-        self.clock = SimClock()
-        self.cache = ThresholdCache()
-        self.servers: dict = {}  # (model, ablation) -> ExionServer
-        self.warm_keys: set = set()
-        self._cold_paid: set = set()
-        self._last_cold_s = 0.0
-        self.busy_until = 0.0
-        self._inflight = 0
-        self.busy_s = 0.0
-        self.requests_served = 0
-        self.batches_served = 0
-        self.cold_starts = 0
-        self.admission_drops = 0
-        self.timeout_drops = 0
-
-    @property
-    def name(self) -> str:
-        return f"replica{self.index}"
-
-    @property
-    def accelerator_name(self) -> str:
-        return self.service_model.name
-
-    def policy_doc(self) -> dict:
-        """Scenario fingerprint of this replica's batching policy."""
-        return {
-            "max_batch_size": self.policy.max_batch_size,
-            "max_wait_s": self.policy.max_wait_s,
-        }
-
-    # ------------------------------------------------------------------
-    # routing metrics
-    # ------------------------------------------------------------------
-    def queue_depth(self) -> int:
-        """Requests queued and not yet dispatched (excludes in-flight)."""
-        return sum(len(server.queue) for server in self.servers.values())
-
-    def load(self, now: float) -> int:
-        """Join-shortest-queue load: queued plus in-flight requests."""
-        inflight = self._inflight if self.busy_until > now else 0
-        return self.queue_depth() + inflight
-
-    def is_warm(self, key: tuple) -> bool:
-        """Whether this replica has (or is about to have) ``key`` cached."""
-        return key in self.warm_keys
-
-    # ------------------------------------------------------------------
-    # event-loop interface
-    # ------------------------------------------------------------------
-    def _server(self, model: str, ablation: str) -> ExionServer:
-        key = (model, ablation)
-        if key not in self.servers:
-            config = ExionConfig.for_model(model).ablation(ablation)
-
-            def service_time(batch, model=model, ablation=ablation, key=key):
-                latency = self.service_model.latency_s(
-                    model, ablation, len(batch)
-                )
-                if self.service_model.cold_start and key not in self._cold_paid:
-                    self._cold_paid.add(key)
-                    self.cold_starts += 1
-                    cold_s = self.service_model.calibration_s(model)
-                    self._last_cold_s = cold_s
-                    latency += cold_s
-                return latency
-
-            self.servers[key] = ExionServer(
-                model,
-                config=config,
-                policy=self.policy,
-                cache=self.cache,
-                model_seed=self.model_seed,
-                total_iterations=self.execute_iterations,
-                calibration_seed=self.calibration_seed,
-                clock=self.clock,
-                service_time=service_time,
-                dry_run=not self.execute,
-                # Only execute mode has results worth fetching afterwards;
-                # dry-run sweeps keep memory flat over long traces.
-                retain_results=self.execute,
-            )
-        return self.servers[key]
-
-    def enqueue(self, request, now: float, max_queue_depth=None) -> bool:
-        """Admit (or reject) one routed request at simulated time ``now``."""
-        if (
-            max_queue_depth is not None
-            and self.queue_depth() >= max_queue_depth
-        ):
-            self.admission_drops += 1
-            return False
-        self.clock.now = now
-        server = self._server(request.model, request.ablation)
-        server.submit(
-            seed=request.seed,
-            prompt=request.prompt,
-            class_label=request.class_label,
-            tenant=getattr(request, "tenant", "default"),
-            priority=getattr(request, "priority", None),
-            deadline_s=getattr(request, "deadline_s", None),
-        )
-        self.warm_keys.add(request.pipeline_key)
-        return True
-
-    def expire(self, now: float, timeout_s: Optional[float]) -> list:
-        """Drop queued requests past the SLO timeout or their deadline."""
-        dropped = []
-        for key, server in sorted(self.servers.items()):
-            model, ablation = key
-            stale = server.queue.expire(now, timeout_s)
-            dropped.extend(
-                DroppedRequest(
-                    model=model,
-                    ablation=ablation,
-                    reason=(
-                        "deadline"
-                        if request.deadline_s is not None
-                        and now >= request.deadline_s
-                        else "timeout"
-                    ),
-                    dropped_at_s=now,
-                    waited_s=now - request.submitted_at,
-                )
-                for request in stale
-            )
-            # A key whose every request expired before any batch ran never
-            # actually warmed: stop advertising affinity for it, or the
-            # router would keep steering traffic at phantom warmth.
-            if stale and len(server.queue) == 0 and key not in self._cold_paid:
-                self.warm_keys.discard(key)
-        self.timeout_drops += len(dropped)
-        return dropped
-
-    def _ready_servers(self, now: float) -> list:
-        """(head_submitted_at, key, server) for servers with a due batch."""
-        ready = []
-        for key, server in sorted(self.servers.items()):
-            if server.scheduler.ready(now):
-                head_submitted = now - server.queue.oldest_wait(now)
-                ready.append((head_submitted, key, server))
-        return ready
-
-    def _earliest_timeout(
-        self, now: float, timeout_s: Optional[float]
-    ) -> Optional[float]:
-        """When the oldest queued request crosses the SLO timeout."""
-        if timeout_s is None:
-            return None
-        deadline = None
-        for _, server in sorted(self.servers.items()):
-            if len(server.queue) == 0:
-                continue
-            head_submitted = now - server.queue.oldest_wait(now)
-            due = head_submitted + timeout_s
-            deadline = due if deadline is None else min(deadline, due)
-        if deadline is None:
-            return None
-        # Expiry is strict (wait > timeout), so a wake-up at exactly the
-        # deadline would drop nothing; one ulp later it does.
-        return math.nextafter(deadline, math.inf)
-
-    def next_event_time(
-        self, now: float, timeout_s: Optional[float] = None
-    ) -> Optional[float]:
-        """When this replica next needs attention, or ``None`` if idle.
-
-        ``timeout_s`` is the fleet's SLO timeout: queued requests must be
-        swept *at* their deadline (not at the next arrival or max-wait
-        fire), so expiry instants are wake-ups too — otherwise a doomed
-        tail request would inflate the makespan and drop accounting.
-        """
-        if self.queue_depth() == 0:
-            return None
-        deadline = self._earliest_timeout(now, timeout_s)
-        if self.busy_until > now:
-            fire = self.busy_until
-        elif self._ready_servers(now):
-            fire = now
-        else:
-            # Idle, pending but not due: the earliest max-wait expiry.
-            fire = None
-            for _, server in sorted(self.servers.items()):
-                if len(server.queue) == 0:
-                    continue
-                head_submitted = now - server.queue.oldest_wait(now)
-                due = head_submitted + server.scheduler.policy.max_wait_s
-                fire = due if fire is None else min(fire, due)
-        if fire is None:
-            return deadline
-        if deadline is None:
-            return fire
-        return min(fire, deadline)
-
-    def try_dispatch(self, now: float) -> Optional[Dispatch]:
-        """Serve one due micro-batch at ``now``; ``None`` if busy/not due."""
-        if self.busy_until > now:
-            return None
-        ready = self._ready_servers(now)
-        if not ready:
-            return None
-        # FIFO across models: serve the batch whose head waited longest.
-        _, (model, ablation), server = min(ready)
-        self.clock.now = now
-        self._last_cold_s = 0.0
-        served = server.step()
-        if not served:  # pragma: no cover - ready() guarantees a batch
-            return None
-        service_s = served[0].service_s
-        self.busy_until = now + service_s
-        self._inflight = len(served)
-        self.busy_s += service_s
-        self.requests_served += len(served)
-        self.batches_served += 1
-        return Dispatch(
-            replica=self.name,
-            model=model,
-            ablation=ablation,
-            served=served,
-            started_s=now,
-            service_s=service_s,
-            phase="batch",
-            cold_s=self._last_cold_s,
-            members=tuple(
-                (r.request.request_id, r.request.tenant,
-                 int(r.request.priority))
-                for r in served
-            ),
-            energy_j=self.service_model.energy_j(
-                model, ablation, len(served)
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def usage(self, makespan_s: float) -> dict:
-        """Per-replica accounting row for the cluster report."""
-        served = self.requests_served
-        return {
-            "name": self.name,
-            "accelerator": self.accelerator_name,
-            "requests_served": served,
-            "batches_served": self.batches_served,
-            "mean_batch_size": (
-                served / self.batches_served if self.batches_served else 0.0
-            ),
-            "busy_s": self.busy_s,
-            "utilization": (
-                self.busy_s / makespan_s if makespan_s > 0.0 else 0.0
-            ),
-            "cold_starts": self.cold_starts,
-            "admission_drops": self.admission_drops,
-            "timeout_drops": self.timeout_drops,
-        }
-
-
-class ContinuousReplica:
-    """A fleet member running iteration-level continuous batching.
-
-    Same event-loop interface as :class:`Replica`, but each
-    ``(model, ablation)`` key is served by a
-    :class:`~repro.serve.continuous.ContinuousServer` whose live batch
-    changes membership between denoising iterations, and each
-    :meth:`try_dispatch` executes **one tick** (one iteration of the
-    live batch) priced by :meth:`ServiceTimeModel.tick_latency_s`.
+    Each ``(model, ablation)`` key is served by a
+    :class:`~repro.serve.continuous.ContinuousServer`, and each
+    :meth:`try_dispatch` executes **one server step**: one iteration of
+    the live batch priced by :meth:`ServiceTimeModel.tick_latency_s`,
+    or — under ``policy.drain`` — one whole micro-batch priced by
+    :meth:`ServiceTimeModel.latency_s`.
 
     One accelerator holds one model's weights and phase state at a time:
     the replica serves a single *active* key and only switches keys when
     the active key has no in-flight generations (its live batch fully
-    drained), picking the key whose head request waited longest.
+    drained), picking the due key whose head request waited longest.
 
-    Per-generation outputs are the continuous scheduler's responsibility
+    Per-generation outputs are the server's responsibility
     (``execute=True`` runs the real numerics, byte-identical to solo
     generation); by default servers are ``dry_run`` cursor machines and
-    only the schedule and its tick prices are simulated.
+    only the schedule and its prices are simulated.
     """
 
     def __init__(
         self,
         index: int,
         accelerator: Union[str, ExionAccelerator] = "exion24",
-        policy=None,
+        policy: Optional[ContinuousPolicy] = None,
         service_model: Optional[ServiceTimeModel] = None,
         tenant_weights: Optional[dict] = None,
         execute: bool = False,
@@ -606,11 +323,9 @@ class ContinuousReplica:
         model_seed: int = 0,
         calibration_seed: int = 0,
     ) -> None:
-        from repro.serve.continuous import ContinuousPolicy
-
         self.index = index
         self.policy = (
-            policy if policy is not None else ContinuousPolicy()
+            policy if policy is not None else ContinuousPolicy(drain=True)
         )
         self.service_model = (
             service_model
@@ -633,7 +348,7 @@ class ContinuousReplica:
         self._inflight = 0
         self.busy_s = 0.0
         self.requests_served = 0
-        self.batches_served = 0  # ticks dispatched
+        self.batches_served = 0  # server steps dispatched
         self.cold_starts = 0
         self.admission_drops = 0
         self.timeout_drops = 0
@@ -647,6 +362,12 @@ class ContinuousReplica:
         return self.service_model.name
 
     def policy_doc(self) -> dict:
+        """Scenario fingerprint of this replica's batching policy."""
+        if self.policy.drain:
+            return {
+                "max_batch_size": self.policy.max_batch_size,
+                "max_wait_s": self.policy.max_wait_s,
+            }
         return {
             "mode": "continuous",
             "max_batch_size": self.policy.max_batch_size,
@@ -658,34 +379,41 @@ class ContinuousReplica:
     # routing metrics
     # ------------------------------------------------------------------
     def queue_depth(self) -> int:
+        """Requests queued and not yet seated (excludes in-flight)."""
         return sum(len(server.queue) for server in self.servers.values())
 
-    def active_count(self) -> int:
-        return sum(len(server.active) for server in self.servers.values())
-
     def load(self, now: float) -> int:
-        """Queued plus in-flight generations (live batch members)."""
-        return self.queue_depth() + self.active_count()
+        """Join-shortest-queue load: queued plus in-flight requests."""
+        if self.policy.drain:
+            # A drained batch has left its server when step() returns;
+            # it stays in flight until the replica's busy window ends.
+            inflight = self._inflight if self.busy_until > now else 0
+        else:
+            inflight = sum(len(s.active) for s in self.servers.values())
+        return self.queue_depth() + inflight
 
     def is_warm(self, key: tuple) -> bool:
+        """Whether this replica has (or is about to have) ``key`` cached."""
         return key in self.warm_keys
 
     # ------------------------------------------------------------------
     # event-loop interface
     # ------------------------------------------------------------------
-    def _server(self, model: str, ablation: str):
-        from repro.serve.continuous import ContinuousServer
-
+    def _server(self, model: str, ablation: str) -> ContinuousServer:
         key = (model, ablation)
         if key not in self.servers:
             config = ExionConfig.for_model(model).ablation(ablation)
 
-            def tick_time(batch_size, is_dense, model=model,
-                          ablation=ablation, key=key):
-                kind = "dense" if is_dense else "sparse"
-                latency = self.service_model.tick_latency_s(
-                    model, ablation, batch_size, kind
-                )
+            def tick_time(batch_size, is_dense):
+                if self.policy.drain:  # a step is a whole generation
+                    latency = self.service_model.latency_s(
+                        model, ablation, batch_size
+                    )
+                else:
+                    latency = self.service_model.tick_latency_s(
+                        model, ablation, batch_size,
+                        "dense" if is_dense else "sparse",
+                    )
                 if self.service_model.cold_start and key not in self._cold_paid:
                     self._cold_paid.add(key)
                     self.cold_starts += 1
@@ -710,6 +438,8 @@ class ContinuousReplica:
                 clock=self.clock,
                 tick_time=tick_time,
                 dry_run=not self.execute,
+                # Only execute mode has results worth fetching afterwards;
+                # dry-run sweeps keep memory flat over long traces.
                 retain_results=self.execute,
             )
         return self.servers[key]
@@ -742,7 +472,8 @@ class ContinuousReplica:
         dropped = []
         for key, server in sorted(self.servers.items()):
             model, ablation = key
-            for request, reason in server.pop_dropped():
+            stale = server.pop_dropped()
+            for request, reason in stale:
                 dropped.append(DroppedRequest(
                     model=model,
                     ablation=ablation,
@@ -750,11 +481,16 @@ class ContinuousReplica:
                     dropped_at_s=now,
                     waited_s=max(0.0, now - request.submitted_at),
                 ))
+            # A key whose every request expired before any batch ran never
+            # actually warmed: stop advertising affinity for it, or the
+            # router would keep steering traffic at phantom warmth.
+            if stale and not server.has_work and key not in self._cold_paid:
+                self.warm_keys.discard(key)
         self.timeout_drops += len(dropped)
         return dropped
 
     def expire(self, now: float, timeout_s: Optional[float]) -> list:
-        """Sweep queue timeouts/deadlines across every key's fair queue."""
+        """Drop queued requests past the SLO timeout or their deadline."""
         for _, server in sorted(self.servers.items()):
             server.expire_queued(now, timeout_s=timeout_s)
         return self._collect_drops(now)
@@ -766,14 +502,12 @@ class ContinuousReplica:
                 return self._active_key  # mid-generation: no model swap
             if not server.has_work:
                 self._active_key = None
+        # FIFO across models: the due key whose head waited longest.
         best = None
         for key, server in sorted(self.servers.items()):
-            if not server.has_work:
+            if not server.due(now):
                 continue
-            head_submitted = now - server.queue.oldest_wait(now)
-            if server.active:  # pragma: no cover - single active key
-                head_submitted = -math.inf
-            candidate = (head_submitted, key)
+            candidate = (now - server.queue.oldest_wait(now), key)
             if best is None or candidate < best:
                 best = candidate
         if best is None:
@@ -781,39 +515,37 @@ class ContinuousReplica:
         self._active_key = best[1]
         return best[1]
 
-    def _earliest_timeout(
-        self, now: float, timeout_s: Optional[float]
-    ) -> Optional[float]:
-        """When a queued request next crosses its timeout or deadline."""
-        due = None
-        for _, server in sorted(self.servers.items()):
-            for entry in server.queue.entries():
-                candidates = []
-                if timeout_s is not None:
-                    # Expiry is strict (wait > timeout): one ulp later.
-                    candidates.append(math.nextafter(
-                        entry.request.submitted_at + timeout_s, math.inf
-                    ))
-                if entry.request.deadline_s is not None:
-                    candidates.append(entry.request.deadline_s)
-                for when in candidates:
-                    due = when if due is None else min(due, when)
-        return due
-
     def next_event_time(
         self, now: float, timeout_s: Optional[float] = None
     ) -> Optional[float]:
-        """When this replica next needs attention, or ``None`` if idle."""
-        if not any(s.has_work for s in self.servers.values()):
+        """When this replica next needs attention, or ``None`` if idle.
+
+        ``timeout_s`` is the fleet's SLO timeout: queued requests must be
+        swept *at* their expiry instant (not at the next arrival or
+        max-wait fire), so those instants are wake-ups too — otherwise a
+        doomed tail request would inflate the makespan and drop accounting.
+        """
+        servers = [s for _, s in sorted(self.servers.items()) if s.has_work]
+        if not servers:
             return None
-        deadline = self._earliest_timeout(now, timeout_s)
-        fire = self.busy_until if self.busy_until > now else now
-        if deadline is None:
-            return fire
-        return min(fire, deadline)
+        if self.busy_until > now:
+            fire = self.busy_until
+        elif any(server.due(now) for server in servers):
+            fire = now
+        else:
+            # Idle, pending but not due: the earliest max-wait expiry.
+            fire = min(
+                now - s.queue.oldest_wait(now) + self.policy.max_wait_s
+                for s in servers
+            )
+        for server in servers:
+            expiry = server.queue.next_expiry(timeout_s)
+            if expiry is not None:
+                fire = min(fire, expiry)
+        return fire
 
     def try_dispatch(self, now: float) -> Optional[Dispatch]:
-        """Run one tick of the active key's live batch at ``now``."""
+        """Run one step of the active key's server at ``now``."""
         if self.busy_until > now:
             return None
         key = self._choose_key(now)
@@ -825,22 +557,25 @@ class ContinuousReplica:
         self._last_cold_s = 0.0
         served = server.step(now=now)
         self._collect_drops(now)
-        tick_s = server.last_tick_s
-        if tick_s == 0.0 and not served and not server.active:
+        phase = server.last_tick_phase
+        if not phase:
             # The rebalance admitted nothing (everything expired): no
-            # tick actually ran, nothing to account.
+            # step actually ran, nothing to account.
             return None
+        tick_s = server.last_tick_s
         self.busy_until = now + tick_s
         self._inflight = len(server.active) + len(served)
         self.busy_s += tick_s
         self.requests_served += len(served)
         self.batches_served += 1
         members = tuple(server.last_tick_members)
-        phase = server.last_tick_phase or "batch"
-        energy_j = 0.0
-        if members and server.last_tick_phase:
+        if phase == "batch":
+            energy_j = self.service_model.energy_j(
+                model, ablation, len(members)
+            )
+        else:
             energy_j = self.service_model.tick_energy_j(
-                model, ablation, len(members), server.last_tick_phase
+                model, ablation, len(members), phase
             )
         return Dispatch(
             replica=self.name,
@@ -859,10 +594,11 @@ class ContinuousReplica:
     # reporting
     # ------------------------------------------------------------------
     def usage(self, makespan_s: float) -> dict:
+        """Per-replica accounting row for the cluster report."""
         reports = [s.report() for _, s in sorted(self.servers.items())]
         ticks = sum(r.ticks for r in reports)
         occupancy = sum(r.occupancy_ticks for r in reports)
-        return {
+        row = {
             "name": self.name,
             "accelerator": self.accelerator_name,
             "requests_served": self.requests_served,
@@ -875,17 +611,22 @@ class ContinuousReplica:
             "cold_starts": self.cold_starts,
             "admission_drops": self.admission_drops,
             "timeout_drops": self.timeout_drops,
-            "ticks": ticks,
-            "mean_occupancy": occupancy / ticks if ticks else 0.0,
-            "joins": sum(r.joins for r in reports),
-            "preemptions": sum(r.preemptions for r in reports),
-            "deadline_evictions": sum(r.deadline_evictions for r in reports),
         }
+        if not self.policy.drain:
+            row.update(
+                ticks=ticks,
+                mean_occupancy=row["mean_batch_size"],
+                joins=sum(r.joins for r in reports),
+                preemptions=sum(r.preemptions for r in reports),
+                deadline_evictions=sum(
+                    r.deadline_evictions for r in reports
+                ),
+            )
+        return row
 
 
 __all__ = [
     "ACCELERATORS",
-    "ContinuousReplica",
     "Dispatch",
     "DroppedRequest",
     "Replica",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 from itertools import count
 from typing import Optional
 
@@ -26,6 +27,7 @@ from repro.cluster.replica import Replica
 from repro.cluster.report import ClusterReport
 from repro.cluster.router import Router
 from repro.cluster.slo import LatencyAccumulator, SLOPolicy
+from repro.serve.continuous import ContinuousPolicy
 
 #: Minimum forward step when rescheduling a check at a non-advancing
 #: instant (floating-point guard; far below any modeled latency).
@@ -248,39 +250,30 @@ def build_replicas(
     ``model_seed``/``calibration_seed`` reach every replica's servers;
     remaining keyword arguments configure the shared
     :class:`~repro.cluster.replica.ServiceTimeModel` (``iterations``,
-    ``profile_seed``, ``cold_start``). ``continuous=True`` builds
-    :class:`~repro.cluster.replica.ContinuousReplica` members
-    (iteration-level continuous batching; ``policy`` is then a
-    :class:`~repro.serve.continuous.ContinuousPolicy` and
-    ``tenant_weights`` configures per-tenant fair-queuing weights).
+    ``profile_seed``, ``cold_start``). ``continuous`` picks the
+    scheduling mode of ``policy`` (a
+    :class:`~repro.serve.continuous.ContinuousPolicy`): iteration-level
+    continuous batching when true — ``tenant_weights`` then configures
+    per-tenant fair-queuing weights — else drain-and-refill.
     """
-    from repro.cluster.replica import ContinuousReplica, ServiceTimeModel
+    from repro.cluster.replica import ServiceTimeModel
 
     if count_ < 1:
         raise ValueError("need at least one replica")
+    if tenant_weights is not None and not continuous:
+        raise ValueError("tenant_weights requires continuous=True")
     if service_model is None:
         service_model = ServiceTimeModel(accelerator, **service_kwargs)
-    if continuous:
-        return [
-            ContinuousReplica(
-                index=i,
-                policy=policy,
-                service_model=service_model,
-                tenant_weights=tenant_weights,
-                execute=execute,
-                execute_iterations=execute_iterations,
-                model_seed=model_seed,
-                calibration_seed=calibration_seed,
-            )
-            for i in range(count_)
-        ]
-    if tenant_weights is not None:
-        raise ValueError("tenant_weights requires continuous=True")
+    policy = replace(
+        policy if policy is not None else ContinuousPolicy(),
+        drain=not continuous,
+    )
     return [
         Replica(
             index=i,
             policy=policy,
             service_model=service_model,
+            tenant_weights=tenant_weights,
             execute=execute,
             execute_iterations=execute_iterations,
             model_seed=model_seed,

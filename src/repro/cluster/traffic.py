@@ -46,11 +46,11 @@ class ClusterRequest:
     ``arrival_s`` is simulated time (seconds since the run started);
     ``model``/``ablation`` identify the pipeline the request needs (the
     cache-affinity key); ``seed``/``class_label``/``prompt`` are the
-    generation inputs an :class:`~repro.serve.server.ExionServer` expects.
-    ``tenant``/``priority``/``deadline_s`` feed the continuous
-    scheduler's fair queuing, preemption, and SLA admission
-    (:class:`~repro.serve.continuous.ContinuousServer`); the drain-style
-    replicas ignore them. ``deadline_s`` is absolute simulated time.
+    generation inputs a
+    :class:`~repro.serve.continuous.ContinuousServer` expects.
+    ``tenant``/``priority``/``deadline_s`` feed its fair queuing,
+    preemption, and SLA admission. ``deadline_s`` is absolute simulated
+    time.
     """
 
     arrival_s: float

@@ -27,7 +27,6 @@ from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily, MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.scenario import (
     drain_simulated,
-    make_service_time,
     make_tick_time,
     run_trace_scenario,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "diff_analyses",
     "drain_simulated",
     "events_jsonl",
-    "make_service_time",
     "make_tick_time",
     "render_html",
     "run_trace_scenario",

@@ -175,7 +175,7 @@ class Observer:
         self._queue_depth.set(depth, component=component)
 
     # ------------------------------------------------------------------
-    # drain-mode serving (ExionServer / Scheduler)
+    # drain-mode serving (ContinuousServer under policy.drain)
     # ------------------------------------------------------------------
     def on_batch(
         self,

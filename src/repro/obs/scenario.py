@@ -23,8 +23,6 @@ from repro.cluster.replica import ServiceTimeModel, SimClock, make_accelerator
 from repro.core.config import ExionConfig
 from repro.obs.observer import Observer
 from repro.serve.continuous import ContinuousPolicy, ContinuousServer
-from repro.serve.scheduler import BatchingPolicy
-from repro.serve.server import ExionServer
 from repro.workloads.specs import get_spec
 
 #: Priority cycle applied to scenario requests (STANDARD, STANDARD,
@@ -39,11 +37,15 @@ _IDLE_ADVANCE_S = 1e-6
 
 
 def make_tick_time(
-    service_model: ServiceTimeModel, model: str, ablation: str
+    service_model: ServiceTimeModel, model: str, ablation: str,
+    drain: bool = False,
 ):
-    """Per-iteration price hook for a :class:`ContinuousServer`."""
+    """Step price hook for a :class:`ContinuousServer`: one iteration,
+    or — for a ``drain`` policy — one whole generation."""
 
     def tick_time(batch_size: int, is_dense: bool) -> float:
+        if drain:
+            return service_model.latency_s(model, ablation, batch_size)
         return service_model.tick_latency_s(
             model, ablation, batch_size, "dense" if is_dense else "sparse"
         )
@@ -52,11 +54,14 @@ def make_tick_time(
 
 
 def make_tick_energy(
-    service_model: ServiceTimeModel, model: str, ablation: str
+    service_model: ServiceTimeModel, model: str, ablation: str,
+    drain: bool = False,
 ):
-    """Per-iteration energy price hook for a :class:`ContinuousServer`."""
+    """Step energy price hook, the twin of :func:`make_tick_time`."""
 
     def tick_energy(batch_size: int, is_dense: bool) -> float:
+        if drain:
+            return service_model.energy_j(model, ablation, batch_size)
         return service_model.tick_energy_j(
             model, ablation, batch_size, "dense" if is_dense else "sparse"
         )
@@ -64,38 +69,21 @@ def make_tick_energy(
     return tick_energy
 
 
-def make_service_time(
-    service_model: ServiceTimeModel, model: str, ablation: str
-):
-    """Per-micro-batch price hook for an :class:`ExionServer`."""
-
-    def service_time(batch) -> float:
-        return service_model.latency_s(model, ablation, len(batch))
-
-    return service_time
+def _advance(server: ContinuousServer, clock: SimClock) -> None:
+    """Move the clock past the step just taken: by its reported duration,
+    or — nothing ran — past the max-wait window of a pending batch."""
+    clock.now += server.last_tick_s or max(
+        server.policy.max_wait_s, _IDLE_ADVANCE_S
+    )
 
 
-def drain_simulated(server, clock: SimClock) -> list:
+def drain_simulated(server: ContinuousServer, clock: SimClock) -> list:
     """Drain a simulated-time server, advancing its clock by its own
-    reported durations. Works for both server kinds; results come back
-    ordered by request id."""
+    reported durations; results come back ordered by request id."""
     results = []
-    if hasattr(server, "has_work"):  # ContinuousServer
-        while server.has_work:
-            results.extend(server.step(now=clock.now))
-            clock.now += server.last_tick_s or _IDLE_ADVANCE_S
-    else:
-        while True:
-            served = server.step()
-            if served:
-                results.extend(served)
-                clock.now += served[0].service_s
-            elif len(server.queue) == 0:
-                break
-            else:  # pending but not due: jump past the max-wait window
-                clock.now += max(
-                    server.scheduler.policy.max_wait_s, _IDLE_ADVANCE_S
-                )
+    while server.has_work:
+        results.extend(server.step(now=clock.now))
+        _advance(server, clock)
     return sorted(results, key=lambda r: r.request_id)
 
 
@@ -126,38 +114,29 @@ def run_trace_scenario(
     clock = SimClock()
     service_model = ServiceTimeModel(accelerator, iterations=iterations)
     config = ExionConfig.for_model(model).ablation(ablation)
+    drain = not continuous
 
-    if continuous:
-        server = ContinuousServer(
-            model,
-            config=config,
-            policy=ContinuousPolicy(max_batch_size=batch_size),
-            tenant_weights=SCENARIO_TENANTS,
-            total_iterations=iterations,
-            clock=clock,
-            tick_time=make_tick_time(service_model, model, ablation),
-            tick_energy=make_tick_energy(service_model, model, ablation),
-            cold_start_s=(
-                service_model.tick_latency_s(model, ablation, 1, "cold")
-                if cold_start
-                else None
-            ),
-            dry_run=True,
-            observer=observer,
-        )
-        gap = 2.0 * service_model.tick_latency_s(model, ablation, 1, "dense")
-    else:
-        server = ExionServer(
-            model,
-            config=config,
-            policy=BatchingPolicy(max_batch_size=batch_size),
-            total_iterations=iterations,
-            clock=clock,
-            service_time=make_service_time(service_model, model, ablation),
-            dry_run=True,
-            observer=observer,
-        )
+    server = ContinuousServer(
+        model,
+        config=config,
+        policy=ContinuousPolicy(max_batch_size=batch_size, drain=drain),
+        tenant_weights=SCENARIO_TENANTS,
+        total_iterations=iterations,
+        clock=clock,
+        tick_time=make_tick_time(service_model, model, ablation, drain),
+        tick_energy=make_tick_energy(service_model, model, ablation, drain),
+        cold_start_s=(
+            service_model.tick_latency_s(model, ablation, 1, "cold")
+            if cold_start
+            else None
+        ),
+        dry_run=True,
+        observer=observer,
+    )
+    if drain:
         gap = 0.25 * service_model.latency_s(model, ablation, 1)
+    else:
+        gap = 2.0 * service_model.tick_latency_s(model, ablation, 1, "dense")
 
     tenants = sorted(SCENARIO_TENANTS)
     arrivals = [i * gap for i in range(requests)]
@@ -178,22 +157,13 @@ def run_trace_scenario(
             )
             next_up += 1
 
-    if continuous:
-        while next_up < len(arrivals) or server.has_work:
-            submit_due()
-            if not server.has_work:
-                clock.now = arrivals[next_up]
-                continue
-            server.step(now=clock.now)
-            clock.now += server.last_tick_s or _IDLE_ADVANCE_S
-    else:
-        while next_up < len(arrivals) or len(server.queue):
-            submit_due()
-            served = server.step()
-            if served:
-                clock.now += served[0].service_s
-            elif next_up < len(arrivals):
-                clock.now = arrivals[next_up]
+    while next_up < len(arrivals) or server.has_work:
+        submit_due()
+        if not server.has_work:
+            clock.now = arrivals[next_up]
+            continue
+        server.step(now=clock.now)
+        _advance(server, clock)
 
     # The hardware timeline of one generation rides along as its own
     # track: the per-iteration dense/sparse phase segments the paper's
@@ -243,7 +213,6 @@ def run_trace_scenario(
 __all__ = [
     "SCENARIO_TENANTS",
     "drain_simulated",
-    "make_service_time",
     "make_tick_time",
     "run_trace_scenario",
 ]

@@ -83,6 +83,11 @@ class CompiledPlan:
             raise ValueError("tile geometry must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "phases", tuple(self.phases))
+        #: ``is_dense`` per step — the whole schedule as one bit pattern
+        #: (built once: ``cursors_aligned`` reads it on every join check).
+        object.__setattr__(
+            self, "dense_flags", tuple(s.is_dense for s in self.steps)
+        )
 
     # ------------------------------------------------------------------
     # schedule views
@@ -106,11 +111,6 @@ class CompiledPlan:
     # ------------------------------------------------------------------
     # continuous-batching boundary predicates
     # ------------------------------------------------------------------
-    @property
-    def dense_flags(self) -> tuple:
-        """``is_dense`` per step — the whole schedule as one bit pattern."""
-        return tuple(s.is_dense for s in self.steps)
-
     def is_boundary(self, cursor: int) -> bool:
         """Whether a request whose *next* step is ``cursor`` sits at a
         dense-phase boundary.

@@ -5,26 +5,26 @@ diffusion iterations*; this package amortizes the same way *across
 concurrent requests*:
 
 - :mod:`repro.serve.request` — request/result records;
-- :mod:`repro.serve.queue` / :mod:`repro.serve.scheduler` — FIFO queue
-  plus the micro-batching policy (max batch size, max wait);
+- :mod:`repro.serve.continuous` — :class:`ContinuousServer`, the one
+  server: requests join/leave the live batch between denoising
+  iterations (joins at dense-phase boundaries only), with priority
+  classes, per-tenant weighted fair queuing (:class:`FairQueue`),
+  preemption, and SLA-aware admission/expiry. Drain-and-refill
+  micro-batching is the same scheduler with mid-flight joins off
+  (``ContinuousPolicy(drain=True)``); ``max_wait_s`` is the classic
+  dynamic-batching wait;
 - :mod:`repro.serve.batched` — :class:`BatchedPipeline`, the
   request-level front of the one batched engine
   (:class:`repro.exec.ContinuousExecutor`); a drained micro-batch is a
   continuous batch with no membership edits;
 - :mod:`repro.serve.cache` — cross-request memoization of built models
-  and offline-calibrated threshold tables;
-- :mod:`repro.serve.server` — :class:`ExionServer`, the front door;
-- :mod:`repro.serve.continuous` — :class:`ContinuousServer`,
-  iteration-level continuous batching: requests join/leave the live
-  batch between denoising iterations (joins at dense-phase boundaries
-  only), with priority classes, per-tenant weighted fair queuing,
-  preemption, and SLA-aware admission/expiry.
+  and offline-calibrated threshold tables.
 
 Quickstart::
 
-    from repro.serve import BatchingPolicy, ExionServer
+    from repro.serve import ContinuousPolicy, ContinuousServer
 
-    server = ExionServer("dit", policy=BatchingPolicy(max_batch_size=8))
+    server = ContinuousServer("dit", policy=ContinuousPolicy(max_batch_size=8))
     ids = [server.submit(seed=s, class_label=207) for s in range(8)]
     results = server.run_until_drained()
     print(results[0].result.stats.ffn_output_sparsity)
@@ -36,40 +36,31 @@ Every request computes exactly what a sequential
 
 The server also exposes the hooks the fleet simulator
 (:mod:`repro.cluster`) drives it with: an injectable ``clock``, a
-per-batch ``service_time`` callable that substitutes simulated service
-times for wall-clock measurement, and a ``dry_run`` mode that accounts
-for queueing/batching without running the numeric generation.
+``tick_time`` callable that substitutes simulated step prices for
+wall-clock measurement, and a ``dry_run`` mode that accounts for
+queueing/batching without running the numeric generation.
 """
 
 from repro.serve.batched import BatchedPipeline
 from repro.serve.cache import ThresholdCache
 from repro.serve.continuous import (
     ContinuousPolicy,
-    ContinuousServeReport,
     ContinuousServer,
     FairQueue,
     QueueEntry,
+    ServeReport,
 )
-from repro.serve.queue import RequestQueue
 from repro.serve.request import GenerationRequest, Priority, RequestResult
-from repro.serve.scheduler import BatchingPolicy, MicroBatch, Scheduler
-from repro.serve.server import ExionServer, ServeReport
 
 __all__ = [
     "BatchedPipeline",
-    "BatchingPolicy",
     "ContinuousPolicy",
-    "ContinuousServeReport",
     "ContinuousServer",
-    "ExionServer",
     "FairQueue",
     "GenerationRequest",
-    "MicroBatch",
     "Priority",
     "QueueEntry",
-    "RequestQueue",
     "RequestResult",
-    "Scheduler",
     "ServeReport",
     "ThresholdCache",
 ]

@@ -1,4 +1,4 @@
-"""Cross-request memoization of models, thresholds and pipelines.
+"""Cross-request memoization of models and threshold tables.
 
 Building a benchmark model materializes every weight matrix, and
 calibrating a :class:`~repro.core.thresholds.ThresholdTable` costs a full
@@ -8,14 +8,12 @@ once and reuses the artifacts across all subsequent requests, mirroring
 how the paper's deployment story determines thresholds "through empirical
 experiments" offline and replays them at runtime.
 
-Three memo levels, from coarse to fine:
+Two memo levels, from coarse to fine:
 
 - **models** — keyed by :func:`repro.models.zoo.model_cache_key`;
 - **threshold tables** — additionally keyed by the FFN-Reuse schedule
   (dense period, target sparsity) and calibration seed, but *not* by the
-  eager-prediction knobs, so ablation variants share calibrations;
-- **pipelines** — fully keyed, returning ready
-  :class:`~repro.serve.batched.BatchedPipeline` instances.
+  eager-prediction knobs, so ablation variants share calibrations.
 
 Each level is an LRU: pass ``capacity`` to bound the number of entries
 kept per level (``None``, the default, keeps everything, matching the
@@ -25,7 +23,7 @@ capacity evict the least-recently-used entry of that level, counted in
 
 Cached models are shared objects: callers must not mutate their weights
 (e.g. via ``repro.quant.apply_ptq``) — quantized serving is expressed with
-the ``activation_bits`` pipeline knob instead.
+the ``activation_bits`` server knob instead.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from typing import Optional
 from repro.core.config import ExionConfig
 from repro.core.thresholds import ThresholdCalibrator, ThresholdTable
 from repro.models.zoo import BenchmarkModel, build_model, model_cache_key
-from repro.serve.batched import BatchedPipeline
 
 
 class ThresholdCache:
-    """Memoizes built models, calibrated tables and batched pipelines.
+    """Memoizes built models and calibrated threshold tables.
 
     ``capacity`` bounds each memo level independently (LRU eviction);
     ``None`` leaves every level unbounded.
@@ -52,15 +49,14 @@ class ThresholdCache:
         self.capacity = capacity
         self._models: OrderedDict = OrderedDict()
         self._tables: OrderedDict = OrderedDict()
-        self._pipelines: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         # Per-memo-level hit/miss/eviction counts, surfaced through info()
         # (and therefore ServeReport) and the obs metrics registry.
-        self.level_hits = {"model": 0, "table": 0, "pipeline": 0}
-        self.level_misses = {"model": 0, "table": 0, "pipeline": 0}
-        self.level_evictions = {"model": 0, "table": 0, "pipeline": 0}
+        self.level_hits = {"model": 0, "table": 0}
+        self.level_misses = {"model": 0, "table": 0}
+        self.level_evictions = {"model": 0, "table": 0}
         #: Optional :class:`repro.obs.observer.Observer`.
         self.observer = None
 
@@ -142,47 +138,6 @@ class ThresholdCache:
         self._insert("table", self._tables, key, table)
         return table
 
-    def pipeline(
-        self,
-        name: str,
-        config: Optional[ExionConfig] = None,
-        model_seed: int = 0,
-        total_iterations: Optional[int] = None,
-        depth: Optional[int] = None,
-        activation_bits: Optional[int] = None,
-        calibrate: bool = False,
-        calibration_seed: int = 0,
-    ) -> BatchedPipeline:
-        """Return a ready batched pipeline for ``(model, config)``.
-
-        ``calibrate=True`` attaches a memoized offline-calibrated
-        threshold table (one vanilla generation on first use); otherwise
-        thresholds fall back to the online per-request quantile.
-        """
-        if config is None:
-            config = ExionConfig.for_model(name)
-        key = model_cache_key(name, model_seed, total_iterations, depth) + (
-            config,
-            activation_bits,
-            calibrate,
-            calibration_seed if calibrate else None,
-        )
-        if self._touch("pipeline", self._pipelines, key):
-            return self._pipelines[key]
-        model = self.model(name, model_seed, total_iterations, depth)
-        table = None
-        if calibrate and config.enable_ffn_reuse:
-            table = self.table(
-                name, config, model_seed, total_iterations, depth,
-                calibration_seed,
-            )
-        pipeline = BatchedPipeline(
-            model, config, threshold_table=table,
-            activation_bits=activation_bits,
-        )
-        self._insert("pipeline", self._pipelines, key, pipeline)
-        return pipeline
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -191,7 +146,6 @@ class ThresholdCache:
         info = {
             "models": len(self._models),
             "tables": len(self._tables),
-            "pipelines": len(self._pipelines),
             "hits": self.hits,
             "misses": self.misses,
             "capacity": -1 if self.capacity is None else self.capacity,
@@ -207,4 +161,3 @@ class ThresholdCache:
         """Drop every memoized artifact (frees the model weights)."""
         self._models.clear()
         self._tables.clear()
-        self._pipelines.clear()

@@ -1,10 +1,9 @@
-"""Iteration-level continuous batching: the multi-tenant serving loop.
+"""The serving loop: one live batch, membership edits at boundaries.
 
-:class:`~repro.serve.server.ExionServer` drains: a micro-batch forms,
-runs every denoising iteration, returns, and only then does the next
-batch form — so a request arriving one tick after a dispatch waits a
-whole generation. :class:`ContinuousServer` instead keeps **one live
-batch** whose membership changes *between* iterations:
+:class:`ContinuousServer` is the only server. Clients :meth:`submit`
+generation requests; the server keeps **one live batch** on one
+:class:`~repro.exec.ContinuousExecutor` and changes its membership only
+where the FFN-Reuse schedule allows:
 
 - **join** — queued requests enter at dense-phase boundaries of the
   :class:`~repro.program.compiled.CompiledPlan` (the FFN-Reuse
@@ -17,6 +16,14 @@ batch** whose membership changes *between* iterations:
   at boundaries; the victim's run state is retained and re-queued, and
   it resumes from its cursor at a later boundary.
 
+**Drain-and-refill** is the same scheduler with mid-flight joins off
+(``ContinuousPolicy(drain=True)``): membership may change only when the
+batch is empty, and one :meth:`~ContinuousServer.step` runs the seated
+batch to completion — so a request arriving one tick after a dispatch
+waits a whole generation. ``max_wait_s`` holds back a partial *empty*
+batch in either mode until it fills or its oldest request has waited
+that long (classic dynamic batching; ``0`` is greedy).
+
 Scheduling combines three classic mechanisms, all deterministic:
 
 - **priority classes** (:class:`~repro.serve.request.Priority`) with
@@ -25,11 +32,18 @@ Scheduling combines three classic mechanisms, all deterministic:
   (:class:`FairQueue`): each admission round credits every backlogged
   tenant ``quantum x weight``, and the affordable candidate with the
   largest deficit wins the slot — long-run service is proportional to
-  tenant weights;
+  tenant weights (one tenant and one class degenerate to FIFO);
 - **SLA-aware admission and expiry**: requests carry absolute deadlines;
   admission rejects infeasible ones at the door, and every boundary
   re-checks deadlines of queued *and running* requests, so an expired
   request never occupies a batch slot for a full denoising run.
+
+The server is synchronous and reads time only through its injectable
+``clock``. Two hooks let the cluster simulator (:mod:`repro.cluster`)
+drive it in virtual time: ``tick_time`` prices each step from the
+hardware latency model instead of wall clock, and ``dry_run`` skips the
+numeric generation and accounts only for queueing, batching and timing
+(results carry ``result=None``).
 
 Per-request outputs remain byte-identical to solo sequential generation
 whenever the composition allows (always, for joins the alignment
@@ -40,8 +54,9 @@ suite in ``tests/serve/test_continuous_property.py``.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.core.config import ExionConfig
@@ -49,7 +64,6 @@ from repro.core.sparsity import RunStats
 from repro.program.cache import compiled_plan_for
 from repro.serve.cache import ThresholdCache
 from repro.serve.request import GenerationRequest, Priority, RequestResult
-from repro.serve.server import ServeReport
 from repro.workloads.specs import get_spec
 
 #: Safety bound on deficit top-up rounds within one admission call.
@@ -58,12 +72,16 @@ _MAX_CREDIT_ROUNDS = 10_000
 
 @dataclass(frozen=True)
 class ContinuousPolicy:
-    """Knobs of the continuous (iteration-level) batching decision.
+    """Knobs of the batching decision.
 
-    ``quantum`` is the deficit credit a weight-1.0 tenant earns per
-    admission round, in units of *normalized generation cost* (one full
-    denoising run = 1.0). ``aging_s`` promotes a queued request one
-    priority class per interval waited (``None`` = strict priorities).
+    ``drain`` turns mid-flight joins off: the batch refills only once it
+    is empty and a step runs it to completion (drain-and-refill).
+    ``max_wait_s`` holds back a partial empty batch until its oldest
+    request has waited that long. ``quantum`` is the deficit credit a
+    weight-1.0 tenant earns per admission round, in units of *normalized
+    generation cost* (one full denoising run = 1.0). ``aging_s``
+    promotes a queued request one priority class per interval waited
+    (``None`` = strict priorities).
     ``timeout_s``/``max_queue_depth``/``min_service_s`` are the SLA
     levers: queue-wait timeout, admission depth bound, and the service
     floor used to reject already-infeasible deadlines at the door.
@@ -76,10 +94,14 @@ class ContinuousPolicy:
     timeout_s: Optional[float] = None
     max_queue_depth: Optional[int] = None
     min_service_s: float = 0.0
+    max_wait_s: float = 0.0
+    drain: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
+        if self.max_wait_s < 0.0:
+            raise ValueError("max_wait_s must be >= 0")
         if self.quantum <= 0.0:
             raise ValueError("quantum must be > 0")
         if self.aging_s is not None and self.aging_s <= 0.0:
@@ -104,6 +126,13 @@ class QueueEntry:
         return 0 if self.run is None else self.run.cursor
 
 
+def _earlier(a: Optional[float], b: Optional[float]) -> Optional[float]:
+    """The smaller of two optional instants (``None`` = no instant)."""
+    if a is None or b is None:
+        return b if a is None else a
+    return min(a, b)
+
+
 class FairQueue:
     """Per-tenant queues with weighted deficit accounting.
 
@@ -113,6 +142,12 @@ class FairQueue:
     and the largest deficit among affordable candidates wins. A tenant
     whose backlog empties forfeits its residual deficit (the classic DRR
     rule preventing credit hoarding).
+
+    Max-wait and expiry decisions read only the oldest submission and
+    the earliest deadline, which the queue memoises: a push folds in
+    O(1), a removal drops the memo for the next read to rebuild. So
+    :meth:`oldest_wait`, :meth:`next_expiry` and a no-op :meth:`expire`
+    — what the fleet simulator calls on every event — cost O(1).
     """
 
     def __init__(
@@ -129,6 +164,7 @@ class FairQueue:
         self.aging_s = aging_s
         self._tenants: dict[str, list[QueueEntry]] = {}
         self._deficit: dict[str, float] = {}
+        self._bounds_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -145,6 +181,12 @@ class FairQueue:
         tenant = entry.request.tenant
         self._tenants.setdefault(tenant, []).append(entry)
         self._deficit.setdefault(tenant, 0.0)
+        if self._bounds_memo is not None:
+            oldest, deadline = self._bounds_memo
+            self._bounds_memo = (
+                _earlier(oldest, entry.request.submitted_at),
+                _earlier(deadline, entry.request.deadline_s),
+            )
 
     def entries(self) -> list[QueueEntry]:
         """Every waiting entry (inspection / expiry), tenant-grouped."""
@@ -156,8 +198,24 @@ class FairQueue:
     def remove(self, entry: QueueEntry) -> None:
         queue = self._tenants[entry.request.tenant]
         queue.remove(entry)
+        self._bounds_memo = None
         if not queue:
             self._deficit[entry.request.tenant] = 0.0
+
+    def _bounds(self) -> tuple:
+        """``(oldest submitted_at, earliest deadline_s)`` over every
+        entry; either is ``None`` when no entry carries one."""
+        if self._bounds_memo is None:
+            requests = [entry.request for entry in self.entries()]
+            self._bounds_memo = (
+                min((r.submitted_at for r in requests), default=None),
+                min(
+                    (r.deadline_s for r in requests
+                     if r.deadline_s is not None),
+                    default=None,
+                ),
+            )
+        return self._bounds_memo
 
     def effective_priority(self, entry: QueueEntry, now: float) -> int:
         """Base class promoted by aging (starvation freedom)."""
@@ -168,10 +226,19 @@ class FairQueue:
         return min(int(Priority.INTERACTIVE), base + int(waited / self.aging_s))
 
     def oldest_wait(self, now: float) -> float:
-        waits = [
-            max(0.0, now - e.request.submitted_at) for e in self.entries()
-        ]
-        return max(waits, default=0.0)
+        """Queue time of the longest-waiting entry; 0 when empty."""
+        oldest, _ = self._bounds()
+        return 0.0 if oldest is None else max(0.0, now - oldest)
+
+    def next_expiry(self, timeout_s: Optional[float]) -> Optional[float]:
+        """Earliest instant :meth:`expire` would drop something, if any."""
+        oldest, due = self._bounds()
+        if timeout_s is not None and oldest is not None:
+            # Expiry is strict (wait > timeout): one ulp later.
+            due = _earlier(
+                due, math.nextafter(oldest + timeout_s, math.inf)
+            )
+        return due
 
     def best_priority(self, now: float) -> Optional[int]:
         """Highest effective class currently waiting (None when empty)."""
@@ -185,6 +252,15 @@ class FairQueue:
         self, now: float, timeout_s: Optional[float]
     ) -> list[QueueEntry]:
         """Drop entries past the queue-wait timeout or their deadline."""
+        oldest, deadline = self._bounds()
+        any_timed_out = (
+            timeout_s is not None
+            and oldest is not None
+            and now - oldest > timeout_s
+        )
+        if not any_timed_out and not (deadline is not None and now >= deadline):
+            return []  # the oldest and the most urgent entry survive: all do
+        self._bounds_memo = None
         dropped = []
         for tenant, queue in self._tenants.items():
             survivors = []
@@ -224,11 +300,10 @@ class FairQueue:
         so a positive quantum guarantees progress.
         """
         admitted: list[QueueEntry] = []
+        # Eligibility is fixed for the call (same instant, same members).
+        candidates = [e for e in self.entries() if eligible_fn(e)]
         for _ in range(_MAX_CREDIT_ROUNDS):
-            if slots <= 0:
-                break
-            candidates = [e for e in self.entries() if eligible_fn(e)]
-            if not candidates:
+            if slots <= 0 or not candidates:
                 break
             top = max(self.effective_priority(e, now) for e in candidates)
             contenders = [
@@ -255,6 +330,7 @@ class FairQueue:
             )
             self._deficit[winner.request.tenant] -= cost_fn(winner)
             self.remove(winner)
+            candidates.remove(winner)
             admitted.append(winner)
             slots -= 1
         else:  # pragma: no cover - positive quantum always progresses
@@ -263,15 +339,30 @@ class FairQueue:
 
 
 @dataclass
-class ContinuousServeReport(ServeReport):
-    """:class:`ServeReport` plus the continuous scheduler's counters.
+class ServeReport:
+    """Aggregate view of everything a server instance has served.
 
-    ``batches_served`` counts *ticks* (one batched kernel dispatch per
-    denoising iteration); ``mean_occupancy`` is the average number of
-    requests sharing each tick — the quantity continuous batching exists
-    to raise.
+    ``batches_served`` counts :meth:`ContinuousServer.step` dispatches:
+    one per denoising iteration of the live batch, or one per whole
+    micro-batch under ``drain``. ``mean_occupancy`` is the average number
+    of requests sharing each dispatch — the quantity continuous batching
+    exists to raise. ``timing_source`` records where ``busy_s`` /
+    ``queue_wait_s`` came from: ``"simulated"`` when a ``tick_time`` hook
+    drove the accounting (deterministic across machines — what the
+    cluster event loop installs), ``"wall_clock"`` otherwise.
     """
 
+    requests_served: int = 0
+    batches_served: int = 0
+    requests_expired: int = 0  # swept at boundaries (timeout/deadline)
+    busy_s: float = 0.0  # time spent inside batched generation
+    queue_wait_s: float = 0.0  # summed per-request wait before seating
+    timing_source: str = "wall_clock"
+    merged_stats: RunStats = field(default_factory=RunStats)
+    cache_info: dict = field(default_factory=dict)
+    #: Deterministic nearest-rank latency quantiles, computed by the
+    #: owning server from its histogram (``MetricFamily.quantile``).
+    latency_quantiles: dict = field(default_factory=dict)
     ticks: int = 0
     occupancy_ticks: int = 0  # sum over ticks of live batch size
     joins: int = 0
@@ -281,23 +372,55 @@ class ContinuousServeReport(ServeReport):
     deadline_evictions: int = 0
 
     @property
+    def mean_batch_size(self) -> float:
+        if self.batches_served == 0:
+            return 0.0
+        return self.requests_served / self.batches_served
+
+    @property
+    def mean_wait_s(self) -> float:
+        if self.requests_served == 0:
+            return 0.0
+        return self.queue_wait_s / self.requests_served
+
+    @property
+    def samples_per_s(self) -> float:
+        if self.busy_s == 0.0:
+            return 0.0
+        return self.requests_served / self.busy_s
+
+    @property
     def mean_occupancy(self) -> float:
         if self.ticks == 0:
             return 0.0
         return self.occupancy_ticks / self.ticks
 
     def summary(self) -> dict:
-        base = super().summary()
-        base.update(
-            ticks=self.ticks,
-            mean_occupancy=self.mean_occupancy,
-            joins=self.joins,
-            preemptions=self.preemptions,
-            admission_rejects=self.admission_rejects,
-            sla_rejects=self.sla_rejects,
-            deadline_evictions=self.deadline_evictions,
-        )
-        return base
+        """Flat dict for report printing."""
+        return {
+            "requests_served": self.requests_served,
+            "batches_served": self.batches_served,
+            "requests_expired": self.requests_expired,
+            "mean_batch_size": self.mean_batch_size,
+            "busy_s": self.busy_s,
+            "queue_wait_s": self.queue_wait_s,
+            "mean_wait_s": self.mean_wait_s,
+            "samples_per_s": self.samples_per_s,
+            "timing_source": self.timing_source,
+            "latency_p50_s": self.latency_quantiles.get("latency_p50_s", 0.0),
+            "latency_p95_s": self.latency_quantiles.get("latency_p95_s", 0.0),
+            "latency_p99_s": self.latency_quantiles.get("latency_p99_s", 0.0),
+            # Sorted so two runs' summaries diff stably regardless of
+            # the order cache_info accumulated its keys.
+            **{f"cache_{k}": v for k, v in sorted(self.cache_info.items())},
+            "ticks": self.ticks,
+            "mean_occupancy": self.mean_occupancy,
+            "joins": self.joins,
+            "preemptions": self.preemptions,
+            "admission_rejects": self.admission_rejects,
+            "sla_rejects": self.sla_rejects,
+            "deadline_evictions": self.deadline_evictions,
+        }
 
 
 class _DryRun:
@@ -313,15 +436,16 @@ class _DryRun:
 
 
 class ContinuousServer:
-    """Iteration-level continuously-batched serving of one model.
+    """Batched multi-request serving of one benchmark model.
 
-    Drop-in sibling of :class:`~repro.serve.server.ExionServer` with the
-    same construction surface plus the continuous knobs. :meth:`step`
-    advances the live batch **one denoising iteration**; membership is
-    rebalanced (expiry, preemption, joins) whenever the batch sits at a
-    dense-phase boundary. ``tick_time`` is the cluster hook: a callable
-    ``(batch_size, is_dense) -> seconds`` replacing wall-clock tick
-    measurement with the hardware latency model.
+    :meth:`step` advances the live batch **one denoising iteration**;
+    membership is rebalanced (expiry, preemption, joins) whenever the
+    batch sits at a dense-phase boundary. Under ``policy.drain`` the
+    only boundary is the empty batch and a step runs the batch it just
+    seated through every remaining iteration. ``tick_time`` is the
+    cluster hook: a callable ``(batch_size, is_dense) -> seconds``
+    pricing one step (a tick, or under ``drain`` a whole generation)
+    with the hardware latency model instead of wall-clock measurement.
     """
 
     def __init__(
@@ -354,9 +478,9 @@ class ContinuousServer:
         self._clock = clock
         self.tick_time = tick_time
         #: Optional ``(batch_size, is_dense) -> joules`` price attached
-        #: to every tick span (cost accounting enrichment).
+        #: to every step's span (cost accounting enrichment).
         self.tick_energy = tick_energy
-        #: Optional one-time surcharge added to the first tick (model
+        #: Optional one-time surcharge added to the first step (model
         #: load / first-compile). Opt-in: default None keeps timing
         #: identical to pre-enrichment servers.
         self.cold_start_s = cold_start_s
@@ -396,9 +520,9 @@ class ContinuousServer:
         self.events: list[dict] = []
         self.results: dict[int, RequestResult] = {}
         self.last_tick_s = 0.0
-        #: Phase ("dense"/"sparse") and (id, tenant, priority) members
-        #: of the most recent tick — read by the cluster replica to
-        #: enrich dispatch spans.
+        #: Phase ("dense"/"sparse", or "batch" under drain) and
+        #: (id, tenant, priority) members of the most recent step — read
+        #: by the cluster replica to price and enrich dispatch spans.
         self.last_tick_phase = ""
         self.last_tick_members: list = []
         self.last_tick_cold_s = 0.0
@@ -507,7 +631,21 @@ class ContinuousServer:
 
     def at_boundary(self) -> bool:
         """Whether batch membership may change right now."""
+        if self.policy.drain:
+            return not self.active
         return all(self.plan.is_boundary(run.cursor) for run in self.active)
+
+    def due(self, now: float) -> bool:
+        """Whether a step at ``now`` would run a batch: one is live, a
+        full one is queued, or the oldest request waited ``max_wait_s``."""
+        if self.active:
+            return True
+        if self.queue.is_empty:
+            return False
+        return (
+            len(self.queue) >= self.policy.max_batch_size
+            or self.queue.oldest_wait(now) >= self.policy.max_wait_s
+        )
 
     def pop_dropped(self) -> list[tuple[GenerationRequest, str]]:
         """Drain (request, reason) records of expired/rejected requests."""
@@ -520,18 +658,22 @@ class ContinuousServer:
     def step(self, now: Optional[float] = None) -> list[RequestResult]:
         """One denoising iteration of the live batch.
 
-        Rebalances membership first when at a dense-phase boundary, then
-        ticks every active run one plan step. Returns the requests that
-        completed on this tick (their results retained when configured).
+        Rebalances membership first when at a boundary, then ticks every
+        active run one plan step — or, under ``drain``, through all the
+        steps the just-seated batch has left. Returns the requests that
+        completed (their results retained when configured).
         """
-        if now is None:
-            now = self._clock()
+        return self._step(self._clock() if now is None else now)
+
+    def _step(self, now: float, flush: bool = False) -> list[RequestResult]:
+        """:meth:`step` at ``now``; ``flush`` seats a partial batch
+        without waiting out ``max_wait_s``."""
         observer = self.observer
         if observer is not None:
             observer.now = now
         was_boundary = self.at_boundary()
         if was_boundary:
-            self._rebalance(now)
+            self._rebalance(now, flush)
         if observer is not None:
             observer.on_queue_depth("continuous", len(self.queue))
         if not self.active:
@@ -541,6 +683,7 @@ class ContinuousServer:
             self.last_tick_cold_s = 0.0
             return []
 
+        drain = self.policy.drain
         batch_size = len(self.active)
         members = [
             (run.request_id, run.request.tenant, int(run.request.priority))
@@ -548,9 +691,10 @@ class ContinuousServer:
         ]
         cursor = self.active[0].cursor
         is_dense = self.plan.steps[cursor].is_dense
+        steps = self.plan.iterations - cursor if drain else 1
         if self.dry_run:
             for run in self.active:
-                run.cursor += 1
+                run.cursor += steps
             finished = [
                 run for run in self.active
                 if run.cursor == self.plan.iterations
@@ -558,7 +702,8 @@ class ContinuousServer:
             tick_s = 0.0
         else:
             start = self._clock()
-            finished = self._executor.run_tick(self.active)
+            for _ in range(steps):
+                finished = self._executor.run_tick(self.active)
             tick_s = max(0.0, self._clock() - start)
         if self.tick_time is not None:
             tick_s = float(self.tick_time(batch_size, is_dense))
@@ -585,7 +730,12 @@ class ContinuousServer:
                 result=generation,
                 batch_size=batch_size,
                 wait_s=wait_s,
-                service_s=max(0.0, completed_at - joined_at),
+                # Seated on this very step: the step's price itself, not
+                # (now + tick_s) - now, which drifts in the last ulp.
+                service_s=(
+                    tick_s if joined_at == now
+                    else max(0.0, completed_at - joined_at)
+                ),
             )
             if self.retain_results:
                 self.results[run.request_id] = record
@@ -604,40 +754,50 @@ class ContinuousServer:
                     batch_size=batch_size,
                 )
         if observer is not None:
-            tick_args = {"boundary": was_boundary}
+            span_args = {}
             if self.tick_energy is not None:
-                tick_args["energy_j"] = float(
+                span_args["energy_j"] = float(
                     self.tick_energy(batch_size, is_dense)
                 )
             if cold_s > 0.0:
-                tick_args["cold_s"] = cold_s
-            observer.on_tick(
-                now, completed_at, batch_size, is_dense, cursor,
-                **tick_args,
-            )
+                span_args["cold_s"] = cold_s
+            if drain:
+                observer.on_batch(
+                    now, completed_at, batch_size,
+                    request_ids=[m[0] for m in members],
+                    tenants=[m[1] for m in members],
+                    **span_args,
+                )
+            else:
+                observer.on_tick(
+                    now, completed_at, batch_size, is_dense, cursor,
+                    boundary=was_boundary, **span_args,
+                )
         self._ticks += 1
         self._occupancy_ticks += batch_size
         self._busy_s += tick_s
         self.last_tick_s = tick_s
-        self.last_tick_phase = "dense" if is_dense else "sparse"
+        self.last_tick_phase = (
+            "batch" if drain else "dense" if is_dense else "sparse"
+        )
         self.last_tick_members = members
         self.last_tick_cold_s = cold_s
         return served
 
     def run_until_drained(self) -> list[RequestResult]:
-        """Serve until queue and batch are empty; ordered by request id."""
+        """Serve until queue and batch are empty (partial batches do not
+        wait out ``max_wait_s``); results ordered by request id."""
         served: list[RequestResult] = []
         while self.has_work:
-            served.extend(self.step())
-            if not self.active and not self.queue.is_empty:
-                # Admission refused everything (e.g. nothing aligned):
-                # with an empty batch this cannot happen for cursor-0
-                # entries, so the remaining entries are expired ones the
-                # next rebalance will sweep.
-                continue
+            served.extend(self._step(self._clock(), flush=True))
         return sorted(served, key=lambda r: r.request_id)
 
     def result(self, request_id: int, pop: bool = False) -> RequestResult:
+        """A finished request's result (KeyError if not served yet).
+
+        ``pop=True`` releases the stored result after returning it, so
+        clients that fetch-once can keep the server's memory flat.
+        """
         if pop:
             return self.results.pop(request_id)
         return self.results[request_id]
@@ -697,7 +857,7 @@ class ContinuousServer:
         ) / self.plan.iterations
         return now + self.policy.min_service_s * remaining <= deadline
 
-    def _rebalance(self, now: float) -> None:
+    def _rebalance(self, now: float, flush: bool = False) -> None:
         self.expire_queued(now)
         active_cursors = tuple(run.cursor for run in self.active)
 
@@ -763,10 +923,13 @@ class ContinuousServer:
         # Joins: fill free slots under priority + weighted fair queuing,
         # restricted to entries whose schedule aligns with the members'.
         slots = self.policy.max_batch_size - len(self.active)
-        if slots <= 0:
+        if slots <= 0 or not (flush or self.due(now)):
             return
         cursors = [run.cursor for run in self.active]
         iterations = self.plan.iterations
+        # The members do not change inside one select() call, so
+        # alignment depends only on the candidate's cursor.
+        aligned: dict[int, bool] = {}
 
         def cost(entry: QueueEntry) -> float:
             return (iterations - entry.cursor) / iterations
@@ -777,7 +940,12 @@ class ContinuousServer:
             # batch capacity only to be evicted at a later boundary.
             if not self._sla_feasible(entry, now):
                 return False
-            return self.plan.cursors_aligned(cursors + [entry.cursor])
+            cursor = entry.cursor
+            if cursor not in aligned:
+                aligned[cursor] = self.plan.cursors_aligned(
+                    cursors + [cursor]
+                )
+            return aligned[cursor]
 
         for entry in self.queue.select(now, slots, cost, eligible):
             if entry.run is not None:
@@ -805,8 +973,9 @@ class ContinuousServer:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def report(self) -> ContinuousServeReport:
-        return ContinuousServeReport(
+    def report(self) -> ServeReport:
+        """Aggregate throughput and sparsity statistics so far."""
+        return ServeReport(
             requests_served=self._requests_served,
             batches_served=self._ticks,
             requests_expired=self._expired,
@@ -834,8 +1003,8 @@ class ContinuousServer:
 
 __all__ = [
     "ContinuousPolicy",
-    "ContinuousServeReport",
     "ContinuousServer",
     "FairQueue",
     "QueueEntry",
+    "ServeReport",
 ]

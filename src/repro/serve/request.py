@@ -57,9 +57,9 @@ class RequestResult:
     """A served request: the generation output plus serving metadata.
 
     ``result`` is ``None`` when the server ran in accounting-only mode
-    (``ExionServer(dry_run=True)``, used by the cluster simulator): the
-    batching, queueing, and timing metadata are real, but no sample was
-    computed.
+    (``ContinuousServer(dry_run=True)``, used by the cluster simulator):
+    the batching, queueing, and timing metadata are real, but no sample
+    was computed.
     """
 
     request: GenerationRequest

@@ -1,14 +1,33 @@
-"""Service-time model and replica dispatch mechanics (sim time only)."""
+"""Service-time model, tick pricing and dispatch mechanics of the one
+:class:`Replica` in both scheduling modes (sim time only).
+
+Tick prices must add up to whole-generation prices: a continuous replica
+bills per tick and a drain replica per generation, so any pricing drift
+would make the two modes incomparable.
+"""
 
 import pytest
 
-from repro.cluster.replica import (
+from repro.cluster import (
+    ClusterRequest,
+    MMPPProcess,
+    PoissonProcess,
     Replica,
     ServiceTimeModel,
+    SLOPolicy,
+    WorkloadMix,
+    build_replicas,
+    load_trace,
     make_accelerator,
+    make_router,
+    save_trace,
+    simulate_cluster,
+    synthesize_trace,
 )
-from repro.cluster.traffic import ClusterRequest
-from repro.serve.scheduler import BatchingPolicy
+from repro.core.config import ExionConfig
+from repro.core.ffn_reuse import schedule_phases
+from repro.serve import ContinuousPolicy
+from repro.workloads.specs import get_spec
 
 
 def request(at, model="dit", seed=0, ablation="all"):
@@ -55,10 +74,59 @@ class TestServiceTimeModel:
         )
 
 
+# ----------------------------------------------------------------------
+# per-tick pricing
+# ----------------------------------------------------------------------
+class TestTickPricing:
+    @pytest.mark.parametrize("batch_size", [1, 4, 8])
+    @pytest.mark.parametrize("ablation", ["base", "all"])
+    def test_ticks_sum_to_generation_latency(self, ablation, batch_size):
+        """cold + (D-1) dense + S sparse == the whole-generation price."""
+        stm = ServiceTimeModel("exion4")
+        model = "dit"
+        iterations = get_spec(model).total_iterations
+        config = ExionConfig.for_model(model).ablation(ablation)
+        sparse_n = config.sparse_iters_n if config.enable_ffn_reuse else 0
+        flags = schedule_phases(iterations, sparse_n)
+        dense, sparse = sum(flags), len(flags) - sum(flags)
+
+        total = (
+            stm.tick_latency_s(model, ablation, batch_size, "cold")
+            + (dense - 1)
+            * stm.tick_latency_s(model, ablation, batch_size, "dense")
+            + sparse
+            * stm.tick_latency_s(model, ablation, batch_size, "sparse")
+        )
+        assert total == pytest.approx(
+            stm.latency_s(model, ablation, batch_size), rel=1e-6
+        )
+
+    def test_without_ffn_reuse_every_tick_is_dense(self):
+        stm = ServiceTimeModel("exion4")
+        dense = stm.tick_latency_s("dit", "base", 1, "dense")
+        sparse = stm.tick_latency_s("dit", "base", 1, "sparse")
+        assert dense == sparse  # no sparse phase exists; one uniform price
+
+    def test_sparse_tick_cheaper_than_dense(self):
+        """The point of FFN-Reuse: riding the compiled phase costs less
+        than recompiling it."""
+        stm = ServiceTimeModel("exion4")
+        assert stm.tick_latency_s("dit", "all", 1, "sparse") < (
+            stm.tick_latency_s("dit", "all", 1, "dense")
+        )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            ServiceTimeModel("exion4").tick_latency_s("dit", "all", 1, "warm")
+
+
 class TestReplica:
-    def make_replica(self, service_model, **kwargs):
-        kwargs.setdefault("policy", BatchingPolicy(max_batch_size=4))
-        return Replica(index=0, service_model=service_model, **kwargs)
+    def make_replica(self, service_model, **knobs):
+        knobs.setdefault("max_batch_size", 4)
+        return Replica(
+            0, service_model=service_model,
+            policy=ContinuousPolicy(drain=True, **knobs),
+        )
 
     def test_enqueue_and_greedy_dispatch(self, service_model):
         replica = self.make_replica(service_model)
@@ -101,10 +169,7 @@ class TestReplica:
         assert replica.admission_drops == 1
 
     def test_timeout_expiry(self, service_model):
-        replica = self.make_replica(
-            service_model,
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=10.0),
-        )
+        replica = self.make_replica(service_model, max_wait_s=10.0)
         replica.enqueue(request(0.0, seed=1), now=0.0)
         replica.enqueue(request(5.0, seed=2), now=5.0)
         dropped = replica.expire(6.0, timeout_s=2.0)
@@ -116,16 +181,25 @@ class TestReplica:
         assert replica.expire(6.0, timeout_s=None) == []
 
     def test_fully_expired_unwarmed_key_loses_affinity(self, service_model):
-        replica = self.make_replica(
-            service_model,
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=10.0),
-        )
+        replica = self.make_replica(service_model, max_wait_s=10.0)
         replica.enqueue(request(0.0, model="mld"), now=0.0)
         assert replica.is_warm(("mld", "all"))
         # Every queued mld request times out before any batch dispatched:
         # the advertised warmth was never realized.
         assert len(replica.expire(5.0, timeout_s=1.0)) == 1
         assert not replica.is_warm(("mld", "all"))
+
+    def test_continuous_unwarmed_key_loses_affinity_too(self, service_model):
+        # Regression: the rule lived in only one of the two replica
+        # classes, so cache_affinity kept steering traffic at a
+        # continuous replica that never warmed.
+        replica = Replica(
+            0, service_model=service_model, policy=ContinuousPolicy()
+        )
+        replica.enqueue(request(0.0), now=0.0)
+        assert replica.is_warm(("dit", "all"))
+        assert len(replica.expire(5.0, timeout_s=1.0)) == 1
+        assert not replica.is_warm(("dit", "all"))
 
     def test_expired_key_stays_warm_after_a_dispatch(self, service_model):
         replica = self.make_replica(service_model)
@@ -138,23 +212,153 @@ class TestReplica:
         assert replica.is_warm(("dit", "all"))
 
     def test_max_wait_schedules_future_fire(self, service_model):
-        replica = self.make_replica(
-            service_model,
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=2.0),
-        )
+        replica = self.make_replica(service_model, max_wait_s=2.0)
         replica.enqueue(request(1.0), now=1.0)
         assert replica.try_dispatch(1.5) is None  # not due yet
         assert replica.next_event_time(1.5) == pytest.approx(3.0)
         outcome = replica.try_dispatch(3.0)
         assert outcome is not None and outcome.batch_size == 1
 
+    def test_drained_service_time_is_the_model_price_bit_for_bit(
+        self, service_model
+    ):
+        # service_s of a drained batch is the hook's price itself, never
+        # (now + price) - now, which drifts in the last ulp.
+        trace = synthesize_trace(PoissonProcess(300.0), 64, rng=3)
+        fleet = build_replicas(2, service_model=service_model, execute=False)
+        records = []
+        for member in fleet:
+            member.try_dispatch = lambda now, d=member.try_dispatch: (
+                records.append(d(now)) or records[-1]
+            )
+        simulate_cluster(trace, fleet, make_router("jsq"))
+        batches = [r for r in records if r is not None]
+        assert sum(b.batch_size for b in batches) == 64
+        for batch in batches:
+            want = service_model.latency_s("dit", "all", batch.batch_size)
+            if batch.cold_s:
+                want += service_model.calibration_s("dit")
+            assert batch.service_s == want
+            assert all(r.service_s == want for r in batch.served)
+
     def test_multi_model_fifo_across_servers(self, service_model):
-        replica = self.make_replica(
-            service_model,
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=0.0),
-        )
+        replica = self.make_replica(service_model, max_wait_s=0.0)
         replica.enqueue(request(0.0, model="mld"), now=0.0)
         replica.enqueue(request(1.0, model="dit"), now=1.0)
         outcome = replica.try_dispatch(2.0)
         # The mld head waited longer, so its server dispatches first.
         assert outcome.model == "mld"
+
+
+# ----------------------------------------------------------------------
+# fleet wiring
+# ----------------------------------------------------------------------
+def _trace(n=20, deadline_s=7.0):
+    return synthesize_trace(
+        MMPPProcess(0.8, 4.0, 5.0),
+        n,
+        mix=WorkloadMix(models=("dit",), ablation="all"),
+        rng=0,
+        deadline_s=deadline_s,
+        tenants=("a", "b"),
+    )
+
+
+def _simulate(continuous):
+    return simulate_cluster(
+        _trace(),
+        replicas=build_replicas(
+            1, policy=ContinuousPolicy(max_batch_size=4),
+            service_model=ServiceTimeModel("exion4"), continuous=continuous,
+            tenant_weights={"a": 2.0, "b": 1.0} if continuous else None,
+        ),
+        router=make_router("round_robin"),
+        slo=SLOPolicy(latency_target_s=7.0),
+        scenario={"seed": 0},
+    )
+
+
+class TestFleetModes:
+    def test_requests_conserved_and_usage_extended(self):
+        report = _simulate(continuous=True)
+        drops = report.admission_drops + report.timeout_drops
+        assert report.served + drops == report.submitted
+        usage = report.replicas[0]
+        # Drain-compatible keys stay, continuous counters appear.
+        for key in ("requests_served", "busy_s", "utilization", "ticks",
+                    "mean_occupancy", "joins", "preemptions",
+                    "deadline_evictions"):
+            assert key in usage
+        assert usage["ticks"] > 0
+        assert usage["mean_occupancy"] > 0.0
+
+    def test_fleet_is_deterministic(self):
+        assert _simulate(True).to_json() == _simulate(True).to_json()
+
+    def test_drain_rows_carry_no_continuous_counters(self):
+        report = _simulate(continuous=False)
+        drops = report.admission_drops + report.timeout_drops
+        assert report.served + drops == report.submitted
+        usage = report.replicas[0]
+        assert "ticks" not in usage and "joins" not in usage
+        assert usage["mean_batch_size"] == pytest.approx(
+            usage["requests_served"] / usage["batches_served"]
+        )
+
+    def test_policy_docs_identify_the_mode(self):
+        continuous = build_replicas(
+            1, policy=ContinuousPolicy(max_batch_size=4, quantum=2.0),
+            service_model=ServiceTimeModel("exion4"), continuous=True,
+        )[0]
+        assert not continuous.policy.drain
+        assert continuous.policy_doc() == {
+            "mode": "continuous",
+            "max_batch_size": 4,
+            "quantum": 2.0,
+            "preempt": True,
+        }
+        drain = build_replicas(
+            1, policy=ContinuousPolicy(max_batch_size=4, max_wait_s=0.5),
+            service_model=ServiceTimeModel("exion4"),
+        )[0]
+        assert isinstance(drain, Replica) and drain.policy.drain
+        # Byte-stable report contract of the drain fleet: exactly the
+        # two keys scenario["policy"] always carried.
+        assert drain.policy_doc() == {"max_batch_size": 4, "max_wait_s": 0.5}
+        # No policy at all (what perfbench passes) is the default drain.
+        assert build_replicas(1, accelerator="exion4")[0].policy == (
+            ContinuousPolicy(drain=True)
+        )
+
+    def test_tenant_weights_require_continuous(self):
+        with pytest.raises(ValueError, match="continuous"):
+            build_replicas(
+                1, service_model=ServiceTimeModel("exion4"),
+                tenant_weights={"a": 2.0},
+            )
+
+
+# ----------------------------------------------------------------------
+# trace schema: tenants, priorities, deadlines
+# ----------------------------------------------------------------------
+class TestTraceSchema:
+    def test_deadline_and_tenant_assignment(self):
+        trace = _trace(n=6, deadline_s=3.0)
+        assert [r.tenant for r in trace] == ["a", "b", "a", "b", "a", "b"]
+        for request in trace:
+            assert request.deadline_s == pytest.approx(request.arrival_s + 3.0)
+
+    def test_deadline_before_arrival_rejected(self):
+        with pytest.raises(ValueError, match="deadline_s"):
+            ClusterRequest(arrival_s=5.0, model="dit", deadline_s=4.0)
+        with pytest.raises(ValueError, match="deadline_s"):
+            synthesize_trace(PoissonProcess(1.0), 3, deadline_s=0.0)
+
+    def test_round_trip_preserves_scheduler_fields(self, tmp_path):
+        trace = _trace(n=5, deadline_s=2.5)
+        path = tmp_path / "trace.jsonl"
+        save_trace(path, trace)
+        loaded = load_trace(path)
+        assert loaded == sorted(trace, key=lambda r: r.arrival_s)
+        assert {r.tenant for r in loaded} == {"a", "b"}
+        assert all(r.deadline_s is not None for r in loaded)

@@ -13,9 +13,9 @@ from repro.cluster import (
     simulate_cluster,
     synthesize_trace,
 )
-from repro.serve.scheduler import BatchingPolicy
+from repro.serve import ContinuousPolicy
 
-POLICY = BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
+POLICY = ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +55,8 @@ class TestConservation:
         # A batch that fills before its max-wait deadline leaves a stale
         # wake-up in the heap; its pop time must not count as makespan.
         from repro.cluster.traffic import ClusterRequest
-        from repro.serve.scheduler import BatchingPolicy
 
-        policy = BatchingPolicy(max_batch_size=2, max_wait_s=10.0)
+        policy = ContinuousPolicy(drain=True, max_batch_size=2, max_wait_s=10.0)
         requests = [
             ClusterRequest(arrival_s=0.0, model="dit", seed=0),
             ClusterRequest(arrival_s=0.5, model="dit", seed=1),
@@ -170,9 +169,8 @@ class TestSLOEnforcement:
         # timeout instant: the expiry deadline is a wake-up of its own,
         # so the makespan is ~timeout_s, not max_wait_s.
         from repro.cluster.traffic import ClusterRequest
-        from repro.serve.scheduler import BatchingPolicy
 
-        policy = BatchingPolicy(max_batch_size=8, max_wait_s=5.0)
+        policy = ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=5.0)
         report = simulate_cluster(
             [ClusterRequest(arrival_s=0.0, model="dit", seed=0)],
             replicas=build_replicas(1, policy=policy,
@@ -189,10 +187,9 @@ class TestSLOEnforcement:
         # instants, where a fixed 1e-9 bump would vanish below the float
         # ulp; the nextafter guard must still guarantee progress.
         from repro.cluster.traffic import ClusterRequest
-        from repro.serve.scheduler import BatchingPolicy
 
         t0 = 1.75e9
-        policy = BatchingPolicy(max_batch_size=8, max_wait_s=5.0)
+        policy = ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=5.0)
         report = simulate_cluster(
             [ClusterRequest(arrival_s=t0, model="dit", seed=0)],
             replicas=build_replicas(1, policy=policy,

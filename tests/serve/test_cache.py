@@ -1,11 +1,13 @@
 """ThresholdCache memoization behavior."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import thresholds as thresholds_module
 from repro.core.config import ExionConfig
 from repro.models.zoo import model_cache_key
-from repro.serve.cache import ThresholdCache
+from repro.serve import ContinuousServer, ThresholdCache
 
 FAST = {"total_iterations": 6}
 
@@ -28,11 +30,10 @@ class TestModelMemo:
         assert first is second
         assert cache.info()["models"] == 1
         assert cache.info() == {
-            "models": 1, "tables": 0, "pipelines": 0, "hits": 1, "misses": 1,
+            "models": 1, "tables": 0, "hits": 1, "misses": 1,
             "capacity": -1, "evictions": 0,
             "model_hits": 1, "model_misses": 1, "model_evictions": 0,
             "table_hits": 0, "table_misses": 0, "table_evictions": 0,
-            "pipeline_hits": 0, "pipeline_misses": 0, "pipeline_evictions": 0,
         }
         # keys come out sorted so diffs of two runs line up
         assert list(cache.info()) == sorted(cache.info())
@@ -75,56 +76,45 @@ class TestTableMemo:
     def test_table_not_shared_across_schedules(self):
         cache = ThresholdCache()
         config = ExionConfig.for_model("dit")
-        from dataclasses import replace
-
         other = replace(config, sparse_iters_n=config.sparse_iters_n + 1)
         assert cache.table("dit", config, **FAST) is not cache.table(
             "dit", other, **FAST
         )
 
 
-class TestPipelineMemo:
-    def test_pipeline_reused_for_same_config(self):
-        cache = ThresholdCache()
-        config = ExionConfig.for_model("dit")
-        first = cache.pipeline("dit", config, **FAST)
-        second = cache.pipeline("dit", config, **FAST)
-        assert first is second
+class TestServerUse:
+    """The one server builds its executor from ``model``/``table``."""
 
-    def test_distinct_pipeline_per_config(self):
-        cache = ThresholdCache()
-        config = ExionConfig.for_model("dit")
-        assert cache.pipeline("dit", config, **FAST) is not cache.pipeline(
-            "dit", config.ablation("ffnr"), **FAST
+    def make_server(self, cache, **kwargs):
+        return ContinuousServer(
+            "dit", cache=cache, total_iterations=FAST["total_iterations"],
+            **kwargs,
         )
 
-    def test_default_config_resolves_for_model(self):
+    def test_calibrated_server_gets_table(self):
         cache = ThresholdCache()
-        pipeline = cache.pipeline("dit", **FAST)
-        assert pipeline.config == ExionConfig.for_model("dit")
-
-    def test_calibrated_pipeline_gets_table(self):
-        cache = ThresholdCache()
-        pipeline = cache.pipeline("dit", calibrate=True, **FAST)
-        assert pipeline.threshold_table is not None
-        assert len(pipeline.threshold_table) > 0
-        uncalibrated = cache.pipeline("dit", **FAST)
-        assert uncalibrated.threshold_table is None
-        assert uncalibrated is not pipeline
+        server = self.make_server(cache, calibrate=True)
+        table = server._executor.threshold_table
+        assert table is not None and len(table) > 0
+        assert self.make_server(cache)._executor.threshold_table is None
+        # A second calibrated server reuses the memoized table.
+        assert self.make_server(
+            cache, calibrate=True
+        )._executor.threshold_table is table
 
     def test_calibrate_without_ffn_reuse_skips_table(self):
         cache = ThresholdCache()
         config = ExionConfig.for_model("dit").ablation("ep")
-        pipeline = cache.pipeline("dit", config, calibrate=True, **FAST)
-        assert pipeline.threshold_table is None
+        server = self.make_server(cache, config=config, calibrate=True)
+        assert server._executor.threshold_table is None
         assert cache.info()["tables"] == 0
 
     def test_clear_drops_everything(self):
         cache = ThresholdCache()
-        cache.pipeline("dit", **FAST)
+        cache.table("dit", ExionConfig.for_model("dit"), **FAST)
         cache.clear()
         info = cache.info()
-        assert (info["models"], info["tables"], info["pipelines"]) == (0, 0, 0)
+        assert (info["models"], info["tables"]) == (0, 0)
 
 
 class TestLRUCapacity:
@@ -165,13 +155,14 @@ class TestLRUCapacity:
     def test_each_level_bounded_independently(self):
         cache = ThresholdCache(capacity=1)
         config = ExionConfig.for_model("dit")
-        cache.pipeline("dit", config, **FAST)
-        cache.pipeline("dit", config.ablation("ffnr"), **FAST)
+        other = replace(config, sparse_iters_n=config.sparse_iters_n + 1)
+        cache.table("dit", config, **FAST)
+        cache.table("dit", other, **FAST)
         info = cache.info()
-        # one model (same key both times) but two pipeline insertions
+        # one model (same key both times) but two table insertions
         assert info["models"] == 1
-        assert info["pipelines"] == 1
-        assert info["pipeline_evictions"] == 1
+        assert info["tables"] == 1
+        assert info["table_evictions"] == 1
         assert info["model_evictions"] == 0
 
     def test_eviction_counts_in_summary_flow(self):

@@ -1,202 +1,223 @@
-"""Scheduler edge cases: empty queue, batch of one, max-wait policy."""
+"""Micro-batching edge cases on the one server and the one queue.
+
+Drain-and-refill is ``ContinuousPolicy(drain=True)``: these are the
+batching-policy corners the cluster event loop leans on (empty queue,
+batch of one, max-wait readiness through ``due()``, FIFO under one
+tenant and class, expiry sweeps), driven in ``dry_run`` mode under a
+hand-set clock.
+"""
 
 import pytest
 
-from repro.serve.queue import RequestQueue
+from repro.cluster import SimClock
+from repro.serve import (
+    ContinuousPolicy,
+    ContinuousServer,
+    FairQueue,
+    QueueEntry,
+)
 from repro.serve.request import GenerationRequest
-from repro.serve.scheduler import BatchingPolicy, MicroBatch, Scheduler
 
 
-class TestRequestQueue:
+def make_server(**knobs):
+    """Dry-run drain server; returns (server, clock)."""
+    clock = SimClock()
+    server = ContinuousServer(
+        "dit",
+        policy=ContinuousPolicy(drain=True, **knobs),
+        clock=clock,
+        tick_time=lambda n, is_dense: 1.0,
+        dry_run=True,
+        total_iterations=6,
+    )
+    return server, clock
+
+
+def submit(server, clock, seed, now=None, **kwargs):
+    if now is not None:
+        clock.now = now
+    return server.submit(seed=seed, **kwargs)
+
+
+def step_seeds(server, clock, now):
+    clock.now = now
+    return [r.request.seed for r in server.step()]
+
+
+def entry(request_id, submitted_at=0.0, deadline_s=None):
+    return QueueEntry(request=GenerationRequest(
+        request_id=request_id, submitted_at=submitted_at,
+        deadline_s=deadline_s,
+    ))
+
+
+class TestQueue:
     def test_starts_empty(self):
-        queue = RequestQueue()
+        queue = FairQueue()
         assert len(queue) == 0
         assert queue.is_empty
         assert queue.oldest_wait(now=100.0) == 0.0
-        assert queue.pop(8) == []
+        assert queue.next_expiry(timeout_s=1.0) is None
+        assert queue.expire(now=100.0, timeout_s=1.0) == []
 
     def test_submit_assigns_sequential_ids(self):
-        queue = RequestQueue()
-        first = queue.submit(seed=3)
-        second = queue.submit(seed=9)
-        assert (first.request_id, second.request_id) == (0, 1)
-        assert queue.total_submitted == 2
+        server, clock = make_server()
+        assert (submit(server, clock, 3), submit(server, clock, 9)) == (0, 1)
+        assert server.pending_count() == 2
 
-    def test_fifo_pop(self):
-        queue = RequestQueue()
-        for seed in (5, 6, 7):
-            queue.submit(seed=seed)
-        batch = queue.pop(2)
-        assert [r.seed for r in batch] == [5, 6]
+    def test_one_tenant_one_class_is_fifo(self):
+        queue = FairQueue()
+        for rid in (5, 6, 7):
+            queue.push(entry(rid, submitted_at=float(rid)))
+        picked = queue.select(10.0, 2, lambda e: 1.0, lambda e: True)
+        assert [e.request.request_id for e in picked] == [5, 6]
         assert len(queue) == 1
-
-    def test_pop_validates_size(self):
-        with pytest.raises(ValueError):
-            RequestQueue().pop(0)
 
     def test_oldest_wait_tracks_head(self):
-        queue = RequestQueue()
-        queue.submit(seed=1, now=10.0)
-        queue.submit(seed=2, now=14.0)
+        queue = FairQueue()
+        queue.push(entry(1, submitted_at=10.0))
+        queue.push(entry(2, submitted_at=14.0))
         assert queue.oldest_wait(now=15.0) == pytest.approx(5.0)
-        queue.pop(1)
+        queue.select(15.0, 1, lambda e: 1.0, lambda e: True)
         assert queue.oldest_wait(now=15.0) == pytest.approx(1.0)
+        # A re-queued older entry (a preempted run) lands behind younger
+        # arrivals and still counts as the oldest.
+        queue.push(entry(3, submitted_at=12.0))
+        assert queue.oldest_wait(now=15.0) == pytest.approx(3.0)
 
-    def test_submit_request_passthrough(self):
-        queue = RequestQueue()
-        request = GenerationRequest(request_id=77, seed=1)
-        queue.submit_request(request)
-        assert queue.pop(1) == [request]
-
-    def test_expire_drops_only_stale_requests(self):
-        queue = RequestQueue()
-        queue.submit(seed=0, now=0.0)
-        queue.submit(seed=1, now=5.0)
-        queue.submit(seed=2, now=9.0)
+    def test_expire_drops_the_stale_head_prefix(self):
+        queue = FairQueue()
+        for rid, at in enumerate((0.0, 5.0, 9.0)):
+            queue.push(entry(rid, submitted_at=at))
         expired = queue.expire(now=10.0, timeout_s=4.0)
-        assert [r.seed for r in expired] == [0, 1]
-        # Survivors keep FIFO order and stay poppable.
-        assert [r.seed for r in queue.pop(8)] == [2]
+        assert [e.request.request_id for e in expired] == [0, 1]
+        # Survivors keep FIFO order and stay selectable.
+        assert queue.oldest_wait(now=10.0) == pytest.approx(1.0)
+        left = queue.select(10.0, 8, lambda e: 1.0, lambda e: True)
+        assert [e.request.request_id for e in left] == [2]
 
     def test_expire_noop_when_within_timeout(self):
-        queue = RequestQueue()
-        queue.submit(seed=0, now=0.0)
+        queue = FairQueue()
+        queue.push(entry(0))
         assert queue.expire(now=1.0, timeout_s=1.0) == []  # > not >=
         assert len(queue) == 1
+        # The wake-up instant is one ulp past the timeout, where it fires.
+        due = queue.next_expiry(timeout_s=1.0)
+        assert due > 1.0
+        assert len(queue.expire(now=due, timeout_s=1.0)) == 1
 
-    def test_expire_rejects_negative_timeout(self):
-        with pytest.raises(ValueError):
-            RequestQueue().expire(now=0.0, timeout_s=-1.0)
+    def test_deadlines_expire_out_of_submission_order(self):
+        queue = FairQueue()
+        queue.push(entry(0, submitted_at=0.0, deadline_s=9.0))
+        queue.push(entry(1, submitted_at=1.0, deadline_s=3.0))
+        queue.push(entry(2, submitted_at=2.0))
+        assert queue.next_expiry(timeout_s=None) == 3.0
+        assert queue.expire(now=2.9, timeout_s=None) == []
+        expired = queue.expire(now=3.0, timeout_s=None)  # >= for deadlines
+        assert [e.request.request_id for e in expired] == [1]
+        assert queue.next_expiry(timeout_s=None) == 9.0
+        assert queue.next_expiry(timeout_s=5.0) == pytest.approx(5.0)
+        assert len(queue) == 2
 
 
-class TestBatchingPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BatchingPolicy(max_batch_size=0)
-        with pytest.raises(ValueError):
-            BatchingPolicy(max_wait_s=-1.0)
+class TestPolicy:
+    @pytest.mark.parametrize("field", ["max_batch_size", "max_wait_s", "timeout_s"])
+    def test_validation_names_the_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            ContinuousPolicy(**{field: -1})
 
     def test_defaults(self):
-        policy = BatchingPolicy()
-        assert policy.max_batch_size == 8
-        assert policy.max_wait_s == 0.0
-
-
-class TestScheduler:
-    def test_empty_queue_never_ready(self):
-        scheduler = Scheduler(RequestQueue(), BatchingPolicy(max_wait_s=0.0))
-        assert not scheduler.ready(now=1e9)
-        assert scheduler.next_batch(now=1e9) is None
-        assert list(scheduler.drain()) == []
-        assert scheduler.batches_formed == 0
-
-    def test_batch_of_one_dispatches_greedily(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(queue, BatchingPolicy(max_batch_size=8))
-        queue.submit(seed=42)
-        batch = scheduler.next_batch(now=0.0)
-        assert isinstance(batch, MicroBatch)
-        assert len(batch) == 1
-        assert batch.seeds == (42,)
-        assert queue.is_empty
-
-    def test_partial_batch_waits_for_max_wait(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=4, max_wait_s=2.0)
+        assert ContinuousPolicy() == ContinuousPolicy(
+            max_batch_size=8, max_wait_s=0.0, drain=False
         )
-        queue.submit(seed=0, now=10.0)
-        assert scheduler.next_batch(now=11.0) is None  # 1s < max_wait
-        batch = scheduler.next_batch(now=12.0)  # 2s >= max_wait
-        assert batch is not None and len(batch) == 1
-
-    def test_full_batch_dispatches_before_max_wait(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=2, max_wait_s=60.0)
-        )
-        queue.submit(seed=0, now=0.0)
-        assert scheduler.next_batch(now=0.0) is None
-        queue.submit(seed=1, now=0.0)
-        batch = scheduler.next_batch(now=0.0)
-        assert batch is not None and len(batch) == 2
-
-    def test_batch_size_capped(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(queue, BatchingPolicy(max_batch_size=3))
-        for seed in range(7):
-            queue.submit(seed=seed)
-        sizes = [len(b) for b in scheduler.drain()]
-        assert sizes == [3, 3, 1]
-        assert scheduler.batches_formed == 3
-
-    def test_drain_preserves_fifo_order(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(queue, BatchingPolicy(max_batch_size=4))
-        for seed in range(6):
-            queue.submit(seed=seed)
-        seeds = [s for batch in scheduler.drain() for s in batch.seeds]
-        assert seeds == list(range(6))
 
 
-class TestSchedulerEdgeCases:
-    """The batching-policy corners the cluster event loop leans on."""
+class TestBatching:
+    def test_empty_queue_never_due(self):
+        server, clock = make_server(max_wait_s=0.0)
+        assert not server.due(now=1e9)
+        assert step_seeds(server, clock, 1e9) == []
+        assert server.run_until_drained() == []
+        assert server.report().batches_served == 0
 
     def test_zero_max_wait_dispatches_whatever_is_queued(self):
-        # max_wait=0 degenerates to greedy batching: every next_batch call
-        # with a non-empty queue dispatches immediately, even a batch of 1.
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=8, max_wait_s=0.0)
-        )
-        queue.submit(seed=0, now=100.0)
-        batch = scheduler.next_batch(now=100.0)  # zero elapsed wait
-        assert batch is not None and len(batch) == 1
+        # max_wait=0 degenerates to greedy batching: every step with a
+        # non-empty queue dispatches immediately, even a batch of 1.
+        server, clock = make_server(max_batch_size=8, max_wait_s=0.0)
+        submit(server, clock, 42, now=100.0)
+        (record,) = server.step()  # zero elapsed wait
+        assert (record.request.seed, record.batch_size) == (42, 1)
+        assert server.queue.is_empty
 
-    def test_queue_smaller_than_max_batch_waits_then_flushes_partial(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=8, max_wait_s=3.0)
-        )
+    def test_partial_batch_waits_for_max_wait_then_flushes(self):
+        server, clock = make_server(max_batch_size=8, max_wait_s=3.0)
         for seed in range(3):  # 3 < max_batch_size
-            queue.submit(seed=seed, now=0.0)
-        assert scheduler.next_batch(now=2.9) is None
-        batch = scheduler.next_batch(now=3.0)
-        assert batch is not None and batch.seeds == (0, 1, 2)
-        assert queue.is_empty
+            submit(server, clock, seed, now=10.0)
+        assert not server.due(12.9)
+        assert step_seeds(server, clock, 12.9) == []
+        assert server.due(13.0)  # >= max_wait
+        assert step_seeds(server, clock, 13.0) == [0, 1, 2]
+        assert server.queue.is_empty
+
+    def test_full_batch_dispatches_before_max_wait(self):
+        server, clock = make_server(max_batch_size=2, max_wait_s=60.0)
+        submit(server, clock, 0)
+        assert step_seeds(server, clock, 0.0) == []
+        submit(server, clock, 1)
+        assert step_seeds(server, clock, 0.0) == [0, 1]
+
+    def test_batch_size_capped_and_fifo_preserved(self):
+        server, clock = make_server(max_batch_size=3)
+        for seed in range(7):
+            submit(server, clock, seed)
+        batches = []
+        while server.has_work:
+            batches.append([r.request.seed for r in server.step()])
+        assert batches == [[0, 1, 2], [3, 4, 5], [6]]
+        assert server.report().batches_served == 3
 
     def test_burst_larger_than_max_batch_splits_into_full_batches(self):
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=4, max_wait_s=60.0)
-        )
+        server, clock = make_server(max_batch_size=4, max_wait_s=60.0)
         for seed in range(11):  # burst of 11 > max_batch_size
-            queue.submit(seed=seed, now=0.0)
+            submit(server, clock, seed, now=0.0)
         sizes = []
-        while (batch := scheduler.next_batch(now=0.0)) is not None:
-            sizes.append(len(batch))
+        while served := step_seeds(server, clock, 0.0):
+            sizes.append(len(served))
         # Two full batches fire immediately; the tail of 3 waits out
-        # max_wait before a third call would dispatch it.
+        # max_wait before a third step would dispatch it.
         assert sizes == [4, 4]
-        assert len(queue) == 3
-        tail = scheduler.next_batch(now=60.0)
-        assert tail is not None and tail.seeds == (8, 9, 10)
+        assert len(server.queue) == 3
+        assert step_seeds(server, clock, 60.0) == [8, 9, 10]
 
     def test_fifo_preserved_under_interleaved_coalescing(self):
         # Submissions interleave with dispatches; coalescing must never
         # reorder requests across or within micro-batches.
-        queue = RequestQueue()
-        scheduler = Scheduler(
-            queue, BatchingPolicy(max_batch_size=3, max_wait_s=0.0)
-        )
+        server, clock = make_server(max_batch_size=3, max_wait_s=0.0)
         order = []
-        queue.submit(seed=0)
-        queue.submit(seed=1)
-        order.extend(scheduler.next_batch(now=0.0).seeds)
+        submit(server, clock, 0)
+        submit(server, clock, 1)
+        order.extend(step_seeds(server, clock, 0.0))
         for seed in (2, 3, 4, 5):
-            queue.submit(seed=seed)
-        order.extend(scheduler.next_batch(now=1.0).seeds)
-        queue.submit(seed=6)
-        order.extend(scheduler.next_batch(now=2.0).seeds)
+            submit(server, clock, seed)
+        order.extend(step_seeds(server, clock, 1.0))
+        submit(server, clock, 6)
+        order.extend(step_seeds(server, clock, 2.0))
         assert order == list(range(7))
-        assert scheduler.batches_formed == 3
+        assert server.report().batches_served == 3
+
+    def test_sweep_runs_before_the_batch_forms(self):
+        # Expiry is re-checked at batch formation: a stale request never
+        # occupies a slot, and a queue the sweep leaves short of a full
+        # batch waits out max_wait like any partial batch.
+        server, clock = make_server(
+            max_batch_size=2, max_wait_s=60.0, timeout_s=5.0
+        )
+        submit(server, clock, 0, now=0.0)
+        submit(server, clock, 1, now=4.0, deadline_s=8.0)
+        submit(server, clock, 2, now=9.0)
+        assert step_seeds(server, clock, 10.0) == []  # 3 queued, 1 live
+        dropped = {r.seed: reason for r, reason in server.pop_dropped()}
+        assert dropped == {0: "timeout", 1: "deadline"}
+        submit(server, clock, 3, now=10.0)
+        assert step_seeds(server, clock, 10.0) == [2, 3]
+        assert server.report().requests_expired == 2

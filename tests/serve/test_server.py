@@ -1,43 +1,44 @@
-"""ExionServer end-to-end behavior: batching, results, accounting."""
+"""Drain-mode ContinuousServer end to end: batching, results, accounting."""
 
 import numpy as np
 import pytest
 
+from repro.cluster import SimClock
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.models.zoo import build_model
-from repro.serve import BatchingPolicy, ExionServer, ThresholdCache
+from repro.serve import ContinuousPolicy, ContinuousServer, Priority, ThresholdCache
 
 FAST_ITERATIONS = 6
 
 
-class FakeClock:
-    """Deterministic clock the tests advance by hand."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
+def drain_policy(**knobs):
+    return ContinuousPolicy(drain=True, **knobs)
 
 
 def make_server(**kwargs):
     kwargs.setdefault("total_iterations", FAST_ITERATIONS)
-    return ExionServer("dit", **kwargs)
+    kwargs.setdefault("policy", drain_policy())
+    return ContinuousServer("dit", **kwargs)
+
+
+def dry_server(**knobs):
+    return make_server(
+        policy=drain_policy(**knobs), clock=SimClock(),
+        tick_time=lambda n, is_dense: 1.0, dry_run=True,
+    )
 
 
 class TestServing:
     def test_unknown_model_fails_at_construction(self):
-        from repro.core.config import ExionConfig
-
         with pytest.raises(KeyError):
-            ExionServer("resnet50")
+            ContinuousServer("resnet50")
         # Even with an explicit config (which skips for_model lookup).
         with pytest.raises(KeyError):
-            ExionServer("resnet50", config=ExionConfig.for_model("dit"))
+            ContinuousServer("resnet50", config=ExionConfig.for_model("dit"))
 
     def test_results_ordered_and_batched(self):
-        server = make_server(policy=BatchingPolicy(max_batch_size=4))
+        server = make_server(policy=drain_policy(max_batch_size=4))
         for seed in range(10):
             server.submit(seed=seed, class_label=seed % 2)
         results = server.run_until_drained()
@@ -50,9 +51,9 @@ class TestServing:
         assert report.samples_per_s > 0
 
     def test_step_honors_policy(self):
-        clock = FakeClock()
+        clock = SimClock()
         server = make_server(
-            policy=BatchingPolicy(max_batch_size=4, max_wait_s=5.0),
+            policy=drain_policy(max_batch_size=4, max_wait_s=5.0),
             clock=clock,
         )
         server.submit(seed=0)
@@ -70,7 +71,7 @@ class TestServing:
         assert server.report().batches_served == 0
 
     def test_served_results_match_sequential_generation(self):
-        server = make_server(policy=BatchingPolicy(max_batch_size=3))
+        server = make_server(policy=drain_policy(max_batch_size=3))
         seeds_labels = [(0, 5), (1, 5), (9, 2), (4, 0)]
         for seed, label in seeds_labels:
             server.submit(seed=seed, class_label=label)
@@ -92,7 +93,7 @@ class TestServing:
         assert server.result(rid).request.seed == 3
 
     def test_stats_isolation_across_requests(self):
-        server = make_server(policy=BatchingPolicy(max_batch_size=8))
+        server = make_server(policy=drain_policy(max_batch_size=8))
         for seed in range(3):
             server.submit(seed=seed, class_label=0)
         results = server.run_until_drained()
@@ -115,7 +116,7 @@ class TestServing:
         second = make_server(cache=cache)
         second.submit(seed=1)
         second.run_until_drained()
-        # The second server reuses the first's model and pipeline.
+        # The second server reuses the first's model.
         assert cache.info()["misses"] == misses_after_first
         assert cache.info()["hits"] > 0
 
@@ -141,12 +142,12 @@ class TestServing:
         # Report aggregates survive the pop.
         assert server.report().requests_served == 1
 
-    def test_service_time_hook_overrides_wall_clock(self):
-        clock = FakeClock()
+    def test_tick_time_hook_prices_the_whole_batch_once(self):
+        clock = SimClock()
         server = make_server(
-            policy=BatchingPolicy(max_batch_size=2),
+            policy=drain_policy(max_batch_size=2),
             clock=clock,
-            service_time=lambda batch: 2.5 * len(batch),
+            tick_time=lambda n, is_dense: 2.5 * n,
         )
         clock.now = 1.0
         for seed in range(2):
@@ -171,11 +172,11 @@ class TestServing:
         assert server.report().timing_source == "wall_clock"
 
     def test_dry_run_accounts_without_generating(self):
-        clock = FakeClock()
+        clock = SimClock()
         server = make_server(
-            policy=BatchingPolicy(max_batch_size=4),
+            policy=drain_policy(max_batch_size=4),
             clock=clock,
-            service_time=lambda batch: 1.5,
+            tick_time=lambda n, is_dense: 1.5,
             dry_run=True,
         )
         for seed in range(3):
@@ -192,11 +193,11 @@ class TestServing:
 
     def test_simulated_reports_deterministic(self):
         def run():
-            clock = FakeClock()
+            clock = SimClock()
             server = make_server(
-                policy=BatchingPolicy(max_batch_size=2),
+                policy=drain_policy(max_batch_size=2),
                 clock=clock,
-                service_time=lambda batch: 0.25 * len(batch),
+                tick_time=lambda n, is_dense: 0.25 * n,
                 dry_run=True,
             )
             for seed in range(5):
@@ -219,7 +220,7 @@ class TestServing:
         assert server.report().merged_stats.ffn_sparsities
 
     def test_latency_accounting(self):
-        clock = FakeClock()
+        clock = SimClock()
         server = make_server(clock=clock)
         server.submit(seed=0)
         clock.now = 2.0
@@ -228,3 +229,40 @@ class TestServing:
         assert record.latency_s == pytest.approx(
             record.wait_s + record.service_s
         )
+
+    def test_drained_batch_is_one_step(self):
+        # A drain step seats a batch only when empty and runs it through
+        # every remaining iteration: one dispatch per micro-batch.
+        server = dry_server(max_batch_size=2)
+        for seed in range(3):
+            server.submit(seed=seed)
+        assert server.at_boundary()
+        served = server.step()
+        assert [r.request_id for r in served] == [0, 1]
+        assert server.last_tick_phase == "batch"
+        assert not server.active and server.at_boundary()
+        report = server.report()
+        assert (report.batches_served, report.ticks, report.joins) == (1, 1, 2)
+        assert report.mean_occupancy == 2.0
+
+    def test_run_until_drained_ignores_max_wait_on_a_frozen_clock(self):
+        server = dry_server(max_batch_size=4, max_wait_s=5.0)
+        for seed in range(6):
+            server.submit(seed=seed)
+        assert len(server.step()) == 4  # a full batch is due at once
+        # The partial tail is not: stepping would spin forever here.
+        assert not server.due(0.0)
+        assert server.step() == []
+        results = server.run_until_drained()
+        assert [r.request_id for r in results] == [4, 5]
+        assert [r.batch_size for r in results] == [2, 2]
+        assert not server.has_work
+
+    def test_interactive_request_is_seated_before_queued_batch_ones(self):
+        # The one queue honours priority classes in drain mode too.
+        server = dry_server(max_batch_size=2)
+        for seed in range(3):
+            server.submit(seed=seed, priority=Priority.BATCH)
+        urgent = server.submit(seed=9, priority=Priority.INTERACTIVE)
+        first = server.step()
+        assert [r.request_id for r in first] == [urgent, 0]
