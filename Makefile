@@ -109,7 +109,7 @@ smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
 fleet-digests:  ## sha256 per fleet artefact, drain + continuous (diff across commits)
 	$(PYTHON) tools/fleet_digests.py
 
-docs-check:  ## docstring + __all__ export lint
+docs-check:  ## docstring, __all__ export and prose-reference lint
 	$(PYTHON) tools/docs_check.py
 
 check: test docs-check smoke  ## test + docs-check + smoke

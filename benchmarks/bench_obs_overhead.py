@@ -9,15 +9,18 @@ byte-stable:
   byte-identical generation outputs and identical report summaries to
   the pre-obs code path (every hook site is one ``is not None`` branch);
 - **cheap when enabled** — full instrumentation (metrics + tracing) adds
-  less than 10% wall-clock overhead to the DiT single-stream serving
-  loop;
+  less than ``MAX_OVERHEAD`` (15%) wall-clock to the DiT single-stream
+  serving loop;
 - **deterministic artifacts** — same-seed ``repro trace`` scenarios
   export byte-identical Chrome trace JSON and metrics snapshots.
 
 Overhead is measured min-of-3 on the real (numeric) continuous server so
-the denominator is genuine generation work, not accounting; the loose
-metric tolerance absorbs machine noise while the pytest wrapper asserts
-the strict <10% bar.
+the denominator is genuine generation work, not accounting. The bound is
+stated once: ``MAX_OVERHEAD`` is both the metric's compare tolerance
+(against the nominal 1.0x factor) and the pytest wrapper's limit. Six
+requests, min of three, is a smoke bound; the measured host-time overhead
+is ``perfbench``'s ``obs.enabled_overhead_ratio`` (interleaved cells,
+medians).
 
 Run with::
 
@@ -40,6 +43,7 @@ REQUESTS = 6
 MAX_BATCH = 2
 TIMING_REPS = 3
 SCENARIO_REQUESTS = 8
+MAX_OVERHEAD = 0.15
 
 
 def _serve(observer):
@@ -130,13 +134,11 @@ def build_obs_overhead(ctx):
         1.0 if artifacts_deterministic else 0.0,
         direction="higher_better", tolerance=0.0,
     )
-    # The factor form keeps the relative comparison meaningful: baseline
-    # ~1.0x, so the compare gate's tolerance bounds the overhead itself.
-    # Slightly looser than the strict 10% bar (asserted by the pytest
-    # wrapper below) to absorb shared-machine timing noise.
+    # The factor form keeps the relative comparison meaningful: nominal
+    # 1.0x, so the compare gate's tolerance bounds the overhead itself.
     result.add_metric(
         "enabled_overhead_factor", max(1.0, 1.0 + overhead),
-        unit="x", direction="lower_better", tolerance=0.15,
+        unit="x", direction="lower_better", tolerance=MAX_OVERHEAD,
     )
     result.add_note(
         "Instrumentation is nil-by-default: with no observer installed "
@@ -155,6 +157,6 @@ def test_obs_overhead(bench_ctx):
     assert result.value("reports_identical_when_disabled") == 1.0
     assert result.value("artifacts_deterministic") == 1.0
     factor = result.value("enabled_overhead_factor")
-    assert factor < 1.10, (
+    assert factor < 1.0 + MAX_OVERHEAD, (
         f"observer adds {(factor - 1.0) * 100:.1f}% to the serving hot loop"
     )

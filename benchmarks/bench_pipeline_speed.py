@@ -53,8 +53,10 @@ def _dit_model():
 def build_pipeline_speed(ctx):
     model = _dit_model()
     config = ExionConfig.for_model("dit")
-    interpreted = ExionPipeline(model, config)
-    compiled = ExionPipeline(model, config, compiled=True)
+    # The oracle must be asked for: two default pipelines would time the
+    # compiled engine against itself and the speedup would read 1.0x.
+    interpreted = ExionPipeline(model, config, compiled=False)
+    compiled = ExionPipeline(model, config)
 
     # ------------------------------------------------------------------
     # equivalence: the compiled path replays the oracle bit for bit
@@ -120,6 +122,5 @@ def test_pipeline_speed(benchmark, bench_ctx):
         f"compiled executor reached only {ratio:.2f}x interpreted speed"
     )
 
-    compiled = ExionPipeline(_dit_model(), ExionConfig.for_model("dit"),
-                             compiled=True)
+    compiled = ExionPipeline(_dit_model(), ExionConfig.for_model("dit"))
     benchmark(compiled.generate, seed=SEED, class_label=CLASS_LABEL)

@@ -126,7 +126,7 @@ def _equivalence():
     results = server.run_until_drained()
 
     model = server.cache.model(MODEL, 0, EQUIV_ITERATIONS, None)
-    pipeline = ExionPipeline(model, config)
+    pipeline = ExionPipeline(model, config, compiled=False)
     for record in results:
         solo = pipeline.generate(
             seed=record.request.seed, class_label=record.request.class_label

@@ -6,10 +6,11 @@ request's output. This bench measures both halves of that claim on the
 DiT benchmark model at the paper's Table I EXION configuration:
 
 - **equivalence** — a batch of one (and each request of a batch of
-  eight) reproduces the sequential ``ExionPipeline.generate()`` sample
-  and statistics bit for bit;
+  eight) on the batched engine reproduces the interpreted
+  ``ExionPipeline(compiled=False).generate()`` sample and statistics bit
+  for bit;
 - **throughput** — batch-8 serving reaches at least twice the
-  samples/sec of a sequential request loop.
+  samples/sec of a sequential request loop over that interpreted oracle.
 
 Run with::
 
@@ -24,8 +25,9 @@ import numpy as np
 from repro.bench import BenchResult, register_bench
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
+from repro.exec import ContinuousExecutor
 from repro.models.zoo import build_model
-from repro.serve import BatchedPipeline
+from repro.serve import GenerationRequest
 
 from .conftest import emit_result
 
@@ -49,12 +51,19 @@ def _dit_model():
     return build_model("dit", seed=0, total_iterations=ITERATIONS)
 
 
+def _requests(seeds):
+    return [GenerationRequest(request_id=i, seed=s, class_label=CLASS_LABEL)
+            for i, s in enumerate(seeds)]
+
+
 @register_bench("serve_throughput", tags=("serve",))
 def build_serve_throughput(ctx):
     model = _dit_model()
     config = ExionConfig.for_model("dit")
-    sequential = ExionPipeline(model, config)
-    batched = BatchedPipeline(model, config)
+    # The baseline's speedup is over the interpreted loop; a default
+    # pipeline would loop the compiled 2-D engine instead.
+    sequential = ExionPipeline(model, config, compiled=False)
+    batched = ContinuousExecutor(model, config)
     seeds = list(range(BATCH))
 
     # ------------------------------------------------------------------
@@ -63,14 +72,14 @@ def build_serve_throughput(ctx):
     reference = [
         sequential.generate(seed=s, class_label=CLASS_LABEL) for s in seeds
     ]
-    single = batched.generate(seed=seeds[0], class_label=CLASS_LABEL)
+    single = batched.run_batch(_requests(seeds[:1]))[0]
     single_ok = (
         np.array_equal(single.sample, reference[0].sample)
         and single.stats.summary() == reference[0].stats.summary()
         and single.stats.ffn_sparsities == reference[0].stats.ffn_sparsities
     )
 
-    _, batch_results = batched.generate_batch(seeds, class_label=CLASS_LABEL)
+    batch_results = batched.run_batch(_requests(seeds))
     batch_ok = all(
         np.array_equal(got.sample, want.sample)
         and got.stats.summary() == want.stats.summary()
@@ -85,7 +94,7 @@ def build_serve_throughput(ctx):
             sequential.generate(seed=s, class_label=CLASS_LABEL)
 
     def run_batched():
-        batched.generate_batch(seeds, class_label=CLASS_LABEL)
+        batched.run_batch(_requests(seeds))
 
     sequential_s = _best_of(run_sequential)
     batched_s = _best_of(run_batched)
@@ -96,8 +105,7 @@ def build_serve_throughput(ctx):
     scaling_rows = []
     for size in (1, 2, 4, BATCH):
         elapsed = _best_of(
-            lambda: batched.generate_batch(seeds[:size],
-                                           class_label=CLASS_LABEL),
+            lambda: batched.run_batch(_requests(seeds[:size])),
             repeats=1,
         )
         scaling_rows.append([size, f"{size / elapsed:.2f}",
@@ -143,6 +151,5 @@ def test_batched_serving_throughput(benchmark, bench_ctx):
         f"batched serving reached only {speedup:.2f}x sequential throughput"
     )
 
-    batched = BatchedPipeline(_dit_model(), ExionConfig.for_model("dit"))
-    benchmark(batched.generate_batch, list(range(4)),
-              class_label=CLASS_LABEL)
+    batched = ContinuousExecutor(_dit_model(), ExionConfig.for_model("dit"))
+    benchmark(batched.run_batch, _requests(range(4)))

@@ -33,6 +33,12 @@ Quickstart::
     pipeline = ExionPipeline(model, ExionConfig.for_model("dit"))
     result = pipeline.generate(seed=1)
     print(result.stats.ffn_output_sparsity)
+    samples, results = pipeline.generate_batch(range(8))
+
+``ExionPipeline`` is the one generation front door: it runs the compiled
+engines of ``repro.exec`` (the 2-D one for a single seed, the batched one
+for several), byte-identical to the interpreted oracle that
+``compiled=False`` selects.
 
 Serving quickstart::
 
@@ -58,11 +64,10 @@ from repro._version import __version__
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline, GenerationResult
 from repro.models.zoo import BENCHMARK_MODELS, build_model
-from repro.serve import BatchedPipeline, ContinuousPolicy, ContinuousServer
+from repro.serve import ContinuousPolicy, ContinuousServer
 
 __all__ = [
     "BENCHMARK_MODELS",
-    "BatchedPipeline",
     "ContinuousPolicy",
     "ContinuousServer",
     "ExionConfig",

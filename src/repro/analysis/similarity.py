@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pipeline import ExionPipeline
 from repro.models.zoo import BenchmarkModel
 from repro.workloads.metrics import cosine_similarity
 
@@ -23,18 +22,12 @@ def gelu_outputs_by_iteration(
     class_label: int = None,
 ) -> list:
     """Non-linearity outputs of one block for every denoising iteration."""
-    from repro.core.config import ExionConfig
-
-    pipeline = ExionPipeline(
-        model, ExionConfig(enable_ffn_reuse=False, enable_eager_prediction=False)
-    )
-    result = pipeline.generate_vanilla(
+    # Traces come from the interpreted network hooks; no optimization (and
+    # so no ExionPipeline) is involved in the vanilla run they describe.
+    result = model.make_pipeline().generate(
         seed=seed, prompt=prompt, class_label=class_label, collect_traces=True
     )
-    outputs = []
-    for traces in result.diffusion.block_traces:
-        outputs.append(traces[block].ffn.hidden.copy())
-    return outputs
+    return [traces[block].ffn.hidden.copy() for traces in result.block_traces]
 
 
 def cosine_similarity_matrix(outputs: list) -> np.ndarray:

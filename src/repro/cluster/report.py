@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.report import format_table
+from repro.canon import canonical_json
 
 #: Column headers of the per-replica usage table, shared by the rendered
 #: report and the ``repro.bench`` series so they cannot desynchronize.
@@ -90,15 +91,7 @@ class ClusterReport:
 
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, fixed separators, trailing newline."""
-        return (
-            json.dumps(
-                self.to_dict(),
-                sort_keys=True,
-                separators=(",", ":"),
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterReport":

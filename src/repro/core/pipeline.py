@@ -1,9 +1,12 @@
 """End-to-end EXION inference over a benchmark model.
 
-Binds the FFN-Reuse manager and eager predictor into the diffusion
-pipeline's executor hooks and aggregates run statistics. The four ablation
-configurations of the evaluation (Base / EP / FFNR / All) are expressed by
-the two enable flags on :class:`repro.core.config.ExionConfig`.
+:class:`ExionPipeline` is the one request-level front door. It runs the
+plan-compiled engines of :mod:`repro.exec` by default and also holds the
+interpreted stack they are byte-identical to — the FFN-Reuse manager and
+the eager predictor bound into the diffusion pipeline's executor hooks.
+The four ablation configurations of the evaluation (Base / EP / FFNR /
+All) are expressed by the two enable flags on
+:class:`repro.core.config.ExionConfig`.
 """
 
 from __future__ import annotations
@@ -35,15 +38,21 @@ class GenerationResult:
 class ExionPipeline:
     """Runs a benchmark model with EXION's software optimizations.
 
-    ``compiled=True`` routes generation through the plan-compiled executor
-    (:class:`repro.exec.CompiledExecutor`): the phase schedule, log-domain
-    weight operands and timestep tables are precomputed once and each
-    iteration replays pure gather/scatter kernels. Results are
-    bit-identical to the interpreted path, which remains the reference
-    oracle (and the only path that can collect per-iteration traces).
-    ``generate_batch(batched=True)`` always runs on the one batched
-    engine (:class:`repro.exec.ContinuousExecutor`), whatever ``compiled``
-    says — it is byte-identical to the sequential loop either way.
+    Generation runs on the plan-compiled engines: the phase schedule,
+    log-domain weight operands and timestep tables are precomputed once
+    and each iteration replays pure gather/scatter kernels.
+    :meth:`generate` (and a one-seed :meth:`generate_batch`) uses the 2-D
+    :class:`repro.exec.CompiledExecutor`; :meth:`generate_batch` with
+    several seeds hands them to
+    :meth:`repro.exec.ContinuousExecutor.run_batch` as one drained
+    micro-batch. :meth:`generate_vanilla` runs the same engines on
+    ``config.ablation("base")``. Engines are built on first use.
+
+    Results are bit-identical to the interpreted path, which remains the
+    reference oracle: ``compiled=False`` runs it for every call (then
+    :meth:`generate_batch` is the per-seed oracle loop whatever
+    ``batched`` says), and ``collect_traces=True`` falls back to it for
+    that call, because only the interpreted hooks record traces.
 
     Example::
 
@@ -59,7 +68,7 @@ class ExionPipeline:
         threshold_table: Optional[ThresholdTable] = None,
         activation_bits: Optional[int] = None,
         collect_masks: bool = False,
-        compiled: bool = False,
+        compiled: bool = True,
     ) -> None:
         self.model = model
         self.config = config
@@ -67,44 +76,27 @@ class ExionPipeline:
         self.activation_bits = activation_bits
         self.collect_masks = collect_masks
         self.compiled = compiled
-        self._compiled_executor = None
-        self._batched_delegates: dict = {}  # vanilla? -> BatchedPipeline
+        self._engines: dict = {}  # (vanilla?, several seeds?) -> engine
 
-    def _executor(self):
-        """The plan-compiled executor, built once per pipeline."""
-        if self._compiled_executor is None:
-            from repro.exec import CompiledExecutor
+    def _engine(self, vanilla: bool, several: bool):
+        """The compiled engine for one call shape, built on first use."""
+        engine = self._engines.get((vanilla, several))
+        if engine is None:
+            from repro.exec import CompiledExecutor, ContinuousExecutor
 
-            self._compiled_executor = CompiledExecutor(
-                self.model,
-                self.config,
-                threshold_table=self.threshold_table,
-                activation_bits=self.activation_bits,
-                collect_masks=self.collect_masks,
-            )
-        return self._compiled_executor
-
-    def _batched(self, vanilla: bool):
-        """The batched delegate (and its engine), built once per pipeline."""
-        delegate = self._batched_delegates.get(vanilla)
-        if delegate is None:
-            from repro.serve.batched import BatchedPipeline
-
+            build = ContinuousExecutor if several else CompiledExecutor
             if vanilla:
-                # Vanilla disables every optimization, like generate_vanilla().
-                delegate = BatchedPipeline(
-                    self.model, self.config.ablation("base")
-                )
+                engine = build(self.model, self.config.ablation("base"))
             else:
-                delegate = BatchedPipeline(
+                engine = build(
                     self.model,
                     self.config,
                     threshold_table=self.threshold_table,
                     activation_bits=self.activation_bits,
                     collect_masks=self.collect_masks,
                 )
-            self._batched_delegates[vanilla] = delegate
-        return delegate
+            self._engines[(vanilla, several)] = engine
+        return engine
 
     def generate(
         self,
@@ -115,9 +107,7 @@ class ExionPipeline:
     ) -> GenerationResult:
         """Generate one sample with the configured optimizations."""
         if self.compiled and not collect_traces:
-            # Trace collection is an analysis feature of the interpreted
-            # path; asking for it falls back to the oracle.
-            return self._executor().generate(
+            return self._engine(vanilla=False, several=False).generate(
                 seed=seed, prompt=prompt, class_label=class_label
             )
         stats = RunStats()
@@ -160,7 +150,7 @@ class ExionPipeline:
         prompt: Optional[str] = None,
         class_label: Optional[int] = None,
         vanilla: bool = False,
-        batched: bool = False,
+        batched: bool = True,
     ) -> tuple:
         """Generate one sample per seed; returns ``(samples, results)``.
 
@@ -168,31 +158,29 @@ class ExionPipeline:
         direct use with the distribution metrics in
         :mod:`repro.workloads.metrics`.
 
-        ``batched=True`` routes the seeds through the vectorized
-        :class:`repro.serve.batched.BatchedPipeline` (one shared denoising
-        loop for the whole batch on the batched engine) instead of a
-        Python-level loop; the per-seed samples and statistics are
-        identical either way.
+        Several seeds share one denoising loop on the batched engine
+        (:meth:`repro.exec.ContinuousExecutor.run_batch`);
+        ``batched=False`` runs them one :meth:`generate` at a time
+        instead. The per-seed samples and statistics are identical
+        either way.
         """
         seeds = list(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
-        if batched:
-            return self._batched(vanilla).generate_batch(
-                seeds, prompt=prompt, class_label=class_label
-            )
-        results = []
-        for seed in seeds:
-            if vanilla:
-                results.append(
-                    self.generate_vanilla(seed=seed, prompt=prompt,
-                                          class_label=class_label)
-                )
-            else:
-                results.append(
-                    self.generate(seed=seed, prompt=prompt,
+        if self.compiled and batched and len(seeds) > 1:
+            from repro.serve.request import GenerationRequest
+
+            results = self._engine(vanilla, several=True).run_batch([
+                GenerationRequest(request_id=i, seed=seed, prompt=prompt,
                                   class_label=class_label)
-                )
+                for i, seed in enumerate(seeds)
+            ])
+        else:
+            one = self.generate_vanilla if vanilla else self.generate
+            results = [
+                one(seed=seed, prompt=prompt, class_label=class_label)
+                for seed in seeds
+            ]
         samples = np.stack([r.sample for r in results])
         return samples, results
 
@@ -204,6 +192,10 @@ class ExionPipeline:
         collect_traces: bool = False,
     ) -> GenerationResult:
         """Reference run with every optimization disabled."""
+        if self.compiled and not collect_traces:
+            return self._engine(vanilla=True, several=False).generate(
+                seed=seed, prompt=prompt, class_label=class_label
+            )
         pipeline = self.model.make_pipeline()
         diffusion = pipeline.generate(
             seed=seed,

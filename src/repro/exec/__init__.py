@@ -1,11 +1,11 @@
 """Compiled execution of the generation hot path.
 
-The interpreted pipeline (:class:`repro.core.pipeline.ExionPipeline` with
-its executor hooks) re-derives per-step work every iteration: it
-re-quantizes constant weight matrices for the log-domain prediction,
-re-walks bitmasks, re-embeds deterministic timesteps and allocates trace
-objects nobody reads. :mod:`repro.exec` splits that work along the
-plan-time / step-time boundary the
+The interpreted stack (the executor hooks behind
+``ExionPipeline(compiled=False)``) re-derives per-step work every
+iteration: it re-quantizes constant weight matrices for the log-domain
+prediction, re-walks bitmasks, re-embeds deterministic timesteps and
+allocates trace objects nobody reads. :mod:`repro.exec` splits that work
+along the plan-time / step-time boundary the
 :class:`~repro.program.compiled.CompiledPlan` fixes:
 
 ==============================  ========================================
@@ -26,11 +26,13 @@ cross-attention K/V constants
 :class:`ContinuousExecutor` is the one batched engine — it advances a
 mutable set of requests one plan step per tick, and a drained micro-batch
 (:meth:`ContinuousExecutor.run_batch`) is that loop with no membership
-edits. Both are **bit-identical** to the sequential interpreted path,
-which stays in the tree as the reference oracle: the differential parity
-suite in ``tests/exec/`` holds samples and
-:class:`~repro.core.sparsity.RunStats` byte-for-byte equal across every
-model, ablation and seed it sweeps.
+edits. :class:`repro.core.pipeline.ExionPipeline` picks between them by
+how many seeds a call carries: the 2-D engine is the faster one for a
+batch of one, the batched engine from two up. Both are
+**bit-identical** to the sequential interpreted path, which stays in the
+tree as the reference oracle: the differential parity suite in
+``tests/exec/`` holds samples and :class:`~repro.core.sparsity.RunStats`
+byte-for-byte equal across every model, ablation and seed it sweeps.
 """
 
 from repro.exec.continuous import (

@@ -22,21 +22,20 @@
   its full identity — canonical point, fidelity, per-point seed (when
   used), and the evaluator's :meth:`describe` fingerprint — so identical
   points are never re-evaluated across sweeps and interrupted runs
-  resume for free. Writes are atomic (temp file + ``os.replace``), which
-  keeps concurrent sweeps sharing one cache directory safe.
+  resume for free. Entries live in a :class:`repro.canon.ContentStore`
+  (the store under the plan cache's disk tier): atomic writes keep
+  concurrent sweeps sharing one directory safe, and an unwritable or full
+  directory costs the sweep its persistence, never its results.
 """
 
 from __future__ import annotations
 
-import hashlib
 import inspect
-import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
+from repro.canon import ContentStore, canonical_sha256
 from repro.explore.objectives import (
     Objective,
     PointEvaluator,
@@ -200,7 +199,8 @@ class ExploreRunner:
                 f"({', '.join(o.name for o in self.objectives)})"
             )
         self.workers = workers
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self._store = ContentStore(cache_dir)
+        self.cache_dir = self._store.root
         self.seed = int(seed)
         self.stats = RunnerStats(workers=workers)
         self._takes_seed = _accepts_seed(self.evaluator)
@@ -211,32 +211,17 @@ class ExploreRunner:
     # ------------------------------------------------------------------
     def _cache_key(self, point: dict, fidelity: Optional[int],
                    seed: Optional[int]) -> str:
-        identity = json.dumps(
-            {
-                "evaluator": _evaluator_fingerprint(self.evaluator),
-                "fidelity": fidelity,
-                "objectives": [o.name for o in self.objectives],
-                "point": canonicalize(point),
-                "seed": seed,
-            },
-            sort_keys=True, separators=(",", ":"), allow_nan=False,
-        )
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
-
-    def _cache_path(self, key: str) -> Path:
-        return self.cache_dir / key[:2] / f"{key}.json"
+        return canonical_sha256({
+            "evaluator": _evaluator_fingerprint(self.evaluator),
+            "fidelity": fidelity,
+            "objectives": [o.name for o in self.objectives],
+            "point": canonicalize(point),
+            "seed": seed,
+        })
 
     def _cache_load(self, key: str) -> Optional[dict]:
-        if self.cache_dir is None:
-            return None
-        path = self._cache_path(key)
-        if not path.is_file():
-            return None
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None  # torn write from a crashed run: re-evaluate
-        objectives = data.get("objectives")
+        data = self._store.load(key)
+        objectives = data.get("objectives") if data is not None else None
         if not isinstance(objectives, dict) or set(objectives) != {
             o.name for o in self.objectives
         }:
@@ -244,26 +229,15 @@ class ExploreRunner:
         return {k: float(v) for k, v in objectives.items()}
 
     def _cache_store(self, key: str, record: EvaluationRecord) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._cache_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(
-            {
-                "key": key,
-                "point": canonicalize(record.point),
-                "seed": record.seed,
-                "fidelity": record.fidelity,
-                "objectives": {
-                    k: float(v)
-                    for k, v in sorted(record.objectives.items())
-                },
+        self._store.store(key, {
+            "key": key,
+            "point": canonicalize(record.point),
+            "seed": record.seed,
+            "fidelity": record.fidelity,
+            "objectives": {
+                k: float(v) for k, v in sorted(record.objectives.items())
             },
-            sort_keys=True, separators=(",", ":"), allow_nan=False,
-        )
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        })
 
     # ------------------------------------------------------------------
     # evaluation

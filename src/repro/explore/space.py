@@ -25,13 +25,13 @@ beyond the three Table II factories), algorithm ablations, and — via
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from repro.canon import canonical_json, canonical_sha256
 from repro.workloads.generator import as_rng
 
 
@@ -340,13 +340,12 @@ def canonicalize(value):
 
 def point_key(point: dict) -> str:
     """Canonical byte-stable encoding of one point."""
-    return json.dumps(canonicalize(point), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    return canonical_json(canonicalize(point), newline=False)
 
 
 def point_id(point: dict) -> str:
     """Short content hash of the canonical encoding."""
-    return hashlib.sha256(point_key(point).encode("utf-8")).hexdigest()[:12]
+    return canonical_sha256(canonicalize(point))[:12]
 
 
 def stable_seed(*parts) -> int:

@@ -35,7 +35,6 @@ from repro.obs.analyze.report import (
     analyze_path,
     analyze_tracer,
     build_critical_path,
-    canonical_json,
     diff_analyses,
 )
 from repro.obs.analyze.slo import (
@@ -64,7 +63,6 @@ __all__ = [
     "analyze_records",
     "analyze_tracer",
     "build_critical_path",
-    "canonical_json",
     "critical_path",
     "default_slos",
     "detect_mode",

@@ -15,10 +15,10 @@ latency/throughput movement to phases and tenants, so a regression in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.canon import canonical_json
 from repro.obs.analyze.attribution import Attribution, analyze_records
 from repro.obs.analyze.critical_path import (
     CPNode,
@@ -113,12 +113,6 @@ class AnalysisReport:
             ],
         )
         return result
-
-
-def canonical_json(doc: dict) -> str:
-    return json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +355,5 @@ __all__ = [
     "analyze_path",
     "analyze_tracer",
     "build_critical_path",
-    "canonical_json",
     "diff_analyses",
 ]

@@ -22,8 +22,7 @@ tests and the trace CLI.
 
 from __future__ import annotations
 
-import json
-
+from repro.canon import canonical_json
 from repro.obs.trace import Tracer
 
 _MICRO = 1e6
@@ -106,15 +105,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
 
 def chrome_trace_json(tracer: Tracer, process_name: str = "repro") -> str:
     """Canonical JSON serialization of :func:`chrome_trace`."""
-    return (
-        json.dumps(
-            chrome_trace(tracer, process_name=process_name),
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-        + "\n"
-    )
+    return canonical_json(chrome_trace(tracer, process_name=process_name))
 
 
 def validate_chrome_trace(doc: dict) -> int:
@@ -181,13 +172,7 @@ def events_jsonl(tracer: Tracer) -> str:
     Records are in global timestamp order (:meth:`Tracer.records`), so
     the log reads as a chronological narrative and diffs stably.
     """
-    lines = [
-        json.dumps(
-            record, sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
-        for record in tracer.records()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(canonical_json(record) for record in tracer.records())
 
 
 __all__ = [

@@ -22,8 +22,9 @@ Everything is deterministic by construction:
 
 from __future__ import annotations
 
-import json
 from typing import Optional, Sequence
+
+from repro.canon import canonical_json
 
 #: Default histogram buckets: powers of two covering batch sizes and
 #: small-count distributions. Callers with latency-like values pass
@@ -323,15 +324,7 @@ class MetricsRegistry:
 
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, fixed separators, trailing newline."""
-        return (
-            json.dumps(
-                self.snapshot(),
-                sort_keys=True,
-                separators=(",", ":"),
-                allow_nan=False,
-            )
-            + "\n"
-        )
+        return canonical_json(self.snapshot())
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (families sorted by name)."""

@@ -36,9 +36,6 @@ from repro.program.cache import (
     compiled_plan_for,
     fresh_plan_cache,
     get_plan_cache,
-    plan_for,
-    reset_plan_cache,
-    set_plan_cache,
 )
 from repro.program.compiled import (
     CompiledPlan,

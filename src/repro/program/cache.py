@@ -27,12 +27,12 @@ share one artifact no matter which layer asks, and knob-modified specs
 
 An optional **disk tier** (``cache_dir=...`` or the
 ``REPRO_PLAN_CACHE_DIR`` environment variable for the global cache)
-persists plans, pricings and profiles across processes using the same
-idiom as the explore runner cache: entries live at
-``cache_dir/<sha256[:2]>/<sha256>.json``, writes are atomic
-(temp file + ``os.replace``), and corrupt or torn entries are treated
-as misses and transparently rewritten. Compiled schedules are memory
-only — recompiling from an interned plan is cheap and pure.
+persists plans, pricings and profiles across processes in the
+:class:`repro.canon.ContentStore` the explore runner cache also uses:
+entries live at ``cache_dir/<sha256[:2]>/<sha256>.json``, writes are
+atomic, corrupt or torn entries are misses that get rewritten, and an
+unwritable directory degrades to memory-only. Compiled schedules are
+memory only — recompiling from an interned plan is cheap and pure.
 
 Everything returned is either immutable (plans, compiled plans) or a
 defensive copy (reports, profiles), so cached and cold paths stay
@@ -46,14 +46,12 @@ never leak into deterministic run artifacts.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import threading
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Optional
 
+from repro.canon import ContentStore, canonical_sha256
 from repro.program.compiled import CompiledPlan, compile_plan
 from repro.program.encode import plan_from_dict, plan_to_dict
 from repro.program.ir import PhasePlan
@@ -81,14 +79,6 @@ def _doc(value) -> object:
     if isinstance(value, dict):
         return {str(k): _doc(v) for k, v in sorted(value.items())}
     raise TypeError(f"unsupported cache key component: {value!r}")
-
-
-def _digest(doc: dict) -> str:
-    """SHA-256 of the canonical JSON encoding of a key document."""
-    payload = json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _accelerator_doc(accelerator) -> dict:
@@ -121,7 +111,8 @@ class PlanCache:
     """Interns lowered plans, compiled schedules, pricings and profiles."""
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self._store = ContentStore(cache_dir)
+        self.cache_dir = self._store.root
         self._lock = threading.RLock()
         self._plans: dict = {}
         self._compiled: dict = {}
@@ -363,22 +354,11 @@ class PlanCache:
     # ------------------------------------------------------------------
     # disk tier
     # ------------------------------------------------------------------
-    def _entry_path(self, doc: dict) -> Path:
-        key = _digest(doc)
-        return self.cache_dir / key[:2] / f"{key}.json"
-
     def _disk_load(self, doc: dict) -> Optional[dict]:
         if self.cache_dir is None:
             return None
-        path = self._entry_path(doc)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            # Missing, unreadable, or a torn write from a crashed run:
-            # treat as a miss; the recompute rewrites the entry.
-            self.disk_misses += 1
-            return None
-        payload = data.get("payload") if isinstance(data, dict) else None
+        data = self._store.load(canonical_sha256(doc))
+        payload = data.get("payload") if data is not None else None
         if not isinstance(payload, dict):
             self.disk_misses += 1
             return None
@@ -386,20 +366,10 @@ class PlanCache:
         return payload
 
     def _disk_store(self, doc: dict, payload: dict) -> None:
-        if self.cache_dir is None:
-            return
-        path = self._entry_path(doc)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            body = json.dumps(
-                {"key": doc, "payload": payload},
-                sort_keys=True, separators=(",", ":"), allow_nan=False,
+        if self.cache_dir is not None:
+            self._store.store(
+                canonical_sha256(doc), {"key": doc, "payload": payload}
             )
-            tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(body + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            pass  # a read-only or full disk degrades to memory-only
 
     # ------------------------------------------------------------------
     # statistics
@@ -511,21 +481,6 @@ def get_plan_cache() -> PlanCache:
         return _global_cache
 
 
-def set_plan_cache(cache: PlanCache) -> PlanCache:
-    """Install ``cache`` as the process-global cache; returns the old one."""
-    global _global_cache
-    with _global_lock:
-        old, _global_cache = _global_cache, cache
-    return old if old is not None else cache
-
-
-def reset_plan_cache(cache_dir: Optional[str] = None) -> PlanCache:
-    """Replace the global cache with a fresh (empty) one."""
-    cache = PlanCache(cache_dir=cache_dir)
-    set_plan_cache(cache)
-    return cache
-
-
 @contextmanager
 def fresh_plan_cache(cache_dir: Optional[str] = None):
     """Temporarily swap in an empty global cache (bench/test isolation)."""
@@ -542,21 +497,8 @@ def fresh_plan_cache(cache_dir: Optional[str] = None):
 
 
 # ----------------------------------------------------------------------
-# shared construction helpers (the deduplicated executor fallback)
+# shared construction helper (the deduplicated executor fallback)
 # ----------------------------------------------------------------------
-def plan_for(
-    spec: ModelSpec,
-    config=None,
-    iterations: Optional[int] = None,
-    batch: int = 1,
-    scale: str = "sim",
-) -> PhasePlan:
-    """Lower (or reuse) a plan through the global cache."""
-    return get_plan_cache().plan(
-        spec, config=config, iterations=iterations, batch=batch, scale=scale
-    )
-
-
 def compiled_plan_for(
     spec: ModelSpec,
     config=None,
@@ -580,7 +522,4 @@ __all__ = [
     "compiled_plan_for",
     "fresh_plan_cache",
     "get_plan_cache",
-    "plan_for",
-    "reset_plan_cache",
-    "set_plan_cache",
 ]

@@ -12,8 +12,8 @@ this).
 from __future__ import annotations
 
 import hashlib
-import json
 
+from repro.canon import canonical_json
 from repro.program.ir import IterationProgram, Op, PhasePlan, PhaseStep
 
 
@@ -131,15 +131,6 @@ def plan_from_dict(doc: dict) -> PhasePlan:
         top_k_ratio=doc["top_k_ratio"],
         q_threshold=doc["q_threshold"],
         prediction_bits=doc["prediction_bits"],
-    )
-
-
-def canonical_json(doc: dict) -> str:
-    """Canonical JSON: key-sorted, fixed separators, trailing newline."""
-    return (
-        json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                   allow_nan=False)
-        + "\n"
     )
 
 

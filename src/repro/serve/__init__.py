@@ -13,12 +13,14 @@ concurrent requests*:
   micro-batching is the same scheduler with mid-flight joins off
   (``ContinuousPolicy(drain=True)``); ``max_wait_s`` is the classic
   dynamic-batching wait;
-- :mod:`repro.serve.batched` — :class:`BatchedPipeline`, the
-  request-level front of the one batched engine
-  (:class:`repro.exec.ContinuousExecutor`); a drained micro-batch is a
-  continuous batch with no membership edits;
 - :mod:`repro.serve.cache` — cross-request memoization of built models
   and offline-calibrated threshold tables.
+
+An offline batch needs no server:
+:meth:`repro.core.pipeline.ExionPipeline.generate_batch` hands its seeds
+to the engine the server ticks
+(:meth:`repro.exec.ContinuousExecutor.run_batch` — a drained micro-batch
+is a continuous batch with no membership edits).
 
 Quickstart::
 
@@ -41,7 +43,6 @@ wall-clock measurement, and a ``dry_run`` mode that accounts for
 queueing/batching without running the numeric generation.
 """
 
-from repro.serve.batched import BatchedPipeline
 from repro.serve.cache import ThresholdCache
 from repro.serve.continuous import (
     ContinuousPolicy,
@@ -53,7 +54,6 @@ from repro.serve.continuous import (
 from repro.serve.request import GenerationRequest, Priority, RequestResult
 
 __all__ = [
-    "BatchedPipeline",
     "ContinuousPolicy",
     "ContinuousServer",
     "FairQueue",

@@ -225,7 +225,8 @@ class TestExecuteMode:
 
         server = fleet[0].servers[("dit", "all")]
         model = build_model("dit", seed=0, total_iterations=iterations)
-        pipeline = ExionPipeline(model, ExionConfig.for_model("dit"))
+        pipeline = ExionPipeline(model, ExionConfig.for_model("dit"),
+                                 compiled=False)
         served = sorted(server.results.values(),
                         key=lambda r: r.request_id)
         assert len(served) == 5

@@ -28,7 +28,9 @@ class TestOptimizedRun:
         cfg = ExionConfig.for_model("dit").ablation("base")
         pipeline = ExionPipeline(dit_model, cfg)
         a = pipeline.generate(seed=2, class_label=3)
-        b = pipeline.generate_vanilla(seed=2, class_label=3)
+        b = ExionPipeline(dit_model, cfg, compiled=False).generate_vanilla(
+            seed=2, class_label=3
+        )
         np.testing.assert_array_equal(a.sample, b.sample)
 
     def test_ffn_sparsity_hits_target(self, dit_model):
@@ -116,3 +118,46 @@ class TestAllBenchmarks:
         result = ExionPipeline(model, cfg).generate(seed=1, prompt="test")
         assert np.all(np.isfinite(result.sample))
         assert result.stats.ffn_output_sparsity > 0.5
+
+
+class TestEngineSelection:
+    """Which stack a call runs on. After the default flip the hazard is a
+    reference that silently became the engine it is meant to check."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the engines constructed during the test, in order."""
+        import repro.exec
+
+        built = []
+        for name in ("CompiledExecutor", "ContinuousExecutor"):
+            def spy(*args, _name=name, _cls=getattr(repro.exec, name),
+                    **kwargs):
+                built.append(_name)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(repro.exec, name, spy)
+        return built
+
+    def test_oracle_builds_no_engine(self, dit_model, built):
+        pipeline = ExionPipeline(dit_model, ExionConfig.for_model("dit"),
+                                 compiled=False)
+        pipeline.generate(seed=2)
+        pipeline.generate_batch([2, 3], batched=True)
+        pipeline.generate_vanilla(seed=2)
+        assert built == []
+
+    def test_default_picks_engine_by_seed_count(self, dit_model, built):
+        pipeline = ExionPipeline(dit_model, ExionConfig.for_model("dit"))
+        pipeline.generate(seed=2)
+        pipeline.generate_batch([2])
+        assert built == ["CompiledExecutor"]
+        pipeline.generate_batch([2, 3])
+        pipeline.generate_batch([4, 5, 6])
+        assert built == ["CompiledExecutor", "ContinuousExecutor"]
+
+    def test_traces_fall_back_to_oracle(self, dit_model, built):
+        pipeline = ExionPipeline(dit_model, ExionConfig.for_model("dit"))
+        result = pipeline.generate(seed=2, collect_traces=True)
+        assert result.diffusion.block_traces
+        assert built == []

@@ -24,8 +24,9 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdTable
+from repro.exec import ContinuousExecutor
 from repro.models.zoo import build_model
-from repro.serve.batched import BatchedPipeline
+from repro.serve.request import GenerationRequest
 from repro.workloads.specs import MODEL_SPECS
 
 MODELS = sorted(MODEL_SPECS)
@@ -65,12 +66,20 @@ def _assert_identical(interpreted, compiled):
 
 
 def _pipelines(model_name, config, **kwargs):
+    """(interpreted oracle, default pipeline) — the oracle must say
+    ``compiled=False`` out loud, or the grid compares an engine with
+    itself."""
     model = _model(model_name)
     return (
-        ExionPipeline(model, config, collect_masks=True, **kwargs),
-        ExionPipeline(model, config, collect_masks=True, compiled=True,
+        ExionPipeline(model, config, collect_masks=True, compiled=False,
                       **kwargs),
+        ExionPipeline(model, config, collect_masks=True, **kwargs),
     )
+
+
+def _requests(seeds, **conditioning):
+    return [GenerationRequest(request_id=i, seed=seed, **conditioning)
+            for i, seed in enumerate(seeds)]
 
 
 class TestEveryModelEveryAblation:
@@ -135,11 +144,9 @@ class TestBatchedParity:
     @pytest.mark.parametrize("model", ("dit", "stable_diffusion", "mld"))
     def test_batched_samples_and_stats(self, model):
         config = ExionConfig.for_model(model)
-        m = _model(model)
-        oracle = ExionPipeline(m, config, collect_masks=True)
-        batched = BatchedPipeline(m, config, collect_masks=True)
+        oracle, pipeline = _pipelines(model, config)
         seeds = (1, 2, 3)
-        samples, results = batched.generate_batch(
+        samples, results = pipeline.generate_batch(
             seeds, prompt="x", class_label=5)
         for b, seed in enumerate(seeds):
             ref = oracle.generate(seed=seed, prompt="x", class_label=5)
@@ -148,37 +155,32 @@ class TestBatchedParity:
 
     def test_batched_quantized(self):
         config = ExionConfig.for_model("dit")
-        m = _model("dit")
-        oracle = ExionPipeline(m, config, activation_bits=8,
-                               collect_masks=True)
-        batched = BatchedPipeline(m, config, activation_bits=8,
-                                  collect_masks=True)
-        _, results = batched.generate_batch([4, 5], class_label=1)
+        oracle, _ = _pipelines("dit", config, activation_bits=8)
+        engine = ContinuousExecutor(_model("dit"), config, activation_bits=8,
+                                    collect_masks=True)
+        results = engine.run_batch(_requests((4, 5), class_label=1))
         for b, seed in enumerate((4, 5)):
             _assert_identical(oracle.generate(seed=seed, class_label=1),
                               results[b])
 
     def test_pipeline_generate_batch_routes_compiled(self):
-        """ExionPipeline.generate_batch(batched=True) runs on the compiled
-        batched engine whatever ``compiled`` says, and is the sequential
-        interpreted loop's answer either way."""
+        """Shared loop on the batched engine or per-seed loop on the 2-D
+        one: both are the sequential interpreted loop's answer."""
         config = ExionConfig.for_model("dit")
         m = _model("dit")
-        want, _ = ExionPipeline(m, config).generate_batch(
+        want, _ = ExionPipeline(m, config, compiled=False).generate_batch(
             [7, 8], class_label=2)
-        for compiled in (False, True):
-            got, _ = ExionPipeline(m, config, compiled=compiled).generate_batch(
-                [7, 8], class_label=2, batched=True)
+        for batched in (False, True):
+            got, _ = ExionPipeline(m, config).generate_batch(
+                [7, 8], class_label=2, batched=batched)
             assert np.array_equal(want, got)
 
     def test_batched_matches_single_stream(self):
         """Batch row b == compiled single-stream per seed — the same
         invariant the serve layer holds against the oracle."""
         config = ExionConfig.for_model("dit")
-        m = _model("dit")
-        sc, _ = BatchedPipeline(m, config).generate_batch(
-            [11, 12], class_label=3)
-        single = ExionPipeline(m, config, compiled=True)
+        pipeline = ExionPipeline(_model("dit"), config)
+        sc, _ = pipeline.generate_batch([11, 12], class_label=3)
         for b, seed in enumerate((11, 12)):
-            ref = single.generate(seed=seed, class_label=3)
+            ref = pipeline.generate(seed=seed, class_label=3)
             assert np.array_equal(sc[b], ref.sample)

@@ -117,6 +117,22 @@ class TestCache:
         assert set(entry) == {"key", "point", "seed", "fidelity",
                               "objectives"}
 
+    @pytest.mark.parametrize("how", ["read_only", "not_a_directory"])
+    def test_unwritable_cache_dir_keeps_the_sweep(self, tmp_path, how):
+        """An unwritable cache costs persistence, never the evaluations
+        just paid for. Mode bits do not stop root; a path that runs
+        through a regular file is unwritable for every uid."""
+        if how == "read_only":
+            cache_dir = tmp_path / "ro"
+            cache_dir.mkdir(mode=0o555)
+        else:
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            cache_dir = tmp_path / "file" / "cache"
+        runner = _runner(cache_dir)
+        report = runner.run()
+        assert runner.evaluator.calls == runner.stats.evaluated > 0
+        assert report.to_json() == _runner(None).run().to_json()
+
     def test_no_cache_dir_always_evaluates(self):
         runner = _runner(None)
         runner.run()

@@ -127,7 +127,9 @@ class TestBatchAPI:
         model = build_model("mld", seed=0, total_iterations=5)
         pipeline = ExionPipeline(model, ExionConfig.for_model("mld"))
         samples, _ = pipeline.generate_batch([7], prompt="x", vanilla=True)
-        single = pipeline.generate_vanilla(seed=7, prompt="x")
+        single = ExionPipeline(
+            model, pipeline.config, compiled=False
+        ).generate_vanilla(seed=7, prompt="x")
         np.testing.assert_array_equal(samples[0], single.sample)
 
     def test_generate_batch_rejects_empty(self):

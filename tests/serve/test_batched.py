@@ -1,9 +1,12 @@
-"""BatchedPipeline equivalence with sequential ExionPipeline runs.
+"""Batched-engine equivalence with sequential interpreted runs.
 
 The serving layer's core guarantee: batching is a pure throughput
 optimization. Each request of a micro-batch — whatever the batch's
 composition — produces the same sample and the same statistics as a
-sequential ``ExionPipeline.generate()`` call with that request's inputs.
+sequential ``ExionPipeline(compiled=False).generate()`` call with that
+request's inputs. The batch is driven the two ways callers reach it:
+seeds through ``ExionPipeline.generate_batch`` and request lists straight
+into ``ContinuousExecutor.run_batch``.
 """
 
 import numpy as np
@@ -14,8 +17,19 @@ from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdCalibrator
 from repro.exec import ContinuousExecutor
 from repro.models.zoo import build_model
-from repro.serve.batched import BatchedPipeline
 from repro.serve.request import GenerationRequest
+
+
+def oracle(model, config, **kwargs):
+    """The interpreted reference; saying ``compiled=False`` is the point."""
+    return ExionPipeline(model, config, compiled=False, **kwargs)
+
+
+def run_one(model, config, seed, class_label, **kwargs):
+    """A batch of one on the batched engine."""
+    request = GenerationRequest(request_id=0, seed=seed,
+                                class_label=class_label)
+    return ContinuousExecutor(model, config, **kwargs).run_batch([request])[0]
 
 
 def assert_stats_equal(got, want):
@@ -35,30 +49,28 @@ class TestBatchOfOne:
     def test_bit_for_bit_vs_sequential(self, serve_dit_model, dit_config,
                                        ablation):
         config = dit_config.ablation(ablation)
-        want = ExionPipeline(serve_dit_model, config).generate(
+        want = oracle(serve_dit_model, config).generate(
             seed=11, class_label=4
         )
-        got = BatchedPipeline(serve_dit_model, config).generate(
-            seed=11, class_label=4
-        )
+        got = run_one(serve_dit_model, config, seed=11, class_label=4)
         assert np.array_equal(got.sample, want.sample)
         assert_stats_equal(got.stats, want.stats)
 
     def test_empty_batch_rejected(self, serve_dit_model, dit_config):
         with pytest.raises(ValueError):
-            BatchedPipeline(serve_dit_model, dit_config).run_batch([])
-        with pytest.raises(ValueError):
-            BatchedPipeline(serve_dit_model, dit_config).generate_batch([])
-        with pytest.raises(ValueError):
             ContinuousExecutor(serve_dit_model, dit_config).run_batch([])
+        for compiled in (True, False):
+            with pytest.raises(ValueError):
+                ExionPipeline(serve_dit_model, dit_config,
+                              compiled=compiled).generate_batch([])
 
 
 class TestHeterogeneousBatch:
     def test_mixed_seeds_match_sequential(self, serve_dit_model, dit_config):
         seeds = [3, 11, 42, 5, 8]
-        sequential = ExionPipeline(serve_dit_model, dit_config)
+        sequential = oracle(serve_dit_model, dit_config)
         want = [sequential.generate(seed=s, class_label=7) for s in seeds]
-        samples, got = BatchedPipeline(
+        samples, got = ExionPipeline(
             serve_dit_model, dit_config
         ).generate_batch(seeds, class_label=7)
         assert samples.shape == (len(seeds),) + want[0].sample.shape
@@ -72,12 +84,13 @@ class TestHeterogeneousBatch:
             GenerationRequest(request_id=i, seed=seed, class_label=label)
             for i, (seed, label) in enumerate([(1, 0), (1, 9), (2, 0), (7, 3)])
         ]
-        sequential = ExionPipeline(serve_dit_model, dit_config)
+        sequential = oracle(serve_dit_model, dit_config)
         want = [
             sequential.generate(seed=r.seed, class_label=r.class_label)
             for r in requests
         ]
-        got = BatchedPipeline(serve_dit_model, dit_config).run_batch(requests)
+        got = ContinuousExecutor(serve_dit_model, dit_config).run_batch(
+            requests)
         for g, w in zip(got, want):
             assert np.array_equal(g.sample, w.sample)
 
@@ -90,14 +103,14 @@ class TestHeterogeneousBatch:
             ("a person walks", None), ("a person jumps high", None),
             ("spin", 3), ("a person walks", None), (None, 3),
         ]
-        sequential = ExionPipeline(model, config)
+        sequential = oracle(model, config)
         want = [sequential.generate(seed=i, prompt=p, class_label=c)
                 for i, (p, c) in enumerate(conditioning)]
         requests = [
             GenerationRequest(request_id=i, seed=i, prompt=p, class_label=c)
             for i, (p, c) in enumerate(conditioning)
         ]
-        got = BatchedPipeline(model, config).run_batch(requests)
+        got = ContinuousExecutor(model, config).run_batch(requests)
         for g, w in zip(got, want):
             assert np.array_equal(g.sample, w.sample)
             assert_stats_equal(g.stats, w.stats)
@@ -105,9 +118,9 @@ class TestHeterogeneousBatch:
     def test_resblock_unet_model(self):
         model = build_model("stable_diffusion", seed=0, total_iterations=5)
         config = ExionConfig.for_model("stable_diffusion")
-        sequential = ExionPipeline(model, config)
+        sequential = oracle(model, config)
         want = [sequential.generate(seed=s, prompt="a wave") for s in (0, 4)]
-        _, got = BatchedPipeline(model, config).generate_batch(
+        _, got = ExionPipeline(model, config).generate_batch(
             [0, 4], prompt="a wave"
         )
         for g, w in zip(got, want):
@@ -117,7 +130,7 @@ class TestHeterogeneousBatch:
 class TestRunStatsIsolation:
     def test_each_request_gets_distinct_stats(self, serve_dit_model,
                                               dit_config):
-        _, results = BatchedPipeline(
+        _, results = ExionPipeline(
             serve_dit_model, dit_config
         ).generate_batch([1, 2, 3], class_label=0)
         stats_objects = [r.stats for r in results]
@@ -133,7 +146,7 @@ class TestRunStatsIsolation:
 
     def test_mutating_one_result_leaves_others_intact(self, serve_dit_model,
                                                       dit_config):
-        _, results = BatchedPipeline(
+        _, results = ExionPipeline(
             serve_dit_model, dit_config
         ).generate_batch([1, 2], class_label=0)
         before = list(results[1].stats.ffn_sparsities)
@@ -149,31 +162,29 @@ class TestOptionalPaths:
             dense_period=dit_config.sparse_iters_n + 1,
         )
         table = calibrator.calibrate(serve_dit_model, seed=0)
-        want = ExionPipeline(
+        want = oracle(
             serve_dit_model, dit_config, threshold_table=table
         ).generate(seed=5, class_label=1)
-        got = BatchedPipeline(
-            serve_dit_model, dit_config, threshold_table=table
-        ).generate(seed=5, class_label=1)
+        got = run_one(serve_dit_model, dit_config, seed=5, class_label=1,
+                      threshold_table=table)
         assert np.array_equal(got.sample, want.sample)
         assert_stats_equal(got.stats, want.stats)
 
     def test_activation_bits_parity(self, serve_dit_model, dit_config):
-        want = ExionPipeline(
+        want = oracle(
             serve_dit_model, dit_config, activation_bits=12
         ).generate(seed=2, class_label=3)
-        _, got = BatchedPipeline(
+        _, got = ExionPipeline(
             serve_dit_model, dit_config, activation_bits=12
         ).generate_batch([9, 2], class_label=3)
         assert np.array_equal(got[1].sample, want.sample)
 
     def test_collect_masks_parity(self, serve_dit_model, dit_config):
-        want = ExionPipeline(
+        want = oracle(
             serve_dit_model, dit_config, collect_masks=True
         ).generate(seed=1, class_label=2)
-        got = BatchedPipeline(
-            serve_dit_model, dit_config, collect_masks=True
-        ).generate(seed=1, class_label=2)
+        got = run_one(serve_dit_model, dit_config, seed=1, class_label=2,
+                      collect_masks=True)
         assert len(got.stats.ffn_bitmasks) == len(want.stats.ffn_bitmasks)
         for g, w in zip(got.stats.ffn_bitmasks, want.stats.ffn_bitmasks):
             assert g == w
@@ -186,20 +197,25 @@ class TestOptionalPaths:
 
     def test_generate_batch_delegation_from_core(self, serve_dit_model,
                                                  dit_config):
-        pipeline = ExionPipeline(serve_dit_model, dit_config)
-        loop_samples, _ = pipeline.generate_batch([4, 6], class_label=2)
-        batched_samples, _ = pipeline.generate_batch(
-            [4, 6], class_label=2, batched=True
+        loop_samples, _ = oracle(serve_dit_model, dit_config).generate_batch(
+            [4, 6], class_label=2
         )
+        batched_samples, _ = ExionPipeline(
+            serve_dit_model, dit_config
+        ).generate_batch([4, 6], class_label=2)
         assert np.array_equal(loop_samples, batched_samples)
 
     def test_vanilla_delegation_matches_generate_vanilla(self,
                                                          serve_dit_model,
                                                          dit_config):
-        pipeline = ExionPipeline(serve_dit_model, dit_config)
-        want = pipeline.generate_vanilla(seed=3, class_label=1)
-        samples, results = pipeline.generate_batch(
-            [3], class_label=1, vanilla=True, batched=True
+        want = oracle(serve_dit_model, dit_config).generate_vanilla(
+            seed=3, class_label=1
         )
-        assert np.array_equal(samples[0], want.sample)
-        assert results[0].stats.summary() == want.stats.summary()
+        pipeline = ExionPipeline(serve_dit_model, dit_config)
+        # One seed runs the 2-D vanilla engine, two the batched one.
+        for seeds in ([3], [3, 5]):
+            samples, results = pipeline.generate_batch(
+                seeds, class_label=1, vanilla=True
+            )
+            assert np.array_equal(samples[0], want.sample)
+            assert results[0].stats.summary() == want.stats.summary()

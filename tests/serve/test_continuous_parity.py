@@ -48,7 +48,8 @@ def _server(ablation="all", **policy_kwargs):
 @functools.lru_cache(maxsize=None)
 def _oracle(ablation):
     model = _CACHE.model("dit", 0, FAST_ITERATIONS, DEPTH)
-    return ExionPipeline(model, ExionConfig.for_model("dit").ablation(ablation))
+    return ExionPipeline(model, ExionConfig.for_model("dit").ablation(ablation),
+                         compiled=False)
 
 
 def _assert_solo_identical(ablation, served):

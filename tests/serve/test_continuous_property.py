@@ -101,7 +101,8 @@ def test_joins_only_at_dense_boundaries(model, ablation, ops, max_batch_size):
 @functools.lru_cache(maxsize=None)
 def _oracle():
     model = _CACHE.model("dit", 0, FAST_ITERATIONS, DEPTH)
-    return ExionPipeline(model, ExionConfig.for_model("dit").ablation("all"))
+    return ExionPipeline(model, ExionConfig.for_model("dit").ablation("all"),
+                         compiled=False)
 
 
 @settings(max_examples=8, deadline=None)

@@ -78,7 +78,8 @@ class TestServing:
         results = server.run_until_drained()
 
         model = build_model("dit", seed=0, total_iterations=FAST_ITERATIONS)
-        pipeline = ExionPipeline(model, ExionConfig.for_model("dit"))
+        pipeline = ExionPipeline(model, ExionConfig.for_model("dit"),
+                                 compiled=False)
         for record, (seed, label) in zip(results, seeds_labels):
             want = pipeline.generate(seed=seed, class_label=label)
             assert np.array_equal(record.result.sample, want.sample)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the repro package.
 
-Two checks, both hard failures:
+Three checks, all hard failures:
 
 1. **Docstrings** — every public module under ``src/repro`` (any module
    whose dotted path has no ``_``-prefixed component) must carry a
@@ -9,6 +9,12 @@ Two checks, both hard failures:
 2. **Exports** — every ``__all__`` entry must resolve to an attribute of
    its module, contain no duplicates, and be sorted, so the package
    ``__init__`` files never advertise stale names.
+3. **Prose references** — in ``README.md`` and ``docs/architecture.md``,
+   every backticked dotted reference (``repro.x.Y``, or the short form
+   ``serve.Y`` rooted at a ``repro`` subpackage) must resolve by import,
+   and every backticked CamelCase identifier (alone, or as the head of
+   ``Name.attr``) must be a class or function defined under ``repro`` —
+   a deleted class cannot survive in the docs.
 
 Run from the repository root::
 
@@ -22,12 +28,17 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 MIN_DOCSTRING_CHARS = 20
+PROSE = ("README.md", "docs/architecture.md")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+_CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
+_FILE_SUFFIXES = {"json", "jsonl", "html", "py", "md", "txt", "toml", "yml"}
 
 
 def iter_public_modules() -> list[str]:
@@ -73,12 +84,61 @@ def check_module(name: str) -> list[str]:
     return problems
 
 
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix, then walk attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                target = getattr(target, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_prose(modules: list[str]) -> list[str]:
+    defined = {  # class/function name -> the repro module that defines it
+        attr: value.__module__
+        for name in modules if name in sys.modules  # failed imports: check 1
+        for attr, value in vars(sys.modules[name]).items()
+        if getattr(value, "__module__", "").startswith("repro")
+    }
+    subpackages = {m.split(".")[1] for m in modules if m.count(".")}
+    problems = []
+    for doc in PROSE:
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        for token in sorted(set(re.findall(r"`([^`\n]+)`", text))):
+            token = token.removesuffix("()")
+            if not (_CAMEL.fullmatch(token) or _DOTTED.fullmatch(token)):
+                continue
+            head, last = token.split(".")[0], token.rsplit(".", 1)[-1]
+            if _CAMEL.fullmatch(head):
+                # An undefined name falls through to ``repro.<Name>``,
+                # which cannot resolve either.
+                target = f"{defined.get(head, 'repro')}.{token}"
+            elif head == "repro":
+                target = token
+            elif head in subpackages and last not in _FILE_SUFFIXES:
+                target = f"repro.{token}"
+            else:
+                continue
+            if not _resolves(target):
+                problems.append(f"{doc}: `{token}` does not resolve")
+    return problems
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     modules = iter_public_modules()
     findings: list[str] = []
     for name in modules:
         findings.extend(check_module(name))
+    findings.extend(check_prose(modules))
 
     if findings:
         print(f"docs-check: {len(findings)} problem(s) in "
@@ -87,7 +147,7 @@ def main() -> int:
             print(f"  - {finding}")
         return 1
     print(f"docs-check: {len(modules)} public modules documented, "
-          f"all __all__ exports resolve")
+          f"all __all__ exports and prose references resolve")
     return 0
 
 
