@@ -106,8 +106,8 @@ smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
 	program-smoke trace-smoke obs-analyze-smoke \
 	perfbench-quick  ## all *-smoke targets + perfbench-quick
 
-fleet-digests:  ## sha256 per fleet artefact, drain + continuous (diff across commits)
-	$(PYTHON) tools/fleet_digests.py
+fleet-digests:  ## byte-identity gate: sha256 per fleet artefact vs tools/fleet_digests.txt
+	$(PYTHON) tools/fleet_digests.py --check
 
 docs-check:  ## docstring, __all__ export and prose-reference lint
 	$(PYTHON) tools/docs_check.py

@@ -23,7 +23,7 @@ operator is paged for:
   :class:`~repro.cluster.report.ClusterReport` JSON.
 
 All fleet numbers are simulated time from the EXION4 latency model
-(:meth:`~repro.cluster.replica.ServiceTimeModel.tick_latency_s` prices
+(:meth:`~repro.cluster.replica.ServiceTimeModel.price` prices
 each denoising iteration by differencing plan lowerings), so the
 determinism metric is exact; rate/latency metrics carry a 10% tolerance
 for cross-version NumPy RNG stream drift.

@@ -234,18 +234,37 @@ def _parse_tenant_weights(spec):
     return weights
 
 
+def _policy_from_args(args: argparse.Namespace, **extra):
+    """The batching policy the shared serving flags describe."""
+    from repro.serve import ContinuousPolicy
+
+    return ContinuousPolicy(
+        max_batch_size=args.batch_size,
+        quantum=args.quantum,
+        preempt=not args.no_preempt,
+        aging_s=args.aging,
+        max_wait_s=args.max_wait,
+        **extra,
+    )
+
+
+def _observer_from_args(args: argparse.Namespace):
+    """An :class:`Observer` when an obs output was asked for, else None."""
+    if not (args.metrics_out or args.trace_out):
+        return None
+    from repro.obs import Observer
+
+    return Observer()
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from repro.core.config import ExionConfig
-    from repro.serve import ContinuousPolicy, ContinuousServer
+    from repro.serve import ContinuousServer
 
     config = ExionConfig.for_model(args.model).ablation(args.ablation)
-    observer = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observer
-
-        observer = Observer()
+    observer = _observer_from_args(args)
     drain = not args.continuous
     # --simulate ACCEL: the server reads a simulated clock and prices
     # batches/ticks with the hardware latency model, so the report (and
@@ -253,31 +272,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # across runs and machines. Generation itself still executes.
     simulated = {}
     if args.simulate is not None:
+        import functools
+
         from repro.cluster.replica import ServiceTimeModel, SimClock
-        from repro.obs.scenario import drain_simulated, make_tick_time
+        from repro.obs.scenario import drain_simulated
 
         service_model = ServiceTimeModel(
             args.simulate, iterations=args.iterations
         )
         simulated = dict(
             clock=SimClock(),
-            tick_time=make_tick_time(
-                service_model, args.model, args.ablation, drain
+            price=functools.partial(
+                service_model.price, args.model, args.ablation
             ),
         )
     weights = _parse_tenant_weights(args.tenants)
     server = ContinuousServer(
         args.model,
         config=config,
-        policy=ContinuousPolicy(
-            max_batch_size=args.batch_size,
-            quantum=args.quantum,
-            preempt=not args.no_preempt,
-            aging_s=args.aging,
-            timeout_s=args.timeout,
-            max_wait_s=args.max_wait,
-            drain=drain,
-        ),
+        policy=_policy_from_args(args, timeout_s=args.timeout, drain=drain),
         tenant_weights=weights,
         model_seed=args.model_seed,
         total_iterations=args.iterations,
@@ -417,7 +430,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         simulate_cluster,
         synthesize_trace,
     )
-    from repro.serve import ContinuousPolicy
 
     if args.trace is not None:
         requests = load_trace(args.trace)
@@ -454,13 +466,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     replicas = build_replicas(
         args.replicas,
         accelerator=args.accelerator,
-        policy=ContinuousPolicy(
-            max_batch_size=args.batch_size,
-            quantum=args.quantum,
-            preempt=not args.no_preempt,
-            aging_s=args.aging,
-            max_wait_s=args.max_wait,
-        ),
+        policy=_policy_from_args(args),
         execute=args.execute,
         execute_iterations=args.iterations,
         continuous=args.continuous,
@@ -469,13 +475,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         # so reported service times match the claimed samples.
         iterations=args.iterations,
     )
-    observer = None
-    if args.metrics_out or args.trace_out:
-        from repro.obs import Observer
-
-        # Cluster time is simulated end to end, so the trace and
-        # metrics written below are byte-deterministic per (seed, fleet).
-        observer = Observer()
+    # Cluster time is simulated end to end, so the trace and metrics
+    # written below are byte-deterministic per (seed, fleet).
+    observer = _observer_from_args(args)
     report = simulate_cluster(
         requests,
         replicas=replicas,
@@ -497,7 +499,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _run_scenario(args: argparse.Namespace, **extra):
+    """Run the trace scenario the shared scenario flags describe;
+    returns ``(observer, summary)``."""
     from repro.obs import Observer, run_trace_scenario
 
     observer = Observer()
@@ -511,7 +515,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         observer=observer,
+        **extra,
     )
+    return observer, summary
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    observer, summary = _run_scenario(args)
     _write_obs_outputs(
         observer,
         metrics_out=args.metrics_out,
@@ -550,21 +560,7 @@ def _obs_build_report(args):
     if args.input is not None:
         return analyze_path(args.input, slos=slos)
 
-    from repro.obs import Observer, run_trace_scenario
-
-    observer = Observer()
-    run_trace_scenario(
-        model=args.model,
-        ablation=args.ablation,
-        accelerator=args.accelerator,
-        continuous=args.continuous,
-        requests=args.requests,
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        observer=observer,
-        cold_start=args.cold_start,
-    )
+    observer, _ = _run_scenario(args, cold_start=args.cold_start)
     report = analyze_tracer(
         observer.tracer, slos=slos,
         meta={"model": args.model, "scenario": True, "seed": args.seed},
@@ -909,6 +905,61 @@ def _cmd_conmerge(args: argparse.Namespace) -> int:
     return 0
 
 
+_ABLATIONS = ["base", "ep", "ffnr", "all"]
+_ACCELERATORS = ["exion4", "exion24", "exion42"]
+
+
+def _add_serving_flags(p: argparse.ArgumentParser) -> None:
+    """Batching-policy and obs-output flags of ``serve`` and ``cluster``
+    (times are seconds on the command's clock: wall for a real server,
+    simulated for ``--simulate`` and the fleet)."""
+    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--max-wait", type=float, default=0.0,
+                   help="hold a partial batch back this many seconds")
+    p.add_argument("--continuous", action="store_true",
+                   help="iteration-level continuous batching: requests "
+                        "join/leave the live batch at dense-phase "
+                        "boundaries instead of drain-and-refill")
+    p.add_argument("--quantum", type=float, default=1.0,
+                   help="fair-queuing deficit credit per round")
+    p.add_argument("--aging", type=float, default=None,
+                   help="promote a queued request one priority class "
+                        "per this many seconds waited")
+    p.add_argument("--no-preempt", action="store_true",
+                   help="disable priority preemption at boundaries")
+    p.add_argument("--tenants", default=None,
+                   help="tenant fair-queuing weights 'alice=2,bob=1'; "
+                        "requests are assigned round-robin")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="drop queued requests older than this")
+    p.add_argument("--metrics-out", default=None,
+                   help="write metrics here afterwards (.json for the "
+                        "canonical snapshot, else Prometheus text)")
+    p.add_argument("--trace-out", default=None,
+                   help="write a Chrome trace-event JSON of the run here "
+                        "(deterministic in simulated time)")
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    """The trace scenario's knobs (``trace`` and ``obs analyze|report``)."""
+    p.add_argument("--model", default="dit")
+    p.add_argument("--ablation", default="all", choices=_ABLATIONS)
+    p.add_argument("--accelerator", default="exion24",
+                   choices=_ACCELERATORS,
+                   help="latency model pricing ticks and arrivals")
+    p.add_argument("--continuous", action="store_true",
+                   help="run the continuous-batching server "
+                        "(joins/preemptions/evictions) instead of "
+                        "drain-and-refill micro-batching")
+    p.add_argument("--requests", type=int, default=8)
+    p.add_argument("--batch-size", type=int, default=2)
+    p.add_argument("--iterations", type=int, default=None,
+                   help="denoising iterations (default: paper scale)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="first request seed; same seed -> "
+                        "byte-identical trace")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro._version import __version__
 
@@ -933,15 +984,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--prompt", default="a corgi surfing a wave")
     gen.add_argument("--class-label", type=int, default=None)
     gen.add_argument("--ablation", default="all",
-                     choices=["base", "ep", "ffnr", "all"])
+                     choices=_ABLATIONS)
     gen.add_argument("--compare-vanilla", action="store_true")
     gen.set_defaults(func=_cmd_generate)
 
     srv = sub.add_parser("serve", help="batched multi-request serving")
     srv.add_argument("--model", default="dit")
     srv.add_argument("--requests", type=int, default=8)
-    srv.add_argument("--batch-size", type=int, default=8)
-    srv.add_argument("--max-wait", type=float, default=0.0)
+    _add_serving_flags(srv)
     srv.add_argument("--seed", type=int, default=0,
                      help="first request seed; request i uses seed + i")
     srv.add_argument("--model-seed", type=int, default=0,
@@ -952,30 +1002,14 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--prompt", default=None)
     srv.add_argument("--class-label", type=int, default=None)
     srv.add_argument("--ablation", default="all",
-                     choices=["base", "ep", "ffnr", "all"])
+                     choices=_ABLATIONS)
     srv.add_argument("--calibrate", action="store_true",
                      help="use an offline-calibrated threshold table")
     srv.add_argument("--compare-sequential", action="store_true")
-    srv.add_argument("--continuous", action="store_true",
-                     help="iteration-level continuous batching: requests "
-                          "join/leave the live batch at dense-phase "
-                          "boundaries instead of drain-and-refill")
-    srv.add_argument("--quantum", type=float, default=1.0,
-                     help="fair-queuing deficit credit per round")
-    srv.add_argument("--aging", type=float, default=None,
-                     help="promote a queued request one priority class "
-                          "per this many seconds waited")
-    srv.add_argument("--no-preempt", action="store_true",
-                     help="disable priority preemption at boundaries")
-    srv.add_argument("--timeout", type=float, default=None,
-                     help="drop queued requests older than this")
     srv.add_argument("--deadline", type=float, default=None,
                      help="relative deadline applied to every request")
-    srv.add_argument("--tenants", default=None,
-                     help="tenant weights 'alice=2,bob=1'; requests are "
-                          "assigned round-robin")
     srv.add_argument("--simulate", default=None, metavar="ACCEL",
-                     choices=["exion4", "exion24", "exion42"],
+                     choices=_ACCELERATORS,
                      help="run in simulated time: batch/tick durations "
                           "come from this accelerator's latency model, "
                           "so the report and any --json/--trace-out "
@@ -983,12 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--json", default=None,
                      help="write a canonical serve-report JSON here "
                           "(deterministic with --simulate)")
-    srv.add_argument("--metrics-out", default=None,
-                     help="write metrics here after serving (.json for "
-                          "the canonical snapshot, else Prometheus text)")
-    srv.add_argument("--trace-out", default=None,
-                     help="write a Chrome trace-event JSON of the run "
-                          "here (deterministic with --simulate)")
     srv.set_defaults(func=_cmd_serve)
 
     clu = sub.add_parser(
@@ -997,10 +1025,10 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--models", default="dit",
                      help="comma-separated benchmark models in the mix")
     clu.add_argument("--ablation", default="all",
-                     choices=["base", "ep", "ffnr", "all"])
+                     choices=_ABLATIONS)
     clu.add_argument("--replicas", type=int, default=4)
     clu.add_argument("--accelerator", default="exion24",
-                     choices=["exion4", "exion24", "exion42"])
+                     choices=_ACCELERATORS)
     clu.add_argument("--router", default="jsq",
                      choices=["round_robin", "jsq", "cache_affinity"])
     clu.add_argument("--arrival", default="poisson",
@@ -1015,13 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--requests", type=int, default=64)
     clu.add_argument("--seed", type=int, default=0,
                      help="trace seed; same seed -> byte-identical report")
-    clu.add_argument("--batch-size", type=int, default=8)
-    clu.add_argument("--max-wait", type=float, default=0.0,
-                     help="micro-batch max-wait in simulated seconds")
+    _add_serving_flags(clu)
     clu.add_argument("--slo-target", type=float, default=None,
                      help="latency SLO target in seconds (attainment)")
-    clu.add_argument("--timeout", type=float, default=None,
-                     help="drop queued requests older than this")
     clu.add_argument("--max-queue-depth", type=int, default=None,
                      help="per-replica admission-control bound")
     clu.add_argument("--trace", default=None,
@@ -1036,24 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "hw model and, with --execute, actually run")
     clu.add_argument("--json", default=None,
                      help="write the canonical ClusterReport JSON here")
-    clu.add_argument("--continuous", action="store_true",
-                     help="replicas run iteration-level continuous "
-                          "batching instead of drain-and-refill")
-    clu.add_argument("--quantum", type=float, default=1.0,
-                     help="fair-queuing deficit credit per round")
-    clu.add_argument("--aging", type=float, default=None,
-                     help="priority aging interval in simulated seconds")
-    clu.add_argument("--no-preempt", action="store_true",
-                     help="disable priority preemption at boundaries")
-    clu.add_argument("--tenants", default=None,
-                     help="tenant fair-queuing weights 'alice=2,bob=1' "
-                          "(continuous mode)")
-    clu.add_argument("--metrics-out", default=None,
-                     help="write fleet metrics here (.json for the "
-                          "canonical snapshot, else Prometheus text)")
-    clu.add_argument("--trace-out", default=None,
-                     help="write a Chrome trace-event JSON of request "
-                          "lifecycles and dispatches here")
     clu.set_defaults(func=_cmd_cluster)
 
     exp = sub.add_parser(
@@ -1110,23 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a deterministic Chrome/Perfetto trace of a simulated "
              "serving scenario",
     )
-    trc.add_argument("--model", default="dit")
-    trc.add_argument("--ablation", default="all",
-                     choices=["base", "ep", "ffnr", "all"])
-    trc.add_argument("--accelerator", default="exion24",
-                     choices=["exion4", "exion24", "exion42"],
-                     help="latency model pricing ticks and arrivals")
-    trc.add_argument("--continuous", action="store_true",
-                     help="trace the continuous-batching server "
-                          "(joins/preemptions/evictions) instead of "
-                          "drain-and-refill micro-batching")
-    trc.add_argument("--requests", type=int, default=8)
-    trc.add_argument("--batch-size", type=int, default=2)
-    trc.add_argument("--iterations", type=int, default=None,
-                     help="denoising iterations (default: paper scale)")
-    trc.add_argument("--seed", type=int, default=0,
-                     help="first request seed; same seed -> "
-                          "byte-identical trace")
+    _add_scenario_flags(trc)
     trc.add_argument("--out", default="trace.json",
                      help="Chrome trace-event JSON output path (open in "
                           "Perfetto or chrome://tracing)")
@@ -1154,16 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SLO spec 'name:latency:<secs>:<target>' or "
                             "'name:deadline:<target>' (repeatable; "
                             "default: latency-250ms + deadline-hit)")
-        p.add_argument("--model", default="dit")
-        p.add_argument("--ablation", default="all",
-                       choices=["base", "ep", "ffnr", "all"])
-        p.add_argument("--accelerator", default="exion24",
-                       choices=["exion4", "exion24", "exion42"])
-        p.add_argument("--continuous", action="store_true")
-        p.add_argument("--requests", type=int, default=8)
-        p.add_argument("--batch-size", type=int, default=2)
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        _add_scenario_flags(p)
         p.add_argument("--cold-start", action="store_true",
                        help="charge a cold-start surcharge on the "
                             "scenario's first tick")
@@ -1207,7 +1188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prg.add_argument("--model", default="dit")
     prg.add_argument("--ablation", default="all",
-                     choices=["base", "ep", "ffnr", "all"])
+                     choices=_ABLATIONS)
     prg.add_argument("--iterations", type=int, default=None,
                      help="phase-plan length (default: the spec's count)")
     prg.add_argument("--batch", type=int, default=1)
@@ -1222,7 +1203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="hardware simulation vs GPU")
     sim.add_argument("--model", default="dit")
     sim.add_argument("--accelerator", default="exion24",
-                     choices=["exion4", "exion24", "exion42"])
+                     choices=_ACCELERATORS)
     sim.add_argument("--batch", type=int, default=1)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -5,16 +5,23 @@ A :class:`Replica` wraps real serving machinery — per-(model, ablation)
 :class:`~repro.serve.cache.ThresholdCache` — behind a :class:`SimClock`
 the event loop advances, so batching decisions (coalescing, max-wait
 dispatch, joins at dense boundaries) are exactly what the serving layer
-would do, while **service times come from the hardware simulator**, not
-from wall clock: :class:`ServiceTimeModel` lowers each (model, ablation,
-batch) point once through :func:`repro.program.lower_plan` and prices
-the plan with :meth:`repro.hw.accelerator.ExionAccelerator.simulate_plan`
-for the replica's Table II configuration (exion4 / exion24 / exion42).
+would do, while **step prices come from the hardware simulator**, not
+from wall clock: :meth:`ServiceTimeModel.price` is the one route from
+``(model, ablation, batch_size, phase)`` to a :class:`StepPrice` of
+simulated seconds and joules — it lowers each point once through
+:func:`repro.program.lower_plan` and prices the plan with
+:meth:`repro.hw.accelerator.ExionAccelerator.simulate_plan` for the
+replica's Table II configuration (exion4 / exion24 / exion42). Every
+server a replica builds gets that function (bound to its key) as its
+``price`` hook and reports each step's seconds, joules and cold
+surcharge back; the replica only reads them.
 
 The first batch of a ``(model, ablation)`` on a replica pays a
 *cold-start* penalty — one vanilla batch-1 generation, mirroring how the
 serving layer's offline threshold calibration costs a full vanilla run —
-which is what makes cache-affinity routing worth having.
+which is what makes cache-affinity routing worth having. The server
+charges it (its ``cold_start_s``), once, on top of the first step's
+price.
 
 By default replicas run ``dry_run`` servers (accounting only); pass
 ``execute=True`` to actually run the numeric generation (slow, but
@@ -23,8 +30,9 @@ results then carry real samples and sparsity stats).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
@@ -64,14 +72,36 @@ def make_accelerator(
         ) from None
 
 
-class ServiceTimeModel:
-    """Simulated batch latencies from the EXION hardware model.
+#: What a served step can be: a whole generation (a drain micro-batch),
+#: the first iteration of one, or a steady-state dense / sparse iteration.
+PHASES = ("batch", "cold", "dense", "sparse")
 
-    Latencies are memoized per ``(model, ablation, batch_size)`` — the
-    hw walk is deterministic, so each point is priced once per process.
-    ``iterations=None`` prices full paper-scale generations
-    (``spec.total_iterations``); pass a smaller count to model truncated
-    schedules.
+
+class StepPrice(NamedTuple):
+    """What one served step costs on the simulated accelerator."""
+
+    seconds: float
+    joules: float
+
+    def minus(self, other: "StepPrice") -> "StepPrice":
+        """The price of the iterations ``self`` has beyond ``other``."""
+        return StepPrice(
+            max(0.0, self.seconds - other.seconds),
+            max(0.0, self.joules - other.joules),
+        )
+
+
+class ServiceTimeModel:
+    """Simulated step prices from the EXION hardware model.
+
+    :meth:`price` is the only route from ``(model, ablation, batch_size,
+    phase)`` to simulated seconds and joules, memoized per point — the
+    hw walk is deterministic, so each point is priced once per model
+    instance (and lowered / simulated once per process: every plan,
+    pricing and sparsity profile behind it is interned by the global
+    :class:`~repro.program.cache.PlanCache`). ``iterations=None`` prices
+    full paper-scale generations (``spec.total_iterations``); pass a
+    smaller count to model truncated schedules.
     """
 
     def __init__(
@@ -85,161 +115,85 @@ class ServiceTimeModel:
         self.iterations = iterations
         self.profile_seed = profile_seed
         self.cold_start = cold_start
-        self._profiles: dict = {}
-        self._latencies: dict = {}
-        self._energies: dict = {}
-        self._tick_latencies: dict = {}
-        self._tick_energies: dict = {}
+        self._prices: dict = {}  # (model, ablation, batch, phase) -> StepPrice
 
     @property
     def name(self) -> str:
         return self.accelerator.name
 
-    def _profile(self, model: str):
-        if model not in self._profiles:
-            from repro.program.cache import get_plan_cache
+    def price(
+        self, model: str, ablation: str, batch_size: int, phase: str
+    ) -> StepPrice:
+        """Simulated seconds and joules of one step of a batch.
 
-            # The global PlanCache interns the synthesis (the dominant
-            # fleet-setup cost), so N replicas over M models run exactly
-            # M ConMerge estimation passes between them.
-            self._profiles[model] = get_plan_cache().profile(
-                get_spec(model), seed=self.profile_seed
-            )
-        return self._profiles[model]
+        ``"batch"`` is one whole generation of ``self.iterations``
+        denoising iterations — what a drain-and-refill step runs. The
+        other phases price **one iteration**, for the continuous
+        scheduler's per-iteration ticks, by differencing plan lowerings
+        at adjacent iteration counts (the phase schedule is strictly
+        periodic with period ``sparse_iters_n + 1``, so three prices
+        cover every tick):
 
-    def latency_s(self, model: str, ablation: str, batch_size: int) -> float:
-        """Simulated latency of one micro-batch generation."""
+        - ``"cold"`` — the first iteration of a generation: the
+          1-iteration plan, carrying the dense FFN compile plus the
+          per-generation fixed work (conditioning, VAE share);
+        - ``"dense"`` — a steady-state dense iteration (phase
+          recompile): ``t(P+1) - t(P)``;
+        - ``"sparse"`` — a sparse iteration riding the compiled phase:
+          ``t(2) - t(1)``.
+
+        Without FFN-Reuse every iteration is dense and ``"dense"``
+        prices the uniform steady-state iteration. Seconds and joules of
+        a phase come from the same simulations, so they always describe
+        the same schedule.
+        """
+        if phase not in PHASES:
+            raise ValueError(f"unknown step phase {phase!r}")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        key = (model, ablation, batch_size)
-        if key not in self._latencies:
+        point = (model, ablation, batch_size)
+        if (*point, phase) not in self._prices:
             from repro.program.cache import get_plan_cache
 
             cache = get_plan_cache()
             # The enable flags come from the same config the served
-            # pipeline uses, so priced and executed ablations can't
-            # drift; lowering and pricing are interned process-wide, so
-            # every replica of a fleet shares one plan and one pricing
-            # per (model, ablation, batch) point.
+            # pipeline uses, so priced and executed ablations can't drift.
             config = ExionConfig.for_model(model).ablation(ablation)
-            plan = cache.plan(
-                get_spec(model),
-                config=config,
-                iterations=self.iterations,
-                batch=batch_size,
-            )
-            report = cache.price(
-                self.accelerator, plan, self._profile(model)
-            )
-            self._latencies[key] = report.latency_s
-            self._energies[key] = report.energy_j
-        return self._latencies[key]
+            spec = get_spec(model)
+            profile = cache.profile(spec, seed=self.profile_seed)
 
-    def energy_j(self, model: str, ablation: str, batch_size: int) -> float:
-        """Simulated energy of one micro-batch generation (same sim as
-        :meth:`latency_s` — priced together, never drifting apart)."""
-        key = (model, ablation, batch_size)
-        if key not in self._energies:
-            self.latency_s(model, ablation, batch_size)
-        return self._energies[key]
+            def t(iterations: Optional[int]) -> StepPrice:
+                plan = cache.plan(
+                    spec, config=config, iterations=iterations,
+                    batch=batch_size,
+                )
+                report = cache.price(self.accelerator, plan, profile)
+                return StepPrice(report.latency_s, report.energy_j)
+
+            if phase == "batch":
+                self._prices[(*point, "batch")] = t(self.iterations)
+            else:  # the three tick prices share their simulations
+                cold = t(1)
+                sparse = t(2).minus(cold)
+                period = (
+                    config.sparse_iters_n + 1 if config.enable_ffn_reuse else 1
+                )
+                # period 1: no sparse iterations exist; same price.
+                dense = sparse if period == 1 else t(period + 1).minus(t(period))
+                self._prices.update({
+                    (*point, "cold"): cold,
+                    (*point, "dense"): dense,
+                    (*point, "sparse"): sparse,
+                })
+        return self._prices[(*point, phase)]
+
+    def latency_s(self, model: str, ablation: str, batch_size: int) -> float:
+        """Simulated latency of one micro-batch generation."""
+        return self.price(model, ablation, batch_size, "batch").seconds
 
     def calibration_s(self, model: str) -> float:
         """Cold-start cost: one vanilla (Base ablation) batch-1 generation."""
         return self.latency_s(model, "base", 1)
-
-    def tick_latency_s(
-        self, model: str, ablation: str, batch_size: int, kind: str
-    ) -> float:
-        """Simulated latency of **one denoising iteration** of a batch.
-
-        The continuous scheduler dispatches per-iteration ticks, so it
-        needs per-tick prices rather than whole-generation latencies.
-        These come from differencing plan lowerings at adjacent
-        iteration counts (the phase schedule is strictly periodic with
-        period ``sparse_iters_n + 1``, so three prices cover every tick):
-
-        - ``"cold"`` — the first iteration of a generation: the 1-iteration
-          plan, carrying the dense FFN compile plus the per-generation
-          fixed work (conditioning, VAE share);
-        - ``"dense"`` — a steady-state dense iteration (phase recompile):
-          ``t(P+1) - t(P)``;
-        - ``"sparse"`` — a sparse iteration riding the compiled phase:
-          ``t(2) - t(1)``.
-
-        Without FFN-Reuse every iteration is dense and ``"dense"`` prices
-        the uniform steady-state iteration.
-        """
-        if kind not in ("cold", "dense", "sparse"):
-            raise ValueError(f"unknown tick kind {kind!r}")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        key = (model, ablation, batch_size)
-        if key not in self._tick_latencies:
-            self._price_ticks(model, ablation, batch_size)
-        return self._tick_latencies[key][kind]
-
-    def tick_energy_j(
-        self, model: str, ablation: str, batch_size: int, kind: str
-    ) -> float:
-        """Simulated energy of one denoising iteration of a batch.
-
-        Priced by the same plan differencing as :meth:`tick_latency_s`,
-        from the same simulations — per-tick latency and energy always
-        describe the same schedule.
-        """
-        if kind not in ("cold", "dense", "sparse"):
-            raise ValueError(f"unknown tick kind {kind!r}")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        key = (model, ablation, batch_size)
-        if key not in self._tick_energies:
-            self._price_ticks(model, ablation, batch_size)
-        return self._tick_energies[key][kind]
-
-    def _price_ticks(
-        self, model: str, ablation: str, batch_size: int
-    ) -> None:
-        """Price latency + energy of cold/dense/sparse ticks at once."""
-        from repro.program.cache import get_plan_cache
-
-        cache = get_plan_cache()
-        key = (model, ablation, batch_size)
-        config = ExionConfig.for_model(model).ablation(ablation)
-        spec = get_spec(model)
-        profile = self._profile(model)
-
-        def t(iterations: int) -> tuple:
-            plan = cache.plan(
-                spec, config=config, iterations=iterations,
-                batch=batch_size,
-            )
-            report = cache.price(self.accelerator, plan, profile)
-            return report.latency_s, report.energy_j
-
-        cold, cold_e = t(1)
-        period = (
-            config.sparse_iters_n + 1 if config.enable_ffn_reuse else 1
-        )
-        if period == 1:
-            two, two_e = t(2)
-            dense = max(0.0, two - cold)
-            dense_e = max(0.0, two_e - cold_e)
-            sparse = dense  # no sparse iterations exist; same price
-            sparse_e = dense_e
-        else:
-            two, two_e = t(2)
-            sparse = max(0.0, two - cold)
-            sparse_e = max(0.0, two_e - cold_e)
-            after, after_e = t(period + 1)
-            at, at_e = t(period)
-            dense = max(0.0, after - at)
-            dense_e = max(0.0, after_e - at_e)
-        self._tick_latencies[key] = {
-            "cold": cold, "dense": dense, "sparse": sparse,
-        }
-        self._tick_energies[key] = {
-            "cold": cold_e, "dense": dense_e, "sparse": sparse_e,
-        }
 
 
 @dataclass(frozen=True)
@@ -296,9 +250,9 @@ class Replica:
     Each ``(model, ablation)`` key is served by a
     :class:`~repro.serve.continuous.ContinuousServer`, and each
     :meth:`try_dispatch` executes **one server step**: one iteration of
-    the live batch priced by :meth:`ServiceTimeModel.tick_latency_s`,
-    or — under ``policy.drain`` — one whole micro-batch priced by
-    :meth:`ServiceTimeModel.latency_s`.
+    the live batch or — under ``policy.drain`` — one whole micro-batch,
+    priced either way by :meth:`ServiceTimeModel.price` for the phase
+    the server reports.
 
     One accelerator holds one model's weights and phase state at a time:
     the replica serves a single *active* key and only switches keys when
@@ -341,15 +295,12 @@ class Replica:
         self.cache = ThresholdCache()
         self.servers: dict = {}  # (model, ablation) -> ContinuousServer
         self.warm_keys: set = set()
-        self._cold_paid: set = set()
-        self._last_cold_s = 0.0
         self._active_key: Optional[tuple] = None
         self.busy_until = 0.0
         self._inflight = 0
         self.busy_s = 0.0
         self.requests_served = 0
         self.batches_served = 0  # server steps dispatched
-        self.cold_starts = 0
         self.admission_drops = 0
         self.timeout_drops = 0
 
@@ -360,6 +311,11 @@ class Replica:
     @property
     def accelerator_name(self) -> str:
         return self.service_model.name
+
+    @property
+    def cold_starts(self) -> int:
+        """Keys whose first step paid the cold-start surcharge."""
+        return sum(server.cold_charged for server in self.servers.values())
 
     def policy_doc(self) -> dict:
         """Scenario fingerprint of this replica's batching policy."""
@@ -403,25 +359,6 @@ class Replica:
         key = (model, ablation)
         if key not in self.servers:
             config = ExionConfig.for_model(model).ablation(ablation)
-
-            def tick_time(batch_size, is_dense):
-                if self.policy.drain:  # a step is a whole generation
-                    latency = self.service_model.latency_s(
-                        model, ablation, batch_size
-                    )
-                else:
-                    latency = self.service_model.tick_latency_s(
-                        model, ablation, batch_size,
-                        "dense" if is_dense else "sparse",
-                    )
-                if self.service_model.cold_start and key not in self._cold_paid:
-                    self._cold_paid.add(key)
-                    self.cold_starts += 1
-                    cold_s = self.service_model.calibration_s(model)
-                    self._last_cold_s = cold_s
-                    latency += cold_s
-                return latency
-
             self.servers[key] = ContinuousServer(
                 model,
                 config=config,
@@ -436,7 +373,16 @@ class Replica:
                 ),
                 calibration_seed=self.calibration_seed,
                 clock=self.clock,
-                tick_time=tick_time,
+                price=functools.partial(
+                    self.service_model.price, model, ablation
+                ),
+                # The first step of a key also pays one vanilla generation
+                # (offline threshold calibration), charged by the server.
+                cold_start_s=(
+                    self.service_model.calibration_s(model)
+                    if self.service_model.cold_start
+                    else None
+                ),
                 dry_run=not self.execute,
                 # Only execute mode has results worth fetching afterwards;
                 # dry-run sweeps keep memory flat over long traces.
@@ -484,7 +430,7 @@ class Replica:
             # A key whose every request expired before any batch ran never
             # actually warmed: stop advertising affinity for it, or the
             # router would keep steering traffic at phantom warmth.
-            if stale and not server.has_work and key not in self._cold_paid:
+            if stale and not server.has_work and not server.cold_charged:
                 self.warm_keys.discard(key)
         self.timeout_drops += len(dropped)
         return dropped
@@ -554,7 +500,6 @@ class Replica:
         model, ablation = key
         server = self.servers[key]
         self.clock.now = now
-        self._last_cold_s = 0.0
         served = server.step(now=now)
         self._collect_drops(now)
         phase = server.last_tick_phase
@@ -568,15 +513,6 @@ class Replica:
         self.busy_s += tick_s
         self.requests_served += len(served)
         self.batches_served += 1
-        members = tuple(server.last_tick_members)
-        if phase == "batch":
-            energy_j = self.service_model.energy_j(
-                model, ablation, len(members)
-            )
-        else:
-            energy_j = self.service_model.tick_energy_j(
-                model, ablation, len(members), phase
-            )
         return Dispatch(
             replica=self.name,
             model=model,
@@ -585,9 +521,9 @@ class Replica:
             started_s=now,
             service_s=tick_s,
             phase=phase,
-            cold_s=self._last_cold_s,
-            members=members,
-            energy_j=energy_j,
+            cold_s=server.last_tick_cold_s,
+            members=tuple(server.last_tick_members),
+            energy_j=server.last_tick_energy_j,
         )
 
     # ------------------------------------------------------------------
@@ -632,5 +568,6 @@ __all__ = [
     "Replica",
     "ServiceTimeModel",
     "SimClock",
+    "StepPrice",
     "make_accelerator",
 ]

@@ -20,14 +20,11 @@ expression-for-expression identical to the allocating path, so samples,
 :class:`~repro.core.sparsity.RunStats` and reports stay byte-identical
 (the differential parity suites enforce this).
 
-Every kernel takes ``arena=None`` and falls back to plain allocation —
-the same nil-by-default pattern as the obs layer — so library callers of
-the kernels are unaffected.
+Every engine owns one arena and passes it to every kernel call; the
+kernels have no allocating fallback.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -75,22 +72,4 @@ class ExecArena:
         self._buffers.clear()
 
 
-def arena_take(
-    arena: Optional[ExecArena], name: str, shape, dtype=np.float64
-) -> np.ndarray:
-    """``arena.take`` or a plain allocation when no arena is attached."""
-    if arena is None:
-        return np.empty(shape, dtype=dtype)
-    return arena.take(name, shape, dtype=dtype)
-
-
-def arena_zeros(
-    arena: Optional[ExecArena], name: str, shape, dtype=np.float64
-) -> np.ndarray:
-    """``arena.zeros`` or ``np.zeros`` when no arena is attached."""
-    if arena is None:
-        return np.zeros(shape, dtype=dtype)
-    return arena.zeros(name, shape, dtype=dtype)
-
-
-__all__ = ["ExecArena", "arena_take", "arena_zeros"]
+__all__ = ["ExecArena"]

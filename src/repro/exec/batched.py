@@ -27,12 +27,11 @@ from repro.core.eager_prediction import (
 )
 from repro.core.logdomain import approximate, quantize_symmetric_batched
 from repro.core.thresholds import ThresholdTable
-from repro.models.activations import gelu as gelu_kernel
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
 
-from repro.exec.arena import ExecArena, arena_zeros
+from repro.exec.arena import ExecArena
 
 
 def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
@@ -176,50 +175,6 @@ def _attach_geglu_indices(
     state.gate_indices = state.value_indices + layer.hidden_dim
 
 
-def _ffn_sparse_step_batched(
-    layer: FeedForward,
-    x: np.ndarray,
-    state: _BatchedFFNPhaseState,
-    arena: Optional[ExecArena] = None,
-) -> np.ndarray:
-    """Batched :func:`repro.core.ffn_reuse.ffn_sparse_step`: one flat
-    gather/scatter over the whole micro-batch.
-
-    With an ``arena`` the scatter target, masked operand and update GEMM
-    output are reused across iterations; each buffer is fully
-    overwritten before use and none escapes this call, so the arithmetic
-    (and the BLAS operand shapes) is identical to the allocating path.
-    """
-    pre = layer.linear1(x)
-    flat = pre.ravel()
-    if layer.activation == "geglu":
-        recomputed = flat[state.value_indices] * gelu_kernel(
-            flat[state.gate_indices]
-        )
-    else:
-        recomputed = gelu_kernel(flat[state.gather_indices])
-    if arena is None:
-        hidden = state.hidden_dense.copy()
-        hidden.ravel()[state.gather_indices] = recomputed
-        updates = (hidden * state.mask) @ layer.linear2.weight
-    else:
-        hidden = arena.take("ffn_hidden", state.hidden_dense.shape)
-        np.copyto(hidden, state.hidden_dense)
-        hidden.ravel()[state.gather_indices] = recomputed
-        masked = np.multiply(
-            hidden, state.mask,
-            out=arena.take("ffn_masked", hidden.shape),
-        )
-        updates = np.matmul(
-            masked, layer.linear2.weight,
-            out=arena.take(
-                "ffn_updates",
-                hidden.shape[:-1] + (layer.linear2.weight.shape[1],),
-            ),
-        )
-    return state.partial_sums + updates
-
-
 def _attention_exact_batched(
     layer: MultiHeadAttention,
     x: np.ndarray,
@@ -268,12 +223,13 @@ def _ep_attention_step_batched(
     batch_stats: list,
     collect_keepmasks: bool = False,
     kv: Optional[tuple] = None,
-    arena: Optional[ExecArena] = None,
+    *,
+    arena: ExecArena,
 ) -> np.ndarray:
     """Batched EP attention step: per request, bit-identical to
     :func:`repro.core.eager_prediction.ep_attention_step`.
 
-    ``arena`` reuses the probability/attended scratch tensors across
+    ``arena`` holds the probability/attended scratch tensors across
     iterations (zero-filled each call, bit-equal to ``np.zeros``;
     neither escapes — the merged heads feed a fresh projection)."""
     kv_input = x if context is None else context
@@ -313,15 +269,15 @@ def _ep_attention_step_batched(
     has_keep = keep.any(axis=-1)
     oh_rows = one_hot_rows | ~has_keep
     normal_rows = ~oh_rows
-    probs = arena_zeros(arena, "ep_probs", (batch, heads, tq, tk))
+    probs = arena.zeros("ep_probs", (batch, heads, tq, tk))
     if np.any(normal_rows):
         probs[normal_rows] = softmax(masked[normal_rows], axis=-1)
 
     bb, hh, rr = np.nonzero(oh_rows)
     cc = one_hot_cols[bb, hh, rr]
     probs[bb, hh, rr, cc] = 1.0
-    attended = arena_zeros(
-        arena, "ep_attended", (batch, heads, tq, layer.head_dim)
+    attended = arena.zeros(
+        "ep_attended", (batch, heads, tq, layer.head_dim)
     )
     attended[bb, hh, rr] = v[bb, hh, cc]
     # Row-subset GEMMs preserved per (request, head): BLAS kernel choice

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
+from repro.core.ffn_reuse import ffn_sparse_step
 from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
@@ -61,7 +62,6 @@ from repro.exec.batched import (
     _ep_attention_step_batched,
     _ep_cross_kv_batched,
     _fake_quantize_batched,
-    _ffn_sparse_step_batched,
     ffn_dense_compile_batched,
 )
 from repro.core.eager_prediction import _split_heads_batched
@@ -520,9 +520,7 @@ class ContinuousExecutor:
         batch_state = self._ffn_batch.get(block_index)
         if batch_state is None:
             batch_state = self._rebuild_ffn_batch(layer, block_index, runs)
-        out = _ffn_sparse_step_batched(
-            layer, x, batch_state, arena=self._arena
-        )
+        out = ffn_sparse_step(layer, x, batch_state, self._arena)
         elements = batch_state.mask.shape[1] * batch_state.mask.shape[2]
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
         for run in runs:

@@ -347,7 +347,7 @@ class CompiledExecutor:
                 stats.ffn_bitmasks.append(phase_state.bitmask)
             return out
         phase_state: FFNPhaseState = state.ffn_states[block_index]
-        out = ffn_sparse_step(layer, x, phase_state, arena=self._arena)
+        out = ffn_sparse_step(layer, x, phase_state, self._arena)
         nnz = phase_state.nnz
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
         full_l1 = layer.linear1.macs(tokens)

@@ -179,8 +179,6 @@ class PointEvaluator:
     cluster_requests: int = 48
     cluster_rate_rps: float = 200.0
     slo_target_s: float = 1.0
-    _profile_memo: dict = field(default_factory=dict, compare=False,
-                                hash=False, repr=False)
     _accuracy_memo: dict = field(default_factory=dict, compare=False,
                                  hash=False, repr=False)
 
@@ -216,28 +214,6 @@ class PointEvaluator:
         return {name: float(values[name]) for name in self.objectives}
 
     # ------------------------------------------------------------------
-    def _profile(self, spec):
-        """Sparsity profile for one (possibly knob-adjusted) spec.
-
-        Memoized on the spec fields the profile synthesis reads, so
-        hardware points sharing algorithm knobs reuse one estimate.
-        """
-        key = point_key({
-            "model": spec.name,
-            **{f: getattr(spec, f) for f in _SPEC_KNOBS.values()},
-        })
-        if key not in self._profile_memo:
-            from repro.program.cache import get_plan_cache
-
-            # Routed through the process-wide PlanCache: concurrent
-            # evaluators (and the cluster layer) pricing the same
-            # knob-adjusted spec share one ConMerge synthesis.
-            self._profile_memo[key] = get_plan_cache().profile(
-                spec,
-                seed=stable_seed(self.base_seed, "profile", spec.name),
-            )
-        return self._profile_memo[key]
-
     def _hardware_objectives(
         self, model: str, point: dict, iterations: Optional[int]
     ) -> dict:
@@ -255,9 +231,12 @@ class PointEvaluator:
             iterations=iterations,
             batch=self.batch,
         )
-        report = cache.price(
-            accelerator_from_point(point), plan, self._profile(spec)
+        # The profile is interned on the spec fields its synthesis reads,
+        # so hardware points sharing algorithm knobs reuse one estimate.
+        profile = cache.profile(
+            spec, seed=stable_seed(self.base_seed, "profile", spec.name)
         )
+        report = cache.price(accelerator_from_point(point), plan, profile)
         return {
             "latency_s": report.latency_s,
             "energy_j": report.energy_j,

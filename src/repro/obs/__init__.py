@@ -27,7 +27,6 @@ from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily, MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.scenario import (
     drain_simulated,
-    make_tick_time,
     run_trace_scenario,
 )
 from repro.obs.trace import Event, Span, Tracer
@@ -49,7 +48,6 @@ __all__ = [
     "diff_analyses",
     "drain_simulated",
     "events_jsonl",
-    "make_tick_time",
     "render_html",
     "run_trace_scenario",
     "validate_chrome_trace",

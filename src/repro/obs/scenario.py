@@ -3,20 +3,21 @@
 ``python -m repro trace`` needs a run that is *interesting* (joins,
 preemptions, evictions, dense/sparse cadence) yet **byte-deterministic**
 — so everything here runs in simulated time: servers read a
-:class:`~repro.cluster.replica.SimClock`, tick/batch prices come from
-:class:`~repro.cluster.replica.ServiceTimeModel` (the hw latency model),
+:class:`~repro.cluster.replica.SimClock`, every step is priced by
+:meth:`~repro.cluster.replica.ServiceTimeModel.price` (the hw model),
 and request arrivals are laid out on a fixed grid derived from those
 prices. No wall clock enters anywhere, which is why the exported trace
 and metrics are identical across same-seed runs.
 
-The same helpers back ``python -m repro serve --simulate``: they install
-the simulated clock and price hooks on a real (executing or dry-run)
-server and drain it by advancing the clock through its own reported
-tick/batch durations.
+``python -m repro serve --simulate`` installs the same clock and price
+hook on a real (executing) server and drains it with
+:func:`drain_simulated`, advancing the clock through the server's own
+reported step durations.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.cluster.replica import ServiceTimeModel, SimClock, make_accelerator
@@ -34,39 +35,6 @@ SCENARIO_TENANTS = {"alpha": 2.0, "beta": 1.0}
 #: Minimum clock advance when a step served nothing (expiry-only
 #: rebalances); keeps the drive loop live without distorting timing.
 _IDLE_ADVANCE_S = 1e-6
-
-
-def make_tick_time(
-    service_model: ServiceTimeModel, model: str, ablation: str,
-    drain: bool = False,
-):
-    """Step price hook for a :class:`ContinuousServer`: one iteration,
-    or — for a ``drain`` policy — one whole generation."""
-
-    def tick_time(batch_size: int, is_dense: bool) -> float:
-        if drain:
-            return service_model.latency_s(model, ablation, batch_size)
-        return service_model.tick_latency_s(
-            model, ablation, batch_size, "dense" if is_dense else "sparse"
-        )
-
-    return tick_time
-
-
-def make_tick_energy(
-    service_model: ServiceTimeModel, model: str, ablation: str,
-    drain: bool = False,
-):
-    """Step energy price hook, the twin of :func:`make_tick_time`."""
-
-    def tick_energy(batch_size: int, is_dense: bool) -> float:
-        if drain:
-            return service_model.energy_j(model, ablation, batch_size)
-        return service_model.tick_energy_j(
-            model, ablation, batch_size, "dense" if is_dense else "sparse"
-        )
-
-    return tick_energy
 
 
 def _advance(server: ContinuousServer, clock: SimClock) -> None:
@@ -123,10 +91,9 @@ def run_trace_scenario(
         tenant_weights=SCENARIO_TENANTS,
         total_iterations=iterations,
         clock=clock,
-        tick_time=make_tick_time(service_model, model, ablation, drain),
-        tick_energy=make_tick_energy(service_model, model, ablation, drain),
+        price=functools.partial(service_model.price, model, ablation),
         cold_start_s=(
-            service_model.tick_latency_s(model, ablation, 1, "cold")
+            service_model.price(model, ablation, 1, "cold").seconds
             if cold_start
             else None
         ),
@@ -136,7 +103,7 @@ def run_trace_scenario(
     if drain:
         gap = 0.25 * service_model.latency_s(model, ablation, 1)
     else:
-        gap = 2.0 * service_model.tick_latency_s(model, ablation, 1, "dense")
+        gap = 2.0 * service_model.price(model, ablation, 1, "dense").seconds
 
     tenants = sorted(SCENARIO_TENANTS)
     arrivals = [i * gap for i in range(requests)]
@@ -213,6 +180,5 @@ def run_trace_scenario(
 __all__ = [
     "SCENARIO_TENANTS",
     "drain_simulated",
-    "make_tick_time",
     "run_trace_scenario",
 ]

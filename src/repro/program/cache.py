@@ -34,9 +34,12 @@ atomic, corrupt or torn entries are misses that get rewritten, and an
 unwritable directory degrades to memory-only. Compiled schedules are
 memory only — recompiling from an interned plan is cheap and pure.
 
-Everything returned is either immutable (plans, compiled plans) or a
-defensive copy (reports, profiles), so cached and cold paths stay
-byte-identical. Hit/miss counters per tier can be published into a
+The tiers are data and share one lookup routine
+(:meth:`PlanCache._intern`: memory → disk → compute → store → intern);
+the four public methods differ only in key document, disk codec and
+defensive copy. Everything returned is either immutable (plans, compiled
+plans) or a defensive copy (reports, profiles), so cached and cold paths
+stay byte-identical. Hit/miss counters per tier can be published into a
 :class:`repro.obs.metrics.MetricsRegistry` via
 :meth:`PlanCache.publish_metrics`; publication is explicit (never
 auto-attached to scenario observers) so process-global cache state can
@@ -60,6 +63,11 @@ from repro.workloads.specs import ModelSpec
 
 #: Tier names, in lookup-cost order (also the metrics label vocabulary).
 TIERS = ("plan", "compiled", "pricing", "profile")
+#: Name of each tier's occupancy count in :meth:`PlanCache.stats`.
+_ENTRIES_KEY = {
+    "plan": "plans", "compiled": "compiled",
+    "pricing": "pricings", "profile": "profiles",
+}
 
 #: Environment variable enabling the global cache's disk tier.
 CACHE_DIR_ENV = "REPRO_PLAN_CACHE_DIR"
@@ -108,16 +116,19 @@ def _freeze(doc) -> object:
 
 
 class PlanCache:
-    """Interns lowered plans, compiled schedules, pricings and profiles."""
+    """Interns lowered plans, compiled schedules, pricings and profiles.
+
+    The four tiers are data — one dict per name in :data:`TIERS` — and
+    :meth:`_intern` is the one lookup routine over them; the public
+    methods below only say what differs per tier: the key document, the
+    disk codec and whether callers get a defensive copy.
+    """
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self._store = ContentStore(cache_dir)
         self.cache_dir = self._store.root
         self._lock = threading.RLock()
-        self._plans: dict = {}
-        self._compiled: dict = {}
-        self._pricing: dict = {}
-        self._profiles: dict = {}
+        self._tiers: dict = {tier: {} for tier in TIERS}
         self.tier_hits = {tier: 0 for tier in TIERS}
         self.tier_misses = {tier: 0 for tier in TIERS}
         self.disk_hits = 0
@@ -127,18 +138,36 @@ class PlanCache:
         # publications never double-count.
         self._published: dict = {}
 
+    def _intern(self, tier, key, compute, doc=None, encode=None, decode=None):
+        """Memory lookup → record → disk load → compute → disk store →
+        intern. ``doc`` (with its codec) opts the entry into the disk
+        tier; a corrupt stored entry is recomputed and rewritten."""
+        memo = self._tiers[tier]
+        with self._lock:
+            value = memo.get(key)
+        self._record(tier, value is not None)
+        if value is not None:
+            return value
+        stored = self._disk_load(doc) if doc is not None else None
+        if stored is not None:
+            try:
+                value = decode(stored)
+            except (KeyError, TypeError, ValueError):
+                value = None
+        if value is None:
+            value = compute()
+            if doc is not None:
+                self._disk_store(doc, encode(value))
+        with self._lock:
+            return memo.setdefault(key, value)
+
     # ------------------------------------------------------------------
-    # plan tier
+    # the tiers
     # ------------------------------------------------------------------
+    @staticmethod
     def _plan_key(
-        self,
-        spec: ModelSpec,
-        config,
-        enable_ffn_reuse: bool,
-        enable_eager_prediction: bool,
-        iterations: Optional[int],
-        batch: int,
-        scale: str,
+        spec, config, enable_ffn_reuse, enable_eager_prediction,
+        iterations, batch, scale,
     ) -> dict:
         return {
             "kind": "plan",
@@ -164,42 +193,17 @@ class PlanCache:
         scale: str = "paper",
     ) -> PhasePlan:
         """Memoized :func:`~repro.program.lower.lower_plan`."""
-        doc = self._plan_key(
-            spec, config, enable_ffn_reuse, enable_eager_prediction,
-            iterations, batch, scale,
+        lowering = dict(
+            spec=spec, config=config, enable_ffn_reuse=enable_ffn_reuse,
+            enable_eager_prediction=enable_eager_prediction,
+            iterations=iterations, batch=batch, scale=scale,
         )
-        key = _freeze(doc)
-        with self._lock:
-            cached = self._plans.get(key)
-        if cached is not None:
-            self._record("plan", True)
-            return cached
-        self._record("plan", False)
-        plan = None
-        stored = self._disk_load(doc)
-        if stored is not None:
-            try:
-                plan = plan_from_dict(stored)
-            except (KeyError, TypeError, ValueError):
-                plan = None  # corrupt entry: recompute and rewrite
-        if plan is None:
-            plan = lower_plan(
-                spec,
-                config=config,
-                enable_ffn_reuse=enable_ffn_reuse,
-                enable_eager_prediction=enable_eager_prediction,
-                iterations=iterations,
-                batch=batch,
-                scale=scale,
-            )
-            self._disk_store(doc, plan_to_dict(plan))
-        with self._lock:
-            self._plans.setdefault(key, plan)
-            return self._plans[key]
+        doc = self._plan_key(**lowering)
+        return self._intern(
+            "plan", _freeze(doc), lambda: lower_plan(**lowering),
+            doc=doc, encode=plan_to_dict, decode=plan_from_dict,
+        )
 
-    # ------------------------------------------------------------------
-    # compiled tier (memory only: pure + cheap from an interned plan)
-    # ------------------------------------------------------------------
     def compiled(
         self,
         spec: ModelSpec,
@@ -210,39 +214,23 @@ class PlanCache:
         batch: int = 1,
         scale: str = "sim",
     ) -> CompiledPlan:
-        """Memoized ``compile_plan(lower_plan(...))``.
+        """Memoized ``compile_plan(lower_plan(...))`` — memory only:
+        recompiling from an interned plan is pure and cheap.
 
         The returned :class:`~repro.program.compiled.CompiledPlan` is
         frozen and shared: every executor bound to the same
         ``(spec, config, schedule, scale)`` reuses one schedule object.
         """
-        doc = self._plan_key(
-            spec, config, enable_ffn_reuse, enable_eager_prediction,
-            iterations, batch, scale,
-        )
-        key = _freeze(doc)
-        with self._lock:
-            cached = self._compiled.get(key)
-        if cached is not None:
-            self._record("compiled", True)
-            return cached
-        self._record("compiled", False)
-        compiled = compile_plan(self.plan(
-            spec,
-            config=config,
-            enable_ffn_reuse=enable_ffn_reuse,
+        lowering = dict(
+            spec=spec, config=config, enable_ffn_reuse=enable_ffn_reuse,
             enable_eager_prediction=enable_eager_prediction,
-            iterations=iterations,
-            batch=batch,
-            scale=scale,
-        ))
-        with self._lock:
-            self._compiled.setdefault(key, compiled)
-            return self._compiled[key]
+            iterations=iterations, batch=batch, scale=scale,
+        )
+        return self._intern(
+            "compiled", _freeze(self._plan_key(**lowering)),
+            lambda: compile_plan(self.plan(**lowering)),
+        )
 
-    # ------------------------------------------------------------------
-    # pricing tier
-    # ------------------------------------------------------------------
     def price(self, accelerator, plan: PhasePlan, profile):
         """Memoized ``accelerator.simulate_plan(plan, profile)``.
 
@@ -252,16 +240,8 @@ class PlanCache:
         """
         acc_doc = _accelerator_doc(accelerator)
         profile_doc = _doc(profile)
-        key = (_freeze(acc_doc), plan, _freeze(profile_doc))
-        with self._lock:
-            cached = self._pricing.get(key)
-        if cached is not None:
-            self._record("pricing", True)
-            return self._copy_report(cached)
-        self._record("pricing", False)
-        report = None
         doc = None
-        if self.cache_dir is not None:
+        if self.cache_dir is not None:  # the digest is only a disk key
             from repro.program.encode import plan_digest
 
             doc = {
@@ -270,20 +250,16 @@ class PlanCache:
                 "profile": profile_doc,
                 "plan_digest": plan_digest(plan),
             }
-            stored = self._disk_load(doc)
-            if stored is not None:
-                try:
-                    report = self._report_from_doc(stored)
-                except (KeyError, TypeError, ValueError):
-                    report = None
-        if report is None:
-            report = accelerator.simulate_plan(plan, profile)
-            if doc is not None:
-                self._disk_store(doc, self._report_doc(report))
-        with self._lock:
-            self._pricing.setdefault(key, report)
-            report = self._pricing[key]
-        return self._copy_report(report)
+        report = self._intern(
+            "pricing", (_freeze(acc_doc), plan, _freeze(profile_doc)),
+            lambda: accelerator.simulate_plan(plan, profile),
+            doc=doc, encode=self._report_doc, decode=self._report_from_doc,
+        )
+        return dataclasses.replace(
+            report,
+            energy_breakdown_j=dict(report.energy_breakdown_j),
+            op_class_energy_j=dict(report.op_class_energy_j),
+        )
 
     @staticmethod
     def _report_doc(report) -> dict:
@@ -301,17 +277,6 @@ class PlanCache:
             raise ValueError("pricing entry fields do not match the report")
         return AcceleratorReport(**doc)
 
-    @staticmethod
-    def _copy_report(report):
-        return dataclasses.replace(
-            report,
-            energy_breakdown_j=dict(report.energy_breakdown_j),
-            op_class_energy_j=dict(report.op_class_energy_j),
-        )
-
-    # ------------------------------------------------------------------
-    # profile tier
-    # ------------------------------------------------------------------
     def profile(self, spec: ModelSpec, seed: int = 0, **kwargs):
         """Memoized :func:`~repro.hw.profile.estimate_profile`.
 
@@ -321,35 +286,20 @@ class PlanCache:
         point. Returns a copy: :class:`~repro.hw.profile.SparsityProfile`
         is a mutable dataclass and callers may adjust theirs.
         """
+        from repro.hw.profile import SparsityProfile, estimate_profile
+
         doc = {
             "kind": "profile",
             "spec": _doc(spec),
             "seed": seed,
             "kwargs": _doc(kwargs),
         }
-        key = _freeze(doc)
-        with self._lock:
-            cached = self._profiles.get(key)
-        if cached is not None:
-            self._record("profile", True)
-            return dataclasses.replace(cached)
-        self._record("profile", False)
-        from repro.hw.profile import SparsityProfile, estimate_profile
-
-        profile = None
-        stored = self._disk_load(doc)
-        if stored is not None:
-            try:
-                profile = SparsityProfile(**stored)
-            except (TypeError, ValueError):
-                profile = None
-        if profile is None:
-            profile = estimate_profile(spec, seed=seed, **kwargs)
-            self._disk_store(doc, dataclasses.asdict(profile))
-        with self._lock:
-            self._profiles.setdefault(key, profile)
-            profile = self._profiles[key]
-        return dataclasses.replace(profile)
+        return dataclasses.replace(self._intern(
+            "profile", _freeze(doc),
+            lambda: estimate_profile(spec, seed=seed, **kwargs),
+            doc=doc, encode=dataclasses.asdict,
+            decode=lambda stored: SparsityProfile(**stored),
+        ))
 
     # ------------------------------------------------------------------
     # disk tier
@@ -393,16 +343,13 @@ class PlanCache:
         """Occupancy and hit statistics, keys sorted for stable diffs."""
         with self._lock:
             info = {
-                "plans": len(self._plans),
-                "compiled": len(self._compiled),
-                "pricings": len(self._pricing),
-                "profiles": len(self._profiles),
                 "hits": self.hits,
                 "misses": self.misses,
                 "disk_hits": self.disk_hits,
                 "disk_misses": self.disk_misses,
             }
             for tier in TIERS:
+                info[_ENTRIES_KEY[tier]] = len(self._tiers[tier])
                 info[f"{tier}_hits"] = self.tier_hits[tier]
                 info[f"{tier}_misses"] = self.tier_misses[tier]
         return dict(sorted(info.items()))
@@ -435,12 +382,7 @@ class PlanCache:
             }
             counts["hit"]["disk"] = self.disk_hits
             counts["miss"]["disk"] = self.disk_misses
-            sizes = {
-                "plan": len(self._plans),
-                "compiled": len(self._compiled),
-                "pricing": len(self._pricing),
-                "profile": len(self._profiles),
-            }
+            sizes = {tier: len(memo) for tier, memo in self._tiers.items()}
         for outcome, per_tier in sorted(counts.items()):
             for tier, count in sorted(per_tier.items()):
                 delta = count - seen.get((tier, outcome), 0)
@@ -453,10 +395,8 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every interned artifact (counters are kept)."""
         with self._lock:
-            self._plans.clear()
-            self._compiled.clear()
-            self._pricing.clear()
-            self._profiles.clear()
+            for memo in self._tiers.values():
+                memo.clear()
 
 
 # ----------------------------------------------------------------------

@@ -38,9 +38,10 @@ Every request computes exactly what a sequential
 
 The server also exposes the hooks the fleet simulator
 (:mod:`repro.cluster`) drives it with: an injectable ``clock``, a
-``tick_time`` callable that substitutes simulated step prices for
-wall-clock measurement, and a ``dry_run`` mode that accounts for
-queueing/batching without running the numeric generation.
+``price`` callable ``(batch_size, phase) -> (seconds, joules)`` that
+substitutes simulated step prices for wall-clock measurement, and a
+``dry_run`` mode that accounts for queueing/batching without running
+the numeric generation.
 """
 
 from repro.serve.cache import ThresholdCache

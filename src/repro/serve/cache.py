@@ -15,11 +15,9 @@ Two memo levels, from coarse to fine:
   (dense period, target sparsity) and calibration seed, but *not* by the
   eager-prediction knobs, so ablation variants share calibrations.
 
-Each level is an LRU: pass ``capacity`` to bound the number of entries
-kept per level (``None``, the default, keeps everything, matching the
-historical unbounded behaviour). Lookups refresh recency; insertions past
-capacity evict the least-recently-used entry of that level, counted in
-``evictions``/``level_evictions`` and surfaced through :meth:`info`.
+The cache carries no observer: a lookup is reported to the ``observer``
+its caller passes (the server that made it), so servers sharing one
+cache never see each other's lookups.
 
 Cached models are shared objects: callers must not mutate their weights
 (e.g. via ``repro.quant.apply_ptq``) — quantized serving is expressed with
@@ -28,7 +26,6 @@ the ``activation_bits`` server knob instead.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from repro.core.config import ExionConfig
@@ -37,55 +34,28 @@ from repro.models.zoo import BenchmarkModel, build_model, model_cache_key
 
 
 class ThresholdCache:
-    """Memoizes built models and calibrated threshold tables.
+    """Memoizes built models and calibrated threshold tables."""
 
-    ``capacity`` bounds each memo level independently (LRU eviction);
-    ``None`` leaves every level unbounded.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.capacity = capacity
-        self._models: OrderedDict = OrderedDict()
-        self._tables: OrderedDict = OrderedDict()
+    def __init__(self) -> None:
+        self._models: dict = {}
+        self._tables: dict = {}
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        # Per-memo-level hit/miss/eviction counts, surfaced through info()
-        # (and therefore ServeReport) and the obs metrics registry.
+        # Per-memo-level hit/miss counts, surfaced through info() (and
+        # therefore ServeReport) and the obs metrics registry.
         self.level_hits = {"model": 0, "table": 0}
         self.level_misses = {"model": 0, "table": 0}
-        self.level_evictions = {"model": 0, "table": 0}
-        #: Optional :class:`repro.obs.observer.Observer`.
-        self.observer = None
 
-    def _record(self, level: str, hit: bool) -> None:
+    def _record(self, level: str, hit: bool, observer) -> bool:
         if hit:
             self.hits += 1
             self.level_hits[level] += 1
         else:
             self.misses += 1
             self.level_misses[level] += 1
-        if self.observer is not None:
-            self.observer.on_cache_lookup(level, hit)
-
-    def _touch(self, level: str, memo: OrderedDict, key) -> bool:
-        """Record a lookup; on hit refresh the key's recency."""
-        hit = key in memo
-        if hit:
-            memo.move_to_end(key)
-        self._record(level, hit)
+        if observer is not None:
+            observer.on_cache_lookup(level, hit)
         return hit
-
-    def _insert(self, level: str, memo: OrderedDict, key, value) -> None:
-        """Insert as most-recent, evicting the LRU entry past capacity."""
-        memo[key] = value
-        memo.move_to_end(key)
-        if self.capacity is not None and len(memo) > self.capacity:
-            memo.popitem(last=False)
-            self.evictions += 1
-            self.level_evictions[level] += 1
 
     # ------------------------------------------------------------------
     # memo levels
@@ -96,16 +66,16 @@ class ThresholdCache:
         seed: int = 0,
         total_iterations: Optional[int] = None,
         depth: Optional[int] = None,
+        observer=None,
     ) -> BenchmarkModel:
         """Build (or reuse) a benchmark model."""
         key = model_cache_key(name, seed, total_iterations, depth)
-        if self._touch("model", self._models, key):
-            return self._models[key]
-        built = build_model(
-            name, seed=seed, total_iterations=total_iterations, depth=depth
-        )
-        self._insert("model", self._models, key, built)
-        return built
+        if not self._record("model", key in self._models, observer):
+            self._models[key] = build_model(
+                name, seed=seed, total_iterations=total_iterations,
+                depth=depth,
+            )
+        return self._models[key]
 
     def table(
         self,
@@ -115,6 +85,7 @@ class ThresholdCache:
         total_iterations: Optional[int] = None,
         depth: Optional[int] = None,
         calibration_seed: int = 0,
+        observer=None,
     ) -> ThresholdTable:
         """Calibrate (or reuse) the FFN-Reuse threshold table.
 
@@ -127,16 +98,18 @@ class ThresholdCache:
             config.ffn_target_sparsity,
             calibration_seed,
         )
-        if self._touch("table", self._tables, key):
-            return self._tables[key]
-        model = self.model(name, model_seed, total_iterations, depth)
-        calibrator = ThresholdCalibrator(
-            target_sparsity=config.ffn_target_sparsity,
-            dense_period=config.sparse_iters_n + 1,
-        )
-        table = calibrator.calibrate(model, seed=calibration_seed)
-        self._insert("table", self._tables, key, table)
-        return table
+        if not self._record("table", key in self._tables, observer):
+            model = self.model(
+                name, model_seed, total_iterations, depth, observer=observer
+            )
+            calibrator = ThresholdCalibrator(
+                target_sparsity=config.ffn_target_sparsity,
+                dense_period=config.sparse_iters_n + 1,
+            )
+            self._tables[key] = calibrator.calibrate(
+                model, seed=calibration_seed
+            )
+        return self._tables[key]
 
     # ------------------------------------------------------------------
     # introspection
@@ -148,13 +121,10 @@ class ThresholdCache:
             "tables": len(self._tables),
             "hits": self.hits,
             "misses": self.misses,
-            "capacity": -1 if self.capacity is None else self.capacity,
-            "evictions": self.evictions,
         }
         for level in self.level_hits:
             info[f"{level}_hits"] = self.level_hits[level]
             info[f"{level}_misses"] = self.level_misses[level]
-            info[f"{level}_evictions"] = self.level_evictions[level]
         return dict(sorted(info.items()))
 
     def clear(self) -> None:

@@ -40,10 +40,11 @@ Scheduling combines three classic mechanisms, all deterministic:
 
 The server is synchronous and reads time only through its injectable
 ``clock``. Two hooks let the cluster simulator (:mod:`repro.cluster`)
-drive it in virtual time: ``tick_time`` prices each step from the
-hardware latency model instead of wall clock, and ``dry_run`` skips the
-numeric generation and accounts only for queueing, batching and timing
-(results carry ``result=None``).
+drive it in virtual time: ``price`` maps each step's ``(batch_size,
+phase)`` to simulated ``(seconds, joules)`` from the hardware model
+instead of wall clock, and ``dry_run`` skips the numeric generation and
+accounts only for queueing, batching and timing (results carry
+``result=None``).
 
 Per-request outputs remain byte-identical to solo sequential generation
 whenever the composition allows (always, for joins the alignment
@@ -347,7 +348,7 @@ class ServeReport:
     micro-batch under ``drain``. ``mean_occupancy`` is the average number
     of requests sharing each dispatch — the quantity continuous batching
     exists to raise. ``timing_source`` records where ``busy_s`` /
-    ``queue_wait_s`` came from: ``"simulated"`` when a ``tick_time`` hook
+    ``queue_wait_s`` came from: ``"simulated"`` when a ``price`` hook
     drove the accounting (deterministic across machines — what the
     cluster event loop installs), ``"wall_clock"`` otherwise.
     """
@@ -442,10 +443,12 @@ class ContinuousServer:
     membership is rebalanced (expiry, preemption, joins) whenever the
     batch sits at a dense-phase boundary. Under ``policy.drain`` the
     only boundary is the empty batch and a step runs the batch it just
-    seated through every remaining iteration. ``tick_time`` is the
-    cluster hook: a callable ``(batch_size, is_dense) -> seconds``
-    pricing one step (a tick, or under ``drain`` a whole generation)
-    with the hardware latency model instead of wall-clock measurement.
+    seated through every remaining iteration. ``price`` is the cluster
+    hook: a callable ``(batch_size, phase) -> (seconds, joules)`` pricing
+    one step — phase ``"dense"`` / ``"sparse"`` for a tick, ``"batch"``
+    for a drained generation — with the hardware model instead of
+    wall-clock measurement; ``cold_start_s`` is a one-time surcharge
+    added to the first step's seconds (model load / calibration).
     """
 
     def __init__(
@@ -462,8 +465,7 @@ class ContinuousServer:
         calibrate: bool = False,
         calibration_seed: int = 0,
         clock=time.perf_counter,
-        tick_time: Optional[Callable[[int, bool], float]] = None,
-        tick_energy: Optional[Callable[[int, bool], float]] = None,
+        price: Optional[Callable[[int, str], tuple]] = None,
         cold_start_s: Optional[float] = None,
         dry_run: bool = False,
         retain_results: bool = True,
@@ -476,15 +478,10 @@ class ContinuousServer:
         self.policy = policy if policy is not None else ContinuousPolicy()
         self.cache = cache if cache is not None else ThresholdCache()
         self._clock = clock
-        self.tick_time = tick_time
-        #: Optional ``(batch_size, is_dense) -> joules`` price attached
-        #: to every step's span (cost accounting enrichment).
-        self.tick_energy = tick_energy
-        #: Optional one-time surcharge added to the first step (model
-        #: load / first-compile). Opt-in: default None keeps timing
-        #: identical to pre-enrichment servers.
+        self.price = price
         self.cold_start_s = cold_start_s
-        self._cold_charged = False
+        #: Whether the first step ran and paid ``cold_start_s``.
+        self.cold_charged = False
         self.dry_run = dry_run
         self.retain_results = retain_results
         # Nil-by-default observability: every hook below is guarded by
@@ -498,8 +495,6 @@ class ContinuousServer:
         self._calibrate = calibrate
         self._calibration_seed = calibration_seed
 
-        if observer is not None:
-            self.cache.observer = observer
         if dry_run:
             self._executor = None
             spec = get_spec(model_name)
@@ -520,12 +515,14 @@ class ContinuousServer:
         self.events: list[dict] = []
         self.results: dict[int, RequestResult] = {}
         self.last_tick_s = 0.0
-        #: Phase ("dense"/"sparse", or "batch" under drain) and
-        #: (id, tenant, priority) members of the most recent step — read
-        #: by the cluster replica to price and enrich dispatch spans.
+        #: The most recent step, as the cluster replica reads it: phase
+        #: ("dense"/"sparse", or "batch" under drain; "" = nothing ran),
+        #: (id, tenant, priority) members, the cold surcharge included
+        #: in ``last_tick_s``, and the step's priced energy.
         self.last_tick_phase = ""
         self.last_tick_members: list = []
         self.last_tick_cold_s = 0.0
+        self.last_tick_energy_j = 0.0
         self._next_id = 0
         self._joined_at: dict[int, float] = {}
         self._requests_served = 0
@@ -557,13 +554,14 @@ class ContinuousServer:
 
         model = self.cache.model(
             self.model_name, self._model_seed, self._total_iterations,
-            self._depth,
+            self._depth, observer=self.observer,
         )
         table = None
         if self._calibrate and self.config.enable_ffn_reuse:
             table = self.cache.table(
                 self.model_name, self.config, self._model_seed,
                 self._total_iterations, self._depth, self._calibration_seed,
+                observer=self.observer,
             )
         return ContinuousExecutor(
             model, self.config, threshold_table=table,
@@ -681,6 +679,7 @@ class ContinuousServer:
             self.last_tick_phase = ""
             self.last_tick_members = []
             self.last_tick_cold_s = 0.0
+            self.last_tick_energy_j = 0.0
             return []
 
         drain = self.policy.drain
@@ -691,6 +690,7 @@ class ContinuousServer:
         ]
         cursor = self.active[0].cursor
         is_dense = self.plan.steps[cursor].is_dense
+        phase = "batch" if drain else "dense" if is_dense else "sparse"
         steps = self.plan.iterations - cursor if drain else 1
         if self.dry_run:
             for run in self.active:
@@ -705,12 +705,14 @@ class ContinuousServer:
             for _ in range(steps):
                 finished = self._executor.run_tick(self.active)
             tick_s = max(0.0, self._clock() - start)
-        if self.tick_time is not None:
-            tick_s = float(self.tick_time(batch_size, is_dense))
+        energy_j = 0.0
+        if self.price is not None:
+            seconds, joules = self.price(batch_size, phase)
+            tick_s, energy_j = float(seconds), float(joules)
         cold_s = 0.0
-        if self.cold_start_s is not None and not self._cold_charged:
+        if self.cold_start_s is not None and not self.cold_charged:
             cold_s = max(0.0, float(self.cold_start_s))
-            self._cold_charged = True
+            self.cold_charged = True
             tick_s += cold_s
 
         completed_at = now + tick_s
@@ -755,10 +757,8 @@ class ContinuousServer:
                 )
         if observer is not None:
             span_args = {}
-            if self.tick_energy is not None:
-                span_args["energy_j"] = float(
-                    self.tick_energy(batch_size, is_dense)
-                )
+            if self.price is not None:
+                span_args["energy_j"] = energy_j
             if cold_s > 0.0:
                 span_args["cold_s"] = cold_s
             if drain:
@@ -777,11 +777,10 @@ class ContinuousServer:
         self._occupancy_ticks += batch_size
         self._busy_s += tick_s
         self.last_tick_s = tick_s
-        self.last_tick_phase = (
-            "batch" if drain else "dense" if is_dense else "sparse"
-        )
+        self.last_tick_phase = phase
         self.last_tick_members = members
         self.last_tick_cold_s = cold_s
+        self.last_tick_energy_j = energy_j
         return served
 
     def run_until_drained(self) -> list[RequestResult]:
@@ -982,7 +981,7 @@ class ContinuousServer:
             busy_s=self._busy_s,
             queue_wait_s=self._wait_s,
             timing_source=(
-                "simulated" if self.tick_time is not None else "wall_clock"
+                "simulated" if self.price is not None else "wall_clock"
             ),
             merged_stats=RunStats.merged([self._merged_stats]),
             cache_info=self.cache.info(),

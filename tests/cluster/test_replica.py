@@ -6,8 +6,12 @@ bills per tick and a drain replica per generation, so any pricing drift
 would make the two modes incomparable.
 """
 
+import functools
+import itertools
+
 import pytest
 
+from repro import cli
 from repro.cluster import (
     ClusterRequest,
     MMPPProcess,
@@ -25,9 +29,12 @@ from repro.cluster import (
     synthesize_trace,
 )
 from repro.core.config import ExionConfig
+from repro.cluster.replica import PHASES
 from repro.core.ffn_reuse import schedule_phases
-from repro.serve import ContinuousPolicy
-from repro.workloads.specs import get_spec
+from repro.program.cache import fresh_plan_cache, get_plan_cache
+from repro.obs import run_trace_scenario
+from repro.serve import ContinuousPolicy, ContinuousServer
+from repro.workloads.specs import MODEL_SPECS, get_spec
 
 
 def request(at, model="dit", seed=0, ablation="all"):
@@ -38,6 +45,20 @@ def request(at, model="dit", seed=0, ablation="all"):
 @pytest.fixture(scope="module")
 def service_model():
     return ServiceTimeModel("exion24")
+
+
+def _fleet_dispatches(service_model, continuous):
+    """Every dispatch of a two-replica Poisson fleet run."""
+    trace = synthesize_trace(PoissonProcess(300.0), 64, rng=3)
+    fleet = build_replicas(2, service_model=service_model,
+                           continuous=continuous)
+    records = []
+    for member in fleet:
+        member.try_dispatch = lambda now, d=member.try_dispatch: (
+            records.append(d(now)) or records[-1]
+        )
+    simulate_cluster(trace, fleet, make_router("jsq"))
+    return [r for r in records if r is not None]
 
 
 class TestServiceTimeModel:
@@ -60,11 +81,15 @@ class TestServiceTimeModel:
         with pytest.raises(ValueError):
             service_model.latency_s("dit", "everything", 1)
 
-    def test_memoized(self, service_model):
-        first = service_model.latency_s("dit", "all", 4)
-        assert service_model.latency_s("dit", "all", 4) is not None
-        assert ("dit", "all", 4) in service_model._latencies
-        assert first == service_model.latency_s("dit", "all", 4)
+    def test_memoized_in_the_one_memo(self, service_model):
+        first = service_model.price("dit", "all", 4, "batch")
+        assert ("dit", "all", 4, "batch") in service_model._prices
+        assert service_model.price("dit", "all", 4, "batch") is first
+        assert service_model.latency_s("dit", "all", 4) == first.seconds
+        # Whole-generation and tick prices are priced lazily, apart.
+        assert ("dit", "all", 4, "dense") not in service_model._prices
+        memos = [v for v in vars(service_model).values() if isinstance(v, dict)]
+        assert memos == [service_model._prices]
 
     def test_edge_accelerator_is_slower(self):
         edge = ServiceTimeModel("exion4")
@@ -73,6 +98,44 @@ class TestServiceTimeModel:
             server.latency_s("dit", "all", 1)
         )
 
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_bad_batch_size_rejected(self, service_model, phase):
+        with pytest.raises(ValueError, match="batch_size"):
+            service_model.price("dit", "all", 0, phase)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+    def test_one_price_table(self, model):
+        """``price`` against the plan cache directly: the whole-generation
+        report, the 1-iteration report, and the ``t(2) - t(1)`` /
+        ``t(P+1) - t(P)`` differences, bit for bit."""
+        stm = ServiceTimeModel("exion24")
+        cache, spec = get_plan_cache(), get_spec(model)
+        profile = cache.profile(spec, seed=0)
+        for ablation, batch in itertools.product(
+            ("base", "ffnr", "ep", "all"), (1, 8)
+        ):
+            config = ExionConfig.for_model(model).ablation(ablation)
+
+            def t(iterations):
+                plan = cache.plan(spec, config=config, iterations=iterations,
+                                  batch=batch)
+                report = cache.price(stm.accelerator, plan, profile)
+                return report.latency_s, report.energy_j
+
+            period = config.sparse_iters_n + 1 if config.enable_ffn_reuse else 1
+            sparse = tuple(max(0.0, b - a) for a, b in zip(t(1), t(2)))
+            want = {
+                "batch": t(None),
+                "cold": t(1),
+                "sparse": sparse,
+                "dense": sparse if period == 1 else tuple(
+                    max(0.0, b - a) for a, b in zip(t(period), t(period + 1))
+                ),
+            }
+            for phase in PHASES:
+                assert stm.price(model, ablation, batch, phase) == want[phase]
+            assert stm.latency_s(model, ablation, batch) == want["batch"][0]
+
 
 # ----------------------------------------------------------------------
 # per-tick pricing
@@ -80,8 +143,9 @@ class TestServiceTimeModel:
 class TestTickPricing:
     @pytest.mark.parametrize("batch_size", [1, 4, 8])
     @pytest.mark.parametrize("ablation", ["base", "all"])
-    def test_ticks_sum_to_generation_latency(self, ablation, batch_size):
-        """cold + (D-1) dense + S sparse == the whole-generation price."""
+    def test_ticks_sum_to_generation_price(self, ablation, batch_size):
+        """cold + (D-1) dense + S sparse == the whole-generation price,
+        in seconds and in joules."""
         stm = ServiceTimeModel("exion4")
         model = "dit"
         iterations = get_spec(model).total_iterations
@@ -90,34 +154,34 @@ class TestTickPricing:
         flags = schedule_phases(iterations, sparse_n)
         dense, sparse = sum(flags), len(flags) - sum(flags)
 
-        total = (
-            stm.tick_latency_s(model, ablation, batch_size, "cold")
-            + (dense - 1)
-            * stm.tick_latency_s(model, ablation, batch_size, "dense")
-            + sparse
-            * stm.tick_latency_s(model, ablation, batch_size, "sparse")
-        )
-        assert total == pytest.approx(
-            stm.latency_s(model, ablation, batch_size), rel=1e-6
-        )
+        price = functools.partial(stm.price, model, ablation, batch_size)
+        for unit in (0, 1):
+            total = (
+                price("cold")[unit]
+                + (dense - 1) * price("dense")[unit]
+                + sparse * price("sparse")[unit]
+            )
+            assert total == pytest.approx(price("batch")[unit], rel=1e-6)
 
     def test_without_ffn_reuse_every_tick_is_dense(self):
         stm = ServiceTimeModel("exion4")
-        dense = stm.tick_latency_s("dit", "base", 1, "dense")
-        sparse = stm.tick_latency_s("dit", "base", 1, "sparse")
-        assert dense == sparse  # no sparse phase exists; one uniform price
+        # no sparse phase exists; one uniform price
+        assert stm.price("dit", "base", 1, "dense") == (
+            stm.price("dit", "base", 1, "sparse")
+        )
 
     def test_sparse_tick_cheaper_than_dense(self):
         """The point of FFN-Reuse: riding the compiled phase costs less
-        than recompiling it."""
+        than recompiling it — in time and in energy."""
         stm = ServiceTimeModel("exion4")
-        assert stm.tick_latency_s("dit", "all", 1, "sparse") < (
-            stm.tick_latency_s("dit", "all", 1, "dense")
-        )
+        sparse = stm.price("dit", "all", 1, "sparse")
+        dense = stm.price("dit", "all", 1, "dense")
+        assert sparse.seconds < dense.seconds
+        assert sparse.joules < dense.joules
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            ServiceTimeModel("exion4").tick_latency_s("dit", "all", 1, "warm")
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(ValueError, match="phase"):
+            ServiceTimeModel("exion4").price("dit", "all", 1, "warm")
 
 
 class TestReplica:
@@ -224,15 +288,7 @@ class TestReplica:
     ):
         # service_s of a drained batch is the hook's price itself, never
         # (now + price) - now, which drifts in the last ulp.
-        trace = synthesize_trace(PoissonProcess(300.0), 64, rng=3)
-        fleet = build_replicas(2, service_model=service_model, execute=False)
-        records = []
-        for member in fleet:
-            member.try_dispatch = lambda now, d=member.try_dispatch: (
-                records.append(d(now)) or records[-1]
-            )
-        simulate_cluster(trace, fleet, make_router("jsq"))
-        batches = [r for r in records if r is not None]
+        batches = _fleet_dispatches(service_model, continuous=False)
         assert sum(b.batch_size for b in batches) == 64
         for batch in batches:
             want = service_model.latency_s("dit", "all", batch.batch_size)
@@ -241,6 +297,21 @@ class TestReplica:
             assert batch.service_s == want
             assert all(r.service_s == want for r in batch.served)
 
+    @pytest.mark.parametrize("continuous, per_size", [(False, 1), (True, 4)])
+    def test_fleet_run_prices_each_point_once(self, continuous, per_size):
+        """No cold work beyond one lowering + one simulation per distinct
+        point: a whole generation per batch size under drain; t(1), t(2),
+        t(P), t(P+1) per occupancy for ticks (dit/all has P > 2)."""
+        with fresh_plan_cache() as cache:
+            stm = ServiceTimeModel("exion24")
+            sizes = {len(d.members) for d in _fleet_dispatches(stm, continuous)}
+        points = per_size * len(sizes) + 1  # + the cold-start calibration
+        assert cache.tier_misses == {
+            "plan": points + 1,  # + the dry-run servers' sim-scale schedule
+            "compiled": 1, "pricing": points, "profile": 1,
+        }
+        assert len(stm._prices) == (3 if continuous else 1) * len(sizes) + 1
+
     def test_multi_model_fifo_across_servers(self, service_model):
         replica = self.make_replica(service_model, max_wait_s=0.0)
         replica.enqueue(request(0.0, model="mld"), now=0.0)
@@ -248,6 +319,72 @@ class TestReplica:
         outcome = replica.try_dispatch(2.0)
         # The mld head waited longer, so its server dispatches first.
         assert outcome.model == "mld"
+
+
+# ----------------------------------------------------------------------
+# one price per served step, whoever dispatched it
+# ----------------------------------------------------------------------
+def _drive_replica(continuous):
+    simulate_cluster(
+        synthesize_trace(PoissonProcess(300.0), 12, rng=3),
+        build_replicas(
+            1, policy=ContinuousPolicy(max_batch_size=2),
+            service_model=ServiceTimeModel("exion24", iterations=6),
+            continuous=continuous,
+        ),
+        make_router("jsq"),
+    )
+
+
+def _drive_scenario(continuous):
+    run_trace_scenario(continuous=continuous, iterations=6, cold_start=True)
+
+
+def _drive_serve_simulate(continuous):
+    cli.main(["serve", "--simulate", "exion24", "--iterations", "6",
+              "--requests", "3", "--batch-size", "2"]
+             + ["--continuous"] * continuous)
+
+
+class TestOnePriceAcrossDrivers:
+    """The same (model, ablation, batch, phase) step costs the same
+    seconds and joules — and the first step the driver's cold surcharge
+    on top — whichever of the three drivers dispatched it."""
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    @pytest.mark.parametrize("drive, surcharge", [
+        (_drive_replica, lambda ref: ref.calibration_s("dit")),
+        (_drive_scenario, lambda ref: ref.price("dit", "all", 1, "cold")[0]),
+        (_drive_serve_simulate, lambda ref: 0.0),
+    ])
+    def test_step_cost(self, monkeypatch, drive, surcharge, continuous):
+        steps = []
+        inner = ContinuousServer._step
+
+        def spy(server, now, flush=False):
+            served = inner(server, now, flush)
+            if server.last_tick_phase:
+                steps.append((
+                    server, server.last_tick_phase,
+                    len(server.last_tick_members), server.last_tick_s,
+                    server.last_tick_energy_j, server.last_tick_cold_s,
+                ))
+            return served
+
+        monkeypatch.setattr(ContinuousServer, "_step", spy)
+        drive(continuous)
+        reference = ServiceTimeModel("exion24", iterations=6)
+        warm = set()
+        for server, phase, batch, seconds, joules, cold_s in steps:
+            want = reference.price("dit", "all", batch, phase)
+            cold = 0.0 if server in warm else surcharge(reference)
+            warm.add(server)
+            assert (seconds, joules, cold_s) == (
+                want.seconds + cold, want.joules, cold
+            )
+        assert {step[1] for step in steps} == (
+            {"dense", "sparse"} if continuous else {"batch"}
+        )
 
 
 # ----------------------------------------------------------------------

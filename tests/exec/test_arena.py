@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core.config import ExionConfig
-from repro.exec.arena import ExecArena, arena_take, arena_zeros
+from repro.exec.arena import ExecArena
 
 
 class TestExecArena:
@@ -43,13 +43,6 @@ class TestExecArena:
         assert list(stats) == sorted(stats)
         arena.clear()
         assert arena.stats()["buffers"] == 0
-
-    def test_module_helpers_fall_back_without_arena(self):
-        direct = arena_take(None, "x", (2, 2))
-        assert direct.shape == (2, 2)
-        zeroed = arena_zeros(None, "x", (2, 2))
-        assert not zeroed.any()
-        assert arena_take(None, "x", (2, 2)) is not direct
 
 
 class TestArenaByteIdentity:

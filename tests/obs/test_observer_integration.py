@@ -63,7 +63,9 @@ class TestContinuousServing:
                 policy=ContinuousPolicy(max_batch_size=2),
                 total_iterations=6,
                 clock=clock,
-                tick_time=lambda batch, dense: 0.002 if dense else 0.001,
+                price=lambda batch, phase: (
+                    0.002 if phase == "dense" else 0.001, 0.0
+                ),
                 observer=observer,
             )
             for i in range(4):
@@ -99,11 +101,10 @@ class TestContinuousServing:
 
 class TestThresholdCache:
     def test_per_level_counts_reach_metrics_and_info(self):
-        cache = ThresholdCache()
-        cache.observer = Observer()
-        cache.model("dit", 0, 4, None)
-        cache.model("dit", 0, 4, None)
-        lookups = cache.observer.metrics.get("repro_cache_lookups_total")
+        cache, observer = ThresholdCache(), Observer()
+        cache.model("dit", 0, 4, None, observer=observer)
+        cache.model("dit", 0, 4, None, observer=observer)
+        lookups = observer.metrics.get("repro_cache_lookups_total")
         assert lookups.value(level="model", outcome="miss") == 1
         assert lookups.value(level="model", outcome="hit") == 1
         info = cache.info()

@@ -31,9 +31,8 @@ class TestModelMemo:
         assert cache.info()["models"] == 1
         assert cache.info() == {
             "models": 1, "tables": 0, "hits": 1, "misses": 1,
-            "capacity": -1, "evictions": 0,
-            "model_hits": 1, "model_misses": 1, "model_evictions": 0,
-            "table_hits": 0, "table_misses": 0, "table_evictions": 0,
+            "model_hits": 1, "model_misses": 1,
+            "table_hits": 0, "table_misses": 0,
         }
         # keys come out sorted so diffs of two runs line up
         assert list(cache.info()) == sorted(cache.info())
@@ -116,60 +115,20 @@ class TestServerUse:
         info = cache.info()
         assert (info["models"], info["tables"]) == (0, 0)
 
+    def test_shared_cache_reports_each_lookup_to_its_own_server(self):
+        # Regression: the cache held one observer slot, so a cache shared
+        # by two servers reported both servers' lookups to whichever
+        # observer was installed last.
+        from repro.obs import Observer
 
-class TestLRUCapacity:
-    def test_unbounded_by_default(self):
-        cache = ThresholdCache()
-        assert cache.capacity is None
-        for seed in range(4):
-            cache.model("dit", seed=seed, **FAST)
-        assert cache.info()["models"] == 4
-        assert cache.info()["evictions"] == 0
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ThresholdCache(capacity=0)
-
-    def test_eviction_past_capacity(self):
-        cache = ThresholdCache(capacity=2)
-        a = cache.model("dit", seed=0, **FAST)
-        cache.model("dit", seed=1, **FAST)
-        cache.model("dit", seed=2, **FAST)  # evicts seed=0
-        info = cache.info()
-        assert info["models"] == 2
-        assert info["evictions"] == 1
-        assert info["model_evictions"] == 1
-        # seed=0 was evicted: re-requesting it is a miss and a rebuild
-        rebuilt = cache.model("dit", seed=0, **FAST)
-        assert rebuilt is not a
-
-    def test_hit_refreshes_recency(self):
-        cache = ThresholdCache(capacity=2)
-        a = cache.model("dit", seed=0, **FAST)
-        cache.model("dit", seed=1, **FAST)
-        cache.model("dit", seed=0, **FAST)  # refresh seed=0 → seed=1 is LRU
-        cache.model("dit", seed=2, **FAST)  # evicts seed=1, not seed=0
-        assert cache.model("dit", seed=0, **FAST) is a
-        assert cache.level_evictions["model"] == 1
-
-    def test_each_level_bounded_independently(self):
-        cache = ThresholdCache(capacity=1)
-        config = ExionConfig.for_model("dit")
-        other = replace(config, sparse_iters_n=config.sparse_iters_n + 1)
-        cache.table("dit", config, **FAST)
-        cache.table("dit", other, **FAST)
-        info = cache.info()
-        # one model (same key both times) but two table insertions
-        assert info["models"] == 1
-        assert info["tables"] == 1
-        assert info["table_evictions"] == 1
-        assert info["model_evictions"] == 0
-
-    def test_eviction_counts_in_summary_flow(self):
-        cache = ThresholdCache(capacity=1)
-        cache.model("dit", seed=0, **FAST)
-        cache.model("dit", seed=1, **FAST)
-        info = cache.info()
-        assert info["capacity"] == 1
-        assert info["evictions"] == 1
-        assert list(info) == sorted(info)
+        cache, first, second = ThresholdCache(), Observer(), Observer()
+        self.make_server(cache, observer=first)   # model miss
+        self.make_server(cache)                   # model hit, unobserved
+        self.make_server(cache, observer=second)  # model hit
+        lookups = first.metrics.get("repro_cache_lookups_total")
+        assert lookups.value(level="model", outcome="miss") == 1
+        assert lookups.value(level="model", outcome="hit") == 0
+        lookups = second.metrics.get("repro_cache_lookups_total")
+        assert lookups.value(level="model", outcome="miss") == 0
+        assert lookups.value(level="model", outcome="hit") == 1
+        assert cache.info()["model_hits"] == 2

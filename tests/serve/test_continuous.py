@@ -364,20 +364,23 @@ class TestReporting:
         ):
             assert key in summary
 
-    def test_tick_time_hook_drives_simulated_timing(self):
+    def test_price_hook_drives_simulated_timing(self):
         server = ContinuousServer(
             "dit",
             config=ExionConfig.for_model("dit").ablation("all"),
             clock=ManualClock(),
             dry_run=True,
             total_iterations=6,
-            tick_time=lambda batch, dense: 2.0 if dense else 0.5,
+            price=lambda batch, phase: {
+                "dense": (2.0, 8.0), "sparse": (0.5, 1.0),
+            }[phase],
         )
         server.submit(seed=0)
         server.step()
-        assert server.last_tick_s == 2.0  # cursor 0 is a dense compile
+        # cursor 0 is a dense compile
+        assert (server.last_tick_s, server.last_tick_energy_j) == (2.0, 8.0)
         server.step()
-        assert server.last_tick_s == 0.5
+        assert (server.last_tick_s, server.last_tick_energy_j) == (0.5, 1.0)
         report = server.report()
         assert report.timing_source == "simulated"
         assert report.busy_s == pytest.approx(2.5)

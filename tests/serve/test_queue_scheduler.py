@@ -26,7 +26,7 @@ def make_server(**knobs):
         "dit",
         policy=ContinuousPolicy(drain=True, **knobs),
         clock=clock,
-        tick_time=lambda n, is_dense: 1.0,
+        price=lambda n, phase: (1.0, 0.0),
         dry_run=True,
         total_iterations=6,
     )

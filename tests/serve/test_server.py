@@ -25,7 +25,7 @@ def make_server(**kwargs):
 def dry_server(**knobs):
     return make_server(
         policy=drain_policy(**knobs), clock=SimClock(),
-        tick_time=lambda n, is_dense: 1.0, dry_run=True,
+        price=lambda n, phase: (1.0, 0.0), dry_run=True,
     )
 
 
@@ -143,12 +143,12 @@ class TestServing:
         # Report aggregates survive the pop.
         assert server.report().requests_served == 1
 
-    def test_tick_time_hook_prices_the_whole_batch_once(self):
+    def test_price_hook_prices_the_whole_batch_once(self):
         clock = SimClock()
         server = make_server(
             policy=drain_policy(max_batch_size=2),
             clock=clock,
-            tick_time=lambda n, is_dense: 2.5 * n,
+            price=lambda n, phase: (2.5 * n, 7.0 * n),
         )
         clock.now = 1.0
         for seed in range(2):
@@ -157,6 +157,8 @@ class TestServing:
         results = server.run_until_drained()
         # Simulated accounting: the hook's value, not elapsed wall clock.
         assert [r.service_s for r in results] == [5.0, 5.0]
+        assert server.last_tick_phase == "batch"
+        assert server.last_tick_energy_j == 14.0
         assert [r.wait_s for r in results] == [3.0, 3.0]
         report = server.report()
         assert report.timing_source == "simulated"
@@ -177,7 +179,7 @@ class TestServing:
         server = make_server(
             policy=drain_policy(max_batch_size=4),
             clock=clock,
-            tick_time=lambda n, is_dense: 1.5,
+            price=lambda n, phase: (1.5, 0.0),
             dry_run=True,
         )
         for seed in range(3):
@@ -198,7 +200,7 @@ class TestServing:
             server = make_server(
                 policy=drain_policy(max_batch_size=2),
                 clock=clock,
-                tick_time=lambda n, is_dense: 0.25 * n,
+                price=lambda n, phase: (0.25 * n, 0.0),
                 dry_run=True,
             )
             for seed in range(5):

@@ -1,31 +1,46 @@
 #!/usr/bin/env python
 """Byte-identity grid of the fleet simulator: one sha256 per artefact.
 
-Run at two commits and diff the output: an unchanged line is a
-byte-identical artefact. Cells run in drain and in continuous mode.
-``--src DIR`` imports another checkout (``BatchingPolicy`` commits too)::
+An unchanged line is a byte-identical artefact. Cells run in drain and
+in continuous mode. The expected output is committed next to this file
+(``fleet_digests.txt``); a PR that means to change an artefact shows the
+changed hash in its diff. ``--src DIR`` imports another checkout
+(``BatchingPolicy`` and ``tick_time`` commits too)::
 
-    python tools/fleet_digests.py > change.txt
+    python tools/fleet_digests.py                  # print the lines
+    python tools/fleet_digests.py --check          # ... and diff, exit 1
+    python tools/fleet_digests.py --update         # rewrite the file
     python tools/fleet_digests.py --src /path/to/parent/src > parent.txt
 """
 
 import argparse
+import difflib
+import functools
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+EXPECTED = Path(__file__).with_suffix(".txt")
+
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--src", default=Path(__file__).resolve().parents[1] / "src")
-sys.path.insert(0, str(parser.parse_args().src))
+parser.add_argument("--check", action="store_true",
+                    help=f"diff against {EXPECTED.name}; exit 1 on any difference")
+parser.add_argument("--update", action="store_true",
+                    help=f"rewrite {EXPECTED.name} with this run's output")
+ARGS = parser.parse_args()
+sys.path.insert(0, str(ARGS.src))
 
 from repro import serve  # noqa: E402
 from repro.cluster import (  # noqa: E402
-    MMPPProcess, PoissonProcess, SLOPolicy, build_replicas, make_router,
-    simulate_cluster, synthesize_trace,
+    MMPPProcess, PoissonProcess, ServiceTimeModel, SimClock, SLOPolicy,
+    build_replicas, make_router, simulate_cluster, synthesize_trace,
 )
-from repro.obs import Observer, chrome_trace_json, run_trace_scenario  # noqa: E402
+from repro.obs import Observer, chrome_trace_json, run_trace_scenario, scenario  # noqa: E402
 from repro.obs.analyze import analyze_tracer  # noqa: E402
+
+LINES: list = []
 
 
 def drain_policy(**knobs):
@@ -34,8 +49,15 @@ def drain_policy(**knobs):
     return serve.ContinuousPolicy(drain=True, **knobs)
 
 
+def price_hook(service_model, model, ablation, drain):
+    if hasattr(scenario, "make_tick_time"):  # commits before the one-price hook
+        return {"tick_time": scenario.make_tick_time(service_model, model, ablation, drain)}
+    return {"price": functools.partial(service_model.price, model, ablation)}
+
+
 def emit(cell: str, text: str) -> None:
-    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {cell}")
+    LINES.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {cell}")
+    print(LINES[-1])
 
 
 def emit_observed(cell: str, tracer) -> None:
@@ -55,7 +77,36 @@ def fleet(name, trace, continuous, replicas, router="jsq", slo=None,
         emit_observed(cell, observer.tracer)
 
 
-def main() -> None:
+def trace_scenario(cell, **knobs):
+    observer = Observer()
+    summary = run_trace_scenario(iterations=12, observer=observer, **knobs)
+    emit(f"{cell}/summary", json.dumps(summary, sort_keys=True))
+    emit_observed(cell, observer.tracer)
+
+
+def simulated_server(continuous):
+    """A dry server on a simulated clock, driven as ``serve --simulate``
+    drives it: every request queued at t=0, then drained tick by tick."""
+    clock = SimClock()
+    server = serve.ContinuousServer(
+        "dit",
+        policy=serve.ContinuousPolicy(max_batch_size=4, drain=not continuous),
+        tenant_weights={"alice": 2.0, "bob": 1.0}, total_iterations=12,
+        clock=clock, dry_run=True,
+        **price_hook(ServiceTimeModel("exion24", iterations=12), "dit", "all",
+                     not continuous),
+    )
+    for i in range(10):
+        server.submit(seed=i, tenant=("alice", "bob")[i % 2])
+    rows = [(r.request_id, r.batch_size, r.wait_s, r.service_s)
+            for r in scenario.drain_simulated(server, clock)]
+    report = server.report()
+    emit(f"serve-simulate/{'continuous' if continuous else 'drain'}/rows",
+         json.dumps([rows, server.events, report.busy_s, report.queue_wait_s,
+                     report.latency_quantiles, clock.now], sort_keys=True))
+
+
+def main() -> int:
     poisson = synthesize_trace(PoissonProcess(300.0), 240, rng=1)
     bursty = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), 240,
                               rng=2, deadline_s=2.0)
@@ -70,11 +121,25 @@ def main() -> None:
         fleet("poisson300-observed-jsq2", poisson, continuous, 2, observer=Observer())
     fleet("poisson300-maxwait50ms-jsq4", poisson, False, 4,
           policy=drain_policy(max_batch_size=8, max_wait_s=0.05))
-    observer = Observer()
-    summary = run_trace_scenario(continuous=True, iterations=12, observer=observer)
-    emit("scenario/continuous/summary", json.dumps(summary, sort_keys=True))
-    emit_observed("scenario/continuous", observer.tracer)
+    trace_scenario("scenario/continuous", continuous=True)
+    # The pricing seam's other users: the drain scenario, the scenario's
+    # cold surcharge, and a serve --simulate style server.
+    trace_scenario("scenario/drain", continuous=False)
+    trace_scenario("scenario/continuous+cold_start", continuous=True, cold_start=True)
+    for continuous in (False, True):
+        simulated_server(continuous)
+
+    text = "".join(line + "\n" for line in LINES)
+    if ARGS.update:
+        EXPECTED.write_text(text)
+    elif ARGS.check:
+        diff = list(difflib.unified_diff(
+            EXPECTED.read_text().splitlines(True), text.splitlines(True),
+            EXPECTED.name, "this run"))
+        sys.stderr.writelines(diff)
+        return 1 if diff else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
