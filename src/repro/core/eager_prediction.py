@@ -20,7 +20,10 @@ makes the prediction accurate enough for diffusion models (Fig. 15).
 step, and :mod:`repro.exec.batched` applies the same decisions over a
 leading batch axis for the serving layer, with per-request quantization
 scales and per-request statistics so each request computes exactly what
-a sequential run would.
+a sequential run would. Plan-static in a compiled step: the weight
+operands, the ``(mode, bits)`` approximation table and the
+cross-attention K/V. Per step: one quantize + table lookup per
+activation, :func:`ep_decide`, and the exact work the decision keeps.
 """
 
 from __future__ import annotations
@@ -258,20 +261,22 @@ def ep_decide(
     tk = predicted.shape[-1]
     keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
 
-    keep = np.zeros(predicted.shape, dtype=bool)
     if keep_count >= tk:
-        keep[:] = True
+        keep = np.ones(predicted.shape, dtype=bool)
     else:
+        keep = np.zeros(predicted.shape, dtype=bool)
+        rows = predicted.size // tk
         top_idx = np.argpartition(
             -predicted, keep_count - 1, axis=-1
-        )[..., :keep_count]
-        np.put_along_axis(keep, top_idx, True, axis=-1)
+        ).reshape(rows, tk)[:, :keep_count]
+        # Scatter through flat indices: row r of the stack starts at r * tk.
+        keep.put(top_idx + np.arange(0, rows * tk, tk)[:, None], True)
 
     one_hot_cols = np.argmax(predicted, axis=-1)
     if tk >= 2:
-        sorted_scores = np.sort(predicted, axis=-1)
-        gap = sorted_scores[..., -1] - sorted_scores[..., -2]
-        one_hot_rows = gap > q_threshold
+        # Only the two largest scores matter, not their full order.
+        top_two = np.partition(predicted, tk - 2, axis=-1)
+        one_hot_rows = top_two[..., -1] - top_two[..., -2] > q_threshold
     else:
         one_hot_rows = np.ones(predicted.shape[:-1], dtype=bool)
     keep[one_hot_rows] = False
@@ -310,7 +315,7 @@ def ep_attention_step(
     x_operand = prepare_log_operand(x, mode, bits)
     q_pred = log_domain_matmul_prepared(x_operand, pred.wq_operand)
     if layer.wq.bias is not None:
-        q_pred = q_pred + layer.wq.bias
+        q_pred += layer.wq.bias
     qh = layer.split_heads(q_pred)
 
     if kv is not None:
@@ -322,59 +327,60 @@ def ep_attention_step(
         )
         k_pred = log_domain_matmul_prepared(k_operand, pred.wk_operand)
         if layer.wk.bias is not None:
-            k_pred = k_pred + layer.wk.bias
+            k_pred += layer.wk.bias
         kh = layer.split_heads(k_pred)
         k = layer.split_heads(layer.wk(kv_input))
         v = layer.split_heads(layer.wv(kv_input))
 
-    predicted = np.einsum("htd,hsd->hts", qh, kh) * layer.scale
+    predicted = np.einsum("htd,hsd->hts", qh, kh)
+    predicted *= layer.scale
     keep, one_hot_rows, one_hot_cols = ep_decide(
         predicted, config.top_k_ratio, config.q_threshold
     )
 
     q = layer.split_heads(layer.wq(x))
 
-    exact = np.einsum("htd,hsd->hts", q, k) * layer.scale
+    exact = np.einsum("htd,hsd->hts", q, k)
+    exact *= layer.scale
     masked = np.where(keep, exact, -np.inf)
 
-    has_keep = keep.any(axis=-1)  # (heads, tq)
-    oh_rows = one_hot_rows | ~has_keep
-    normal_rows = ~oh_rows
-    probs = np.zeros((heads, tq, tk))
-    if np.any(normal_rows):
-        probs[normal_rows] = softmax(masked[normal_rows], axis=-1)
-
-    hh, rr = np.nonzero(oh_rows)
+    # ep_decide keeps a score in every row it does not collapse, so the
+    # oracle's nothing-kept rows are exactly the one-hot rows; its probs
+    # are only read on the others, softmaxed once in (head, row) order.
+    normal_rows = ~one_hot_rows
+    nh, nr = np.nonzero(normal_rows)
+    hh, rr = np.nonzero(one_hot_rows)
     cc = one_hot_cols[hh, rr]
-    probs[hh, rr, cc] = 1.0
     attended = np.zeros((heads, tq, layer.head_dim))
     attended[hh, rr] = v[hh, cc]
+    probs = softmax(masked[nh, nr], axis=-1)
     # Per-head row-subset GEMM: BLAS picks different kernels for different
     # row counts, so a stacked batched matmul would drift by an ULP.
-    for h in range(heads):
-        nr = np.flatnonzero(normal_rows[h])
-        if nr.size:
-            attended[h, nr] = probs[h, nr] @ v[h]
+    stop = 0
+    for h, rows in enumerate(normal_rows.sum(axis=-1).tolist()):
+        if rows:
+            start, stop = stop, stop + rows
+            attended[h, nr[start:stop]] = probs[start:stop] @ v[h]
 
     out = layer.wo(layer.merge_heads(attended))
 
     # Statistics: same arithmetic as EagerPredictor._run.
-    skipped = int(keep.size - keep.sum())
+    skipped = keep.size - np.count_nonzero(keep)
     total_scores = heads * tq * tk
     head_dim = layer.head_dim
     dim_in = layer.wq.in_features
     stats.attention_scores.add(
         total_scores * head_dim, (total_scores - skipped) * head_dim
     )
-    q_row_needed = (~one_hot_rows).any(axis=0)
     kv_col_needed = keep.any(axis=(0, 1))
-    kv_col_needed[one_hot_cols[one_hot_rows]] = True
+    kv_col_needed[cc] = True
     stats.q_projection.add(
-        tq * dim_in * layer.dim, int(q_row_needed.sum()) * dim_in * layer.dim
+        tq * dim_in * layer.dim,
+        np.count_nonzero(normal_rows.any(axis=0)) * dim_in * layer.dim,
     )
     stats.kv_projection.add(
         2 * tk * layer.wk.in_features * layer.dim,
-        2 * int(kv_col_needed.sum()) * layer.wk.in_features * layer.dim,
+        2 * np.count_nonzero(kv_col_needed) * layer.wk.in_features * layer.dim,
     )
     sparsity = skipped / total_scores if total_scores else 0.0
     stats.attention_sparsities.append(sparsity)

@@ -9,9 +9,18 @@ with one-hot OR-gate adder trees).
 
 Functions operate on integer arrays; :func:`quantize_symmetric` maps float
 activations into the INT range the hardware datapath uses.
+
+:func:`approximate` is the definition. A ``bits``-wide operand takes at
+most ``2 * qmax + 1`` values, so the prediction path reads
+:func:`approximation_table` — ``approximate`` run once over that range
+per ``(mode, bits)`` — and an operand costs one quantization plus one
+``take``, as the EPRE does TS-LOD in combinational logic (Fig. 15).
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -25,6 +34,8 @@ def quantize_symmetric(x: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
         raise ValueError("bits must be in [2, 32]")
     x = np.asarray(x, dtype=np.float64)
     max_abs = float(np.max(np.abs(x))) if x.size else 0.0
+    if not math.isfinite(max_abs):
+        raise ValueError("non-finite operand: x contains NaN or inf")
     qmax = (1 << (bits - 1)) - 1
     if max_abs == 0.0:
         return np.zeros_like(x, dtype=np.int64), 1.0
@@ -40,11 +51,8 @@ def leading_one_position(x: np.ndarray) -> np.ndarray:
     is 3 (``1000``), matching the paper's MSB-first detection.
     """
     mags = np.abs(np.asarray(x, dtype=np.int64))
-    out = np.full(mags.shape, -1, dtype=np.int64)
-    nonzero = mags > 0
-    if np.any(nonzero):
-        out[nonzero] = np.floor(np.log2(mags[nonzero])).astype(np.int64)
-    return out
+    # frexp's exponent is exact for |x| < 2**53 and is 0 at 0.
+    return np.frexp(mags.astype(np.float64))[1].astype(np.int64) - 1
 
 
 def lod_approximate(x: np.ndarray) -> np.ndarray:
@@ -88,6 +96,21 @@ def approximate(x: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown log-domain mode {mode!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def approximation_table(mode: str, bits: int) -> np.ndarray:
+    """``approximate(i, mode)`` as float64 for every ``bits``-wide integer.
+
+    Entry ``i + qmax`` approximates ``i`` in ``[-qmax, qmax]``. Built once
+    per ``(mode, bits)`` and read-only: every caller shares it.
+    """
+    if not 2 <= bits <= 16:
+        raise ValueError("prediction_bits must be in [2, 16]")
+    qmax = (1 << (bits - 1)) - 1
+    table = approximate(np.arange(-qmax, qmax + 1), mode).astype(np.float64)
+    table.flags.writeable = False
+    return table
+
+
 def decompose_powers(value: int, max_terms: int = 2) -> list[int]:
     """Bit positions of the ``max_terms`` most significant set bits.
 
@@ -123,6 +146,8 @@ def quantize_symmetric_batched(
     batch = x.shape[0]
     expand = (slice(None),) + (None,) * (x.ndim - 1)
     max_abs = np.abs(x).reshape(batch, -1).max(axis=1) if x.size else np.zeros(batch)
+    if not np.isfinite(max_abs).all():
+        raise ValueError("non-finite operand: x contains NaN or inf")
     qmax = (1 << (bits - 1)) - 1
     scales = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
     ints = np.clip(np.round(x / scales[expand]), -qmax, qmax).astype(np.int64)
@@ -152,13 +177,17 @@ def prepare_log_operand(
     x: np.ndarray, mode: str = "ts_lod", bits: int = 12
 ) -> LogOperand:
     """Quantize + LOD-approximate one matmul operand (cacheable)."""
+    table = approximation_table(mode, bits)
     ints, scale = quantize_symmetric(x, bits)
-    return LogOperand(approximate(ints, mode).astype(np.float64), scale)
+    ints += table.size // 2  # index i + qmax; quantization clips to +-qmax
+    return LogOperand(table.take(ints), scale)
 
 
 def log_domain_matmul_prepared(a: LogOperand, b: LogOperand) -> np.ndarray:
     """Step-time half: multiply two prepared operands and rescale."""
-    return (a.approx @ b.approx) * (a.scale * b.scale)
+    out = a.approx @ b.approx
+    out *= a.scale * b.scale
+    return out
 
 
 def log_domain_matmul(

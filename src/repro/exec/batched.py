@@ -4,7 +4,8 @@ The step-time kernels of :class:`repro.exec.continuous.ContinuousExecutor`
 — the batch-axis twins of :func:`repro.core.ffn_reuse.ffn_dense_compile`
 / :func:`~repro.core.ffn_reuse.ffn_sparse_step` and
 :func:`repro.core.eager_prediction.ep_attention_step`, with the same
-plan-time hoists (cached log-domain weight operands, per-phase FFN gather
+plan-time hoists (cached log-domain weight operands, the shared
+:func:`repro.core.logdomain.approximation_table`, per-phase FFN gather
 sets, per-batch cross-attention constants). Quantization scales,
 thresholds and statistics are per request, so every request's rows are
 byte-identical to its own sequential interpreted run whatever the batch's
@@ -25,7 +26,7 @@ from repro.core.eager_prediction import (
     _split_heads_batched,
     ep_decide,
 )
-from repro.core.logdomain import approximate, quantize_symmetric_batched
+from repro.core.logdomain import approximation_table, quantize_symmetric_batched
 from repro.core.thresholds import ThresholdTable
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
@@ -47,15 +48,19 @@ def _prepare_activation_batched(
     """Per-request quantize + LOD-approximate: the batch-axis twin of
     :func:`repro.core.logdomain.prepare_log_operand` for an activation
     operand (each ``x[b]`` gets its own scale)."""
+    table = approximation_table(mode, bits)
     ints, scales = quantize_symmetric_batched(x, bits)
-    return approximate(ints, mode).astype(np.float64), scales
+    ints += table.size // 2  # index i + qmax, as prepare_log_operand
+    return table.take(ints), scales
 
 
 def _predict_prepared(
     a_approx: np.ndarray, a_scales: np.ndarray, weight
 ) -> np.ndarray:
     """Batched log-domain matmul against a cached weight operand."""
-    return (a_approx @ weight.approx) * (a_scales[:, None, None] * weight.scale)
+    out = a_approx @ weight.approx
+    out *= a_scales[:, None, None] * weight.scale
+    return out
 
 
 @dataclass
@@ -229,9 +234,9 @@ def _ep_attention_step_batched(
     """Batched EP attention step: per request, bit-identical to
     :func:`repro.core.eager_prediction.ep_attention_step`.
 
-    ``arena`` holds the probability/attended scratch tensors across
-    iterations (zero-filled each call, bit-equal to ``np.zeros``;
-    neither escapes — the merged heads feed a fresh projection)."""
+    ``arena`` holds the attended scratch tensor across iterations
+    (zero-filled each call, bit-equal to ``np.zeros``; it does not
+    escape — the merged heads feed a fresh projection)."""
     kv_input = x if context is None else context
     batch, tq, _ = x.shape
     tk = kv_input.shape[1]
@@ -241,7 +246,7 @@ def _ep_attention_step_batched(
     a_approx, a_scales = _prepare_activation_batched(x, mode, bits)
     q_pred = _predict_prepared(a_approx, a_scales, pred.wq_operand)
     if layer.wq.bias is not None:
-        q_pred = q_pred + layer.wq.bias
+        q_pred += layer.wq.bias
     qh = _split_heads_batched(q_pred, heads)
 
     if kv is not None:
@@ -252,41 +257,42 @@ def _ep_attention_step_batched(
         # identical quantization).
         k_pred = _predict_prepared(a_approx, a_scales, pred.wk_operand)
         if layer.wk.bias is not None:
-            k_pred = k_pred + layer.wk.bias
+            k_pred += layer.wk.bias
         kh = _split_heads_batched(k_pred, heads)
         k = _split_heads_batched(layer.wk(kv_input), heads)
         v = _split_heads_batched(layer.wv(kv_input), heads)
 
-    predicted = np.einsum("bhtd,bhsd->bhts", qh, kh) * layer.scale
+    predicted = np.einsum("bhtd,bhsd->bhts", qh, kh)
+    predicted *= layer.scale
     keep, one_hot_rows, one_hot_cols = ep_decide(
         predicted, config.top_k_ratio, config.q_threshold
     )
 
     q = _split_heads_batched(layer.wq(x), heads)
-    exact = np.einsum("bhtd,bhsd->bhts", q, k) * layer.scale
+    exact = np.einsum("bhtd,bhsd->bhts", q, k)
+    exact *= layer.scale
     masked = np.where(keep, exact, -np.inf)
 
-    has_keep = keep.any(axis=-1)
-    oh_rows = one_hot_rows | ~has_keep
-    normal_rows = ~oh_rows
-    probs = arena.zeros("ep_probs", (batch, heads, tq, tk))
-    if np.any(normal_rows):
-        probs[normal_rows] = softmax(masked[normal_rows], axis=-1)
-
-    bb, hh, rr = np.nonzero(oh_rows)
+    # As ep_attention_step: the normal rows are the rows not collapsed,
+    # and one softmax serves them all in (request, head, row) order.
+    normal_rows = ~one_hot_rows
+    nb, nh, nr = np.nonzero(normal_rows)
+    bb, hh, rr = np.nonzero(one_hot_rows)
     cc = one_hot_cols[bb, hh, rr]
-    probs[bb, hh, rr, cc] = 1.0
     attended = arena.zeros(
         "ep_attended", (batch, heads, tq, layer.head_dim)
     )
     attended[bb, hh, rr] = v[bb, hh, cc]
+    probs = softmax(masked[nb, nh, nr], axis=-1)
     # Row-subset GEMMs preserved per (request, head): BLAS kernel choice
     # depends on the row count, and with it the last ULP.
+    stop = 0
+    counts = normal_rows.sum(axis=-1).tolist()
     for b in range(batch):
-        for h in range(heads):
-            nr = np.flatnonzero(normal_rows[b, h])
-            if nr.size:
-                attended[b, h, nr] = probs[b, h, nr] @ v[b, h]
+        for h, rows in enumerate(counts[b]):
+            if rows:
+                start, stop = stop, stop + rows
+                attended[b, h, nr[start:stop]] = probs[start:stop] @ v[b, h]
 
     out = layer.wo(_merge_heads_batched(attended))
 
@@ -297,25 +303,24 @@ def _ep_attention_step_batched(
     total_scores = heads * tq * tk
     head_dim = layer.head_dim
     dim_in = layer.wq.in_features
-    kept = keep.reshape(batch, -1).sum(axis=1)
-    q_rows_needed = (~one_hot_rows).any(axis=1).sum(axis=1)
+    kept = keep.reshape(batch, -1).sum(axis=1).tolist()
+    q_rows_needed = normal_rows.any(axis=1).sum(axis=1).tolist()
     kv_needed = keep.any(axis=(1, 2))
-    bb, hh, rr = np.nonzero(one_hot_rows)
-    kv_needed[bb, one_hot_cols[bb, hh, rr]] = True
-    kv_cols_needed = kv_needed.sum(axis=1)
+    kv_needed[bb, cc] = True
+    kv_cols_needed = kv_needed.sum(axis=1).tolist()
 
     for b, stats in enumerate(batch_stats):
-        skipped = total_scores - int(kept[b])
+        skipped = total_scores - kept[b]
         stats.attention_scores.add(
             total_scores * head_dim, (total_scores - skipped) * head_dim
         )
         stats.q_projection.add(
             tq * dim_in * layer.dim,
-            int(q_rows_needed[b]) * dim_in * layer.dim,
+            q_rows_needed[b] * dim_in * layer.dim,
         )
         stats.kv_projection.add(
             2 * tk * layer.wk.in_features * layer.dim,
-            2 * int(kv_cols_needed[b]) * layer.wk.in_features * layer.dim,
+            2 * kv_cols_needed[b] * layer.wk.in_features * layer.dim,
         )
         sparsity = skipped / total_scores if total_scores else 0.0
         stats.attention_sparsities.append(sparsity)

@@ -37,7 +37,7 @@ class Linear:
             )
         out = x @ self.weight
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return out
 
     @property

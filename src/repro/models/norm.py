@@ -20,9 +20,11 @@ class LayerNorm:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected last dim {self.dim}, got {x.shape[-1]}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return self.gamma * (x - mean) / np.sqrt(var + self.eps) + self.beta
+        # np.mean / np.var term for term, sharing the one centred array.
+        mean = np.add.reduce(x, axis=-1, keepdims=True) / self.dim
+        centered = x - mean
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / self.dim
+        return self.gamma * centered / np.sqrt(var + self.eps) + self.beta
 
 
 class AdaLNModulation:

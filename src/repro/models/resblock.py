@@ -30,10 +30,23 @@ class Conv2d:
         self.kernel_size = kernel_size
         fan_in = in_channels * kernel_size * kernel_size
         bound = float(np.sqrt(6.0 / (fan_in + out_channels)))
+        # Stored as the (dy, dx, c) x out matrix the im2col product reads;
+        # ``weight`` is the (out, c, k, k) view of the same memory.
+        self._w_mat = np.empty((in_channels * kernel_size**2, out_channels))
         self.weight = rng.uniform(
             -bound, bound, size=(out_channels, in_channels, kernel_size, kernel_size)
         )
         self.bias = np.zeros(out_channels)
+
+    @property
+    def weight(self) -> np.ndarray:
+        k = self.kernel_size
+        mat = self._w_mat.reshape(k, k, self.in_channels, self.out_channels)
+        return mat.transpose(3, 2, 0, 1)
+
+    @weight.setter
+    def weight(self, value: np.ndarray) -> None:
+        self.weight[...] = value
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to ``(channels, height, width)`` input."""
@@ -42,18 +55,16 @@ class Conv2d:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         k = self.kernel_size
         pad = k // 2
-        padded = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-        # im2col: (c*k*k, h*w)
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
+        padded[:, pad : pad + h, pad : pad + w] = x
+        # im2col: (c*k*k, h*w), rows in (dy, dx, c) order like ``_w_mat``
         cols = np.empty((c * k * k, h * w))
-        idx = 0
+        patches = cols.reshape(k, k, c, h, w)
         for dy in range(k):
             for dx in range(k):
-                patch = padded[:, dy : dy + h, dx : dx + w]
-                cols[idx * c : (idx + 1) * c] = patch.reshape(c, h * w)
-                idx += 1
-        # weight reshaped to match the (dy, dx, c) layout of cols
-        w_mat = self.weight.transpose(2, 3, 1, 0).reshape(c * k * k, self.out_channels)
-        out = (w_mat.T @ cols) + self.bias[:, None]
+                patches[dy, dx] = padded[:, dy : dy + h, dx : dx + w]
+        out = self._w_mat.T @ cols
+        out += self.bias[:, None]
         return out.reshape(self.out_channels, h, w)
 
     def macs(self, height: int, width: int) -> int:
@@ -83,9 +94,12 @@ class GroupNorm:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         c, h, w = x.shape
         grouped = x.reshape(self.groups, c // self.groups, h, w)
-        mean = grouped.mean(axis=(1, 2, 3), keepdims=True)
-        var = grouped.var(axis=(1, 2, 3), keepdims=True)
-        normed = ((grouped - mean) / np.sqrt(var + self.eps)).reshape(c, h, w)
+        # np.mean / np.var term for term, sharing the one centred array.
+        axes, count = (1, 2, 3), (c // self.groups) * h * w
+        mean = np.add.reduce(grouped, axis=axes, keepdims=True) / count
+        centered = grouped - mean
+        var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
+        normed = (centered / np.sqrt(var + self.eps)).reshape(c, h, w)
         return normed * self.gamma[:, None, None] + self.beta[:, None, None]
 
 

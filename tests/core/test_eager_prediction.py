@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import EagerPredictor
+from repro.core.eager_prediction import EagerPredictor, ep_decide
 from repro.core.sparsity import RunStats
 from repro.models.attention import MultiHeadAttention
 
@@ -64,6 +64,63 @@ class TestDecisions:
         scores[0, :, :2] = 1.0
         (decision,) = predictor.decide(scores)
         assert decision.skipped_elements == 8
+
+
+def _ep_decide_reference(predicted, top_k_ratio, q_threshold):
+    """``ep_decide`` as it stood before the flat scatter and the
+    ``partition`` gap: ``put_along_axis`` and a full ``sort``."""
+    tk = predicted.shape[-1]
+    keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
+    keep = np.zeros(predicted.shape, dtype=bool)
+    if keep_count >= tk:
+        keep[:] = True
+    else:
+        top_idx = np.argpartition(
+            -predicted, keep_count - 1, axis=-1
+        )[..., :keep_count]
+        np.put_along_axis(keep, top_idx, True, axis=-1)
+    one_hot_cols = np.argmax(predicted, axis=-1)
+    if tk >= 2:
+        sorted_scores = np.sort(predicted, axis=-1)
+        gap = sorted_scores[..., -1] - sorted_scores[..., -2]
+        one_hot_rows = gap > q_threshold
+    else:
+        one_hot_rows = np.ones(predicted.shape[:-1], dtype=bool)
+    keep[one_hot_rows] = False
+    return keep, one_hot_rows, one_hot_cols
+
+
+class TestCompiledDecide:
+    """``ep_decide`` takes the same decisions as the formula it replaced,
+    ties included (``argpartition`` is what breaks them)."""
+
+    @pytest.mark.parametrize("tk", [1, 2, 3, 16, 77])
+    @pytest.mark.parametrize("top_k", [0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("lead", [(5,), (4, 6), (2, 3, 5)])
+    def test_matches_reference_with_ties(self, rng, tk, top_k, lead):
+        halves = np.round(rng.standard_normal(lead + (tk,)) * 2.0) / 2.0
+        halves[0] = 1.5  # constant rows: every score tied
+        stacks = [halves, rng.standard_normal(lead + (tk,)),
+                  halves[..., ::-1]]  # non-contiguous input
+        for predicted in stacks:
+            for q_th in (0.0, 0.5, 1e9):
+                got = ep_decide(predicted, top_k, q_th)
+                want = _ep_decide_reference(predicted, top_k, q_th)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+                # the invariant the compiled step relies on: a row keeps
+                # something unless it collapsed
+                np.testing.assert_array_equal(got[0].any(axis=-1), ~got[1])
+
+    def test_each_head_gets_the_oracle_decision(self, rng):
+        predictor = make_predictor(top_k=0.3, q_th=0.5)
+        predicted = np.round(rng.standard_normal((4, 9, 13)) * 2.0) / 2.0
+        keep, rows, cols = ep_decide(predicted, 0.3, 0.5)
+        for h, decision in enumerate(predictor.decide(predicted)):
+            np.testing.assert_array_equal(keep[h], decision.keep)
+            np.testing.assert_array_equal(rows[h], decision.one_hot_rows)
+            np.testing.assert_array_equal(cols[h], decision.one_hot_cols)
 
 
 class TestExecutor:

@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import ExionConfig
 from repro.core.logdomain import (
     approximate,
+    approximation_table,
     decompose_powers,
     leading_one_position,
     lod_approximate,
     log_domain_matmul,
+    prepare_log_operand,
     quantize_symmetric,
+    quantize_symmetric_batched,
     ts_lod_approximate,
 )
+from repro.exec.batched import _prepare_activation_batched
+
+MODES = ("lod", "ts_lod", "exact")
 
 
 class TestQuantize:
@@ -35,6 +42,28 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize_symmetric(np.ones(3), 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_fails_by_name(self, bad):
+        """A NaN/inf activation used to quantize to undefined integers
+        and a silently wrong prediction."""
+        x = np.ones((2, 3, 4))
+        x[1, 2, 3] = bad
+        for call in (
+            lambda: quantize_symmetric(x, 12),
+            lambda: quantize_symmetric_batched(x, 12),
+            lambda: prepare_log_operand(x[1]),
+            lambda: _prepare_activation_batched(x, "ts_lod", 12),
+            lambda: log_domain_matmul(np.ones((2, 4)), x[1].T),
+        ):
+            with pytest.raises(ValueError, match="non-finite operand"):
+                call()
+
+    def test_wide_quantization_still_allowed(self):
+        """Only the table is capped at 16 bits; hw.epre and the fake
+        quantizer keep the [2, 32] range."""
+        ints, _ = quantize_symmetric(np.array([-1.0, 0.5, 1.0]), 32)
+        np.testing.assert_array_equal(ints, [-(2**31 - 1), 2**30, 2**31 - 1])
+
 
 class TestLeadingOne:
     def test_paper_example(self):
@@ -53,6 +82,17 @@ class TestLeadingOne:
     @settings(max_examples=100, deadline=None)
     def test_matches_bit_length(self, value):
         assert leading_one_position(np.array([value]))[0] == value.bit_length() - 1
+
+    def test_exact_around_every_power_of_two(self):
+        """Integer route: the float ``log2`` one rounds ``2**p - 1`` up
+        from ``p = 49``."""
+        values = [0] + [
+            sign * ((1 << p) + d)
+            for p in range(1, 53) for d in (-1, 0, 1) for sign in (1, -1)
+        ]
+        got = leading_one_position(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [abs(v).bit_length() - 1 for v in values]
 
 
 class TestLOD:
@@ -106,6 +146,79 @@ class TestTSLOD:
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError):
             approximate(np.array([1]), "triple")
+
+
+class TestApproximationTable:
+    """The table is the memo of ``approximate``; the operand paths that
+    read it are byte-equal to the formula they replaced."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exhaustive_against_approximate(self, mode):
+        for bits in range(2, 17):
+            qmax = (1 << (bits - 1)) - 1
+            table = approximation_table(mode, bits)
+            assert table.dtype == np.float64 and table.shape == (2 * qmax + 1,)
+            ints = np.arange(-qmax, qmax + 1)
+            np.testing.assert_array_equal(table, approximate(ints, mode))
+
+    def test_built_once_and_read_only(self):
+        table = approximation_table("ts_lod", 12)
+        assert approximation_table("ts_lod", 12) is table
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    @pytest.mark.parametrize("bits", [1, 17, 32])
+    def test_rejects_bits_with_the_config_message(self, bits):
+        with pytest.raises(ValueError) as config_error:
+            ExionConfig(prediction_bits=bits)
+        with pytest.raises(ValueError) as table_error:
+            approximation_table("ts_lod", bits)
+        assert str(table_error.value) == str(config_error.value)
+        with pytest.raises(ValueError, match="prediction_bits"):
+            prepare_log_operand(np.ones((2, 2)), "ts_lod", bits)
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="unknown log-domain mode"):
+            approximation_table("triple", 12)
+
+    @staticmethod
+    def _operands(rng):
+        peaked = rng.standard_normal((16, 64))
+        peaked[3, 5] = -np.abs(peaked).max() * 4  # one element at -max
+        return {
+            "random": rng.standard_normal((16, 64)) * 3.0,
+            "zeros": np.zeros((4, 8)),
+            "single": np.array([[-2.5]]),
+            "plus_minus_max": np.array([[1.0, -1.0, 0.25], [0.0, 1.0, -1.0]]),
+            "peaked": peaked,
+        }
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bits", [2, 8, 12, 16])
+    def test_prepare_log_operand_is_the_old_formula(self, rng, mode, bits):
+        for name, x in self._operands(rng).items():
+            ints, scale = quantize_symmetric(x, bits)
+            expected = approximate(ints, mode).astype(np.float64)
+            got = prepare_log_operand(x, mode, bits)
+            assert got.approx.tobytes() == expected.tobytes(), name
+            assert got.approx.shape == x.shape and got.scale == scale
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("bits", [2, 12, 16])
+    def test_batched_prepare_is_the_old_formula(self, rng, mode, bits):
+        operands = self._operands(rng)
+        stacks = [np.stack([operands["random"], operands["peaked"],
+                            np.zeros((16, 64))])]
+        stacks += [x[None] for x in operands.values()]
+        for x in stacks:
+            ints, scales = quantize_symmetric_batched(x, bits)
+            expected = approximate(ints, mode).astype(np.float64)
+            approx, got_scales = _prepare_activation_batched(x, mode, bits)
+            assert approx.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(got_scales, scales)
+            for b in range(x.shape[0]):  # per request = the 2-D path alone
+                alone = prepare_log_operand(x[b], mode, bits)
+                assert approx[b].tobytes() == alone.approx.tobytes()
 
 
 class TestDecomposePowers:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.core.config import ExionConfig
+from repro.core.logdomain import approximation_table
 from repro.exec.arena import ExecArena
 
 
@@ -57,11 +58,14 @@ class TestArenaByteIdentity:
         executor = CompiledExecutor(model, config)
         first = executor.generate(seed=0)
         allocations_after_first = executor._arena.allocations
+        tables_after_first = approximation_table.cache_info().misses
         second = executor.generate(seed=0)
         np.testing.assert_array_equal(first.sample, second.sample)
         # the second generation allocated nothing new
         assert executor._arena.allocations == allocations_after_first
         assert executor._arena.reuses > 0
+        # ... and built no approximation table: it is plan-time state
+        assert approximation_table.cache_info().misses == tables_after_first
 
     def test_repeated_drained_batches_are_bit_equal(self):
         """The batched twin: a second ``run_batch`` of the same seeds on
@@ -75,8 +79,10 @@ class TestArenaByteIdentity:
         requests = [GenerationRequest(i, seed=i) for i in range(3)]
         first = executor.run_batch(requests)
         allocations_after_first = executor._arena.allocations
+        tables_after_first = approximation_table.cache_info().misses
         second = executor.run_batch(requests)
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.sample, b.sample)
         assert executor._arena.allocations == allocations_after_first
         assert executor._arena.reuses > 0
+        assert approximation_table.cache_info().misses == tables_after_first

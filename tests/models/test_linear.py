@@ -17,6 +17,16 @@ class TestLinear:
         x = rng.standard_normal((2, 4))
         np.testing.assert_allclose(layer(x), x @ layer.weight + layer.bias)
 
+    def test_in_place_bias_is_byte_equal_and_touches_no_operand(self, rng):
+        layer = Linear(4, 3, rng)
+        layer.bias = rng.standard_normal(3)
+        for x in (rng.standard_normal((2, 4)), rng.standard_normal((5, 2, 4)),
+                  rng.standard_normal(4), rng.standard_normal((4, 6)).T):
+            x_before, bias_before = x.copy(), layer.bias.copy()
+            assert layer(x).tobytes() == (x @ layer.weight + layer.bias).tobytes()
+            np.testing.assert_array_equal(x, x_before)
+            np.testing.assert_array_equal(layer.bias, bias_before)
+
     def test_no_bias(self, rng):
         layer = Linear(4, 3, rng, bias=False)
         assert layer.bias is None

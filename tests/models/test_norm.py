@@ -32,6 +32,28 @@ class TestLayerNorm:
         out = LayerNorm(4)(np.full((2, 4), 7.0))
         assert np.all(np.isfinite(out))
 
+    def test_byte_equal_to_mean_var_formulation(self, rng):
+        """The single-pass form must not move a bit: the oracle and the
+        engines share this kernel, so every committed digest rides on it."""
+        norm = LayerNorm(64)
+        norm.gamma = rng.standard_normal(64)
+        norm.beta = rng.standard_normal(64)
+        wide = rng.standard_normal((16, 128)) * 5 + 3
+        inputs = {
+            "2d": rng.standard_normal((16, 64)) * 5 + 3,
+            "3d": rng.standard_normal((8, 16, 64)),
+            "1d": rng.standard_normal(64),
+            "strided": wide[:, ::2],
+            "transposed": rng.standard_normal((64, 16)).T,
+            "constant": np.full((4, 64), 7.0),
+            "tiny": rng.standard_normal((4, 64)) * 1e-200,
+        }
+        for name, x in inputs.items():
+            mean = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            expected = norm.gamma * (x - mean) / np.sqrt(var + norm.eps) + norm.beta
+            assert norm(x).tobytes() == expected.tobytes(), name
+
 
 class TestAdaLN:
     def test_shapes(self, rng):

@@ -42,6 +42,48 @@ class TestConv2d:
         conv = Conv2d(4, 8, rng)
         assert conv.macs(5, 5) == 5 * 5 * 8 * 4 * 9
 
+    @staticmethod
+    def _pad_formulation(conv, x):
+        """The ``np.pad`` + per-call weight reshape it replaced."""
+        c, h, w = x.shape
+        k = conv.kernel_size
+        padded = np.pad(x, ((0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+        cols = np.empty((c * k * k, h * w))
+        idx = 0
+        for dy in range(k):
+            for dx in range(k):
+                patch = padded[:, dy : dy + h, dx : dx + w]
+                cols[idx * c : (idx + 1) * c] = patch.reshape(c, h * w)
+                idx += 1
+        w_mat = conv.weight.transpose(2, 3, 1, 0).reshape(c * k * k, conv.out_channels)
+        out = (w_mat.T @ cols) + conv.bias[:, None]
+        return out.reshape(conv.out_channels, h, w)
+
+    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
+    def test_byte_equal_to_pad_formulation(self, rng, kernel_size):
+        conv = Conv2d(6, 4, rng, kernel_size=kernel_size)
+        conv.bias = rng.standard_normal(4)
+        for x in (rng.standard_normal((6, 4, 4)),
+                  rng.standard_normal((6, 5, 7)),
+                  rng.standard_normal((7, 5, 6)).transpose(2, 1, 0)):
+            assert conv(x).tobytes() == self._pad_formulation(conv, x).tobytes()
+
+    def test_weight_draw_and_writes_reach_the_hoisted_matrix(self, rng):
+        """``weight`` is a view of the matrix the product reads, so the
+        quantizer's reassignment and an in-place edit both take effect."""
+        seed_rng = np.random.default_rng(7)
+        conv = Conv2d(3, 5, np.random.default_rng(7))
+        bound = float(np.sqrt(6.0 / (3 * 9 + 5)))
+        np.testing.assert_array_equal(
+            conv.weight, seed_rng.uniform(-bound, bound, size=(5, 3, 3, 3))
+        )
+        x = rng.standard_normal((3, 4, 4))
+        conv.weight = np.round(conv.weight, 1)
+        assert conv(x).tobytes() == self._pad_formulation(conv, x).tobytes()
+        assert np.all(conv.weight == np.round(conv.weight, 1))
+        conv.weight[:] = 0.0
+        np.testing.assert_array_equal(conv(x), np.zeros((5, 4, 4)))
+
 
 class TestGroupNorm:
     def test_normalizes_groups(self, rng):
@@ -55,6 +97,24 @@ class TestGroupNorm:
     def test_falls_back_to_single_group(self):
         norm = GroupNorm(7, groups=4)  # 7 not divisible by 4
         assert norm.groups == 1
+
+    def test_byte_equal_to_mean_var_formulation(self, rng):
+        norm = GroupNorm(16, groups=4)
+        norm.gamma = rng.standard_normal(16)
+        norm.beta = rng.standard_normal(16)
+        inputs = {
+            "map": rng.standard_normal((16, 4, 4)) * 3 + 1,
+            "rect": rng.standard_normal((16, 3, 5)),
+            "transposed": rng.standard_normal((4, 4, 16)).T,
+            "constant": np.full((16, 2, 2), -2.0),
+        }
+        for name, x in inputs.items():
+            grouped = x.reshape(4, 4, *x.shape[1:])
+            mean = grouped.mean(axis=(1, 2, 3), keepdims=True)
+            var = grouped.var(axis=(1, 2, 3), keepdims=True)
+            normed = ((grouped - mean) / np.sqrt(var + norm.eps)).reshape(x.shape)
+            expected = normed * norm.gamma[:, None, None] + norm.beta[:, None, None]
+            assert norm(x).tobytes() == expected.tobytes(), name
 
 
 class TestResBlock:
