@@ -293,7 +293,9 @@ class Replica:
         self.calibration_seed = calibration_seed
         self.clock = SimClock()
         self.cache = ThresholdCache()
-        self.servers: dict = {}  # (model, ablation) -> ContinuousServer
+        # (model, ablation) -> ContinuousServer, kept in key order by
+        # _server() so every sweep below visits keys deterministically.
+        self.servers: dict = {}
         self.warm_keys: set = set()
         self._active_key: Optional[tuple] = None
         self.busy_until = 0.0
@@ -359,7 +361,7 @@ class Replica:
         key = (model, ablation)
         if key not in self.servers:
             config = ExionConfig.for_model(model).ablation(ablation)
-            self.servers[key] = ContinuousServer(
+            server = ContinuousServer(
                 model,
                 config=config,
                 policy=self.policy,
@@ -388,6 +390,7 @@ class Replica:
                 # dry-run sweeps keep memory flat over long traces.
                 retain_results=self.execute,
             )
+            self.servers = dict(sorted([*self.servers.items(), (key, server)]))
         return self.servers[key]
 
     def enqueue(self, request, now: float, max_queue_depth=None) -> bool:
@@ -416,7 +419,7 @@ class Replica:
 
     def _collect_drops(self, now: float) -> list:
         dropped = []
-        for key, server in sorted(self.servers.items()):
+        for key, server in self.servers.items():
             model, ablation = key
             stale = server.pop_dropped()
             for request, reason in stale:
@@ -437,7 +440,7 @@ class Replica:
 
     def expire(self, now: float, timeout_s: Optional[float]) -> list:
         """Drop queued requests past the SLO timeout or their deadline."""
-        for _, server in sorted(self.servers.items()):
+        for server in self.servers.values():
             server.expire_queued(now, timeout_s=timeout_s)
         return self._collect_drops(now)
 
@@ -450,7 +453,7 @@ class Replica:
                 self._active_key = None
         # FIFO across models: the due key whose head waited longest.
         best = None
-        for key, server in sorted(self.servers.items()):
+        for key, server in self.servers.items():
             if not server.due(now):
                 continue
             candidate = (now - server.queue.oldest_wait(now), key)
@@ -471,7 +474,7 @@ class Replica:
         max-wait fire), so those instants are wake-ups too — otherwise a
         doomed tail request would inflate the makespan and drop accounting.
         """
-        servers = [s for _, s in sorted(self.servers.items()) if s.has_work]
+        servers = [s for s in self.servers.values() if s.has_work]
         if not servers:
             return None
         if self.busy_until > now:
@@ -531,7 +534,7 @@ class Replica:
     # ------------------------------------------------------------------
     def usage(self, makespan_s: float) -> dict:
         """Per-replica accounting row for the cluster report."""
-        reports = [s.report() for _, s in sorted(self.servers.items())]
+        reports = [s.report() for s in self.servers.values()]
         ticks = sum(r.ticks for r in reports)
         occupancy = sum(r.occupancy_ticks for r in reports)
         row = {

@@ -12,7 +12,10 @@ seed, and the fleet configuration: no wall clock anywhere.
 Progress is guaranteed: every event either serves requests, drops
 expired ones, or schedules a strictly later wake-up (a one-nanosecond
 floor guards against floating-point fixpoints in max-wait expiry
-arithmetic).
+arithmetic). At most one check is pending per ``(replica, instant)``:
+an arrival or a check that asks for a wake-up already on the heap adds
+nothing, so a run pops a number of checks linear in its arrivals, drops
+and dispatches, however deep the backlog.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ class ClusterSimulator:
         # installed; every timestamp is simulated time, so traces are
         # byte-deterministic per (trace, seed, fleet).
         self.observer = observer
+        self._checks = 0
+
+    @property
+    def checks(self) -> int:
+        """Replica checks the last :meth:`run` popped off its heap."""
+        return self._checks
 
     # ------------------------------------------------------------------
     def run(self, requests: list, scenario: Optional[dict] = None) -> ClusterReport:
@@ -64,15 +73,24 @@ class ClusterSimulator:
         observer = self.observer
         events: list = []
         seq = count()
-        request_ids: dict = {}
+        # Arrivals go on first, in arrival order, so an arrival's sequence
+        # number (0..n-1) is its request id: the n-th request the servers
+        # see, even when the trace lists one request object n times.
         for request in sorted(requests, key=lambda r: r.arrival_s):
-            request_ids[id(request)] = len(request_ids)
             heapq.heappush(
                 events, (request.arrival_s, next(seq), _ARRIVAL, request)
             )
+        # The (replica, instant) of every check on the heap. A second
+        # check of one replica at one instant can only pop right after the
+        # first (arrivals at that instant carry smaller sequence numbers and
+        # other replicas' checks do not touch this one), so it finds nothing
+        # new to expire, finds the replica busy (a step takes simulated
+        # time) or still not due, and derives the same next wake-up. Not
+        # pushing it changes no outcome and no timestamp.
+        pending: set = set()
+        checks = 0
 
         accumulator = LatencyAccumulator(self.slo)
-        dispatches = 0
         horizon = 0.0
 
         # The horizon (makespan) advances only on events that *happen* —
@@ -81,7 +99,7 @@ class ClusterSimulator:
         # filled early); counting their pop times would inflate the
         # makespan and deflate throughput/utilization.
         while events:
-            t, _, kind, payload = heapq.heappop(events)
+            t, ordinal, kind, payload = heapq.heappop(events)
             if kind == _ARRIVAL:
                 horizon = max(horizon, t)
                 # Sweep expired waiters fleet-wide first, so routing loads
@@ -96,32 +114,32 @@ class ClusterSimulator:
                     payload, t, max_queue_depth=self.slo.max_queue_depth
                 )
                 if observer is not None:
-                    rid = request_ids[id(payload)]
                     observer.on_request_stage(
-                        "queued", t, rid, model=payload.model,
+                        "queued", t, ordinal, model=payload.model,
                         replica=replica.name,
                         tenant=getattr(payload, "tenant", "default"),
                         priority=int(getattr(payload, "priority", 1) or 1),
                     )
                     if not accepted:
                         observer.on_request_stage(
-                            "rejected", t, rid, model=payload.model,
+                            "rejected", t, ordinal, model=payload.model,
                             replica=replica.name,
                         )
                     observer.on_queue_depth(
                         replica.name, replica.queue_depth()
                     )
                 if accepted:
-                    self._schedule(events, seq, replica, t, bump=False)
+                    self._schedule(events, seq, pending, replica, t, bump=False)
             else:
                 replica = payload
+                pending.discard((replica, t))
+                checks += 1
                 swept = replica.expire(t, self.slo.timeout_s)
                 if swept:
                     horizon = max(horizon, t)
                     self._observe_drops(swept, t)
                 outcome = replica.try_dispatch(t)
                 if outcome is not None:
-                    dispatches += 1
                     horizon = max(horizon, outcome.completion_s)
                     for record in outcome.served:
                         accumulator.record(record.wait_s, record.service_s)
@@ -146,8 +164,9 @@ class ClusterSimulator:
                                 priority=int(record.request.priority),
                                 model=outcome.model,
                             )
-                self._schedule(events, seq, replica, t, bump=True)
+                self._schedule(events, seq, pending, replica, t, bump=True)
 
+        self._checks = checks
         return self._report(requests, accumulator, horizon, scenario)
 
     def _observe_drops(self, dropped: list, now: float) -> None:
@@ -162,9 +181,10 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def _schedule(
-        self, events: list, seq, replica: Replica, now: float, bump: bool
+        self, events: list, seq, pending: set, replica: Replica, now: float,
+        bump: bool,
     ) -> None:
-        """Queue the replica's next wake-up, if it has pending work."""
+        """Queue the replica's next wake-up, unless it is already queued."""
         when = replica.next_event_time(now, timeout_s=self.slo.timeout_s)
         if when is None:
             return
@@ -176,7 +196,10 @@ class ClusterSimulator:
             # nextafter guarantees an advance even at timestamps so large
             # that `now + _TIME_EPS == now` (e.g. epoch-scale traces).
             when = max(now + _TIME_EPS, math.nextafter(now, math.inf))
-        heapq.heappush(events, (when, next(seq), _CHECK, replica))
+        wake = (replica, when)
+        if wake not in pending:
+            pending.add(wake)
+            heapq.heappush(events, (when, next(seq), _CHECK, replica))
 
     # ------------------------------------------------------------------
     def _report(

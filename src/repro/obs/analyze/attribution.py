@@ -424,12 +424,16 @@ def _account_tenants(out: Attribution) -> None:
         for phase, amount in cold_phase:
             if amount == 0:
                 continue
-            for member, share in _exact_split(amount, members):
+            for member, share in zip(
+                members, _exact_split(amount, len(members))
+            ):
                 shares[member] += share
                 phase_shares[member][phase] = (
                     phase_shares[member].get(phase, 0) + share
                 )
-        energy_shares = dict(_exact_split(tick.energy_nj, members))
+        energy_shares = dict(
+            zip(members, _exact_split(tick.energy_nj, len(members)))
+        )
         for member in members:
             request = by_rid.get(member)
             tenant = request.tenant if request is not None else _UNATTRIBUTED
@@ -462,10 +466,13 @@ def _account_tenants(out: Attribution) -> None:
 
 
 def _tenant_doc(tenants: dict, tenant: str) -> dict:
-    return tenants.setdefault(tenant, {
-        "tick_ns": 0, "energy_nj": 0, "requests": 0, "served": 0,
-        "by_phase": {}, "by_priority": {}, "by_model": {},
-    })
+    doc = tenants.get(tenant)
+    if doc is None:
+        doc = tenants[tenant] = {
+            "tick_ns": 0, "energy_nj": 0, "requests": 0, "served": 0,
+            "by_phase": {}, "by_priority": {}, "by_model": {},
+        }
+    return doc
 
 
 def _sorted_tenant(doc: dict) -> dict:
@@ -474,14 +481,12 @@ def _sorted_tenant(doc: dict) -> dict:
     return dict(sorted(doc.items()))
 
 
-def _exact_split(amount: int, members: list) -> list:
-    """Split ``amount`` across members: floor share + remainder to the
-    first (lowest-id) members, so shares always sum to ``amount``."""
-    share, remainder = divmod(amount, len(members))
-    return [
-        (member, share + (1 if index < remainder else 0))
-        for index, member in enumerate(members)
-    ]
+def _exact_split(amount: int, count: int) -> list:
+    """Split ``amount`` into ``count`` shares: the floor share, plus one
+    for the first ``amount % count`` positions (the lowest ids), so the
+    shares always sum to ``amount``."""
+    share, remainder = divmod(amount, count)
+    return [share + 1] * remainder + [share] * (count - remainder)
 
 
 # ----------------------------------------------------------------------
@@ -529,9 +534,8 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
         replica["dispatches"] += 1
         replica["cold_ns"] += cold_ns
 
-        slots = [m[0] for m in members]
         cold_phase = [("cold", cold_ns), (tick.phase, duration - cold_ns)]
-        if not slots:
+        if not members:
             doc = _tenant_doc(out.tenants, _UNATTRIBUTED)
             doc["tick_ns"] += duration
             doc["energy_nj"] += tick.energy_nj
@@ -541,28 +545,29 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
                         doc["by_phase"].get(phase, 0) + amount
                     )
             continue
-        member_info = {m[0]: m for m in members}
-        for slot, share in _exact_split(tick.energy_nj, slots):
-            _tenant_doc(out.tenants, member_info[slot][1])["energy_nj"] += (
-                share
-            )
-        for phase, amount in cold_phase:
-            if amount == 0:
+        # One split per tick and quantity; a member's slot is its position.
+        energy = _exact_split(tick.energy_nj, len(members))
+        phases = [
+            (phase, _exact_split(amount, len(members)))
+            for phase, amount in cold_phase if amount
+        ]
+        model = tick.model or "?"
+        for slot, tenant, priority in members:
+            doc = _tenant_doc(out.tenants, tenant)
+            doc["energy_nj"] += energy[slot]
+            if not phases:
                 continue
-            for slot, share in _exact_split(amount, slots):
-                _, tenant, priority = member_info[slot]
-                doc = _tenant_doc(out.tenants, tenant)
-                doc["tick_ns"] += share
-                doc["by_phase"][phase] = (
-                    doc["by_phase"].get(phase, 0) + share
-                )
-                doc["by_priority"][str(priority)] = (
-                    doc["by_priority"].get(str(priority), 0) + share
-                )
-                model = tick.model or "?"
-                doc["by_model"][model] = (
-                    doc["by_model"].get(model, 0) + share
-                )
+            by_phase = doc["by_phase"]
+            share = 0
+            for phase, shares in phases:
+                by_phase[phase] = by_phase.get(phase, 0) + shares[slot]
+                share += shares[slot]
+            doc["tick_ns"] += share
+            by_priority = doc["by_priority"]
+            by_priority[str(priority)] = (
+                by_priority.get(str(priority), 0) + share
+            )
+            doc["by_model"][model] = doc["by_model"].get(model, 0) + share
 
     # Request rollups from lifecycle events (ids are per-server, so no
     # cross-joins: served events carry their own wait/service prices).

@@ -11,6 +11,7 @@ trace horizon, so the page scales to any simulated duration.
 from __future__ import annotations
 
 import html as _html
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from repro.obs.analyze.report import AnalysisReport
@@ -141,6 +142,16 @@ def _legend_block() -> str:
 def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
     requests = report.attribution.requests[:MAX_REQUEST_ROWS]
     span_ns = max(doc["horizon_ns"], 1)
+    # A request's row paints the ticks that list its id and the ticks
+    # inside its membership intervals. Index both once, so a row costs
+    # the ticks it paints, not every tick of the trace.
+    ticks = report.attribution.ticks
+    listing: dict = {}  # member -> positions of the ticks listing it
+    for position, tick in enumerate(ticks):
+        for member in tick.members:
+            listing.setdefault(member, []).append(position)
+    by_start = sorted(range(len(ticks)), key=lambda i: ticks[i].start_ns)
+    starts = [ticks[i].start_ns for i in by_start]
     row_h = 14
     height = len(requests) * row_h + 4
     parts = [
@@ -164,14 +175,14 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
                     f'height="10" fill="{_PHASE_COLORS["preempt"]}"/>'
                 )
             previous_leave = leave_ns
-        for tick in report.attribution.ticks:
-            member = (
-                request.request_id in tick.members
-                or any(j <= tick.start_ns and tick.end_ns <= l
-                       for j, l in request.intervals)
-            )
-            if not member:
-                continue
+        painted = set(listing.get(request.request_id, ()))
+        for join_ns, leave_ns in request.intervals:
+            inside = by_start[
+                bisect_left(starts, join_ns):bisect_right(starts, leave_ns)
+            ]
+            painted.update(i for i in inside if ticks[i].end_ns <= leave_ns)
+        for position in sorted(painted):  # tick order: later overpaints
+            tick = ticks[position]
             color = _PHASE_COLORS.get(tick.phase, _PHASE_COLORS["other"])
             parts.append(
                 f'<rect x="{_pct(tick.start_ns, span_ns)}" y="{y}" '

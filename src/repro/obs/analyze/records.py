@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 #: Nanoseconds per second (the fixed analysis resolution).
@@ -110,7 +111,34 @@ class TraceRecords:
 
     @classmethod
     def from_tracer(cls, tracer) -> "TraceRecords":
-        return cls.from_records(tracer.records())
+        """From a live :class:`~repro.obs.trace.Tracer`, read in place.
+
+        Equal to ``from_records(tracer.records())``: closed spans and
+        events each in ``(timestamp, id)`` order (the two lists are
+        separate, so spans-before-events needs no key here). The tracer
+        keeps ``args`` key-sorted, so a copy normalises them.
+        """
+        spans = sorted(
+            (span for span in tracer.spans if span.end_s is not None),
+            key=attrgetter("start_s", "span_id"),
+        )
+        events = sorted(tracer.events, key=attrgetter("ts_s", "event_id"))
+        return cls(
+            spans=[
+                SpanRec(
+                    span.span_id, span.name, span.track, to_ns(span.start_s),
+                    to_ns(span.end_s), span.parent_id, dict(span.args),
+                )
+                for span in spans
+            ],
+            events=[
+                EventRec(
+                    event.event_id, event.name, event.track,
+                    to_ns(event.ts_s), dict(event.args),
+                )
+                for event in events
+            ],
+        )
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceRecords":

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import (
     ClusterSimulator,
+    MMPPProcess,
     PoissonProcess,
     ServiceTimeModel,
     SLOPolicy,
@@ -204,6 +205,83 @@ class TestSLOEnforcement:
         report = run_fleet(service_model, n=60, replicas=1, rate=500.0)
         assert report.dropped == 0
         assert report.slo_attainment is None
+
+
+class TestEventCount:
+    """Checks popped per run are linear in what happened: no wall clock,
+    only the simulator's own count. The cell is the fleet-digest grid's
+    deadline cell (MMPP 15/60, 2 s deadlines, jsq over 2 replicas)."""
+
+    @staticmethod
+    def run(n, continuous):
+        trace = synthesize_trace(
+            MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), n, rng=2,
+            deadline_s=2.0,
+        )
+        simulator = ClusterSimulator(
+            build_replicas(2, accelerator="exion24", continuous=continuous),
+            make_router("jsq"), SLOPolicy(latency_target_s=2.0),
+        )
+        report = simulator.run(trace)
+        dispatches = sum(r["batches_served"] for r in report.replicas)
+        return simulator.checks, dispatches, report
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_checks_are_linear_in_events(self, continuous, record_property):
+        checks, dispatches, report = self.run(240, continuous)
+        record_property("checks_per_dispatch", checks / dispatches)
+        assert report.served + report.dropped == 240
+        # One chain per arrival popped 11,524 (drain) and 136,015
+        # (continuous) checks here; one wake per (replica, instant) pops
+        # 116 and 1,994.
+        assert 0 < checks <= dispatches + 240 + report.dropped
+        if continuous:
+            # Every tick is one check; only an idle wake adds to that.
+            assert checks <= dispatches * 1.01
+
+        # Twice the trace of the same process. Drain wakes once per
+        # deadline instant and the longer trace drops 2.6x as many, hence
+        # the margin above 2x (a chain per arrival grew 4.2x and 3.1x).
+        longer, dispatches2, report2 = self.run(480, continuous)
+        assert longer <= dispatches2 + 480 + report2.dropped
+        assert longer <= 2.5 * checks
+
+    def test_checks_reads_the_last_run(self, service_model):
+        simulator = ClusterSimulator(
+            build_replicas(1, policy=POLICY, service_model=service_model),
+            make_router("jsq"),
+        )
+        assert simulator.checks == 0
+        simulator.run(synthesize_trace(PoissonProcess(200.0), 8, rng=0))
+        assert simulator.checks > 0
+        simulator.run([])
+        assert simulator.checks == 0
+        with pytest.raises(AttributeError):
+            simulator.checks = 3
+
+
+class TestRequestIds:
+    def test_one_request_object_listed_three_times(self, service_model):
+        # A replay built by list multiplication: three arrivals, one
+        # object. Keyed by id(request) they shared ordinal 0 and their
+        # lifecycle events merged.
+        from repro.cluster.traffic import ClusterRequest
+        from repro.obs import Observer
+
+        request = ClusterRequest(arrival_s=0.0, model="dit", seed=0)
+        observer = Observer()
+        report = simulate_cluster(
+            [request] * 3,
+            replicas=build_replicas(1, policy=POLICY,
+                                    service_model=service_model),
+            router=make_router("jsq"), observer=observer,
+        )
+        assert report.served == 3
+        queued = [
+            event.args["request_id"] for event in observer.tracer.events
+            if event.track == "cluster/requests" and event.name == "queued"
+        ]
+        assert queued == [0, 1, 2]
 
 
 class TestExecuteMode:

@@ -119,6 +119,11 @@ def main() -> int:
         fleet("poisson300-slo-1", poisson, continuous, 1,
               slo=SLOPolicy(timeout_s=1.0, max_queue_depth=16))
         fleet("poisson300-observed-jsq2", poisson, continuous, 2, observer=Observer())
+    # The one observed cell whose requests carry deadlines: its trace pins
+    # the `slo:deadline` event timestamps.
+    for continuous in (False, True):
+        fleet("mmpp-deadline2s-observed-jsq2", bursty, continuous, 2,
+              slo=SLOPolicy(latency_target_s=2.0), observer=Observer())
     fleet("poisson300-maxwait50ms-jsq4", poisson, False, 4,
           policy=drain_policy(max_batch_size=8, max_wait_s=0.05))
     trace_scenario("scenario/continuous", continuous=True)
