@@ -5,10 +5,6 @@ PYTHON ?= python
 PYTHONPATH := src
 BENCH_OUT ?= bench_results
 BASELINE ?= benchmarks/baseline/BENCH_repro.json
-# Wall-clock slack of the perf gate (per-metric tolerances live on the
-# metrics themselves and are not affected by these knobs).
-LATENCY_TOL ?= 0.10
-LATENCY_MIN_ABS ?= 0.25
 
 # Coverage floor (percent) enforced on the numerically-critical packages.
 COV_FLOOR ?= 75
@@ -47,11 +43,9 @@ bench-smoke:  ## fast subset (tag:smoke) of the structured benches
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --run tag:smoke \
 		--out $(BENCH_OUT)
 
-bench-compare:  ## diff bench_results/ against the committed baseline
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/bench_compare.py \
-		--latency-tol $(LATENCY_TOL) \
-		--latency-min-abs $(LATENCY_MIN_ABS) \
-		$(BASELINE) $(BENCH_OUT)/BENCH_repro.json
+bench-compare:  ## strict diff of bench_results/ against the committed baseline
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --strict \
+		--compare $(BASELINE) $(BENCH_OUT)/BENCH_repro.json
 
 serve-smoke:  ## continuous-batching goodput bench + CLI demo run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
@@ -73,7 +67,7 @@ explore-smoke:  ## design-space Pareto bench + CLI demo run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro explore \
 		--strategy random --budget 8 --iterations 8 --workers 2
 
-cache-smoke:  ## plan-cache amortization gate bench + parity tests
+cache-smoke:  ## plan-cache interning gate bench + parity tests
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run plan_cache --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \

@@ -49,8 +49,8 @@ SWEEP_OBJECTIVES = (
 
 @lru_cache(maxsize=1)
 def _model_and_vanilla():
-    """One model build + vanilla reference, shared by builder and the
-    pytest kernel timing (the model is read-only across pipelines)."""
+    """One model build + vanilla reference, shared by every sweep point
+    (the model is read-only across pipelines)."""
     model = build_model("dit", seed=0, total_iterations=24)
     vanilla = ExionPipeline(
         model, ExionConfig.for_model("dit")
@@ -129,7 +129,7 @@ def build_n_sweep(ctx):
     return result
 
 
-def test_ablation_n_sweep(benchmark, bench_ctx):
+def test_ablation_n_sweep(bench_ctx):
     result = build_n_sweep(bench_ctx)
     emit_result(result)
 
@@ -143,6 +143,3 @@ def test_ablation_n_sweep(benchmark, bench_ctx):
     assert result.value(f"n{SWEEP_N[-1]}.psnr_db") <= (
         result.value("n1.psnr_db") + 1.0
     )
-
-    model, vanilla = _model_and_vanilla()
-    benchmark(sweep_point, model, vanilla, 2)

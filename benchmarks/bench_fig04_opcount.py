@@ -55,7 +55,7 @@ def build_fig04(ctx):
     return result
 
 
-def test_fig04_operation_breakdown(benchmark, bench_ctx):
+def test_fig04_operation_breakdown(bench_ctx):
     result = build_fig04(bench_ctx)
     emit_result(result)
 
@@ -65,5 +65,3 @@ def test_fig04_operation_breakdown(benchmark, bench_ctx):
         metric = result.metric(f"{name}.transformer_share")
         assert abs(metric.value - metric.paper) < 0.03
         assert result.value(f"{name}.ffn_share_of_transformer") >= 0.4
-
-    benchmark(operation_breakdown_table)

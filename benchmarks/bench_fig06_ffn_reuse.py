@@ -67,7 +67,7 @@ def build_fig06(ctx):
     return result
 
 
-def test_fig06_ffn_reuse_table(benchmark, bench_ctx):
+def test_fig06_ffn_reuse_table(bench_ctx):
     result = build_fig06(bench_ctx)
     emit_result(result)
 
@@ -79,5 +79,3 @@ def test_fig06_ffn_reuse_table(benchmark, bench_ctx):
         )
         # Paper range: 52.47% - 85.41% of FFN ops skipped.
         assert 0.35 <= result.value(f"{name}.ffn_ops_reduction") <= 0.95
-
-    benchmark(run_ffn_reuse, "dit", 12)

@@ -5,8 +5,6 @@ block's GELU output across iterations, and (b) the observation that
 adjacent-iteration differences are heavy-tailed with recurring positions.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.analysis.similarity import (
@@ -21,7 +19,6 @@ from repro.models.zoo import build_model
 from .conftest import emit_result
 
 
-@lru_cache(maxsize=1)
 def collect(iterations=24):
     model = build_model("dit", seed=0, total_iterations=iterations)
     return gelu_outputs_by_iteration(model, block=1, seed=3, class_label=2)
@@ -76,12 +73,10 @@ def build_fig07(ctx):
     return result
 
 
-def test_fig07_cosine_similarity(benchmark, bench_ctx):
+def test_fig07_cosine_similarity(bench_ctx):
     result = build_fig07(bench_ctx)
     emit_result(result)
 
     assert result.value("adjacent_mean_cosine") > 0.75  # temporal redundancy
     assert result.value("p99_over_mean_delta") > 3.0  # spiky diffs
     assert result.value("position_overlap_jaccard") > 0.1  # recurring positions
-
-    benchmark(cosine_similarity_matrix, collect())

@@ -57,7 +57,7 @@ def build_fig08(ctx):
     return result
 
 
-def test_fig08_condensing(benchmark, bench_ctx):
+def test_fig08_condensing(bench_ctx):
     result = build_fig08(bench_ctx)
     emit_result(result)
 
@@ -67,5 +67,3 @@ def test_fig08_condensing(benchmark, bench_ctx):
     assert mld < 0.35
     assert sd > 0.60
     assert mld < sd / 2
-
-    benchmark(condensing_ratio, "stable_diffusion")

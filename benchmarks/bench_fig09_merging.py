@@ -64,7 +64,7 @@ def build_fig09(ctx):
     return result
 
 
-def test_fig09_merging(benchmark, bench_ctx):
+def test_fig09_merging(bench_ctx):
     result = build_fig09(bench_ctx)
     emit_result(result)
 
@@ -76,5 +76,3 @@ def test_fig09_merging(benchmark, bench_ctx):
     assert remaining < whole / 2
     # Merged blocks execute at decent utilization.
     assert result.value("utilization") > 0.2
-
-    benchmark(conmerge_tiled, sd_mask())

@@ -80,7 +80,7 @@ def build_fig12(ctx):
     return result
 
 
-def test_fig12_sorting(benchmark, bench_ctx):
+def test_fig12_sorting(bench_ctx):
     result = build_fig12(bench_ctx)
     emit_result(result)
 
@@ -93,5 +93,3 @@ def test_fig12_sorting(benchmark, bench_ctx):
     assert result.value("mean_cycle_decrement") > 0.10
     assert all(d > -0.15 for d in decrements.values())
     assert decrements["videocrafter2"] > 0.3  # densest workload, biggest win
-
-    benchmark(merge_cost, "dit", True, range(2))

@@ -80,7 +80,7 @@ def build_fig15(ctx):
     return result
 
 
-def test_fig15_ts_lod(benchmark, bench_ctx):
+def test_fig15_ts_lod(bench_ctx):
     result = build_fig15(bench_ctx)
     emit_result(result)
 
@@ -90,5 +90,3 @@ def test_fig15_ts_lod(benchmark, bench_ctx):
         result.value("ffnr_only.psnr_db") + 0.5
     )
     assert result.value("ts_lod_abs_error") < result.value("lod_abs_error") / 2
-
-    benchmark(ts_lod_approximate, _operand_sample())

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.analysis.report import percent
 from repro.bench import BenchResult, register_bench
-from repro.hw.profile import estimate_profile
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
 from .conftest import emit_result
@@ -72,7 +71,7 @@ def build_fig17(ctx):
     return result
 
 
-def test_fig17_conmerge_efficiency(benchmark, bench_ctx):
+def test_fig17_conmerge_efficiency(bench_ctx):
     result = build_fig17(bench_ctx)
     emit_result(result)
 
@@ -86,5 +85,3 @@ def test_fig17_conmerge_efficiency(benchmark, bench_ctx):
             result.value(f"{name}.attn_condense_ratio") + 1e-9
         )
     assert result.value("avg.ffn_remaining") < result.value("avg.attn_remaining")
-
-    benchmark(estimate_profile, get_spec("dit"), 1)

@@ -84,7 +84,7 @@ def build_fig18b(ctx):
     )
 
 
-def test_fig18a_edge(benchmark, bench_ctx):
+def test_fig18a_edge(bench_ctx):
     result = build_fig18a(bench_ctx)
     emit_result(result)
     for batch in (1, 8):
@@ -92,13 +92,8 @@ def test_fig18a_edge(benchmark, bench_ctx):
             gain = result.value(f"b{batch}.{name}.gain_all")
             assert gain > 5.0, (name, batch, gain)
 
-    benchmark(
-        ExionAccelerator.exion4().simulate, get_spec("mld"),
-        bench_ctx.profiles["mld"],
-    )
 
-
-def test_fig18b_server(benchmark, bench_ctx):
+def test_fig18b_server(bench_ctx):
     result = build_fig18b(bench_ctx)
     emit_result(result)
     for batch in (1, 8):
@@ -111,8 +106,3 @@ def test_fig18b_server(benchmark, bench_ctx):
         # ResBlock models gain least (paper: Make-an-Audio / SD dip).
         assert gains["stable_diffusion"] < gains["mdm"]
         assert gains["mld"] == max(gains.values())
-
-    benchmark(
-        ExionAccelerator.exion24().simulate, get_spec("dit"),
-        bench_ctx.profiles["dit"],
-    )

@@ -1,24 +1,21 @@
-"""Single-stream generation speed: compiled executor vs interpreted.
+"""Single-stream generation parity: compiled executor vs interpreted.
 
-The perf claim of :mod:`repro.exec`: compiling the phase plan once
-(log-domain weight operands, timestep/adaLN tables, phase schedule,
-bitmask→gather index sets) makes each iteration a pure gather/scatter
-replay, and that buys at least **2× single-stream samples/sec** on the
-DiT benchmark model at the paper's Table I EXION configuration — while
-staying bit-identical to the interpreted oracle.
+:mod:`repro.exec` compiles the phase plan once (log-domain weight
+operands, timestep/adaLN tables, phase schedule, bitmask→gather index
+sets) so each iteration is a pure gather/scatter replay. This bench holds
+the half of that claim that is a value: at full scale (50 iterations,
+full-depth DiT, the paper's Table I EXION configuration) the compiled
+path is bit-identical to the interpreted oracle. ``tests/exec/`` runs
+the same parity grid at ``depth=2``, 6 iterations.
 
-The equivalence metric is the quality gate at tolerance 0.0 (parity is
-all-or-nothing); the ratio metric cancels machine dependence and is the
-ratcheted perf gate; the absolute samples/sec floors get wide tolerances
-because they track the runner's machine class.
+The equivalence metric gates at tolerance 0.0 (parity is all-or-nothing).
+How much faster the compiled path is belongs to ``perfbench``
+(``exec.samples_per_s.dit``).
 
 Run with::
 
     pytest benchmarks/bench_pipeline_speed.py --import-mode=importlib -s
 """
-
-import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,93 +31,41 @@ CLASS_LABEL = 207
 SEED = 0
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-@lru_cache(maxsize=1)
-def _dit_model():
-    """One 50-iteration model build shared by builder and pytest kernel."""
-    return build_model("dit", seed=0, total_iterations=ITERATIONS)
-
-
 @register_bench("pipeline_speed", tags=("exec", "core", "smoke"))
 def build_pipeline_speed(ctx):
-    model = _dit_model()
+    model = build_model("dit", seed=0, total_iterations=ITERATIONS)
     config = ExionConfig.for_model("dit")
-    # The oracle must be asked for: two default pipelines would time the
-    # compiled engine against itself and the speedup would read 1.0x.
-    interpreted = ExionPipeline(model, config, compiled=False)
-    compiled = ExionPipeline(model, config)
-
-    # ------------------------------------------------------------------
-    # equivalence: the compiled path replays the oracle bit for bit
-    # ------------------------------------------------------------------
-    want = interpreted.generate(seed=SEED, class_label=CLASS_LABEL)
-    got = compiled.generate(seed=SEED, class_label=CLASS_LABEL)
-    parity_ok = (
-        np.array_equal(got.sample, want.sample)
-        and got.stats.summary() == want.stats.summary()
-        and got.stats.ffn_sparsities == want.stats.ffn_sparsities
-        and got.stats.attention_sparsities == want.stats.attention_sparsities
-    )
-
-    # ------------------------------------------------------------------
-    # speed: one generation, interpreted vs compiled (warm executor)
-    # ------------------------------------------------------------------
-    interpreted_s = _best_of(
-        lambda: interpreted.generate(seed=SEED, class_label=CLASS_LABEL)
-    )
-    compiled_s = _best_of(
-        lambda: compiled.generate(seed=SEED, class_label=CLASS_LABEL)
-    )
-    interpreted_rate = 1.0 / interpreted_s
-    compiled_rate = 1.0 / compiled_s
-    ratio = compiled_rate / interpreted_rate
+    # The oracle must be asked for: two default pipelines would compare
+    # the compiled engine against itself.
+    want = ExionPipeline(model, config, compiled=False).generate(
+        seed=SEED, class_label=CLASS_LABEL)
+    got = ExionPipeline(model, config).generate(
+        seed=SEED, class_label=CLASS_LABEL)
+    checks = [
+        ["sample", np.array_equal(got.sample, want.sample)],
+        ["stats summary", got.stats.summary() == want.stats.summary()],
+        ["FFN sparsities",
+         got.stats.ffn_sparsities == want.stats.ffn_sparsities],
+        ["attention sparsities",
+         got.stats.attention_sparsities == want.stats.attention_sparsities],
+    ]
 
     result = BenchResult("pipeline_speed", model="dit")
     result.add_series(
-        f"DiT single-stream generation ({ITERATIONS} iterations)",
-        ["path", "s/sample", "samples/s", "vs interpreted"],
-        [
-            ["interpreted", f"{interpreted_s:.3f}",
-             f"{interpreted_rate:.2f}", "1.00x"],
-            ["compiled", f"{compiled_s:.3f}",
-             f"{compiled_rate:.2f}", f"{ratio:.2f}x"],
-        ],
+        f"DiT single-stream generation ({ITERATIONS} iterations), "
+        f"compiled vs interpreted",
+        ["compared", "outcome"],
+        [[what, "identical" if same else "DIVERGED"]
+         for what, same in checks],
     )
-    result.add_metric("equivalence", 1.0 if parity_ok else 0.0,
+    result.add_metric("equivalence",
+                      1.0 if all(same for _, same in checks) else 0.0,
                       direction="higher_better", tolerance=0.0)
-    # Wall-clock floors vary with the machine class; the ratio cancels
-    # most of that and carries the ratcheted >= 2x contract. The pytest
-    # wrapper repeats the assertion same-machine, same-run.
-    result.add_metric("interpreted_samples_per_s", interpreted_rate,
-                      unit="samples/s", direction="higher_better",
-                      tolerance=0.75)
-    result.add_metric("compiled_samples_per_s", compiled_rate,
-                      unit="samples/s", direction="higher_better",
-                      tolerance=0.75)
-    result.add_metric("compiled_speedup", ratio, unit="x",
-                      direction="higher_better", tolerance=0.35)
     return result
 
 
-def test_pipeline_speed(benchmark, bench_ctx):
+def test_pipeline_speed(bench_ctx):
     result = build_pipeline_speed(bench_ctx)
     emit_result(result)
 
     assert result.value("equivalence") == 1.0
-
-    # The acceptance bar of the compiled executor: >= 2x single-stream.
-    ratio = result.value("compiled_speedup")
-    assert ratio >= 2.0, (
-        f"compiled executor reached only {ratio:.2f}x interpreted speed"
-    )
-
-    compiled = ExionPipeline(_dit_model(), ExionConfig.for_model("dit"))
-    benchmark(compiled.generate, seed=SEED, class_label=CLASS_LABEL)

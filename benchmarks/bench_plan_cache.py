@@ -1,26 +1,28 @@
 """Plan-cache amortization: fleets and sweeps stop paying cold compiles.
 
-The perf claim of :mod:`repro.program.cache`: every construction site
+The claim of :mod:`repro.program.cache`: every construction site
 (executors, serving, cluster replicas, explore objectives) lowers,
 compiles, profiles and prices through one process-wide content-addressed
 :class:`~repro.program.cache.PlanCache`, so
 
 - a **fleet** of N replicas over M models runs exactly M sparsity-profile
   syntheses and one lowering+pricing per distinct (model, ablation,
-  batch) point between them, and re-priming against a warm cache is at
-  least **2× faster** than the cold pass;
+  batch) point between them, and re-priming against the warm cache
+  computes nothing;
 - a repeated-config **explore-style sweep** (fleet knobs vary, the
   (spec, config) key does not) hits the in-process tiers on every lookup
-  of the second pass — a **100% hit rate** — and also re-runs ≥2× faster;
+  of the second pass — a **100% hit rate**;
 - everything stays **byte-identical**: cached pricing equals a cold
   ``simulate_plan`` on a cold ``lower_plan`` for every model priced.
+
+These are counters and digests. The host time a warm cache saves is
+``perfbench``'s (``program.cache_hit_rate_steady``,
+``program.cache_misses_setup``, ``setup_s``).
 
 Run with::
 
     pytest benchmarks/bench_plan_cache.py --import-mode=importlib -s
 """
-
-import time
 
 from repro.bench import BenchResult, register_bench
 from repro.core.config import ExionConfig
@@ -62,11 +64,13 @@ def _run_sweep() -> None:
             cache.price(accelerator, plan, profile)
 
 
-def _pass_hit_rate(before: dict, after: dict) -> float:
-    hits = after["hits"] - before["hits"]
-    misses = after["misses"] - before["misses"]
-    total = hits + misses
-    return hits / total if total else 0.0
+def _pass_counts(cache, work) -> tuple:
+    """``(hits, misses)`` the cache counted while ``work()`` ran."""
+    before = cache.stats()
+    work()
+    after = cache.stats()
+    return (after["hits"] - before["hits"],
+            after["misses"] - before["misses"])
 
 
 @register_bench("plan_cache", tags=("program", "perf", "smoke"))
@@ -75,15 +79,8 @@ def build_plan_cache(ctx):
     # fleet construction: cold pass, then re-prime against the warm cache
     # ------------------------------------------------------------------
     with fresh_plan_cache() as cache:
-        start = time.perf_counter()
-        _prime_fleet()
-        fleet_cold_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        _prime_fleet()
-        fleet_warm_s = time.perf_counter() - start
-        fleet_speedup = fleet_cold_s / fleet_warm_s
-
+        fleet_cold = _pass_counts(cache, _prime_fleet)
+        fleet_warm = _pass_counts(cache, _prime_fleet)
         # profile tier: M models, not N x M replica-profiles
         profiles_synthesized = cache.tier_misses["profile"]
 
@@ -92,16 +89,10 @@ def build_plan_cache(ctx):
     # (its own fresh cache, so the cold pass really is cold)
     # ------------------------------------------------------------------
     with fresh_plan_cache() as cache:
-        start = time.perf_counter()
-        _run_sweep()
-        sweep_cold_s = time.perf_counter() - start
-
-        before = cache.stats()
-        start = time.perf_counter()
-        _run_sweep()
-        sweep_warm_s = time.perf_counter() - start
-        hit_rate = _pass_hit_rate(before, cache.stats())
-        sweep_speedup = sweep_cold_s / sweep_warm_s
+        sweep_cold = _pass_counts(cache, _run_sweep)
+        sweep_warm = _pass_counts(cache, _run_sweep)
+        hits, misses = sweep_warm
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
 
         # ------------------------------------------------------------------
         # byte identity: cached pricing == cold simulate on a cold lowering
@@ -123,12 +114,12 @@ def build_plan_cache(ctx):
     result.add_series(
         f"{FLEET_REPLICAS}-replica fleet over {len(FLEET_MODELS)} models, "
         f"{len(FLEET_MODELS) * SWEEP_POINTS}-point sweep",
-        ["scenario", "cold s", "warm s", "speedup"],
+        ["scenario", "pass", "hits", "misses"],
         [
-            ["fleet construction", f"{fleet_cold_s:.3f}",
-             f"{fleet_warm_s:.4f}", f"{fleet_speedup:.0f}x"],
-            ["explore sweep", f"{sweep_cold_s:.3f}",
-             f"{sweep_warm_s:.4f}", f"{sweep_speedup:.0f}x"],
+            ["fleet construction", "cold", *fleet_cold],
+            ["fleet construction", "warm", *fleet_warm],
+            ["explore sweep", "cold", *sweep_cold],
+            ["explore sweep", "warm", *sweep_warm],
         ],
     )
     result.add_note(
@@ -145,13 +136,6 @@ def build_plan_cache(ctx):
     result.add_metric("profiles_per_model",
                       profiles_synthesized / len(FLEET_MODELS),
                       direction="lower_better", tolerance=0.0)
-    # Wall-clock ratios cancel machine class; floors get wide tolerances.
-    result.add_metric("fleet_warm_speedup", fleet_speedup, unit="x",
-                      direction="higher_better", tolerance=0.9)
-    result.add_metric("sweep_warm_speedup", sweep_speedup, unit="x",
-                      direction="higher_better", tolerance=0.9)
-    result.add_metric("fleet_cold_s", fleet_cold_s, unit="s",
-                      direction="lower_better", tolerance=0.9)
     return result
 
 
@@ -164,10 +148,3 @@ def test_plan_cache(bench_ctx):
     assert result.value("byte_identity") == 1.0
     assert result.value("warm_pass_hit_rate") == 1.0
     assert result.value("profiles_per_model") == 1.0
-
-    # The acceptance bar: warm-cache fleet construction and repeated
-    # sweeps are at least 2x the cold pass.
-    fleet = result.value("fleet_warm_speedup")
-    sweep = result.value("sweep_warm_speedup")
-    assert fleet >= 2.0, f"fleet re-prime only {fleet:.2f}x cold setup"
-    assert sweep >= 2.0, f"warm sweep only {sweep:.2f}x cold sweep"

@@ -83,12 +83,10 @@ def build_program_lowering(ctx):
     return result
 
 
-def test_program_lowering(benchmark, bench_ctx):
+def test_program_lowering(bench_ctx):
     result = build_program_lowering(bench_ctx)
     emit_result(result)
     for name in ALL_MODEL_ORDER:
         assert result.value(f"{name}.latency_parity_rel") == 0.0
         assert result.value(f"{name}.macs_parity_rel") == 0.0
         assert result.value(f"{name}.plan_bytes") > 0
-
-    benchmark(lambda: plan_json(lower_plan(get_spec("dit"))))

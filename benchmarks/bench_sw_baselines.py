@@ -12,8 +12,6 @@ This bench runs all three on DiT at matched/stated compute savings and
 reports accuracy against the vanilla 50-step reference.
 """
 
-from functools import lru_cache
-
 from repro.analysis.report import percent
 from repro.baselines.delta_dit import DeltaDiTPipeline
 from repro.bench import BenchResult, register_bench
@@ -29,15 +27,9 @@ from .conftest import emit_result
 ITERATIONS = 48
 
 
-@lru_cache(maxsize=1)
-def _dit_model():
-    """One 48-iteration model build shared by builder and pytest kernel."""
-    return build_model("dit", seed=0, total_iterations=ITERATIONS)
-
-
 @register_bench("sw_baselines", tags=("baselines", "core"))
 def build_sw_baselines(ctx):
-    model = _dit_model()
+    model = build_model("dit", seed=0, total_iterations=ITERATIONS)
     vanilla = model.make_pipeline().generate(seed=1, class_label=5)
 
     result = BenchResult("sw_baselines", model="dit")
@@ -95,7 +87,7 @@ def build_sw_baselines(ctx):
     return result
 
 
-def test_sw_baselines_vs_ffn_reuse(benchmark, bench_ctx):
+def test_sw_baselines_vs_ffn_reuse(bench_ctx):
     result = build_sw_baselines(bench_ctx)
     emit_result(result)
 
@@ -106,7 +98,3 @@ def test_sw_baselines_vs_ffn_reuse(benchmark, bench_ctx):
     # All methods stay finite / correlated.
     for key in ("ddim", "dpm_solver", "delta_dit", "ffn_reuse"):
         assert result.value(f"{key}.psnr_db") > 3.0
-
-    benchmark(
-        DeltaDiTPipeline(_dit_model(), cache_interval=2).generate, 1, None, 5
-    )

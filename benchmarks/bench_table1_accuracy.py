@@ -125,7 +125,7 @@ def build_table1(ctx):
     return result
 
 
-def test_table1_accuracy(benchmark, bench_ctx):
+def test_table1_accuracy(bench_ctx):
     result = build_table1(bench_ctx)
     emit_result(result)
 
@@ -140,5 +140,3 @@ def test_table1_accuracy(benchmark, bench_ctx):
             assert result.value(f"{name}.{method}.psnr_db") > 4.0, (
                 name, method,
             )
-
-    benchmark(evaluate_model, "mld")

@@ -56,7 +56,7 @@ def build_table2(ctx):
     return result
 
 
-def test_table2_specifications(benchmark, bench_ctx):
+def test_table2_specifications(bench_ctx):
     result = build_table2(bench_ctx)
     emit_result(result)
 
@@ -69,5 +69,3 @@ def test_table2_specifications(benchmark, bench_ctx):
         20.40, abs=16.0
     )
     assert result.value("dsc_peak_tops") == pytest.approx(9.8)
-
-    benchmark(ExionAccelerator.exion24)

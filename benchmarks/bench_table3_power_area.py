@@ -71,7 +71,7 @@ def build_table3(ctx):
     return result
 
 
-def test_table3_power_area(benchmark, bench_ctx):
+def test_table3_power_area(bench_ctx):
     result = build_table3(bench_ctx)
     emit_result(result)
 
@@ -87,8 +87,3 @@ def test_table3_power_area(benchmark, bench_ctx):
     assert result.value("cau_area_share") == pytest.approx(0.0094, abs=0.002)
     # EXION24 total area below the server GPU die (152.28 vs 609 mm^2).
     assert result.value("exion24_area_mm2") < 609 / 2
-
-    benchmark(
-        ExionAccelerator.exion24().simulate, get_spec("dit"),
-        bench_ctx.profiles["dit"],
-    )

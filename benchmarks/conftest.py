@@ -4,12 +4,16 @@ Every table and figure of the paper's evaluation has one ``bench_*.py``
 module here. Each module registers its builder(s) with
 ``@repro.bench.register_bench`` and keeps a pytest wrapper that renders
 the structured :class:`~repro.bench.BenchResult` (same printed tables as
-always) and asserts on its metrics. Run under pytest with::
+always) and asserts on its metrics. The wrappers check values only;
+nothing here reads a clock (host time is ``perfbench``'s). Tier-1
+(``pytest`` from the repository root) does not collect them:
+``bench_*.py`` does not match pytest's default file pattern. Run one by
+explicit path::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/bench_table2_specs.py --import-mode=importlib -s
 
-or through the structured runner, which writes ``BENCH_<name>.json``
-files instead of asserting::
+or run every bench through the structured runner, which writes
+``BENCH_<name>.json`` files instead of asserting::
 
     python -m repro bench --run all
 """

@@ -10,15 +10,6 @@ def percent(value: float, digits: int = 1) -> str:
     return f"{100.0 * value:.{digits}f}%"
 
 
-def format_seconds(seconds: float) -> str:
-    """Human-scale duration: picks s / ms / us by magnitude."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.1f} us"
-
-
 def format_table(
     headers: list,
     rows: list,

@@ -1,19 +1,20 @@
 """Structured benchmark harness with machine-readable results.
 
-The subsystem behind ``python -m repro bench`` and the perf-regression
-gate in CI:
+The subsystem behind ``python -m repro bench`` and the value-regression
+gate in CI. It holds deterministic values only (paper fidelity and
+byte-identity); host time is measured by ``perfbench``, not here.
 
 - :mod:`repro.bench.schema` — the :class:`BenchResult` document every
   bench produces (metrics with per-metric regression contracts, the
-  printable tables, timing, env fingerprint) plus JSON Schema validation;
+  printable tables, env fingerprint) plus JSON Schema validation;
 - :mod:`repro.bench.registry` — ``@register_bench`` and the process
   registry the ``benchmarks/`` modules populate on import;
 - :mod:`repro.bench.context` — shared lazily-computed inputs (model
   sparsity profiles);
 - :mod:`repro.bench.runner` — discovery, execution, and the
   ``BENCH_<name>.json`` / ``BENCH_repro.json`` writers;
-- :mod:`repro.bench.compare` — the baseline diff ``tools/bench_compare.py``
-  and CI call to flag metric/latency regressions.
+- :mod:`repro.bench.compare` — the baseline diff ``python -m repro bench
+  --compare`` and CI call to flag metric regressions.
 
 Minimal use::
 

@@ -1,21 +1,17 @@
 """Diff two bench result sets and flag regressions.
 
-The comparator is the repo's perf gate: given a *baseline* result set
+The comparator is the repo's value gate: given a *baseline* result set
 (normally the committed ``benchmarks/baseline/BENCH_repro.json``) and a
-*current* one (a fresh ``python -m repro bench --run all``), it walks
-every bench present in the baseline and checks
-
-- **metrics** against each metric's own contract — ``direction`` says
-  which way is worse, ``tolerance`` how far relative drift may go;
-- **latency** (``timing.wall_s``) against a global relative tolerance
-  *and* an absolute slack floor — sub-second benches jitter by large
-  relative factors run to run, so a slowdown must clear both the
-  relative tolerance and ``latency_min_abs_s`` of real wall time before
-  it counts. Speedups clearing both are reported as improvements.
+*current* one (a fresh ``python -m repro bench --run all``), it checks
+every baseline metric against its own contract — ``direction`` says
+which way is worse, ``tolerance`` how far relative drift may go (a
+*value* tolerance for cross-machine float drift). It has no timing
+rule: host time is ``perfbench``'s to measure.
 
 Benches or metrics missing from the current set are notes by default
-and regressions under ``strict``. Identical result sets always compare
-clean: every rule is a pure function of the two documents.
+and regressions under ``strict`` (``make bench-compare`` passes it, so a
+bench that silently disappears fails CI). Identical result sets always
+compare clean: every rule is a pure function of the two documents.
 """
 
 from __future__ import annotations
@@ -26,22 +22,15 @@ from typing import Optional
 
 from repro.analysis.report import format_table
 
-#: Default relative wall-clock slack before a bench counts as slower.
-DEFAULT_LATENCY_TOLERANCE = 0.10
-
-#: Minimum absolute wall-clock delta (seconds) before latency drift
-#: counts at all; filters run-to-run jitter on millisecond benches.
-DEFAULT_LATENCY_MIN_ABS_S = 0.25
-
 _EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One comparison outcome for a single metric or timing."""
+    """One comparison outcome for a single metric or bench."""
 
     bench: str
-    kind: str  # "metric" | "latency" | "coverage"
+    kind: str  # "metric" | "coverage"
     name: str
     baseline: Optional[float]
     current: Optional[float]
@@ -132,33 +121,7 @@ def _compare_metric(bench: str, name: str, old: dict, new: dict,
     (report.regressions if regressed else report.improvements).append(finding)
 
 
-def _compare_latency(bench: str, old: dict, new: dict,
-                     latency_tolerance: float,
-                     latency_min_abs_s: float,
-                     report: CompareReport) -> None:
-    old_wall = float(old.get("timing", {}).get("wall_s", 0.0))
-    new_wall = float(new.get("timing", {}).get("wall_s", 0.0))
-    if old_wall <= 0.0:
-        return
-    rel = _rel_delta(old_wall, new_wall)
-    if abs(rel) <= latency_tolerance:
-        return
-    if abs(new_wall - old_wall) <= latency_min_abs_s:
-        return
-    finding = Finding(
-        bench=bench, kind="latency", name="wall_s",
-        baseline=old_wall, current=new_wall, delta_rel=rel,
-        message=(
-            f"{bench}: wall {old_wall:.3f}s -> {new_wall:.3f}s "
-            f"({rel:+.1%}, tol {latency_tolerance:.0%})"
-        ),
-    )
-    (report.regressions if rel > 0 else report.improvements).append(finding)
-
-
 def compare_results(baseline: dict, current: dict,
-                    latency_tolerance: float = DEFAULT_LATENCY_TOLERANCE,
-                    latency_min_abs_s: float = DEFAULT_LATENCY_MIN_ABS_S,
                     strict: bool = False) -> CompareReport:
     """Compare two ``{name: result_dict}`` sets; baseline defines the gate."""
     report = CompareReport()
@@ -185,8 +148,6 @@ def compare_results(baseline: dict, current: dict,
                 (report.regressions if strict else report.notes).append(finding)
                 continue
             _compare_metric(bench, metric_name, old_metric, new_metric, report)
-        _compare_latency(bench, old, new, latency_tolerance,
-                         latency_min_abs_s, report)
     for bench in sorted(set(current) - set(baseline)):
         report.notes.append(Finding(
             bench=bench, kind="coverage", name="bench",
@@ -222,8 +183,6 @@ def format_report(report: CompareReport) -> str:
 
 __all__ = [
     "CompareReport",
-    "DEFAULT_LATENCY_MIN_ABS_S",
-    "DEFAULT_LATENCY_TOLERANCE",
     "Finding",
     "compare_results",
     "format_report",

@@ -3,10 +3,12 @@
 Discovery imports every ``benchmarks/bench_*.py`` module (as the
 namespace package ``benchmarks.*``), which populates the global
 :data:`~repro.bench.registry.REGISTRY` via ``@register_bench``. The
-runner then executes any selection, times each builder, validates every
-result against :data:`~repro.bench.schema.BENCH_RESULT_SCHEMA`, and
-writes one ``BENCH_<name>.json`` per bench plus the aggregate
-``BENCH_repro.json`` that CI diffs against the committed baseline.
+runner then executes any selection, validates every result against
+:data:`~repro.bench.schema.BENCH_RESULT_SCHEMA`, and writes one
+``BENCH_<name>.json`` per bench plus the aggregate ``BENCH_repro.json``
+that CI diffs against the committed baseline. Two runs of one selection
+on one machine write byte-identical files; the only clock read here
+feeds the ``progress`` line and is stored nowhere.
 """
 
 from __future__ import annotations
@@ -84,26 +86,18 @@ def run_benches(
     registry = registry if registry is not None else REGISTRY
     ctx = ctx if ctx is not None else BenchContext()
     env = env_fingerprint()
-    # Materialize shared lazy state before the per-bench timers start:
-    # otherwise the profile warm-up lands on whichever bench runs first
-    # and skews its wall_s against baselines taken with a different
-    # selection.
-    if progress is not None:
-        progress("preparing shared context (sparsity profiles) ...")
-    ctx.profiles
     results: dict = {}
     for entry in registry.select(selector):
         if progress is not None:
             progress(f"running {entry.name} ...")
         start = time.perf_counter()
         result = entry.builder(ctx)
-        wall_s = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
         if not isinstance(result, BenchResult):
             raise TypeError(
                 f"bench {entry.name!r} builder returned "
                 f"{type(result).__name__}, expected BenchResult"
             )
-        result.timing["wall_s"] = wall_s
         result.env = dict(env)
         if not result.tags:
             result.tags = entry.tags
@@ -112,7 +106,7 @@ def run_benches(
         if progress is not None:
             progress(
                 f"  {entry.name}: {len(result.metrics)} metrics, "
-                f"{len(result.series)} series, {wall_s:.2f}s"
+                f"{len(result.series)} series, {elapsed:.2f}s"
             )
     if out_dir is not None:
         write_results(results, out_dir)
@@ -131,24 +125,20 @@ def aggregate_dict(results: dict) -> dict:
 
 def write_results(results: dict, out_dir: Path) -> list:
     """Write one ``BENCH_<name>.json`` per bench plus the aggregate."""
+    aggregate = aggregate_dict(results)
+    validate_aggregate(aggregate)  # every per-bench document is nested in it
+    documents = {bench_filename(name): data
+                 for name, data in aggregate["results"].items()}
+    documents[AGGREGATE_FILENAME] = aggregate
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, result in sorted(results.items()):
-        data = result.to_dict()
-        validate_result(data)
-        path = out_dir / bench_filename(name)
+    for filename, data in documents.items():
+        path = out_dir / filename
         path.write_text(
             json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
         written.append(path)
-    aggregate = aggregate_dict(results)
-    validate_aggregate(aggregate)
-    aggregate_path = out_dir / AGGREGATE_FILENAME
-    aggregate_path.write_text(
-        json.dumps(aggregate, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    written.append(aggregate_path)
     return written
 
 

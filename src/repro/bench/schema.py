@@ -4,20 +4,20 @@ Every bench in ``benchmarks/`` builds one :class:`BenchResult`: the raw
 numbers the paper comparison gates on (``metrics``), the human tables the
 bench prints (``series`` — presentation strings, rendered through
 :func:`repro.analysis.report.format_table`), free-form trailing ``notes``,
-the wall-clock ``timing`` the regression gate watches, and an ``env``
-fingerprint identifying the machine that produced the numbers.
+and an ``env`` fingerprint identifying the machine that produced the
+numbers. No field holds a clock reading, so two runs on one machine
+write byte-identical documents.
 
 The JSON layout is pinned by :data:`BENCH_RESULT_SCHEMA` (a standard JSON
 Schema document). :func:`validate_result` checks a result dict against it
-with ``jsonschema`` when available and falls back to a built-in
-interpreter of the same schema subset otherwise, so validation never
-silently disappears on a machine without the dependency.
+with a built-in interpreter of the schema subset used here; validation
+needs nothing beyond the package's one dependency, numpy.
 
 Directions and tolerances live *on the metric*: ``lower_better`` metrics
-(latencies, error measures) regress upward, ``higher_better`` metrics
-(sparsity, PSNR, speedups) regress downward, and ``two_sided`` metrics
-(paper constants) regress in either direction, each beyond the metric's
-relative ``tolerance``.
+(simulated latencies, error measures) regress upward, ``higher_better``
+metrics (sparsity, PSNR, simulated speedups) regress downward, and
+``two_sided`` metrics (paper constants) regress in either direction,
+each beyond the metric's relative ``tolerance``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.analysis.report import format_table
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DIRECTIONS = ("higher_better", "lower_better", "two_sided")
 
@@ -67,7 +67,7 @@ BENCH_RESULT_SCHEMA = {
     "type": "object",
     "required": [
         "schema_version", "name", "model", "tags",
-        "metrics", "series", "notes", "timing", "env",
+        "metrics", "series", "notes", "env",
     ],
     "properties": {
         "schema_version": {"type": "integer", "minimum": 1},
@@ -80,12 +80,6 @@ BENCH_RESULT_SCHEMA = {
         },
         "series": {"type": "array", "items": _SERIES_SCHEMA},
         "notes": {"type": "array", "items": {"type": "string"}},
-        "timing": {
-            "type": "object",
-            "required": ["wall_s"],
-            "properties": {"wall_s": {"type": "number", "minimum": 0}},
-            "additionalProperties": False,
-        },
         "env": {"type": "object"},
     },
     "additionalProperties": False,
@@ -200,7 +194,6 @@ class BenchResult:
     metrics: dict = field(default_factory=dict)
     series: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    timing: dict = field(default_factory=lambda: {"wall_s": 0.0})
     env: dict = field(default_factory=dict)
 
     def add_metric(self, name: str, value: float, unit: str = "",
@@ -246,7 +239,6 @@ class BenchResult:
             "metrics": {k: m.to_dict() for k, m in self.metrics.items()},
             "series": [s.to_dict() for s in self.series],
             "notes": list(self.notes),
-            "timing": {"wall_s": float(self.timing.get("wall_s", 0.0))},
             "env": dict(self.env),
         }
 
@@ -259,30 +251,25 @@ class BenchResult:
             result.metrics[key] = Metric.from_dict(metric)
         result.series = [BenchSeries.from_dict(s) for s in data.get("series", [])]
         result.notes = list(data.get("notes", []))
-        result.timing = dict(data.get("timing", {"wall_s": 0.0}))
         result.env = dict(data.get("env", {}))
         return result
 
 
-def _fallback_validate(data, schema, path="$"):
+_JSON_TYPES = {
+    "object": dict, "array": list, "string": str,
+    "number": (int, float), "integer": int, "null": type(None),
+}
+
+
+def _validate(data, schema, path="$"):
     """Interpret the subset of JSON Schema used by this module."""
     types = schema.get("type")
     if types is not None:
         if isinstance(types, str):
             types = [types]
-        type_map = {
-            "object": dict, "array": list, "string": str,
-            "number": (int, float), "integer": int, "null": type(None),
-        }
-        allowed = tuple(
-            t for name in types for t in (
-                type_map[name] if isinstance(type_map[name], tuple)
-                else (type_map[name],)
-            )
-        )
-        if not isinstance(data, allowed) or (
-            isinstance(data, bool) and bool not in allowed
-        ):
+        allowed = tuple(_JSON_TYPES[name] for name in types)
+        # A bool is an int to Python and no number to JSON Schema.
+        if isinstance(data, bool) or not isinstance(data, allowed):
             raise SchemaError(f"{path}: expected {types}, got {type(data).__name__}")
     if "enum" in schema and data not in schema["enum"]:
         raise SchemaError(f"{path}: {data!r} not in {schema['enum']}")
@@ -300,26 +287,14 @@ def _fallback_validate(data, schema, path="$"):
         additional = schema.get("additionalProperties", True)
         for key, value in data.items():
             if key in properties:
-                _fallback_validate(value, properties[key], f"{path}.{key}")
+                _validate(value, properties[key], f"{path}.{key}")
             elif isinstance(additional, dict):
-                _fallback_validate(value, additional, f"{path}.{key}")
+                _validate(value, additional, f"{path}.{key}")
             elif additional is False:
                 raise SchemaError(f"{path}: unexpected key {key!r}")
     if isinstance(data, list) and "items" in schema:
         for i, item in enumerate(data):
-            _fallback_validate(item, schema["items"], f"{path}[{i}]")
-
-
-def _validate(data: dict, schema: dict) -> None:
-    try:
-        import jsonschema
-    except ImportError:
-        _fallback_validate(data, schema)
-        return
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+            _validate(item, schema["items"], f"{path}[{i}]")
 
 
 def validate_result(data: dict) -> None:

@@ -822,7 +822,6 @@ def _cmd_opcount(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_seconds
     from repro.bench import (
         compare_results,
         discover,
@@ -835,8 +834,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         baseline, current = args.compare
         report = compare_results(
             load_results(baseline), load_results(current),
-            latency_tolerance=args.latency_tol,
-            latency_min_abs_s=args.latency_min_abs,
             strict=args.strict,
         )
         print(format_report(report))
@@ -865,12 +862,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         progress=print if args.verbose else None,
     )
     rows = [
-        [name, len(result.metrics), len(result.series),
-         format_seconds(result.timing["wall_s"])]
+        [name, len(result.metrics), len(result.series)]
         for name, result in sorted(results.items())
     ]
     print(format_table(
-        ["bench", "metrics", "series", "wall"], rows,
+        ["bench", "metrics", "series"], rows,
         title=f"Ran {len(results)} benches -> {args.out}",
     ))
     if args.show:
@@ -1228,11 +1224,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--compare", nargs=2,
                        metavar=("BASELINE", "CURRENT"), default=None,
                        help="diff two result sets (file or directory each)")
-    bench.add_argument("--latency-tol", type=float, default=0.10,
-                       help="relative wall-clock regression tolerance")
-    bench.add_argument("--latency-min-abs", type=float, default=0.25,
-                       help="absolute wall-clock slack (seconds) that must "
-                            "also be exceeded before latency drift counts")
     bench.add_argument("--strict", action="store_true",
                        help="treat missing benches/metrics as regressions")
     bench.add_argument("--benchmarks-dir", default=None,

@@ -34,7 +34,7 @@ Quickstart::
 Every request computes exactly what a sequential
 ``ExionPipeline.generate()`` call would: same samples, same per-request
 :class:`~repro.core.sparsity.RunStats`. See
-``benchmarks/bench_serve_throughput.py`` for the throughput comparison.
+``benchmarks/bench_serve_throughput.py`` for that parity at full scale.
 
 The server also exposes the hooks the fleet simulator
 (:mod:`repro.cluster`) drives it with: an injectable ``clock``, a

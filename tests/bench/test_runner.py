@@ -1,10 +1,10 @@
-"""Runner tests: execution, timing, validation, and JSON output."""
+"""Runner tests: execution, validation, determinism, and JSON output."""
 
 import json
 
 import pytest
 
-from repro.bench import BenchContext, BenchmarkRegistry, BenchResult
+from repro.bench import BenchContext, BenchmarkRegistry, BenchResult, discover
 from repro.bench.runner import (
     AGGREGATE_FILENAME,
     bench_filename,
@@ -33,14 +33,32 @@ def toy_registry():
 
 
 class TestRunBenches:
-    def test_runs_selection_and_times(self, tmp_path):
+    def test_runs_selection_into_valid_documents(self, tmp_path):
         results = run_benches("all", out_dir=tmp_path,
                               registry=toy_registry(), ctx=BenchContext())
         assert set(results) == {"fast", "other"}
         for result in results.values():
-            assert result.timing["wall_s"] >= 0.0
-            assert result.env["python"]
-            validate_result(result.to_dict())
+            document = result.to_dict()
+            assert document["env"]["python"]
+            assert "timing" not in document
+            validate_result(document)
+
+    def test_two_runs_write_identical_bytes(self, tmp_path):
+        # Result documents hold deterministic values only: the toy
+        # benches plus one real one, run twice, byte for byte.
+        registry = toy_registry()
+        real = discover().get("table2_specs")
+        registry.register(real.name, real.builder, tags=real.tags)
+        for run in ("a", "b"):
+            run_benches("all", out_dir=tmp_path / run, registry=registry)
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == sorted(
+            [AGGREGATE_FILENAME]
+            + [bench_filename(n) for n in ("fast", "other", "table2_specs")]
+        )
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_tag_selection(self, tmp_path):
         results = run_benches("tag:smoke", out_dir=tmp_path,

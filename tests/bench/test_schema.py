@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench import BenchResult, Metric, SchemaError, validate_result
-from repro.bench.schema import _fallback_validate, BENCH_RESULT_SCHEMA
+from repro.bench.schema import BENCH_RESULT_SCHEMA, _validate
 
 
 def sample_result():
@@ -17,7 +17,6 @@ def sample_result():
     result.add_series("A table", ["col a", "col b"],
                       [["x", 1], ["y", 2]])
     result.add_note("a trailing remark")
-    result.timing["wall_s"] = 0.25
     result.env = {"python": "3.11"}
     return result
 
@@ -87,11 +86,22 @@ class TestValidation:
         with pytest.raises(SchemaError):
             validate_result(data)
 
-    def test_fallback_validator_agrees(self):
-        # The dependency-free interpreter enforces the same document.
-        good = sample_result().to_dict()
-        _fallback_validate(good, BENCH_RESULT_SCHEMA)
+    def test_timing_key_rejected_by_v2_schema(self):
+        # Schema v2 documents carry no clock reading.
+        data = sample_result().to_dict()
+        assert data["schema_version"] == 2
+        data["timing"] = {}
+        with pytest.raises(SchemaError, match="timing"):
+            validate_result(data)
+
+    def test_builtin_validator_directly(self):
+        # The one validator: a dependency-free interpreter of the schema.
+        _validate(sample_result().to_dict(), BENCH_RESULT_SCHEMA)
         bad = sample_result().to_dict()
-        bad["timing"] = {"wall_s": -1.0}
-        with pytest.raises(SchemaError):
-            _fallback_validate(bad, BENCH_RESULT_SCHEMA)
+        bad["metrics"]["speedup"]["tolerance"] = -1.0  # "minimum": 0
+        with pytest.raises(SchemaError, match="minimum"):
+            _validate(bad, BENCH_RESULT_SCHEMA)
+        bad = sample_result().to_dict()
+        bad["series"][0]["rows"][0] = [None]  # nested "items" type
+        with pytest.raises(SchemaError, match=r"rows\[0\]\[0\]"):
+            _validate(bad, BENCH_RESULT_SCHEMA)

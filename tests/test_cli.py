@@ -76,8 +76,12 @@ class TestParser:
         assert args.list
         assert args.run is None
         assert args.out == "bench_results"
-        assert args.latency_tol == 0.10
         assert not args.strict
+
+    def test_bench_help_offers_no_latency_knob(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--help"])
+        assert "latency" not in capsys.readouterr().out
 
 
 class TestCommands:
@@ -251,13 +255,23 @@ class TestCommands:
         assert "no differences" in capsys.readouterr().out
 
         data = json.loads(baseline.read_text())
-        bench = data["results"]["table2_specs"]
-        bench["timing"]["wall_s"] = bench["timing"]["wall_s"] * 1.2 + 1.0
-        slower = tmp_path / "BENCH_slower.json"
-        slower.write_text(json.dumps(data))
+        metrics = data["results"]["table2_specs"]["metrics"]
+        metrics["exion4.peak_tops"]["value"] *= 0.5
+        regressed = tmp_path / "BENCH_regressed.json"
+        regressed.write_text(json.dumps(data))
         assert main(["bench", "--compare", str(baseline),
-                     str(slower)]) == 1
+                     str(regressed)]) == 1
         assert "REGRESSIONS" in capsys.readouterr().out
+
+        # A metric that vanished is a note, and a failure under --strict
+        # (what `make bench-compare` passes).
+        del metrics["exion4.peak_tops"]
+        missing = tmp_path / "BENCH_missing.json"
+        missing.write_text(json.dumps(data))
+        compare = ["bench", "--compare", str(baseline), str(missing)]
+        assert main(compare) == 0
+        assert main(compare + ["--strict"]) == 1
+        assert "exion4.peak_tops missing" in capsys.readouterr().out
 
 
 class TestVersion:
