@@ -15,7 +15,7 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 .PHONY: help test lint coverage bench bench-smoke bench-compare \
 	cache-smoke cluster-smoke serve-smoke explore-smoke program-smoke \
 	trace-smoke obs-analyze-smoke perfbench-quick smoke docs-check check \
-	fleet-digests
+	fleet-digests sample-digests
 
 help:  ## list targets with their descriptions
 	@awk -F':.*## ' '/^[a-zA-Z][a-zA-Z0-9_-]*:.*## / \
@@ -103,7 +103,10 @@ smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
 fleet-digests:  ## byte-identity gate: sha256 per fleet artefact vs tools/fleet_digests.txt
 	$(PYTHON) tools/fleet_digests.py --check
 
+sample-digests:  ## byte-identity gate: sha256 per generated sample vs tools/sample_digests.txt
+	$(PYTHON) tools/sample_digests.py --check
+
 docs-check:  ## docstring, __all__ export and prose-reference lint
 	$(PYTHON) tools/docs_check.py
 
-check: test docs-check smoke  ## test + docs-check + smoke
+check: test docs-check smoke sample-digests  ## test + docs-check + smoke + sample-digests

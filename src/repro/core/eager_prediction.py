@@ -84,7 +84,7 @@ class EagerPredictor:
             k_pred = k_pred + layer.wk.bias
         qh = layer.split_heads(q_pred)
         kh = layer.split_heads(k_pred)
-        return np.einsum("htd,hsd->hts", qh, kh) * layer.scale
+        return np.matmul(qh, kh.transpose(0, 2, 1)) * layer.scale
 
     def decide(self, predicted: np.ndarray) -> list[HeadDecision]:
         """Per-head keep masks and one-hot rows from predicted scores."""
@@ -159,21 +159,18 @@ class EagerPredictor:
         attended = np.zeros((heads, tq, layer.head_dim))
         skipped = 0
         for h, dec in enumerate(decisions):
-            exact = np.einsum("td,sd->ts", q[h], k[h]) * layer.scale
+            exact = (q[h] @ k[h].T) * layer.scale
             masked = np.where(dec.keep, exact, -np.inf)
-            normal_rows = ~dec.one_hot_rows & dec.keep.any(axis=1)
-            if np.any(normal_rows):
-                probs[h, normal_rows] = softmax(masked[normal_rows], axis=-1)
             # Rows with nothing kept and no dominance fall back to the
-            # predicted argmax (never happens with top_k >= 1 but keeps the
-            # executor total).
-            oh_rows = dec.one_hot_rows | ~dec.keep.any(axis=1)
-            for r in np.flatnonzero(oh_rows):
-                probs[h, r, dec.one_hot_cols[r]] = 1.0
-                attended[h, r] = v[h, dec.one_hot_cols[r]]
-            nr = np.flatnonzero(~oh_rows)
-            if nr.size:
-                attended[h, nr] = probs[h, nr] @ v[h]
+            # predicted argmax like the one-hot rows (never happens with
+            # top_k >= 1 but keeps the executor total).
+            normal = ~dec.one_hot_rows & dec.keep.any(axis=1)
+            probs[h, normal] = softmax(masked[normal], axis=-1)
+            rows = np.flatnonzero(~normal)
+            probs[h, rows, dec.one_hot_cols[rows]] = 1.0
+            # One product over all rows: a collapsed row's probabilities
+            # are exactly one-hot, so it reads back v at its argmax column.
+            attended[h] = probs[h] @ v[h]
             scores[h] = masked
             skipped += dec.skipped_elements
 
@@ -301,9 +298,10 @@ def ep_attention_step(
     once and shared between the Q and K predictions (both interpreted
     calls quantize the same ``x``, deterministically); for cross-attention
     the caller may pass ``kv = (kh_pred, k, v)`` computed once per
-    generation since the context never changes between iterations. Every
-    GEMM keeps the interpreted call's operand shapes so BLAS kernel
-    selection — and therefore the last ULP — matches.
+    generation since the context never changes between iterations. The
+    score and value contractions are one stacked ``matmul`` over the
+    heads, byte-equal to the oracle's per-head products
+    (``tests/core/test_eager_prediction.py`` pins that equality).
     """
     kv_input = x if context is None else context
     tq = x.shape[0]
@@ -332,7 +330,7 @@ def ep_attention_step(
         k = layer.split_heads(layer.wk(kv_input))
         v = layer.split_heads(layer.wv(kv_input))
 
-    predicted = np.einsum("htd,hsd->hts", qh, kh)
+    predicted = np.matmul(qh, kh.transpose(0, 2, 1))
     predicted *= layer.scale
     keep, one_hot_rows, one_hot_cols = ep_decide(
         predicted, config.top_k_ratio, config.q_threshold
@@ -340,27 +338,17 @@ def ep_attention_step(
 
     q = layer.split_heads(layer.wq(x))
 
-    exact = np.einsum("htd,hsd->hts", q, k)
+    exact = np.matmul(q, k.transpose(0, 2, 1))
     exact *= layer.scale
-    masked = np.where(keep, exact, -np.inf)
 
-    # ep_decide keeps a score in every row it does not collapse, so the
-    # oracle's nothing-kept rows are exactly the one-hot rows; its probs
-    # are only read on the others, softmaxed once in (head, row) order.
-    normal_rows = ~one_hot_rows
-    nh, nr = np.nonzero(normal_rows)
-    hh, rr = np.nonzero(one_hot_rows)
-    cc = one_hot_cols[hh, rr]
-    attended = np.zeros((heads, tq, layer.head_dim))
-    attended[hh, rr] = v[hh, cc]
-    probs = softmax(masked[nh, nr], axis=-1)
-    # Per-head row-subset GEMM: BLAS picks different kernels for different
-    # row counts, so a stacked batched matmul would drift by an ULP.
-    stop = 0
-    for h, rows in enumerate(normal_rows.sum(axis=-1).tolist()):
-        if rows:
-            start, stop = stop, stop + rows
-            attended[h, nr[start:stop]] = probs[start:stop] @ v[h]
+    # A collapsed row (one-hot, or the oracle's nothing-kept fallback)
+    # attends its argmax column alone: a single kept score softmaxes to
+    # exactly 1.0, so one softmax and one product serve every row.
+    attend = keep.copy()
+    hh, rr = np.nonzero(one_hot_rows | ~keep.any(axis=-1))
+    attend[hh, rr, one_hot_cols[hh, rr]] = True
+    probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
+    attended = np.matmul(probs, v)
 
     out = layer.wo(layer.merge_heads(attended))
 
@@ -373,10 +361,10 @@ def ep_attention_step(
         total_scores * head_dim, (total_scores - skipped) * head_dim
     )
     kv_col_needed = keep.any(axis=(0, 1))
-    kv_col_needed[cc] = True
+    kv_col_needed[one_hot_cols[one_hot_rows]] = True
     stats.q_projection.add(
         tq * dim_in * layer.dim,
-        np.count_nonzero(normal_rows.any(axis=0)) * dim_in * layer.dim,
+        np.count_nonzero(~one_hot_rows.all(axis=0)) * dim_in * layer.dim,
     )
     stats.kv_projection.add(
         2 * tk * layer.wk.in_features * layer.dim,

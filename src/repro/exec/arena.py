@@ -2,12 +2,11 @@
 
 The compiled step kernels allocate the same handful of dense scratch
 arrays every denoising iteration — the scatter target overlaying the
-dense hidden state, the masked-update operand, the EP attention
-probability/attended tensors, the continuous executor's per-tick latent
-and membership restack buffers. Their shapes are fixed per
-``(plan, batch shape)``, so an :class:`ExecArena` hands the same buffer
-back on every iteration instead of paying an allocation + page-fault per
-step.
+dense hidden state, the masked-update operand, the continuous
+executor's per-tick latent and membership restack buffers. Their shapes
+are fixed per ``(plan, batch shape)``, so an :class:`ExecArena` hands
+the same buffer back on every iteration instead of paying an allocation
++ page-fault per step.
 
 The reuse invariant: **arena buffers are transient within one kernel
 call** — each buffer is fully overwritten before it is read (``copyto``,

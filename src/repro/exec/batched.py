@@ -32,8 +32,6 @@ from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
 
-from repro.exec.arena import ExecArena
-
 
 def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
     """Per-request activation fake-quantization (INT datapath emulation)."""
@@ -193,9 +191,9 @@ def _attention_exact_batched(
     else:
         k = _split_heads_batched(layer.wk(kv_input), layer.num_heads)
         v = _split_heads_batched(layer.wv(kv_input), layer.num_heads)
-    scores = np.einsum("bhtd,bhsd->bhts", q, k) * layer.scale
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * layer.scale
     probs = softmax(scores, axis=-1)
-    attended = np.einsum("bhts,bhsd->bhtd", probs, v)
+    attended = np.matmul(probs, v)
     return layer.wo(_merge_heads_batched(attended))
 
 
@@ -228,15 +226,9 @@ def _ep_attention_step_batched(
     batch_stats: list,
     collect_keepmasks: bool = False,
     kv: Optional[tuple] = None,
-    *,
-    arena: ExecArena,
 ) -> np.ndarray:
     """Batched EP attention step: per request, bit-identical to
-    :func:`repro.core.eager_prediction.ep_attention_step`.
-
-    ``arena`` holds the attended scratch tensor across iterations
-    (zero-filled each call, bit-equal to ``np.zeros``; it does not
-    escape — the merged heads feed a fresh projection)."""
+    :func:`repro.core.eager_prediction.ep_attention_step`."""
     kv_input = x if context is None else context
     batch, tq, _ = x.shape
     tk = kv_input.shape[1]
@@ -262,37 +254,23 @@ def _ep_attention_step_batched(
         k = _split_heads_batched(layer.wk(kv_input), heads)
         v = _split_heads_batched(layer.wv(kv_input), heads)
 
-    predicted = np.einsum("bhtd,bhsd->bhts", qh, kh)
+    predicted = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     predicted *= layer.scale
     keep, one_hot_rows, one_hot_cols = ep_decide(
         predicted, config.top_k_ratio, config.q_threshold
     )
 
     q = _split_heads_batched(layer.wq(x), heads)
-    exact = np.einsum("bhtd,bhsd->bhts", q, k)
+    exact = np.matmul(q, k.transpose(0, 1, 3, 2))
     exact *= layer.scale
-    masked = np.where(keep, exact, -np.inf)
 
-    # As ep_attention_step: the normal rows are the rows not collapsed,
-    # and one softmax serves them all in (request, head, row) order.
-    normal_rows = ~one_hot_rows
-    nb, nh, nr = np.nonzero(normal_rows)
-    bb, hh, rr = np.nonzero(one_hot_rows)
-    cc = one_hot_cols[bb, hh, rr]
-    attended = arena.zeros(
-        "ep_attended", (batch, heads, tq, layer.head_dim)
-    )
-    attended[bb, hh, rr] = v[bb, hh, cc]
-    probs = softmax(masked[nb, nh, nr], axis=-1)
-    # Row-subset GEMMs preserved per (request, head): BLAS kernel choice
-    # depends on the row count, and with it the last ULP.
-    stop = 0
-    counts = normal_rows.sum(axis=-1).tolist()
-    for b in range(batch):
-        for h, rows in enumerate(counts[b]):
-            if rows:
-                start, stop = stop, stop + rows
-                attended[b, h, nr[start:stop]] = probs[start:stop] @ v[b, h]
+    # As ep_attention_step: a collapsed row attends its argmax column
+    # alone, so one softmax and one product serve every row.
+    attend = keep.copy()
+    bb, hh, rr = np.nonzero(one_hot_rows | ~keep.any(axis=-1))
+    attend[bb, hh, rr, one_hot_cols[bb, hh, rr]] = True
+    probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
+    attended = np.matmul(probs, v)
 
     out = layer.wo(_merge_heads_batched(attended))
 
@@ -304,9 +282,9 @@ def _ep_attention_step_batched(
     head_dim = layer.head_dim
     dim_in = layer.wq.in_features
     kept = keep.reshape(batch, -1).sum(axis=1).tolist()
-    q_rows_needed = normal_rows.any(axis=1).sum(axis=1).tolist()
+    q_rows_needed = (~one_hot_rows.all(axis=1)).sum(axis=1).tolist()
     kv_needed = keep.any(axis=(1, 2))
-    kv_needed[bb, cc] = True
+    kv_needed[np.nonzero(one_hot_rows)[0], one_hot_cols[one_hot_rows]] = True
     kv_cols_needed = kv_needed.sum(axis=1).tolist()
 
     for b, stats in enumerate(batch_stats):

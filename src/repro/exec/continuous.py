@@ -380,13 +380,10 @@ class ContinuousExecutor:
     ) -> np.ndarray:
         network = self.model.network
         if network.resblocks:
-            resblock = network.resblocks[index]
-            h = np.stack([
-                network._apply_resblock(
-                    resblock, h[b], self._t_embeds[run.cursor]
-                )
-                for b, run in enumerate(runs)
-            ])
+            h = network._apply_resblock(
+                network.resblocks[index], h,
+                np.stack([self._t_embeds[run.cursor] for run in runs]),
+            )
         return self._block(network.blocks[index], h, raw_context, runs, index)
 
     def _downsample(self, h: np.ndarray) -> np.ndarray:
@@ -473,7 +470,7 @@ class ContinuousExecutor:
         return _ep_attention_step_batched(
             layer, x, context, pred, self.config,
             [run.stats for run in runs],
-            collect_keepmasks=self.collect_masks, kv=kv, arena=self._arena,
+            collect_keepmasks=self.collect_masks, kv=kv,
         )
 
     # ------------------------------------------------------------------

@@ -111,9 +111,9 @@ class MultiHeadAttention:
         k = self.split_heads(self.wk(kv_input))
         v = self.split_heads(self.wv(kv_input))
 
-        scores = np.einsum("htd,hsd->hts", q, k) * self.scale
+        scores = np.matmul(q, k.transpose(0, 2, 1)) * self.scale
         probs = softmax(scores, axis=-1)
-        attended = np.einsum("hts,hsd->htd", probs, v)
+        attended = np.matmul(probs, v)
         out = self.wo(self.merge_heads(attended))
 
         trace = AttentionTrace(

@@ -198,16 +198,22 @@ class DiffusionNetwork:
     def _apply_resblock(
         self, resblock: ResBlock, h: np.ndarray, t_embed: np.ndarray
     ) -> np.ndarray:
-        tokens = h.shape[0]
+        """``h`` is ``(tokens, dim)`` with one timestep embedding, or a
+        ``(batch, tokens, dim)`` stack with one embedding per request."""
+        *batch, tokens, _ = h.shape
         side = int(round(np.sqrt(tokens)))
         if side * side != tokens:
             # Downsampled token counts may not be square; ResBlocks then run
             # on the nearest square crop with a pass-through remainder.
             side = int(np.floor(np.sqrt(tokens)))
         square = side * side
-        grid = h[:square].T.reshape(self.dim, side, side)
-        out = resblock(grid, t_embed).reshape(self.dim, square).T
-        return np.concatenate([out, h[square:]], axis=0)
+        grid = np.swapaxes(h[..., :square, :], -1, -2).reshape(
+            *batch, self.dim, side, side
+        )
+        out = resblock(grid, t_embed).reshape(*batch, self.dim, square)
+        return np.concatenate(
+            [np.swapaxes(out, -1, -2), h[..., square:, :]], axis=-2
+        )
 
     def _downsample(self, h: np.ndarray) -> np.ndarray:
         tokens = h.shape[0]

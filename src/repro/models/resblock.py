@@ -49,23 +49,27 @@ class Conv2d:
         self.weight[...] = value
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Apply to ``(channels, height, width)`` input."""
-        c, h, w = x.shape
+        """Apply to ``(channels, height, width)`` input, or to a stack
+        ``(batch, channels, height, width)`` of them (one im2col, one
+        GEMM per map: each map's output is what its own call returns)."""
+        *batch, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
         k = self.kernel_size
         pad = k // 2
-        padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        padded[:, pad : pad + h, pad : pad + w] = x
+        padded = np.zeros((*batch, c, h + 2 * pad, w + 2 * pad))
+        padded[..., pad : pad + h, pad : pad + w] = x
         # im2col: (c*k*k, h*w), rows in (dy, dx, c) order like ``_w_mat``
-        cols = np.empty((c * k * k, h * w))
-        patches = cols.reshape(k, k, c, h, w)
+        cols = np.empty((*batch, c * k * k, h * w))
+        patches = cols.reshape(*batch, k, k, c, h, w)
         for dy in range(k):
             for dx in range(k):
-                patches[dy, dx] = padded[:, dy : dy + h, dx : dx + w]
-        out = self._w_mat.T @ cols
+                patches[..., dy, dx, :, :, :] = padded[
+                    ..., dy : dy + h, dx : dx + w
+                ]
+        out = np.matmul(self._w_mat.T, cols)
         out += self.bias[:, None]
-        return out.reshape(self.out_channels, h, w)
+        return out.reshape(*batch, self.out_channels, h, w)
 
     def macs(self, height: int, width: int) -> int:
         """MAC count for one call on a ``height x width`` map."""
@@ -80,7 +84,8 @@ class Conv2d:
 
 
 class GroupNorm:
-    """Group normalization over channel groups of a ``(c, h, w)`` map."""
+    """Group normalization over channel groups of a ``(c, h, w)`` map
+    (or of each map in a ``(batch, c, h, w)`` stack)."""
 
     def __init__(self, channels: int, groups: int = 8, eps: float = 1e-5) -> None:
         if channels % groups != 0:
@@ -92,14 +97,14 @@ class GroupNorm:
         self.beta = np.zeros(channels)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        c, h, w = x.shape
-        grouped = x.reshape(self.groups, c // self.groups, h, w)
+        *batch, c, h, w = x.shape
+        grouped = x.reshape(*batch, self.groups, c // self.groups, h, w)
         # np.mean / np.var term for term, sharing the one centred array.
-        axes, count = (1, 2, 3), (c // self.groups) * h * w
+        axes, count = (-3, -2, -1), (c // self.groups) * h * w
         mean = np.add.reduce(grouped, axis=axes, keepdims=True) / count
         centered = grouped - mean
         var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
-        normed = (centered / np.sqrt(var + self.eps)).reshape(c, h, w)
+        normed = (centered / np.sqrt(var + self.eps)).reshape(x.shape)
         return normed * self.gamma[:, None, None] + self.beta[:, None, None]
 
 
@@ -118,8 +123,13 @@ class ResBlock:
         self.conv2 = Conv2d(channels, channels, rng)
 
     def __call__(self, x: np.ndarray, t_embed: np.ndarray) -> np.ndarray:
+        """One ``(c, h, w)`` map with its ``(timestep_dim,)`` embedding,
+        or a ``(batch, c, h, w)`` stack with ``(batch, timestep_dim)``."""
         h = self.conv1(silu(self.norm1(x)))
-        h = h + (t_embed @ self.time_proj)[:, None, None]
+        # One vector-matrix product per map: a stacked
+        # (batch, t_dim) @ (t_dim, c) GEMM rounds differently.
+        shift = np.matmul(t_embed[..., None, :], self.time_proj)
+        h = h + shift[..., 0, :, None, None]
         h = self.conv2(silu(self.norm2(h)))
         return x + h
 

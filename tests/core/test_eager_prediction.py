@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import EagerPredictor, ep_decide
+from repro.core.eager_prediction import (
+    EagerPredictor,
+    _split_heads_batched,
+    ep_decide,
+)
 from repro.core.sparsity import RunStats
+from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
+from repro.models.network import NetworkType
+from repro.models.zoo import BENCHMARK_MODELS, build_model
 
 
 def make_predictor(top_k=0.5, q_th=10.0, mode="ts_lod"):
@@ -205,3 +212,79 @@ class TestStatistics:
         attn(rng.standard_normal((4, 16)), executor=predictor.executor())
         assert len(predictor.stats.attention_keepmasks) == 1
         assert predictor.stats.attention_keepmasks[0].shape == (2, 4, 4)
+
+
+def _zoo_attention_shapes():
+    """``(heads, tq, tk)`` of every attention call a zoo model makes:
+    self- and cross-attention, at full and at downsampled resolution."""
+    shapes = set()
+    for name in BENCHMARK_MODELS:
+        model = build_model(name, total_iterations=2)
+        network, heads = model.network, model.spec.num_heads
+        resolutions = {network.tokens}
+        if network.network_type is not NetworkType.TRANSFORMER_ONLY:
+            resolutions.add((network.tokens + 1) // 2)
+        for tq in resolutions:
+            shapes.add((heads, tq, tq))
+            if model.conditioning is not None:
+                shapes.add((heads, tq, model.conditioning.max_tokens))
+    return sorted(shapes)
+
+
+class TestStackedContractions:
+    """The oracle takes one 2-D product per head, the engines one stacked
+    ``matmul`` over heads (and requests). Their byte parity rests on the
+    two being the same bytes on every shape the zoo runs, with operands
+    laid out as ``split_heads`` lays them out (strided views)."""
+
+    @pytest.mark.parametrize("heads,tq,tk", _zoo_attention_shapes())
+    def test_stacked_matmul_is_the_per_head_product(self, rng, heads, tq, tk):
+        layer = MultiHeadAttention(64, heads, rng)
+        x = rng.standard_normal((3, tq, 64))
+        kv_input = rng.standard_normal((3, tk, 64))
+        q = _split_heads_batched(layer.wq(x), heads)
+        k = _split_heads_batched(layer.wk(kv_input), heads)
+        v = _split_heads_batched(layer.wv(kv_input), heads)
+        probs = softmax(rng.standard_normal((3, heads, tq, tk)))
+        scores4 = np.matmul(q, k.transpose(0, 1, 3, 2))
+        attended4 = np.matmul(probs, v)
+        for b in range(3):
+            scores3 = np.matmul(q[b], k[b].transpose(0, 2, 1))
+            attended3 = np.matmul(probs[b], v[b])
+            assert scores4[b].tobytes() == scores3.tobytes()
+            assert attended4[b].tobytes() == attended3.tobytes()
+            for h in range(heads):
+                assert scores3[h].tobytes() == (q[b, h] @ k[b, h].T).tobytes()
+                assert attended3[h].tobytes() == (
+                    probs[b, h] @ v[b, h]
+                ).tobytes()
+
+    @pytest.mark.parametrize("heads,tq,tk", _zoo_attention_shapes())
+    def test_collapsed_row_reads_back_its_value_row(self, rng, heads, tq, tk):
+        layer = MultiHeadAttention(64, heads, rng)
+        v = layer.split_heads(layer.wv(rng.standard_normal((tk, 64))))
+        cols = rng.integers(0, tk, size=(heads, tq))
+        probs = softmax(rng.standard_normal((heads, tq, tk)))
+        collapsed = rng.random((heads, tq)) < 0.5
+        collapsed[0, 0] = True
+        hh, rr = np.nonzero(collapsed)
+        probs[hh, rr] = 0.0
+        probs[hh, rr, cols[hh, rr]] = 1.0
+        attended = np.matmul(probs, v)
+        assert attended[hh, rr].tobytes() == v[hh, cols[hh, rr]].tobytes()
+
+    def test_negative_zero_value_comes_back_positive(self, rng):
+        """``1.0 * -0.0 + 0.0 * w`` sums to ``+0.0``: the one byte the
+        full-row product changes, identically in oracle and engines."""
+        v = rng.standard_normal((2, 6, 16))
+        v[:, 3, ::2] = -0.0
+        probs = np.zeros((2, 4, 6))
+        probs[:, :, 3] = 1.0
+        attended = np.matmul(probs, v)
+        for h in range(2):
+            assert attended[h].tobytes() == (probs[h] @ v[h]).tobytes()
+        row = attended[0, 0]
+        assert np.array_equal(row, v[0, 3])
+        assert row.tobytes() != v[0, 3].tobytes()
+        assert not np.signbit(row[::2]).any()
+        assert row[1::2].tobytes() == v[0, 3, 1::2].tobytes()

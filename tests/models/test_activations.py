@@ -35,6 +35,39 @@ class TestGelu:
         x = np.zeros((3, 5, 7))
         assert gelu(x).shape == (3, 5, 7)
 
+    # 10^5 evenly spaced points, the signed zeros and subnormals.
+    GRID = np.concatenate([
+        np.linspace(-12.0, 12.0, 100_001),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308],
+    ])
+
+    def test_is_the_documented_expression_bit_for_bit(self, rng):
+        c = float(np.sqrt(2.0 / np.pi))
+        for x in (self.GRID, 3.0 * rng.standard_normal((8, 16, 256))):
+            want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+            assert gelu(x).tobytes() == want.tobytes()
+
+    def test_within_four_ulp_of_the_pow_form(self, rng):
+        """The cube by multiplication differs from ``pow(x, 3)`` in the
+        last bit at most. The bound is in ULPs of ``|x|``, the scale of
+        ``gelu(x)`` itself: on the negative tail ``1 + tanh`` cancels, so
+        one ULP of ``tanh`` is thousands of ULPs of the tiny result."""
+        c = float(np.sqrt(2.0 / np.pi))
+        for x in (self.GRID, 3.0 * rng.standard_normal(100_000)):
+            pow_form = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+            assert np.all(np.abs(gelu(x) - pow_form) <= 4 * np.spacing(np.abs(x)))
+
+    def test_negative_zero_keeps_its_sign(self):
+        out = gelu(np.array([-0.0, 0.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0])
+        np.testing.assert_array_equal(np.signbit(out), [True, False])
+
+    def test_does_not_write_to_its_argument(self, rng):
+        x = rng.standard_normal((4, 8))
+        before = x.copy()
+        gelu(x)
+        np.testing.assert_array_equal(x, before)
+
 
 class TestGeglu:
     def test_is_value_times_gelu_gate(self):

@@ -9,6 +9,9 @@ from repro.models.network import (
     timestep_embedding,
 )
 from repro.models.transformer import Executors
+from repro.models.zoo import build_model
+
+RESBLOCK_MODELS = ("stable_diffusion", "make_an_audio", "videocrafter2")
 
 
 def make_network(network_type, rng, tokens=16, depth=4, **kwargs):
@@ -107,6 +110,23 @@ class TestResBlockUNet:
     def test_has_resblocks(self, rng):
         net = make_network(NetworkType.RESBLOCK_UNET, rng, tokens=16, depth=2)
         assert len(net.resblocks) == 2
+
+    @pytest.mark.parametrize("name", RESBLOCK_MODELS)
+    @pytest.mark.parametrize("tokens", (16, 8, 7))  # 8, 7: non-square crops
+    @pytest.mark.parametrize("batch", (1, 3, 8))
+    def test_resblock_stage_over_a_batch_matches_per_request(
+        self, rng, name, tokens, batch
+    ):
+        net = build_model(name, total_iterations=2).network
+        h = rng.standard_normal((batch, tokens, net.dim))
+        t_embeds = rng.standard_normal((batch, net.timestep_dim))
+        for resblock in net.resblocks:
+            stacked = net._apply_resblock(resblock, h, t_embeds)
+            per_request = np.stack([
+                net._apply_resblock(resblock, h[b], t_embeds[b])
+                for b in range(batch)
+            ])
+            assert stacked.tobytes() == per_request.tobytes()
 
 
 class TestMacs:

@@ -143,3 +143,29 @@ class TestResBlock:
     def test_macs(self, rng):
         block = ResBlock(4, 8, rng)
         assert block.macs(6, 6) == 2 * 6 * 6 * 4 * 4 * 9
+
+
+class TestLeadingBatch:
+    """A ``(batch, c, h, w)`` stack gives each map the bytes of its own
+    3-D call: the batched engine's ResBlock stage rests on this."""
+
+    @pytest.mark.parametrize("batch", (1, 3, 8))
+    @pytest.mark.parametrize("side", (2, 3, 4))
+    def test_conv_groupnorm_resblock_match_the_per_map_calls(
+        self, rng, batch, side
+    ):
+        x = rng.standard_normal((batch, 64, side, side))
+        t_embed = rng.standard_normal((batch, 64))
+        conv, norm, block = Conv2d(64, 64, rng), GroupNorm(64), ResBlock(64, 64, rng)
+        norm.gamma, norm.beta = rng.standard_normal(64), rng.standard_normal(64)
+        for stacked, per_map in (
+            (conv(x), [conv(m) for m in x]),
+            (norm(x), [norm(m) for m in x]),
+            (block(x, t_embed), [block(m, t) for m, t in zip(x, t_embed)]),
+        ):
+            assert stacked.shape == x.shape
+            assert stacked.tobytes() == np.stack(per_map).tobytes()
+
+    def test_rejects_wrong_channels_in_a_stack(self, rng):
+        with pytest.raises(ValueError, match="channels"):
+            Conv2d(3, 3, rng)(np.zeros((2, 4, 5, 5)))
