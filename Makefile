@@ -12,10 +12,10 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 	--cov=repro.serve --cov=repro.cluster --cov=repro.obs \
 	--cov=repro.obs.analyze
 
-.PHONY: help test lint coverage bench bench-smoke bench-compare \
-	cache-smoke cluster-smoke serve-smoke explore-smoke program-smoke \
-	trace-smoke obs-analyze-smoke perfbench-quick smoke docs-check check \
-	fleet-digests sample-digests
+.PHONY: help test test-warnings lint coverage bench bench-smoke \
+	bench-compare cache-smoke cluster-smoke serve-smoke explore-smoke \
+	program-smoke trace-smoke obs-analyze-smoke perfbench-quick smoke \
+	docs-check check fleet-digests sample-digests
 
 help:  ## list targets with their descriptions
 	@awk -F':.*## ' '/^[a-zA-Z][a-zA-Z0-9_-]*:.*## / \
@@ -23,6 +23,10 @@ help:  ## list targets with their descriptions
 
 test:  ## tier-1 test suite (the CI gate)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+test-warnings:  ## numeric suites with every RuntimeWarning an error
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -W error::RuntimeWarning -m pytest \
+		-x -q tests/core tests/exec tests/models
 
 lint:  ## ruff check (pyflakes + pycodestyle errors)
 	$(PYTHON) -m ruff check .
@@ -109,4 +113,4 @@ sample-digests:  ## byte-identity gate: sha256 per generated sample vs tools/sam
 docs-check:  ## docstring, __all__ export and prose-reference lint
 	$(PYTHON) tools/docs_check.py
 
-check: test docs-check smoke sample-digests  ## test + docs-check + smoke + sample-digests
+check: test test-warnings docs-check smoke sample-digests  ## test + test-warnings + docs-check + smoke + sample-digests

@@ -34,19 +34,6 @@ class Bitmask:
         return cls(np.abs(np.asarray(values, dtype=np.float64)) > threshold)
 
     @classmethod
-    def from_quantile(cls, values: np.ndarray, target_sparsity: float) -> "Bitmask":
-        """Pick the threshold as the ``target_sparsity`` magnitude quantile.
-
-        Mirrors the paper's empirical threshold selection: the threshold is
-        whatever value makes the desired fraction of elements sparse.
-        """
-        if not 0.0 <= target_sparsity < 1.0:
-            raise ValueError("target_sparsity must be in [0, 1)")
-        magnitudes = np.abs(np.asarray(values, dtype=np.float64))
-        threshold = float(np.quantile(magnitudes, target_sparsity))
-        return cls(magnitudes > threshold)
-
-    @classmethod
     def dense(cls, rows: int, cols: int) -> "Bitmask":
         return cls(np.ones((rows, cols), dtype=bool))
 

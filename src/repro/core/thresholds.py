@@ -9,7 +9,11 @@ Two usage modes are provided:
 
 - **online quantile** — at each dense iteration the threshold is the
   magnitude quantile hitting the target sparsity (the default inside
-  :class:`repro.core.ffn_reuse.FFNReuse`);
+  :class:`repro.core.ffn_reuse.FFNReuse` and both compiled engines),
+  found by selection: one ``partition`` at the lower neighbour, ``min``
+  of what lies above it, numpy's interpolation. An order statistic is
+  the same number whichever algorithm finds it, so the result equals
+  ``numpy.quantile(abs(values), q)`` bit for bit (``tests/core/``);
 - **offline calibration** — :class:`ThresholdCalibrator` runs one vanilla
   generation, records the per-(dense-iteration, block) quantile thresholds,
   and replays them as fixed constants at runtime, exactly matching the
@@ -50,12 +54,33 @@ class ThresholdTable:
         return len(self.values)
 
 
-def quantile_threshold(values: np.ndarray, target_sparsity: float) -> float:
-    """Magnitude quantile such that ``target_sparsity`` of elements fall below."""
+def quantile_thresholds(values: np.ndarray, target_sparsity: float) -> np.ndarray:
+    """Row-wise :func:`quantile_threshold` over ``(rows, n)`` ``values``:
+    exactly ``numpy.quantile(abs(values), target_sparsity, axis=1)``.
+    ``values`` is never written; the selection runs on the ``abs`` copy.
+    """
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError("target_sparsity must be in [0, 1)")
-    return float(np.quantile(np.abs(np.asarray(values, dtype=np.float64)),
-                             target_sparsity))
+    mags = np.abs(np.asarray(values, dtype=np.float64))
+    n = mags.shape[1]
+    if n == 0:
+        raise ValueError("values must hold at least one element per row")
+    # numpy's method="linear": neighbours floor(v) and floor(v) + 1 of the
+    # virtual index v = (n - 1) * q, which stays below n - 1 for q < 1.
+    virtual = (n - 1) * target_sparsity
+    lo = int(virtual)
+    gamma = virtual - lo
+    mags.partition(lo, axis=1)
+    a = mags[:, lo]
+    b = mags[:, lo + 1:].min(axis=1) if lo + 1 < n else a
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def quantile_threshold(values: np.ndarray, target_sparsity: float) -> float:
+    """Magnitude quantile such that ``target_sparsity`` of elements fall below."""
+    return float(quantile_thresholds(np.reshape(values, (1, -1)),
+                                     target_sparsity)[0])
 
 
 class ThresholdCalibrator:

@@ -10,7 +10,7 @@ the same buffer back on every iteration instead of paying an allocation
 
 The reuse invariant: **arena buffers are transient within one kernel
 call** — each buffer is fully overwritten before it is read (``copyto``,
-``out=``, ``fill``) and nothing the kernel returns aliases it — except
+``out=``) and nothing the kernel returns aliases it — except
 the continuous executor's membership-restack buffers, which stay valid
 until the *next* index-set edit and are never stack sources themselves
 (per-run FFN slices always view the dense compile's arrays, never a
@@ -50,12 +50,6 @@ class ExecArena:
             self.allocations += 1
         else:
             self.reuses += 1
-        return buffer
-
-    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """A zero-filled reusable buffer (bit-equal to ``np.zeros``)."""
-        buffer = self.take(name, shape, dtype=dtype)
-        buffer.fill(0)
         return buffer
 
     def stats(self) -> dict:

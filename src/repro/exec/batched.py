@@ -27,7 +27,7 @@ from repro.core.eager_prediction import (
     ep_decide,
 )
 from repro.core.logdomain import approximation_table, quantize_symmetric_batched
-from repro.core.thresholds import ThresholdTable
+from repro.core.thresholds import ThresholdTable, quantile_thresholds
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
@@ -111,10 +111,11 @@ def resolve_thresholds_batched(
         else:
             thresholds[b] = stored
     if pending:
-        mags = np.abs(hidden[pending].reshape(len(pending), -1)
-                      .astype(np.float64))
-        thresholds[pending] = np.quantile(
-            mags, config.ffn_target_sparsity, axis=1
+        rows = hidden.reshape(batch, -1)
+        if len(pending) < batch:
+            rows = rows[pending]
+        thresholds[pending] = quantile_thresholds(
+            rows, config.ffn_target_sparsity
         )
     return thresholds
 

@@ -277,6 +277,7 @@ class ContinuousExecutor:
                 + str([(r.request_id, r.cursor) for r in runs])
             )
         self._tick_dense = densities.pop()
+        self._tick_cursors = np.array([run.cursor for run in runs])
 
         membership = tuple(r.serial for r in runs)
         if membership != self._membership:
@@ -382,7 +383,7 @@ class ContinuousExecutor:
         if network.resblocks:
             h = network._apply_resblock(
                 network.resblocks[index], h,
-                np.stack([self._t_embeds[run.cursor] for run in runs]),
+                self._t_embeds[self._tick_cursors],
             )
         return self._block(network.blocks[index], h, raw_context, runs, index)
 
@@ -416,10 +417,9 @@ class ContinuousExecutor:
             # Per-run modulation rows, broadcast over tokens: identical
             # elementwise arithmetic to the single-stream executor's
             # per-step vector broadcast.
-            entries = [table[run.cursor] for run in runs]
-            shift = np.stack([e[0] for e in entries])[:, None, :]
-            scale = np.stack([e[1] for e in entries])[:, None, :]
-            gate = np.stack([e[2] for e in entries])[:, None, :]
+            shift, scale, gate = table[self._tick_cursors].transpose(
+                1, 0, 2
+            )[:, :, None, :]
             h = h * (1.0 + scale) + shift
         else:
             gate = 1.0

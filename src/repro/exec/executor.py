@@ -53,19 +53,21 @@ def build_step_tables(model: BenchmarkModel) -> tuple:
     Timesteps are a pure function of the step count; the timestep
     embedding and each block's adaLN modulation are pure functions of the
     timestep — so all of them are tables, not per-step work. Returns
-    ``(timesteps, t_embeds, adaln_tables)`` with ``adaln_tables[block]``
-    either ``None`` or a per-step list of ``(shift, scale, gate)``.
+    ``(timesteps, t_embeds, adaln_tables)``: ``t_embeds`` is a
+    ``(steps, t_dim)`` array and ``adaln_tables[block]`` either ``None``
+    or a ``(steps, 3, dim)`` array of ``(shift, scale, gate)`` rows, each
+    row computed alone as the oracle computes it; a batch of cursors
+    reads ``table[cursors]``.
     """
     network = model.network
     timesteps = model.scheduler.timesteps(model.spec.total_iterations)
     t_embeds = [network._embed_timestep(int(t)) for t in timesteps]
-    adaln_tables: list = []
-    for block in network.blocks:
-        if block.adaln is None:
-            adaln_tables.append(None)
-        else:
-            adaln_tables.append([block.adaln(te) for te in t_embeds])
-    return timesteps, t_embeds, adaln_tables
+    adaln_tables = [
+        None if block.adaln is None
+        else np.array([block.adaln(te) for te in t_embeds])
+        for block in network.blocks
+    ]
+    return timesteps, np.array(t_embeds), adaln_tables
 
 
 def build_prediction_tables(network, config: ExionConfig) -> list:

@@ -26,15 +26,6 @@ class TestConstruction:
             mask.mask, [[False, True], [True, False]]
         )
 
-    def test_from_quantile_hits_target(self, rng):
-        values = rng.standard_normal((64, 64))
-        mask = Bitmask.from_quantile(values, 0.9)
-        assert mask.sparsity == pytest.approx(0.9, abs=0.02)
-
-    def test_from_quantile_rejects_bad_target(self, rng):
-        with pytest.raises(ValueError):
-            Bitmask.from_quantile(rng.standard_normal((4, 4)), 1.0)
-
     def test_dense(self):
         assert Bitmask.dense(3, 4).sparsity == 0.0
 

@@ -24,14 +24,6 @@ class TestExecArena:
         assert arena.take("y", (4, 8)) is not base
         assert arena.allocations == 4
 
-    def test_zeros_clears_reused_memory(self):
-        arena = ExecArena()
-        buf = arena.take("x", (3, 3))
-        buf.fill(7.0)
-        again = arena.zeros("x", (3, 3))
-        assert again is buf
-        assert not again.any()
-
     def test_stats_and_clear(self):
         arena = ExecArena()
         arena.take("x", (2, 2))
