@@ -13,8 +13,9 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 	--cov=repro.obs.analyze
 
 .PHONY: help test test-warnings lint coverage bench bench-smoke \
-	bench-compare cache-smoke cluster-smoke serve-smoke explore-smoke \
-	program-smoke trace-smoke obs-analyze-smoke perfbench-quick smoke \
+	bench-compare bench-asserts cache-smoke cluster-smoke serve-smoke \
+	explore-smoke program-smoke trace-smoke obs-analyze-smoke \
+	perfbench-quick smoke \
 	docs-check check fleet-digests sample-digests
 
 help:  ## list targets with their descriptions
@@ -50,6 +51,10 @@ bench-smoke:  ## fast subset (tag:smoke) of the structured benches
 bench-compare:  ## strict diff of bench_results/ against the committed baseline
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench --strict \
 		--compare $(BASELINE) $(BENCH_OUT)/BENCH_repro.json
+
+bench-asserts:  ## the test_* assertions at the foot of every bench module
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_*.py \
+		--import-mode=importlib -q
 
 serve-smoke:  ## continuous-batching goodput bench + CLI demo run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \

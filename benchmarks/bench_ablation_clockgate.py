@@ -10,6 +10,7 @@ from repro.analysis.report import percent
 from repro.bench import BenchResult, register_bench
 from repro.hw.dsc import DSCModel
 from repro.hw.energy import EnergyModel
+from repro.program.lower import lower_program
 from repro.workloads.specs import get_spec
 
 from .conftest import emit_result
@@ -23,10 +24,9 @@ def sdue_energy(idle_fraction, busy_cycles, activity, idle_cycles):
 
 
 def _sparse_cost(profiles):
-    spec = get_spec("dit")
-    dsc = DSCModel()
-    return dsc.iteration_cost(
-        spec, profiles["dit"], True, True, sparse_phase=True
+    program = lower_program(get_spec("dit"), scale="paper")
+    return DSCModel().iteration_cost(
+        program, profiles["dit"], True, True, sparse_phase=True
     )
 
 

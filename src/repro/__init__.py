@@ -7,7 +7,6 @@ inference. This package reimplements, in pure Python/numpy:
 - the paper's primary contribution: the FFN-Reuse and eager-prediction
   sparsity algorithms plus the ConMerge data-compaction mechanism
   (``repro.core``),
-- post-training quantization matching the hardware datapath (``repro.quant``),
 - a cycle-level simulator of the EXION hardware (``repro.hw``),
 - GPU and Cambricon-D baselines (``repro.baselines``),
 - benchmark workloads and analysis helpers (``repro.workloads``,

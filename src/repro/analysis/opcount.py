@@ -1,19 +1,20 @@
 """Operation-count breakdowns (paper Fig. 4).
 
 Counts are analytic, derived from the published model dimensions via
-:mod:`repro.hw.mapping`, and grouped into the paper's categories: QKV
-projection, attention computation, FFN layers and everything else.
+the paper-scale lowering (:func:`repro.program.lower.lower_program`), and
+grouped into the paper's categories: QKV projection, attention
+computation, FFN layers and everything else.
 """
 
 from __future__ import annotations
 
-from repro.hw.mapping import iteration_macs
+from repro.program.lower import lower_program
 from repro.workloads.specs import BENCHMARK_ORDER, ModelSpec, get_spec
 
 
 def operation_breakdown(spec: ModelSpec) -> dict:
     """Per-iteration operation counts (2 ops per MAC) by Fig. 4 category."""
-    macs = iteration_macs(spec)
+    macs = lower_program(spec, scale="paper").macs_by_kind()
     ops = {kind: 2 * value for kind, value in macs.items()}
     total = sum(ops.values())
     shares = {kind: (value / total if total else 0.0) for kind, value in ops.items()}

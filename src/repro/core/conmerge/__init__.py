@@ -20,7 +20,6 @@ into few dense tile blocks the SDUE can execute at high utilization:
 from repro.core.conmerge.blocks import TileBlock, partition_into_blocks
 from repro.core.conmerge.condense import CondenseResult, condense
 from repro.core.conmerge.cvg import ConMergeResult, conmerge, conmerge_tiled
-from repro.core.conmerge.layout import PhaseTileLayout, compile_phase_layout
 from repro.core.conmerge.merge import MergeAttempt, try_merge
 from repro.core.conmerge.sortbuffer import SortBuffer, SparsityClass
 from repro.core.conmerge.vectors import CellAssignment, ControlMap
@@ -31,11 +30,9 @@ __all__ = [
     "CondenseResult",
     "ControlMap",
     "MergeAttempt",
-    "PhaseTileLayout",
     "SortBuffer",
     "SparsityClass",
     "TileBlock",
-    "compile_phase_layout",
     "condense",
     "conmerge",
     "conmerge_tiled",

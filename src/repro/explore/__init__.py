@@ -58,7 +58,6 @@ from repro.explore.objectives import (
     get_objective,
     knee_point,
     pareto_front,
-    resolve_objectives,
     spec_from_point,
 )
 from repro.explore.report import ExploreReport
@@ -115,7 +114,6 @@ __all__ = [
     "pareto_front",
     "point_id",
     "point_key",
-    "resolve_objectives",
     "spec_from_point",
     "stable_seed",
 ]

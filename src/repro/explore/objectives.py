@@ -100,10 +100,6 @@ def get_objective(name: str) -> Objective:
         ) from None
 
 
-def resolve_objectives(names) -> list:
-    return [get_objective(n) for n in names]
-
-
 def config_from_point(model: str, point: dict) -> ExionConfig:
     """The model's Table I config overridden by the point's algorithm knobs.
 
@@ -406,6 +402,5 @@ __all__ = [
     "get_objective",
     "knee_point",
     "pareto_front",
-    "resolve_objectives",
     "spec_from_point",
 ]

@@ -10,8 +10,8 @@ Component map (paper Fig. 10):
 - :mod:`repro.hw.cfse` — configurable SIMD engine for softmax, norms,
   non-linearities and residual adds (1x32b or 2x16b);
 - :mod:`repro.hw.cau` — ConMerge assistant unit (SortBuffer + CVG cycles);
-- :mod:`repro.hw.memory` / :mod:`repro.hw.dram` — on-chip SRAMs with
-  double/triple buffering and the external DRAM model;
+- :mod:`repro.hw.dram` / :mod:`repro.hw.dram_detail` — the external DRAM
+  bandwidth/energy model and its banked, row-buffer-aware refinement;
 - :mod:`repro.hw.dsc` / :mod:`repro.hw.accelerator` — the
   diffusion-sparsity-aware core and the multi-DSC EXIONx instances;
 - :mod:`repro.hw.energy` — power/area model seeded with Table III.
@@ -25,8 +25,6 @@ from repro.hw.dram_detail import BankedDRAM, DRAMTimings
 from repro.hw.dsc import DSCModel
 from repro.hw.energy import DSC_AREA_MM2, DSC_POWER_MW, EnergyModel
 from repro.hw.epre import EPREModel
-from repro.hw.executor import InstructionExecutor, execute_iteration
-from repro.hw.noc import NoCModel, exion_noc
 from repro.hw.sdue import SDUEModel
 from repro.hw.timeline import Timeline, simulate_timeline
 
@@ -46,13 +44,9 @@ __all__ = [
     "ExionAccelerator",
     "GDDR6",
     "HBM2E",
-    "InstructionExecutor",
     "LPDDR5",
-    "NoCModel",
     "SDUEModel",
     "Timeline",
-    "execute_iteration",
-    "exion_noc",
     "get_dram",
     "simulate_timeline",
 ]

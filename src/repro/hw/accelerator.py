@@ -23,7 +23,7 @@ from DRAM only once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.hw.dram import DRAMModel, GDDR6, HBM2E, LPDDR5, get_dram
 from repro.hw.dsc import DSCModel, IterationCost
@@ -35,7 +35,7 @@ from repro.hw.energy import (
 )
 from repro.hw.profile import SparsityProfile
 from repro.program.cache import get_plan_cache
-from repro.program.ir import PhasePlan
+from repro.program.ir import PhasePlan, PhaseStep
 from repro.workloads.specs import ModelSpec
 
 #: Paper Table II: per-DSC normalized throughput.
@@ -96,6 +96,24 @@ class AcceleratorReport:
         if self.dense_equivalent_ops == 0:
             return 0.0
         return 1.0 - self.computed_ops / self.dense_equivalent_ops
+
+
+class _PricedStep(NamedTuple):
+    """One plan step as priced by :meth:`ExionAccelerator._price_steps`."""
+
+    step: PhaseStep
+    cost: IterationCost
+    compute_s: float
+    #: Undivided busy cycles per engine (``sdue`` / ``epre`` / ``cfse`` /
+    #: ``cau``), what the energy model charges.
+    busy: dict
+    dram_bytes: int
+    dram_s: float
+
+    @property
+    def latency_s(self) -> float:
+        """Double/triple buffering overlaps compute and memory."""
+        return max(self.compute_s, self.dram_s)
 
 
 class ExionAccelerator:
@@ -238,11 +256,9 @@ class ExionAccelerator:
 
         The plan fully determines the work: per-iteration ops (the
         program), dense/sparse phase per iteration, batch, and
-        weight-residency annotations. Iteration costs repeat, so each
-        phase kind is priced once through the DSC model.
+        weight-residency annotations. This is the report fold over
+        :meth:`_price_steps`; latency and energy accumulate in plan order.
         """
-        costs, cached_fraction = self._phase_costs(plan, profile)
-
         energy = EnergyModel(clock_hz=self.clock_hz)
         latency = 0.0
         dense_ops = 0
@@ -250,19 +266,17 @@ class ExionAccelerator:
         compute_bound_iters = 0
         op_class_cycles: dict = {}
 
-        for step in plan.steps:
-            cost = costs[step.is_dense]
-            compute_s, busy = self._compute_seconds(cost)
-            dram_bytes = self._step_dram_bytes(cost, step, cached_fraction)
-            dram_s = self.dram.transfer_seconds(dram_bytes)
-            # Double/triple buffering overlaps compute and memory.
-            iter_s = max(compute_s, dram_s)
+        for priced in self._price_steps(plan, profile):
+            cost = priced.cost
+            iter_s = priced.latency_s
             latency += iter_s
-            if compute_s >= dram_s:
+            if priced.compute_s >= priced.dram_s:
                 compute_bound_iters += 1
 
-            self._record_energy(energy, cost, busy, iter_s)
-            energy.add_dram_energy(self.dram.transfer_energy_j(dram_bytes))
+            self._record_energy(energy, cost, priced.busy, iter_s)
+            energy.add_dram_energy(
+                self.dram.transfer_energy_j(priced.dram_bytes)
+            )
             dense_ops += 2 * cost.macs_dense_equivalent
             computed_ops += 2 * cost.macs_computed
             for kind, cycles in cost.per_kind_cycles.items():
@@ -287,14 +301,19 @@ class ExionAccelerator:
         )
 
     # ------------------------------------------------------------------
-    def _phase_costs(self, plan: PhasePlan, profile: SparsityProfile) -> tuple:
-        """DSC cost per phase kind plus the GSC-cached weight fraction.
+    def _price_steps(
+        self, plan: PhasePlan, profile: SparsityProfile
+    ) -> Iterator[_PricedStep]:
+        """Price every step of ``plan``, in plan order.
 
-        The single per-step pricing substrate shared by
-        :meth:`simulate_plan` and :func:`repro.hw.timeline.simulate_timeline`.
-        Weight residency: the plan marks every iteration after the cold
-        first fetch as "resident" — the GSC-cached fraction is fetched
-        from DRAM once; only the uncached remainder streams thereafter.
+        The one place an iteration is priced: :meth:`simulate_plan` folds
+        these into an :class:`AcceleratorReport`,
+        :func:`repro.hw.timeline.simulate_timeline` maps them to
+        per-iteration records. Iteration costs repeat, so each phase
+        kind goes through the DSC model once. Weight residency: the plan
+        marks every iteration after the cold first fetch as "resident" —
+        the GSC-cached fraction is fetched from DRAM once; only the
+        uncached remainder streams thereafter.
         """
         costs = {
             is_dense: self.dsc.iteration_cost(
@@ -306,18 +325,23 @@ class ExionAccelerator:
         }
         weight_bytes_iter = costs[True].weight_bytes
         cached_fraction = min(1.0, self.gsc_bytes / max(weight_bytes_iter, 1))
-        return costs, cached_fraction
 
-    def _step_dram_bytes(
-        self, cost: IterationCost, step, cached_fraction: float
-    ) -> int:
-        """DRAM traffic of one phase step under its residency annotation."""
-        dram_bytes = cost.activation_bytes
-        if step.weight_fetch == "cold":
-            dram_bytes += cost.weight_bytes
-        else:
-            dram_bytes += int(cost.weight_bytes * (1.0 - cached_fraction))
-        return dram_bytes
+        for step in plan.steps:
+            cost = costs[step.is_dense]
+            compute_s, busy = self._compute_seconds(cost)
+            dram_bytes = cost.activation_bytes
+            if step.weight_fetch == "cold":
+                dram_bytes += cost.weight_bytes
+            else:
+                dram_bytes += int(cost.weight_bytes * (1.0 - cached_fraction))
+            yield _PricedStep(
+                step=step,
+                cost=cost,
+                compute_s=compute_s,
+                busy=busy,
+                dram_bytes=dram_bytes,
+                dram_s=self.dram.transfer_seconds(dram_bytes),
+            )
 
     def _compute_seconds(self, cost: IterationCost) -> tuple:
         """Iteration compute time with work split across DSCs.

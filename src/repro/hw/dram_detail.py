@@ -44,10 +44,6 @@ class DRAMTimings:
             raise ValueError("channels must be positive")
 
     @property
-    def aggregate_gbps(self) -> float:
-        return self.io_gbps * self.channels
-
-    @property
     def burst_transfer_ns(self) -> float:
         """Data-transfer time of one burst at the per-channel IO rate."""
         return self.burst_bytes / self.io_gbps

@@ -8,24 +8,17 @@ sparse phases of the FFN-Reuse schedule and the four ablation settings
 The DSC prices the IR: :meth:`DSCModel.iteration_cost` consumes an
 :class:`~repro.program.ir.IterationProgram` (the single lowering's
 output) and dispatches on each op's :class:`~repro.program.ir.OpKind`;
-it never walks the model structure itself. A bare
-:class:`~repro.workloads.specs.ModelSpec` is accepted for convenience
-and lowered through the same :func:`repro.program.lower.lower_program`
-entry point.
+it never walks the model structure itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
-
 from repro.hw.cfse import CFSEModel
 from repro.hw.epre import EPREModel
 from repro.hw.profile import SparsityProfile
 from repro.hw.sdue import SDUEModel
 from repro.program.ir import IterationProgram, MMUL_BYTES_PER_ELEMENT
-from repro.program.lower import lower_program
-from repro.workloads.specs import ModelSpec
 
 
 @dataclass
@@ -73,7 +66,7 @@ class DSCModel:
     # ------------------------------------------------------------------
     def iteration_cost(
         self,
-        program: Union[IterationProgram, ModelSpec],
+        program: IterationProgram,
         profile: SparsityProfile,
         enable_ffn_reuse: bool,
         enable_eager_prediction: bool,
@@ -87,8 +80,6 @@ class DSCModel:
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if isinstance(program, ModelSpec):
-            program = lower_program(program, scale="paper")
         cost = IterationCost()
         ep = enable_eager_prediction
         ffnr_sparse = enable_ffn_reuse and sparse_phase

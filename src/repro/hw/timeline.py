@@ -1,7 +1,8 @@
 """Per-iteration simulation timelines.
 
-``simulate_timeline`` mirrors :meth:`ExionAccelerator.simulate_plan` but
-returns the per-iteration latency/energy/bound records, exposing the
+``simulate_timeline`` reads the same per-step prices
+:meth:`ExionAccelerator.simulate_plan` folds into a report, but keeps
+them as per-iteration latency/traffic/bound records, exposing the
 dense/sparse cadence the FFN-Reuse schedule creates — dense iterations
 are visibly longer (full FFN compute + CAU work + full weight fetch),
 which is the microarchitectural signature of the algorithm. Like the
@@ -46,7 +47,13 @@ class Timeline:
 
     @property
     def total_latency_s(self) -> float:
-        return sum(r.latency_s for r in self.records)
+        # Left to right with +=, the way simulate_plan accumulates
+        # latency_s: the two totals are equal bit for bit, which a
+        # compensated builtin sum (CPython >= 3.12) is not.
+        total = 0.0
+        for record in self.records:
+            total += record.latency_s
+        return total
 
     def dense_records(self) -> list:
         return [r for r in self.records if r.is_dense]
@@ -118,25 +125,17 @@ def simulate_timeline(
         batch=batch,
     )
 
-    # One pricing substrate: the same per-phase costs, residency fraction
-    # and per-step DRAM math simulate_plan uses.
-    costs, cached_fraction = accelerator._phase_costs(plan, profile)
-
     timeline = Timeline(accelerator=accelerator.name, model=spec.name)
-    for step in plan.steps:
-        cost = costs[step.is_dense]
-        compute_s, _ = accelerator._compute_seconds(cost)
-        dram_bytes = accelerator._step_dram_bytes(cost, step, cached_fraction)
-        dram_s = accelerator.dram.transfer_seconds(dram_bytes)
+    for priced in accelerator._price_steps(plan, profile):
         timeline.records.append(
             IterationRecord(
-                index=step.index,
-                is_dense=step.is_dense,
-                compute_s=compute_s,
-                dram_s=dram_s,
-                latency_s=max(compute_s, dram_s),
-                dram_bytes=dram_bytes,
-                macs_computed=cost.macs_computed,
+                index=priced.step.index,
+                is_dense=priced.step.is_dense,
+                compute_s=priced.compute_s,
+                dram_s=priced.dram_s,
+                latency_s=priced.latency_s,
+                dram_bytes=priced.dram_bytes,
+                macs_computed=priced.cost.macs_computed,
             )
         )
     return timeline

@@ -210,22 +210,6 @@ class TraceRecords:
                 return cls.from_chrome_trace(doc)
         return cls.from_jsonl(text)
 
-    # ------------------------------------------------------------------
-    # selectors
-    # ------------------------------------------------------------------
-    def spans_named(self, prefix: str, track: Optional[str] = None) -> list:
-        return [
-            s for s in self.spans
-            if s.name.startswith(prefix)
-            and (track is None or s.track == track)
-        ]
-
-    def events_named(self, name: str, track: Optional[str] = None) -> list:
-        return [
-            e for e in self.events
-            if e.name == name and (track is None or e.track == track)
-        ]
-
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""
         latest = 0

@@ -19,9 +19,9 @@ The cache carries no observer: a lookup is reported to the ``observer``
 its caller passes (the server that made it), so servers sharing one
 cache never see each other's lookups.
 
-Cached models are shared objects: callers must not mutate their weights
-(e.g. via ``repro.quant.apply_ptq``) — quantized serving is expressed with
-the ``activation_bits`` server knob instead.
+Cached models are shared objects: callers must not mutate their weights —
+quantized serving is expressed with the ``activation_bits`` server knob
+instead.
 """
 
 from __future__ import annotations

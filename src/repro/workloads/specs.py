@@ -68,14 +68,6 @@ class ModelSpec:
     paper_temporal_frames: Optional[int] = None
 
     @property
-    def has_cross_attention(self) -> bool:
-        return self.context_dim is not None
-
-    @property
-    def has_temporal_attention(self) -> bool:
-        return self.paper_temporal_frames is not None
-
-    @property
     def has_resblocks(self) -> bool:
         return self.network_type == 2
 

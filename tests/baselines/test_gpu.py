@@ -33,11 +33,12 @@ class TestSimulation:
         assert report.iterations == 100
 
     def test_dense_ops_match_mapping(self):
-        from repro.hw.mapping import iteration_macs
+        from repro.program.lower import lower_program
 
         spec = get_spec("mdm")
         report = GPUModel(SERVER_GPU).simulate(spec)
-        expected = 2 * sum(iteration_macs(spec).values()) * 50
+        macs = lower_program(spec, scale="paper").macs_by_kind()
+        expected = 2 * sum(macs.values()) * 50
         assert report.dense_equivalent_ops == expected
 
     def test_batch_amortizes_launch_overhead(self):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import EagerPredictor
 from repro.core.ffn_reuse import FFNReuse, schedule_phases
+from repro.core.pipeline import _fake_quantize as fake_quantize
 from repro.core.sparsity import RunStats
 from repro.models.ffn import FeedForward
-from repro.quant.quantize import fake_quantize
 
 
 class TestScheduleProperties:

@@ -27,7 +27,12 @@ from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.program import lower_plan
-from repro.workloads.specs import BENCHMARK_ORDER, MODEL_SPECS, get_spec
+from repro.workloads.specs import (
+    ALL_MODEL_ORDER,
+    BENCHMARK_ORDER,
+    MODEL_SPECS,
+    get_spec,
+)
 
 BASELINE_PATH = (
     Path(__file__).resolve().parents[2]
@@ -93,19 +98,34 @@ class TestSpecPathEqualsPlanPath:
 
 
 class TestTimelineParity:
-    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
-    def test_timeline_sums_to_accelerator_report(self, model, profiles):
-        """The per-iteration timeline and simulate_plan share one pricing
-        substrate; their totals must agree bit for bit."""
+    @pytest.mark.parametrize("model", ALL_MODEL_ORDER)
+    @pytest.mark.parametrize("table2", sorted(TABLE2))
+    @pytest.mark.parametrize("batch", (1, 4, 8))
+    def test_timeline_sums_to_accelerator_report(
+        self, model, table2, batch, profiles
+    ):
+        """The per-iteration timeline and simulate_plan read one walk over
+        the plan's steps; at full schedules their totals must agree bit
+        for bit, on every interpreter."""
         from repro.hw.timeline import simulate_timeline
 
         spec = get_spec(model)
-        acc = ExionAccelerator.exion24()
-        report = acc.simulate(spec, profiles[model], iterations=10)
-        timeline = simulate_timeline(acc, spec, profiles[model],
-                                     iterations=10)
+        acc = TABLE2[table2]()
+        report = acc.simulate(spec, profiles[model], batch=batch)
+        timeline = simulate_timeline(acc, spec, profiles[model], batch=batch)
         assert timeline.total_latency_s == report.latency_s
         assert len(timeline.records) == report.iterations
+        assert (
+            2 * sum(r.macs_computed for r in timeline.records)
+            == report.computed_ops
+        )
+        # The report adds latencies left to right; so must the timeline
+        # (the builtin sum is compensated from CPython 3.12 and differs
+        # from this fold in the last digits).
+        folded = 0.0
+        for record in timeline.records:
+            folded += record.latency_s
+        assert timeline.total_latency_s == folded
 
 
 class TestCommittedBaselineParity:

@@ -174,16 +174,6 @@ class TestLowerPlan:
 
 
 class TestMappingFacade:
-    def test_shim_matches_program(self):
-        """repro.hw.mapping delegates; no second walk can drift."""
-        from repro.hw.mapping import iteration_macs, iteration_workloads
-
-        for name in ALL_MODEL_ORDER:
-            spec = get_spec(name)
-            program = lower_program(spec)
-            assert iteration_workloads(spec) == list(program.ops)
-            assert iteration_macs(spec) == program.macs_by_kind()
-
     def test_delta_dit_block_macs_match_network(self):
         """Sim-scale block lowering equals the runnable network's own
         analytic MAC count (what Delta-DiT's accounting relies on)."""

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the repro package.
 
-Three checks, all hard failures:
+Four checks, all hard failures:
 
 1. **Docstrings** — every public module under ``src/repro`` (any module
    whose dotted path has no ``_``-prefixed component) must carry a
@@ -15,6 +15,14 @@ Three checks, all hard failures:
    and every backticked CamelCase identifier (alone, or as the head of
    ``Name.attr``) must be a class or function defined under ``repro`` —
    a deleted class cannot survive in the docs.
+4. **Reachability** — every module under ``src/repro`` must be reachable
+   through imports from what somebody runs: ``repro.cli`` /
+   ``repro.__main__``, ``perfbench/*.py``, ``benchmarks/*.py``,
+   ``examples/*.py`` or ``tools/*.py``. A package ``__init__.py``
+   re-exporting a module does not reach it (that would make every
+   module live forever); ``from repro.pkg import Name`` reaches the
+   module under ``pkg`` that defines ``Name``. A module only ``tests/``
+   can reach is a capability nothing uses: it goes, with its tests.
 
 Run from the repository root::
 
@@ -26,6 +34,7 @@ target and CI wire this in.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -39,6 +48,8 @@ PROSE = ("README.md", "docs/architecture.md")
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 _CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
 _FILE_SUFFIXES = {"json", "jsonl", "html", "py", "md", "txt", "toml", "yml"}
+ENTRY_MODULES = ("repro.cli", "repro.__main__")
+ENTRY_DIRS = ("perfbench", "benchmarks", "examples", "tools")
 
 
 def iter_public_modules() -> list[str]:
@@ -132,6 +143,68 @@ def check_prose(modules: list[str]) -> list[str]:
     return problems
 
 
+def check_reachability() -> list[str]:
+    """Modules under ``src/repro`` with no import path from an entry point."""
+    files = {}  # dotted module name -> its source file
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        is_init = parts[-1] == "__init__"
+        files[".".join(parts[:-1] if is_init else parts)] = path
+    trees: dict[str, ast.AST] = {}
+
+    def tree_of(module: str) -> ast.AST:
+        if module not in trees:
+            trees[module] = ast.parse(files[module].read_text("utf-8"))
+        return trees[module]
+
+    def is_package(module: str) -> bool:
+        return files[module].name == "__init__.py"
+
+    def defining(module: str, name: str | None) -> str | None:
+        """The module ``from module import name`` lands in."""
+        if module not in files:
+            return None
+        if name is None or not is_package(module):
+            return module
+        for node in tree_of(module).body:  # what the __init__ re-exports
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return defining(node.module, alias.name) or module
+        submodule = f"{module}.{name}"
+        return submodule if submodule in files else module
+
+    def targets(tree: ast.AST) -> set[str]:
+        """Modules a file imports, at any depth (lazy imports count)."""
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {defining(alias.name, None) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found |= {
+                    defining(node.module, alias.name) for alias in node.names
+                }
+        return found - {None}
+
+    frontier = set(ENTRY_MODULES)
+    for directory in ENTRY_DIRS:
+        for path in sorted((REPO_ROOT / directory).glob("*.py")):
+            frontier |= targets(ast.parse(path.read_text("utf-8")))
+    reached: set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        reached.add(module)
+        if not is_package(module):  # a re-export is not a use
+            frontier |= targets(tree_of(module)) - reached
+    return [
+        f"{module}: no import path from {', '.join(ENTRY_MODULES)}, "
+        f"{'/, '.join(ENTRY_DIRS)}/ (tests and package re-exports "
+        f"do not count)"
+        for module in sorted(files)
+        if module not in reached and not is_package(module)
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     modules = iter_public_modules()
@@ -139,6 +212,7 @@ def main() -> int:
     for name in modules:
         findings.extend(check_module(name))
     findings.extend(check_prose(modules))
+    findings.extend(check_reachability())
 
     if findings:
         print(f"docs-check: {len(findings)} problem(s) in "
@@ -147,7 +221,8 @@ def main() -> int:
             print(f"  - {finding}")
         return 1
     print(f"docs-check: {len(modules)} public modules documented, "
-          f"all __all__ exports and prose references resolve")
+          f"all __all__ exports and prose references resolve, "
+          f"every module reachable from an entry point")
     return 0
 
 
