@@ -115,7 +115,7 @@ fleet-digests:  ## byte-identity gate: sha256 per fleet artefact vs tools/fleet_
 sample-digests:  ## byte-identity gate: sha256 per generated sample vs tools/sample_digests.txt
 	$(PYTHON) tools/sample_digests.py --check
 
-docs-check:  ## docstring, __all__ export and prose-reference lint
+docs-check:  ## docstring, __all__, prose-reference and reachability lint
 	$(PYTHON) tools/docs_check.py
 
 check: test test-warnings docs-check smoke sample-digests  ## test + test-warnings + docs-check + smoke + sample-digests

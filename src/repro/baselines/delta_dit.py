@@ -36,11 +36,6 @@ class DeltaDiTResult:
     macs_computed: int
 
     @property
-    def skip_rate(self) -> float:
-        total = self.blocks_executed + self.blocks_skipped
-        return self.blocks_skipped / total if total else 0.0
-
-    @property
     def ops_reduction(self) -> float:
         if self.macs_dense == 0:
             return 0.0

@@ -41,10 +41,6 @@ class GPUReport:
     def tops_per_watt(self) -> float:
         return self.dense_equivalent_ops / self.energy_j / 1e12
 
-    @property
-    def average_power_w(self) -> float:
-        return self.energy_j / self.latency_s
-
 
 class GPUModel:
     """Per-kernel roofline simulation of diffusion inference on a GPU."""

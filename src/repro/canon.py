@@ -8,6 +8,7 @@ fixed separators, NaN rejected. This leaf module (it imports nothing from
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -67,7 +68,10 @@ class ContentStore:
             tmp.write_text(body, encoding="utf-8")
             os.replace(tmp, path)
         except OSError:
-            pass
+            # A failed write or replace must not strand the temp file; an
+            # unreachable directory (ENOTDIR, EACCES) has none to remove.
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
 
 
 __all__ = ["ContentStore", "canonical_json", "canonical_sha256"]

@@ -188,11 +188,9 @@ def _write_obs_outputs(
 ) -> None:
     """Write the observer's metrics / trace / event-log files, if asked.
 
-    ``metrics_out`` picks its format by extension: ``.json`` gets the
-    canonical registry snapshot, anything else the Prometheus text
-    exposition. The Chrome trace is schema-validated before writing so a
-    broken exporter fails the command instead of producing a file
-    Perfetto rejects.
+    ``metrics_out`` gets the canonical JSON registry snapshot. The Chrome
+    trace is schema-validated before writing so a broken exporter fails
+    the command instead of producing a file Perfetto rejects.
     """
     from repro.obs import (
         chrome_trace,
@@ -208,12 +206,8 @@ def _write_obs_outputs(
         print(f"wrote {trace_out} ({count} trace events; "
               "open in Perfetto or chrome://tracing)")
     if metrics_out is not None:
-        if str(metrics_out).endswith(".json"):
-            text = observer.metrics.to_json()
-        else:
-            text = observer.metrics.to_prometheus()
         with open(metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(observer.metrics.to_json())
         print(f"wrote {metrics_out}")
     if events_out is not None:
         with open(events_out, "w", encoding="utf-8") as fh:
@@ -929,8 +923,8 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=None,
                    help="drop queued requests older than this")
     p.add_argument("--metrics-out", default=None,
-                   help="write metrics here afterwards (.json for the "
-                        "canonical snapshot, else Prometheus text)")
+                   help="write the canonical JSON metrics snapshot here "
+                        "afterwards")
     p.add_argument("--trace-out", default=None,
                    help="write a Chrome trace-event JSON of the run here "
                         "(deterministic in simulated time)")
@@ -1117,8 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Chrome trace-event JSON output path (open in "
                           "Perfetto or chrome://tracing)")
     trc.add_argument("--metrics-out", default=None,
-                     help="also write metrics (.json canonical snapshot, "
-                          "else Prometheus text)")
+                     help="also write the canonical JSON metrics snapshot")
     trc.add_argument("--events-out", default=None,
                      help="also write the flat JSONL event log")
     trc.set_defaults(func=_cmd_trace)

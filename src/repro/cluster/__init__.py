@@ -74,7 +74,6 @@ from repro.cluster.traffic import (
     DiurnalProcess,
     MMPPProcess,
     PoissonProcess,
-    TraceProcess,
     WorkloadMix,
     load_trace,
     save_trace,
@@ -102,7 +101,6 @@ __all__ = [
     "SLOPolicy",
     "ServiceTimeModel",
     "SimClock",
-    "TraceProcess",
     "WorkloadMix",
     "build_replicas",
     "load_trace",

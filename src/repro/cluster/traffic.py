@@ -9,8 +9,7 @@ delay and tail latency emerge). This module synthesizes that schedule:
 - :class:`MMPPProcess` — a two-state Markov-modulated Poisson process
   (calm/burst), the standard bursty-traffic model;
 - :class:`DiurnalProcess` — a sinusoidal rate ramp (thinning against the
-  peak rate), emulating a day/night load cycle compressed to ``period_s``;
-- :class:`TraceProcess` — replay of explicit arrival instants.
+  peak rate), emulating a day/night load cycle compressed to ``period_s``.
 
 :func:`synthesize_trace` turns an arrival process plus a
 :class:`WorkloadMix` over the model zoo into concrete
@@ -212,27 +211,6 @@ class DiurnalProcess(ArrivalProcess):
         }
 
 
-class TraceProcess(ArrivalProcess):
-    """Replay of explicit arrival instants (e.g. from a measured trace)."""
-
-    name = "trace"
-
-    def __init__(self, instants: Sequence[float]) -> None:
-        self.instants = sorted(float(t) for t in instants)
-        if self.instants and self.instants[0] < 0.0:
-            raise ValueError("trace instants must be >= 0")
-
-    def times(self, n: int, rng: Union[int, np.random.Generator]) -> list:
-        if n > len(self.instants):
-            raise ValueError(
-                f"trace holds {len(self.instants)} arrivals, {n} requested"
-            )
-        return list(self.instants[:n])
-
-    def describe(self) -> dict:
-        return {"process": self.name, "arrivals": len(self.instants)}
-
-
 # ----------------------------------------------------------------------
 # workload mix and trace synthesis
 # ----------------------------------------------------------------------
@@ -348,7 +326,6 @@ __all__ = [
     "DiurnalProcess",
     "MMPPProcess",
     "PoissonProcess",
-    "TraceProcess",
     "WorkloadMix",
     "load_trace",
     "save_trace",

@@ -38,29 +38,6 @@ class Bitmask:
         return cls(np.ones((rows, cols), dtype=bool))
 
     @classmethod
-    def from_gather_indices(
-        cls, indices: np.ndarray, rows: int, cols: int
-    ) -> "Bitmask":
-        """Rebuild a mask from flat row-major gather indices.
-
-        Inverse of :meth:`to_gather_indices`: for any mask,
-        ``Bitmask.from_gather_indices(m.to_gather_indices(), m.rows,
-        m.cols) == m``.
-        """
-        if rows <= 0 or cols <= 0:
-            raise ValueError("mask dimensions must be positive")
-        indices = np.asarray(indices, dtype=np.int64).ravel()
-        if indices.size and (
-            indices.min() < 0 or indices.max() >= rows * cols
-        ):
-            raise ValueError(
-                f"gather indices out of range for a {rows}x{cols} mask"
-            )
-        mask = np.zeros(rows * cols, dtype=bool)
-        mask[indices] = True
-        return cls(mask.reshape(rows, cols))
-
-    @classmethod
     def random(
         cls, rows: int, cols: int, sparsity: float, rng: np.random.Generator
     ) -> "Bitmask":
@@ -90,32 +67,13 @@ class Bitmask:
         """Fraction of sparse elements."""
         return 1.0 - self.nnz / self.mask.size
 
-    def column_popcounts(self) -> np.ndarray:
-        """Non-sparse element count per column (CAU classifier input)."""
-        return self.mask.sum(axis=0).astype(int)
-
     def nonzero_columns(self) -> np.ndarray:
         """Indices of columns with at least one non-sparse element."""
         return np.flatnonzero(self.mask.any(axis=0))
 
-    def all_zero_columns(self) -> np.ndarray:
-        """Indices of fully-sparse columns (removed by condensing)."""
-        return np.flatnonzero(~self.mask.any(axis=0))
-
     def column(self, index: int) -> np.ndarray:
         """The boolean occupancy of one column."""
         return self.mask[:, index]
-
-    def to_gather_indices(self) -> np.ndarray:
-        """Flat row-major indices of the non-sparse elements.
-
-        This is the bitmask→gather conversion of the compiled executor:
-        the indices drive ``ravel()``-level gather/scatter of exactly the
-        elements the bitmask marks for recomputation, in ascending
-        (row-major) order. Round-trips through
-        :meth:`from_gather_indices`.
-        """
-        return np.flatnonzero(self.mask.ravel())
 
     # ------------------------------------------------------------------
     # operators
@@ -144,13 +102,3 @@ class Bitmask:
             f"Bitmask(rows={self.rows}, cols={self.cols}, "
             f"sparsity={self.sparsity:.3f})"
         )
-
-    def pack_words(self) -> np.ndarray:
-        """Pack each column into a row-major integer word (CAU storage).
-
-        Column ``c`` becomes ``sum(mask[r, c] << r)``; matches the 16-bit
-        bitmask-per-column format the CAU SortBuffer stores (Fig. 13) when
-        ``rows <= 16``.
-        """
-        weights = (1 << np.arange(self.rows, dtype=np.int64))[:, None]
-        return (self.mask.astype(np.int64) * weights).sum(axis=0)

@@ -17,18 +17,17 @@ into few dense tile blocks the SDUE can execute at high utilization:
    (Fig. 14).
 """
 
-from repro.core.conmerge.blocks import TileBlock, partition_into_blocks
+from repro.core.conmerge.blocks import TileBlock
 from repro.core.conmerge.condense import CondenseResult, condense
 from repro.core.conmerge.cvg import ConMergeResult, conmerge, conmerge_tiled
 from repro.core.conmerge.merge import MergeAttempt, try_merge
 from repro.core.conmerge.sortbuffer import SortBuffer, SparsityClass
-from repro.core.conmerge.vectors import CellAssignment, ControlMap
+from repro.core.conmerge.vectors import CellAssignment
 
 __all__ = [
     "CellAssignment",
     "ConMergeResult",
     "CondenseResult",
-    "ControlMap",
     "MergeAttempt",
     "SortBuffer",
     "SparsityClass",
@@ -36,6 +35,5 @@ __all__ = [
     "condense",
     "conmerge",
     "conmerge_tiled",
-    "partition_into_blocks",
     "try_merge",
 ]

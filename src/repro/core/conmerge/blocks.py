@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bitmask import Bitmask
-from repro.core.conmerge.vectors import CellAssignment, ControlMap
-
 
 @dataclass
 class TileBlock:
@@ -39,25 +36,6 @@ class TileBlock:
             self.cells = [[None] * self.width for _ in range(self.rows)]
         if not self.conflict_vector:
             self.conflict_vector = [None] * self.rows
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_column(
-        cls, occupancy: np.ndarray, origin_col: int, width: int, slot: int = 0
-    ) -> "TileBlock":
-        """Fresh single-column block (convenience for tests)."""
-        block = cls(rows=len(occupancy), width=width)
-        for lane in np.flatnonzero(np.asarray(occupancy, dtype=bool)):
-            block.cells[int(lane)][slot] = CellAssignment(
-                lane=int(lane),
-                col_slot=slot,
-                input_row=int(lane),
-                origin_col=int(origin_col),
-                buffer_index=0,
-            )
-        return block
 
     # ------------------------------------------------------------------
     # inspection
@@ -87,24 +65,6 @@ class TileBlock:
             for slot in range(self.width):
                 grid[lane, slot] = self.cells[lane][slot] is not None
         return grid
-
-    def origin_columns(self) -> set:
-        """Distinct original weight columns present in the block."""
-        return {cell.origin_col for cell in self.entries()}
-
-    def control_maps(self) -> list:
-        """Per-cell :class:`ControlMap` grid (rows x width)."""
-        maps = []
-        for lane in range(self.rows):
-            row_maps = []
-            for slot in range(self.width):
-                cell = self.cells[lane][slot]
-                if cell is None:
-                    row_maps.append(ControlMap.idle())
-                else:
-                    row_maps.append(ControlMap.from_assignment(cell))
-            maps.append(row_maps)
-        return maps
 
     def copy(self) -> "TileBlock":
         return TileBlock(
@@ -136,34 +96,3 @@ class TileBlock:
                         f"lane {lane} conflict vector {self.conflict_vector[lane]}"
                         f" does not carry required row {row}"
                     )
-
-
-def partition_into_blocks(
-    mask: Bitmask,
-    column_indices: np.ndarray,
-    width: int,
-) -> list:
-    """Split condensed columns into fresh width-``width`` tile blocks.
-
-    ``column_indices[i]`` is the original weight column of condensed column
-    ``i``; blocks take consecutive runs of ``width`` columns.
-    """
-    blocks = []
-    n = len(column_indices)
-    for start in range(0, n, width):
-        cols = column_indices[start : start + width]
-        block = TileBlock(rows=mask.rows, width=width)
-        for slot, (local, col) in enumerate(
-            zip(range(start, start + len(cols)), cols)
-        ):
-            occupancy = mask.column(local)
-            for lane in np.flatnonzero(occupancy):
-                block.cells[int(lane)][slot] = CellAssignment(
-                    lane=int(lane),
-                    col_slot=slot,
-                    input_row=int(lane),
-                    origin_col=int(col),
-                    buffer_index=0,
-                )
-        blocks.append(block)
-    return blocks

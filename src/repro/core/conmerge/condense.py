@@ -23,10 +23,6 @@ class CondenseResult:
     condensed: Bitmask  # mask restricted to the kept columns
 
     @property
-    def removed_cols(self) -> int:
-        return self.original_cols - len(self.kept_columns)
-
-    @property
     def remaining_ratio(self) -> float:
         """Fraction of columns remaining after condensing (Fig. 8 metric)."""
         if self.original_cols == 0:

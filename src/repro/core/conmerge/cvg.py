@@ -72,14 +72,6 @@ class ConMergeResult:
         area = sum(b.rows * b.width for b in self.blocks)
         return cells / area
 
-    def element_positions(self) -> set:
-        """All (input_row, origin_col) pairs covered by the blocks."""
-        positions = set()
-        for block in self.blocks:
-            for cell in block.entries():
-                positions.add((cell.input_row, cell.origin_col))
-        return positions
-
 
 def _blocks_from_entries(entries: list, rows: int, width: int) -> list:
     """Fresh width-wide blocks from ordered SortBuffer entries."""

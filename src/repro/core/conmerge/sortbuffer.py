@@ -107,9 +107,6 @@ class SortBuffer:
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._classes.values())
 
-    def class_counts(self) -> dict:
-        return {cls: len(entries) for cls, entries in self._classes.items()}
-
     def drain_sorted(self) -> list:
         """All entries ordered densest-to-sparsest (class-coarse order).
 

@@ -1,12 +1,13 @@
-"""Control-signal datatypes for ConMerge execution on the SDUE.
+"""Cell-assignment datatype for ConMerge execution on the SDUE.
 
 Each DPU cell of a merged block needs to know (paper Fig. 11):
 
 - which input row feeds it — its lane's *original line* or the lane's
   single *conflict line* (selected by ``i_sw``, configured per lane by the
-  conflict vector);
+  conflict vector): the cell reads the conflict line exactly when its
+  ``input_row`` differs from its ``lane``;
 - which of up to three broadcast weight columns it multiplies (selected by
-  ``w_sw``, one per merge round / WMEM buffer).
+  ``w_sw``, one per merge round / WMEM buffer): its ``buffer_index``.
 """
 
 from __future__ import annotations
@@ -37,37 +38,3 @@ class CellAssignment:
             raise ValueError("buffer_index must be 0, 1 or 2 (triple-buffered WMEM)")
         if min(self.lane, self.col_slot, self.input_row, self.origin_col) < 0:
             raise ValueError("indices must be non-negative")
-
-    @property
-    def uses_conflict_line(self) -> bool:
-        """Whether the cell reads its input via the lane's conflict line."""
-        return self.input_row != self.lane
-
-
-@dataclass(frozen=True)
-class ControlMap:
-    """Per-cell switch settings derived from a :class:`CellAssignment`.
-
-    ``i_sw`` selects the input line (0 = original, 1 = conflict) and
-    ``w_sw`` selects the weight buffer (0-2); ``active`` is False for
-    clock-gated idle cells.
-    """
-
-    i_sw: int
-    w_sw: int
-    active: bool = True
-
-    def __post_init__(self) -> None:
-        if self.i_sw not in (0, 1):
-            raise ValueError("i_sw must be 0 (original) or 1 (conflict)")
-        if self.w_sw not in (0, 1, 2):
-            raise ValueError("w_sw must select one of 3 WMEM buffers")
-
-    @classmethod
-    def from_assignment(cls, cell: CellAssignment) -> "ControlMap":
-        return cls(i_sw=1 if cell.uses_conflict_line else 0,
-                   w_sw=cell.buffer_index)
-
-    @classmethod
-    def idle(cls) -> "ControlMap":
-        return cls(i_sw=0, w_sw=0, active=False)

@@ -107,8 +107,8 @@ class FFNReuse:
             if self._iteration < 0:
                 raise RuntimeError("begin_iteration() was never called")
             if self.is_dense_iteration or self._states[block] is None:
-                return self._run_dense(layer, x, block)
-            return self._run_sparse(layer, x, block)
+                return self._dense_pass(layer, x, block)
+            return self._sparse_pass(layer, x, block)
 
         return run
 
@@ -121,7 +121,7 @@ class FFNReuse:
                 return stored
         return quantile_threshold(hidden, self.config.ffn_target_sparsity)
 
-    def _run_dense(self, layer: FeedForward, x: np.ndarray, block: int):
+    def _dense_pass(self, layer: FeedForward, x: np.ndarray, block: int):
         tokens = x.shape[0]
         hidden = layer.nonlinear(layer.linear1(x))
         out = layer.linear2(hidden)
@@ -149,7 +149,7 @@ class FFNReuse:
         trace = FFNTrace(hidden=hidden, total_hidden_elements=int(hidden.size))
         return out, trace
 
-    def _run_sparse(self, layer: FeedForward, x: np.ndarray, block: int):
+    def _sparse_pass(self, layer: FeedForward, x: np.ndarray, block: int):
         state = self._states[block]
         assert state is not None
         tokens = x.shape[0]
@@ -206,7 +206,7 @@ class FFNPhaseState:
     replayed by :func:`ffn_sparse_step` for the following ``N`` sparse
     iterations. Relative to the interpreted :class:`_BlockState`, the
     bitmask is additionally converted to flat gather indices
-    (``Bitmask.to_gather_indices``) so the sparse step is pure
+    (``np.flatnonzero(mask.ravel())``) so the sparse step is pure
     gather/scatter with no per-step mask scanning; for GEGLU FFNs the
     value/gate element positions of the first linear's output are
     precomputed too.
@@ -235,7 +235,7 @@ def ffn_dense_compile(
     ``resolve_threshold`` maps the hidden activations to the bitmask
     threshold (mirroring :meth:`FFNReuse._resolve_threshold`, whose
     quantile fallback needs the activations). The arithmetic is
-    element-for-element the interpreted :meth:`FFNReuse._run_dense` (the
+    element-for-element the interpreted :meth:`FFNReuse._dense_pass` (the
     differential-parity suite holds the two byte-identical); on top of it
     the bitmask→gather conversion and GEGLU index maps are materialized
     once for the whole sparse phase.

@@ -111,22 +111,6 @@ def approximation_table(mode: str, bits: int) -> np.ndarray:
     return table
 
 
-def decompose_powers(value: int, max_terms: int = 2) -> list[int]:
-    """Bit positions of the ``max_terms`` most significant set bits.
-
-    Used by the EPRE hardware model: each term becomes one one-hot operand
-    of the OR-gate adder tree.
-    """
-    if value < 0:
-        value = -value
-    positions: list[int] = []
-    while value > 0 and len(positions) < max_terms:
-        pos = int(value).bit_length() - 1
-        positions.append(pos)
-        value -= 1 << pos
-    return positions
-
-
 def quantize_symmetric_batched(
     x: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -9,72 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-
-def mask_to_indices(mask: np.ndarray) -> np.ndarray:
-    """Flat row-major indices of the ``True`` elements of a boolean mask.
-
-    The index-set form of an output bitmask: ascending ``int64`` positions
-    into ``mask.ravel()``. The compiled executor gathers/scatters through
-    these instead of re-testing the mask per step.
-    """
-    mask = np.asarray(mask)
-    return np.flatnonzero(mask.astype(bool).ravel())
-
-
-def indices_to_mask(indices: np.ndarray, shape: tuple) -> np.ndarray:
-    """Inverse of :func:`mask_to_indices` for the given mask ``shape``."""
-    size = int(np.prod(shape, dtype=np.int64)) if shape else 0
-    if size <= 0:
-        raise ValueError("mask shape must have positive size")
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if indices.size and (indices.min() < 0 or indices.max() >= size):
-        raise ValueError(f"indices out of range for shape {tuple(shape)}")
-    mask = np.zeros(size, dtype=bool)
-    mask[indices] = True
-    return mask.reshape(shape)
-
-
-def partition_indices_by_tiles(
-    indices: np.ndarray,
-    shape: tuple,
-    tile_rows: int,
-    tile_cols: int,
-) -> dict:
-    """Split a flat index set of a 2-D mask into per-tile index sets.
-
-    Tiles are the ``(tile_rows, tile_cols)`` blocks the SDUE executes;
-    ragged edge tiles (when the shape does not divide evenly) keep their
-    reduced extent. A tile's flat indices are *non-contiguous* in
-    row-major order — each covers ``tile_rows`` disjoint row segments —
-    which is exactly why the conversion is precomputed at plan time
-    instead of re-derived per step.
-
-    Returns ``{(tile_row, tile_col): ascending int64 flat indices}`` with
-    every input index appearing in exactly one tile (the union
-    round-trips through :func:`indices_to_mask`).
-    """
-    if len(shape) != 2:
-        raise ValueError("tile partitioning needs a 2-D mask shape")
-    rows, cols = int(shape[0]), int(shape[1])
-    if rows <= 0 or cols <= 0:
-        raise ValueError("mask shape must have positive size")
-    if tile_rows <= 0 or tile_cols <= 0:
-        raise ValueError("tile dimensions must be positive")
-    indices = np.asarray(indices, dtype=np.int64).ravel()
-    if indices.size and (indices.min() < 0 or indices.max() >= rows * cols):
-        raise ValueError(f"indices out of range for shape {(rows, cols)}")
-    r = indices // cols
-    c = indices % cols
-    tiles: dict = {}
-    keys = np.stack([r // tile_rows, c // tile_cols], axis=-1) if indices.size \
-        else np.zeros((0, 2), dtype=np.int64)
-    for key in np.unique(keys, axis=0) if indices.size else ():
-        sel = (keys[:, 0] == key[0]) & (keys[:, 1] == key[1])
-        tiles[(int(key[0]), int(key[1]))] = indices[sel]
-    return tiles
-
 
 @dataclass
 class OpCounter:

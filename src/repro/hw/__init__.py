@@ -3,8 +3,8 @@
 Component map (paper Fig. 10):
 
 - :mod:`repro.hw.dpu` / :mod:`repro.hw.sdue` — the sparse-dense unified
-  engine: a 16x16 dot-product-unit array executing dense tiles and
-  ConMerge-merged blocks through cv_sw / i_sw / w_sw switching;
+  engine: cycle model of a 16x16 dot-product-unit array running dense
+  tiles and ConMerge-merged blocks through cv_sw / i_sw / w_sw switching;
 - :mod:`repro.hw.epre` — eager-prediction engine (log-domain LD_DPUs with
   one-hot OR-gate adder trees);
 - :mod:`repro.hw.cfse` — configurable SIMD engine for softmax, norms,

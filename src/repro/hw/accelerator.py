@@ -88,10 +88,6 @@ class AcceleratorReport:
         return self.dense_equivalent_ops / self.energy_j / 1e12
 
     @property
-    def average_power_w(self) -> float:
-        return self.energy_j / self.latency_s
-
-    @property
     def ops_reduction(self) -> float:
         if self.dense_equivalent_ops == 0:
             return 0.0

@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.bitmask import Bitmask
-from repro.core.conmerge.cvg import (
-    TiledConMergeResult,
-    conmerge,
-    conmerge_tiled,
-)
+from repro.core.conmerge.cvg import TiledConMergeResult, conmerge_tiled
 
 
 @dataclass
@@ -67,10 +63,3 @@ class CAUModel:
             merge_cycles=merge_cycles,
             cvmem_words=words,
         )
-
-    def single_tile(self, mask: Bitmask, sort: bool = True):
-        """Convenience wrapper for masks that fit one row-tile."""
-        if mask.rows > self.rows:
-            raise ValueError("mask exceeds one row-tile; use process()")
-        return conmerge(mask, width=self.width, sort=sort,
-                        class_capacity=self.class_capacity)

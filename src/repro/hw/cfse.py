@@ -7,21 +7,9 @@ two-way 16-bit for double throughput; MMULs never run here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.models.activations import gelu, softmax
-
-
-@dataclass
-class CFSEStats:
-    cycles: int = 0
-    elements: int = 0
-
 
 class CFSEModel:
-    """Functional + cycle model of the SIMD special-function engine."""
+    """Cycle model of the SIMD special-function engine."""
 
     #: Approximate ALU ops per element for each supported function.
     OPS_PER_ELEMENT = {
@@ -37,43 +25,15 @@ class CFSEModel:
             raise ValueError("lanes must be positive")
         self.lanes = lanes
         self.two_way_16bit = two_way_16bit
-        self.stats = CFSEStats()
 
     @property
     def throughput_per_cycle(self) -> int:
         """Elements processed per cycle (two-way mode doubles it)."""
         return self.lanes * (2 if self.two_way_16bit else 1)
 
-    def _account(self, function: str, elements: int) -> None:
-        if function not in self.OPS_PER_ELEMENT:
-            raise KeyError(f"unsupported CFSE function {function!r}")
-        ops = elements * self.OPS_PER_ELEMENT[function]
-        self.stats.cycles += -(-ops // self.throughput_per_cycle)
-        self.stats.elements += elements
-
     def function_cycles(self, function: str, elements: int) -> int:
+        """Cycles to apply ``function`` to ``elements`` values."""
+        if function not in self.OPS_PER_ELEMENT:
+            raise ValueError(f"unsupported CFSE function {function!r}")
         ops = elements * self.OPS_PER_ELEMENT[function]
         return -(-ops // self.throughput_per_cycle)
-
-    # ------------------------------------------------------------------
-    # functional paths (used by the HW-in-the-loop integration tests)
-    # ------------------------------------------------------------------
-    def run_softmax(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
-        self._account("softmax", int(np.asarray(x).size))
-        return softmax(x, axis=axis)
-
-    def run_gelu(self, x: np.ndarray) -> np.ndarray:
-        self._account("gelu", int(np.asarray(x).size))
-        return gelu(x)
-
-    def run_layernorm(self, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._account("layernorm", int(x.size))
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + eps)
-
-    def run_residual_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.float64)
-        self._account("residual_add", int(a.size))
-        return a + np.asarray(b, dtype=np.float64)

@@ -2,59 +2,15 @@
 
 Each DPU multiplies a 16-element input slice with a 16-element weight slice
 (integer multipliers), reduces through a Wallace-tree adder and accumulates
-into clock-gated registers. The functional model reproduces the integer
-arithmetic; cycle behaviour lives in :mod:`repro.hw.sdue`.
+into clock-gated registers. This module is its cycle model: how many cycles
+one dot product of a given depth occupies a DPU; the array-level
+accounting lives in :mod:`repro.hw.sdue`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Elements each DPU consumes per cycle (the "lane length" of Fig. 11).
 LANE_LENGTH = 16
-
-
-def wallace_tree_sum(values: np.ndarray) -> int:
-    """Reduce integer partial products as the Wallace tree does.
-
-    A Wallace tree computes the exact sum; pairwise reduction here mirrors
-    its log-depth structure so tests can compare against plain ``sum``.
-    """
-    vals = [int(v) for v in np.asarray(values).ravel()]
-    if not vals:
-        return 0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2 == 1:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
-class DPU:
-    """One dot-product unit with an accumulation register."""
-
-    def __init__(self) -> None:
-        self.accumulator = 0
-        self.mac_count = 0
-
-    def reset(self) -> None:
-        self.accumulator = 0
-
-    def step(self, inputs: np.ndarray, weights: np.ndarray) -> int:
-        """One cycle: multiply up to ``LANE_LENGTH`` pairs and accumulate."""
-        inputs = np.asarray(inputs, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.int64)
-        if inputs.shape != weights.shape:
-            raise ValueError("input/weight slices must match")
-        if inputs.size > LANE_LENGTH:
-            raise ValueError(f"at most {LANE_LENGTH} elements per cycle")
-        products = inputs * weights
-        self.accumulator += wallace_tree_sum(products)
-        self.mac_count += int(inputs.size)
-        return self.accumulator
 
 
 def dot_product_cycles(depth: int, lane_length: int = LANE_LENGTH) -> int:

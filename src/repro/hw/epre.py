@@ -6,95 +6,26 @@ powers of two, multiplications become shift operations whose outputs are
 one-hot, and the one-hot partials reduce through OR-gate trees before a
 low-precision accumulation. Its latency hides behind SDUE/CFSE execution
 via pipelining (Section IV-A); the model still reports its cycles for the
-energy account.
+energy account. The prediction arithmetic itself is
+:func:`repro.core.logdomain.log_domain_matmul`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.logdomain import (
-    approximate,
-    decompose_powers,
-    quantize_symmetric,
-)
 from repro.hw.dpu import dot_product_cycles
 
 
-def one_hot_or_add(values: list) -> int:
-    """OR-gate reduction of one-hot operands.
-
-    Valid only while operands have disjoint set bits — the property the
-    TS-LOD datapath guarantees within one shift group. Raises when operands
-    collide, which the hardware would resolve through the low-precision
-    adder stage instead.
-    """
-    acc = 0
-    for value in values:
-        if value < 0:
-            raise ValueError("one-hot operands are unsigned")
-        if acc & value:
-            raise ValueError("operands overlap; not one-hot disjoint")
-        acc |= value
-    return acc
-
-
-def shift_products(a: int, b: int, max_terms: int = 2) -> list:
-    """Partial products of ``|a| * |b|`` as the LD_DPU produces them.
-
-    Each combination of leading-one positions becomes one shifted one-hot
-    value; TS-LOD yields up to ``max_terms ** 2`` partials ("operands of
-    addition have been quadrupled", Fig. 15).
-    """
-    pa = decompose_powers(abs(a), max_terms)
-    pb = decompose_powers(abs(b), max_terms)
-    return [1 << (x + y) for x in pa for y in pb]
-
-
-@dataclass
-class EPREStats:
-    cycles: int = 0
-    predictions: int = 0
-    log_domain_ops: int = 0
-
-
 class EPREModel:
-    """Functional + cycle model of the eager-prediction engine."""
+    """Cycle model of the eager-prediction engine."""
 
-    def __init__(self, rows: int = 16, cols: int = 16, lane_length: int = 16,
-                 mode: str = "ts_lod", bits: int = 12) -> None:
+    def __init__(self, rows: int = 16, cols: int = 16,
+                 lane_length: int = 16) -> None:
         self.rows = rows
         self.cols = cols
         self.lane_length = lane_length
-        self.mode = mode
-        self.bits = bits
-        self.stats = EPREStats()
-
-    def predict_matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Approximate ``a @ b`` exactly as the LD_DPU array would."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        a_int, a_scale = quantize_symmetric(a, self.bits)
-        b_int, b_scale = quantize_symmetric(b, self.bits)
-        a_approx = approximate(a_int, self.mode).astype(np.float64)
-        b_approx = approximate(b_int, self.mode).astype(np.float64)
-        out = (a_approx @ b_approx) * (a_scale * b_scale)
-
-        r, k = a.shape
-        c = b.shape[1]
-        row_tiles = -(-r // self.rows)
-        col_tiles = -(-c // self.cols)
-        self.stats.cycles += row_tiles * col_tiles * dot_product_cycles(
-            k, self.lane_length
-        )
-        self.stats.predictions += r * c
-        self.stats.log_domain_ops += r * c * k
-        return out
 
     def prediction_cycles(self, r: int, k: int, c: int) -> int:
-        """Cycle count of one prediction MMUL without executing it."""
+        """Cycle count of one ``(r, k) @ (k, c)`` prediction MMUL."""
         row_tiles = -(-r // self.rows)
         col_tiles = -(-c // self.cols)
         return row_tiles * col_tiles * dot_product_cycles(k, self.lane_length)

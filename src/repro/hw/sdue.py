@@ -1,4 +1,4 @@
-"""Sparse-dense unified engine: executes dense tiles and merged blocks.
+"""Sparse-dense unified engine: cycle model of dense tiles and merged blocks.
 
 The SDUE is a ``rows x cols`` DPU array (16x16 in the paper's
 configuration). Dense MMUL tiles map one output element per DPU; ConMerge
@@ -6,8 +6,10 @@ merged blocks map through the cv_sw / i_sw / w_sw switch fabric: each cell
 reads either its lane's original input row or the lane's single conflict
 row, and one of up to three broadcast weight columns (paper Fig. 11).
 
-The functional paths produce bit-exact results against numpy matmul (dense)
-and against the masked reference (merged), which the test suite asserts.
+Dense tiles are priced only (:meth:`SDUEModel.dense_cycles`). Merged
+blocks also execute: :meth:`SDUEModel.run_conmerge` scatters exactly the
+non-sparse elements, which the hardware-in-the-loop example and the test
+suite compare against the masked reference.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class SDUEStats:
 
 
 class SDUEModel:
-    """Functional + cycle model of the SDUE DPU array."""
+    """Cycle model of the SDUE DPU array, with merged-block execution."""
 
     def __init__(self, rows: int = 16, cols: int = 16,
                  lane_length: int = LANE_LENGTH) -> None:
@@ -47,48 +49,6 @@ class SDUEModel:
         self.cols = cols
         self.lane_length = lane_length
         self.stats = SDUEStats()
-
-    # ------------------------------------------------------------------
-    # dense path
-    # ------------------------------------------------------------------
-    def run_dense(self, inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Dense MMUL ``inputs @ weights`` with tile-level cycle counting.
-
-        ``inputs`` is ``(R, K)``, ``weights`` is ``(K, C)``.
-        """
-        inputs = np.asarray(inputs)
-        weights = np.asarray(weights)
-        if inputs.ndim != 2 or weights.ndim != 2:
-            raise ValueError("operands must be matrices")
-        if inputs.shape[1] != weights.shape[0]:
-            raise ValueError("inner dimensions must agree")
-        r, k = inputs.shape
-        c = weights.shape[1]
-
-        out = inputs @ weights
-
-        row_tiles = -(-r // self.rows)
-        col_tiles = -(-c // self.cols)
-        depth_cycles = dot_product_cycles(k, self.lane_length)
-        tile_count = row_tiles * col_tiles
-        cycles = tile_count * depth_cycles
-        cells = self.rows * self.cols
-
-        self.stats.tiles += tile_count
-        self.stats.cycles += cycles
-        self.stats.total_cell_cycles += cycles * cells
-        # Edge tiles leave cells idle; exact active count:
-        full_rows = r // self.rows
-        full_cols = c // self.cols
-        active = 0
-        for rt in range(row_tiles):
-            tile_r = self.rows if rt < full_rows else r - full_rows * self.rows
-            for ct in range(col_tiles):
-                tile_c = self.cols if ct < full_cols else c - full_cols * self.cols
-                active += tile_r * tile_c * depth_cycles
-        self.stats.active_cell_cycles += active
-        self.stats.macs += r * c * k
-        return out
 
     def dense_cycles(self, r: int, k: int, c: int) -> int:
         """Cycle count of a dense ``(r, k) @ (k, c)`` without executing it."""

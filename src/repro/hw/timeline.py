@@ -45,16 +45,6 @@ class Timeline:
     model: str
     records: list = field(default_factory=list)
 
-    @property
-    def total_latency_s(self) -> float:
-        # Left to right with +=, the way simulate_plan accumulates
-        # latency_s: the two totals are equal bit for bit, which a
-        # compensated builtin sum (CPython >= 3.12) is not.
-        total = 0.0
-        for record in self.records:
-            total += record.latency_s
-        return total
-
     def dense_records(self) -> list:
         return [r for r in self.records if r.is_dense]
 
@@ -79,7 +69,7 @@ def phase_segments(timeline: Timeline) -> list:
     :meth:`repro.obs.observer.Observer.on_phase_segment`: start/end are
     cumulative latency offsets from generation start (iteration k begins
     when k-1's latency ends — the accelerator serializes iterations), so
-    the segments tile ``[0, total_latency_s)`` exactly.
+    the segments tile the generation's total latency exactly.
     """
     segments = []
     clock = 0.0

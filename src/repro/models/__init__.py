@@ -10,7 +10,7 @@ All layers are deterministic given a seed and expose plain ``__call__``
 interfaces over ``numpy.ndarray`` activations.
 """
 
-from repro.models.activations import gelu, geglu, relu, silu, softmax
+from repro.models.activations import gelu, geglu, silu, softmax
 from repro.models.attention import AttentionTrace, MultiHeadAttention
 from repro.models.ffn import FeedForward, FFNTrace
 from repro.models.linear import Linear
@@ -47,7 +47,6 @@ __all__ = [
     "build_model",
     "geglu",
     "gelu",
-    "relu",
     "silu",
     "softmax",
 ]

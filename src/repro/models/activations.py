@@ -56,11 +56,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float64)

@@ -77,10 +77,6 @@ class MultiHeadAttention:
         self.wv = Linear(self.context_dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    @property
-    def is_cross_attention(self) -> bool:
-        return self.context_dim != self.dim
-
     def split_heads(self, x: np.ndarray) -> np.ndarray:
         """Reshape ``(tokens, dim)`` into ``(heads, tokens, head_dim)``."""
         tokens = x.shape[0]

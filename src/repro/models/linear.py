@@ -40,14 +40,6 @@ class Linear:
             out += self.bias
         return out
 
-    @property
-    def num_params(self) -> int:
-        """Total parameter count (weights plus bias)."""
-        count = self.weight.size
-        if self.bias is not None:
-            count += self.bias.size
-        return count
-
     def macs(self, tokens: int) -> int:
         """Multiply-accumulate count for a ``(tokens, in)`` input."""
         return tokens * self.in_features * self.out_features

@@ -228,28 +228,3 @@ class DiffusionNetwork:
             pad = np.repeat(up[-1:], target_tokens - up.shape[0], axis=0)
             up = np.concatenate([up, pad], axis=0)
         return self.up_proj(up)
-
-    # ------------------------------------------------------------------
-    # analytics
-    # ------------------------------------------------------------------
-    def macs_per_call(self, context_tokens: Optional[int] = None) -> dict:
-        """Analytic MAC breakdown for one network call (Fig. 4 categories)."""
-        half = max(1, self.depth // 2)
-        counts = {"qkv_projection": 0, "attention": 0, "ffn": 0, "etc": 0}
-        for i, block in enumerate(self.blocks):
-            if self._is_unet and i >= half:
-                tokens = (self.tokens + 1) // 2
-            else:
-                tokens = self.tokens
-            block_counts = block.macs(tokens, context_tokens)
-            counts["qkv_projection"] += block_counts["qkv_projection"]
-            counts["attention"] += block_counts["attention"]
-            counts["ffn"] += block_counts["ffn"]
-            if self.resblocks:
-                side = int(np.floor(np.sqrt(tokens)))
-                counts["etc"] += self.resblocks[i].macs(side, side)
-        counts["etc"] += self.out_proj.macs(self.tokens)
-        if self._is_unet:
-            counts["etc"] += self.down_proj.macs((self.tokens + 1) // 2)
-            counts["etc"] += self.up_proj.macs(self.tokens)
-        return counts

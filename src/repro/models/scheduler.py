@@ -36,13 +36,6 @@ class _BaseScheduler:
         ts = (np.arange(num_inference_steps) * step).round().astype(int)
         return ts[::-1].copy()
 
-    def add_noise(
-        self, sample: np.ndarray, noise: np.ndarray, t: int
-    ) -> np.ndarray:
-        """Forward-diffuse ``sample`` to timestep ``t`` (used in tests)."""
-        abar = self.alphas_cumprod[t]
-        return np.sqrt(abar) * sample + np.sqrt(1.0 - abar) * noise
-
 
 class DDPMScheduler(_BaseScheduler):
     """Stochastic ancestral sampling (Ho et al., 2020)."""

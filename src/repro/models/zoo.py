@@ -117,8 +117,3 @@ def model_cache_key(
     """
     get_spec(name)  # raises KeyError for unknown models
     return (name, seed, total_iterations, depth)
-
-
-def build_all(seed: int = 0) -> dict[str, BenchmarkModel]:
-    """Build every benchmark model (used by full-suite benches)."""
-    return {name: build_model(name, seed=seed) for name in BENCHMARK_ORDER}

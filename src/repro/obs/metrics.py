@@ -15,9 +15,8 @@ Everything is deterministic by construction:
 - there are **no timestamps** anywhere — time belongs to the tracing
   half (:mod:`repro.obs.trace`), where the owning layer supplies its own
   simulated clock;
-- exposition is either Prometheus text format (:meth:`MetricsRegistry.
-  to_prometheus`) or canonical key-sorted JSON (:meth:`MetricsRegistry.
-  to_json`), both byte-stable for a given update history.
+- exposition is canonical key-sorted JSON (:meth:`MetricsRegistry.
+  to_json`), byte-stable for a given update history.
 """
 
 from __future__ import annotations
@@ -38,28 +37,6 @@ def _check_name(name: str) -> str:
     if not name or not all(c.isalnum() or c in "_:" for c in name):
         raise ValueError(f"bad metric name {name!r}")
     return name
-
-
-def escape_label_value(value: str) -> str:
-    """Prometheus label-value escaping: backslash, quote, newline."""
-    return (
-        value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    )
-
-
-def unescape_label_value(value: str) -> str:
-    out = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            out.append({"\\": "\\", '"': '"', "n": "\n"}.get(nxt, nxt))
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
 
 
 def histogram_quantile(
@@ -326,124 +303,10 @@ class MetricsRegistry:
         """Canonical JSON: key-sorted, fixed separators, trailing newline."""
         return canonical_json(self.snapshot())
 
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (families sorted by name)."""
-        lines = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for values, child in family.children():
-                labels = ",".join(
-                    f'{k}="{escape_label_value(v)}"'
-                    for k, v in zip(family.label_names, values)
-                )
-                suffix = "{" + labels + "}" if labels else ""
-                if family.kind == "histogram":
-                    cumulative = 0
-                    for bound, count in zip(
-                        family.buckets, child.bucket_counts
-                    ):
-                        cumulative += count
-                        le = (
-                            labels + "," if labels else ""
-                        ) + f'le="{bound:g}"'
-                        lines.append(
-                            f"{family.name}_bucket{{{le}}} {cumulative}"
-                        )
-                    cumulative += child.bucket_counts[-1]
-                    le = (labels + "," if labels else "") + 'le="+Inf"'
-                    lines.append(
-                        f"{family.name}_bucket{{{le}}} {cumulative}"
-                    )
-                    lines.append(
-                        f"{family.name}_sum{suffix} {child.sum:g}"
-                    )
-                    lines.append(
-                        f"{family.name}_count{suffix} {child.count}"
-                    )
-                else:
-                    lines.append(
-                        f"{family.name}{suffix} {child.value:g}"
-                    )
-        return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse Prometheus text exposition back into samples.
-
-    The inverse of :meth:`MetricsRegistry.to_prometheus`, used by the
-    round-trip test to prove exposition is lossless: returns
-    ``{metric_name: {"type": kind, "samples": [(labels_dict, value)]}}``
-    where histogram bucket/sum/count series appear under their full
-    sample names (``*_bucket``, ``*_sum``, ``*_count``).
-    """
-    out: dict = {}
-    declared_type: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            declared_type[name] = kind
-            continue
-        if line.startswith("#"):
-            continue
-        name, labels, value = _parse_sample(line)
-        base = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            trimmed = name[: -len(suffix)] if name.endswith(suffix) else None
-            if trimmed in declared_type:
-                base = trimmed
-                break
-        doc = out.setdefault(
-            name, {"type": declared_type.get(base, ""), "samples": []}
-        )
-        doc["samples"].append((labels, value))
-    return out
-
-
-def _parse_sample(line: str):
-    """One exposition line -> (name, labels dict, float value)."""
-    if "{" in line:
-        name, _, rest = line.partition("{")
-        body, _, tail = rest.rpartition("}")
-        labels = _parse_labels(body)
-        value = float(tail.strip())
-        return name, labels, value
-    name, _, tail = line.partition(" ")
-    return name, {}, float(tail.strip())
-
-
-def _parse_labels(body: str) -> dict:
-    labels: dict = {}
-    index = 0
-    while index < len(body):
-        eq = body.index("=", index)
-        key = body[index:eq].lstrip(",").strip()
-        assert body[eq + 1] == '"', f"malformed label in {body!r}"
-        cursor = eq + 2
-        raw = []
-        while body[cursor] != '"':
-            if body[cursor] == "\\":
-                raw.append(body[cursor:cursor + 2])
-                cursor += 2
-            else:
-                raw.append(body[cursor])
-                cursor += 1
-        labels[key] = unescape_label_value("".join(raw))
-        index = cursor + 1
-    return labels
-
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricFamily",
     "MetricsRegistry",
-    "escape_label_value",
     "histogram_quantile",
-    "parse_prometheus",
-    "unescape_label_value",
 ]

@@ -171,9 +171,6 @@ class Tracer:
         return event
 
     # ------------------------------------------------------------------
-    def open_spans(self) -> list[Span]:
-        return [span for span in self.spans if span.end_s is None]
-
     def tracks(self) -> list[str]:
         """Every track name seen, sorted (the exporters' row order)."""
         names = {span.track for span in self.spans}

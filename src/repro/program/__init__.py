@@ -9,7 +9,7 @@ sparsity. This package makes that object explicit and **single-sourced**:
 - :mod:`repro.program.lower` — the one model-structure traversal
   (:func:`lower_program`, :func:`lower_plan`, :func:`block_ops`);
 - :mod:`repro.program.encode` — canonical byte-stable JSON
-  serialization with lossless round-trips.
+  serialization and the plan digest.
 
 Every backend consumes the IR instead of re-walking the model: the EXION
 hardware simulator prices a :class:`PhasePlan`, the GPU roofline and
@@ -47,13 +47,10 @@ from repro.program.compiled import (
 )
 from repro.program.encode import (
     canonical_json,
-    op_from_dict,
     op_to_dict,
     plan_digest,
-    plan_from_dict,
     plan_json,
     plan_to_dict,
-    program_from_dict,
     program_to_dict,
 )
 from repro.program.ir import (
@@ -97,13 +94,10 @@ __all__ = [
     "get_plan_cache",
     "lower_plan",
     "lower_program",
-    "op_from_dict",
     "op_to_dict",
     "plan_digest",
-    "plan_from_dict",
     "plan_json",
     "plan_to_dict",
-    "program_from_dict",
     "program_to_dict",
     "schedule_phases",
     "spec_block_ops",

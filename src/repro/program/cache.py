@@ -25,52 +25,34 @@ document + ablation flags + schedule shape + scale) — so equal inputs
 share one artifact no matter which layer asks, and knob-modified specs
 (the explore path) never collide with their base model.
 
-An optional **disk tier** (``cache_dir=...`` or the
-``REPRO_PLAN_CACHE_DIR`` environment variable for the global cache)
-persists plans, pricings and profiles across processes in the
-:class:`repro.canon.ContentStore` the explore runner cache also uses:
-entries live at ``cache_dir/<sha256[:2]>/<sha256>.json``, writes are
-atomic, corrupt or torn entries are misses that get rewritten, and an
-unwritable directory degrades to memory-only. Compiled schedules are
-memory only — recompiling from an interned plan is cheap and pure.
-
-The tiers are data and share one lookup routine
-(:meth:`PlanCache._intern`: memory → disk → compute → store → intern);
-the four public methods differ only in key document, disk codec and
+The cache lives in memory, one per process. The tiers are data and
+share one lookup routine (:meth:`PlanCache._intern`: memory → compute →
+intern); the four public methods differ only in key document and
 defensive copy. Everything returned is either immutable (plans, compiled
 plans) or a defensive copy (reports, profiles), so cached and cold paths
-stay byte-identical. Hit/miss counters per tier can be published into a
-:class:`repro.obs.metrics.MetricsRegistry` via
-:meth:`PlanCache.publish_metrics`; publication is explicit (never
-auto-attached to scenario observers) so process-global cache state can
-never leak into deterministic run artifacts.
+stay byte-identical. Hit/miss counters per tier are read through
+:meth:`PlanCache.stats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.canon import ContentStore, canonical_sha256
 from repro.program.compiled import CompiledPlan, compile_plan
-from repro.program.encode import plan_from_dict, plan_to_dict
 from repro.program.ir import PhasePlan
 from repro.program.lower import lower_plan
 from repro.workloads.specs import ModelSpec
 
-#: Tier names, in lookup-cost order (also the metrics label vocabulary).
+#: Tier names, in lookup-cost order.
 TIERS = ("plan", "compiled", "pricing", "profile")
 #: Name of each tier's occupancy count in :meth:`PlanCache.stats`.
 _ENTRIES_KEY = {
     "plan": "plans", "compiled": "compiled",
     "pricing": "pricings", "profile": "profiles",
 }
-
-#: Environment variable enabling the global cache's disk tier.
-CACHE_DIR_ENV = "REPRO_PLAN_CACHE_DIR"
 
 
 def _doc(value) -> object:
@@ -120,44 +102,25 @@ class PlanCache:
 
     The four tiers are data — one dict per name in :data:`TIERS` — and
     :meth:`_intern` is the one lookup routine over them; the public
-    methods below only say what differs per tier: the key document, the
-    disk codec and whether callers get a defensive copy.
+    methods below only say what differs per tier: the key document and
+    whether callers get a defensive copy.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None) -> None:
-        self._store = ContentStore(cache_dir)
-        self.cache_dir = self._store.root
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._tiers: dict = {tier: {} for tier in TIERS}
         self.tier_hits = {tier: 0 for tier in TIERS}
         self.tier_misses = {tier: 0 for tier in TIERS}
-        self.disk_hits = 0
-        self.disk_misses = 0
-        # Per-registry published counts: publish_metrics increments each
-        # registry by the delta since its last publication, so repeated
-        # publications never double-count.
-        self._published: dict = {}
 
-    def _intern(self, tier, key, compute, doc=None, encode=None, decode=None):
-        """Memory lookup → record → disk load → compute → disk store →
-        intern. ``doc`` (with its codec) opts the entry into the disk
-        tier; a corrupt stored entry is recomputed and rewritten."""
+    def _intern(self, tier, key, compute):
+        """Memory lookup → record → compute → intern."""
         memo = self._tiers[tier]
         with self._lock:
             value = memo.get(key)
         self._record(tier, value is not None)
         if value is not None:
             return value
-        stored = self._disk_load(doc) if doc is not None else None
-        if stored is not None:
-            try:
-                value = decode(stored)
-            except (KeyError, TypeError, ValueError):
-                value = None
-        if value is None:
-            value = compute()
-            if doc is not None:
-                self._disk_store(doc, encode(value))
+        value = compute()
         with self._lock:
             return memo.setdefault(key, value)
 
@@ -198,10 +161,9 @@ class PlanCache:
             enable_eager_prediction=enable_eager_prediction,
             iterations=iterations, batch=batch, scale=scale,
         )
-        doc = self._plan_key(**lowering)
         return self._intern(
-            "plan", _freeze(doc), lambda: lower_plan(**lowering),
-            doc=doc, encode=plan_to_dict, decode=plan_from_dict,
+            "plan", _freeze(self._plan_key(**lowering)),
+            lambda: lower_plan(**lowering),
         )
 
     def compiled(
@@ -214,8 +176,7 @@ class PlanCache:
         batch: int = 1,
         scale: str = "sim",
     ) -> CompiledPlan:
-        """Memoized ``compile_plan(lower_plan(...))`` — memory only:
-        recompiling from an interned plan is pure and cheap.
+        """Memoized ``compile_plan(lower_plan(...))``.
 
         The returned :class:`~repro.program.compiled.CompiledPlan` is
         frozen and shared: every executor bound to the same
@@ -238,44 +199,18 @@ class PlanCache:
         profile field values; returns a defensive copy each call (the
         report is a mutable dataclass carrying breakdown dicts).
         """
-        acc_doc = _accelerator_doc(accelerator)
-        profile_doc = _doc(profile)
-        doc = None
-        if self.cache_dir is not None:  # the digest is only a disk key
-            from repro.program.encode import plan_digest
-
-            doc = {
-                "kind": "pricing",
-                "accelerator": acc_doc,
-                "profile": profile_doc,
-                "plan_digest": plan_digest(plan),
-            }
+        key = (
+            _freeze(_accelerator_doc(accelerator)), plan,
+            _freeze(_doc(profile)),
+        )
         report = self._intern(
-            "pricing", (_freeze(acc_doc), plan, _freeze(profile_doc)),
-            lambda: accelerator.simulate_plan(plan, profile),
-            doc=doc, encode=self._report_doc, decode=self._report_from_doc,
+            "pricing", key, lambda: accelerator.simulate_plan(plan, profile),
         )
         return dataclasses.replace(
             report,
             energy_breakdown_j=dict(report.energy_breakdown_j),
             op_class_energy_j=dict(report.op_class_energy_j),
         )
-
-    @staticmethod
-    def _report_doc(report) -> dict:
-        return {
-            field.name: getattr(report, field.name)
-            for field in dataclasses.fields(report)
-        }
-
-    @staticmethod
-    def _report_from_doc(doc: dict):
-        from repro.hw.accelerator import AcceleratorReport
-
-        fields = {f.name for f in dataclasses.fields(AcceleratorReport)}
-        if set(doc) != fields:
-            raise ValueError("pricing entry fields do not match the report")
-        return AcceleratorReport(**doc)
 
     def profile(self, spec: ModelSpec, seed: int = 0, **kwargs):
         """Memoized :func:`~repro.hw.profile.estimate_profile`.
@@ -286,7 +221,7 @@ class PlanCache:
         point. Returns a copy: :class:`~repro.hw.profile.SparsityProfile`
         is a mutable dataclass and callers may adjust theirs.
         """
-        from repro.hw.profile import SparsityProfile, estimate_profile
+        from repro.hw.profile import estimate_profile
 
         doc = {
             "kind": "profile",
@@ -297,29 +232,7 @@ class PlanCache:
         return dataclasses.replace(self._intern(
             "profile", _freeze(doc),
             lambda: estimate_profile(spec, seed=seed, **kwargs),
-            doc=doc, encode=dataclasses.asdict,
-            decode=lambda stored: SparsityProfile(**stored),
         ))
-
-    # ------------------------------------------------------------------
-    # disk tier
-    # ------------------------------------------------------------------
-    def _disk_load(self, doc: dict) -> Optional[dict]:
-        if self.cache_dir is None:
-            return None
-        data = self._store.load(canonical_sha256(doc))
-        payload = data.get("payload") if data is not None else None
-        if not isinstance(payload, dict):
-            self.disk_misses += 1
-            return None
-        self.disk_hits += 1
-        return payload
-
-    def _disk_store(self, doc: dict, payload: dict) -> None:
-        if self.cache_dir is not None:
-            self._store.store(
-                canonical_sha256(doc), {"key": doc, "payload": payload}
-            )
 
     # ------------------------------------------------------------------
     # statistics
@@ -342,55 +255,12 @@ class PlanCache:
     def stats(self) -> dict:
         """Occupancy and hit statistics, keys sorted for stable diffs."""
         with self._lock:
-            info = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-            }
+            info = {"hits": self.hits, "misses": self.misses}
             for tier in TIERS:
                 info[_ENTRIES_KEY[tier]] = len(self._tiers[tier])
                 info[f"{tier}_hits"] = self.tier_hits[tier]
                 info[f"{tier}_misses"] = self.tier_misses[tier]
         return dict(sorted(info.items()))
-
-    def publish_metrics(self, registry) -> None:
-        """Publish counters/gauges into an obs metrics registry.
-
-        ``repro_plan_cache_lookups_total{tier,outcome}`` counters and
-        ``repro_plan_cache_entries{tier}`` gauges. Incremental per
-        registry: repeated publications add only the delta since the
-        last call, so periodic scraping never double-counts. Publication
-        is explicit — the cache never attaches itself to an observer, so
-        scenario artifacts stay independent of process-global state.
-        """
-        lookups = registry.counter(
-            "repro_plan_cache_lookups_total",
-            "PlanCache lookups by tier and outcome",
-            labels=("tier", "outcome"),
-        )
-        entries = registry.gauge(
-            "repro_plan_cache_entries",
-            "Interned artifacts per PlanCache tier",
-            labels=("tier",),
-        )
-        with self._lock:
-            seen = self._published.setdefault(id(registry), {})
-            counts = {
-                "hit": dict(self.tier_hits),
-                "miss": dict(self.tier_misses),
-            }
-            counts["hit"]["disk"] = self.disk_hits
-            counts["miss"]["disk"] = self.disk_misses
-            sizes = {tier: len(memo) for tier, memo in self._tiers.items()}
-        for outcome, per_tier in sorted(counts.items()):
-            for tier, count in sorted(per_tier.items()):
-                delta = count - seen.get((tier, outcome), 0)
-                if delta > 0:
-                    lookups.inc(delta, tier=tier, outcome=outcome)
-                seen[(tier, outcome)] = count
-        for tier, size in sorted(sizes.items()):
-            entries.set(size, tier=tier)
 
     def clear(self) -> None:
         """Drop every interned artifact (counters are kept)."""
@@ -407,27 +277,21 @@ _global_lock = threading.Lock()
 
 
 def get_plan_cache() -> PlanCache:
-    """The process-wide cache every construction site shares.
-
-    Created lazily; the ``REPRO_PLAN_CACHE_DIR`` environment variable
-    (read at first use) enables its disk tier.
-    """
+    """The process-wide cache every construction site shares (lazy)."""
     global _global_cache
     with _global_lock:
         if _global_cache is None:
-            _global_cache = PlanCache(
-                cache_dir=os.environ.get(CACHE_DIR_ENV) or None
-            )
+            _global_cache = PlanCache()
         return _global_cache
 
 
 @contextmanager
-def fresh_plan_cache(cache_dir: Optional[str] = None):
+def fresh_plan_cache():
     """Temporarily swap in an empty global cache (bench/test isolation)."""
     global _global_cache
     with _global_lock:
         previous = _global_cache
-        _global_cache = PlanCache(cache_dir=cache_dir)
+        _global_cache = PlanCache()
         cache = _global_cache
     try:
         yield cache
@@ -456,7 +320,6 @@ def compiled_plan_for(
 
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "PlanCache",
     "TIERS",
     "compiled_plan_for",

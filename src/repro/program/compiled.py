@@ -101,10 +101,6 @@ class CompiledPlan:
         return len(self.phases)
 
     @property
-    def dense_steps(self) -> tuple:
-        return tuple(s.index for s in self.steps if s.is_dense)
-
-    @property
     def max_phase_length(self) -> int:
         return max((p.length for p in self.phases), default=0)
 

@@ -1,7 +1,7 @@
 """Canonical serialization of iteration programs and phase plans.
 
 Programs and plans are pure data, so they serialize to plain JSON
-documents and round-trip losslessly. Serialization is *canonical* —
+documents. Serialization is *canonical* —
 key-sorted, fixed separators, trailing newline — which makes the bytes
 of a lowered plan a determinism fingerprint: the same spec + ablation
 config must encode to the same bytes on every run, machine and Python
@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.canon import canonical_json
-from repro.program.ir import IterationProgram, Op, PhasePlan, PhaseStep
+from repro.program.ir import IterationProgram, Op, PhasePlan
 
 
 def op_to_dict(op: Op) -> dict:
@@ -28,19 +28,6 @@ def op_to_dict(op: Op) -> dict:
         "count": op.count,
         "has_weights": op.has_weights,
     }
-
-
-def op_from_dict(doc: dict) -> Op:
-    """Inverse of :func:`op_to_dict`."""
-    return Op(
-        name=doc["name"],
-        kind=doc["kind"],
-        r=doc["r"],
-        k=doc["k"],
-        c=doc["c"],
-        count=doc["count"],
-        has_weights=doc["has_weights"],
-    )
 
 
 def program_to_dict(program: IterationProgram) -> dict:
@@ -65,31 +52,12 @@ def program_to_dict(program: IterationProgram) -> dict:
     }
 
 
-def program_from_dict(doc: dict) -> IterationProgram:
-    """Inverse of :func:`program_to_dict` (totals are re-derived)."""
-    return IterationProgram(
-        model=doc["model"],
-        scale=doc["scale"],
-        tokens=doc["tokens"],
-        dim=doc["dim"],
-        heads=doc["heads"],
-        depth=doc["depth"],
-        ffn_mult=doc["ffn_mult"],
-        activation=doc["activation"],
-        context_tokens=doc["context_tokens"],
-        temporal_frames=doc["temporal_frames"],
-        ops=tuple(op_from_dict(op) for op in doc["ops"]),
-    )
-
-
 def plan_to_dict(plan: PhasePlan) -> dict:
     """Plain-JSON document of one phase plan.
 
     Every step is encoded explicitly as ``[index, is_dense,
     weight_fetch]`` — deliberately redundant with the schedule
-    parameters, so a digest change pins down *which* iterations moved,
-    and a hand-edited document with an inconsistent schedule still
-    round-trips to exactly what it says.
+    parameters, so a digest change pins down *which* iterations moved.
     """
     return {
         "program": program_to_dict(plan.program),
@@ -114,26 +82,6 @@ def plan_to_dict(plan: PhasePlan) -> dict:
     }
 
 
-def plan_from_dict(doc: dict) -> PhasePlan:
-    """Inverse of :func:`plan_to_dict` (totals are re-derived)."""
-    return PhasePlan(
-        program=program_from_dict(doc["program"]),
-        steps=tuple(
-            PhaseStep(index=index, is_dense=is_dense, weight_fetch=fetch)
-            for index, is_dense, fetch in doc["steps"]
-        ),
-        enable_ffn_reuse=doc["enable_ffn_reuse"],
-        enable_eager_prediction=doc["enable_eager_prediction"],
-        batch=doc["batch"],
-        sparse_iters_n=doc["sparse_iters_n"],
-        ffn_target_sparsity=doc["ffn_target_sparsity"],
-        intra_sparsity_target=doc["intra_sparsity_target"],
-        top_k_ratio=doc["top_k_ratio"],
-        q_threshold=doc["q_threshold"],
-        prediction_bits=doc["prediction_bits"],
-    )
-
-
 def plan_json(plan: PhasePlan) -> str:
     """Canonical JSON bytes of one plan (the determinism fingerprint)."""
     return canonical_json(plan_to_dict(plan))
@@ -146,12 +94,9 @@ def plan_digest(plan: PhasePlan) -> str:
 
 __all__ = [
     "canonical_json",
-    "op_from_dict",
     "op_to_dict",
     "plan_digest",
-    "plan_from_dict",
     "plan_json",
     "plan_to_dict",
-    "program_from_dict",
     "program_to_dict",
 ]

@@ -624,9 +624,6 @@ class ContinuousServer:
     def has_work(self) -> bool:
         return bool(self.active) or not self.queue.is_empty
 
-    def pending_count(self) -> int:
-        return len(self.queue)
-
     def at_boundary(self) -> bool:
         """Whether batch membership may change right now."""
         if self.policy.drain:

@@ -140,29 +140,3 @@ def attention_keepmask(
         mask[row, top] = True
     return Bitmask(mask)
 
-
-def denoising_trajectory(
-    tokens: int,
-    dim: int,
-    iterations: int,
-    smoothness: float = 0.9,
-    *,
-    rng: Union[int, np.random.Generator],
-) -> np.ndarray:
-    """A synthetic latent trajectory with inter-iteration smoothness.
-
-    Returns ``(iterations, tokens, dim)``; adjacent iterations have cosine
-    similarity roughly ``smoothness``, emulating the reverse-denoising
-    drift of Fig. 7 for substrate-free experiments.
-    """
-    rng = as_rng(rng)
-    if not 0.0 <= smoothness < 1.0:
-        raise ValueError("smoothness must be in [0, 1)")
-    out = np.empty((iterations, tokens, dim))
-    x = rng.standard_normal((tokens, dim))
-    out[0] = x
-    noise_scale = float(np.sqrt(1.0 - smoothness**2))
-    for i in range(1, iterations):
-        x = smoothness * x + noise_scale * rng.standard_normal((tokens, dim))
-        out[i] = x
-    return out

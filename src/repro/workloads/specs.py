@@ -68,10 +68,6 @@ class ModelSpec:
     paper_temporal_frames: Optional[int] = None
 
     @property
-    def has_resblocks(self) -> bool:
-        return self.network_type == 2
-
-    @property
     def dense_period(self) -> int:
         """Iterations per FFN-Reuse period: one dense plus N sparse."""
         return self.sparse_iters_n + 1

@@ -12,6 +12,12 @@ def dit():
     return build_model("dit", seed=0, total_iterations=12)
 
 
+def _skip_rate(result) -> float:
+    return result.blocks_skipped / (
+        result.blocks_executed + result.blocks_skipped
+    )
+
+
 class TestDeltaDiT:
     def test_rejects_unet_models(self):
         model = build_model("stable_diffusion", seed=0, total_iterations=4)
@@ -36,7 +42,7 @@ class TestDeltaDiT:
         # Middle blocks cached, front/rear exact: with depth 4 and default
         # policy, 2 of 4 blocks are cacheable on 2 of 3 iterations.
         expected = 2 / 4 * 2 / 3
-        assert result.skip_rate == pytest.approx(expected, abs=0.1)
+        assert _skip_rate(result) == pytest.approx(expected, abs=0.1)
 
     def test_longer_interval_skips_more(self, dit):
         short = DeltaDiTPipeline(dit, cache_interval=1).generate(seed=1)
@@ -57,7 +63,7 @@ class TestDeltaDiT:
         assert pipeline.cached_blocks == {1}
         result = pipeline.generate(seed=1)
         # Only one of four blocks cacheable.
-        assert result.skip_rate < 0.25
+        assert _skip_rate(result) < 0.25
 
     def test_rejects_bad_interval(self, dit):
         with pytest.raises(ValueError):

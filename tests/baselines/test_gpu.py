@@ -59,7 +59,7 @@ class TestSimulation:
         report = GPUModel(SERVER_GPU).simulate(get_spec("dit"))
         assert (
             SERVER_GPU.tdp_w * SERVER_GPU.idle_power_fraction
-            <= report.average_power_w
+            <= report.energy_j / report.latency_s
             <= SERVER_GPU.tdp_w
         )
 

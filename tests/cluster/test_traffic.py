@@ -8,7 +8,6 @@ from repro.cluster.traffic import (
     DiurnalProcess,
     MMPPProcess,
     PoissonProcess,
-    TraceProcess,
     WorkloadMix,
     load_trace,
     save_trace,
@@ -54,11 +53,33 @@ class TestArrivalProcesses:
         times = proc.times(500, np.random.default_rng(2))
         assert all(b > a for a, b in zip(times, times[1:]))
 
-    def test_trace_process_replays_sorted_prefix(self):
-        proc = TraceProcess([3.0, 1.0, 2.0])
-        assert proc.times(2, 0) == [1.0, 2.0]
-        with pytest.raises(ValueError):
-            proc.times(4, 0)
+
+PROCESSES = {
+    "poisson": lambda: PoissonProcess(rate_rps=40.0),
+    "mmpp": lambda: MMPPProcess(rate_low_rps=5.0, rate_high_rps=80.0,
+                                mean_dwell_s=0.5),
+    "diurnal": lambda: DiurnalProcess(base_rate_rps=10.0,
+                                      peak_rate_rps=60.0, period_s=4.0),
+}
+
+
+@pytest.mark.parametrize("process", sorted(PROCESSES))
+class TestEveryProcess:
+    def test_times_increase_and_repeat_per_seed(self, process):
+        proc = PROCESSES[process]()
+        times = proc.times(200, 5)
+        assert len(times) == 200
+        assert times[0] >= 0.0
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert proc.times(200, 5) == times
+        assert proc.describe()["process"] == proc.name
+
+    def test_trace_file_replays_the_synthesized_trace(self, process,
+                                                      tmp_path):
+        requests = synthesize_trace(PROCESSES[process](), 30, rng=11)
+        path = tmp_path / f"{process}.jsonl"
+        save_trace(path, requests)
+        assert load_trace(path) == requests
 
 
 class TestWorkloadMix:

@@ -9,7 +9,6 @@ from repro.core.config import ExionConfig
 from repro.core.logdomain import (
     approximate,
     approximation_table,
-    decompose_powers,
     leading_one_position,
     lod_approximate,
     log_domain_matmul,
@@ -219,28 +218,6 @@ class TestApproximationTable:
             for b in range(x.shape[0]):  # per request = the 2-D path alone
                 alone = prepare_log_operand(x[b], mode, bits)
                 assert approx[b].tobytes() == alone.approx.tobytes()
-
-
-class TestDecomposePowers:
-    def test_example(self):
-        assert decompose_powers(13, 2) == [3, 2]  # 8 + 4
-
-    def test_single_term(self):
-        assert decompose_powers(13, 1) == [3]
-
-    def test_zero(self):
-        assert decompose_powers(0) == []
-
-    def test_negative_uses_magnitude(self):
-        assert decompose_powers(-6, 2) == [2, 1]
-
-    @given(st.integers(1, 2**30), st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
-    def test_reconstruction_lower_bound(self, value, terms):
-        positions = decompose_powers(value, terms)
-        recon = sum(1 << p for p in positions)
-        assert recon <= value
-        assert positions == sorted(positions, reverse=True)
 
 
 class TestLogDomainMatmul:

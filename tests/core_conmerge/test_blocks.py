@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bitmask import Bitmask
-from repro.core.conmerge.blocks import TileBlock, partition_into_blocks
+from repro.core.conmerge.blocks import TileBlock
 from repro.core.conmerge.vectors import CellAssignment
 
 
@@ -13,40 +12,28 @@ class TestTileBlock:
         block = TileBlock(rows=4, width=3)
         assert block.num_elements == 0
         assert block.utilization == 0.0
-        assert block.origin_columns() == set()
-
-    def test_from_column(self):
-        block = TileBlock.from_column(
-            np.array([True, False, True]), origin_col=9, width=2
-        )
-        assert block.num_elements == 2
-        assert block.origin_columns() == {9}
-        assert all(c.input_row == c.lane for c in block.entries())
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             TileBlock(rows=0, width=3)
 
     def test_occupancy_grid(self):
-        block = TileBlock.from_column(np.array([True, False]), 0, width=2)
+        block = TileBlock(rows=2, width=2)
+        block.cells[0][0] = CellAssignment(0, 0, 0, 0, 0)
         grid = block.occupancy()
         np.testing.assert_array_equal(grid, [[True, False], [False, False]])
 
-    def test_control_maps_shape_and_idle(self):
-        block = TileBlock.from_column(np.array([True, False]), 0, width=2)
-        maps = block.control_maps()
-        assert len(maps) == 2 and len(maps[0]) == 2
-        assert maps[0][0].active
-        assert not maps[1][1].active
-
     def test_copy_is_deep(self):
-        block = TileBlock.from_column(np.array([True, False]), 0, width=2)
+        block = TileBlock(rows=2, width=2)
+        block.cells[0][0] = CellAssignment(0, 0, 0, 0, 0)
         clone = block.copy()
         clone.cells[0][0] = None
         assert block.num_elements == 1
 
     def test_validate_accepts_fresh_block(self):
-        block = TileBlock.from_column(np.array([True, True]), 0, width=1)
+        block = TileBlock(rows=2, width=1)
+        block.cells[0][0] = CellAssignment(0, 0, 0, 0, 0)
+        block.cells[1][0] = CellAssignment(1, 0, 1, 0, 0)
         block.validate()
 
     def test_validate_rejects_cv_mismatch(self):
@@ -71,27 +58,3 @@ class TestTileBlock:
         with pytest.raises(ValueError, match="3 origins"):
             block.validate()
 
-
-class TestPartition:
-    def test_partition_counts(self, rng):
-        mask = Bitmask.random(8, 10, 0.5, rng)
-        blocks = partition_into_blocks(mask, np.arange(10), width=4)
-        assert len(blocks) == 3  # ceil(10 / 4)
-
-    def test_partition_preserves_elements(self, rng):
-        mask = Bitmask.random(8, 10, 0.5, rng)
-        blocks = partition_into_blocks(mask, np.arange(10), width=4)
-        positions = {
-            (c.input_row, c.origin_col)
-            for b in blocks
-            for c in b.entries()
-        }
-        expected = {(int(r), int(c)) for r, c in np.argwhere(mask.mask)}
-        assert positions == expected
-
-    def test_partition_with_origin_mapping(self, rng):
-        """Origin indices may differ from positional indices (condensed)."""
-        mask = Bitmask(np.array([[1, 1], [0, 1]], dtype=bool))
-        origins = np.array([5, 9])
-        blocks = partition_into_blocks(mask, origins, width=4)
-        assert blocks[0].origin_columns() == {5, 9}

@@ -12,7 +12,6 @@ class TestCondense:
         mask = Bitmask(np.array([[1, 0, 1], [0, 0, 1]], dtype=bool))
         result = condense(mask)
         np.testing.assert_array_equal(result.kept_columns, [0, 2])
-        assert result.removed_cols == 1
         assert result.remaining_ratio == pytest.approx(2 / 3)
 
     def test_dense_mask_unchanged(self):

@@ -7,17 +7,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.bitmask import Bitmask
-from repro.core.conmerge.blocks import TileBlock, partition_into_blocks
+from repro.core.conmerge.blocks import TileBlock
+from repro.core.conmerge.cvg import _blocks_from_entries
 from repro.core.conmerge.merge import greedy_merge, try_merge
+from repro.core.conmerge.sortbuffer import ColumnEntry
+
+
+def blocks_from_grid(grid, width, origin_offset=0):
+    """Fresh width-wide blocks, one slot per column of a boolean grid."""
+    grid = np.asarray(grid, dtype=bool)
+    entries = [
+        ColumnEntry(origin_col=col + origin_offset, occupancy=grid[:, col])
+        for col in range(grid.shape[1])
+    ]
+    return _blocks_from_entries(entries, grid.shape[0], width)
 
 
 def block_from_grid(grid, origin_offset=0):
     """Fresh block whose occupancy follows a boolean grid."""
-    grid = np.asarray(grid, dtype=bool)
-    mask = Bitmask(grid)
-    (block,) = partition_into_blocks(
-        mask, np.arange(grid.shape[1]) + origin_offset, width=grid.shape[1]
-    )
+    (block,) = blocks_from_grid(grid, np.shape(grid)[1], origin_offset)
     return block
 
 
@@ -46,7 +54,7 @@ class TestTryMergeBasics:
         merged = attempt.merged
         merged.validate()
         # The relocated element sits on lane 1 but reads input row 0.
-        relocated = [c for c in merged.entries() if c.uses_conflict_line]
+        relocated = [c for c in merged.entries() if c.input_row != c.lane]
         assert len(relocated) == 1
         assert relocated[0].input_row == 0
         assert merged.conflict_vector[relocated[0].lane] == 0
@@ -103,7 +111,7 @@ class TestCVConstraint:
         # Both relocated cells need row 0; they may share a lane (one per
         # column) or occupy different lanes with CV = 0.
         for cell in merged.entries():
-            if cell.uses_conflict_line:
+            if cell.input_row != cell.lane:
                 assert cell.input_row == 0
 
     def test_cv_occupied_forces_other_lane(self):
@@ -117,7 +125,7 @@ class TestCVConstraint:
         merged.validate()
         relocated = sorted(
             (c.input_row, c.lane) for c in merged.entries()
-            if c.uses_conflict_line
+            if c.input_row != c.lane
         )
         # Rows 0 and 1 relocated to distinct lanes with distinct CVs.
         assert [r for r, _ in relocated] == [0, 1]
@@ -128,7 +136,7 @@ class TestCVConstraint:
 class TestGreedyMerge:
     def test_reduces_block_count(self, rng):
         mask = Bitmask.random(8, 32, sparsity=0.9, rng=rng)
-        blocks = partition_into_blocks(mask, np.arange(32), width=8)
+        blocks = blocks_from_grid(mask.mask, width=8)
         merged, cycles, attempts, successes = greedy_merge(blocks)
         assert len(merged) < len(blocks)
         assert cycles >= attempts  # every attempt costs at least one cycle
@@ -136,7 +144,7 @@ class TestGreedyMerge:
 
     def test_preserves_all_elements(self, rng):
         mask = Bitmask.random(8, 32, sparsity=0.85, rng=rng)
-        blocks = partition_into_blocks(mask, np.arange(32), width=8)
+        blocks = blocks_from_grid(mask.mask, width=8)
         merged, *_ = greedy_merge(blocks)
         got = set().union(*(positions(b) for b in merged))
         expected = {(int(r), int(c)) for r, c in np.argwhere(mask.mask)}

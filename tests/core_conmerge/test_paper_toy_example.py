@@ -9,14 +9,19 @@ whose preferred CV slot is occupied must find another candidate row).
 import numpy as np
 
 from repro.core.bitmask import Bitmask
-from repro.core.conmerge.blocks import partition_into_blocks
 from repro.core.conmerge.condense import condense
+from repro.core.conmerge.cvg import _blocks_from_entries
 from repro.core.conmerge.merge import try_merge
+from repro.core.conmerge.sortbuffer import ColumnEntry
 
 
-def toy_blocks(mask_grid):
-    mask = Bitmask(np.array(mask_grid, dtype=bool))
-    return partition_into_blocks(mask, np.arange(mask.cols), width=3)
+def toy_blocks(mask_grid, origin_offset=0):
+    grid = np.asarray(mask_grid, dtype=bool)
+    entries = [
+        ColumnEntry(origin_col=col + origin_offset, occupancy=grid[:, col])
+        for col in range(grid.shape[1])
+    ]
+    return _blocks_from_entries(entries, grid.shape[0], width=3)
 
 
 class TestToyModel:
@@ -25,7 +30,7 @@ class TestToyModel:
         grid = np.zeros((8, 9), dtype=bool)
         grid[0, 0] = grid[3, 2] = grid[5, 4] = True  # columns 1,3,5,... dead
         result = condense(Bitmask(grid))
-        assert result.removed_cols == 6
+        assert result.original_cols - len(result.kept_columns) == 6
         np.testing.assert_array_equal(result.kept_columns, [0, 2, 4])
 
     def test_first_merge_relocates_r4_r5(self):
@@ -58,7 +63,7 @@ class TestToyModel:
         assert attempt.conflicts_resolved == 2
         relocated_rows = sorted(
             cell.input_row for cell in merged.entries()
-            if cell.uses_conflict_line
+            if cell.input_row != cell.lane
         )
         assert relocated_rows == [4, 5]
         cv_entries = [v for v in merged.conflict_vector if v is not None]
@@ -115,10 +120,7 @@ class TestToyModel:
         grids = [rng.random((8, 3)) < 0.25 for _ in range(3)]
         blocks = []
         for i, grid in enumerate(grids):
-            mask = Bitmask(grid)
-            (block,) = partition_into_blocks(
-                mask, np.arange(3) + 10 * i, width=3
-            )
+            (block,) = toy_blocks(grid, origin_offset=10 * i)
             blocks.append(block)
         merged = try_merge(blocks[0], blocks[1])
         if merged.success:

@@ -1,21 +1,11 @@
-"""Unit tests for conflict-vector / control-map datatypes."""
+"""Unit tests for the cell-assignment datatype."""
 
 import pytest
 
-from repro.core.conmerge.vectors import CellAssignment, ControlMap
+from repro.core.conmerge.vectors import CellAssignment
 
 
 class TestCellAssignment:
-    def test_original_line_when_input_matches_lane(self):
-        cell = CellAssignment(lane=3, col_slot=0, input_row=3, origin_col=7,
-                              buffer_index=0)
-        assert not cell.uses_conflict_line
-
-    def test_conflict_line_when_relocated(self):
-        cell = CellAssignment(lane=4, col_slot=0, input_row=3, origin_col=7,
-                              buffer_index=1)
-        assert cell.uses_conflict_line
-
     def test_rejects_bad_buffer(self):
         with pytest.raises(ValueError, match="triple-buffered"):
             CellAssignment(0, 0, 0, 0, buffer_index=3)
@@ -24,26 +14,22 @@ class TestCellAssignment:
         with pytest.raises(ValueError):
             CellAssignment(-1, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "field", ("lane", "col_slot", "input_row", "origin_col")
+    )
+    def test_each_index_must_be_non_negative(self, field):
+        fields = dict(lane=0, col_slot=0, input_row=0, origin_col=0,
+                      buffer_index=0)
+        fields[field] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            CellAssignment(**fields)
 
-class TestControlMap:
-    def test_from_assignment_original(self):
-        cell = CellAssignment(2, 1, 2, 5, 1)
-        cm = ControlMap.from_assignment(cell)
-        assert cm.i_sw == 0
-        assert cm.w_sw == 1
-        assert cm.active
+    @pytest.mark.parametrize("buffer_index", (0, 1, 2))
+    def test_accepts_each_wmem_buffer(self, buffer_index):
+        cell = CellAssignment(lane=3, col_slot=1, input_row=5, origin_col=9,
+                              buffer_index=buffer_index)
+        assert cell.buffer_index == buffer_index
 
-    def test_from_assignment_conflict(self):
-        cell = CellAssignment(2, 1, 7, 5, 2)
-        cm = ControlMap.from_assignment(cell)
-        assert cm.i_sw == 1
-        assert cm.w_sw == 2
-
-    def test_idle(self):
-        assert not ControlMap.idle().active
-
-    def test_rejects_bad_switch_values(self):
-        with pytest.raises(ValueError):
-            ControlMap(i_sw=2, w_sw=0)
-        with pytest.raises(ValueError):
-            ControlMap(i_sw=0, w_sw=3)
+    def test_rejects_negative_buffer(self):
+        with pytest.raises(ValueError, match="triple-buffered"):
+            CellAssignment(0, 0, 0, 0, buffer_index=-1)

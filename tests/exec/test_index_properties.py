@@ -1,12 +1,12 @@
-"""Property-based tests for the index-set conversions the executor uses.
+"""Property-based tests for the index sets the compiled executors use.
 
 The compiled executor never re-tests a bitmask at step time — it runs on
-flat gather-index sets produced once per phase by the conversions in
-:mod:`repro.core.bitmask` and :mod:`repro.core.sparsity`. If any of these
-drops, duplicates or reorders an index, the executor silently recomputes
-the wrong elements, so the round-trip laws are pinned here over random
-masks plus the degenerate corners (empty, full, single element) and
-non-dividing tile boundaries.
+flat gather-index sets produced once per phase by
+:func:`repro.core.ffn_reuse.ffn_dense_compile` (and its batch-axis twin
+:func:`repro.exec.batched.ffn_dense_compile_batched`). If one of these
+drops, duplicates or reorders an index, the sparse step silently
+recomputes the wrong elements, so the laws are pinned here over random
+layers and thresholds plus the degenerate corners (empty and full masks).
 """
 
 import numpy as np
@@ -14,145 +14,161 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitmask import Bitmask
-from repro.core.sparsity import (
-    indices_to_mask,
-    mask_to_indices,
-    partition_indices_by_tiles,
-)
+from repro.core.config import ExionConfig
+from repro.core.ffn_reuse import ffn_dense_compile, ffn_sparse_step
+from repro.exec.arena import ExecArena
+from repro.exec.batched import ffn_dense_compile_batched
+from repro.models.ffn import FeedForward
+
+ACTIVATIONS = ("gelu", "geglu")
 
 
 @st.composite
-def masks(draw, max_rows=40, max_cols=40):
-    rows = draw(st.integers(1, max_rows))
-    cols = draw(st.integers(1, max_cols))
-    density = draw(st.floats(0.0, 1.0))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    return rng.random((rows, cols)) < density
+def phases(draw, max_tokens=12, max_hidden=24):
+    """A random FFN layer, input and fixed threshold."""
+    activation = draw(st.sampled_from(ACTIVATIONS))
+    tokens = draw(st.integers(1, max_tokens))
+    dim = draw(st.integers(1, 8))
+    hidden = draw(st.integers(1, max_hidden))
+    threshold = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = FeedForward(dim, hidden, rng, activation=activation)
+    x = rng.standard_normal((tokens, dim))
+    return layer, x, threshold
 
 
-class TestBitmaskGatherRoundTrip:
-    @given(masks())
+def _compile(layer, x, threshold):
+    return ffn_dense_compile(layer, x, lambda hidden: threshold)
+
+
+class TestPhaseGatherIndices:
+    @given(phases())
     @settings(max_examples=80, deadline=None)
-    def test_mask_to_gather_to_mask(self, mask):
-        bm = Bitmask(mask)
-        indices = bm.to_gather_indices()
+    def test_gather_is_the_mask(self, phase):
+        layer, x, threshold = phase
+        _, state = _compile(layer, x, threshold)
+        indices = state.gather_indices
         assert indices.dtype == np.int64
         assert np.all(np.diff(indices) > 0)  # ascending, no duplicates
-        assert indices.size == bm.nnz
-        back = Bitmask.from_gather_indices(indices, bm.rows, bm.cols)
-        assert np.array_equal(back.mask, bm.mask)
+        assert indices.size == state.nnz == int(state.mask.sum())
+        back = np.zeros(state.mask.size, dtype=bool)
+        back[indices] = True
+        assert np.array_equal(back.reshape(state.mask.shape), state.mask)
+        assert state.sparsity == 1.0 - state.nnz / state.mask.size
 
-    @given(masks())
-    @settings(max_examples=40, deadline=None)
-    def test_gather_indices_agree_with_sparsity_module(self, mask):
-        assert np.array_equal(Bitmask(mask).to_gather_indices(),
-                              mask_to_indices(mask))
+    @given(phases())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_is_the_threshold_test(self, phase):
+        layer, x, threshold = phase
+        _, state = _compile(layer, x, threshold)
+        assert state.threshold == threshold
+        assert np.array_equal(state.mask,
+                              np.abs(state.hidden_dense) > threshold)
 
-    @pytest.mark.parametrize("rows,cols", ((1, 1), (1, 7), (16, 16), (3, 5)))
-    def test_empty_and_full_masks(self, rows, cols):
-        empty = Bitmask(np.zeros((rows, cols), dtype=bool))
-        assert empty.to_gather_indices().size == 0
-        back = Bitmask.from_gather_indices(np.array([], dtype=np.int64),
-                                           rows, cols)
-        assert np.array_equal(back.mask, empty.mask)
+    @given(phases())
+    @settings(max_examples=60, deadline=None)
+    def test_geglu_indices_address_value_and_gate(self, phase):
+        layer, x, threshold = phase
+        _, state = _compile(layer, x, threshold)
+        if layer.activation != "geglu":
+            assert state.value_indices is None
+            assert state.gate_indices is None
+            return
+        pre = layer.linear1(x)
+        value, gate = np.split(pre, 2, axis=-1)
+        flat = pre.ravel()
+        assert np.array_equal(flat[state.value_indices], value[state.mask])
+        assert np.array_equal(flat[state.gate_indices], gate[state.mask])
 
-        full = Bitmask(np.ones((rows, cols), dtype=bool))
-        indices = full.to_gather_indices()
-        assert np.array_equal(indices, np.arange(rows * cols))
-        assert np.array_equal(
-            Bitmask.from_gather_indices(indices, rows, cols).mask, full.mask
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("tokens,hidden", ((1, 1), (1, 7), (16, 16), (3, 5)))
+    def test_empty_and_full_masks(self, activation, tokens, hidden):
+        rng = np.random.default_rng(tokens * 100 + hidden)
+        layer = FeedForward(4, hidden, rng, activation=activation)
+        x = rng.standard_normal((tokens, 4))
+
+        out, empty = _compile(layer, x, np.inf)
+        assert empty.gather_indices.size == 0
+        assert empty.nnz == 0 and empty.sparsity == 1.0
+        # Nothing recomputed: the reused partial sums are the whole output.
+        np.testing.assert_allclose(empty.partial_sums, out,
+                                   rtol=1e-12, atol=1e-12)
+
+        _, full = _compile(layer, x, -1.0)
+        assert np.array_equal(full.gather_indices,
+                              np.arange(tokens * hidden))
+        assert full.nnz == tokens * hidden and full.sparsity == 0.0
+        # Everything recomputed: only the second linear's bias is reused.
+        np.testing.assert_array_equal(
+            full.partial_sums,
+            np.broadcast_to(layer.linear2.bias, (tokens, layer.dim)),
         )
 
-    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 899))
+
+class TestSparseStep:
+    @given(phases())
     @settings(max_examples=60, deadline=None)
-    def test_single_element_mask(self, rows, cols, flat):
-        flat = flat % (rows * cols)
-        mask = np.zeros(rows * cols, dtype=bool)
-        mask[flat] = True
-        bm = Bitmask(mask.reshape(rows, cols))
-        assert list(bm.to_gather_indices()) == [flat]
-        back = Bitmask.from_gather_indices([flat], rows, cols)
-        assert np.array_equal(back.mask, bm.mask)
+    def test_same_input_reproduces_dense_output(self, phase):
+        """Replaying the phase on the dense iteration's own input
+        recomputes the masked elements to the values they already had."""
+        layer, x, threshold = phase
+        out, state = _compile(layer, x, threshold)
+        step = ffn_sparse_step(layer, x, state, ExecArena())
+        np.testing.assert_allclose(step, out, rtol=1e-9, atol=1e-9)
 
-    def test_out_of_range_indices_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Bitmask.from_gather_indices([4], 2, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            Bitmask.from_gather_indices([-1], 2, 2)
+    @given(phases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_recomputes_exactly_the_gathered_elements(self, phase, seed):
+        layer, x, threshold = phase
+        _, state = _compile(layer, x, threshold)
+        x_new = np.random.default_rng(seed).standard_normal(x.shape)
+        step = ffn_sparse_step(layer, x_new, state, ExecArena())
+        fresh = layer.nonlinear(layer.linear1(x_new))
+        hidden = np.where(state.mask, fresh, state.hidden_dense)
+        np.testing.assert_allclose(step, layer.linear2(hidden),
+                                   rtol=1e-9, atol=1e-9)
+
+    @given(phases())
+    @settings(max_examples=20, deadline=None)
+    def test_arena_reuse_does_not_change_the_result(self, phase):
+        layer, x, threshold = phase
+        _, state = _compile(layer, x, threshold)
+        arena = ExecArena()
+        first = ffn_sparse_step(layer, x, state, arena)
+        second = ffn_sparse_step(layer, x, state, arena)
+        assert arena.reuses > 0
+        np.testing.assert_array_equal(first, second)
 
 
-class TestSparsityIndexRoundTrip:
-    @given(masks())
-    @settings(max_examples=80, deadline=None)
-    def test_mask_indices_mask(self, mask):
-        indices = mask_to_indices(mask)
-        back = indices_to_mask(indices, mask.shape)
-        assert back.dtype == bool
-        assert np.array_equal(back, mask)
-
-    @given(masks(max_rows=6, max_cols=6))
+class TestBatchedGatherIndices:
+    @given(phases(max_tokens=6, max_hidden=10), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
-    def test_indices_mask_indices(self, mask):
-        indices = mask_to_indices(mask)
-        again = mask_to_indices(indices_to_mask(indices, mask.shape))
-        assert np.array_equal(again, indices)
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            indices_to_mask(np.array([0]), (0, 4))
-        with pytest.raises(ValueError):
-            indices_to_mask(np.array([8]), (2, 4))
-
-
-class TestTilePartition:
-    @given(masks(), st.integers(1, 17), st.integers(1, 17))
-    @settings(max_examples=80, deadline=None)
-    def test_partition_is_exact(self, mask, tile_rows, tile_cols):
-        """Tiles are disjoint, correctly binned, ascending, and their
-        union round-trips to the original mask."""
-        indices = mask_to_indices(mask)
-        tiles = partition_indices_by_tiles(indices, mask.shape,
-                                           tile_rows, tile_cols)
-        total = 0
-        cols = mask.shape[1]
-        for (tr, tc), tile_indices in tiles.items():
-            total += tile_indices.size
-            assert tile_indices.size > 0  # empty tiles are omitted
-            assert np.all(np.diff(tile_indices) > 0)
-            r = tile_indices // cols
-            c = tile_indices % cols
-            assert np.all(r // tile_rows == tr)
-            assert np.all(c // tile_cols == tc)
-        assert total == indices.size  # disjoint: sizes add up exactly
-        if tiles:
-            union = np.sort(np.concatenate(list(tiles.values())))
-            assert np.array_equal(union, indices)
-            rebuilt = indices_to_mask(union, mask.shape)
-            assert np.array_equal(rebuilt, mask)
-        else:
-            assert indices.size == 0
-
-    def test_non_dividing_tile_boundaries(self):
-        """A 5x7 mask with 2x3 tiles: ragged edge tiles keep their
-        reduced extent and every element lands in the right tile."""
-        mask = np.ones((5, 7), dtype=bool)
-        tiles = partition_indices_by_tiles(mask_to_indices(mask),
-                                           mask.shape, 2, 3)
-        assert set(tiles) == {(tr, tc) for tr in range(3) for tc in range(3)}
-        # Bottom-right ragged tile: one row (4), one column (6).
-        assert list(tiles[(2, 2)]) == [4 * 7 + 6]
-        # A full interior tile covers two disjoint row segments —
-        # non-contiguous in flat order.
-        interior = tiles[(0, 0)]
-        assert list(interior) == [0, 1, 2, 7, 8, 9]
-        assert np.any(np.diff(interior) > 1)
-
-    def test_tile_validation(self):
-        with pytest.raises(ValueError, match="2-D"):
-            partition_indices_by_tiles(np.array([0]), (4,), 2, 2)
-        with pytest.raises(ValueError, match="positive"):
-            partition_indices_by_tiles(np.array([0]), (4, 4), 0, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            partition_indices_by_tiles(np.array([16]), (4, 4), 2, 2)
+    def test_batch_gather_is_the_per_request_gathers_offset(self, phase,
+                                                            batch):
+        """One flat gather over the stacked batch equals each request's
+        own gather shifted by its offset in the batch-wide index space."""
+        layer, x, threshold = phase
+        rng = np.random.default_rng(batch)
+        xs = np.stack([x] + [rng.standard_normal(x.shape)
+                             for _ in range(batch - 1)])
+        config = ExionConfig(ffn_threshold=threshold)
+        _, stacked = ffn_dense_compile_batched(
+            layer, xs, 0, np.zeros(batch, dtype=np.int64), config, None
+        )
+        per_request = [_compile(layer, xb, threshold)[1] for xb in xs]
+        size = per_request[0].mask.size
+        expected = np.concatenate([
+            state.gather_indices + b * size
+            for b, state in enumerate(per_request)
+        ])
+        assert np.array_equal(stacked.gather_indices, expected)
+        assert list(stacked.nnz_per_request) == [s.nnz for s in per_request]
+        if layer.activation == "geglu":
+            width = layer.linear1.out_features * x.shape[0]
+            expected_value = np.concatenate([
+                state.value_indices + b * width
+                for b, state in enumerate(per_request)
+            ])
+            assert np.array_equal(stacked.value_indices, expected_value)
+            assert np.array_equal(stacked.gate_indices,
+                                  stacked.value_indices + layer.hidden_dim)

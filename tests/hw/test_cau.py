@@ -30,18 +30,6 @@ class TestCAU:
             totals["random"] += cau.process(mask, sort=False).merge_cycles
         assert totals["sorted"] < totals["random"]
 
-    def test_single_tile_guard(self, rng):
-        cau = CAUModel()
-        with pytest.raises(ValueError, match="row-tile"):
-            cau.single_tile(Bitmask.random(17, 8, 0.5, rng))
-
-    def test_single_tile_matches_conmerge(self, rng):
-        cau = CAUModel()
-        mask = Bitmask.random(16, 64, sparsity=0.9, rng=rng)
-        result = cau.single_tile(mask)
-        expected = {(int(r), int(c)) for r, c in np.argwhere(mask.mask)}
-        assert result.element_positions() == expected
-
     def test_area_share_matches_paper(self):
         """CAU accounts for 0.94% of the DSC area (paper IV-C, Table III)."""
         from repro.hw.energy import DSC_AREA_MM2

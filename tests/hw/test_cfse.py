@@ -1,10 +1,8 @@
 """Unit tests for the configurable SIMD engine model."""
 
-import numpy as np
 import pytest
 
 from repro.hw.cfse import CFSEModel
-from repro.models.activations import gelu, softmax
 
 
 class TestThroughput:
@@ -17,29 +15,6 @@ class TestThroughput:
             CFSEModel(lanes=0)
 
 
-class TestFunctionalPaths:
-    def test_softmax_matches(self, rng):
-        cfse = CFSEModel()
-        x = rng.standard_normal((4, 8))
-        np.testing.assert_allclose(cfse.run_softmax(x), softmax(x))
-
-    def test_gelu_matches(self, rng):
-        cfse = CFSEModel()
-        x = rng.standard_normal((4, 8))
-        np.testing.assert_allclose(cfse.run_gelu(x), gelu(x))
-
-    def test_layernorm_normalizes(self, rng):
-        cfse = CFSEModel()
-        out = cfse.run_layernorm(rng.standard_normal((4, 8)) * 3 + 1)
-        np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-9)
-
-    def test_residual_add(self, rng):
-        cfse = CFSEModel()
-        a = rng.standard_normal((4, 8))
-        b = rng.standard_normal((4, 8))
-        np.testing.assert_allclose(cfse.run_residual_add(a, b), a + b)
-
-
 class TestCycleAccounting:
     def test_cycles_scale_with_elements(self):
         cfse = CFSEModel()
@@ -48,12 +23,29 @@ class TestCycleAccounting:
         assert large == pytest.approx(100 * small, rel=0.05)
 
     def test_unknown_function_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unsupported CFSE function 'fft'"):
             CFSEModel().function_cycles("fft", 100)
 
-    def test_stats_accumulate(self, rng):
-        cfse = CFSEModel()
-        cfse.run_softmax(rng.standard_normal((4, 8)))
-        cfse.run_gelu(rng.standard_normal((4, 8)))
-        assert cfse.stats.elements == 64
-        assert cfse.stats.cycles > 0
+    @pytest.mark.parametrize("two_way", (True, False))
+    @pytest.mark.parametrize("function", sorted(CFSEModel.OPS_PER_ELEMENT))
+    def test_cycles_are_ops_over_throughput_rounded_up(self, function,
+                                                       two_way):
+        cfse = CFSEModel(two_way_16bit=two_way)
+        ops = CFSEModel.OPS_PER_ELEMENT[function]
+        lanes = cfse.throughput_per_cycle
+        assert cfse.function_cycles(function, 0) == 0
+        assert cfse.function_cycles(function, 1) == 1
+        # A whole number of full vectors takes exactly ops cycles each ...
+        assert cfse.function_cycles(function, 10 * lanes) == 10 * ops
+        # ... and one element more spills into one more cycle.
+        assert cfse.function_cycles(function, 10 * lanes + 1) == 10 * ops + 1
+
+    @pytest.mark.parametrize("function",
+                             ("softmax", "gelu", "layernorm", "residual_add"))
+    def test_two_way_mode_halves_the_cycles(self, function):
+        elements = 4096
+        one_way = CFSEModel(two_way_16bit=False).function_cycles(
+            function, elements)
+        two_way = CFSEModel(two_way_16bit=True).function_cycles(
+            function, elements)
+        assert one_way == 2 * two_way

@@ -1,58 +1,8 @@
-"""Unit tests for the dot-product unit."""
+"""Unit tests for the dot-product unit's cycle model."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.hw.dpu import DPU, LANE_LENGTH, dot_product_cycles, wallace_tree_sum
-
-
-class TestWallaceTree:
-    def test_matches_sum(self, rng):
-        values = rng.integers(-100, 100, size=13)
-        assert wallace_tree_sum(values) == int(values.sum())
-
-    def test_empty(self):
-        assert wallace_tree_sum(np.array([], dtype=int)) == 0
-
-    @given(st.lists(st.integers(-(2**20), 2**20), max_size=32))
-    @settings(max_examples=60, deadline=None)
-    def test_property_equals_sum(self, values):
-        assert wallace_tree_sum(np.array(values, dtype=np.int64)) == sum(values)
-
-
-class TestDPU:
-    def test_accumulates_dot_product(self, rng):
-        dpu = DPU()
-        a = rng.integers(-10, 10, size=16)
-        b = rng.integers(-10, 10, size=16)
-        dpu.step(a, b)
-        assert dpu.accumulator == int(a @ b)
-
-    def test_multi_cycle_accumulation(self, rng):
-        dpu = DPU()
-        a = rng.integers(-10, 10, size=48)
-        b = rng.integers(-10, 10, size=48)
-        for i in range(0, 48, 16):
-            dpu.step(a[i : i + 16], b[i : i + 16])
-        assert dpu.accumulator == int(a @ b)
-        assert dpu.mac_count == 48
-
-    def test_reset(self):
-        dpu = DPU()
-        dpu.step(np.ones(4, dtype=int), np.ones(4, dtype=int))
-        dpu.reset()
-        assert dpu.accumulator == 0
-
-    def test_rejects_oversized_slice(self):
-        dpu = DPU()
-        with pytest.raises(ValueError, match="at most"):
-            dpu.step(np.ones(17, dtype=int), np.ones(17, dtype=int))
-
-    def test_rejects_mismatched_slices(self):
-        with pytest.raises(ValueError):
-            DPU().step(np.ones(4, dtype=int), np.ones(5, dtype=int))
+from repro.hw.dpu import LANE_LENGTH, dot_product_cycles
 
 
 class TestCycles:
@@ -67,3 +17,16 @@ class TestCycles:
 
     def test_lane_length_constant(self):
         assert LANE_LENGTH == 16
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            dot_product_cycles(-1)
+
+    @pytest.mark.parametrize("lane_length", (1, 4, 8, 16, 32))
+    def test_one_cycle_per_lane_slice(self, lane_length):
+        """Depth ``d`` occupies ``ceil(d / lane)`` cycles: each cycle
+        consumes one full lane slice, the last one possibly partial."""
+        for depth in range(0, 3 * lane_length + 2):
+            cycles = dot_product_cycles(depth, lane_length)
+            assert (cycles - 1) * lane_length < depth <= cycles * lane_length \
+                or depth == cycles == 0

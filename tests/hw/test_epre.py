@@ -1,63 +1,33 @@
 """Unit tests for the eager-prediction engine model."""
 
-import numpy as np
 import pytest
 
-from repro.core.logdomain import log_domain_matmul
-from repro.hw.epre import EPREModel, one_hot_or_add, shift_products
-
-
-class TestOneHotAdder:
-    def test_disjoint_or_equals_sum(self):
-        values = [1, 4, 16]
-        assert one_hot_or_add(values) == sum(values)
-
-    def test_rejects_overlapping(self):
-        with pytest.raises(ValueError, match="overlap"):
-            one_hot_or_add([4, 4])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            one_hot_or_add([-1])
-
-    def test_empty(self):
-        assert one_hot_or_add([]) == 0
-
-
-class TestShiftProducts:
-    def test_quadrupled_operands(self):
-        """TS-LOD yields up to 4 partial products per multiply (Fig. 15)."""
-        products = shift_products(13, 5, max_terms=2)  # (8+4) x (4+1)
-        assert len(products) == 4
-        assert sum(products) == 12 * 5
-
-    def test_lod_single_product(self):
-        products = shift_products(13, 5, max_terms=1)
-        assert products == [8 * 4]
-
-    def test_all_products_one_hot(self):
-        for p in shift_products(100, 77):
-            assert p & (p - 1) == 0  # power of two
+from repro.hw.dpu import dot_product_cycles
+from repro.hw.epre import EPREModel
+from repro.hw.sdue import SDUEModel
 
 
 class TestEPREModel:
-    def test_prediction_matches_logdomain_matmul(self, rng):
-        epre = EPREModel(mode="ts_lod", bits=12)
-        a = rng.standard_normal((8, 16))
-        b = rng.standard_normal((16, 8))
-        np.testing.assert_allclose(
-            epre.predict_matmul(a, b),
-            log_domain_matmul(a, b, "ts_lod", 12),
-        )
-
-    def test_cycles_accounted(self, rng):
-        epre = EPREModel()
-        epre.predict_matmul(rng.standard_normal((32, 32)),
-                            rng.standard_normal((32, 32)))
-        assert epre.stats.cycles == 2 * 2 * 2
-        assert epre.stats.predictions == 1024
-
     def test_prediction_cycles_helper(self):
         epre = EPREModel()
         assert epre.prediction_cycles(16, 16, 16) == 1
         assert epre.prediction_cycles(17, 16, 16) == 2
+        # 2 row tiles x 2 col tiles x 2 depth cycles.
+        assert epre.prediction_cycles(32, 32, 32) == 2 * 2 * 2
+
+    @pytest.mark.parametrize("rows,cols,lane", ((16, 16, 16), (8, 32, 16),
+                                                (4, 4, 8)))
+    @pytest.mark.parametrize("r,k,c", ((1, 1, 1), (16, 64, 16),
+                                       (77, 40, 120), (256, 72, 256)))
+    def test_tiles_the_output_over_the_array(self, rows, cols, lane, r, k, c):
+        """One LD_DPU per output element of a tile; each tile takes one
+        dot product's worth of cycles, ragged edge tiles a full one."""
+        epre = EPREModel(rows=rows, cols=cols, lane_length=lane)
+        tiles = -(-r // rows) * -(-c // cols)
+        assert epre.prediction_cycles(r, k, c) == (
+            tiles * dot_product_cycles(k, lane)
+        )
+        # Same array geometry, same tiling as a dense SDUE MMUL.
+        assert epre.prediction_cycles(r, k, c) == SDUEModel(
+            rows=rows, cols=cols, lane_length=lane
+        ).dense_cycles(r, k, c)

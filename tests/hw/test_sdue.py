@@ -8,47 +8,70 @@ from repro.core.conmerge.cvg import conmerge, conmerge_tiled
 from repro.hw.sdue import SDUEModel
 
 
-class TestDensePath:
-    def test_matches_numpy(self, rng):
-        sdue = SDUEModel()
-        a = rng.standard_normal((20, 40))
-        b = rng.standard_normal((40, 24))
-        np.testing.assert_allclose(sdue.run_dense(a, b), a @ b)
-
+class TestDenseCycles:
     def test_cycle_count(self):
-        sdue = SDUEModel()
-        sdue.run_dense(np.zeros((32, 32)), np.zeros((32, 32)))
         # 2 row tiles x 2 col tiles x 2 depth cycles.
-        assert sdue.stats.cycles == 8
-        assert sdue.stats.tiles == 4
+        assert SDUEModel().dense_cycles(32, 32, 32) == 8
 
-    def test_edge_tiles_lower_utilization(self):
-        sdue = SDUEModel()
-        sdue.run_dense(np.zeros((17, 16)), np.zeros((16, 17)))
-        assert sdue.stats.utilization < 1.0
+    def test_edge_tiles_round_up(self):
+        assert SDUEModel().dense_cycles(17, 16, 17) == 4
 
-    def test_full_tiles_full_utilization(self):
-        sdue = SDUEModel()
-        sdue.run_dense(np.zeros((16, 16)), np.zeros((16, 16)))
-        assert sdue.stats.utilization == 1.0
-
-    def test_dense_cycles_helper_matches_execution(self, rng):
-        sdue = SDUEModel()
-        predicted = sdue.dense_cycles(20, 40, 24)
-        sdue.run_dense(np.zeros((20, 40)), np.zeros((40, 24)))
-        assert sdue.stats.cycles == predicted
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            SDUEModel().run_dense(np.zeros((4, 5)), np.zeros((6, 4)))
-
-    def test_macs_counted(self):
-        sdue = SDUEModel()
-        sdue.run_dense(np.zeros((8, 8)), np.zeros((8, 8)))
-        assert sdue.stats.macs == 512
+    @pytest.mark.parametrize("dims", ((0, 16, 16), (16, 0, 16), (16, 16, 0)))
+    def test_rejects_non_positive_dimensions(self, dims):
+        rows, cols, lane = dims
+        with pytest.raises(ValueError, match="positive"):
+            SDUEModel(rows=rows, cols=cols, lane_length=lane)
 
 
 class TestMergedPath:
+    @pytest.mark.parametrize("sort", (True, False))
+    @pytest.mark.parametrize("rows,k,cols,sparsity", (
+        (16, 16, 16, 0.0),
+        (16, 40, 64, 0.5),
+        (20, 24, 48, 0.9),
+        (33, 8, 96, 0.97),
+        (5, 17, 31, 1.0),
+    ))
+    def test_merged_execution_is_the_masked_matmul(self, rows, k, cols,
+                                                   sparsity, sort):
+        """For any sparsity (dense to fully sparse), ragged row tiles and
+        sorted or unsorted merging, the SDUE writes exactly the masked
+        elements of ``x @ w`` and leaves every other element at its
+        baseline value."""
+        rng = np.random.default_rng(rows * 1000 + cols)
+        x = rng.standard_normal((rows, k))
+        w = rng.standard_normal((k, cols))
+        mask = Bitmask.random(rows, cols, sparsity=sparsity, rng=rng)
+        tiled = conmerge_tiled(mask, tile_rows=16, sort=sort)
+        baseline = rng.standard_normal((rows, cols))
+        sdue = SDUEModel()
+        out = sdue.run_conmerge(tiled, x, w, baseline)
+        expected = np.where(mask.mask, x @ w, baseline)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        assert sdue.stats.macs == mask.nnz * k
+        assert sdue.stats.active_cell_cycles <= sdue.stats.total_cell_cycles
+
+    def test_conflict_line_cell_reads_the_conflict_row(self):
+        """A cell relocated onto another lane (``input_row != lane``, the
+        i_sw conflict line of Fig. 11) multiplies its own input row, not
+        the lane's, and scatters to its original position."""
+        from repro.core.conmerge.blocks import TileBlock
+        from repro.core.conmerge.vectors import CellAssignment
+
+        x = np.arange(12, dtype=np.float64).reshape(3, 4)
+        w = np.arange(8, dtype=np.float64).reshape(4, 2)
+        block = TileBlock(rows=3, width=1)
+        block.cells[0][0] = CellAssignment(
+            lane=0, col_slot=0, input_row=2, origin_col=1, buffer_index=1
+        )
+        block.conflict_vector[0] = 2
+        block.validate()
+        out = np.zeros((3, 2))
+        SDUEModel().run_merged_block(block, x, w, out)
+        expected = np.zeros((3, 2))
+        expected[2, 1] = x[2] @ w[:, 1]
+        np.testing.assert_array_equal(out, expected)
+
     def test_conmerge_execution_matches_masked_matmul(self, rng):
         """The headline correctness property: executing ConMerge blocks on
         the SDUE reproduces exactly the non-sparse elements of the dense
@@ -83,12 +106,12 @@ class TestMergedPath:
         x = rng.standard_normal((rows, k))
         w = rng.standard_normal((k, cols))
         mask = Bitmask.random(rows, cols, sparsity=0.95, rng=rng)
-        dense_engine = SDUEModel()
-        dense_engine.run_dense(x, w)
         merged_engine = SDUEModel()
         tiled = conmerge_tiled(mask, tile_rows=16)
         merged_engine.run_conmerge(tiled, x, w, np.zeros((rows, cols)))
-        assert merged_engine.stats.cycles < dense_engine.stats.cycles
+        assert merged_engine.stats.cycles < merged_engine.dense_cycles(
+            rows, k, cols
+        )
 
     def test_clock_gating_activity_tracked(self, rng):
         sdue = SDUEModel()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.activations import gelu, geglu, relu, silu, softmax
+from repro.models.activations import gelu, geglu, silu, softmax
 
 
 class TestGelu:
@@ -86,11 +86,6 @@ class TestSiluRelu:
 
     def test_silu_saturates_to_identity(self):
         assert silu(np.array([20.0]))[0] == pytest.approx(20.0, rel=1e-6)
-
-    def test_relu_clamps_negatives(self):
-        np.testing.assert_array_equal(
-            relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0]
-        )
 
 
 class TestSoftmax:

@@ -41,7 +41,6 @@ class TestMultiHeadAttention:
 
     def test_cross_attention_uses_context(self, rng):
         attn = MultiHeadAttention(8, 2, rng, context_dim=6)
-        assert attn.is_cross_attention
         x = rng.standard_normal((4, 8))
         ctx1 = rng.standard_normal((3, 6))
         ctx2 = rng.standard_normal((3, 6))

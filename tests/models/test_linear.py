@@ -49,11 +49,6 @@ class TestLinear:
         b = Linear(6, 6, np.random.default_rng(7))
         np.testing.assert_array_equal(a.weight, b.weight)
 
-    def test_num_params(self, rng):
-        layer = Linear(4, 3, rng)
-        assert layer.num_params == 4 * 3 + 3
-        assert Linear(4, 3, rng, bias=False).num_params == 12
-
     def test_macs(self, rng):
         assert Linear(4, 3, rng).macs(tokens=10) == 120
 

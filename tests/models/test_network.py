@@ -128,33 +128,3 @@ class TestResBlockUNet:
             ])
             assert stacked.tobytes() == per_request.tobytes()
 
-
-class TestMacs:
-    def test_breakdown_keys(self, rng):
-        net = make_network(NetworkType.RESBLOCK_UNET, rng, tokens=16, depth=2)
-        counts = net.macs_per_call()
-        assert set(counts) == {"qkv_projection", "attention", "ffn", "etc"}
-        assert counts["etc"] > 0  # resblocks + projections
-
-    def test_transformer_only_small_etc(self, rng):
-        net = make_network(NetworkType.TRANSFORMER_ONLY, rng)
-        counts = net.macs_per_call()
-        transformer = (
-            counts["qkv_projection"] + counts["attention"] + counts["ffn"]
-        )
-        assert counts["etc"] < 0.1 * transformer
-
-    def test_context_tokens_increase_qkv(self, rng):
-        net = DiffusionNetwork(
-            NetworkType.TRANSFORMER_ONLY,
-            tokens=16,
-            dim=32,
-            num_heads=4,
-            depth=2,
-            ffn_mult=4,
-            rng=rng,
-            context_dim=32,
-        )
-        with_ctx = net.macs_per_call(context_tokens=8)
-        without = net.macs_per_call()
-        assert with_ctx["qkv_projection"] > without["qkv_projection"]

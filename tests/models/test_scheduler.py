@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.models.scheduler import DDIMScheduler, DDPMScheduler
+from repro.models.scheduler import (
+    DDIMScheduler,
+    DDPMScheduler,
+    DPMSolverPP2MScheduler,
+)
 
 
 class TestTimesteps:
@@ -27,16 +31,16 @@ class TestTimesteps:
         with pytest.raises(ValueError):
             DDPMScheduler(num_train_timesteps=1)
 
-
-class TestAddNoise:
-    def test_interpolates_sample_and_noise(self, rng):
-        sched = DDIMScheduler()
-        x = rng.standard_normal((4, 8))
-        n = rng.standard_normal((4, 8))
-        noisy_early = sched.add_noise(x, n, t=0)
-        noisy_late = sched.add_noise(x, n, t=999)
-        # Early timestep: mostly signal. Late: mostly noise.
-        assert np.linalg.norm(noisy_early - x) < np.linalg.norm(noisy_late - x)
+    @pytest.mark.parametrize("steps", (1, 10, 50, 1000))
+    @pytest.mark.parametrize(
+        "scheduler", (DDPMScheduler, DDIMScheduler, DPMSolverPP2MScheduler)
+    )
+    def test_distinct_descending_within_range(self, scheduler, steps):
+        ts = scheduler().timesteps(steps)
+        assert len(ts) == steps
+        assert np.all(np.diff(ts) < 0)
+        assert ts[-1] == 0
+        assert 0 <= ts.min() and ts.max() < 1000
 
 
 class TestDDIMStep:
@@ -55,9 +59,28 @@ class TestDDIMStep:
         x0 = rng.standard_normal((4, 8))
         noise = rng.standard_normal((4, 8))
         t = 700
-        xt = sched.add_noise(x0, noise, t)
+        abar = sched.alphas_cumprod[t]  # forward-diffuse x0 to t
+        xt = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
         recovered = sched.step(noise, t=t, sample=xt, prev_t=-1)
         np.testing.assert_allclose(recovered, np.clip(x0, -10, 10), atol=1e-8)
+
+    @pytest.mark.parametrize("t,prev_t", ((999, 979), (500, 480),
+                                          (700, 0), (20, 1)))
+    def test_perfect_noise_prediction_lands_on_the_forward_marginal(
+        self, rng, t, prev_t
+    ):
+        """With the exact noise, one eta=0 step from ``x_t`` gives the
+        forward-diffused sample at ``prev_t`` built from the same noise."""
+        sched = DDIMScheduler()
+        x0 = rng.standard_normal((4, 8))
+        noise = rng.standard_normal((4, 8))
+
+        def diffuse(step):
+            abar = sched.alphas_cumprod[step]
+            return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
+
+        stepped = sched.step(noise, t=t, sample=diffuse(t), prev_t=prev_t)
+        np.testing.assert_allclose(stepped, diffuse(prev_t), atol=1e-8)
 
 
 class TestDDPMStep:

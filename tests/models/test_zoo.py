@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models.network import NetworkType
-from repro.models.zoo import BENCHMARK_MODELS, build_all, build_model
-from repro.workloads.specs import BENCHMARK_ORDER, get_spec
+from repro.models.zoo import BENCHMARK_MODELS, build_model
+from repro.workloads.specs import ALL_MODEL_ORDER, BENCHMARK_ORDER, get_spec
 
 
 class TestBuildModel:
@@ -64,9 +64,37 @@ class TestBuildModel:
     def test_benchmark_models_constant(self):
         assert tuple(BENCHMARK_MODELS) == BENCHMARK_ORDER
 
-    def test_build_all(self):
-        models = build_all(seed=0)
-        assert set(models) == set(BENCHMARK_ORDER)
+
+@pytest.mark.parametrize("name", ALL_MODEL_ORDER)
+class TestEveryModel:
+    def test_network_matches_spec(self, name):
+        spec = get_spec(name)
+        model = build_model(name, seed=0, total_iterations=2, depth=2)
+        network = model.network
+        assert network.network_type is NetworkType(spec.network_type)
+        assert (network.tokens, network.dim) == (spec.tokens, spec.dim)
+        assert network.num_transformer_blocks == 2
+        for block in network.blocks:
+            assert block.ffn.activation == spec.activation
+            assert block.ffn.hidden_dim == spec.dim * spec.ffn_mult
+        has_resblocks = spec.network_type == NetworkType.RESBLOCK_UNET.value
+        assert bool(network.resblocks) == has_resblocks
+        assert (model.conditioning is None) == (spec.context_dim is None)
+
+    def test_one_call_predicts_a_finite_latent(self, name):
+        model = build_model(name, seed=0, total_iterations=2, depth=2)
+        network = model.network
+        x = np.random.default_rng(0).standard_normal(
+            (network.tokens, network.dim)
+        )
+        context = (
+            model.conditioning.encode("a test prompt")
+            if model.conditioning is not None else None
+        )
+        out, traces = network(x, t=500, context=context)
+        assert out.shape == x.shape
+        assert np.all(np.isfinite(out))
+        assert len(traces) == network.num_transformer_blocks
 
 
 class TestSpecs:
@@ -90,6 +118,7 @@ class TestSpecs:
         assert mld.target_inter_sparsity == 0.95
 
     def test_resblock_flags(self):
-        assert get_spec("stable_diffusion").has_resblocks
-        assert get_spec("videocrafter2").has_resblocks
-        assert not get_spec("dit").has_resblocks
+        resblock = NetworkType.RESBLOCK_UNET.value  # paper Fig. 3 type 2
+        assert get_spec("stable_diffusion").network_type == resblock
+        assert get_spec("videocrafter2").network_type == resblock
+        assert get_spec("dit").network_type != resblock

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.cli import build_parser, main
+from repro.cli import _run_scenario, build_parser, main
 from repro.obs import validate_chrome_trace
 
 
@@ -60,6 +60,18 @@ class TestTraceCommand:
         for line in e1.read_text().splitlines():
             json.loads(line)
 
+    def test_metrics_out_is_the_json_snapshot_whatever_the_name(
+        self, capsys, tmp_path
+    ):
+        argv = ["trace", "--model", "dit", "--iterations", "8",
+                "--requests", "4"]
+        out = tmp_path / "m.prom"
+        assert main(argv + ["--out", str(tmp_path / "t.json"),
+                            "--metrics-out", str(out)]) == 0
+        capsys.readouterr()
+        observer, _ = _run_scenario(build_parser().parse_args(argv))
+        assert out.read_text() == observer.metrics.to_json()
+
     def test_drain_mode_trace(self, capsys, tmp_path):
         out = tmp_path / "t.json"
         assert main(["trace", "--model", "dit", "--iterations", "8",
@@ -109,7 +121,7 @@ class TestServeJson:
         assert doc["summary"]["batches_served"] == 2
         assert doc["summary"]["cache_model_misses"] == 1
 
-    def test_metrics_out_prometheus(self, capsys, tmp_path):
+    def test_metrics_out(self, capsys, tmp_path):
         out = tmp_path / "metrics.prom"
         assert main(
             ["serve", "--model", "dit", "--requests", "2", "--batch-size",
@@ -117,9 +129,12 @@ class TestServeJson:
              "--metrics-out", str(out)]
         ) == 0
         capsys.readouterr()
-        text = out.read_text()
-        assert "# TYPE repro_batches_total counter" in text
-        assert "repro_batches_total 1" in text
+        families = {
+            f["name"]: f for f in json.loads(out.read_text())["families"]
+        }
+        batches = families["repro_batches_total"]
+        assert batches["kind"] == "counter"
+        assert [s["value"] for s in batches["series"]] == [1.0]
 
 
 class TestClusterObs:

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily, histogram_quantile
 
 
 class TestFamilies:
@@ -108,22 +110,50 @@ class TestRegistry:
             doc, sort_keys=True, separators=(",", ":")
         ) + "\n" == j1
 
-    def test_prometheus_exposition(self):
+
+class TestHistogramQuantile:
+    def test_nearest_rank_basics(self):
+        buckets = (1.0, 2.0, 4.0)
+        counts = [2, 1, 1, 0]  # le=1:2, le=2:1, le=4:1, +Inf:0
+        assert histogram_quantile(buckets, counts, 0.50) == 1.0
+        assert histogram_quantile(buckets, counts, 0.75) == 2.0
+        assert histogram_quantile(buckets, counts, 1.00) == 4.0
+
+    def test_inf_tail_clamps_to_largest_finite_bound(self):
+        assert histogram_quantile((1.0, 2.0), [0, 0, 5], 0.99) == 2.0
+
+    def test_empty_histogram_is_zero(self):
+        assert histogram_quantile((1.0,), [0, 0], 0.95) == 0.0
+
+    def test_quantile_bounds_validated(self):
+        with pytest.raises(ValueError):
+            histogram_quantile((1.0,), [1, 0], 1.5)
+
+    def test_family_and_registry_helpers(self):
         reg = MetricsRegistry()
-        c = reg.counter("repro_hits_total", "Cache hits", labels=("level",))
-        c.inc(3, level="model")
-        h = reg.histogram("repro_fill", buckets=(1, 2))
-        h.observe(1)
-        h.observe(5)
-        text = reg.to_prometheus()
-        lines = text.splitlines()
-        assert "# HELP repro_hits_total Cache hits" in lines
-        assert "# TYPE repro_hits_total counter" in lines
-        assert 'repro_hits_total{level="model"} 3' in lines
-        # Buckets are cumulative and end with +Inf.
-        assert 'repro_fill_bucket{le="1"} 1' in lines
-        assert 'repro_fill_bucket{le="2"} 1' in lines
-        assert 'repro_fill_bucket{le="+Inf"} 2' in lines
-        assert "repro_fill_sum 6" in lines
-        assert "repro_fill_count 2" in lines
-        assert text.endswith("\n")
+        h = reg.histogram("lat", buckets=(0.1, 1.0))
+        assert h.quantile(0.95) == 0.0  # untouched child
+        h.observe(0.05)
+        h.observe(0.5)
+        assert reg.quantile("lat", 0.5) == 0.1
+        assert reg.quantile("lat", 0.95) == 1.0
+        with pytest.raises(TypeError):
+            reg.counter("c_total").quantile(0.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=100.0,
+                      allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=40,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_quantile_monotone_and_within_bounds(self, values, q):
+        reg = MetricsRegistry()
+        h = reg.histogram("v", buckets=(1.0, 10.0, 50.0))
+        for value in values:
+            h.observe(value)
+        result = h.quantile(q)
+        assert result in (1.0, 10.0, 50.0)
+        assert result <= h.quantile(1.0)

@@ -4,13 +4,11 @@ The cache is only admissible if it is invisible — every tier (plan,
 compiled, pricing, profile) must hand back exactly what the uncached
 pipeline would have produced, for every zoo model, every Table II
 accelerator configuration and every ablation arm. These tests pin that
-contract, plus the operational properties: disk-tier corruption
-recovery, concurrent readers, defensive copies, global-cache isolation
-and metrics publication.
+contract, plus the operational properties: concurrent readers, defensive
+copies and global-cache isolation.
 """
 
 import dataclasses
-import json
 import threading
 
 import pytest
@@ -19,7 +17,6 @@ from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.program import (
-    PlanCache,
     compile_plan,
     fresh_plan_cache,
     lower_plan,
@@ -187,59 +184,6 @@ class TestProfileTierParity:
         assert cache.tier_hits["profile"] == 1
 
 
-class TestDiskTier:
-    def test_round_trip_across_cache_instances(self, tmp_path):
-        spec = get_spec("dit")
-        writer = PlanCache(cache_dir=str(tmp_path))
-        plan = writer.plan(spec)
-        profile = writer.profile(spec)
-        acc = ExionAccelerator.exion24()
-        report = writer.price(acc, plan, profile)
-
-        reader = PlanCache(cache_dir=str(tmp_path))
-        assert plan_json(reader.plan(spec)) == plan_json(plan)
-        assert reader.profile(spec) == profile
-        assert reader.price(acc, reader.plan(spec), profile) == report
-        assert reader.disk_hits >= 3
-        # the reads never re-ran lowering/synthesis/pricing
-        assert reader.tier_misses["plan"] == 1  # memory miss, disk hit
-
-    def test_corrupt_entries_recover_transparently(self, tmp_path):
-        spec = get_spec("dit")
-        writer = PlanCache(cache_dir=str(tmp_path))
-        plan = writer.plan(spec)
-        entries = sorted(tmp_path.rglob("*.json"))
-        assert entries
-        for entry in entries:
-            entry.write_text("{torn write", encoding="utf-8")
-
-        reader = PlanCache(cache_dir=str(tmp_path))
-        recovered = reader.plan(spec)
-        assert plan_json(recovered) == plan_json(plan)
-        assert reader.disk_misses >= 1
-        # the recompute rewrote a valid entry
-        repaired = PlanCache(cache_dir=str(tmp_path))
-        assert plan_json(repaired.plan(spec)) == plan_json(plan)
-        assert repaired.disk_hits == 1
-
-    def test_wrong_payload_shape_is_a_miss(self, tmp_path):
-        spec = get_spec("dit")
-        writer = PlanCache(cache_dir=str(tmp_path))
-        plan = writer.plan(spec)
-        for entry in tmp_path.rglob("*.json"):
-            entry.write_text(
-                json.dumps({"key": {}, "payload": {"bogus": 1}}),
-                encoding="utf-8",
-            )
-        reader = PlanCache(cache_dir=str(tmp_path))
-        assert plan_json(reader.plan(spec)) == plan_json(plan)
-
-    def test_memory_only_without_cache_dir(self, cache, tmp_path):
-        cache.plan(get_spec("dit"))
-        assert not list(tmp_path.rglob("*.json"))
-        assert cache.disk_hits == cache.disk_misses == 0
-
-
 class TestConcurrentReaders:
     def test_threads_share_one_interned_artifact(self, cache):
         spec = get_spec("dit")
@@ -273,28 +217,6 @@ class TestConcurrentReaders:
         assert cache.stats()["plans"] == 1
         assert cache.stats()["pricings"] == 1
 
-    def test_concurrent_disk_writers_do_not_corrupt(self, tmp_path):
-        spec = get_spec("dit")
-        caches = [PlanCache(cache_dir=str(tmp_path)) for _ in range(4)]
-        barrier = threading.Barrier(4)
-        plans = []
-
-        def worker(cache):
-            barrier.wait()
-            plans.append(plan_json(cache.plan(spec)))
-
-        threads = [
-            threading.Thread(target=worker, args=(c,)) for c in caches
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(plans)) == 1
-        # every entry on disk parses cleanly after the write race
-        for entry in tmp_path.rglob("*.json"):
-            json.loads(entry.read_text(encoding="utf-8"))
-
 
 class TestGlobalCacheLifecycle:
     def test_fresh_plan_cache_isolates_and_restores(self):
@@ -323,42 +245,3 @@ class TestGlobalCacheLifecycle:
             assert f"{tier}_hits" in stats
             assert f"{tier}_misses" in stats
 
-
-class TestMetricsPublication:
-    def _series(self, registry, name):
-        for family in registry.snapshot()["families"]:
-            if family["name"] == name:
-                return {
-                    tuple(sorted(s["labels"].items())): s["value"]
-                    for s in family["series"]
-                }
-        return {}
-
-    def test_counters_and_gauges_published(self, cache):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        spec = get_spec("dit")
-        cache.plan(spec)
-        cache.plan(spec)
-        cache.publish_metrics(registry)
-        lookups = self._series(registry, "repro_plan_cache_lookups_total")
-        assert lookups[(("outcome", "hit"), ("tier", "plan"))] == 1.0
-        assert lookups[(("outcome", "miss"), ("tier", "plan"))] == 1.0
-        entries = self._series(registry, "repro_plan_cache_entries")
-        assert entries[(("tier", "plan"),)] == 1.0
-
-    def test_republication_adds_only_the_delta(self, cache):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        spec = get_spec("dit")
-        cache.plan(spec)
-        cache.publish_metrics(registry)
-        cache.publish_metrics(registry)  # no new lookups: no double count
-        lookups = self._series(registry, "repro_plan_cache_lookups_total")
-        assert lookups[(("outcome", "miss"), ("tier", "plan"))] == 1.0
-        cache.plan(spec)
-        cache.publish_metrics(registry)
-        lookups = self._series(registry, "repro_plan_cache_lookups_total")
-        assert lookups[(("outcome", "hit"), ("tier", "plan"))] == 1.0

@@ -193,10 +193,10 @@ class TestBoundaryJoins:
         server.step()  # joins at cursor 0, ticks to 1
         server.submit(seed=1)
         server.step()  # cursor 1 -> 2: not a boundary, no join
-        assert server.pending_count() == 1
+        assert len(server.queue) == 1
         server.step()  # cursor 2 -> 3
         server.step()  # boundary at 3: the join happens here
-        assert server.pending_count() == 0
+        assert len(server.queue) == 0
         join = [e for e in server.events if e["kind"] == "join"][-1]
         assert join["cursor"] == 0
         assert join["active_cursors"] == (3,)
@@ -254,7 +254,7 @@ class TestPreemption:
         server.submit(seed=2, priority=Priority.INTERACTIVE)
         server.step()  # boundary, but preemption is off
         assert server.report().preemptions == 0
-        assert server.pending_count() == 1
+        assert len(server.queue) == 1
 
     def test_equal_priority_never_preempts(self):
         server = _dry_server(policy=ContinuousPolicy(max_batch_size=2))

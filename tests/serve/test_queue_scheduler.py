@@ -63,7 +63,7 @@ class TestQueue:
     def test_submit_assigns_sequential_ids(self):
         server, clock = make_server()
         assert (submit(server, clock, 3), submit(server, clock, 9)) == (0, 1)
-        assert server.pending_count() == 2
+        assert len(server.queue) == 2
 
     def test_one_tenant_one_class_is_fifo(self):
         queue = FairQueue()

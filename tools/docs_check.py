@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the repro package.
 
-Four checks, all hard failures:
+Five checks, all hard failures:
 
 1. **Docstrings** — every public module under ``src/repro`` (any module
    whose dotted path has no ``_``-prefixed component) must carry a
@@ -23,6 +23,16 @@ Four checks, all hard failures:
    module live forever); ``from repro.pkg import Name`` reaches the
    module under ``pkg`` that defines ``Name``. A module only ``tests/``
    can reach is a capability nothing uses: it goes, with its tests.
+5. **Name reachability** — the same rule one level down: every top-level
+   function or class and every non-dunder method under ``src/repro``
+   must be named from outside its own body somewhere in ``src/`` or the
+   entry directories above, by an ``ast.Name``, an ``ast.Attribute`` or
+   an import alias (a package ``__init__.py`` re-export, an ``__all__``
+   string, a docstring or prose does not count). Names are matched as
+   bare identifiers, so any ``.attr`` of the same name keeps a method
+   alive. References from inside a definition that is itself unnamed do
+   not count either, iterated to a fixed point: each finding says in
+   which round it fell.
 
 Run from the repository root::
 
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import itertools
 import pkgutil
 import re
 import sys
@@ -205,6 +216,67 @@ def check_reachability() -> list[str]:
     ]
 
 
+def check_names() -> list[str]:
+    """Definitions under ``src/repro`` that nothing outside ``tests/`` names."""
+    defs: list[tuple[str, str]] = []  # (file:line, qualname) per candidate
+    names: list[str] = []  # the bare name of each candidate
+    refs: dict[str, list[frozenset[int]]] = {}  # name -> defs around each use
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, inside, path, counts_imports, owner=None):
+        """``owner`` is ``""`` at module level, the class name directly
+        in a top-level class body and ``None`` anywhere deeper."""
+        for child in ast.iter_child_nodes(node):
+            enclosing = inside
+            if path.is_relative_to(SRC) and (
+                isinstance(child, (*functions, ast.ClassDef)) if owner == ""
+                else owner and isinstance(child, functions)
+                and not (child.name.startswith("__")
+                         and child.name.endswith("__"))
+            ):
+                enclosing = inside | {len(defs)}
+                defs.append((
+                    f"{path.relative_to(REPO_ROOT)}:{child.lineno}",
+                    f"{owner}.{child.name}" if owner else child.name,
+                ))
+                names.append(child.name)
+            if isinstance(child, ast.Name):
+                refs.setdefault(child.id, []).append(inside)
+            elif isinstance(child, ast.Attribute):
+                refs.setdefault(child.attr, []).append(inside)
+            elif isinstance(child, ast.alias) and counts_imports:
+                refs.setdefault(child.name, []).append(inside)
+            is_class = owner == "" and isinstance(child, ast.ClassDef)
+            visit(child, enclosing, path, counts_imports,
+                  child.name if is_class else None)
+
+    sources = sorted((SRC / "repro").rglob("*.py"))
+    for directory in ENTRY_DIRS:
+        sources += sorted((REPO_ROOT / directory).glob("*.py"))
+    for path in sources:
+        # A package ``__init__`` re-export is not a use (as in check 4).
+        visit(ast.parse(path.read_text("utf-8")), frozenset(), path,
+              path.name != "__init__.py", "")
+
+    dead: dict[int, int] = {}  # candidate index -> round it fell in
+    for round_ in itertools.count(1):
+        fallen = [
+            index for index, name in enumerate(names)
+            if index not in dead and not any(
+                index not in around and not around & dead.keys()
+                for around in refs.get(name, ())
+            )
+        ]
+        if not fallen:
+            break
+        dead.update(dict.fromkeys(fallen, round_))
+    return [
+        f"{where}: {qualname} (round {dead[index]}) is named by nothing in "
+        f"src/, {'/, '.join(ENTRY_DIRS)}/ outside its own body"
+        for index, (where, qualname) in enumerate(defs) if index in dead
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     modules = iter_public_modules()
@@ -213,6 +285,7 @@ def main() -> int:
         findings.extend(check_module(name))
     findings.extend(check_prose(modules))
     findings.extend(check_reachability())
+    findings.extend(check_names())
 
     if findings:
         print(f"docs-check: {len(findings)} problem(s) in "
@@ -222,7 +295,7 @@ def main() -> int:
         return 1
     print(f"docs-check: {len(modules)} public modules documented, "
           f"all __all__ exports and prose references resolve, "
-          f"every module reachable from an entry point")
+          f"every module and definition reachable from an entry point")
     return 0
 
 
