@@ -15,7 +15,7 @@ COV_PKGS := --cov=repro.core --cov=repro.program --cov=repro.exec \
 .PHONY: help test test-warnings lint coverage bench bench-smoke \
 	bench-compare bench-asserts cache-smoke cluster-smoke serve-smoke \
 	explore-smoke program-smoke trace-smoke obs-analyze-smoke \
-	perfbench-quick smoke \
+	examples-smoke perfbench-quick smoke \
 	docs-check check fleet-digests sample-digests
 
 help:  ## list targets with their descriptions
@@ -102,11 +102,17 @@ obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
 		$(BENCH_OUT)/analysis.json $(BENCH_OUT)/analysis.json
 
+examples-smoke:  ## run every examples/*.py script end to end
+	@for example in examples/*.py; do \
+		echo "$$example"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$example > /dev/null || exit 1; \
+	done
+
 perfbench-quick:  ## host-time benchmark at 1/50 scale (output checks on)
 	$(PYTHON) -m perfbench --quick
 
 smoke: bench-smoke cache-smoke serve-smoke cluster-smoke explore-smoke \
-	program-smoke trace-smoke obs-analyze-smoke \
+	program-smoke trace-smoke obs-analyze-smoke examples-smoke \
 	perfbench-quick  ## all *-smoke targets + perfbench-quick
 
 fleet-digests:  ## byte-identity gate: sha256 per fleet artefact vs tools/fleet_digests.txt

@@ -81,7 +81,7 @@ def run_point(model, vanilla, top_k, q_th):
     }
 
 
-def evaluate_ep_point(point, fidelity=None):
+def evaluate_ep_point(point):
     """Engine evaluator: one grid cell to its objective values."""
     model, vanilla = _model_and_vanilla()
     cell = run_point(model, vanilla, point["top_k"], point["q_th"])

@@ -69,7 +69,7 @@ def sweep_point(model, vanilla, n):
     }
 
 
-def evaluate_n_point(point, fidelity=None):
+def evaluate_n_point(point):
     """Engine evaluator: one N value to its (finite) objective values."""
     model, vanilla = _model_and_vanilla()
     cell = sweep_point(model, vanilla, point["n"])

@@ -2,8 +2,11 @@
 
 Reproduces the paper's evaluation flow end-to-end for one model:
 
-1. run the model at simulation scale to *measure* its output sparsity,
-2. build a paper-scale sparsity profile from the measurements,
+1. run the model at simulation scale to *measure* its output sparsity
+   and collect its FFN-Reuse bitmasks,
+2. build a paper-scale sparsity profile from the measurements (its
+   ConMerge ratios come from synthetic paper-scale masks; the measured
+   masks' own ratio is printed beside them),
 3. simulate EXION4 / EXION24 (cycle + energy model seeded with the paper's
    Table II/III numbers) and the edge/server GPU roofline baselines,
 4. print the latency and energy-efficiency comparison.
@@ -18,6 +21,7 @@ from repro import ExionConfig, ExionPipeline, build_model
 from repro.analysis.report import format_table
 from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import EDGE_GPU, SERVER_GPU
+from repro.core.conmerge.cvg import conmerge_tiled
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import profile_from_stats
 
@@ -27,13 +31,19 @@ def main(name: str) -> None:
     spec = model.spec
     print(f"measuring output sparsity of {spec.display_name} "
           f"at simulation scale...")
-    result = ExionPipeline(model, ExionConfig.for_model(name)).generate(
-        seed=3, prompt="accelerator demo"
-    )
+    result = ExionPipeline(
+        model, ExionConfig.for_model(name), collect_masks=True
+    ).generate(seed=3, prompt="accelerator demo")
     profile = profile_from_stats(spec, result.stats)
     print(f"  FFN sparsity {profile.ffn_sparsity:.1%}, "
-          f"attention sparsity {profile.attn_sparsity:.1%}, "
-          f"ConMerge remaining columns {profile.ffn_remaining_ratio:.1%}")
+          f"attention sparsity {profile.attn_sparsity:.1%} (measured)")
+    merged = [conmerge_tiled(mask) for mask in result.stats.ffn_bitmasks]
+    measured = sum(m.physical_columns for m in merged) / sum(
+        m.original_columns for m in merged)
+    print(f"  ConMerge remaining columns {measured:.1%} (measured, "
+          f"{len(merged)} FFN bitmasks at simulation scale)")
+    print(f"  ConMerge remaining columns {profile.ffn_remaining_ratio:.1%} "
+          f"(synthetic paper-scale masks, what the simulation prices)")
     print()
 
     devices = [

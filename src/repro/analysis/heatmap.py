@@ -17,17 +17,16 @@ def render_heatmap(
     matrix: np.ndarray,
     vmin: float = None,
     vmax: float = None,
-    max_size: int = 40,
     axis_label: str = "",
 ) -> str:
     """Render a 2-D array as an ASCII heatmap string.
 
-    Large matrices are downsampled by block-averaging to ``max_size``.
+    Large matrices are downsampled by block-averaging to 40 x 40.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("heatmap input must be 2-D")
-    matrix = _downsample(matrix, max_size)
+    matrix = _downsample(matrix, 40)
     lo = float(matrix.min()) if vmin is None else vmin
     hi = float(matrix.max()) if vmax is None else vmax
     span = hi - lo if hi > lo else 1.0
@@ -56,10 +55,10 @@ def _downsample(matrix: np.ndarray, max_size: int) -> np.ndarray:
     return shaped.mean(axis=(1, 3))
 
 
-def render_bitmask(mask, max_size: int = 64) -> str:
+def render_bitmask(mask) -> str:
     """Render a :class:`repro.core.bitmask.Bitmask` ('#' = non-sparse)."""
     grid = np.asarray(mask.mask, dtype=float)
-    grid = _downsample(grid, max_size)
+    grid = _downsample(grid, 64)
     lines = []
     for row in grid:
         lines.append("".join("#" if v > 0.5 else "." for v in row))

@@ -28,10 +28,10 @@ def operation_breakdown(spec: ModelSpec) -> dict:
     }
 
 
-def operation_breakdown_table(models=BENCHMARK_ORDER) -> list:
+def operation_breakdown_table() -> list:
     """Fig. 4 rows for every benchmark model."""
     rows = []
-    for name in models:
+    for name in BENCHMARK_ORDER:
         spec = get_spec(name)
         info = operation_breakdown(spec)
         rows.append(

@@ -18,14 +18,13 @@ def gelu_outputs_by_iteration(
     model: BenchmarkModel,
     block: int = 1,
     seed: int = 0,
-    prompt: str = None,
     class_label: int = None,
 ) -> list:
     """Non-linearity outputs of one block for every denoising iteration."""
     # Traces come from the interpreted network hooks; no optimization (and
     # so no ExionPipeline) is involved in the vanilla run they describe.
     result = model.make_pipeline().generate(
-        seed=seed, prompt=prompt, class_label=class_label, collect_traces=True
+        seed=seed, class_label=class_label, collect_traces=True
     )
     return [traces[block].ffn.hidden.copy() for traces in result.block_traces]
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.gpu import GPUModel, GPUReport
-from repro.baselines.specs import A100, GPUSpec
+from repro.baselines.specs import A100
 from repro.workloads.specs import ModelSpec
 
 
@@ -30,25 +30,16 @@ class CambriconDReport:
 
 
 class CambriconDModel:
-    """Speedup model of Cambricon-D relative to an A100-class GPU.
+    """Speedup model of Cambricon-D relative to an A100-class GPU."""
 
-    ``conv_delta_speedup`` is the differential-computation gain on
-    convolutional/ResBlock work; ``transformer_speedup`` is the smaller
-    gain on transformer blocks (dense INT compute plus memory-access
-    optimization, but no output-sparsity exploitation).
-    """
+    #: Differential-computation gain on convolutional/ResBlock work.
+    conv_delta_speedup = 11.0
+    #: The smaller gain on transformer blocks (dense INT compute plus
+    #: memory-access optimization, but no output-sparsity exploitation).
+    transformer_speedup = 3.3
 
-    def __init__(
-        self,
-        gpu_spec: GPUSpec = A100,
-        conv_delta_speedup: float = 11.0,
-        transformer_speedup: float = 3.3,
-    ) -> None:
-        if conv_delta_speedup < 1.0 or transformer_speedup < 1.0:
-            raise ValueError("speedups must be >= 1")
-        self.gpu = GPUModel(gpu_spec)
-        self.conv_delta_speedup = conv_delta_speedup
-        self.transformer_speedup = transformer_speedup
+    def __init__(self) -> None:
+        self.gpu = GPUModel(A100)
 
     def simulate(self, spec: ModelSpec, batch: int = 1) -> CambriconDReport:
         """Latency from the GPU baseline split by op category."""

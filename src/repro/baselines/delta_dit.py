@@ -56,7 +56,6 @@ class DeltaDiTPipeline:
         self,
         model: BenchmarkModel,
         cache_interval: int = 2,
-        cached_blocks: Optional[list] = None,
     ) -> None:
         if model.network.network_type is not NetworkType.TRANSFORMER_ONLY:
             raise ValueError(
@@ -68,12 +67,10 @@ class DeltaDiTPipeline:
         self.model = model
         self.cache_interval = cache_interval
         depth = model.network.num_transformer_blocks
-        if cached_blocks is None:
-            # Delta-DiT leaves the front (structure) and rear (detail)
-            # blocks exact and caches the middle.
-            front = max(1, depth // 4)
-            cached_blocks = list(range(front, depth - front)) or [depth // 2]
-        self.cached_blocks = set(cached_blocks)
+        # Delta-DiT leaves the front (structure) and rear (detail) blocks
+        # exact and caches the middle.
+        front = max(1, depth // 4)
+        self.cached_blocks = set(range(front, depth - front)) or {depth // 2}
 
     def _block_macs(self, tokens: int) -> int:
         # MAC accounting comes from the shared lowering (sim-scale block

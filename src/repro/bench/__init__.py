@@ -1,8 +1,8 @@
 """Structured benchmark harness with machine-readable results.
 
 The subsystem behind ``python -m repro bench`` and the value-regression
-gate in CI. It holds deterministic values only (paper fidelity and
-byte-identity); host time is measured by ``perfbench``, not here.
+gate in CI. It holds deterministic values only (agreement with the
+paper and byte-identity); host time is measured by ``perfbench``, not here.
 
 - :mod:`repro.bench.schema` — the :class:`BenchResult` document every
   bench produces (metrics with per-metric regression contracts, the

@@ -14,8 +14,8 @@ from typing import Optional
 class BenchContext:
     """Lazily-computed shared inputs for bench builders."""
 
-    def __init__(self, profiles: Optional[dict] = None):
-        self._profiles = profiles
+    def __init__(self):
+        self._profiles: Optional[dict] = None
 
     @property
     def profiles(self) -> dict:

@@ -15,7 +15,7 @@ name, or ``tag:<tag>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,12 @@ class BenchmarkRegistry:
         self._benches: dict = {}
 
     def register(self, name: str, builder: Callable, tags=(),
-                 module: Optional[str] = None, replace: bool = False) -> RegisteredBench:
+                 replace: bool = False) -> RegisteredBench:
         if name in self._benches and not replace:
             raise ValueError(f"bench {name!r} already registered")
         entry = RegisteredBench(
             name=name, builder=builder, tags=tuple(tags),
-            module=module if module is not None
-            else getattr(builder, "__module__", ""),
+            module=getattr(builder, "__module__", ""),
         )
         self._benches[name] = entry
         return entry

@@ -73,7 +73,6 @@ def bench_filename(name: str) -> str:
 def run_benches(
     selector: str = "all",
     out_dir: Optional[Path] = None,
-    ctx: Optional[BenchContext] = None,
     registry: Optional[BenchmarkRegistry] = None,
     progress: Optional[Callable] = None,
 ) -> dict:
@@ -84,7 +83,7 @@ def run_benches(
     there (the directory is created if needed).
     """
     registry = registry if registry is not None else REGISTRY
-    ctx = ctx if ctx is not None else BenchContext()
+    ctx = BenchContext()
     env = env_fingerprint()
     results: dict = {}
     for entry in registry.select(selector):

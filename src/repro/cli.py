@@ -680,11 +680,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
     from repro.explore import (
         ExploreRunner,
+        GridSearch,
         PointEvaluator,
+        RandomSearch,
         SearchSpace,
         cluster_space,
         default_space,
-        make_strategy,
     )
 
     if args.space is not None:
@@ -707,26 +708,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     else:
         objectives = ("latency_s", "energy_j", "accuracy_psnr_db")
 
-    if args.strategy == "grid":
-        strategy = make_strategy("grid", levels=args.grid_levels)
-    elif args.strategy == "random":
-        strategy = make_strategy("random", budget=args.budget)
-    else:
-        fidelities = tuple(
-            int(t) for t in args.halving_fidelities.split(",") if t.strip()
-        )
-        # Unless the user picked one, promote on the first objective of
-        # the run (latency_s in the default set) so --cluster and custom
-        # --objectives lists keep working.
-        rank_by = args.rank_by
-        if rank_by is None:
-            rank_by = "latency_s" if "latency_s" in objectives else (
-                objectives[0]
-            )
-        strategy = make_strategy(
-            "halving", budget=args.budget, eta=args.halving_eta,
-            fidelities=fidelities, rank_by=rank_by,
-        )
+    try:
+        if args.strategy == "grid":
+            strategy = GridSearch(levels=args.grid_levels)
+        else:
+            strategy = RandomSearch(budget=args.budget)
+    except ValueError as exc:
+        flag = "--grid-levels" if args.strategy == "grid" else "--budget"
+        raise SystemExit(f"bad {flag}: {exc}")
 
     evaluator = PointEvaluator(
         objectives=objectives,
@@ -1070,19 +1059,11 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--model", default="dit",
                      help="benchmark model the default space is built for")
     exp.add_argument("--strategy", default="random",
-                     choices=["grid", "random", "halving"])
+                     choices=["grid", "random"])
     exp.add_argument("--budget", type=int, default=12,
-                     help="points sampled by random/halving strategies")
+                     help="points sampled by the random strategy")
     exp.add_argument("--grid-levels", type=int, default=2,
                      help="grid levels per range dimension")
-    exp.add_argument("--halving-eta", type=float, default=2.0,
-                     help="successive-halving survivor fraction 1/eta")
-    exp.add_argument("--halving-fidelities", default="4,8,12",
-                     help="comma-separated iteration budgets per rung")
-    exp.add_argument("--rank-by", default=None,
-                     help="objective successive halving promotes on "
-                          "(default: latency_s when present, else the "
-                          "first objective of the run)")
     exp.add_argument("--objectives", default=None,
                      help="comma-separated objective names (default: "
                           "latency_s,energy_j,accuracy_psnr_db; cluster "

@@ -50,8 +50,8 @@ ACCELERATORS = {
 class SimClock:
     """A clock the event loop sets by hand; servers read it as ``clock()``."""
 
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = float(now)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def __call__(self) -> float:
         return self.now
@@ -109,12 +109,10 @@ class ServiceTimeModel:
         accelerator: Union[str, ExionAccelerator] = "exion24",
         iterations: Optional[int] = None,
         profile_seed: int = 0,
-        cold_start: bool = True,
     ) -> None:
         self.accelerator = make_accelerator(accelerator)
         self.iterations = iterations
         self.profile_seed = profile_seed
-        self.cold_start = cold_start
         self._prices: dict = {}  # (model, ablation, batch, phase) -> StepPrice
 
     @property
@@ -268,14 +266,11 @@ class Replica:
     def __init__(
         self,
         index: int,
-        accelerator: Union[str, ExionAccelerator] = "exion24",
         policy: Optional[ContinuousPolicy] = None,
         service_model: Optional[ServiceTimeModel] = None,
         tenant_weights: Optional[dict] = None,
         execute: bool = False,
         execute_iterations: Optional[int] = None,
-        model_seed: int = 0,
-        calibration_seed: int = 0,
     ) -> None:
         self.index = index
         self.policy = (
@@ -284,13 +279,11 @@ class Replica:
         self.service_model = (
             service_model
             if service_model is not None
-            else ServiceTimeModel(accelerator)
+            else ServiceTimeModel()
         )
         self.tenant_weights = tenant_weights
         self.execute = execute
         self.execute_iterations = execute_iterations
-        self.model_seed = model_seed
-        self.calibration_seed = calibration_seed
         self.clock = SimClock()
         self.cache = ThresholdCache()
         # (model, ablation) -> ContinuousServer, kept in key order by
@@ -367,24 +360,18 @@ class Replica:
                 policy=self.policy,
                 tenant_weights=self.tenant_weights,
                 cache=self.cache,
-                model_seed=self.model_seed,
                 total_iterations=(
                     self.execute_iterations
                     if self.execute
                     else self.service_model.iterations
                 ),
-                calibration_seed=self.calibration_seed,
                 clock=self.clock,
                 price=functools.partial(
                     self.service_model.price, model, ablation
                 ),
                 # The first step of a key also pays one vanilla generation
                 # (offline threshold calibration), charged by the server.
-                cold_start_s=(
-                    self.service_model.calibration_s(model)
-                    if self.service_model.cold_start
-                    else None
-                ),
+                cold_start_s=self.service_model.calibration_s(model),
                 dry_run=not self.execute,
                 # Only execute mode has results worth fetching afterwards;
                 # dry-run sweeps keep memory flat over long traces.

@@ -262,18 +262,15 @@ def build_replicas(
     service_model=None,
     execute: bool = False,
     execute_iterations: Optional[int] = None,
-    model_seed: int = 0,
-    calibration_seed: int = 0,
     continuous: bool = False,
     tenant_weights=None,
     **service_kwargs,
 ) -> list:
     """A homogeneous fleet sharing one memoized service-time model.
 
-    ``model_seed``/``calibration_seed`` reach every replica's servers;
-    remaining keyword arguments configure the shared
+    Remaining keyword arguments configure the shared
     :class:`~repro.cluster.replica.ServiceTimeModel` (``iterations``,
-    ``profile_seed``, ``cold_start``). ``continuous`` picks the
+    ``profile_seed``). ``continuous`` picks the
     scheduling mode of ``policy`` (a
     :class:`~repro.serve.continuous.ContinuousPolicy`): iteration-level
     continuous batching when true — ``tenant_weights`` then configures
@@ -299,8 +296,6 @@ def build_replicas(
             tenant_weights=tenant_weights,
             execute=execute,
             execute_iterations=execute_iterations,
-            model_seed=model_seed,
-            calibration_seed=calibration_seed,
         )
         for i in range(count_)
     ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -259,15 +259,13 @@ def synthesize_trace(
     mix: Optional[WorkloadMix] = None,
     rng: Union[int, np.random.Generator] = 0,
     deadline_s: Optional[float] = None,
-    tenants: Optional[Sequence[str]] = None,
 ) -> list:
     """Materialize ``n`` requests: arrival times from ``process``, models
     and generation inputs from ``mix``, all driven by one RNG.
 
     ``deadline_s`` attaches a *relative* completion deadline to every
-    request (absolute deadline = arrival + ``deadline_s``); ``tenants``
-    assigns tenant names round-robin — both feed the continuous
-    scheduler's SLA and fair-queuing machinery.
+    request (absolute deadline = arrival + ``deadline_s``), which feeds
+    the continuous scheduler's SLA machinery.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -287,9 +285,6 @@ def synthesize_trace(
             seed=int(seeds[i]),
             class_label=int(labels[i]),
             ablation=mix.ablation,
-            tenant=(
-                "default" if not tenants else tenants[i % len(tenants)]
-            ),
             deadline_s=(
                 None if deadline_s is None
                 else float(instants[i]) + deadline_s

@@ -142,7 +142,7 @@ def _find_slot(block: TileBlock, slot: int, input_row: int) -> Optional[int]:
     return fallback
 
 
-def greedy_merge(blocks: list, max_passes: int = 2) -> tuple:
+def greedy_merge(blocks: list) -> tuple:
     """Merge a block list pairwise, first-fit, up to two merges per block.
 
     Returns ``(merged_blocks, total_cycles, attempts, successes)``. This is
@@ -157,7 +157,7 @@ def greedy_merge(blocks: list, max_passes: int = 2) -> tuple:
     while pending:
         base = pending.pop(0)
         merges_left = 3 - base.num_origins
-        for _ in range(min(max_passes, merges_left)):
+        for _ in range(min(2, merges_left)):
             hit = None
             for idx, candidate in enumerate(pending):
                 attempt = try_merge(base, candidate)

@@ -78,10 +78,8 @@ class EagerPredictor:
         bits = self.config.prediction_bits
         q_pred = log_domain_matmul(x, layer.wq.weight, mode, bits)
         k_pred = log_domain_matmul(kv_input, layer.wk.weight, mode, bits)
-        if layer.wq.bias is not None:
-            q_pred = q_pred + layer.wq.bias
-        if layer.wk.bias is not None:
-            k_pred = k_pred + layer.wk.bias
+        q_pred = q_pred + layer.wq.bias
+        k_pred = k_pred + layer.wk.bias
         qh = layer.split_heads(q_pred)
         kh = layer.split_heads(k_pred)
         return np.matmul(qh, kh.transpose(0, 2, 1)) * layer.scale
@@ -312,8 +310,7 @@ def ep_attention_step(
 
     x_operand = prepare_log_operand(x, mode, bits)
     q_pred = log_domain_matmul_prepared(x_operand, pred.wq_operand)
-    if layer.wq.bias is not None:
-        q_pred += layer.wq.bias
+    q_pred += layer.wq.bias
     qh = layer.split_heads(q_pred)
 
     if kv is not None:
@@ -324,8 +321,7 @@ def ep_attention_step(
             else prepare_log_operand(kv_input, mode, bits)
         )
         k_pred = log_domain_matmul_prepared(k_operand, pred.wk_operand)
-        if layer.wk.bias is not None:
-            k_pred += layer.wk.bias
+        k_pred += layer.wk.bias
         kh = layer.split_heads(k_pred)
         k = layer.split_heads(layer.wk(kv_input))
         v = layer.split_heads(layer.wv(kv_input))
@@ -395,8 +391,7 @@ def ep_cross_kv(
         context, config.lod_mode, config.prediction_bits
     )
     k_pred = log_domain_matmul_prepared(c_operand, pred.wk_operand)
-    if layer.wk.bias is not None:
-        k_pred = k_pred + layer.wk.bias
+    k_pred = k_pred + layer.wk.bias
     return (
         layer.split_heads(k_pred),
         layer.split_heads(layer.wk(context)),

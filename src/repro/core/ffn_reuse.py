@@ -130,8 +130,7 @@ class FFNReuse:
         bitmask = Bitmask.from_threshold(hidden, threshold)
         reused = hidden * ~bitmask.mask
         partial = reused @ layer.linear2.weight
-        if layer.linear2.bias is not None:
-            partial = partial + layer.linear2.bias
+        partial = partial + layer.linear2.bias
         self._states[block] = _BlockState(
             hidden_dense=hidden,
             bitmask=bitmask,
@@ -247,8 +246,7 @@ def ffn_dense_compile(
     mask = np.abs(np.asarray(hidden, dtype=np.float64)) > threshold
     reused = hidden * ~mask
     partial = reused @ layer.linear2.weight
-    if layer.linear2.bias is not None:
-        partial = partial + layer.linear2.bias
+    partial = partial + layer.linear2.bias
 
     gather = np.flatnonzero(mask.ravel())
     value_idx = gate_idx = None

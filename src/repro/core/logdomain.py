@@ -3,7 +3,7 @@
 The eager-prediction engine approximates integers by the position of their
 leading-one bit, turning multiplications into additions plus shifts.
 EXION's improvement, two-step leading-one detection (TS-LOD), keeps the two
-most significant set bits, halving the worst-case approximation error at
+most significant set bits, which halves the worst-case approximation error at
 the cost of quadrupling the addition operands (which the hardware absorbs
 with one-hot OR-gate adder trees).
 

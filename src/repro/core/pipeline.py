@@ -149,7 +149,6 @@ class ExionPipeline:
         seeds,
         prompt: Optional[str] = None,
         class_label: Optional[int] = None,
-        vanilla: bool = False,
         batched: bool = True,
     ) -> tuple:
         """Generate one sample per seed; returns ``(samples, results)``.
@@ -170,15 +169,14 @@ class ExionPipeline:
         if self.compiled and batched and len(seeds) > 1:
             from repro.serve.request import GenerationRequest
 
-            results = self._engine(vanilla, several=True).run_batch([
+            results = self._engine(vanilla=False, several=True).run_batch([
                 GenerationRequest(request_id=i, seed=seed, prompt=prompt,
                                   class_label=class_label)
                 for i, seed in enumerate(seeds)
             ])
         else:
-            one = self.generate_vanilla if vanilla else self.generate
             results = [
-                one(seed=seed, prompt=prompt, class_label=class_label)
+                self.generate(seed=seed, prompt=prompt, class_label=class_label)
                 for seed in seeds
             ]
         samples = np.stack([r.sample for r in results])

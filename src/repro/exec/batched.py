@@ -140,8 +140,7 @@ def ffn_dense_compile_batched(
     mask = np.abs(hidden) > thresholds[:, None, None]
     reused = hidden * ~mask
     partial = reused @ layer.linear2.weight
-    if layer.linear2.bias is not None:
-        partial = partial + layer.linear2.bias
+    partial = partial + layer.linear2.bias
 
     state = _BatchedFFNPhaseState(
         hidden_dense=hidden,
@@ -209,8 +208,7 @@ def _ep_cross_kv_batched(
         context, config.lod_mode, config.prediction_bits
     )
     k_pred = _predict_prepared(c_approx, c_scales, pred.wk_operand)
-    if layer.wk.bias is not None:
-        k_pred = k_pred + layer.wk.bias
+    k_pred = k_pred + layer.wk.bias
     return (
         _split_heads_batched(k_pred, layer.num_heads),
         _split_heads_batched(layer.wk(context), layer.num_heads),
@@ -238,8 +236,7 @@ def _ep_attention_step_batched(
 
     a_approx, a_scales = _prepare_activation_batched(x, mode, bits)
     q_pred = _predict_prepared(a_approx, a_scales, pred.wq_operand)
-    if layer.wq.bias is not None:
-        q_pred += layer.wq.bias
+    q_pred += layer.wq.bias
     qh = _split_heads_batched(q_pred, heads)
 
     if kv is not None:
@@ -249,8 +246,7 @@ def _ep_attention_step_batched(
         # prepared operand is shared (the interpreted path re-derives the
         # identical quantization).
         k_pred = _predict_prepared(a_approx, a_scales, pred.wk_operand)
-        if layer.wk.bias is not None:
-            k_pred += layer.wk.bias
+        k_pred += layer.wk.bias
         kh = _split_heads_batched(k_pred, heads)
         k = _split_heads_batched(layer.wk(kv_input), heads)
         v = _split_heads_batched(layer.wv(kv_input), heads)

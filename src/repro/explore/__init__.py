@@ -10,8 +10,8 @@ one-command answer:
   int / float / log-scale) over hardware knobs (DSC count, memory
   bandwidth, GSC capacity), algorithm ablations, and fleet scenarios,
   with canonical byte-stable point encodings;
-- :mod:`repro.explore.strategies` — grid, seeded random, and
-  successive-halving search behind one ask/tell protocol;
+- :mod:`repro.explore.strategies` — grid and seeded random search,
+  each proposing one batch of points;
 - :mod:`repro.explore.objectives` — latency/energy/accuracy/SLO
   objectives computed through :mod:`repro.hw`,
   :mod:`repro.workloads.evaluation` and :mod:`repro.cluster`, plus
@@ -61,12 +61,7 @@ from repro.explore.objectives import (
     spec_from_point,
 )
 from repro.explore.report import ExploreReport
-from repro.explore.runner import (
-    EvaluationRecord,
-    ExploreRunner,
-    RunnerStats,
-    final_rung,
-)
+from repro.explore.runner import EvaluationRecord, ExploreRunner, RunnerStats
 from repro.explore.space import (
     Categorical,
     FloatRange,
@@ -78,13 +73,7 @@ from repro.explore.space import (
     point_key,
     stable_seed,
 )
-from repro.explore.strategies import (
-    STRATEGIES,
-    GridSearch,
-    RandomSearch,
-    SuccessiveHalving,
-    make_strategy,
-)
+from repro.explore.strategies import GridSearch, RandomSearch
 
 __all__ = [
     "Categorical",
@@ -100,17 +89,13 @@ __all__ = [
     "PointEvaluator",
     "RandomSearch",
     "RunnerStats",
-    "STRATEGIES",
     "SearchSpace",
-    "SuccessiveHalving",
     "accelerator_from_point",
     "cluster_space",
     "config_from_point",
     "default_space",
-    "final_rung",
     "get_objective",
     "knee_point",
-    "make_strategy",
     "pareto_front",
     "point_id",
     "point_key",

@@ -81,10 +81,10 @@ OBJECTIVES = {
     ),
 }
 
-#: Default tri-objective: speed, energy, fidelity.
+#: Default tri-objective: speed, energy, accuracy.
 DEFAULT_OBJECTIVES = ("latency_s", "energy_j", "accuracy_psnr_db")
 
-#: Knobs the accuracy objective depends on (plus the model + fidelity).
+#: Knobs the accuracy objective depends on (plus the model + iterations).
 _ALGO_KNOBS = (
     "enable_ffn_reuse", "enable_eager_prediction", "sparse_iters_n",
     "ffn_target_sparsity", "top_k_ratio", "q_threshold", "prediction_bits",
@@ -161,9 +161,8 @@ def spec_from_point(model: str, point: dict):
 class PointEvaluator:
     """Maps points to objective dicts; picklable for worker processes.
 
-    ``fidelity`` (per-rung iteration counts from successive halving)
-    overrides ``iterations``. All fields participate in the runner's
-    cache identity via :meth:`describe`.
+    All fields participate in the runner's cache identity via
+    :meth:`describe`.
     """
 
     objectives: tuple = DEFAULT_OBJECTIVES
@@ -194,8 +193,8 @@ class PointEvaluator:
         }
 
     # ------------------------------------------------------------------
-    def __call__(self, point: dict, fidelity: Optional[int] = None) -> dict:
-        iterations = fidelity if fidelity is not None else self.iterations
+    def __call__(self, point: dict) -> dict:
+        iterations = self.iterations
         model = str(point.get("model", self.model))
         values: dict = {}
         hw_names = {"latency_s", "energy_j", "tops_per_watt"}

@@ -2,7 +2,7 @@
 
 An :class:`ExploreReport` is everything one sweep/search produced —
 space, strategy, objective contract, every evaluation (point, per-point
-seed, fidelity, objective values), the Pareto frontier and the knee
+seed, objective values), the Pareto frontier and the knee
 point — in plain JSON-serializable types. Serialization is canonical
 (:meth:`ExploreReport.to_json` sorts keys and fixes separators), and
 execution accounting (cache hits, worker counts, wall time) lives
@@ -45,19 +45,11 @@ class ExploreReport:
     # lookups
     # ------------------------------------------------------------------
     def evaluation(self, eval_id: str) -> dict:
-        """The record for one point id, at its highest fidelity.
-
-        Multi-fidelity strategies evaluate the same point (same id) at
-        several rungs; the frontier is drawn from the top rung, so
-        lookups return that record, not the cheapest one.
-        """
-        matches = [e for e in self.evaluations if e["id"] == eval_id]
-        if not matches:
-            raise KeyError(eval_id)
-        return max(
-            matches,
-            key=lambda e: -1 if e["fidelity"] is None else e["fidelity"],
-        )
+        """The first record of one point id."""
+        for entry in self.evaluations:
+            if entry["id"] == eval_id:
+                return entry
+        raise KeyError(eval_id)
 
     def frontier_evaluations(self) -> list:
         return [self.evaluation(eval_id) for eval_id in self.frontier]

@@ -1,6 +1,7 @@
 """Parallel evaluation engine with a content-addressed on-disk cache.
 
-:class:`ExploreRunner` drives one search strategy over one space:
+:class:`ExploreRunner` evaluates the points one search strategy proposes
+over one space:
 
 - evaluators that declare a ``seed`` parameter get an **explicit
   per-point seed** derived from the runner seed and the point's
@@ -14,13 +15,13 @@
   seeds instead of being spuriously re-evaluated;
 - evaluations fan out over worker processes
   (``concurrent.futures.ProcessPoolExecutor``) when ``workers > 1``;
-  one pool lives for the whole run (worker-side evaluator state, e.g.
-  accuracy memoization, survives across rungs) and ``executor.map``
-  preserves submission order, so parallel and serial runs produce
-  identical reports;
+  each worker receives the evaluator once (its in-process memoization,
+  e.g. accuracy results, serves every point that worker draws) and
+  ``executor.map`` preserves submission order, so parallel and serial
+  runs produce identical reports;
 - with ``cache_dir`` set, each evaluation is stored under the SHA-256 of
-  its full identity — canonical point, fidelity, per-point seed (when
-  used), and the evaluator's :meth:`describe` fingerprint — so identical
+  its full identity — canonical point, per-point seed (when used), and
+  the evaluator's :meth:`describe` fingerprint — so identical
   points are never re-evaluated across sweeps and interrupted runs
   resume for free. Entries live in a :class:`repro.canon.ContentStore`
   (the store under the plan cache's disk tier): atomic writes keep
@@ -56,7 +57,7 @@ from repro.workloads.generator import as_rng
 
 @dataclass
 class EvaluationRecord:
-    """One evaluated point: identity, seed, fidelity, objective values.
+    """One evaluated point: identity, seed, objective values.
 
     ``seed`` is ``None`` when the evaluator does not take one (its
     randomness, if any, is self-managed).
@@ -65,7 +66,6 @@ class EvaluationRecord:
     point: dict
     id: str
     seed: Optional[int]
-    fidelity: Optional[int]
     objectives: dict
     cached: bool = False
 
@@ -76,7 +76,6 @@ class EvaluationRecord:
             "id": self.id,
             "point": canonicalize(self.point),
             "seed": self.seed,
-            "fidelity": self.fidelity,
             "objectives": {
                 k: float(v) for k, v in sorted(self.objectives.items())
             },
@@ -92,7 +91,6 @@ class RunnerStats:
     cache_hits: int = 0
     cache_misses: int = 0
     workers: int = 1
-    rounds: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -109,7 +107,6 @@ class RunnerStats:
             "cache_misses": self.cache_misses,
             "hit_rate": self.hit_rate,
             "workers": self.workers,
-            "rounds": self.rounds,
         }.items()))
 
 
@@ -129,10 +126,10 @@ def _init_worker(evaluator: Callable, takes_seed: bool) -> None:
 
 def _evaluate_in_worker(payload: tuple) -> dict:
     """Worker entry point (top-level so it pickles by module path)."""
-    point, fidelity, seed = payload
+    point, seed = payload
     if _WORKER_TAKES_SEED:
-        return _WORKER_EVALUATOR(point, fidelity, seed=seed)
-    return _WORKER_EVALUATOR(point, fidelity)
+        return _WORKER_EVALUATOR(point, seed=seed)
+    return _WORKER_EVALUATOR(point)
 
 
 def _accepts_seed(evaluator: Callable) -> bool:
@@ -156,7 +153,7 @@ def _evaluator_fingerprint(evaluator: Callable) -> dict:
 
 
 class ExploreRunner:
-    """Evaluate a strategy's proposals over a space, Pareto-prune, report."""
+    """Evaluate a strategy's points over a space, Pareto-prune, report."""
 
     def __init__(
         self,
@@ -189,31 +186,19 @@ class ExploreRunner:
             o if isinstance(o, Objective) else get_objective(o)
             for o in objectives
         ]
-        rank_by = getattr(strategy, "rank_by", None)
-        if rank_by is not None and rank_by not in {
-            o.name for o in self.objectives
-        }:
-            raise ValueError(
-                f"strategy ranks by {rank_by!r}, which is not among the "
-                f"run's objectives "
-                f"({', '.join(o.name for o in self.objectives)})"
-            )
         self.workers = workers
         self._store = ContentStore(cache_dir)
         self.cache_dir = self._store.root
         self.seed = int(seed)
         self.stats = RunnerStats(workers=workers)
         self._takes_seed = _accepts_seed(self.evaluator)
-        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
-    def _cache_key(self, point: dict, fidelity: Optional[int],
-                   seed: Optional[int]) -> str:
+    def _cache_key(self, point: dict, seed: Optional[int]) -> str:
         return canonical_sha256({
             "evaluator": _evaluator_fingerprint(self.evaluator),
-            "fidelity": fidelity,
             "objectives": [o.name for o in self.objectives],
             "point": canonicalize(point),
             "seed": seed,
@@ -233,7 +218,6 @@ class ExploreRunner:
             "key": key,
             "point": canonicalize(record.point),
             "seed": record.seed,
-            "fidelity": record.fidelity,
             "objectives": {
                 k: float(v) for k, v in sorted(record.objectives.items())
             },
@@ -242,24 +226,12 @@ class ExploreRunner:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _evaluate_serial(self, point: dict, fidelity: Optional[int],
-                         seed: Optional[int]) -> dict:
+    def _evaluate_serial(self, point: dict, seed: Optional[int]) -> dict:
         if self._takes_seed:
-            return self.evaluator(point, fidelity, seed=seed)
-        return self.evaluator(point, fidelity)
+            return self.evaluator(point, seed=seed)
+        return self.evaluator(point)
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """One pool for the whole run: workers (and their evaluator
-        state/memos) survive across strategy rungs."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self.evaluator, self._takes_seed),
-            )
-        return self._pool
-
-    def _evaluate_batch(self, points: list, fidelity: Optional[int]) -> list:
+    def _evaluate_batch(self, points: list) -> list:
         records = []
         misses = []  # (index into records, cache key, payload)
         for point in points:
@@ -268,26 +240,28 @@ class ExploreRunner:
                 stable_seed(self.seed, "point", point_key(point))
                 if self._takes_seed else None
             )
-            key = self._cache_key(point, fidelity, seed)
+            key = self._cache_key(point, seed)
             cached = self._cache_load(key)
             record = EvaluationRecord(
                 point=dict(point),
                 id=point_id(point),
                 seed=seed,
-                fidelity=fidelity,
                 objectives=cached or {},
                 cached=cached is not None,
             )
             if cached is None:
-                misses.append((len(records), key, (point, fidelity, seed)))
+                misses.append((len(records), key, (point, seed)))
             records.append(record)
 
         if misses:
             payloads = [payload for _, _, payload in misses]
             if self.workers > 1 and len(payloads) > 1:
-                outcomes = list(
-                    self._ensure_pool().map(_evaluate_in_worker, payloads)
-                )
+                with ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_init_worker,
+                    initargs=(self.evaluator, self._takes_seed),
+                ) as pool:
+                    outcomes = list(pool.map(_evaluate_in_worker, payloads))
             else:
                 outcomes = [self._evaluate_serial(*p) for p in payloads]
             for (index, key, _), objectives in zip(misses, outcomes):
@@ -303,30 +277,11 @@ class ExploreRunner:
 
     # ------------------------------------------------------------------
     def run(self) -> ExploreReport:
-        """Drive the strategy to exhaustion; return the canonical report."""
+        """Evaluate the strategy's points; return the canonical report."""
         self.stats = RunnerStats(workers=self.workers)
-        self.strategy.start(self.space, as_rng(self.seed))
-        records: list = []
-        try:
-            while True:
-                batch = self.strategy.ask()
-                if batch is None:
-                    break
-                if batch:
-                    fidelity = self.strategy.fidelity()
-                    batch_records = self._evaluate_batch(batch, fidelity)
-                    self.strategy.tell(batch_records)
-                    records.extend(batch_records)
-                    self.stats.rounds += 1
-                else:
-                    self.strategy.tell([])
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-
-        pool = final_rung(records)
-        values = [r.objectives for r in pool]
+        points = self.strategy.points(self.space, as_rng(self.seed))
+        records = self._evaluate_batch(points)
+        values = [r.objectives for r in records]
         front = pareto_front(values, self.objectives)
         knee = knee_point(values, self.objectives, front=front)
         report = ExploreReport(
@@ -335,32 +290,15 @@ class ExploreRunner:
             objectives=[o.to_dict() for o in self.objectives],
             seed=self.seed,
             evaluations=[r.to_dict() for r in records],
-            frontier=[pool[i].id for i in front],
-            knee=pool[knee].id if knee is not None else None,
+            frontier=[records[i].id for i in front],
+            knee=records[knee].id if knee is not None else None,
         )
         report.stats = self.stats
         return report
-
-
-def final_rung(records: list) -> list:
-    """The records the frontier is drawn from.
-
-    Multi-fidelity strategies re-evaluate survivors at rising iteration
-    counts; comparing objectives across fidelities would be
-    apples-to-oranges, so only the highest-fidelity rung competes. For
-    single-fidelity strategies (``fidelity=None`` throughout) every
-    record competes.
-    """
-    fidelities = [r.fidelity for r in records if r.fidelity is not None]
-    if not fidelities:
-        return list(records)
-    top = max(fidelities)
-    return [r for r in records if r.fidelity == top]
 
 
 __all__ = [
     "EvaluationRecord",
     "ExploreRunner",
     "RunnerStats",
-    "final_rung",
 ]

@@ -1,50 +1,33 @@
-"""Search strategies: grid, seeded random, and successive halving.
+"""Search strategies: an exhaustive grid and seeded random sampling.
 
-Strategies speak an ask/tell protocol driven by
-:class:`repro.explore.runner.ExploreRunner`:
-
-- :meth:`start(space, rng)` — bind the space and a seeded generator;
-- :meth:`ask()` — the next batch of points (``None`` when exhausted);
-- :meth:`fidelity()` — the iteration budget for the current batch
-  (``None`` = the evaluator's default);
-- :meth:`tell(records)` — evaluation results for the last batch, which
-  adaptive strategies (successive halving) use to promote survivors.
-
-All decisions are pure functions of the seed and the observed objective
-values, so serial, parallel and cache-resumed runs walk identical point
-sequences.
+A strategy proposes the one batch of points
+:class:`repro.explore.runner.ExploreRunner` evaluates:
+:meth:`points(space, rng)` is a pure function of the space and the
+runner's seeded generator, so serial, parallel and cache-resumed runs
+evaluate identical point sequences; :meth:`describe` is the strategy's
+entry in the report.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
-from repro.explore.objectives import Objective, get_objective
-
 
 class GridSearch:
-    """Exhaustive cross product of per-dimension grids."""
+    """Exhaustive cross product of per-dimension grids.
+
+    ``levels`` is an int applied to every range dimension or a
+    ``{name: levels}`` dict (see :meth:`repro.explore.space.SearchSpace.grid`).
+    """
 
     name = "grid"
 
     def __init__(self, levels=3):
+        counts = levels.values() if isinstance(levels, dict) else [levels]
+        if any(count < 1 for count in counts):
+            raise ValueError(f"levels must be >= 1, got {levels}")
         self.levels = levels
-        self._pending: Optional[list] = None
 
-    def start(self, space, rng) -> None:
-        self._pending = [space.grid(self.levels)]
-
-    def ask(self) -> Optional[list]:
-        if not self._pending:
-            return None
-        return self._pending.pop(0)
-
-    def fidelity(self) -> Optional[int]:
-        return None
-
-    def tell(self, records) -> None:
-        pass
+    def points(self, space, rng) -> list:
+        return space.grid(self.levels)
 
     def describe(self) -> dict:
         levels = self.levels
@@ -62,131 +45,12 @@ class RandomSearch:
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         self.budget = budget
-        self._pending: Optional[list] = None
 
-    def start(self, space, rng) -> None:
-        self._pending = [space.sample_batch(self.budget, rng)]
-
-    def ask(self) -> Optional[list]:
-        if not self._pending:
-            return None
-        return self._pending.pop(0)
-
-    def fidelity(self) -> Optional[int]:
-        return None
-
-    def tell(self, records) -> None:
-        pass
+    def points(self, space, rng) -> list:
+        return space.sample_batch(self.budget, rng)
 
     def describe(self) -> dict:
         return {"strategy": self.name, "budget": self.budget}
 
 
-class SuccessiveHalving:
-    """Rung-based pruning: evaluate cheap, promote the best, spend deep.
-
-    ``budget`` random points are evaluated at the first (lowest) fidelity;
-    after each rung the top ``1/eta`` fraction by ``rank_by`` survives to
-    the next fidelity. Fidelities are iteration counts handed to the
-    evaluator, so early rungs price truncated schedules.
-    """
-
-    name = "halving"
-
-    def __init__(
-        self,
-        budget: int = 16,
-        eta: float = 2.0,
-        fidelities=(4, 8, 12),
-        rank_by: str = "latency_s",
-    ):
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        if eta <= 1.0:
-            raise ValueError(f"eta must be > 1, got {eta}")
-        if not fidelities:
-            raise ValueError("need at least one fidelity rung")
-        if list(fidelities) != sorted(fidelities):
-            raise ValueError(f"fidelities must ascend, got {fidelities}")
-        self.budget = budget
-        self.eta = float(eta)
-        self.fidelities = tuple(int(f) for f in fidelities)
-        # A registered objective name or an ad-hoc Objective instance.
-        self._objective = (
-            rank_by if isinstance(rank_by, Objective)
-            else get_objective(rank_by)
-        )
-        self.rank_by = self._objective.name
-        self._rung = 0
-        self._survivors: Optional[list] = None
-        self._done = False
-
-    def start(self, space, rng) -> None:
-        self._survivors = space.sample_batch(self.budget, rng)
-        self._rung = 0
-        self._done = False
-
-    def ask(self) -> Optional[list]:
-        if self._done or not self._survivors:
-            return None
-        return list(self._survivors)
-
-    def fidelity(self) -> Optional[int]:
-        return self.fidelities[self._rung]
-
-    def tell(self, records) -> None:
-        """Rank the rung and promote the top ``1/eta`` fraction.
-
-        ``records`` line up with the batch returned by :meth:`ask` (the
-        runner preserves order). Ties keep submission order (stable sort).
-        """
-        last_rung = self._rung == len(self.fidelities) - 1
-        if last_rung:
-            self._done = True
-            return
-        keep = max(1, math.ceil(len(records) / self.eta))
-        ranked = sorted(
-            range(len(records)),
-            key=lambda i: self._objective.oriented(
-                float(records[i].objectives[self.rank_by])
-            ),
-        )
-        chosen = sorted(ranked[:keep])
-        self._survivors = [self._survivors[i] for i in chosen]
-        self._rung += 1
-
-    def describe(self) -> dict:
-        return {
-            "strategy": self.name,
-            "budget": self.budget,
-            "eta": self.eta,
-            "fidelities": list(self.fidelities),
-            "rank_by": self.rank_by,
-        }
-
-
-STRATEGIES = {
-    "grid": GridSearch,
-    "random": RandomSearch,
-    "halving": SuccessiveHalving,
-}
-
-
-def make_strategy(name: str, **kwargs):
-    """Instantiate a strategy by CLI name."""
-    try:
-        cls = STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; known: {', '.join(sorted(STRATEGIES))}"
-        ) from None
-    return cls(**kwargs)
-
-
-__all__ = [
-    "GridSearch",
-    "RandomSearch",
-    "STRATEGIES",
-    "SuccessiveHalving",
-    "make_strategy",
-]
+__all__ = ["GridSearch", "RandomSearch"]

@@ -120,7 +120,6 @@ class ExionAccelerator:
         num_dscs: int,
         dram: DRAMModel,
         name: Optional[str] = None,
-        clock_hz: float = CLOCK_HZ,
         gsc_bytes_per_dsc: int = GSC_BYTES_PER_DSC,
     ) -> None:
         _validate_num_dscs(num_dscs)
@@ -129,8 +128,6 @@ class ExionAccelerator:
                 f"dram must be a DRAMModel (or use ExionAccelerator.custom "
                 f"with a technology name), got {dram!r}"
             )
-        if clock_hz <= 0:
-            raise ValueError(f"clock_hz must be positive, got {clock_hz!r}")
         if gsc_bytes_per_dsc < 0:
             raise ValueError(
                 f"gsc_bytes_per_dsc must be >= 0, got {gsc_bytes_per_dsc!r}"
@@ -138,7 +135,7 @@ class ExionAccelerator:
         self.num_dscs = num_dscs
         self.dram = dram
         self.name = name or f"EXION{num_dscs}"
-        self.clock_hz = clock_hz
+        self.clock_hz = CLOCK_HZ
         self.gsc_bytes = gsc_bytes_per_dsc * num_dscs
         self.dsc = DSCModel()
 
@@ -167,8 +164,6 @@ class ExionAccelerator:
         dram: Union[str, DRAMModel] = "gddr6",
         bandwidth_gbps: Optional[float] = None,
         gsc_mb: Optional[float] = None,
-        name: Optional[str] = None,
-        clock_hz: float = CLOCK_HZ,
     ) -> "ExionAccelerator":
         """A validated configuration anywhere in the Table II design space.
 
@@ -198,8 +193,7 @@ class ExionAccelerator:
         return cls(
             num_dscs=num_dscs,
             dram=model,
-            name=name or f"EXION{num_dscs}c",
-            clock_hz=clock_hz,
+            name=f"EXION{num_dscs}c",
             gsc_bytes_per_dsc=gsc_bytes_per_dsc,
         )
 

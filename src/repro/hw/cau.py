@@ -32,11 +32,11 @@ class CAUReport:
 class CAUModel:
     """Drives ConMerge and accounts its cycles and CVMEM traffic."""
 
-    def __init__(self, rows: int = 16, width: int = 16,
-                 class_capacity: int = 256) -> None:
-        self.rows = rows
-        self.width = width
-        self.class_capacity = class_capacity
+    #: Row tile and merged-block width: the 16x16 SDUE array.
+    rows = 16
+    width = 16
+    #: SortBuffer entries per sparsity class.
+    class_capacity = 256
 
     def process(self, mask: Bitmask, sort: bool = True) -> CAUReport:
         """Run ConMerge over a (possibly multi-tile) output bitmask."""

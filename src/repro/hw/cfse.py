@@ -20,16 +20,9 @@ class CFSEModel:
         "scale": 1,
     }
 
-    def __init__(self, lanes: int = 16, two_way_16bit: bool = True) -> None:
-        if lanes <= 0:
-            raise ValueError("lanes must be positive")
-        self.lanes = lanes
-        self.two_way_16bit = two_way_16bit
-
-    @property
-    def throughput_per_cycle(self) -> int:
-        """Elements processed per cycle (two-way mode doubles it)."""
-        return self.lanes * (2 if self.two_way_16bit else 1)
+    #: Elements processed per cycle: 16 lanes, doubled by running the
+    #: ALUs two-way 16-bit.
+    throughput_per_cycle = 2 * 16
 
     def function_cycles(self, function: str, elements: int) -> int:
         """Cycles to apply ``function`` to ``elements`` values."""

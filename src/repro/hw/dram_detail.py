@@ -135,8 +135,8 @@ class BankedDRAM:
     # ------------------------------------------------------------------
     # traffic patterns
     # ------------------------------------------------------------------
-    def stream(self, num_bytes: int, start_address: int = 0) -> float:
-        """Sequential read of ``num_bytes``; returns seconds.
+    def stream(self, num_bytes: int) -> float:
+        """Sequential read of ``num_bytes`` from address 0; returns seconds.
 
         Bank interleaving overlaps activates with transfers: the modelled
         stream time is data transfer plus the (rare) row-miss overhead
@@ -147,8 +147,7 @@ class BankedDRAM:
         transfer_ns = 0.0
         overhead_ns = 0.0
         for i in range(bursts):
-            address = start_address + i * t.burst_bytes
-            bank, row = self._locate(address)
+            bank, row = self._locate(i * t.burst_bytes)
             state = self.banks[bank]
             if state.open_row == row:
                 self.stats.row_hits += 1

@@ -18,11 +18,10 @@ from repro.hw.dpu import dot_product_cycles
 class EPREModel:
     """Cycle model of the eager-prediction engine."""
 
-    def __init__(self, rows: int = 16, cols: int = 16,
-                 lane_length: int = 16) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.lane_length = lane_length
+    #: A 16x16 LD_DPU array of 16-element lanes.
+    rows = 16
+    cols = 16
+    lane_length = 16
 
     def prediction_cycles(self, r: int, k: int, c: int) -> int:
         """Cycle count of one ``(r, k) @ (k, c)`` prediction MMUL."""

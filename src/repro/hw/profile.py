@@ -147,7 +147,6 @@ def estimate_profile(
 def profile_from_stats(
     spec: ModelSpec,
     stats: RunStats,
-    seed: int = 0,
 ) -> SparsityProfile:
     """Profile using *measured* sparsities from a simulation-scale run.
 
@@ -155,7 +154,7 @@ def profile_from_stats(
     (tile structure depends on matrix size), but the element sparsities and
     projection skip rates are the run's own.
     """
-    base = estimate_profile(spec, seed=seed)
+    base = estimate_profile(spec)
     ffn_s = stats.ffn_output_sparsity or base.ffn_sparsity
     attn_s = stats.attention_output_sparsity or base.attn_sparsity
     return SparsityProfile(

@@ -41,13 +41,12 @@ class SDUEStats:
 class SDUEModel:
     """Cycle model of the SDUE DPU array, with merged-block execution."""
 
-    def __init__(self, rows: int = 16, cols: int = 16,
-                 lane_length: int = LANE_LENGTH) -> None:
-        if rows <= 0 or cols <= 0 or lane_length <= 0:
-            raise ValueError("array dimensions must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.lane_length = lane_length
+    #: The paper's 16x16 DPU array.
+    rows = 16
+    cols = 16
+    lane_length = LANE_LENGTH
+
+    def __init__(self) -> None:
         self.stats = SDUEStats()
 
     def dense_cycles(self, r: int, k: int, c: int) -> int:

@@ -32,25 +32,17 @@ def hash_tokenize(prompt: str, vocab_size: int, max_tokens: int) -> np.ndarray:
 
 
 class ConditioningEncoder:
-    """Small transformer encoder producing ``(max_tokens, dim)`` embeddings."""
+    """Small transformer encoder producing ``(max_tokens, dim)`` embeddings:
+    two 4-head blocks over a 4096-word hash vocabulary."""
 
-    def __init__(
-        self,
-        dim: int,
-        max_tokens: int = 16,
-        depth: int = 2,
-        num_heads: int = 4,
-        vocab_size: int = 4096,
-        seed: int = 1234,
-    ) -> None:
+    max_tokens = 16
+    vocab_size = 4096
+
+    def __init__(self, dim: int, seed: int = 1234) -> None:
         rng = np.random.default_rng(seed)
         self.dim = dim
-        self.max_tokens = max_tokens
-        self.vocab_size = vocab_size
-        self.embedding = rng.normal(0.0, 0.02, size=(vocab_size, dim))
-        self.blocks = [
-            TransformerBlock(dim, num_heads, 4, rng) for _ in range(depth)
-        ]
+        self.embedding = rng.normal(0.0, 0.02, size=(self.vocab_size, dim))
+        self.blocks = [TransformerBlock(dim, 4, 4, rng) for _ in range(2)]
         self.final_norm = LayerNorm(dim)
 
     def encode_ids(self, ids: np.ndarray) -> np.ndarray:

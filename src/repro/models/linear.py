@@ -19,7 +19,6 @@ class Linear:
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
-        bias: bool = True,
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear dimensions must be positive")
@@ -27,7 +26,7 @@ class Linear:
         self.in_features = in_features
         self.out_features = out_features
         self.weight = rng.uniform(-bound, bound, size=(in_features, out_features))
-        self.bias = np.zeros(out_features) if bias else None
+        self.bias = np.zeros(out_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -36,8 +35,7 @@ class Linear:
                 f"expected last dim {self.in_features}, got {x.shape[-1]}"
             )
         out = x @ self.weight
-        if self.bias is not None:
-            out += self.bias
+        out += self.bias
         return out
 
     def macs(self, tokens: int) -> int:

@@ -32,10 +32,10 @@ class NetworkType(enum.Enum):
 ExecutorProvider = Union[Sequence[Executors], Callable[[int], Optional[Executors]]]
 
 
-def timestep_embedding(t: int, dim: int, max_period: float = 10000.0) -> np.ndarray:
-    """Sinusoidal timestep embedding as in DDPM/DiT."""
+def timestep_embedding(t: int, dim: int) -> np.ndarray:
+    """Sinusoidal timestep embedding as in DDPM/DiT (max period 10000)."""
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
     args = float(t) * freqs
     embed = np.concatenate([np.cos(args), np.sin(args)])
     if dim % 2 == 1:
@@ -61,7 +61,6 @@ class DiffusionNetwork:
         rng: np.random.Generator,
         activation: str = "gelu",
         context_dim: Optional[int] = None,
-        timestep_dim: int = 64,
         use_adaln: bool = False,
     ) -> None:
         if tokens < 2:
@@ -78,7 +77,7 @@ class DiffusionNetwork:
         self.dim = dim
         self.depth = depth
         self.context_dim = context_dim
-        self.timestep_dim = timestep_dim
+        self.timestep_dim = timestep_dim = 64
 
         self.time_mlp1 = Linear(timestep_dim, timestep_dim, rng)
         self.time_mlp2 = Linear(timestep_dim, timestep_dim, rng)

@@ -8,11 +8,12 @@ import numpy as np
 class LayerNorm:
     """Layer normalization over the last axis with learned scale/shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    eps = 1e-5
+
+    def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError("LayerNorm dim must be positive")
         self.dim = dim
-        self.eps = eps
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
 

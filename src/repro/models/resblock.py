@@ -16,18 +16,17 @@ from repro.models.activations import silu
 class Conv2d:
     """3x3 same-padding convolution via im2col."""
 
+    kernel_size = 3
+
     def __init__(
         self,
         in_channels: int,
         out_channels: int,
         rng: np.random.Generator,
-        kernel_size: int = 3,
     ) -> None:
-        if kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd for same padding")
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
+        kernel_size = self.kernel_size
         fan_in = in_channels * kernel_size * kernel_size
         bound = float(np.sqrt(6.0 / (fan_in + out_channels)))
         # Stored as the (dy, dx, c) x out matrix the im2col product reads;
@@ -87,12 +86,12 @@ class GroupNorm:
     """Group normalization over channel groups of a ``(c, h, w)`` map
     (or of each map in a ``(batch, c, h, w)`` stack)."""
 
-    def __init__(self, channels: int, groups: int = 8, eps: float = 1e-5) -> None:
-        if channels % groups != 0:
-            groups = 1
+    eps = 1e-5
+
+    def __init__(self, channels: int) -> None:
         self.channels = channels
-        self.groups = groups
-        self.eps = eps
+        # Eight groups where they divide the channels, else one.
+        self.groups = 8 if channels % 8 == 0 else 1
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
 

@@ -13,16 +13,10 @@ import numpy as np
 
 
 class _BaseScheduler:
-    def __init__(
-        self,
-        num_train_timesteps: int = 1000,
-        beta_start: float = 1e-4,
-        beta_end: float = 0.02,
-    ) -> None:
-        if num_train_timesteps < 2:
-            raise ValueError("need at least 2 train timesteps")
-        self.num_train_timesteps = num_train_timesteps
-        self.betas = np.linspace(beta_start, beta_end, num_train_timesteps)
+    num_train_timesteps = 1000
+
+    def __init__(self) -> None:
+        self.betas = np.linspace(1e-4, 0.02, self.num_train_timesteps)
         self.alphas = 1.0 - self.betas
         self.alphas_cumprod = np.cumprod(self.alphas)
 
@@ -75,8 +69,8 @@ class DPMSolverPP2MScheduler(_BaseScheduler):
     stateful (multistep); call :meth:`reset` before each trajectory.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
+        super().__init__()
         self.reset()
 
     def reset(self) -> None:

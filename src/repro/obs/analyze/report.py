@@ -136,12 +136,9 @@ def analyze(
 def analyze_path(
     path: str,
     slos: Optional[Sequence[SLOSpec]] = None,
-    meta: Optional[dict] = None,
 ) -> AnalysisReport:
     """Load a trace artifact (Chrome trace or JSONL) and analyze it."""
-    merged = {"source": path}
-    merged.update(meta or {})
-    return analyze(TraceRecords.load(path), slos=slos, meta=merged)
+    return analyze(TraceRecords.load(path), slos=slos, meta={"source": path})
 
 
 def analyze_tracer(

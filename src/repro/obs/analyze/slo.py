@@ -33,6 +33,8 @@ from repro.obs.analyze.attribution import Attribution
 
 #: Longest burn-rate series retained per spec (decimated for charts).
 MAX_SERIES_POINTS = 128
+#: Both windows must burn the budget at least this fast to alert.
+BURN_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,20 @@ def default_slos() -> list:
 def evaluate_slos(
     attribution: Attribution,
     specs: Sequence[SLOSpec],
-    burn_threshold: float = 1.0,
-    long_window_ns: Optional[int] = None,
-    short_window_ns: Optional[int] = None,
 ) -> dict:
     """Evaluate every spec; returns ``{spec_name: result_doc}``.
 
-    Default windows derive from the trace horizon (long = horizon/4,
+    The windows derive from the trace horizon (long = horizon/4,
     short = horizon/16) so the same relative alerting sensitivity
     applies to runs of any simulated length.
     """
     horizon = max(attribution.horizon_ns, 1)
-    long_ns = long_window_ns or max(horizon // 4, 1)
-    short_ns = short_window_ns or max(horizon // 16, 1)
+    long_ns = max(horizon // 4, 1)
+    short_ns = max(horizon // 16, 1)
     results = {}
     for spec in specs:
         samples = _samples(attribution, spec)
-        results[spec.name] = _evaluate(
-            spec, samples, burn_threshold, long_ns, short_ns
-        )
+        results[spec.name] = _evaluate(spec, samples, long_ns, short_ns)
     return dict(sorted(results.items()))
 
 
@@ -146,7 +143,6 @@ def _samples(attribution: Attribution, spec: SLOSpec) -> list:
 def _evaluate(
     spec: SLOSpec,
     samples: list,
-    burn_threshold: float,
     long_ns: int,
     short_ns: int,
 ) -> dict:
@@ -164,7 +160,7 @@ def _evaluate(
         "windows": {
             "long_ns": long_ns,
             "short_ns": short_ns,
-            "burn_threshold": burn_threshold,
+            "burn_threshold": BURN_THRESHOLD,
         },
         "alerts": [],
         "burn_series": [],
@@ -180,7 +176,7 @@ def _evaluate(
         burn_short = _window_burn(samples, index, ts - short_ns, budget)
         series.append((ts, round(burn_long, 9), round(burn_short, 9)))
         firing = (
-            burn_long >= burn_threshold and burn_short >= burn_threshold
+            burn_long >= BURN_THRESHOLD and burn_short >= BURN_THRESHOLD
         )
         if firing and not latched:
             alerts.append({
@@ -189,7 +185,7 @@ def _evaluate(
                 "burn_short": round(burn_short, 9),
             })
             latched = True
-        elif not firing and latched and burn_short < burn_threshold:
+        elif not firing and latched and burn_short < BURN_THRESHOLD:
             latched = False
     doc["alerts"] = alerts
     doc["burn_series"] = _decimate(series)

@@ -39,7 +39,7 @@ def _us(seconds: float) -> float:
     return round(seconds * _MICRO, 3)
 
 
-def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
+def chrome_trace(tracer: Tracer) -> dict:
     """Render a tracer as a Chrome trace-event document (dict)."""
     tracks = tracer.tracks()
     tids = {track: tid for tid, track in enumerate(tracks, start=1)}
@@ -48,7 +48,7 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
         "ph": "M",
         "pid": 1,
         "tid": 0,
-        "args": {"name": process_name},
+        "args": {"name": "repro"},
     }]
     for track in tracks:
         trace_events.append({
@@ -103,9 +103,9 @@ def chrome_trace(tracer: Tracer, process_name: str = "repro") -> dict:
     }
 
 
-def chrome_trace_json(tracer: Tracer, process_name: str = "repro") -> str:
+def chrome_trace_json(tracer: Tracer) -> str:
     """Canonical JSON serialization of :func:`chrome_trace`."""
-    return canonical_json(chrome_trace(tracer, process_name=process_name))
+    return canonical_json(chrome_trace(tracer))
 
 
 def validate_chrome_trace(doc: dict) -> int:

@@ -274,10 +274,9 @@ class MetricsRegistry:
         self,
         name: str,
         help_: str = "",
-        labels: Sequence[str] = (),
         buckets: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
-        return self._register(name, "histogram", help_, labels, buckets)
+        return self._register(name, "histogram", help_, (), buckets)
 
     def get(self, name: str) -> MetricFamily:
         return self._families[name]

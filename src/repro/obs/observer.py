@@ -19,8 +19,6 @@ seconds); for layers with no clock of their own
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer
 
@@ -39,13 +37,9 @@ class Observer:
     ``repro_``).
     """
 
-    def __init__(
-        self,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer()
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor).
         self.now = 0.0
@@ -147,13 +141,12 @@ class Observer:
         kind: str,
         ts_s: float,
         request_id: int,
-        track: str = "serve/membership",
         **args,
     ) -> None:
         """A join/complete/evict/expire edit of the live index set."""
         self._membership.inc(kind=kind)
         self.tracer.event(
-            kind, track, ts_s, request_id=request_id, **args,
+            kind, "serve/membership", ts_s, request_id=request_id, **args,
         )
 
     def on_index_set_edit(
@@ -204,13 +197,12 @@ class Observer:
         stage: str,
         ts_s: float,
         request_id: int,
-        track: str = "cluster/requests",
         **args,
     ) -> None:
         """A request lifecycle transition (queued/admitted/served/...)."""
         self._requests.inc(stage=stage)
         self.tracer.event(
-            stage, track, ts_s, request_id=request_id, **args,
+            stage, "cluster/requests", ts_s, request_id=request_id, **args,
         )
 
     def on_dispatch(
@@ -258,12 +250,12 @@ class Observer:
             phase=phase, bound=bound, index=index, **args,
         )
 
-    def observe_timeline(self, timeline, track: str = "hw/timeline") -> None:
+    def observe_timeline(self, timeline) -> None:
         """Record every iteration of a priced hw Timeline as spans."""
         from repro.hw.timeline import phase_segments
 
         for segment in phase_segments(timeline):
-            self.on_phase_segment(track=track, **segment)
+            self.on_phase_segment(**segment)
 
 
 __all__ = ["Observer", "TIME_BUCKETS"]

@@ -307,16 +307,13 @@ def compiled_plan_for(
     spec: ModelSpec,
     config=None,
     iterations: Optional[int] = None,
-    scale: str = "sim",
 ) -> CompiledPlan:
     """The one shared executor fallback: a cached compiled sim-scale plan.
 
     Replaces the ``compile_plan(lower_plan(...))`` blocks that every
     executor (and the dry-run continuous server) used to duplicate.
     """
-    return get_plan_cache().compiled(
-        spec, config=config, iterations=iterations, scale=scale
-    )
+    return get_plan_cache().compiled(spec, config=config, iterations=iterations)
 
 
 __all__ = [

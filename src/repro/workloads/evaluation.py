@@ -157,26 +157,19 @@ def _method_metrics(
 
 
 def evaluate_model(
-    name: str,
-    n_samples: int = 6,
-    iterations: Optional[int] = 15,
-    methods: tuple = TABLE1_METHODS,
-    *,
-    rng: Union[int, np.random.Generator],
+    name: str, *, rng: Union[int, np.random.Generator]
 ) -> EvaluationReport:
-    """Run the Table I protocol on one benchmark model."""
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for distribution metrics")
-    if "vanilla" not in methods:
-        raise ValueError("methods must include 'vanilla' as the reference")
+    """Run the Table I protocol on one benchmark model: every
+    :data:`TABLE1_METHODS` rung over six aligned 15-iteration samples."""
+    n_samples = 6
     rng = as_rng(rng)
     model_seed, seeds = _draw_seeds(rng, n_samples)
-    model = build_model(name, seed=model_seed, total_iterations=iterations)
+    model = build_model(name, seed=model_seed, total_iterations=15)
     prompts = _prompts(n_samples)
 
     batches: dict = {}
     stats_by_method: dict = {}
-    for method in methods:
+    for method in TABLE1_METHODS:
         pipeline, vanilla = _pipeline_for(model, method)
         batches[method], stats_by_method[method] = _sample_batch(
             pipeline, vanilla, seeds, prompts
@@ -186,7 +179,7 @@ def evaluate_model(
     conditions = _conditions(model, prompts)
 
     report = EvaluationReport(model=name, n_samples=n_samples)
-    for method in methods:
+    for method in TABLE1_METHODS:
         report.methods.append(
             _method_metrics(method, reference, batches[method],
                             stats_by_method[method], conditions)
@@ -199,7 +192,6 @@ def evaluate_config(
     config: ExionConfig,
     n_samples: int = 2,
     iterations: Optional[int] = 15,
-    activation_bits: Optional[int] = None,
     label: str = "custom",
     *,
     rng: Union[int, np.random.Generator],
@@ -221,7 +213,7 @@ def evaluate_config(
 
     vanilla_pipeline = ExionPipeline(model, ExionConfig.for_model(name))
     reference, _ = _sample_batch(vanilla_pipeline, True, seeds, prompts)
-    pipeline = ExionPipeline(model, config, activation_bits=activation_bits)
+    pipeline = ExionPipeline(model, config)
     batch, stats = _sample_batch(pipeline, False, seeds, prompts)
     return _method_metrics(label, reference, batch, stats,
                            _conditions(model, prompts))

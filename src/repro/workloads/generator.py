@@ -114,15 +114,14 @@ def attention_keepmask(
     tk: int,
     top_k_ratio: float,
     one_hot_rate: float = 0.0,
-    concentration: float = 1.5,
     *,
     rng: Union[int, np.random.Generator],
 ) -> Bitmask:
     """EP keep-mask: per-row top-k over shared key-popularity scores.
 
-    ``one_hot_rate`` rows are dominance-collapsed (entirely skipped);
-    ``concentration`` > 0 skews rows toward agreeing on the same keys
-    (higher = more agreement = more condensable key columns).
+    ``one_hot_rate`` rows are dominance-collapsed (entirely skipped); a
+    gamma(1/1.5) key popularity skews rows toward agreeing on the same
+    keys (more agreement = more condensable key columns).
     """
     rng = as_rng(rng)
     if not 0.0 < top_k_ratio <= 1.0:
@@ -130,7 +129,7 @@ def attention_keepmask(
     if not 0.0 <= one_hot_rate <= 1.0:
         raise ValueError("one_hot_rate must be in [0, 1]")
     keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
-    popularity = rng.gamma(shape=1.0 / max(concentration, 1e-6), size=tk)
+    popularity = rng.gamma(shape=1.0 / 1.5, size=tk)
     mask = np.zeros((tq, tk), dtype=bool)
     for row in range(tq):
         if rng.random() < one_hot_rate:

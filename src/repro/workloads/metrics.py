@@ -18,8 +18,9 @@ import numpy as np
 from scipy import linalg
 
 
-def psnr(reference: np.ndarray, test: np.ndarray, data_range: float = 0.0) -> float:
-    """Peak signal-to-noise ratio of ``test`` against ``reference`` in dB."""
+def psnr(reference: np.ndarray, test: np.ndarray) -> float:
+    """Peak signal-to-noise ratio of ``test`` against ``reference`` in dB,
+    over the reference's value range (1 for a constant reference)."""
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
@@ -27,10 +28,9 @@ def psnr(reference: np.ndarray, test: np.ndarray, data_range: float = 0.0) -> fl
     mse = float(np.mean((reference - test) ** 2))
     if mse == 0.0:
         return float("inf")
-    if data_range <= 0.0:
-        data_range = float(reference.max() - reference.min())
-        if data_range == 0.0:
-            data_range = 1.0
+    data_range = float(reference.max() - reference.min())
+    if data_range == 0.0:
+        data_range = 1.0
     return 10.0 * float(np.log10(data_range**2 / mse))
 
 
@@ -71,24 +71,22 @@ def frechet_distance(
     return float(max(value, 0.0))
 
 
-def fid_proxy(
-    reference: np.ndarray, generated: np.ndarray, feature_dim: int = 16, seed: int = 7
-) -> float:
+def fid_proxy(reference: np.ndarray, generated: np.ndarray) -> float:
     """FID-style Frechet distance over random-projection features.
 
     Both inputs are ``(n, ...)`` stacks of samples.
     """
-    ref_feat = random_features(reference, feature_dim, seed)
-    gen_feat = random_features(generated, feature_dim, seed)
+    ref_feat = random_features(reference)
+    gen_feat = random_features(generated)
     mu1, mu2 = ref_feat.mean(axis=0), gen_feat.mean(axis=0)
-    sigma1 = np.cov(ref_feat, rowvar=False) + 1e-6 * np.eye(feature_dim)
-    sigma2 = np.cov(gen_feat, rowvar=False) + 1e-6 * np.eye(feature_dim)
+    sigma1 = np.cov(ref_feat, rowvar=False) + 1e-6 * np.eye(16)
+    sigma2 = np.cov(gen_feat, rowvar=False) + 1e-6 * np.eye(16)
     return frechet_distance(mu1, sigma1, mu2, sigma2)
 
 
-def inception_score_proxy(generated: np.ndarray, classes: int = 8, seed: int = 11) -> float:
-    """IS-style exp(mean KL(p(y|x) || p(y))) over a random classifier head."""
-    feats = random_features(generated, classes, seed)
+def inception_score_proxy(generated: np.ndarray) -> float:
+    """IS-style exp(mean KL(p(y|x) || p(y))) over a random 8-class head."""
+    feats = random_features(generated, 8, seed=11)
     exps = np.exp(feats - feats.max(axis=1, keepdims=True))
     probs = exps / exps.sum(axis=1, keepdims=True)
     marginal = probs.mean(axis=0)
@@ -97,13 +95,13 @@ def inception_score_proxy(generated: np.ndarray, classes: int = 8, seed: int = 1
 
 
 def r_precision_proxy(
-    generated: np.ndarray, condition_embeddings: np.ndarray, top_k: int = 1
+    generated: np.ndarray, condition_embeddings: np.ndarray
 ) -> float:
     """Retrieval precision: does sample i match its own condition embedding?
 
     Both inputs are ``(n, ...)``; a match is counted when the true condition
-    ranks in the top-k by feature cosine similarity, mirroring the paper's
-    text-motion R-Precision protocol.
+    ranks first by feature cosine similarity, mirroring the paper's
+    text-motion R-Precision (top-1) protocol.
     """
     gen_feat = random_features(generated, 16, seed=13)
     cond_feat = random_features(condition_embeddings, 16, seed=13)
@@ -111,26 +109,23 @@ def r_precision_proxy(
     sims = gen_feat @ cond_feat.T
     hits = 0
     for i in range(n):
-        order = np.argsort(-sims[i])
-        if i in order[:top_k]:
+        if np.argsort(-sims[i])[0] == i:
             hits += 1
     return hits / n
 
 
-def beat_alignment_proxy(motion: np.ndarray, beats_period: int = 8) -> float:
+def beat_alignment_proxy(motion: np.ndarray) -> float:
     """Beat-Align-style score: energy autocorrelation at the beat period.
 
     ``motion`` is ``(frames, channels)``; the score is the normalized
-    autocorrelation of frame-wise motion energy at ``beats_period``.
+    autocorrelation of frame-wise motion energy at an 8-frame period.
     """
     motion = np.asarray(motion, dtype=np.float64)
     energy = np.linalg.norm(np.diff(motion, axis=0), axis=1)
-    if energy.size <= beats_period or float(energy.std()) == 0.0:
+    if energy.size <= 8 or float(energy.std()) == 0.0:
         return 0.0
     centered = energy - energy.mean()
-    ac = float(
-        centered[:-beats_period] @ centered[beats_period:]
-    ) / (float(centered @ centered) + 1e-12)
+    ac = float(centered[:-8] @ centered[8:]) / (float(centered @ centered) + 1e-12)
     return 0.5 * (1.0 + ac)
 
 

@@ -19,10 +19,9 @@ class TestRenderHeatmap:
         assert text[1] == RAMP[-1]
 
     def test_downsampling_caps_size(self):
-        text = render_heatmap(np.random.default_rng(0).random((100, 100)),
-                              max_size=20)
+        text = render_heatmap(np.random.default_rng(0).random((100, 100)))
         lines = text.splitlines()
-        assert len(lines) <= 20
+        assert len(lines) <= 40
 
     def test_axis_label_appended(self):
         text = render_heatmap(np.eye(3), axis_label="iterations")
@@ -55,5 +54,5 @@ class TestRenderBitmask:
 
     def test_downsamples(self, rng):
         mask = Bitmask.random(200, 200, 0.5, rng)
-        lines = render_bitmask(mask, max_size=32).splitlines()
-        assert len(lines) <= 32
+        lines = render_bitmask(mask).splitlines()
+        assert len(lines) <= 64

@@ -14,7 +14,7 @@ class TestCambriconD:
         assert sd.speedup_vs_gpu > dit.speedup_vs_gpu
 
     def test_pure_transformer_capped_at_transformer_speedup(self):
-        cd = CambriconDModel(transformer_speedup=3.3)
+        cd = CambriconDModel()
         report = cd.simulate(get_spec("dit"))
         assert report.speedup_vs_gpu == pytest.approx(3.3, rel=0.01)
 
@@ -23,9 +23,12 @@ class TestCambriconD:
         for name in ("stable_diffusion", "dit", "make_an_audio"):
             assert cd.simulate(get_spec(name)).speedup_vs_gpu >= 1.0
 
-    def test_rejects_sub_unity_speedups(self):
-        with pytest.raises(ValueError):
-            CambriconDModel(conv_delta_speedup=0.5)
+    def test_speedup_factors(self):
+        """The paper's two factors: conv work gains far more than
+        transformer work, and neither slows the GPU down."""
+        assert CambriconDModel.conv_delta_speedup == 11.0
+        assert CambriconDModel.transformer_speedup == 3.3
+        assert CambriconDModel.transformer_speedup >= 1.0
 
     def test_latency_consistent_with_speedup(self):
         cd = CambriconDModel()

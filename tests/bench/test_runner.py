@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import BenchContext, BenchmarkRegistry, BenchResult, discover
+from repro.bench import BenchmarkRegistry, BenchResult, discover
 from repro.bench.runner import (
     AGGREGATE_FILENAME,
     bench_filename,
@@ -35,7 +35,7 @@ def toy_registry():
 class TestRunBenches:
     def test_runs_selection_into_valid_documents(self, tmp_path):
         results = run_benches("all", out_dir=tmp_path,
-                              registry=toy_registry(), ctx=BenchContext())
+                              registry=toy_registry())
         assert set(results) == {"fast", "other"}
         for result in results.values():
             document = result.to_dict()

@@ -8,6 +8,7 @@ would make the two modes incomparable.
 
 import functools
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -391,14 +392,14 @@ class TestOnePriceAcrossDrivers:
 # fleet wiring
 # ----------------------------------------------------------------------
 def _trace(n=20, deadline_s=7.0):
-    return synthesize_trace(
+    trace = synthesize_trace(
         MMPPProcess(0.8, 4.0, 5.0),
         n,
         mix=WorkloadMix(models=("dit",), ablation="all"),
         rng=0,
         deadline_s=deadline_s,
-        tenants=("a", "b"),
     )
+    return [replace(r, tenant=("a", "b")[i % 2]) for i, r in enumerate(trace)]
 
 
 def _simulate(continuous):

@@ -76,11 +76,10 @@ class TestConservation:
         # phantom makespan); correctly it is busy-over-completion.
         assert report.replicas[0]["utilization"] > 0.3
 
-    def test_build_replicas_forwards_seeds(self, service_model):
-        fleet = build_replicas(2, service_model=service_model,
-                               model_seed=7, calibration_seed=3)
-        assert all(r.model_seed == 7 for r in fleet)
-        assert all(r.calibration_seed == 3 for r in fleet)
+    def test_build_replicas_share_one_service_model(self, service_model):
+        fleet = build_replicas(2, service_model=service_model)
+        assert all(r.service_model is service_model for r in fleet)
+        assert [r.name for r in fleet] == ["replica0", "replica1"]
 
     def test_empty_trace(self, service_model):
         report = simulate_cluster(

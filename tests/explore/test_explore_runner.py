@@ -13,7 +13,6 @@ from repro.explore import (
     PointEvaluator,
     RandomSearch,
     SearchSpace,
-    SuccessiveHalving,
     default_space,
 )
 
@@ -31,10 +30,9 @@ class CountingEvaluator:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, point, fidelity=None):
+    def __call__(self, point):
         self.calls += 1
-        scale = fidelity if fidelity is not None else 1
-        return {"metric": float(point["x"]) * scale + (
+        return {"metric": float(point["x"]) + (
             0.5 if point["flag"] else 0.0
         )}
 
@@ -47,7 +45,7 @@ class CountingEvaluator:
 class SeededEvaluator(CountingEvaluator):
     """Opts into the runner's explicit per-point seeds."""
 
-    def __call__(self, point, fidelity=None, seed=None):
+    def __call__(self, point, seed=None):
         self.calls += 1
         self.seen_seeds = getattr(self, "seen_seeds", []) + [seed]
         return {"metric": float(point["x"]) + (seed or 0) * 0.0}
@@ -114,8 +112,7 @@ class TestCache:
         entry = json.loads(
             sorted(tmp_path.rglob("*.json"))[0].read_text(encoding="utf-8")
         )
-        assert set(entry) == {"key", "point", "seed", "fidelity",
-                              "objectives"}
+        assert set(entry) == {"key", "point", "seed", "objectives"}
 
     @pytest.mark.parametrize("how", ["read_only", "not_a_directory"])
     def test_unwritable_cache_dir_keeps_the_sweep(self, tmp_path, how):
@@ -186,38 +183,29 @@ class TestRunnerProtocol:
         assert best["point"]["x"] == 0 and best["point"]["flag"] is False
         assert report.knee == report.frontier[0]
 
-    def test_halving_final_rung_competes(self):
-        strategy = SuccessiveHalving(budget=4, eta=2.0, fidelities=(1, 2),
-                                     rank_by=METRIC)
-        runner = ExploreRunner(
-            SPACE, strategy, CountingEvaluator(), objectives=(METRIC,),
-            seed=0,
-        )
-        report = runner.run()
-        top = [e for e in report.evaluations if e["fidelity"] == 2]
-        assert set(report.frontier) <= {e["id"] for e in top}
-        assert runner.stats.rounds == 2
-        # Frontier lookups resolve to the top rung, not the cheap one:
-        # CountingEvaluator scales its metric by fidelity.
-        for eval_id in report.frontier:
-            entry = report.evaluation(eval_id)
-            assert entry["fidelity"] == 2
-        knee = report.knee_evaluation()
-        assert knee is not None and knee["fidelity"] == 2
+    def test_evaluations_carry_no_iteration_budget(self):
+        """Every point is evaluated once, at the evaluator's own
+        iteration count: records hold identity, seed and objectives."""
+        report = _runner().run()
+        assert all(set(e) == {"id", "point", "seed", "objectives"}
+                   for e in report.evaluations)
+        assert "rounds" not in _runner().stats.to_dict()
 
-    def test_rank_objective_must_be_an_objective(self):
-        strategy = SuccessiveHalving(budget=2, fidelities=(1, 2),
-                                     rank_by="latency_s")
-        with pytest.raises(ValueError, match="not among"):
-            ExploreRunner(SPACE, strategy, CountingEvaluator(),
-                          objectives=(METRIC,))
+    def test_repeated_point_resolves_to_its_first_record(self):
+        class Twice(GridSearch):
+            def points(self, space, rng):
+                return [{"x": 0, "flag": True}] * 2
+
+        report = _runner(strategy=Twice()).run()
+        assert len(report.evaluations) == 2
+        assert report.evaluation(report.knee) is report.evaluations[0]
 
     def test_invalid_point_rejected(self):
         bad_space = SearchSpace([IntRange("x", 0, 4)])
 
         class BadStrategy(GridSearch):
-            def start(self, space, rng):
-                self._pending = [[{"x": 99}]]
+            def points(self, space, rng):
+                return [{"x": 99}]
 
         with pytest.raises(ValueError, match="outside dimension"):
             ExploreRunner(bad_space, BadStrategy(), CountingEvaluator(),
@@ -230,4 +218,4 @@ class TestRunnerProtocol:
 
     def test_objectives_required_for_plain_callables(self):
         with pytest.raises(ValueError, match="objectives"):
-            ExploreRunner(SPACE, GridSearch(), lambda p, f=None: {})
+            ExploreRunner(SPACE, GridSearch(), lambda p: {})

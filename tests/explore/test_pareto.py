@@ -142,8 +142,8 @@ class TestPointEvaluator:
         high = evaluator({"ffn_target_sparsity": 0.95})
         assert high["energy_j"] < low["energy_j"]
 
-    def test_fidelity_overrides_iterations(self):
-        evaluator = PointEvaluator(objectives=("latency_s",), iterations=8)
-        full = evaluator({"num_dscs": 24})
-        short = evaluator({"num_dscs": 24}, fidelity=4)
-        assert short["latency_s"] < full["latency_s"]
+    def test_iterations_price_the_schedule(self):
+        full = PointEvaluator(objectives=("latency_s",), iterations=8)
+        short = PointEvaluator(objectives=("latency_s",), iterations=4)
+        point = {"num_dscs": 24}
+        assert short(point)["latency_s"] < full(point)["latency_s"]

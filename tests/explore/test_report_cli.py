@@ -21,7 +21,7 @@ def _tiny_report():
         Categorical("flag", (True, False)),
     ])
 
-    def evaluate(point, fidelity=None):
+    def evaluate(point):
         return {"metric": float(point["x"]) + (0.5 if point["flag"] else 0.0)}
 
     return ExploreRunner(
@@ -125,3 +125,14 @@ class TestExploreCLI:
     def test_bad_set_expression_exits(self):
         with pytest.raises(SystemExit):
             main(["explore", "--set", "num_dscs"])
+
+    @pytest.mark.parametrize("levels", ("0", "-2"))
+    def test_grid_levels_below_one_names_the_flag(self, levels):
+        with pytest.raises(SystemExit, match="--grid-levels"):
+            main(["explore", "--strategy", "grid", "--grid-levels", levels])
+
+    def test_halving_is_not_a_strategy(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--strategy", "halving"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "invalid choice: 'halving'" in capsys.readouterr().err

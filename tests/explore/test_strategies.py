@@ -1,15 +1,9 @@
-"""Unit tests for the search strategies' ask/tell protocol."""
+"""Unit tests for the search strategies: one batch of points per run."""
 
 import pytest
 
-from repro.explore.runner import EvaluationRecord
-from repro.explore.space import Categorical, IntRange, SearchSpace, point_id
-from repro.explore.strategies import (
-    GridSearch,
-    RandomSearch,
-    SuccessiveHalving,
-    make_strategy,
-)
+from repro.explore.space import Categorical, IntRange, SearchSpace
+from repro.explore.strategies import GridSearch, RandomSearch
 from repro.workloads.generator import as_rng
 
 SPACE = SearchSpace([
@@ -18,86 +12,49 @@ SPACE = SearchSpace([
 ])
 
 
-def _records(points, latencies, fidelity=None):
-    return [
-        EvaluationRecord(point=p, id=point_id(p), seed=0, fidelity=fidelity,
-                         objectives={"latency_s": lat})
-        for p, lat in zip(points, latencies)
-    ]
-
-
 class TestGridSearch:
-    def test_single_round_cross_product(self):
-        strategy = GridSearch(levels=3)
-        strategy.start(SPACE, as_rng(0))
-        batch = strategy.ask()
-        assert len(batch) == 3 * 2
-        assert strategy.fidelity() is None
-        strategy.tell(_records(batch, range(len(batch))))
-        assert strategy.ask() is None
+    def test_cross_product(self):
+        points = GridSearch(levels=3).points(SPACE, as_rng(0))
+        assert len(points) == 3 * 2
+        assert points == SPACE.grid(3)
+
+    def test_ignores_the_rng(self):
+        grid = GridSearch(levels=2)
+        assert grid.points(SPACE, as_rng(0)) == grid.points(SPACE, as_rng(9))
 
     def test_describe_is_canonical(self):
         assert GridSearch(levels=2).describe() == {
             "strategy": "grid", "levels": 2,
         }
+        assert GridSearch(levels={"x": 2}).describe() == {
+            "strategy": "grid", "levels": {"x": 2},
+        }
+
+    @pytest.mark.parametrize("levels", (0, -1, {"x": 0}))
+    def test_rejects_levels_below_one(self, levels):
+        # IntRange.grid turns any levels <= 1 into [low], so a zero would
+        # otherwise sweep only the low corner without a word.
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            GridSearch(levels=levels)
+
+    def test_one_level_is_the_low_corner(self):
+        assert GridSearch(levels=1).points(SPACE, as_rng(0)) == [
+            {"x": 0, "flag": True}, {"x": 0, "flag": False},
+        ]
 
 
 class TestRandomSearch:
     def test_budget_and_determinism(self):
-        a = RandomSearch(budget=5)
-        a.start(SPACE, as_rng(3))
-        b = RandomSearch(budget=5)
-        b.start(SPACE, as_rng(3))
-        batch_a, batch_b = a.ask(), b.ask()
+        batch_a = RandomSearch(budget=5).points(SPACE, as_rng(3))
+        batch_b = RandomSearch(budget=5).points(SPACE, as_rng(3))
         assert batch_a == batch_b
         assert len(batch_a) == 5
-        assert a.ask() is None
+
+    def test_describe(self):
+        assert RandomSearch(budget=5).describe() == {
+            "strategy": "random", "budget": 5,
+        }
 
     def test_rejects_empty_budget(self):
         with pytest.raises(ValueError, match="budget"):
             RandomSearch(budget=0)
-
-
-class TestSuccessiveHalving:
-    def test_promotes_best_by_rank_objective(self):
-        strategy = SuccessiveHalving(budget=4, eta=2.0, fidelities=(2, 4),
-                                     rank_by="latency_s")
-        strategy.start(SPACE, as_rng(0))
-        rung0 = strategy.ask()
-        assert len(rung0) == 4
-        assert strategy.fidelity() == 2
-        # Third point is fastest, first is second-fastest.
-        strategy.tell(_records(rung0, [0.2, 0.9, 0.1, 0.5], fidelity=2))
-        rung1 = strategy.ask()
-        assert strategy.fidelity() == 4
-        assert rung1 == [rung0[0], rung0[2]]  # submission order kept
-        strategy.tell(_records(rung1, [0.2, 0.1], fidelity=4))
-        assert strategy.ask() is None
-
-    def test_higher_better_rank_objective(self):
-        strategy = SuccessiveHalving(budget=2, eta=2.0, fidelities=(2, 4),
-                                     rank_by="accuracy_psnr_db")
-        strategy.start(SPACE, as_rng(0))
-        rung0 = strategy.ask()
-        strategy.tell([
-            EvaluationRecord(point=p, id=point_id(p), seed=0, fidelity=2,
-                             objectives={"accuracy_psnr_db": db})
-            for p, db in zip(rung0, [10.0, 30.0])
-        ])
-        assert strategy.ask() == [rung0[1]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="eta"):
-            SuccessiveHalving(eta=1.0)
-        with pytest.raises(ValueError, match="ascend"):
-            SuccessiveHalving(fidelities=(8, 4))
-        with pytest.raises(ValueError, match="unknown objective"):
-            SuccessiveHalving(rank_by="made_up")
-
-
-class TestFactory:
-    def test_make_strategy(self):
-        assert isinstance(make_strategy("grid"), GridSearch)
-        assert make_strategy("random", budget=3).budget == 3
-        with pytest.raises(ValueError, match="unknown strategy"):
-            make_strategy("annealing")

@@ -6,13 +6,8 @@ from repro.hw.cfse import CFSEModel
 
 
 class TestThroughput:
-    def test_two_way_doubles(self):
-        assert CFSEModel(two_way_16bit=True).throughput_per_cycle == 32
-        assert CFSEModel(two_way_16bit=False).throughput_per_cycle == 16
-
-    def test_rejects_bad_lanes(self):
-        with pytest.raises(ValueError):
-            CFSEModel(lanes=0)
+    def test_two_way_16bit_doubles_the_16_lanes(self):
+        assert CFSEModel().throughput_per_cycle == 32
 
 
 class TestCycleAccounting:
@@ -26,11 +21,9 @@ class TestCycleAccounting:
         with pytest.raises(ValueError, match="unsupported CFSE function 'fft'"):
             CFSEModel().function_cycles("fft", 100)
 
-    @pytest.mark.parametrize("two_way", (True, False))
     @pytest.mark.parametrize("function", sorted(CFSEModel.OPS_PER_ELEMENT))
-    def test_cycles_are_ops_over_throughput_rounded_up(self, function,
-                                                       two_way):
-        cfse = CFSEModel(two_way_16bit=two_way)
+    def test_cycles_are_ops_over_throughput_rounded_up(self, function):
+        cfse = CFSEModel()
         ops = CFSEModel.OPS_PER_ELEMENT[function]
         lanes = cfse.throughput_per_cycle
         assert cfse.function_cycles(function, 0) == 0
@@ -42,10 +35,8 @@ class TestCycleAccounting:
 
     @pytest.mark.parametrize("function",
                              ("softmax", "gelu", "layernorm", "residual_add"))
-    def test_two_way_mode_halves_the_cycles(self, function):
+    def test_two_way_mode_runs_32_elements_per_cycle(self, function):
         elements = 4096
-        one_way = CFSEModel(two_way_16bit=False).function_cycles(
-            function, elements)
-        two_way = CFSEModel(two_way_16bit=True).function_cycles(
-            function, elements)
-        assert one_way == 2 * two_way
+        ops = CFSEModel.OPS_PER_ELEMENT[function]
+        assert CFSEModel().function_cycles(function, elements) == (
+            elements * ops // 32)

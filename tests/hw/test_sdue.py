@@ -16,11 +16,11 @@ class TestDenseCycles:
     def test_edge_tiles_round_up(self):
         assert SDUEModel().dense_cycles(17, 16, 17) == 4
 
-    @pytest.mark.parametrize("dims", ((0, 16, 16), (16, 0, 16), (16, 16, 0)))
-    def test_rejects_non_positive_dimensions(self, dims):
-        rows, cols, lane = dims
-        with pytest.raises(ValueError, match="positive"):
-            SDUEModel(rows=rows, cols=cols, lane_length=lane)
+    def test_geometry_is_the_papers_16x16_array(self):
+        sdue = SDUEModel()
+        assert (sdue.rows, sdue.cols, sdue.lane_length) == (16, 16, 16)
+        # One tile of 16 outputs per side, one depth cycle per 16 MACs.
+        assert sdue.dense_cycles(16, 16, 16) == 1
 
 
 class TestMergedPath:

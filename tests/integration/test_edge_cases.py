@@ -131,14 +131,14 @@ class TestBatchAPI:
         assert samples.shape == (3, 4, 64)
         assert len(results) == 3
 
-    def test_generate_batch_vanilla_matches_single(self):
+    def test_compiled_vanilla_matches_oracle(self):
         model = build_model("mld", seed=0, total_iterations=5)
         pipeline = ExionPipeline(model, ExionConfig.for_model("mld"))
-        samples, _ = pipeline.generate_batch([7], prompt="x", vanilla=True)
+        compiled = pipeline.generate_vanilla(seed=7, prompt="x")
         single = ExionPipeline(
             model, pipeline.config, compiled=False
         ).generate_vanilla(seed=7, prompt="x")
-        np.testing.assert_array_equal(samples[0], single.sample)
+        np.testing.assert_array_equal(compiled.sample, single.sample)
 
     def test_generate_batch_rejects_empty(self):
         model = build_model("mld", seed=0, total_iterations=5)

@@ -34,9 +34,10 @@ class TestHashTokenize:
 
 class TestConditioningEncoder:
     def test_output_shape_padded(self):
-        enc = ConditioningEncoder(dim=32, max_tokens=8)
+        enc = ConditioningEncoder(dim=32)
         out = enc.encode("two words")
-        assert out.shape == (8, 32)
+        assert out.shape == (16, 32)
+        np.testing.assert_array_equal(out[2:], 0.0)
 
     def test_deterministic(self):
         enc1 = ConditioningEncoder(dim=16, seed=5)

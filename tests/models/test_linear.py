@@ -27,9 +27,9 @@ class TestLinear:
             np.testing.assert_array_equal(x, x_before)
             np.testing.assert_array_equal(layer.bias, bias_before)
 
-    def test_no_bias(self, rng):
-        layer = Linear(4, 3, rng, bias=False)
-        assert layer.bias is None
+    def test_bias_starts_at_zero(self, rng):
+        layer = Linear(4, 3, rng)
+        np.testing.assert_array_equal(layer.bias, np.zeros(3))
         x = rng.standard_normal((2, 4))
         np.testing.assert_allclose(layer(x), x @ layer.weight)
 

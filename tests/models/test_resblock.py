@@ -29,9 +29,8 @@ class TestConv2d:
                         )
             assert out[oc, r, cidx] == pytest.approx(acc)
 
-    def test_rejects_even_kernel(self, rng):
-        with pytest.raises(ValueError, match="odd"):
-            Conv2d(2, 2, rng, kernel_size=4)
+    def test_kernel_is_3x3(self, rng):
+        assert Conv2d(2, 5, rng).weight.shape == (5, 2, 3, 3)
 
     def test_rejects_wrong_channels(self, rng):
         conv = Conv2d(3, 3, rng)
@@ -59,13 +58,14 @@ class TestConv2d:
         out = (w_mat.T @ cols) + conv.bias[:, None]
         return out.reshape(conv.out_channels, h, w)
 
-    @pytest.mark.parametrize("kernel_size", [1, 3, 5])
-    def test_byte_equal_to_pad_formulation(self, rng, kernel_size):
-        conv = Conv2d(6, 4, rng, kernel_size=kernel_size)
-        conv.bias = rng.standard_normal(4)
-        for x in (rng.standard_normal((6, 4, 4)),
-                  rng.standard_normal((6, 5, 7)),
-                  rng.standard_normal((7, 5, 6)).transpose(2, 1, 0)):
+    @pytest.mark.parametrize("channels", [(6, 4), (1, 1), (3, 8)])
+    def test_byte_equal_to_pad_formulation(self, rng, channels):
+        c_in, c_out = channels
+        conv = Conv2d(c_in, c_out, rng)
+        conv.bias = rng.standard_normal(c_out)
+        for x in (rng.standard_normal((c_in, 4, 4)),
+                  rng.standard_normal((c_in, 5, 7)),
+                  rng.standard_normal((7, 5, c_in)).transpose(2, 1, 0)):
             assert conv(x).tobytes() == self._pad_formulation(conv, x).tobytes()
 
     def test_weight_draw_and_writes_reach_the_hoisted_matrix(self, rng):
@@ -87,19 +87,20 @@ class TestConv2d:
 
 class TestGroupNorm:
     def test_normalizes_groups(self, rng):
-        norm = GroupNorm(8, groups=2)
-        out = norm(rng.standard_normal((8, 4, 4)) * 3 + 1)
-        grouped = out.reshape(2, 4, 4, 4)
+        norm = GroupNorm(16)
+        assert norm.groups == 8
+        out = norm(rng.standard_normal((16, 4, 4)) * 3 + 1)
+        grouped = out.reshape(8, 2, 4, 4)
         np.testing.assert_allclose(
-            grouped.mean(axis=(1, 2, 3)), np.zeros(2), atol=1e-10
+            grouped.mean(axis=(1, 2, 3)), np.zeros(8), atol=1e-10
         )
 
-    def test_falls_back_to_single_group(self):
-        norm = GroupNorm(7, groups=4)  # 7 not divisible by 4
-        assert norm.groups == 1
+    @pytest.mark.parametrize("channels", [7, 12])
+    def test_falls_back_to_single_group(self, channels):
+        assert GroupNorm(channels).groups == 1  # not divisible by 8
 
     def test_byte_equal_to_mean_var_formulation(self, rng):
-        norm = GroupNorm(16, groups=4)
+        norm = GroupNorm(16)
         norm.gamma = rng.standard_normal(16)
         norm.beta = rng.standard_normal(16)
         inputs = {
@@ -109,7 +110,7 @@ class TestGroupNorm:
             "constant": np.full((16, 2, 2), -2.0),
         }
         for name, x in inputs.items():
-            grouped = x.reshape(4, 4, *x.shape[1:])
+            grouped = x.reshape(8, 2, *x.shape[1:])
             mean = grouped.mean(axis=(1, 2, 3), keepdims=True)
             var = grouped.var(axis=(1, 2, 3), keepdims=True)
             normed = ((grouped - mean) / np.sqrt(var + norm.eps)).reshape(x.shape)

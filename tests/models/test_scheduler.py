@@ -27,9 +27,11 @@ class TestTimesteps:
         with pytest.raises(ValueError):
             DDIMScheduler().timesteps(1001)
 
-    def test_rejects_tiny_train_schedule(self):
-        with pytest.raises(ValueError):
-            DDPMScheduler(num_train_timesteps=1)
+    def test_linear_beta_training_schedule(self):
+        sched = DDPMScheduler()
+        assert sched.num_train_timesteps == 1000
+        assert (sched.betas[0], sched.betas[-1]) == (1e-4, 0.02)
+        assert np.all(np.diff(sched.alphas_cumprod) < 0)
 
     @pytest.mark.parametrize("steps", (1, 10, 50, 1000))
     @pytest.mark.parametrize(

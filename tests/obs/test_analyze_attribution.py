@@ -8,6 +8,8 @@ cluster) rather than on synthetic fixtures, so any hook-site or
 analyzer drift breaks them immediately.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.obs import Observer, events_jsonl
@@ -114,10 +116,11 @@ class TestClusterMode:
         from repro.cluster.traffic import PoissonProcess, synthesize_trace
 
         observer = Observer()
-        requests = synthesize_trace(
-            PoissonProcess(rate_rps=2.0), 12, rng=0,
-            tenants=("alpha", "beta"),
-        )
+        requests = [
+            replace(request, tenant=("alpha", "beta")[i % 2])
+            for i, request in enumerate(
+                synthesize_trace(PoissonProcess(rate_rps=2.0), 12, rng=0))
+        ]
         simulate_cluster(
             requests, build_replicas(2, iterations=ITERATIONS),
             make_router("jsq"), observer=observer,

@@ -205,17 +205,15 @@ class TestOptionalPaths:
         ).generate_batch([4, 6], class_label=2)
         assert np.array_equal(loop_samples, batched_samples)
 
-    def test_vanilla_delegation_matches_generate_vanilla(self,
-                                                         serve_dit_model,
-                                                         dit_config):
+    def test_base_ablation_batch_matches_generate_vanilla(self,
+                                                          serve_dit_model,
+                                                          dit_config):
         want = oracle(serve_dit_model, dit_config).generate_vanilla(
             seed=3, class_label=1
         )
-        pipeline = ExionPipeline(serve_dit_model, dit_config)
-        # One seed runs the 2-D vanilla engine, two the batched one.
+        pipeline = ExionPipeline(serve_dit_model, dit_config.ablation("base"))
+        # One seed runs the 2-D engine, two the batched one.
         for seeds in ([3], [3, 5]):
-            samples, results = pipeline.generate_batch(
-                seeds, class_label=1, vanilla=True
-            )
+            samples, results = pipeline.generate_batch(seeds, class_label=1)
             assert np.array_equal(samples[0], want.sample)
             assert results[0].stats.summary() == want.stats.summary()

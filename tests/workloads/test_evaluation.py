@@ -14,7 +14,7 @@ from repro.workloads.evaluation import (
 
 @pytest.fixture(scope="module")
 def mld_report():
-    return evaluate_model("mld", n_samples=3, iterations=8, rng=0)
+    return evaluate_model("mld", rng=0)
 
 
 class TestEvaluateModel:
@@ -45,55 +45,40 @@ class TestEvaluateModel:
         with pytest.raises(KeyError):
             mld_report.method("nonexistent")
 
-    def test_rejects_tiny_sample_count(self):
-        with pytest.raises(ValueError):
-            evaluate_model("mld", n_samples=1, rng=0)
-
-    def test_requires_vanilla_reference(self):
-        with pytest.raises(ValueError, match="vanilla"):
-            evaluate_model("mld", n_samples=2, iterations=4,
-                           methods=("ffn_reuse",), rng=0)
+    def test_six_samples_per_method(self, mld_report):
+        assert mld_report.n_samples == 6
+        assert mld_report.methods[0].method == "vanilla"
 
     def test_unconditioned_model_runs(self):
-        report = evaluate_model("dit", n_samples=2, iterations=6,
-                                methods=("vanilla", "ffn_reuse"), rng=0)
+        report = evaluate_model("dit", rng=0)
         assert isinstance(report, EvaluationReport)
-        assert report.n_samples == 2
+        assert report.n_samples == 6
 
     def test_rng_is_required_and_explicit(self):
         with pytest.raises(TypeError):
-            evaluate_model("mld", n_samples=2, iterations=4)  # no rng
+            evaluate_model("mld")  # no rng
         with pytest.raises(TypeError, match="explicit"):
-            evaluate_model("mld", n_samples=2, iterations=4, rng=None)
+            evaluate_model("mld", rng=None)
 
-    def test_same_rng_same_report(self):
-        a = evaluate_model("mld", n_samples=2, iterations=4,
-                           methods=("vanilla", "ffn_reuse"), rng=7)
-        b = evaluate_model("mld", n_samples=2, iterations=4,
-                           methods=("vanilla", "ffn_reuse"), rng=7)
-        assert a.method("ffn_reuse") == b.method("ffn_reuse")
+    def test_same_rng_same_report(self, mld_report):
+        again = evaluate_model("mld", rng=0)
+        assert again.methods == mld_report.methods
 
-    def test_generator_instance_accepted(self):
-        report = evaluate_model(
-            "mld", n_samples=2, iterations=4,
-            methods=("vanilla", "ffn_reuse"),
-            rng=np.random.default_rng(3),
-        )
-        assert report.n_samples == 2
+    def test_generator_instance_accepted(self, mld_report):
+        """An int seed is normalized to the generator it names."""
+        report = evaluate_model("mld", rng=np.random.default_rng(0))
+        assert report.methods == mld_report.methods
 
 
 class TestEvaluateConfig:
     def test_matches_ladder_method(self):
         """The ffn_reuse ladder rung expressed as an explicit config point
         scores identically under the same rng stream."""
-        ladder = evaluate_model(
-            "mld", n_samples=2, iterations=6,
-            methods=("vanilla", "ffn_reuse"), rng=5,
-        ).method("ffn_reuse")
+        ladder = evaluate_model("mld", rng=5).method("ffn_reuse")
         direct = evaluate_config(
             "mld",
             ExionConfig.for_model("mld", enable_eager_prediction=False),
-            n_samples=2, iterations=6, rng=5,
+            n_samples=6, iterations=15, rng=5,
         )
         assert direct.psnr_mean == ladder.psnr_mean
         assert direct.fid_proxy == ladder.fid_proxy

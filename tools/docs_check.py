@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the repro package.
 
-Five checks, all hard failures:
+Six checks, all hard failures:
 
 1. **Docstrings** — every public module under ``src/repro`` (any module
    whose dotted path has no ``_``-prefixed component) must carry a
@@ -33,6 +33,20 @@ Five checks, all hard failures:
    alive. References from inside a definition that is itself unnamed do
    not count either, iterated to a fixed point: each finding says in
    which round it fell.
+6. **Option reachability** — the same rule for options: every defaulted
+   positional or keyword-only parameter of a ``def`` under ``src/repro``
+   (dunders other than ``__init__`` excluded; dataclass fields are not
+   ``def`` parameters) must be passed by some call in ``src/`` or the
+   entry directories, by keyword or by position (``self``/``cls`` not
+   counted). Calls match by bare name; a class's ``__init__`` is also
+   reached through calls to its subclasses, ``super().__init__(...)``
+   and ``cls(...)`` in its classmethods. A callee keeps every parameter
+   when a call passes it ``*args``/``**kwargs`` it cannot read, or when
+   its name is used as a value (stored, passed or returned; a call
+   target, annotation, ``isinstance`` operand, attribute base or class
+   base is not a value use). A call that only forwards its enclosing
+   def's own ``*args``/``**kwargs`` passes what the calls reaching that
+   def pass. Any other defaulted parameter is a constant: inline it.
 
 Run from the repository root::
 
@@ -216,6 +230,19 @@ def check_reachability() -> list[str]:
     ]
 
 
+def _sources(root: Path) -> list[Path]:
+    """``src/repro`` and the entry directories' modules under ``root``."""
+    sources = sorted((root / "src" / "repro").rglob("*.py"))
+    for directory in ENTRY_DIRS:
+        sources += sorted((root / directory).glob("*.py"))
+    return sources
+
+
+def _bare(node: ast.AST | None) -> str | None:
+    """The bare name of a ``Name`` or ``Attribute`` (``a.b.c`` -> ``c``)."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def check_names() -> list[str]:
     """Definitions under ``src/repro`` that nothing outside ``tests/`` names."""
     defs: list[tuple[str, str]] = []  # (file:line, qualname) per candidate
@@ -250,10 +277,7 @@ def check_names() -> list[str]:
             visit(child, enclosing, path, counts_imports,
                   child.name if is_class else None)
 
-    sources = sorted((SRC / "repro").rglob("*.py"))
-    for directory in ENTRY_DIRS:
-        sources += sorted((REPO_ROOT / directory).glob("*.py"))
-    for path in sources:
+    for path in _sources(REPO_ROOT):
         # A package ``__init__`` re-export is not a use (as in check 4).
         visit(ast.parse(path.read_text("utf-8")), frozenset(), path,
               path.name != "__init__.py", "")
@@ -277,6 +301,157 @@ def check_names() -> list[str]:
     ]
 
 
+def check_options(root: Path = REPO_ROOT) -> list[str]:
+    """Defaulted parameters under ``src/repro`` that no call passes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    package = root / "src" / "repro"
+    bases: dict[str, set[str]] = {}  # class name -> bare base names
+    # A callee is ``(name, is_init)``: an ``__init__`` goes by its class.
+    # Per candidate: (file:line, qualname, callee, [(parameter, position)]),
+    # position ``None`` for keyword-only.
+    candidates: list[tuple[str, str, tuple, list]] = []
+    # Call name -> (positional count, keywords, star) per call. ``star``
+    # is True for an opaque ``*``/``**`` operand, or the enclosing callee
+    # when the call only forwards that callee's own ``*args``/``**kwargs``.
+    calls: dict[str, list[tuple[int, set, object]]] = {}
+    values: set[str] = set()  # bare names loaded as a value
+
+    def not_values(node: ast.AST) -> list[ast.AST]:
+        """Children of ``node`` whose bare name is not a value use."""
+        if isinstance(node, ast.Call):
+            skipped = [node.func]
+            if _bare(node.func) in ("isinstance", "issubclass") and node.args:
+                skipped += [node.args[-1], *getattr(node.args[-1], "elts", ())]
+            return skipped
+        if isinstance(node, ast.Attribute):
+            return [node.value]
+        if isinstance(node, ast.ClassDef):
+            return [*node.bases, *node.decorator_list]
+        if isinstance(node, functions):
+            return node.decorator_list
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            return [node.type, *getattr(node.type, "elts", ())]
+        return []
+
+    def visit(node, where, klass=None, scope=None):
+        """``klass`` is the innermost enclosing class and ``scope`` the
+        innermost enclosing def as ``(callee, *args name, **kwargs name)``."""
+        skipped = {id(child) for child in not_values(node)}
+        for child in ast.iter_child_nodes(node):
+            if child is getattr(node, "annotation", None) or (
+                    child is getattr(node, "returns", None)):
+                continue
+            inner_klass, inner_scope = klass, scope
+            if isinstance(child, ast.ClassDef):
+                bases[child.name] = {_bare(base) for base in child.bases}
+                inner_klass = child.name
+            elif isinstance(child, functions):
+                method = isinstance(node, ast.ClassDef) and not any(
+                    _bare(d) == "staticmethod" for d in child.decorator_list)
+                callee = ((klass, True) if method and child.name == "__init__"
+                          else (child.name, False))
+                if where is not None:
+                    record_def(child, where, klass if method else None,
+                               callee, method)
+                args = child.args
+                inner_scope = (callee, args.vararg and args.vararg.arg,
+                               args.kwarg and args.kwarg.arg)
+            elif isinstance(child, ast.Call):
+                record_call(child, klass, scope)
+            elif (isinstance(child, (ast.Name, ast.Attribute))
+                  and isinstance(child.ctx, ast.Load)
+                  and id(child) not in skipped):
+                values.add(_bare(child))
+            visit(child, where, inner_klass, inner_scope)
+
+    def record_def(node, where, klass, callee, method):
+        if node.name.startswith("__") and node.name.endswith("__") and (
+                node.name != "__init__"):
+            return  # called through an instance, not by name
+        args = node.args
+        positional = [*args.posonlyargs, *args.args][int(method):]
+        first = len(positional) - len(args.defaults)
+        defaulted = [
+            (arg.arg, index) for index, arg in enumerate(positional)
+            if index >= first
+        ] + [
+            (arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        if defaulted:
+            qualname = f"{klass}.{node.name}" if klass else node.name
+            candidates.append(
+                (f"{where}:{node.lineno}", qualname, callee, defaulted))
+
+    def record_call(node, klass, scope):
+        name = _bare(node.func)
+        if name == "cls" and klass:
+            name = klass  # a classmethod constructing its own class
+        names = [name]
+        receiver = getattr(node.func, "value", None)
+        if name == "__init__" and _bare(getattr(receiver, "func", None)) == "super":
+            names = sorted(bases.get(klass, ()))
+        starred = [a.value for a in node.args if isinstance(a, ast.Starred)]
+        starred += [k.value for k in node.keywords if k.arg is None]
+        star = bool(starred)
+        if starred and scope and all(
+                isinstance(s, ast.Name) and s.id in scope[1:]
+                for s in starred):
+            star = scope[0]
+        record = (len(node.args) - sum(
+            isinstance(a, ast.Starred) for a in node.args),
+            {k.arg for k in node.keywords} - {None}, star)
+        for callee in names:
+            calls.setdefault(callee, []).append(record)
+
+    def reaching(callee) -> set[str]:
+        """Call names that reach ``callee``: a class's ``__init__`` is
+        also reached through every subclass."""
+        name, is_init = callee
+        found, grew = {name}, is_init
+        while grew:
+            more = {c for c, b in bases.items() if b & found} - found
+            found |= more
+            grew = bool(more)
+        return found
+
+    def passed(callee, seen) -> tuple[bool, int, set[str]]:
+        """(opaque, positional count, keywords) over every call reaching
+        ``callee``; opaque when a call cannot be read or it is a value."""
+        names = reaching(callee)
+        if names & values:
+            return True, 0, set()
+        count, words = 0, set()
+        for name in names:
+            for positional, keywords, star in calls.get(name, ()):
+                if star is True:
+                    return True, 0, set()
+                if star and star not in seen:  # forwarded: what reaches it
+                    opaque, more, extra = passed(star, seen | {star})
+                    if opaque:
+                        return True, 0, set()
+                    positional, keywords = positional + more, keywords | extra
+                count, words = max(count, positional), words | keywords
+        return False, count, words
+
+    for path in _sources(root):
+        where = (path.relative_to(root).as_posix()
+                 if path.is_relative_to(package) else None)
+        visit(ast.parse(path.read_text("utf-8")), where)
+    findings = []
+    for where, qualname, callee, defaulted in candidates:
+        opaque, count, words = passed(callee, frozenset([callee]))
+        findings += [
+            f"{where}: {qualname}({param}=...) is passed by no call in "
+            f"src/, {'/, '.join(ENTRY_DIRS)}/: inline its default"
+            for param, position in defaulted
+            if not opaque and param not in words
+            and (position is None or position >= count)
+        ]
+    return findings
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     modules = iter_public_modules()
@@ -286,6 +461,7 @@ def main() -> int:
     findings.extend(check_prose(modules))
     findings.extend(check_reachability())
     findings.extend(check_names())
+    findings.extend(check_options())
 
     if findings:
         print(f"docs-check: {len(findings)} problem(s) in "
@@ -295,7 +471,8 @@ def main() -> int:
         return 1
     print(f"docs-check: {len(modules)} public modules documented, "
           f"all __all__ exports and prose references resolve, "
-          f"every module and definition reachable from an entry point")
+          f"every module, definition and option reachable from an "
+          f"entry point")
     return 0
 
 
