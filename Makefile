@@ -80,7 +80,9 @@ cache-smoke:  ## plan-cache interning gate bench + parity tests
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run plan_cache --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \
-		tests/program/test_plan_cache.py tests/exec/test_arena.py
+		tests/program/test_plan_cache.py \
+		tests/exec/test_parity.py::TestSeededFuzz::test_repeated_generations_are_bit_equal \
+		tests/exec/test_parity.py::TestBatchedParity::test_repeated_drained_batches_are_bit_equal
 
 program-smoke:  ## lowering-pipeline parity bench + CLI plan inspection
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \

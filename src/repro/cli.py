@@ -22,6 +22,14 @@ import sys
 from repro.analysis.report import format_table, percent
 
 
+def _iterations(text: str) -> int:
+    """The ``--iterations`` type: a denoising step count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_models(args: argparse.Namespace) -> int:
     from repro.workloads.specs import BENCHMARK_ORDER, EXTENDED_ORDER, get_spec
 
@@ -932,7 +940,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                         "drain-and-refill micro-batching")
     p.add_argument("--requests", type=int, default=8)
     p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=_iterations, default=None,
                    help="denoising iterations (default: paper scale)")
     p.add_argument("--seed", type=int, default=0,
                    help="first request seed; same seed -> "
@@ -959,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--model", default="dit")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--model-seed", type=int, default=0)
-    gen.add_argument("--iterations", type=int, default=None)
+    gen.add_argument("--iterations", type=_iterations, default=None)
     gen.add_argument("--prompt", default="a corgi surfing a wave")
     gen.add_argument("--class-label", type=int, default=None)
     gen.add_argument("--ablation", default="all",
@@ -977,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="weight-initialization seed of the served model")
     srv.add_argument("--calibration-seed", type=int, default=0,
                      help="seed of the offline threshold calibration run")
-    srv.add_argument("--iterations", type=int, default=None)
+    srv.add_argument("--iterations", type=_iterations, default=None)
     srv.add_argument("--prompt", default=None)
     srv.add_argument("--class-label", type=int, default=None)
     srv.add_argument("--ablation", default="all",
@@ -1034,7 +1042,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--execute", action="store_true",
                      help="actually run the numeric generation per batch "
                           "(slow; default is accounting-only)")
-    clu.add_argument("--iterations", type=int, default=None,
+    clu.add_argument("--iterations", type=_iterations, default=None,
                      help="truncate the denoising schedule: priced by the "
                           "hw model and, with --execute, actually run")
     clu.add_argument("--json", default=None,
@@ -1068,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated objective names (default: "
                           "latency_s,energy_j,accuracy_psnr_db; cluster "
                           "mode: samples_per_s,slo_attainment,energy_j)")
-    exp.add_argument("--iterations", type=int, default=12,
+    exp.add_argument("--iterations", type=_iterations, default=12,
                      help="denoising iterations the objectives price")
     exp.add_argument("--workers", type=int, default=1,
                      help="evaluation worker processes")
@@ -1159,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     prg.add_argument("--model", default="dit")
     prg.add_argument("--ablation", default="all",
                      choices=_ABLATIONS)
-    prg.add_argument("--iterations", type=int, default=None,
+    prg.add_argument("--iterations", type=_iterations, default=None,
                      help="phase-plan length (default: the spec's count)")
     prg.add_argument("--batch", type=int, default=1)
     prg.add_argument("--json", action="store_true",

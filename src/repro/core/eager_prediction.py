@@ -149,8 +149,7 @@ class EagerPredictor:
             kv_col_needed[np.unique(dec.one_hot_cols[dec.one_hot_rows])] = True
 
         q = layer.split_heads(layer.wq(x))
-        k = layer.split_heads(layer.wk(kv_input))
-        v = layer.split_heads(layer.wv(kv_input))
+        k, v = layer.kv(kv_input)
 
         scores = np.full((heads, tq, tk), -np.inf)
         probs = np.zeros((heads, tq, tk))
@@ -323,8 +322,7 @@ def ep_attention_step(
         k_pred = log_domain_matmul_prepared(k_operand, pred.wk_operand)
         k_pred += layer.wk.bias
         kh = layer.split_heads(k_pred)
-        k = layer.split_heads(layer.wk(kv_input))
-        v = layer.split_heads(layer.wv(kv_input))
+        k, v = layer.kv(kv_input)
 
     predicted = np.matmul(qh, kh.transpose(0, 2, 1))
     predicted *= layer.scale
@@ -392,22 +390,5 @@ def ep_cross_kv(
     )
     k_pred = log_domain_matmul_prepared(c_operand, pred.wk_operand)
     k_pred = k_pred + layer.wk.bias
-    return (
-        layer.split_heads(k_pred),
-        layer.split_heads(layer.wk(context)),
-        layer.split_heads(layer.wv(context)),
-    )
+    return (layer.split_heads(k_pred), *layer.kv(context))
 
-
-def _split_heads_batched(x: np.ndarray, num_heads: int) -> np.ndarray:
-    """Reshape ``(batch, tokens, dim)`` into ``(batch, heads, tokens, hd)``."""
-    batch, tokens, dim = x.shape
-    return x.reshape(batch, tokens, num_heads, dim // num_heads).transpose(
-        0, 2, 1, 3
-    )
-
-
-def _merge_heads_batched(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_split_heads_batched`."""
-    batch, heads, tokens, head_dim = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(batch, tokens, heads * head_dim)

@@ -273,23 +273,17 @@ def ffn_dense_compile(
 
 
 def ffn_sparse_step(
-    layer: FeedForward, x: np.ndarray, state: FFNPhaseState, arena
+    layer: FeedForward, x: np.ndarray, state: FFNPhaseState
 ) -> np.ndarray:
     """Sparse-iteration FFN through the compiled phase state.
 
     Pure vectorized gather/scatter: the non-linearity runs only on the
     gathered recompute set (elementwise, so each element equals the
-    interpreted full-matrix result bit for bit), the scatter overlays the
-    dense iteration's hidden state, and the 2nd-layer update accumulates
-    onto the precomputed partial sums. ``state`` is one sample's
-    :class:`FFNPhaseState` or the batched engine's stacked twin (same
-    fields, one flat gather over the whole micro-batch).
-
-    ``arena`` (an :class:`repro.exec.arena.ExecArena`, duck-typed so this
-    module stays below the exec layer) holds the scatter target, the
-    masked operand and the update GEMM output across iterations. Every
-    arena buffer is fully overwritten before use and none escapes this
-    call.
+    interpreted full-matrix result bit for bit), the scatter overlays a
+    copy of the dense iteration's hidden state, and the 2nd-layer update
+    accumulates onto the precomputed partial sums. ``state`` is one
+    sample's :class:`FFNPhaseState` or the batched engine's stacked twin
+    (same fields, one flat gather over the whole micro-batch).
     """
     pre = layer.linear1(x)
     flat = pre.ravel()
@@ -299,19 +293,9 @@ def ffn_sparse_step(
         )
     else:
         recomputed = gelu_kernel(flat[state.gather_indices])
-    hidden = arena.take("ffn_hidden", state.hidden_dense.shape)
-    np.copyto(hidden, state.hidden_dense)
+    hidden = state.hidden_dense.copy()
     hidden.ravel()[state.gather_indices] = recomputed
-    masked = np.multiply(
-        hidden, state.mask, out=arena.take("ffn_masked", hidden.shape)
-    )
-    updates = np.matmul(
-        masked, layer.linear2.weight,
-        out=arena.take(
-            "ffn_updates",
-            hidden.shape[:-1] + (layer.linear2.weight.shape[1],),
-        ),
-    )
+    updates = np.matmul(hidden * state.mask, layer.linear2.weight)
     return state.partial_sums + updates
 
 

@@ -187,19 +187,15 @@ class ExionPipeline:
         seed: int = 0,
         prompt: Optional[str] = None,
         class_label: Optional[int] = None,
-        collect_traces: bool = False,
     ) -> GenerationResult:
         """Reference run with every optimization disabled."""
-        if self.compiled and not collect_traces:
+        if self.compiled:
             return self._engine(vanilla=True, several=False).generate(
                 seed=seed, prompt=prompt, class_label=class_label
             )
         pipeline = self.model.make_pipeline()
         diffusion = pipeline.generate(
-            seed=seed,
-            prompt=prompt,
-            class_label=class_label,
-            collect_traces=collect_traces,
+            seed=seed, prompt=prompt, class_label=class_label
         )
         return GenerationResult(sample=diffusion.sample, stats=RunStats(),
                                 diffusion=diffusion)

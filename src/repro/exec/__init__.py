@@ -28,7 +28,10 @@ mutable set of requests one plan step per tick, and a drained micro-batch
 (:meth:`ContinuousExecutor.run_batch`) is that loop with no membership
 edits. :class:`repro.core.pipeline.ExionPipeline` picks between them by
 how many seeds a call carries: the 2-D engine is the faster one for a
-batch of one, the batched engine from two up. Both are
+batch of one, the batched engine from two up. Neither holds a copy of
+the network's shape: both hand their compiled transformer block to
+:meth:`repro.models.network.DiffusionNetwork.walk`, the oracle's own
+loop over ResBlocks, pooling and the UNet skip. Both are
 **bit-identical** to the sequential interpreted path, which stays in the
 tree as the reference oracle: the differential parity suite in
 ``tests/exec/`` holds samples and :class:`~repro.core.sparsity.RunStats`

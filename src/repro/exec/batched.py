@@ -20,12 +20,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import (
-    CompiledPrediction,
-    _merge_heads_batched,
-    _split_heads_batched,
-    ep_decide,
-)
+from repro.core.eager_prediction import CompiledPrediction, ep_decide
 from repro.core.logdomain import approximation_table, quantize_symmetric_batched
 from repro.core.thresholds import ThresholdTable, quantile_thresholds
 from repro.models.activations import softmax
@@ -178,25 +173,6 @@ def _attach_geglu_indices(
     state.gate_indices = state.value_indices + layer.hidden_dim
 
 
-def _attention_exact_batched(
-    layer: MultiHeadAttention,
-    x: np.ndarray,
-    kv_input: np.ndarray,
-    kv: Optional[tuple] = None,
-) -> np.ndarray:
-    """Dense batched attention with optional cross-attention K/V cache."""
-    q = _split_heads_batched(layer.wq(x), layer.num_heads)
-    if kv is not None:
-        k, v = kv
-    else:
-        k = _split_heads_batched(layer.wk(kv_input), layer.num_heads)
-        v = _split_heads_batched(layer.wv(kv_input), layer.num_heads)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * layer.scale
-    probs = softmax(scores, axis=-1)
-    attended = np.matmul(probs, v)
-    return layer.wo(_merge_heads_batched(attended))
-
-
 def _ep_cross_kv_batched(
     layer: MultiHeadAttention,
     context: np.ndarray,
@@ -209,11 +185,7 @@ def _ep_cross_kv_batched(
     )
     k_pred = _predict_prepared(c_approx, c_scales, pred.wk_operand)
     k_pred = k_pred + layer.wk.bias
-    return (
-        _split_heads_batched(k_pred, layer.num_heads),
-        _split_heads_batched(layer.wk(context), layer.num_heads),
-        _split_heads_batched(layer.wv(context), layer.num_heads),
-    )
+    return (layer.split_heads(k_pred), *layer.kv(context))
 
 
 def _ep_attention_step_batched(
@@ -237,7 +209,7 @@ def _ep_attention_step_batched(
     a_approx, a_scales = _prepare_activation_batched(x, mode, bits)
     q_pred = _predict_prepared(a_approx, a_scales, pred.wq_operand)
     q_pred += layer.wq.bias
-    qh = _split_heads_batched(q_pred, heads)
+    qh = layer.split_heads(q_pred)
 
     if kv is not None:
         kh, k, v = kv
@@ -247,9 +219,8 @@ def _ep_attention_step_batched(
         # identical quantization).
         k_pred = _predict_prepared(a_approx, a_scales, pred.wk_operand)
         k_pred += layer.wk.bias
-        kh = _split_heads_batched(k_pred, heads)
-        k = _split_heads_batched(layer.wk(kv_input), heads)
-        v = _split_heads_batched(layer.wv(kv_input), heads)
+        kh = layer.split_heads(k_pred)
+        k, v = layer.kv(kv_input)
 
     predicted = np.matmul(qh, kh.transpose(0, 1, 3, 2))
     predicted *= layer.scale
@@ -257,7 +228,7 @@ def _ep_attention_step_batched(
         predicted, config.top_k_ratio, config.q_threshold
     )
 
-    q = _split_heads_batched(layer.wq(x), heads)
+    q = layer.split_heads(layer.wq(x))
     exact = np.matmul(q, k.transpose(0, 1, 3, 2))
     exact *= layer.scale
 
@@ -269,7 +240,7 @@ def _ep_attention_step_batched(
     probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
     attended = np.matmul(probs, v)
 
-    out = layer.wo(_merge_heads_batched(attended))
+    out = layer.wo(layer.merge_heads(attended))
 
     # Statistics, per request: same arithmetic as ep_attention_step.
     # Projection skipping (paper II-B): a row one-hot in every head skips

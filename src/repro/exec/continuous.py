@@ -22,7 +22,9 @@ gather/scatter sets are rebuilt by **index-set edits** — restacking the
 surviving per-run masks and recomputing flat indices — with zero model
 re-tracing (no new thresholds, no new dense compile, no re-quantization).
 
-Every kernel comes from :mod:`repro.exec.batched`, whose per-request
+The sparse kernels come from :mod:`repro.exec.batched` and the rest of
+the network (exact attention, ResBlocks, pooling) from the
+batch-agnostic :mod:`repro.models`, whose per-request
 rows are proven independent of batch composition by the serve parity
 suite — so a request produces **byte-identical** samples and
 :class:`~repro.core.sparsity.RunStats` to its own solo sequential run,
@@ -46,7 +48,6 @@ from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
-from repro.models.network import NetworkType
 from repro.models.pipeline import DiffusionResult
 from repro.models.scheduler import DDPMScheduler
 from repro.models.zoo import BenchmarkModel
@@ -54,17 +55,14 @@ from repro.program.cache import compiled_plan_for
 from repro.program.compiled import CompiledPlan
 from repro.serve.request import GenerationRequest
 
-from repro.exec.arena import ExecArena
 from repro.exec.batched import (
     _BatchedFFNPhaseState,
     _attach_geglu_indices,
-    _attention_exact_batched,
     _ep_attention_step_batched,
     _ep_cross_kv_batched,
     _fake_quantize_batched,
     ffn_dense_compile_batched,
 )
-from repro.core.eager_prediction import _split_heads_batched
 from repro.exec.executor import build_prediction_tables, build_step_tables
 
 
@@ -149,10 +147,6 @@ class ContinuousExecutor:
         #: server stamps ``observer.now`` before each tick (the executor
         #: has no clock of its own).
         self.observer = None
-        # Per-tick scratch reused across iterations and membership edits
-        # (see repro.exec.arena); the restack buffers below are keyed per
-        # block because every block's batch state is alive at once.
-        self._arena = ExecArena()
         self._runs_started = 0
         self._reset_batch_caches(())
 
@@ -291,30 +285,20 @@ class ContinuousExecutor:
                 )
             self._reset_batch_caches(membership)
 
-        # Per-tick latent/context stacks land in reusable arena buffers:
-        # the stack sources are always fresh per-run arrays (scheduler
-        # outputs, embeddings), never views of a previous tick's buffer.
-        x = np.stack(
-            [r.x for r in runs],
-            out=self._arena.take(
-                "tick_x", (len(runs),) + runs[0].x.shape
-            ),
-        )
+        x = np.stack([r.x for r in runs])
         context = None
         if any(r.context is not None for r in runs):
             if any(r.context is None for r in runs):
                 raise PhaseSyncError(
                     "conditioned and unconditioned runs in one batch"
                 )
-            context = np.stack(
-                [r.context for r in runs],
-                out=self._arena.take(
-                    "tick_context", (len(runs),) + runs[0].context.shape
-                ),
-            )
+            context = np.stack([r.context for r in runs])
 
         count_iterations = self.config.enable_ffn_reuse
-        eps = self._forward(x, runs, context)
+        eps = self.model.network.walk(
+            x, self._t_embeds[self._tick_cursors],
+            lambda index, h: self._block(index, h, context, runs),
+        )
 
         finished = []
         timesteps = self._timesteps
@@ -341,76 +325,17 @@ class ContinuousExecutor:
         return finished
 
     # ------------------------------------------------------------------
-    # network forward (mirrors DiffusionNetwork.__call__ over a batch
-    # axis, per-run cursors)
-    #
-    # Any topology change in models/network.py or models/transformer.py
-    # must be reflected here; tests/exec/ and tests/serve/ fail on any
-    # divergence.
+    # one transformer block over the batch axis, per-run cursors
+    # (DiffusionNetwork.walk owns the topology)
     # ------------------------------------------------------------------
-    def _forward(
-        self,
-        x: np.ndarray,
-        runs: list,
-        raw_context: Optional[np.ndarray],
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = x
-            for i, block in enumerate(network.blocks):
-                h = self._block(block, h, raw_context, runs, i)
-            return network.out_proj(network.final_norm(h))
-
-        half = max(1, network.depth // 2)
-        h = x
-        for i in range(half):
-            h = self._stage(i, h, raw_context, runs)
-        skip = h
-        h = self._downsample(h)
-        for i in range(half, network.depth):
-            h = self._stage(i, h, raw_context, runs)
-        h = self._upsample(h, network.tokens) + skip
-        return network.out_proj(network.final_norm(h))
-
-    def _stage(
-        self,
-        index: int,
-        h: np.ndarray,
-        raw_context: Optional[np.ndarray],
-        runs: list,
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.resblocks:
-            h = network._apply_resblock(
-                network.resblocks[index], h,
-                self._t_embeds[self._tick_cursors],
-            )
-        return self._block(network.blocks[index], h, raw_context, runs, index)
-
-    def _downsample(self, h: np.ndarray) -> np.ndarray:
-        network = self.model.network
-        tokens = h.shape[1]
-        if tokens % 2 == 1:
-            h = np.concatenate([h, h[:, -1:]], axis=1)
-        pooled = 0.5 * (h[:, 0::2] + h[:, 1::2])
-        return network.down_proj(pooled)
-
-    def _upsample(self, h: np.ndarray, target_tokens: int) -> np.ndarray:
-        network = self.model.network
-        up = np.repeat(h, 2, axis=1)[:, :target_tokens]
-        if up.shape[1] < target_tokens:
-            pad = np.repeat(up[:, -1:], target_tokens - up.shape[1], axis=1)
-            up = np.concatenate([up, pad], axis=1)
-        return network.up_proj(up)
-
     def _block(
         self,
-        block,
+        block_index: int,
         x: np.ndarray,
         raw_context: Optional[np.ndarray],
         runs: list,
-        block_index: int,
     ) -> np.ndarray:
+        block = self.model.network.blocks[block_index]
         h = block.norm1(x)
         table = self._adaln_tables[block_index]
         if table is not None:
@@ -450,15 +375,11 @@ class ContinuousExecutor:
             x = _fake_quantize_batched(x, self.activation_bits)
         if not self._preds:
             if context is None:
-                return _attention_exact_batched(layer, x, x)
+                return layer.attend(x, *layer.kv(x))[0]
             cached = self._cross_exact_kv.get(block_index)
             if cached is None:
-                cached = (
-                    _split_heads_batched(layer.wk(context), layer.num_heads),
-                    _split_heads_batched(layer.wv(context), layer.num_heads),
-                )
-                self._cross_exact_kv[block_index] = cached
-            return _attention_exact_batched(layer, x, context, kv=cached)
+                cached = self._cross_exact_kv[block_index] = layer.kv(context)
+            return layer.attend(x, *cached)[0]
         which = "self" if context is None else "cross"
         pred = self._preds[block_index][which]
         kv = None
@@ -517,7 +438,7 @@ class ContinuousExecutor:
         batch_state = self._ffn_batch.get(block_index)
         if batch_state is None:
             batch_state = self._rebuild_ffn_batch(layer, block_index, runs)
-        out = ffn_sparse_step(layer, x, batch_state, self._arena)
+        out = ffn_sparse_step(layer, x, batch_state)
         elements = batch_state.mask.shape[1] * batch_state.mask.shape[2]
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
         for run in runs:
@@ -549,36 +470,12 @@ class ContinuousExecutor:
                 "boundary?)"
             )
         states = [run.ffn[block_index] for run in runs]
-        # Restack targets are arena buffers keyed per block (every
-        # block's batch state is alive simultaneously); safe to reuse
-        # across edits because per-run slices always view the *dense
-        # compile's* arrays — never a previous restack output — so stack
-        # sources cannot alias their destination.
-        batch = len(states)
-        mask = np.stack(
-            [s.mask for s in states],
-            out=self._arena.take(
-                f"rebuild_mask[{block_index}]",
-                (batch,) + states[0].mask.shape, dtype=bool,
-            ),
-        )
+        mask = np.stack([s.mask for s in states])
         batch_state = _BatchedFFNPhaseState(
-            hidden_dense=np.stack(
-                [s.hidden_dense for s in states],
-                out=self._arena.take(
-                    f"rebuild_hidden[{block_index}]",
-                    (batch,) + states[0].hidden_dense.shape,
-                ),
-            ),
+            hidden_dense=np.stack([s.hidden_dense for s in states]),
             mask=mask,
             gather_indices=np.flatnonzero(mask.ravel()),
-            partial_sums=np.stack(
-                [s.partial_sums for s in states],
-                out=self._arena.take(
-                    f"rebuild_partial[{block_index}]",
-                    (batch,) + states[0].partial_sums.shape,
-                ),
-            ),
+            partial_sums=np.stack([s.partial_sums for s in states]),
             nnz_per_request=np.array([s.nnz for s in states]),
         )
         _attach_geglu_indices(layer, batch_state)

@@ -4,13 +4,16 @@ Mirrors the interpreted stack
 (:class:`~repro.models.pipeline.DiffusionPipeline` →
 :class:`~repro.models.network.DiffusionNetwork` →
 :class:`~repro.models.transformer.TransformerBlock` with the EXION
-executor hooks) with the plan-time work hoisted out of the loop. Any
-arithmetic here must stay expression-for-expression identical to the
-interpreted path. The one licence taken: a contraction the oracle runs
-head by head is one stacked ``np.matmul`` here, which is the same bytes
-on every shape the zoo runs (pinned in
-``tests/core/test_eager_prediction.py``). The differential-parity suite
-in ``tests/exec/`` enforces the whole byte-for-byte.
+executor hooks) with the plan-time work hoisted out of the loop. The
+network's topology is the oracle's own
+(:meth:`~repro.models.network.DiffusionNetwork.walk`); only the
+transformer block is compiled here, and its arithmetic must stay
+expression-for-expression identical to the interpreted path. The one
+licence taken: a contraction the oracle runs head by head is one
+stacked ``np.matmul`` here, which is the same bytes on every shape the
+zoo runs (pinned in ``tests/core/test_eager_prediction.py``). The
+differential-parity suite in ``tests/exec/`` enforces the whole
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -34,17 +37,12 @@ from repro.core.ffn_reuse import (
 from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable, quantile_threshold
-from repro.models.activations import softmax
-from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
-from repro.models.network import NetworkType
 from repro.models.pipeline import DiffusionResult
 from repro.models.transformer import TransformerBlock
 from repro.models.zoo import BenchmarkModel
 from repro.program.cache import compiled_plan_for
 from repro.program.compiled import CompiledPlan
-
-from repro.exec.arena import ExecArena
 
 
 def build_step_tables(model: BenchmarkModel) -> tuple:
@@ -134,8 +132,6 @@ class CompiledExecutor:
             build_step_tables(model)
         )
         self._preds = build_prediction_tables(model.network, config)
-        # Per-iteration scratch reused across steps (see repro.exec.arena).
-        self._arena = ExecArena()
 
     # ------------------------------------------------------------------
     # entry point
@@ -179,8 +175,11 @@ class CompiledExecutor:
                     state.stats.dense_iterations += 1
                 else:
                     state.stats.sparse_iterations += 1
-            eps = self._forward(x, step.index, context, state)
             i = step.index
+            eps = network.walk(
+                x, self._t_embeds[i],
+                lambda index, h: self._block(index, h, context, i, state),
+            )
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
             x = scheduler.step(eps, int(timesteps[i]), x, prev_t=prev_t,
                                rng=rng)
@@ -192,62 +191,17 @@ class CompiledExecutor:
         )
 
     # ------------------------------------------------------------------
-    # network forward (mirrors DiffusionNetwork.__call__)
-    #
-    # Any topology change in models/network.py or models/transformer.py
-    # must be reflected here; tests/exec/ fails on any divergence.
+    # one transformer block (DiffusionNetwork.walk owns the topology)
     # ------------------------------------------------------------------
-    def _forward(
-        self,
-        x: np.ndarray,
-        step_index: int,
-        raw_context: Optional[np.ndarray],
-        state: _GenState,
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = x
-            for i, block in enumerate(network.blocks):
-                h = self._block(block, h, raw_context, step_index, i, state)
-            return network.out_proj(network.final_norm(h))
-
-        half = max(1, network.depth // 2)
-        t_embed = self._t_embeds[step_index]
-        h = x
-        for i in range(half):
-            h = self._stage(i, h, t_embed, raw_context, step_index, state)
-        skip = h
-        h = network._downsample(h)
-        for i in range(half, network.depth):
-            h = self._stage(i, h, t_embed, raw_context, step_index, state)
-        h = network._upsample(h, network.tokens) + skip
-        return network.out_proj(network.final_norm(h))
-
-    def _stage(
-        self,
-        index: int,
-        h: np.ndarray,
-        t_embed: np.ndarray,
-        raw_context: Optional[np.ndarray],
-        step_index: int,
-        state: _GenState,
-    ) -> np.ndarray:
-        network = self.model.network
-        if network.resblocks:
-            h = network._apply_resblock(network.resblocks[index], h, t_embed)
-        return self._block(
-            network.blocks[index], h, raw_context, step_index, index, state
-        )
-
     def _block(
         self,
-        block: TransformerBlock,
+        block_index: int,
         x: np.ndarray,
         raw_context: Optional[np.ndarray],
         step_index: int,
-        block_index: int,
         state: _GenState,
     ) -> np.ndarray:
+        block = self.model.network.blocks[block_index]
         h = block.norm1(x)
         table = self._adaln_tables[block_index]
         if table is not None:
@@ -285,7 +239,7 @@ class CompiledExecutor:
                 self.config, state.stats,
                 collect_keepmasks=self.collect_masks,
             )
-        return _attention_exact(layer, x, x)
+        return layer.attend(x, *layer.kv(x))[0]
 
     def _cross_attention(
         self,
@@ -315,12 +269,8 @@ class CompiledExecutor:
             )
         cached = state.cross_exact_kv.get(block_index)
         if cached is None:
-            cached = (
-                layer.split_heads(layer.wk(context)),
-                layer.split_heads(layer.wv(context)),
-            )
-            state.cross_exact_kv[block_index] = cached
-        return _attention_exact(layer, x, context, kv=cached)
+            cached = state.cross_exact_kv[block_index] = layer.kv(context)
+        return layer.attend(x, *cached)[0]
 
     # ------------------------------------------------------------------
     # FFN
@@ -351,7 +301,7 @@ class CompiledExecutor:
                 stats.ffn_bitmasks.append(phase_state.bitmask)
             return out
         phase_state: FFNPhaseState = state.ffn_states[block_index]
-        out = ffn_sparse_step(layer, x, phase_state, self._arena)
+        out = ffn_sparse_step(layer, x, phase_state)
         nnz = phase_state.nnz
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
         full_l1 = layer.linear1.macs(tokens)
@@ -376,24 +326,3 @@ class CompiledExecutor:
             return quantile_threshold(hidden, config.ffn_target_sparsity)
 
         return resolve
-
-
-def _attention_exact(
-    layer: MultiHeadAttention,
-    x: np.ndarray,
-    kv_input: np.ndarray,
-    kv: Optional[tuple] = None,
-) -> np.ndarray:
-    """Dense attention, op-for-op :meth:`MultiHeadAttention.forward_exact`
-    without the trace; ``kv`` carries per-generation cross-attention
-    constants."""
-    q = layer.split_heads(layer.wq(x))
-    if kv is not None:
-        k, v = kv
-    else:
-        k = layer.split_heads(layer.wk(kv_input))
-        v = layer.split_heads(layer.wv(kv_input))
-    scores = np.matmul(q, k.transpose(0, 2, 1)) * layer.scale
-    probs = softmax(scores, axis=-1)
-    attended = np.matmul(probs, v)
-    return layer.wo(layer.merge_heads(attended))

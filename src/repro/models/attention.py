@@ -78,14 +78,29 @@ class MultiHeadAttention:
         self.wo = Linear(dim, dim, rng)
 
     def split_heads(self, x: np.ndarray) -> np.ndarray:
-        """Reshape ``(tokens, dim)`` into ``(heads, tokens, head_dim)``."""
-        tokens = x.shape[0]
-        return x.reshape(tokens, self.num_heads, self.head_dim).transpose(1, 0, 2)
+        """Reshape ``(..., tokens, dim)`` into ``(..., heads, tokens,
+        head_dim)`` (a strided view; any leading batch shape)."""
+        return x.reshape(*x.shape[:-1], self.num_heads, self.head_dim).swapaxes(-2, -3)
 
     def merge_heads(self, x: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`split_heads`."""
-        heads, tokens, head_dim = x.shape
-        return x.transpose(1, 0, 2).reshape(tokens, heads * head_dim)
+        return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], self.dim)
+
+    def kv(self, kv_input: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Head-split exact K and V of ``(..., tokens, context_dim)``."""
+        return self.split_heads(self.wk(kv_input)), self.split_heads(self.wv(kv_input))
+
+    def attend(
+        self, x: np.ndarray, k: np.ndarray, v: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense attention of ``x`` over head-split ``k``/``v`` (from
+        :meth:`kv`); returns ``(out, scores, probs)``. Every leading batch
+        row is what its own 2-D call returns."""
+        q = self.split_heads(self.wq(x))
+        scores = np.matmul(q, k.swapaxes(-1, -2)) * self.scale
+        probs = softmax(scores, axis=-1)
+        out = self.wo(self.merge_heads(np.matmul(probs, v)))
+        return out, scores, probs
 
     def __call__(
         self,
@@ -103,15 +118,7 @@ class MultiHeadAttention:
     ) -> tuple[np.ndarray, AttentionTrace]:
         """Dense reference attention (the paper's "vanilla" path)."""
         kv_input = x if context is None else context
-        q = self.split_heads(self.wq(x))
-        k = self.split_heads(self.wk(kv_input))
-        v = self.split_heads(self.wv(kv_input))
-
-        scores = np.matmul(q, k.transpose(0, 2, 1)) * self.scale
-        probs = softmax(scores, axis=-1)
-        attended = np.matmul(probs, v)
-        out = self.wo(self.merge_heads(attended))
-
+        out, scores, probs = self.attend(x, *self.kv(kv_input))
         trace = AttentionTrace(
             scores=scores,
             probs=probs,

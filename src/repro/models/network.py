@@ -149,50 +149,49 @@ class DiffusionNetwork:
         t_embed = self._embed_timestep(t)
         traces: list[BlockTrace] = []
 
-        if self.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = x
-            for i, block in enumerate(self.blocks):
-                h, trace = block(
-                    h,
-                    context=context,
-                    t_embed=t_embed,
-                    executors=self._resolve_executors(executors, i),
-                )
-                traces.append(trace)
-            return self.out_proj(self.final_norm(h)), traces
+        def traced(index: int, h: np.ndarray) -> np.ndarray:
+            h, trace = self.blocks[index](
+                h,
+                context=context,
+                t_embed=t_embed,
+                executors=self._resolve_executors(executors, index),
+            )
+            traces.append(trace)
+            return h
 
-        # UNet shape: encoder half at full resolution, decoder half at
-        # half resolution, residual path across the downsample.
-        half = max(1, self.depth // 2)
-        h = x
-        for i in range(half):
-            h = self._stage(i, h, t_embed, context, executors, traces)
-        skip = h
-        h = self._downsample(h)
-        for i in range(half, self.depth):
-            h = self._stage(i, h, t_embed, context, executors, traces)
-        h = self._upsample(h, self.tokens) + skip
-        return self.out_proj(self.final_norm(h)), traces
+        return self.walk(x, t_embed, traced), traces
 
-    def _stage(
+    def walk(
         self,
-        index: int,
-        h: np.ndarray,
+        x: np.ndarray,
         t_embed: np.ndarray,
-        context: Optional[np.ndarray],
-        executors: Optional[ExecutorProvider],
-        traces: list[BlockTrace],
+        block: Callable[[int, np.ndarray], np.ndarray],
     ) -> np.ndarray:
-        if self.resblocks:
-            h = self._apply_resblock(self.resblocks[index], h, t_embed)
-        h, trace = self.blocks[index](
-            h,
-            context=context,
-            t_embed=t_embed,
-            executors=self._resolve_executors(executors, index),
-        )
-        traces.append(trace)
-        return h
+        """The network's topology around its transformer blocks.
+
+        ``x`` is ``(..., tokens, dim)`` and ``t_embed`` the matching
+        ``(..., timestep_dim)`` embedding(s) the ResBlocks read;
+        ``block(index, h)`` runs transformer block ``index`` on ``h``. The
+        oracle passes its traced blocks, the engines their compiled ones,
+        so ResBlocks, pooling and the UNet skip have this one definition.
+        """
+        def stage(h: np.ndarray, indices: range) -> np.ndarray:
+            for i in indices:
+                if self.resblocks:
+                    h = self._apply_resblock(self.resblocks[i], h, t_embed)
+                h = block(i, h)
+            return h
+
+        if self.network_type is NetworkType.TRANSFORMER_ONLY:
+            h = stage(x, range(self.depth))
+        else:
+            # UNet shape: encoder half at full resolution, decoder half at
+            # half resolution, residual path across the downsample.
+            half = max(1, self.depth // 2)
+            skip = stage(x, range(half))
+            h = stage(self._downsample(skip), range(half, self.depth))
+            h = self._upsample(h, self.tokens) + skip
+        return self.out_proj(self.final_norm(h))
 
     def _apply_resblock(
         self, resblock: ResBlock, h: np.ndarray, t_embed: np.ndarray
@@ -215,15 +214,17 @@ class DiffusionNetwork:
         )
 
     def _downsample(self, h: np.ndarray) -> np.ndarray:
-        tokens = h.shape[0]
-        if tokens % 2 == 1:
-            h = np.concatenate([h, h[-1:]], axis=0)
-        pooled = 0.5 * (h[0::2] + h[1::2])
+        """Pool token pairs along axis -2 (an odd last token pairs with
+        itself)."""
+        if h.shape[-2] % 2 == 1:
+            h = np.concatenate([h, h[..., -1:, :]], axis=-2)
+        pooled = 0.5 * (h[..., 0::2, :] + h[..., 1::2, :])
         return self.down_proj(pooled)
 
     def _upsample(self, h: np.ndarray, target_tokens: int) -> np.ndarray:
-        up = np.repeat(h, 2, axis=0)[:target_tokens]
-        if up.shape[0] < target_tokens:
-            pad = np.repeat(up[-1:], target_tokens - up.shape[0], axis=0)
-            up = np.concatenate([up, pad], axis=0)
+        """Repeat tokens along axis -2 to ``target_tokens``."""
+        up = np.repeat(h, 2, axis=-2)[..., :target_tokens, :]
+        if up.shape[-2] < target_tokens:
+            pad = np.repeat(up[..., -1:, :], target_tokens - up.shape[-2], axis=-2)
+            up = np.concatenate([up, pad], axis=-2)
         return self.up_proj(up)

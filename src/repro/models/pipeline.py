@@ -20,7 +20,6 @@ class DiffusionResult:
     sample: np.ndarray
     iterations: int
     block_traces: list = field(default_factory=list)  # [iteration][block]
-    latents: list = field(default_factory=list)  # optional per-iteration x_t
 
 
 # Provider maps (iteration_index, block_index) -> Executors or None.
@@ -68,7 +67,6 @@ class DiffusionPipeline:
         executor_provider: Optional[ExecutorProvider] = None,
         iteration_start_hook: Optional[Callable[[int, int], None]] = None,
         collect_traces: bool = False,
-        collect_latents: bool = False,
     ) -> DiffusionResult:
         """Generate one sample from noise.
 
@@ -96,8 +94,6 @@ class DiffusionPipeline:
             x = self.scheduler.step(eps, int(t), x, prev_t=prev_t, rng=rng)
             if collect_traces:
                 result.block_traces.append(traces)
-            if collect_latents:
-                result.latents.append(x.copy())
         result.sample = x
         return result
 

@@ -62,6 +62,9 @@ def build_model(
 
     ``total_iterations`` and ``depth`` override the spec for faster tests.
     """
+    for arg, value in (("total_iterations", total_iterations), ("depth", depth)):
+        if value is not None and value < 1:
+            raise ValueError(f"{arg} must be >= 1, got {value}")
     spec = get_spec(name)
     if total_iterations is not None or depth is not None:
         spec = _override(spec, total_iterations=total_iterations, depth=depth)

@@ -118,7 +118,6 @@ class Observer:
         batch_size: int,
         is_dense: bool,
         cursor: int,
-        track: str = "serve/batch",
         **args,
     ) -> Span:
         """One denoising iteration of the live continuous batch.
@@ -132,7 +131,7 @@ class Observer:
         self._tick_seconds.observe(end_s - start_s)
         self._batch_fill.observe(batch_size)
         return self.tracer.span(
-            f"tick[{phase}]", track, start_s, end_s,
+            f"tick[{phase}]", "serve/batch", start_s, end_s,
             batch_size=batch_size, cursor=cursor, phase=phase, **args,
         )
 
@@ -175,7 +174,6 @@ class Observer:
         start_s: float,
         end_s: float,
         batch_size: int,
-        track: str = "serve/batch",
         **args,
     ) -> Span:
         """One micro-batch served end-to-end by the drain-mode server."""
@@ -183,7 +181,8 @@ class Observer:
         self._batch_seconds.observe(end_s - start_s)
         self._batch_fill.observe(batch_size)
         return self.tracer.span(
-            "batch", track, start_s, end_s, batch_size=batch_size, **args,
+            "batch", "serve/batch", start_s, end_s, batch_size=batch_size,
+            **args,
         )
 
     def on_cache_lookup(self, level: str, hit: bool) -> None:
@@ -240,13 +239,12 @@ class Observer:
         phase: str,
         bound: str,
         index: int,
-        track: str = "hw/timeline",
         **args,
     ) -> Span:
         """One priced iteration segment of the hw timeline."""
         self._phase_seconds.inc(end_s - start_s, phase=phase, bound=bound)
         return self.tracer.span(
-            f"iter[{phase}]", track, start_s, end_s,
+            f"iter[{phase}]", "hw/timeline", start_s, end_s,
             phase=phase, bound=bound, index=index, **args,
         )
 

@@ -83,7 +83,6 @@ class ThresholdCache:
         config: ExionConfig,
         model_seed: int = 0,
         total_iterations: Optional[int] = None,
-        depth: Optional[int] = None,
         calibration_seed: int = 0,
         observer=None,
     ) -> ThresholdTable:
@@ -93,14 +92,14 @@ class ThresholdCache:
         on the model, the dense/sparse schedule and the target sparsity,
         so e.g. the ``ffnr`` and ``all`` ablations share one calibration.
         """
-        key = model_cache_key(name, model_seed, total_iterations, depth) + (
+        key = model_cache_key(name, model_seed, total_iterations) + (
             config.sparse_iters_n,
             config.ffn_target_sparsity,
             calibration_seed,
         )
         if not self._record("table", key in self._tables, observer):
             model = self.model(
-                name, model_seed, total_iterations, depth, observer=observer
+                name, model_seed, total_iterations, observer=observer
             )
             calibrator = ThresholdCalibrator(
                 target_sparsity=config.ffn_target_sparsity,

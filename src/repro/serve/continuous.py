@@ -460,8 +460,6 @@ class ContinuousServer:
         cache: Optional[ThresholdCache] = None,
         model_seed: int = 0,
         total_iterations: Optional[int] = None,
-        depth: Optional[int] = None,
-        activation_bits: Optional[int] = None,
         calibrate: bool = False,
         calibration_seed: int = 0,
         clock=time.perf_counter,
@@ -471,6 +469,10 @@ class ContinuousServer:
         retain_results: bool = True,
         observer=None,
     ) -> None:
+        if total_iterations is not None and total_iterations < 1:
+            raise ValueError(
+                f"total_iterations must be >= 1, got {total_iterations}"
+            )
         self.model_name = model_name
         self.config = (
             config if config is not None else ExionConfig.for_model(model_name)
@@ -490,8 +492,6 @@ class ContinuousServer:
         self.observer = observer
         self._model_seed = model_seed
         self._total_iterations = total_iterations
-        self._depth = depth
-        self._activation_bits = activation_bits
         self._calibrate = calibrate
         self._calibration_seed = calibration_seed
 
@@ -554,19 +554,16 @@ class ContinuousServer:
 
         model = self.cache.model(
             self.model_name, self._model_seed, self._total_iterations,
-            self._depth, observer=self.observer,
+            observer=self.observer,
         )
         table = None
         if self._calibrate and self.config.enable_ffn_reuse:
             table = self.cache.table(
                 self.model_name, self.config, self._model_seed,
-                self._total_iterations, self._depth, self._calibration_seed,
+                self._total_iterations, self._calibration_seed,
                 observer=self.observer,
             )
-        return ContinuousExecutor(
-            model, self.config, threshold_table=table,
-            activation_bits=self._activation_bits,
-        )
+        return ContinuousExecutor(model, self.config, threshold_table=table)
 
     # ------------------------------------------------------------------
     # client API

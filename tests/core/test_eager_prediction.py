@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import (
-    EagerPredictor,
-    _split_heads_batched,
-    ep_decide,
-)
+from repro.core.eager_prediction import EagerPredictor, ep_decide
 from repro.core.sparsity import RunStats
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
@@ -242,9 +238,8 @@ class TestStackedContractions:
         layer = MultiHeadAttention(64, heads, rng)
         x = rng.standard_normal((3, tq, 64))
         kv_input = rng.standard_normal((3, tk, 64))
-        q = _split_heads_batched(layer.wq(x), heads)
-        k = _split_heads_batched(layer.wk(kv_input), heads)
-        v = _split_heads_batched(layer.wv(kv_input), heads)
+        q = layer.split_heads(layer.wq(x))
+        k, v = layer.kv(kv_input)
         probs = softmax(rng.standard_normal((3, heads, tq, tk)))
         scores4 = np.matmul(q, k.transpose(0, 1, 3, 2))
         attended4 = np.matmul(probs, v)

@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExionConfig
+from repro.core.logdomain import approximation_table
 from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdTable
-from repro.exec import ContinuousExecutor
+from repro.exec import CompiledExecutor, ContinuousExecutor
 from repro.models.zoo import build_model
 from repro.serve.request import GenerationRequest
 from repro.workloads.specs import MODEL_SPECS
@@ -137,6 +138,16 @@ class TestSeededFuzz:
         _assert_identical(ri, rc)
         assert rc.diffusion.block_traces
 
+    def test_repeated_generations_are_bit_equal(self):
+        """Two generations on one engine are bit-identical, and the second
+        builds no approximation table: it is plan-time state."""
+        executor = CompiledExecutor(_model("dit"), ExionConfig.for_model("dit"))
+        first = executor.generate(seed=0)
+        tables_after_first = approximation_table.cache_info().misses
+        second = executor.generate(seed=0)
+        np.testing.assert_array_equal(first.sample, second.sample)
+        assert approximation_table.cache_info().misses == tables_after_first
+
 
 class TestBatchedParity:
     """The batched engine vs per-seed runs of the interpreted oracle."""
@@ -174,6 +185,19 @@ class TestBatchedParity:
             got, _ = ExionPipeline(m, config).generate_batch(
                 [7, 8], class_label=2, batched=batched)
             assert np.array_equal(want, got)
+
+    def test_repeated_drained_batches_are_bit_equal(self):
+        """A second ``run_batch`` of the same seeds on one engine is
+        bit-identical to the first and builds no approximation table:
+        nothing one batch leaves behind reaches the next."""
+        executor = ContinuousExecutor(_model("dit"), ExionConfig.for_model("dit"))
+        requests = _requests((0, 1, 2))
+        first = executor.run_batch(requests)
+        tables_after_first = approximation_table.cache_info().misses
+        second = executor.run_batch(requests)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a.sample, b.sample)
+        assert approximation_table.cache_info().misses == tables_after_first
 
     def test_batched_matches_single_stream(self):
         """Batch row b == compiled single-stream per seed — the same

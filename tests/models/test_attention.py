@@ -6,6 +6,16 @@ import pytest
 from repro.models.activations import softmax
 from repro.models.attention import AttentionTrace, MultiHeadAttention
 
+#: No leading axis, and a leading batch of three requests.
+BATCHES = ((), (3,))
+
+
+def assert_stacked(batched, rows):
+    """``batched`` is byte-equal to stacking the per-request results."""
+    stacked = np.stack(rows)
+    assert batched.shape == stacked.shape
+    assert batched.tobytes() == stacked.tobytes()
+
 
 class TestMultiHeadAttention:
     def test_output_shape(self, rng):
@@ -25,19 +35,33 @@ class TestMultiHeadAttention:
             trace.probs.sum(axis=-1), np.ones((2, 5)), atol=1e-12
         )
 
-    def test_split_merge_roundtrip(self, rng):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_split_merge_roundtrip(self, rng, batch):
         attn = MultiHeadAttention(12, 3, rng)
-        x = rng.standard_normal((7, 12))
-        np.testing.assert_array_equal(attn.merge_heads(attn.split_heads(x)), x)
+        x = rng.standard_normal((*batch, 7, 12))
+        heads = attn.split_heads(x)
+        assert heads.shape == (*batch, 3, 7, 4)
+        np.testing.assert_array_equal(attn.merge_heads(heads), x)
+        if batch:
+            assert_stacked(heads, [attn.split_heads(xb) for xb in x])
+            assert_stacked(attn.merge_heads(heads),
+                           [attn.merge_heads(hb) for hb in heads])
 
-    def test_matches_manual_computation(self, rng):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_matches_manual_computation(self, rng, batch):
         attn = MultiHeadAttention(8, 1, rng)
-        x = rng.standard_normal((4, 8))
+        x = rng.standard_normal((*batch, 4, 8))
         q, k, v = attn.wq(x), attn.wk(x), attn.wv(x)
-        scores = (q @ k.T) * attn.scale
+        scores = (q @ k.swapaxes(-1, -2)) * attn.scale
         expected = attn.wo(softmax(scores) @ v)
-        out, _ = attn(x)
-        np.testing.assert_allclose(out, expected)
+        got = attn.attend(x, *attn.kv(x))
+        np.testing.assert_allclose(got[0], expected)
+        if batch:  # out, scores and probs of each request's own call
+            solo = [attn.attend(xb, *attn.kv(xb)) for xb in x]
+            for i, tensor in enumerate(got):
+                assert_stacked(tensor, [s[i] for s in solo])
+        else:
+            assert got[0].tobytes() == attn(x)[0].tobytes()
 
     def test_cross_attention_uses_context(self, rng):
         attn = MultiHeadAttention(8, 2, rng, context_dim=6)
@@ -48,11 +72,23 @@ class TestMultiHeadAttention:
         out2, _ = attn(x, context=ctx2)
         assert not np.allclose(out1, out2)
 
-    def test_cross_attention_score_shape(self, rng):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_cross_attention_score_shape(self, rng, batch):
         attn = MultiHeadAttention(8, 2, rng, context_dim=6)
-        _, trace = attn(rng.standard_normal((4, 8)),
-                        context=rng.standard_normal((3, 6)))
-        assert trace.scores.shape == (2, 4, 3)
+        x = rng.standard_normal((*batch, 4, 8))
+        context = rng.standard_normal((*batch, 3, 6))
+        if not batch:
+            _, trace = attn(x, context=context)
+            assert trace.scores.shape == (2, 4, 3)
+            return
+        k, v = attn.kv(context)
+        got = attn.attend(x, k, v)
+        assert got[1].shape == (*batch, 2, 4, 3)
+        assert_stacked(k, [attn.kv(c)[0] for c in context])
+        assert_stacked(v, [attn.kv(c)[1] for c in context])
+        solo = [attn.attend(xb, *attn.kv(c)) for xb, c in zip(x, context)]
+        for i, tensor in enumerate(got):
+            assert_stacked(tensor, [s[i] for s in solo])
 
     def test_executor_hook_overrides(self, rng):
         attn = MultiHeadAttention(8, 2, rng)

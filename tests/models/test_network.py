@@ -12,6 +12,15 @@ from repro.models.transformer import Executors
 from repro.models.zoo import build_model
 
 RESBLOCK_MODELS = ("stable_diffusion", "make_an_audio", "videocrafter2")
+#: No leading axis, and a leading batch of three requests.
+BATCHES = ((), (3,))
+
+
+def assert_stacked(batched, rows):
+    """``batched`` is byte-equal to stacking the per-request results."""
+    stacked = np.stack(rows)
+    assert batched.shape == stacked.shape
+    assert batched.tobytes() == stacked.tobytes()
 
 
 def make_network(network_type, rng, tokens=16, depth=4, **kwargs):
@@ -83,10 +92,19 @@ class TestTransformerUNet:
         assert out.shape == (16, 32)
         assert len(traces) == 4
 
-    def test_odd_token_count(self, rng):
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_odd_token_count(self, rng, batch):
         net = make_network(NetworkType.TRANSFORMER_UNET, rng, tokens=15)
         out, _ = net(rng.standard_normal((15, 32)), t=5)
         assert out.shape == (15, 32)
+        h = rng.standard_normal((*batch, 15, 32))
+        down = net._downsample(h)  # the odd last token pairs with itself
+        assert down.shape == (*batch, 8, 32)
+        up = net._upsample(down[..., :3, :], 15)  # 6 tokens: padded to 15
+        assert up.shape == (*batch, 15, 32)
+        if batch:
+            assert_stacked(down, [net._downsample(hb) for hb in h])
+            assert_stacked(up, [net._upsample(db[:3], 15) for db in down])
 
     def test_decoder_runs_at_half_resolution(self, rng):
         net = make_network(NetworkType.TRANSFORMER_UNET, rng)
@@ -128,3 +146,40 @@ class TestResBlockUNet:
             ])
             assert stacked.tobytes() == per_request.tobytes()
 
+
+
+class TestWalk:
+    @pytest.mark.parametrize("network_type,depth", (
+        (NetworkType.TRANSFORMER_ONLY, 4),
+        (NetworkType.TRANSFORMER_UNET, 1),
+        (NetworkType.TRANSFORMER_UNET, 3),
+        (NetworkType.RESBLOCK_UNET, 1),
+        (NetworkType.RESBLOCK_UNET, 3),
+    ))
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_walk_is_the_forward_for_any_batch(self, rng, network_type, depth,
+                                              batch):
+        """A plain block through ``walk`` is the oracle's forward, and a
+        leading batch of three is its three solo forwards stacked."""
+        net = make_network(network_type, rng, depth=depth)
+        timesteps = (7, 70, 700)
+        xs = rng.standard_normal((3, 16, 32))
+        t_embeds = np.stack([net._embed_timestep(t) for t in timesteps])
+        solo = [net(xb, t)[0] for xb, t in zip(xs, timesteps)]
+
+        def block(index, h):
+            return net.blocks[index](h)[0]
+
+        if batch:
+            assert_stacked(net.walk(xs, t_embeds, block), solo)
+        else:
+            out = net.walk(xs[0], t_embeds[0], block)
+            assert out.tobytes() == solo[0].tobytes()
+        if depth == 1:
+            # One encoder stage, an empty decoder, and the skip across them.
+            h = xs[0]
+            if net.resblocks:
+                h = net._apply_resblock(net.resblocks[0], h, t_embeds[0])
+            h = block(0, h)
+            h = net._upsample(net._downsample(h), 16) + h
+            assert solo[0].tobytes() == net.out_proj(net.final_norm(h)).tobytes()

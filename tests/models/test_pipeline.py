@@ -7,6 +7,19 @@ from repro.models.pipeline import DiffusionPipeline
 from repro.models.transformer import Executors
 
 
+def _record_latents(pipe, monkeypatch) -> list:
+    """Every latent ``x_t`` the pipeline's scheduler steps to, in order."""
+    latents = []
+    step = pipe.scheduler.step
+
+    def recording(*args, **kwargs):
+        latents.append(step(*args, **kwargs))
+        return latents[-1]
+
+    monkeypatch.setattr(pipe.scheduler, "step", recording)
+    return latents
+
+
 class TestDiffusionPipeline:
     def test_generates_correct_shape(self, dit_model):
         pipe = dit_model.make_pipeline()
@@ -38,11 +51,12 @@ class TestDiffusionPipeline:
         assert len(result.block_traces) == 9
         assert len(result.block_traces[0]) == dit_model.network.depth
 
-    def test_collect_latents(self, dit_model):
+    def test_collect_latents(self, dit_model, monkeypatch):
         pipe = dit_model.make_pipeline()
-        result = pipe.generate(seed=0, collect_latents=True)
-        assert len(result.latents) == 9
-        np.testing.assert_array_equal(result.latents[-1], result.sample)
+        latents = _record_latents(pipe, monkeypatch)
+        result = pipe.generate(seed=0)
+        assert len(latents) == 9
+        np.testing.assert_array_equal(latents[-1], result.sample)
 
     def test_iteration_hook_sees_every_iteration(self, dit_model):
         pipe = dit_model.make_pipeline()
@@ -70,11 +84,12 @@ class TestDiffusionPipeline:
         with pytest.raises(TypeError):
             DiffusionPipeline(dit_model.network, object(), 10)
 
-    def test_latents_stay_bounded(self, dit_model):
+    def test_latents_stay_bounded(self, dit_model, monkeypatch):
         """The x0-clipping in the scheduler keeps latents finite and within
         the clip envelope (|x| <= 10 per element at the final step)."""
         pipe = dit_model.make_pipeline()
-        result = pipe.generate(seed=0, collect_latents=True)
-        for latent in result.latents:
+        latents = _record_latents(pipe, monkeypatch)
+        pipe.generate(seed=0)
+        for latent in latents:
             assert np.all(np.isfinite(latent))
-        assert np.max(np.abs(result.latents[-1])) <= 10.0 + 1e-9
+        assert np.max(np.abs(latents[-1])) <= 10.0 + 1e-9

@@ -41,6 +41,11 @@ class TestBuildModel:
         assert model.spec.total_iterations == 5
         assert model.network.depth == 2
 
+    @pytest.mark.parametrize("arg", ("total_iterations", "depth"))
+    def test_rejects_an_empty_override_naming_it(self, arg):
+        with pytest.raises(ValueError, match=f"{arg} must be >= 1, got 0"):
+            build_model("dit", **{arg: 0})
+
     def test_deterministic_weights(self):
         a = build_model("mdm", seed=9)
         b = build_model("mdm", seed=9)

@@ -151,6 +151,10 @@ class TestFairQueue:
 # admission control
 # ----------------------------------------------------------------------
 class TestAdmission:
+    def test_zero_iterations_rejected_naming_the_argument(self):
+        with pytest.raises(ValueError, match="total_iterations must be >= 1"):
+            ContinuousServer("dit", total_iterations=0, dry_run=True)
+
     def test_queue_depth_bound_rejects(self):
         server = _dry_server(policy=ContinuousPolicy(max_queue_depth=2))
         assert server.submit(seed=0) is not None

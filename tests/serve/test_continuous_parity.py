@@ -27,7 +27,6 @@ from repro.serve import (
 from repro.serve.cache import ThresholdCache
 
 FAST_ITERATIONS = 6
-DEPTH = 2  # shrink transformer depth; the schedule shape is unchanged
 
 #: One cache for the module: every server and the solo oracle share the
 #: exact same model build, so differences can only come from scheduling.
@@ -41,13 +40,12 @@ def _server(ablation="all", **policy_kwargs):
         policy=ContinuousPolicy(**policy_kwargs),
         cache=_CACHE,
         total_iterations=FAST_ITERATIONS,
-        depth=DEPTH,
     )
 
 
 @functools.lru_cache(maxsize=None)
 def _oracle(ablation):
-    model = _CACHE.model("dit", 0, FAST_ITERATIONS, DEPTH)
+    model = _CACHE.model("dit", 0, FAST_ITERATIONS)
     return ExionPipeline(model, ExionConfig.for_model("dit").ablation(ablation),
                          compiled=False)
 
@@ -103,7 +101,6 @@ def test_deadline_eviction_leaves_survivors_identical():
         policy=ContinuousPolicy(max_batch_size=4),
         cache=_CACHE,
         total_iterations=FAST_ITERATIONS,
-        depth=DEPTH,
         clock=lambda: clock_now[0],
     )
     doomed = server.submit(seed=5, class_label=1, deadline_s=2.0)

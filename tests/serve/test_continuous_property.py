@@ -36,7 +36,6 @@ MODELS = sorted(MODEL_SPECS)
 DRY_ITERATIONS = 12
 
 FAST_ITERATIONS = 6
-DEPTH = 2
 _CACHE = ThresholdCache()
 
 # One scheduling action: enqueue a request or advance the batch a tick.
@@ -100,7 +99,7 @@ def test_joins_only_at_dense_boundaries(model, ablation, ops, max_batch_size):
 
 @functools.lru_cache(maxsize=None)
 def _oracle():
-    model = _CACHE.model("dit", 0, FAST_ITERATIONS, DEPTH)
+    model = _CACHE.model("dit", 0, FAST_ITERATIONS)
     return ExionPipeline(model, ExionConfig.for_model("dit").ablation("all"),
                          compiled=False)
 
@@ -122,7 +121,6 @@ def test_random_staggered_joins_byte_identical(seeds, stagger, late_seed):
         policy=ContinuousPolicy(max_batch_size=4),
         cache=_CACHE,
         total_iterations=FAST_ITERATIONS,
-        depth=DEPTH,
     )
     for i, seed in enumerate(seeds):
         server.submit(seed=seed, class_label=i)

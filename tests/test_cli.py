@@ -51,6 +51,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--arrival", "weibull"])
 
+    @pytest.mark.parametrize("command", ("generate", "serve", "cluster",
+                                         "explore", "program", "trace"))
+    def test_zero_iterations_rejected_naming_the_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--iterations", "0"])
+        assert "argument --iterations: must be >= 1, got 0" in (
+            capsys.readouterr().err)
+
     def test_explore_defaults(self):
         args = build_parser().parse_args(["explore"])
         assert args.strategy == "random"

@@ -123,3 +123,52 @@ def test_calls_from_tests_do_not_count(tmp_path):
 def test_type_positions_are_not_value_uses(tmp_path, use):
     found = flagged(tmp_path, f"from repro.lib import Base\nobj = None\n{use}\n")
     assert ("Base.__init__", "x") in found
+
+
+@pytest.mark.parametrize("caller", (
+    # a dict display
+    "f(0, **{'b': 2})",
+    # dict() with keywords only
+    "f(0, **dict(b=2))",
+    # a local bound only to those, grown by string-keyed stores
+    """
+    def main(flag):
+        options = {}
+        if flag:
+            options = dict(b=2)
+        options["b"] = 3
+        f(0, **options)
+    """,
+), ids=("display", "dict-call", "local-name"))
+def test_readable_kwargs_pass_their_keys(tmp_path, caller):
+    found = flagged(tmp_path, "from repro.lib import f\n"
+                    + textwrap.dedent(caller))
+    assert ("f", "b") not in found
+    assert ("f", "c") in found
+
+
+@pytest.mark.parametrize("caller", (
+    """
+    def main():
+        for options in ({"b": 2},):
+            f(0, **options)
+    """,
+    """
+    def main(make):
+        f(0, **make())
+    """,
+    """
+    def main(more):
+        options = {}
+        options.update(more)
+        f(0, **options)
+    """,
+    """
+    def main(options):
+        f(0, **options)
+    """,
+), ids=("loop-variable", "call", "updated-name", "parameter"))
+def test_unreadable_kwargs_keep_everything(tmp_path, caller):
+    found = flagged(tmp_path, "from repro.lib import f\n"
+                    + textwrap.dedent(caller))
+    assert not {("f", "b"), ("f", "c")} & found

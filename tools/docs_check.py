@@ -40,13 +40,18 @@ Six checks, all hard failures:
    entry directories, by keyword or by position (``self``/``cls`` not
    counted). Calls match by bare name; a class's ``__init__`` is also
    reached through calls to its subclasses, ``super().__init__(...)``
-   and ``cls(...)`` in its classmethods. A callee keeps every parameter
-   when a call passes it ``*args``/``**kwargs`` it cannot read, or when
-   its name is used as a value (stored, passed or returned; a call
-   target, annotation, ``isinstance`` operand, attribute base or class
-   base is not a value use). A call that only forwards its enclosing
-   def's own ``*args``/``**kwargs`` passes what the calls reaching that
-   def pass. Any other defaulted parameter is a constant: inline it.
+   and ``cls(...)`` in its classmethods. A ``**`` operand passes the
+   keys it can be read to hold: a dict display with string keys,
+   ``dict(k=...)`` with keywords only, or a name local to the enclosing
+   def whose every binding there is one of those, plus ``name["k"] =
+   ...`` stores. A callee keeps every parameter when a call passes it
+   any other ``*``/``**`` operand (a loop variable, ``**f()``, a
+   parameter, a name ``.update()`` touches), or when its name is used
+   as a value (stored, passed or returned; a call target, annotation,
+   ``isinstance`` operand, attribute base or class base is not a value
+   use). A call that only forwards its enclosing def's own
+   ``*args``/``**kwargs`` passes what the calls reaching that def pass.
+   Any other defaulted parameter is a constant: inline it.
 
 Run from the repository root::
 
@@ -335,7 +340,8 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
 
     def visit(node, where, klass=None, scope=None):
         """``klass`` is the innermost enclosing class and ``scope`` the
-        innermost enclosing def as ``(callee, *args name, **kwargs name)``."""
+        innermost enclosing def as ``(callee, *args name, **kwargs name,
+        def node)``."""
         skipped = {id(child) for child in not_values(node)}
         for child in ast.iter_child_nodes(node):
             if child is getattr(node, "annotation", None) or (
@@ -355,7 +361,7 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
                                callee, method)
                 args = child.args
                 inner_scope = (callee, args.vararg and args.vararg.arg,
-                               args.kwarg and args.kwarg.arg)
+                               args.kwarg and args.kwarg.arg, child)
             elif isinstance(child, ast.Call):
                 record_call(child, klass, scope)
             elif (isinstance(child, (ast.Name, ast.Attribute))
@@ -392,18 +398,74 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
         receiver = getattr(node.func, "value", None)
         if name == "__init__" and _bare(getattr(receiver, "func", None)) == "super":
             names = sorted(bases.get(klass, ()))
+        keywords = {k.arg for k in node.keywords} - {None}
         starred = [a.value for a in node.args if isinstance(a, ast.Starred)]
-        starred += [k.value for k in node.keywords if k.arg is None]
+        for k in node.keywords:
+            found = None if k.arg else keys_of(k.value, scope and scope[3])
+            if found is not None:
+                keywords |= found
+            elif k.arg is None:
+                starred.append(k.value)
         star = bool(starred)
         if starred and scope and all(
-                isinstance(s, ast.Name) and s.id in scope[1:]
+                isinstance(s, ast.Name) and s.id in scope[1:3]
                 for s in starred):
             star = scope[0]
         record = (len(node.args) - sum(
-            isinstance(a, ast.Starred) for a in node.args),
-            {k.arg for k in node.keywords} - {None}, star)
+            isinstance(a, ast.Starred) for a in node.args), keywords, star)
         for callee in names:
             calls.setdefault(callee, []).append(record)
+
+    def keys_of(node, fdef) -> set[str] | None:
+        """The string keys a ``**`` operand holds; ``None`` if opaque."""
+        if isinstance(node, ast.Dict):
+            if all(isinstance(k, ast.Constant) and isinstance(k.value, str)
+                   for k in node.keys):  # a ``**`` entry has key None
+                return {k.value for k in node.keys}
+        elif isinstance(node, ast.Call):
+            if (isinstance(node.func, ast.Name) and node.func.id == "dict"
+                    and not node.args and all(k.arg for k in node.keywords)):
+                return {k.arg for k in node.keywords}
+        elif isinstance(node, ast.Name) and fdef is not None:
+            return local_keys(node.id, fdef)
+        return None
+
+    def local_keys(name: str, fdef) -> set[str] | None:
+        """Keys of a local of ``fdef`` bound only to dict displays or
+        ``dict(...)`` and grown only by string-keyed item stores."""
+        args = fdef.args
+        if name in {a.arg for a in (*args.posonlyargs, *args.args,
+                                    *args.kwonlyargs, args.vararg,
+                                    args.kwarg) if a}:
+            return None
+        parents = {id(child): parent for parent in ast.walk(fdef)
+                   for child in ast.iter_child_nodes(parent)}
+        keys, bound = set(), False
+        for node in ast.walk(fdef):
+            if isinstance(node, (ast.Global, ast.Nonlocal)) and (
+                    name in node.names):
+                return None
+            if not (isinstance(node, ast.Name) and node.id == name):
+                continue
+            parent = parents[id(node)]
+            if isinstance(node.ctx, ast.Store):
+                found = (keys_of(parent.value, None)
+                         if isinstance(parent, ast.Assign)
+                         and any(t is node for t in parent.targets) else None)
+                if found is None:
+                    return None
+                keys, bound = keys | found, True
+            elif (isinstance(parent, ast.Subscript) and parent.value is node
+                  and isinstance(parent.ctx, ast.Store)):
+                key = parent.slice
+                if not (isinstance(key, ast.Constant)
+                        and isinstance(key.value, str)):
+                    return None
+                keys.add(key.value)
+            elif isinstance(parent, ast.Attribute) and (
+                    parent.attr in ("update", "setdefault")):
+                return None
+        return keys if bound else None
 
     def reaching(callee) -> set[str]:
         """Call names that reach ``callee``: a class's ``__init__`` is

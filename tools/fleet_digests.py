@@ -4,8 +4,7 @@
 An unchanged line is a byte-identical artefact. Cells run in drain and
 in continuous mode. The expected output is committed next to this file
 (``fleet_digests.txt``); a PR that means to change an artefact shows the
-changed hash in its diff. ``--src DIR`` imports another checkout
-(``BatchingPolicy`` and ``tick_time`` commits too)::
+changed hash in its diff. ``--src DIR`` imports another checkout::
 
     python tools/fleet_digests.py                  # print the lines
     python tools/fleet_digests.py --check          # ... and diff, exit 1
@@ -41,18 +40,6 @@ from repro.obs import Observer, chrome_trace_json, run_trace_scenario, scenario 
 from repro.obs.analyze import analyze_tracer  # noqa: E402
 
 LINES: list = []
-
-
-def drain_policy(**knobs):
-    if hasattr(serve, "BatchingPolicy"):  # commits before the server collapse
-        return serve.BatchingPolicy(**knobs)
-    return serve.ContinuousPolicy(drain=True, **knobs)
-
-
-def price_hook(service_model, model, ablation, drain):
-    if hasattr(scenario, "make_tick_time"):  # commits before the one-price hook
-        return {"tick_time": scenario.make_tick_time(service_model, model, ablation, drain)}
-    return {"price": functools.partial(service_model.price, model, ablation)}
 
 
 def emit(cell: str, text: str) -> None:
@@ -93,8 +80,8 @@ def simulated_server(continuous):
         policy=serve.ContinuousPolicy(max_batch_size=4, drain=not continuous),
         tenant_weights={"alice": 2.0, "bob": 1.0}, total_iterations=12,
         clock=clock, dry_run=True,
-        **price_hook(ServiceTimeModel("exion24", iterations=12), "dit", "all",
-                     not continuous),
+        price=functools.partial(ServiceTimeModel("exion24", iterations=12).price,
+                                "dit", "all"),
     )
     for i in range(10):
         server.submit(seed=i, tenant=("alice", "bob")[i % 2])
@@ -125,7 +112,7 @@ def main() -> int:
         fleet("mmpp-deadline2s-observed-jsq2", bursty, continuous, 2,
               slo=SLOPolicy(latency_target_s=2.0), observer=Observer())
     fleet("poisson300-maxwait50ms-jsq4", poisson, False, 4,
-          policy=drain_policy(max_batch_size=8, max_wait_s=0.05))
+          policy=serve.ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=0.05))
     trace_scenario("scenario/continuous", continuous=True)
     # The pricing seam's other users: the drain scenario, the scenario's
     # cold surcharge, and a serve --simulate style server.
