@@ -17,17 +17,35 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 
 from repro.analysis.report import format_table, percent
 
+_COMPARISONS = {">=": operator.ge, ">": operator.gt}
 
-def _iterations(text: str) -> int:
-    """The ``--iterations`` type: a denoising step count of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+
+def _number(kind: type, op: str, bound: float):
+    """An argparse type: a ``kind`` (``int`` or ``float``) that is ``op``
+    ``bound``. A value breaking the rule exits 2 with ``argument --X: must
+    be <op> <bound>, got <value>`` instead of a constructor traceback."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not _COMPARISONS[op](value, bound):  # NaN fails every rule
+            raise argparse.ArgumentTypeError(
+                f"must be {op} {bound}, got {value}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+#: A count of at least one: iterations, replicas, batch sizes, depths.
+_count = _number(int, ">=", 1)
+_positive = _number(float, ">", 0)
+_non_negative = _number(float, ">=", 0)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -900,14 +918,14 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
     """Batching-policy and obs-output flags of ``serve`` and ``cluster``
     (times are seconds on the command's clock: wall for a real server,
     simulated for ``--simulate`` and the fleet)."""
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--max-wait", type=float, default=0.0,
+    p.add_argument("--batch-size", type=_count, default=8)
+    p.add_argument("--max-wait", type=_non_negative, default=0.0,
                    help="hold a partial batch back this many seconds")
     p.add_argument("--continuous", action="store_true",
                    help="iteration-level continuous batching: requests "
                         "join/leave the live batch at dense-phase "
                         "boundaries instead of drain-and-refill")
-    p.add_argument("--quantum", type=float, default=1.0,
+    p.add_argument("--quantum", type=_positive, default=1.0,
                    help="fair-queuing deficit credit per round")
     p.add_argument("--aging", type=float, default=None,
                    help="promote a queued request one priority class "
@@ -917,7 +935,7 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tenants", default=None,
                    help="tenant fair-queuing weights 'alice=2,bob=1'; "
                         "requests are assigned round-robin")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--timeout", type=_non_negative, default=None,
                    help="drop queued requests older than this")
     p.add_argument("--metrics-out", default=None,
                    help="write the canonical JSON metrics snapshot here "
@@ -939,8 +957,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                         "(joins/preemptions/evictions) instead of "
                         "drain-and-refill micro-batching")
     p.add_argument("--requests", type=int, default=8)
-    p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--iterations", type=_iterations, default=None,
+    p.add_argument("--batch-size", type=_count, default=2)
+    p.add_argument("--iterations", type=_count, default=None,
                    help="denoising iterations (default: paper scale)")
     p.add_argument("--seed", type=int, default=0,
                    help="first request seed; same seed -> "
@@ -967,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--model", default="dit")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--model-seed", type=int, default=0)
-    gen.add_argument("--iterations", type=_iterations, default=None)
+    gen.add_argument("--iterations", type=_count, default=None)
     gen.add_argument("--prompt", default="a corgi surfing a wave")
     gen.add_argument("--class-label", type=int, default=None)
     gen.add_argument("--ablation", default="all",
@@ -985,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="weight-initialization seed of the served model")
     srv.add_argument("--calibration-seed", type=int, default=0,
                      help="seed of the offline threshold calibration run")
-    srv.add_argument("--iterations", type=_iterations, default=None)
+    srv.add_argument("--iterations", type=_count, default=None)
     srv.add_argument("--prompt", default=None)
     srv.add_argument("--class-label", type=int, default=None)
     srv.add_argument("--ablation", default="all",
@@ -1013,27 +1031,27 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated benchmark models in the mix")
     clu.add_argument("--ablation", default="all",
                      choices=_ABLATIONS)
-    clu.add_argument("--replicas", type=int, default=4)
+    clu.add_argument("--replicas", type=_count, default=4)
     clu.add_argument("--accelerator", default="exion24",
                      choices=_ACCELERATORS)
     clu.add_argument("--router", default="jsq",
                      choices=["round_robin", "jsq", "cache_affinity"])
     clu.add_argument("--arrival", default="poisson",
                      choices=["poisson", "mmpp", "diurnal"])
-    clu.add_argument("--rate", type=float, default=100.0,
+    clu.add_argument("--rate", type=_positive, default=100.0,
                      help="arrival rate in requests/s (peak rate for "
                           "mmpp/diurnal; their trough is rate/4)")
-    clu.add_argument("--dwell", type=float, default=1.0,
+    clu.add_argument("--dwell", type=_positive, default=1.0,
                      help="mean MMPP state dwell time in seconds")
-    clu.add_argument("--period", type=float, default=60.0,
+    clu.add_argument("--period", type=_positive, default=60.0,
                      help="diurnal ramp period in seconds")
-    clu.add_argument("--requests", type=int, default=64)
+    clu.add_argument("--requests", type=_number(int, ">=", 0), default=64)
     clu.add_argument("--seed", type=int, default=0,
                      help="trace seed; same seed -> byte-identical report")
     _add_serving_flags(clu)
-    clu.add_argument("--slo-target", type=float, default=None,
+    clu.add_argument("--slo-target", type=_positive, default=None,
                      help="latency SLO target in seconds (attainment)")
-    clu.add_argument("--max-queue-depth", type=int, default=None,
+    clu.add_argument("--max-queue-depth", type=_count, default=None,
                      help="per-replica admission-control bound")
     clu.add_argument("--trace", default=None,
                      help="replay a JSONL trace file instead of synthesizing")
@@ -1042,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--execute", action="store_true",
                      help="actually run the numeric generation per batch "
                           "(slow; default is accounting-only)")
-    clu.add_argument("--iterations", type=_iterations, default=None,
+    clu.add_argument("--iterations", type=_count, default=None,
                      help="truncate the denoising schedule: priced by the "
                           "hw model and, with --execute, actually run")
     clu.add_argument("--json", default=None,
@@ -1076,7 +1094,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated objective names (default: "
                           "latency_s,energy_j,accuracy_psnr_db; cluster "
                           "mode: samples_per_s,slo_attainment,energy_j)")
-    exp.add_argument("--iterations", type=_iterations, default=12,
+    exp.add_argument("--iterations", type=_count, default=12,
                      help="denoising iterations the objectives price")
     exp.add_argument("--workers", type=int, default=1,
                      help="evaluation worker processes")
@@ -1167,9 +1185,9 @@ def build_parser() -> argparse.ArgumentParser:
     prg.add_argument("--model", default="dit")
     prg.add_argument("--ablation", default="all",
                      choices=_ABLATIONS)
-    prg.add_argument("--iterations", type=_iterations, default=None,
+    prg.add_argument("--iterations", type=_count, default=None,
                      help="phase-plan length (default: the spec's count)")
-    prg.add_argument("--batch", type=int, default=1)
+    prg.add_argument("--batch", type=_count, default=1)
     prg.add_argument("--json", action="store_true",
                      help="emit the canonical byte-stable plan JSON")
     prg.add_argument("--compile", action="store_true",
@@ -1182,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", default="dit")
     sim.add_argument("--accelerator", default="exion24",
                      choices=_ACCELERATORS)
-    sim.add_argument("--batch", type=int, default=1)
+    sim.add_argument("--batch", type=_count, default=1)
     sim.set_defaults(func=_cmd_simulate)
 
     sub.add_parser("opcount", help="Fig. 4 operation breakdown").set_defaults(

@@ -36,6 +36,8 @@ from repro.workloads.specs import get_spec
 
 #: Seeds drawn for individual requests stay below this bound.
 _SEED_BOUND = 2**31 - 1
+#: Random class labels drawn per request lie in ``[0, _LABEL_COUNT)``.
+_LABEL_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -218,14 +220,12 @@ class DiurnalProcess(ArrivalProcess):
 class WorkloadMix:
     """Which models (and ablation) arriving requests ask for.
 
-    ``weights`` are relative sampling weights (uniform when omitted);
-    ``label_count`` bounds the random class labels drawn per request.
+    ``weights`` are relative sampling weights (uniform when omitted).
     """
 
     models: tuple = ("dit",)
     weights: Optional[tuple] = None
     ablation: str = "all"
-    label_count: int = 1000
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -234,8 +234,6 @@ class WorkloadMix:
             get_spec(name)  # raises KeyError for unknown models
         if self.weights is not None and len(self.weights) != len(self.models):
             raise ValueError("weights must match models")
-        if self.label_count < 1:
-            raise ValueError("label_count must be >= 1")
 
     def probabilities(self) -> np.ndarray:
         if self.weights is None:
@@ -277,7 +275,7 @@ def synthesize_trace(
     probs = mix.probabilities()
     picks = rng.choice(len(mix.models), size=n, p=probs)
     seeds = rng.integers(0, _SEED_BOUND, size=n)
-    labels = rng.integers(0, mix.label_count, size=n)
+    labels = rng.integers(0, _LABEL_COUNT, size=n)
     return [
         ClusterRequest(
             arrival_s=float(instants[i]),

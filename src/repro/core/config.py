@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -21,8 +20,7 @@ class ExionConfig:
 
     # FFN-Reuse (paper Section III-A).
     sparse_iters_n: int = 4  # sparse iterations after each dense iteration
-    ffn_threshold: Optional[float] = None  # fixed threshold; None = quantile
-    ffn_target_sparsity: float = 0.90  # quantile target when threshold is None
+    ffn_target_sparsity: float = 0.90  # quantile target absent a calibrated threshold
 
     # Eager prediction (paper Sections II-B, IV-D).
     q_threshold: float = 0.5  # dominance threshold q_th on predicted scores

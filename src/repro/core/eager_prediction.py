@@ -16,12 +16,14 @@ The paper's TS-LOD refinement (two-step leading-one detection) is what
 makes the prediction accurate enough for diffusion models (Fig. 15).
 
 :class:`EagerPredictor` is the interpreted predictor for one generation
-(the reference oracle); :func:`ep_attention_step` is its plan-compiled
-step, and :mod:`repro.exec.batched` applies the same decisions over a
-leading batch axis for the serving layer, with per-request quantization
-scales and per-request statistics so each request computes exactly what
-a sequential run would. Plan-static in a compiled step: the weight
-operands, the ``(mode, bits)`` approximation table and the
+(the reference oracle). Its plan-compiled step has two forms:
+:func:`ep_attention_step` on one request's 2-D operands (the single-seed
+hot path) and :func:`ep_attention_step_batched`, which applies the same
+decisions over a leading batch axis with per-request quantization scales
+and statistics, so each request computes exactly what a sequential run
+would. :func:`ep_cross_kv` builds the cross-attention constants of
+either, always along a batch axis. Plan-static in a compiled step: the
+weight operands, the ``(mode, bits)`` approximation table and the
 cross-attention K/V. Per step: one quantize + table lookup per
 activation, :func:`ep_decide`, and the exact work the decision keeps.
 """
@@ -36,9 +38,11 @@ import numpy as np
 from repro.core.config import ExionConfig
 from repro.core.logdomain import (
     LogOperand,
+    approximation_table,
     log_domain_matmul,
     log_domain_matmul_prepared,
     prepare_log_operand,
+    quantize_symmetric_batched,
 )
 from repro.core.sparsity import RunStats
 from repro.models.activations import softmax
@@ -374,21 +378,138 @@ def ep_attention_step(
     return out
 
 
+def _prepare_per_request(
+    x: np.ndarray, mode: str, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-request quantize + LOD-approximate: :func:`prepare_log_operand`
+    over a leading batch axis (each ``x[b]`` gets its own scale)."""
+    table = approximation_table(mode, bits)
+    ints, scales = quantize_symmetric_batched(x, bits)
+    ints += table.size // 2  # index i + qmax, as prepare_log_operand
+    return table.take(ints), scales
+
+
+def _predict_per_request(
+    a_approx: np.ndarray, a_scales: np.ndarray, weight: LogOperand
+) -> np.ndarray:
+    """:func:`log_domain_matmul_prepared` of a per-request prepared
+    activation against a cached weight operand."""
+    out = a_approx @ weight.approx
+    out *= a_scales[:, None, None] * weight.scale
+    return out
+
+
 def ep_cross_kv(
     layer: MultiHeadAttention,
     context: np.ndarray,
     pred: CompiledPrediction,
     config: ExionConfig,
 ) -> tuple:
-    """Per-generation cross-attention constants for :func:`ep_attention_step`.
+    """Cross-attention constants ``(kh_pred, k, v)`` of a batch of contexts.
 
     The conditioning context is fixed for a whole generation, so the
     predicted-K, exact-K and exact-V head stacks it induces are too.
+    ``context`` is ``(batch, tokens, dim)``; the single-seed engine passes
+    a batch of one and reads ``[0]`` of each array for
+    :func:`ep_attention_step`.
     """
-    c_operand = prepare_log_operand(
+    c_approx, c_scales = _prepare_per_request(
         context, config.lod_mode, config.prediction_bits
     )
-    k_pred = log_domain_matmul_prepared(c_operand, pred.wk_operand)
+    k_pred = _predict_per_request(c_approx, c_scales, pred.wk_operand)
     k_pred = k_pred + layer.wk.bias
     return (layer.split_heads(k_pred), *layer.kv(context))
 
+
+def ep_attention_step_batched(
+    layer: MultiHeadAttention,
+    x: np.ndarray,
+    context: Optional[np.ndarray],
+    pred: CompiledPrediction,
+    config: ExionConfig,
+    batch_stats: list,
+    collect_keepmasks: bool = False,
+    kv: Optional[tuple] = None,
+) -> np.ndarray:
+    """:func:`ep_attention_step` over a leading batch axis: per request,
+    bit-identical to it, with per-request quantization scales and
+    statistics (``batch_stats[b]`` is request ``b``'s
+    :class:`~repro.core.sparsity.RunStats`)."""
+    kv_input = x if context is None else context
+    batch, tq, _ = x.shape
+    tk = kv_input.shape[1]
+    heads = layer.num_heads
+    mode, bits = config.lod_mode, config.prediction_bits
+
+    a_approx, a_scales = _prepare_per_request(x, mode, bits)
+    q_pred = _predict_per_request(a_approx, a_scales, pred.wq_operand)
+    q_pred += layer.wq.bias
+    qh = layer.split_heads(q_pred)
+
+    if kv is not None:
+        kh, k, v = kv
+    else:
+        # Self-attention: both predictions quantize the same x, so the
+        # prepared operand is shared (the interpreted path re-derives the
+        # identical quantization).
+        k_pred = _predict_per_request(a_approx, a_scales, pred.wk_operand)
+        k_pred += layer.wk.bias
+        kh = layer.split_heads(k_pred)
+        k, v = layer.kv(kv_input)
+
+    predicted = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    predicted *= layer.scale
+    keep, one_hot_rows, one_hot_cols = ep_decide(
+        predicted, config.top_k_ratio, config.q_threshold
+    )
+
+    q = layer.split_heads(layer.wq(x))
+    exact = np.matmul(q, k.transpose(0, 1, 3, 2))
+    exact *= layer.scale
+
+    # As ep_attention_step: a collapsed row attends its argmax column
+    # alone, so one softmax and one product serve every row.
+    attend = keep.copy()
+    bb, hh, rr = np.nonzero(one_hot_rows | ~keep.any(axis=-1))
+    attend[bb, hh, rr, one_hot_cols[bb, hh, rr]] = True
+    probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
+    attended = np.matmul(probs, v)
+
+    out = layer.wo(layer.merge_heads(attended))
+
+    # Statistics, per request: same arithmetic as ep_attention_step.
+    # Projection skipping (paper II-B): a row one-hot in every head skips
+    # Q projection; a column kept nowhere (and never the argmax of a
+    # one-hot row) skips K and V projection.
+    total_scores = heads * tq * tk
+    head_dim = layer.head_dim
+    dim_in = layer.wq.in_features
+    kept = keep.reshape(batch, -1).sum(axis=1).tolist()
+    q_rows_needed = (~one_hot_rows.all(axis=1)).sum(axis=1).tolist()
+    kv_needed = keep.any(axis=(1, 2))
+    kv_needed[np.nonzero(one_hot_rows)[0], one_hot_cols[one_hot_rows]] = True
+    kv_cols_needed = kv_needed.sum(axis=1).tolist()
+
+    for b, stats in enumerate(batch_stats):
+        skipped = total_scores - kept[b]
+        stats.attention_scores.add(
+            total_scores * head_dim, (total_scores - skipped) * head_dim
+        )
+        stats.q_projection.add(
+            tq * dim_in * layer.dim,
+            q_rows_needed[b] * dim_in * layer.dim,
+        )
+        stats.kv_projection.add(
+            2 * tk * layer.wk.in_features * layer.dim,
+            2 * kv_cols_needed[b] * layer.wk.in_features * layer.dim,
+        )
+        sparsity = skipped / total_scores if total_scores else 0.0
+        stats.attention_sparsities.append(sparsity)
+        stats.prediction_overhead_macs += (
+            (tq + tk) * dim_in * layer.dim + total_scores * head_dim
+        )
+        if collect_keepmasks:
+            # Copy: a view would pin the whole batch-wide keep array
+            # through any single request's retained stats.
+            stats.attention_keepmasks.append(keep[b].copy())
+    return out

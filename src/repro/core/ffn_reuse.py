@@ -15,9 +15,10 @@ bitmask, and for the following ``N`` *sparse iterations*:
 :class:`FFNReuse` is the interpreted manager for one generation (the
 accuracy-evaluation path and the reference oracle);
 :func:`ffn_dense_compile` / :func:`ffn_sparse_step` are its plan-compiled
-halves, and :mod:`repro.exec.batched` carries them along a leading batch
-axis for the serving layer. Per request, every path computes exactly what
-the interpreted manager would.
+halves. They take a leading batch axis with per-request thresholds and
+statistics, and both engines of :mod:`repro.exec` call them (the
+single-seed one at a batch of one). Per request, every path computes
+exactly what the interpreted manager would.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ import numpy as np
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
 from repro.core.sparsity import RunStats
-from repro.core.thresholds import ThresholdTable, quantile_threshold
+from repro.core.thresholds import (
+    ThresholdTable,
+    quantile_threshold,
+    quantile_thresholds,
+)
 from repro.models.activations import gelu as gelu_kernel
 from repro.models.ffn import FeedForward, FFNTrace
 
@@ -113,8 +118,6 @@ class FFNReuse:
         return run
 
     def _resolve_threshold(self, hidden: np.ndarray, block: int) -> float:
-        if self.config.ffn_threshold is not None:
-            return self.config.ffn_threshold
         if self.threshold_table is not None:
             stored = self.threshold_table.get(self.dense_index, block)
             if stored is not None:
@@ -199,77 +202,128 @@ class FFNReuse:
 
 @dataclass
 class FFNPhaseState:
-    """Compiled per-(phase, block) FFN-Reuse artifacts.
+    """Compiled per-(phase, block) FFN-Reuse artifacts for a batch of
+    requests (one request is a batch of one).
 
     Produced once at each dense iteration by :func:`ffn_dense_compile` and
     replayed by :func:`ffn_sparse_step` for the following ``N`` sparse
     iterations. Relative to the interpreted :class:`_BlockState`, the
-    bitmask is additionally converted to flat gather indices
-    (``np.flatnonzero(mask.ravel())``) so the sparse step is pure
-    gather/scatter with no per-step mask scanning; for GEGLU FFNs the
-    value/gate element positions of the first linear's output are
-    precomputed too.
+    ``(batch, tokens, hidden)`` bitmask is converted to flat gather indices
+    in the batch-wide index space, so one gather serves every request
+    whatever its own nnz and the sparse step does no per-step mask
+    scanning; for GEGLU FFNs the value/gate element positions of the first
+    linear's output are precomputed too (:func:`attach_geglu_indices`).
     """
 
     hidden_dense: np.ndarray  # non-linearity output at the dense iteration
-    mask: np.ndarray  # bool (tokens, hidden): 1 = recompute
+    mask: np.ndarray  # bool (batch, tokens, hidden): 1 = recompute
     gather_indices: np.ndarray  # flat row-major indices of the 1-bits
     partial_sums: np.ndarray  # reused elements' 2nd-layer contribution + bias
-    threshold: float
-    nnz: int
-    sparsity: float
+    nnz_per_request: np.ndarray
     value_indices: Optional[np.ndarray] = None  # GEGLU: value half positions
     gate_indices: Optional[np.ndarray] = None  # GEGLU: gate half positions
 
-    @property
-    def bitmask(self) -> Bitmask:
-        return Bitmask(self.mask)
+
+def resolve_thresholds(
+    hidden: np.ndarray,
+    block: int,
+    dense_indices: np.ndarray,
+    config: ExionConfig,
+    threshold_table: Optional[ThresholdTable],
+) -> np.ndarray:
+    """Per-request FFN-Reuse thresholds, one dense-phase index per request.
+
+    A drained micro-batch has every request in the same phase; a
+    continuous batch (:mod:`repro.exec.continuous`) mixes requests whose
+    dense compiles fall on different calibrated phases — so the table
+    lookup is per request. Each request's resolution is identical to what
+    :meth:`FFNReuse._resolve_threshold` computes for it alone.
+    """
+    batch = hidden.shape[0]
+    thresholds = np.empty(batch)
+    pending = []
+    for b in range(batch):
+        stored = (
+            threshold_table.get(int(dense_indices[b]), block)
+            if threshold_table is not None
+            else None
+        )
+        if stored is None:
+            pending.append(b)
+        else:
+            thresholds[b] = stored
+    if pending:
+        rows = hidden.reshape(batch, -1)
+        if len(pending) < batch:
+            rows = rows[pending]
+        thresholds[pending] = quantile_thresholds(
+            rows, config.ffn_target_sparsity
+        )
+    return thresholds
 
 
 def ffn_dense_compile(
-    layer: FeedForward, x: np.ndarray, resolve_threshold
+    layer: FeedForward,
+    x: np.ndarray,
+    block: int,
+    dense_indices: np.ndarray,
+    config: ExionConfig,
+    threshold_table: Optional[ThresholdTable],
 ) -> tuple[np.ndarray, FFNPhaseState]:
     """Dense-iteration FFN plus phase-state compilation for one block.
 
-    ``resolve_threshold`` maps the hidden activations to the bitmask
-    threshold (mirroring :meth:`FFNReuse._resolve_threshold`, whose
-    quantile fallback needs the activations). The arithmetic is
-    element-for-element the interpreted :meth:`FFNReuse._dense_pass` (the
-    differential-parity suite holds the two byte-identical); on top of it
-    the bitmask→gather conversion and GEGLU index maps are materialized
-    once for the whole sparse phase.
+    ``x`` is ``(batch, tokens, dim)`` and ``dense_indices`` holds each
+    request's dense-phase index (see :func:`resolve_thresholds`). Per
+    request the arithmetic is element-for-element the interpreted
+    :meth:`FFNReuse._dense_pass` (the differential-parity suite holds the
+    two byte-identical); on top of it the bitmask→gather conversion and
+    GEGLU index maps are materialized once for the whole sparse phase.
     """
+    batch = x.shape[0]
     hidden = layer.nonlinear(layer.linear1(x))
     out = layer.linear2(hidden)
 
-    threshold = float(resolve_threshold(hidden))
-    mask = np.abs(np.asarray(hidden, dtype=np.float64)) > threshold
+    thresholds = resolve_thresholds(
+        hidden, block, dense_indices, config, threshold_table
+    )
+    mask = np.abs(hidden) > thresholds[:, None, None]
     reused = hidden * ~mask
     partial = reused @ layer.linear2.weight
     partial = partial + layer.linear2.bias
 
-    gather = np.flatnonzero(mask.ravel())
-    value_idx = gate_idx = None
-    if layer.activation == "geglu":
-        # linear1 emits [value | gate] halves of width hidden_dim; map each
-        # recomputed hidden element to its two source elements.
-        rows = gather // layer.hidden_dim
-        cols = gather % layer.hidden_dim
-        width = layer.linear1.out_features
-        value_idx = rows * width + cols
-        gate_idx = value_idx + layer.hidden_dim
-    nnz = int(mask.sum())
-    return out, FFNPhaseState(
+    state = FFNPhaseState(
         hidden_dense=hidden,
         mask=mask,
-        gather_indices=gather,
+        gather_indices=np.flatnonzero(mask.ravel()),
         partial_sums=partial,
-        threshold=threshold,
-        nnz=nnz,
-        sparsity=1.0 - nnz / mask.size,
-        value_indices=value_idx,
-        gate_indices=gate_idx,
+        nnz_per_request=mask.reshape(batch, -1).sum(axis=1),
     )
+    attach_geglu_indices(layer, state)
+    return out, state
+
+
+def attach_geglu_indices(layer: FeedForward, state: FFNPhaseState) -> None:
+    """Derive the GEGLU value/gate gather sets from the flat mask gather.
+
+    Shared by the dense compile and the continuous executor's index-set
+    edits: whenever ``gather_indices`` is rebuilt (new mask, or same masks
+    restacked under new batch membership), the paired pre-activation
+    indices follow from pure index arithmetic (``linear1`` emits
+    ``[value | gate]`` halves of width ``hidden_dim``).
+    """
+    if layer.activation != "geglu":
+        state.value_indices = state.gate_indices = None
+        return
+    mask = state.mask
+    gather = state.gather_indices
+    per_request = mask.shape[1] * mask.shape[2]
+    b_idx = gather // per_request
+    rem = gather % per_request
+    rows = rem // layer.hidden_dim
+    cols = rem % layer.hidden_dim
+    width = layer.linear1.out_features
+    state.value_indices = (b_idx * mask.shape[1] + rows) * width + cols
+    state.gate_indices = state.value_indices + layer.hidden_dim
 
 
 def ffn_sparse_step(
@@ -281,9 +335,8 @@ def ffn_sparse_step(
     gathered recompute set (elementwise, so each element equals the
     interpreted full-matrix result bit for bit), the scatter overlays a
     copy of the dense iteration's hidden state, and the 2nd-layer update
-    accumulates onto the precomputed partial sums. ``state`` is one
-    sample's :class:`FFNPhaseState` or the batched engine's stacked twin
-    (same fields, one flat gather over the whole micro-batch).
+    accumulates onto the precomputed partial sums. ``x`` is
+    ``(batch, tokens, dim)``, matching ``state``.
     """
     pre = layer.linear1(x)
     flat = pre.ravel()

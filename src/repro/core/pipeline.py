@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import EagerPredictor
 from repro.core.ffn_reuse import FFNReuse
+from repro.core.logdomain import quantize_symmetric, quantize_symmetric_batched
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.pipeline import DiffusionResult
@@ -227,10 +228,16 @@ class ExionPipeline:
 
 
 def _fake_quantize(x: np.ndarray, bits: int) -> np.ndarray:
-    from repro.core.logdomain import quantize_symmetric
-
+    """Per-tensor activation fake-quantization (INT datapath emulation)."""
     ints, scale = quantize_symmetric(x, bits)
     return ints.astype(np.float64) * scale
+
+
+def _fake_quantize_batched(x: np.ndarray, bits: int) -> np.ndarray:
+    """:func:`_fake_quantize` with one scale per request (leading axis)."""
+    ints, scales = quantize_symmetric_batched(x, bits)
+    expand = (slice(None),) + (None,) * (x.ndim - 1)
+    return ints.astype(np.float64) * scales[expand]
 
 
 def _quantizing_ffn(inner, bits: int):

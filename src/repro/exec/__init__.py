@@ -22,14 +22,20 @@ bitmask → gather conversion
 cross-attention K/V constants
 ==============================  ========================================
 
-:class:`CompiledExecutor` runs one generation on 2-D operands;
-:class:`ContinuousExecutor` is the one batched engine — it advances a
-mutable set of requests one plan step per tick, and a drained micro-batch
-(:meth:`ContinuousExecutor.run_batch`) is that loop with no membership
-edits. :class:`repro.core.pipeline.ExionPipeline` picks between them by
-how many seeds a call carries: the 2-D engine is the faster one for a
-batch of one, the batched engine from two up. Neither holds a copy of
-the network's shape: both hand their compiled transformer block to
+This package holds only the two engine drivers; the compiled kernels
+live beside their oracles in :mod:`repro.core.ffn_reuse` and
+:mod:`repro.core.eager_prediction`, each written once along a leading
+batch axis. :class:`CompiledExecutor` runs one generation, calling those
+kernels at a batch of one, except for the per-step EP attention, whose
+2-D :func:`~repro.core.eager_prediction.ep_attention_step` is the
+single-seed hot path. :class:`ContinuousExecutor` is the one batched
+engine — it advances a mutable set of requests one plan step per tick,
+and a drained micro-batch (:meth:`ContinuousExecutor.run_batch`) is that
+loop with no membership edits. :class:`repro.core.pipeline.ExionPipeline`
+picks between them by how many seeds a call carries: the single-seed
+engine is the faster one for a batch of one, the batched engine from two
+up. Neither holds a copy of the network's shape: both hand their
+compiled transformer block to
 :meth:`repro.models.network.DiffusionNetwork.walk`, the oracle's own
 loop over ResBlocks, pooling and the UNet skip. Both are
 **bit-identical** to the sequential interpreted path, which stays in the

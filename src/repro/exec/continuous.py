@@ -22,9 +22,10 @@ gather/scatter sets are rebuilt by **index-set edits** — restacking the
 surviving per-run masks and recomputing flat indices — with zero model
 re-tracing (no new thresholds, no new dense compile, no re-quantization).
 
-The sparse kernels come from :mod:`repro.exec.batched` and the rest of
-the network (exact attention, ResBlocks, pooling) from the
-batch-agnostic :mod:`repro.models`, whose per-request
+The sparse kernels come from :mod:`repro.core.ffn_reuse` and
+:mod:`repro.core.eager_prediction` and the rest of the network (exact
+attention, ResBlocks, pooling) from the batch-agnostic
+:mod:`repro.models`, whose per-request
 rows are proven independent of batch composition by the serve parity
 suite — so a request produces **byte-identical** samples and
 :class:`~repro.core.sparsity.RunStats` to its own solo sequential run,
@@ -43,8 +44,18 @@ import numpy as np
 
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
-from repro.core.ffn_reuse import ffn_sparse_step
-from repro.core.pipeline import GenerationResult, _fake_quantize
+from repro.core.eager_prediction import ep_attention_step_batched, ep_cross_kv
+from repro.core.ffn_reuse import (
+    FFNPhaseState,
+    attach_geglu_indices,
+    ffn_dense_compile,
+    ffn_sparse_step,
+)
+from repro.core.pipeline import (
+    GenerationResult,
+    _fake_quantize,
+    _fake_quantize_batched,
+)
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
@@ -55,14 +66,6 @@ from repro.program.cache import compiled_plan_for
 from repro.program.compiled import CompiledPlan
 from repro.serve.request import GenerationRequest
 
-from repro.exec.batched import (
-    _BatchedFFNPhaseState,
-    _attach_geglu_indices,
-    _ep_attention_step_batched,
-    _ep_cross_kv_batched,
-    _fake_quantize_batched,
-    ffn_dense_compile_batched,
-)
 from repro.exec.executor import build_prediction_tables, build_step_tables
 
 
@@ -154,7 +157,7 @@ class ContinuousExecutor:
         """Batch-wide caches, valid only for one membership signature
         (the member runs' serials, in batch order)."""
         self._membership = membership
-        self._ffn_batch: dict = {}  # block -> _BatchedFFNPhaseState
+        self._ffn_batch: dict = {}  # block -> FFNPhaseState
         self._cross_kv: dict = {}  # block -> EP (kh, k, v)
         self._cross_exact_kv: dict = {}  # block -> (k, v)
 
@@ -386,9 +389,9 @@ class ContinuousExecutor:
         if context is not None:
             kv = self._cross_kv.get(block_index)
             if kv is None:
-                kv = _ep_cross_kv_batched(layer, context, pred, self.config)
+                kv = ep_cross_kv(layer, context, pred, self.config)
                 self._cross_kv[block_index] = kv
-        return _ep_attention_step_batched(
+        return ep_attention_step_batched(
             layer, x, context, pred, self.config,
             [run.stats for run in runs],
             collect_keepmasks=self.collect_masks, kv=kv,
@@ -415,7 +418,7 @@ class ContinuousExecutor:
             dense_indices = np.array([
                 self.compiled_plan.steps[run.cursor].phase for run in runs
             ])
-            out, batch_state = ffn_dense_compile_batched(
+            out, batch_state = ffn_dense_compile(
                 layer, x, block_index, dense_indices,
                 self.config, self.threshold_table,
             )
@@ -452,7 +455,7 @@ class ContinuousExecutor:
 
     def _rebuild_ffn_batch(
         self, layer: FeedForward, block_index: int, runs: list
-    ) -> _BatchedFFNPhaseState:
+    ) -> FFNPhaseState:
         """The index-set edit: restack surviving per-run phase state.
 
         No thresholds are resolved and no dense compile runs — the new
@@ -471,14 +474,14 @@ class ContinuousExecutor:
             )
         states = [run.ffn[block_index] for run in runs]
         mask = np.stack([s.mask for s in states])
-        batch_state = _BatchedFFNPhaseState(
+        batch_state = FFNPhaseState(
             hidden_dense=np.stack([s.hidden_dense for s in states]),
             mask=mask,
             gather_indices=np.flatnonzero(mask.ravel()),
             partial_sums=np.stack([s.partial_sums for s in states]),
             nnz_per_request=np.array([s.nnz for s in states]),
         )
-        _attach_geglu_indices(layer, batch_state)
+        attach_geglu_indices(layer, batch_state)
         self._ffn_batch[block_index] = batch_state
         return batch_state
 

@@ -23,20 +23,17 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
     CompiledPrediction,
     ep_attention_step,
     ep_cross_kv,
 )
-from repro.core.ffn_reuse import (
-    FFNPhaseState,
-    ffn_dense_compile,
-    ffn_sparse_step,
-)
+from repro.core.ffn_reuse import ffn_dense_compile, ffn_sparse_step
 from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
-from repro.core.thresholds import ThresholdTable, quantile_threshold
+from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
 from repro.models.pipeline import DiffusionResult
 from repro.models.transformer import TransformerBlock
@@ -91,7 +88,7 @@ class _GenState:
     """Mutable per-generation state threaded through the step loop."""
 
     stats: RunStats
-    ffn_states: list  # per-block FFNPhaseState | None
+    ffn_states: list  # per-block batch-of-one FFNPhaseState | None
     phase: int = 0
     is_dense: bool = True
     context: Optional[np.ndarray] = None  # (possibly quantized) conditioning
@@ -257,10 +254,10 @@ class CompiledExecutor:
         if self._preds:
             kv = state.cross_kv.get(block_index)
             if kv is None:
-                kv = ep_cross_kv(
-                    layer, context, self._preds[block_index]["cross"],
+                kv = tuple(a[0] for a in ep_cross_kv(
+                    layer, context[None], self._preds[block_index]["cross"],
                     self.config,
-                )
+                ))
                 state.cross_kv[block_index] = kv
             return ep_attention_step(
                 layer, x, context, self._preds[block_index]["cross"],
@@ -288,41 +285,24 @@ class CompiledExecutor:
             return layer.linear2(layer.nonlinear(layer.linear1(x)))
         tokens = x.shape[0]
         stats = state.stats
+        full_l1 = layer.linear1.macs(tokens)
+        full_l2 = layer.linear2.macs(tokens)
         if state.is_dense or state.ffn_states[block_index] is None:
             out, phase_state = ffn_dense_compile(
-                layer, x, self._threshold_resolver(block_index, state.phase)
+                layer, x[None], block_index, np.array([state.phase]),
+                self.config, self.threshold_table,
             )
             state.ffn_states[block_index] = phase_state
-            full_l1 = layer.linear1.macs(tokens)
-            full_l2 = layer.linear2.macs(tokens)
             stats.ffn_layer1.add(full_l1, full_l1)
             stats.ffn_layer2.add(full_l2, full_l2)
             if self.collect_masks:
-                stats.ffn_bitmasks.append(phase_state.bitmask)
-            return out
-        phase_state: FFNPhaseState = state.ffn_states[block_index]
-        out = ffn_sparse_step(layer, x, phase_state)
-        nnz = phase_state.nnz
+                stats.ffn_bitmasks.append(Bitmask(phase_state.mask[0]))
+            return out[0]
+        phase_state = state.ffn_states[block_index]
+        out = ffn_sparse_step(layer, x[None], phase_state)[0]
+        nnz = int(phase_state.nnz_per_request[0])
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
         stats.ffn_layer1.add(full_l1, nnz * layer.dim * l1_cols_per_hidden)
         stats.ffn_layer2.add(full_l2, nnz * layer.dim)
-        stats.ffn_sparsities.append(phase_state.sparsity)
+        stats.ffn_sparsities.append(1.0 - nnz / phase_state.mask[0].size)
         return out
-
-    def _threshold_resolver(self, block: int, dense_index: int):
-        """Mirror of :meth:`FFNReuse._resolve_threshold` for one phase."""
-        config = self.config
-        table = self.threshold_table
-
-        def resolve(hidden: np.ndarray) -> float:
-            if config.ffn_threshold is not None:
-                return config.ffn_threshold
-            if table is not None:
-                stored = table.get(dense_index, block)
-                if stored is not None:
-                    return stored
-            return quantile_threshold(hidden, config.ffn_target_sparsity)
-
-        return resolve

@@ -67,20 +67,16 @@ class CompiledPlan:
     """A :class:`PhasePlan` frozen into executor order.
 
     ``steps`` replays one :class:`CompiledStep` per iteration; ``phases``
-    gives the same schedule grouped by dense phase. ``tile_rows`` /
-    ``tile_width`` pin the SDUE tile geometry of every bitmask→gather and
-    ConMerge conversion the executor performs at phase boundaries.
+    gives the same schedule grouped by dense phase. :data:`TILE_ROWS` /
+    :data:`TILE_WIDTH` pin the SDUE tile geometry of every bitmask→gather
+    and ConMerge conversion the executor performs at phase boundaries.
     """
 
     plan: PhasePlan
     steps: tuple = ()
     phases: tuple = ()
-    tile_rows: int = TILE_ROWS
-    tile_width: int = TILE_WIDTH
 
     def __post_init__(self) -> None:
-        if self.tile_rows <= 0 or self.tile_width <= 0:
-            raise ValueError("tile geometry must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "phases", tuple(self.phases))
         #: ``is_dense`` per step — the whole schedule as one bit pattern
@@ -164,8 +160,8 @@ class CompiledPlan:
             "iterations": self.iterations,
             "phases": self.num_phases,
             "max_phase_length": self.max_phase_length,
-            "tile_rows": self.tile_rows,
-            "tile_width": self.tile_width,
+            "tile_rows": TILE_ROWS,
+            "tile_width": TILE_WIDTH,
         }
         if self.plan.enable_ffn_reuse:
             mask_elems = tokens * hidden
@@ -178,8 +174,8 @@ class CompiledPlan:
                 "expected_gather_size": expected_nnz,
                 "expected_sparsity": self.plan.ffn_target_sparsity,
                 "tiles_per_mask": (
-                    math.ceil(tokens / self.tile_rows)
-                    * math.ceil(hidden / self.tile_width)
+                    math.ceil(tokens / TILE_ROWS)
+                    * math.ceil(hidden / TILE_WIDTH)
                 ),
                 "sparse_steps_amortizing": max(
                     (len(p.sparse_steps) for p in self.phases), default=0

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.core.ffn_reuse import FFNReuse, schedule_phases
 from repro.core.sparsity import RunStats
+from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
 
 
@@ -14,9 +15,19 @@ def ffn(rng):
     return FeedForward(8, 32, rng)
 
 
-def make_manager(n=3, target=0.8, num_blocks=1, **kwargs):
-    config = ExionConfig(sparse_iters_n=n, ffn_target_sparsity=target, **kwargs)
-    return FFNReuse(config, num_blocks=num_blocks, stats=RunStats())
+def make_manager(n=3, target=0.8, num_blocks=1, threshold_table=None):
+    config = ExionConfig(sparse_iters_n=n, ffn_target_sparsity=target)
+    return FFNReuse(config, num_blocks=num_blocks, stats=RunStats(),
+                    threshold_table=threshold_table)
+
+
+def fixed_threshold(value, num_blocks=1):
+    """A table forcing ``value`` at every dense iteration of every block
+    (:meth:`ThresholdTable.get` falls back to dense index 0)."""
+    table = ThresholdTable(target_sparsity=0.8)
+    for block in range(num_blocks):
+        table.set(0, block, value)
+    return table
 
 
 class TestSchedule:
@@ -82,7 +93,7 @@ class TestDenseIteration:
         assert state.bitmask.sparsity == pytest.approx(0.8, abs=0.05)
 
     def test_fixed_threshold_respected(self, ffn, rng):
-        mgr = make_manager(ffn_threshold=0.25)
+        mgr = make_manager(threshold_table=fixed_threshold(0.25))
         mgr.begin_iteration(0)
         mgr.executor_for_block(0)(ffn, rng.standard_normal((4, 8)))
         state = mgr.state_for_block(0)

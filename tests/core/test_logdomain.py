@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import ExionConfig
+from repro.core.eager_prediction import _prepare_per_request
 from repro.core.logdomain import (
     approximate,
     approximation_table,
@@ -17,7 +18,6 @@ from repro.core.logdomain import (
     quantize_symmetric_batched,
     ts_lod_approximate,
 )
-from repro.exec.batched import _prepare_activation_batched
 
 MODES = ("lod", "ts_lod", "exact")
 
@@ -51,7 +51,7 @@ class TestQuantize:
             lambda: quantize_symmetric(x, 12),
             lambda: quantize_symmetric_batched(x, 12),
             lambda: prepare_log_operand(x[1]),
-            lambda: _prepare_activation_batched(x, "ts_lod", 12),
+            lambda: _prepare_per_request(x, "ts_lod", 12),
             lambda: log_domain_matmul(np.ones((2, 4)), x[1].T),
         ):
             with pytest.raises(ValueError, match="non-finite operand"):
@@ -212,7 +212,7 @@ class TestApproximationTable:
         for x in stacks:
             ints, scales = quantize_symmetric_batched(x, bits)
             expected = approximate(ints, mode).astype(np.float64)
-            approx, got_scales = _prepare_activation_batched(x, mode, bits)
+            approx, got_scales = _prepare_per_request(x, mode, bits)
             assert approx.tobytes() == expected.tobytes()
             np.testing.assert_array_equal(got_scales, scales)
             for b in range(x.shape[0]):  # per request = the 2-D path alone

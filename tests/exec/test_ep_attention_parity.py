@@ -1,8 +1,10 @@
 """One EP attention layer, three implementations, the same bytes.
 
 :meth:`repro.core.eager_prediction.EagerPredictor._run` (the oracle),
-:func:`~repro.core.eager_prediction.ep_attention_step` (the 2-D engine)
-and :func:`repro.exec.batched._ep_attention_step_batched` all define the
+:func:`~repro.core.eager_prediction.ep_attention_step` (the single-seed
+engine's 2-D step, its cross K/V read from
+:func:`~repro.core.eager_prediction.ep_cross_kv` at a batch of one) and
+:func:`~repro.core.eager_prediction.ep_attention_step_batched` all define the
 attended output as one ``probs @ v`` over every row, a collapsed row's
 ``probs`` being exactly one-hot. The end-to-end grid next door
 (``test_parity.py``) runs them on the zoo's shapes and Table I knobs;
@@ -21,13 +23,10 @@ from repro.core.eager_prediction import (
     CompiledPrediction,
     EagerPredictor,
     ep_attention_step,
+    ep_attention_step_batched,
     ep_cross_kv,
 )
 from repro.core.sparsity import RunStats
-from repro.exec.batched import (
-    _ep_attention_step_batched,
-    _ep_cross_kv_batched,
-)
 from repro.models.attention import MultiHeadAttention
 
 HEAD_DIM = 8
@@ -70,10 +69,13 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         assert np.isfinite(out).all()
         oracle.append((out, predictor.stats, trace))
 
-        # Cross-attention K/V: derived in the step, or once per generation.
+        # Cross-attention K/V: derived in the step, or once per generation
+        # as the single-seed engine does (the batch kernel at a batch of one).
         kvs = [None]
         if cross:
-            kvs.append(ep_cross_kv(layer, context, pred, config))
+            kvs.append(tuple(
+                a[0] for a in ep_cross_kv(layer, context[None], pred, config)
+            ))
         for kv in kvs:
             stats = RunStats()
             step = ep_attention_step(layer, xs[b], context, pred, config,
@@ -86,8 +88,8 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         context = kv = None
         if cross:  # the batched step always takes its cross K/V prepared
             context = contexts[members]
-            kv = _ep_cross_kv_batched(layer, context, pred, config)
-        out = _ep_attention_step_batched(
+            kv = ep_cross_kv(layer, context, pred, config)
+        out = ep_attention_step_batched(
             layer, xs[members], context, pred, config, batch_stats,
             collect_keepmasks=True, kv=kv,
         )

@@ -1,12 +1,14 @@
 """Property-based tests for the index sets the compiled executors use.
 
-The compiled executor never re-tests a bitmask at step time — it runs on
-flat gather-index sets produced once per phase by
-:func:`repro.core.ffn_reuse.ffn_dense_compile` (and its batch-axis twin
-:func:`repro.exec.batched.ffn_dense_compile_batched`). If one of these
+The compiled executors never re-test a bitmask at step time — they run
+on flat gather-index sets produced once per phase by
+:func:`repro.core.ffn_reuse.ffn_dense_compile`, which the single-seed
+engine calls at a batch of one and the batched engine at any size. If it
 drops, duplicates or reorders an index, the sparse step silently
 recomputes the wrong elements, so the laws are pinned here over random
-layers and thresholds plus the degenerate corners (empty and full masks).
+layers and thresholds plus the degenerate corners (empty and full masks):
+one request's laws at a batch of one, then the batch-wide gather at
+batches of up to four.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ExionConfig
 from repro.core.ffn_reuse import ffn_dense_compile, ffn_sparse_step
-from repro.exec.batched import ffn_dense_compile_batched
+from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
 
 ACTIVATIONS = ("gelu", "geglu")
@@ -24,7 +26,7 @@ ACTIVATIONS = ("gelu", "geglu")
 
 @st.composite
 def phases(draw, max_tokens=12, max_hidden=24):
-    """A random FFN layer, input and fixed threshold."""
+    """A random FFN layer, one request's input and a fixed threshold."""
     activation = draw(st.sampled_from(ACTIVATIONS))
     tokens = draw(st.integers(1, max_tokens))
     dim = draw(st.integers(1, 8))
@@ -32,12 +34,18 @@ def phases(draw, max_tokens=12, max_hidden=24):
     threshold = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layer = FeedForward(dim, hidden, rng, activation=activation)
-    x = rng.standard_normal((tokens, dim))
+    x = rng.standard_normal((1, tokens, dim))
     return layer, x, threshold
 
 
 def _compile(layer, x, threshold):
-    return ffn_dense_compile(layer, x, lambda hidden: threshold)
+    """The dense compile of block 0 at dense phase 0 for every request,
+    its mask forced by a table entry."""
+    table = ThresholdTable(target_sparsity=0.9)
+    table.set(0, 0, threshold)
+    return ffn_dense_compile(
+        layer, x, 0, np.zeros(len(x), dtype=np.int64), ExionConfig(), table
+    )
 
 
 class TestPhaseGatherIndices:
@@ -49,18 +57,16 @@ class TestPhaseGatherIndices:
         indices = state.gather_indices
         assert indices.dtype == np.int64
         assert np.all(np.diff(indices) > 0)  # ascending, no duplicates
-        assert indices.size == state.nnz == int(state.mask.sum())
+        assert indices.size == state.nnz_per_request[0] == state.mask.sum()
         back = np.zeros(state.mask.size, dtype=bool)
         back[indices] = True
         assert np.array_equal(back.reshape(state.mask.shape), state.mask)
-        assert state.sparsity == 1.0 - state.nnz / state.mask.size
 
     @given(phases())
     @settings(max_examples=60, deadline=None)
     def test_mask_is_the_threshold_test(self, phase):
         layer, x, threshold = phase
         _, state = _compile(layer, x, threshold)
-        assert state.threshold == threshold
         assert np.array_equal(state.mask,
                               np.abs(state.hidden_dense) > threshold)
 
@@ -84,11 +90,11 @@ class TestPhaseGatherIndices:
     def test_empty_and_full_masks(self, activation, tokens, hidden):
         rng = np.random.default_rng(tokens * 100 + hidden)
         layer = FeedForward(4, hidden, rng, activation=activation)
-        x = rng.standard_normal((tokens, 4))
+        x = rng.standard_normal((1, tokens, 4))
 
         out, empty = _compile(layer, x, np.inf)
         assert empty.gather_indices.size == 0
-        assert empty.nnz == 0 and empty.sparsity == 1.0
+        assert empty.nnz_per_request[0] == 0
         # Nothing recomputed: the reused partial sums are the whole output.
         np.testing.assert_allclose(empty.partial_sums, out,
                                    rtol=1e-12, atol=1e-12)
@@ -96,11 +102,11 @@ class TestPhaseGatherIndices:
         _, full = _compile(layer, x, -1.0)
         assert np.array_equal(full.gather_indices,
                               np.arange(tokens * hidden))
-        assert full.nnz == tokens * hidden and full.sparsity == 0.0
+        assert full.nnz_per_request[0] == tokens * hidden
         # Everything recomputed: only the second linear's bias is reused.
         np.testing.assert_array_equal(
             full.partial_sums,
-            np.broadcast_to(layer.linear2.bias, (tokens, layer.dim)),
+            np.broadcast_to(layer.linear2.bias, (1, tokens, layer.dim)),
         )
 
 
@@ -150,22 +156,22 @@ class TestBatchedGatherIndices:
         own gather shifted by its offset in the batch-wide index space."""
         layer, x, threshold = phase
         rng = np.random.default_rng(batch)
-        xs = np.stack([x] + [rng.standard_normal(x.shape)
-                             for _ in range(batch - 1)])
-        config = ExionConfig(ffn_threshold=threshold)
-        _, stacked = ffn_dense_compile_batched(
-            layer, xs, 0, np.zeros(batch, dtype=np.int64), config, None
-        )
-        per_request = [_compile(layer, xb, threshold)[1] for xb in xs]
+        xs = np.concatenate([x] + [rng.standard_normal(x.shape)
+                                   for _ in range(batch - 1)])
+        _, stacked = _compile(layer, xs, threshold)
+        per_request = [_compile(layer, xb[None], threshold)[1] for xb in xs]
         size = per_request[0].mask.size
         expected = np.concatenate([
             state.gather_indices + b * size
             for b, state in enumerate(per_request)
         ])
         assert np.array_equal(stacked.gather_indices, expected)
-        assert list(stacked.nnz_per_request) == [s.nnz for s in per_request]
+        assert np.array_equal(
+            stacked.nnz_per_request,
+            np.concatenate([s.nnz_per_request for s in per_request]),
+        )
         if layer.activation == "geglu":
-            width = layer.linear1.out_features * x.shape[0]
+            width = layer.linear1.out_features * x.shape[1]
             expected_value = np.concatenate([
                 state.value_indices + b * width
                 for b, state in enumerate(per_request)

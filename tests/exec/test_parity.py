@@ -15,7 +15,6 @@ it matters — in the plan-structure suite next door
 (``test_compiled_plan.py``).
 """
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -120,12 +119,6 @@ class TestSeededFuzz:
         table.set(0, 0, 0.25)
         table.set(1, 1, 0.05)
         interp, comp = _pipelines("dit", config, threshold_table=table)
-        _assert_identical(interp.generate(seed=9), comp.generate(seed=9))
-
-    def test_fixed_threshold_config(self):
-        config = dataclasses.replace(ExionConfig.for_model("dit"),
-                                     ffn_threshold=0.1)
-        interp, comp = _pipelines("dit", config)
         _assert_identical(interp.generate(seed=9), comp.generate(seed=9))
 
     def test_trace_collection_falls_back_to_oracle(self):

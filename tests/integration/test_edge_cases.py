@@ -10,6 +10,7 @@ from repro.core.eager_prediction import EagerPredictor
 from repro.core.ffn_reuse import FFNReuse
 from repro.core.pipeline import ExionPipeline
 from repro.core.sparsity import RunStats
+from repro.core.thresholds import ThresholdTable
 from repro.models.attention import MultiHeadAttention
 from repro.models.ffn import FeedForward
 from repro.models.zoo import build_model
@@ -80,11 +81,18 @@ class TestDegenerateEP:
         assert np.all(np.isfinite(out))
 
 
+def _fixed_threshold(value):
+    """Force ``value`` at every dense iteration of block 0."""
+    table = ThresholdTable(target_sparsity=0.9)
+    table.set(0, 0, value)
+    return table
+
+
 class TestDegenerateFFNReuse:
     def test_zero_threshold_recomputes_everything(self, rng):
         ffn = FeedForward(8, 16, rng)
-        config = ExionConfig(sparse_iters_n=1, ffn_threshold=0.0)
-        mgr = FFNReuse(config, num_blocks=1)
+        mgr = FFNReuse(ExionConfig(sparse_iters_n=1), num_blocks=1,
+                       threshold_table=_fixed_threshold(0.0))
         x = rng.standard_normal((4, 8))
         mgr.begin_iteration(0)
         mgr.executor_for_block(0)(ffn, x)
@@ -96,8 +104,8 @@ class TestDegenerateFFNReuse:
 
     def test_huge_threshold_reuses_everything(self, rng):
         ffn = FeedForward(8, 16, rng)
-        config = ExionConfig(sparse_iters_n=1, ffn_threshold=1e9)
-        mgr = FFNReuse(config, num_blocks=1)
+        mgr = FFNReuse(ExionConfig(sparse_iters_n=1), num_blocks=1,
+                       threshold_table=_fixed_threshold(1e9))
         x0 = rng.standard_normal((4, 8))
         mgr.begin_iteration(0)
         dense_out, _ = mgr.executor_for_block(0)(ffn, x0)

@@ -59,6 +59,33 @@ class TestParser:
         assert "argument --iterations: must be >= 1, got 0" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command,flag,value,rule", (
+        ("cluster", "--replicas", "0", ">= 1"),
+        ("cluster", "--rate", "0", "> 0"),
+        ("cluster", "--max-queue-depth", "0", ">= 1"),
+        ("cluster", "--slo-target", "-1", "> 0"),
+        ("cluster", "--timeout", "-1", ">= 0"),
+        ("cluster", "--dwell", "0", "> 0"),
+        ("cluster", "--period", "0", "> 0"),
+        ("cluster", "--requests", "-3", ">= 0"),
+        ("cluster", "--batch-size", "0", ">= 1"),
+        ("serve", "--batch-size", "0", ">= 1"),
+        ("trace", "--batch-size", "0", ">= 1"),
+        ("simulate", "--batch", "0", ">= 1"),
+        ("program", "--batch", "0", ">= 1"),
+        ("serve", "--quantum", "0", "> 0"),
+        ("serve", "--max-wait", "-1", ">= 0"),
+        ("cluster", "--rate", "nan", "> 0"),
+    ))
+    def test_bad_numbers_rejected_naming_the_flag(self, command, flag, value,
+                                                  rule, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        # A float flag echoes "0" as "0.0": the value is a prefix either way.
+        assert f"argument {flag}: must be {rule}, got {value}" in (
+            capsys.readouterr().err)
+
     def test_explore_defaults(self):
         args = build_parser().parse_args(["explore"])
         assert args.strategy == "random"
