@@ -126,4 +126,4 @@ sample-digests:  ## byte-identity gate: sha256 per generated sample vs tools/sam
 docs-check:  ## docstring, __all__, prose-reference and reachability lint
 	$(PYTHON) tools/docs_check.py
 
-check: test test-warnings docs-check smoke sample-digests  ## test + test-warnings + docs-check + smoke + sample-digests
+check: test test-warnings docs-check smoke fleet-digests sample-digests  ## test + test-warnings + docs-check + smoke + fleet-digests + sample-digests

@@ -34,9 +34,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.obs.analyze.records import TraceRecords, to_ns
+from repro.obs.trace import Table
 
 #: Component keys, in reporting order.
 COMPONENTS = (
@@ -55,24 +56,22 @@ _BATCH_TRACK = "serve/batch"
 _UNATTRIBUTED = "(unattributed)"
 
 
-@dataclass(frozen=True)
-class _Tick:
-    """One priced interval of shared device time."""
+class _Tick(NamedTuple):
+    """One priced interval of shared device time (a row of
+    :attr:`Attribution.ticks`)."""
 
     span_id: int
     start_ns: int
     end_ns: int
     phase: str  # "dense" | "sparse" | "batch"
-    cold_ns: int = 0
-    energy_nj: int = 0
-    model: str = ""
-    replica: str = ""
+    cold_ns: int
+    energy_nj: int
+    replica: str  # cluster dispatches only
     #: span started at a membership boundary (hook enrichment arg)
-    boundary: bool = False
-    #: (request_id, tenant, priority) of every member, when known
-    #: directly from span args (cluster dispatches); serve-mode ticks
-    #: recover members from membership intervals instead.
-    members: tuple = ()
+    boundary: bool
+    #: request ids the span lists (drain batches); other ticks recover
+    #: their members from membership intervals.
+    members: tuple
 
     @property
     def duration_ns(self) -> int:
@@ -141,7 +140,9 @@ class Attribution:
     horizon_ns: int = 0
     tenants: dict = field(default_factory=dict)
     replicas: dict = field(default_factory=dict)
-    ticks: list = field(default_factory=list)  # _Tick (analysis internal)
+    #: _Tick rows by column (analysis internal), in tick-start order for
+    #: serve modes and trace order for cluster dispatches
+    ticks: Table = field(default_factory=lambda: Table(_Tick))
 
     # ------------------------------------------------------------------
     def fleet_components(self) -> dict:
@@ -205,15 +206,14 @@ def analyze_records(records: TraceRecords) -> Attribution:
 
 def detect_mode(records: TraceRecords) -> str:
     """Which instrumented layer produced this trace."""
-    for span in records.spans:
-        if span.name.startswith("tick["):
-            return "continuous"
-    for span in records.spans:
-        if span.name.startswith("dispatch["):
-            return "cluster"
-    for span in records.spans:
-        if span.name == "batch" and span.track == _BATCH_TRACK:
-            return "drain"
+    names = records.spans.columns.name
+    if any(name.startswith("tick[") for name in names):
+        return "continuous"
+    if any(name.startswith("dispatch[") for name in names):
+        return "cluster"
+    if any(name == "batch" and track == _BATCH_TRACK
+           for name, track in zip(names, records.spans.columns.track)):
+        return "drain"
     return "continuous"
 
 
@@ -237,6 +237,7 @@ def _serve_ticks(records: TraceRecords) -> list:
             phase=phase,
             cold_ns=cold_ns,
             energy_nj=round(float(span.args.get("energy_j", 0.0)) * 1e9),
+            replica="",
             boundary=bool(span.args.get("boundary", False)),
             members=tuple(span.args.get("request_ids", ())),
         ))
@@ -245,9 +246,11 @@ def _serve_ticks(records: TraceRecords) -> list:
 
 
 def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
+    # Serve traces are small: the attribution walks _Tick rows.
     ticks = _serve_ticks(records)
-    out = Attribution(mode=mode, ticks=ticks,
-                      horizon_ns=records.horizon_ns())
+    out = Attribution(mode=mode, horizon_ns=records.horizon_ns())
+    for tick in ticks:
+        out.ticks.append(*tick)
     out.busy_ns = sum(t.duration_ns for t in ticks)
     out.energy_nj = sum(t.energy_nj for t in ticks)
 
@@ -276,7 +279,7 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
                                out.horizon_ns, mode)
         )
 
-    _account_tenants(out)
+    _account_tenants(out, ticks)
     return out
 
 
@@ -391,7 +394,7 @@ def _split_wait(
         comp["queue_wait_ns"] += end_ns - boundary
 
 
-def _account_tenants(out: Attribution) -> None:
+def _account_tenants(out: Attribution, ticks: list) -> None:
     """Split every tick's time (and energy) exactly across its members."""
     by_rid = {r.request_id: r for r in out.requests}
     intervals = [
@@ -399,7 +402,7 @@ def _account_tenants(out: Attribution) -> None:
         for r in out.requests
         for j, l in r.intervals
     ]
-    for tick in out.ticks:
+    for tick in ticks:
         if tick.members:
             members = sorted(int(m) for m in tick.members)
         else:
@@ -448,9 +451,7 @@ def _account_tenants(out: Attribution) -> None:
             doc["by_priority"][priority] = (
                 doc["by_priority"].get(priority, 0) + shares[member]
             )
-            model = (request.model if request is not None else "") or (
-                tick.model or "?"
-            )
+            model = (request.model if request is not None else "") or "?"
             doc["by_model"][model] = (
                 doc["by_model"].get(model, 0) + shares[member]
             )
@@ -489,6 +490,14 @@ def _exact_split(amount: int, count: int) -> list:
     return [share + 1] * remainder + [share] * (count - remainder)
 
 
+def _group_share(amount: int, count: int, slots: list) -> int:
+    """``sum(_exact_split(amount, count)[s] for s in slots)`` for
+    ascending ``slots``: the floor share each, plus one per slot below
+    the remainder."""
+    share, remainder = divmod(amount, count)
+    return share * len(slots) + bisect_left(slots, remainder)
+
+
 # ----------------------------------------------------------------------
 # cluster mode
 # ----------------------------------------------------------------------
@@ -498,104 +507,98 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     Cluster traces identify requests per server, not globally, so this
     mode reports rollups (per tenant/replica/model) rather than
     per-request decompositions; the exact-conservation guarantee here
-    is that per-tenant dispatch shares sum to fleet busy time.
+    is that per-tenant dispatch shares sum to fleet busy time. It walks
+    the record columns and appends each dispatch to ``ticks`` as a row.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    for span in records.spans:
-        if not span.name.startswith("dispatch["):
+    spans = records.spans.columns
+    for span_id, name, track, start_ns, end_ns, args in zip(
+        spans.span_id, spans.name, spans.track, spans.start_ns,
+        spans.end_ns, spans.args,
+    ):
+        if not name.startswith("dispatch["):
             continue
-        duration = span.duration_ns
-        cold_ns = min(max(to_ns(span.args.get("cold_s", 0.0)), 0), duration)
-        tenants = list(span.args.get("tenants", ()))
-        priorities = list(span.args.get("priorities", ()))
-        members = tuple(
-            (index, str(tenant),
-             int(priorities[index]) if index < len(priorities) else 1)
-            for index, tenant in enumerate(tenants)
-        )
-        tick = _Tick(
-            span_id=span.span_id,
-            start_ns=span.start_ns,
-            end_ns=span.end_ns,
-            phase=str(span.args.get("phase") or "batch"),
-            cold_ns=cold_ns,
-            energy_nj=round(float(span.args.get("energy_j", 0.0)) * 1e9),
-            model=str(span.args.get("model", "")),
-            replica=span.track.partition("/")[2],
-            members=members,
-        )
-        out.ticks.append(tick)
+        duration = end_ns - start_ns
+        cold_ns = min(max(to_ns(args.get("cold_s", 0.0)), 0), duration)
+        energy_nj = round(float(args.get("energy_j", 0.0)) * 1e9)
+        phase = str(args.get("phase") or "batch")
+        replica = track.partition("/")[2]
+        out.ticks.append(span_id, start_ns, end_ns, phase, cold_ns,
+                         energy_nj, replica, False, ())
         out.busy_ns += duration
-        out.energy_nj += tick.energy_nj
-        replica = out.replicas.setdefault(
-            tick.replica, {"busy_ns": 0, "dispatches": 0, "cold_ns": 0}
-        )
-        replica["busy_ns"] += duration
-        replica["dispatches"] += 1
-        replica["cold_ns"] += cold_ns
+        out.energy_nj += energy_nj
+        totals = out.replicas.get(replica)
+        if totals is None:
+            totals = out.replicas[replica] = {
+                "busy_ns": 0, "dispatches": 0, "cold_ns": 0,
+            }
+        totals["busy_ns"] += duration
+        totals["dispatches"] += 1
+        totals["cold_ns"] += cold_ns
 
-        cold_phase = [("cold", cold_ns), (tick.phase, duration - cold_ns)]
-        if not members:
+        cold_phase = (("cold", cold_ns), (phase, duration - cold_ns))
+        tenants = args.get("tenants", ())
+        if not tenants:
             doc = _tenant_doc(out.tenants, _UNATTRIBUTED)
             doc["tick_ns"] += duration
-            doc["energy_nj"] += tick.energy_nj
-            for phase, amount in cold_phase:
+            doc["energy_nj"] += energy_nj
+            for key, amount in cold_phase:
                 if amount:
-                    doc["by_phase"][phase] = (
-                        doc["by_phase"].get(phase, 0) + amount
-                    )
+                    doc["by_phase"][key] = doc["by_phase"].get(key, 0) + amount
             continue
-        # One split per tick and quantity; a member's slot is its position.
-        energy = _exact_split(tick.energy_nj, len(members))
-        phases = [
-            (phase, _exact_split(amount, len(members)))
-            for phase, amount in cold_phase if amount
-        ]
-        model = tick.model or "?"
-        for slot, tenant, priority in members:
+        # One exact split per tick and quantity, a member's slot being its
+        # position; members of one tenant and priority share one rollup,
+        # so each such group adds the sum of its slots' shares.
+        groups: dict = {}
+        priorities = args.get("priorities", ())
+        for slot, tenant in enumerate(tenants):
+            priority = int(priorities[slot]) if slot < len(priorities) else 1
+            groups.setdefault((str(tenant), str(priority)), []).append(slot)
+        phases = [(key, amount) for key, amount in cold_phase if amount]
+        model = str(args.get("model", "")) or "?"
+        for (tenant, priority), slots in groups.items():
             doc = _tenant_doc(out.tenants, tenant)
-            doc["energy_nj"] += energy[slot]
+            doc["energy_nj"] += _group_share(energy_nj, len(tenants), slots)
             if not phases:
                 continue
             by_phase = doc["by_phase"]
             share = 0
-            for phase, shares in phases:
-                by_phase[phase] = by_phase.get(phase, 0) + shares[slot]
-                share += shares[slot]
+            for key, amount in phases:
+                part = _group_share(amount, len(tenants), slots)
+                by_phase[key] = by_phase.get(key, 0) + part
+                share += part
             doc["tick_ns"] += share
             by_priority = doc["by_priority"]
-            by_priority[str(priority)] = (
-                by_priority.get(str(priority), 0) + share
-            )
+            by_priority[priority] = by_priority.get(priority, 0) + share
             doc["by_model"][model] = doc["by_model"].get(model, 0) + share
 
     # Request rollups from lifecycle events (ids are per-server, so no
     # cross-joins: served events carry their own wait/service prices).
-    for event in records.events:
-        if event.track != "cluster/requests":
+    events = records.events.columns
+    for name, track, ts_ns, args in zip(
+        events.name, events.track, events.ts_ns, events.args
+    ):
+        if track != "cluster/requests":
             continue
-        tenant = str(event.args.get("tenant", "default"))
+        tenant = str(args.get("tenant", "default"))
         doc = _tenant_doc(out.tenants, tenant)
-        if event.name == "queued":
+        if name == "queued":
             doc["requests"] += 1
-        elif event.name == "served":
+        elif name == "served":
             doc["served"] += 1
+            wait_ns = to_ns(args.get("wait_s", 0.0))
+            service_ns = to_ns(args.get("service_s", 0.0))
             request = RequestAttribution(
-                request_id=int(event.args.get("request_id", -1)),
+                request_id=int(args.get("request_id", -1)),
                 tenant=tenant,
-                priority=int(event.args.get("priority", 1)),
-                model=str(event.args.get("model", "")),
+                priority=int(args.get("priority", 1)),
+                model=str(args.get("model", "")),
                 outcome="served",
-                submit_ns=event.ts_ns - to_ns(event.args.get("wait_s", 0.0))
-                - to_ns(event.args.get("service_s", 0.0)),
-                end_ns=event.ts_ns,
+                submit_ns=ts_ns - wait_ns - service_ns,
+                end_ns=ts_ns,
             )
-            request.components["queue_wait_ns"] = to_ns(
-                event.args.get("wait_s", 0.0)
-            )
-            request.components["batch_ns"] = to_ns(
-                event.args.get("service_s", 0.0)
-            )
+            request.components["queue_wait_ns"] = wait_ns
+            request.components["batch_ns"] = service_ns
             out.requests.append(request)
     out.tenants = {
         tenant: _sorted_tenant(doc)

@@ -14,30 +14,26 @@ smallest ready key. Singleton nodes are candidate paths too, which
 gives the two properties the hypothesis suite checks: the reported
 length is at least any single span's duration, and (since consecutive
 path nodes never overlap) at most the total extent of the trace.
+
+The DP runs on node positions in key order — integer arrays, an
+integer heap — so a graph of one node per span costs no object per
+node; :class:`CPNode` is built for the reported chain only.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class CPNode:
+class CPNode(NamedTuple):
     """One interval in the dependency graph."""
 
     key: str
     start_ns: int
     end_ns: int
     label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.end_ns < self.start_ns:
-            raise ValueError(
-                f"node {self.key!r} ends at {self.end_ns} before start "
-                f"{self.start_ns}"
-            )
 
     @property
     def duration_ns(self) -> int:
@@ -75,71 +71,77 @@ class CriticalPath:
 
 def critical_path(
     nodes: Iterable[CPNode],
-    edges: Sequence[Tuple[str, str]],
+    edges: Iterable[Tuple[str, str]],
 ) -> CriticalPath:
     """Longest chain (by summed duration) through an interval DAG.
 
-    ``edges`` are ``(from_key, to_key)`` pairs; every edge must respect
-    time (``to.start_ns >= from.end_ns``) and reference known keys.
-    Duplicate edges are collapsed. Raises :class:`ValueError` on
-    violations — a malformed graph must fail loudly, not produce a
-    plausible-looking wrong answer.
+    ``nodes`` are :class:`CPNode` s or plain ``(key, start_ns, end_ns,
+    label)`` tuples. ``edges`` are ``(from_key, to_key)`` pairs; every
+    edge must respect time (``to.start_ns >= from.end_ns``) and
+    reference known keys. Duplicate edges are collapsed. Raises
+    :class:`ValueError` on violations — a malformed graph must fail
+    loudly, not produce a plausible-looking wrong answer.
     """
-    by_key = {}
-    for node in nodes:
-        if node.key in by_key:
-            raise ValueError(f"duplicate node key {node.key!r}")
-        by_key[node.key] = node
-    if not by_key:
+    # Position = rank in key order, so the integer heap pops keys in
+    # key order and the first maximum is the smallest key.
+    rows = sorted(nodes)
+    keys = [row[0] for row in rows]
+    starts = [row[1] for row in rows]
+    ends = [row[2] for row in rows]
+    index = {key: i for i, key in enumerate(keys)}
+    if len(index) != len(keys):
+        duplicate = next(a for a, b in zip(keys, keys[1:]) if a == b)
+        raise ValueError(f"duplicate node key {duplicate!r}")
+    for key, start_ns, end_ns in zip(keys, starts, ends):
+        if end_ns < start_ns:
+            raise ValueError(
+                f"node {key!r} ends at {end_ns} before start {start_ns}"
+            )
+    if not keys:
         return CriticalPath()
 
-    successors: dict = {key: set() for key in by_key}
-    indegree: dict = {key: 0 for key in by_key}
-    for u, v in edges:
-        if u not in by_key or v not in by_key:
+    successors: list = [[] for _ in keys]
+    indegree = [0] * len(keys)
+    for u, v in set(edges):
+        if u not in index or v not in index:
             raise ValueError(f"edge ({u!r}, {v!r}) references unknown node")
-        if by_key[v].start_ns < by_key[u].end_ns:
+        i, j = index[u], index[v]
+        if starts[j] < ends[i]:
             raise ValueError(
                 f"edge ({u!r}, {v!r}) violates time: successor starts at "
-                f"{by_key[v].start_ns} before predecessor end "
-                f"{by_key[u].end_ns}"
+                f"{starts[j]} before predecessor end {ends[i]}"
             )
-        if v not in successors[u]:
-            successors[u].add(v)
-            indegree[v] += 1
+        successors[i].append(j)
+        indegree[j] += 1
 
     # Kahn's algorithm with a min-heap on key: deterministic topo order.
-    ready = [key for key, deg in sorted(indegree.items()) if deg == 0]
-    heapq.heapify(ready)
-    best: dict = {}  # key -> (total_ns, predecessor key or None)
-    order = []
+    ready = [i for i, degree in enumerate(indegree) if degree == 0]
+    total = [0] * len(keys)  # longest chain ending at each node
+    incoming = [-1] * len(keys)  # best predecessor's total, -1 for none
+    previous = [-1] * len(keys)  # that predecessor, -1 for none
+    popped = 0
     while ready:
-        key = heapq.heappop(ready)
-        order.append(key)
-        node = by_key[key]
-        incoming = best.get(key)
-        base = 0 if incoming is None else incoming[0]
-        best[key] = (base + node.duration_ns, None if incoming is None
-                     else incoming[1])
-        for succ in sorted(successors[key]):
-            candidate = (best[key][0], key)
-            current = best.get(succ)
-            # Strictly-greater keeps the first (smallest-key) winner on
-            # ties, which makes the reported path deterministic.
-            if current is None or candidate[0] > current[0]:
-                best[succ] = candidate
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) != len(by_key):
+        i = heapq.heappop(ready)
+        popped += 1
+        total[i] = max(incoming[i], 0) + ends[i] - starts[i]
+        for j in successors[i]:
+            # Strictly-greater keeps the first winner popped on ties,
+            # which makes the reported path deterministic.
+            if total[i] > incoming[j]:
+                incoming[j] = total[i]
+                previous[j] = i
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    if popped != len(keys):
         raise ValueError("dependency graph contains a cycle")
 
-    end_key = max(best, key=lambda k: (best[k][0], _neg_key(k)))
+    best = max(total)
+    cursor = total.index(best)
     chain = []
-    cursor: Optional[str] = end_key
-    while cursor is not None:
-        chain.append(by_key[cursor])
-        cursor = best[cursor][1]
+    while cursor != -1:
+        chain.append(CPNode._make(rows[cursor]))
+        cursor = previous[cursor]
     chain.reverse()
 
     path_edges = [
@@ -150,29 +152,12 @@ def critical_path(
         }
         for u, v in zip(chain, chain[1:])
     ]
-    starts = [n.start_ns for n in by_key.values()]
-    ends = [n.end_ns for n in by_key.values()]
     return CriticalPath(
-        total_ns=best[end_key][0],
+        total_ns=best,
         nodes=chain,
         edges=path_edges,
         span_ns=max(ends) - min(starts),
     )
-
-
-class _neg_key:
-    """Reverses string ordering so max() tie-breaks to the smaller key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_neg_key") -> bool:
-        return self.key > other.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _neg_key) and self.key == other.key
 
 
 __all__ = ["CPNode", "CriticalPath", "critical_path"]

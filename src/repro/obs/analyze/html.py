@@ -145,13 +145,14 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
     # A request's row paints the ticks that list its id and the ticks
     # inside its membership intervals. Index both once, so a row costs
     # the ticks it paints, not every tick of the trace.
-    ticks = report.attribution.ticks
+    ticks = report.attribution.ticks.columns
     listing: dict = {}  # member -> positions of the ticks listing it
-    for position, tick in enumerate(ticks):
-        for member in tick.members:
+    for position, members in enumerate(ticks.members):
+        for member in members:
             listing.setdefault(member, []).append(position)
-    by_start = sorted(range(len(ticks)), key=lambda i: ticks[i].start_ns)
-    starts = [ticks[i].start_ns for i in by_start]
+    by_start = sorted(range(len(ticks.start_ns)),
+                      key=ticks.start_ns.__getitem__)
+    starts = [ticks.start_ns[i] for i in by_start]
     row_h = 14
     height = len(requests) * row_h + 4
     parts = [
@@ -180,14 +181,15 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
             inside = by_start[
                 bisect_left(starts, join_ns):bisect_right(starts, leave_ns)
             ]
-            painted.update(i for i in inside if ticks[i].end_ns <= leave_ns)
+            painted.update(i for i in inside if ticks.end_ns[i] <= leave_ns)
         for position in sorted(painted):  # tick order: later overpaints
-            tick = ticks[position]
-            color = _PHASE_COLORS.get(tick.phase, _PHASE_COLORS["other"])
+            start_ns = ticks.start_ns[position]
+            color = _PHASE_COLORS.get(ticks.phase[position],
+                                      _PHASE_COLORS["other"])
             parts.append(
-                f'<rect x="{_pct(tick.start_ns, span_ns)}" y="{y}" '
-                f'width="{_pct(tick.duration_ns, span_ns)}" height="10" '
-                f'fill="{color}"/>'
+                f'<rect x="{_pct(start_ns, span_ns)}" y="{y}" width="'
+                f'{_pct(ticks.end_ns[position] - start_ns, span_ns)}" '
+                f'height="10" fill="{color}"/>'
             )
     parts.append("</svg>")
     note = ""
@@ -202,11 +204,13 @@ def _tick_strip_svg(report: AnalysisReport, doc: dict) -> str:
     span_ns = max(doc["horizon_ns"], 1)
     parts = ['<svg viewBox="0 0 100 16" width="100%" height="32" '
              'preserveAspectRatio="none">']
-    for tick in report.attribution.ticks:
-        color = _PHASE_COLORS.get(tick.phase, _PHASE_COLORS["other"])
+    ticks = report.attribution.ticks.columns
+    for start_ns, end_ns, phase in zip(ticks.start_ns, ticks.end_ns,
+                                       ticks.phase):
+        color = _PHASE_COLORS.get(phase, _PHASE_COLORS["other"])
         parts.append(
-            f'<rect x="{_pct(tick.start_ns, span_ns)}" y="2" '
-            f'width="{_pct(tick.duration_ns, span_ns)}" height="12" '
+            f'<rect x="{_pct(start_ns, span_ns)}" y="2" '
+            f'width="{_pct(end_ns - start_ns, span_ns)}" height="12" '
             f'fill="{color}" stroke="#fff" stroke-width="0.05"/>'
         )
     parts.append("</svg>")

@@ -9,22 +9,31 @@ Converting every timestamp once via :func:`to_ns` and doing all
 arithmetic in ``int`` makes interval sums telescope exactly: for any
 chain of shared breakpoints, ``sum(b[i+1] - b[i]) == b[-1] - b[0]``.
 
-Three sources produce the same normalized records:
+Records are stored like the tracer's rows: two
+:class:`~repro.obs.trace.Table` s, ``spans`` (:class:`SpanRec` rows)
+and ``events`` (:class:`EventRec` rows), one list per field; the
+analyses read the columns and a ``SpanRec`` is built only for a caller
+that indexes or iterates. Three sources produce them:
 
-- a live :class:`~repro.obs.trace.Tracer` (in-process analysis);
+- a live :class:`~repro.obs.trace.Tracer` (in-process analysis), whose
+  ``args`` dicts are shared, not copied;
 - the JSONL event log (``repro trace --events-out``) — the primary
   artifact path, full-float-repr timestamps, byte-exact round-trip;
-- a Chrome trace-event document (``repro trace --out``) — timestamps
-  there are microseconds rounded to 1e-3 us, i.e. already nanosecond
-  resolution, so ``round(ts_us * 1000)`` recovers the same integers.
+- a Chrome trace-event document (``repro trace --out``) — ``ts`` there
+  is microseconds rounded to 1e-3 us, so ``round(ts_us * 1000)``
+  recovers each start and instant exactly. A span's end does not
+  always: ``dur`` is the difference rounded on its own, not the
+  difference of the two rounded stamps, so ``start + dur`` can land
+  1 ns off the true end.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
+
+from repro.obs.trace import Table
 
 #: Nanoseconds per second (the fixed analysis resolution).
 NS_PER_S = 1_000_000_000
@@ -34,13 +43,13 @@ def to_ns(seconds: float) -> int:
     """Float seconds -> integer nanoseconds (round-half-even).
 
     Matches the Chrome exporter's ``round(s * 1e6, 3)`` microsecond
-    grid, so records loaded from either artifact agree.
+    grid for timestamps, so records loaded from either artifact agree
+    on every start and instant.
     """
     return round(float(seconds) * NS_PER_S)
 
 
-@dataclass(frozen=True)
-class SpanRec:
+class SpanRec(NamedTuple):
     """A closed interval on a track, in integer nanoseconds."""
 
     span_id: int
@@ -48,23 +57,22 @@ class SpanRec:
     track: str
     start_ns: int
     end_ns: int
-    parent_id: Optional[int] = None
-    args: dict = field(default_factory=dict)
+    parent_id: Optional[int]
+    args: dict
 
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
 
 
-@dataclass(frozen=True)
-class EventRec:
+class EventRec(NamedTuple):
     """An instant on a track, in integer nanoseconds."""
 
     event_id: int
     name: str
     track: str
     ts_ns: int
-    args: dict = field(default_factory=dict)
+    args: dict
 
 
 @dataclass
@@ -73,11 +81,11 @@ class TraceRecords:
 
     ``spans`` and ``events`` keep their source order (global timestamp
     order for the artifact loaders, which is what
-    :meth:`~repro.obs.trace.Tracer.records` emits).
+    :meth:`~repro.obs.trace.Tracer.order` emits).
     """
 
-    spans: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    spans: Table = field(default_factory=lambda: Table(SpanRec))
+    events: Table = field(default_factory=lambda: Table(EventRec))
 
     # ------------------------------------------------------------------
     # constructors
@@ -90,54 +98,46 @@ class TraceRecords:
             if record.get("type") == "span":
                 if record.get("end_s") is None:
                     continue  # open span: nothing to attribute
-                out.spans.append(SpanRec(
-                    span_id=int(record["span_id"]),
-                    name=record["name"],
-                    track=record["track"],
-                    start_ns=to_ns(record["start_s"]),
-                    end_ns=to_ns(record["end_s"]),
-                    parent_id=record.get("parent_id"),
-                    args=dict(record.get("args") or {}),
-                ))
+                out.spans.append(
+                    int(record["span_id"]), record["name"], record["track"],
+                    to_ns(record["start_s"]), to_ns(record["end_s"]),
+                    record.get("parent_id"), dict(record.get("args") or {}),
+                )
             elif record.get("type") == "event":
-                out.events.append(EventRec(
-                    event_id=int(record["event_id"]),
-                    name=record["name"],
-                    track=record["track"],
-                    ts_ns=to_ns(record["ts_s"]),
-                    args=dict(record.get("args") or {}),
-                ))
+                out.events.append(
+                    int(record["event_id"]), record["name"], record["track"],
+                    to_ns(record["ts_s"]), dict(record.get("args") or {}),
+                )
         return out
 
     @classmethod
     def from_tracer(cls, tracer) -> "TraceRecords":
-        """From a live :class:`~repro.obs.trace.Tracer`, read in place.
+        """From a live :class:`~repro.obs.trace.Tracer`'s columns.
 
-        Equal to ``from_records(tracer.records())``: closed spans and
-        events each in ``(timestamp, id)`` order (the two lists are
-        separate, so spans-before-events needs no key here). The tracer
-        keeps ``args`` key-sorted, so a copy normalises them.
+        Equal to ``from_records(tracer.records())``: spans and events
+        each in ``(timestamp, id)`` order — ids are row positions, so a
+        stable sort on the timestamp alone gives it.
         """
-        spans = sorted(
-            (span for span in tracer.spans if span.end_s is not None),
-            key=attrgetter("start_s", "span_id"),
-        )
-        events = sorted(tracer.events, key=attrgetter("ts_s", "event_id"))
+        spans, events = tracer.spans.columns, tracer.events.columns
+        order = sorted(range(len(spans.start_s)), key=spans.start_s.__getitem__)
+        at = sorted(range(len(events.ts_s)), key=events.ts_s.__getitem__)
         return cls(
-            spans=[
-                SpanRec(
-                    span.span_id, span.name, span.track, to_ns(span.start_s),
-                    to_ns(span.end_s), span.parent_id, dict(span.args),
-                )
-                for span in spans
-            ],
-            events=[
-                EventRec(
-                    event.event_id, event.name, event.track,
-                    to_ns(event.ts_s), dict(event.args),
-                )
-                for event in events
-            ],
+            spans=Table(SpanRec, SpanRec(
+                order,
+                [spans.name[i] for i in order],
+                [spans.track[i] for i in order],
+                [round(spans.start_s[i] * NS_PER_S) for i in order],
+                [round(spans.end_s[i] * NS_PER_S) for i in order],
+                [spans.parent_id[i] for i in order],
+                [spans.args[i] for i in order],
+            )),
+            events=Table(EventRec, EventRec(
+                at,
+                [events.name[i] for i in at],
+                [events.track[i] for i in at],
+                [round(events.ts_s[i] * NS_PER_S) for i in at],
+                [events.args[i] for i in at],
+            )),
         )
 
     @classmethod
@@ -160,7 +160,6 @@ class TraceRecords:
         def track_of(entry: dict) -> str:
             return tracks.get(entry.get("tid"), f"tid{entry.get('tid')}")
 
-        next_event_id = 0
         for entry in doc.get("traceEvents", []):
             ph = entry.get("ph")
             args = dict(entry.get("args") or {})
@@ -168,25 +167,17 @@ class TraceRecords:
                 span_id = args.pop("span_id", len(out.spans))
                 parent_id = args.pop("parent_id", None)
                 start_ns = round(float(entry["ts"]) * 1000)
-                out.spans.append(SpanRec(
-                    span_id=int(span_id),
-                    name=entry["name"],
-                    track=track_of(entry),
-                    start_ns=start_ns,
-                    end_ns=start_ns + round(float(entry["dur"]) * 1000),
-                    parent_id=parent_id,
-                    args=args,
-                ))
+                out.spans.append(
+                    int(span_id), entry["name"], track_of(entry), start_ns,
+                    start_ns + round(float(entry["dur"]) * 1000), parent_id,
+                    args,
+                )
             elif ph == "i":
                 args.pop("span_id", None)
-                out.events.append(EventRec(
-                    event_id=next_event_id,
-                    name=entry["name"],
-                    track=track_of(entry),
-                    ts_ns=round(float(entry["ts"]) * 1000),
-                    args=args,
-                ))
-                next_event_id += 1
+                out.events.append(
+                    len(out.events), entry["name"], track_of(entry),
+                    round(float(entry["ts"]) * 1000), args,
+                )
         return out
 
     @classmethod
@@ -212,12 +203,11 @@ class TraceRecords:
 
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""
-        latest = 0
-        for span in self.spans:
-            latest = max(latest, span.end_ns)
-        for event in self.events:
-            latest = max(latest, event.ts_ns)
-        return latest
+        return max(
+            max(self.spans.columns.end_ns, default=0),
+            max(self.events.columns.ts_ns, default=0),
+            0,
+        )
 
 
 __all__ = [

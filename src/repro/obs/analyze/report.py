@@ -20,11 +20,7 @@ from typing import Optional, Sequence
 
 from repro.canon import canonical_json
 from repro.obs.analyze.attribution import Attribution, analyze_records
-from repro.obs.analyze.critical_path import (
-    CPNode,
-    CriticalPath,
-    critical_path,
-)
+from repro.obs.analyze.critical_path import CriticalPath, critical_path
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
 
@@ -164,39 +160,25 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     fatal — the analyzer reports on real artifacts, it does not insist
     they be ideal.
     """
-    nodes = {}
+    if attribution.mode == "cluster":
+        return critical_path(*_replica_chains(attribution.ticks.columns))
+
+    nodes = {}  # key -> (key, start_ns, end_ns, label)
     edges = set()
 
     def add_node(key: str, start_ns: int, end_ns: int, label: str) -> None:
         if key not in nodes:
-            nodes[key] = CPNode(key=key, start_ns=start_ns,
-                                end_ns=end_ns, label=label)
+            nodes[key] = (key, start_ns, end_ns, label)
 
     def add_edge(u: str, v: str) -> None:
-        if nodes[v].start_ns >= nodes[u].end_ns:
+        if nodes[v][1] >= nodes[u][2]:
             edges.add((u, v))
 
-    if attribution.mode == "cluster":
-        by_replica: dict = {}
-        for tick in attribution.ticks:
-            by_replica.setdefault(tick.replica, []).append(tick)
-        for replica in sorted(by_replica):
-            chain = sorted(by_replica[replica],
-                           key=lambda t: (t.start_ns, t.span_id))
-            previous = None
-            for tick in chain:
-                key = f"tick:{tick.span_id:08d}"
-                add_node(key, tick.start_ns, tick.end_ns,
-                         f"{replica} {tick.phase}")
-                if previous is not None:
-                    add_edge(previous, key)
-                previous = key
-        return critical_path(nodes.values(), sorted(edges))
-
     member_ticks: dict = {}
+    all_ticks = list(attribution.ticks)
     for request in attribution.requests:
         ticks = []
-        for tick in attribution.ticks:
+        for tick in all_ticks:
             in_interval = any(
                 j <= tick.start_ns and tick.end_ns <= l
                 for j, l in request.intervals
@@ -230,7 +212,26 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
             elif previous is not None:
                 add_edge(previous, key)
             previous = key
-    return critical_path(nodes.values(), sorted(edges))
+    return critical_path(nodes.values(), edges)
+
+
+def _replica_chains(ticks) -> tuple:
+    """Cluster mode's graph from the tick columns: each replica's
+    dispatches chained in ``(start_ns, span_id)`` order."""
+    order = sorted(range(len(ticks.span_id)), key=ticks.span_id.__getitem__)
+    order.sort(key=ticks.start_ns.__getitem__)  # stable: ties by span id
+    nodes, edges = [], []
+    last = {}  # replica -> its previous node's position in `nodes`
+    for i in order:
+        replica, start_ns = ticks.replica[i], ticks.start_ns[i]
+        key = f"tick:{ticks.span_id[i]:08d}"
+        before = last.get(replica)
+        if before is not None and start_ns >= nodes[before][2]:
+            edges.append((nodes[before][0], key))
+        last[replica] = len(nodes)
+        nodes.append((key, start_ns, ticks.end_ns[i],
+                      f"{replica} {ticks.phase[i]}"))
+    return nodes, edges
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,11 @@ Tracer`:
 
 - each **track** becomes one thread row (``pid`` 1, ``tid`` = rank of
   the track name in sorted order), named by an ``M`` (metadata) event;
-- each **closed span** becomes an ``X`` (complete) event with ``ts`` /
-  ``dur`` in microseconds; parent links ride in ``args.parent_id``;
-- each **open span** becomes a ``b`` (async begin) event — visible in
-  the viewer, explicitly unterminated;
+- each **span** becomes an ``X`` (complete) event with ``ts`` / ``dur``
+  in microseconds; parent links ride in ``args.parent_id``;
 - each **event** becomes an ``i`` (instant) event with thread scope.
+
+Both exporters read the tracer's columns in :meth:`Tracer.order`.
 
 Everything is serialized canonically (sorted keys, fixed separators,
 trailing newline), so a deterministic tracer yields a byte-identical
@@ -58,45 +58,35 @@ def chrome_trace(tracer: Tracer) -> dict:
             "tid": tids[track],
             "args": {"name": track},
         })
-    for record in tracer.records():
-        args = dict(record["args"])
-        if record["type"] == "span":
-            args["span_id"] = record["span_id"]
-            if record["parent_id"] is not None:
-                args["parent_id"] = record["parent_id"]
-            if record["end_s"] is None:
-                trace_events.append({
-                    "name": record["name"],
-                    "ph": "b",
-                    "cat": "span",
-                    "id": record["span_id"],
-                    "pid": 1,
-                    "tid": tids[record["track"]],
-                    "ts": _us(record["start_s"]),
-                    "args": args,
-                })
-            else:
-                trace_events.append({
-                    "name": record["name"],
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tids[record["track"]],
-                    "ts": _us(record["start_s"]),
-                    "dur": _us(record["end_s"] - record["start_s"]),
-                    "args": args,
-                })
-        else:
-            if record["span_id"] is not None:
-                args["span_id"] = record["span_id"]
+    spans, events = tracer.spans.columns, tracer.events.columns
+    for is_event, i in tracer.order():
+        if is_event:
+            args = dict(events.args[i])
+            if events.span_id[i] is not None:
+                args["span_id"] = events.span_id[i]
             trace_events.append({
-                "name": record["name"],
+                "name": events.name[i],
                 "ph": "i",
                 "s": "t",
                 "pid": 1,
-                "tid": tids[record["track"]],
-                "ts": _us(record["ts_s"]),
+                "tid": tids[events.track[i]],
+                "ts": _us(events.ts_s[i]),
                 "args": args,
             })
+            continue
+        args = dict(spans.args[i])
+        args["span_id"] = i
+        if spans.parent_id[i] is not None:
+            args["parent_id"] = spans.parent_id[i]
+        trace_events.append({
+            "name": spans.name[i],
+            "ph": "X",
+            "pid": 1,
+            "tid": tids[spans.track[i]],
+            "ts": _us(spans.start_s[i]),
+            "dur": _us(spans.end_s[i] - spans.start_s[i]),
+            "args": args,
+        })
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

@@ -16,11 +16,19 @@ Everything is deterministic by construction:
   half (:mod:`repro.obs.trace`), where the owning layer supplies its own
   simulated clock;
 - exposition is canonical key-sorted JSON (:meth:`MetricsRegistry.
-  to_json`), byte-stable for a given update history.
+  to_json`), byte-stable for a given update history — every update
+  refuses a NaN or infinity with a :class:`ValueError` naming the
+  metric, so none can reach the JSON.
+
+A hot call site binds a series once (:meth:`MetricFamily.labels`) and
+updates it directly; the family's ``inc`` / ``set`` / ``observe`` look
+the series up by label keywords on every call.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import Optional, Sequence
 
 from repro.canon import canonical_json
@@ -66,24 +74,48 @@ def histogram_quantile(
     return float(buckets[-1])
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: non-finite value {value!r}")
+    return value
+
+
 class _Child:
-    """One (family, label-values) series."""
+    """One counter or gauge series; ``name`` is its family's."""
 
-    __slots__ = ("value",)
+    __slots__ = ("name", "value")
 
-    def __init__(self) -> None:
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        if _finite(self.name, amount) < 0:
+            raise ValueError(f"{self.name}: counters only go up")
+        self.value += amount
+
+    def set(self, value: float) -> None:
+        self.value = float(_finite(self.name, value))
 
 
 class _HistogramChild:
     """One histogram series: bucket counts plus sum/count."""
 
-    __slots__ = ("bucket_counts", "sum", "count")
+    __slots__ = ("name", "buckets", "bucket_counts", "sum", "count")
 
-    def __init__(self, num_buckets: int) -> None:
-        self.bucket_counts = [0] * (num_buckets + 1)  # +Inf tail
+    def __init__(self, name: str, buckets: tuple) -> None:
+        self.name = name
+        self.buckets = buckets
+        self.bucket_counts = [0] * (len(buckets) + 1)  # +Inf tail
         self.sum = 0.0
         self.count = 0
+
+    def observe(self, value: float) -> None:
+        # The first bound with value <= bound; past the last one is +Inf.
+        index = bisect_left(self.buckets, _finite(self.name, value))
+        self.bucket_counts[index] += 1
+        self.sum += float(value)
+        self.count += 1
 
 
 class MetricFamily:
@@ -117,21 +149,6 @@ class MetricFamily:
         self._children: dict = {}
 
     # ------------------------------------------------------------------
-    def _child(self, label_values: tuple):
-        if len(label_values) != len(self.label_names):
-            raise ValueError(
-                f"{self.name} takes labels {self.label_names}, "
-                f"got values {label_values}"
-            )
-        child = self._children.get(label_values)
-        if child is None:
-            if self.kind == "histogram":
-                child = _HistogramChild(len(self.buckets))
-            else:
-                child = _Child()
-            self._children[label_values] = child
-        return child
-
     def _values(self, **labels) -> tuple:
         try:
             return tuple(str(labels[name]) for name in self.label_names)
@@ -140,33 +157,40 @@ class MetricFamily:
                 f"{self.name} requires label {missing.args[0]!r}"
             ) from None
 
+    def labels(self, **labels):
+        """The series for these label values, created on first use.
+
+        A hot call site binds it once and then calls its ``inc`` /
+        ``set`` / ``observe``, which skip the kind check and the label
+        lookup of the family methods below but refuse the same values.
+        """
+        values = self._values(**labels)
+        child = self._children.get(values)
+        if child is None:
+            child = self._children[values] = (
+                _HistogramChild(self.name, self.buckets)
+                if self.kind == "histogram" else _Child(self.name)
+            )
+        return child
+
+    def _check_kind(self, kind: str) -> None:
+        if self.kind != kind:
+            raise TypeError(f"{self.name} is a {self.kind}, not a {kind}")
+
     # ------------------------------------------------------------------
-    # update API
+    # update API: a non-finite value is refused with the metric's name
     # ------------------------------------------------------------------
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if self.kind != "counter":
-            raise TypeError(f"{self.name} is a {self.kind}, not a counter")
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self._child(self._values(**labels)).value += amount
+        self._check_kind("counter")
+        self.labels(**labels).inc(amount)
 
     def set(self, value: float, **labels) -> None:
-        if self.kind != "gauge":
-            raise TypeError(f"{self.name} is a {self.kind}, not a gauge")
-        self._child(self._values(**labels)).value = float(value)
+        self._check_kind("gauge")
+        self.labels(**labels).set(value)
 
     def observe(self, value: float, **labels) -> None:
-        if self.kind != "histogram":
-            raise TypeError(f"{self.name} is a {self.kind}, not a histogram")
-        child = self._child(self._values(**labels))
-        index = len(self.buckets)  # +Inf by default
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
-        child.bucket_counts[index] += 1
-        child.sum += float(value)
-        child.count += 1
+        self._check_kind("histogram")
+        self.labels(**labels).observe(value)
 
     # ------------------------------------------------------------------
     # reads

@@ -15,17 +15,38 @@ layer's clock (``SimClock``, simulated tick accumulators, priced hw
 seconds); for layers with no clock of their own
 (:class:`~repro.exec.continuous.ContinuousExecutor`), the owner stamps
 :attr:`Observer.now` before delegating.
+
+An enabled hook costs a few list appends and one update per metric: it
+binds each metric series the first time it sees its label value
+(:meth:`~repro.obs.metrics.MetricFamily.labels`) and updates the bound
+series from then on, and the keywords of its one ``Tracer`` call become
+the stored span or event args as they are.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from functools import cached_property
+
+from repro.obs.metrics import MetricFamily, MetricsRegistry
+from repro.obs.trace import Tracer
 
 #: Histogram buckets for second-valued durations (ticks, batches).
 TIME_BUCKETS = (
     1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
 )
+
+
+class _Bound(dict):
+    """A one-label family's series by label value, bound on first use."""
+
+    def __init__(self, family: MetricFamily) -> None:
+        super().__init__()
+        self.family = family
+
+    def __missing__(self, value):
+        (label,) = self.family.label_names
+        child = self[value] = self.family.labels(**{label: value})
+        return child
 
 
 class Observer:
@@ -44,11 +65,11 @@ class Observer:
         #: clock-less layer (the continuous executor).
         self.now = 0.0
         m = self.metrics
-        self._ticks = m.counter(
+        self._ticks = _Bound(m.counter(
             "repro_ticks_total",
             "Batched kernel dispatches (one per denoising iteration)",
             labels=("phase",),
-        )
+        ))
         self._tick_seconds = m.histogram(
             "repro_tick_seconds",
             "Latency of one continuous-batch tick",
@@ -58,16 +79,16 @@ class Observer:
             "repro_batch_fill",
             "Requests sharing one tick or micro-batch",
         )
-        self._membership = m.counter(
+        self._membership = _Bound(m.counter(
             "repro_membership_events_total",
             "Continuous-batch membership edits by kind",
             labels=("kind",),
-        )
-        self._queue_depth = m.gauge(
+        ))
+        self._queue_depth = _Bound(m.gauge(
             "repro_queue_depth",
             "Requests waiting in a scheduler queue",
             labels=("component",),
-        )
+        ))
         self._batches = m.counter(
             "repro_batches_total",
             "Micro-batches dispatched by the drain-mode server",
@@ -82,31 +103,41 @@ class Observer:
             "ThresholdCache lookups by memo level and outcome",
             labels=("level", "outcome"),
         )
-        self._requests = m.counter(
+        self._requests = _Bound(m.counter(
             "repro_requests_total",
             "Cluster request lifecycle transitions",
             labels=("stage",),
-        )
-        self._dispatches = m.counter(
+        ))
+        self._dispatches = _Bound(m.counter(
             "repro_dispatches_total",
             "Batches dispatched per replica",
             labels=("replica",),
-        )
+        ))
         self._replica_util = m.gauge(
             "repro_replica_utilization",
             "Busy fraction per replica at end of simulation",
             labels=("replica",),
         )
-        self._slo = m.counter(
+        self._slo = _Bound(m.counter(
             "repro_slo_events_total",
             "SLO-relevant outcomes (drops, deadline misses) by reason",
             labels=("reason",),
-        )
+        ))
         self._phase_seconds = m.counter(
             "repro_phase_seconds_total",
             "Priced hw-timeline seconds by phase and bound resource",
             labels=("phase", "bound"),
         )
+
+    # The unlabelled series, bound on first use: an unused family keeps
+    # an empty snapshot.
+    @cached_property
+    def _fill(self):
+        return self._batch_fill.labels()
+
+    @cached_property
+    def _tick_latency(self):
+        return self._tick_seconds.labels()
 
     # ------------------------------------------------------------------
     # continuous serving (ContinuousServer / ContinuousExecutor)
@@ -119,7 +150,7 @@ class Observer:
         is_dense: bool,
         cursor: int,
         **args,
-    ) -> Span:
+    ) -> None:
         """One denoising iteration of the live continuous batch.
 
         Extra keyword args (``boundary``, ``energy_j``, ``cold_s``,
@@ -127,10 +158,10 @@ class Observer:
         is reproducible from the artifact alone.
         """
         phase = "dense" if is_dense else "sparse"
-        self._ticks.inc(phase=phase)
-        self._tick_seconds.observe(end_s - start_s)
-        self._batch_fill.observe(batch_size)
-        return self.tracer.span(
+        self._ticks[phase].inc()
+        self._tick_latency.observe(end_s - start_s)
+        self._fill.observe(batch_size)
+        self.tracer.span(
             f"tick[{phase}]", "serve/batch", start_s, end_s,
             batch_size=batch_size, cursor=cursor, phase=phase, **args,
         )
@@ -143,7 +174,7 @@ class Observer:
         **args,
     ) -> None:
         """A join/complete/evict/expire edit of the live index set."""
-        self._membership.inc(kind=kind)
+        self._membership[kind].inc()
         self.tracer.event(
             kind, "serve/membership", ts_s, request_id=request_id, **args,
         )
@@ -156,7 +187,7 @@ class Observer:
         Timestamped from :attr:`now` — the executor has no clock; the
         owning server stamps it before delegating to ``run_tick``.
         """
-        self._membership.inc(kind="index_set_edit")
+        self._membership["index_set_edit"].inc()
         self.tracer.event(
             "index_set_edit", "exec/index_set", self.now,
             size_before=size_before, size_after=size_after,
@@ -164,7 +195,7 @@ class Observer:
         )
 
     def on_queue_depth(self, component: str, depth: int) -> None:
-        self._queue_depth.set(depth, component=component)
+        self._queue_depth[component].set(depth)
 
     # ------------------------------------------------------------------
     # drain-mode serving (ContinuousServer under policy.drain)
@@ -175,12 +206,12 @@ class Observer:
         end_s: float,
         batch_size: int,
         **args,
-    ) -> Span:
+    ) -> None:
         """One micro-batch served end-to-end by the drain-mode server."""
         self._batches.inc()
         self._batch_seconds.observe(end_s - start_s)
-        self._batch_fill.observe(batch_size)
-        return self.tracer.span(
+        self._fill.observe(batch_size)
+        self.tracer.span(
             "batch", "serve/batch", start_s, end_s, batch_size=batch_size,
             **args,
         )
@@ -199,7 +230,7 @@ class Observer:
         **args,
     ) -> None:
         """A request lifecycle transition (queued/admitted/served/...)."""
-        self._requests.inc(stage=stage)
+        self._requests[stage].inc()
         self.tracer.event(
             stage, "cluster/requests", ts_s, request_id=request_id, **args,
         )
@@ -212,11 +243,11 @@ class Observer:
         batch_size: int,
         model: str,
         **args,
-    ) -> Span:
+    ) -> None:
         """One priced batch executing on a cluster replica."""
-        self._dispatches.inc(replica=replica)
-        self._batch_fill.observe(batch_size)
-        return self.tracer.span(
+        self._dispatches[replica].inc()
+        self._fill.observe(batch_size)
+        self.tracer.span(
             f"dispatch[{model}]", f"replica/{replica}", start_s, end_s,
             batch_size=batch_size, model=model, **args,
         )
@@ -226,7 +257,7 @@ class Observer:
 
     def on_slo_event(self, reason: str, ts_s: float, **args) -> None:
         """A drop/deadline miss the SLO accounting will charge."""
-        self._slo.inc(reason=reason)
+        self._slo[reason].inc()
         self.tracer.event(f"slo:{reason}", "cluster/slo", ts_s, **args)
 
     # ------------------------------------------------------------------
@@ -240,10 +271,10 @@ class Observer:
         bound: str,
         index: int,
         **args,
-    ) -> Span:
+    ) -> None:
         """One priced iteration segment of the hw timeline."""
         self._phase_seconds.inc(end_s - start_s, phase=phase, bound=bound)
-        return self.tracer.span(
+        self.tracer.span(
             f"iter[{phase}]", "hw/timeline", start_s, end_s,
             phase=phase, bound=bound, index=index, **args,
         )

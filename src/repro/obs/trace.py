@@ -2,20 +2,27 @@
 
 A :class:`Tracer` collects two primitive shapes:
 
-- :class:`Span` — a named interval ``[start_s, end_s)`` on a *track*
-  (one row in the rendered timeline: a replica, the live batch, the hw
-  pipeline), optionally linked to a parent span;
-- :class:`Event` — a named instant at ``ts_s`` on a track (a join, an
-  eviction, an SLO violation), optionally linked to the span it
-  happened inside.
+- a *span* — a named interval ``[start_s, end_s)`` on a *track* (one row
+  in the rendered timeline: a replica, the live batch, the hw pipeline),
+  optionally linked to a parent span;
+- an *event* — a named instant at ``ts_s`` on a track (a join, an
+  eviction, an SLO violation), optionally linked to the span it happened
+  inside.
 
-**Time never comes from the tracer.** Every ``begin_span``/``event``
-call is passed a timestamp by the owning layer — the cluster's
+**Time never comes from the tracer.** Every ``span``/``event`` call is
+passed a timestamp by the owning layer — the cluster's
 :class:`~repro.cluster.replica.SimClock`, a server's simulated tick
-accumulator, or the hw timeline's priced seconds — so two same-seed
-runs produce byte-identical traces. Span and event ids are sequence
-numbers in emission order, which the same determinism argument makes
-stable too.
+accumulator, or the hw timeline's priced seconds — so two same-seed runs
+produce byte-identical traces. Span and event ids are sequence numbers in
+emission order, which the same determinism argument makes stable too.
+
+**Storage is columnar.** Each kind lives in a :class:`Table`: one list
+per field, appended to on every call, so recording a span costs a few
+list appends and no object. The ``args`` keywords are stored as the
+dict the call built; their keys are sorted only where a record is
+serialized. :class:`Span` and :class:`Event` are row *views*, built only
+when a caller indexes or iterates ``tracer.spans`` / ``tracer.events``
+(``len()`` reads a column length).
 
 The tracer stores; exporters (:mod:`repro.obs.export`) render — Chrome
 trace-event JSON for Perfetto / ``chrome://tracing``, or a flat JSONL
@@ -24,175 +31,151 @@ event log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Sequence
+from typing import NamedTuple, Optional
 
 
-def _clean_args(args: Optional[dict]) -> dict:
-    """Sort arg keys so serialized forms are order-independent."""
-    if not args:
-        return {}
-    return {key: args[key] for key in sorted(args)}
-
-
-@dataclass
-class Span:
-    """A named interval on a track. ``end_s`` is None while open."""
+class Span(NamedTuple):
+    """A view of one recorded interval."""
 
     span_id: int
     name: str
     track: str
     start_s: float
-    end_s: Optional[float] = None
-    parent_id: Optional[int] = None
-    args: dict = field(default_factory=dict)
+    end_s: float
+    parent_id: Optional[int]
+    args: dict
 
     @property
     def duration_s(self) -> float:
-        if self.end_s is None:
-            raise ValueError(f"span {self.span_id} ({self.name}) still open")
         return self.end_s - self.start_s
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "span",
-            "span_id": self.span_id,
-            "name": self.name,
-            "track": self.track,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "parent_id": self.parent_id,
-            "args": _clean_args(self.args),
-        }
 
-
-@dataclass
-class Event:
-    """A named instant on a track."""
+class Event(NamedTuple):
+    """A view of one recorded instant."""
 
     event_id: int
     name: str
     track: str
     ts_s: float
-    span_id: Optional[int] = None
-    args: dict = field(default_factory=dict)
+    span_id: Optional[int]
+    args: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "event",
-            "event_id": self.event_id,
-            "name": self.name,
-            "track": self.track,
-            "ts_s": self.ts_s,
-            "span_id": self.span_id,
-            "args": _clean_args(self.args),
-        }
+
+class Table(Sequence):
+    """Append-only rows of one ``NamedTuple`` type, stored by column.
+
+    ``columns`` is an instance of the row type whose fields are lists —
+    ``table.columns.start_s`` is the start column. Indexing or iterating
+    builds row views from them.
+    """
+
+    def __init__(self, row_type, columns=None) -> None:
+        self.row_type = row_type
+        self.columns = columns or row_type._make([] for _ in row_type._fields)
+
+    def append(self, *row) -> None:
+        for column, value in zip(self.columns, row):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index: int):
+        return self.row_type._make(column[index] for column in self.columns)
+
+    def __iter__(self):
+        return map(self.row_type._make, zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Table) and self.columns == other.columns
+
+
+def _sorted_args(args: dict) -> dict:
+    """Key-sorted copy, the serialized form's argument order."""
+    return {key: args[key] for key in sorted(args)}
 
 
 class Tracer:
     """Accumulates spans and events in deterministic emission order."""
 
     def __init__(self) -> None:
-        self.spans: list[Span] = []
-        self.events: list[Event] = []
-        self._next_span_id = 0
-        self._next_event_id = 0
+        self.spans = Table(Span)
+        self.events = Table(Event)
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)
 
     # ------------------------------------------------------------------
-    def begin_span(
-        self,
-        name: str,
-        track: str,
-        start_s: float,
-        parent: Optional[Span] = None,
-        **args,
-    ) -> Span:
-        span = Span(
-            span_id=self._next_span_id,
-            name=name,
-            track=track,
-            start_s=float(start_s),
-            parent_id=None if parent is None else parent.span_id,
-            args=_clean_args(args),
-        )
-        self._next_span_id += 1
-        self.spans.append(span)
-        return span
-
-    def end_span(self, span: Span, end_s: float, **args) -> Span:
-        if span.end_s is not None:
-            raise ValueError(
-                f"span {span.span_id} ({span.name}) already ended"
-            )
-        if end_s < span.start_s:
-            raise ValueError(
-                f"span {span.span_id} ends at {end_s} before start "
-                f"{span.start_s}"
-            )
-        span.end_s = float(end_s)
-        if args:
-            span.args = _clean_args({**span.args, **args})
-        return span
-
     def span(
         self,
         name: str,
         track: str,
         start_s: float,
         end_s: float,
-        parent: Optional[Span] = None,
+        parent_id: Optional[int] = None,
         **args,
-    ) -> Span:
-        """Record an already-closed interval in one call."""
-        span = self.begin_span(name, track, start_s, parent=parent, **args)
-        return self.end_span(span, end_s)
+    ) -> int:
+        """Record a closed interval; returns its span id."""
+        start_s, end_s = float(start_s), float(end_s)
+        if end_s < start_s:
+            raise ValueError(
+                f"span {name!r} ends at {end_s} before start {start_s}"
+            )
+        span_id = len(self.spans)
+        self.spans.append(span_id, name, track, start_s, end_s, parent_id,
+                          args)
+        return span_id
 
     def event(
         self,
         name: str,
         track: str,
         ts_s: float,
-        span: Optional[Span] = None,
+        span_id: Optional[int] = None,
         **args,
-    ) -> Event:
-        event = Event(
-            event_id=self._next_event_id,
-            name=name,
-            track=track,
-            ts_s=float(ts_s),
-            span_id=None if span is None else span.span_id,
-            args=_clean_args(args),
-        )
-        self._next_event_id += 1
-        self.events.append(event)
-        return event
+    ) -> int:
+        """Record an instant; returns its event id."""
+        event_id = len(self.events)
+        self.events.append(event_id, name, track, float(ts_s), span_id, args)
+        return event_id
 
     # ------------------------------------------------------------------
     def tracks(self) -> list[str]:
         """Every track name seen, sorted (the exporters' row order)."""
-        names = {span.track for span in self.spans}
-        names.update(event.track for event in self.events)
-        return sorted(names)
+        return sorted(
+            set(self.spans.columns.track) | set(self.events.columns.track)
+        )
 
-    def records(self) -> list[dict]:
-        """Every span and event as dicts, in global timestamp order.
+    def order(self) -> list[tuple[bool, int]]:
+        """``(is_event, row)`` for every span and event, in global
+        timestamp order.
 
         Sort key is (timestamp, spans-before-events, emission id) so the
         order is total and deterministic even with coincident times.
         """
-        items = [
-            (span.start_s, 0, span.span_id, span.to_dict())
-            for span in self.spans
+        items = [(t, False, i) for i, t in enumerate(self.spans.columns.start_s)]
+        items += [(t, True, i) for i, t in enumerate(self.events.columns.ts_s)]
+        items.sort()
+        return [item[1:] for item in items]
+
+    def records(self) -> list[dict]:
+        """Every span and event as dicts, in :meth:`order`."""
+        spans, events = self.spans.columns, self.events.columns
+        return [
+            {
+                "type": "event", "event_id": i, "name": events.name[i],
+                "track": events.track[i], "ts_s": events.ts_s[i],
+                "span_id": events.span_id[i],
+                "args": _sorted_args(events.args[i]),
+            } if is_event else {
+                "type": "span", "span_id": i, "name": spans.name[i],
+                "track": spans.track[i], "start_s": spans.start_s[i],
+                "end_s": spans.end_s[i], "parent_id": spans.parent_id[i],
+                "args": _sorted_args(spans.args[i]),
+            }
+            for is_event, i in self.order()
         ]
-        items.extend(
-            (event.ts_s, 1, event.event_id, event.to_dict())
-            for event in self.events
-        )
-        items.sort(key=lambda item: item[:3])
-        return [item[3] for item in items]
 
 
-__all__ = ["Event", "Span", "Tracer"]
+__all__ = ["Event", "Span", "Table", "Tracer"]

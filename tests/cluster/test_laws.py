@@ -5,6 +5,8 @@ Checked on the ``mmpp-deadline2s-observed-jsq2`` cells of
 observed replicas, in drain and in continuous mode.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.cluster import (
@@ -44,7 +46,7 @@ def cells():
             trace, replicas, make_router("jsq"),
             slo=SLOPolicy(latency_target_s=2.0), observer=observer,
         )
-        out[continuous] = report, observer.tracer, replicas
+        out[continuous] = report, observer.tracer, replicas, observer.metrics
     return out
 
 
@@ -59,7 +61,7 @@ def _dispatch_spans(tracer, replica):
 @pytest.mark.parametrize("continuous", (False, True),
                          ids=("drain", "continuous"))
 def test_every_request_is_served_or_dropped(cells, continuous):
-    report, _, _ = cells[continuous]
+    report, *_ = cells[continuous]
     assert report.submitted == 240
     assert report.timeout_drops > 0  # the law is not vacuous here
     assert report.submitted == (
@@ -71,7 +73,7 @@ def test_every_request_is_served_or_dropped(cells, continuous):
     False, pytest.param(True, marks=CONTINUOUS_DROPS_UNOBSERVED),
 ), ids=("drain", "continuous"))
 def test_one_slo_event_per_drop(cells, continuous):
-    report, tracer, _ = cells[continuous]
+    report, tracer, *_ = cells[continuous]
     slo_events = [e for e in tracer.events if e.name.startswith("slo:")]
     assert len(slo_events) == report.admission_drops + report.timeout_drops
 
@@ -81,7 +83,7 @@ def test_one_slo_event_per_drop(cells, continuous):
 def test_busy_time_is_the_sum_of_dispatched_prices(cells, continuous):
     """The utilisation law: a replica is busy for exactly the priced
     seconds (plus cold-start surcharges) of the steps it dispatched."""
-    _, tracer, replicas = cells[continuous]
+    _, tracer, replicas, _ = cells[continuous]
     prices = ServiceTimeModel("exion24")
     spans = 0
     for replica in replicas:
@@ -97,11 +99,40 @@ def test_busy_time_is_the_sum_of_dispatched_prices(cells, continuous):
     assert spans > 0
 
 
+@pytest.mark.parametrize("continuous", (False, True),
+                         ids=("drain", "continuous"))
+def test_metrics_agree_with_the_trace(cells, continuous):
+    """Every counter the observer keeps is a count of what it traced."""
+    _, tracer, replicas, metrics = cells[continuous]
+
+    def series(name):
+        return {values: child.value
+                for values, child in metrics.get(name).children()}
+
+    dispatched = series("repro_dispatches_total")
+    for replica in replicas:
+        assert dispatched[(replica.name,)] == len(
+            _dispatch_spans(tracer, replica))
+    spans = [s for s in tracer.spans if s.name.startswith("dispatch[")]
+    assert len(spans) == sum(dispatched.values()) > 0
+    ((_, fill),) = metrics.get("repro_batch_fill").children()
+    assert fill.count == len(spans)
+    assert fill.sum == sum(span.args["batch_size"] for span in spans)
+    stages = Counter(e.name for e in tracer.events
+                     if e.track == "cluster/requests")
+    assert series("repro_requests_total") == {
+        (stage,): count for stage, count in stages.items()}
+    reasons = Counter(e.name.removeprefix("slo:") for e in tracer.events
+                      if e.name.startswith("slo:"))
+    assert series("repro_slo_events_total") == {
+        (reason,): count for reason, count in reasons.items()}
+
+
 @pytest.mark.parametrize("continuous", (
     False, pytest.param(True, marks=CONTINUOUS_BATCH_SIZE_IS_SERVED),
 ), ids=("drain", "continuous"))
 def test_span_batch_size_is_the_executing_batch(cells, continuous):
-    _, tracer, replicas = cells[continuous]
+    _, tracer, replicas, _ = cells[continuous]
     for replica in replicas:
         for span in _dispatch_spans(tracer, replica):
             assert span.args["batch_size"] == len(span.args["tenants"])

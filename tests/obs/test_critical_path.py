@@ -110,7 +110,13 @@ class TestValidation:
 
     def test_backwards_interval_rejected(self):
         with pytest.raises(ValueError, match="before start"):
-            CPNode(key="x", start_ns=10, end_ns=5)
+            critical_path([_node("x", 10, 5)], [])
+
+    def test_plain_tuples_are_nodes_and_only_the_chain_is_built(self):
+        path = critical_path([("b", 15, 25, "B"), ("a", 0, 10, "A")],
+                             [("a", "b"), ("a", "b")])  # duplicate edge
+        assert path.nodes == [CPNode("a", 0, 10, "A"), CPNode("b", 15, 25, "B")]
+        assert all(type(n) is CPNode for n in path.nodes)
 
 
 @st.composite

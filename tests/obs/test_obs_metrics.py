@@ -34,13 +34,13 @@ class TestFamilies:
 
     def test_histogram_buckets_and_sum(self):
         h = MetricsRegistry().histogram("fill", buckets=(1, 2, 4))
-        for v in (1, 2, 3, 100):
+        for v in (1, 2, 3, 100, 4, -3):
             h.observe(v)
         ((values, child),) = h.children()
         assert values == ()
-        assert child.bucket_counts == [1, 1, 1, 1]  # le=1,2,4,+Inf
-        assert child.sum == 106
-        assert child.count == 4
+        assert child.bucket_counts == [2, 1, 2, 1]  # le=1,2,4,+Inf
+        assert child.sum == 107
+        assert child.count == 6
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
@@ -60,6 +60,28 @@ class TestFamilies:
             MetricFamily("bad name", "counter")
         with pytest.raises(ValueError):
             MetricFamily("g", "gauge", buckets=(1,))
+
+    @pytest.mark.parametrize("bound", (False, True), ids=("family", "bound"))
+    @pytest.mark.parametrize("kind, update, value", [
+        ("counter", "inc", float("nan")),
+        ("counter", "inc", float("inf")),
+        ("gauge", "set", float("nan")),
+        ("gauge", "set", float("-inf")),
+        ("histogram", "observe", float("nan")),
+        ("histogram", "observe", float("inf")),
+    ])
+    def test_non_finite_values_are_refused_by_name(self, kind, update,
+                                                   value, bound):
+        reg = MetricsRegistry()
+        family = getattr(reg, kind)("bad_values")
+        target = family.labels() if bound else family
+        with pytest.raises(ValueError, match="bad_values: non-finite"):
+            getattr(target, update)(value)
+        assert reg.to_json()  # nothing stored that JSON cannot encode
+        if kind == "histogram":
+            assert family.quantile(1.0) == 0.0
+        else:
+            assert family.value() == 0.0
 
     def test_default_buckets_are_sorted_powers_of_two(self):
         assert DEFAULT_BUCKETS == tuple(sorted(DEFAULT_BUCKETS))

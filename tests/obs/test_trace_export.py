@@ -16,10 +16,11 @@ from repro.obs import (
 def small_trace() -> Tracer:
     tracer = Tracer()
     parent = tracer.span("tick[dense]", "serve/batch", 0.0, 1.0, batch=2)
-    tracer.span("tick[sparse]", "serve/batch", 1.0, 1.5, parent=parent)
+    tracer.span("tick[sparse]", "serve/batch", 1.0, 1.5, parent_id=parent)
     tracer.event("join", "serve/membership", 0.0, request_id=0)
-    tracer.event("evict", "serve/membership", 1.0, span=parent, reason="x")
-    tracer.begin_span("pending", "cluster/requests", 0.5)  # stays open
+    tracer.event("evict", "serve/membership", 1.0, span_id=parent,
+                 reason="x")
+    tracer.span("pending", "cluster/requests", 0.5, 0.5)
     return tracer
 
 
@@ -31,15 +32,12 @@ class TestTracer:
         assert tracer.spans[1].parent_id == 0
         assert tracer.events[1].span_id == 0
 
-    def test_end_span_errors(self):
+    def test_span_ending_before_start_raises(self):
         tracer = Tracer()
-        span = tracer.begin_span("s", "t", 1.0)
-        with pytest.raises(ValueError):
-            tracer.end_span(span, 0.5)  # ends before start
-        tracer.end_span(span, 2.0)
-        with pytest.raises(ValueError):
-            tracer.end_span(span, 3.0)  # double end
-        assert span.duration_s == 1.0
+        with pytest.raises(ValueError, match="before start"):
+            tracer.span("s", "t", 1.0, 0.5)
+        assert len(tracer) == 0  # nothing recorded
+        assert tracer.spans[tracer.span("s", "t", 1.0, 2.0)].duration_s == 1.0
 
     def test_tracks_and_records_sorted(self):
         tracer = small_trace()
@@ -56,10 +54,19 @@ class TestTracer:
         ]
         assert at_zero == ["span", "event"]
 
-    def test_open_spans(self):
+    def test_rows_are_views_of_the_columns(self):
         tracer = small_trace()
-        open_spans = [s.name for s in tracer.spans if s.end_s is None]
-        assert open_spans == ["pending"]
+        assert len(tracer.spans) == 3 and len(tracer.events) == 2
+        assert tracer.spans[-1] == tracer.spans[2] == list(tracer.spans)[2]
+        assert tracer.spans.columns.name == [
+            "tick[dense]", "tick[sparse]", "pending",
+        ]
+        # Args are stored as passed; only serialized forms sort them.
+        tracer.span("x", "t", 2.0, 3.0, zeta=1, alpha=2)
+        assert list(tracer.spans[-1].args) == ["zeta", "alpha"]
+        assert list(tracer.records()[-1]["args"]) == ["alpha", "zeta"]
+        with pytest.raises(IndexError):
+            tracer.events[2]
 
 
 class TestChromeExport:
@@ -79,16 +86,17 @@ class TestChromeExport:
         doc = chrome_trace(small_trace())
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert {e["name"] for e in complete} == {
-            "tick[dense]", "tick[sparse]",
+            "tick[dense]", "tick[sparse]", "pending",
         }
         dense = next(e for e in complete if e["name"] == "tick[dense]")
         assert dense["ts"] == 0.0 and dense["dur"] == 1e6  # microseconds
+        sparse = next(e for e in complete if e["name"] == "tick[sparse]")
+        assert sparse["args"] == {"span_id": 1, "parent_id": 0}
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert {e["name"] for e in instants} == {"join", "evict"}
         assert all(e["s"] == "t" for e in instants)
-        open_async = [e for e in doc["traceEvents"] if e["ph"] == "b"]
-        assert [e["name"] for e in open_async] == ["pending"]
-        assert "id" in open_async[0]
+        evict = next(e for e in instants if e["name"] == "evict")
+        assert evict["args"] == {"reason": "x", "span_id": 0}
 
     def test_json_is_canonical_and_deterministic(self):
         j1 = chrome_trace_json(small_trace())
