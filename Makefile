@@ -25,9 +25,9 @@ help:  ## list targets with their descriptions
 test:  ## tier-1 test suite (the CI gate)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-test-warnings:  ## numeric suites with every RuntimeWarning an error
+test-warnings:  ## numeric + serving suites with every RuntimeWarning an error
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -W error::RuntimeWarning -m pytest \
-		-x -q tests/core tests/exec tests/models
+		-x -q tests/core tests/exec tests/models tests/serve tests/integration
 
 lint:  ## ruff check (pyflakes + pycodestyle errors)
 	$(PYTHON) -m ruff check .

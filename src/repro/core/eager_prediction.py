@@ -25,7 +25,8 @@ would. :func:`ep_cross_kv` builds the cross-attention constants of
 either, always along a batch axis. Plan-static in a compiled step: the
 weight operands, the ``(mode, bits)`` approximation table and the
 cross-attention K/V. Per step: one quantize + table lookup per
-activation, :func:`ep_decide`, and the exact work the decision keeps.
+activation, then a decide-and-attend both forms share: :func:`ep_decide`
+and one masked softmax, the oracle's bytes from fewer numpy calls.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ class EagerPredictor:
         bits = self.config.prediction_bits
         q_pred = log_domain_matmul(x, layer.wq.weight, mode, bits)
         k_pred = log_domain_matmul(kv_input, layer.wk.weight, mode, bits)
-        q_pred = q_pred + layer.wq.bias
-        k_pred = k_pred + layer.wk.bias
         qh = layer.split_heads(q_pred)
         kh = layer.split_heads(k_pred)
         return np.matmul(qh, kh.transpose(0, 2, 1)) * layer.scale
@@ -253,32 +252,86 @@ def ep_decide(
 
     Top-k selection, dominance gap and argmax all act along the last axis
     only, so each head slice gets exactly the per-head decision. Returns
-    ``(keep, one_hot_rows, one_hot_cols)`` shaped ``(heads, tq, tk)``,
-    ``(heads, tq)``, ``(heads, tq)``.
+    ``(keep, one_hot_rows, one_hot_cols)`` shaped ``(..., tq, tk)``,
+    ``(..., tq)``, ``(..., tq)``. One sort per row gives the dominance gap
+    and the k-th largest score; where the (k+1)-th is smaller the top-k
+    set is unique, ``row >= kth``. Only rows tied there run the oracle's
+    ``argpartition``, which reads each row alone, so its tie order holds.
     """
-    tk = predicted.shape[-1]
+    shape = predicted.shape
+    tk = shape[-1]
     keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
-
-    if keep_count >= tk:
-        keep = np.ones(predicted.shape, dtype=bool)
-    else:
-        keep = np.zeros(predicted.shape, dtype=bool)
-        rows = predicted.size // tk
-        top_idx = np.argpartition(
-            -predicted, keep_count - 1, axis=-1
-        ).reshape(rows, tk)[:, :keep_count]
-        # Scatter through flat indices: row r of the stack starts at r * tk.
-        keep.put(top_idx + np.arange(0, rows * tk, tk)[:, None], True)
-
     one_hot_cols = np.argmax(predicted, axis=-1)
-    if tk >= 2:
-        # Only the two largest scores matter, not their full order.
-        top_two = np.partition(predicted, tk - 2, axis=-1)
-        one_hot_rows = top_two[..., -1] - top_two[..., -2] > q_threshold
+    if tk < 2:
+        # A single score is its own argmax: every row collapses.
+        return (np.zeros(shape, dtype=bool), np.ones(shape[:-1], dtype=bool),
+                one_hot_cols)
+
+    rows = predicted.reshape(-1, tk)
+    ordered = np.sort(rows, axis=-1)
+    one_hot_rows = ordered[:, -1] - ordered[:, -2] > q_threshold
+    if keep_count >= tk:
+        keep = np.ones(rows.shape, dtype=bool)
     else:
-        one_hot_rows = np.ones(predicted.shape[:-1], dtype=bool)
+        kth = ordered[:, tk - keep_count]
+        keep = rows >= kth[:, None]
+        tied = np.flatnonzero(ordered[:, tk - keep_count - 1] == kth)
+        if tied.size:
+            # A tied row's ``>= kth`` holds every top-k set; drop what the
+            # oracle's introselect placed past the k-th position.
+            ties = rows[tied]
+            order = np.argpartition(
+                np.negative(ties, out=ties), keep_count - 1, axis=-1
+            )
+            keep[tied[:, None], order[:, keep_count:]] = False
     keep[one_hot_rows] = False
-    return keep, one_hot_rows, one_hot_cols
+    return keep.reshape(shape), one_hot_rows.reshape(shape[:-1]), one_hot_cols
+
+
+def _masked_softmax(scores: np.ndarray, attend: np.ndarray) -> np.ndarray:
+    """``softmax(np.where(attend, scores, -np.inf), axis=-1)`` byte for
+    byte, where every row attends some score. The row max is a halving
+    tree of ``np.maximum`` (exact in any order); a dropped score is filled
+    with it, so ``exp`` sees no ``-inf`` (its slow path) and nothing above
+    0, and the mask turns its 1.0 into the +0.0 ``exp(-inf)`` gives."""
+    peak = np.where(attend, scores, -np.inf)
+    width = peak.shape[-1]
+    while width > 1:
+        half = width // 2
+        folded = np.maximum(peak[..., :half], peak[..., half:2 * half])
+        if width % 2:
+            np.maximum(folded[..., :1], peak[..., -1:], out=folded[..., :1])
+        peak, width = folded, half
+    probs = np.where(attend, scores, peak)
+    probs -= peak
+    np.exp(probs, out=probs)
+    probs *= attend
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+    return probs
+
+
+def _ep_attend(layer: MultiHeadAttention, x: np.ndarray, qh: np.ndarray,
+               kh: np.ndarray, k: np.ndarray, v: np.ndarray,
+               config: ExionConfig) -> tuple:
+    """Both step forms' decide-and-attend (any leading batch shape),
+    returning ``(out, keep, one_hot_rows, attend)``. A collapsed row
+    attends its argmax column alone: one kept score softmaxes to exactly
+    1.0, so one softmax and one product serve every row."""
+    predicted = np.matmul(qh, kh.swapaxes(-1, -2))
+    predicted *= layer.scale
+    keep, one_hot_rows, one_hot_cols = ep_decide(
+        predicted, config.top_k_ratio, config.q_threshold
+    )
+
+    q = layer.split_heads(layer.wq(x))
+    exact = np.matmul(q, k.swapaxes(-1, -2))
+    exact *= layer.scale
+
+    attend = one_hot_cols[..., None] == np.arange(keep.shape[-1])
+    attend &= one_hot_rows[..., None]
+    attend |= keep
+    attended = np.matmul(_masked_softmax(exact, attend), v)
+    return layer.wo(layer.merge_heads(attended)), keep, one_hot_rows, attend
 
 
 def ep_attention_step(
@@ -305,16 +358,11 @@ def ep_attention_step(
     (``tests/core/test_eager_prediction.py`` pins that equality).
     """
     kv_input = x if context is None else context
-    tq = x.shape[0]
-    tk = kv_input.shape[0]
-    heads = layer.num_heads
-    mode = config.lod_mode
-    bits = config.prediction_bits
+    tq, tk = x.shape[0], kv_input.shape[0]
+    mode, bits = config.lod_mode, config.prediction_bits
 
     x_operand = prepare_log_operand(x, mode, bits)
-    q_pred = log_domain_matmul_prepared(x_operand, pred.wq_operand)
-    q_pred += layer.wq.bias
-    qh = layer.split_heads(q_pred)
+    qh = layer.split_heads(log_domain_matmul_prepared(x_operand, pred.wq_operand))
 
     if kv is not None:
         kh, k, v = kv
@@ -323,59 +371,47 @@ def ep_attention_step(
             x_operand if context is None
             else prepare_log_operand(kv_input, mode, bits)
         )
-        k_pred = log_domain_matmul_prepared(k_operand, pred.wk_operand)
-        k_pred += layer.wk.bias
-        kh = layer.split_heads(k_pred)
+        kh = layer.split_heads(log_domain_matmul_prepared(k_operand, pred.wk_operand))
         k, v = layer.kv(kv_input)
 
-    predicted = np.matmul(qh, kh.transpose(0, 2, 1))
-    predicted *= layer.scale
-    keep, one_hot_rows, one_hot_cols = ep_decide(
-        predicted, config.top_k_ratio, config.q_threshold
-    )
+    out, keep, one_hot_rows, attend = _ep_attend(layer, x, qh, kh, k, v, config)
 
-    q = layer.split_heads(layer.wq(x))
-
-    exact = np.matmul(q, k.transpose(0, 2, 1))
-    exact *= layer.scale
-
-    # A collapsed row (one-hot, or the oracle's nothing-kept fallback)
-    # attends its argmax column alone: a single kept score softmaxes to
-    # exactly 1.0, so one softmax and one product serve every row.
-    attend = keep.copy()
-    hh, rr = np.nonzero(one_hot_rows | ~keep.any(axis=-1))
-    attend[hh, rr, one_hot_cols[hh, rr]] = True
-    probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
-    attended = np.matmul(probs, v)
-
-    out = layer.wo(layer.merge_heads(attended))
-
-    # Statistics: same arithmetic as EagerPredictor._run.
-    skipped = keep.size - np.count_nonzero(keep)
-    total_scores = heads * tq * tk
-    head_dim = layer.head_dim
-    dim_in = layer.wq.in_features
-    stats.attention_scores.add(
-        total_scores * head_dim, (total_scores - skipped) * head_dim
-    )
-    kv_col_needed = keep.any(axis=(0, 1))
-    kv_col_needed[one_hot_cols[one_hot_rows]] = True
-    stats.q_projection.add(
-        tq * dim_in * layer.dim,
-        np.count_nonzero(~one_hot_rows.all(axis=0)) * dim_in * layer.dim,
-    )
-    stats.kv_projection.add(
-        2 * tk * layer.wk.in_features * layer.dim,
-        2 * np.count_nonzero(kv_col_needed) * layer.wk.in_features * layer.dim,
-    )
-    sparsity = skipped / total_scores if total_scores else 0.0
-    stats.attention_sparsities.append(sparsity)
-    stats.prediction_overhead_macs += (
-        (tq + tk) * dim_in * layer.dim + total_scores * head_dim
+    # A column is needed where some row attends it (kept, or the argmax
+    # of a one-hot row); a row where some head is not one-hot needs Q.
+    _add_step_stats(
+        stats, layer, tq, tk, np.count_nonzero(keep),
+        np.count_nonzero(~one_hot_rows.all(axis=0)),
+        np.count_nonzero(attend.any(axis=(0, 1))),
     )
     if collect_keepmasks:
         stats.attention_keepmasks.append(keep)
     return out
+
+
+def _add_step_stats(
+    stats: RunStats, layer: MultiHeadAttention, tq: int, tk: int,
+    kept: int, q_rows: int, kv_cols: int,
+) -> None:
+    """One request's statistics of one EP step, the arithmetic of
+    :meth:`EagerPredictor._run`: ``kept`` scores computed exactly, and the
+    Q projection of ``q_rows`` rows and K/V projections of ``kv_cols``
+    columns that ran (paper II-B projection skipping)."""
+    total_scores = layer.num_heads * tq * tk
+    head_dim = layer.head_dim
+    dim_in = layer.wq.in_features
+    kv_in = layer.wk.in_features
+    stats.attention_scores.add(total_scores * head_dim, kept * head_dim)
+    stats.q_projection.add(tq * dim_in * layer.dim, q_rows * dim_in * layer.dim)
+    stats.kv_projection.add(
+        2 * tk * kv_in * layer.dim, 2 * kv_cols * kv_in * layer.dim
+    )
+    skipped = total_scores - kept
+    stats.attention_sparsities.append(
+        skipped / total_scores if total_scores else 0.0
+    )
+    stats.prediction_overhead_macs += (
+        (tq + tk) * dim_in * layer.dim + total_scores * head_dim
+    )
 
 
 def _prepare_per_request(
@@ -417,7 +453,6 @@ def ep_cross_kv(
         context, config.lod_mode, config.prediction_bits
     )
     k_pred = _predict_per_request(c_approx, c_scales, pred.wk_operand)
-    k_pred = k_pred + layer.wk.bias
     return (layer.split_heads(k_pred), *layer.kv(context))
 
 
@@ -438,13 +473,10 @@ def ep_attention_step_batched(
     kv_input = x if context is None else context
     batch, tq, _ = x.shape
     tk = kv_input.shape[1]
-    heads = layer.num_heads
     mode, bits = config.lod_mode, config.prediction_bits
 
     a_approx, a_scales = _prepare_per_request(x, mode, bits)
-    q_pred = _predict_per_request(a_approx, a_scales, pred.wq_operand)
-    q_pred += layer.wq.bias
-    qh = layer.split_heads(q_pred)
+    qh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wq_operand))
 
     if kv is not None:
         kh, k, v = kv
@@ -452,62 +484,17 @@ def ep_attention_step_batched(
         # Self-attention: both predictions quantize the same x, so the
         # prepared operand is shared (the interpreted path re-derives the
         # identical quantization).
-        k_pred = _predict_per_request(a_approx, a_scales, pred.wk_operand)
-        k_pred += layer.wk.bias
-        kh = layer.split_heads(k_pred)
+        kh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wk_operand))
         k, v = layer.kv(kv_input)
 
-    predicted = np.matmul(qh, kh.transpose(0, 1, 3, 2))
-    predicted *= layer.scale
-    keep, one_hot_rows, one_hot_cols = ep_decide(
-        predicted, config.top_k_ratio, config.q_threshold
-    )
+    out, keep, one_hot_rows, attend = _ep_attend(layer, x, qh, kh, k, v, config)
 
-    q = layer.split_heads(layer.wq(x))
-    exact = np.matmul(q, k.transpose(0, 1, 3, 2))
-    exact *= layer.scale
-
-    # As ep_attention_step: a collapsed row attends its argmax column
-    # alone, so one softmax and one product serve every row.
-    attend = keep.copy()
-    bb, hh, rr = np.nonzero(one_hot_rows | ~keep.any(axis=-1))
-    attend[bb, hh, rr, one_hot_cols[bb, hh, rr]] = True
-    probs = softmax(np.where(attend, exact, -np.inf), axis=-1)
-    attended = np.matmul(probs, v)
-
-    out = layer.wo(layer.merge_heads(attended))
-
-    # Statistics, per request: same arithmetic as ep_attention_step.
-    # Projection skipping (paper II-B): a row one-hot in every head skips
-    # Q projection; a column kept nowhere (and never the argmax of a
-    # one-hot row) skips K and V projection.
-    total_scores = heads * tq * tk
-    head_dim = layer.head_dim
-    dim_in = layer.wq.in_features
+    # Statistics, per request: the counts of ep_attention_step.
     kept = keep.reshape(batch, -1).sum(axis=1).tolist()
-    q_rows_needed = (~one_hot_rows.all(axis=1)).sum(axis=1).tolist()
-    kv_needed = keep.any(axis=(1, 2))
-    kv_needed[np.nonzero(one_hot_rows)[0], one_hot_cols[one_hot_rows]] = True
-    kv_cols_needed = kv_needed.sum(axis=1).tolist()
-
+    q_rows = (~one_hot_rows.all(axis=1)).sum(axis=1).tolist()
+    kv_cols = attend.any(axis=(1, 2)).sum(axis=1).tolist()
     for b, stats in enumerate(batch_stats):
-        skipped = total_scores - kept[b]
-        stats.attention_scores.add(
-            total_scores * head_dim, (total_scores - skipped) * head_dim
-        )
-        stats.q_projection.add(
-            tq * dim_in * layer.dim,
-            q_rows_needed[b] * dim_in * layer.dim,
-        )
-        stats.kv_projection.add(
-            2 * tk * layer.wk.in_features * layer.dim,
-            2 * kv_cols_needed[b] * layer.wk.in_features * layer.dim,
-        )
-        sparsity = skipped / total_scores if total_scores else 0.0
-        stats.attention_sparsities.append(sparsity)
-        stats.prediction_overhead_macs += (
-            (tq + tk) * dim_in * layer.dim + total_scores * head_dim
-        )
+        _add_step_stats(stats, layer, tq, tk, kept[b], q_rows[b], kv_cols[b])
         if collect_keepmasks:
             # Copy: a view would pin the whole batch-wide keep array
             # through any single request's retained stats.

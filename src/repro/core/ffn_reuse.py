@@ -46,7 +46,7 @@ class _BlockState:
 
     hidden_dense: np.ndarray  # non-linearity output at the dense iteration
     bitmask: Bitmask  # 1 = recompute, 0 = reuse
-    partial_sums: np.ndarray  # reused elements' 2nd-layer contribution + bias
+    partial_sums: np.ndarray  # reused elements' 2nd-layer contribution
     threshold: float
 
 
@@ -133,7 +133,6 @@ class FFNReuse:
         bitmask = Bitmask.from_threshold(hidden, threshold)
         reused = hidden * ~bitmask.mask
         partial = reused @ layer.linear2.weight
-        partial = partial + layer.linear2.bias
         self._states[block] = _BlockState(
             hidden_dense=hidden,
             bitmask=bitmask,
@@ -164,7 +163,7 @@ class FFNReuse:
         hidden = np.where(mask, hidden_recomputed, state.hidden_dense)
 
         # 2nd FFN layer: accumulate recomputed elements onto the dense
-        # iteration's partial sums (bias already included there).
+        # iteration's partial sums.
         updates = (hidden * mask) @ layer.linear2.weight
         out = state.partial_sums + updates
 
@@ -213,12 +212,13 @@ class FFNPhaseState:
     whatever its own nnz and the sparse step does no per-step mask
     scanning; for GEGLU FFNs the value/gate element positions of the first
     linear's output are precomputed too (:func:`attach_geglu_indices`).
+    The dense iteration's hidden values themselves are not kept: the
+    reused ones live on only through ``partial_sums``.
     """
 
-    hidden_dense: np.ndarray  # non-linearity output at the dense iteration
     mask: np.ndarray  # bool (batch, tokens, hidden): 1 = recompute
     gather_indices: np.ndarray  # flat row-major indices of the 1-bits
-    partial_sums: np.ndarray  # reused elements' 2nd-layer contribution + bias
+    partial_sums: np.ndarray  # reused elements' 2nd-layer contribution
     nnz_per_request: np.ndarray
     value_indices: Optional[np.ndarray] = None  # GEGLU: value half positions
     gate_indices: Optional[np.ndarray] = None  # GEGLU: gate half positions
@@ -289,10 +289,8 @@ def ffn_dense_compile(
     mask = np.abs(hidden) > thresholds[:, None, None]
     reused = hidden * ~mask
     partial = reused @ layer.linear2.weight
-    partial = partial + layer.linear2.bias
 
     state = FFNPhaseState(
-        hidden_dense=hidden,
         mask=mask,
         gather_indices=np.flatnonzero(mask.ravel()),
         partial_sums=partial,
@@ -333,9 +331,11 @@ def ffn_sparse_step(
 
     Pure vectorized gather/scatter: the non-linearity runs only on the
     gathered recompute set (elementwise, so each element equals the
-    interpreted full-matrix result bit for bit), the scatter overlays a
-    copy of the dense iteration's hidden state, and the 2nd-layer update
-    accumulates onto the precomputed partial sums. ``x`` is
+    interpreted full-matrix result bit for bit), the scatter lays it over
+    zeros, and the 2nd-layer update accumulates onto the precomputed
+    partial sums. That is the interpreted ``(hidden * mask) @ W``: the
+    reused elements it drops only ever contributed ±0 products, which
+    leave a product whose accumulators start at +0.0 unchanged. ``x`` is
     ``(batch, tokens, dim)``, matching ``state``.
     """
     pre = layer.linear1(x)
@@ -346,10 +346,11 @@ def ffn_sparse_step(
         )
     else:
         recomputed = gelu_kernel(flat[state.gather_indices])
-    hidden = state.hidden_dense.copy()
+    hidden = np.zeros(state.mask.shape)
     hidden.ravel()[state.gather_indices] = recomputed
-    updates = np.matmul(hidden * state.mask, layer.linear2.weight)
-    return state.partial_sums + updates
+    updates = np.matmul(hidden, layer.linear2.weight)
+    updates += state.partial_sums
+    return updates
 
 
 def schedule_phases(total_iterations: int, sparse_n: int) -> list[bool]:

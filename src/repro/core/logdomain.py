@@ -40,8 +40,16 @@ def quantize_symmetric(x: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     if max_abs == 0.0:
         return np.zeros_like(x, dtype=np.int64), 1.0
     scale = max_abs / qmax
-    ints = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int64)
-    return ints, scale
+    # ``out=`` keeps a 0-d operand an array for the in-place rounding.
+    return _round_clip(np.divide(x, scale, out=np.empty_like(x)), qmax), scale
+
+
+def _round_clip(q: np.ndarray, qmax: int) -> np.ndarray:
+    """``np.clip(np.round(q), -qmax, qmax)`` as int64, in place on ``q``."""
+    np.rint(q, out=q)
+    np.minimum(q, qmax, out=q)
+    np.maximum(q, -qmax, out=q)
+    return q.astype(np.int64)
 
 
 def leading_one_position(x: np.ndarray) -> np.ndarray:
@@ -134,8 +142,7 @@ def quantize_symmetric_batched(
         raise ValueError("non-finite operand: x contains NaN or inf")
     qmax = (1 << (bits - 1)) - 1
     scales = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
-    ints = np.clip(np.round(x / scales[expand]), -qmax, qmax).astype(np.int64)
-    return ints, scales
+    return _round_clip(x / scales[expand], qmax), scales
 
 
 class LogOperand:

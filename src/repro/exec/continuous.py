@@ -77,14 +77,13 @@ class PhaseSyncError(RuntimeError):
 class _RunFFNState:
     """One request's slice of a compiled FFN phase (per block).
 
-    ``hidden_dense``/``mask``/``partial_sums`` are the request's own rows
-    of the batch-wide dense compile; restacking them under any later
-    batch membership reproduces the exact arrays the drained batched
-    kernel would have built, which is what keeps membership changes pure
+    ``mask``/``partial_sums`` are the request's own rows of the
+    batch-wide dense compile; restacking them under any later batch
+    membership reproduces the exact arrays the drained batched kernel
+    would have built, which is what keeps membership changes pure
     index-set edits.
     """
 
-    hidden_dense: np.ndarray  # (tokens, hidden)
     mask: np.ndarray  # (tokens, hidden) bool
     partial_sums: np.ndarray  # (tokens, dim)
     nnz: int
@@ -425,7 +424,6 @@ class ContinuousExecutor:
             self._ffn_batch[block_index] = batch_state
             for b, run in enumerate(runs):
                 run.ffn[block_index] = _RunFFNState(
-                    hidden_dense=batch_state.hidden_dense[b],
                     mask=batch_state.mask[b],
                     partial_sums=batch_state.partial_sums[b],
                     nnz=int(batch_state.nnz_per_request[b]),
@@ -475,7 +473,6 @@ class ContinuousExecutor:
         states = [run.ffn[block_index] for run in runs]
         mask = np.stack([s.mask for s in states])
         batch_state = FFNPhaseState(
-            hidden_dense=np.stack([s.hidden_dense for s in states]),
             mask=mask,
             gather_indices=np.flatnonzero(mask.ravel()),
             partial_sums=np.stack([s.partial_sums for s in states]),

@@ -6,12 +6,14 @@ import numpy as np
 
 
 class Linear:
-    """Affine map ``y = x @ W + b`` with Xavier-uniform weights.
+    """Linear map ``y = x @ W`` with Xavier-uniform weights.
 
     Weights are stored as ``(in_features, out_features)`` so that activations
     of shape ``(tokens, in_features)`` multiply directly, matching the
     MMUL orientation the paper's hardware tiles over (rows = tokens,
-    columns = output features).
+    columns = output features). No bias: the synthetic networks train none,
+    and the product, whose accumulators start at +0.0, never emits the
+    -0.0 a zero bias would flip.
     """
 
     def __init__(
@@ -26,7 +28,6 @@ class Linear:
         self.in_features = in_features
         self.out_features = out_features
         self.weight = rng.uniform(-bound, bound, size=(in_features, out_features))
-        self.bias = np.zeros(out_features)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -34,9 +35,7 @@ class Linear:
             raise ValueError(
                 f"expected last dim {self.in_features}, got {x.shape[-1]}"
             )
-        out = x @ self.weight
-        out += self.bias
-        return out
+        return x @ self.weight
 
     def macs(self, tokens: int) -> int:
         """Multiply-accumulate count for a ``(tokens, in)`` input."""

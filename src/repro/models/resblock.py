@@ -14,7 +14,8 @@ from repro.models.activations import silu
 
 
 class Conv2d:
-    """3x3 same-padding convolution via im2col."""
+    """3x3 same-padding convolution via im2col, without a bias (as
+    :class:`~repro.models.linear.Linear`)."""
 
     kernel_size = 3
 
@@ -35,7 +36,6 @@ class Conv2d:
         self.weight = rng.uniform(
             -bound, bound, size=(out_channels, in_channels, kernel_size, kernel_size)
         )
-        self.bias = np.zeros(out_channels)
 
     @property
     def weight(self) -> np.ndarray:
@@ -67,7 +67,6 @@ class Conv2d:
                     ..., dy : dy + h, dx : dx + w
                 ]
         out = np.matmul(self._w_mat.T, cols)
-        out += self.bias[:, None]
         return out.reshape(*batch, self.out_channels, h, w)
 
     def macs(self, height: int, width: int) -> int:
@@ -84,7 +83,8 @@ class Conv2d:
 
 class GroupNorm:
     """Group normalization over channel groups of a ``(c, h, w)`` map
-    (or of each map in a ``(batch, c, h, w)`` stack)."""
+    (or of each map in a ``(batch, c, h, w)`` stack), without a learned
+    scale or shift, as :class:`~repro.models.norm.LayerNorm`."""
 
     eps = 1e-5
 
@@ -92,8 +92,6 @@ class GroupNorm:
         self.channels = channels
         # Eight groups where they divide the channels, else one.
         self.groups = 8 if channels % 8 == 0 else 1
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         *batch, c, h, w = x.shape
@@ -103,8 +101,8 @@ class GroupNorm:
         mean = np.add.reduce(grouped, axis=axes, keepdims=True) / count
         centered = grouped - mean
         var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
-        normed = (centered / np.sqrt(var + self.eps)).reshape(x.shape)
-        return normed * self.gamma[:, None, None] + self.beta[:, None, None]
+        centered /= np.sqrt(var + self.eps)
+        return centered.reshape(x.shape)
 
 
 class ResBlock:

@@ -1,15 +1,25 @@
 """Unit tests for the eager-prediction algorithm."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.core.eager_prediction as ep_module
+import repro.exec.continuous as continuous_module
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import EagerPredictor, ep_decide
+from repro.core.eager_prediction import (
+    EagerPredictor,
+    _masked_softmax,
+    ep_decide,
+)
+from repro.core.pipeline import ExionPipeline
 from repro.core.sparsity import RunStats
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 from repro.models.network import NetworkType
 from repro.models.zoo import BENCHMARK_MODELS, build_model
+from repro.workloads.specs import get_spec
 
 
 def make_predictor(top_k=0.5, q_th=10.0, mode="ts_lod"):
@@ -116,6 +126,51 @@ class TestCompiledDecide:
                 # something unless it collapsed
                 np.testing.assert_array_equal(got[0].any(axis=-1), ~got[1])
 
+    @pytest.mark.parametrize("tk,top_k", [
+        (tk, top_k) for tk in (2, 5, 16) for top_k in (0.05, 0.25, 0.5, 0.8, 0.9)
+        if np.ceil(top_k * tk) < tk  # keep-all rows have no boundary
+    ])
+    def test_unique_and_boundary_tied_rows_in_one_stack(self, rng, tk, top_k):
+        """One call over rows whose top-k set is unique and rows tied
+        exactly at the k-th boundary: the tied rows take the fallback, the
+        unique ones the ``>= kth`` test, and neither may leak into the
+        other (the fallback works on a gathered subset of rows)."""
+        keep_count = max(1, int(np.ceil(top_k * tk)))
+        stack = rng.standard_normal((3, 4, 6, tk))
+        rows = stack.reshape(-1, tk)
+        order = np.argsort(-rows, axis=-1)
+        ranks = np.arange(len(rows))
+        # Every third row: the k-th and (k+1)-th largest made equal.
+        tie = ranks[::3]
+        rows[tie, order[tie, keep_count]] = rows[tie, order[tie, keep_count - 1]]
+        # Every third row from the second: one real score and zero
+        # padding, the class-label cross-attention pattern.
+        pad = ranks[1::3]
+        rows[pad, 1:] = 0.0
+        ordered = np.sort(rows, axis=-1)
+        tied = ordered[:, tk - keep_count - 1] == ordered[:, tk - keep_count]
+        assert tied[tie].all() and not tied[2::3].any()
+        if 1 < keep_count < tk - 1:  # the real score is off the boundary
+            assert tied[pad].all()
+
+        predictor = make_predictor(top_k=top_k, q_th=0.5)
+        for predicted in (stack, stack[..., ::-1], stack.swapaxes(0, 2)):
+            for q_th in (0.0, 0.5, 1e9):
+                got = ep_decide(predicted, top_k, q_th)
+                want = _ep_decide_reference(predicted, top_k, q_th)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    np.testing.assert_array_equal(g, w)
+            keep, one_hot, cols = ep_decide(predicted, top_k, 0.5)
+            heads = predicted.reshape(-1, *predicted.shape[-2:])
+            for h, decision in enumerate(predictor.decide(heads)):
+                index = np.unravel_index(h, predicted.shape[:-2])
+                np.testing.assert_array_equal(keep[index], decision.keep)
+                np.testing.assert_array_equal(one_hot[index],
+                                              decision.one_hot_rows)
+                np.testing.assert_array_equal(cols[index],
+                                              decision.one_hot_cols)
+
     def test_each_head_gets_the_oracle_decision(self, rng):
         predictor = make_predictor(top_k=0.3, q_th=0.5)
         predicted = np.round(rng.standard_normal((4, 9, 13)) * 2.0) / 2.0
@@ -124,6 +179,104 @@ class TestCompiledDecide:
             np.testing.assert_array_equal(keep[h], decision.keep)
             np.testing.assert_array_equal(rows[h], decision.one_hot_rows)
             np.testing.assert_array_equal(cols[h], decision.one_hot_cols)
+
+
+class TestMaskedSoftmax:
+    """The steps' softmax skips the ``-inf`` fill's slow ``exp`` and the
+    last-axis max reduction; it must stay the masked softmax's bytes."""
+
+    @staticmethod
+    def _check(exact, attend):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _masked_softmax(exact, attend)
+            want = softmax(np.where(attend, exact, -np.inf), axis=-1)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tk", [1, 2, 3, 7, 16, 77])
+    def test_byte_equal_to_the_masked_softmax(self, rng, tk):
+        exact = rng.standard_normal((2, 3, 9, tk)) * 4.0
+        attend = rng.random(exact.shape) < 0.4
+        one = rng.integers(0, tk, size=exact.shape[:-1])
+        attend[..., 0, :] = False
+        attend[..., 0, :][one[..., 0, None] == np.arange(tk)] = True  # one kept
+        attend[..., 1, :] = True  # all kept
+        attend |= ~attend.any(axis=-1, keepdims=True)  # no empty row
+        self._check(exact, attend)
+        self._check(exact[..., ::-1], attend[..., ::-1])  # non-contiguous
+
+    def test_gaps_above_800_neither_overflow_nor_warn(self, rng):
+        """A dropped score 900 above the kept ones would overflow an
+        unfilled ``exp``; a kept score 900 below its row max underflows
+        to 0 exactly as in the definition."""
+        exact = rng.standard_normal((4, 8, 16))
+        attend = rng.random(exact.shape) < 0.5
+        attend[..., 3] = True
+        exact[~attend] += 900.0
+        exact[..., 5] -= 900.0
+        attend[..., 5] = True
+        self._check(exact, attend)
+        self._check(-exact, attend)
+
+    def test_signed_zero_maxima(self):
+        """The row max of ``+0.0`` and ``-0.0`` is either; every shift
+        then exponentiates to the same bytes."""
+        exact = np.array([[0.0, -0.0, -1.0, 2.0], [-0.0, 0.0, -0.0, -3.0]])
+        attend = np.array([[True, True, True, False], [True, True, True, True]])
+        self._check(exact, attend)
+        self._check(exact[:, ::-1], attend[:, ::-1])
+
+
+class TestCrossAttentionTies:
+    """A class-label context is one real token and fifteen zero rows
+    (``ConditioningEncoder.encode_ids`` pads with zeros), and a zero
+    row's predicted K is exactly 0. Every cross-attention score row so
+    holds fifteen equal scores across its top-k boundary, and which pad
+    columns EP keeps is ``argpartition``'s tie order. Self-attention rows
+    never tie. Masking the padding would move every conditioned model's
+    sample digest."""
+
+    @pytest.mark.parametrize("name", [
+        name for name in BENCHMARK_MODELS if get_spec(name).context_dim
+    ])
+    def test_every_cross_row_ties_and_no_self_row_does(self, monkeypatch,
+                                                        name):
+        tallies = {"self": [0, 0], "cross": [0, 0]}
+        kinds = []
+        real_step = continuous_module.ep_attention_step_batched
+        real_decide = ep_module.ep_decide
+
+        def step(layer, x, context, *args, **kwargs):
+            kinds.append("self" if context is None else "cross")
+            try:
+                return real_step(layer, x, context, *args, **kwargs)
+            finally:
+                kinds.pop()
+
+        def decide(predicted, top_k_ratio, q_threshold):
+            tk = predicted.shape[-1]
+            keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
+            ordered = np.sort(predicted.reshape(-1, tk), axis=-1)
+            tally = tallies[kinds[-1]]
+            tally[0] += np.count_nonzero(
+                ordered[:, tk - keep_count - 1] == ordered[:, tk - keep_count]
+            )
+            tally[1] += len(ordered)
+            return real_decide(predicted, top_k_ratio, q_threshold)
+
+        monkeypatch.setattr(continuous_module, "ep_attention_step_batched",
+                            step)
+        monkeypatch.setattr(ep_module, "ep_decide", decide)
+        model = build_model(name, total_iterations=2)
+        context = model.make_pipeline().embed_prompt(None, 3)
+        assert not context[1:].any() and context[0].any()
+        ExionPipeline(model, ExionConfig.for_model(name)).generate_batch(
+            [7, 8, 9], class_label=3, batched=True
+        )
+        tied, rows = tallies["cross"]
+        assert rows and tied == rows
+        tied, rows = tallies["self"]
+        assert rows and tied == 0
 
 
 class TestExecutor:

@@ -57,6 +57,28 @@ class TestQuantize:
             with pytest.raises(ValueError, match="non-finite operand"):
                 call()
 
+    @pytest.mark.parametrize("bits", [2, 8, 12, 32])
+    def test_in_place_rounding_is_the_clip_round_formula(self, rng, bits):
+        """Both quantizers round and clip in place; the bytes are the
+        ``np.clip(np.round(x / scale), -qmax, qmax)`` they replaced, ties
+        to even and the clipped extremes included."""
+        qmax = (1 << (bits - 1)) - 1
+        halves = np.round(rng.standard_normal((3, 5, 7)) * 2 * qmax) / 2
+        halves[0, 0, :2] = (-qmax * 1.0, qmax * 1.0)
+        for x in (rng.standard_normal((3, 5, 7)), halves, halves[:, ::-1],
+                  np.array(2.5)):
+            ints, scale = quantize_symmetric(x, bits)
+            want = np.clip(np.round(x / scale), -qmax, qmax).astype(np.int64)
+            assert ints.dtype == want.dtype and ints.shape == x.shape
+            assert ints.tobytes() == want.tobytes()
+            if x.ndim < 2:
+                continue
+            ints, scales = quantize_symmetric_batched(x, bits)
+            for b in range(x.shape[0]):
+                alone, scale = quantize_symmetric(x[b], bits)
+                assert ints[b].tobytes() == alone.tobytes()
+                assert scales[b] == scale
+
     def test_wide_quantization_still_allowed(self):
         """Only the table is capped at 16 bits; hw.epre and the fake
         quantizer keep the [2, 32] range."""

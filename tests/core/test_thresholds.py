@@ -132,9 +132,10 @@ class TestSelectionEqualsNpQuantile:
 
     @pytest.mark.parametrize("kind", ("c_contiguous", "sliced", "float32"))
     def test_the_argument_is_not_written(self, kind, rng):
-        # The selection partitions in place; hidden_dense outlives the
-        # call (restacked at every membership edit), so it must run on
-        # the helper's own copy whatever the argument's layout or dtype.
+        # The selection partitions in place; the dense compile reads the
+        # hidden state again after the call (bitmask, partial sums), so it
+        # must run on the helper's own copy whatever the argument's layout
+        # or dtype.
         base = rng.standard_normal((6, 700))
         if kind == "float32":
             base = base.astype(np.float32)

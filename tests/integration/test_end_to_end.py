@@ -37,9 +37,8 @@ class TestSDUEExecutesFFNReuse:
         sdue = SDUEModel()
         pre_dense = ffn.linear1(x0)  # dense-iteration pre-activation
         pre_hw = sdue.run_conmerge(
-            tiled, x1, ffn.linear1.weight, baseline=pre_dense - ffn.linear1.bias
+            tiled, x1, ffn.linear1.weight, baseline=pre_dense
         )
-        pre_hw = pre_hw + ffn.linear1.bias
 
         # Functional path for comparison.
         pre_exact = ffn.linear1(x1)
