@@ -239,7 +239,8 @@ class Dispatch:
 
     @property
     def batch_size(self) -> int:
-        return len(self.served)
+        """The batch that executed: ``members``, not the ``served`` subset."""
+        return len(self.members)
 
 
 class Replica:
@@ -480,23 +481,30 @@ class Replica:
                 fire = min(fire, expiry)
         return fire
 
-    def try_dispatch(self, now: float) -> Optional[Dispatch]:
-        """Run one step of the active key's server at ``now``."""
+    def try_dispatch(
+        self, now: float
+    ) -> tuple[Optional[Dispatch], list[DroppedRequest]]:
+        """Run one step of the active key's server at ``now``.
+
+        Returns the dispatch (``None`` when no step ran) and the requests
+        the step dropped: a continuous rebalance evicts queued requests
+        past their deadline, whether or not it then seats any.
+        """
         if self.busy_until > now:
-            return None
+            return None, []
         key = self._choose_key(now)
         if key is None:
-            return None
+            return None, []
         model, ablation = key
         server = self.servers[key]
         self.clock.now = now
         served = server.step(now=now)
-        self._collect_drops(now)
+        dropped = self._collect_drops(now)
         phase = server.last_tick_phase
         if not phase:
             # The rebalance admitted nothing (everything expired): no
             # step actually ran, nothing to account.
-            return None
+            return None, dropped
         tick_s = server.last_tick_s
         self.busy_until = now + tick_s
         self._inflight = len(server.active) + len(served)
@@ -514,7 +522,7 @@ class Replica:
             cold_s=server.last_tick_cold_s,
             members=tuple(server.last_tick_members),
             energy_j=server.last_tick_energy_j,
-        )
+        ), dropped
 
     # ------------------------------------------------------------------
     # reporting

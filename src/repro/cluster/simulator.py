@@ -135,10 +135,11 @@ class ClusterSimulator:
                 pending.discard((replica, t))
                 checks += 1
                 swept = replica.expire(t, self.slo.timeout_s)
+                outcome, dropped = replica.try_dispatch(t)
+                swept += dropped
                 if swept:
                     horizon = max(horizon, t)
                     self._observe_drops(swept, t)
-                outcome = replica.try_dispatch(t)
                 if outcome is not None:
                     horizon = max(horizon, outcome.completion_s)
                     for record in outcome.served:

@@ -26,7 +26,12 @@ either, always along a batch axis. Plan-static in a compiled step: the
 weight operands, the ``(mode, bits)`` approximation table and the
 cross-attention K/V. Per step: one quantize + table lookup per
 activation, then a decide-and-attend both forms share: :func:`ep_decide`
-and one masked softmax, the oracle's bytes from fewer numpy calls.
+and one masked softmax, the oracle's bytes from fewer numpy calls. When
+every score row of a step attends a single column (a collapsed row, or
+``keep_count == 1``), that column's probability is exactly 1.0, so the
+step skips the exact Q and K projections, the scores and the softmax
+outright: exact self-attention K is projected only when some row
+attends two or more columns.
 """
 
 from __future__ import annotations
@@ -310,27 +315,39 @@ def _masked_softmax(scores: np.ndarray, attend: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _ep_attend(layer: MultiHeadAttention, x: np.ndarray, qh: np.ndarray,
-               kh: np.ndarray, k: np.ndarray, v: np.ndarray,
+def _ep_attend(layer: MultiHeadAttention, x: np.ndarray,
+               kv_input: np.ndarray, qh: np.ndarray, kh: np.ndarray,
+               k: Optional[np.ndarray], v: np.ndarray,
                config: ExionConfig) -> tuple:
     """Both step forms' decide-and-attend (any leading batch shape),
     returning ``(out, keep, one_hot_rows, attend)``. A collapsed row
     attends its argmax column alone: one kept score softmaxes to exactly
-    1.0, so one softmax and one product serve every row."""
+    1.0, so one softmax and one product serve every row.
+
+    Every row attends at least one column, so when the step attends as
+    many columns as it has rows, each row attends exactly one and its
+    probabilities are ``attend`` itself; the exact Q and K projections,
+    the scores and the softmax are then skipped. ``k=None`` is the exact
+    K of ``kv_input``, projected only when some row needs scores."""
     predicted = np.matmul(qh, kh.swapaxes(-1, -2))
     predicted *= layer.scale
     keep, one_hot_rows, one_hot_cols = ep_decide(
         predicted, config.top_k_ratio, config.q_threshold
     )
 
-    q = layer.split_heads(layer.wq(x))
-    exact = np.matmul(q, k.swapaxes(-1, -2))
-    exact *= layer.scale
-
     attend = one_hot_cols[..., None] == np.arange(keep.shape[-1])
     attend &= one_hot_rows[..., None]
     attend |= keep
-    attended = np.matmul(_masked_softmax(exact, attend), v)
+    if np.count_nonzero(attend) == one_hot_rows.size:
+        probs = attend.astype(np.float64)
+    else:
+        if k is None:
+            k = layer.split_heads(layer.wk(kv_input))
+        q = layer.split_heads(layer.wq(x))
+        exact = np.matmul(q, k.swapaxes(-1, -2))
+        exact *= layer.scale
+        probs = _masked_softmax(exact, attend)
+    attended = np.matmul(probs, v)
     return layer.wo(layer.merge_heads(attended)), keep, one_hot_rows, attend
 
 
@@ -372,9 +389,11 @@ def ep_attention_step(
             else prepare_log_operand(kv_input, mode, bits)
         )
         kh = layer.split_heads(log_domain_matmul_prepared(k_operand, pred.wk_operand))
-        k, v = layer.kv(kv_input)
+        k, v = None, layer.split_heads(layer.wv(kv_input))
 
-    out, keep, one_hot_rows, attend = _ep_attend(layer, x, qh, kh, k, v, config)
+    out, keep, one_hot_rows, attend = _ep_attend(
+        layer, x, kv_input, qh, kh, k, v, config
+    )
 
     # A column is needed where some row attends it (kept, or the argmax
     # of a one-hot row); a row where some head is not one-hot needs Q.
@@ -485,9 +504,11 @@ def ep_attention_step_batched(
         # prepared operand is shared (the interpreted path re-derives the
         # identical quantization).
         kh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wk_operand))
-        k, v = layer.kv(kv_input)
+        k, v = None, layer.split_heads(layer.wv(kv_input))
 
-    out, keep, one_hot_rows, attend = _ep_attend(layer, x, qh, kh, k, v, config)
+    out, keep, one_hot_rows, attend = _ep_attend(
+        layer, x, kv_input, qh, kh, k, v, config
+    )
 
     # Statistics, per request: the counts of ep_attention_step.
     kept = keep.reshape(batch, -1).sum(axis=1).tolist()

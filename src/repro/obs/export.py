@@ -78,13 +78,16 @@ def chrome_trace(tracer: Tracer) -> dict:
         args["span_id"] = i
         if spans.parent_id[i] is not None:
             args["parent_id"] = spans.parent_id[i]
+        # ``dur`` spans the two rounded stamps, so ``ts + dur`` is the
+        # rounded end (a duration rounded on its own can miss it by 1 ns).
+        start_us = _us(spans.start_s[i])
         trace_events.append({
             "name": spans.name[i],
             "ph": "X",
             "pid": 1,
             "tid": tids[spans.track[i]],
-            "ts": _us(spans.start_s[i]),
-            "dur": _us(spans.end_s[i] - spans.start_s[i]),
+            "ts": start_us,
+            "dur": round(_us(spans.end_s[i]) - start_us, 3),
             "args": args,
         })
     return {

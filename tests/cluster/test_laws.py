@@ -20,18 +20,6 @@ from repro.cluster import (
 from repro.cluster.replica import ServiceTimeModel
 from repro.obs import Observer
 
-CONTINUOUS_DROPS_UNOBSERVED = pytest.mark.xfail(
-    strict=True,
-    reason="Replica.try_dispatch discards what self._collect_drops(now) "
-           "returns (cluster/replica.py:494), so deadline drops inside a "
-           "continuous server step emit no slo:deadline event",
-)
-CONTINUOUS_BATCH_SIZE_IS_SERVED = pytest.mark.xfail(
-    strict=True,
-    reason="cluster/replica.py Dispatch.batch_size is len(self.served), the "
-           "requests finishing on the tick, not the batch that executed",
-)
-
 
 @pytest.fixture(scope="module")
 def cells():
@@ -69,9 +57,8 @@ def test_every_request_is_served_or_dropped(cells, continuous):
     )
 
 
-@pytest.mark.parametrize("continuous", (
-    False, pytest.param(True, marks=CONTINUOUS_DROPS_UNOBSERVED),
-), ids=("drain", "continuous"))
+@pytest.mark.parametrize("continuous", (False, True),
+                         ids=("drain", "continuous"))
 def test_one_slo_event_per_drop(cells, continuous):
     report, tracer, *_ = cells[continuous]
     slo_events = [e for e in tracer.events if e.name.startswith("slo:")]
@@ -128,9 +115,8 @@ def test_metrics_agree_with_the_trace(cells, continuous):
         (reason,): count for reason, count in reasons.items()}
 
 
-@pytest.mark.parametrize("continuous", (
-    False, pytest.param(True, marks=CONTINUOUS_BATCH_SIZE_IS_SERVED),
-), ids=("drain", "continuous"))
+@pytest.mark.parametrize("continuous", (False, True),
+                         ids=("drain", "continuous"))
 def test_span_batch_size_is_the_executing_batch(cells, continuous):
     _, tracer, replicas, _ = cells[continuous]
     for replica in replicas:

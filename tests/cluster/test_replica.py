@@ -59,7 +59,7 @@ def _fleet_dispatches(service_model, continuous):
             records.append(d(now)) or records[-1]
         )
     simulate_cluster(trace, fleet, make_router("jsq"))
-    return [r for r in records if r is not None]
+    return [dispatch for dispatch, _ in records if dispatch is not None]
 
 
 class TestServiceTimeModel:
@@ -200,8 +200,9 @@ class TestReplica:
         assert replica.queue_depth() == 2
         assert replica.next_event_time(0.0) == 0.0
 
-        outcome = replica.try_dispatch(0.0)
+        outcome, dropped = replica.try_dispatch(0.0)
         assert outcome is not None and outcome.batch_size == 2
+        assert dropped == []
         assert outcome.service_s > 0.0
         assert replica.busy_until == pytest.approx(outcome.completion_s)
         assert replica.queue_depth() == 0
@@ -209,15 +210,15 @@ class TestReplica:
         assert replica.next_event_time(0.0) is None
         # And no double dispatch while busy.
         replica.enqueue(request(0.0, seed=3), now=0.0)
-        assert replica.try_dispatch(0.0) is None
+        assert replica.try_dispatch(0.0) == (None, [])
         assert replica.next_event_time(0.0) == replica.busy_until
 
     def test_cold_start_paid_once_per_key(self, service_model):
         replica = self.make_replica(service_model)
         replica.enqueue(request(0.0, seed=1), now=0.0)
-        first = replica.try_dispatch(0.0)
+        first, _ = replica.try_dispatch(0.0)
         replica.enqueue(request(0.0, seed=2), now=first.completion_s)
-        second = replica.try_dispatch(first.completion_s)
+        second, _ = replica.try_dispatch(first.completion_s)
         base = service_model.latency_s("dit", "all", 1)
         assert second.service_s == pytest.approx(base)
         assert first.service_s == pytest.approx(
@@ -266,10 +267,32 @@ class TestReplica:
         assert len(replica.expire(5.0, timeout_s=1.0)) == 1
         assert not replica.is_warm(("dit", "all"))
 
+    def test_step_that_seats_nobody_returns_its_deadline_drop(
+        self, service_model
+    ):
+        """A continuous rebalance evicts its only member past the
+        deadline: no step runs, and the caller still gets the drop."""
+        replica = Replica(
+            0, service_model=service_model, policy=ContinuousPolicy()
+        )
+        replica.enqueue(ClusterRequest(arrival_s=0.0, model="dit",
+                                       deadline_s=0.2), now=0.0)
+        now = 0.0
+        while True:
+            outcome, dropped = replica.try_dispatch(now)
+            if outcome is None:
+                break
+            assert dropped == []
+            now = outcome.completion_s
+        assert now >= 0.2
+        assert [(d.reason, d.dropped_at_s) for d in dropped] == [
+            ("deadline", now)]
+        assert replica.timeout_drops == 1
+
     def test_expired_key_stays_warm_after_a_dispatch(self, service_model):
         replica = self.make_replica(service_model)
         replica.enqueue(request(0.0, seed=1), now=0.0)
-        first = replica.try_dispatch(0.0)  # cold start actually paid
+        first, _ = replica.try_dispatch(0.0)  # cold start actually paid
         later = first.completion_s
         replica.enqueue(request(later, seed=2), now=later)
         replica.expire(later + 9.0, timeout_s=1.0)
@@ -279,9 +302,9 @@ class TestReplica:
     def test_max_wait_schedules_future_fire(self, service_model):
         replica = self.make_replica(service_model, max_wait_s=2.0)
         replica.enqueue(request(1.0), now=1.0)
-        assert replica.try_dispatch(1.5) is None  # not due yet
+        assert replica.try_dispatch(1.5) == (None, [])  # not due yet
         assert replica.next_event_time(1.5) == pytest.approx(3.0)
-        outcome = replica.try_dispatch(3.0)
+        outcome, _ = replica.try_dispatch(3.0)
         assert outcome is not None and outcome.batch_size == 1
 
     def test_drained_service_time_is_the_model_price_bit_for_bit(
@@ -317,7 +340,7 @@ class TestReplica:
         replica = self.make_replica(service_model, max_wait_s=0.0)
         replica.enqueue(request(0.0, model="mld"), now=0.0)
         replica.enqueue(request(1.0, model="dit"), now=1.0)
-        outcome = replica.try_dispatch(2.0)
+        outcome, _ = replica.try_dispatch(2.0)
         # The mld head waited longer, so its server dispatches first.
         assert outcome.model == "mld"
 

@@ -1,6 +1,7 @@
 """Unit tests for the eager-prediction algorithm."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,14 +10,19 @@ import repro.core.eager_prediction as ep_module
 import repro.exec.continuous as continuous_module
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
+    CompiledPrediction,
     EagerPredictor,
     _masked_softmax,
+    ep_attention_step,
+    ep_attention_step_batched,
+    ep_cross_kv,
     ep_decide,
 )
 from repro.core.pipeline import ExionPipeline
 from repro.core.sparsity import RunStats
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
+from repro.models.linear import Linear
 from repro.models.network import NetworkType
 from repro.models.zoo import BENCHMARK_MODELS, build_model
 from repro.workloads.specs import get_spec
@@ -436,3 +442,177 @@ class TestStackedContractions:
         assert row.tobytes() != v[0, 3].tobytes()
         assert not np.signbit(row[::2]).any()
         assert row[1::2].tobytes() == v[0, 3, 1::2].tobytes()
+
+
+def _count_projections(monkeypatch, layers):
+    """Tally, from here on, the exact Q, K and V projections ``layers``
+    run (``Linear`` calls on their ``wq`` / ``wk`` / ``wv``)."""
+    roles = {}
+    for layer in layers:
+        roles.update({id(layer.wq): "wq", id(layer.wk): "wk",
+                      id(layer.wv): "wv"})
+    counts = Counter()
+    real = Linear.__call__
+
+    def call(self, x):
+        counts[roles.get(id(self))] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(Linear, "__call__", call)
+    return counts
+
+
+def _stats_key(stats):
+    return (
+        (stats.attention_scores.dense, stats.attention_scores.computed),
+        (stats.q_projection.dense, stats.q_projection.computed),
+        (stats.kv_projection.dense, stats.kv_projection.computed),
+        tuple(stats.attention_sparsities),
+        stats.prediction_overhead_macs,
+        tuple(mask.tobytes() for mask in stats.attention_keepmasks),
+    )
+
+
+class TestSingleColumnSkip:
+    """A step whose every score row attends one column takes ``attend``
+    as its probabilities and runs no exact Q or K projection, no score
+    and no softmax. Each request must still get the oracle's bytes and
+    statistics, and a batch holding one wider row takes the exact path."""
+
+    @staticmethod
+    def _all_forms(monkeypatch, layer, config, xs, contexts=None, v=None):
+        """Each request through the oracle, then through the 2-D step and
+        the batched step; asserts all three agree byte for byte,
+        statistics included. Returns the projections the steps ran and
+        the batched output. ``v`` replaces every form's cross V."""
+        pred = CompiledPrediction.for_layer(layer, config.lod_mode,
+                                            config.prediction_bits)
+        kv = None
+        if contexts is not None:
+            kh, k, v_exact = ep_cross_kv(layer, contexts, pred, config)
+            kv = (kh, k, v_exact if v is None else v)
+        want = []
+        for b, x in enumerate(xs):
+            predictor = EagerPredictor(config, stats=RunStats(),
+                                       collect_keepmasks=True)
+            context = None if contexts is None else contexts[b]
+            if kv is not None:
+                monkeypatch.setattr(layer, "kv",
+                                    lambda _, b=b: (kv[1][b], kv[2][b]))
+            out, _ = predictor._run(layer, x, context)
+            want.append((out.tobytes(), _stats_key(predictor.stats)))
+
+        counts = _count_projections(monkeypatch, [layer])
+        for b, x in enumerate(xs):
+            context = None if contexts is None else contexts[b]
+            cached = None if kv is None else tuple(a[b] for a in kv)
+            # A cross step without cached K/V projects its own.
+            uncached = () if kv is None or v is not None else (None,)
+            for step_kv in (cached, *uncached):
+                stats = RunStats()
+                out = ep_attention_step(layer, x, context, pred, config,
+                                        stats, collect_keepmasks=True,
+                                        kv=step_kv)
+                assert (out.tobytes(), _stats_key(stats)) == want[b]
+        batch_stats = [RunStats() for _ in xs]
+        out = ep_attention_step_batched(layer, xs, contexts, pred, config,
+                                        batch_stats, collect_keepmasks=True,
+                                        kv=kv)
+        for b, stats in enumerate(batch_stats):
+            assert (out[b].tobytes(), _stats_key(stats)) == want[b]
+        return counts, out
+
+    @pytest.mark.parametrize("cross", (False, True))
+    @pytest.mark.parametrize("top_k,q_th", [
+        (0.01, 1e9), (0.5, 0.0), (0.01, 0.0),
+    ], ids=("keep_count=1", "all-one-hot", "both"))
+    def test_single_column_steps_are_the_oracle(self, monkeypatch, rng,
+                                                cross, top_k, q_th):
+        layer = MultiHeadAttention(24, 3, rng,
+                                   context_dim=12 if cross else None)
+        xs = rng.standard_normal((3, 7, 24))
+        contexts = rng.standard_normal((3, 11, 12)) if cross else None
+        config = ExionConfig(top_k_ratio=top_k, q_threshold=q_th,
+                             enable_ffn_reuse=False)
+        counts, _ = self._all_forms(monkeypatch, layer, config, xs, contexts)
+        assert counts["wq"] == counts["wk"] == 0
+        # V is still projected by every step without cached K/V: three
+        # 2-D steps, plus the batched one for self-attention.
+        assert counts["wv"] == (3 if cross else 4)
+
+    @pytest.mark.parametrize("cross", (False, True))
+    def test_a_single_key(self, monkeypatch, rng, cross):
+        """``tk = 1``: every row collapses onto the one key."""
+        layer = MultiHeadAttention(16, 2, rng,
+                                   context_dim=12 if cross else None)
+        xs = rng.standard_normal((3, 5 if cross else 1, 16))
+        contexts = rng.standard_normal((3, 1, 12)) if cross else None
+        config = ExionConfig(top_k_ratio=0.5, q_threshold=1e9,
+                             enable_ffn_reuse=False)
+        counts, _ = self._all_forms(monkeypatch, layer, config, xs, contexts)
+        assert counts["wq"] == counts["wk"] == 0
+
+    def test_negative_zero_value_comes_back_positive(self, monkeypatch, rng):
+        """The skip keeps ``probs @ v`` a product: a -0.0 at an attended
+        value comes back +0.0 in every form, never gathered as -0.0."""
+        layer = MultiHeadAttention(16, 2, rng, context_dim=12)
+        monkeypatch.setattr(layer, "wo", np.ascontiguousarray)  # out = attended
+        v = rng.standard_normal((3, 2, 9, 8))
+        v[..., ::2] = -0.0  # every key's value: whichever column is attended
+        config = ExionConfig(top_k_ratio=0.5, q_threshold=0.0,
+                             enable_ffn_reuse=False)
+        counts, out = self._all_forms(
+            monkeypatch, layer, config, rng.standard_normal((3, 6, 16)),
+            rng.standard_normal((3, 9, 12)), v=v,
+        )
+        assert counts["wq"] == counts["wk"] == 0
+        assert not out[..., ::2].any() and not np.signbit(out[..., ::2]).any()
+
+    def test_one_wider_row_sends_the_batch_down_the_exact_path(
+        self, monkeypatch, rng
+    ):
+        """Request 0 is all one-hot; request 1 keeps two of eight keys in
+        every row. Alone, request 0 skips; batched, both run exact."""
+        layer = MultiHeadAttention(16, 2, rng)
+        config = ExionConfig(top_k_ratio=0.25, q_threshold=0.5,
+                             enable_ffn_reuse=False)
+        xs = rng.standard_normal((2, 8, 16))
+        xs[0] *= 100.0  # dominance gaps far above q_threshold
+        xs[1] *= 0.01  # and far below it
+        counts, _ = self._all_forms(monkeypatch, layer, config, xs[:1])
+        assert counts["wq"] == counts["wk"] == 0
+        stats = [RunStats(), RunStats()]
+        pred = CompiledPrediction.for_layer(layer, config.lod_mode,
+                                            config.prediction_bits)
+        ep_attention_step_batched(layer, xs, None, pred, config, stats,
+                                  collect_keepmasks=True)
+        keep0, keep1 = (s.attention_keepmasks[0] for s in stats)
+        assert not keep0.any() and (keep1.sum(axis=-1) == 2).all()
+        counts, _ = self._all_forms(monkeypatch, layer, config, xs)
+        # request 1's own 2-D step and the batch
+        assert counts["wq"] == counts["wk"] == 2
+
+    @pytest.mark.parametrize("name,skips", [
+        ("dit", True), ("stable_diffusion", False),
+    ])
+    def test_zoo_steps_project_q_and_k_only_to_score(self, monkeypatch,
+                                                     name, skips):
+        """``dit`` keeps one of 16 keys, so its every compiled EP step is
+        single-column and projects no exact Q or K; ``stable_diffusion``
+        keeps more, and its steps project both."""
+        model = build_model(name, total_iterations=2)
+        layers = [
+            layer for block in model.network.blocks
+            for layer in (getattr(block, "self_attn", None),
+                          getattr(block, "cross_attn", None))
+            if layer is not None
+        ]
+        counts = _count_projections(monkeypatch, layers)
+        pipeline = ExionPipeline(model, ExionConfig.for_model(name))
+        pipeline.generate(7, class_label=3)
+        pipeline.generate_batch([7, 8], class_label=3, batched=True)
+        assert counts["wv"] > 0
+        if skips:
+            assert counts["wq"] == counts["wk"] == 0
+        else:
+            assert counts["wq"] > 0 and counts["wk"] > 0

@@ -206,15 +206,7 @@ class TestRoundTrip:
         a["meta"] = b["meta"] = {}
         assert a == b
 
-    @pytest.mark.parametrize("source", [
-        "jsonl",
-        pytest.param("chrome", marks=pytest.mark.xfail(
-            strict=True,
-            reason="chrome_trace emits dur rounded on its own "
-                   "(_us(end - start)), so from_chrome_trace's start + dur "
-                   "ends some spans 1 ns off the tracer's end",
-        )),
-    ])
+    @pytest.mark.parametrize("source", ["jsonl", "chrome"])
     @pytest.mark.parametrize("cell", sorted(_OBSERVED_CELLS))
     def test_artifact_reanalysis_is_byte_identical(self, cell, source):
         """The observed cells of ``tools/fleet_digests.py``: analysing a
