@@ -44,7 +44,7 @@ def build_sw_baselines(ctx):
         sampled = DiffusionPipeline(
             model.network, scheduler, few, model.conditioning
         ).generate(seed=1, class_label=5)
-        value = psnr(vanilla.sample, sampled.sample)
+        value = psnr(vanilla, sampled)
         result.add_metric(f"{key}.psnr_db", value, unit="dB",
                           direction="higher_better", tolerance=0.15)
         rows.append([label, percent(0.75), f"{value:.2f} dB"])
@@ -53,7 +53,7 @@ def build_sw_baselines(ctx):
     delta = DeltaDiTPipeline(model, cache_interval=2).generate(
         seed=1, class_label=5
     )
-    delta_psnr = psnr(vanilla.sample, delta.sample)
+    delta_psnr = psnr(vanilla, delta.sample)
     result.add_metric("delta_dit.psnr_db", delta_psnr, unit="dB",
                       direction="higher_better", tolerance=0.15)
     result.add_metric("delta_dit.ops_reduction", delta.ops_reduction,
@@ -67,7 +67,7 @@ def build_sw_baselines(ctx):
     # FFN-Reuse at the Table I configuration.
     cfg = ExionConfig.for_model("dit", enable_eager_prediction=False)
     ffnr = ExionPipeline(model, cfg).generate(seed=1, class_label=5)
-    ffnr_psnr = psnr(vanilla.sample, ffnr.sample)
+    ffnr_psnr = psnr(vanilla, ffnr.sample)
     result.add_metric("ffn_reuse.psnr_db", ffnr_psnr, unit="dB",
                       direction="higher_better", tolerance=0.15)
     result.add_metric("ffn_reuse.ops_reduction",

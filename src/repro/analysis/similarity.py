@@ -21,12 +21,11 @@ def gelu_outputs_by_iteration(
     class_label: int = None,
 ) -> list:
     """Non-linearity outputs of one block for every denoising iteration."""
-    # Traces come from the interpreted network hooks; no optimization (and
-    # so no ExionPipeline) is involved in the vanilla run they describe.
-    result = model.make_pipeline().generate(
-        seed=seed, class_label=class_label, collect_traces=True
+    # A vanilla run: no optimization (and so no ExionPipeline) is involved.
+    states = model.make_pipeline().ffn_hidden_states(
+        seed=seed, class_label=class_label
     )
-    return [traces[block].ffn.hidden.copy() for traces in result.block_traces]
+    return [hidden_states[block] for hidden_states in states]
 
 
 def cosine_similarity_matrix(outputs: list) -> np.ndarray:

@@ -121,7 +121,7 @@ class DeltaDiTPipeline:
                     h = h + deltas[b]
                     skipped += 1
                 else:
-                    h_out, _ = block(h, context=context, t_embed=t_embed)
+                    h_out = block(h, context=context, t_embed=t_embed)
                     deltas[b] = h_out - h
                     h = h_out
                     executed += 1

@@ -21,6 +21,7 @@ import operator
 import sys
 
 from repro.analysis.report import format_table, percent
+from repro.cluster.replica import ACCELERATORS
 
 _COMPARISONS = {">=": operator.ge, ">": operator.gt}
 
@@ -775,18 +776,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.baselines.gpu import GPUModel
     from repro.baselines.specs import EDGE_GPU, SERVER_GPU
-    from repro.hw.accelerator import ExionAccelerator
+    from repro.cluster.replica import make_accelerator
     from repro.hw.profile import estimate_profile
     from repro.workloads.specs import get_spec
 
     spec = get_spec(args.model)
     profile = estimate_profile(spec, seed=0)
-    accelerators = {
-        "exion4": ExionAccelerator.exion4,
-        "exion24": ExionAccelerator.exion24,
-        "exion42": ExionAccelerator.exion42,
-    }
-    acc = accelerators[args.accelerator]()
+    acc = make_accelerator(args.accelerator)
     report = acc.simulate(spec, profile, batch=args.batch)
     gpu_spec = EDGE_GPU if args.accelerator == "exion4" else SERVER_GPU
     gpu = GPUModel(gpu_spec).simulate(spec, batch=args.batch)
@@ -911,7 +907,7 @@ def _cmd_conmerge(args: argparse.Namespace) -> int:
 
 
 _ABLATIONS = ["base", "ep", "ffnr", "all"]
-_ACCELERATORS = ["exion4", "exion24", "exion42"]
+_ACCELERATORS = sorted(ACCELERATORS)
 
 
 def _add_serving_flags(p: argparse.ArgumentParser) -> None:

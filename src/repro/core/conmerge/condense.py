@@ -20,7 +20,6 @@ class CondenseResult:
 
     original_cols: int
     kept_columns: np.ndarray  # original column indices that survive
-    condensed: Bitmask  # mask restricted to the kept columns
 
     @property
     def remaining_ratio(self) -> float:
@@ -32,10 +31,5 @@ class CondenseResult:
 
 def condense(mask: Bitmask) -> CondenseResult:
     """Remove all-sparse columns from ``mask``."""
-    kept = mask.nonzero_columns()
-    condensed = Bitmask(mask.mask[:, kept]) if kept.size else Bitmask(
-        np.zeros((mask.rows, 0), dtype=bool)
-    )
-    return CondenseResult(
-        original_cols=mask.cols, kept_columns=kept, condensed=condensed
-    )
+    return CondenseResult(original_cols=mask.cols,
+                          kept_columns=mask.nonzero_columns())

@@ -35,7 +35,6 @@ class ConMergeResult:
     condensed_cols: int
     blocks: list = field(default_factory=list)
     cycles: int = 0
-    merge_attempts: int = 0
     merge_successes: int = 0
 
     @property
@@ -97,7 +96,6 @@ def _paired_merge(blocks: list) -> tuple:
     dq = deque(blocks)
     out = []
     cycles = 0
-    attempts = 0
     successes = 0
     while dq:
         base = dq.popleft()  # densest remaining
@@ -107,7 +105,6 @@ def _paired_merge(blocks: list) -> tuple:
             for i in range(len(dq) - 1, -1, -1):
                 attempt = try_merge(base, dq[i])
                 cycles += attempt.cycles
-                attempts += 1
                 if attempt.success:
                     merged = attempt.merged
                     del dq[i]
@@ -117,7 +114,7 @@ def _paired_merge(blocks: list) -> tuple:
                 break
             base = merged
         out.append(base)
-    return out, cycles, attempts, successes
+    return out, cycles, successes
 
 
 def conmerge(
@@ -150,12 +147,11 @@ def conmerge(
 
     blocks = _blocks_from_entries(entries, mask.rows, width)
     if sort:
-        merged, cycles, attempts, successes = _paired_merge(blocks)
+        merged, cycles, successes = _paired_merge(blocks)
     else:
-        merged, cycles, attempts, successes = greedy_merge(blocks)
+        merged, cycles, successes = greedy_merge(blocks)
     result.blocks = merged
     result.cycles = cycles
-    result.merge_attempts = attempts
     result.merge_successes = successes
     return result
 

@@ -34,7 +34,6 @@ class MergeAttempt:
     success: bool
     merged: Optional[TileBlock]
     cycles: int
-    conflicts_resolved: int
 
 
 _SETUP_CYCLES = 2
@@ -79,8 +78,7 @@ def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
     cycles = _SETUP_CYCLES  # bitmask-map construction + DOF evaluation
     total_origins = base.num_origins + incoming.num_origins
     if total_origins > 3:
-        return MergeAttempt(success=False, merged=None, cycles=cycles,
-                            conflicts_resolved=0)
+        return MergeAttempt(success=False, merged=None, cycles=cycles)
 
     merged = base.copy()
     buffer_offset = base.num_origins
@@ -106,7 +104,6 @@ def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
         )
         return empties - len(conflicts[slot])
 
-    resolved = 0
     while conflicts:
         # The tightest column is processed first; all of its conflicts
         # resolve within the column's cycle (parallel slot moves).
@@ -117,14 +114,11 @@ def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
             target = _find_slot(merged, slot, entry.input_row)
             if target is None:
                 return MergeAttempt(success=False, merged=None,
-                                    cycles=cycles,
-                                    conflicts_resolved=resolved)
+                                    cycles=cycles)
             _place(merged, target, slot, entry, buffer_offset)
-            resolved += 1
 
     merged.num_origins = total_origins
-    return MergeAttempt(success=True, merged=merged, cycles=cycles,
-                        conflicts_resolved=resolved)
+    return MergeAttempt(success=True, merged=merged, cycles=cycles)
 
 
 def _find_slot(block: TileBlock, slot: int, input_row: int) -> Optional[int]:
@@ -145,14 +139,13 @@ def _find_slot(block: TileBlock, slot: int, input_row: int) -> Optional[int]:
 def greedy_merge(blocks: list) -> tuple:
     """Merge a block list pairwise, first-fit, up to two merges per block.
 
-    Returns ``(merged_blocks, total_cycles, attempts, successes)``. This is
+    Returns ``(merged_blocks, total_cycles, successes)``. This is
     the unsorted baseline of Fig. 12; :func:`repro.core.conmerge.cvg.conmerge`
     layers the SortBuffer ordering on top.
     """
     pending = [b.copy() for b in blocks]
     out = []
     cycles = 0
-    attempts = 0
     successes = 0
     while pending:
         base = pending.pop(0)
@@ -162,7 +155,6 @@ def greedy_merge(blocks: list) -> tuple:
             for idx, candidate in enumerate(pending):
                 attempt = try_merge(base, candidate)
                 cycles += attempt.cycles
-                attempts += 1
                 if attempt.success:
                     hit = (idx, attempt.merged)
                     successes += 1
@@ -172,4 +164,4 @@ def greedy_merge(blocks: list) -> tuple:
             idx, base = hit
             pending.pop(idx)
         out.append(base)
-    return out, cycles, attempts, successes
+    return out, cycles, successes

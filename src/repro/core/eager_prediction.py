@@ -16,7 +16,9 @@ The paper's TS-LOD refinement (two-step leading-one detection) is what
 makes the prediction accurate enough for diffusion models (Fig. 15).
 
 :class:`EagerPredictor` is the interpreted predictor for one generation
-(the reference oracle). Its plan-compiled step has two forms:
+(the reference oracle); its executor returns the layer output alone and
+writes what it skipped into its :class:`~repro.core.sparsity.RunStats`.
+The plan-compiled step has two forms:
 :func:`ep_attention_step` on one request's 2-D operands (the single-seed
 hot path) and :func:`ep_attention_step_batched`, which applies the same
 decisions over a leading batch axis with per-request quantization scales
@@ -52,7 +54,7 @@ from repro.core.logdomain import (
 )
 from repro.core.sparsity import RunStats
 from repro.models.activations import softmax
-from repro.models.attention import AttentionTrace, MultiHeadAttention
+from repro.models.attention import MultiHeadAttention
 
 
 @dataclass
@@ -128,12 +130,7 @@ class EagerPredictor:
     # ------------------------------------------------------------------
     def executor(self):
         """An ``AttentionExecutor`` running EP-guided sparse attention."""
-
-        def run(layer: MultiHeadAttention, x: np.ndarray,
-                context: Optional[np.ndarray]):
-            return self._run(layer, x, context)
-
-        return run
+        return self._run
 
     def _run(self, layer: MultiHeadAttention, x: np.ndarray,
              context: Optional[np.ndarray]):
@@ -159,7 +156,6 @@ class EagerPredictor:
         q = layer.split_heads(layer.wq(x))
         k, v = layer.kv(kv_input)
 
-        scores = np.full((heads, tq, tk), -np.inf)
         probs = np.zeros((heads, tq, tk))
         attended = np.zeros((heads, tq, layer.head_dim))
         skipped = 0
@@ -176,7 +172,6 @@ class EagerPredictor:
             # One product over all rows: a collapsed row's probabilities
             # are exactly one-hot, so it reads back v at its argmax column.
             attended[h] = probs[h] @ v[h]
-            scores[h] = masked
             skipped += dec.skipped_elements
 
         out = layer.wo(layer.merge_heads(attended))
@@ -189,8 +184,6 @@ class EagerPredictor:
         self.stats.attention_scores.add(
             total_scores * head_dim, (total_scores - skipped) * head_dim
         )
-        q_rows_skipped = int(tq - q_row_needed.sum())
-        kv_cols_skipped = int(tk - kv_col_needed.sum())
         dim_in = layer.wq.in_features
         self.stats.q_projection.add(
             tq * dim_in * layer.dim, int(q_row_needed.sum()) * dim_in * layer.dim
@@ -199,30 +192,14 @@ class EagerPredictor:
             2 * tk * layer.wk.in_features * layer.dim,
             2 * int(kv_col_needed.sum()) * layer.wk.in_features * layer.dim,
         )
-        sparsity = skipped / total_scores if total_scores else 0.0
-        self.stats.attention_sparsities.append(sparsity)
-        # Log-domain prediction overhead (counted against EXION in the HW
-        # model): Q/K prediction plus predicted-score MMUL.
-        self.stats.prediction_overhead_macs += (
-            (tq + tk) * dim_in * layer.dim + total_scores * head_dim
+        self.stats.attention_sparsities.append(
+            skipped / total_scores if total_scores else 0.0
         )
-
-        keep_all = np.stack([d.keep for d in decisions])
         if self.collect_keepmasks:
-            self.stats.attention_keepmasks.append(keep_all)
-
-        trace = AttentionTrace(
-            scores=scores,
-            probs=probs,
-            output_sparsity=sparsity,
-            skipped_score_elements=skipped,
-            total_score_elements=total_scores,
-            q_rows_skipped=q_rows_skipped * heads,
-            q_rows_total=tq * heads,
-            kv_cols_skipped=kv_cols_skipped * heads,
-            kv_cols_total=tk * heads,
-        )
-        return out, trace
+            self.stats.attention_keepmasks.append(
+                np.stack([d.keep for d in decisions])
+            )
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +339,7 @@ def ep_attention_step(
     kv: Optional[tuple] = None,
 ) -> np.ndarray:
     """Step-time half of one EP attention layer, bit-identical to
-    :meth:`EagerPredictor._run` minus the trace.
+    :meth:`EagerPredictor._run` in output and statistics.
 
     Differences are purely plan-time hoists: the weight operands come
     prepared in ``pred``; for self-attention the activation is quantized
@@ -427,9 +404,6 @@ def _add_step_stats(
     skipped = total_scores - kept
     stats.attention_sparsities.append(
         skipped / total_scores if total_scores else 0.0
-    )
-    stats.prediction_overhead_macs += (
-        (tq + tk) * dim_in * layer.dim + total_scores * head_dim
     )
 
 

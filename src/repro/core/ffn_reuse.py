@@ -37,7 +37,7 @@ from repro.core.thresholds import (
     quantile_thresholds,
 )
 from repro.models.activations import gelu as gelu_kernel
-from repro.models.ffn import FeedForward, FFNTrace
+from repro.models.ffn import FeedForward
 
 
 @dataclass
@@ -146,9 +146,7 @@ class FFNReuse:
         self.stats.ffn_layer2.add(full_l2, full_l2)
         if self.collect_bitmasks:
             self.stats.ffn_bitmasks.append(bitmask)
-
-        trace = FFNTrace(hidden=hidden, total_hidden_elements=int(hidden.size))
-        return out, trace
+        return out
 
     def _sparse_pass(self, layer: FeedForward, x: np.ndarray, block: int):
         state = self._states[block]
@@ -168,7 +166,6 @@ class FFNReuse:
         out = state.partial_sums + updates
 
         nnz = state.bitmask.nnz
-        sparsity = state.bitmask.sparsity
         # Per recomputed hidden element the 1st layer runs a length-`dim`
         # dot product (x2 for GEGLU's value+gate pair).
         l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
@@ -180,16 +177,8 @@ class FFNReuse:
 
         self.stats.ffn_layer1.add(full_l1, computed_l1)
         self.stats.ffn_layer2.add(full_l2, computed_l2)
-        self.stats.ffn_sparsities.append(sparsity)
-
-        trace = FFNTrace(
-            hidden=hidden,
-            output_sparsity=sparsity,
-            skipped_hidden_elements=int(hidden.size) - nnz,
-            total_hidden_elements=int(hidden.size),
-            reused_from_dense=True,
-        )
-        return out, trace
+        self.stats.ffn_sparsities.append(state.bitmask.sparsity)
+        return out
 
     # ------------------------------------------------------------------
     # introspection

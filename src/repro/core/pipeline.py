@@ -22,7 +22,6 @@ from repro.core.ffn_reuse import FFNReuse
 from repro.core.logdomain import quantize_symmetric, quantize_symmetric_batched
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
-from repro.models.pipeline import DiffusionResult
 from repro.models.transformer import Executors
 from repro.models.zoo import BenchmarkModel
 
@@ -33,7 +32,6 @@ class GenerationResult:
 
     sample: np.ndarray
     stats: RunStats
-    diffusion: DiffusionResult
 
 
 class ExionPipeline:
@@ -52,8 +50,8 @@ class ExionPipeline:
     Results are bit-identical to the interpreted path, which remains the
     reference oracle: ``compiled=False`` runs it for every call (then
     :meth:`generate_batch` is the per-seed oracle loop whatever
-    ``batched`` says), and ``collect_traces=True`` falls back to it for
-    that call, because only the interpreted hooks record traces.
+    ``batched`` says). Its executors and quantizing wrappers return each
+    layer's output alone and count into the run's :class:`RunStats`.
 
     Example::
 
@@ -104,10 +102,9 @@ class ExionPipeline:
         seed: int = 0,
         prompt: Optional[str] = None,
         class_label: Optional[int] = None,
-        collect_traces: bool = False,
     ) -> GenerationResult:
         """Generate one sample with the configured optimizations."""
-        if self.compiled and not collect_traces:
+        if self.compiled:
             return self._engine(vanilla=False, several=False).generate(
                 seed=seed, prompt=prompt, class_label=class_label
             )
@@ -134,16 +131,14 @@ class ExionPipeline:
         if ffn_reuse is not None:
             hook = lambda iteration, t: ffn_reuse.begin_iteration(iteration)  # noqa: E731
 
-        diffusion = pipeline.generate(
+        sample = pipeline.generate(
             seed=seed,
             prompt=prompt,
             class_label=class_label,
             executor_provider=provider,
             iteration_start_hook=hook,
-            collect_traces=collect_traces,
         )
-        return GenerationResult(sample=diffusion.sample, stats=stats,
-                                diffusion=diffusion)
+        return GenerationResult(sample=sample, stats=stats)
 
     def generate_batch(
         self,
@@ -194,12 +189,10 @@ class ExionPipeline:
             return self._engine(vanilla=True, several=False).generate(
                 seed=seed, prompt=prompt, class_label=class_label
             )
-        pipeline = self.model.make_pipeline()
-        diffusion = pipeline.generate(
+        sample = self.model.make_pipeline().generate(
             seed=seed, prompt=prompt, class_label=class_label
         )
-        return GenerationResult(sample=diffusion.sample, stats=RunStats(),
-                                diffusion=diffusion)
+        return GenerationResult(sample=sample, stats=RunStats())
 
     # ------------------------------------------------------------------
     # internals

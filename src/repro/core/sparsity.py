@@ -2,7 +2,8 @@
 
 These aggregates drive both the accuracy tables and the hardware
 performance model: the simulator consumes the measured output-sparsity
-rates to size its tile workload.
+rates to size its tile workload. One :class:`RunStats` describes one
+generation; servers hand each request its own, and nothing sums them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class RunStats:
     q_projection: OpCounter = field(default_factory=OpCounter)
     kv_projection: OpCounter = field(default_factory=OpCounter)
     attention_sparsities: list = field(default_factory=list)  # per layer call
-    prediction_overhead_macs: int = 0
 
     # ConMerge inputs: bitmasks collected during the run (optional).
     ffn_bitmasks: list = field(default_factory=list)
@@ -82,42 +82,6 @@ class RunStats:
     @property
     def kv_projection_skip_rate(self) -> float:
         return self.kv_projection.reduction
-
-    def merge_from(self, other: "RunStats") -> None:
-        """Accumulate another run's statistics into this one.
-
-        Iterates the dataclass fields so a newly added counter or
-        observation list can never be silently dropped from aggregate
-        (micro-batch / server) reports.
-        """
-        from dataclasses import fields
-
-        for spec in fields(self):
-            mine = getattr(self, spec.name)
-            theirs = getattr(other, spec.name)
-            if isinstance(mine, OpCounter):
-                mine.add(theirs.dense, theirs.computed)
-            elif isinstance(mine, list):
-                mine.extend(theirs)
-            elif isinstance(mine, int):
-                setattr(self, spec.name, mine + theirs)
-            else:  # pragma: no cover - new field kinds must pick a rule
-                raise TypeError(
-                    f"don't know how to merge RunStats field {spec.name!r}"
-                )
-
-    @classmethod
-    def merged(cls, stats_list) -> "RunStats":
-        """Aggregate per-request stats into one fleet-wide view.
-
-        Used by the serving layer to report micro-batch and server totals:
-        op counters add up, sparsity observations concatenate, so the
-        derived rates are averaged over every request served.
-        """
-        total = cls()
-        for stats in stats_list:
-            total.merge_from(stats)
-        return total
 
     def summary(self) -> dict:
         """Flat dict for report printing."""

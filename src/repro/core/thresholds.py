@@ -14,9 +14,11 @@ Two usage modes are provided:
   of what lies above it, numpy's interpolation. An order statistic is
   the same number whichever algorithm finds it, so the result equals
   ``numpy.quantile(abs(values), q)`` bit for bit (``tests/core/``);
-- **offline calibration** — :class:`ThresholdCalibrator` runs one vanilla
-  generation, records the per-(dense-iteration, block) quantile thresholds,
-  and replays them as fixed constants at runtime, exactly matching the
+- **offline calibration** — :class:`ThresholdCalibrator` takes the FFN
+  non-linearity outputs of one vanilla generation
+  (:meth:`repro.models.pipeline.DiffusionPipeline.ffn_hidden_states`),
+  records the per-(dense-iteration, block) quantile thresholds, and
+  replays them as fixed constants at runtime, exactly matching the
   paper's deployment story.
 """
 
@@ -102,16 +104,13 @@ class ThresholdCalibrator:
 
         ``model`` is a :class:`repro.models.zoo.BenchmarkModel`.
         """
-        pipeline = model.make_pipeline()
-        result = pipeline.generate(seed=seed, prompt=prompt, collect_traces=True)
+        states = model.make_pipeline().ffn_hidden_states(seed=seed, prompt=prompt)
         table = ThresholdTable(target_sparsity=self.target_sparsity)
-        for iteration, traces in enumerate(result.block_traces):
+        for iteration, hidden_states in enumerate(states):
             if iteration % self.dense_period != 0:
                 continue
             dense_index = iteration // self.dense_period
-            for block, trace in enumerate(traces):
-                threshold = quantile_threshold(
-                    trace.ffn.hidden, self.target_sparsity
-                )
+            for block, hidden in enumerate(hidden_states):
+                threshold = quantile_threshold(hidden, self.target_sparsity)
                 table.set(dense_index, block, threshold)
         return table

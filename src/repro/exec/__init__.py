@@ -3,10 +3,9 @@
 The interpreted stack (the executor hooks behind
 ``ExionPipeline(compiled=False)``) re-derives per-step work every
 iteration: it re-quantizes constant weight matrices for the log-domain
-prediction, re-walks bitmasks, re-embeds deterministic timesteps and
-allocates trace objects nobody reads. :mod:`repro.exec` splits that work
-along the plan-time / step-time boundary the
-:class:`~repro.program.compiled.CompiledPlan` fixes:
+prediction, re-walks bitmasks and re-embeds deterministic timesteps.
+:mod:`repro.exec` splits that work along the plan-time / step-time
+boundary the :class:`~repro.program.compiled.CompiledPlan` fixes:
 
 ==============================  ========================================
 plan time (once)                step time (per iteration)

@@ -59,7 +59,6 @@ from repro.core.pipeline import (
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
-from repro.models.pipeline import DiffusionResult
 from repro.models.scheduler import DDPMScheduler
 from repro.models.zoo import BenchmarkModel
 from repro.program.cache import compiled_plan_for
@@ -210,13 +209,7 @@ class ContinuousExecutor:
                 f"run {run.request_id} finished at cursor {run.cursor}, "
                 f"expected {self.iterations}"
             )
-        return GenerationResult(
-            sample=run.x.copy(),
-            stats=run.stats,
-            diffusion=DiffusionResult(
-                sample=run.x.copy(), iterations=len(self._timesteps)
-            ),
-        )
+        return GenerationResult(sample=run.x.copy(), stats=run.stats)
 
     def run_batch(
         self, requests: Sequence[GenerationRequest]
@@ -377,11 +370,11 @@ class ContinuousExecutor:
             x = _fake_quantize_batched(x, self.activation_bits)
         if not self._preds:
             if context is None:
-                return layer.attend(x, *layer.kv(x))[0]
+                return layer.attend(x, *layer.kv(x))
             cached = self._cross_exact_kv.get(block_index)
             if cached is None:
                 cached = self._cross_exact_kv[block_index] = layer.kv(context)
-            return layer.attend(x, *cached)[0]
+            return layer.attend(x, *cached)
         which = "self" if context is None else "cross"
         pred = self._preds[block_index][which]
         kv = None

@@ -35,7 +35,6 @@ from repro.core.pipeline import GenerationResult, _fake_quantize
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
-from repro.models.pipeline import DiffusionResult
 from repro.models.transformer import TransformerBlock
 from repro.models.zoo import BenchmarkModel
 from repro.program.cache import compiled_plan_for
@@ -181,11 +180,7 @@ class CompiledExecutor:
             x = scheduler.step(eps, int(timesteps[i]), x, prev_t=prev_t,
                                rng=rng)
 
-        return GenerationResult(
-            sample=x,
-            stats=state.stats,
-            diffusion=DiffusionResult(sample=x, iterations=len(timesteps)),
-        )
+        return GenerationResult(sample=x, stats=state.stats)
 
     # ------------------------------------------------------------------
     # one transformer block (DiffusionNetwork.walk owns the topology)
@@ -236,7 +231,7 @@ class CompiledExecutor:
                 self.config, state.stats,
                 collect_keepmasks=self.collect_masks,
             )
-        return layer.attend(x, *layer.kv(x))[0]
+        return layer.attend(x, *layer.kv(x))
 
     def _cross_attention(
         self,
@@ -267,7 +262,7 @@ class CompiledExecutor:
         cached = state.cross_exact_kv.get(block_index)
         if cached is None:
             cached = state.cross_exact_kv[block_index] = layer.kv(context)
-        return layer.attend(x, *cached)[0]
+        return layer.attend(x, *cached)
 
     # ------------------------------------------------------------------
     # FFN

@@ -11,8 +11,8 @@ interfaces over ``numpy.ndarray`` activations.
 """
 
 from repro.models.activations import gelu, geglu, silu, softmax
-from repro.models.attention import AttentionTrace, MultiHeadAttention
-from repro.models.ffn import FeedForward, FFNTrace
+from repro.models.attention import MultiHeadAttention
+from repro.models.ffn import FeedForward
 from repro.models.linear import Linear
 from repro.models.network import DiffusionNetwork, NetworkType
 from repro.models.norm import LayerNorm
@@ -27,7 +27,6 @@ from repro.models.transformer import TransformerBlock
 from repro.models.zoo import BENCHMARK_MODELS, ModelSpec, build_model
 
 __all__ = [
-    "AttentionTrace",
     "BENCHMARK_MODELS",
     "Conv2d",
     "DDIMScheduler",
@@ -35,7 +34,6 @@ __all__ = [
     "DPMSolverPP2MScheduler",
     "DiffusionNetwork",
     "DiffusionPipeline",
-    "FFNTrace",
     "FeedForward",
     "LayerNorm",
     "Linear",

@@ -3,12 +3,13 @@
 The exact path computes QKV projection, scaled dot-product attention and the
 output projection densely. EXION's eager-prediction algorithm replaces the
 inner computation via the ``executor`` hook without the layer itself knowing
-about sparsity (paper Fig. 3 (b), Section II-B).
+about sparsity (paper Fig. 3 (b), Section II-B). The layer and every
+executor return the output alone; skip statistics go to the executor's own
+:class:`repro.core.sparsity.RunStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,30 +17,11 @@ import numpy as np
 from repro.models.activations import softmax
 from repro.models.linear import Linear
 
-
-@dataclass
-class AttentionTrace:
-    """Intermediate tensors and skip statistics captured from one layer call.
-
-    Skip statistics are zero for the exact path and populated by the
-    eager-prediction executor.
-    """
-
-    scores: np.ndarray
-    probs: np.ndarray
-    output_sparsity: float = 0.0
-    skipped_score_elements: int = 0
-    total_score_elements: int = 0
-    q_rows_skipped: int = 0
-    q_rows_total: int = 0
-    kv_cols_skipped: int = 0
-    kv_cols_total: int = 0
-    head_traces: list = field(default_factory=list)
-
-
-# An executor receives the layer plus activations and returns
-# (output, AttentionTrace). It owns the whole attention computation.
-AttentionExecutor = Callable[["MultiHeadAttention", np.ndarray, Optional[np.ndarray]], tuple]
+# An executor receives the layer plus activations and returns the layer's
+# output. It owns the whole attention computation.
+AttentionExecutor = Callable[
+    ["MultiHeadAttention", np.ndarray, Optional[np.ndarray]], np.ndarray
+]
 
 
 class MultiHeadAttention:
@@ -90,24 +72,21 @@ class MultiHeadAttention:
         """Head-split exact K and V of ``(..., tokens, context_dim)``."""
         return self.split_heads(self.wk(kv_input)), self.split_heads(self.wv(kv_input))
 
-    def attend(
-        self, x: np.ndarray, k: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def attend(self, x: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Dense attention of ``x`` over head-split ``k``/``v`` (from
-        :meth:`kv`); returns ``(out, scores, probs)``. Every leading batch
-        row is what its own 2-D call returns."""
+        :meth:`kv`). Every leading batch row is what its own 2-D call
+        returns."""
         q = self.split_heads(self.wq(x))
         scores = np.matmul(q, k.swapaxes(-1, -2)) * self.scale
         probs = softmax(scores, axis=-1)
-        out = self.wo(self.merge_heads(np.matmul(probs, v)))
-        return out, scores, probs
+        return self.wo(self.merge_heads(np.matmul(probs, v)))
 
     def __call__(
         self,
         x: np.ndarray,
         context: Optional[np.ndarray] = None,
         executor: Optional[AttentionExecutor] = None,
-    ) -> tuple[np.ndarray, AttentionTrace]:
+    ) -> np.ndarray:
         """Run the layer, optionally through a sparsity-aware executor."""
         if executor is not None:
             return executor(self, x, context)
@@ -115,18 +94,9 @@ class MultiHeadAttention:
 
     def forward_exact(
         self, x: np.ndarray, context: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, AttentionTrace]:
+    ) -> np.ndarray:
         """Dense reference attention (the paper's "vanilla" path)."""
-        kv_input = x if context is None else context
-        out, scores, probs = self.attend(x, *self.kv(kv_input))
-        trace = AttentionTrace(
-            scores=scores,
-            probs=probs,
-            total_score_elements=int(scores.size),
-            q_rows_total=x.shape[0] * self.num_heads,
-            kv_cols_total=kv_input.shape[0] * self.num_heads,
-        )
-        return out, trace
+        return self.attend(x, *self.kv(x if context is None else context))
 
     def macs(self, tokens: int, context_tokens: Optional[int] = None) -> dict:
         """Analytic MAC counts split the way the paper's Fig. 4 reports them."""

@@ -55,7 +55,7 @@ class ConditioningEncoder:
         )
         h = h + 0.1 * positions
         for block in self.blocks:
-            h, _ = block(h)
+            h = block(h)
         h = self.final_norm(h)
         if h.shape[0] < self.max_tokens:
             pad = np.zeros((self.max_tokens - h.shape[0], self.dim))

@@ -2,12 +2,14 @@
 
 The FFN is the dominant compute in diffusion transformer blocks (paper
 Fig. 4, up to 67% of operations), and the FFN-Reuse algorithm replaces its
-execution across iterations via the ``executor`` hook.
+execution across iterations via the ``executor`` hook. The layer and every
+executor return the output alone; a caller that wants the non-linearity
+output puts a recording executor on the hook
+(:meth:`repro.models.pipeline.DiffusionPipeline.ffn_hidden_states`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -16,18 +18,7 @@ from repro.models.activations import geglu, gelu
 from repro.models.linear import Linear
 
 
-@dataclass
-class FFNTrace:
-    """Intermediate tensors and skip statistics from one FFN call."""
-
-    hidden: np.ndarray  # output of the non-linearity, the FFN-Reuse signal
-    output_sparsity: float = 0.0
-    skipped_hidden_elements: int = 0
-    total_hidden_elements: int = 0
-    reused_from_dense: bool = False
-
-
-FFNExecutor = Callable[["FeedForward", np.ndarray], tuple]
+FFNExecutor = Callable[["FeedForward", np.ndarray], np.ndarray]
 
 
 class FeedForward:
@@ -55,7 +46,7 @@ class FeedForward:
 
     def __call__(
         self, x: np.ndarray, executor: Optional[FFNExecutor] = None
-    ) -> tuple[np.ndarray, FFNTrace]:
+    ) -> np.ndarray:
         if executor is not None:
             return executor(self, x)
         return self.forward_exact(x)
@@ -67,12 +58,9 @@ class FeedForward:
             return geglu(value, gate)
         return gelu(pre)
 
-    def forward_exact(self, x: np.ndarray) -> tuple[np.ndarray, FFNTrace]:
+    def forward_exact(self, x: np.ndarray) -> np.ndarray:
         """Dense reference FFN."""
-        hidden = self.nonlinear(self.linear1(x))
-        out = self.linear2(hidden)
-        trace = FFNTrace(hidden=hidden, total_hidden_elements=int(hidden.size))
-        return out, trace
+        return self.linear2(self.nonlinear(self.linear1(x)))
 
     def macs(self, tokens: int) -> int:
         """Analytic MAC count for a ``(tokens, dim)`` input."""

@@ -18,7 +18,7 @@ from repro.models.activations import silu
 from repro.models.linear import Linear
 from repro.models.norm import LayerNorm
 from repro.models.resblock import ResBlock
-from repro.models.transformer import BlockTrace, Executors, TransformerBlock
+from repro.models.transformer import Executors, TransformerBlock
 
 
 class NetworkType(enum.Enum):
@@ -136,30 +136,24 @@ class DiffusionNetwork:
         t: int,
         context: Optional[np.ndarray] = None,
         executors: Optional[ExecutorProvider] = None,
-    ) -> tuple[np.ndarray, list[BlockTrace]]:
-        """Predict noise for latent ``x`` at timestep ``t``.
-
-        Returns the prediction and the per-transformer-block traces.
-        """
+    ) -> np.ndarray:
+        """Predict noise for latent ``x`` at timestep ``t``."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.tokens, self.dim):
             raise ValueError(
                 f"expected latent shape {(self.tokens, self.dim)}, got {x.shape}"
             )
         t_embed = self._embed_timestep(t)
-        traces: list[BlockTrace] = []
 
-        def traced(index: int, h: np.ndarray) -> np.ndarray:
-            h, trace = self.blocks[index](
+        def block(index: int, h: np.ndarray) -> np.ndarray:
+            return self.blocks[index](
                 h,
                 context=context,
                 t_embed=t_embed,
                 executors=self._resolve_executors(executors, index),
             )
-            traces.append(trace)
-            return h
 
-        return self.walk(x, t_embed, traced), traces
+        return self.walk(x, t_embed, block)
 
     def walk(
         self,
@@ -172,8 +166,9 @@ class DiffusionNetwork:
         ``x`` is ``(..., tokens, dim)`` and ``t_embed`` the matching
         ``(..., timestep_dim)`` embedding(s) the ResBlocks read;
         ``block(index, h)`` runs transformer block ``index`` on ``h``. The
-        oracle passes its traced blocks, the engines their compiled ones,
-        so ResBlocks, pooling and the UNet skip have this one definition.
+        oracle passes its executor-hooked blocks, the engines their compiled
+        ones, so ResBlocks, pooling and the UNet skip have this one
+        definition.
         """
         def stage(h: np.ndarray, indices: range) -> np.ndarray:
             for i in indices:

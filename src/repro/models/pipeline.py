@@ -1,8 +1,14 @@
-"""Reverse-denoising inference pipeline over a diffusion network."""
+"""Reverse-denoising inference pipeline over a diffusion network.
+
+:meth:`DiffusionPipeline.generate` returns the sample alone. Per-block
+execution is substituted through one seam, the executor provider: EXION's
+interpreted oracle binds its FFN-Reuse and eager-prediction executors
+there, and :meth:`DiffusionPipeline.ffn_hidden_states` a recording FFN
+executor that keeps the non-linearity outputs of a vanilla run.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -11,15 +17,6 @@ from repro.models.conditioning import ConditioningEncoder
 from repro.models.network import DiffusionNetwork
 from repro.models.scheduler import _BaseScheduler
 from repro.models.transformer import Executors
-
-
-@dataclass
-class DiffusionResult:
-    """Output of one reverse-denoising run."""
-
-    sample: np.ndarray
-    iterations: int
-    block_traces: list = field(default_factory=list)  # [iteration][block]
 
 
 # Provider maps (iteration_index, block_index) -> Executors or None.
@@ -66,8 +63,7 @@ class DiffusionPipeline:
         class_label: Optional[int] = None,
         executor_provider: Optional[ExecutorProvider] = None,
         iteration_start_hook: Optional[Callable[[int, int], None]] = None,
-        collect_traces: bool = False,
-    ) -> DiffusionResult:
+    ) -> np.ndarray:
         """Generate one sample from noise.
 
         ``executor_provider(iteration, block)`` lets EXION substitute
@@ -82,20 +78,47 @@ class DiffusionPipeline:
         context = self.embed_prompt(prompt, class_label)
         timesteps = self.scheduler.timesteps(self.num_inference_steps)
 
-        result = DiffusionResult(sample=x, iterations=len(timesteps))
         for i, t in enumerate(timesteps):
             if iteration_start_hook is not None:
                 iteration_start_hook(i, int(t))
             executors = None
             if executor_provider is not None:
                 executors = _bind_iteration(executor_provider, i)
-            eps, traces = self.network(x, int(t), context=context, executors=executors)
+            eps = self.network(x, int(t), context=context, executors=executors)
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
             x = self.scheduler.step(eps, int(t), x, prev_t=prev_t, rng=rng)
-            if collect_traces:
-                result.block_traces.append(traces)
-        result.sample = x
-        return result
+        return x
+
+    def ffn_hidden_states(
+        self,
+        seed: int = 0,
+        prompt: Optional[str] = None,
+        class_label: Optional[int] = None,
+    ) -> list:
+        """FFN non-linearity outputs of one vanilla generation, indexed
+        ``[iteration][block]``.
+
+        A recording executor on the FFN hook computes
+        :meth:`repro.models.ffn.FeedForward.forward_exact`'s bytes and
+        keeps the hidden activation between its two linears, so the run
+        is the vanilla one. Blocks run in index order within an iteration.
+        """
+        states: list = []
+
+        def record(layer, x: np.ndarray) -> np.ndarray:
+            hidden = layer.nonlinear(layer.linear1(x))
+            states[-1].append(hidden)
+            return layer.linear2(hidden)
+
+        executors = Executors(ffn=record)
+        self.generate(
+            seed=seed,
+            prompt=prompt,
+            class_label=class_label,
+            executor_provider=lambda iteration, block: executors,
+            iteration_start_hook=lambda iteration, t: states.append([]),
+        )
+        return states
 
 
 def _bind_iteration(

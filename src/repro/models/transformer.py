@@ -4,7 +4,9 @@ Pre-norm design: self-attention, optional cross-attention on a conditioning
 context, then the FFN, each with a residual add. DiT-style models additionally
 modulate the block with adaptive layer-norm driven by the timestep embedding,
 which is the mechanism that makes activations drift smoothly across denoising
-iterations (the redundancy FFN-Reuse exploits).
+iterations (the redundancy FFN-Reuse exploits). A block returns its output
+alone; each sub-layer runs through its optional executor in
+:class:`Executors`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.attention import AttentionExecutor, AttentionTrace, MultiHeadAttention
-from repro.models.ffn import FeedForward, FFNExecutor, FFNTrace
+from repro.models.attention import AttentionExecutor, MultiHeadAttention
+from repro.models.ffn import FeedForward, FFNExecutor
 from repro.models.norm import AdaLNModulation, LayerNorm
 
 
@@ -26,15 +28,6 @@ class Executors:
     self_attention: Optional[AttentionExecutor] = None
     cross_attention: Optional[AttentionExecutor] = None
     ffn: Optional[FFNExecutor] = None
-
-
-@dataclass
-class BlockTrace:
-    """Traces from one transformer-block invocation."""
-
-    self_attention: AttentionTrace
-    ffn: FFNTrace
-    cross_attention: Optional[AttentionTrace] = None
 
 
 class TransformerBlock:
@@ -72,7 +65,7 @@ class TransformerBlock:
         context: Optional[np.ndarray] = None,
         t_embed: Optional[np.ndarray] = None,
         executors: Optional[Executors] = None,
-    ) -> tuple[np.ndarray, BlockTrace]:
+    ) -> np.ndarray:
         ex = executors or Executors()
 
         h = self.norm1(x)
@@ -81,23 +74,15 @@ class TransformerBlock:
             h = h * (1.0 + scale) + shift
         else:
             gate = 1.0
-        attn_out, attn_trace = self.self_attn(h, executor=ex.self_attention)
-        x = x + gate * attn_out
+        x = x + gate * self.self_attn(h, executor=ex.self_attention)
 
-        cross_trace: Optional[AttentionTrace] = None
         if self.cross_attn is not None and context is not None:
             assert self.norm_cross is not None
-            cross_out, cross_trace = self.cross_attn(
+            x = x + self.cross_attn(
                 self.norm_cross(x), context=context, executor=ex.cross_attention
             )
-            x = x + cross_out
 
-        ffn_out, ffn_trace = self.ffn(self.norm2(x), executor=ex.ffn)
-        x = x + ffn_out
-
-        return x, BlockTrace(
-            self_attention=attn_trace, ffn=ffn_trace, cross_attention=cross_trace
-        )
+        return x + self.ffn(self.norm2(x), executor=ex.ffn)
 
     def macs(self, tokens: int, context_tokens: Optional[int] = None) -> dict:
         """Per-call MAC counts grouped as in the paper's Fig. 4."""

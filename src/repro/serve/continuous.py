@@ -44,7 +44,9 @@ drive it in virtual time: ``price`` maps each step's ``(batch_size,
 phase)`` to simulated ``(seconds, joules)`` from the hardware model
 instead of wall clock, and ``dry_run`` skips the numeric generation and
 accounts only for queueing, batching and timing (results carry
-``result=None``).
+``result=None``). Sparsity statistics stay per request, on each
+result's :class:`~repro.core.sparsity.RunStats`; :class:`ServeReport`
+counts throughput and scheduling only.
 
 Per-request outputs remain byte-identical to solo sequential generation
 whenever the composition allows (always, for joins the alignment
@@ -61,7 +63,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.core.config import ExionConfig
-from repro.core.sparsity import RunStats
 from repro.program.cache import compiled_plan_for
 from repro.serve.cache import ThresholdCache
 from repro.serve.request import GenerationRequest, Priority, RequestResult
@@ -83,9 +84,10 @@ class ContinuousPolicy:
     generation cost* (one full denoising run = 1.0). ``aging_s``
     promotes a queued request one priority class per interval waited
     (``None`` = strict priorities).
-    ``timeout_s``/``max_queue_depth``/``min_service_s`` are the SLA
-    levers: queue-wait timeout, admission depth bound, and the service
-    floor used to reject already-infeasible deadlines at the door.
+    ``timeout_s``/``min_service_s`` are the SLA levers: queue-wait
+    timeout, and the service floor used to reject already-infeasible
+    deadlines at the door. A queue-depth bound is the fleet's
+    (:class:`repro.cluster.slo.SLOPolicy`), enforced per replica.
     """
 
     max_batch_size: int = 8
@@ -93,7 +95,6 @@ class ContinuousPolicy:
     preempt: bool = True
     aging_s: Optional[float] = None
     timeout_s: Optional[float] = None
-    max_queue_depth: Optional[int] = None
     min_service_s: float = 0.0
     max_wait_s: float = 0.0
     drain: bool = False
@@ -109,8 +110,6 @@ class ContinuousPolicy:
             raise ValueError("aging_s must be > 0")
         if self.timeout_s is not None and self.timeout_s < 0.0:
             raise ValueError("timeout_s must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
         if self.min_service_s < 0.0:
             raise ValueError("min_service_s must be >= 0")
 
@@ -359,7 +358,6 @@ class ServeReport:
     busy_s: float = 0.0  # time spent inside batched generation
     queue_wait_s: float = 0.0  # summed per-request wait before seating
     timing_source: str = "wall_clock"
-    merged_stats: RunStats = field(default_factory=RunStats)
     cache_info: dict = field(default_factory=dict)
     #: Deterministic nearest-rank latency quantiles, computed by the
     #: owning server from its histogram (``MetricFamily.quantile``).
@@ -368,7 +366,6 @@ class ServeReport:
     occupancy_ticks: int = 0  # sum over ticks of live batch size
     joins: int = 0
     preemptions: int = 0
-    admission_rejects: int = 0
     sla_rejects: int = 0
     deadline_evictions: int = 0
 
@@ -418,7 +415,6 @@ class ServeReport:
             "mean_occupancy": self.mean_occupancy,
             "joins": self.joins,
             "preemptions": self.preemptions,
-            "admission_rejects": self.admission_rejects,
             "sla_rejects": self.sla_rejects,
             "deadline_evictions": self.deadline_evictions,
         }
@@ -532,11 +528,9 @@ class ContinuousServer:
         self._wait_s = 0.0
         self._joins = 0
         self._preemptions = 0
-        self._admission_rejects = 0
         self._sla_rejects = 0
         self._expired = 0
         self._deadline_evictions = 0
-        self._merged_stats = RunStats()
         self._dropped: list[tuple[GenerationRequest, str]] = []
         # Local import: repro.obs.scenario imports this module, so a
         # top-level obs import here would deadlock package init. This
@@ -577,19 +571,11 @@ class ContinuousServer:
         priority: Optional[int] = None,
         deadline_s: Optional[float] = None,
     ) -> Optional[int]:
-        """Enqueue one request; ``None`` when admission control rejects.
-
-        Rejections: queue depth at ``max_queue_depth`` (counted in
-        ``admission_rejects``) or a deadline that cannot be met even by
-        the fastest possible service (``sla_rejects``).
+        """Enqueue one request; ``None`` when admission control rejects
+        a deadline that cannot be met even by the fastest possible
+        service (counted in ``sla_rejects``).
         """
         now = self._clock()
-        if (
-            self.policy.max_queue_depth is not None
-            and len(self.queue) >= self.policy.max_queue_depth
-        ):
-            self._admission_rejects += 1
-            return None
         if deadline_s is not None and (
             deadline_s <= now + self.policy.min_service_s
         ):
@@ -738,8 +724,6 @@ class ContinuousServer:
             served.append(record)
             self._wait_s += wait_s
             self._requests_served += 1
-            if generation is not None:
-                self._merged_stats.merge_from(generation.stats)
             self.events.append({
                 "kind": "complete", "now": completed_at,
                 "request_id": run.request_id, "batch_size": batch_size,
@@ -967,7 +951,7 @@ class ContinuousServer:
     # reporting
     # ------------------------------------------------------------------
     def report(self) -> ServeReport:
-        """Aggregate throughput and sparsity statistics so far."""
+        """Aggregate throughput and scheduling statistics so far."""
         return ServeReport(
             requests_served=self._requests_served,
             batches_served=self._ticks,
@@ -977,7 +961,6 @@ class ContinuousServer:
             timing_source=(
                 "simulated" if self.price is not None else "wall_clock"
             ),
-            merged_stats=RunStats.merged([self._merged_stats]),
             cache_info=self.cache.info(),
             latency_quantiles={
                 "latency_p50_s": self._latency_hist.quantile(0.50),
@@ -988,7 +971,6 @@ class ContinuousServer:
             occupancy_ticks=self._occupancy_ticks,
             joins=self._joins,
             preemptions=self._preemptions,
-            admission_rejects=self._admission_rejects,
             sla_rejects=self._sla_rejects,
             deadline_evictions=self._deadline_evictions,
         )

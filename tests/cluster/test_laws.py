@@ -2,7 +2,9 @@
 
 Checked on the ``mmpp-deadline2s-observed-jsq2`` cells of
 ``tools/fleet_digests.py``: 240 bursty requests with 2 s deadlines on two
-observed replicas, in drain and in continuous mode.
+observed replicas, in drain and in continuous mode. Times are compared
+exactly: seconds as the simulator sums them, or integer ns as the trace
+analysis reads them.
 """
 
 from collections import Counter
@@ -19,6 +21,7 @@ from repro.cluster import (
 )
 from repro.cluster.replica import ServiceTimeModel
 from repro.obs import Observer
+from repro.obs.analyze import TraceRecords, analyze_records, to_ns
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +125,48 @@ def test_span_batch_size_is_the_executing_batch(cells, continuous):
     for replica in replicas:
         for span in _dispatch_spans(tracer, replica):
             assert span.args["batch_size"] == len(span.args["tenants"])
+
+
+#: Sum of sojourns minus the integral of N(t), in ns, pinned: the analysis
+#: rebuilds a served arrival as the served stamp minus ``round(wait_s)``
+#: minus ``round(service_s)``, so each served sojourn is off by -1, 0 or
+#: +1 ns against the arrival stamp. The drop sojourns are exact.
+LITTLE_RESIDUAL_NS = {False: 38, True: -28}
+
+
+@pytest.mark.parametrize("continuous", (False, True), ids=("drain", "continuous"))
+def test_littles_law_on_integer_ns(cells, continuous):
+    """Little's law: the sojourns the analysis reports add up to the
+    integral of N(t), the requests in the system, built from the arrival
+    (``queued``) and departure (``served``, or the ``slo:*`` drop)
+    stamps. N(t) never goes negative and ends at 0."""
+    _, tracer, *_ = cells[continuous]
+    records = TraceRecords.from_tracer(tracer)
+    events = records.events.columns
+    steps, drop_sojourns = [], []
+    for name, track, ts_ns, args in zip(events.name, events.track,
+                                        events.ts_ns, events.args):
+        if track == "cluster/requests" and name == "queued":
+            steps.append((ts_ns, 1))
+        elif track == "cluster/requests" and name == "served":
+            steps.append((ts_ns, -1))
+        elif name.startswith("slo:"):
+            steps.append((ts_ns, -1))
+            drop_sojourns.append(to_ns(args["waited_s"]))
+    assert drop_sojourns  # the law covers drops here
+
+    in_system = area_ns = 0
+    previous = None
+    for ts_ns, step in sorted(steps, key=lambda s: (s[0], -s[1])):
+        if previous is not None:
+            area_ns += in_system * (ts_ns - previous)
+        in_system += step
+        previous = ts_ns
+        assert in_system >= 0
+    assert in_system == 0
+
+    served = [r.latency_ns for r in analyze_records(records).requests
+              if r.outcome == "served"]
+    assert len(served) + len(drop_sojourns) == 240
+    sojourns_ns = sum(served) + sum(drop_sojourns)
+    assert sojourns_ns - area_ns == LITTLE_RESIDUAL_NS[continuous]

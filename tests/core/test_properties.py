@@ -43,9 +43,9 @@ class TestFFNReuseProperties:
         )
         x = rng.standard_normal((3, 4))
         mgr.begin_iteration(0)
-        dense_out, _ = mgr.executor_for_block(0)(ffn, x)
+        dense_out = mgr.executor_for_block(0)(ffn, x)
         mgr.begin_iteration(1)
-        sparse_out, _ = mgr.executor_for_block(0)(ffn, x)
+        sparse_out = mgr.executor_for_block(0)(ffn, x)
         # Same input: reuse is exact regardless of threshold.
         np.testing.assert_allclose(sparse_out, dense_out, atol=1e-9)
 

@@ -205,3 +205,15 @@ class TestCalibrator:
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
             ThresholdCalibrator(0.8, 0)
+
+    def test_table_is_quantiles_of_the_hidden_states(self):
+        """One entry per dense iteration and block: the magnitude quantile
+        of that iteration's FFN non-linearity output."""
+        model = build_model("dit", seed=0, total_iterations=6)
+        table = ThresholdCalibrator(0.8, 3).calibrate(model, seed=1, prompt="calibrate")
+        states = model.make_pipeline().ffn_hidden_states(seed=1, prompt="calibrate")
+        assert table.values == {
+            (iteration // 3, block): float(np.quantile(np.abs(hidden), 0.8))
+            for iteration, row in enumerate(states) if iteration % 3 == 0
+            for block, hidden in enumerate(row)
+        }

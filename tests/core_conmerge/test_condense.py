@@ -17,19 +17,19 @@ class TestCondense:
     def test_dense_mask_unchanged(self):
         result = condense(Bitmask.dense(4, 5))
         assert result.remaining_ratio == 1.0
-        assert result.condensed.cols == 5
+        np.testing.assert_array_equal(result.kept_columns, np.arange(5))
 
     def test_fully_sparse_mask(self):
         mask = Bitmask(np.zeros((4, 5), dtype=bool))
         result = condense(mask)
         assert result.remaining_ratio == 0.0
-        assert result.condensed.cols == 0
+        assert result.kept_columns.size == 0
 
     def test_condensed_mask_contents(self):
         mask = Bitmask(np.array([[1, 0, 0], [0, 0, 1]], dtype=bool))
         result = condense(mask)
         np.testing.assert_array_equal(
-            result.condensed.mask, [[True, False], [False, True]]
+            mask.mask[:, result.kept_columns], [[True, False], [False, True]]
         )
 
     def test_small_rows_condense_well(self, rng):

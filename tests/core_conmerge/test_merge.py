@@ -39,7 +39,7 @@ class TestTryMergeBasics:
         b = block_from_grid([[0, 0], [1, 0]], origin_offset=10)
         attempt = try_merge(a, b)
         assert attempt.success
-        assert attempt.conflicts_resolved == 0
+        assert all(c.input_row == c.lane for c in attempt.merged.entries())
         assert attempt.merged.num_origins == 2
         assert positions(attempt.merged) == positions(a) | positions(b)
 
@@ -50,7 +50,6 @@ class TestTryMergeBasics:
         b = block_from_grid([[1], [0]], origin_offset=10)
         attempt = try_merge(a, b)
         assert attempt.success
-        assert attempt.conflicts_resolved == 1
         merged = attempt.merged
         merged.validate()
         # The relocated element sits on lane 1 but reads input row 0.
@@ -137,9 +136,9 @@ class TestGreedyMerge:
     def test_reduces_block_count(self, rng):
         mask = Bitmask.random(8, 32, sparsity=0.9, rng=rng)
         blocks = blocks_from_grid(mask.mask, width=8)
-        merged, cycles, attempts, successes = greedy_merge(blocks)
+        merged, cycles, successes = greedy_merge(blocks)
         assert len(merged) < len(blocks)
-        assert cycles >= attempts  # every attempt costs at least one cycle
+        assert cycles >= 2 * successes  # every attempt pays a 2-cycle setup
         assert successes == len(blocks) - len(merged)
 
     def test_preserves_all_elements(self, rng):

@@ -60,7 +60,6 @@ class TestToyModel:
         assert attempt.success
         merged = attempt.merged
         merged.validate()
-        assert attempt.conflicts_resolved == 2
         relocated_rows = sorted(
             cell.input_row for cell in merged.entries()
             if cell.input_row != cell.lane

@@ -38,15 +38,15 @@ def _stats_key(stats):
         (stats.q_projection.dense, stats.q_projection.computed),
         (stats.kv_projection.dense, stats.kv_projection.computed),
         tuple(stats.attention_sparsities),
-        stats.prediction_overhead_macs,
         tuple(np.asarray(k).tobytes() for k in stats.attention_keepmasks),
     )
 
 
 def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
     """Run the oracle per request, then both engines, and compare every
-    request's output bytes and statistics. Returns the oracle's keep
-    masks and per-row probabilities, one entry per request."""
+    request's output bytes and statistics. Returns, per request, the
+    oracle's keep mask, collapsed rows and output, and the output of
+    every row attending only its predicted argmax column."""
     rng = np.random.default_rng(seed)
     dim = heads * HEAD_DIM
     layer = MultiHeadAttention(dim, heads, rng, context_dim=12 if cross else None)
@@ -65,9 +65,15 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         predictor = EagerPredictor(config, stats=RunStats(),
                                    collect_keepmasks=True)
         context = None if contexts is None else contexts[b]
-        out, trace = predictor._run(layer, xs[b], context)
+        out = predictor._run(layer, xs[b], context)
         assert np.isfinite(out).all()
-        oracle.append((out, predictor.stats, trace))
+        kv_input = xs[b] if context is None else context
+        decisions = predictor.decide(
+            predictor.predict_scores(layer, xs[b], kv_input))
+        cols = np.stack([d.one_hot_cols for d in decisions])[..., None]
+        v = layer.kv(kv_input)[1]
+        picked = layer.wo(layer.merge_heads(np.take_along_axis(v, cols, -2)))
+        oracle.append((out, predictor.stats, decisions, picked))
 
         # Cross-attention K/V: derived in the step, or once per generation
         # as the single-seed engine does (the batch kernel at a batch of one).
@@ -97,8 +103,11 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
             assert out[slot].tobytes() == oracle[b][0].tobytes()
             assert _stats_key(batch_stats[slot]) == _stats_key(oracle[b][1])
 
-    return [(stats.attention_keepmasks[0], trace.probs)
-            for _, stats, trace in oracle]
+    return [
+        (stats.attention_keepmasks[0],
+         np.stack([d.one_hot_rows for d in decisions]), out, picked)
+        for out, stats, decisions, picked in oracle
+    ]
 
 
 class TestThreeImplementationsAgree:
@@ -121,18 +130,21 @@ class TestThreeImplementationsAgree:
 
     @pytest.mark.parametrize("cross", (False, True))
     def test_every_row_collapsed(self, cross):
-        """``q_threshold = 0``: every row is one-hot, nothing is kept."""
-        for keep, probs in _three_ways(3, 7, 7, 0.5, 0.0, 1, cross):
+        """``q_threshold = 0``: every row is one-hot, nothing is kept, and
+        each row reads back exactly V at its predicted argmax column."""
+        for keep, collapsed, out, picked in _three_ways(3, 7, 7, 0.5, 0.0, 1,
+                                                        cross):
             assert not keep.any()
-            assert np.all((probs == 0.0) | (probs == 1.0))
-            assert np.all(probs.sum(axis=-1) == 1.0)
+            assert collapsed.all()
+            np.testing.assert_array_equal(out, picked)
 
     @pytest.mark.parametrize("cross", (False, True))
     def test_no_row_collapsed(self, cross):
         """An unreachable ``q_threshold``: every row keeps its top half."""
         tk = 9 if cross else 7
-        for keep, _ in _three_ways(3, 7, tk, 0.5, 1e9, 2, cross):
+        for keep, collapsed, _, _ in _three_ways(3, 7, tk, 0.5, 1e9, 2, cross):
             assert np.all(keep.sum(axis=-1) == (tk + 1) // 2)
+            assert not collapsed.any()
 
     @pytest.mark.parametrize("cross", (False, True))
     def test_rows_that_keep_a_single_score(self, cross):
@@ -143,6 +155,7 @@ class TestThreeImplementationsAgree:
         no NaN and no ``RuntimeWarning`` may come out of ``softmax``."""
         with np.errstate(all="raise"):
             results = _three_ways(2, 6, 11 if cross else 6, 0.01, 1e9, 3, cross)
-        for keep, probs in results:
+        for keep, collapsed, out, picked in results:
             assert np.all(keep.sum(axis=-1) == 1)
-            np.testing.assert_array_equal(probs, keep.astype(np.float64))
+            assert not collapsed.any()
+            np.testing.assert_array_equal(out, picked)

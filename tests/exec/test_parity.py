@@ -51,7 +51,6 @@ def _stats_bytes(stats):
         (stats.q_projection.dense, stats.q_projection.computed),
         (stats.kv_projection.dense, stats.kv_projection.computed),
         tuple(stats.attention_sparsities),
-        stats.prediction_overhead_macs,
         tuple(m.mask.tobytes() for m in stats.ffn_bitmasks),
         tuple(np.asarray(k).tobytes() for k in stats.attention_keepmasks),
     )
@@ -61,8 +60,6 @@ def _assert_identical(interpreted, compiled):
     assert np.array_equal(interpreted.sample, compiled.sample)
     assert interpreted.sample.dtype == compiled.sample.dtype
     assert _stats_bytes(interpreted.stats) == _stats_bytes(compiled.stats)
-    assert (interpreted.diffusion.iterations
-            == compiled.diffusion.iterations)
 
 
 def _pipelines(model_name, config, **kwargs):
@@ -120,16 +117,6 @@ class TestSeededFuzz:
         table.set(1, 1, 0.05)
         interp, comp = _pipelines("dit", config, threshold_table=table)
         _assert_identical(interp.generate(seed=9), comp.generate(seed=9))
-
-    def test_trace_collection_falls_back_to_oracle(self):
-        """Traces are an interpreted-only analysis feature; asking for
-        them must transparently use the oracle (and still agree)."""
-        config = ExionConfig.for_model("dit")
-        interp, comp = _pipelines("dit", config)
-        ri = interp.generate(seed=2, collect_traces=True)
-        rc = comp.generate(seed=2, collect_traces=True)
-        _assert_identical(ri, rc)
-        assert rc.diffusion.block_traces
 
     def test_repeated_generations_are_bit_equal(self):
         """Two generations on one engine are bit-identical, and the second

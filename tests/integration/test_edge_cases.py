@@ -62,7 +62,7 @@ class TestDegenerateEP:
         config = ExionConfig(top_k_ratio=0.5, q_threshold=0.5)
         predictor = EagerPredictor(config, stats=RunStats())
         x = rng.standard_normal((1, 8))
-        out, trace = attn(x, executor=predictor.executor())
+        out = attn(x, executor=predictor.executor())
         assert out.shape == (1, 8)
         assert np.all(np.isfinite(out))
 
@@ -77,7 +77,7 @@ class TestDegenerateEP:
         attn = MultiHeadAttention(8, 2, rng)
         predictor = EagerPredictor(ExionConfig(), stats=RunStats())
         x = rng.standard_normal((4, 8)) * 1e6
-        out, _ = attn(x, executor=predictor.executor())
+        out = attn(x, executor=predictor.executor())
         assert np.all(np.isfinite(out))
 
 
@@ -97,8 +97,8 @@ class TestDegenerateFFNReuse:
         mgr.begin_iteration(0)
         mgr.executor_for_block(0)(ffn, x)
         mgr.begin_iteration(1)
-        out, trace = mgr.executor_for_block(0)(ffn, x)
-        exact, _ = ffn.forward_exact(x)
+        out = mgr.executor_for_block(0)(ffn, x)
+        exact = ffn.forward_exact(x)
         # Threshold 0: only exact zeros reuse; output matches exact.
         np.testing.assert_allclose(out, exact, atol=1e-10)
 
@@ -108,25 +108,27 @@ class TestDegenerateFFNReuse:
                        threshold_table=_fixed_threshold(1e9))
         x0 = rng.standard_normal((4, 8))
         mgr.begin_iteration(0)
-        dense_out, _ = mgr.executor_for_block(0)(ffn, x0)
+        dense_out = mgr.executor_for_block(0)(ffn, x0)
         mgr.begin_iteration(1)
-        out, trace = mgr.executor_for_block(0)(
-            ffn, rng.standard_normal((4, 8))
-        )
+        out = mgr.executor_for_block(0)(ffn, rng.standard_normal((4, 8)))
         np.testing.assert_allclose(out, dense_out, atol=1e-10)
-        assert trace.output_sparsity == 1.0
+        assert mgr.stats.ffn_sparsities == [1.0]
 
     def test_n_zero_never_reuses(self, rng):
         ffn = FeedForward(8, 16, rng)
         config = ExionConfig(sparse_iters_n=0, ffn_target_sparsity=0.9)
         mgr = FFNReuse(config, num_blocks=1)
+        states = []
         for i in range(3):
             mgr.begin_iteration(i)
             assert mgr.is_dense_iteration
-            _, trace = mgr.executor_for_block(0)(
+            mgr.executor_for_block(0)(
                 ffn, np.random.default_rng(i).standard_normal((4, 8))
             )
-            assert not trace.reused_from_dense
+            states.append(mgr.state_for_block(0))
+        # Every call compiled a fresh dense state; no sparse pass ran.
+        assert len({id(state) for state in states}) == 3
+        assert mgr.stats.ffn_sparsities == []
 
 
 class TestBatchAPI:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.activations import softmax
-from repro.models.attention import AttentionTrace, MultiHeadAttention
+from repro.models.attention import MultiHeadAttention
 
 #: No leading axis, and a leading batch of three requests.
 BATCHES = ((), (3,))
@@ -20,19 +20,22 @@ def assert_stacked(batched, rows):
 class TestMultiHeadAttention:
     def test_output_shape(self, rng):
         attn = MultiHeadAttention(16, 4, rng)
-        out, trace = attn(rng.standard_normal((6, 16)))
+        out = attn(rng.standard_normal((6, 16)))
         assert out.shape == (6, 16)
-        assert isinstance(trace, AttentionTrace)
 
     def test_rejects_indivisible_heads(self, rng):
         with pytest.raises(ValueError, match="not divisible"):
             MultiHeadAttention(10, 3, rng)
 
     def test_probs_are_distributions(self, rng):
+        """Every probability row sums to one: attending all-ones values
+        gives all-ones heads."""
         attn = MultiHeadAttention(8, 2, rng)
-        _, trace = attn(rng.standard_normal((5, 8)))
+        x = rng.standard_normal((5, 8))
+        k, v = attn.kv(x)
         np.testing.assert_allclose(
-            trace.probs.sum(axis=-1), np.ones((2, 5)), atol=1e-12
+            attn.attend(x, k, np.ones_like(v)), attn.wo(np.ones((5, 8))),
+            atol=1e-12,
         )
 
     @pytest.mark.parametrize("batch", BATCHES)
@@ -55,50 +58,45 @@ class TestMultiHeadAttention:
         scores = (q @ k.swapaxes(-1, -2)) * attn.scale
         expected = attn.wo(softmax(scores) @ v)
         got = attn.attend(x, *attn.kv(x))
-        np.testing.assert_allclose(got[0], expected)
-        if batch:  # out, scores and probs of each request's own call
-            solo = [attn.attend(xb, *attn.kv(xb)) for xb in x]
-            for i, tensor in enumerate(got):
-                assert_stacked(tensor, [s[i] for s in solo])
+        np.testing.assert_allclose(got, expected)
+        if batch:  # each request's own call
+            assert_stacked(got, [attn.attend(xb, *attn.kv(xb)) for xb in x])
         else:
-            assert got[0].tobytes() == attn(x)[0].tobytes()
+            assert got.tobytes() == attn(x).tobytes()
 
     def test_cross_attention_uses_context(self, rng):
         attn = MultiHeadAttention(8, 2, rng, context_dim=6)
         x = rng.standard_normal((4, 8))
         ctx1 = rng.standard_normal((3, 6))
         ctx2 = rng.standard_normal((3, 6))
-        out1, _ = attn(x, context=ctx1)
-        out2, _ = attn(x, context=ctx2)
+        out1 = attn(x, context=ctx1)
+        out2 = attn(x, context=ctx2)
         assert not np.allclose(out1, out2)
 
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_cross_attention_score_shape(self, rng, batch):
+    def test_cross_attention_shapes(self, rng, batch):
         attn = MultiHeadAttention(8, 2, rng, context_dim=6)
         x = rng.standard_normal((*batch, 4, 8))
         context = rng.standard_normal((*batch, 3, 6))
-        if not batch:
-            _, trace = attn(x, context=context)
-            assert trace.scores.shape == (2, 4, 3)
-            return
         k, v = attn.kv(context)
+        assert k.shape == v.shape == (*batch, 2, 3, 4)
         got = attn.attend(x, k, v)
-        assert got[1].shape == (*batch, 2, 4, 3)
+        assert got.shape == (*batch, 4, 8)
+        if not batch:
+            assert got.tobytes() == attn(x, context=context).tobytes()
+            return
         assert_stacked(k, [attn.kv(c)[0] for c in context])
         assert_stacked(v, [attn.kv(c)[1] for c in context])
-        solo = [attn.attend(xb, *attn.kv(c)) for xb, c in zip(x, context)]
-        for i, tensor in enumerate(got):
-            assert_stacked(tensor, [s[i] for s in solo])
+        assert_stacked(got, [attn.attend(xb, *attn.kv(c))
+                             for xb, c in zip(x, context)])
 
     def test_executor_hook_overrides(self, rng):
         attn = MultiHeadAttention(8, 2, rng)
 
         def executor(layer, x, context):
-            trace = AttentionTrace(scores=np.zeros((2, 4, 4)),
-                                   probs=np.zeros((2, 4, 4)))
-            return np.zeros_like(x), trace
+            return np.zeros_like(x)
 
-        out, _ = attn(rng.standard_normal((4, 8)), executor=executor)
+        out = attn(rng.standard_normal((4, 8)), executor=executor)
         np.testing.assert_array_equal(out, np.zeros((4, 8)))
 
     def test_macs_counts(self, rng):
@@ -108,9 +106,3 @@ class TestMultiHeadAttention:
         assert counts["qkv_projection"] == 3 * 4 * 8 * 8
         # QK^T + PV (2*t*t*d) plus output projection.
         assert counts["attention"] == 2 * 4 * 4 * 8 + 4 * 8 * 8
-
-    def test_trace_totals(self, rng):
-        attn = MultiHeadAttention(8, 2, rng)
-        _, trace = attn(rng.standard_normal((5, 8)))
-        assert trace.total_score_elements == 2 * 5 * 5
-        assert trace.output_sparsity == 0.0

@@ -91,4 +91,4 @@ class TestDPMSolver:
         )
         a = pipe.generate(seed=2, class_label=1)
         b = pipe.generate(seed=2, class_label=1)
-        np.testing.assert_array_equal(a.sample, b.sample)
+        np.testing.assert_array_equal(a, b)

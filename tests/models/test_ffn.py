@@ -4,31 +4,30 @@ import numpy as np
 import pytest
 
 from repro.models.activations import gelu, geglu
-from repro.models.ffn import FeedForward, FFNTrace
+from repro.models.ffn import FeedForward
 
 
 class TestFeedForward:
     def test_output_shape(self, rng):
         ffn = FeedForward(8, 32, rng)
-        out, trace = ffn(rng.standard_normal((5, 8)))
-        assert out.shape == (5, 8)
-        assert trace.hidden.shape == (5, 32)
+        x = rng.standard_normal((5, 8))
+        assert ffn(x).shape == (5, 8)
+        assert ffn.nonlinear(ffn.linear1(x)).shape == (5, 32)
 
     def test_matches_manual_gelu_path(self, rng):
         ffn = FeedForward(4, 16, rng)
         x = rng.standard_normal((3, 4))
         hidden = gelu(ffn.linear1(x))
         expected = ffn.linear2(hidden)
-        out, trace = ffn(x)
-        np.testing.assert_allclose(out, expected)
-        np.testing.assert_allclose(trace.hidden, hidden)
+        np.testing.assert_allclose(ffn(x), expected)
+        np.testing.assert_allclose(ffn.nonlinear(ffn.linear1(x)), hidden)
 
     def test_geglu_first_linear_is_doubled(self, rng):
         ffn = FeedForward(4, 16, rng, activation="geglu")
         assert ffn.linear1.out_features == 32
-        out, trace = ffn(rng.standard_normal((3, 4)))
-        assert out.shape == (3, 4)
-        assert trace.hidden.shape == (3, 16)
+        x = rng.standard_normal((3, 4))
+        assert ffn(x).shape == (3, 4)
+        assert ffn.nonlinear(ffn.linear1(x)).shape == (3, 16)
 
     def test_geglu_matches_manual(self, rng):
         ffn = FeedForward(4, 8, rng, activation="geglu")
@@ -36,8 +35,7 @@ class TestFeedForward:
         pre = ffn.linear1(x)
         value, gate = np.split(pre, 2, axis=-1)
         expected = ffn.linear2(geglu(value, gate))
-        out, _ = ffn(x)
-        np.testing.assert_allclose(out, expected)
+        np.testing.assert_allclose(ffn(x), expected)
 
     def test_rejects_unknown_activation(self, rng):
         with pytest.raises(ValueError, match="unsupported"):
@@ -47,17 +45,11 @@ class TestFeedForward:
         ffn = FeedForward(4, 8, rng)
 
         def executor(layer, x):
-            return np.ones_like(x), FFNTrace(hidden=np.zeros((x.shape[0], 8)))
+            return np.ones_like(x)
 
-        out, _ = ffn(rng.standard_normal((3, 4)), executor=executor)
+        out = ffn(rng.standard_normal((3, 4)), executor=executor)
         np.testing.assert_array_equal(out, np.ones((3, 4)))
 
     def test_macs(self, rng):
         ffn = FeedForward(4, 8, rng)
         assert ffn.macs(tokens=3) == 3 * 4 * 8 + 3 * 8 * 4
-
-    def test_trace_records_totals(self, rng):
-        ffn = FeedForward(4, 8, rng)
-        _, trace = ffn(rng.standard_normal((3, 4)))
-        assert trace.total_hidden_elements == 24
-        assert not trace.reused_from_dense

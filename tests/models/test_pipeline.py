@@ -21,42 +21,37 @@ def _record_latents(pipe, monkeypatch) -> list:
 
 
 class TestDiffusionPipeline:
-    def test_generates_correct_shape(self, dit_model):
+    def test_generates_correct_shape(self, dit_model, monkeypatch):
         pipe = dit_model.make_pipeline()
-        result = pipe.generate(seed=0, class_label=1)
-        assert result.sample.shape == (16, 64)
-        assert result.iterations == 9
+        latents = _record_latents(pipe, monkeypatch)
+        sample = pipe.generate(seed=0, class_label=1)
+        assert sample.shape == (16, 64)
+        assert len(latents) == 9
 
     def test_deterministic_given_seed(self, dit_model):
         pipe = dit_model.make_pipeline()
         a = pipe.generate(seed=3, class_label=1)
         b = pipe.generate(seed=3, class_label=1)
-        np.testing.assert_array_equal(a.sample, b.sample)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_output(self, dit_model):
         pipe = dit_model.make_pipeline()
         a = pipe.generate(seed=1, class_label=1)
         b = pipe.generate(seed=2, class_label=1)
-        assert not np.allclose(a.sample, b.sample)
+        assert not np.allclose(a, b)
 
     def test_prompt_conditioning_changes_output(self, sd_model):
         pipe = sd_model.make_pipeline()
         a = pipe.generate(seed=1, prompt="a red bird")
         b = pipe.generate(seed=1, prompt="a blue car")
-        assert not np.allclose(a.sample, b.sample)
-
-    def test_collect_traces(self, dit_model):
-        pipe = dit_model.make_pipeline()
-        result = pipe.generate(seed=0, collect_traces=True)
-        assert len(result.block_traces) == 9
-        assert len(result.block_traces[0]) == dit_model.network.depth
+        assert not np.allclose(a, b)
 
     def test_collect_latents(self, dit_model, monkeypatch):
         pipe = dit_model.make_pipeline()
         latents = _record_latents(pipe, monkeypatch)
-        result = pipe.generate(seed=0)
+        sample = pipe.generate(seed=0)
         assert len(latents) == 9
-        np.testing.assert_array_equal(latents[-1], result.sample)
+        np.testing.assert_array_equal(latents[-1], sample)
 
     def test_iteration_hook_sees_every_iteration(self, dit_model):
         pipe = dit_model.make_pipeline()
@@ -93,3 +88,34 @@ class TestDiffusionPipeline:
         for latent in latents:
             assert np.all(np.isfinite(latent))
         assert np.max(np.abs(latents[-1])) <= 10.0 + 1e-9
+
+
+class TestFFNHiddenStates:
+    @pytest.mark.parametrize("model", ["dit", "sd"])
+    def test_equal_to_a_manual_forward_pass(self, model, dit_model, sd_model,
+                                            monkeypatch):
+        """``[iteration][block]`` non-linearity outputs, byte-equal to what
+        a plain generation's FFNs compute, and the run stays vanilla."""
+        model = {"dit": dit_model, "sd": sd_model}[model]
+        pipe = model.make_pipeline()
+        depth = model.network.depth
+        manual = []
+        for block in model.network.blocks:
+            ffn = block.ffn
+
+            def recording(pre, nonlinear=ffn.nonlinear):
+                manual.append(nonlinear(pre))
+                return manual[-1]
+
+            monkeypatch.setattr(ffn, "nonlinear", recording)
+        latents = _record_latents(pipe, monkeypatch)
+        sample = pipe.generate(seed=4, prompt="a red bird")
+        expected = [h.tobytes() for h in manual]
+        iterations = len(latents)
+        del latents[:]
+
+        states = pipe.ffn_hidden_states(seed=4, prompt="a red bird")
+        assert len(states) == len(latents) == iterations
+        assert all(len(row) == depth for row in states)
+        assert [h.tobytes() for row in states for h in row] == expected
+        assert latents[-1].tobytes() == sample.tobytes()

@@ -155,13 +155,6 @@ class TestAdmission:
         with pytest.raises(ValueError, match="total_iterations must be >= 1"):
             ContinuousServer("dit", total_iterations=0, dry_run=True)
 
-    def test_queue_depth_bound_rejects(self):
-        server = _dry_server(policy=ContinuousPolicy(max_queue_depth=2))
-        assert server.submit(seed=0) is not None
-        assert server.submit(seed=1) is not None
-        assert server.submit(seed=2) is None
-        assert server.report().admission_rejects == 1
-
     def test_infeasible_deadline_rejected_at_door(self):
         clock = ManualClock(100.0)
         server = _dry_server(
@@ -364,7 +357,7 @@ class TestReporting:
         summary = report.summary()
         for key in (
             "ticks", "mean_occupancy", "joins", "preemptions",
-            "admission_rejects", "sla_rejects", "deadline_evictions",
+            "sla_rejects", "deadline_evictions",
         ):
             assert key in summary
 
@@ -398,7 +391,6 @@ class TestPolicyValidation:
             {"quantum": 0.0},
             {"aging_s": 0.0},
             {"timeout_s": -1.0},
-            {"max_queue_depth": 0},
             {"min_service_s": -0.1},
         ],
     )

@@ -100,13 +100,7 @@ class TestServing:
         results = server.run_until_drained()
         stats = [r.result.stats for r in results]
         assert len({id(s) for s in stats}) == 3
-        merged = server.report().merged_stats
-        assert merged.ffn_layer1.dense == sum(
-            s.ffn_layer1.dense for s in stats
-        )
-        assert merged.dense_iterations == sum(
-            s.dense_iterations for s in stats
-        )
+        assert all(s.dense_iterations > 0 for s in stats)
 
     def test_shared_cache_across_servers(self):
         cache = ThresholdCache()
@@ -128,9 +122,7 @@ class TestServing:
         assert len(served) == 1
         assert server.results == {}
         # Aggregates still accumulate incrementally.
-        report = server.report()
-        assert report.requests_served == 1
-        assert report.merged_stats.dense_iterations > 0
+        assert server.report().requests_served == 1
 
     def test_result_pop_releases_storage(self):
         server = make_server()
@@ -189,10 +181,8 @@ class TestServing:
         report = server.report()
         assert report.requests_served == 3
         assert report.busy_s == pytest.approx(1.5)
-        # No generation ran: the cache never built a model and the merged
-        # stats stayed empty.
+        # No generation ran: the cache never built a model.
         assert server.cache.info()["models"] == 0
-        assert report.merged_stats.dense_iterations == 0
 
     def test_simulated_reports_deterministic(self):
         def run():
@@ -215,12 +205,13 @@ class TestServing:
         assert run() == run()
 
     def test_report_returns_copy_of_aggregates(self):
-        server = make_server()
+        server = dry_server()
         server.submit(seed=0)
         server.run_until_drained()
-        report = server.report()
-        report.merged_stats.ffn_sparsities.clear()
-        assert server.report().merged_stats.ffn_sparsities
+        server.report().cache_info.clear()
+        server.report().latency_quantiles.clear()
+        assert server.report().cache_info == server.cache.info()
+        assert server.report().latency_quantiles["latency_p50_s"] > 0.0
 
     def test_latency_accounting(self):
         clock = SimClock()

@@ -1,7 +1,8 @@
-"""Check 6 of ``tools/docs_check.py`` (option reachability) on fixture trees.
+"""Checks 6 and 7 of ``tools/docs_check.py`` on fixture trees.
 
 Each case writes a tiny ``src/repro`` package plus an entry-directory
-caller and asserts which defaulted parameters the check reports.
+caller and asserts which defaulted parameters (check 6) or record fields
+(check 7) the check reports.
 """
 
 import importlib.util
@@ -172,3 +173,56 @@ def test_unreadable_kwargs_keep_everything(tmp_path, caller):
     found = flagged(tmp_path, "from repro.lib import f\n"
                     + textwrap.dedent(caller))
     assert not {("f", "b"), ("f", "c")} & found
+
+
+RECORDS = """
+from dataclasses import dataclass
+from typing import NamedTuple
+
+
+@dataclass(frozen=True)
+class Result:
+    value: int
+    extra: int = 0
+
+
+class Pair(NamedTuple):
+    left: int
+    right: int
+"""
+
+
+def unread(tmp_path, caller: str, directory: str = "examples") -> set:
+    """``{Class.field}`` check 7 reports for one tree."""
+    for relative, text in (("src/repro/core/records.py", RECORDS),
+                           (f"{directory}/caller.py", caller)):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return {finding.split(": ", 1)[1].split(" ", 1)[0]
+            for finding in docs_check.check_fields(tmp_path)}
+
+
+def test_write_only_fields_are_flagged(tmp_path):
+    found = unread(tmp_path, """
+        from repro.core.records import Pair, Result
+        Result(1, extra=2).value
+        Pair(left=1, right=2)
+    """)
+    assert found == {"Result.extra", "Pair.left", "Pair.right"}
+
+
+def test_reads_from_tests_do_not_count(tmp_path):
+    found = unread(tmp_path, """
+        from repro.core.records import Pair, Result
+        print(Result(1).value, Result(1).extra, Pair(1, 2).left)
+    """, directory="tests")
+    assert found == {"Result.value", "Result.extra", "Pair.left", "Pair.right"}
+
+
+def test_attribute_loads_and_getattr_constants_are_reads(tmp_path):
+    assert unread(tmp_path, """
+        def show(result, pair):
+            print(result.value, result.extra, pair.left)
+            return getattr(pair, "right")
+    """) == set()

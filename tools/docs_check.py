@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint for the repro package.
 
-Six checks, all hard failures:
+Seven checks, all hard failures:
 
 1. **Docstrings** — every public module under ``src/repro`` (any module
    whose dotted path has no ``_``-prefixed component) must carry a
@@ -52,6 +52,13 @@ Six checks, all hard failures:
    use). A call that only forwards its enclosing def's own
    ``*args``/``**kwargs`` passes what the calls reaching that def pass.
    Any other defaulted parameter is a constant: inline it.
+7. **Field reads** — every field of a ``@dataclass`` or ``NamedTuple``
+   defined under ``repro.core``, ``repro.models``, ``repro.exec`` or
+   ``repro.serve`` must be read somewhere in ``src/`` or the entry
+   directories: by an ``ast.Attribute`` load of its name, or a
+   ``getattr`` whose name is a string constant. Names match bare, as in
+   check 5; a read in ``tests/`` does not count. A field nothing reads is
+   work nobody consumes: delete it, or read it.
 
 Run from the repository root::
 
@@ -80,6 +87,7 @@ _CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
 _FILE_SUFFIXES = {"json", "jsonl", "html", "py", "md", "txt", "toml", "yml"}
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples", "tools")
+FIELD_PACKAGES = ("core", "models", "exec", "serve")
 
 
 def iter_public_modules() -> list[str]:
@@ -514,6 +522,43 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
     return findings
 
 
+def check_fields(root: Path = REPO_ROOT) -> list[str]:
+    """Record fields under the numeric packages that nothing reads."""
+    package = root / "src" / "repro"
+    fields: list[tuple[str, str, str]] = []  # (file:line, qualname, name)
+    reads: set[str] = set()
+
+    def is_record(node: ast.ClassDef) -> bool:
+        decorators = (getattr(d, "func", d) for d in node.decorator_list)
+        return any(_bare(d) == "dataclass" for d in decorators) or any(
+            _bare(base) == "NamedTuple" for base in node.bases)
+
+    for path in _sources(root):
+        tree = ast.parse(path.read_text("utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and _bare(node.func) == "getattr"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+            elif (isinstance(node, ast.ClassDef) and is_record(node)
+                  and path.is_relative_to(package)
+                  and path.relative_to(package).parts[0] in FIELD_PACKAGES):
+                fields += [
+                    (f"{path.relative_to(root).as_posix()}:{stmt.lineno}",
+                     f"{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                ]
+    return [
+        f"{where}: {qualname} is read by nothing in src/, "
+        f"{'/, '.join(ENTRY_DIRS)}/: delete the field or read it"
+        for where, qualname, name in fields if name not in reads
+    ]
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
     modules = iter_public_modules()
@@ -524,6 +569,7 @@ def main() -> int:
     findings.extend(check_reachability())
     findings.extend(check_names())
     findings.extend(check_options())
+    findings.extend(check_fields())
 
     if findings:
         print(f"docs-check: {len(findings)} problem(s) in "
@@ -534,7 +580,7 @@ def main() -> int:
     print(f"docs-check: {len(modules)} public modules documented, "
           f"all __all__ exports and prose references resolve, "
           f"every module, definition and option reachable from an "
-          f"entry point")
+          f"entry point, every record field read")
     return 0
 
 
