@@ -3,9 +3,11 @@
 ``conmerge`` processes one row-tile of an output bitmask the way the CAU +
 CVG do in hardware: columns stream through the SortBuffer (condensing
 all-zero columns, coarse-sorting the rest), fresh tile blocks form from the
-sorted order, and merging pairs the densest block with the sparsest, then
+sorted order (one ``packbits`` turns every column's occupancy into its
+lane bitmask), and merging pairs the densest block with the sparsest, then
 the result with the next sparsest ("(Dense+Sparse) + Sparse_Next",
 Fig. 13), emitting conflict vectors and control maps per merged block.
+Every result aggregate counts bitmask bits; none builds cell records.
 
 ``conmerge_tiled`` applies the pass over every 16-row tile of a large
 output matrix, which is how the hardware actually executes FFN layers with
@@ -23,7 +25,6 @@ from repro.core.bitmask import Bitmask
 from repro.core.conmerge.blocks import TileBlock
 from repro.core.conmerge.merge import greedy_merge, try_merge
 from repro.core.conmerge.sortbuffer import ColumnEntry, SortBuffer
-from repro.core.conmerge.vectors import CellAssignment
 
 
 @dataclass
@@ -40,13 +41,7 @@ class ConMergeResult:
     @property
     def physical_columns(self) -> int:
         """DPU column slots actually occupied across all blocks."""
-        total = 0
-        for block in self.blocks:
-            occupied = set()
-            for cell in block.entries():
-                occupied.add(cell.col_slot)
-            total += len(occupied)
-        return total
+        return sum(1 for block in self.blocks for column in block.columns if column)
 
     @property
     def remaining_column_ratio(self) -> float:
@@ -74,20 +69,14 @@ class ConMergeResult:
 
 def _blocks_from_entries(entries: list, rows: int, width: int) -> list:
     """Fresh width-wide blocks from ordered SortBuffer entries."""
-    blocks = []
-    for start in range(0, len(entries), width):
-        chunk = entries[start : start + width]
-        block = TileBlock(rows=rows, width=width)
-        for slot, entry in enumerate(chunk):
-            for lane in np.flatnonzero(entry.occupancy):
-                block.cells[int(lane)][slot] = CellAssignment(
-                    lane=int(lane),
-                    col_slot=slot,
-                    input_row=int(lane),
-                    origin_col=entry.origin_col,
-                    buffer_index=0,
-                )
-        blocks.append(block)
+    occupancy = np.array([entry.occupancy for entry in entries], dtype=bool)
+    packed = np.packbits(occupancy, axis=1, bitorder="little")
+    blocks = [TileBlock(rows=rows, width=width) for _ in range(0, len(entries), width)]
+    for index, column in enumerate(packed):
+        blocks[index // width].columns[index % width] = int.from_bytes(column, "little")
+    origins = [int(entry.origin_col) for entry in entries]
+    for index, lane in zip(*(axis.tolist() for axis in np.nonzero(occupancy))):
+        blocks[index // width].records[lane * width + index % width] = (lane, origins[index], 0)
     return blocks
 
 

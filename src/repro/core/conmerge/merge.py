@@ -9,7 +9,9 @@ relocated element landing on a lane must need the *same* foreign input row
 
 Conflicts are resolved in degree-of-freedom order, mirroring the CVG: the
 column with the fewest spare slots per conflict is handled first, one
-relocation per cycle.
+relocation per cycle. As in the CVG's bitmask maps, every decision is an
+and/or/popcount over lane bitmasks; cell records are written only when the
+merge succeeds, so a failed attempt (most are) copies no cell list.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.conmerge.blocks import TileBlock
-from repro.core.conmerge.vectors import CellAssignment
 
 
 @dataclass
@@ -39,32 +40,12 @@ class MergeAttempt:
 _SETUP_CYCLES = 2
 
 
-def _cv_compatible(block: TileBlock, lane: int, input_row: int) -> bool:
-    """Can a cell needing ``input_row`` live on ``lane``?"""
-    if input_row == lane:
-        return True
-    cv = block.conflict_vector[lane]
-    return cv is None or cv == input_row
-
-
-def _place(
-    block: TileBlock,
-    lane: int,
-    slot: int,
-    entry: CellAssignment,
-    buffer_offset: int,
-) -> None:
-    if block.cells[lane][slot] is not None:
-        raise RuntimeError("placement target is occupied")
-    block.cells[lane][slot] = CellAssignment(
-        lane=lane,
-        col_slot=slot,
-        input_row=entry.input_row,
-        origin_col=entry.origin_col,
-        buffer_index=entry.buffer_index + buffer_offset,
-    )
-    if entry.input_row != lane:
-        block.conflict_vector[lane] = entry.input_row
+def _lanes(mask: int):
+    """Indices of the set bits of a lane bitmask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
 
 def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
@@ -72,6 +53,8 @@ def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
 
     Returns a failed attempt (with its cycle cost) when the triple-buffer
     origin limit would be exceeded or a conflict cannot be relocated.
+    Decisions run on lane bitmasks; cell records are written only once
+    the merge has succeeded.
     """
     if base.rows != incoming.rows or base.width != incoming.width:
         raise ValueError("blocks must share tile dimensions")
@@ -80,60 +63,90 @@ def try_merge(base: TileBlock, incoming: TileBlock) -> MergeAttempt:
     if total_origins > 3:
         return MergeAttempt(success=False, merged=None, cycles=cycles)
 
-    merged = base.copy()
-    buffer_offset = base.num_origins
+    width = base.width
+    source = incoming.records
+    busy = list(base.columns)
+    free = (1 << base.rows) - 1  # lanes whose conflict line is unused
+    carriers: dict = {}  # input row -> lanes whose conflict line carries it
+    for lane, row in enumerate(base.conflict_vector):
+        if row is not None:
+            free &= ~(1 << lane)
+            carriers[row] = carriers.get(row, 0) | 1 << lane
 
-    # Direct placements first; collect per-column conflicts.
-    conflicts: dict = {}  # col_slot -> list[CellAssignment]
-    for entry in incoming.entries():
-        lane, slot = entry.lane, entry.col_slot
-        if merged.cells[lane][slot] is None and _cv_compatible(
-            merged, lane, entry.input_row
-        ):
-            _place(merged, lane, slot, entry, buffer_offset)
-        else:
-            conflicts.setdefault(slot, []).append(entry)
-
-    def dof(slot: int) -> int:
-        """Writable empty slots minus pending conflicts (paper Fig. 14)."""
-        empties = sum(
-            1
-            for lane in range(merged.rows)
-            if merged.cells[lane][slot] is None
-            and merged.conflict_vector[lane] is None
-        )
-        return empties - len(conflicts[slot])
-
-    while conflicts:
-        # The tightest column is processed first; all of its conflicts
-        # resolve within the column's cycle (parallel slot moves).
-        slot = min(conflicts, key=dof)
-        pending = conflicts.pop(slot)
-        cycles += 1
-        for entry in pending:
-            target = _find_slot(merged, slot, entry.input_row)
-            if target is None:
-                return MergeAttempt(success=False, merged=None,
-                                    cycles=cycles)
-            _place(merged, target, slot, entry, buffer_offset)
-
-    merged.num_origins = total_origins
-    return MergeAttempt(success=True, merged=merged, cycles=cycles)
-
-
-def _find_slot(block: TileBlock, slot: int, input_row: int) -> Optional[int]:
-    """First lane whose cell at ``slot`` is empty and whose conflict line
-    can carry ``input_row`` — preferring lanes already carrying it."""
-    fallback = None
-    for lane in range(block.rows):
-        if block.cells[lane][slot] is not None:
+    # An own-row cell lands where the base lane is idle; the rest are its
+    # slot's pending conflicts.
+    own = list(incoming.columns)
+    foreign = []  # incoming cells reading a conflict line, row-major
+    for lane, row in enumerate(incoming.conflict_vector):
+        if row is None:
             continue
-        cv = block.conflict_vector[lane]
-        if cv == input_row or lane == input_row:
-            return lane
-        if cv is None and fallback is None:
-            fallback = lane
-    return fallback
+        for slot in range(width):
+            cell = source[lane * width + slot]
+            if cell is not None and cell[0] != lane:
+                own[slot] &= ~(1 << lane)
+                foreign.append((lane, slot))
+    pending = [column & own_lanes for column, own_lanes in zip(busy, own)]
+    direct = [own_lanes & ~column for column, own_lanes in zip(busy, own)]
+    busy = [column | own_lanes for column, own_lanes in zip(busy, own)]
+    moves = []  # (target lane, slot, incoming lane) of every other cell
+
+    def place(target: int, slot: int, lane: int, row: int) -> None:
+        """Occupy ``target``'s cell and, if needed, its conflict line."""
+        nonlocal free
+        bit = 1 << target
+        busy[slot] |= bit
+        if free & bit and target != row:
+            free ^= bit
+            carriers[row] = carriers.get(row, 0) | bit
+        moves.append((target, slot, lane))
+
+    # Foreign-row cells go lane by lane in slot order: each may claim its
+    # lane's conflict line for the later ones.
+    for lane, slot in foreign:
+        row = source[lane * width + slot][0]
+        if (busy[slot] | ~(free | carriers.get(row, 0))) >> lane & 1:
+            pending[slot] |= 1 << lane
+        else:
+            place(lane, slot, lane, row)
+
+    # Conflicted slots in the row-major order of their first conflict;
+    # the tightest (fewest writable empty lanes per pending conflict,
+    # paper Fig. 14) resolves first, all its conflicts in one cycle.
+    order = sorted((slot for slot in range(width) if pending[slot]),
+                   key=lambda slot: pending[slot] & -pending[slot])
+    while order:
+        slot = min(order, key=lambda s: (free & ~busy[s]).bit_count()
+                   - pending[s].bit_count())
+        order.remove(slot)
+        cycles += 1
+        for lane in _lanes(pending[slot]):
+            row = source[lane * width + slot][0]
+            # First idle lane carrying the row (or the row's own lane),
+            # else the first idle lane with an unused conflict line.
+            empty = ~busy[slot]
+            target = empty & (carriers.get(row, 0) | 1 << row) or empty & free
+            if not target:
+                return MergeAttempt(success=False, merged=None, cycles=cycles)
+            place((target & -target).bit_length() - 1, slot, lane, row)
+
+    records = list(base.records)
+    conflict_vector = list(base.conflict_vector)
+    moves += [(lane, slot, lane) for slot in range(width) for lane in _lanes(direct[slot])]
+    for target, slot, lane in moves:
+        row, origin_col, buffer_index = source[lane * width + slot]
+        records[target * width + slot] = (
+            row, origin_col, buffer_index + base.num_origins)
+        if row != target:
+            conflict_vector[target] = row
+    merged = TileBlock(
+        rows=base.rows,
+        width=width,
+        columns=busy,
+        records=records,
+        conflict_vector=conflict_vector,
+        num_origins=total_origins,
+    )
+    return MergeAttempt(success=True, merged=merged, cycles=cycles)
 
 
 def greedy_merge(blocks: list) -> tuple:
@@ -143,7 +156,7 @@ def greedy_merge(blocks: list) -> tuple:
     the unsorted baseline of Fig. 12; :func:`repro.core.conmerge.cvg.conmerge`
     layers the SortBuffer ordering on top.
     """
-    pending = [b.copy() for b in blocks]
+    pending = list(blocks)
     out = []
     cycles = 0
     successes = 0

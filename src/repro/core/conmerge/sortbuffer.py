@@ -60,10 +60,6 @@ class ColumnEntry:
     origin_col: int
     occupancy: np.ndarray  # bool (rows,)
 
-    @property
-    def popcount(self) -> int:
-        return int(self.occupancy.sum())
-
 
 class SortBuffer:
     """Banked class buffer with overflow, as in the CAU (Fig. 13)."""
@@ -83,23 +79,27 @@ class SortBuffer:
         occupancy = np.asarray(occupancy, dtype=bool)
         if occupancy.shape != (self.rows,):
             raise ValueError(f"occupancy must have shape ({self.rows},)")
-        entry = ColumnEntry(origin_col=origin_col, occupancy=occupancy)
-        if entry.popcount == 0:
-            self.condensed_columns += 1
-            return False
-        cls = classify(entry.popcount, self.rows)
-        while cls is not SparsityClass.EXTRA and self._is_full(cls):
-            cls = _OVERFLOW[cls]
-        self._classes[cls].append(entry)
-        return True
+        return self._store(origin_col, occupancy, int(occupancy.sum()))
 
     def insert_mask(self, mask: Bitmask) -> int:
-        """Insert every column of a bitmask; returns stored-column count."""
-        stored = 0
-        for col in range(mask.cols):
-            if self.insert(col, mask.column(col)):
-                stored += 1
-        return stored
+        """Insert every column of a bitmask, classified from one popcount
+        vector; returns the stored-column count."""
+        if mask.rows != self.rows:
+            raise ValueError(f"mask must have {self.rows} rows")
+        counts = mask.mask.sum(axis=0).tolist()
+        return sum(self._store(col, mask.mask[:, col], popcount)
+                   for col, popcount in enumerate(counts))
+
+    def _store(self, origin_col: int, occupancy: np.ndarray, popcount: int) -> bool:
+        """File one column by its popcount, overflowing full classes."""
+        if popcount == 0:
+            self.condensed_columns += 1
+            return False
+        cls = classify(popcount, self.rows)
+        while cls is not SparsityClass.EXTRA and self._is_full(cls):
+            cls = _OVERFLOW[cls]
+        self._classes[cls].append(ColumnEntry(origin_col=origin_col, occupancy=occupancy))
+        return True
 
     def _is_full(self, cls: SparsityClass) -> bool:
         return len(self._classes[cls]) >= self.class_capacity

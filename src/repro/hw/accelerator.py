@@ -72,7 +72,6 @@ class AcceleratorReport:
     dense_equivalent_ops: int
     computed_ops: int
     energy_breakdown_j: dict = field(default_factory=dict)
-    compute_bound_fraction: float = 0.0
     #: SDUE energy apportioned across IR op classes (qkv / attention /
     #: ffn1 / ffn2 / etc) by their share of SDUE cycles.
     op_class_energy_j: dict = field(default_factory=dict)
@@ -253,15 +252,12 @@ class ExionAccelerator:
         latency = 0.0
         dense_ops = 0
         computed_ops = 0
-        compute_bound_iters = 0
         op_class_cycles: dict = {}
 
         for priced in self._price_steps(plan, profile):
             cost = priced.cost
             iter_s = priced.latency_s
             latency += iter_s
-            if priced.compute_s >= priced.dram_s:
-                compute_bound_iters += 1
 
             self._record_energy(energy, cost, priced.busy, iter_s)
             energy.add_dram_energy(
@@ -282,9 +278,6 @@ class ExionAccelerator:
             dense_equivalent_ops=dense_ops,
             computed_ops=computed_ops,
             energy_breakdown_j=energy.breakdown_j(),
-            compute_bound_fraction=(
-                compute_bound_iters / max(plan.iterations, 1)
-            ),
             op_class_energy_j=apportion_op_class_energy(
                 energy.component_energy_j("sdue"), op_class_cycles
             ),

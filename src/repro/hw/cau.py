@@ -22,7 +22,6 @@ class CAUReport:
     result: TiledConMergeResult
     classify_cycles: int  # overlapped with SDUE dense execution
     merge_cycles: int  # CVG conflict-resolution work
-    cvmem_words: int  # conflict vectors + control maps written
 
     @property
     def total_cycles(self) -> int:
@@ -30,7 +29,7 @@ class CAUReport:
 
 
 class CAUModel:
-    """Drives ConMerge and accounts its cycles and CVMEM traffic."""
+    """Drives ConMerge and accounts its cycles."""
 
     #: Row tile and merged-block width: the 16x16 SDUE array.
     rows = 16
@@ -50,16 +49,8 @@ class CAUModel:
         # One classify/insert cycle per column per row-tile.
         tiles = len(result.tile_results)
         classify_cycles = mask.cols * tiles
-        merge_cycles = result.cycles
-        # CVMEM stores one conflict vector per lane plus one control map
-        # per occupied cell for every merged block.
-        words = 0
-        for tile in result.tile_results:
-            for block in tile.blocks:
-                words += block.rows + block.num_elements
         return CAUReport(
             result=result,
             classify_cycles=classify_cycles,
-            merge_cycles=merge_cycles,
-            cvmem_words=words,
+            merge_cycles=result.cycles,
         )

@@ -83,7 +83,6 @@ class BankState:
 class AccessStats:
     row_hits: int = 0
     row_misses: int = 0
-    bursts: int = 0
     busy_ns: float = 0.0
 
     @property
@@ -128,7 +127,6 @@ class BankedDRAM:
                 latency += t.t_rp_ns  # precharge the old row
             latency += t.t_rcd_ns  # activate the new row
             state.open_row = row
-        self.stats.bursts += 1
         self.stats.busy_ns += latency
         return latency
 
@@ -158,7 +156,6 @@ class BankedDRAM:
                 )
                 state.open_row = row
             transfer_ns += t.burst_transfer_ns
-            self.stats.bursts += 1
         # With N banks, up to N activates hide behind transfers.
         hidden = min(overhead_ns, transfer_ns * (1.0 - 1.0 / t.banks))
         total_ns = transfer_ns + (overhead_ns - hidden) + t.t_cl_ns

@@ -152,11 +152,13 @@ def profile_from_stats(
 
     ConMerge compaction ratios still come from paper-scale synthetic masks
     (tile structure depends on matrix size), but the element sparsities and
-    projection skip rates are the run's own.
+    projection skip rates are the run's own. A rate falls back to the
+    spec's target or the paper's average only when the run recorded
+    nothing for it; a measured 0 stays 0.
     """
     base = estimate_profile(spec)
-    ffn_s = stats.ffn_output_sparsity or base.ffn_sparsity
-    attn_s = stats.attention_output_sparsity or base.attn_sparsity
+    ffn_s = stats.ffn_output_sparsity if stats.ffn_sparsities else base.ffn_sparsity
+    attn_s = stats.attention_output_sparsity if stats.attention_sparsities else base.attn_sparsity
     return SparsityProfile(
         name=spec.name,
         dense_period=spec.dense_period,
@@ -168,6 +170,6 @@ def profile_from_stats(
         attn_condense_ratio=base.attn_condense_ratio,
         attn_remaining_ratio=base.attn_remaining_ratio,
         attn_utilization=base.attn_utilization,
-        q_skip=stats.q_projection_skip_rate or DEFAULT_Q_SKIP,
-        kv_skip=stats.kv_projection_skip_rate or DEFAULT_KV_SKIP,
+        q_skip=stats.q_projection_skip_rate if stats.q_projection.dense else DEFAULT_Q_SKIP,
+        kv_skip=stats.kv_projection_skip_rate if stats.kv_projection.dense else DEFAULT_KV_SKIP,
     )

@@ -26,7 +26,6 @@ class SDUEStats:
     """Cycle and activity accounting for one SDUE instance."""
 
     cycles: int = 0
-    tiles: int = 0
     active_cell_cycles: int = 0
     total_cell_cycles: int = 0
     macs: int = 0
@@ -81,7 +80,6 @@ class SDUEModel:
             value = float(inputs[cell.input_row] @ weights[:, cell.origin_col])
             output[cell.input_row, cell.origin_col] = value
         cells = self.rows * self.cols
-        self.stats.tiles += 1
         self.stats.cycles += depth_cycles
         self.stats.total_cell_cycles += depth_cycles * cells
         self.stats.active_cell_cycles += depth_cycles * len(entries)

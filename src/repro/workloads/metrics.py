@@ -9,13 +9,15 @@ feature extractors are unavailable offline, so this module provides:
 - **proxy metrics** that measure the same vanilla-vs-optimized divergence
   through the statistical lenses the original metrics use (Frechet distance
   for FID/FAD, retrieval precision for R-Precision, entropy for IS, beat
-  correlation for Beat-Align). See DESIGN.md, substitutions table.
+  correlation for Beat-Align).
+
+scipy is an optional dependency (``pip install .[eval]``): only
+:func:`frechet_distance` needs it (``sqrtm``) and imports it when called.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 
 def psnr(reference: np.ndarray, test: np.ndarray) -> float:
@@ -65,6 +67,8 @@ def frechet_distance(
     mu1: np.ndarray, sigma1: np.ndarray, mu2: np.ndarray, sigma2: np.ndarray
 ) -> float:
     """Frechet distance between two Gaussians (the FID formula)."""
+    from scipy import linalg
+
     diff = mu1 - mu2
     covmean = np.real(linalg.sqrtm(sigma1 @ sigma2))
     value = diff @ diff + np.trace(sigma1 + sigma2 - 2.0 * covmean)

@@ -45,17 +45,8 @@ class TestToyModel:
         block1_grid[[4, 6], 0] = True  # conflict at (4, col 0)
         block1_grid[[5, 7], 1] = True  # conflict at (5, col 1)
         (b0,) = toy_blocks(block0_grid)
-        (b1,) = toy_blocks(block1_grid)
         # Distinct origins for the incoming block.
-        for cell_row in b1.cells:
-            for i, cell in enumerate(cell_row):
-                if cell is not None:
-                    cell_row[i] = type(cell)(
-                        lane=cell.lane, col_slot=cell.col_slot,
-                        input_row=cell.input_row,
-                        origin_col=cell.origin_col + 10,
-                        buffer_index=0,
-                    )
+        (b1,) = toy_blocks(block1_grid, origin_offset=10)
         attempt = try_merge(b0, b1)
         assert attempt.success
         merged = attempt.merged
@@ -91,8 +82,8 @@ class TestToyModel:
         # Every lane carries at most one foreign row (the CV constraint).
         for lane, cv in enumerate(merged.conflict_vector):
             foreign = {
-                c.input_row for c in merged.cells[lane] if c is not None
-                and c.input_row != lane
+                c.input_row for c in merged.entries()
+                if c.lane == lane and c.input_row != lane
             }
             assert len(foreign) <= 1
             if foreign:

@@ -95,7 +95,6 @@ class TestSimulation:
         assert report.energy_j > 0
         assert report.effective_tops > 0
         assert report.tops_per_watt > 0
-        assert 0 <= report.compute_bound_fraction <= 1
         assert set(report.energy_breakdown_j) >= {"sdue", "epre", "dram"}
 
     def test_ablation_ordering(self, dit_profile):

@@ -101,11 +101,6 @@ class TestLatencyAccounting:
             for report in by_config.values():
                 assert 0.0 < report.latency_s < 60.0
 
-    def test_compute_bound_fraction_valid(self, reports):
-        for by_config in reports.values():
-            for report in by_config.values():
-                assert 0.0 <= report.compute_bound_fraction <= 1.0
-
     def test_effective_tops_below_dense_equivalent_bound(self, reports):
         """Effective (dense-equivalent) TOPS may exceed the physical peak
         only when work is skipped."""

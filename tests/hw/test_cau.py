@@ -16,7 +16,6 @@ class TestCAU:
         assert report.classify_cycles == 64 * 2  # cols x row-tiles
         assert report.merge_cycles == report.result.cycles
         assert report.total_cycles > 0
-        assert report.cvmem_words > 0
 
     def test_sorting_reduces_merge_cycles(self):
         cau = CAUModel()

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.sparsity import RunStats
 from repro.hw.profile import (
+    DEFAULT_KV_SKIP,
+    DEFAULT_Q_SKIP,
     SparsityProfile,
     estimate_profile,
     one_hot_rate_from_spec,
@@ -70,3 +72,20 @@ class TestProfileFromStats:
     def test_empty_stats_fall_back_to_spec(self):
         profile = profile_from_stats(get_spec("dit"), RunStats())
         assert profile.ffn_sparsity == get_spec("dit").target_inter_sparsity
+        assert profile.attn_sparsity == get_spec("dit").target_intra_sparsity
+        assert profile.q_skip == DEFAULT_Q_SKIP
+        assert profile.kv_skip == DEFAULT_KV_SKIP
+
+    def test_measured_zero_stays_zero(self):
+        """A run that recorded its ops and skipped nothing reports 0, not
+        the paper's averages or the spec's targets."""
+        stats = RunStats()
+        stats.ffn_sparsities.append(0.0)
+        stats.attention_sparsities.append(0.0)
+        stats.q_projection.add(100, 100)
+        stats.kv_projection.add(100, 100)
+        profile = profile_from_stats(get_spec("dit"), stats)
+        assert profile.ffn_sparsity == 0.0
+        assert profile.attn_sparsity == 0.0
+        assert profile.q_skip == 0.0
+        assert profile.kv_skip == 0.0

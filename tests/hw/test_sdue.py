@@ -56,14 +56,12 @@ class TestMergedPath:
         i_sw conflict line of Fig. 11) multiplies its own input row, not
         the lane's, and scatters to its original position."""
         from repro.core.conmerge.blocks import TileBlock
-        from repro.core.conmerge.vectors import CellAssignment
 
         x = np.arange(12, dtype=np.float64).reshape(3, 4)
         w = np.arange(8, dtype=np.float64).reshape(4, 2)
         block = TileBlock(rows=3, width=1)
-        block.cells[0][0] = CellAssignment(
-            lane=0, col_slot=0, input_row=2, origin_col=1, buffer_index=1
-        )
+        block.columns[0] = 0b001  # lane 0 busy in slot 0
+        block.records[0] = (2, 1, 1)  # (input_row, origin_col, buffer_index)
         block.conflict_vector[0] = 2
         block.validate()
         out = np.zeros((3, 2))

@@ -68,7 +68,6 @@ def _report_fields(report):
         report.energy_j,
         report.dense_equivalent_ops,
         report.computed_ops,
-        report.compute_bound_fraction,
         report.energy_breakdown_j,
     )
 

@@ -53,8 +53,8 @@ Seven checks, all hard failures:
    ``*args``/``**kwargs`` passes what the calls reaching that def pass.
    Any other defaulted parameter is a constant: inline it.
 7. **Field reads** — every field of a ``@dataclass`` or ``NamedTuple``
-   defined under ``repro.core``, ``repro.models``, ``repro.exec`` or
-   ``repro.serve`` must be read somewhere in ``src/`` or the entry
+   defined under ``repro.core``, ``repro.models``, ``repro.exec``,
+   ``repro.serve`` or ``repro.hw`` must be read somewhere in ``src/`` or the entry
    directories: by an ``ast.Attribute`` load of its name, or a
    ``getattr`` whose name is a string constant. Names match bare, as in
    check 5; a read in ``tests/`` does not count. A field nothing reads is
@@ -87,7 +87,7 @@ _CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
 _FILE_SUFFIXES = {"json", "jsonl", "html", "py", "md", "txt", "toml", "yml"}
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples", "tools")
-FIELD_PACKAGES = ("core", "models", "exec", "serve")
+FIELD_PACKAGES = ("core", "models", "exec", "serve", "hw")
 
 
 def iter_public_modules() -> list[str]:
