@@ -6,6 +6,7 @@ FFN-Reuse+EP+Quant at the Table I configuration and reports:
 - PSNR versus the vanilla run (the paper's exact metric),
 - a Frechet-distance proxy between vanilla and optimized sample batches
   (stands in for FID/FAD; see DESIGN.md substitutions),
+- an Inception-Score proxy of each optimized batch (stands in for IS),
 - the measured inter- and intra-iteration sparsity levels.
 
 The claim under test is the paper's: optimization-induced degradation is
@@ -21,7 +22,7 @@ from repro.bench import BenchResult, register_bench
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.models.zoo import build_model
-from repro.workloads.metrics import fid_proxy, psnr
+from repro.workloads.metrics import fid_proxy, inception_score_proxy, psnr
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
 from .conftest import emit_result
@@ -36,44 +37,29 @@ METHOD_KEYS = {
 }
 
 
-def generate_batch(pipeline, method, seeds):
-    samples = []
-    stats = None
-    for seed in seeds:
-        if method == "vanilla":
-            result = pipeline.generate_vanilla(seed=seed, prompt="bench")
-        else:
-            result = pipeline.generate(seed=seed, prompt="bench")
-        samples.append(result.sample)
-        stats = result.stats
-    return np.stack(samples), stats
-
-
 def evaluate_model(name):
+    """Each method's six samples against vanilla's, one batch per method."""
     model = build_model(name, seed=0, total_iterations=ITERATIONS)
     seeds = list(range(N_SAMPLES))
-    rows = []
-
-    vanilla_pipe = ExionPipeline(model, ExionConfig.for_model(name))
-    vanilla, _ = generate_batch(vanilla_pipe, "vanilla", seeds)
-
-    configs = {
-        "FFN-Reuse": ExionPipeline(
-            model, ExionConfig.for_model(name, enable_eager_prediction=False)
-        ),
-        "FFN-Reuse+EP": ExionPipeline(model, ExionConfig.for_model(name)),
-        "FFN-Reuse+EP+Quant": ExionPipeline(
-            model, ExionConfig.for_model(name), activation_bits=12
-        ),
+    config = ExionConfig.for_model(name)
+    vanilla, _ = ExionPipeline(model, config.ablation("base")).generate_batch(
+        seeds, prompt="bench")
+    pipelines = {
+        "FFN-Reuse": ExionPipeline(model, config.ablation("ffnr")),
+        "FFN-Reuse+EP": ExionPipeline(model, config),
+        "FFN-Reuse+EP+Quant": ExionPipeline(model, config, activation_bits=12),
     }
-    for label, pipeline in configs.items():
-        batch, stats = generate_batch(pipeline, label, seeds)
+    rows = []
+    for label, pipeline in pipelines.items():
+        batch, results = pipeline.generate_batch(seeds, prompt="bench")
+        stats = results[-1].stats
         psnrs = [psnr(v, s) for v, s in zip(vanilla, batch)]
         rows.append(
             {
                 "method": label,
                 "psnr": float(np.mean(psnrs)),
                 "fid_proxy": fid_proxy(vanilla, batch),
+                "is_proxy": inception_score_proxy(batch),
                 "inter": stats.ffn_output_sparsity,
                 "intra": stats.attention_output_sparsity,
             }
@@ -97,6 +83,10 @@ def build_table1(ctx):
             result.add_metric(
                 f"{name}.{method}.fid_proxy", row["fid_proxy"],
                 direction="lower_better", tolerance=0.25,
+            )
+            result.add_metric(
+                f"{name}.{method}.is_proxy", row["is_proxy"],
+                direction="higher_better", tolerance=0.25,
             )
             result.add_metric(
                 f"{name}.{method}.inter_sparsity", row["inter"],

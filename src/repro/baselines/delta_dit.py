@@ -30,8 +30,6 @@ class DeltaDiTResult:
 
     sample: np.ndarray
     iterations: int
-    blocks_executed: int
-    blocks_skipped: int
     macs_dense: int
     macs_computed: int
 
@@ -106,7 +104,6 @@ class DeltaDiTPipeline:
 
         deltas: dict = {}
         executed = 0
-        skipped = 0
         block_macs = self._block_macs(network.tokens)
 
         for i, t in enumerate(timesteps):
@@ -119,7 +116,6 @@ class DeltaDiTPipeline:
                 )
                 if use_cache:
                     h = h + deltas[b]
-                    skipped += 1
                 else:
                     h_out = block(h, context=context, t_embed=t_embed)
                     deltas[b] = h_out - h
@@ -130,12 +126,9 @@ class DeltaDiTPipeline:
             x = self.model.scheduler.step(eps, int(t), x, prev_t=prev_t,
                                           rng=rng)
 
-        total_blocks = executed + skipped
         return DeltaDiTResult(
             sample=x,
             iterations=len(timesteps),
-            blocks_executed=executed,
-            blocks_skipped=skipped,
-            macs_dense=total_blocks * block_macs,
+            macs_dense=len(timesteps) * len(network.blocks) * block_macs,
             macs_computed=executed * block_macs,
         )

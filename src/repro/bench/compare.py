@@ -18,29 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from repro.analysis.report import format_table
 
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One comparison outcome for a single metric or bench."""
-
-    bench: str
-    kind: str  # "metric" | "coverage"
-    name: str
-    baseline: Optional[float]
-    current: Optional[float]
-    delta_rel: Optional[float]
-    message: str
-
-
 @dataclass
 class CompareReport:
-    """All findings of one baseline-vs-current comparison."""
+    """All findings of one baseline-vs-current comparison, each a
+    one-line message naming its bench and metric."""
 
     regressions: list = field(default_factory=list)
     improvements: list = field(default_factory=list)
@@ -110,50 +97,30 @@ def _compare_metric(bench: str, name: str, old: dict, new: dict,
     if not regressed and not improved:
         return
     unit = f" {old['unit']}" if old.get("unit") else ""
-    finding = Finding(
-        bench=bench, kind="metric", name=name,
-        baseline=old_value, current=new_value, delta_rel=rel,
-        message=(
-            f"{bench}:{name} {old_value:.6g} -> {new_value:.6g}{unit} "
-            f"({rel:+.1%}, {direction}, tol {tolerance:.0%})"
-        ),
+    (report.regressions if regressed else report.improvements).append(
+        f"{bench}:{name} {old_value:.6g} -> {new_value:.6g}{unit} "
+        f"({rel:+.1%}, {direction}, tol {tolerance:.0%})"
     )
-    (report.regressions if regressed else report.improvements).append(finding)
 
 
 def compare_results(baseline: dict, current: dict,
                     strict: bool = False) -> CompareReport:
     """Compare two ``{name: result_dict}`` sets; baseline defines the gate."""
     report = CompareReport()
+    missing = report.regressions if strict else report.notes
     for bench, old in sorted(baseline.items()):
         new = current.get(bench)
         if new is None:
-            finding = Finding(
-                bench=bench, kind="coverage", name="bench",
-                baseline=None, current=None, delta_rel=None,
-                message=f"{bench}: present in baseline, missing from current",
-            )
-            (report.regressions if strict else report.notes).append(finding)
+            missing.append(f"{bench}: present in baseline, missing from current")
             continue
         for metric_name, old_metric in sorted(old.get("metrics", {}).items()):
             new_metric = new.get("metrics", {}).get(metric_name)
             if new_metric is None:
-                finding = Finding(
-                    bench=bench, kind="coverage", name=metric_name,
-                    baseline=float(old_metric["value"]), current=None,
-                    delta_rel=None,
-                    message=(f"{bench}:{metric_name} missing from "
-                             f"current result"),
-                )
-                (report.regressions if strict else report.notes).append(finding)
+                missing.append(f"{bench}:{metric_name} missing from current result")
                 continue
             _compare_metric(bench, metric_name, old_metric, new_metric, report)
     for bench in sorted(set(current) - set(baseline)):
-        report.notes.append(Finding(
-            bench=bench, kind="coverage", name="bench",
-            baseline=None, current=None, delta_rel=None,
-            message=f"{bench}: new bench, absent from baseline",
-        ))
+        report.notes.append(f"{bench}: new bench, absent from baseline")
     return report
 
 
@@ -169,7 +136,7 @@ def format_report(report: CompareReport) -> str:
         if not findings:
             continue
         lines.append(f"{label} ({len(findings)}):")
-        lines.extend(f"  - {finding.message}" for finding in findings)
+        lines.extend(f"  - {finding}" for finding in findings)
     if not lines:
         lines.append("no differences beyond tolerances")
     counts = [["regressions", len(report.regressions)],
@@ -183,7 +150,6 @@ def format_report(report: CompareReport) -> str:
 
 __all__ = [
     "CompareReport",
-    "Finding",
     "compare_results",
     "format_report",
     "load_results",

@@ -219,17 +219,14 @@ def _write_obs_outputs(
     trace is schema-validated before writing so a broken exporter fails
     the command instead of producing a file Perfetto rejects.
     """
-    from repro.obs import (
-        chrome_trace,
-        chrome_trace_json,
-        events_jsonl,
-        validate_chrome_trace,
-    )
+    from repro.canon import canonical_json
+    from repro.obs import chrome_trace, events_jsonl, validate_chrome_trace
 
     if trace_out is not None:
-        count = validate_chrome_trace(chrome_trace(observer.tracer))
+        document = chrome_trace(observer.tracer)
+        count = validate_chrome_trace(document)
         with open(trace_out, "w", encoding="utf-8") as fh:
-            fh.write(chrome_trace_json(observer.tracer))
+            fh.write(canonical_json(document))
         print(f"wrote {trace_out} ({count} trace events; "
               "open in Perfetto or chrome://tracing)")
     if metrics_out is not None:
@@ -410,7 +407,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             trace_out=args.trace_out,
         )
 
-    if args.compare_sequential and args.requests > 0:
+    if args.compare_sequential:
         from repro.core.pipeline import ExionPipeline
 
         # Reuse the server's cached model and (with --calibrate) threshold
@@ -952,7 +949,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
                    help="run the continuous-batching server "
                         "(joins/preemptions/evictions) instead of "
                         "drain-and-refill micro-batching")
-    p.add_argument("--requests", type=int, default=8)
+    p.add_argument("--requests", type=_count, default=8)
     p.add_argument("--batch-size", type=_count, default=2)
     p.add_argument("--iterations", type=_count, default=None,
                    help="denoising iterations (default: paper scale)")
@@ -991,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser("serve", help="batched multi-request serving")
     srv.add_argument("--model", default="dit")
-    srv.add_argument("--requests", type=int, default=8)
+    srv.add_argument("--requests", type=_count, default=8)
     _add_serving_flags(srv)
     srv.add_argument("--seed", type=int, default=0,
                      help="first request seed; request i uses seed + i")

@@ -67,7 +67,7 @@ from repro.cluster.simulator import (
     build_replicas,
     simulate_cluster,
 )
-from repro.cluster.slo import LatencyAccumulator, SLOPolicy, percentile
+from repro.cluster.slo import LatencyAccumulator, SLOPolicy
 from repro.cluster.traffic import (
     ArrivalProcess,
     ClusterRequest,
@@ -106,7 +106,6 @@ __all__ = [
     "load_trace",
     "make_accelerator",
     "make_router",
-    "percentile",
     "save_trace",
     "simulate_cluster",
     "synthesize_trace",

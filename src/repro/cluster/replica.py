@@ -205,7 +205,6 @@ class DroppedRequest:
     model: str
     ablation: str
     reason: str  # "timeout" or "deadline"
-    dropped_at_s: float
     waited_s: float = 0.0
 
 
@@ -415,7 +414,6 @@ class Replica:
                     model=model,
                     ablation=ablation,
                     reason=reason,
-                    dropped_at_s=now,
                     waited_s=max(0.0, now - request.submitted_at),
                 ))
             # A key whose every request expired before any batch ran never

@@ -48,24 +48,12 @@ class SLOPolicy:
 
 
 def _nearest_rank(ordered: list, q: float) -> float:
-    """Nearest-rank percentile over an already-sorted list."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
+    """Nearest-rank percentile (inclusive) over an already-sorted list;
+    0.0 when it is empty, so empty scenarios still serialize cleanly."""
     if not ordered:
         return 0.0
-    if q == 0.0:
-        return float(ordered[0])
     rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
     return float(ordered[int(rank) - 1])
-
-
-def percentile(values: list, q: float) -> float:
-    """Nearest-rank percentile (inclusive), deterministic on floats.
-
-    ``q`` is in [0, 100]. Empty input yields 0.0 so empty scenarios
-    still serialize cleanly.
-    """
-    return _nearest_rank(sorted(values), q)
 
 
 class LatencyAccumulator:
@@ -127,4 +115,4 @@ class LatencyAccumulator:
         }
 
 
-__all__ = ["LatencyAccumulator", "SLOPolicy", "percentile"]
+__all__ = ["LatencyAccumulator", "SLOPolicy"]

@@ -13,8 +13,8 @@ one-command answer:
 - :mod:`repro.explore.strategies` — grid and seeded random search,
   each proposing one batch of points;
 - :mod:`repro.explore.objectives` — latency/energy/accuracy/SLO
-  objectives computed through :mod:`repro.hw`,
-  :mod:`repro.workloads.evaluation` and :mod:`repro.cluster`, plus
+  objectives computed through :mod:`repro.hw`, the PSNR-vs-vanilla
+  score of :mod:`repro.workloads.evaluation` and :mod:`repro.cluster`, plus
   Pareto-frontier extraction (dominated-point pruning and knee-point
   selection);
 - :mod:`repro.explore.runner` — multiprocessing fan-out with explicit

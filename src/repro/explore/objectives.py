@@ -12,7 +12,7 @@ calling into the layers the repo already has:
   :func:`repro.program.lower_plan` and priced with
   :meth:`repro.hw.accelerator.ExionAccelerator.simulate_plan` on a
   validated custom configuration built from the hardware knobs;
-- **accuracy_psnr_db** — the Table I protocol:
+- **accuracy_psnr_db** — mean PSNR against vanilla:
   :func:`repro.workloads.evaluation.evaluate_config` on the point's
   algorithm knobs (hardware knobs deliberately do not perturb the
   accuracy stream, so equal algorithm configs score equal accuracy on
@@ -251,15 +251,14 @@ class PointEvaluator:
             **{k: getattr(config, k) for k in _ALGO_KNOBS},
         })
         if algo_key not in self._accuracy_memo:
-            result = evaluate_config(
+            psnr_db = evaluate_config(
                 model,
                 config,
                 n_samples=self.accuracy_samples,
                 iterations=iterations,
-                label="explore",
                 rng=stable_seed(self.base_seed, "accuracy", algo_key),
             )
-            self._accuracy_memo[algo_key] = min(result.psnr_mean, PSNR_CAP_DB)
+            self._accuracy_memo[algo_key] = min(psnr_db, PSNR_CAP_DB)
         return self._accuracy_memo[algo_key]
 
     def _cluster_objectives(

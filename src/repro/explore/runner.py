@@ -67,11 +67,9 @@ class EvaluationRecord:
     id: str
     seed: Optional[int]
     objectives: dict
-    cached: bool = False
 
     def to_dict(self) -> dict:
-        """Canonical serialization (cache provenance deliberately absent:
-        hit-vs-miss must not change report bytes)."""
+        """Canonical serialization, the same for a cache hit and a miss."""
         return {
             "id": self.id,
             "point": canonicalize(self.point),
@@ -247,7 +245,6 @@ class ExploreRunner:
                 id=point_id(point),
                 seed=seed,
                 objectives=cached or {},
-                cached=cached is not None,
             )
             if cached is None:
                 misses.append((len(records), key, (point, seed)))

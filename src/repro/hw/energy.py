@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Clock frequency / voltage of the synthesized design.
+#: Clock frequency of the synthesized design.
 CLOCK_HZ = 800e6
-VOLTAGE = 0.8
 
 #: Table III area breakdown [mm^2] for a single-DSC EXION.
 DSC_AREA_MM2 = {

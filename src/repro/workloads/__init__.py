@@ -6,7 +6,6 @@ from repro.workloads.metrics import (
     fid_proxy,
     inception_score_proxy,
     psnr,
-    r_precision_proxy,
 )
 from repro.workloads.specs import (
     ALL_MODEL_ORDER,
@@ -29,5 +28,4 @@ __all__ = [
     "get_spec",
     "inception_score_proxy",
     "psnr",
-    "r_precision_proxy",
 ]

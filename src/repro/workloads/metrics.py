@@ -8,8 +8,9 @@ feature extractors are unavailable offline, so this module provides:
   the same seed, so divergence is purely the optimization error);
 - **proxy metrics** that measure the same vanilla-vs-optimized divergence
   through the statistical lenses the original metrics use (Frechet distance
-  for FID/FAD, retrieval precision for R-Precision, entropy for IS, beat
-  correlation for Beat-Align).
+  for FID/FAD, entropy for IS, beat correlation for Beat-Align). There is
+  no R-Precision proxy: a retrieval metric needs one prompt per sample,
+  and the Table I bench gives all of its samples one prompt.
 
 scipy is an optional dependency (``pip install .[eval]``): only
 :func:`frechet_distance` needs it (``sqrtm``) and imports it when called.
@@ -96,26 +97,6 @@ def inception_score_proxy(generated: np.ndarray) -> float:
     marginal = probs.mean(axis=0)
     kl = np.sum(probs * (np.log(probs + 1e-12) - np.log(marginal + 1e-12)), axis=1)
     return float(np.exp(kl.mean()))
-
-
-def r_precision_proxy(
-    generated: np.ndarray, condition_embeddings: np.ndarray
-) -> float:
-    """Retrieval precision: does sample i match its own condition embedding?
-
-    Both inputs are ``(n, ...)``; a match is counted when the true condition
-    ranks first by feature cosine similarity, mirroring the paper's
-    text-motion R-Precision (top-1) protocol.
-    """
-    gen_feat = random_features(generated, 16, seed=13)
-    cond_feat = random_features(condition_embeddings, 16, seed=13)
-    n = gen_feat.shape[0]
-    sims = gen_feat @ cond_feat.T
-    hits = 0
-    for i in range(n):
-        if np.argsort(-sims[i])[0] == i:
-            hits += 1
-    return hits / n
 
 
 def beat_alignment_proxy(motion: np.ndarray) -> float:

@@ -26,7 +26,6 @@ class ModelSpec:
     name: str
     display_name: str
     task: str
-    dataset: str
     network_type: int  # 1, 2 or 3 per paper Fig. 3 (a)
 
     # Runnable (simulation) dimensions.
@@ -78,7 +77,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="mld",
         display_name="MLD",
         task="text-to-motion",
-        dataset="HumanML3D",
         network_type=1,
         tokens=4,
         dim=64,
@@ -108,7 +106,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="mdm",
         display_name="MDM",
         task="text-to-motion",
-        dataset="HumanML3D",
         network_type=3,
         tokens=24,
         dim=64,
@@ -138,7 +135,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="edge",
         display_name="EDGE",
         task="music-to-motion",
-        dataset="AIST++",
         network_type=3,
         tokens=20,
         dim=64,
@@ -168,7 +164,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="make_an_audio",
         display_name="Make-an-Audio",
         task="text-to-audio",
-        dataset="AudioCaps",
         network_type=2,
         tokens=16,
         dim=64,
@@ -198,7 +193,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="stable_diffusion",
         display_name="Stable Diffusion",
         task="text-to-image",
-        dataset="COCO 2014",
         network_type=2,
         tokens=16,
         dim=64,
@@ -228,7 +222,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="dit",
         display_name="DiT",
         task="class-to-image",
-        dataset="ImageNet 2012",
         network_type=3,
         tokens=16,
         dim=64,
@@ -258,7 +251,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="videocrafter2",
         display_name="VideoCrafter2",
         task="text-to-video",
-        dataset="ECTV",
         network_type=2,
         tokens=16,
         dim=64,
@@ -295,7 +287,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="latte_video_dit",
         display_name="Latte-class video DiT",
         task="text-to-video",
-        dataset="WebVid-class",
         network_type=3,
         tokens=32,
         dim=64,
@@ -326,7 +317,6 @@ MODEL_SPECS: dict[str, ModelSpec] = {
         name="sdxl_unet",
         display_name="SDXL-class UNet",
         task="text-to-image",
-        dataset="COCO 2014",
         network_type=2,
         tokens=16,
         dim=64,

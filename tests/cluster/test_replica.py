@@ -285,7 +285,8 @@ class TestReplica:
             assert dropped == []
             now = outcome.completion_s
         assert now >= 0.2
-        assert [(d.reason, d.dropped_at_s) for d in dropped] == [
+        # Submitted at 0, so the wait is the drop time.
+        assert [(d.reason, d.waited_s) for d in dropped] == [
             ("deadline", now)]
         assert replica.timeout_drops == 1
 

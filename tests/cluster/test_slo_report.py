@@ -5,24 +5,30 @@ import json
 import pytest
 
 from repro.cluster.report import ClusterReport
-from repro.cluster.slo import LatencyAccumulator, SLOPolicy, percentile
+from repro.cluster.slo import LatencyAccumulator, SLOPolicy
 
 
-class TestPercentile:
+def summary_of(latencies: list) -> dict:
+    acc = LatencyAccumulator()
+    for latency in latencies:
+        acc.record(wait_s=latency, service_s=0.0)
+    return acc.summary()
+
+
+class TestNearestRank:
     def test_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 50) == 50.0
-        assert percentile(values, 95) == 95.0
-        assert percentile(values, 99) == 99.0
-        assert percentile(values, 100) == 100.0
-        assert percentile(values, 0) == 1.0
+        summary = summary_of([float(v) for v in range(100, 0, -1)])
+        assert summary["latency_p50_s"] == 50.0
+        assert summary["latency_p95_s"] == 95.0
+        assert summary["latency_p99_s"] == 99.0
+        assert summary["latency_max_s"] == 100.0
+        assert summary["wait_p50_s"] == 50.0
+        assert summary["wait_p99_s"] == 99.0
 
     def test_small_samples_and_empty(self):
-        assert percentile([3.0], 99) == 3.0
-        assert percentile([2.0, 1.0], 50) == 1.0  # sorts internally
-        assert percentile([], 50) == 0.0
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
+        assert summary_of([3.0])["latency_p99_s"] == 3.0
+        assert summary_of([2.0, 1.0])["latency_p50_s"] == 1.0  # sorts
+        assert summary_of([])["latency_p50_s"] == 0.0
 
 
 class TestSLOPolicy:

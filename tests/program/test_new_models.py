@@ -67,7 +67,7 @@ class TestBaselines:
 
         model = build_model("latte_video_dit", seed=0, total_iterations=4)
         result = DeltaDiTPipeline(model, cache_interval=1).generate(seed=1)
-        assert result.blocks_skipped > 0
+        assert result.macs_computed < result.macs_dense
         assert 0.0 < result.ops_reduction < 1.0
 
     def test_delta_dit_scope_is_model_shape_not_model_name(self):

@@ -68,6 +68,10 @@ class TestParser:
         ("cluster", "--dwell", "0", "> 0"),
         ("cluster", "--period", "0", "> 0"),
         ("cluster", "--requests", "-3", ">= 0"),
+        ("serve", "--requests", "0", ">= 1"),
+        ("trace", "--requests", "0", ">= 1"),
+        ("obs analyze", "--requests", "0", ">= 1"),
+        ("obs report", "--requests", "-2", ">= 1"),
         ("cluster", "--batch-size", "0", ">= 1"),
         ("serve", "--batch-size", "0", ">= 1"),
         ("trace", "--batch-size", "0", ">= 1"),
@@ -80,7 +84,7 @@ class TestParser:
     def test_bad_numbers_rejected_naming_the_flag(self, command, flag, value,
                                                   rule, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, flag, value])
+            main([*command.split(), flag, value])
         assert exc.value.code == 2
         # A float flag echoes "0" as "0.0": the value is a prefix either way.
         assert f"argument {flag}: must be {rule}, got {value}" in (
@@ -166,12 +170,15 @@ class TestCommands:
         assert "speedup" in out
 
     def test_serve_zero_requests(self, capsys):
-        code = main([
-            "serve", "--requests", "0", "--iterations", "4",
-            "--compare-sequential",
-        ])
-        assert code == 0
-        assert "batches=0" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--requests", "0", "--iterations", "4",
+                "--compare-sequential",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "batches=" not in captured.out
+        assert "Traceback" not in captured.err
 
     def test_serve_max_wait_tail_batch(self, capsys):
         code = main([

@@ -1,8 +1,8 @@
-"""Checks 6 and 7 of ``tools/docs_check.py`` on fixture trees.
+"""Checks 5, 6 and 7 of ``tools/docs_check.py`` on fixture trees.
 
 Each case writes a tiny ``src/repro`` package plus an entry-directory
-caller and asserts which defaulted parameters (check 6) or record fields
-(check 7) the check reports.
+caller and asserts which definitions (check 5), defaulted parameters
+(check 6) or record fields (check 7) the check reports.
 """
 
 import importlib.util
@@ -192,9 +192,10 @@ class Pair(NamedTuple):
 """
 
 
-def unread(tmp_path, caller: str, directory: str = "examples") -> set:
+def unread(tmp_path, caller: str, directory: str = "examples",
+           package: str = "core") -> set:
     """``{Class.field}`` check 7 reports for one tree."""
-    for relative, text in (("src/repro/core/records.py", RECORDS),
+    for relative, text in ((f"src/repro/{package}/records.py", RECORDS),
                            (f"{directory}/caller.py", caller)):
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -212,6 +213,14 @@ def test_write_only_fields_are_flagged(tmp_path):
     assert found == {"Result.extra", "Pair.left", "Pair.right"}
 
 
+def test_every_package_is_covered(tmp_path):
+    found = unread(tmp_path, """
+        from repro.cluster.records import Result
+        Result(1).value
+    """, package="cluster")
+    assert found == {"Result.extra", "Pair.left", "Pair.right"}
+
+
 def test_reads_from_tests_do_not_count(tmp_path):
     found = unread(tmp_path, """
         from repro.core.records import Pair, Result
@@ -226,3 +235,97 @@ def test_attribute_loads_and_getattr_constants_are_reads(tmp_path):
             print(result.value, result.extra, pair.left)
             return getattr(pair, "right")
     """) == set()
+
+
+NAMES = """
+LIMIT = 3
+_SCALE = 2
+
+
+def percentile(values, q):
+    return sorted(values)[q]
+
+
+def evaluate(name):
+    return name
+"""
+
+
+def unnamed(tmp_path, caller: str) -> set:
+    """``{qualname}`` check 5 reports for one tree."""
+    for relative, text in (("src/repro/lib.py", NAMES),
+                           ("benchmarks/caller.py", caller)):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text), encoding="utf-8")
+    return {finding.split(": ", 1)[1].split(" ", 1)[0]
+            for finding in docs_check.check_names(tmp_path)}
+
+
+def test_named_definitions_pass(tmp_path):
+    assert unnamed(tmp_path, """
+        from repro import lib
+        from repro.lib import evaluate, percentile
+        print(lib.LIMIT * lib._SCALE, evaluate("x"), percentile([1], 0))
+    """) == set()
+
+
+def test_a_same_named_def_in_another_module_is_not_a_use(tmp_path):
+    found = unnamed(tmp_path, """
+        from repro.lib import LIMIT, _SCALE, percentile
+
+
+        def evaluate(name):
+            return name * LIMIT * _SCALE
+
+        evaluate(percentile([1], 0))
+    """)
+    assert found == {"evaluate"}
+
+
+def test_a_name_imported_from_outside_repro_is_not_a_use(tmp_path):
+    found = unnamed(tmp_path, """
+        from repro.lib import LIMIT, _SCALE, evaluate
+        from statistics import percentile
+
+        evaluate(percentile([LIMIT], _SCALE))
+    """)
+    assert found == {"percentile"}
+
+
+def test_unread_constants_are_flagged(tmp_path):
+    found = unnamed(tmp_path, """
+        from repro.lib import evaluate, percentile
+        evaluate(percentile([1], 0))
+    """)
+    assert found == {"LIMIT", "_SCALE"}
+
+
+def test_an_attribute_use_counts_despite_a_same_named_def(tmp_path):
+    assert unnamed(tmp_path, """
+        from repro import lib
+
+
+        def evaluate(name):
+            return lib.evaluate(name) * lib.LIMIT * lib._SCALE
+
+        evaluate(lib.percentile([1], 0))
+    """) == set()
+
+
+def test_a_module_level_assignment_shadows_but_a_nested_def_does_not(
+        tmp_path):
+    found = unnamed(tmp_path, """
+        from repro.lib import LIMIT, _SCALE, evaluate, percentile
+
+        LIMIT = LIMIT * _SCALE
+
+
+        def run():
+            def evaluate(name):
+                return name
+            return evaluate(LIMIT)
+
+        print(run(), evaluate("x"), percentile([1], 0))
+    """)
+    assert found == {"LIMIT"}

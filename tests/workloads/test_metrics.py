@@ -11,7 +11,6 @@ from repro.workloads.metrics import (
     inception_score_proxy,
     physical_foot_contact_proxy,
     psnr,
-    r_precision_proxy,
     random_features,
 )
 
@@ -89,18 +88,6 @@ class TestISProxy:
         assert inception_score_proxy(diverse) > inception_score_proxy(
             collapsed
         )
-
-
-class TestRPrecisionProxy:
-    def test_perfectly_aligned_retrieval(self, rng):
-        cond = rng.standard_normal((16, 32))
-        score = r_precision_proxy(cond.copy(), cond)
-        assert score == 1.0
-
-    def test_random_near_chance(self, rng):
-        gen = rng.standard_normal((64, 32))
-        cond = rng.standard_normal((64, 32))
-        assert r_precision_proxy(gen, cond) < 0.3
 
 
 class TestMotionProxies:

@@ -24,15 +24,19 @@ Seven checks, all hard failures:
    module under ``pkg`` that defines ``Name``. A module only ``tests/``
    can reach is a capability nothing uses: it goes, with its tests.
 5. **Name reachability** — the same rule one level down: every top-level
-   function or class and every non-dunder method under ``src/repro``
-   must be named from outside its own body somewhere in ``src/`` or the
-   entry directories above, by an ``ast.Name``, an ``ast.Attribute`` or
-   an import alias (a package ``__init__.py`` re-export, an ``__all__``
-   string, a docstring or prose does not count). Names are matched as
-   bare identifiers, so any ``.attr`` of the same name keeps a method
-   alive. References from inside a definition that is itself unnamed do
-   not count either, iterated to a fixed point: each finding says in
-   which round it fell.
+   function or class, every module-level ``UPPER_CASE`` constant and
+   every non-dunder method under ``src/repro`` must be named from
+   outside its own body somewhere in ``src/`` or the entry directories
+   above, by an ``ast.Name``, an ``ast.Attribute`` or an import alias (a
+   package ``__init__.py`` re-export, an ``__all__`` string, a docstring
+   or prose does not count). Names are matched as bare identifiers, so
+   any ``.attr`` of the same name keeps a method alive. A bare name (an
+   ``ast.Name`` or an import alias) in another module that binds the
+   name itself — a top-level ``def``, ``class`` or assignment, or a
+   ``from X import name`` with X outside ``repro`` — means that binding
+   and does not count. References from inside a definition that is
+   itself unnamed do not count either, iterated to a fixed point: each
+   finding says in which round it fell.
 6. **Option reachability** — the same rule for options: every defaulted
    positional or keyword-only parameter of a ``def`` under ``src/repro``
    (dunders other than ``__init__`` excluded; dataclass fields are not
@@ -53,9 +57,8 @@ Seven checks, all hard failures:
    ``*args``/``**kwargs`` passes what the calls reaching that def pass.
    Any other defaulted parameter is a constant: inline it.
 7. **Field reads** — every field of a ``@dataclass`` or ``NamedTuple``
-   defined under ``repro.core``, ``repro.models``, ``repro.exec``,
-   ``repro.serve`` or ``repro.hw`` must be read somewhere in ``src/`` or the entry
-   directories: by an ``ast.Attribute`` load of its name, or a
+   defined under ``src/repro`` must be read somewhere in ``src/`` or the
+   entry directories: by an ``ast.Attribute`` load of its name, or a
    ``getattr`` whose name is a string constant. Names match bare, as in
    check 5; a read in ``tests/`` does not count. A field nothing reads is
    work nobody consumes: delete it, or read it.
@@ -87,7 +90,7 @@ _CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+")
 _FILE_SUFFIXES = {"json", "jsonl", "html", "py", "md", "txt", "toml", "yml"}
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples", "tools")
-FIELD_PACKAGES = ("core", "models", "exec", "serve", "hw")
+_CONSTANT = re.compile(r"_*[A-Z][A-Z0-9_]*")
 
 
 def iter_public_modules() -> list[str]:
@@ -256,52 +259,95 @@ def _bare(node: ast.AST | None) -> str | None:
     return getattr(node, "id", getattr(node, "attr", None))
 
 
-def check_names() -> list[str]:
+def _targets(node: ast.AST) -> list[ast.expr]:
+    """The targets of an ``Assign`` or ``AnnAssign``, else ``[]``."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    return [node.target] if isinstance(node, ast.AnnAssign) else []
+
+
+def check_names(root: Path = REPO_ROOT) -> list[str]:
     """Definitions under ``src/repro`` that nothing outside ``tests/`` names."""
-    defs: list[tuple[str, str]] = []  # (file:line, qualname) per candidate
-    names: list[str] = []  # the bare name of each candidate
-    refs: dict[str, list[frozenset[int]]] = {}  # name -> defs around each use
+    package = root / "src" / "repro"
+    # Per candidate: (file:line, qualname, bare name, defining file).
+    defs: list[tuple[str, str, str, Path]] = []
+    # Bare name -> (using file, defs around the use, a bare-name use?).
+    refs: dict[str, list[tuple[Path, frozenset[int], bool]]] = {}
+    binds: dict[Path, set[str]] = {}  # file -> names it binds itself
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def candidate(child, owner) -> str | None:
+        """The name ``child`` defines if it is a candidate."""
+        if owner == "":
+            if isinstance(child, (*functions, ast.ClassDef)):
+                return child.name
+            targets = _targets(child)
+            if (len(targets) == 1 and isinstance(targets[0], ast.Name)
+                    and _CONSTANT.fullmatch(targets[0].id)):
+                return targets[0].id
+        elif owner and isinstance(child, functions) and not (
+                child.name.startswith("__") and child.name.endswith("__")):
+            return child.name
+        return None
 
     def visit(node, inside, path, counts_imports, owner=None):
         """``owner`` is ``""`` at module level, the class name directly
         in a top-level class body and ``None`` anywhere deeper."""
         for child in ast.iter_child_nodes(node):
             enclosing = inside
-            if path.is_relative_to(SRC) and (
-                isinstance(child, (*functions, ast.ClassDef)) if owner == ""
-                else owner and isinstance(child, functions)
-                and not (child.name.startswith("__")
-                         and child.name.endswith("__"))
-            ):
+            name = path.is_relative_to(package) and candidate(child, owner)
+            if name:
                 enclosing = inside | {len(defs)}
                 defs.append((
-                    f"{path.relative_to(REPO_ROOT)}:{child.lineno}",
-                    f"{owner}.{child.name}" if owner else child.name,
+                    f"{path.relative_to(root).as_posix()}:{child.lineno}",
+                    f"{owner}.{name}" if owner else name, name, path,
                 ))
-                names.append(child.name)
             if isinstance(child, ast.Name):
-                refs.setdefault(child.id, []).append(inside)
+                refs.setdefault(child.id, []).append((path, inside, True))
             elif isinstance(child, ast.Attribute):
-                refs.setdefault(child.attr, []).append(inside)
+                refs.setdefault(child.attr, []).append((path, inside, False))
             elif isinstance(child, ast.alias) and counts_imports:
-                refs.setdefault(child.name, []).append(inside)
+                refs.setdefault(child.name, []).append((path, inside, True))
             is_class = owner == "" and isinstance(child, ast.ClassDef)
             visit(child, enclosing, path, counts_imports,
                   child.name if is_class else None)
 
-    for path in _sources(REPO_ROOT):
-        # A package ``__init__`` re-export is not a use (as in check 4).
-        visit(ast.parse(path.read_text("utf-8")), frozenset(), path,
-              path.name != "__init__.py", "")
+    def bound(tree: ast.Module, path: Path) -> set[str]:
+        """Names a module binds at its top level: a ``def``, a ``class``,
+        an assignment, or a ``from X import`` with X outside ``repro``."""
+        found = set()
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module.split(".")[0] != "repro" if node.level == 0
+                    else not path.is_relative_to(package)):
+                found |= {alias.asname or alias.name for alias in node.names}
+            for target in _targets(node):
+                found |= {n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)}
+        return found
 
+    for path in _sources(root):
+        tree = ast.parse(path.read_text("utf-8"))
+        binds[path] = bound(tree, path)
+        # A package ``__init__`` re-export is not a use (as in check 4).
+        visit(tree, frozenset(), path, path.name != "__init__.py", "")
+
+    # A bare name in another module that binds the name itself refers to
+    # that binding, not to the candidate.
+    uses = [
+        [around for path, around, bare in refs.get(name, ())
+         if not (bare and path != home and name in binds[path])]
+        for _, _, name, home in defs
+    ]
     dead: dict[int, int] = {}  # candidate index -> round it fell in
     for round_ in itertools.count(1):
         fallen = [
-            index for index, name in enumerate(names)
+            index for index in range(len(defs))
             if index not in dead and not any(
                 index not in around and not around & dead.keys()
-                for around in refs.get(name, ())
+                for around in uses[index]
             )
         ]
         if not fallen:
@@ -310,7 +356,7 @@ def check_names() -> list[str]:
     return [
         f"{where}: {qualname} (round {dead[index]}) is named by nothing in "
         f"src/, {'/, '.join(ENTRY_DIRS)}/ outside its own body"
-        for index, (where, qualname) in enumerate(defs) if index in dead
+        for index, (where, qualname, _, _) in enumerate(defs) if index in dead
     ]
 
 
@@ -523,7 +569,7 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
 
 
 def check_fields(root: Path = REPO_ROOT) -> list[str]:
-    """Record fields under the numeric packages that nothing reads."""
+    """Record fields under ``src/repro`` that nothing reads."""
     package = root / "src" / "repro"
     fields: list[tuple[str, str, str]] = []  # (file:line, qualname, name)
     reads: set[str] = set()
@@ -543,8 +589,7 @@ def check_fields(root: Path = REPO_ROOT) -> list[str]:
                   and isinstance(node.args[1], ast.Constant)):
                 reads.add(node.args[1].value)
             elif (isinstance(node, ast.ClassDef) and is_record(node)
-                  and path.is_relative_to(package)
-                  and path.relative_to(package).parts[0] in FIELD_PACKAGES):
+                  and path.is_relative_to(package)):
                 fields += [
                     (f"{path.relative_to(root).as_posix()}:{stmt.lineno}",
                      f"{node.name}.{stmt.target.id}", stmt.target.id)
