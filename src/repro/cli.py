@@ -372,7 +372,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"expired={report.requests_expired}")
 
     if args.json is not None:
-        from repro.program.encode import canonical_json
+        from repro.canon import canonical_json
 
         doc = {
             "model": args.model,

@@ -18,12 +18,12 @@ makes the prediction accurate enough for diffusion models (Fig. 15).
 :class:`EagerPredictor` is the interpreted predictor for one generation
 (the reference oracle); its executor returns the layer output alone and
 writes what it skipped into its :class:`~repro.core.sparsity.RunStats`.
-The plan-compiled step has two forms:
-:func:`ep_attention_step` on one request's 2-D operands (the single-seed
-hot path) and :func:`ep_attention_step_batched`, which applies the same
-decisions over a leading batch axis with per-request quantization scales
-and statistics, so each request computes exactly what a sequential run
-would. :func:`ep_cross_kv` builds the cross-attention constants of
+The plan-compiled step has two forms, and the engine picks one by how
+many runs a tick carries: :func:`ep_attention_step` on one request's 2-D
+operands (a one-run tick) and :func:`ep_attention_step_batched`, which
+applies the same decisions over a leading batch axis with per-request
+quantization scales and statistics, so each request computes exactly
+what a sequential run would. :func:`ep_cross_kv` builds the cross-attention constants of
 either, always along a batch axis. Plan-static in a compiled step: the
 weight operands, the ``(mode, bits)`` approximation table and the
 cross-attention K/V. Per step: one quantize + table lookup per
@@ -438,8 +438,8 @@ def ep_cross_kv(
 
     The conditioning context is fixed for a whole generation, so the
     predicted-K, exact-K and exact-V head stacks it induces are too.
-    ``context`` is ``(batch, tokens, dim)``; the single-seed engine passes
-    a batch of one and reads ``[0]`` of each array for
+    ``context`` is ``(batch, tokens, dim)``; a one-run tick of the engine
+    passes a batch of one and reads ``[0]`` of each array for
     :func:`ep_attention_step`.
     """
     c_approx, c_scales = _prepare_per_request(

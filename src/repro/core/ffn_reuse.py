@@ -16,8 +16,8 @@ bitmask, and for the following ``N`` *sparse iterations*:
 accuracy-evaluation path and the reference oracle);
 :func:`ffn_dense_compile` / :func:`ffn_sparse_step` are its plan-compiled
 halves. They take a leading batch axis with per-request thresholds and
-statistics, and both engines of :mod:`repro.exec` call them (the
-single-seed one at a batch of one). Per request, every path computes
+statistics, and the engine of :mod:`repro.exec` calls them at every
+batch size, one included. Per request, every path computes
 exactly what the interpreted manager would.
 """
 

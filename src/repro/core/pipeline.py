@@ -1,8 +1,8 @@
 """End-to-end EXION inference over a benchmark model.
 
 :class:`ExionPipeline` is the one request-level front door. It runs the
-plan-compiled engines of :mod:`repro.exec` by default and also holds the
-interpreted stack they are byte-identical to — the FFN-Reuse manager and
+plan-compiled engine of :mod:`repro.exec` by default and also holds the
+interpreted stack it is byte-identical to — the FFN-Reuse manager and
 the eager predictor bound into the diffusion pipeline's executor hooks.
 The four ablation configurations of the evaluation (Base / EP / FFNR /
 All) are expressed by the two enable flags on
@@ -37,15 +37,14 @@ class GenerationResult:
 class ExionPipeline:
     """Runs a benchmark model with EXION's software optimizations.
 
-    Generation runs on the plan-compiled engines: the phase schedule,
+    Generation runs on the plan-compiled engine: the phase schedule,
     log-domain weight operands and timestep tables are precomputed once
-    and each iteration replays pure gather/scatter kernels.
-    :meth:`generate` (and a one-seed :meth:`generate_batch`) uses the 2-D
-    :class:`repro.exec.CompiledExecutor`; :meth:`generate_batch` with
-    several seeds hands them to
-    :meth:`repro.exec.ContinuousExecutor.run_batch` as one drained
-    micro-batch. :meth:`generate_vanilla` runs the same engines on
-    ``config.ablation("base")``. Engines are built on first use.
+    and each iteration replays pure gather/scatter kernels. Every call —
+    :meth:`generate`, :meth:`generate_vanilla` and :meth:`generate_batch`
+    with one seed or many — is one drained micro-batch of
+    :meth:`repro.exec.ContinuousExecutor.run_batch`, on one engine for
+    the configured run and one for ``config.ablation("base")``, each
+    built on first use.
 
     Results are bit-identical to the interpreted path, which remains the
     reference oracle: ``compiled=False`` runs it for every call (then
@@ -75,27 +74,40 @@ class ExionPipeline:
         self.activation_bits = activation_bits
         self.collect_masks = collect_masks
         self.compiled = compiled
-        self._engines: dict = {}  # (vanilla?, several seeds?) -> engine
+        self._engines: dict = {}  # vanilla? -> ContinuousExecutor
 
-    def _engine(self, vanilla: bool, several: bool):
-        """The compiled engine for one call shape, built on first use."""
-        engine = self._engines.get((vanilla, several))
+    def _run_compiled(
+        self,
+        vanilla: bool,
+        seeds: list,
+        prompt: Optional[str],
+        class_label: Optional[int],
+    ) -> list:
+        """One result per seed from the compiled engine, built on first
+        use."""
+        from repro.exec import ContinuousExecutor
+        from repro.serve.request import GenerationRequest
+
+        engine = self._engines.get(vanilla)
         if engine is None:
-            from repro.exec import CompiledExecutor, ContinuousExecutor
-
-            build = ContinuousExecutor if several else CompiledExecutor
             if vanilla:
-                engine = build(self.model, self.config.ablation("base"))
+                engine = ContinuousExecutor(
+                    self.model, self.config.ablation("base")
+                )
             else:
-                engine = build(
+                engine = ContinuousExecutor(
                     self.model,
                     self.config,
                     threshold_table=self.threshold_table,
                     activation_bits=self.activation_bits,
                     collect_masks=self.collect_masks,
                 )
-            self._engines[(vanilla, several)] = engine
-        return engine
+            self._engines[vanilla] = engine
+        return engine.run_batch([
+            GenerationRequest(request_id=i, seed=seed, prompt=prompt,
+                              class_label=class_label)
+            for i, seed in enumerate(seeds)
+        ])
 
     def generate(
         self,
@@ -105,9 +117,7 @@ class ExionPipeline:
     ) -> GenerationResult:
         """Generate one sample with the configured optimizations."""
         if self.compiled:
-            return self._engine(vanilla=False, several=False).generate(
-                seed=seed, prompt=prompt, class_label=class_label
-            )
+            return self._run_compiled(False, [seed], prompt, class_label)[0]
         stats = RunStats()
         pipeline = self.model.make_pipeline()
 
@@ -153,7 +163,7 @@ class ExionPipeline:
         direct use with the distribution metrics in
         :mod:`repro.workloads.metrics`.
 
-        Several seeds share one denoising loop on the batched engine
+        The seeds share one denoising loop on the engine
         (:meth:`repro.exec.ContinuousExecutor.run_batch`);
         ``batched=False`` runs them one :meth:`generate` at a time
         instead. The per-seed samples and statistics are identical
@@ -162,14 +172,8 @@ class ExionPipeline:
         seeds = list(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
-        if self.compiled and batched and len(seeds) > 1:
-            from repro.serve.request import GenerationRequest
-
-            results = self._engine(vanilla=False, several=True).run_batch([
-                GenerationRequest(request_id=i, seed=seed, prompt=prompt,
-                                  class_label=class_label)
-                for i, seed in enumerate(seeds)
-            ])
+        if self.compiled and batched:
+            results = self._run_compiled(False, seeds, prompt, class_label)
         else:
             results = [
                 self.generate(seed=seed, prompt=prompt, class_label=class_label)
@@ -186,9 +190,7 @@ class ExionPipeline:
     ) -> GenerationResult:
         """Reference run with every optimization disabled."""
         if self.compiled:
-            return self._engine(vanilla=True, several=False).generate(
-                seed=seed, prompt=prompt, class_label=class_label
-            )
+            return self._run_compiled(True, [seed], prompt, class_label)[0]
         sample = self.model.make_pipeline().generate(
             seed=seed, prompt=prompt, class_label=class_label
         )

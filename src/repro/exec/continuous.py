@@ -1,11 +1,12 @@
-"""The batched engine: iteration-level batching over the compiled plan.
+"""The generation engine: iteration-level batching over the compiled plan.
 
 :class:`ContinuousExecutor` advances a set of :class:`RequestRun` cursors
 one plan step per :meth:`~ContinuousExecutor.run_tick`, and the set may
 change **between** ticks — requests join, finish, or are evicted while
 the others keep denoising. A *drained* micro-batch (every request enters
 at step 0 and leaves at the last step together) is the same loop with no
-membership edits: :meth:`~ContinuousExecutor.run_batch`.
+membership edits: :meth:`~ContinuousExecutor.run_batch`, which is also
+how one generation runs (a batch of one).
 
 The FFN-Reuse schedule constrains *when* membership may change:
 
@@ -25,7 +26,11 @@ re-tracing (no new thresholds, no new dense compile, no re-quantization).
 The sparse kernels come from :mod:`repro.core.ffn_reuse` and
 :mod:`repro.core.eager_prediction` and the rest of the network (exact
 attention, ResBlocks, pooling) from the batch-agnostic
-:mod:`repro.models`, whose per-request
+:mod:`repro.models`. The one choice made by batch size is the per-step
+EP attention kernel: a tick with one run calls the 2-D
+:func:`~repro.core.eager_prediction.ep_attention_step` on its row, a
+larger tick :func:`~repro.core.eager_prediction.ep_attention_step_batched`;
+both are byte-identical to the oracle. Per-request
 rows are proven independent of batch composition by the serve parity
 suite — so a request produces **byte-identical** samples and
 :class:`~repro.core.sparsity.RunStats` to its own solo sequential run,
@@ -44,7 +49,12 @@ import numpy as np
 
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
-from repro.core.eager_prediction import ep_attention_step_batched, ep_cross_kv
+from repro.core.eager_prediction import (
+    CompiledPrediction,
+    ep_attention_step,
+    ep_attention_step_batched,
+    ep_cross_kv,
+)
 from repro.core.ffn_reuse import (
     FFNPhaseState,
     attach_geglu_indices,
@@ -62,10 +72,49 @@ from repro.models.ffn import FeedForward
 from repro.models.scheduler import DDPMScheduler
 from repro.models.zoo import BenchmarkModel
 from repro.program.cache import compiled_plan_for
-from repro.program.compiled import CompiledPlan
 from repro.serve.request import GenerationRequest
 
-from repro.exec.executor import build_prediction_tables, build_step_tables
+
+def build_step_tables(model: BenchmarkModel) -> tuple:
+    """Plan-time per-step constants of a model's generation loop.
+
+    Timesteps are a pure function of the step count; the timestep
+    embedding and each block's adaLN modulation are pure functions of the
+    timestep — so all of them are tables, not per-step work. Returns
+    ``(timesteps, t_embeds, adaln_tables)``: ``t_embeds`` is a
+    ``(steps, t_dim)`` array and ``adaln_tables[block]`` either ``None``
+    or a ``(steps, 3, 1, dim)`` array of ``(shift, scale, gate)`` rows,
+    each row computed alone as the oracle computes it; a tick gathers
+    ``table.take(cursors, axis=0)``, whose ``[:, j]`` is ``(batch, 1,
+    dim)`` and broadcasts over tokens.
+    """
+    network = model.network
+    timesteps = model.scheduler.timesteps(model.spec.total_iterations)
+    t_embeds = [network._embed_timestep(int(t)) for t in timesteps]
+    adaln_tables = [
+        None if block.adaln is None
+        else np.array([block.adaln(te) for te in t_embeds])[:, :, None, :]
+        for block in network.blocks
+    ]
+    return timesteps, np.array(t_embeds), adaln_tables
+
+
+def build_prediction_tables(network, config: ExionConfig) -> list:
+    """Per-block cached log-domain weight operands (empty when EP is off)."""
+    if not config.enable_eager_prediction:
+        return []
+    mode, bits = config.lod_mode, config.prediction_bits
+    preds = []
+    for block in network.blocks:
+        entry = {
+            "self": CompiledPrediction.for_layer(block.self_attn, mode, bits)
+        }
+        if block.cross_attn is not None:
+            entry["cross"] = CompiledPrediction.for_layer(
+                block.cross_attn, mode, bits
+            )
+        preds.append(entry)
+    return preds
 
 
 class PhaseSyncError(RuntimeError):
@@ -120,7 +169,13 @@ class RequestRun:
 
 
 class ContinuousExecutor:
-    """Advances a mutable set of :class:`RequestRun` in plan lockstep."""
+    """Advances a mutable set of :class:`RequestRun` in plan lockstep.
+
+    Construction performs all plan-time work — schedule compilation,
+    timestep-embedding and adaLN tables, log-domain weight operands — so
+    every tick pays only step-time cost. One executor is bound to one
+    ``(model, config)`` pair.
+    """
 
     def __init__(
         self,
@@ -129,16 +184,13 @@ class ContinuousExecutor:
         threshold_table: Optional[ThresholdTable] = None,
         activation_bits: Optional[int] = None,
         collect_masks: bool = False,
-        compiled_plan: Optional[CompiledPlan] = None,
     ) -> None:
         self.model = model
         self.config = config
         self.threshold_table = threshold_table
         self.activation_bits = activation_bits
         self.collect_masks = collect_masks
-        if compiled_plan is None:
-            compiled_plan = compiled_plan_for(model.spec, config)
-        self.compiled_plan = compiled_plan
+        self.compiled_plan = compiled_plan_for(model.spec, config)
         self._timesteps, self._t_embeds, self._adaln_tables = (
             build_step_tables(model)
         )
@@ -155,8 +207,9 @@ class ContinuousExecutor:
         """Batch-wide caches, valid only for one membership signature
         (the member runs' serials, in batch order)."""
         self._membership = membership
+        self._context: Optional[np.ndarray] = None  # members' stacked contexts
         self._ffn_batch: dict = {}  # block -> FFNPhaseState
-        self._cross_kv: dict = {}  # block -> EP (kh, k, v)
+        self._cross_kv: dict = {}  # block -> EP (kh, k, v), [0] at one run
         self._cross_exact_kv: dict = {}  # block -> (k, v)
 
     # ------------------------------------------------------------------
@@ -253,9 +306,10 @@ class ContinuousExecutor:
         if not runs:
             raise ValueError("need at least one active run")
         plan = self.compiled_plan
+        iterations = plan.iterations
         densities = set()
         for run in runs:
-            if not 0 <= run.cursor < plan.iterations:
+            if not 0 <= run.cursor < iterations:
                 raise PhaseSyncError(
                     f"run {run.request_id} cursor {run.cursor} outside plan"
                 )
@@ -272,27 +326,30 @@ class ContinuousExecutor:
         if membership != self._membership:
             # Index-set edit: the batch-wide caches die with the old
             # membership; FFN stacks are rebuilt lazily from per-run
-            # state, K/V stacks from per-run contexts. No re-trace.
+            # state, contexts and K/V stacks from per-run contexts. No
+            # re-trace.
+            context = None
+            if any(r.context is not None for r in runs):
+                if any(r.context is None for r in runs):
+                    raise PhaseSyncError(
+                        "conditioned and unconditioned runs in one batch"
+                    )
+                context = np.stack([r.context for r in runs])
             if self.observer is not None:
                 self.observer.on_index_set_edit(
                     len(self._membership), len(membership),
                     rebuilt=bool(self._membership),
                 )
             self._reset_batch_caches(membership)
-
-        x = np.stack([r.x for r in runs])
-        context = None
-        if any(r.context is not None for r in runs):
-            if any(r.context is None for r in runs):
-                raise PhaseSyncError(
-                    "conditioned and unconditioned runs in one batch"
-                )
-            context = np.stack([r.context for r in runs])
+            self._context = context
 
         count_iterations = self.config.enable_ffn_reuse
+        # ``np.array`` of equal-shape rows is ``np.stack`` without its
+        # Python-level checks; ``take`` is the same gather as ``[cursors]``.
         eps = self.model.network.walk(
-            x, self._t_embeds[self._tick_cursors],
-            lambda index, h: self._block(index, h, context, runs),
+            np.array([r.x for r in runs]),
+            self._t_embeds.take(self._tick_cursors, axis=0),
+            lambda index, h: self._block(index, h, runs),
         )
 
         finished = []
@@ -315,7 +372,7 @@ class ContinuousExecutor:
                     eps[b], t, run.x, prev_t=prev_t, rng=None
                 )
             run.cursor += 1
-            if run.cursor == plan.iterations:
+            if run.cursor == iterations:
                 finished.append(run)
         return finished
 
@@ -327,29 +384,26 @@ class ContinuousExecutor:
         self,
         block_index: int,
         x: np.ndarray,
-        raw_context: Optional[np.ndarray],
         runs: list,
     ) -> np.ndarray:
         block = self.model.network.blocks[block_index]
         h = block.norm1(x)
         table = self._adaln_tables[block_index]
         if table is not None:
-            # Per-run modulation rows, broadcast over tokens: identical
-            # elementwise arithmetic to the single-stream executor's
-            # per-step vector broadcast.
-            shift, scale, gate = table[self._tick_cursors].transpose(
-                1, 0, 2
-            )[:, :, None, :]
-            h = h * (1.0 + scale) + shift
+            # Per-run (shift, scale, gate) rows, each (batch, 1, dim) and
+            # broadcast over tokens: the oracle's elementwise arithmetic.
+            modulation = table.take(self._tick_cursors, axis=0)
+            h = h * (1.0 + modulation[:, 1]) + modulation[:, 0]
+            gate = modulation[:, 2]
         else:
             gate = 1.0
         x = x + gate * self._attention(
             block.self_attn, h, None, block_index, runs
         )
-        if block.cross_attn is not None and raw_context is not None:
+        if block.cross_attn is not None and self._context is not None:
             assert block.norm_cross is not None
             x = x + self._attention(
-                block.cross_attn, block.norm_cross(x), raw_context,
+                block.cross_attn, block.norm_cross(x), self._context,
                 block_index, runs,
             )
         x = x + self._ffn(block.ffn, block.norm2(x), block_index, runs)
@@ -377,12 +431,23 @@ class ContinuousExecutor:
             return layer.attend(x, *cached)
         which = "self" if context is None else "cross"
         pred = self._preds[block_index][which]
+        one = len(runs) == 1
         kv = None
         if context is not None:
             kv = self._cross_kv.get(block_index)
             if kv is None:
                 kv = ep_cross_kv(layer, context, pred, self.config)
+                if one:
+                    kv = tuple(a[0] for a in kv)
                 self._cross_kv[block_index] = kv
+        if one:
+            # The kernel choice by batch size: the 2-D step is the same
+            # bytes as the batched one at B = 1, in fewer numpy calls.
+            return ep_attention_step(
+                layer, x[0], None if context is None else context[0],
+                pred, self.config, runs[0].stats,
+                collect_keepmasks=self.collect_masks, kv=kv,
+            )[None]
         return ep_attention_step_batched(
             layer, x, context, pred, self.config,
             [run.stats for run in runs],

@@ -46,7 +46,6 @@ from repro.program.compiled import (
     compile_plan,
 )
 from repro.program.encode import (
-    canonical_json,
     op_to_dict,
     plan_digest,
     plan_json,
@@ -87,7 +86,6 @@ __all__ = [
     "TILE_WIDTH",
     "WEIGHT_BYTES_PER_ELEMENT",
     "block_ops",
-    "canonical_json",
     "compile_plan",
     "compiled_plan_for",
     "fresh_plan_cache",

@@ -93,7 +93,6 @@ def plan_digest(plan: PhasePlan) -> str:
 
 
 __all__ = [
-    "canonical_json",
     "op_to_dict",
     "plan_digest",
     "plan_json",

@@ -126,17 +126,17 @@ class TestEngineSelection:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Names of the engines constructed during the test, in order."""
+        """The engines constructed during the test, in order."""
         import repro.exec
 
         built = []
-        for name in ("CompiledExecutor", "ContinuousExecutor"):
-            def spy(*args, _name=name, _cls=getattr(repro.exec, name),
-                    **kwargs):
-                built.append(_name)
-                return _cls(*args, **kwargs)
+        cls = repro.exec.ContinuousExecutor
 
-            monkeypatch.setattr(repro.exec, name, spy)
+        def spy(*args, **kwargs):
+            built.append(cls(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(repro.exec, "ContinuousExecutor", spy)
         return built
 
     def test_oracle_builds_no_engine(self, dit_model, built):
@@ -147,11 +147,28 @@ class TestEngineSelection:
         pipeline.generate_vanilla(seed=2)
         assert built == []
 
-    def test_default_picks_engine_by_seed_count(self, dit_model, built):
+    def test_default_reuses_one_engine_for_every_call_shape(
+        self, dit_model, built, monkeypatch
+    ):
         pipeline = ExionPipeline(dit_model, ExionConfig.for_model("dit"))
         pipeline.generate(seed=2)
+        assert len(built) == 1
+        engine = built[0]
+        batch_sizes = []
+        run_batch = engine.run_batch
+
+        def spy(requests):
+            batch_sizes.append(len(requests))
+            return run_batch(requests)
+
+        monkeypatch.setattr(engine, "run_batch", spy)
+        pipeline.generate(seed=3)
         pipeline.generate_batch([2])
-        assert built == ["CompiledExecutor"]
         pipeline.generate_batch([2, 3])
         pipeline.generate_batch([4, 5, 6])
-        assert built == ["CompiledExecutor", "ContinuousExecutor"]
+        assert built == [engine]
+        assert batch_sizes == [1, 1, 2, 3]
+        # The vanilla run gets its own engine, built once.
+        pipeline.generate_vanilla(seed=2)
+        pipeline.generate_vanilla(seed=3)
+        assert len(built) == 2 and built[0] is engine

@@ -24,7 +24,8 @@ from repro.core.config import ExionConfig
 from repro.core.logdomain import approximation_table
 from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdTable
-from repro.exec import CompiledExecutor, ContinuousExecutor
+import repro.exec.continuous
+from repro.exec import ContinuousExecutor
 from repro.models.zoo import build_model
 from repro.serve.request import GenerationRequest
 from repro.workloads.specs import MODEL_SPECS
@@ -121,10 +122,10 @@ class TestSeededFuzz:
     def test_repeated_generations_are_bit_equal(self):
         """Two generations on one engine are bit-identical, and the second
         builds no approximation table: it is plan-time state."""
-        executor = CompiledExecutor(_model("dit"), ExionConfig.for_model("dit"))
-        first = executor.generate(seed=0)
+        pipeline = ExionPipeline(_model("dit"), ExionConfig.for_model("dit"))
+        first = pipeline.generate(seed=0)
         tables_after_first = approximation_table.cache_info().misses
-        second = executor.generate(seed=0)
+        second = pipeline.generate(seed=0)
         np.testing.assert_array_equal(first.sample, second.sample)
         assert approximation_table.cache_info().misses == tables_after_first
 
@@ -155,8 +156,8 @@ class TestBatchedParity:
                               results[b])
 
     def test_pipeline_generate_batch_routes_compiled(self):
-        """Shared loop on the batched engine or per-seed loop on the 2-D
-        one: both are the sequential interpreted loop's answer."""
+        """One shared loop or a per-seed loop of one-run batches: both
+        are the sequential interpreted loop's answer."""
         config = ExionConfig.for_model("dit")
         m = _model("dit")
         want, _ = ExionPipeline(m, config, compiled=False).generate_batch(
@@ -180,11 +181,64 @@ class TestBatchedParity:
         assert approximation_table.cache_info().misses == tables_after_first
 
     def test_batched_matches_single_stream(self):
-        """Batch row b == compiled single-stream per seed — the same
-        invariant the serve layer holds against the oracle."""
+        """Batch row b == the same seed's one-run batch, whose ticks take
+        the 2-D EP kernel — the same invariant the serve layer holds
+        against the oracle."""
         config = ExionConfig.for_model("dit")
         pipeline = ExionPipeline(_model("dit"), config)
         sc, _ = pipeline.generate_batch([11, 12], class_label=3)
         for b, seed in enumerate((11, 12)):
             ref = pipeline.generate(seed=seed, class_label=3)
             assert np.array_equal(sc[b], ref.sample)
+
+
+class TestKernelChoice:
+    """The engine's one batch-size choice: a one-run tick calls the 2-D
+    ``ep_attention_step``, a larger tick ``ep_attention_step_batched``,
+    and either is the oracle's bytes (self- and cross-attention)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Batch size of every EP step call, by kernel."""
+        calls = {"2-D": [], "batched": []}
+        step = repro.exec.continuous.ep_attention_step
+        batched = repro.exec.continuous.ep_attention_step_batched
+
+        def spy_step(layer, x, *args, **kwargs):
+            calls["2-D"].append(1)
+            return step(layer, x, *args, **kwargs)
+
+        def spy_batched(layer, x, *args, **kwargs):
+            calls["batched"].append(len(x))
+            return batched(layer, x, *args, **kwargs)
+
+        monkeypatch.setattr(repro.exec.continuous, "ep_attention_step",
+                            spy_step)
+        monkeypatch.setattr(repro.exec.continuous,
+                            "ep_attention_step_batched", spy_batched)
+        return calls
+
+    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
+    def test_one_run_tick_takes_the_2d_kernel(self, model, calls):
+        config = ExionConfig.for_model(model)
+        oracle, pipeline = _pipelines(model, config)
+        result = pipeline.generate(seed=4, prompt="a corgi", class_label=3)
+        assert calls["2-D"] and not calls["batched"]
+        _assert_identical(
+            oracle.generate(seed=4, prompt="a corgi", class_label=3), result
+        )
+
+    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
+    def test_two_run_tick_takes_the_batched_kernel(self, model, calls):
+        config = ExionConfig.for_model(model)
+        oracle, pipeline = _pipelines(model, config)
+        _, results = pipeline.generate_batch(
+            [4, 5], prompt="a corgi", class_label=3
+        )
+        assert calls["batched"] and set(calls["batched"]) == {2}
+        assert not calls["2-D"]
+        for seed, result in zip((4, 5), results):
+            _assert_identical(
+                oracle.generate(seed=seed, prompt="a corgi", class_label=3),
+                result,
+            )

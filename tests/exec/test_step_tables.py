@@ -1,9 +1,8 @@
 """``build_step_tables``: plan-time arrays hold what the oracle computes.
 
-Both compiled engines read the timestep embedding and each block's adaLN
-modulation from these tables (``table[step]`` in the 2-D engine, one
-``table[cursors]`` gather per tick in the batched one), so every row
-must be the bytes :meth:`DiffusionNetwork._embed_timestep` and
+The engine reads the timestep embedding and each block's adaLN
+modulation from these tables (one ``table[cursors]`` gather per tick),
+so every row must be the bytes :meth:`DiffusionNetwork._embed_timestep` and
 ``block.adaln`` return for that step alone. Members of one batch sitting
 at different cursors are covered end to end by
 ``tests/serve/test_continuous_parity.py``.
@@ -12,7 +11,7 @@ at different cursors are covered end to end by
 import numpy as np
 import pytest
 
-from repro.exec.executor import build_step_tables
+from repro.exec.continuous import build_step_tables
 from repro.models.zoo import build_model
 
 
@@ -41,8 +40,8 @@ def test_rows_equal_the_per_step_oracle(name):
             if block.adaln is None:
                 assert table is None
                 continue
-            assert table.shape == (steps, 3, network.dim)
+            assert table.shape == (steps, 3, 1, network.dim)
             assert table.dtype == np.float64
-            shift, scale, gate = table[step]
+            shift, scale, gate = table[step, :, 0]
             for got, want in zip((shift, scale, gate), block.adaln(t_embed)):
                 assert got.tobytes() == want.tobytes()

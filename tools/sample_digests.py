@@ -2,8 +2,10 @@
 """Byte-identity grid of the generated samples: one sha256 per model.
 
 Each line hashes one sample's bytes and its ``RunStats.summary()`` after
-checking that the interpreted oracle, ``CompiledExecutor`` and a
-``generate_batch(..., batched=True)`` slot produced the same ones. An
+checking that the interpreted oracle and two calls on the compiled engine
+produced the same ones: a one-seed ``generate``, whose ticks reach the
+2-D EP attention kernel, and a slot of a three-seed ``generate_batch``,
+whose ticks reach the batched one. An
 unchanged line is a byte-identical sample: a PR that changes a kernel's
 last bit shows the changed hashes in its diff of ``sample_digests.txt``.
 ``--src DIR`` imports another checkout::
@@ -50,8 +52,8 @@ def main() -> int:
         engines = ExionPipeline(model, config)
         by_engine = {
             "oracle": ExionPipeline(model, config, compiled=False).generate(seed=SEED),
-            "compiled": engines.generate(seed=SEED),
-            "batched": engines.generate_batch([SEED, SEED + 1, SEED + 2])[1][0],
+            "2-D kernel": engines.generate(seed=SEED),
+            "batched kernel": engines.generate_batch([SEED, SEED + 1, SEED + 2])[1][0],
         }
         digests = {engine: digest(result) for engine, result in by_engine.items()}
         if len(set(digests.values())) != 1:
