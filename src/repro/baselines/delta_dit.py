@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.models.network import NetworkType
 from repro.models.zoo import BenchmarkModel
-from repro.program.lower import block_ops
+from repro.program.ir import OpKind
+from repro.program.lower import lower_program
 
 
 @dataclass
@@ -70,22 +71,6 @@ class DeltaDiTPipeline:
         front = max(1, depth // 4)
         self.cached_blocks = set(range(front, depth - front)) or {depth // 2}
 
-    def _block_macs(self, tokens: int) -> int:
-        # MAC accounting comes from the shared lowering (sim-scale block
-        # ops, self-attention only — caching skips the block's own work,
-        # not the conditioning path), not from a private model walk.
-        spec = self.model.spec
-        return sum(
-            op.macs
-            for op in block_ops(
-                tokens,
-                spec.dim,
-                spec.num_heads,
-                spec.ffn_mult,
-                activation=spec.activation,
-            )
-        )
-
     def generate(
         self,
         seed: int = 0,
@@ -104,31 +89,34 @@ class DeltaDiTPipeline:
 
         deltas: dict = {}
         executed = 0
-        block_macs = self._block_macs(network.tokens)
 
         for i, t in enumerate(timesteps):
             t_embed = network._embed_timestep(int(t))
             refresh = i % (self.cache_interval + 1) == 0
-            h = x
-            for b, block in enumerate(network.blocks):
-                use_cache = (
-                    b in self.cached_blocks and not refresh and b in deltas
-                )
-                if use_cache:
-                    h = h + deltas[b]
-                else:
-                    h_out = block(h, context=context, t_embed=t_embed)
-                    deltas[b] = h_out - h
-                    h = h_out
-                    executed += 1
-            eps = network.out_proj(network.final_norm(h))
+
+            def block(index: int, h: np.ndarray) -> np.ndarray:
+                nonlocal executed
+                if index in self.cached_blocks and not refresh and index in deltas:
+                    return h + deltas[index]
+                out = network.blocks[index](h, context=context, t_embed=t_embed)
+                deltas[index] = out - h
+                executed += 1
+                return out
+
+            eps = network.walk(x, t_embed, block)
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
             x = self.model.scheduler.step(eps, int(t), x, prev_t=prev_t,
                                           rng=rng)
 
+        # Caching skips a block's own ops (the sim program's non-etc ops,
+        # the same for every block of the one stage), not the rest.
+        program = lower_program(self.model.spec, scale="sim")
+        block_macs = sum(
+            op.macs for op in program.ops if op.kind is not OpKind.ETC
+        ) // program.depth
         return DeltaDiTResult(
             sample=x,
             iterations=len(timesteps),
-            macs_dense=len(timesteps) * len(network.blocks) * block_macs,
+            macs_dense=len(timesteps) * program.depth * block_macs,
             macs_computed=executed * block_macs,
         )

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.specs import GPUSpec
+from repro.program.ir import IterationProgram
 from repro.program.lower import lower_program
 from repro.workloads.specs import ModelSpec
 
@@ -66,9 +67,8 @@ class GPUModel:
         memory_s = bytes_moved / (spec.bandwidth_gbps * 1e9)
         return max(compute_s, memory_s, spec.kernel_launch_s), utilization
 
-    def iteration_seconds(self, spec: ModelSpec, batch: int = 1) -> tuple:
+    def iteration_seconds(self, program: IterationProgram, batch: int = 1) -> tuple:
         """(latency, mean utilization) of one denoising iteration."""
-        program = lower_program(spec, scale="paper")
         total = 0.0
         util_weighted = 0.0
         ops_total = 0.0
@@ -94,17 +94,14 @@ class GPUModel:
     ) -> GPUReport:
         """Simulate one full generation (all iterations dense)."""
         total_iters = iterations if iterations is not None else spec.total_iterations
-        iter_s, util = self.iteration_seconds(spec, batch)
+        program = lower_program(spec, scale="paper")
+        iter_s, util = self.iteration_seconds(program, batch)
         latency = iter_s * total_iters
         power = self.spec.tdp_w * (
             self.spec.idle_power_fraction
             + (1.0 - self.spec.idle_power_fraction) * util
         )
-        macs = sum(
-            op.r * batch * op.k * op.c * op.count
-            for op in lower_program(spec, scale="paper").ops
-        )
-        dense_ops = 2 * macs * total_iters
+        dense_ops = 2 * batch * program.total_macs * total_iters
         return GPUReport(
             gpu=self.spec.name,
             model=spec.name,

@@ -8,7 +8,10 @@ sparse phases of the FFN-Reuse schedule and the four ablation settings
 The DSC prices the IR: :meth:`DSCModel.iteration_cost` consumes an
 :class:`~repro.program.ir.IterationProgram` (the single lowering's
 output) and dispatches on each op's :class:`~repro.program.ir.OpKind`;
-it never walks the model structure itself.
+it never walks the model structure itself. Per-block non-MMUL work (CFSE
+functions, CAU classification, activation spill) is priced per stage,
+from the token count and block count of the program's ``ffn_linear1``
+ops.
 """
 
 from __future__ import annotations
@@ -143,6 +146,12 @@ class DSCModel:
         return cost
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _stages(program: IterationProgram) -> list:
+        """``(tokens, blocks)`` of every stage: each transformer block
+        runs one ``ffn_linear1`` on its stage's tokens."""
+        return [(op.r, op.count) for op in program.ops if op.name == "ffn_linear1"]
+
     def _cfse_cycles(
         self,
         program: IterationProgram,
@@ -151,36 +160,37 @@ class DSCModel:
         ffnr_sparse: bool,
         batch: int,
     ) -> int:
-        t = program.tokens * batch
         d = program.dim
-        hidden = program.hidden
-        depth = program.depth
-        softmax_elems = t * program.tokens * batch  # per block, all heads
-        if ep:
-            softmax_elems = int(softmax_elems * (1.0 - profile.attn_sparsity))
-        gelu_elems = t * hidden
-        if ffnr_sparse:
-            gelu_elems = int(gelu_elems * (1.0 - profile.ffn_sparsity))
+        fn = self.cfse.function_cycles
         cycles = 0
-        cycles += self.cfse.function_cycles("softmax", max(softmax_elems, 1)) * depth
-        cycles += self.cfse.function_cycles("gelu", max(gelu_elems, 1)) * depth
-        cycles += self.cfse.function_cycles("layernorm", t * d) * 2 * depth
-        cycles += self.cfse.function_cycles("residual_add", t * d) * 3 * depth
+        for tokens, blocks in self._stages(program):
+            t = tokens * batch
+            softmax_elems = t * tokens  # per block, all heads
+            if ep:
+                softmax_elems = int(softmax_elems * (1.0 - profile.attn_sparsity))
+            gelu_elems = t * program.hidden
+            if ffnr_sparse:
+                gelu_elems = int(gelu_elems * (1.0 - profile.ffn_sparsity))
+            cycles += fn("softmax", max(softmax_elems, 1)) * blocks
+            cycles += fn("gelu", max(gelu_elems, 1)) * blocks
+            cycles += fn("layernorm", t * d) * 2 * blocks
+            cycles += fn("residual_add", t * d) * 3 * blocks
         return cycles
 
     def _cau_cycles(self, program: IterationProgram, batch: int) -> int:
         # Classification streams one column per lane-group cycle while the
         # SDUE computes; CVG merge work is ~2 attempts per block pair.
         hidden = program.hidden
-        row_tiles = -(-program.tokens * batch // 16)
-        classify = hidden * row_tiles
-        merge = (hidden // 16) * row_tiles * 2
-        return (classify + merge) * program.depth
+        cycles = 0
+        for tokens, blocks in self._stages(program):
+            row_tiles = -(-tokens * batch // 16)
+            classify = hidden * row_tiles
+            merge = (hidden // 16) * row_tiles * 2
+            cycles += (classify + merge) * blocks
+        return cycles
 
     def _activation_bytes(self, program: IterationProgram, batch: int) -> int:
         # Latent in/out plus per-block spill through the GSC.
-        t = program.tokens * batch
-        d = program.dim
-        latent = 2 * t * d * MMUL_BYTES_PER_ELEMENT
-        spill = 2 * t * d * MMUL_BYTES_PER_ELEMENT * program.depth
-        return latent + spill
+        per_token = 2 * batch * program.dim * MMUL_BYTES_PER_ELEMENT
+        spill = sum(tokens * blocks for tokens, blocks in self._stages(program))
+        return per_token * (program.tokens + spill)

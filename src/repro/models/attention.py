@@ -97,11 +97,3 @@ class MultiHeadAttention:
     ) -> np.ndarray:
         """Dense reference attention (the paper's "vanilla" path)."""
         return self.attend(x, *self.kv(x if context is None else context))
-
-    def macs(self, tokens: int, context_tokens: Optional[int] = None) -> dict:
-        """Analytic MAC counts split the way the paper's Fig. 4 reports them."""
-        ctx = tokens if context_tokens is None else context_tokens
-        qkv = self.wq.macs(tokens) + self.wk.macs(ctx) + self.wv.macs(ctx)
-        attention = 2 * tokens * ctx * self.dim  # QK^T plus probs @ V
-        out_proj = self.wo.macs(tokens)
-        return {"qkv_projection": qkv, "attention": attention + out_proj}

@@ -61,7 +61,3 @@ class FeedForward:
     def forward_exact(self, x: np.ndarray) -> np.ndarray:
         """Dense reference FFN."""
         return self.linear2(self.nonlinear(self.linear1(x)))
-
-    def macs(self, tokens: int) -> int:
-        """Analytic MAC count for a ``(tokens, dim)`` input."""
-        return self.linear1.macs(tokens) + self.linear2.macs(tokens)

@@ -10,7 +10,8 @@ predict the noise at timestep ``t``.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence, Union
+from math import isqrt
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +31,36 @@ class NetworkType(enum.Enum):
 
 
 ExecutorProvider = Union[Sequence[Executors], Callable[[int], Optional[Executors]]]
+
+#: Width of the sinusoidal timestep embedding, the time MLP, and the
+#: embedding adaLN and the ResBlocks read.
+TIMESTEP_DIM = 64
+
+
+class Stage(NamedTuple):
+    """Transformer blocks ``blocks`` run on ``tokens`` tokens."""
+
+    tokens: int
+    blocks: range
+
+
+def network_stages(
+    network_type: Union[NetworkType, int], tokens: int, depth: int
+) -> tuple:
+    """Which transformer blocks run at which token count.
+
+    ``network_type`` is a :class:`NetworkType` or its paper number. A
+    transformer-only stack is one stage at full resolution; a UNet runs
+    its encoder half at ``tokens`` and its decoder half at
+    ``ceil(tokens / 2)``, between a token-pair downsample and an upsample
+    with a skip across them (the decoder stage may hold no block).
+    :meth:`DiffusionNetwork.walk` runs these stages and
+    :func:`repro.program.lower.lower_program` prices them.
+    """
+    if NetworkType(network_type) is NetworkType.TRANSFORMER_ONLY:
+        return (Stage(tokens, range(depth)),)
+    half = max(1, depth // 2)
+    return (Stage(tokens, range(half)), Stage(-(-tokens // 2), range(half, depth)))
 
 
 def timestep_embedding(t: int, dim: int) -> np.ndarray:
@@ -65,22 +96,19 @@ class DiffusionNetwork:
     ) -> None:
         if tokens < 2:
             raise ValueError("need at least 2 tokens")
-        if network_type is NetworkType.RESBLOCK_UNET:
-            side = int(round(np.sqrt(tokens)))
-            if side * side != tokens:
-                raise ValueError(
-                    "RESBLOCK_UNET needs a square token count for its 2D latent"
-                )
-            self._side = side
+        if network_type is NetworkType.RESBLOCK_UNET and isqrt(tokens) ** 2 != tokens:
+            raise ValueError(
+                "RESBLOCK_UNET needs a square token count for its 2D latent"
+            )
         self.network_type = network_type
         self.tokens = tokens
         self.dim = dim
         self.depth = depth
         self.context_dim = context_dim
-        self.timestep_dim = timestep_dim = 64
+        self.stages = network_stages(network_type, tokens, depth)
 
-        self.time_mlp1 = Linear(timestep_dim, timestep_dim, rng)
-        self.time_mlp2 = Linear(timestep_dim, timestep_dim, rng)
+        self.time_mlp1 = Linear(TIMESTEP_DIM, TIMESTEP_DIM, rng)
+        self.time_mlp2 = Linear(TIMESTEP_DIM, TIMESTEP_DIM, rng)
 
         def make_block() -> TransformerBlock:
             return TransformerBlock(
@@ -90,19 +118,15 @@ class DiffusionNetwork:
                 rng,
                 activation=activation,
                 context_dim=context_dim,
-                timestep_dim=timestep_dim if use_adaln else None,
+                timestep_dim=TIMESTEP_DIM if use_adaln else None,
             )
 
         self.blocks = [make_block() for _ in range(depth)]
         self.resblocks: list[ResBlock] = []
         if network_type is NetworkType.RESBLOCK_UNET:
-            self.resblocks = [ResBlock(dim, timestep_dim, rng) for _ in range(depth)]
+            self.resblocks = [ResBlock(dim, TIMESTEP_DIM, rng) for _ in range(depth)]
 
-        self._is_unet = network_type in (
-            NetworkType.TRANSFORMER_UNET,
-            NetworkType.RESBLOCK_UNET,
-        )
-        if self._is_unet:
+        if len(self.stages) > 1:
             # Token-axis down/up-sampling for the UNet shape.
             self.down_proj = Linear(dim, dim, rng)
             self.up_proj = Linear(dim, dim, rng)
@@ -127,7 +151,7 @@ class DiffusionNetwork:
         return provider[index]
 
     def _embed_timestep(self, t: int) -> np.ndarray:
-        embed = timestep_embedding(t, self.timestep_dim)
+        embed = timestep_embedding(t, TIMESTEP_DIM)
         return self.time_mlp2(silu(self.time_mlp1(embed)))
 
     def __call__(
@@ -164,11 +188,11 @@ class DiffusionNetwork:
         """The network's topology around its transformer blocks.
 
         ``x`` is ``(..., tokens, dim)`` and ``t_embed`` the matching
-        ``(..., timestep_dim)`` embedding(s) the ResBlocks read;
+        ``(..., TIMESTEP_DIM)`` embedding(s) the ResBlocks read;
         ``block(index, h)`` runs transformer block ``index`` on ``h``. The
         oracle passes its executor-hooked blocks, the engines their compiled
         ones, so ResBlocks, pooling and the UNet skip have this one
-        definition.
+        definition; the blocks run in :attr:`stages` order.
         """
         def stage(h: np.ndarray, indices: range) -> np.ndarray:
             for i in indices:
@@ -177,14 +201,12 @@ class DiffusionNetwork:
                 h = block(i, h)
             return h
 
-        if self.network_type is NetworkType.TRANSFORMER_ONLY:
-            h = stage(x, range(self.depth))
-        else:
-            # UNet shape: encoder half at full resolution, decoder half at
-            # half resolution, residual path across the downsample.
-            half = max(1, self.depth // 2)
-            skip = stage(x, range(half))
-            h = stage(self._downsample(skip), range(half, self.depth))
+        first, *decoder = self.stages
+        h = stage(x, first.blocks)
+        if decoder:
+            # UNet shape: residual path across the downsampled stage.
+            skip = h
+            h = stage(self._downsample(skip), decoder[0].blocks)
             h = self._upsample(h, self.tokens) + skip
         return self.out_proj(self.final_norm(h))
 
@@ -194,11 +216,9 @@ class DiffusionNetwork:
         """``h`` is ``(tokens, dim)`` with one timestep embedding, or a
         ``(batch, tokens, dim)`` stack with one embedding per request."""
         *batch, tokens, _ = h.shape
-        side = int(round(np.sqrt(tokens)))
-        if side * side != tokens:
-            # Downsampled token counts may not be square; ResBlocks then run
-            # on the nearest square crop with a pass-through remainder.
-            side = int(np.floor(np.sqrt(tokens)))
+        # Downsampled token counts may not be square; ResBlocks then run
+        # on the largest square crop with a pass-through remainder.
+        side = isqrt(tokens)
         square = side * side
         grid = np.swapaxes(h[..., :square, :], -1, -2).reshape(
             *batch, self.dim, side, side

@@ -69,17 +69,6 @@ class Conv2d:
         out = np.matmul(self._w_mat.T, cols)
         return out.reshape(*batch, self.out_channels, h, w)
 
-    def macs(self, height: int, width: int) -> int:
-        """MAC count for one call on a ``height x width`` map."""
-        return (
-            height
-            * width
-            * self.out_channels
-            * self.in_channels
-            * self.kernel_size
-            * self.kernel_size
-        )
-
 
 class GroupNorm:
     """Group normalization over channel groups of a ``(c, h, w)`` map
@@ -129,6 +118,3 @@ class ResBlock:
         h = h + shift[..., 0, :, None, None]
         h = self.conv2(silu(self.norm2(h)))
         return x + h
-
-    def macs(self, height: int, width: int) -> int:
-        return self.conv1.macs(height, width) + self.conv2.macs(height, width)

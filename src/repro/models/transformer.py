@@ -83,15 +83,3 @@ class TransformerBlock:
             )
 
         return x + self.ffn(self.norm2(x), executor=ex.ffn)
-
-    def macs(self, tokens: int, context_tokens: Optional[int] = None) -> dict:
-        """Per-call MAC counts grouped as in the paper's Fig. 4."""
-        counts = self.self_attn.macs(tokens)
-        if self.cross_attn is not None and context_tokens is not None:
-            cross = self.cross_attn.macs(tokens, context_tokens)
-            counts = {
-                "qkv_projection": counts["qkv_projection"] + cross["qkv_projection"],
-                "attention": counts["attention"] + cross["attention"],
-            }
-        counts["ffn"] = self.ffn.macs(tokens)
-        return counts

@@ -6,15 +6,17 @@ sparsity. This package makes that object explicit and **single-sourced**:
 
 - :mod:`repro.program.ir` — the typed IR
   (:class:`Op`/:class:`IterationProgram`/:class:`PhasePlan`);
-- :mod:`repro.program.lower` — the one model-structure traversal
-  (:func:`lower_program`, :func:`lower_plan`, :func:`block_ops`);
+- :mod:`repro.program.lower` — the one lowering
+  (:func:`lower_program`, :func:`lower_plan`, :func:`block_ops`), over
+  the stages :func:`repro.models.network.network_stages` gives, the ones
+  the numpy network runs;
 - :mod:`repro.program.encode` — canonical byte-stable JSON
   serialization and the plan digest.
 
 Every backend consumes the IR instead of re-walking the model: the EXION
 hardware simulator prices a :class:`PhasePlan`, the GPU roofline and
 Cambricon-D baselines price an :class:`IterationProgram`, Delta-DiT
-accounts block MACs from :func:`block_ops`, and the explore/cluster
+accounts block MACs from the sim-scale program, and the explore/cluster
 layers lower once and hand the plan to the accelerator. Registering a
 new :class:`~repro.workloads.specs.ModelSpec` therefore lights up every
 backend with zero backend-specific code.
@@ -62,12 +64,10 @@ from repro.program.ir import (
     WEIGHT_BYTES_PER_ELEMENT,
 )
 from repro.program.lower import (
-    SIM_CONTEXT_TOKENS,
     block_ops,
     lower_plan,
     lower_program,
     schedule_phases,
-    spec_block_ops,
 )
 
 __all__ = [
@@ -81,7 +81,6 @@ __all__ = [
     "PhaseSegment",
     "PhaseStep",
     "PlanCache",
-    "SIM_CONTEXT_TOKENS",
     "TILE_ROWS",
     "TILE_WIDTH",
     "WEIGHT_BYTES_PER_ELEMENT",
@@ -98,5 +97,4 @@ __all__ = [
     "plan_to_dict",
     "program_to_dict",
     "schedule_phases",
-    "spec_block_ops",
 ]

@@ -10,7 +10,8 @@ instead of re-walking the model structure itself:
   times, tagged with an :class:`OpKind` (the paper Fig. 4 category) that
   backends dispatch on;
 - :class:`IterationProgram` — the ordered ops of one iteration plus the
-  model dimensions backends need for auxiliary (non-MMUL) work;
+  model dimensions backends need for auxiliary (non-MMUL) work; a
+  UNet's block ops appear once per stage, at that stage's token count;
 - :class:`PhasePlan` — the full per-iteration schedule of one
   generation under the FFN-Reuse dense/sparse phases, annotated with the
   ablation configuration and weight-residency hints.
@@ -85,8 +86,11 @@ class IterationProgram:
 
     ``tokens``/``dim``/``heads``/``depth``/``ffn_mult`` are the dims the
     ops were lowered from (paper scale or sim scale per ``scale``);
-    backends use them for auxiliary non-MMUL work (softmax/norm elements,
-    CAU classification, activation spill) without touching the model.
+    ``tokens`` is the latent's token count, which a UNet's decoder stage
+    halves. Backends size auxiliary non-MMUL work (softmax/norm elements,
+    CAU classification, activation spill) from these dims and from each
+    stage's ``ffn_linear1`` op (its ``r`` is the stage's tokens, its
+    ``count`` the stage's blocks), without touching the model.
     """
 
     model: str

@@ -1,7 +1,6 @@
 """Lowering: model spec + ablation config -> IR.
 
-This module is the repository's **only** model-structure traversal. A
-:class:`~repro.workloads.specs.ModelSpec` is lowered once into an
+A :class:`~repro.workloads.specs.ModelSpec` is lowered once into an
 :class:`~repro.program.ir.IterationProgram` (the ordered MMUL ops of one
 denoising iteration) and, with an ablation configuration, into a
 :class:`~repro.program.ir.PhasePlan` (the dense/sparse phase of every
@@ -10,25 +9,27 @@ backend — the EXION simulator, GPU roofline, Cambricon-D, Delta-DiT
 accounting, explore objectives, cluster service-time pricing — consumes
 these objects; none walks the model itself.
 
-Paper-scale programs use the published model dimensions (``paper_*``
-spec fields) so tile counts and DRAM traffic match the scale the paper
-evaluates; sim-scale programs use the runnable numpy dimensions and
-back the software baselines' compute accounting.
+The topology comes from :func:`repro.models.network.network_stages`,
+the stages :meth:`~repro.models.network.DiffusionNetwork.walk` runs, so
+the network that is priced is the network that runs. Paper-scale
+programs use the published model dimensions (``paper_*`` spec fields)
+so tile counts and DRAM traffic match the scale the paper evaluates;
+sim-scale programs use the runnable numpy dimensions, and their MACs
+per op kind are what one oracle iteration executes.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from repro.core.ffn_reuse import schedule_phases
+from repro.models.conditioning import ConditioningEncoder
+from repro.models.network import TIMESTEP_DIM, NetworkType, network_stages
 from repro.program.ir import IterationProgram, Op, PhasePlan, PhaseStep
 from repro.workloads.specs import ModelSpec
-
-#: Context length of the sim-scale conditioning encoder
-#: (:class:`repro.models.conditioning.ConditioningEncoder` ``max_tokens``).
-SIM_CONTEXT_TOKENS = 16
 
 
 def block_ops(
@@ -125,40 +126,21 @@ def block_ops(
     return ops
 
 
-def spec_block_ops(spec: ModelSpec, scale: str = "paper") -> list:
-    """One transformer block's ops lowered from a model spec."""
-    if scale == "paper":
-        return block_ops(
-            spec.paper_tokens,
-            spec.paper_dim,
-            spec.paper_heads,
-            spec.paper_ffn_mult,
-            activation=spec.activation,
-            context_tokens=spec.paper_context_tokens,
-            temporal_frames=spec.paper_temporal_frames,
-        )
-    if scale == "sim":
-        return block_ops(
-            spec.tokens,
-            spec.dim,
-            spec.num_heads,
-            spec.ffn_mult,
-            activation=spec.activation,
-            context_tokens=SIM_CONTEXT_TOKENS if spec.context_dim else None,
-            temporal_frames=None,
-        )
-    raise ValueError(f"scale must be 'paper' or 'sim', got {scale!r}")
-
-
 @lru_cache(maxsize=256)
 def lower_program(spec: ModelSpec, scale: str = "paper") -> IterationProgram:
     """Lower one denoising iteration of ``spec`` into an IR program.
 
-    Transformer blocks repeat ``depth`` times (encoded as op ``count``);
-    at paper scale the non-transformer remainder (ResBlocks, projections,
-    VAE/conditioning amortized per iteration) is one dense ``etc`` op
-    sized from the spec's transformer share — matching Fig. 4's "Etc."
-    category, which EXION executes densely.
+    Transformer blocks run in the stages
+    :func:`~repro.models.network.network_stages` gives, the ones
+    :meth:`~repro.models.network.DiffusionNetwork.walk` runs: each
+    stage's block ops repeat once per block (encoded as op ``count``) at
+    that stage's token count. Everything else is dense ``etc`` work
+    (Fig. 4's "Etc." category). At sim scale the ``etc`` ops are the
+    MMULs the numpy network runs around its blocks (:func:`_sim_etc_ops`),
+    so the program's MACs per kind are the ones one oracle iteration
+    executes; at paper scale the non-transformer remainder (ResBlocks,
+    projections, VAE/conditioning amortized per iteration) is one op
+    sized from the spec's transformer share.
     """
     if scale == "paper":
         tokens, dim = spec.paper_tokens, spec.paper_dim
@@ -170,23 +152,28 @@ def lower_program(spec: ModelSpec, scale: str = "paper") -> IterationProgram:
         tokens, dim = spec.tokens, spec.dim
         heads, depth = spec.num_heads, spec.depth
         ffn_mult = spec.ffn_mult
-        context = SIM_CONTEXT_TOKENS if spec.context_dim else None
+        context = ConditioningEncoder.max_tokens if spec.context_dim else None
         frames = None
     else:
         raise ValueError(f"scale must be 'paper' or 'sim', got {scale!r}")
 
+    stages = network_stages(spec.network_type, tokens, depth)
     ops = [
-        replace(op, count=op.count * depth)
-        for op in spec_block_ops(spec, scale)
+        replace(op, count=op.count * len(stage.blocks))
+        for stage in stages
+        if stage.blocks
+        for op in block_ops(stage.tokens, dim, heads, ffn_mult,
+                            activation=spec.activation,
+                            context_tokens=context, temporal_frames=frames)
     ]
-    if scale == "paper":
-        transformer_macs = sum(op.macs for op in ops)
+    if scale == "sim":
+        ops.extend(_sim_etc_ops(spec, stages))
+    elif spec.paper_transformer_share < 1.0:
         share = spec.paper_transformer_share
-        if share < 1.0:
-            etc_macs = transformer_macs * (1.0 - share) / share
-            # Shape the remainder as square-ish MMUL tiles at model width.
-            r = max(1, int(round(etc_macs / (dim * dim))))
-            ops.append(Op("non_transformer", "etc", r, dim, dim))
+        etc_macs = sum(op.macs for op in ops) * (1.0 - share) / share
+        # Shape the remainder as square-ish MMUL tiles at model width.
+        r = max(1, int(round(etc_macs / (dim * dim))))
+        ops.append(Op("non_transformer", "etc", r, dim, dim))
     return IterationProgram(
         model=spec.name,
         scale=scale,
@@ -200,6 +187,35 @@ def lower_program(spec: ModelSpec, scale: str = "paper") -> IterationProgram:
         temporal_frames=frames,
         ops=tuple(ops),
     )
+
+
+def _sim_etc_ops(spec: ModelSpec, stages: tuple) -> list:
+    """The MMULs the numpy network runs outside its transformer blocks.
+
+    The two-layer time MLP, one adaLN modulation per block
+    (``t_embed @ weight``), per ResBlock its two 3x3 convolutions (im2col
+    products on the square crop ``_apply_resblock`` takes) and its
+    timestep projection, a UNet's down/up projections, and the output
+    projection.
+    """
+    dim, width = spec.dim, TIMESTEP_DIM
+    ops = [Op("time_mlp", "etc", 1, width, width, count=2)]
+    if spec.use_adaln:
+        ops.append(Op("adaln", "etc", 1, width, 3 * dim, count=spec.depth))
+    if NetworkType(spec.network_type) is NetworkType.RESBLOCK_UNET:
+        ops.extend(
+            Op("resblock_conv", "etc", isqrt(stage.tokens) ** 2, 9 * dim, dim,
+               count=2 * len(stage.blocks))
+            for stage in stages
+            if stage.blocks
+        )
+        ops.append(Op("resblock_time_proj", "etc", 1, width, dim,
+                      count=spec.depth))
+    if len(stages) > 1:
+        ops.append(Op("down_proj", "etc", stages[1].tokens, dim, dim))
+        ops.append(Op("up_proj", "etc", spec.tokens, dim, dim))
+    ops.append(Op("final_proj", "etc", spec.tokens, dim, dim))
+    return ops
 
 
 def lower_plan(
@@ -267,10 +283,8 @@ def lower_plan(
 
 
 __all__ = [
-    "SIM_CONTEXT_TOKENS",
     "block_ops",
     "lower_plan",
     "lower_program",
     "schedule_phases",
-    "spec_block_ops",
 ]

@@ -23,7 +23,7 @@ class TestDeltaDiT:
             seed=1, class_label=5
         )
         vanilla = dit.make_pipeline().generate(seed=1, class_label=5)
-        np.testing.assert_allclose(result.sample, vanilla)
+        np.testing.assert_array_equal(result.sample, vanilla)
         assert result.macs_computed == result.macs_dense
         assert result.ops_reduction == 0.0
 
@@ -58,6 +58,19 @@ class TestDeltaDiT:
         assert pipeline.cached_blocks == {1, 2}
         result = pipeline.generate(seed=1)
         assert result.ops_reduction <= 0.5
+
+    def test_dense_macs_are_the_sim_program_blocks(self):
+        """Dense MACs are every iteration's transformer-block ops of the
+        sim-scale program, cross-attention included; caching never skips
+        its etc ops."""
+        from repro.program import OpKind, lower_program
+
+        edge = build_model("edge", seed=0, total_iterations=3)
+        program = lower_program(edge.spec, scale="sim")
+        blocks = sum(op.macs for op in program.ops
+                     if op.kind is not OpKind.ETC)
+        result = DeltaDiTPipeline(edge, cache_interval=2).generate(seed=1)
+        assert result.macs_dense == result.iterations * blocks
 
     def test_rejects_bad_interval(self, dit):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Unit tests for the GPU roofline baseline."""
 
+import pytest
 
 from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import A100, EDGE_GPU, SERVER_GPU
@@ -32,13 +33,14 @@ class TestSimulation:
         assert report.effective_tops > 0
         assert report.iterations == 100
 
-    def test_dense_ops_match_mapping(self):
+    @pytest.mark.parametrize("batch", (1, 8))
+    def test_dense_ops_match_mapping(self, batch):
         from repro.program.lower import lower_program
 
         spec = get_spec("mdm")
-        report = GPUModel(SERVER_GPU).simulate(spec)
+        report = GPUModel(SERVER_GPU).simulate(spec, batch=batch)
         macs = lower_program(spec, scale="paper").macs_by_kind()
-        expected = 2 * sum(macs.values()) * 50
+        expected = 2 * batch * sum(macs.values()) * 50
         assert report.dense_equivalent_ops == expected
 
     def test_batch_amortizes_launch_overhead(self):

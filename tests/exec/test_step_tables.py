@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.exec.continuous import build_step_tables
+from repro.models.network import TIMESTEP_DIM
 from repro.models.zoo import build_model
 
 
@@ -30,7 +31,7 @@ def test_rows_equal_the_per_step_oracle(name):
 
     assert steps == 7
     assert isinstance(t_embeds, np.ndarray)
-    assert t_embeds.shape == (steps, network.timestep_dim)
+    assert t_embeds.shape == (steps, TIMESTEP_DIM)
     assert t_embeds.dtype == np.float64
     assert len(adaln_tables) == len(network.blocks)
     for step, t in enumerate(timesteps):

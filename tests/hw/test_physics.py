@@ -5,9 +5,10 @@ do not. Every step :meth:`ExionAccelerator._price_steps` prices over the
 seven benchmark models × four ablations × batch {1, 8} × EXION4/24/42
 must be no faster than peak compute and than its own DRAM traffic, cost
 positive energy, and draw no more on-chip power than the configuration's
-peak. More DSCs are never slower on an equal plan, and a sparser FFN
-target never raises a price. A failing law is a bug or an ``xfail``
-naming its paper-fidelity row, never a wider bound.
+peak. More DSCs are never slower on an equal plan, a sparser FFN
+target never raises a price, and a batch's CFSE work is its requests'
+work. A failing law is a bug or an ``xfail`` naming its paper-fidelity
+row, never a wider bound.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ from repro.bench.runner import discover
 from repro.cluster.replica import PHASES, ServiceTimeModel
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.dsc import DSCModel
 from repro.hw.energy import EnergyModel
 from repro.models.zoo import BENCHMARK_MODELS
 from repro.program.cache import get_plan_cache
@@ -122,3 +124,27 @@ def test_sorting_never_raises_merge_cycles(model):
     discover()  # imports benchmarks.* with the repository root on sys.path
     merge_cost = sys.modules["benchmarks.bench_fig12_sorting"].merge_cost
     assert merge_cost(model, sort=True) <= merge_cost(model, sort=False)
+
+
+@pytest.mark.parametrize("model", BENCHMARK_MODELS)
+def test_cfse_cycles_at_batch_b_are_b_single_request_costs(model):
+    """Softmax, GELU, norms and residual adds are per-request work, so a
+    batch of B costs B single requests' CFSE cycles, up to rounding: each
+    of a block's seven CFSE calls (softmax, GELU, two norms, three
+    residual adds) rounds its element count and its cycles once, for the
+    batch as for each single request."""
+    cache = get_plan_cache()
+    profile = cache.profile(get_spec(model))
+    dsc = DSCModel()
+    for (ablation, batch), plan in _plans(model):
+        if batch == 1:
+            continue
+        for sparse_phase in (False, True):
+            def cfse(b):
+                return dsc.iteration_cost(
+                    plan.program, profile, plan.enable_ffn_reuse,
+                    plan.enable_eager_prediction, sparse_phase, batch=b,
+                ).cfse_cycles
+            rounding = batch * 7 * plan.program.depth
+            assert abs(cfse(batch) - batch * cfse(1)) <= rounding, (
+                ablation, batch, sparse_phase)

@@ -98,11 +98,3 @@ class TestMultiHeadAttention:
 
         out = attn(rng.standard_normal((4, 8)), executor=executor)
         np.testing.assert_array_equal(out, np.zeros((4, 8)))
-
-    def test_macs_counts(self, rng):
-        attn = MultiHeadAttention(8, 2, rng)
-        counts = attn.macs(tokens=4)
-        # 3 projections of 4x8x8 each.
-        assert counts["qkv_projection"] == 3 * 4 * 8 * 8
-        # QK^T + PV (2*t*t*d) plus output projection.
-        assert counts["attention"] == 2 * 4 * 4 * 8 + 4 * 8 * 8

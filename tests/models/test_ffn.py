@@ -49,7 +49,3 @@ class TestFeedForward:
 
         out = ffn(rng.standard_normal((3, 4)), executor=executor)
         np.testing.assert_array_equal(out, np.ones((3, 4)))
-
-    def test_macs(self, rng):
-        ffn = FeedForward(4, 8, rng)
-        assert ffn.macs(tokens=3) == 3 * 4 * 8 + 3 * 8 * 4

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.models.network import (
+    TIMESTEP_DIM,
     DiffusionNetwork,
     NetworkType,
     timestep_embedding,
 )
 from repro.models.transformer import Executors
 from repro.models.zoo import build_model
+from repro.workloads.specs import ALL_MODEL_ORDER
 
 RESBLOCK_MODELS = ("stable_diffusion", "make_an_audio", "videocrafter2")
 #: No leading axis, and a leading batch of three requests.
@@ -149,7 +151,7 @@ class TestResBlockUNet:
     ):
         net = build_model(name, total_iterations=2).network
         h = rng.standard_normal((batch, tokens, net.dim))
-        t_embeds = rng.standard_normal((batch, net.timestep_dim))
+        t_embeds = rng.standard_normal((batch, TIMESTEP_DIM))
         for resblock in net.resblocks:
             stacked = net._apply_resblock(resblock, h, t_embeds)
             per_request = np.stack([
@@ -161,6 +163,22 @@ class TestResBlockUNet:
 
 
 class TestWalk:
+    @pytest.mark.parametrize("name", ALL_MODEL_ORDER)
+    def test_blocks_run_in_the_published_stages(self, rng, name):
+        """``walk`` calls every block once, in ``stages`` order, on its
+        stage's token count: the structure the lowering prices."""
+        net = build_model(name, total_iterations=2).network
+        calls = []
+
+        def block(index, h):
+            calls.append((index, h.shape[-2]))
+            return h
+
+        net.walk(rng.standard_normal((net.tokens, net.dim)),
+                 net._embed_timestep(3), block)
+        assert calls == [(i, stage.tokens)
+                         for stage in net.stages for i in stage.blocks]
+
     @pytest.mark.parametrize("network_type,depth", (
         (NetworkType.TRANSFORMER_ONLY, 4),
         (NetworkType.TRANSFORMER_UNET, 1),

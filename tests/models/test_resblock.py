@@ -37,10 +37,6 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channels"):
             conv(np.zeros((2, 4, 4)))
 
-    def test_macs(self, rng):
-        conv = Conv2d(4, 8, rng)
-        assert conv.macs(5, 5) == 5 * 5 * 8 * 4 * 9
-
     @staticmethod
     def _pad_formulation(conv, x):
         """The ``np.pad`` + per-call weight reshape it replaced."""
@@ -136,10 +132,6 @@ class TestResBlock:
         out1 = block(x, np.ones(8))
         out2 = block(x, -np.ones(8))
         assert not np.allclose(out1, out2)
-
-    def test_macs(self, rng):
-        block = ResBlock(4, 8, rng)
-        assert block.macs(6, 6) == 2 * 6 * 6 * 4 * 4 * 9
 
 
 class TestLeadingBatch:

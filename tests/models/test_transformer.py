@@ -82,12 +82,6 @@ class TestTransformerBlock:
         )
         assert calls == [True]
 
-    def test_macs_include_all_categories(self, rng):
-        block = TransformerBlock(16, 4, 4, rng, context_dim=8)
-        counts = block.macs(tokens=6, context_tokens=3)
-        assert set(counts) == {"qkv_projection", "attention", "ffn"}
-        assert all(v > 0 for v in counts.values())
-
     def test_deterministic(self):
         b1 = TransformerBlock(8, 2, 4, np.random.default_rng(3))
         b2 = TransformerBlock(8, 2, 4, np.random.default_rng(3))

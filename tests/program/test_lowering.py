@@ -1,7 +1,15 @@
 """Unit tests for the single lowering: spec -> IterationProgram."""
 
+import numpy as np
 import pytest
 
+from repro.models.attention import MultiHeadAttention
+from repro.models.conditioning import ConditioningEncoder
+from repro.models.linear import Linear
+from repro.models.network import NetworkType, network_stages
+from repro.models.norm import AdaLNModulation
+from repro.models.resblock import Conv2d, ResBlock
+from repro.models.zoo import build_model
 from repro.program import (
     IterationProgram,
     Op,
@@ -9,9 +17,7 @@ from repro.program import (
     block_ops,
     lower_plan,
     lower_program,
-    spec_block_ops,
 )
-from repro.program.lower import SIM_CONTEXT_TOKENS
 from repro.workloads.specs import ALL_MODEL_ORDER, get_spec
 
 
@@ -49,6 +55,12 @@ class TestBlockOps:
                                                activation="geglu")}
         assert ops["ffn_linear1"].c == 2 * 4 * 64
 
+    def test_attention_score_per_head(self):
+        ops = {op.name: op for op in block_ops(16, 64, 4, 4)}
+        assert ops["attn_score"].count == 4
+        assert ops["attn_score"].k == 64 // 4
+        assert not any(name.startswith("xattn") for name in ops)
+
     def test_temporal_attention_factorization(self):
         ops = {op.name: op
                for op in block_ops(64, 64, 4, 4, temporal_frames=8)}
@@ -82,6 +94,13 @@ class TestLowerProgram:
         macs = lower_program(get_spec("dit")).macs_by_kind()
         assert macs["etc"] == 0
 
+    def test_ffn_dominates_transformer(self):
+        """Fig. 4: FFN layers are the largest transformer category."""
+        for name in ("dit", "mdm", "stable_diffusion"):
+            macs = lower_program(get_spec(name)).macs_by_kind()
+            assert macs["ffn"] > macs["qkv"]
+            assert macs["ffn"] > macs["attention"]
+
     def test_etc_matches_transformer_share(self):
         sd = get_spec("stable_diffusion")
         macs = lower_program(sd).macs_by_kind()
@@ -102,13 +121,24 @@ class TestLowerProgram:
         assert program.tokens == spec.tokens
         assert program.dim == spec.dim
         ops = {op.name: op for op in program.ops}
-        assert ops["xattn_k_proj"].r == SIM_CONTEXT_TOKENS
+        assert ops["xattn_k_proj"].r == ConditioningEncoder.max_tokens
+
+    def test_unet_blocks_run_at_their_stage_token_count(self):
+        """A UNet's decoder half runs on ceil(tokens / 2) tokens, as in
+        ``DiffusionNetwork.walk``; a transformer-only stack is one stage."""
+        spec = get_spec("stable_diffusion")  # paper: 16 blocks, 1024 tokens
+        ffn1 = [op for op in lower_program(spec).ops
+                if op.name == "ffn_linear1"]
+        assert [(op.r, op.count) for op in ffn1] == [(1024, 8), (512, 8)]
+        mld = network_stages(1, 5, 3)  # odd tokens pool with the last
+        assert [(s.tokens, s.blocks) for s in mld] == [
+            (5, range(1)), (3, range(1, 3))]
+        assert network_stages(NetworkType.TRANSFORMER_ONLY, 5, 3) == (
+            (5, range(3)),)
 
     def test_rejects_unknown_scale(self):
         with pytest.raises(ValueError):
             lower_program(get_spec("dit"), scale="nano")
-        with pytest.raises(ValueError):
-            spec_block_ops(get_spec("dit"), scale="nano")
 
     def test_every_model_lowers(self):
         for name in ALL_MODEL_ORDER:
@@ -173,22 +203,55 @@ class TestLowerPlan:
             lower_plan(get_spec("mld"), batch=0)
 
 
-class TestMappingFacade:
-    def test_delta_dit_block_macs_match_network(self):
-        """Sim-scale block lowering equals the runnable network's own
-        analytic MAC count (what Delta-DiT's accounting relies on)."""
-        from repro.models.zoo import build_model
+def _kind_of_linears(network):
+    """Each block Linear's Fig. 4 category; any other Linear is etc."""
+    kinds = {}
+    for block in network.blocks:
+        for attn in filter(None, (block.self_attn, block.cross_attn)):
+            for linear in (attn.wq, attn.wk, attn.wv):
+                kinds[id(linear)] = "qkv"
+            kinds[id(attn.wo)] = "attention"
+        kinds[id(block.ffn.linear1)] = kinds[id(block.ffn.linear2)] = "ffn"
+    return kinds
 
-        for name in ("dit", "mdm", "edge"):
-            model = build_model(name, seed=0, total_iterations=2)
-            block = model.network.blocks[0]
-            tokens = model.network.tokens
-            spec = model.spec
-            lowered = sum(
-                op.macs
-                for op in block_ops(
-                    tokens, spec.dim, spec.num_heads, spec.ffn_mult,
-                    activation=spec.activation,
-                )
-            )
-            assert lowered == sum(block.macs(tokens).values())
+
+@pytest.mark.parametrize("name", ALL_MODEL_ORDER)
+def test_sim_program_macs_are_what_one_oracle_iteration_executes(
+    name, monkeypatch
+):
+    """The MAC law: spy every product one dense forward of the numpy
+    network runs and sum its MACs per Fig. 4 category; the sim-scale
+    lowering must give the same totals exactly."""
+    model = build_model(name, seed=0, total_iterations=2)
+    network = model.network
+    context = model.make_pipeline().embed_prompt("a prompt")
+    kinds = _kind_of_linears(network)
+    executed = {"qkv": 0, "attention": 0, "ffn": 0, "etc": 0}
+
+    def spy(cls, attr, macs_of):
+        original = getattr(cls, attr)
+
+        def counted(self, *args):
+            kind, macs = macs_of(self, *args)
+            executed[kind] += macs
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    spy(Linear, "__call__", lambda lin, x: (
+        kinds.get(id(lin), "etc"),
+        np.size(x) * lin.out_features))
+    # Q K^T and probs @ V: tq * tk * head_dim per head, twice.
+    spy(MultiHeadAttention, "attend", lambda attn, x, k, v: (
+        "attention", 2 * x.shape[-2] * k.shape[-2] * attn.dim))
+    spy(AdaLNModulation, "__call__", lambda ada, t_embed: (
+        "etc", t_embed.size * ada.weight.shape[1]))
+    spy(Conv2d, "__call__", lambda conv, x: (
+        "etc", x.size * conv.out_channels * conv.kernel_size ** 2))
+    spy(ResBlock, "__call__", lambda res, x, t_embed: (
+        "etc", res.time_proj.size))
+
+    rng = np.random.default_rng(0)
+    network(rng.standard_normal((network.tokens, network.dim)), 500,
+            context=context)
+    assert executed == lower_program(model.spec, scale="sim").macs_by_kind()
