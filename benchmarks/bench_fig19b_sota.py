@@ -63,20 +63,20 @@ def build_fig19b(ctx):
     return result
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="stable_diffusion.cambricon_d_speedup is 4.8x where the paper "
-           "has 7.9x, below EXION42's 5.6x (paper 7.0x) since the lowering "
-           "runs the UNet decoder half at half resolution",
-)
 def test_fig19b_sota_comparison(bench_ctx):
     result = build_fig19b(bench_ctx)
     emit_result(result)
 
-    # Shape: the crossover. Cambricon-D leads on SD, EXION leads on DiT.
-    assert result.value("stable_diffusion.cambricon_d_speedup") > (
-        result.value("stable_diffusion.exion42_speedup")
-    )
+    # Shape: EXION leads on DiT (Cambricon-D's lead on SD is the test below).
     assert result.value("dit.exion42_speedup") > (
         result.value("dit.cambricon_d_speedup")
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5, row "
+                   "fig19b_sota.stable_diffusion.cambricon_d_speedup")
+def test_fig19b_cambricon_d_leads_on_sd(bench_ctx):
+    result = build_fig19b(bench_ctx)
+    assert result.value("stable_diffusion.cambricon_d_speedup") > (
+        result.value("stable_diffusion.exion42_speedup")
     )

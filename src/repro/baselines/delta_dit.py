@@ -111,12 +111,12 @@ class DeltaDiTPipeline:
         # Caching skips a block's own ops (the sim program's non-etc ops,
         # the same for every block of the one stage), not the rest.
         program = lower_program(self.model.spec, scale="sim")
-        block_macs = sum(
+        blocks = sum(
             op.macs for op in program.ops if op.kind is not OpKind.ETC
-        ) // program.depth
+        )
         return DeltaDiTResult(
             sample=x,
             iterations=len(timesteps),
-            macs_dense=len(timesteps) * program.depth * block_macs,
-            macs_computed=executed * block_macs,
+            macs_dense=len(timesteps) * blocks,
+            macs_computed=executed * blocks // program.depth,
         )

@@ -201,13 +201,11 @@ class DiffusionNetwork:
                 h = block(i, h)
             return h
 
-        first, *decoder = self.stages
-        h = stage(x, first.blocks)
-        if decoder:
+        h = stage(x, self.stages[0].blocks)
+        if len(self.stages) > 1:
             # UNet shape: residual path across the downsampled stage.
-            skip = h
-            h = stage(self._downsample(skip), decoder[0].blocks)
-            h = self._upsample(h, self.tokens) + skip
+            down = stage(self._downsample(h), self.stages[1].blocks)
+            h = self._upsample(down, self.tokens) + h
         return self.out_proj(self.final_norm(h))
 
     def _apply_resblock(
