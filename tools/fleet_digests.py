@@ -37,7 +37,7 @@ from repro.cluster import (  # noqa: E402
     build_replicas, make_router, simulate_cluster, synthesize_trace,
 )
 from repro.obs import Observer, chrome_trace_json, run_trace_scenario, scenario  # noqa: E402
-from repro.obs.analyze import analyze_tracer  # noqa: E402
+from repro.obs.analyze import analyze_tracer, render_html  # noqa: E402
 
 LINES: list = []
 
@@ -49,7 +49,9 @@ def emit(cell: str, text: str) -> None:
 
 def emit_observed(cell: str, tracer) -> None:
     emit(f"{cell}/trace", chrome_trace_json(tracer))
-    emit(f"{cell}/analysis", analyze_tracer(tracer).to_json())
+    analysis = analyze_tracer(tracer)
+    emit(f"{cell}/analysis", analysis.to_json())
+    emit(f"{cell}/html", render_html(analysis))
 
 
 def fleet(name, trace, continuous, replicas, router="jsq", slo=None,
