@@ -158,20 +158,25 @@ def _print_compiled_plan(plan, as_json: bool = False) -> int:
     ))
     ffn = stats.get("ffn")
     if ffn is not None:
-        print("ffn index sets: "
-              f"mask {ffn['mask_shape'][0]}x{ffn['mask_shape'][1]} "
-              f"x{ffn['masks_per_phase']}/phase, "
-              f"expected gather {ffn['expected_gather_size']} "
-              f"({percent(1.0 - ffn['expected_sparsity'])} kept), "
-              f"{ffn['tiles_per_mask']} tiles/mask, "
+        masks = ", ".join(
+            f"mask {s['mask_shape'][0]}x{s['mask_shape'][1]} "
+            f"x{s['masks_per_phase']}/phase (expected gather "
+            f"{s['expected_gather_size']}, {s['tiles_per_mask']} tiles/mask)"
+            for s in ffn["stages"]
+        )
+        print(f"ffn index sets: {masks}; "
+              f"{percent(1.0 - ffn['expected_sparsity'])} kept, "
               f"amortized over {ffn['sparse_steps_amortizing']} "
               "sparse steps")
     attn = stats.get("attention")
     if attn is not None:
-        shape = "x".join(str(d) for d in attn["score_shape"])
-        print("attention index sets: "
-              f"scores {shape}, keep {attn['keep_per_row']}/row "
-              f"(expected keep {attn['expected_keep_size']}), "
+        scores = ", ".join(
+            f"scores {'x'.join(str(d) for d in s['score_shape'])} "
+            f"x{s['layers']}, keep {s['keep_per_row']}/row "
+            f"(expected keep {s['expected_keep_size']})"
+            for s in attn["stages"]
+        )
+        print(f"attention index sets: {scores}; "
               f"{attn['cached_weight_operands']} cached weight operands")
     if ffn is None and attn is None:
         print("base ablation: no sparse index sets to precompute")

@@ -145,16 +145,7 @@ class ClusterSimulator:
                     for record in outcome.served:
                         accumulator.record(record.wait_s, record.service_s)
                     if observer is not None:
-                        observer.on_dispatch(
-                            replica.name, t, outcome.completion_s,
-                            outcome.batch_size, outcome.model,
-                            ablation=outcome.ablation,
-                            phase=outcome.phase,
-                            cold_s=outcome.cold_s,
-                            energy_j=outcome.energy_j,
-                            tenants=[m[1] for m in outcome.members],
-                            priorities=[m[2] for m in outcome.members],
-                        )
+                        observer.on_dispatch(outcome)
                         for record in outcome.served:
                             observer.on_request_stage(
                                 "served", outcome.completion_s,

@@ -146,12 +146,6 @@ class DSCModel:
         return cost
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _stages(program: IterationProgram) -> list:
-        """``(tokens, blocks)`` of every stage: each transformer block
-        runs one ``ffn_linear1`` on its stage's tokens."""
-        return [(op.r, op.count) for op in program.ops if op.name == "ffn_linear1"]
-
     def _cfse_cycles(
         self,
         program: IterationProgram,
@@ -163,7 +157,7 @@ class DSCModel:
         d = program.dim
         fn = self.cfse.function_cycles
         cycles = 0
-        for tokens, blocks in self._stages(program):
+        for tokens, blocks in program.stages:
             t = tokens * batch
             softmax_elems = t * tokens  # per block, all heads
             if ep:
@@ -182,7 +176,7 @@ class DSCModel:
         # SDUE computes; CVG merge work is ~2 attempts per block pair.
         hidden = program.hidden
         cycles = 0
-        for tokens, blocks in self._stages(program):
+        for tokens, blocks in program.stages:
             row_tiles = -(-tokens * batch // 16)
             classify = hidden * row_tiles
             merge = (hidden // 16) * row_tiles * 2
@@ -192,5 +186,5 @@ class DSCModel:
     def _activation_bytes(self, program: IterationProgram, batch: int) -> int:
         # Latent in/out plus per-block spill through the GSC.
         per_token = 2 * batch * program.dim * MMUL_BYTES_PER_ELEMENT
-        spill = sum(tokens * blocks for tokens, blocks in self._stages(program))
+        spill = sum(tokens * blocks for tokens, blocks in program.stages)
         return per_token * (program.tokens + spill)

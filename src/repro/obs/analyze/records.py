@@ -33,6 +33,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
+import numpy as np
+
 from repro.obs.trace import Table
 
 #: Nanoseconds per second (the fixed analysis resolution).
@@ -47,6 +49,19 @@ def to_ns(seconds: float) -> int:
     on every start and instant.
     """
     return round(float(seconds) * NS_PER_S)
+
+
+def _by_time(*seconds: list) -> tuple:
+    """The stable order of the first column (row ids, ties in id
+    order), then every column in that order as :func:`to_ns` values."""
+    columns = [
+        np.fromiter(column, np.float64, len(column)) for column in seconds
+    ]
+    order = np.argsort(columns[0], kind="stable")
+    return order.tolist(), *(
+        np.rint(column[order] * NS_PER_S).astype(np.int64).tolist()
+        for column in columns
+    )
 
 
 class SpanRec(NamedTuple):
@@ -119,24 +134,24 @@ class TraceRecords:
         stable sort on the timestamp alone gives it.
         """
         spans, events = tracer.spans.columns, tracer.events.columns
-        order = sorted(range(len(spans.start_s)), key=spans.start_s.__getitem__)
-        at = sorted(range(len(events.ts_s)), key=events.ts_s.__getitem__)
+        order, start_ns, end_ns = _by_time(spans.start_s, spans.end_s)
+        at, ts_ns = _by_time(events.ts_s)
         return cls(
             spans=Table(SpanRec, SpanRec(
                 order,
-                [spans.name[i] for i in order],
-                [spans.track[i] for i in order],
-                [round(spans.start_s[i] * NS_PER_S) for i in order],
-                [round(spans.end_s[i] * NS_PER_S) for i in order],
-                [spans.parent_id[i] for i in order],
-                [spans.args[i] for i in order],
+                list(map(spans.name.__getitem__, order)),
+                list(map(spans.track.__getitem__, order)),
+                start_ns,
+                end_ns,
+                list(map(spans.parent_id.__getitem__, order)),
+                list(map(spans.args.__getitem__, order)),
             )),
             events=Table(EventRec, EventRec(
                 at,
-                [events.name[i] for i in at],
-                [events.track[i] for i in at],
-                [round(events.ts_s[i] * NS_PER_S) for i in at],
-                [events.args[i] for i in at],
+                list(map(events.name.__getitem__, at)),
+                list(map(events.track.__getitem__, at)),
+                ts_ns,
+                list(map(events.args.__getitem__, at)),
             )),
         )
 

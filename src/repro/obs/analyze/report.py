@@ -18,8 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.canon import canonical_json
-from repro.obs.analyze.attribution import Attribution, analyze_records
+from repro.obs.analyze.attribution import (
+    Attribution,
+    _factorize,
+    analyze_records,
+)
 from repro.obs.analyze.critical_path import CriticalPath, critical_path
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
@@ -217,20 +223,24 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
 
 def _replica_chains(ticks) -> tuple:
     """Cluster mode's graph from the tick columns: each replica's
-    dispatches chained in ``(start_ns, span_id)`` order."""
-    order = sorted(range(len(ticks.span_id)), key=ticks.span_id.__getitem__)
-    order.sort(key=ticks.start_ns.__getitem__)  # stable: ties by span id
-    nodes, edges = [], []
-    last = {}  # replica -> its previous node's position in `nodes`
-    for i in order:
-        replica, start_ns = ticks.replica[i], ticks.start_ns[i]
-        key = f"tick:{ticks.span_id[i]:08d}"
-        before = last.get(replica)
-        if before is not None and start_ns >= nodes[before][2]:
-            edges.append((nodes[before][0], key))
-        last[replica] = len(nodes)
-        nodes.append((key, start_ns, ticks.end_ns[i],
-                      f"{replica} {ticks.phase[i]}"))
+    dispatches chained in ``(start_ns, span_id)`` order, by one lexsort;
+    consecutive dispatches of a replica get an edge unless the later
+    one starts before the earlier one ends."""
+    keys = ["tick:%08d" % span_id for span_id in ticks.span_id]
+    nodes = list(zip(keys, ticks.start_ns, ticks.end_ns, [
+        f"{replica} {phase}"
+        for replica, phase in zip(ticks.replica, ticks.phase)
+    ]))
+    _, replica = _factorize(ticks.replica)
+    start = np.array(ticks.start_ns, dtype=np.int64)
+    end = np.array(ticks.end_ns, dtype=np.int64)
+    order = np.lexsort((np.array(ticks.span_id, dtype=np.int64), start,
+                        replica))
+    before, after = order[:-1], order[1:]
+    chained = ((replica[before] == replica[after])
+               & (start[after] >= end[before]))
+    edges = list(zip(map(keys.__getitem__, before[chained].tolist()),
+                     map(keys.__getitem__, after[chained].tolist())))
     return nodes, edges
 
 

@@ -235,21 +235,26 @@ class Observer:
             stage, "cluster/requests", ts_s, request_id=request_id, **args,
         )
 
-    def on_dispatch(
-        self,
-        replica: str,
-        start_s: float,
-        end_s: float,
-        batch_size: int,
-        model: str,
-        **args,
-    ) -> None:
-        """One priced batch executing on a cluster replica."""
-        self._dispatches[replica].inc()
+    def on_dispatch(self, dispatch) -> None:
+        """One priced batch executing on a cluster replica.
+
+        Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
+        writes one span row from it; the span's args are the one dict
+        the ``Tracer.span`` call builds.
+        """
+        _, tenants, priorities = (
+            zip(*dispatch.members) if dispatch.members else ((), (), ())
+        )
+        batch_size = len(tenants)
+        self._dispatches[dispatch.replica].inc()
         self._fill.observe(batch_size)
         self.tracer.span(
-            f"dispatch[{model}]", f"replica/{replica}", start_s, end_s,
-            batch_size=batch_size, model=model, **args,
+            f"dispatch[{dispatch.model}]", f"replica/{dispatch.replica}",
+            dispatch.started_s, dispatch.completion_s,
+            batch_size=batch_size, model=dispatch.model,
+            ablation=dispatch.ablation, phase=dispatch.phase,
+            cold_s=dispatch.cold_s, energy_j=dispatch.energy_j,
+            tenants=list(tenants), priorities=list(priorities),
         )
 
     def on_replica_utilization(self, replica: str, busy_frac: float) -> None:

@@ -122,9 +122,17 @@ class Tracer:
             raise ValueError(
                 f"span {name!r} ends at {end_s} before start {start_s}"
             )
-        span_id = len(self.spans)
-        self.spans.append(span_id, name, track, start_s, end_s, parent_id,
-                          args)
+        # One append per column, spelled out: every cluster dispatch
+        # records a span, so this is the recording hot path.
+        columns = self.spans.columns
+        span_id = len(columns.span_id)
+        columns.span_id.append(span_id)
+        columns.name.append(name)
+        columns.track.append(track)
+        columns.start_s.append(start_s)
+        columns.end_s.append(end_s)
+        columns.parent_id.append(parent_id)
+        columns.args.append(args)
         return span_id
 
     def event(

@@ -19,16 +19,20 @@ per process:
 - **profile** — :func:`~repro.hw.profile.estimate_profile` synthesis
   (the dominant cold-path cost: ConMerge passes over sampled tiles).
 
-Keys are content-addressed — the same canonical key material as
-:func:`~repro.program.encode.plan_digest` (spec document + config
-document + ablation flags + schedule shape + scale) — so equal inputs
-share one artifact no matter which layer asks, and knob-modified specs
-(the explore path) never collide with their base model.
+Keys are content-addressed tuples of the lowering inputs themselves —
+the frozen :class:`~repro.workloads.specs.ModelSpec` and
+:class:`~repro.core.config.ExionConfig`, the ablation flags, schedule
+shape and scale — so equal inputs share one artifact no matter which
+layer asks, and knob-modified specs (the explore path) never collide
+with their base model. A lookup hashes those values and builds no key
+document, so a warm hit costs microseconds: a fresh
+:class:`~repro.cluster.replica.ServiceTimeModel` in a warm process
+prices every point from the tiers.
 
 The cache lives in memory, one per process. The tiers are data and
 share one lookup routine (:meth:`PlanCache._intern`: memory → compute →
-intern); the four public methods differ only in key document and
-defensive copy. Everything returned is either immutable (plans, compiled
+intern); the four public methods differ only in key and defensive
+copy. Everything returned is either immutable (plans, compiled
 plans) or a defensive copy (reports, profiles), so cached and cold paths
 stay byte-identical. Hit/miss counters per tier are read through
 :meth:`PlanCache.stats`.
@@ -55,46 +59,26 @@ _ENTRIES_KEY = {
 }
 
 
-def _doc(value) -> object:
-    """JSON-safe document of one key component (dataclasses included)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__type__": type(value).__name__,
-            **dataclasses.asdict(value),
-        }
-    if isinstance(value, (list, tuple)):
-        return [_doc(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _doc(v) for k, v in sorted(value.items())}
-    raise TypeError(f"unsupported cache key component: {value!r}")
-
-
-def _accelerator_doc(accelerator) -> dict:
+def _accelerator_key(accelerator) -> tuple:
     """Content fingerprint of an accelerator configuration.
 
     Covers everything :meth:`simulate_plan` reads: the DSC count, clock,
-    GSC capacity and the full DRAM model (bandwidth, per-bit energy,
-    burst latency). Duck-typed so this module never imports ``repro.hw``
-    at module scope.
+    GSC capacity and the full DRAM model (a frozen dataclass: bandwidth,
+    per-bit energy, burst latency). Duck-typed so this module never
+    imports ``repro.hw`` at module scope.
     """
-    return {
-        "name": accelerator.name,
-        "num_dscs": accelerator.num_dscs,
-        "clock_hz": accelerator.clock_hz,
-        "gsc_bytes": accelerator.gsc_bytes,
-        "dram": _doc(accelerator.dram),
-    }
+    return (
+        accelerator.name, accelerator.num_dscs, accelerator.clock_hz,
+        accelerator.gsc_bytes, accelerator.dram,
+    )
 
 
-def _freeze(doc) -> object:
-    """Hashable mirror of a JSON-safe key document."""
-    if isinstance(doc, dict):
-        return tuple((k, _freeze(v)) for k, v in sorted(doc.items()))
-    if isinstance(doc, (list, tuple)):
-        return tuple(_freeze(v) for v in doc)
-    return doc
+def _fields_key(value) -> tuple:
+    """The field values of a mutable dataclass (a sparsity profile), in
+    field order: the hashable content it is priced by."""
+    return (type(value), *(
+        getattr(value, f.name) for f in dataclasses.fields(value)
+    ))
 
 
 class PlanCache:
@@ -102,8 +86,8 @@ class PlanCache:
 
     The four tiers are data — one dict per name in :data:`TIERS` — and
     :meth:`_intern` is the one lookup routine over them; the public
-    methods below only say what differs per tier: the key document and
-    whether callers get a defensive copy.
+    methods below only say what differs per tier: the key and whether
+    callers get a defensive copy.
     """
 
     def __init__(self) -> None:
@@ -127,24 +111,6 @@ class PlanCache:
     # ------------------------------------------------------------------
     # the tiers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _plan_key(
-        spec, config, enable_ffn_reuse, enable_eager_prediction,
-        iterations, batch, scale,
-    ) -> dict:
-        return {
-            "kind": "plan",
-            "spec": _doc(spec),
-            "config": _doc(config),
-            "ablation": {
-                "enable_ffn_reuse": enable_ffn_reuse,
-                "enable_eager_prediction": enable_eager_prediction,
-            },
-            "iterations": iterations,
-            "batch": batch,
-            "scale": scale,
-        }
-
     def plan(
         self,
         spec: ModelSpec,
@@ -156,15 +122,9 @@ class PlanCache:
         scale: str = "paper",
     ) -> PhasePlan:
         """Memoized :func:`~repro.program.lower.lower_plan`."""
-        lowering = dict(
-            spec=spec, config=config, enable_ffn_reuse=enable_ffn_reuse,
-            enable_eager_prediction=enable_eager_prediction,
-            iterations=iterations, batch=batch, scale=scale,
-        )
-        return self._intern(
-            "plan", _freeze(self._plan_key(**lowering)),
-            lambda: lower_plan(**lowering),
-        )
+        lowering = (spec, config, enable_ffn_reuse, enable_eager_prediction,
+                    iterations, batch, scale)
+        return self._intern("plan", lowering, lambda: lower_plan(*lowering))
 
     def compiled(
         self,
@@ -182,27 +142,21 @@ class PlanCache:
         frozen and shared: every executor bound to the same
         ``(spec, config, schedule, scale)`` reuses one schedule object.
         """
-        lowering = dict(
-            spec=spec, config=config, enable_ffn_reuse=enable_ffn_reuse,
-            enable_eager_prediction=enable_eager_prediction,
-            iterations=iterations, batch=batch, scale=scale,
-        )
+        lowering = (spec, config, enable_ffn_reuse, enable_eager_prediction,
+                    iterations, batch, scale)
         return self._intern(
-            "compiled", _freeze(self._plan_key(**lowering)),
-            lambda: compile_plan(self.plan(**lowering)),
+            "compiled", lowering, lambda: compile_plan(self.plan(*lowering)),
         )
 
     def price(self, accelerator, plan: PhasePlan, profile):
         """Memoized ``accelerator.simulate_plan(plan, profile)``.
 
-        Keyed by the accelerator fingerprint, the plan content and the
-        profile field values; returns a defensive copy each call (the
-        report is a mutable dataclass carrying breakdown dicts).
+        Keyed by the accelerator fingerprint, the plan (a frozen
+        dataclass, hashed by content) and the profile field values;
+        returns a defensive copy each call (the report is a mutable
+        dataclass carrying breakdown dicts).
         """
-        key = (
-            _freeze(_accelerator_doc(accelerator)), plan,
-            _freeze(_doc(profile)),
-        )
+        key = (_accelerator_key(accelerator), plan, _fields_key(profile))
         report = self._intern(
             "pricing", key, lambda: accelerator.simulate_plan(plan, profile),
         )
@@ -223,14 +177,8 @@ class PlanCache:
         """
         from repro.hw.profile import estimate_profile
 
-        doc = {
-            "kind": "profile",
-            "spec": _doc(spec),
-            "seed": seed,
-            "kwargs": _doc(kwargs),
-        }
         return dataclasses.replace(self._intern(
-            "profile", _freeze(doc),
+            "profile", (spec, seed, *sorted(kwargs.items())),
             lambda: estimate_profile(spec, seed=seed, **kwargs),
         ))
 

@@ -145,13 +145,15 @@ class CompiledPlan:
         """Expected per-phase index-set sizes from the plan's targets.
 
         Everything here is computable without running the model: mask
-        shapes come from the program dimensions, expected gather sizes
-        from the sparsity targets the schedule was lowered for. The
-        run-time sets differ per seed but match these in expectation —
-        the report is for sizing, not for parity.
+        and score shapes come from the program's stages (a UNet decoder
+        stage runs at half the tokens), expected gather sizes from the
+        sparsity targets the schedule was lowered for, and the cached
+        Q/K weight operands from the attention layers each block holds
+        (a cross-attention layer too when the program has a context).
+        The run-time sets differ per seed but match these in
+        expectation — the report is for sizing, not for parity.
         """
         program = self.plan.program
-        tokens = program.tokens
         hidden = program.hidden
         heads = program.heads
         stats: dict = {
@@ -164,31 +166,43 @@ class CompiledPlan:
             "tile_width": TILE_WIDTH,
         }
         if self.plan.enable_ffn_reuse:
-            mask_elems = tokens * hidden
-            expected_nnz = int(
-                round((1.0 - self.plan.ffn_target_sparsity) * mask_elems)
-            )
+            kept = 1.0 - self.plan.ffn_target_sparsity
             stats["ffn"] = {
-                "mask_shape": [tokens, hidden],
-                "masks_per_phase": program.depth,
-                "expected_gather_size": expected_nnz,
+                "stages": [
+                    {
+                        "mask_shape": [tokens, hidden],
+                        "masks_per_phase": blocks,
+                        "expected_gather_size": int(
+                            round(kept * tokens * hidden)
+                        ),
+                        "tiles_per_mask": (
+                            math.ceil(tokens / TILE_ROWS)
+                            * math.ceil(hidden / TILE_WIDTH)
+                        ),
+                    }
+                    for tokens, blocks in program.stages
+                ],
                 "expected_sparsity": self.plan.ffn_target_sparsity,
-                "tiles_per_mask": (
-                    math.ceil(tokens / TILE_ROWS)
-                    * math.ceil(hidden / TILE_WIDTH)
-                ),
                 "sparse_steps_amortizing": max(
                     (len(p.sparse_steps) for p in self.phases), default=0
                 ),
             }
         if self.plan.enable_eager_prediction:
-            tk = tokens
-            keep_per_row = max(1, math.ceil(self.plan.top_k_ratio * tk))
+            stages = []
+            for tokens, blocks in program.stages:
+                keep = max(1, math.ceil(self.plan.top_k_ratio * tokens))
+                stages.append({
+                    "score_shape": [heads, tokens, tokens],
+                    "layers": blocks,
+                    "keep_per_row": keep,
+                    "expected_keep_size": heads * tokens * keep,
+                })
+            # Q and K of each block's self-attention, and of its
+            # cross-attention when the program has a context.
+            layers = 2 if program.context_tokens else 1
             stats["attention"] = {
-                "score_shape": [heads, tokens, tk],
-                "keep_per_row": keep_per_row,
-                "expected_keep_size": heads * tokens * keep_per_row,
-                "cached_weight_operands": 2 * program.depth,
+                "stages": stages,
+                "cached_weight_operands": 2 * layers * program.depth,
             }
         return stats
 

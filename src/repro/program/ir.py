@@ -116,6 +116,16 @@ class IterationProgram:
         return self.ffn_mult * self.dim
 
     @property
+    def stages(self) -> tuple:
+        """``(tokens, blocks)`` of every stage holding blocks, in the
+        order :func:`repro.models.network.network_stages` gives them:
+        each transformer block runs one ``ffn_linear1`` on its stage's
+        tokens."""
+        return tuple(
+            (op.r, op.count) for op in self.ops if op.name == "ffn_linear1"
+        )
+
+    @property
     def total_macs(self) -> int:
         return sum(op.macs for op in self.ops)
 

@@ -15,10 +15,14 @@ import math
 import pytest
 
 from repro.core.config import ExionConfig
+from repro.exec.continuous import ContinuousExecutor, build_prediction_tables
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.program import compile_plan, lower_plan
+from repro.models.network import network_stages
+from repro.models.zoo import build_model
 from repro.program.compiled import TILE_ROWS, TILE_WIDTH
+from repro.serve.request import GenerationRequest
 from repro.workloads.specs import MODEL_SPECS, get_spec
 
 MODELS = sorted(MODEL_SPECS)
@@ -102,29 +106,66 @@ class TestIndexSetStats:
     def test_expected_sizes_derive_from_plan_targets(self, model, scale):
         cp = _compiled(model, "all", scale)
         program = cp.plan.program
+        spec = get_spec(model)
         stats = cp.index_set_stats()
         assert stats["model"] == program.model
         assert stats["scale"] == scale
         assert stats["tile_rows"] == TILE_ROWS
         assert stats["tile_width"] == TILE_WIDTH
-        ffn = stats["ffn"]
-        assert ffn["mask_shape"] == [program.tokens, program.hidden]
-        assert ffn["expected_gather_size"] == int(round(
-            (1.0 - cp.plan.ffn_target_sparsity)
-            * program.tokens * program.hidden
-        ))
-        assert ffn["tiles_per_mask"] == (
-            math.ceil(program.tokens / TILE_ROWS)
-            * math.ceil(program.hidden / TILE_WIDTH)
-        )
+        stages = [
+            (stage.tokens, len(stage.blocks))
+            for stage in network_stages(spec.network_type, program.tokens,
+                                        program.depth)
+            if stage.blocks
+        ]
+        ffn = stats["ffn"]["stages"]
+        assert [(s["mask_shape"], s["masks_per_phase"]) for s in ffn] == [
+            ([tokens, program.hidden], blocks) for tokens, blocks in stages
+        ]
+        for s, (tokens, _) in zip(ffn, stages):
+            assert s["expected_gather_size"] == int(round(
+                (1.0 - cp.plan.ffn_target_sparsity) * tokens * program.hidden
+            ))
+            assert s["tiles_per_mask"] == (
+                math.ceil(tokens / TILE_ROWS)
+                * math.ceil(program.hidden / TILE_WIDTH)
+            )
         attn = stats["attention"]
-        assert attn["keep_per_row"] == max(
-            1, math.ceil(cp.plan.top_k_ratio * program.tokens)
+        for s, (tokens, blocks) in zip(attn["stages"], stages, strict=True):
+            assert s["score_shape"] == [program.heads, tokens, tokens]
+            assert s["layers"] == blocks
+            assert s["keep_per_row"] == max(
+                1, math.ceil(cp.plan.top_k_ratio * tokens)
+            )
+            assert s["expected_keep_size"] == (
+                program.heads * tokens * s["keep_per_row"]
+            )
+        layers = 2 if program.context_tokens else 1
+        assert attn["cached_weight_operands"] == 2 * layers * program.depth
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_sim_scale_matches_the_engine(self, model):
+        """The sim-scale report describes what the engine builds: the
+        masks of one dense tick, block by block, and the Q/K operands
+        :func:`build_prediction_tables` caches."""
+        config = ExionConfig.for_model(model)
+        built = build_model(model, seed=0, total_iterations=4)
+        stats = compile_plan(lower_plan(
+            built.spec, config=config, iterations=4, scale="sim",
+        )).index_set_stats()
+        operands = build_prediction_tables(built.network, config)
+        assert stats["attention"]["cached_weight_operands"] == sum(
+            2 * len(entry) for entry in operands
         )
-        assert attn["expected_keep_size"] == (
-            program.heads * program.tokens * attn["keep_per_row"]
-        )
-        assert attn["cached_weight_operands"] == 2 * program.depth
+        executor = ContinuousExecutor(built, config)
+        run = executor.start_run(GenerationRequest(0, seed=0, class_label=1))
+        executor.run_tick([run])
+        shapes = [list(state.mask.shape) for state in run.ffn]
+        assert shapes == [
+            s["mask_shape"]
+            for s in stats["ffn"]["stages"]
+            for _ in range(s["masks_per_phase"])
+        ]
 
     def test_sections_follow_ablation_flags(self):
         assert "ffn" not in _compiled("dit", "ep", "sim").index_set_stats()

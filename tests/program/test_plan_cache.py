@@ -157,6 +157,47 @@ class TestPricingTierParity:
         assert small.latency_s != large.latency_s
         assert cache.tier_misses["pricing"] == 2
 
+    def test_profile_values_key_the_pricing(self, cache):
+        spec = get_spec("dit")
+        acc = ExionAccelerator.exion24()
+        plan = cache.plan(spec)
+        profile = cache.profile(spec)
+        base = cache.price(acc, plan, profile)
+        profile.ffn_sparsity = 0.5
+        assert cache.price(acc, plan, profile) == acc.simulate_plan(
+            plan, profile
+        )
+        assert cache.price(acc, plan, cache.profile(spec)) == base
+        assert cache.tier_misses["pricing"] == 2
+
+
+class TestWarmServiceTimeModel:
+    def test_second_model_prices_from_the_tiers(self, cache, monkeypatch):
+        """A fresh ServiceTimeModel in a warm process prices every point
+        with zero cache misses and without building a key document."""
+        from repro.cluster.replica import PHASES, ServiceTimeModel
+
+        points = [
+            (model, ablation, batch, phase)
+            for model in ("dit", "mld", "stable_diffusion")
+            for ablation in ("base", "all")
+            for batch in (1, 3)
+            for phase in PHASES
+        ]
+        first = ServiceTimeModel("exion24", iterations=8)
+        want = [first.price(*point) for point in points]
+        misses, hits = cache.misses, cache.hits
+
+        def no_document(*args, **kwargs):
+            raise AssertionError("a cache lookup built a key document")
+
+        monkeypatch.setattr(dataclasses, "asdict", no_document)
+        monkeypatch.setattr(dataclasses, "astuple", no_document)
+        second = ServiceTimeModel("exion24", iterations=8)
+        assert [second.price(*point) for point in points] == want
+        assert cache.misses == misses
+        assert cache.hits > hits
+
 
 class TestProfileTierParity:
     @pytest.mark.parametrize("model", ALL_MODEL_ORDER)

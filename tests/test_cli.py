@@ -417,6 +417,8 @@ class TestProgramCommand:
         plan = lower_plan(get_spec("mld"),
                           config=ExionConfig.for_model("mld"))
         assert doc == compile_plan(plan).index_set_stats()
-        assert doc["ffn"]["mask_shape"] == [
-            plan.program.tokens, plan.program.hidden
+        # mld is a UNet: its decoder blocks mask half the tokens.
+        tokens, hidden = plan.program.tokens, plan.program.hidden
+        assert [s["mask_shape"] for s in doc["ffn"]["stages"]] == [
+            [tokens, hidden], [-(-tokens // 2), hidden]
         ]
