@@ -33,7 +33,10 @@ every score row of a step attends a single column (a collapsed row, or
 ``keep_count == 1``), that column's probability is exactly 1.0, so the
 step skips the exact Q and K projections, the scores and the softmax
 outright: exact self-attention K is projected only when some row
-attends two or more columns.
+attends two or more columns. A step with one key (a one-token
+conditioning context, such as a class label) returns before the
+prediction too: that key is every row's argmax, so there is nothing to
+predict or decide.
 """
 
 from __future__ import annotations
@@ -235,7 +238,8 @@ def ep_decide(
     Top-k selection, dominance gap and argmax all act along the last axis
     only, so each head slice gets exactly the per-head decision. Returns
     ``(keep, one_hot_rows, one_hot_cols)`` shaped ``(..., tq, tk)``,
-    ``(..., tq)``, ``(..., tq)``. One sort per row gives the dominance gap
+    ``(..., tq)``, ``(..., tq)``, for ``tk >= 2`` (a one-key step never
+    predicts: :func:`_one_key`). One sort per row gives the dominance gap
     and the k-th largest score; where the (k+1)-th is smaller the top-k
     set is unique, ``row >= kth``. Only rows tied there run the oracle's
     ``argpartition``, which reads each row alone, so its tie order holds.
@@ -244,11 +248,6 @@ def ep_decide(
     tk = shape[-1]
     keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
     one_hot_cols = np.argmax(predicted, axis=-1)
-    if tk < 2:
-        # A single score is its own argmax: every row collapses.
-        return (np.zeros(shape, dtype=bool), np.ones(shape[:-1], dtype=bool),
-                one_hot_cols)
-
     rows = predicted.reshape(-1, tk)
     ordered = np.sort(rows, axis=-1)
     one_hot_rows = ordered[:, -1] - ordered[:, -2] > q_threshold
@@ -290,6 +289,25 @@ def _masked_softmax(scores: np.ndarray, attend: np.ndarray) -> np.ndarray:
     probs *= attend
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
+
+
+def _one_key(layer: MultiHeadAttention, v: np.ndarray, tq: int,
+             batch_stats: list, collect_keepmasks: bool) -> np.ndarray:
+    """Both step forms' one-key step, decided ahead of the log-domain
+    prediction: the lone key is every row's argmax, so the oracle keeps
+    nothing, collapses every row onto it and reads its value back with
+    probability exactly 1.0, through the same ``probs @ v`` product.
+    Each request's statistics are those of that decision: 0 scores kept,
+    0 Q rows and 1 K/V column."""
+    lead = v.shape[:-2]  # (..., heads)
+    for stats in batch_stats:
+        _add_step_stats(stats, layer, tq, 1, 0, 0, 1)
+        if collect_keepmasks:
+            stats.attention_keepmasks.append(
+                np.zeros((layer.num_heads, tq, 1), dtype=bool)
+            )
+    attended = np.matmul(np.ones((*lead, tq, 1)), v)
+    return layer.wo(layer.merge_heads(attended))
 
 
 def _ep_attend(layer: MultiHeadAttention, x: np.ndarray,
@@ -355,19 +373,21 @@ def ep_attention_step(
     tq, tk = x.shape[0], kv_input.shape[0]
     mode, bits = config.lod_mode, config.prediction_bits
 
-    x_operand = prepare_log_operand(x, mode, bits)
-    qh = layer.split_heads(log_domain_matmul_prepared(x_operand, pred.wq_operand))
-
     if kv is not None:
         kh, k, v = kv
     else:
+        kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
+    if tk == 1:
+        return _one_key(layer, v, tq, [stats], collect_keepmasks)
+
+    x_operand = prepare_log_operand(x, mode, bits)
+    qh = layer.split_heads(log_domain_matmul_prepared(x_operand, pred.wq_operand))
+    if kh is None:
         k_operand = (
             x_operand if context is None
             else prepare_log_operand(kv_input, mode, bits)
         )
         kh = layer.split_heads(log_domain_matmul_prepared(k_operand, pred.wk_operand))
-        k, v = None, layer.split_heads(layer.wv(kv_input))
-
     out, keep, one_hot_rows, attend = _ep_attend(
         layer, x, kv_input, qh, kh, k, v, config
     )
@@ -468,18 +488,20 @@ def ep_attention_step_batched(
     tk = kv_input.shape[1]
     mode, bits = config.lod_mode, config.prediction_bits
 
-    a_approx, a_scales = _prepare_per_request(x, mode, bits)
-    qh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wq_operand))
-
     if kv is not None:
         kh, k, v = kv
     else:
+        kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
+    if tk == 1:
+        return _one_key(layer, v, tq, batch_stats, collect_keepmasks)
+
+    a_approx, a_scales = _prepare_per_request(x, mode, bits)
+    qh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wq_operand))
+    if kh is None:
         # Self-attention: both predictions quantize the same x, so the
         # prepared operand is shared (the interpreted path re-derives the
         # identical quantization).
         kh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wk_operand))
-        k, v = None, layer.split_heads(layer.wv(kv_input))
-
     out, keep, one_hot_rows, attend = _ep_attend(
         layer, x, kv_input, qh, kh, k, v, config
     )

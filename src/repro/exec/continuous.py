@@ -27,10 +27,13 @@ The sparse kernels come from :mod:`repro.core.ffn_reuse` and
 :mod:`repro.core.eager_prediction` and the rest of the network (exact
 attention, ResBlocks, pooling) from the batch-agnostic
 :mod:`repro.models`. The one choice made by batch size is the per-step
-EP attention kernel: a tick with one run calls the 2-D
+EP attention kernel: a step over one run calls the 2-D
 :func:`~repro.core.eager_prediction.ep_attention_step` on its row, a
-larger tick :func:`~repro.core.eager_prediction.ep_attention_step_batched`;
-both are byte-identical to the oracle. Per-request
+larger step :func:`~repro.core.eager_prediction.ep_attention_step_batched`;
+both are byte-identical to the oracle. Cross-attention takes one step per
+context length, so every request attends its own real conditioning
+tokens; a batch whose contexts share one length (every class-label
+batch) is one stacked step with no gather or scatter. Per-request
 rows are proven independent of batch composition by the serve parity
 suite — so a request produces **byte-identical** samples and
 :class:`~repro.core.sparsity.RunStats` to its own solo sequential run,
@@ -207,10 +210,12 @@ class ContinuousExecutor:
         """Batch-wide caches, valid only for one membership signature
         (the member runs' serials, in batch order)."""
         self._membership = membership
-        self._context: Optional[np.ndarray] = None  # members' stacked contexts
+        #: Per context length, ``(rows, stacked contexts)``: the members
+        #: whose conditioning has that many tokens, in batch order.
+        self._contexts: list = []
         self._ffn_batch: dict = {}  # block -> FFNPhaseState
-        self._cross_kv: dict = {}  # block -> EP (kh, k, v), [0] at one run
-        self._cross_exact_kv: dict = {}  # block -> (k, v)
+        self._cross_kv: dict = {}  # (block, group) -> EP (kh, k, v)
+        self._cross_exact_kv: dict = {}  # (block, group) -> (k, v)
 
     # ------------------------------------------------------------------
     # run lifecycle
@@ -328,20 +333,14 @@ class ContinuousExecutor:
             # membership; FFN stacks are rebuilt lazily from per-run
             # state, contexts and K/V stacks from per-run contexts. No
             # re-trace.
-            context = None
-            if any(r.context is not None for r in runs):
-                if any(r.context is None for r in runs):
-                    raise PhaseSyncError(
-                        "conditioned and unconditioned runs in one batch"
-                    )
-                context = np.stack([r.context for r in runs])
+            contexts = self._group_contexts(runs)
             if self.observer is not None:
                 self.observer.on_index_set_edit(
                     len(self._membership), len(membership),
                     rebuilt=bool(self._membership),
                 )
             self._reset_batch_caches(membership)
-            self._context = context
+            self._contexts = contexts
 
         count_iterations = self.config.enable_ffn_reuse
         # ``np.array`` of equal-shape rows is ``np.stack`` without its
@@ -376,6 +375,24 @@ class ContinuousExecutor:
                 finished.append(run)
         return finished
 
+    @staticmethod
+    def _group_contexts(runs: list) -> list:
+        """The members' contexts stacked per token count (see
+        ``_contexts``); empty for an unconditioned batch."""
+        if all(r.context is None for r in runs):
+            return []
+        if any(r.context is None for r in runs):
+            raise PhaseSyncError(
+                "conditioned and unconditioned runs in one batch"
+            )
+        by_length: dict = {}
+        for b, run in enumerate(runs):
+            by_length.setdefault(len(run.context), []).append(b)
+        return [
+            (np.array(rows), np.stack([runs[b].context for b in rows]))
+            for rows in by_length.values()
+        ]
+
     # ------------------------------------------------------------------
     # one transformer block over the batch axis, per-run cursors
     # (DiffusionNetwork.walk owns the topology)
@@ -400,11 +417,10 @@ class ContinuousExecutor:
         x = x + gate * self._attention(
             block.self_attn, h, None, block_index, runs
         )
-        if block.cross_attn is not None and self._context is not None:
+        if block.cross_attn is not None and self._contexts:
             assert block.norm_cross is not None
-            x = x + self._attention(
-                block.cross_attn, block.norm_cross(x), self._context,
-                block_index, runs,
+            x = x + self._cross_attention(
+                block.cross_attn, block.norm_cross(x), block_index, runs
             )
         x = x + self._ffn(block.ffn, block.norm2(x), block_index, runs)
         return x
@@ -412,6 +428,25 @@ class ContinuousExecutor:
     # ------------------------------------------------------------------
     # attention
     # ------------------------------------------------------------------
+    def _cross_attention(
+        self, layer, x: np.ndarray, block_index: int, runs: list
+    ) -> np.ndarray:
+        """Cross-attention, one stacked step per context length: each
+        request attends its own real tokens, so rows whose contexts
+        differ in length run apart and are scattered back in batch
+        order. One length is the whole batch: no gather or scatter."""
+        if len(self._contexts) == 1:
+            return self._attention(
+                layer, x, self._contexts[0][1], block_index, runs, group=0
+            )
+        out = np.empty_like(x)
+        for group, (rows, context) in enumerate(self._contexts):
+            out[rows] = self._attention(
+                layer, x[rows], context, block_index,
+                [runs[b] for b in rows], group=group,
+            )
+        return out
+
     def _attention(
         self,
         layer,
@@ -419,27 +454,29 @@ class ContinuousExecutor:
         context: Optional[np.ndarray],
         block_index: int,
         runs: list,
+        group: int = 0,
     ) -> np.ndarray:
         if self.activation_bits is not None:
             x = _fake_quantize_batched(x, self.activation_bits)
+        key = (block_index, group)
         if not self._preds:
             if context is None:
                 return layer.attend(x, *layer.kv(x))
-            cached = self._cross_exact_kv.get(block_index)
+            cached = self._cross_exact_kv.get(key)
             if cached is None:
-                cached = self._cross_exact_kv[block_index] = layer.kv(context)
+                cached = self._cross_exact_kv[key] = layer.kv(context)
             return layer.attend(x, *cached)
         which = "self" if context is None else "cross"
         pred = self._preds[block_index][which]
         one = len(runs) == 1
         kv = None
         if context is not None:
-            kv = self._cross_kv.get(block_index)
+            kv = self._cross_kv.get(key)
             if kv is None:
                 kv = ep_cross_kv(layer, context, pred, self.config)
                 if one:
                     kv = tuple(a[0] for a in kv)
-                self._cross_kv[block_index] = kv
+                self._cross_kv[key] = kv
         if one:
             # The kernel choice by batch size: the 2-D step is the same
             # bytes as the batched one at B = 1, in fewer numpy calls.

@@ -32,8 +32,9 @@ def hash_tokenize(prompt: str, vocab_size: int, max_tokens: int) -> np.ndarray:
 
 
 class ConditioningEncoder:
-    """Small transformer encoder producing ``(max_tokens, dim)`` embeddings:
-    two 4-head blocks over a 4096-word hash vocabulary."""
+    """Small transformer encoder producing one ``dim``-wide embedding per
+    real token, at most ``max_tokens`` of them: two 4-head blocks over a
+    4096-word hash vocabulary."""
 
     max_tokens = 16
     vocab_size = 4096
@@ -46,8 +47,11 @@ class ConditioningEncoder:
         self.final_norm = LayerNorm(dim)
 
     def encode_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Embed token ids, padded/truncated to ``max_tokens``."""
+        """Embed token ids, truncated to ``max_tokens``: one row per real
+        token, no padding, so cross-attention attends real keys only."""
         ids = np.asarray(ids, dtype=np.int64) % self.vocab_size
+        if ids.size == 0:
+            raise ValueError("ids must hold at least one token id")
         ids = ids[: self.max_tokens]
         h = self.embedding[ids]
         positions = np.stack(
@@ -56,11 +60,7 @@ class ConditioningEncoder:
         h = h + 0.1 * positions
         for block in self.blocks:
             h = block(h)
-        h = self.final_norm(h)
-        if h.shape[0] < self.max_tokens:
-            pad = np.zeros((self.max_tokens - h.shape[0], self.dim))
-            h = np.concatenate([h, pad], axis=0)
-        return h
+        return self.final_norm(h)
 
     def encode(self, prompt: str) -> np.ndarray:
         """Embed a text prompt."""

@@ -138,7 +138,10 @@ def lower_program(spec: ModelSpec, scale: str = "paper") -> IterationProgram:
     (Fig. 4's "Etc." category). At sim scale the ``etc`` ops are the
     MMULs the numpy network runs around its blocks (:func:`_sim_etc_ops`),
     so the program's MACs per kind are the ones one oracle iteration
-    executes; at paper scale the non-transformer remainder (ResBlocks,
+    executes on the longest context: the sim program prices
+    ``ConditioningEncoder.max_tokens`` cross-attention keys, and a
+    shorter prompt executes fewer K/V projection and score MACs than it
+    prices; at paper scale the non-transformer remainder (ResBlocks,
     projections, VAE/conditioning amortized per iteration) is one op
     sized from the spec's transformer share.
     """

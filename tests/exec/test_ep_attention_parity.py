@@ -159,3 +159,16 @@ class TestThreeImplementationsAgree:
             assert np.all(keep.sum(axis=-1) == 1)
             assert not collapsed.any()
             np.testing.assert_array_equal(out, picked)
+
+    @pytest.mark.parametrize("tq", (1, 5, 16))
+    def test_one_key(self, tq):
+        """A one-token context, whatever the knobs: both step forms return
+        before the prediction, and every row still collapses onto the lone
+        key exactly as the oracle's decision has it."""
+        for q_threshold in (0.0, 1e9):
+            for keep, collapsed, out, picked in _three_ways(
+                3, tq, 1, 0.5, q_threshold, 4, True
+            ):
+                assert keep.shape == (3, tq, 1) and not keep.any()
+                assert collapsed.all()
+                np.testing.assert_array_equal(out, picked)

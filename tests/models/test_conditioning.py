@@ -1,6 +1,7 @@
 """Unit tests for the conditioning encoder."""
 
 import numpy as np
+import pytest
 
 from repro.models.conditioning import (
     ConditioningEncoder,
@@ -33,11 +34,23 @@ class TestHashTokenize:
 
 
 class TestConditioningEncoder:
-    def test_output_shape_padded(self):
+    def test_output_shape_is_the_real_length(self):
         enc = ConditioningEncoder(dim=32)
         out = enc.encode("two words")
-        assert out.shape == (16, 32)
-        np.testing.assert_array_equal(out[2:], 0.0)
+        assert out.shape == (2, 32)
+        assert np.all(np.abs(out).sum(axis=1) > 0.0)
+
+    def test_long_prompt_truncates_to_max_tokens(self):
+        enc = ConditioningEncoder(dim=16)
+        out = enc.encode(" ".join(f"word{i}" for i in range(40)))
+        assert out.shape == (ConditioningEncoder.max_tokens, 16) == (16, 16)
+
+    def test_empty_ids_raise(self):
+        enc = ConditioningEncoder(dim=16)
+        with pytest.raises(ValueError, match="ids"):
+            enc.encode_ids([])
+        with pytest.raises(ValueError, match="ids"):
+            enc.encode_ids(np.zeros(0, dtype=np.int64))
 
     def test_deterministic(self):
         enc1 = ConditioningEncoder(dim=16, seed=5)
@@ -54,7 +67,7 @@ class TestConditioningEncoder:
         enc = ConditioningEncoder(dim=16)
         a = enc.encode_class(3)
         b = enc.encode_class(7)
-        assert a.shape == (16, 16)
+        assert a.shape == b.shape == (1, 16)
         assert not np.allclose(a, b)
 
     def test_make_conditioning_none_passthrough(self):

@@ -215,16 +215,11 @@ def _kind_of_linears(network):
     return kinds
 
 
-@pytest.mark.parametrize("name", ALL_MODEL_ORDER)
-def test_sim_program_macs_are_what_one_oracle_iteration_executes(
-    name, monkeypatch
-):
-    """The MAC law: spy every product one dense forward of the numpy
-    network runs and sum its MACs per Fig. 4 category; the sim-scale
-    lowering must give the same totals exactly."""
-    model = build_model(name, seed=0, total_iterations=2)
+def _oracle_iteration_macs(model, prompt, monkeypatch):
+    """Spy every product one dense forward of the numpy network runs on
+    ``prompt``'s context and sum its MACs per Fig. 4 category."""
     network = model.network
-    context = model.make_pipeline().embed_prompt("a prompt")
+    context = model.make_pipeline().embed_prompt(prompt)
     kinds = _kind_of_linears(network)
     executed = {"qkv": 0, "attention": 0, "ffn": 0, "etc": 0}
 
@@ -254,4 +249,52 @@ def test_sim_program_macs_are_what_one_oracle_iteration_executes(
     rng = np.random.default_rng(0)
     network(rng.standard_normal((network.tokens, network.dim)), 500,
             context=context)
+    return executed
+
+
+#: A prompt as long as the context bound: every priced key is real.
+LONGEST_PROMPT = " ".join(
+    f"word{i}" for i in range(ConditioningEncoder.max_tokens)
+)
+
+
+@pytest.mark.parametrize("name", ALL_MODEL_ORDER)
+def test_sim_program_macs_are_what_one_oracle_iteration_executes(
+    name, monkeypatch
+):
+    """The MAC law: one dense forward of the numpy network on the
+    longest context executes, per Fig. 4 category, exactly the MACs the
+    sim-scale lowering prices."""
+    model = build_model(name, seed=0, total_iterations=2)
+    executed = _oracle_iteration_macs(model, LONGEST_PROMPT, monkeypatch)
     assert executed == lower_program(model.spec, scale="sim").macs_by_kind()
+
+
+@pytest.mark.parametrize("name", [
+    name for name in ALL_MODEL_ORDER if get_spec(name).context_dim
+])
+def test_a_short_prompt_executes_fewer_keys_than_the_program_prices(
+    name, monkeypatch
+):
+    """A context of ``L`` real tokens falls short of the priced
+    ``max_tokens`` keys by exactly ``max_tokens - L`` keys in every
+    cross-attention layer: each missing key is one K and one V
+    projection row and one column of Q K^T and of probs @ V."""
+    model = build_model(name, seed=0, total_iterations=2)
+    network = model.network
+    executed = _oracle_iteration_macs(model, "two words", monkeypatch)
+    priced = lower_program(model.spec, scale="sim").macs_by_kind()
+    missing = ConditioningEncoder.max_tokens - 2
+    per_key_kv = per_key_scores = 0
+    for stage in network.stages:
+        for index in stage.blocks:
+            attn = network.blocks[index].cross_attn
+            per_key_kv += 2 * attn.context_dim * attn.dim
+            per_key_scores += 2 * stage.tokens * attn.dim
+    assert per_key_kv and per_key_scores
+    assert priced["qkv"] - executed["qkv"] == missing * per_key_kv
+    assert priced["attention"] - executed["attention"] == (
+        missing * per_key_scores
+    )
+    assert executed["ffn"] == priced["ffn"]
+    assert executed["etc"] == priced["etc"]

@@ -173,3 +173,61 @@ def test_back_to_back_drained_batches_do_not_share_caches():
     for g, w in zip(got, want):
         assert np.array_equal(g.sample, w.sample)
         assert g.stats.summary() == w.stats.summary()
+
+
+# ----------------------------------------------------------------------
+# cross-attention runs per context length
+# ----------------------------------------------------------------------
+def test_context_length_groups_survive_a_leaving_member():
+    """Members attend 1, 3 and 4 real tokens (two one-token contexts of
+    different content share a group); the four-token member leaves
+    mid-run, regrouping the rest. Every survivor equals its solo run."""
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    requests = [
+        GenerationRequest(0, seed=1, prompt="a person walks"),
+        GenerationRequest(1, seed=2, class_label=3),
+        GenerationRequest(2, seed=3, prompt="a person jumps high"),
+        GenerationRequest(3, seed=4, class_label=5),
+    ]
+    runs = [executor.start_run(r) for r in requests]
+    executor.run_tick(runs)
+    assert sorted(len(rows) for rows, _ in executor._contexts) == [1, 1, 2]
+    del runs[2]
+    while not executor.run_tick(runs):
+        pass
+    oracle = ExionPipeline(model, config, compiled=False)
+    for run in runs:
+        request = run.request
+        solo = oracle.generate(seed=request.seed, prompt=request.prompt,
+                               class_label=request.class_label)
+        got = executor.finish_run(run)
+        assert np.array_equal(solo.sample, got.sample)
+        assert solo.stats.summary() == got.stats.summary()
+
+
+def test_one_context_length_is_one_stacked_cross_step(monkeypatch):
+    """A batch whose contexts share a length (every class-label batch)
+    runs each cross-attention layer as one call over the whole batch,
+    with no gather or scatter."""
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    batches = []
+    real = ContinuousExecutor._attention
+
+    def attention(self, layer, x, context, *args, **kwargs):
+        if context is not None:
+            batches.append(len(x))
+        return real(self, layer, x, context, *args, **kwargs)
+
+    monkeypatch.setattr(ContinuousExecutor, "_attention", attention)
+    executor.run_batch([
+        GenerationRequest(i, seed=i, class_label=i) for i in range(3)
+    ])
+    cross_layers = sum(b.cross_attn is not None for b in model.network.blocks)
+    assert batches == [3] * cross_layers * FAST_ITERATIONS
+    runs = [executor.start_run(GenerationRequest(i, seed=i, class_label=i))
+            for i in range(3)]
+    executor.run_tick(runs)
+    ((rows, context),) = executor._contexts
+    assert rows.tolist() == [0, 1, 2] and context.shape[:2] == (3, 1)

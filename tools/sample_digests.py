@@ -5,8 +5,11 @@ Each line hashes one sample's bytes and its ``RunStats.summary()`` after
 checking that the interpreted oracle and two calls on the compiled engine
 produced the same ones: a one-seed ``generate``, whose ticks reach the
 2-D EP attention kernel, and a slot of a three-seed ``generate_batch``,
-whose ticks reach the batched one. An
-unchanged line is a byte-identical sample: a PR that changes a kernel's
+whose ticks reach the batched one. On a conditioned model one more slot
+must agree: a batch whose other members attend a prompt of another
+length and a class label of its own length, so its cross-attention runs
+in a context-length group apart, shared with a different context.
+An unchanged line is a byte-identical sample: a PR that changes a kernel's
 last bit shows the changed hashes in its diff of ``sample_digests.txt``.
 ``--src DIR`` imports another checkout::
 
@@ -37,6 +40,11 @@ ARGS = parser.parse_args()
 sys.path.insert(0, str(ARGS.src))
 
 from repro import BENCHMARK_MODELS, ExionConfig, ExionPipeline, build_model  # noqa: E402
+from repro.exec import ContinuousExecutor  # noqa: E402
+from repro.serve import GenerationRequest  # noqa: E402
+
+#: The batch-mates' prompt: six tokens against the slot's one.
+MATES_PROMPT = "a corgi surfing on a wave"
 
 
 def digest(result) -> str:
@@ -55,6 +63,14 @@ def main() -> int:
             "2-D kernel": engines.generate(seed=SEED),
             "batched kernel": engines.generate_batch([SEED, SEED + 1, SEED + 2])[1][0],
         }
+        if model.spec.context_dim:
+            mixed = ContinuousExecutor(model, config).run_batch([
+                GenerationRequest(0, seed=SEED + 1, prompt=MATES_PROMPT),
+                GenerationRequest(1, seed=SEED),
+                GenerationRequest(2, seed=SEED + 2, prompt=MATES_PROMPT),
+                GenerationRequest(3, seed=SEED + 3, class_label=3),
+            ])
+            by_engine["mixed-length batch"] = mixed[1]
         digests = {engine: digest(result) for engine, result in by_engine.items()}
         if len(set(digests.values())) != 1:
             print(f"{name}: the engines disagree: {digests}", file=sys.stderr)
