@@ -47,8 +47,9 @@ def emit(cell: str, text: str) -> None:
     print(LINES[-1])
 
 
-def emit_observed(cell: str, tracer) -> None:
-    emit(f"{cell}/trace", chrome_trace_json(tracer))
+def emit_observed(cell: str, tracer, trace: bool = True) -> None:
+    if trace:
+        emit(f"{cell}/trace", chrome_trace_json(tracer))
     analysis = analyze_tracer(tracer)
     emit(f"{cell}/analysis", analysis.to_json())
     emit(f"{cell}/html", render_html(analysis))
@@ -66,11 +67,11 @@ def fleet(name, trace, continuous, replicas, router="jsq", slo=None,
         emit_observed(cell, observer.tracer)
 
 
-def trace_scenario(cell, **knobs):
+def trace_scenario(cell, trace=True, **knobs):
     observer = Observer()
     summary = run_trace_scenario(iterations=12, observer=observer, **knobs)
     emit(f"{cell}/summary", json.dumps(summary, sort_keys=True))
-    emit_observed(cell, observer.tracer)
+    emit_observed(cell, observer.tracer, trace)
 
 
 def simulated_server(continuous):
@@ -122,6 +123,12 @@ def main() -> int:
     trace_scenario("scenario/continuous+cold_start", continuous=True, cold_start=True)
     for continuous in (False, True):
         simulated_server(continuous)
+    # Hundreds of requests: serve-mode analytics on a trace whose ticks
+    # each hold several requests, preemptions, evictions and expiries.
+    for continuous in (True, False):
+        trace_scenario(f"scenario-400/{'continuous' if continuous else 'drain'}",
+                       trace=False, continuous=continuous, requests=400,
+                       batch_size=4)
 
     text = "".join(line + "\n" for line in LINES)
     if ARGS.update:
