@@ -32,7 +32,7 @@ carry an ``energy_j`` price.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import NamedTuple, Optional
@@ -96,8 +96,13 @@ class RequestAttribution:
     components: dict = field(
         default_factory=lambda: dict.fromkeys(COMPONENTS, 0)
     )
-    ticks: int = 0
     intervals: list = field(default_factory=list)  # (join_ns, leave_ns)
+    #: ascending positions of its member ticks in :attr:`Attribution.ticks`
+    positions: list = field(default_factory=list)
+
+    @property
+    def ticks(self) -> int:
+        return len(self.positions)
 
     @property
     def latency_ns(self) -> int:
@@ -249,7 +254,6 @@ def _serve_ticks(records: TraceRecords) -> list:
 
 
 def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
-    # Serve traces are small: the attribution walks _Tick rows.
     ticks = _serve_ticks(records)
     out = Attribution(mode=mode, horizon_ns=records.horizon_ns())
     for tick in ticks:
@@ -277,23 +281,53 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
 
     for rid in sorted(lifecycle):
         events = sorted(lifecycle[rid], key=lambda e: (e.ts_ns, e.event_id))
-        out.requests.append(
-            _attribute_request(rid, events, ticks, boundary_list,
-                               out.horizon_ns, mode)
-        )
+        out.requests.append(_lifecycle(rid, events, out.horizon_ns))
+    columns = out.ticks.columns
+    members = _member_ticks(out.requests, columns, mode)
+    for request in out.requests:
+        _add_components(request, columns, boundary_list)
 
-    _account_tenants(out, ticks)
+    # One slot per (tick, member): a tick's members in request-id order,
+    # so the lowest ids take the split's remainder; a tick with no
+    # member is one (unattributed) slot.
+    held: list = [[] for _ in ticks]
+    for rid in sorted(members):
+        for position in members[rid]:
+            held[position].append(rid)
+    by_rid = {r.request_id: r for r in out.requests}
+    requests = [by_rid.get(rid) for rid in
+                chain.from_iterable(ids or [None] for ids in held)]
+    size = np.fromiter(map(len, held), np.int64, len(held))
+    start, end, cold, energy = (
+        np.array(column, dtype=np.int64) for column in
+        (columns.start_ns, columns.end_ns, columns.cold_ns, columns.energy_nj)
+    )
+    member, slot = _slots(size)
+    _account_slots(
+        out.tenants, end - start, cold, energy, columns.phase, member, slot,
+        size,
+        _factorize([_UNATTRIBUTED if r is None else r.tenant
+                    for r in requests]),
+        _factorize(["1" if r is None else str(r.priority) for r in requests]),
+        _factorize([(r.model if r is not None else "") or "?"
+                    for r in requests]),
+        (size > 0)[member],
+    )
+    for request in out.requests:
+        doc = _tenant_doc(out.tenants, request.tenant)
+        doc["requests"] += 1
+        if request.outcome == "served":
+            doc["served"] += 1
+    out.tenants = {
+        tenant: _sorted_tenant(doc)
+        for tenant, doc in sorted(out.tenants.items())
+    }
     return out
 
 
-def _attribute_request(
-    rid: int,
-    events: list,
-    ticks: list,
-    boundaries: list,
-    horizon_ns: int,
-    mode: str,
-) -> RequestAttribution:
+def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
+    """A request's submission, membership intervals and outcome, from
+    its membership events in time order."""
     request = RequestAttribution(request_id=rid)
     submit = next((e for e in events if e.name == "submit"), None)
     if submit is not None:
@@ -313,11 +347,10 @@ def _attribute_request(
     terminal: Optional[tuple] = None
     for event in events:
         if event.name == "join" and open_join is None:
-            intervals.append([event.ts_ns, None, None])
+            intervals.append([event.ts_ns, None])
             open_join = event.ts_ns
         elif event.name in ("evict", "complete") and open_join is not None:
             intervals[-1][1] = event.ts_ns
-            intervals[-1][2] = event
             open_join = None
             if event.name == "complete":
                 terminal = ("served", event.ts_ns)
@@ -327,23 +360,56 @@ def _attribute_request(
             terminal = ("expired", event.ts_ns)
     if open_join is not None:
         intervals[-1][1] = horizon_ns
-        intervals[-1][2] = None
     if terminal is None:
         last = intervals[-1][1] if intervals else events[-1].ts_ns
         terminal = ("open", max(last, request.submit_ns))
     request.outcome, request.end_ns = terminal
-    request.intervals = [(j, l) for j, l, _ in intervals]
+    request.intervals = [(j, l) for j, l in intervals]
+    return request
 
-    # Drain mode: membership intervals come from the batch span that
-    # carried the request (submit events + request_ids span args).
-    if mode == "drain" and not request.intervals:
-        for tick in ticks:
-            if rid in tick.members and tick.start_ns >= request.submit_ns:
-                request.intervals = [(tick.start_ns, tick.end_ns)]
+
+def _member_ticks(requests: list, ticks: _Tick, mode: str) -> dict:
+    """The serve membership relation: every member id -> the ascending
+    positions of its ticks (rows of :attr:`Attribution.ticks`), which
+    each request also keeps as ``positions``.
+
+    A tick that lists request ids (a drain batch) has exactly those
+    members. Any other tick belongs to the requests whose membership
+    interval contains it, found by bisecting the tick starts. A drain
+    request with no join event takes the first batch listing it at or
+    after its submission as its one interval.
+    """
+    relation: dict = {}
+    for position, listed in enumerate(ticks.members):
+        for rid in listed:
+            relation.setdefault(int(rid), []).append(position)
+    starts, ends = ticks.start_ns, ticks.end_ns
+    for request in requests:
+        listed = relation.get(request.request_id, [])
+        if mode == "drain" and not request.intervals:
+            carrier = next(
+                (p for p in listed if starts[p] >= request.submit_ns), None
+            )
+            if carrier is not None:
+                request.intervals = [(starts[carrier], ends[carrier])]
                 request.outcome = "served"
-                request.end_ns = tick.end_ns
-                break
+                request.end_ns = ends[carrier]
+        inside = set(listed)
+        for join_ns, leave_ns in request.intervals:
+            inside.update(
+                p for p in range(bisect_left(starts, join_ns),
+                                 bisect_right(starts, leave_ns))
+                if ends[p] <= leave_ns and not ticks.members[p]
+            )
+        request.positions = relation[request.request_id] = sorted(inside)
+    return relation
 
+
+def _add_components(request: RequestAttribution, ticks: _Tick,
+                    boundaries: list) -> None:
+    """Fill ``request.components``: its waits from the gaps around its
+    intervals, its member ticks' time by phase and cold share, and the
+    rest of its interval time as ``other_ns``."""
     comp = request.components
     cursor = request.submit_ns
     first_wait = True
@@ -351,24 +417,19 @@ def _attribute_request(
         if join_ns > cursor or first_wait:
             _split_wait(comp, cursor, join_ns, boundaries, first_wait)
             first_wait = False
-        covered = 0
-        for tick in ticks:
-            if tick.start_ns >= join_ns and tick.end_ns <= leave_ns and (
-                not tick.members or rid in tick.members
-            ):
-                cold = tick.cold_ns
-                comp["cold_ns"] += cold
-                key = f"{tick.phase}_ns"
-                comp[key] = comp.get(key, 0) + tick.duration_ns - cold
-                covered += tick.duration_ns
-                request.ticks += 1
-        comp["other_ns"] += (leave_ns - join_ns) - covered
+        comp["other_ns"] += leave_ns - join_ns
         cursor = leave_ns
     if request.end_ns > cursor:
         # Tail wait after the last eviction (requeued then expired), or
         # a request that never joined at all.
         _split_wait(comp, cursor, request.end_ns, boundaries, first_wait)
-    return request
+    for position in request.positions:
+        duration = ticks.end_ns[position] - ticks.start_ns[position]
+        cold = ticks.cold_ns[position]
+        comp["cold_ns"] += cold
+        key = f"{ticks.phase[position]}_ns"
+        comp[key] = comp.get(key, 0) + duration - cold
+        comp["other_ns"] -= duration
 
 
 def _split_wait(
@@ -397,78 +458,6 @@ def _split_wait(
         comp["queue_wait_ns"] += end_ns - boundary
 
 
-def _account_tenants(out: Attribution, ticks: list) -> None:
-    """Split every tick's time (and energy) exactly across its members."""
-    by_rid = {r.request_id: r for r in out.requests}
-    intervals = [
-        (j, l, r.request_id)
-        for r in out.requests
-        for j, l in r.intervals
-    ]
-    for tick in ticks:
-        if tick.members:
-            members = sorted(int(m) for m in tick.members)
-        else:
-            members = sorted(
-                rid for j, l, rid in intervals
-                if j <= tick.start_ns and tick.end_ns <= l
-            )
-        cold_phase = [("cold", tick.cold_ns),
-                      (tick.phase, tick.duration_ns - tick.cold_ns)]
-        if not members:
-            doc = _tenant_doc(out.tenants, _UNATTRIBUTED)
-            doc["tick_ns"] += tick.duration_ns
-            doc["energy_nj"] += tick.energy_nj
-            for phase, amount in cold_phase:
-                if amount:
-                    doc["by_phase"][phase] = (
-                        doc["by_phase"].get(phase, 0) + amount
-                    )
-            continue
-        shares = dict.fromkeys(members, 0)
-        phase_shares = {m: {} for m in members}
-        for phase, amount in cold_phase:
-            if amount == 0:
-                continue
-            for member, share in zip(
-                members, _exact_split(amount, len(members))
-            ):
-                shares[member] += share
-                phase_shares[member][phase] = (
-                    phase_shares[member].get(phase, 0) + share
-                )
-        energy_shares = dict(
-            zip(members, _exact_split(tick.energy_nj, len(members)))
-        )
-        for member in members:
-            request = by_rid.get(member)
-            tenant = request.tenant if request is not None else _UNATTRIBUTED
-            doc = _tenant_doc(out.tenants, tenant)
-            doc["tick_ns"] += shares[member]
-            doc["energy_nj"] += energy_shares[member]
-            for phase, amount in phase_shares[member].items():
-                doc["by_phase"][phase] = (
-                    doc["by_phase"].get(phase, 0) + amount
-                )
-            priority = str(request.priority if request is not None else 1)
-            doc["by_priority"][priority] = (
-                doc["by_priority"].get(priority, 0) + shares[member]
-            )
-            model = (request.model if request is not None else "") or "?"
-            doc["by_model"][model] = (
-                doc["by_model"].get(model, 0) + shares[member]
-            )
-    for request in out.requests:
-        doc = _tenant_doc(out.tenants, request.tenant)
-        doc["requests"] += 1
-        if request.outcome == "served":
-            doc["served"] += 1
-    out.tenants = {
-        tenant: _sorted_tenant(doc)
-        for tenant, doc in sorted(out.tenants.items())
-    }
-
-
 def _tenant_doc(tenants: dict, tenant: str) -> dict:
     doc = tenants.get(tenant)
     if doc is None:
@@ -485,14 +474,6 @@ def _sorted_tenant(doc: dict) -> dict:
     return dict(sorted(doc.items()))
 
 
-def _exact_split(amount: int, count: int) -> list:
-    """Split ``amount`` into ``count`` shares: the floor share, plus one
-    for the first ``amount % count`` positions (the lowest ids), so the
-    shares always sum to ``amount``."""
-    share, remainder = divmod(amount, count)
-    return [share + 1] * remainder + [share] * (count - remainder)
-
-
 # ----------------------------------------------------------------------
 # cluster mode
 # ----------------------------------------------------------------------
@@ -504,18 +485,10 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     per-request decompositions; the exact-conservation guarantee here
     is that per-tenant dispatch shares sum to fleet busy time.
 
-    The dispatch spans are read as columns and every rollup is an
-    integer kernel over them. Each dispatch's members are flattened
-    once into one row per member slot; a dispatch with no tenants is
-    one ``(unattributed)`` slot that takes the whole span but no
-    priority or model rollup. A slot's share of a quantity is the exact
-    split's: the floor share, plus one for slots below the remainder,
-    so the shares of one dispatch sum to its amount. Rollups sum the
-    shares per ``(tenant, key)`` in int64 (a key appears only where a
-    contributing amount is non-zero), so every document is the one a
-    per-span walk in Python integers gives, up to int64's range
-    (292 years of busy time, 9.2 GJ of energy) and for the string
-    tenant and model names every hook writes.
+    The dispatch spans are read as columns; each dispatch's tenants are
+    flattened once into member slots for :func:`_account_slots`. A
+    priority or model key appears only where a contributing amount is
+    non-zero.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
     spans = records.spans.columns
@@ -560,9 +533,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     tenant_lists = [a.get("tenants", ()) for a in args]
     priority_lists = [a.get("priorities", ()) for a in args]
     size = np.fromiter(map(len, tenant_lists), np.int64, len(args))
-    slots = np.maximum(size, 1)
-    member = np.repeat(np.arange(len(args)), slots)  # -> its dispatch
-    slot = np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
+    member, slot = _slots(size)
     # The appended name is the tenantless dispatches' one slot.
     tenant_names, code = _factorize(
         [*chain.from_iterable(tenant_lists), _UNATTRIBUTED], str
@@ -582,42 +553,13 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     model_names, model = _factorize(
         [a.get("model", "") for a in args], lambda m: str(m) or "?"
     )
-
-    def share(amount):
-        floor, remainder = np.divmod(amount[member], slots[member])
-        return floor + (slot < remainder)
-
     busy_part = duration - cold
-    cold_share, busy_share, energy_share = map(
-        share, (cold, busy_part, energy)
+    _account_slots(
+        out.tenants, duration, cold, energy, phases, member, slot, size,
+        (tenant_names, tenant), (priority_names, priority),
+        (model_names, model[member]),
+        ((cold != 0) | (busy_part != 0))[member] & (size[member] > 0),
     )
-    tick_share = cold_share + busy_share
-    # "cold" is key 0 of the phase rollup; each phase names its own key.
-    phase_names, phase = _factorize(["cold", *phases])
-    by_phase = _rollup(
-        len(tenant_names), len(phase_names),
-        np.concatenate([tenant, tenant]),
-        np.concatenate([np.zeros_like(member), phase[1:][member]]),
-        np.concatenate([cold_share, busy_share]),
-        np.concatenate([cold[member] != 0, busy_part[member] != 0]),
-    )
-    ticked = ((cold != 0) | (busy_part != 0))[member] & (size[member] > 0)
-    by_priority = _rollup(len(tenant_names), len(priority_names), tenant,
-                          priority, tick_share, ticked)
-    by_model = _rollup(len(tenant_names), len(model_names), tenant,
-                       model[member], tick_share, ticked)
-    tick_ns = _sum_by(tenant, tick_share, len(tenant_names)).tolist()
-    energy_nj = _sum_by(tenant, energy_share, len(tenant_names)).tolist()
-    for t in np.unique(tenant).tolist():
-        doc = _tenant_doc(out.tenants, tenant_names[t])
-        doc["tick_ns"] += tick_ns[t]
-        doc["energy_nj"] += energy_nj[t]
-        for key, rollup, keys in (
-            ("by_phase", by_phase, phase_names),
-            ("by_priority", by_priority, priority_names),
-            ("by_model", by_model, model_names),
-        ):
-            doc[key].update((keys[k], total) for k, total in rollup[t])
 
     # Request rollups from lifecycle events (ids are per-server, so no
     # cross-joins: served events carry their own wait/service prices).
@@ -652,6 +594,75 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
         for tenant, doc in sorted(out.tenants.items())
     }
     return out
+
+
+def _slots(size: np.ndarray) -> tuple:
+    """``(member, slot)``: each member slot's tick and its position
+    among that tick's slots, in tick order. A tick of ``size`` members
+    has ``max(size, 1)`` slots."""
+    slots = np.maximum(size, 1)
+    member = np.repeat(np.arange(len(size)), slots)
+    return member, np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
+
+
+def _account_slots(tenants: dict, duration, cold, energy, phases: list,
+                   member, slot, size, tenant: tuple, priority: tuple,
+                   model: tuple, present) -> None:
+    """Split every tick's time and energy over its member slots and add
+    the shares to the ``tenants`` documents.
+
+    Per tick (arrays indexed by tick): ``duration``, ``cold`` and
+    ``energy`` amounts, its ``phases`` name and its ``size`` in members;
+    a tick with none is one slot that takes the whole tick but no
+    priority or model rollup. Per slot (from :func:`_slots`):
+    ``tenant``, ``priority`` and ``model`` are ``(names, codes)`` pairs,
+    and ``present`` marks the slots whose priority and model keys
+    appear. A slot's share of a quantity is the exact split's: the
+    floor share, plus one for slots below the remainder, so the shares
+    of one tick sum to its amount. Rollups sum the shares per
+    ``(tenant, key)`` in int64, so every document is the one a per-tick
+    walk in Python integers gives, up to int64's range (292 years of
+    busy time, 9.2 GJ of energy).
+    """
+    slots = np.maximum(size, 1)
+    (tenant_names, tenant), (priority_names, priority), (model_names, model) = (
+        tenant, priority, model
+    )
+
+    def share(amount):
+        floor, remainder = np.divmod(amount[member], slots[member])
+        return floor + (slot < remainder)
+
+    busy_part = duration - cold
+    cold_share, busy_share, energy_share = map(
+        share, (cold, busy_part, energy)
+    )
+    tick_share = cold_share + busy_share
+    # "cold" is key 0 of the phase rollup; each phase names its own key.
+    phase_names, phase = _factorize(["cold", *phases])
+    by_phase = _rollup(
+        len(tenant_names), len(phase_names),
+        np.concatenate([tenant, tenant]),
+        np.concatenate([np.zeros_like(member), phase[1:][member]]),
+        np.concatenate([cold_share, busy_share]),
+        np.concatenate([cold[member] != 0, busy_part[member] != 0]),
+    )
+    by_priority = _rollup(len(tenant_names), len(priority_names), tenant,
+                          priority, tick_share, present)
+    by_model = _rollup(len(tenant_names), len(model_names), tenant,
+                       model, tick_share, present)
+    tick_ns = _sum_by(tenant, tick_share, len(tenant_names)).tolist()
+    energy_nj = _sum_by(tenant, energy_share, len(tenant_names)).tolist()
+    for t in np.unique(tenant).tolist():
+        doc = _tenant_doc(tenants, tenant_names[t])
+        doc["tick_ns"] += tick_ns[t]
+        doc["energy_nj"] += energy_nj[t]
+        for key, rollup, keys in (
+            ("by_phase", by_phase, phase_names),
+            ("by_priority", by_priority, priority_names),
+            ("by_model", by_model, model_names),
+        ):
+            doc[key].update((keys[k], total) for k, total in rollup[t])
 
 
 def _to_ns(seconds: list) -> np.ndarray:

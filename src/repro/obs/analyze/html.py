@@ -11,7 +11,6 @@ trace horizon, so the page scales to any simulated duration.
 from __future__ import annotations
 
 import html as _html
-from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from repro.obs.analyze.report import AnalysisReport
@@ -142,17 +141,7 @@ def _legend_block() -> str:
 def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
     requests = report.attribution.requests[:MAX_REQUEST_ROWS]
     span_ns = max(doc["horizon_ns"], 1)
-    # A request's row paints the ticks that list its id and the ticks
-    # inside its membership intervals. Index both once, so a row costs
-    # the ticks it paints, not every tick of the trace.
     ticks = report.attribution.ticks.columns
-    listing: dict = {}  # member -> positions of the ticks listing it
-    for position, members in enumerate(ticks.members):
-        for member in members:
-            listing.setdefault(member, []).append(position)
-    by_start = sorted(range(len(ticks.start_ns)),
-                      key=ticks.start_ns.__getitem__)
-    starts = [ticks.start_ns[i] for i in by_start]
     row_h = 14
     height = len(requests) * row_h + 4
     parts = [
@@ -176,13 +165,7 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
                     f'height="10" fill="{_PHASE_COLORS["preempt"]}"/>'
                 )
             previous_leave = leave_ns
-        painted = set(listing.get(request.request_id, ()))
-        for join_ns, leave_ns in request.intervals:
-            inside = by_start[
-                bisect_left(starts, join_ns):bisect_right(starts, leave_ns)
-            ]
-            painted.update(i for i in inside if ticks.end_ns[i] <= leave_ns)
-        for position in sorted(painted):  # tick order: later overpaints
+        for position in request.positions:  # tick order: later overpaints
             start_ns = ticks.start_ns[position]
             color = _PHASE_COLORS.get(ticks.phase[position],
                                       _PHASE_COLORS["other"])

@@ -159,9 +159,9 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
 
     Serve modes: each request contributes a *wait* node (submission to
     first join) feeding its first member tick, and every request chains
-    its member ticks in time order (covering both same-phase adjacency
-    and preemption bridges). Cluster mode chains dispatches per
-    replica. Edges that a noisy wall-clock trace would render invalid
+    its member ticks (its ``positions``) in time order (covering both
+    same-phase adjacency and preemption bridges). Cluster mode chains
+    dispatches per replica. Edges that a noisy wall-clock trace would render invalid
     (successor starting before predecessor end) are skipped rather than
     fatal — the analyzer reports on real artifacts, it does not insist
     they be ideal.
@@ -180,39 +180,24 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
         if nodes[v][1] >= nodes[u][2]:
             edges.add((u, v))
 
-    member_ticks: dict = {}
-    all_ticks = list(attribution.ticks)
+    ticks = attribution.ticks.columns
     for request in attribution.requests:
-        ticks = []
-        for tick in all_ticks:
-            in_interval = any(
-                j <= tick.start_ns and tick.end_ns <= l
-                for j, l in request.intervals
-            )
-            listed = request.request_id in tick.members
-            if in_interval or listed:
-                ticks.append(tick)
-        if ticks:
-            member_ticks[request.request_id] = sorted(
-                ticks, key=lambda t: (t.start_ns, t.span_id)
-            )
-
-    for request in attribution.requests:
-        chain = member_ticks.get(request.request_id, [])
+        chain = request.positions
         if not chain:
             continue
         first_join = (
             request.intervals[0][0] if request.intervals
-            else chain[0].start_ns
+            else ticks.start_ns[chain[0]]
         )
         wait_key = f"wait:{request.request_id:08d}"
         if first_join > request.submit_ns:
             add_node(wait_key, request.submit_ns, first_join,
                      f"wait r{request.request_id}")
         previous = None
-        for tick in chain:
-            key = f"tick:{tick.span_id:08d}"
-            add_node(key, tick.start_ns, tick.end_ns, tick.phase)
+        for position in chain:
+            key = f"tick:{ticks.span_id[position]:08d}"
+            add_node(key, ticks.start_ns[position], ticks.end_ns[position],
+                     ticks.phase[position])
             if previous is None and wait_key in nodes:
                 add_edge(wait_key, key)
             elif previous is not None:
