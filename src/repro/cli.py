@@ -581,7 +581,10 @@ def _obs_build_report(args):
 
     slos = _parse_slo_flags(args.slo)
     if args.input is not None:
-        return analyze_path(args.input, slos=slos)
+        try:
+            return analyze_path(args.input, slos=slos)
+        except ValueError as exc:
+            raise SystemExit(f"bad --input: {exc}")
 
     observer, _ = _run_scenario(args, cold_start=args.cold_start)
     report = analyze_tracer(

@@ -157,9 +157,23 @@ class TraceRecords:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceRecords":
-        rows = [
-            json.loads(line) for line in text.splitlines() if line.strip()
-        ]
+        """From the JSONL event log: one span or event row per non-blank
+        line. Any other line raises ``ValueError`` naming its number."""
+        rows = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
+            if not isinstance(row, dict) or row.get("type") not in (
+                "span", "event"
+            ):
+                raise ValueError(
+                    f"line {number} is not a span or event row: {line[:60]!r}"
+                )
+            rows.append(row)
         return cls.from_records(rows)
 
     @classmethod
@@ -200,7 +214,9 @@ class TraceRecords:
         """Sniff and load either artifact format from ``path``.
 
         A JSON document with a ``traceEvents`` key is a Chrome trace;
-        anything else is treated as the JSONL event log.
+        anything else must be the JSONL event log, or ``ValueError``
+        names the path and the first line that is not a span or event
+        row. An empty file is an empty trace.
         """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -214,7 +230,12 @@ class TraceRecords:
                 doc = None
             if isinstance(doc, dict) and "traceEvents" in doc:
                 return cls.from_chrome_trace(doc)
-        return cls.from_jsonl(text)
+        try:
+            return cls.from_jsonl(text)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: neither a Chrome trace nor span/event rows ({exc})"
+            ) from None
 
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""

@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_parser, main
+from repro.obs.analyze import TraceRecords
 
 SCENARIO = ["--continuous", "--iterations", "12", "--requests", "8"]
 
@@ -86,6 +89,45 @@ class TestAnalyze:
                   if e.get("name") == "slo_alert"]
         assert alerts
         assert all("slo" in e["args"] for e in alerts)
+
+
+class TestBadInput:
+    """An artifact that is neither a Chrome trace nor span/event rows
+    fails with the path and line, never a traceback or an empty
+    analysis."""
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"type": "event", "event_id": 0, "name": "submit", '
+         '"track": "t", "ts_s": 0.0}\n[1,2]\n', 2),  # a row that is a list
+        ("not json at all\n", 1),
+        ('{"a": 1}\n', 1),  # JSON, but not a trace
+    ], ids=["list-row", "non-json", "untyped-object"])
+    def test_load_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.jsonl: .*line {line} "):
+            TraceRecords.load(str(path))
+
+    @pytest.mark.parametrize("command", ["analyze", "report"])
+    @pytest.mark.parametrize("text", ["[1,2]\n", "not json\n", '{"a": 1}'],
+                             ids=["list-row", "non-json", "untyped-object"])
+    def test_cli_exits_with_bad_input(self, tmp_path, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"^bad --input: .*bad\.json: "):
+            main(["obs", command, "--input", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_empty_file_is_an_empty_trace(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        assert len(TraceRecords.load(str(path)).spans) == 0
+        out = tmp_path / "a.json"
+        assert main(["obs", "analyze", "--input", str(path),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["requests"] == []
 
 
 class TestReport:
