@@ -150,6 +150,7 @@ class ClusterSimulator:
                             observer.on_request_stage(
                                 "served", outcome.completion_s,
                                 record.request_id, replica=replica.name,
+                                submitted_s=record.request.submitted_at,
                                 wait_s=record.wait_s,
                                 service_s=record.service_s,
                                 tenant=record.request.tenant,

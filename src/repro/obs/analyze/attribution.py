@@ -562,7 +562,10 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     )
 
     # Request rollups from lifecycle events (ids are per-server, so no
-    # cross-joins: served events carry their own wait/service prices).
+    # cross-joins: served events carry their own arrival stamp and wait).
+    # Service is the rest of the sojourn, so a request's components sum
+    # to its latency; an artifact without the stamp rebuilds the arrival
+    # from the rounded wait and service.
     events = records.events.columns
     for name, track, ts_ns, args in zip(
         events.name, events.track, events.ts_ns, events.args
@@ -576,18 +579,22 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
         elif name == "served":
             doc["served"] += 1
             wait_ns = to_ns(args.get("wait_s", 0.0))
-            service_ns = to_ns(args.get("service_s", 0.0))
+            submitted = args.get("submitted_s")
+            submit_ns = (
+                ts_ns - wait_ns - to_ns(args.get("service_s", 0.0))
+                if submitted is None else to_ns(submitted)
+            )
             request = RequestAttribution(
                 request_id=int(args.get("request_id", -1)),
                 tenant=tenant,
                 priority=int(args.get("priority", 1)),
                 model=str(args.get("model", "")),
                 outcome="served",
-                submit_ns=ts_ns - wait_ns - service_ns,
+                submit_ns=submit_ns,
                 end_ns=ts_ns,
             )
             request.components["queue_wait_ns"] = wait_ns
-            request.components["batch_ns"] = service_ns
+            request.components["batch_ns"] = ts_ns - submit_ns - wait_ns
             out.requests.append(request)
     out.tenants = {
         tenant: _sorted_tenant(doc)

@@ -127,11 +127,10 @@ def test_span_batch_size_is_the_executing_batch(cells, continuous):
             assert span.args["batch_size"] == len(span.args["tenants"])
 
 
-#: Sum of sojourns minus the integral of N(t), in ns, pinned: the analysis
-#: rebuilds a served arrival as the served stamp minus ``round(wait_s)``
-#: minus ``round(service_s)``, so each served sojourn is off by -1, 0 or
-#: +1 ns against the arrival stamp. The drop sojourns are exact.
-LITTLE_RESIDUAL_NS = {False: 38, True: -28}
+#: Sum of sojourns minus the integral of N(t), in ns: 0, since the
+#: analysis reads each served arrival from the ``served`` event's
+#: ``submitted_s`` stamp, and the drop sojourns are exact.
+LITTLE_RESIDUAL_NS = {False: 0, True: 0}
 
 
 @pytest.mark.parametrize("continuous", (False, True), ids=("drain", "continuous"))

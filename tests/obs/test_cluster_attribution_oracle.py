@@ -2,7 +2,8 @@
 
 ``_analyze_cluster`` below is the per-span row walk that cluster-mode
 attribution ran before it became integer kernels over the span columns,
-kept verbatim as the reference. A ``hypothesis`` property generates
+kept verbatim as the reference, except that a served request's arrival
+is the ``served`` event's ``submitted_s`` stamp when it carries one. A ``hypothesis`` property generates
 cluster traces and requires both to produce the same attribution
 document, byte for byte once canonically encoded; a second test runs
 the same comparison on real fleet-simulator traces.
@@ -133,13 +134,17 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
             doc["served"] += 1
             wait_ns = to_ns(args.get("wait_s", 0.0))
             service_ns = to_ns(args.get("service_s", 0.0))
+            submit_ns = ts_ns - wait_ns - service_ns
+            if "submitted_s" in args:  # the arrival stamp, when carried
+                submit_ns = to_ns(args["submitted_s"])
+                service_ns = ts_ns - submit_ns - wait_ns
             request = RequestAttribution(
                 request_id=int(args.get("request_id", -1)),
                 tenant=tenant,
                 priority=int(args.get("priority", 1)),
                 model=str(args.get("model", "")),
                 outcome="served",
-                submit_ns=ts_ns - wait_ns - service_ns,
+                submit_ns=submit_ns,
                 end_ns=ts_ns,
             )
             request.components["queue_wait_ns"] = wait_ns
@@ -228,6 +233,8 @@ def _cluster_trace(draw) -> TraceRecords:
         if served:
             args["wait_s"] = draw(st.floats(0.0, 2.0))
             args["service_s"] = draw(st.floats(0.0, 2.0))
+            if draw(st.booleans()):
+                args["submitted_s"] = draw(st.floats(0.0, 10.0))
         records.events.append(
             event_id, "served" if served else "queued", "cluster/requests",
             draw(st.integers(10**9, 10**10)), args,
