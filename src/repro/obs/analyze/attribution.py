@@ -294,9 +294,11 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     for rid in sorted(members):
         for position in members[rid]:
             held[position].append(rid)
+    # An id no request carries is unattributed, priority 1, no model.
     by_rid = {r.request_id: r for r in out.requests}
-    requests = [by_rid.get(rid) for rid in
-                chain.from_iterable(ids or [None] for ids in held)]
+    nobody = RequestAttribution(request_id=-1, tenant=_UNATTRIBUTED)
+    slots = [by_rid.get(rid, nobody) for rid in
+             chain.from_iterable(ids or [None] for ids in held)]
     size = np.fromiter(map(len, held), np.int64, len(held))
     start, end, cold, energy = (
         np.array(column, dtype=np.int64) for column in
@@ -305,13 +307,9 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     member, slot = _slots(size)
     _account_slots(
         out.tenants, end - start, cold, energy, columns.phase, member, slot,
-        size,
-        _factorize([_UNATTRIBUTED if r is None else r.tenant
-                    for r in requests]),
-        _factorize(["1" if r is None else str(r.priority) for r in requests]),
-        _factorize([(r.model if r is not None else "") or "?"
-                    for r in requests]),
-        (size > 0)[member],
+        size, _factorize([r.tenant for r in slots]),
+        _factorize([str(r.priority) for r in slots]),
+        _factorize([r.model or "?" for r in slots]), (size > 0)[member],
     )
     for request in out.requests:
         doc = _tenant_doc(out.tenants, request.tenant)
@@ -343,14 +341,12 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
 
     # Walk the lifecycle into alternating wait/active segments.
     open_join: Optional[int] = None
-    intervals: list = []
     terminal: Optional[tuple] = None
     for event in events:
         if event.name == "join" and open_join is None:
-            intervals.append([event.ts_ns, None])
             open_join = event.ts_ns
         elif event.name in ("evict", "complete") and open_join is not None:
-            intervals[-1][1] = event.ts_ns
+            request.intervals.append((open_join, event.ts_ns))
             open_join = None
             if event.name == "complete":
                 terminal = ("served", event.ts_ns)
@@ -359,25 +355,24 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
         elif event.name == "expire":
             terminal = ("expired", event.ts_ns)
     if open_join is not None:
-        intervals[-1][1] = horizon_ns
+        request.intervals.append((open_join, horizon_ns))
     if terminal is None:
-        last = intervals[-1][1] if intervals else events[-1].ts_ns
+        last = request.intervals[-1][1] if request.intervals else (
+            events[-1].ts_ns
+        )
         terminal = ("open", max(last, request.submit_ns))
     request.outcome, request.end_ns = terminal
-    request.intervals = [(j, l) for j, l in intervals]
     return request
 
 
 def _member_ticks(requests: list, ticks: _Tick, mode: str) -> dict:
-    """The serve membership relation: every member id -> the ascending
-    positions of its ticks (rows of :attr:`Attribution.ticks`), which
-    each request also keeps as ``positions``.
+    """The serve membership relation: member id -> ascending positions
+    of its ticks, which each request also keeps as ``positions``.
 
     A tick that lists request ids (a drain batch) has exactly those
-    members. Any other tick belongs to the requests whose membership
-    interval contains it, found by bisecting the tick starts. A drain
-    request with no join event takes the first batch listing it at or
-    after its submission as its one interval.
+    members; any other tick, the requests whose membership interval
+    contains it (by bisecting the tick starts). A drain request with no
+    join event takes the first batch listing it after its submission.
     """
     relation: dict = {}
     for position, listed in enumerate(ticks.members):
@@ -604,9 +599,8 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
 
 
 def _slots(size: np.ndarray) -> tuple:
-    """``(member, slot)``: each member slot's tick and its position
-    among that tick's slots, in tick order. A tick of ``size`` members
-    has ``max(size, 1)`` slots."""
+    """``(member, slot)``: each slot's tick and its place among that
+    tick's ``max(size, 1)`` slots, in tick order."""
     slots = np.maximum(size, 1)
     member = np.repeat(np.arange(len(size)), slots)
     return member, np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
@@ -618,23 +612,18 @@ def _account_slots(tenants: dict, duration, cold, energy, phases: list,
     """Split every tick's time and energy over its member slots and add
     the shares to the ``tenants`` documents.
 
-    Per tick (arrays indexed by tick): ``duration``, ``cold`` and
-    ``energy`` amounts, its ``phases`` name and its ``size`` in members;
-    a tick with none is one slot that takes the whole tick but no
-    priority or model rollup. Per slot (from :func:`_slots`):
-    ``tenant``, ``priority`` and ``model`` are ``(names, codes)`` pairs,
-    and ``present`` marks the slots whose priority and model keys
-    appear. A slot's share of a quantity is the exact split's: the
-    floor share, plus one for slots below the remainder, so the shares
-    of one tick sum to its amount. Rollups sum the shares per
-    ``(tenant, key)`` in int64, so every document is the one a per-tick
-    walk in Python integers gives, up to int64's range (292 years of
-    busy time, 9.2 GJ of energy).
+    Per tick: ``duration``, ``cold`` and ``energy`` amounts, ``phases``
+    and ``size`` (members; a tick with none is one slot). Per slot (see
+    :func:`_slots`): ``tenant``, ``priority`` and ``model`` as ``(names,
+    codes)`` pairs, and ``present`` where its priority and model keys
+    appear. A slot's share is the exact split's: the floor share, plus
+    one for slots below the remainder, so a tick's shares sum to its
+    amount. Sums are int64, exact up to 292 years of busy time and
+    9.2 GJ of energy.
     """
     slots = np.maximum(size, 1)
-    (tenant_names, tenant), (priority_names, priority), (model_names, model) = (
-        tenant, priority, model
-    )
+    tenant_names, tenant = tenant
+    rows = len(tenant_names)
 
     def share(amount):
         floor, remainder = np.divmod(amount[member], slots[member])
@@ -647,29 +636,27 @@ def _account_slots(tenants: dict, duration, cold, energy, phases: list,
     tick_share = cold_share + busy_share
     # "cold" is key 0 of the phase rollup; each phase names its own key.
     phase_names, phase = _factorize(["cold", *phases])
-    by_phase = _rollup(
-        len(tenant_names), len(phase_names),
+    rollups = [("by_phase", phase_names, _rollup(
+        rows, len(phase_names),
         np.concatenate([tenant, tenant]),
         np.concatenate([np.zeros_like(member), phase[1:][member]]),
         np.concatenate([cold_share, busy_share]),
         np.concatenate([cold[member] != 0, busy_part[member] != 0]),
-    )
-    by_priority = _rollup(len(tenant_names), len(priority_names), tenant,
-                          priority, tick_share, present)
-    by_model = _rollup(len(tenant_names), len(model_names), tenant,
-                       model, tick_share, present)
-    tick_ns = _sum_by(tenant, tick_share, len(tenant_names)).tolist()
-    energy_nj = _sum_by(tenant, energy_share, len(tenant_names)).tolist()
+    ))]
+    rollups += [
+        (key, names, _rollup(rows, len(names), tenant, codes, tick_share,
+                             present))
+        for key, (names, codes) in (("by_priority", priority),
+                                    ("by_model", model))
+    ]
+    tick_ns = _sum_by(tenant, tick_share, rows).tolist()
+    energy_nj = _sum_by(tenant, energy_share, rows).tolist()
     for t in np.unique(tenant).tolist():
         doc = _tenant_doc(tenants, tenant_names[t])
         doc["tick_ns"] += tick_ns[t]
         doc["energy_nj"] += energy_nj[t]
-        for key, rollup, keys in (
-            ("by_phase", by_phase, phase_names),
-            ("by_priority", by_priority, priority_names),
-            ("by_model", by_model, model_names),
-        ):
-            doc[key].update((keys[k], total) for k, total in rollup[t])
+        for key, names, rollup in rollups:
+            doc[key].update((names[k], total) for k, total in rollup[t])
 
 
 def _to_ns(seconds: list) -> np.ndarray:

@@ -157,8 +157,7 @@ class TraceRecords:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "TraceRecords":
-        """From the JSONL event log: one span or event row per non-blank
-        line. Any other line raises ``ValueError`` naming its number."""
+        """One span or event row per non-blank line, else ValueError."""
         rows = []
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -170,9 +169,8 @@ class TraceRecords:
             if not isinstance(row, dict) or row.get("type") not in (
                 "span", "event"
             ):
-                raise ValueError(
-                    f"line {number} is not a span or event row: {line[:60]!r}"
-                )
+                raise ValueError(f"line {number} is neither a Chrome trace "
+                                 f"nor a span or event row: {line[:60]!r}")
             rows.append(row)
         return cls.from_records(rows)
 
@@ -233,9 +231,7 @@ class TraceRecords:
         try:
             return cls.from_jsonl(text)
         except ValueError as exc:
-            raise ValueError(
-                f"{path}: neither a Chrome trace nor span/event rows ({exc})"
-            ) from None
+            raise ValueError(f"{path}: {exc}") from None
 
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""

@@ -34,6 +34,8 @@ from hypothesis import strategies as st
 from repro.obs import Observer, run_trace_scenario
 from repro.obs.analyze import TraceRecords, analyze
 from repro.obs.analyze.attribution import (
+    _BATCH_TRACK,
+    _MEMBERSHIP_TRACK,
     _UNATTRIBUTED,
     Attribution,
     RequestAttribution,
@@ -46,10 +48,6 @@ from repro.obs.analyze.critical_path import CriticalPath, critical_path
 from repro.obs.analyze.records import to_ns
 from repro.obs.analyze.report import AnalysisReport
 from repro.obs.analyze.slo import default_slos, evaluate_slos
-
-_MEMBERSHIP_TRACK = "serve/membership"
-_BATCH_TRACK = "serve/batch"
-
 
 # ----------------------------------------------------------------------
 # the reference: the serve walk, verbatim
@@ -273,22 +271,6 @@ def _account_tenants(out: Attribution, ticks: list) -> None:
         tenant: _sorted_tenant(doc)
         for tenant, doc in sorted(out.tenants.items())
     }
-
-
-def _tenant_doc(tenants: dict, tenant: str) -> dict:
-    doc = tenants.get(tenant)
-    if doc is None:
-        doc = tenants[tenant] = {
-            "tick_ns": 0, "energy_nj": 0, "requests": 0, "served": 0,
-            "by_phase": {}, "by_priority": {}, "by_model": {},
-        }
-    return doc
-
-
-def _sorted_tenant(doc: dict) -> dict:
-    for key in ("by_phase", "by_priority", "by_model"):
-        doc[key] = dict(sorted(doc[key].items()))
-    return dict(sorted(doc.items()))
 
 
 def _exact_split(amount: int, count: int) -> list:
