@@ -357,9 +357,8 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
     if open_join is not None:
         request.intervals.append((open_join, horizon_ns))
     if terminal is None:
-        last = request.intervals[-1][1] if request.intervals else (
-            events[-1].ts_ns
-        )
+        last = (request.intervals[-1][1] if request.intervals
+                else events[-1].ts_ns)
         terminal = ("open", max(last, request.submit_ns))
     request.outcome, request.end_ns = terminal
     return request

@@ -1,6 +1,7 @@
 """The HTML report's request timelines, against the scan they replaced.
 
-``_timeline_svg`` indexes ticks once; the reference below is the old
+``_timeline_svg`` paints each request's member ticks
+(``RequestAttribution.positions``); the reference below is the old
 membership scan (every tick tested against every displayed request),
 kept here so the two must agree byte for byte.
 """
