@@ -12,6 +12,7 @@ All) at batch sizes one and eight:
 from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import EDGE_GPU, SERVER_GPU
 from repro.bench import BenchResult, register_bench
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
@@ -37,8 +38,8 @@ def efficiency_rows(accelerator, gpu_model, models, profiles, batch):
         cells = [spec.display_name]
         for label, ffnr, ep in ABLATIONS:
             report = accelerator.simulate(
-                spec, profiles[name], enable_ffn_reuse=ffnr,
-                enable_eager_prediction=ep, batch=batch,
+                spec, profiles[name], ExionConfig.for_model(name, ffnr, ep),
+                batch=batch,
             )
             gain = report.tops_per_watt / gpu.tops_per_watt
             cells.append(f"{gain:.0f}x")

@@ -9,6 +9,7 @@ banked model.
 """
 
 from repro.bench import BenchResult, register_bench
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.dram_detail import (
     GDDR6_TIMINGS,
@@ -25,7 +26,8 @@ from .conftest import emit_result
 def build_timeline(ctx):
     spec = get_spec("dit")
     acc = ExionAccelerator.exion24()
-    timeline = simulate_timeline(acc, spec, ctx.profiles["dit"], True, True,
+    timeline = simulate_timeline(acc, spec, ctx.profiles["dit"],
+                                 ExionConfig.for_model("dit", True, True),
                                  1, 12)
 
     result = BenchResult("iteration_timeline", model="dit")

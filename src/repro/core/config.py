@@ -10,9 +10,10 @@ class ExionConfig:
     """Knobs for the FFN-Reuse and eager-prediction algorithms.
 
     Defaults follow the paper's Table I conventions; per-model settings come
-    from :meth:`for_model`. The four ablation configurations of the
-    evaluation (Base / EP / FFNR / All) are expressed with the two enable
-    flags.
+    from :meth:`for_spec` / :meth:`for_model`. The four ablation
+    configurations of the evaluation (Base / EP / FFNR / All) are expressed
+    with the two enable flags, and a config is the one description of an
+    ablation everywhere: what runs, what is lowered and what is priced.
     """
 
     enable_ffn_reuse: bool = True
@@ -43,6 +44,20 @@ class ExionConfig:
             raise ValueError("prediction_bits must be in [2, 16]")
 
     @classmethod
+    def for_spec(cls, spec) -> "ExionConfig":
+        """Table I configuration of a model spec, every algorithm enabled.
+
+        The knobs come from ``spec`` itself, so a knob-modified spec (an
+        explore point) yields its own configuration.
+        """
+        return cls(
+            sparse_iters_n=spec.sparse_iters_n,
+            ffn_target_sparsity=spec.target_inter_sparsity,
+            q_threshold=spec.q_threshold,
+            top_k_ratio=spec.top_k_ratio,
+        )
+
+    @classmethod
     def for_model(
         cls,
         name: str,
@@ -53,14 +68,10 @@ class ExionConfig:
         """Table I configuration for a benchmark model."""
         from repro.workloads.specs import get_spec
 
-        spec = get_spec(name)
-        return cls(
+        return replace(
+            cls.for_spec(get_spec(name)),
             enable_ffn_reuse=enable_ffn_reuse,
             enable_eager_prediction=enable_eager_prediction,
-            sparse_iters_n=spec.sparse_iters_n,
-            ffn_target_sparsity=spec.target_inter_sparsity,
-            q_threshold=spec.q_threshold,
-            top_k_ratio=spec.top_k_ratio,
             lod_mode=lod_mode,
         )
 

@@ -74,7 +74,7 @@ from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
 from repro.models.scheduler import DDPMScheduler
 from repro.models.zoo import BenchmarkModel
-from repro.program.cache import compiled_plan_for
+from repro.program.cache import get_plan_cache
 from repro.serve.request import GenerationRequest
 
 
@@ -193,7 +193,7 @@ class ContinuousExecutor:
         self.threshold_table = threshold_table
         self.activation_bits = activation_bits
         self.collect_masks = collect_masks
-        self.compiled_plan = compiled_plan_for(model.spec, config)
+        self.compiled_plan = get_plan_cache().compiled(model.spec, config)
         self._timesteps, self._t_embeds, self._adaln_tables = (
             build_step_tables(model)
         )

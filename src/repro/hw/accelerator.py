@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
+from repro.core.config import ExionConfig
 from repro.hw.dram import DRAMModel, GDDR6, HBM2E, LPDDR5, get_dram
 from repro.hw.dsc import DSCModel, IterationCost
 from repro.hw.energy import (
@@ -211,12 +212,12 @@ class ExionAccelerator:
         self,
         spec: ModelSpec,
         profile: Optional[SparsityProfile] = None,
-        enable_ffn_reuse: bool = True,
-        enable_eager_prediction: bool = True,
+        config: Optional[ExionConfig] = None,
         batch: int = 1,
         iterations: Optional[int] = None,
     ) -> AcceleratorReport:
-        """Simulate one full generation of ``spec`` on this instance.
+        """Simulate one full generation of ``spec`` under ``config`` (by
+        default the spec's Table I config, every algorithm enabled).
 
         Convenience wrapper: lowers the spec through the process-wide
         :class:`~repro.program.cache.PlanCache` (plan, profile and
@@ -227,13 +228,7 @@ class ExionAccelerator:
         cache = get_plan_cache()
         if profile is None:
             profile = cache.profile(spec)
-        plan = cache.plan(
-            spec,
-            enable_ffn_reuse=enable_ffn_reuse,
-            enable_eager_prediction=enable_eager_prediction,
-            iterations=iterations,
-            batch=batch,
-        )
+        plan = cache.plan(spec, config, iterations=iterations, batch=batch)
         return cache.price(self, plan, profile)
 
     def simulate_plan(

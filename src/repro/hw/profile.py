@@ -28,6 +28,11 @@ DEFAULT_KV_SKIP = 0.22
 #: remaining columns implies roughly a quarter of columns are dead).
 DEFAULT_DEAD_COL_FRACTION = 0.25
 
+#: Rows and columns of the output-matrix sample :func:`estimate_profile`
+#: runs ConMerge over.
+SAMPLE_ROWS = 64
+SAMPLE_COLS = 512
+
 
 @dataclass
 class SparsityProfile:
@@ -90,35 +95,29 @@ def _conmerge_summary(mask: Bitmask) -> tuple:
     )
 
 
-def estimate_profile(
-    spec: ModelSpec,
-    seed: int = 0,
-    sample_rows: int = 64,
-    sample_cols: int = 512,
-    dead_col_fraction: float = DEFAULT_DEAD_COL_FRACTION,
-    q_skip: float = DEFAULT_Q_SKIP,
-    kv_skip: float = DEFAULT_KV_SKIP,
-) -> SparsityProfile:
+def estimate_profile(spec: ModelSpec, seed: int = 0) -> SparsityProfile:
     """Paper-scale profile from synthetic masks + real ConMerge passes.
 
     Sampling keeps the pass cheap: ConMerge statistics are per-tile, so a
-    row/column sample of the full output matrix estimates them unbiasedly.
+    :data:`SAMPLE_ROWS` x :data:`SAMPLE_COLS` sample of the full output
+    matrix estimates them unbiasedly. Projection skip rates are the
+    paper's averages.
     """
     rng = np.random.default_rng(seed)
     hidden = spec.paper_ffn_mult * spec.paper_dim
-    rows = min(spec.paper_tokens, sample_rows)
-    cols = min(hidden, sample_cols)
+    rows = min(spec.paper_tokens, SAMPLE_ROWS)
+    cols = min(hidden, SAMPLE_COLS)
     ffn_mask = ffn_output_bitmask(
         rows,
         cols,
         spec.target_inter_sparsity,
-        dead_col_fraction=dead_col_fraction,
+        dead_col_fraction=DEFAULT_DEAD_COL_FRACTION,
         rng=rng,
     )
     ffn_cond, ffn_remain, ffn_util = _conmerge_summary(ffn_mask)
 
-    tq = min(spec.paper_tokens, sample_rows)
-    tk = min(spec.paper_tokens, sample_cols)
+    tq = min(spec.paper_tokens, SAMPLE_ROWS)
+    tk = min(spec.paper_tokens, SAMPLE_COLS)
     attn_mask = attention_keepmask(
         tq,
         tk,
@@ -139,8 +138,8 @@ def estimate_profile(
         attn_condense_ratio=attn_cond,
         attn_remaining_ratio=attn_remain,
         attn_utilization=attn_util,
-        q_skip=q_skip,
-        kv_skip=kv_skip,
+        q_skip=DEFAULT_Q_SKIP,
+        kv_skip=DEFAULT_KV_SKIP,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import SparsityProfile
 from repro.workloads.specs import ModelSpec
@@ -91,12 +92,12 @@ def simulate_timeline(
     accelerator: ExionAccelerator,
     spec: ModelSpec,
     profile: Optional[SparsityProfile] = None,
-    enable_ffn_reuse: bool = True,
-    enable_eager_prediction: bool = True,
+    config: Optional[ExionConfig] = None,
     batch: int = 1,
     iterations: Optional[int] = None,
 ) -> Timeline:
-    """Per-iteration records of one simulated generation.
+    """Per-iteration records of one simulated generation of ``spec``
+    under ``config`` (as in :meth:`ExionAccelerator.simulate`).
 
     The lowering and profile synthesis go through the process-wide
     :class:`~repro.program.cache.PlanCache`, so a timeline over an
@@ -107,13 +108,7 @@ def simulate_timeline(
     cache = get_plan_cache()
     if profile is None:
         profile = cache.profile(spec)
-    plan = cache.plan(
-        spec,
-        enable_ffn_reuse=enable_ffn_reuse,
-        enable_eager_prediction=enable_eager_prediction,
-        iterations=iterations,
-        batch=batch,
-    )
+    plan = cache.plan(spec, config, iterations=iterations, batch=batch)
 
     timeline = Timeline(accelerator=accelerator.name, model=spec.name)
     for priced in accelerator._price_steps(plan, profile):

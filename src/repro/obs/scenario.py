@@ -140,8 +140,7 @@ def run_trace_scenario(
     timeline = simulate_timeline(
         make_accelerator(accelerator),
         get_spec(model),
-        enable_ffn_reuse=config.enable_ffn_reuse,
-        enable_eager_prediction=config.enable_eager_prediction,
+        config=config,
         iterations=iterations,
     )
     observer.observe_timeline(timeline)

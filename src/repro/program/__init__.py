@@ -23,19 +23,21 @@ backend with zero backend-specific code.
 
 Quickstart::
 
+    from repro.core.config import ExionConfig
     from repro.program import lower_plan, plan_json
     from repro.workloads.specs import get_spec
 
-    plan = lower_plan(get_spec("dit"))
+    plan = lower_plan(get_spec("dit"))   # Table I config, All ablation
     print(plan.iterations, plan.dense_iterations)
     print(plan_json(plan))           # canonical, byte-stable
+    ep = ExionConfig.for_model("dit").ablation("ep")
+    print(lower_plan(get_spec("dit"), ep).dense_iterations)
 
 or from the command line: ``python -m repro program --model dit --json``.
 """
 
 from repro.program.cache import (
     PlanCache,
-    compiled_plan_for,
     fresh_plan_cache,
     get_plan_cache,
 )
@@ -86,7 +88,6 @@ __all__ = [
     "WEIGHT_BYTES_PER_ELEMENT",
     "block_ops",
     "compile_plan",
-    "compiled_plan_for",
     "fresh_plan_cache",
     "get_plan_cache",
     "lower_plan",

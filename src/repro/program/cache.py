@@ -4,7 +4,7 @@ Every layer of the stack used to independently re-run the same pure
 pipeline — :func:`~repro.program.lower.lower_plan` →
 :func:`~repro.program.compiled.compile_plan` →
 :meth:`~repro.hw.accelerator.ExionAccelerator.simulate_plan` — for
-identical ``(spec, config, ablation flags, scale)`` keys: every executor
+identical ``(spec, config, scale)`` keys: every executor
 re-lowered on construction, every cluster replica re-priced the same
 plans, every explore point paid full cold compilation even when only
 fleet knobs changed. The :class:`PlanCache` interns those artifacts once
@@ -21,8 +21,8 @@ per process:
 
 Keys are content-addressed tuples of the lowering inputs themselves —
 the frozen :class:`~repro.workloads.specs.ModelSpec` and
-:class:`~repro.core.config.ExionConfig`, the ablation flags, schedule
-shape and scale — so equal inputs share one artifact no matter which
+:class:`~repro.core.config.ExionConfig` (which carries the ablation),
+schedule shape and scale — so equal inputs share one artifact no matter which
 layer asks, and knob-modified specs (the explore path) never collide
 with their base model. A lookup hashes those values and builds no key
 document, so a warm hit costs microseconds: a fresh
@@ -45,6 +45,7 @@ import threading
 from contextlib import contextmanager
 from typing import Optional
 
+from repro.core.config import ExionConfig
 from repro.program.compiled import CompiledPlan, compile_plan
 from repro.program.ir import PhasePlan
 from repro.program.lower import lower_plan
@@ -114,38 +115,32 @@ class PlanCache:
     def plan(
         self,
         spec: ModelSpec,
-        config=None,
-        enable_ffn_reuse: bool = True,
-        enable_eager_prediction: bool = True,
+        config: Optional[ExionConfig] = None,
         iterations: Optional[int] = None,
         batch: int = 1,
         scale: str = "paper",
     ) -> PhasePlan:
         """Memoized :func:`~repro.program.lower.lower_plan`."""
-        lowering = (spec, config, enable_ffn_reuse, enable_eager_prediction,
-                    iterations, batch, scale)
+        lowering = (spec, config, iterations, batch, scale)
         return self._intern("plan", lowering, lambda: lower_plan(*lowering))
 
     def compiled(
         self,
         spec: ModelSpec,
-        config=None,
-        enable_ffn_reuse: bool = True,
-        enable_eager_prediction: bool = True,
+        config: Optional[ExionConfig] = None,
         iterations: Optional[int] = None,
-        batch: int = 1,
-        scale: str = "sim",
     ) -> CompiledPlan:
-        """Memoized ``compile_plan(lower_plan(...))``.
+        """Memoized ``compile_plan(lower_plan(...))`` of a batch-1
+        sim-scale plan, the schedule every executor runs.
 
         The returned :class:`~repro.program.compiled.CompiledPlan` is
         frozen and shared: every executor bound to the same
-        ``(spec, config, schedule, scale)`` reuses one schedule object.
+        ``(spec, config, iterations)`` reuses one schedule object.
         """
-        lowering = (spec, config, enable_ffn_reuse, enable_eager_prediction,
-                    iterations, batch, scale)
         return self._intern(
-            "compiled", lowering, lambda: compile_plan(self.plan(*lowering)),
+            "compiled", (spec, config, iterations),
+            lambda: compile_plan(
+                self.plan(spec, config, iterations, scale="sim")),
         )
 
     def price(self, accelerator, plan: PhasePlan, profile):
@@ -166,20 +161,20 @@ class PlanCache:
             op_class_energy_j=dict(report.op_class_energy_j),
         )
 
-    def profile(self, spec: ModelSpec, seed: int = 0, **kwargs):
+    def profile(self, spec: ModelSpec, seed: int = 0):
         """Memoized :func:`~repro.hw.profile.estimate_profile`.
 
         The synthesis (mask generation + real ConMerge passes) dominates
-        cold fleet setup, so equal ``(spec fields, seed, sampling
-        knobs)`` share one estimate across every replica and explore
-        point. Returns a copy: :class:`~repro.hw.profile.SparsityProfile`
-        is a mutable dataclass and callers may adjust theirs.
+        cold fleet setup, so equal ``(spec fields, seed)`` share one
+        estimate across every replica and explore point. Returns a copy:
+        :class:`~repro.hw.profile.SparsityProfile` is a mutable dataclass
+        and callers may adjust theirs.
         """
         from repro.hw.profile import estimate_profile
 
         return dataclasses.replace(self._intern(
-            "profile", (spec, seed, *sorted(kwargs.items())),
-            lambda: estimate_profile(spec, seed=seed, **kwargs),
+            "profile", (spec, seed),
+            lambda: estimate_profile(spec, seed=seed),
         ))
 
     # ------------------------------------------------------------------
@@ -209,12 +204,6 @@ class PlanCache:
                 info[f"{tier}_hits"] = self.tier_hits[tier]
                 info[f"{tier}_misses"] = self.tier_misses[tier]
         return dict(sorted(info.items()))
-
-    def clear(self) -> None:
-        """Drop every interned artifact (counters are kept)."""
-        with self._lock:
-            for memo in self._tiers.values():
-                memo.clear()
 
 
 # ----------------------------------------------------------------------
@@ -248,26 +237,9 @@ def fresh_plan_cache():
             _global_cache = previous
 
 
-# ----------------------------------------------------------------------
-# shared construction helper (the deduplicated executor fallback)
-# ----------------------------------------------------------------------
-def compiled_plan_for(
-    spec: ModelSpec,
-    config=None,
-    iterations: Optional[int] = None,
-) -> CompiledPlan:
-    """The one shared executor fallback: a cached compiled sim-scale plan.
-
-    Replaces the ``compile_plan(lower_plan(...))`` blocks that every
-    executor (and the dry-run continuous server) used to duplicate.
-    """
-    return get_plan_cache().compiled(spec, config=config, iterations=iterations)
-
-
 __all__ = [
     "PlanCache",
     "TIERS",
-    "compiled_plan_for",
     "fresh_plan_cache",
     "get_plan_cache",
 ]

@@ -25,6 +25,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
+from repro.core.config import ExionConfig
 from repro.core.ffn_reuse import schedule_phases
 from repro.models.conditioning import ConditioningEncoder
 from repro.models.network import TIMESTEP_DIM, NetworkType, network_stages
@@ -223,43 +224,28 @@ def _sim_etc_ops(spec: ModelSpec, stages: tuple) -> list:
 
 def lower_plan(
     spec: ModelSpec,
-    config=None,
-    enable_ffn_reuse: bool = True,
-    enable_eager_prediction: bool = True,
+    config: Optional[ExionConfig] = None,
     iterations: Optional[int] = None,
     batch: int = 1,
     scale: str = "paper",
 ) -> PhasePlan:
-    """Lower a full generation of ``spec`` into a phase plan.
+    """Lower a full generation of ``spec`` under ``config`` into a phase plan.
 
-    ``config`` (an :class:`~repro.core.config.ExionConfig`) supplies the
-    ablation enable flags *and* the schedule-shaping knobs when given —
-    the FFN-Reuse period ``sparse_iters_n``, sparsity targets, top-k and
-    log-domain bits all come from the config, exactly as the runnable
-    pipeline would execute them; otherwise the two explicit flags apply
-    and the spec's Table I knobs shape and annotate the plan. The
-    dense/sparse cadence comes from
+    ``config`` (an :class:`~repro.core.config.ExionConfig`, by default
+    :meth:`~repro.core.config.ExionConfig.for_spec` of ``spec``) is the
+    one description of what is priced: the ablation enable flags and the
+    schedule-shaping knobs — the FFN-Reuse period ``sparse_iters_n``,
+    sparsity targets, top-k and log-domain bits — exactly as the runnable
+    pipeline would execute them. The dense/sparse cadence comes from
     :func:`repro.core.ffn_reuse.schedule_phases` — the same phase math
     the runnable FFN-Reuse manager uses, so priced and executed
     schedules cannot drift.
     """
-    if config is not None:
-        enable_ffn_reuse = config.enable_ffn_reuse
-        enable_eager_prediction = config.enable_eager_prediction
-        sparse_iters_n = config.sparse_iters_n
-        ffn_target_sparsity = config.ffn_target_sparsity
-        top_k_ratio = config.top_k_ratio
-        q_threshold = config.q_threshold
-        prediction_bits = config.prediction_bits
-    else:
-        sparse_iters_n = spec.sparse_iters_n
-        ffn_target_sparsity = spec.target_inter_sparsity
-        top_k_ratio = spec.top_k_ratio
-        q_threshold = spec.q_threshold
-        prediction_bits = 12
+    if config is None:
+        config = ExionConfig.for_spec(spec)
     total = iterations if iterations is not None else spec.total_iterations
-    if enable_ffn_reuse:
-        phases = schedule_phases(total, sparse_iters_n)
+    if config.enable_ffn_reuse:
+        phases = schedule_phases(total, config.sparse_iters_n)
     else:
         phases = [True] * total
     steps = tuple(
@@ -273,15 +259,15 @@ def lower_plan(
     return PhasePlan(
         program=lower_program(spec, scale),
         steps=steps,
-        enable_ffn_reuse=enable_ffn_reuse,
-        enable_eager_prediction=enable_eager_prediction,
+        enable_ffn_reuse=config.enable_ffn_reuse,
+        enable_eager_prediction=config.enable_eager_prediction,
         batch=batch,
-        sparse_iters_n=sparse_iters_n,
-        ffn_target_sparsity=ffn_target_sparsity,
+        sparse_iters_n=config.sparse_iters_n,
+        ffn_target_sparsity=config.ffn_target_sparsity,
         intra_sparsity_target=spec.target_intra_sparsity,
-        top_k_ratio=top_k_ratio,
-        q_threshold=q_threshold,
-        prediction_bits=prediction_bits,
+        top_k_ratio=config.top_k_ratio,
+        q_threshold=config.q_threshold,
+        prediction_bits=config.prediction_bits,
     )
 
 

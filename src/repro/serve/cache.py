@@ -125,8 +125,3 @@ class ThresholdCache:
             info[f"{level}_hits"] = self.level_hits[level]
             info[f"{level}_misses"] = self.level_misses[level]
         return dict(sorted(info.items()))
-
-    def clear(self) -> None:
-        """Drop every memoized artifact (frees the model weights)."""
-        self._models.clear()
-        self._tables.clear()

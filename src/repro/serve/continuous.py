@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.core.config import ExionConfig
-from repro.program.cache import compiled_plan_for
+from repro.program.cache import get_plan_cache
 from repro.serve.cache import ThresholdCache
 from repro.serve.request import GenerationRequest, Priority, RequestResult
 from repro.workloads.specs import get_spec
@@ -494,7 +494,7 @@ class ContinuousServer:
         if dry_run:
             self._executor = None
             spec = get_spec(model_name)
-            self.plan = compiled_plan_for(
+            self.plan = get_plan_cache().compiled(
                 spec, self.config, iterations=total_iterations
             )
         else:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import get_spec
@@ -102,10 +103,11 @@ class TestSimulation:
         (paper Fig. 18 ablation bars)."""
         spec = get_spec("dit")
         acc = ExionAccelerator.exion24()
-        base = acc.simulate(spec, dit_profile, False, False)
-        ep = acc.simulate(spec, dit_profile, False, True)
-        ffnr = acc.simulate(spec, dit_profile, True, False)
-        full = acc.simulate(spec, dit_profile, True, True)
+        config = ExionConfig.for_model("dit")
+        base = acc.simulate(spec, dit_profile, config.ablation("base"))
+        ep = acc.simulate(spec, dit_profile, config.ablation("ep"))
+        ffnr = acc.simulate(spec, dit_profile, config.ablation("ffnr"))
+        full = acc.simulate(spec, dit_profile, config.ablation("all"))
         assert base.tops_per_watt <= ep.tops_per_watt <= full.tops_per_watt
         assert base.tops_per_watt <= ffnr.tops_per_watt <= full.tops_per_watt
         assert full.latency_s <= base.latency_s
@@ -115,13 +117,14 @@ class TestSimulation:
         than EP alone (paper: 'optimizing the FFN layers is crucial')."""
         spec = get_spec("dit")
         acc = ExionAccelerator.exion24()
-        ep = acc.simulate(spec, dit_profile, False, True)
-        ffnr = acc.simulate(spec, dit_profile, True, False)
+        config = ExionConfig.for_model("dit")
+        ep = acc.simulate(spec, dit_profile, config.ablation("ep"))
+        ffnr = acc.simulate(spec, dit_profile, config.ablation("ffnr"))
         assert ffnr.tops_per_watt > ep.tops_per_watt
 
     def test_ops_reduction_reported(self, dit_profile):
         report = ExionAccelerator.exion24().simulate(
-            get_spec("dit"), dit_profile, True, True
+            get_spec("dit"), dit_profile, ExionConfig.for_model("dit")
         )
         assert 0.3 < report.ops_reduction < 0.95
 

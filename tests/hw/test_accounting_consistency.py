@@ -8,6 +8,7 @@ work, never add it.
 
 import pytest
 
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
@@ -23,8 +24,7 @@ def reports():
         profile = estimate_profile(spec, seed=0)
         out[name] = {
             (ffnr, ep): acc.simulate(
-                spec, profile, enable_ffn_reuse=ffnr,
-                enable_eager_prediction=ep,
+                spec, profile, ExionConfig.for_model(name, ffnr, ep),
             )
             for ffnr in (False, True)
             for ep in (False, True)

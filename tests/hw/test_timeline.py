@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.hw.timeline import simulate_timeline
@@ -61,7 +62,8 @@ class TestTimeline:
         timeline = simulate_timeline(
             ExionAccelerator.exion24(), spec,
             estimate_profile(spec, seed=0),
-            enable_ffn_reuse=False, iterations=6,
+            ExionConfig.for_model("dit", enable_ffn_reuse=False),
+            iterations=6,
         )
         assert len(timeline.sparse_records()) == 0
         assert timeline.dense_sparse_latency_ratio == 1.0

@@ -142,10 +142,11 @@ class TestSection5Claims:
         for name in ("mld", "dit", "stable_diffusion"):
             spec = get_spec(name)
             p = profiles[name]
-            base = ex24.simulate(spec, p, False, False).tops_per_watt
-            ep = ex24.simulate(spec, p, False, True).tops_per_watt
-            ffnr = ex24.simulate(spec, p, True, False).tops_per_watt
-            full = ex24.simulate(spec, p, True, True).tops_per_watt
+            config = ExionConfig.for_model(name)
+            base, ep, ffnr, full = (
+                ex24.simulate(spec, p, config.ablation(which)).tops_per_watt
+                for which in ("base", "ep", "ffnr", "all")
+            )
             assert base <= ep <= full + 1e-9, name
             assert base <= ffnr <= full + 1e-9, name
 

@@ -83,11 +83,7 @@ class TestSpecPathEqualsPlanPath:
         for ablation in ABLATIONS:
             config = ExionConfig.for_model(model).ablation(ablation)
             via_spec = acc.simulate(
-                spec,
-                profiles[model],
-                enable_ffn_reuse=config.enable_ffn_reuse,
-                enable_eager_prediction=config.enable_eager_prediction,
-                iterations=10,
+                spec, profiles[model], config, iterations=10,
             )
             via_plan = acc.simulate_plan(
                 lower_plan(spec, config=config, iterations=10),

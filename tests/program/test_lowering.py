@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ExionConfig
 from repro.models.attention import MultiHeadAttention
 from repro.models.conditioning import ConditioningEncoder
 from repro.models.linear import Linear
@@ -160,8 +161,11 @@ class TestLowerPlan:
         assert plan.sparse_iterations == 6
 
     def test_disabled_ffn_reuse_is_all_dense(self):
-        plan = lower_plan(get_spec("dit"), enable_ffn_reuse=False,
-                          iterations=5)
+        plan = lower_plan(
+            get_spec("dit"),
+            ExionConfig.for_model("dit", enable_ffn_reuse=False),
+            iterations=5,
+        )
         assert all(s.is_dense for s in plan.steps)
 
     def test_residency_annotation(self):
@@ -170,8 +174,6 @@ class TestLowerPlan:
         assert all(s.weight_fetch == "resident" for s in plan.steps[1:])
 
     def test_config_supplies_flags_and_bits(self):
-        from repro.core.config import ExionConfig
-
         config = ExionConfig.for_model("dit").ablation("base")
         plan = lower_plan(get_spec("dit"), config=config, iterations=4)
         assert not plan.enable_ffn_reuse
@@ -182,8 +184,6 @@ class TestLowerPlan:
         """A config whose FFN-Reuse period differs from the spec's wins:
         the priced cadence is the one the pipeline would execute."""
         from dataclasses import replace as dc_replace
-
-        from repro.core.config import ExionConfig
 
         spec = get_spec("dit")  # Table I N=2
         config = dc_replace(ExionConfig.for_model("dit"), sparse_iters_n=9)

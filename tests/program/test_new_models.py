@@ -14,6 +14,7 @@ from repro.baselines.cambricon_d import CambriconDModel
 from repro.baselines.delta_dit import DeltaDiTPipeline
 from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import SERVER_GPU
+from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import EXTENDED_ORDER, get_spec
@@ -45,8 +46,8 @@ class TestExionConfigurations:
         spec = get_spec(model)
         acc = ExionAccelerator.exion24()
         base = acc.simulate(spec, profiles[model],
-                            enable_ffn_reuse=False,
-                            enable_eager_prediction=False, iterations=6)
+                            ExionConfig.for_model(model).ablation("base"),
+                            iterations=6)
         full = acc.simulate(spec, profiles[model], iterations=6)
         assert full.latency_s < base.latency_s
         assert full.computed_ops < base.computed_ops
@@ -131,7 +132,6 @@ class TestUpperLayers:
     @pytest.mark.parametrize("model", EXTENDED_ORDER)
     def test_builds_and_generates(self, model):
         """The sim substrate runs the new specs end to end."""
-        from repro.core.config import ExionConfig
         from repro.core.pipeline import ExionPipeline
         from repro.models.zoo import build_model
 

@@ -22,7 +22,7 @@ from repro.program import (
     lower_plan,
     plan_json,
 )
-from repro.program.cache import TIERS, compiled_plan_for, get_plan_cache
+from repro.program.cache import TIERS, get_plan_cache
 from repro.workloads.specs import ALL_MODEL_ORDER, get_spec
 
 ACCELERATORS = {
@@ -31,12 +31,6 @@ ACCELERATORS = {
     "exion42": ExionAccelerator.exion42,
 }
 ABLATIONS = ("base", "ep", "ffnr", "all")
-ABLATION_FLAGS = {
-    "base": (False, False),
-    "ep": (False, True),
-    "ffnr": (True, False),
-    "all": (True, True),
-}
 
 
 @pytest.fixture()
@@ -50,13 +44,9 @@ class TestPlanTierParity:
     @pytest.mark.parametrize("ablation", ABLATIONS)
     def test_plan_byte_equal_to_cold_lowering(self, cache, model, ablation):
         spec = get_spec(model)
-        ffnr, ep = ABLATION_FLAGS[ablation]
-        cold = lower_plan(
-            spec, enable_ffn_reuse=ffnr, enable_eager_prediction=ep
-        )
-        warm = cache.plan(
-            spec, enable_ffn_reuse=ffnr, enable_eager_prediction=ep
-        )
+        config = ExionConfig.for_model(model).ablation(ablation)
+        cold = lower_plan(spec, config)
+        warm = cache.plan(spec, config)
         assert plan_json(warm) == plan_json(cold)
         assert warm == cold
 
@@ -82,7 +72,9 @@ class TestPlanTierParity:
         assert cache.plan(spec, batch=4) is not base
         assert cache.plan(spec, iterations=8) is not base
         assert cache.plan(spec, scale="sim") is not base
-        assert cache.plan(spec, enable_ffn_reuse=False) is not base
+        assert cache.plan(
+            spec, ExionConfig.for_model("dit", enable_ffn_reuse=False)
+        ) is not base
         knobbed = dataclasses.replace(spec, sparse_iters_n=spec.sparse_iters_n + 1)
         assert cache.plan(knobbed) is not base
 
@@ -106,13 +98,17 @@ class TestCompiledTierParity:
         assert again is compiled
         assert cache.tier_hits["compiled"] == 1
 
-    def test_module_helper_uses_global_cache(self):
+    def test_executors_share_the_global_compiled_plan(self):
+        from repro.exec.continuous import ContinuousExecutor
+        from repro.models.zoo import build_model
+
         with fresh_plan_cache() as fresh:
-            spec = get_spec("dit")
-            first = compiled_plan_for(spec)
-            assert compiled_plan_for(spec) is first
-            assert fresh.tier_hits["compiled"] == 1
-            assert get_plan_cache() is fresh
+            model = build_model("dit", seed=0, total_iterations=4)
+            config = ExionConfig.for_model("dit")
+            first = ContinuousExecutor(model, config).compiled_plan
+            assert ContinuousExecutor(model, config).compiled_plan is first
+            assert first is fresh.compiled(model.spec, config)
+            assert fresh.tier_hits["compiled"] == 2
 
 
 class TestPricingTierParity:
@@ -124,11 +120,8 @@ class TestPricingTierParity:
     ):
         spec = get_spec(model)
         acc = ACCELERATORS[accelerator]()
-        ffnr, ep = ABLATION_FLAGS[ablation]
         profile = cache.profile(spec)
-        plan = cache.plan(
-            spec, enable_ffn_reuse=ffnr, enable_eager_prediction=ep
-        )
+        plan = cache.plan(spec, ExionConfig.for_model(model).ablation(ablation))
         cold = acc.simulate_plan(plan, profile)
         warm = cache.price(acc, plan, profile)
         rewarm = cache.price(acc, plan, profile)
@@ -215,12 +208,11 @@ class TestProfileTierParity:
         assert second.ffn_sparsity != 0.0
         assert second == estimate_profile(spec)
 
-    def test_seed_and_kwargs_key_the_profile(self, cache):
+    def test_seed_keys_the_profile(self, cache):
         spec = get_spec("dit")
         cache.profile(spec)
         cache.profile(spec, seed=1)
-        cache.profile(spec, sample_rows=32)
-        assert cache.tier_misses["profile"] == 3
+        assert cache.tier_misses["profile"] == 2
         cache.profile(spec)
         assert cache.tier_hits["profile"] == 1
 
@@ -268,16 +260,6 @@ class TestGlobalCacheLifecycle:
             inner.plan(get_spec("dit"))
             assert inner.stats()["plans"] == 1
         assert get_plan_cache() is outer
-
-    def test_clear_keeps_counters(self):
-        with fresh_plan_cache() as cache:
-            cache.plan(get_spec("dit"))
-            cache.plan(get_spec("dit"))
-            cache.clear()
-            stats = cache.stats()
-            assert stats["plans"] == 0
-            assert stats["plan_hits"] == 1
-            assert stats["plan_misses"] == 1
 
     def test_stats_keys_sorted(self, cache):
         stats = cache.stats()

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.core.config import ExionConfig
 from repro.program import (
     lower_plan,
     lower_program,
@@ -39,7 +40,7 @@ class TestDeterminism:
     def test_different_configs_have_different_digests(self):
         spec = get_spec("dit")
         assert plan_digest(lower_plan(spec)) != plan_digest(
-            lower_plan(spec, enable_ffn_reuse=False)
+            lower_plan(spec, ExionConfig.for_model("dit").ablation("ep"))
         )
         assert plan_digest(lower_plan(spec, batch=1)) != plan_digest(
             lower_plan(spec, batch=8)

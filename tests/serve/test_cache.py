@@ -108,13 +108,6 @@ class TestServerUse:
         assert server._executor.threshold_table is None
         assert cache.info()["tables"] == 0
 
-    def test_clear_drops_everything(self):
-        cache = ThresholdCache()
-        cache.table("dit", ExionConfig.for_model("dit"), **FAST)
-        cache.clear()
-        info = cache.info()
-        assert (info["models"], info["tables"]) == (0, 0)
-
     def test_shared_cache_reports_each_lookup_to_its_own_server(self):
         # Regression: the cache held one observer slot, so a cache shared
         # by two servers reported both servers' lookups to whichever
