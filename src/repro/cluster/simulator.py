@@ -60,12 +60,6 @@ class ClusterSimulator:
         # installed; every timestamp is simulated time, so traces are
         # byte-deterministic per (trace, seed, fleet).
         self.observer = observer
-        self._checks = 0
-
-    @property
-    def checks(self) -> int:
-        """Replica checks the last :meth:`run` popped off its heap."""
-        return self._checks
 
     # ------------------------------------------------------------------
     def run(self, requests: list, scenario: Optional[dict] = None) -> ClusterReport:
@@ -88,7 +82,6 @@ class ClusterSimulator:
         # time) or still not due, and derives the same next wake-up. Not
         # pushing it changes no outcome and no timestamp.
         pending: set = set()
-        checks = 0
 
         accumulator = LatencyAccumulator(self.slo)
         horizon = 0.0
@@ -133,7 +126,6 @@ class ClusterSimulator:
             else:
                 replica = payload
                 pending.discard((replica, t))
-                checks += 1
                 swept = replica.expire(t, self.slo.timeout_s)
                 outcome, dropped = replica.try_dispatch(t)
                 swept += dropped
@@ -159,7 +151,6 @@ class ClusterSimulator:
                             )
                 self._schedule(events, seq, pending, replica, t, bump=True)
 
-        self._checks = checks
         return self._report(requests, accumulator, horizon, scenario)
 
     def _observe_drops(self, dropped: list, now: float) -> None:

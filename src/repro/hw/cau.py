@@ -20,12 +20,7 @@ class CAUReport:
     """Outcome of one CAU pass over an output bitmask."""
 
     result: TiledConMergeResult
-    classify_cycles: int  # overlapped with SDUE dense execution
     merge_cycles: int  # CVG conflict-resolution work
-
-    @property
-    def total_cycles(self) -> int:
-        return self.classify_cycles + self.merge_cycles
 
 
 class CAUModel:
@@ -37,20 +32,17 @@ class CAUModel:
     #: SortBuffer entries per sparsity class.
     class_capacity = 256
 
-    def process(self, mask: Bitmask, sort: bool = True) -> CAUReport:
-        """Run ConMerge over a (possibly multi-tile) output bitmask."""
+    def process(self, mask: Bitmask) -> CAUReport:
+        """Run ConMerge, sorted, over a (possibly multi-tile) output
+        bitmask."""
         result = conmerge_tiled(
             mask,
             tile_rows=self.rows,
             width=self.width,
-            sort=sort,
+            sort=True,
             class_capacity=self.class_capacity,
         )
-        # One classify/insert cycle per column per row-tile.
-        tiles = len(result.tile_results)
-        classify_cycles = mask.cols * tiles
         return CAUReport(
             result=result,
-            classify_cycles=classify_cycles,
             merge_cycles=result.cycles,
         )

@@ -46,10 +46,6 @@ class Span(NamedTuple):
     parent_id: Optional[int]
     args: dict
 
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 class Event(NamedTuple):
     """A view of one recorded instant."""

@@ -208,7 +208,8 @@ class TestSLOEnforcement:
 
 class TestEventCount:
     """Checks popped per run are linear in what happened: no wall clock,
-    only the simulator's own count. The cell is the fleet-digest grid's
+    only a count of popped checks (every check calls its replica's
+    ``try_dispatch`` exactly once). The cell is the fleet-digest grid's
     deadline cell (MMPP 15/60, 2 s deadlines, jsq over 2 replicas)."""
 
     @staticmethod
@@ -217,13 +218,25 @@ class TestEventCount:
             MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), n, rng=2,
             deadline_s=2.0,
         )
+        replicas = build_replicas(2, accelerator="exion24",
+                                  continuous=continuous)
+        checks = 0
+
+        def counted(try_dispatch):
+            def check(now):
+                nonlocal checks
+                checks += 1
+                return try_dispatch(now)
+            return check
+
+        for replica in replicas:
+            replica.try_dispatch = counted(replica.try_dispatch)
         simulator = ClusterSimulator(
-            build_replicas(2, accelerator="exion24", continuous=continuous),
-            make_router("jsq"), SLOPolicy(latency_target_s=2.0),
+            replicas, make_router("jsq"), SLOPolicy(latency_target_s=2.0),
         )
         report = simulator.run(trace)
         dispatches = sum(r["batches_served"] for r in report.replicas)
-        return simulator.checks, dispatches, report
+        return checks, dispatches, report
 
     @pytest.mark.parametrize("continuous", [False, True])
     def test_checks_are_linear_in_events(self, continuous, record_property):
@@ -244,19 +257,6 @@ class TestEventCount:
         longer, dispatches2, report2 = self.run(480, continuous)
         assert longer <= dispatches2 + 480 + report2.dropped
         assert longer <= 2.5 * checks
-
-    def test_checks_reads_the_last_run(self, service_model):
-        simulator = ClusterSimulator(
-            build_replicas(1, policy=POLICY, service_model=service_model),
-            make_router("jsq"),
-        )
-        assert simulator.checks == 0
-        simulator.run(synthesize_trace(PoissonProcess(200.0), 8, rng=0))
-        assert simulator.checks > 0
-        simulator.run([])
-        assert simulator.checks == 0
-        with pytest.raises(AttributeError):
-            simulator.checks = 3
 
 
 class TestRequestIds:

@@ -37,7 +37,8 @@ class TestTracer:
         with pytest.raises(ValueError, match="before start"):
             tracer.span("s", "t", 1.0, 0.5)
         assert len(tracer) == 0  # nothing recorded
-        assert tracer.spans[tracer.span("s", "t", 1.0, 2.0)].duration_s == 1.0
+        span = tracer.spans[tracer.span("s", "t", 1.0, 2.0)]
+        assert (span.start_s, span.end_s) == (1.0, 2.0)
 
     def test_tracks_and_records_sorted(self):
         tracer = small_trace()

@@ -251,9 +251,9 @@ def evaluate(name):
 """
 
 
-def unnamed(tmp_path, caller: str) -> set:
+def unnamed(tmp_path, caller: str, library: str = NAMES) -> set:
     """``{qualname}`` check 5 reports for one tree."""
-    for relative, text in (("src/repro/lib.py", NAMES),
+    for relative, text in (("src/repro/lib.py", library),
                            ("benchmarks/caller.py", caller)):
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -329,3 +329,45 @@ def test_a_module_level_assignment_shadows_but_a_nested_def_does_not(
         print(run(), evaluate("x"), percentile([1], 0))
     """)
     assert found == {"LIMIT"}
+
+
+METHODS = """
+class Report:
+    def total(self):
+        return 1
+
+    def process(self, sort=True):
+        return sort
+"""
+
+
+def test_a_local_of_a_methods_name_does_not_keep_it(tmp_path):
+    found = unnamed(tmp_path, """
+        from repro.lib import Report
+
+
+        def run():
+            total = 3
+            return Report().process(total)
+
+        run()
+    """, library=METHODS)
+    assert found == {"Report.total"}
+    assert unnamed(tmp_path, """
+        from repro.lib import Report
+        Report().process(Report().total())
+    """, library=METHODS) == set()
+
+
+def test_a_local_of_a_methods_name_is_not_a_value_use(tmp_path):
+    found = flagged(tmp_path, """
+        from repro.lib import Report
+        process = 1
+        print(process, Report().process())
+    """, library=METHODS)
+    assert ("Report.process", "sort") in found
+    found = flagged(tmp_path, """
+        from repro.lib import Report
+        print(Report().process)
+    """, library=METHODS)
+    assert ("Report.process", "sort") not in found

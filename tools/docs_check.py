@@ -30,7 +30,9 @@ Seven checks, all hard failures:
    above, by an ``ast.Name``, an ``ast.Attribute`` or an import alias (a
    package ``__init__.py`` re-export, an ``__all__`` string, a docstring
    or prose does not count). Names are matched as bare identifiers, so
-   any ``.attr`` of the same name keeps a method alive. A bare name (an
+   any ``.attr`` of the same name keeps a method alive; a method is
+   reached only through an attribute, so a bare name (a local variable
+   of the same name) does not keep one alive. A bare name (an
    ``ast.Name`` or an import alias) in another module that binds the
    name itself — a top-level ``def``, ``class`` or assignment, or a
    ``from X import name`` with X outside ``repro`` — means that binding
@@ -53,7 +55,8 @@ Seven checks, all hard failures:
    parameter, a name ``.update()`` touches), or when its name is used
    as a value (stored, passed or returned; a call target, annotation,
    ``isinstance`` operand, attribute base or class base is not a value
-   use). A call that only forwards its enclosing def's own
+   use). A method's name is a value use only as an attribute
+   (``obj.method`` passed on); a bare name is a local, not the method. A call that only forwards its enclosing def's own
    ``*args``/``**kwargs`` passes what the calls reaching that def pass.
    Any other defaulted parameter is a constant: inline it.
 7. **Field reads** — every field of a ``@dataclass`` or ``NamedTuple``
@@ -269,8 +272,9 @@ def _targets(node: ast.AST) -> list[ast.expr]:
 def check_names(root: Path = REPO_ROOT) -> list[str]:
     """Definitions under ``src/repro`` that nothing outside ``tests/`` names."""
     package = root / "src" / "repro"
-    # Per candidate: (file:line, qualname, bare name, defining file).
-    defs: list[tuple[str, str, str, Path]] = []
+    # Per candidate: (file:line, qualname, bare name, defining file,
+    # a method?).
+    defs: list[tuple[str, str, str, Path, bool]] = []
     # Bare name -> (using file, defs around the use, a bare-name use?).
     refs: dict[str, list[tuple[Path, frozenset[int], bool]]] = {}
     binds: dict[Path, set[str]] = {}  # file -> names it binds itself
@@ -301,6 +305,7 @@ def check_names(root: Path = REPO_ROOT) -> list[str]:
                 defs.append((
                     f"{path.relative_to(root).as_posix()}:{child.lineno}",
                     f"{owner}.{name}" if owner else name, name, path,
+                    bool(owner),
                 ))
             if isinstance(child, ast.Name):
                 refs.setdefault(child.id, []).append((path, inside, True))
@@ -335,11 +340,11 @@ def check_names(root: Path = REPO_ROOT) -> list[str]:
         visit(tree, frozenset(), path, path.name != "__init__.py", "")
 
     # A bare name in another module that binds the name itself refers to
-    # that binding, not to the candidate.
+    # that binding, not to the candidate; a method is never a bare name.
     uses = [
         [around for path, around, bare in refs.get(name, ())
-         if not (bare and path != home and name in binds[path])]
-        for _, _, name, home in defs
+         if not (bare and (method or path != home and name in binds[path]))]
+        for _, _, name, home, method in defs
     ]
     dead: dict[int, int] = {}  # candidate index -> round it fell in
     for round_ in itertools.count(1):
@@ -356,7 +361,7 @@ def check_names(root: Path = REPO_ROOT) -> list[str]:
     return [
         f"{where}: {qualname} (round {dead[index]}) is named by nothing in "
         f"src/, {'/, '.join(ENTRY_DIRS)}/ outside its own body"
-        for index, (where, qualname, _, _) in enumerate(defs) if index in dead
+        for index, (where, qualname, *_) in enumerate(defs) if index in dead
     ]
 
 
@@ -365,7 +370,8 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     package = root / "src" / "repro"
     bases: dict[str, set[str]] = {}  # class name -> bare base names
-    # A callee is ``(name, is_init)``: an ``__init__`` goes by its class.
+    # A callee is ``(name, is_init, is_method)``: an ``__init__`` goes by
+    # its class.
     # Per candidate: (file:line, qualname, callee, [(parameter, position)]),
     # position ``None`` for keyword-only.
     candidates: list[tuple[str, str, tuple, list]] = []
@@ -373,7 +379,9 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
     # is True for an opaque ``*``/``**`` operand, or the enclosing callee
     # when the call only forwards that callee's own ``*args``/``**kwargs``.
     calls: dict[str, list[tuple[int, set, object]]] = {}
-    values: set[str] = set()  # bare names loaded as a value
+    # Bare names loaded as a value, by an ``ast.Name`` and as an attribute.
+    values: set[str] = set()
+    attribute_values: set[str] = set()
 
     def not_values(node: ast.AST) -> list[ast.AST]:
         """Children of ``node`` whose bare name is not a value use."""
@@ -406,10 +414,12 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
                 bases[child.name] = {_bare(base) for base in child.bases}
                 inner_klass = child.name
             elif isinstance(child, functions):
-                method = isinstance(node, ast.ClassDef) and not any(
+                in_class = isinstance(node, ast.ClassDef)
+                method = in_class and not any(
                     _bare(d) == "staticmethod" for d in child.decorator_list)
-                callee = ((klass, True) if method and child.name == "__init__"
-                          else (child.name, False))
+                callee = ((klass, True, False)
+                          if method and child.name == "__init__"
+                          else (child.name, False, in_class))
                 if where is not None:
                     record_def(child, where, klass if method else None,
                                callee, method)
@@ -421,7 +431,8 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
             elif (isinstance(child, (ast.Name, ast.Attribute))
                   and isinstance(child.ctx, ast.Load)
                   and id(child) not in skipped):
-                values.add(_bare(child))
+                (attribute_values if isinstance(child, ast.Attribute)
+                 else values).add(_bare(child))
             visit(child, where, inner_klass, inner_scope)
 
     def record_def(node, where, klass, callee, method):
@@ -524,7 +535,7 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
     def reaching(callee) -> set[str]:
         """Call names that reach ``callee``: a class's ``__init__`` is
         also reached through every subclass."""
-        name, is_init = callee
+        name, is_init, _ = callee
         found, grew = {name}, is_init
         while grew:
             more = {c for c, b in bases.items() if b & found} - found
@@ -536,7 +547,7 @@ def check_options(root: Path = REPO_ROOT) -> list[str]:
         """(opaque, positional count, keywords) over every call reaching
         ``callee``; opaque when a call cannot be read or it is a value."""
         names = reaching(callee)
-        if names & values:
+        if names & attribute_values or not callee[2] and names & values:
             return True, 0, set()
         count, words = 0, set()
         for name in names:
