@@ -149,16 +149,6 @@ class Metric:
             "tolerance": float(self.tolerance),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Metric":
-        return cls(
-            value=data["value"],
-            unit=data.get("unit", ""),
-            paper=data.get("paper"),
-            direction=data.get("direction", "two_sided"),
-            tolerance=data.get("tolerance", 0.05),
-        )
-
 
 @dataclass
 class BenchSeries:
@@ -177,11 +167,6 @@ class BenchSeries:
             "headers": [str(h) for h in self.headers],
             "rows": [list(row) for row in self.rows],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchSeries":
-        return cls(title=data["title"], headers=list(data["headers"]),
-                   rows=[list(row) for row in data["rows"]])
 
 
 @dataclass
@@ -241,18 +226,6 @@ class BenchResult:
             "notes": list(self.notes),
             "env": dict(self.env),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchResult":
-        validate_result(data)
-        result = cls(name=data["name"], model=data.get("model", ""),
-                     tags=tuple(data.get("tags", ())))
-        for key, metric in data.get("metrics", {}).items():
-            result.metrics[key] = Metric.from_dict(metric)
-        result.series = [BenchSeries.from_dict(s) for s in data.get("series", [])]
-        result.notes = list(data.get("notes", []))
-        result.env = dict(data.get("env", {}))
-        return result
 
 
 _JSON_TYPES = {

@@ -805,7 +805,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ))
     print(f"speedup {gpu.latency_s / report.latency_s:.1f}x, "
           f"efficiency gain "
-          f"{report.tops_per_watt / gpu.tops_per_watt:.1f}x")
+          f"{report.tops_per_watt / gpu.tops_per_watt:.1f}x, "
+          f"{report.computed_ops / report.dense_equivalent_ops:.1%} of "
+          f"the dense ops computed")
     return 0
 
 

@@ -5,24 +5,17 @@ plain JSON-serializable types. Serialization is canonical
 (:meth:`ClusterReport.to_json` sorts keys and fixes separators), so two
 runs over the same trace and seed emit **byte-identical** documents —
 the determinism contract the cluster bench gates on.
-
-:meth:`ClusterReport.to_bench_result` projects the report onto the
-:class:`repro.bench.BenchResult` schema, so cluster scenarios flow
-through the same ``BENCH_<name>.json`` artifacts, baseline comparisons
-and CI gating as every other bench in the repo.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.report import format_table
 from repro.canon import canonical_json
 
-#: Column headers of the per-replica usage table, shared by the rendered
-#: report and the ``repro.bench`` series so they cannot desynchronize.
+#: Column headers of the per-replica usage table of the rendered report.
 REPLICA_USAGE_HEADERS = [
     "replica", "accelerator", "served", "batches", "mean batch",
     "utilization", "cold starts", "drops",
@@ -93,21 +86,6 @@ class ClusterReport:
         """Canonical JSON: key-sorted, fixed separators, trailing newline."""
         return canonical_json(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterReport":
-        return cls(
-            scenario=dict(data.get("scenario", {})),
-            submitted=int(data["submitted"]),
-            served=int(data["served"]),
-            admission_drops=int(data.get("admission_drops", 0)),
-            timeout_drops=int(data.get("timeout_drops", 0)),
-            makespan_s=float(data.get("makespan_s", 0.0)),
-            latency=dict(data.get("latency", {})),
-            slo_attainment=data.get("slo_attainment"),
-            replicas=[dict(r) for r in data.get("replicas", [])],
-            executed=bool(data.get("executed", False)),
-        )
-
     # ------------------------------------------------------------------
     # presentation
     # ------------------------------------------------------------------
@@ -161,68 +139,6 @@ class ClusterReport:
             title="Per-replica usage",
         )
         return fleet + "\n\n" + per_replica
-
-    # ------------------------------------------------------------------
-    # repro.bench projection
-    # ------------------------------------------------------------------
-    def to_bench_result(self, name: str, tags=("cluster",)):
-        """Project onto the bench schema (validates on round-trip)."""
-        from repro.bench import BenchResult
-
-        lat = self.latency
-        result = BenchResult(
-            name=name,
-            model=",".join(self.scenario.get("models", [])) or "mix",
-            tags=tuple(tags),
-        )
-        result.add_metric(
-            "samples_per_s", self.samples_per_s, unit="samples/s",
-            direction="higher_better", tolerance=0.05,
-        )
-        result.add_metric(
-            "latency_p50_s", lat.get("latency_p50_s", 0.0), unit="s",
-            direction="lower_better", tolerance=0.05,
-        )
-        result.add_metric(
-            "latency_p95_s", lat.get("latency_p95_s", 0.0), unit="s",
-            direction="lower_better", tolerance=0.05,
-        )
-        result.add_metric(
-            "latency_p99_s", lat.get("latency_p99_s", 0.0), unit="s",
-            direction="lower_better", tolerance=0.05,
-        )
-        # Drop rate and attainment are quantized in whole requests, so a
-        # one-request shift (e.g. cross-version RNG stream drift) moves
-        # them by a large relative step on small traces; their gates are
-        # correspondingly loose.
-        result.add_metric(
-            "drop_rate", self.drop_rate,
-            direction="lower_better", tolerance=0.10,
-        )
-        result.add_metric(
-            "mean_utilization", self.mean_utilization,
-            direction="higher_better", tolerance=0.10,
-        )
-        if self.slo_attainment is not None:
-            result.add_metric(
-                "slo_attainment", self.slo_attainment,
-                direction="higher_better", tolerance=0.25,
-            )
-        result.add_series(
-            "Fleet summary",
-            ["metric", "value"],
-            [[k, str(v)] for k, v in self.summary_rows()],
-        )
-        result.add_series(
-            "Per-replica usage",
-            REPLICA_USAGE_HEADERS,
-            self.replica_rows(),
-        )
-        result.add_note(
-            "scenario: "
-            + json.dumps(self.scenario, sort_keys=True)
-        )
-        return result
 
 
 __all__ = ["ClusterReport", "REPLICA_USAGE_HEADERS"]

@@ -69,10 +69,6 @@ class LatencyAccumulator:
         self.services.append(float(service_s))
 
     @property
-    def count(self) -> int:
-        return len(self.waits)
-
-    @property
     def latencies(self) -> list:
         return [w + s for w, s in zip(self.waits, self.services)]
 

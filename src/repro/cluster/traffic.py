@@ -243,13 +243,6 @@ class WorkloadMix:
             raise ValueError("weights must be non-negative, sum > 0")
         return w / w.sum()
 
-    def describe(self) -> dict:
-        return {
-            "models": list(self.models),
-            "weights": None if self.weights is None else list(self.weights),
-            "ablation": self.ablation,
-        }
-
 
 def synthesize_trace(
     process: ArrivalProcess,

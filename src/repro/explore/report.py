@@ -79,18 +79,6 @@ class ExploreReport:
         """Canonical JSON: key-sorted, fixed separators, trailing newline."""
         return canonical_json(self.to_dict())
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExploreReport":
-        return cls(
-            space=dict(data.get("space", {})),
-            strategy=dict(data.get("strategy", {})),
-            objectives=list(data.get("objectives", [])),
-            seed=int(data.get("seed", 0)),
-            evaluations=[dict(e) for e in data.get("evaluations", [])],
-            frontier=list(data.get("frontier", [])),
-            knee=data.get("knee"),
-        )
-
     # ------------------------------------------------------------------
     # presentation
     # ------------------------------------------------------------------

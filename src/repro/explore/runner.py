@@ -96,17 +96,6 @@ class RunnerStats:
             return 0.0
         return self.cache_hits / self.evaluated
 
-    def to_dict(self) -> dict:
-        # Key-sorted so the stats block (which sits outside the canonical
-        # report serialization) still diffs stably between runs.
-        return dict(sorted({
-            "evaluated": self.evaluated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "hit_rate": self.hit_rate,
-            "workers": self.workers,
-        }.items()))
-
 
 #: Per-worker evaluator installed by :func:`_init_worker`. Sending the
 #: evaluator once per worker (instead of once per payload) lets its

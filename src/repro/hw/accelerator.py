@@ -87,12 +87,6 @@ class AcceleratorReport:
         """Dense-equivalent energy efficiency, the Fig. 18 metric."""
         return self.dense_equivalent_ops / self.energy_j / 1e12
 
-    @property
-    def ops_reduction(self) -> float:
-        if self.dense_equivalent_ops == 0:
-            return 0.0
-        return 1.0 - self.computed_ops / self.dense_equivalent_ops
-
 
 class _PricedStep(NamedTuple):
     """One plan step as priced by :meth:`ExionAccelerator._price_steps`."""

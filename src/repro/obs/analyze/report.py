@@ -74,48 +74,6 @@ class AnalysisReport:
     def to_json(self) -> str:
         return canonical_json(self.to_dict())
 
-    def to_bench_result(self):
-        """Project the report onto the bench schema (lazy import —
-        analysis must not pull the bench registry at import time)."""
-        from repro.bench import BenchResult
-
-        attribution = self.attribution
-        latency = attribution.latency_summary()
-        result = BenchResult(
-            "obs_analysis_report",
-            model=str(self.meta.get("model", "") or "trace"),
-        )
-        result.add_metric("requests", float(len(attribution.requests)),
-                          unit="requests")
-        result.add_metric("served", float(latency["count"]),
-                          unit="requests")
-        result.add_metric("busy_s", attribution.busy_ns / 1e9, unit="s")
-        result.add_metric("latency_p95_s", latency["p95_ns"] / 1e9,
-                          unit="s", direction="lower_better")
-        result.add_metric(
-            "max_request_residual_ns",
-            float(attribution.max_request_residual_ns()),
-            unit="ns", direction="lower_better", tolerance=0.0,
-        )
-        result.add_metric(
-            "tenant_residual_ns",
-            float(attribution.tenant_residual_ns()),
-            unit="ns", direction="lower_better", tolerance=0.0,
-        )
-        result.add_metric("critical_path_s", self.path.total_ns / 1e9,
-                          unit="s")
-        alerts = sum(len(doc["alerts"]) for doc in self.slo.values())
-        result.add_metric("slo_alerts", float(alerts), unit="alerts")
-        result.add_series(
-            "Fleet attribution",
-            ["component", "seconds"],
-            [
-                [key, value / 1e9]
-                for key, value in attribution.fleet_components().items()
-            ],
-        )
-        return result
-
 
 # ----------------------------------------------------------------------
 # top-level entry points

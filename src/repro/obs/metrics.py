@@ -302,13 +302,6 @@ class MetricsRegistry:
     ) -> MetricFamily:
         return self._register(name, "histogram", help_, (), buckets)
 
-    def get(self, name: str) -> MetricFamily:
-        return self._families[name]
-
-    def quantile(self, name: str, q: float, **labels) -> float:
-        """Nearest-rank quantile of a registered histogram's child."""
-        return self._families[name].quantile(q, **labels)
-
     def families(self) -> list:
         """Every family, sorted by name (the deterministic snapshot order)."""
         return [self._families[name] for name in sorted(self._families)]

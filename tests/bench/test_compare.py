@@ -11,7 +11,7 @@ from repro.bench.compare import format_report
 from repro.bench.runner import write_results
 
 
-def result_set():
+def gate_result():
     result = BenchResult("gate_bench", model="dit")
     result.add_metric("speedup", 2.5, unit="x", direction="higher_better",
                       tolerance=0.10)
@@ -19,7 +19,11 @@ def result_set():
                       tolerance=0.10)
     result.add_metric("paper_constant", 39.2, direction="two_sided",
                       tolerance=0.01)
-    return {"gate_bench": result.to_dict()}
+    return result
+
+
+def result_set():
+    return {"gate_bench": gate_result().to_dict()}
 
 
 class TestCompare:
@@ -108,8 +112,7 @@ class TestCompare:
 
 class TestLoadResults:
     def test_load_aggregate_file_and_directory(self, tmp_path):
-        result = BenchResult.from_dict(result_set()["gate_bench"])
-        write_results({"gate_bench": result}, tmp_path)
+        write_results({"gate_bench": gate_result()}, tmp_path)
 
         from_file = load_results(tmp_path / "BENCH_repro.json")
         from_dir = load_results(tmp_path)

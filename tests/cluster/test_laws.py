@@ -24,6 +24,11 @@ from repro.obs import Observer
 from repro.obs.analyze import TraceRecords, analyze_records, to_ns
 
 
+def family(registry, name):
+    """The registered metric family called ``name``."""
+    return next(f for f in registry.families() if f.name == name)
+
+
 @pytest.fixture(scope="module")
 def cells():
     trace = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), 240,
@@ -97,7 +102,7 @@ def test_metrics_agree_with_the_trace(cells, continuous):
 
     def series(name):
         return {values: child.value
-                for values, child in metrics.get(name).children()}
+                for values, child in family(metrics, name).children()}
 
     dispatched = series("repro_dispatches_total")
     for replica in replicas:
@@ -105,7 +110,7 @@ def test_metrics_agree_with_the_trace(cells, continuous):
             _dispatch_spans(tracer, replica))
     spans = [s for s in tracer.spans if s.name.startswith("dispatch[")]
     assert len(spans) == sum(dispatched.values()) > 0
-    ((_, fill),) = metrics.get("repro_batch_fill").children()
+    ((_, fill),) = family(metrics, "repro_batch_fill").children()
     assert fill.count == len(spans)
     assert fill.sum == sum(span.args["batch_size"] for span in spans)
     stages = Counter(e.name for e in tracer.events

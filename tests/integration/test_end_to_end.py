@@ -101,7 +101,7 @@ class TestStatsToHardware:
             dit_model.spec, profile=profile, iterations=12
         )
         assert report.latency_s > 0
-        assert report.ops_reduction > 0.2
+        assert report.computed_ops < 0.8 * report.dense_equivalent_ops
 
     def test_measured_masks_feed_conmerge(self, dit_model):
         cfg = ExionConfig.for_model("dit")

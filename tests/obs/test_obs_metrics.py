@@ -157,8 +157,8 @@ class TestHistogramQuantile:
         assert h.quantile(0.95) == 0.0  # untouched child
         h.observe(0.05)
         h.observe(0.5)
-        assert reg.quantile("lat", 0.5) == 0.1
-        assert reg.quantile("lat", 0.95) == 1.0
+        assert h.quantile(0.5) == 0.1
+        assert h.quantile(0.95) == 1.0
         with pytest.raises(TypeError):
             reg.counter("c_total").quantile(0.5)
 

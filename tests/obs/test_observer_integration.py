@@ -17,6 +17,11 @@ from repro.serve import ContinuousPolicy, ContinuousServer
 from repro.serve.cache import ThresholdCache
 
 
+def family(registry, name):
+    """The registered metric family called ``name``."""
+    return next(f for f in registry.families() if f.name == name)
+
+
 def small_cluster(observer=None, replicas=2, rate_rps=50.0, timeout_s=0.05):
     requests = synthesize_trace(
         PoissonProcess(rate_rps=rate_rps), 16,
@@ -36,7 +41,7 @@ class TestContinuousServing:
             model="dit", continuous=True, requests=8, iterations=12,
             observer=obs,
         )
-        membership = obs.metrics.get("repro_membership_events_total")
+        membership = family(obs.metrics, "repro_membership_events_total")
         assert membership.value(kind="join") == summary["joins"]
         assert membership.value(kind="complete") == (
             summary["requests_served"]
@@ -44,7 +49,7 @@ class TestContinuousServing:
         assert membership.value(kind="expire") == (
             summary["requests_expired"]
         )
-        ticks = obs.metrics.get("repro_ticks_total")
+        ticks = family(obs.metrics, "repro_ticks_total")
         assert (
             ticks.value(phase="dense") + ticks.value(phase="sparse")
             == summary["ticks"]
@@ -95,7 +100,7 @@ class TestContinuousServing:
             e for e in obs.tracer.events if e.name == "index_set_edit"
         ]
         assert edits and all(e.track == "exec/index_set" for e in edits)
-        membership = obs.metrics.get("repro_membership_events_total")
+        membership = family(obs.metrics, "repro_membership_events_total")
         assert membership.value(kind="index_set_edit") == len(edits)
 
 
@@ -104,7 +109,7 @@ class TestThresholdCache:
         cache, observer = ThresholdCache(), Observer()
         cache.model("dit", 0, 4, None, observer=observer)
         cache.model("dit", 0, 4, None, observer=observer)
-        lookups = observer.metrics.get("repro_cache_lookups_total")
+        lookups = family(observer.metrics, "repro_cache_lookups_total")
         assert lookups.value(level="model", outcome="miss") == 1
         assert lookups.value(level="model", outcome="hit") == 1
         info = cache.info()
@@ -121,10 +126,10 @@ class TestCluster:
         # The observer must not perturb the simulation at all.
         assert observed.to_json() == plain.to_json()
 
-        stages = obs.metrics.get("repro_requests_total")
+        stages = family(obs.metrics, "repro_requests_total")
         assert stages.value(stage="queued") == observed.submitted
         assert stages.value(stage="served") == observed.served
-        util = obs.metrics.get("repro_replica_utilization")
+        util = family(obs.metrics, "repro_replica_utilization")
         assert util.value(replica="replica0") >= 0.0
         dispatch_tracks = {
             s.track for s in obs.tracer.spans
@@ -143,7 +148,7 @@ class TestCluster:
         )
         drops = report.timeout_drops
         assert drops > 0
-        slo = obs.metrics.get("repro_slo_events_total")
+        slo = family(obs.metrics, "repro_slo_events_total")
         assert slo.value(reason="timeout") == drops
 
 
@@ -168,7 +173,7 @@ class TestHwTimeline:
         obs = Observer()
         obs.observe_timeline(timeline)
         assert len(obs.tracer.spans) == 8
-        phase_s = obs.metrics.get("repro_phase_seconds_total")
+        phase_s = family(obs.metrics, "repro_phase_seconds_total")
         total = sum(
             child.value for _, child in phase_s.children()
         )

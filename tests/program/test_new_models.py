@@ -37,7 +37,7 @@ class TestExionConfigurations:
             report = factory().simulate(spec, profiles[model], iterations=6)
             assert report.latency_s > 0
             assert report.energy_j > 0
-            assert 0.0 < report.ops_reduction < 1.0
+            assert 0 < report.computed_ops < report.dense_equivalent_ops
             assert set(report.op_class_energy_j) >= {"qkv", "attention"}
 
     @pytest.mark.parametrize("model", EXTENDED_ORDER)

@@ -9,6 +9,12 @@ from repro.core.config import ExionConfig
 from repro.models.zoo import model_cache_key
 from repro.serve import ContinuousServer, ThresholdCache
 
+
+def family(registry, name):
+    """The registered metric family called ``name``."""
+    return next(f for f in registry.families() if f.name == name)
+
+
 FAST = {"total_iterations": 6}
 
 
@@ -118,10 +124,10 @@ class TestServerUse:
         self.make_server(cache, observer=first)   # model miss
         self.make_server(cache)                   # model hit, unobserved
         self.make_server(cache, observer=second)  # model hit
-        lookups = first.metrics.get("repro_cache_lookups_total")
+        lookups = family(first.metrics, "repro_cache_lookups_total")
         assert lookups.value(level="model", outcome="miss") == 1
         assert lookups.value(level="model", outcome="hit") == 0
-        lookups = second.metrics.get("repro_cache_lookups_total")
+        lookups = family(second.metrics, "repro_cache_lookups_total")
         assert lookups.value(level="model", outcome="miss") == 0
         assert lookups.value(level="model", outcome="hit") == 1
         assert cache.info()["model_hits"] == 2

@@ -243,6 +243,7 @@ class TestCommands:
         assert main(["simulate", "--model", "mdm"]) == 0
         out = capsys.readouterr().out
         assert "speedup" in out
+        assert "of the dense ops computed" in out
         assert "EXION24" in out
 
     def test_simulate_edge(self, capsys):
