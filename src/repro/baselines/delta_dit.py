@@ -105,8 +105,7 @@ class DeltaDiTPipeline:
 
             eps = network.walk(x, t_embed, block)
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
-            x = self.model.scheduler.step(eps, int(t), x, prev_t=prev_t,
-                                          rng=rng)
+            x = self.model.scheduler.step(eps, int(t), x, prev_t=prev_t)
 
         # Caching skips a block's own ops (the sim program's non-etc ops,
         # the same for every block of the one stage), not the rest.

@@ -44,7 +44,6 @@ interpreted oracle.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -72,7 +71,6 @@ from repro.core.pipeline import (
 from repro.core.sparsity import RunStats
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
-from repro.models.scheduler import DDPMScheduler
 from repro.models.zoo import BenchmarkModel
 from repro.program.cache import get_plan_cache
 from repro.serve.request import GenerationRequest
@@ -141,14 +139,12 @@ class _RunFFNState:
 
 
 class RequestRun:
-    """One in-flight request: latent, cursor, RNG and per-phase state."""
+    """One in-flight request: latent, cursor and per-phase state."""
 
     def __init__(
         self,
         request: GenerationRequest,
         x: np.ndarray,
-        rng: np.random.Generator,
-        scheduler,
         context: Optional[np.ndarray],
         num_blocks: int,
         serial: int,
@@ -159,8 +155,6 @@ class RequestRun:
         #: run's address to a later one.
         self.serial = serial
         self.x = x
-        self.rng = rng
-        self.scheduler = scheduler
         self.context = context
         self.cursor = 0
         self.stats = RunStats()
@@ -241,20 +235,13 @@ class ContinuousExecutor:
         self, request: GenerationRequest, context: Optional[np.ndarray]
     ) -> RequestRun:
         network = self.model.network
-        rng = np.random.default_rng(request.seed)
-        x = rng.standard_normal((network.tokens, network.dim))
-        scheduler = self.model.scheduler
-        if hasattr(scheduler, "reset"):
-            # Multistep solvers carry per-trajectory state; each run gets
-            # its own fresh copy. Stateless schedulers are shared.
-            scheduler = copy.deepcopy(scheduler)
-            scheduler.reset()
+        x = np.random.default_rng(request.seed).standard_normal(
+            (network.tokens, network.dim)
+        )
         self._runs_started += 1
         return RequestRun(
             request=request,
             x=x,
-            rng=rng,
-            scheduler=scheduler,
             context=context,
             num_blocks=network.num_transformer_blocks,
             serial=self._runs_started,
@@ -353,6 +340,9 @@ class ContinuousExecutor:
 
         finished = []
         timesteps = self._timesteps
+        # The zoo's DDIM scheduler is deterministic and stateless: one
+        # instance steps every run.
+        scheduler = self.model.scheduler
         for b, run in enumerate(runs):
             i = run.cursor
             if count_iterations:
@@ -362,14 +352,7 @@ class ContinuousExecutor:
                     run.stats.sparse_iterations += 1
             t = int(timesteps[i])
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
-            if isinstance(run.scheduler, DDPMScheduler):
-                run.x = run.scheduler.step(
-                    eps[b], t, run.x, prev_t=prev_t, rng=run.rng
-                )
-            else:
-                run.x = run.scheduler.step(
-                    eps[b], t, run.x, prev_t=prev_t, rng=None
-                )
+            run.x = scheduler.step(eps[b], t, run.x, prev_t=prev_t)
             run.cursor += 1
             if run.cursor == iterations:
                 finished.append(run)

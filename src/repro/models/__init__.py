@@ -20,7 +20,6 @@ from repro.models.pipeline import DiffusionPipeline
 from repro.models.resblock import Conv2d, ResBlock
 from repro.models.scheduler import (
     DDIMScheduler,
-    DDPMScheduler,
     DPMSolverPP2MScheduler,
 )
 from repro.models.transformer import TransformerBlock
@@ -30,7 +29,6 @@ __all__ = [
     "BENCHMARK_MODELS",
     "Conv2d",
     "DDIMScheduler",
-    "DDPMScheduler",
     "DPMSolverPP2MScheduler",
     "DiffusionNetwork",
     "DiffusionPipeline",

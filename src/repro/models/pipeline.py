@@ -86,7 +86,7 @@ class DiffusionPipeline:
                 executors = _bind_iteration(executor_provider, i)
             eps = self.network(x, int(t), context=context, executors=executors)
             prev_t = int(timesteps[i + 1]) if i + 1 < len(timesteps) else -1
-            x = self.scheduler.step(eps, int(t), x, prev_t=prev_t, rng=rng)
+            x = self.scheduler.step(eps, int(t), x, prev_t=prev_t)
         return x
 
     def ffn_hidden_states(

@@ -1,8 +1,9 @@
-"""Denoising schedulers (DDPM and DDIM).
+"""Denoising schedulers (DDIM and DPM-Solver++(2M)).
 
 Both operate on a 1000-step linear-beta training schedule and expose a
 subsampled inference trajectory, matching the benchmark models' 50- and
-100-step settings (paper Table I).
+100-step settings (paper Table I). Both are deterministic: a sample is a
+function of its initial noise alone.
 """
 
 from __future__ import annotations
@@ -29,35 +30,6 @@ class _BaseScheduler:
         step = self.num_train_timesteps // num_inference_steps
         ts = (np.arange(num_inference_steps) * step).round().astype(int)
         return ts[::-1].copy()
-
-
-class DDPMScheduler(_BaseScheduler):
-    """Stochastic ancestral sampling (Ho et al., 2020)."""
-
-    def step(
-        self,
-        model_output: np.ndarray,
-        t: int,
-        sample: np.ndarray,
-        prev_t: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        abar_t = self.alphas_cumprod[t]
-        abar_prev = self.alphas_cumprod[prev_t] if prev_t is not None and prev_t >= 0 else 1.0
-        alpha_t = abar_t / abar_prev
-        beta_t = 1.0 - alpha_t
-
-        pred_x0 = (sample - np.sqrt(1.0 - abar_t) * model_output) / np.sqrt(abar_t)
-        pred_x0 = np.clip(pred_x0, -10.0, 10.0)
-
-        coef_x0 = np.sqrt(abar_prev) * beta_t / (1.0 - abar_t)
-        coef_xt = np.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar_t)
-        mean = coef_x0 * pred_x0 + coef_xt * sample
-
-        if prev_t is None or prev_t < 0 or rng is None:
-            return mean
-        var = beta_t * (1.0 - abar_prev) / (1.0 - abar_t)
-        return mean + np.sqrt(max(var, 0.0)) * rng.standard_normal(sample.shape)
 
 
 class DPMSolverPP2MScheduler(_BaseScheduler):
@@ -89,9 +61,7 @@ class DPMSolverPP2MScheduler(_BaseScheduler):
         t: int,
         sample: np.ndarray,
         prev_t: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        del rng  # deterministic ODE solver
         alpha_t, sigma_t, lambda_t = self._coeffs(t)
         target = prev_t if prev_t is not None else -1
         alpha_s, sigma_s, lambda_s = self._coeffs(target)
@@ -134,9 +104,7 @@ class DDIMScheduler(_BaseScheduler):
         t: int,
         sample: np.ndarray,
         prev_t: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
-        del rng  # deterministic
         abar_t = self.alphas_cumprod[t]
         abar_prev = self.alphas_cumprod[prev_t] if prev_t is not None and prev_t >= 0 else 1.0
 

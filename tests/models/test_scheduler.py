@@ -1,13 +1,9 @@
-"""Unit tests for DDPM / DDIM schedulers."""
+"""Unit tests for the DDIM and DPM-Solver++(2M) schedulers."""
 
 import numpy as np
 import pytest
 
-from repro.models.scheduler import (
-    DDIMScheduler,
-    DDPMScheduler,
-    DPMSolverPP2MScheduler,
-)
+from repro.models.scheduler import DDIMScheduler, DPMSolverPP2MScheduler
 
 
 class TestTimesteps:
@@ -17,7 +13,7 @@ class TestTimesteps:
         assert np.all(np.diff(ts) < 0)
 
     def test_within_train_range(self):
-        ts = DDPMScheduler().timesteps(10)
+        ts = DDIMScheduler().timesteps(10)
         assert ts.max() < 1000
         assert ts.min() >= 0
 
@@ -28,14 +24,14 @@ class TestTimesteps:
             DDIMScheduler().timesteps(1001)
 
     def test_linear_beta_training_schedule(self):
-        sched = DDPMScheduler()
+        sched = DDIMScheduler()
         assert sched.num_train_timesteps == 1000
         assert (sched.betas[0], sched.betas[-1]) == (1e-4, 0.02)
         assert np.all(np.diff(sched.alphas_cumprod) < 0)
 
     @pytest.mark.parametrize("steps", (1, 10, 50, 1000))
     @pytest.mark.parametrize(
-        "scheduler", (DDPMScheduler, DDIMScheduler, DPMSolverPP2MScheduler)
+        "scheduler", (DDIMScheduler, DPMSolverPP2MScheduler)
     )
     def test_distinct_descending_within_range(self, scheduler, steps):
         ts = scheduler().timesteps(steps)
@@ -84,28 +80,3 @@ class TestDDIMStep:
         stepped = sched.step(noise, t=t, sample=diffuse(t), prev_t=prev_t)
         np.testing.assert_allclose(stepped, diffuse(prev_t), atol=1e-8)
 
-
-class TestDDPMStep:
-    def test_no_rng_returns_mean(self, rng):
-        sched = DDPMScheduler()
-        x = rng.standard_normal((4, 8))
-        eps = rng.standard_normal((4, 8))
-        a = sched.step(eps, t=500, sample=x, prev_t=480, rng=None)
-        b = sched.step(eps, t=500, sample=x, prev_t=480, rng=None)
-        np.testing.assert_array_equal(a, b)
-
-    def test_rng_adds_variance(self, rng):
-        sched = DDPMScheduler()
-        x = rng.standard_normal((4, 8))
-        eps = rng.standard_normal((4, 8))
-        a = sched.step(eps, 500, x, prev_t=480, rng=np.random.default_rng(1))
-        b = sched.step(eps, 500, x, prev_t=480, rng=np.random.default_rng(2))
-        assert not np.allclose(a, b)
-
-    def test_final_step_is_deterministic(self, rng):
-        sched = DDPMScheduler()
-        x = rng.standard_normal((4, 8))
-        eps = rng.standard_normal((4, 8))
-        a = sched.step(eps, 10, x, prev_t=-1, rng=np.random.default_rng(1))
-        b = sched.step(eps, 10, x, prev_t=-1, rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(a, b)
