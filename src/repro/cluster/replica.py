@@ -394,9 +394,9 @@ class Replica:
             seed=request.seed,
             prompt=request.prompt,
             class_label=request.class_label,
-            tenant=getattr(request, "tenant", "default"),
-            priority=getattr(request, "priority", None),
-            deadline_s=getattr(request, "deadline_s", None),
+            tenant=request.tenant,
+            priority=request.priority,
+            deadline_s=request.deadline_s,
         )
         if accepted is None:  # server-side admission (depth / SLA) reject
             self.admission_drops += 1

@@ -110,8 +110,8 @@ class ClusterSimulator:
                     observer.on_request_stage(
                         "queued", t, ordinal, model=payload.model,
                         replica=replica.name,
-                        tenant=getattr(payload, "tenant", "default"),
-                        priority=int(getattr(payload, "priority", 1) or 1),
+                        tenant=payload.tenant,
+                        priority=int(payload.priority),
                     )
                     if not accepted:
                         observer.on_request_stage(

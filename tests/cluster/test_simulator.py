@@ -283,6 +283,33 @@ class TestRequestIds:
         assert queued == [0, 1, 2]
 
 
+class TestTracedPriority:
+    def test_batch_request_keeps_its_priority_from_arrival_on(
+            self, service_model):
+        # A priority-0 (BATCH) request was traced ``queued`` as priority 1
+        # (STANDARD) but ``served`` and dispatched as 0.
+        from repro.cluster.traffic import ClusterRequest
+        from repro.obs import Observer
+
+        observer = Observer()
+        simulate_cluster(
+            [ClusterRequest(arrival_s=0.0, model="dit", priority=0)],
+            replicas=build_replicas(1, policy=POLICY,
+                                    service_model=service_model),
+            router=make_router("jsq"), observer=observer,
+        )
+        stages = {
+            event.name: event.args["priority"]
+            for event in observer.tracer.events
+            if event.track == "cluster/requests"
+            and event.name in ("queued", "served")
+        }
+        (dispatch,) = [span for span in observer.tracer.spans
+                       if span.name.startswith("dispatch[")]
+        assert stages == {"queued": 0, "served": 0}
+        assert dispatch.args["priorities"] == [0]
+
+
 class TestExecuteMode:
     def test_executed_results_match_sequential_generation(self):
         from repro.core.config import ExionConfig
