@@ -56,7 +56,8 @@ Seven checks, all hard failures:
    as a value (stored, passed or returned; a call target, annotation,
    ``isinstance`` operand, attribute base or class base is not a value
    use). A method's name is a value use only as an attribute
-   (``obj.method`` passed on); a bare name is a local, not the method. A call that only forwards its enclosing def's own
+   (``obj.method`` passed on); a bare name is a local, not the method.
+   A call that only forwards its enclosing def's own
    ``*args``/``**kwargs`` passes what the calls reaching that def pass.
    Any other defaulted parameter is a constant: inline it.
 7. **Field reads** — every field of a ``@dataclass`` or ``NamedTuple``
