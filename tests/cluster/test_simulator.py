@@ -258,6 +258,26 @@ class TestEventCount:
         assert longer <= dispatches2 + 480 + report2.dropped
         assert longer <= 2.5 * checks
 
+    def test_checks_reads_the_last_run(self, service_model):
+        """A run pops checks for its own trace only: an empty run after a
+        served one pops none."""
+        replicas = build_replicas(1, policy=POLICY,
+                                  service_model=service_model)
+        try_dispatch = replicas[0].try_dispatch
+        counts = []
+
+        def check(now):
+            counts[-1] += 1
+            return try_dispatch(now)
+
+        replicas[0].try_dispatch = check
+        simulator = ClusterSimulator(replicas, make_router("jsq"))
+        for trace in (synthesize_trace(PoissonProcess(200.0), 8, rng=0), []):
+            counts.append(0)
+            simulator.run(trace)
+        assert counts[0] > 0
+        assert counts[1] == 0
+
 
 class TestRequestIds:
     def test_one_request_object_listed_three_times(self, service_model):

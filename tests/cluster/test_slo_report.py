@@ -101,6 +101,10 @@ class TestClusterReport:
         assert report.samples_per_s == pytest.approx(2.0)
         assert report.mean_utilization == pytest.approx(0.8)
 
+    def test_dict_round_trip(self):
+        report = sample_report()
+        assert json.loads(report.to_json()) == report.to_dict()
+
     def test_canonical_json_is_byte_stable(self):
         a, b = sample_report(), sample_report()
         assert a.to_json() == b.to_json()

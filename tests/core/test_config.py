@@ -1,8 +1,11 @@
 """Unit tests for ExionConfig."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import ExionConfig
+from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
 
 class TestValidation:
@@ -51,6 +54,22 @@ class TestForModel:
         cfg = ExionConfig.for_model("mld", enable_ffn_reuse=False)
         assert not cfg.enable_ffn_reuse
         assert cfg.enable_eager_prediction
+
+
+class TestForSpec:
+    @pytest.mark.parametrize("name", BENCHMARK_ORDER)
+    def test_for_model_is_for_spec_of_the_named_spec(self, name):
+        assert ExionConfig.for_model(name) == ExionConfig.for_spec(
+            get_spec(name))
+
+    def test_knob_modified_spec_yields_its_own_knobs(self):
+        spec = replace(get_spec("dit"), sparse_iters_n=5,
+                       target_inter_sparsity=0.6, q_threshold=0.3,
+                       top_k_ratio=0.1)
+        cfg = ExionConfig.for_spec(spec)
+        assert (cfg.sparse_iters_n, cfg.ffn_target_sparsity,
+                cfg.q_threshold, cfg.top_k_ratio) == (5, 0.6, 0.3, 0.1)
+        assert cfg.enable_ffn_reuse and cfg.enable_eager_prediction
 
 
 class TestAblation:

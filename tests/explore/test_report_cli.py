@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.canon import canonical_json
 from repro.cli import main
 from repro.explore import (
     Categorical,
@@ -31,6 +32,10 @@ def _tiny_report():
 
 
 class TestExploreReport:
+    def test_round_trip_preserves_canonical_json(self):
+        report = _tiny_report()
+        assert canonical_json(json.loads(report.to_json())) == report.to_json()
+
     def test_stats_are_outside_the_canonical_document(self):
         report = _tiny_report()
         assert report.stats is not None

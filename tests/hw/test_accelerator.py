@@ -98,6 +98,12 @@ class TestSimulation:
         assert report.tops_per_watt > 0
         assert set(report.energy_breakdown_j) >= {"sdue", "epre", "dram"}
 
+    def test_default_config_is_the_specs_table1_config(self, dit_profile):
+        spec = get_spec("dit")
+        acc = ExionAccelerator.exion24()
+        assert acc.simulate(spec, dit_profile) == acc.simulate(
+            spec, dit_profile, ExionConfig.for_spec(spec))
+
     def test_ablation_ordering(self, dit_profile):
         """Base <= EP <= All and Base <= FFNR <= All in efficiency
         (paper Fig. 18 ablation bars)."""

@@ -48,6 +48,18 @@ class TestTimeline:
         total = sum(r.latency_s for r in timeline.records)
         assert total == pytest.approx(report.latency_s)
 
+    def test_config_matches_accelerator_simulate(self):
+        spec = get_spec("dit")
+        profile = estimate_profile(spec, seed=0)
+        acc = ExionAccelerator.exion24()
+        config = ExionConfig.for_model("dit").ablation("ep")
+        timeline = simulate_timeline(acc, spec, profile, config,
+                                     iterations=12)
+        report = acc.simulate(spec, profile, config, iterations=12)
+        assert len(timeline.sparse_records()) == 0
+        total = sum(r.latency_s for r in timeline.records)
+        assert total == pytest.approx(report.latency_s)
+
     def test_sparse_iterations_compute_fewer_macs(self, dit_timeline):
         dense = dit_timeline.dense_records()[0]
         sparse = dit_timeline.sparse_records()[0]

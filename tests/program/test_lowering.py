@@ -192,6 +192,18 @@ class TestLowerPlan:
         assert plan.dense_iterations == 2  # iterations 0 and 10
         assert plan.steps[10].is_dense
 
+    def test_default_config_is_the_specs_own(self):
+        """Without a config, a knob-modified spec lowers with its own
+        knobs."""
+        from dataclasses import replace as dc_replace
+
+        spec = dc_replace(get_spec("dit"), sparse_iters_n=4, q_threshold=0.3)
+        plan = lower_plan(spec, iterations=10)
+        assert plan == lower_plan(spec, ExionConfig.for_spec(spec),
+                                  iterations=10)
+        assert (plan.sparse_iters_n, plan.q_threshold) == (4, 0.3)
+        assert plan.dense_iterations == 2  # iterations 0 and 5
+
     def test_dense_equivalent_macs_scale_with_batch(self):
         spec = get_spec("mld")
         b1 = lower_plan(spec, iterations=5, batch=1)
