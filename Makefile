@@ -30,6 +30,8 @@ test-warnings:  ## numeric + serving suites with every RuntimeWarning an error
 		-x -q tests/core tests/exec tests/models tests/serve tests/integration
 
 lint:  ## ruff check (pyflakes + pycodestyle errors)
+	@$(PYTHON) -c "import ruff" 2>/dev/null || \
+		{ echo "ruff is not installed; run: pip install ruff"; exit 1; }
 	$(PYTHON) -m ruff check .
 
 coverage:  ## tier-1 tests with the coverage floor on core+program+exec

@@ -29,7 +29,7 @@ each paper bar is from it.
 from repro.analysis.opcount import operation_breakdown_table
 from repro.analysis.report import percent
 from repro.bench import BenchResult, register_bench
-from repro.workloads.specs import BENCHMARK_ORDER
+from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
 from .conftest import emit_result
 
@@ -62,8 +62,7 @@ def build_fig04(ctx):
     for name, r in zip(BENCHMARK_ORDER, rows):
         result.add_metric(
             f"{name}.transformer_share", r["transformer_share"],
-            paper=r["paper_transformer_share"], direction="two_sided",
-            tolerance=0.05,
+            direction="two_sided", tolerance=0.05,
         )
         result.add_metric(
             f"{name}.ffn_share_of_transformer", r["ffn_share_of_transformer"],
@@ -83,6 +82,6 @@ def test_fig04_operation_breakdown(bench_ctx):
     # Shape assertions: transformer shares match the paper's figure and
     # FFN is the dominant transformer category everywhere.
     for name in BENCHMARK_ORDER:
-        metric = result.metric(f"{name}.transformer_share")
-        assert abs(metric.value - metric.paper) < 0.03
+        assert abs(result.value(f"{name}.transformer_share")
+                   - get_spec(name).paper_transformer_share) < 0.03
         assert result.value(f"{name}.ffn_share_of_transformer") >= 0.4

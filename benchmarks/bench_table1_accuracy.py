@@ -88,11 +88,6 @@ def build_table1(ctx):
                 f"{name}.{method}.is_proxy", row["is_proxy"],
                 direction="higher_better", tolerance=0.25,
             )
-            result.add_metric(
-                f"{name}.{method}.inter_sparsity", row["inter"],
-                paper=spec.target_inter_sparsity, direction="two_sided",
-                tolerance=0.10,
-            )
             printable.append(
                 [
                     spec.display_name,
@@ -119,10 +114,14 @@ def test_table1_accuracy(bench_ctx):
     result = build_table1(bench_ctx)
     emit_result(result)
 
+    rows = result.series[0].rows
     for name in BENCHMARK_ORDER:
         spec = get_spec(name)
-        # FFN-Reuse sparsity lands on the Table I target.
-        assert result.value(f"{name}.ffnr.inter_sparsity") == pytest.approx(
+        inter = {row[4] for row in rows if row[0] == spec.display_name}
+        # The three methods share one FFN-Reuse schedule, and its
+        # sparsity lands on the Table I target.
+        assert len(inter) == 1, (name, inter)
+        assert float(inter.pop().rstrip("%")) / 100 == pytest.approx(
             spec.target_inter_sparsity, abs=0.05
         ), name
         # Outputs remain correlated with vanilla in the paper's PSNR band.

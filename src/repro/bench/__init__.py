@@ -29,6 +29,7 @@ from repro.bench.compare import (
     compare_results,
     format_report,
     load_results,
+    paper_summary,
 )
 from repro.bench.context import BenchContext
 from repro.bench.registry import REGISTRY, BenchmarkRegistry, register_bench
@@ -55,6 +56,7 @@ __all__ = [
     "discover",
     "format_report",
     "load_results",
+    "paper_summary",
     "register_bench",
     "run_benches",
     "validate_aggregate",

@@ -10,12 +10,20 @@ rule: host time is ``perfbench``'s to measure.
 
 Benches or metrics missing from the current set are notes by default
 and regressions under ``strict`` (``make bench-compare`` passes it, so a
-bench that silently disappears fails CI). Identical result sets always
-compare clean: every rule is a pure function of the two documents.
+bench that silently disappears fails CI); so is a metric whose ``paper``
+reference changed, since deleting a reference drops a prediction.
+Identical result sets always compare clean: every rule is a pure
+function of the two documents.
+
+:func:`paper_summary` condenses one result set's predictions, the
+metrics that carry a ``paper`` reference, into a count, their median
+relative deviation from the paper and how many are off by more than
+30 %.
 """
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,10 +126,37 @@ def compare_results(baseline: dict, current: dict,
             if new_metric is None:
                 missing.append(f"{bench}:{metric_name} missing from current result")
                 continue
+            old_paper, new_paper = old_metric.get("paper"), new_metric.get("paper")
+            if old_paper != new_paper:
+                missing.append(f"{bench}:{metric_name} paper reference "
+                               f"{old_paper} -> {new_paper}")
             _compare_metric(bench, metric_name, old_metric, new_metric, report)
     for bench in sorted(set(current) - set(baseline)):
         report.notes.append(f"{bench}: new bench, absent from baseline")
     return report
+
+
+def paper_summary(results: dict) -> dict:
+    """Count a result set's predictions and how far they land.
+
+    A metric carries ``paper`` only when it predicts that number, so the
+    summary reads every referenced metric of ``{name: result_dict}``:
+    ``predictions`` (the count), ``median_deviation`` (the median
+    ``|value - paper| / |paper|``, 0 when there is none) and
+    ``above_30pct`` (how many deviate by more than 30 %).
+    """
+    deviations = [
+        abs(_rel_delta(metric["paper"], metric["value"]))
+        for result in results.values()
+        for metric in result.get("metrics", {}).values()
+        if metric.get("paper") is not None
+    ]
+    return {
+        "predictions": len(deviations),
+        "median_deviation": (statistics.median(deviations)
+                             if deviations else 0.0),
+        "above_30pct": sum(d > 0.30 for d in deviations),
+    }
 
 
 def format_report(report: CompareReport) -> str:
@@ -153,4 +188,5 @@ __all__ = [
     "compare_results",
     "format_report",
     "load_results",
+    "paper_summary",
 ]

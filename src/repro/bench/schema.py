@@ -16,8 +16,10 @@ needs nothing beyond the package's one dependency, numpy.
 Directions and tolerances live *on the metric*: ``lower_better`` metrics
 (simulated latencies, error measures) regress upward, ``higher_better``
 metrics (sparsity, PSNR, simulated speedups) regress downward, and
-``two_sided`` metrics (paper constants) regress in either direction,
-each beyond the metric's relative ``tolerance``.
+``two_sided`` metrics (configuration, shares, op counts) regress in
+either direction, each beyond the metric's relative ``tolerance``. A
+metric's optional ``paper`` value is the number it predicts; a metric
+that repeats an input taken from the paper carries none.
 """
 
 from __future__ import annotations
@@ -122,7 +124,10 @@ def env_fingerprint() -> dict:
 
 @dataclass
 class Metric:
-    """One gated number: a value, its unit, and its regression contract."""
+    """One gated number: a value, its unit, and its regression contract.
+
+    ``paper`` is the paper's value this metric *predicts*, or ``None``.
+    """
 
     value: float
     unit: str = ""
@@ -192,9 +197,6 @@ class BenchResult:
                         direction=direction, tolerance=tolerance)
         self.metrics[name] = metric
         return metric
-
-    def metric(self, name: str) -> Metric:
-        return self.metrics[name]
 
     def value(self, name: str) -> float:
         return self.metrics[name].value

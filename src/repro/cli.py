@@ -833,6 +833,23 @@ def _cmd_opcount(args: argparse.Namespace) -> int:
     return 0
 
 
+def _paper_summary_table(result_sets: dict) -> str:
+    """Each labelled result set's paper predictions, one column apiece."""
+    from repro.bench import paper_summary
+
+    summaries = [paper_summary(results) for results in result_sets.values()]
+    return format_table(
+        ["", *result_sets],
+        [
+            ["predictions", *(s["predictions"] for s in summaries)],
+            ["median |value - paper| / |paper|",
+             *(percent(s["median_deviation"]) for s in summaries)],
+            ["above 30%", *(s["above_30pct"] for s in summaries)],
+        ],
+        title="Paper predictions",
+    )
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import (
         compare_results,
@@ -843,12 +860,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     if args.compare:
-        baseline, current = args.compare
-        report = compare_results(
-            load_results(baseline), load_results(current),
-            strict=args.strict,
-        )
+        baseline, current = map(load_results, args.compare)
+        report = compare_results(baseline, current, strict=args.strict)
         print(format_report(report))
+        print("\n" + _paper_summary_table({"baseline": baseline, "current": current}))
         return report.exit_code()
 
     registry = discover(args.benchmarks_dir)
@@ -881,6 +896,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         ["bench", "metrics", "series"], rows,
         title=f"Ran {len(results)} benches -> {args.out}",
     ))
+    print("\n" + _paper_summary_table({
+        "run": {name: result.to_dict() for name, result in results.items()},
+    }))
     if args.show:
         for name, result in sorted(results.items()):
             print(f"\n=== {name} ===")

@@ -3,12 +3,18 @@
 import copy
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench import BenchResult, compare_results, load_results
+from repro.bench import BenchResult, compare_results, load_results, paper_summary
 from repro.bench.compare import format_report
 from repro.bench.runner import write_results
+
+BASELINE_PATH = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baseline" / "BENCH_repro.json"
+)
 
 
 def gate_result():
@@ -100,6 +106,21 @@ class TestCompare:
         assert compare_results(baseline, current).ok
         assert not compare_results(baseline, current, strict=True).ok
 
+    def test_moved_paper_reference_is_note_unless_strict(self):
+        baseline = result_set()
+        baseline["gate_bench"]["metrics"]["speedup"]["paper"] = 3.0
+        for paper in (None, 3.5):
+            current = copy.deepcopy(baseline)
+            current["gate_bench"]["metrics"]["speedup"]["paper"] = paper
+            report = compare_results(baseline, current)
+            assert report.ok
+            assert report.notes == [
+                f"gate_bench:speedup paper reference 3.0 -> {paper}"
+            ]
+            strict = compare_results(baseline, current, strict=True)
+            assert not strict.ok
+            assert strict.regressions == report.notes
+
     def test_new_bench_is_note(self):
         baseline = result_set()
         current = copy.deepcopy(baseline)
@@ -134,3 +155,44 @@ class TestLoadResults:
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_results(tmp_path)
+
+
+def referenced(*pairs, unreferenced=0):
+    """A result set of metrics with ``(value, paper)`` references, plus
+    ``unreferenced`` metrics that carry none."""
+    result = BenchResult("refs")
+    for i, (value, paper) in enumerate(pairs):
+        result.add_metric(f"ref{i}", value, paper=paper)
+    for i in range(unreferenced):
+        result.add_metric(f"plain{i}", 100.0 * (i + 1))
+    return {"refs": result.to_dict()}
+
+
+class TestPaperSummary:
+    def test_counts_predictions_median_and_the_far_ones(self):
+        # Deviations 0.1, 0.2, 0.5, 0.4 and 0.0: median 0.2, two above 30 %.
+        results = referenced((1.1, 1.0), (8.0, 10.0), (3.0, 2.0),
+                             (-0.6, -1.0), (5.0, 5.0), unreferenced=3)
+        summary = paper_summary(results)
+        assert summary["predictions"] == 5
+        assert summary["median_deviation"] == pytest.approx(0.2)
+        assert summary["above_30pct"] == 2
+
+    def test_metrics_without_a_reference_are_ignored(self):
+        assert paper_summary(referenced((2.0, 1.0), unreferenced=4)) == {
+            "predictions": 1, "median_deviation": 1.0, "above_30pct": 1,
+        }
+        assert paper_summary(referenced(unreferenced=2)) == {
+            "predictions": 0, "median_deviation": 0.0, "above_30pct": 0,
+        }
+
+    def test_exactly_thirty_percent_is_not_above(self):
+        summary = paper_summary(referenced((13.0, 10.0), (12.5, 10.0)))
+        assert summary["median_deviation"] == pytest.approx(0.275)
+        assert summary["above_30pct"] == 0
+
+    def test_committed_baseline_ratchet(self):
+        # A fix may lower the far count; a wider bound may not raise it.
+        summary = paper_summary(load_results(BASELINE_PATH))
+        assert summary["predictions"] == 36
+        assert summary["above_30pct"] <= 25

@@ -30,7 +30,7 @@ class TestBenchResult:
         restored = json.loads(json.dumps(data, allow_nan=False))
         validate_result(restored)
         assert restored == data
-        assert original.metric("speedup").paper == 3.0
+        assert original.metrics["speedup"].paper == 3.0
         assert original.value("latency_ms") == 12.0
 
     def test_render_contains_tables_and_notes(self):

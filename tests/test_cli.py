@@ -316,6 +316,21 @@ class TestCommands:
         assert main(compare + ["--strict"]) == 1
         assert "exion4.peak_tops missing" in capsys.readouterr().out
 
+    def test_bench_prints_the_paper_predictions(self, capsys, tmp_path):
+        import re
+
+        assert main(["bench", "--run", "table2_specs",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        # Table II predicts its two peak powers; the rest are inputs.
+        assert re.search(r"^predictions +2 *$", out, re.M)
+        assert re.search(r"^above 30% +2 *$", out, re.M)
+        baseline = str(tmp_path / "BENCH_repro.json")
+        assert main(["bench", "--compare", baseline, baseline]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^ +baseline +current *$", out, re.M)
+        assert re.search(r"^predictions +2 +2 *$", out, re.M)
+
 
 class TestVersion:
     def test_version_flag_prints_and_exits_zero(self, capsys):
