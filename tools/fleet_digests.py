@@ -34,7 +34,7 @@ sys.path.insert(0, str(ARGS.src))
 from repro import serve  # noqa: E402
 from repro.cluster import (  # noqa: E402
     MMPPProcess, PoissonProcess, ServiceTimeModel, SimClock, SLOPolicy,
-    build_replicas, make_router, simulate_cluster, synthesize_trace,
+    WorkloadMix, build_replicas, make_router, simulate_cluster, synthesize_trace,
 )
 from repro.obs import Observer, chrome_trace_json, run_trace_scenario, scenario  # noqa: E402
 from repro.obs.analyze import analyze_tracer, render_html  # noqa: E402
@@ -114,6 +114,21 @@ def main() -> int:
     for continuous in (False, True):
         fleet("mmpp-deadline2s-observed-jsq2", bursty, continuous, 2,
               slo=SLOPolicy(latency_target_s=2.0), observer=Observer())
+    # Three models on two replicas: each replica holds several servers, so
+    # these cells pin which server a sweep, a drop collection and a
+    # wake-up visit. Between them they raise every drop reason: timeout
+    # and deadline (the SLO cells) and sla (the service-floor cells).
+    mixed = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), 240,
+                             WorkloadMix(("dit", "mld", "stable_diffusion")),
+                             rng=2, deadline_s=2.0)
+    for continuous in (False, True):
+        fleet("mmpp-mix3-slo-observed-jsq2", mixed, continuous, 2,
+              slo=SLOPolicy(latency_target_s=2.0, timeout_s=1.5),
+              observer=Observer())
+        fleet("mmpp-mix3-sla-observed-jsq2", mixed, continuous, 2,
+              slo=SLOPolicy(latency_target_s=2.0),
+              policy=serve.ContinuousPolicy(min_service_s=1.0),
+              observer=Observer())
     fleet("poisson300-maxwait50ms-jsq4", poisson, False, 4,
           policy=serve.ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=0.05))
     trace_scenario("scenario/continuous", continuous=True)
