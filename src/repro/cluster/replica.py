@@ -424,10 +424,14 @@ class Replica:
         self.timeout_drops += len(dropped)
         return dropped
 
+    def _timeout(self, timeout_s: Optional[float]) -> Optional[float]:
+        """The queue timeout a sweep applies: the fleet's, else the policy's."""
+        return timeout_s if timeout_s is not None else self.policy.timeout_s
+
     def expire(self, now: float, timeout_s: Optional[float]) -> list:
         """Drop queued requests past the SLO timeout or their deadline."""
         for server in self.servers.values():
-            server.expire_queued(now, timeout_s=timeout_s)
+            server.expire_queued(now, timeout_s=self._timeout(timeout_s))
         return self._collect_drops(now)
 
     def _choose_key(self, now: float) -> Optional[tuple]:
@@ -455,11 +459,13 @@ class Replica:
     ) -> Optional[float]:
         """When this replica next needs attention, or ``None`` if idle.
 
-        ``timeout_s`` is the fleet's SLO timeout: queued requests must be
-        swept *at* their expiry instant (not at the next arrival or
-        max-wait fire), so those instants are wake-ups too — otherwise a
-        doomed tail request would inflate the makespan and drop accounting.
+        ``timeout_s`` is the fleet's SLO timeout (else the policy's, as in
+        :meth:`expire`): queued requests must be swept *at* their expiry
+        instant (not at the next arrival or max-wait fire), so those
+        instants are wake-ups too — otherwise a doomed tail request would
+        inflate the makespan and drop accounting.
         """
+        timeout_s = self._timeout(timeout_s)
         servers = [s for s in self.servers.values() if s.has_work]
         if not servers:
             return None

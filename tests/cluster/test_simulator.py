@@ -182,6 +182,30 @@ class TestSLOEnforcement:
         assert report.served == 0
         assert report.makespan_s == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_policy_timeout_wakes_the_fleet(self, continuous):
+        # A queue timeout set on the replica policy (not on the fleet SLO)
+        # is swept by expire(); its expiry instant must also be a wake-up,
+        # or the waiter lingers until the busy replica next checks in.
+        from repro.cluster.traffic import ClusterRequest
+        from repro.obs import Observer
+
+        observer = Observer()
+        report = simulate_cluster(
+            [ClusterRequest(arrival_s=0.0, model="dit", seed=0),
+             ClusterRequest(arrival_s=0.001, model="dit", seed=1)],
+            replicas=build_replicas(
+                1, policy=ContinuousPolicy(max_batch_size=1, timeout_s=0.05),
+                continuous=continuous),
+            router=make_router("jsq"),
+            slo=SLOPolicy(),
+            observer=observer,
+        )
+        drops = [e.ts_s for e in observer.tracer.events
+                 if e.name == "slo:timeout"]
+        assert report.timeout_drops == 1
+        assert drops == [pytest.approx(0.051)]
+
     def test_epoch_scale_timestamps_terminate(self, service_model):
         # Replayed traces can carry absolute (epoch-scale) arrival
         # instants, where a fixed 1e-9 bump would vanish below the float
