@@ -145,44 +145,46 @@ class ServiceTimeModel:
         a phase come from the same simulations, so they always describe
         the same schedule.
         """
+        price = self._prices.get((model, ablation, batch_size, phase))
+        if price is not None:  # only validated points enter the memo
+            return price
         if phase not in PHASES:
             raise ValueError(f"unknown step phase {phase!r}")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        from repro.program.cache import get_plan_cache
+
         point = (model, ablation, batch_size)
-        if (*point, phase) not in self._prices:
-            from repro.program.cache import get_plan_cache
+        cache = get_plan_cache()
+        # The enable flags come from the same config the served
+        # pipeline uses, so priced and executed ablations can't drift.
+        config = ExionConfig.for_model(model).ablation(ablation)
+        spec = get_spec(model)
+        profile = cache.profile(spec, seed=self.profile_seed)
 
-            cache = get_plan_cache()
-            # The enable flags come from the same config the served
-            # pipeline uses, so priced and executed ablations can't drift.
-            config = ExionConfig.for_model(model).ablation(ablation)
-            spec = get_spec(model)
-            profile = cache.profile(spec, seed=self.profile_seed)
+        def t(iterations: Optional[int]) -> StepPrice:
+            plan = cache.plan(
+                spec, config=config, iterations=iterations,
+                batch=batch_size,
+            )
+            report = cache.price(self.accelerator, plan, profile)
+            return StepPrice(report.latency_s, report.energy_j)
 
-            def t(iterations: Optional[int]) -> StepPrice:
-                plan = cache.plan(
-                    spec, config=config, iterations=iterations,
-                    batch=batch_size,
-                )
-                report = cache.price(self.accelerator, plan, profile)
-                return StepPrice(report.latency_s, report.energy_j)
-
-            if phase == "batch":
-                self._prices[(*point, "batch")] = t(self.iterations)
-            else:  # the three tick prices share their simulations
-                cold = t(1)
-                sparse = t(2).minus(cold)
-                period = (
-                    config.sparse_iters_n + 1 if config.enable_ffn_reuse else 1
-                )
-                # period 1: no sparse iterations exist; same price.
-                dense = sparse if period == 1 else t(period + 1).minus(t(period))
-                self._prices.update({
-                    (*point, "cold"): cold,
-                    (*point, "dense"): dense,
-                    (*point, "sparse"): sparse,
-                })
+        if phase == "batch":
+            self._prices[(*point, "batch")] = t(self.iterations)
+        else:  # the three tick prices share their simulations
+            cold = t(1)
+            sparse = t(2).minus(cold)
+            period = (
+                config.sparse_iters_n + 1 if config.enable_ffn_reuse else 1
+            )
+            # period 1: no sparse iterations exist; same price.
+            dense = sparse if period == 1 else t(period + 1).minus(t(period))
+            self._prices.update({
+                (*point, "cold"): cold,
+                (*point, "dense"): dense,
+                (*point, "sparse"): sparse,
+            })
         return self._prices[(*point, phase)]
 
     def latency_s(self, model: str, ablation: str, batch_size: int) -> float:
@@ -273,6 +275,7 @@ class Replica:
         execute_iterations: Optional[int] = None,
     ) -> None:
         self.index = index
+        self.name = f"replica{index}"
         self.policy = (
             policy if policy is not None else ContinuousPolicy(drain=True)
         )
@@ -298,10 +301,6 @@ class Replica:
         self.batches_served = 0  # server steps dispatched
         self.admission_drops = 0
         self.timeout_drops = 0
-
-    @property
-    def name(self) -> str:
-        return f"replica{self.index}"
 
     @property
     def accelerator_name(self) -> str:
@@ -404,35 +403,51 @@ class Replica:
         self.warm_keys.add(request.pipeline_key)
         return True
 
-    def _collect_drops(self, now: float) -> list:
-        dropped = []
-        for key, server in self.servers.items():
-            model, ablation = key
-            stale = server.pop_dropped()
-            for request, reason in stale:
-                dropped.append(DroppedRequest(
-                    model=model,
-                    ablation=ablation,
-                    reason=reason,
-                    waited_s=max(0.0, now - request.submitted_at),
-                ))
-            # A key whose every request expired before any batch ran never
-            # actually warmed: stop advertising affinity for it, or the
-            # router would keep steering traffic at phantom warmth.
-            if stale and not server.has_work and not server.cold_charged:
-                self.warm_keys.discard(key)
-        self.timeout_drops += len(dropped)
-        return dropped
+    def _collect_drops(
+        self, key: tuple, server: ContinuousServer, now: float
+    ) -> list:
+        """Drain the drop records of the one server just swept or stepped.
+
+        Only a sweep or a step drops a request, and each collects its own
+        drops at once, so every other server holds none.
+        """
+        stale = server.pop_dropped()
+        if not stale:
+            return []
+        model, ablation = key
+        # A key whose every request expired before any batch ran never
+        # actually warmed: stop advertising affinity for it, or the
+        # router would keep steering traffic at phantom warmth.
+        if not server.has_work and not server.cold_charged:
+            self.warm_keys.discard(key)
+        self.timeout_drops += len(stale)
+        return [
+            DroppedRequest(
+                model=model,
+                ablation=ablation,
+                reason=reason,
+                waited_s=max(0.0, now - request.submitted_at),
+            )
+            for request, reason in stale
+        ]
 
     def _timeout(self, timeout_s: Optional[float]) -> Optional[float]:
         """The queue timeout a sweep applies: the fleet's, else the policy's."""
         return timeout_s if timeout_s is not None else self.policy.timeout_s
 
     def expire(self, now: float, timeout_s: Optional[float]) -> list:
-        """Drop queued requests past the SLO timeout or their deadline."""
-        for server in self.servers.values():
-            server.expire_queued(now, timeout_s=self._timeout(timeout_s))
-        return self._collect_drops(now)
+        """Drop queued requests past the SLO timeout or their deadline.
+
+        Only servers with queued entries are swept: an empty queue drops
+        nothing, by timeout, deadline or service floor alike.
+        """
+        timeout_s = self._timeout(timeout_s)
+        dropped = []
+        for key, server in self.servers.items():
+            if not server.queue.is_empty:
+                server.expire_queued(now, timeout_s=timeout_s)
+                dropped += self._collect_drops(key, server, now)
+        return dropped
 
     def _choose_key(self, now: float) -> Optional[tuple]:
         if self._active_key is not None:
@@ -465,7 +480,6 @@ class Replica:
         instants are wake-ups too — otherwise a doomed tail request would
         inflate the makespan and drop accounting.
         """
-        timeout_s = self._timeout(timeout_s)
         servers = [s for s in self.servers.values() if s.has_work]
         if not servers:
             return None
@@ -479,7 +493,10 @@ class Replica:
                 now - s.queue.oldest_wait(now) + self.policy.max_wait_s
                 for s in servers
             )
+        timeout_s = self._timeout(timeout_s)
         for server in servers:
+            if server.queue.is_empty:
+                continue  # a live batch alone: nothing queued can expire
             expiry = server.queue.next_expiry(timeout_s)
             if expiry is not None:
                 fire = min(fire, expiry)
@@ -503,7 +520,7 @@ class Replica:
         server = self.servers[key]
         self.clock.now = now
         served = server.step(now=now)
-        dropped = self._collect_drops(now)
+        dropped = self._collect_drops(key, server, now)
         phase = server.last_tick_phase
         if not phase:
             # The rebalance admitted nothing (everything expired): no
@@ -524,7 +541,7 @@ class Replica:
             service_s=tick_s,
             phase=phase,
             cold_s=server.last_tick_cold_s,
-            members=tuple(server.last_tick_members),
+            members=server.last_tick_members,
             energy_j=server.last_tick_energy_j,
         ), dropped
 

@@ -143,9 +143,11 @@ class FairQueue:
     whose backlog empties forfeits its residual deficit (the classic DRR
     rule preventing credit hoarding).
 
-    Max-wait and expiry decisions read only the oldest submission and
-    the earliest deadline, which the queue memoises: a push folds in
-    O(1), a removal drops the memo for the next read to rebuild. So
+    The queue counts its entries (a push adds one, a removal or an
+    expiry subtracts what it took), and max-wait and expiry decisions
+    read only the oldest submission and the earliest deadline, which the
+    queue memoises: a push folds in O(1), a removal drops the memo for
+    the next read to rebuild. So ``len``, :attr:`is_empty`,
     :meth:`oldest_wait`, :meth:`next_expiry` and a no-op :meth:`expire`
     — what the fleet simulator calls on every event — cost O(1).
     """
@@ -165,14 +167,15 @@ class FairQueue:
         self._tenants: dict[str, list[QueueEntry]] = {}
         self._deficit: dict[str, float] = {}
         self._bounds_memo: Optional[tuple] = None
+        self._count = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(q) for q in self._tenants.values())
+        return self._count
 
     @property
     def is_empty(self) -> bool:
-        return all(not q for q in self._tenants.values())
+        return not self._count
 
     def weight(self, tenant: str) -> float:
         return self.weights.get(tenant, 1.0)
@@ -181,6 +184,7 @@ class FairQueue:
         tenant = entry.request.tenant
         self._tenants.setdefault(tenant, []).append(entry)
         self._deficit.setdefault(tenant, 0.0)
+        self._count += 1
         if self._bounds_memo is not None:
             oldest, deadline = self._bounds_memo
             self._bounds_memo = (
@@ -198,6 +202,7 @@ class FairQueue:
     def remove(self, entry: QueueEntry) -> None:
         queue = self._tenants[entry.request.tenant]
         queue.remove(entry)
+        self._count -= 1
         self._bounds_memo = None
         if not queue:
             self._deficit[entry.request.tenant] = 0.0
@@ -281,6 +286,7 @@ class FairQueue:
             self._tenants[tenant] = survivors
             if not survivors:
                 self._deficit[tenant] = 0.0
+        self._count -= len(dropped)
         return dropped
 
     # ------------------------------------------------------------------
@@ -516,9 +522,12 @@ class ContinuousServer:
         #: (id, tenant, priority) members, the cold surcharge included
         #: in ``last_tick_s``, and the step's priced energy.
         self.last_tick_phase = ""
-        self.last_tick_members: list = []
+        self.last_tick_members: tuple = ()
         self.last_tick_cold_s = 0.0
         self.last_tick_energy_j = 0.0
+        # The live batch's member rows, rebuilt only after membership
+        # changed: at a boundary or when runs finish.
+        self._members: Optional[tuple] = None
         self._next_id = 0
         self._joined_at: dict[int, float] = {}
         self._requests_served = 0
@@ -652,33 +661,36 @@ class ContinuousServer:
         was_boundary = self.at_boundary()
         if was_boundary:
             self._rebalance(now, flush)
+            self._members = None
         if observer is not None:
             observer.on_queue_depth("continuous", len(self.queue))
         if not self.active:
             self.last_tick_s = 0.0
             self.last_tick_phase = ""
-            self.last_tick_members = []
+            self.last_tick_members = ()
             self.last_tick_cold_s = 0.0
             self.last_tick_energy_j = 0.0
             return []
 
         drain = self.policy.drain
         batch_size = len(self.active)
-        members = [
-            (run.request_id, run.request.tenant, int(run.request.priority))
-            for run in self.active
-        ]
+        members = self._members
+        if members is None:
+            members = self._members = tuple(
+                (run.request_id, run.request.tenant, int(run.request.priority))
+                for run in self.active
+            )
+        iterations = self.plan.iterations
         cursor = self.active[0].cursor
         is_dense = self.plan.steps[cursor].is_dense
         phase = "batch" if drain else "dense" if is_dense else "sparse"
-        steps = self.plan.iterations - cursor if drain else 1
+        steps = iterations - cursor if drain else 1
         if self.dry_run:
+            finished = []
             for run in self.active:
                 run.cursor += steps
-            finished = [
-                run for run in self.active
-                if run.cursor == self.plan.iterations
-            ]
+                if run.cursor == iterations:
+                    finished.append(run)
             tick_s = 0.0
         else:
             start = self._clock()
@@ -697,6 +709,8 @@ class ContinuousServer:
 
         completed_at = now + tick_s
         served: list[RequestResult] = []
+        if finished:
+            self._members = None
         for run in finished:
             self.active.remove(run)
             generation = (

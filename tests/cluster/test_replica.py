@@ -337,6 +337,46 @@ class TestReplica:
         }
         assert len(stm._prices) == (3 if continuous else 1) * len(sizes) + 1
 
+    def test_a_check_touches_only_busy_servers(
+        self, service_model, monkeypatch
+    ):
+        """Three keys, one with queued work: a sweep visits and collects
+        that server alone, and a step collects only the server it ran."""
+        replica = self.make_replica(service_model)
+        for at, model in enumerate(("dit", "mld", "stable_diffusion")):
+            replica.enqueue(request(float(at), model=model), now=float(at))
+        now = 2.0
+        for model in ("dit", "mld"):  # FIFO across keys drains these two
+            outcome, _ = replica.try_dispatch(now)
+            assert outcome.model == model
+            now = outcome.completion_s
+        busy = replica.servers[("stable_diffusion", "all")]
+        assert len(replica.servers) == 3
+        assert [s for s in replica.servers.values() if s.has_work] == [busy]
+
+        swept, collected = [], []
+        expire_queued = ContinuousServer.expire_queued
+        pop_dropped = ContinuousServer.pop_dropped
+        monkeypatch.setattr(
+            ContinuousServer, "expire_queued",
+            lambda server, *args, **kwargs: (
+                swept.append(server) or expire_queued(server, *args, **kwargs)
+            ),
+        )
+        monkeypatch.setattr(
+            ContinuousServer, "pop_dropped",
+            lambda server: collected.append(server) or pop_dropped(server),
+        )
+        assert replica.expire(now, timeout_s=None) == []
+        assert swept == [busy] and collected == [busy]
+
+        swept.clear()
+        collected.clear()
+        outcome, dropped = replica.try_dispatch(now)
+        assert outcome.model == "stable_diffusion" and dropped == []
+        assert swept == [busy]  # the step's own rebalance sweep
+        assert collected == [busy]
+
     def test_multi_model_fifo_across_servers(self, service_model):
         replica = self.make_replica(service_model, max_wait_s=0.0)
         replica.enqueue(request(0.0, model="mld"), now=0.0)
