@@ -849,7 +849,8 @@ class ContinuousServer:
         return now + self.policy.min_service_s * remaining <= deadline
 
     def _rebalance(self, now: float, flush: bool = False) -> None:
-        self.expire_queued(now)
+        if not self.queue.is_empty:
+            self.expire_queued(now)
         active_cursors = tuple(run.cursor for run in self.active)
 
         # Deadline re-check of *running* requests: a member whose
@@ -872,6 +873,10 @@ class ContinuousServer:
                         "evict", now, run.request_id,
                         reason="deadline", cursor=run.cursor,
                     )
+
+        # Preemption and joins below both draw on the queue.
+        if self.queue.is_empty:
+            return
 
         # Priority preemption: while the batch is full and someone
         # strictly more urgent waits, evict the least urgent member
