@@ -47,9 +47,11 @@ def emit(cell: str, text: str) -> None:
     print(LINES[-1])
 
 
-def emit_observed(cell: str, tracer, trace: bool = True) -> None:
+def emit_observed(cell: str, observer, trace: bool = True) -> None:
+    tracer = observer.tracer
     if trace:
         emit(f"{cell}/trace", chrome_trace_json(tracer))
+    emit(f"{cell}/metrics", observer.metrics.to_json())
     analysis = analyze_tracer(tracer)
     emit(f"{cell}/analysis", analysis.to_json())
     emit(f"{cell}/html", render_html(analysis))
@@ -64,14 +66,14 @@ def fleet(name, trace, continuous, replicas, router="jsq", slo=None,
                               observer=observer)
     emit(f"{cell}/report", report.to_json())
     if observer is not None:
-        emit_observed(cell, observer.tracer)
+        emit_observed(cell, observer)
 
 
 def trace_scenario(cell, trace=True, **knobs):
     observer = Observer()
     summary = run_trace_scenario(iterations=12, observer=observer, **knobs)
     emit(f"{cell}/summary", json.dumps(summary, sort_keys=True))
-    emit_observed(cell, observer.tracer, trace)
+    emit_observed(cell, observer, trace)
 
 
 def simulated_server(continuous):
