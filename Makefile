@@ -70,7 +70,7 @@ cluster-smoke:  ## fleet-simulation scaling bench + CLI demo run
 		--run cluster_scaling --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cluster \
 		--replicas 4 --requests 48 --rate 300 --router jsq \
-		--slo-target 1.0
+		--slo-target 1.0 --metrics-out $(BENCH_OUT)/cluster_metrics.json
 
 explore-smoke:  ## design-space Pareto bench + CLI demo run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
@@ -95,7 +95,8 @@ trace-smoke:  ## observability gate bench + deterministic Perfetto trace
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run obs_overhead --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace --model dit \
-		--continuous --iterations 12 --out $(BENCH_OUT)/trace.json
+		--continuous --iterations 12 --out $(BENCH_OUT)/trace.json \
+		--metrics-out $(BENCH_OUT)/trace_metrics.json
 
 obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \

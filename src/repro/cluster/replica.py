@@ -31,6 +31,7 @@ results then carry real samples and sparsity stats).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -150,6 +151,10 @@ class ServiceTimeModel:
             return price
         if phase not in PHASES:
             raise ValueError(f"unknown step phase {phase!r}")
+        if isinstance(batch_size, bool) or not isinstance(
+            batch_size, numbers.Integral
+        ):
+            raise ValueError(f"batch_size must be an int, got {batch_size!r}")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         from repro.program.cache import get_plan_cache

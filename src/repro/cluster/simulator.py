@@ -119,7 +119,7 @@ class ClusterSimulator:
                             replica=replica.name,
                         )
                     observer.on_queue_depth(
-                        replica.name, replica.queue_depth()
+                        replica.name, replica.queue_depth(), t
                     )
                 if accepted:
                     self._schedule(events, seq, pending, replica, t, bump=False)
@@ -220,7 +220,7 @@ class ClusterSimulator:
         if self.observer is not None:
             for row in usage:
                 self.observer.on_replica_utilization(
-                    row["name"], row["utilization"]
+                    row["name"], row["utilization"], horizon
                 )
         return ClusterReport(
             # Key-sorted at construction so the in-memory scenario/stats

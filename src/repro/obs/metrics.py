@@ -1,11 +1,13 @@
 """Zero-dependency metrics registry: counters, gauges, histograms.
 
-The registry is the numeric half of :mod:`repro.obs`: instrumented
-layers increment **counters** (monotone totals: ticks served, cache
-hits), set **gauges** (point-in-time levels: queue depth, utilization)
-and observe **histograms** (distributions: batch fill, tick latency)
-against named metric *families*, each of which fans out into children by
-label values — the Prometheus data model, with none of the dependency.
+The registry is the numeric view of :mod:`repro.obs`: **counters**
+(monotone totals: ticks served, cache hits), **gauges** (point-in-time
+levels: queue depth, utilization) and **histograms** (distributions:
+batch fill, tick latency) are named metric *families*, each of which
+fans out into children by label values — the Prometheus data model, with
+none of the dependency. An :class:`~repro.obs.observer.Observer` keeps
+only its trace; :func:`metrics_from_trace` folds the rows, in emission
+order, into the fixed ``repro_*`` vocabulary, so the two cannot disagree.
 
 Everything is deterministic by construction:
 
@@ -19,10 +21,6 @@ Everything is deterministic by construction:
   to_json`), byte-stable for a given update history — every update
   refuses a NaN or infinity with a :class:`ValueError` naming the
   metric, so none can reach the JSON.
-
-A hot call site binds a series once (:meth:`MetricFamily.labels`) and
-updates it directly; the family's ``inc`` / ``set`` / ``observe`` look
-the series up by label keywords on every call.
 """
 
 from __future__ import annotations
@@ -37,6 +35,11 @@ from repro.canon import canonical_json
 #: small-count distributions. Callers with latency-like values pass
 #: their own buckets.
 DEFAULT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: Histogram buckets for second-valued durations (ticks, batches).
+TIME_BUCKETS = (
+    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
+)
 
 _VALID_KINDS = ("counter", "gauge", "histogram")
 
@@ -158,12 +161,7 @@ class MetricFamily:
             ) from None
 
     def labels(self, **labels):
-        """The series for these label values, created on first use.
-
-        A hot call site binds it once and then calls its ``inc`` /
-        ``set`` / ``observe``, which skip the kind check and the label
-        lookup of the family methods below but refuse the same values.
-        """
+        """The series for these label values, created on first use."""
         values = self._values(**labels)
         child = self._children.get(values)
         if child is None:
@@ -320,9 +318,82 @@ class MetricsRegistry:
         return canonical_json(self.snapshot())
 
 
+def metrics_from_trace(tracer) -> MetricsRegistry:
+    """The ``repro_*`` metrics of a :class:`~repro.obs.trace.Tracer`.
+
+    Every family is registered up front, so one no row feeds keeps an
+    empty snapshot. Spans, then events, are read in emission order, the
+    order the hooks wrote them.
+    """
+    m = MetricsRegistry()
+    ticks = m.counter("repro_ticks_total", "Batched kernel dispatches "
+                      "(one per denoising iteration)", ("phase",))
+    tick_seconds = m.histogram("repro_tick_seconds",
+                               "Latency of one continuous-batch tick", TIME_BUCKETS)
+    fill = m.histogram("repro_batch_fill", "Requests sharing one tick or micro-batch")
+    membership = m.counter("repro_membership_events_total",
+                           "Continuous-batch membership edits by kind", ("kind",))
+    queue_depth = m.gauge("repro_queue_depth",
+                          "Requests waiting in a scheduler queue", ("component",))
+    batches = m.counter("repro_batches_total",
+                        "Micro-batches dispatched by the drain-mode server")
+    batch_seconds = m.histogram("repro_batch_seconds",
+                                "Service latency of one micro-batch", TIME_BUCKETS)
+    cache = m.counter("repro_cache_lookups_total",
+                      "ThresholdCache lookups by memo level and outcome", ("level", "outcome"))
+    requests = m.counter("repro_requests_total",
+                         "Cluster request lifecycle transitions", ("stage",))
+    dispatches = m.counter("repro_dispatches_total",
+                           "Batches dispatched per replica", ("replica",))
+    utilization = m.gauge("repro_replica_utilization",
+                          "Busy fraction per replica at end of simulation", ("replica",))
+    slo = m.counter("repro_slo_events_total",
+                    "SLO-relevant outcomes (drops, deadline misses) by reason", ("reason",))
+    phase_seconds = m.counter("repro_phase_seconds_total", "Priced hw-timeline "
+                              "seconds by phase and bound resource", ("phase", "bound"))
+
+    spans = tracer.spans.columns
+    for name, track, start_s, end_s, args in zip(
+        spans.name, spans.track, spans.start_s, spans.end_s, spans.args
+    ):
+        if track == "serve/batch":
+            if name == "batch":
+                batches.inc()
+                batch_seconds.observe(end_s - start_s)
+            else:
+                ticks.inc(phase=args["phase"])
+                tick_seconds.observe(end_s - start_s)
+            fill.observe(args["batch_size"])
+        elif track.startswith("replica/"):
+            dispatches.inc(replica=track[len("replica/"):])
+            fill.observe(args["batch_size"])
+        elif track == "hw/timeline":
+            phase_seconds.inc(
+                end_s - start_s, phase=args["phase"], bound=args["bound"],
+            )
+
+    events = tracer.events.columns
+    for name, track, args in zip(events.name, events.track, events.args):
+        if track in ("serve/membership", "exec/index_set"):
+            membership.inc(kind=name)
+        elif track == "cluster/requests":
+            requests.inc(stage=name)
+        elif track == "cluster/slo":
+            slo.inc(reason=name[len("slo:"):])
+        elif track == "queue/depth":
+            queue_depth.set(args["depth"], component=name)
+        elif track == "cluster/utilization":
+            utilization.set(args["utilization"], replica=name)
+        elif track == "serve/cache":
+            cache.inc(level=args["level"], outcome=name)
+    return m
+
+
 __all__ = [
     "DEFAULT_BUCKETS",
     "MetricFamily",
     "MetricsRegistry",
+    "TIME_BUCKETS",
     "histogram_quantile",
+    "metrics_from_trace",
 ]

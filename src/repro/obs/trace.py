@@ -13,8 +13,10 @@ A :class:`Tracer` collects two primitive shapes:
 passed a timestamp by the owning layer — the cluster's
 :class:`~repro.cluster.replica.SimClock`, a server's simulated tick
 accumulator, or the hw timeline's priced seconds — so two same-seed runs
-produce byte-identical traces. Span and event ids are sequence numbers in
-emission order, which the same determinism argument makes stable too.
+produce byte-identical traces. A NaN or infinite timestamp is refused
+with a :class:`ValueError` naming the record, so none reaches an
+exporter. Span and event ids are sequence numbers in emission order,
+which the same determinism argument makes stable too.
 
 **Storage is columnar.** Each kind lives in a :class:`Table`: one list
 per field, appended to on every call, so recording a span costs a few
@@ -31,8 +33,11 @@ event log.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from typing import NamedTuple, Optional
+
+_INF = float("inf")
 
 
 class Span(NamedTuple):
@@ -114,7 +119,13 @@ class Tracer:
     ) -> int:
         """Record a closed interval; returns its span id."""
         start_s, end_s = float(start_s), float(end_s)
-        if end_s < start_s:
+        # One chained test refuses NaN, infinities and reversed stamps.
+        if not -_INF < start_s <= end_s < _INF:
+            if not (math.isfinite(start_s) and math.isfinite(end_s)):
+                raise ValueError(
+                    f"span {name!r} on {track!r}: non-finite timestamp "
+                    f"(start {start_s}, end {end_s})"
+                )
             raise ValueError(
                 f"span {name!r} ends at {end_s} before start {start_s}"
             )
@@ -140,8 +151,13 @@ class Tracer:
         **args,
     ) -> int:
         """Record an instant; returns its event id."""
+        ts_s = float(ts_s)
+        if not math.isfinite(ts_s):
+            raise ValueError(
+                f"event {name!r} on {track!r}: non-finite timestamp {ts_s}"
+            )
         event_id = len(self.events)
-        self.events.append(event_id, name, track, float(ts_s), span_id, args)
+        self.events.append(event_id, name, track, ts_s, span_id, args)
         return event_id
 
     # ------------------------------------------------------------------

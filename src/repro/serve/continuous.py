@@ -544,8 +544,7 @@ class ContinuousServer:
         # Local import: repro.obs.scenario imports this module, so a
         # top-level obs import here would deadlock package init. This
         # runs at construction time, never at import time.
-        from repro.obs.metrics import MetricFamily
-        from repro.obs.observer import TIME_BUCKETS
+        from repro.obs.metrics import TIME_BUCKETS, MetricFamily
 
         self._latency_hist = MetricFamily(
             "serve_latency_seconds", "histogram",
@@ -663,7 +662,7 @@ class ContinuousServer:
             self._rebalance(now, flush)
             self._members = None
         if observer is not None:
-            observer.on_queue_depth("continuous", len(self.queue))
+            observer.on_queue_depth("continuous", len(self.queue), now)
         if not self.active:
             self.last_tick_s = 0.0
             self.last_tick_phase = ""

@@ -46,6 +46,21 @@ def cells():
     return out
 
 
+#: Every family the fold registers, and those a fleet run feeds.
+FAMILIES = {
+    "repro_batch_fill", "repro_batch_seconds", "repro_batches_total",
+    "repro_cache_lookups_total", "repro_dispatches_total",
+    "repro_membership_events_total", "repro_phase_seconds_total",
+    "repro_queue_depth", "repro_replica_utilization", "repro_requests_total",
+    "repro_slo_events_total", "repro_tick_seconds", "repro_ticks_total",
+}
+FLEET_FAMILIES = {
+    "repro_batch_fill", "repro_dispatches_total", "repro_queue_depth",
+    "repro_replica_utilization", "repro_requests_total",
+    "repro_slo_events_total",
+}
+
+
 def _dispatch_spans(tracer, replica):
     return [
         span for span in tracer.spans
@@ -97,8 +112,13 @@ def test_busy_time_is_the_sum_of_dispatched_prices(cells, continuous):
 @pytest.mark.parametrize("continuous", (False, True),
                          ids=("drain", "continuous"))
 def test_metrics_agree_with_the_trace(cells, continuous):
-    """Every counter the observer keeps is a count of what it traced."""
-    _, tracer, replicas, metrics = cells[continuous]
+    """Every metric family is a count, sum or last value of the trace:
+    the fleet fills six of the thirteen, the serving and hw ones stay
+    empty."""
+    report, tracer, replicas, metrics = cells[continuous]
+    assert [f.name for f in metrics.families()] == sorted(FAMILIES)
+    for name in FAMILIES - FLEET_FAMILIES:
+        assert family(metrics, name).children() == []
 
     def series(name):
         return {values: child.value
@@ -121,6 +141,13 @@ def test_metrics_agree_with_the_trace(cells, continuous):
                       if e.name.startswith("slo:"))
     assert series("repro_slo_events_total") == {
         (reason,): count for reason, count in reasons.items()}
+    assert series("repro_replica_utilization") == {
+        (row["name"],): row["utilization"] for row in report.replicas}
+    depths = {e.name: e.args["depth"] for e in tracer.events
+              if e.track == "queue/depth"}
+    assert set(depths) == {replica.name for replica in replicas}
+    assert series("repro_queue_depth") == {
+        (component,): depth for component, depth in depths.items()}
 
 
 @pytest.mark.parametrize("continuous", (False, True),

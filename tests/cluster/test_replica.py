@@ -104,6 +104,13 @@ class TestServiceTimeModel:
         with pytest.raises(ValueError, match="batch_size"):
             service_model.price("dit", "all", 0, phase)
 
+    @pytest.mark.parametrize("batch_size", (2.5, True))
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_impossible_batch_size_rejected(self, phase, batch_size):
+        # A fresh model: True == 1 would hit a memoized batch-1 price.
+        with pytest.raises(ValueError, match="batch_size must be an int"):
+            ServiceTimeModel("exion24").price("dit", "all", batch_size, phase)
+
     @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
     def test_one_price_table(self, model):
         """``price`` against the plan cache directly: the whole-generation

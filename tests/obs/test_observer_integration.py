@@ -104,6 +104,64 @@ class TestContinuousServing:
         assert membership.value(kind="index_set_edit") == len(edits)
 
 
+class TestOneBook:
+    """The trace is the only record: a metric is a fold of its rows."""
+
+    @pytest.mark.parametrize("hook, args", (
+        ("on_tick", (1.0, 0.5, 2, True, 0)),  # ends before it starts
+        ("on_batch", (0.0, float("nan"), 2)),
+        ("on_membership", ("join", float("inf"), 0)),
+        ("on_phase_segment", (2.0, 1.0, "dense", "compute", 0)),
+        ("on_queue_depth", ("continuous", 3, float("nan"))),
+    ))
+    def test_a_refused_hook_leaves_no_metric(self, hook, args):
+        obs = Observer()
+        with pytest.raises(ValueError):
+            getattr(obs, hook)(*args)
+        assert len(obs.tracer) == 0
+        assert obs.metrics.to_json() == Observer().metrics.to_json()
+
+    def test_untraced_signals_are_events_on_their_own_tracks(self):
+        obs = Observer()
+        obs.now = 0.25
+        obs.on_cache_lookup("table", False)
+        obs.on_queue_depth("replica0", 3, 0.5)
+        obs.on_queue_depth("replica0", 1, 0.75)
+        obs.on_replica_utilization("replica0", 0.5, 1.0)
+        assert [(e.track, e.name, e.ts_s, e.args) for e in obs.tracer.events] == [
+            ("serve/cache", "miss", 0.25, {"level": "table"}),
+            ("queue/depth", "replica0", 0.5, {"depth": 3}),
+            ("queue/depth", "replica0", 0.75, {"depth": 1}),
+            ("cluster/utilization", "replica0", 1.0, {"utilization": 0.5}),
+        ]
+        metrics = obs.metrics
+        lookups = family(metrics, "repro_cache_lookups_total")
+        assert lookups.value(level="table", outcome="miss") == 1
+        # A gauge keeps the last value the trace recorded.
+        assert family(metrics, "repro_queue_depth").value(
+            component="replica0") == 1
+        assert family(metrics, "repro_replica_utilization").value(
+            replica="replica0") == 0.5
+
+    def test_drain_batches_and_ticks_fold_apart(self):
+        obs = Observer()
+        obs.on_tick(0.0, 0.5, 2, True, 0)
+        obs.on_tick(0.5, 0.75, 3, False, 1)
+        obs.on_batch(1.0, 3.0, 4)
+        metrics = obs.metrics
+        ticks = family(metrics, "repro_ticks_total")
+        assert (ticks.value(phase="dense"), ticks.value(phase="sparse")) == (
+            1, 1)
+        tick_s = family(metrics, "repro_tick_seconds").children()[0][1]
+        assert (tick_s.count, tick_s.sum) == (2, 0.75)
+        assert family(metrics, "repro_batches_total").value() == 1
+        batch_s = family(metrics, "repro_batch_seconds").children()[0][1]
+        assert (batch_s.count, batch_s.sum) == (1, 2.0)
+        fill = family(metrics, "repro_batch_fill").children()[0][1]
+        assert (fill.count, fill.sum) == (3, 9.0)
+        assert len(metrics) == 13
+
+
 class TestThresholdCache:
     def test_per_level_counts_reach_metrics_and_info(self):
         cache, observer = ThresholdCache(), Observer()

@@ -40,6 +40,21 @@ class TestTracer:
         span = tracer.spans[tracer.span("s", "t", 1.0, 2.0)]
         assert (span.start_s, span.end_s) == (1.0, 2.0)
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"),
+                                     float("-inf")))
+    @pytest.mark.parametrize("record", ("span start", "span end", "event"))
+    def test_non_finite_stamps_are_refused_by_name(self, record, bad):
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="'x' on 't': non-finite"):
+            if record == "span start":
+                tracer.span("x", "t", bad, 1.0)
+            elif record == "span end":
+                tracer.span("x", "t", 0.0, bad)
+            else:
+                tracer.event("x", "t", bad)
+        assert len(tracer) == 0  # nothing recorded
+        json.dumps(tracer.records(), allow_nan=False)
+
     def test_tracks_and_records_sorted(self):
         tracer = small_trace()
         assert tracer.tracks() == [
