@@ -326,11 +326,12 @@ def metrics_from_trace(tracer) -> MetricsRegistry:
     order the hooks wrote them.
     """
     m = MetricsRegistry()
-    ticks = m.counter("repro_ticks_total", "Batched kernel dispatches "
-                      "(one per denoising iteration)", ("phase",))
+    ticks = m.counter("repro_ticks_total",
+                      "Batched kernel dispatches (one per denoising iteration)", ("phase",))
     tick_seconds = m.histogram("repro_tick_seconds",
                                "Latency of one continuous-batch tick", TIME_BUCKETS)
-    fill = m.histogram("repro_batch_fill", "Requests sharing one tick or micro-batch")
+    fill = m.histogram("repro_batch_fill",
+                       "Requests sharing one tick or micro-batch")
     membership = m.counter("repro_membership_events_total",
                            "Continuous-batch membership edits by kind", ("kind",))
     queue_depth = m.gauge("repro_queue_depth",
@@ -349,8 +350,9 @@ def metrics_from_trace(tracer) -> MetricsRegistry:
                           "Busy fraction per replica at end of simulation", ("replica",))
     slo = m.counter("repro_slo_events_total",
                     "SLO-relevant outcomes (drops, deadline misses) by reason", ("reason",))
-    phase_seconds = m.counter("repro_phase_seconds_total", "Priced hw-timeline "
-                              "seconds by phase and bound resource", ("phase", "bound"))
+    phase_seconds = m.counter("repro_phase_seconds_total",
+                              "Priced hw-timeline seconds by phase and bound resource",
+                              ("phase", "bound"))
 
     spans = tracer.spans.columns
     for name, track, start_s, end_s, args in zip(
