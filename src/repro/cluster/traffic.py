@@ -31,6 +31,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from repro.core.config import ExionConfig
 from repro.workloads.generator import as_rng
 from repro.workloads.specs import get_spec
 
@@ -221,6 +222,8 @@ class WorkloadMix:
     """Which models (and ablation) arriving requests ask for.
 
     ``weights`` are relative sampling weights (uniform when omitted).
+    Every field is checked at construction, so a bad mix fails before
+    any request is synthesized.
     """
 
     models: tuple = ("dit",)
@@ -232,15 +235,21 @@ class WorkloadMix:
             raise ValueError("need at least one model")
         for name in self.models:
             get_spec(name)  # raises KeyError for unknown models
-        if self.weights is not None and len(self.weights) != len(self.models):
-            raise ValueError("weights must match models")
+        ExionConfig().ablation(self.ablation)  # ValueError naming it
+        if self.weights is not None:
+            if len(self.weights) != len(self.models):
+                raise ValueError("weights must match models")
+            w = np.asarray(self.weights, dtype=float)
+            if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+                raise ValueError(
+                    f"weights must be finite, non-negative, sum > 0, "
+                    f"got {self.weights!r}"
+                )
 
     def probabilities(self) -> np.ndarray:
         if self.weights is None:
             return np.full(len(self.models), 1.0 / len(self.models))
         w = np.asarray(self.weights, dtype=float)
-        if (w < 0).any() or w.sum() <= 0:
-            raise ValueError("weights must be non-negative, sum > 0")
         return w / w.sum()
 
 

@@ -26,7 +26,11 @@ from repro.obs.analyze.attribution import (
     _factorize,
     analyze_records,
 )
-from repro.obs.analyze.critical_path import CriticalPath, critical_path
+from repro.obs.analyze.critical_path import (
+    CPNode,
+    CriticalPath,
+    critical_path,
+)
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
 
@@ -125,7 +129,7 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     they be ideal.
     """
     if attribution.mode == "cluster":
-        return critical_path(*_replica_chains(attribution.ticks.columns))
+        return _replica_critical_path(attribution.ticks.columns)
 
     nodes = {}  # key -> (key, start_ns, end_ns, label)
     edges = set()
@@ -164,27 +168,72 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     return critical_path(nodes.values(), edges)
 
 
-def _replica_chains(ticks) -> tuple:
-    """Cluster mode's graph from the tick columns: each replica's
-    dispatches chained in ``(start_ns, span_id)`` order, by one lexsort;
-    consecutive dispatches of a replica get an edge unless the later
-    one starts before the earlier one ends."""
-    keys = ["tick:%08d" % span_id for span_id in ticks.span_id]
-    nodes = list(zip(keys, ticks.start_ns, ticks.end_ns, [
-        f"{replica} {phase}"
-        for replica, phase in zip(ticks.replica, ticks.phase)
-    ]))
-    _, replica = _factorize(ticks.replica)
+def _replica_critical_path(ticks) -> CriticalPath:
+    """Cluster mode's critical path by one scan of the tick columns.
+
+    A replica runs one dispatch at a time, so the dependency graph is
+    disjoint chains: each replica's dispatches in ``(start_ns,
+    span_id)`` order (one lexsort), a dispatch linked to the one before
+    it unless it starts before that one ends. A chain's running total
+    is a segment sum of the durations' ``cumsum``; the reported path
+    ends at the first maximum in key order, ``tick:%08d`` strings as
+    :func:`critical_path` orders them (numeric order below 10**8 span
+    ids). Equal to ``critical_path`` over that graph, errors included;
+    :class:`CPNode` s are built for the reported chain only.
+    """
+    ids = ticks.span_id
+    span_id = np.array(ids, dtype=np.int64)
     start = np.array(ticks.start_ns, dtype=np.int64)
     end = np.array(ticks.end_ns, dtype=np.int64)
-    order = np.lexsort((np.array(ticks.span_id, dtype=np.int64), start,
-                        replica))
-    before, after = order[:-1], order[1:]
-    chained = ((replica[before] == replica[after])
-               & (start[after] >= end[before]))
-    edges = list(zip(map(keys.__getitem__, before[chained].tolist()),
-                     map(keys.__getitem__, after[chained].tolist())))
-    return nodes, edges
+
+    def key(i) -> str:
+        return "tick:%08d" % ids[i]
+
+    def smallest(positions: np.ndarray) -> int:
+        """The row among ``positions`` whose key sorts first."""
+        return min(positions.tolist(), key=key)
+
+    _, inverse, counts = np.unique(
+        span_id, return_inverse=True, return_counts=True
+    )
+    shared = np.flatnonzero(counts[inverse] > 1)
+    if shared.size:
+        raise ValueError(f"duplicate node key {key(smallest(shared))!r}")
+    reversed_ = np.flatnonzero(end < start)
+    if reversed_.size:
+        i = smallest(reversed_)
+        raise ValueError(f"node {key(i)!r} ends at {ticks.end_ns[i]} "
+                         f"before start {ticks.start_ns[i]}")
+    if not ids:
+        return CriticalPath()
+
+    _, replica = _factorize(ticks.replica)
+    order = np.lexsort((span_id, start, replica))
+    head = np.ones(len(order), dtype=bool)  # starts a chain
+    head[1:] = ((replica[order[1:]] != replica[order[:-1]])
+                | (start[order[1:]] < end[order[:-1]]))
+    duration = (end - start)[order]
+    running = np.cumsum(duration)
+    chain_of = np.cumsum(head) - 1
+    total = running - (running - duration)[head][chain_of]
+    best = int(total.max())
+    last = min(np.flatnonzero(total == best).tolist(),
+               key=lambda k: key(order[k]))
+    first = int(np.flatnonzero(head)[chain_of[last]])
+    chain = [
+        CPNode(key(i), ticks.start_ns[i], ticks.end_ns[i],
+               f"{ticks.replica[i]} {ticks.phase[i]}")
+        for i in order[first:last + 1].tolist()
+    ]
+    return CriticalPath(
+        total_ns=best,
+        nodes=chain,
+        edges=[
+            {"from": u.key, "to": v.key, "slack_ns": v.start_ns - u.end_ns}
+            for u, v in zip(chain, chain[1:])
+        ],
+        span_ns=int(end.max() - start.min()),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,15 @@ accumulators, priced hw seconds); for layers with no clock of their own
 :attr:`Observer.now` before delegating.
 
 An enabled hook costs the column appends of its one ``Tracer`` call,
-whose keywords become the stored span or event args as they are.
+whose keywords become the stored span or event args as they are; a
+cluster dispatch reuses the interned args dict of an equal earlier
+dispatch (:meth:`Observer.on_dispatch`), so recorded args are
+read-only.
 """
 
 from __future__ import annotations
+
+from math import copysign
 
 from repro.obs.metrics import metrics_from_trace
 from repro.obs.trace import Tracer
@@ -42,6 +47,8 @@ class Observer:
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
+        #: Interned dispatch rows: key -> (name, track, args).
+        self._dispatch_rows: dict = {}
 
     @property
     def metrics(self):
@@ -143,20 +150,38 @@ class Observer:
         """One priced batch executing on a cluster replica.
 
         Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
-        writes one span row from it; the span's args are the one dict
-        the ``Tracer.span`` call builds.
+        writes one span row from it. A live batch repeats its row tick
+        after tick, so rows are interned: the first dispatch with a
+        given members, phase, price, model, ablation and replica builds
+        the span's name, track and args dict, and every later one
+        records the same three objects with its own stamps. Floats key
+        by exact value: the sign rides along, so ``-0.0`` and ``0.0``
+        never share a row.
         """
-        _, tenants, priorities = (
-            zip(*dispatch.members) if dispatch.members else ((), (), ())
+        cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
+        key = (
+            dispatch.members, dispatch.phase, cold_s, copysign(1.0, cold_s),
+            energy_j, copysign(1.0, energy_j), dispatch.model,
+            dispatch.ablation, dispatch.replica,
         )
-        batch_size = len(tenants)
-        self.tracer.span(
-            f"dispatch[{dispatch.model}]", f"replica/{dispatch.replica}",
-            dispatch.started_s, dispatch.completion_s,
-            batch_size=batch_size, model=dispatch.model,
-            ablation=dispatch.ablation, phase=dispatch.phase,
-            cold_s=dispatch.cold_s, energy_j=dispatch.energy_j,
-            tenants=list(tenants), priorities=list(priorities),
+        row = self._dispatch_rows.get(key)
+        if row is None:
+            _, tenants, priorities = (
+                zip(*dispatch.members) if dispatch.members else ((), (), ())
+            )
+            row = self._dispatch_rows[key] = (
+                f"dispatch[{dispatch.model}]", f"replica/{dispatch.replica}",
+                {
+                    "batch_size": len(tenants), "model": dispatch.model,
+                    "ablation": dispatch.ablation, "phase": dispatch.phase,
+                    "cold_s": cold_s, "energy_j": energy_j,
+                    "tenants": list(tenants),
+                    "priorities": list(priorities),
+                },
+            )
+        name, track, args = row
+        self.tracer.record_span(
+            name, track, dispatch.started_s, dispatch.completion_s, None, args,
         )
 
     def on_replica_utilization(

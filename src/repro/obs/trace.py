@@ -21,9 +21,10 @@ which the same determinism argument makes stable too.
 **Storage is columnar.** Each kind lives in a :class:`Table`: one list
 per field, appended to on every call, so recording a span costs a few
 list appends and no object. The ``args`` keywords are stored as the
-dict the call built; their keys are sorted only where a record is
-serialized. :class:`Span` and :class:`Event` are row *views*, built only
-when a caller indexes or iterates ``tracer.spans`` / ``tracer.events``
+dict the call built (:meth:`Tracer.record_span` stores the dict it is
+given); their keys are sorted only where a record is serialized.
+:class:`Span` and :class:`Event` are row *views*, built only when a
+caller indexes or iterates ``tracer.spans`` / ``tracer.events``
 (``len()`` reads a column length).
 
 The tracer stores; exporters (:mod:`repro.obs.export`) render — Chrome
@@ -98,7 +99,12 @@ def _sorted_args(args: dict) -> dict:
 
 
 class Tracer:
-    """Accumulates spans and events in deterministic emission order."""
+    """Accumulates spans and events in deterministic emission order.
+
+    Recorded ``args`` dicts are read-only: one dict may back many rows
+    (the observer interns its dispatch rows), so a reader that edits
+    args copies them first, as the exporters and loaders do.
+    """
 
     def __init__(self) -> None:
         self.spans = Table(Span)
@@ -118,6 +124,19 @@ class Tracer:
         **args,
     ) -> int:
         """Record a closed interval; returns its span id."""
+        return self.record_span(name, track, start_s, end_s, parent_id, args)
+
+    def record_span(
+        self,
+        name: str,
+        track: str,
+        start_s: float,
+        end_s: float,
+        parent_id: Optional[int],
+        args: dict,
+    ) -> int:
+        """:meth:`span` with its args as a dict, stored as given (not
+        copied), so rows may share one dict."""
         start_s, end_s = float(start_s), float(end_s)
         # One chained test refuses NaN, infinities and reversed stamps.
         if not -_INF < start_s <= end_s < _INF:

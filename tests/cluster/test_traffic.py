@@ -91,6 +91,22 @@ class TestWorkloadMix:
         with pytest.raises(ValueError):
             WorkloadMix(models=("dit",), weights=(1.0, 2.0))
 
+    def test_validates_ablation_eagerly(self):
+        with pytest.raises(ValueError, match="ablation 'bogus'"):
+            WorkloadMix(models=("dit",), ablation="bogus")
+
+    @pytest.mark.parametrize("weights", [
+        (-1.0, 2.0), (0.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0),
+    ])
+    def test_validates_weights_eagerly(self, weights):
+        with pytest.raises(ValueError, match="weights must be"):
+            WorkloadMix(models=("dit", "mld"), weights=weights)
+
+    def test_a_zero_weight_is_never_drawn(self):
+        mix = WorkloadMix(models=("dit", "mld"), weights=(0.0, 1.0))
+        requests = synthesize_trace(PoissonProcess(100.0), 50, mix=mix, rng=0)
+        assert {r.model for r in requests} == {"mld"}
+
     def test_weighted_sampling(self):
         mix = WorkloadMix(models=("dit", "mld"), weights=(3.0, 1.0))
         requests = synthesize_trace(
