@@ -184,19 +184,20 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
 
 
 def _tick_strip_svg(report: AnalysisReport, doc: dict) -> str:
-    # One rect per tick, so ``_pct`` is inline (``span_ns`` is >= 1).
     span_ns = max(doc["horizon_ns"], 1)
+    parts = ['<svg viewBox="0 0 100 16" width="100%" height="32" '
+             'preserveAspectRatio="none">']
     ticks = report.attribution.ticks.columns
-    color, other = _PHASE_COLORS.get, _PHASE_COLORS["other"]
-    rects = "".join([
-        f'<rect x="{start_ns / span_ns * 100.0:.4f}" y="2" '
-        f'width="{(end_ns - start_ns) / span_ns * 100.0:.4f}" height="12" '
-        f'fill="{color(phase, other)}" stroke="#fff" stroke-width="0.05"/>'
-        for start_ns, end_ns, phase in zip(ticks.start_ns, ticks.end_ns,
-                                           ticks.phase)
-    ])
-    return ('<svg viewBox="0 0 100 16" width="100%" height="32" '
-            f'preserveAspectRatio="none">{rects}</svg>')
+    for start_ns, end_ns, phase in zip(ticks.start_ns, ticks.end_ns,
+                                       ticks.phase):
+        color = _PHASE_COLORS.get(phase, _PHASE_COLORS["other"])
+        parts.append(
+            f'<rect x="{_pct(start_ns, span_ns)}" y="2" '
+            f'width="{_pct(end_ns - start_ns, span_ns)}" height="12" '
+            f'fill="{color}" stroke="#fff" stroke-width="0.05"/>'
+        )
+    parts.append("</svg>")
+    return "".join(parts)
 
 
 def _components_table(doc: dict) -> str:
@@ -277,14 +278,13 @@ def _critical_path_block(doc: dict) -> str:
     if not path["nodes"]:
         return '<p class="note">No spans to chain.</p>'
     slack = {edge["to"]: edge["slack_ns"] for edge in path["edges"]}
-    # One row per chain node (thousands in a fleet cell): ``_ms`` inline.
-    rows = "".join([
+    rows = "".join(
         f'<tr><td class="l">{_esc(node["key"])}</td>'
         f'<td class="l">{_esc(node["label"])}</td>'
-        f"<td>{node['duration_ns'] / 1e6:.3f}</td>"
-        f"<td>{slack.get(node['key'], 0) / 1e6:.3f}</td></tr>"
+        f"<td>{_ms(node['duration_ns'])}</td>"
+        f"<td>{_ms(slack.get(node['key'], 0))}</td></tr>"
         for node in path["nodes"]
-    ])
+    )
     return (
         f"<p>Longest chain: <b>{_ms(path['total_ns'])} ms</b> across "
         f"{len(path['nodes'])} nodes (trace extent "

@@ -20,9 +20,9 @@ accumulators, priced hw seconds); for layers with no clock of their own
 
 An enabled hook costs the column appends of its one ``Tracer`` call,
 whose keywords become the stored span or event args as they are; a
-cluster dispatch reuses the interned args dict of an equal earlier
-dispatch (:meth:`Observer.on_dispatch`), so recorded args are
-read-only.
+cluster dispatch reuses the args dict of an equal earlier dispatch of
+the same live batch (:meth:`Observer.on_dispatch`), so recorded args
+are read-only.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class Observer:
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
-        #: Interned dispatch rows: key -> (name, track, args).
-        self._dispatch_rows: dict = {}
+        #: Rows of each replica's live batch: replica -> (members,
+        #: {(phase, price, model, ablation): (name, track, args)}).
+        self._live_rows: dict = {}
 
     @property
     def metrics(self):
@@ -151,26 +152,29 @@ class Observer:
 
         Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
         writes one span row from it. A live batch repeats its row tick
-        after tick, so rows are interned: the first dispatch with a
-        given members, phase, price, model, ablation and replica builds
-        the span's name, track and args dict, and every later one
-        records the same three objects with its own stamps. Floats key
+        after tick, so each replica keeps the rows of its current
+        members: the first dispatch with a given phase, price, model and
+        ablation builds the span's name, track and args dict, and every
+        later one records the same three objects with its own stamps.
+        A change of members drops the replica's rows, so a drain-mode
+        micro-batch (always new members) keeps nothing extra. Floats key
         by exact value: the sign rides along, so ``-0.0`` and ``0.0``
         never share a row.
         """
+        members, replica = dispatch.members, dispatch.replica
+        live = self._live_rows.get(replica)
+        if live is None or live[0] != members:
+            live = self._live_rows[replica] = (members, {})
         cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
         key = (
-            dispatch.members, dispatch.phase, cold_s, copysign(1.0, cold_s),
-            energy_j, copysign(1.0, energy_j), dispatch.model,
-            dispatch.ablation, dispatch.replica,
+            dispatch.phase, cold_s, copysign(1.0, cold_s), energy_j,
+            copysign(1.0, energy_j), dispatch.model, dispatch.ablation,
         )
-        row = self._dispatch_rows.get(key)
+        row = live[1].get(key)
         if row is None:
-            _, tenants, priorities = (
-                zip(*dispatch.members) if dispatch.members else ((), (), ())
-            )
-            row = self._dispatch_rows[key] = (
-                f"dispatch[{dispatch.model}]", f"replica/{dispatch.replica}",
+            _, tenants, priorities = zip(*members) if members else ((), (), ())
+            row = live[1][key] = (
+                f"dispatch[{dispatch.model}]", f"replica/{replica}",
                 {
                     "batch_size": len(tenants), "model": dispatch.model,
                     "ablation": dispatch.ablation, "phase": dispatch.phase,

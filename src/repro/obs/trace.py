@@ -102,8 +102,8 @@ class Tracer:
     """Accumulates spans and events in deterministic emission order.
 
     Recorded ``args`` dicts are read-only: one dict may back many rows
-    (the observer interns its dispatch rows), so a reader that edits
-    args copies them first, as the exporters and loaders do.
+    (the observer shares a live batch's dispatch rows), so a reader
+    that edits args copies them first, as the exporters and loaders do.
     """
 
     def __init__(self) -> None:

@@ -1,11 +1,12 @@
-"""Interned dispatch rows: one args dict per distinct dispatch.
+"""Shared dispatch rows: one args dict per distinct dispatch of a live batch.
 
 ``Observer.on_dispatch`` builds a dispatch span's name, track and args
-once per ``(members, phase, cold_s, energy_j, model, ablation,
-replica)`` and records later equal dispatches with the same objects.
-These tests pin the sharing on a fleet cell and by hand, the read-only
-contract every trace reader keeps, and the trace's retained bytes per
-span.
+once per ``(phase, cold_s, energy_j, model, ablation)`` while a
+replica's members stay the same, and records later equal dispatches with
+the same objects; a change of members drops the replica's rows. These
+tests pin the sharing on a fleet cell and by hand, the rows a drain cell
+leaves behind, the read-only contract every trace reader keeps, and the
+trace's retained bytes per span.
 """
 
 import copy
@@ -47,15 +48,17 @@ class _Recording(Observer):
         super().on_dispatch(dispatch)
 
 
-def _fleet_cell(observer, seed: int = 11, requests: int = 100) -> None:
-    """One dry-run MMPP cell on four continuous replicas, observed."""
+def _fleet_cell(
+    observer, seed: int = 11, requests: int = 100, continuous: bool = True
+) -> None:
+    """One dry-run MMPP cell on four replicas, observed."""
     trace = synthesize_trace(
         MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), requests,
         WorkloadMix(("dit", "mld", "stable_diffusion")), rng=seed,
         deadline_s=3.0,
     )
     simulate_cluster(
-        trace, build_replicas(4, accelerator="exion24", continuous=True),
+        trace, build_replicas(4, accelerator="exion24", continuous=continuous),
         make_router("jsq"), slo=SLOPolicy(latency_target_s=3.0),
         observer=observer,
     )
@@ -85,17 +88,19 @@ def _dispatch(**changes) -> Dispatch:
 
 
 class TestSharedRows:
-    def test_equal_dispatches_share_one_row(self, cell):
+    def test_equal_dispatches_of_a_live_batch_share_one_row(self, cell):
         spans = cell.tracer.spans.columns
         assert len(spans.args) == len(cell.dispatches)
-        rows = {}  # dispatch key -> (name, track, args) of its first span
+        live = {}  # replica -> (members, {key: row}) while its members stay
+        owner = {}  # id(args) -> the one dispatch key it records
         for dispatch, name, track, args in zip(
             cell.dispatches, spans.name, spans.track, spans.args
         ):
-            first = rows.setdefault(_key(dispatch), (name, track, args))
+            if live.get(dispatch.replica, (None,))[0] != dispatch.members:
+                live[dispatch.replica] = dispatch.members, {}
+            first = live[dispatch.replica][1].setdefault(_key(dispatch), (name, track, args))
             assert all(a is b for a, b in zip(first, (name, track, args)))
-        # distinct keys never share a dict
-        assert len({id(args) for args in spans.args}) == len(rows)
+            assert owner.setdefault(id(args), _key(dispatch)) == _key(dispatch)
 
     def test_distinct_rows_are_a_tenth_of_the_spans(self, cell):
         spans = cell.tracer.spans.columns
@@ -144,6 +149,25 @@ class TestSharedRows:
         observer.on_dispatch(_dispatch())
         assert observer.tracer.spans[0].end_s == 1.5
 
+
+    def test_a_change_of_members_drops_the_rows(self):
+        observer = Observer()
+        alice, both = ((0, "alice", 1),), ((0, "alice", 1), (1, "bob", 2))
+        for members in (alice, both, alice):
+            observer.on_dispatch(_dispatch(members=members))
+        first, _, again = observer.tracer.spans.columns.args
+        assert again == first
+        assert again is not first
+
+    def test_a_drain_cell_keeps_only_each_replicas_last_batch(self):
+        observer = _Recording()
+        _fleet_cell(observer, continuous=False)
+        args = observer.tracer.spans.columns.args
+        assert len({id(a) for a in args}) == len(args) > 10
+        last = {d.replica: d.members for d in observer.dispatches}
+        assert {replica: members for replica, (members, _)
+                in observer._live_rows.items()} == last
+        assert all(len(rows) == 1 for _, rows in observer._live_rows.values())
 
 class TestReadOnlyArgs:
     def test_every_reader_leaves_args_unchanged(self, cell):
