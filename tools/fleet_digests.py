@@ -36,7 +36,9 @@ from repro.cluster import (  # noqa: E402
     MMPPProcess, PoissonProcess, ServiceTimeModel, SimClock, SLOPolicy,
     WorkloadMix, build_replicas, make_router, simulate_cluster, synthesize_trace,
 )
-from repro.obs import Observer, chrome_trace_json, run_trace_scenario, scenario  # noqa: E402
+from repro.obs import (  # noqa: E402
+    Observer, chrome_trace_json, events_jsonl, run_trace_scenario, scenario,
+)
 from repro.obs.analyze import analyze_tracer, render_html  # noqa: E402
 
 LINES: list = []
@@ -51,6 +53,7 @@ def emit_observed(cell: str, observer, trace: bool = True) -> None:
     tracer = observer.tracer
     if trace:
         emit(f"{cell}/trace", chrome_trace_json(tracer))
+    emit(f"{cell}/jsonl", events_jsonl(tracer))
     emit(f"{cell}/metrics", observer.metrics.to_json())
     analysis = analyze_tracer(tracer)
     emit(f"{cell}/analysis", analysis.to_json())
