@@ -34,13 +34,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from repro.obs.analyze.records import NS_PER_S, TraceRecords, to_ns
-from repro.obs.trace import Table
+from repro.obs.trace import Table, empty_columns, int64, to_array
 
 #: Component keys, in reporting order.
 COMPONENTS = (
@@ -79,6 +79,11 @@ class _Tick(NamedTuple):
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
+
+
+def _ticks(*columns) -> Table:
+    """A tick table of ``columns``, or an empty one."""
+    return Table(_Tick, _Tick(*columns or empty_columns("qqq-qq---")))
 
 
 @dataclass
@@ -148,9 +153,10 @@ class Attribution:
     horizon_ns: int = 0
     tenants: dict = field(default_factory=dict)
     replicas: dict = field(default_factory=dict)
-    #: _Tick rows by column (analysis internal), in tick-start order for
-    #: serve modes and trace order for cluster dispatches
-    ticks: Table = field(default_factory=lambda: Table(_Tick))
+    #: _Tick rows by column (analysis internal; integers in
+    #: ``array('q')``), in tick-start order for serve modes and trace
+    #: order for cluster dispatches
+    ticks: Table = field(default_factory=lambda: _ticks())
 
     # ------------------------------------------------------------------
     def fleet_components(self) -> dict:
@@ -214,13 +220,13 @@ def analyze_records(records: TraceRecords) -> Attribution:
 
 def detect_mode(records: TraceRecords) -> str:
     """Which instrumented layer produced this trace."""
-    spans = records.spans.columns
-    names = set(spans.name)
+    rows = records.spans.rows  # every entry names at least one span
+    names = set(rows.name)
     if any(name.startswith("tick[") for name in names):
         return "continuous"
     if any(name.startswith("dispatch[") for name in names):
         return "cluster"
-    if ("batch", _BATCH_TRACK) in set(zip(spans.name, spans.track)):
+    if ("batch", _BATCH_TRACK) in set(zip(rows.name, rows.track)):
         return "drain"
     return "continuous"
 
@@ -300,14 +306,14 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     slots = [by_rid.get(rid, nobody) for rid in
              chain.from_iterable(ids or [None] for ids in held)]
     size = np.fromiter(map(len, held), np.int64, len(held))
-    start, end, cold, energy = (
-        np.array(column, dtype=np.int64) for column in
-        (columns.start_ns, columns.end_ns, columns.cold_ns, columns.energy_nj)
-    )
+    start, end, cold, energy = map(int64, (
+        columns.start_ns, columns.end_ns, columns.cold_ns, columns.energy_nj
+    ))
     member, slot = _slots(size)
+    phase_names, phase = _factorize(["cold", *columns.phase])
     _account_slots(
-        out.tenants, end - start, cold, energy, columns.phase, member, slot,
-        size, _factorize([r.tenant for r in slots]),
+        out.tenants, end - start, cold, energy, (phase_names, phase[1:]),
+        member, slot, size, _factorize([r.tenant for r in slots]),
         _factorize([str(r.priority) for r in slots]),
         _factorize([r.model or "?" for r in slots]), (size > 0)[member],
     )
@@ -479,40 +485,45 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     per-request decompositions; the exact-conservation guarantee here
     is that per-tenant dispatch shares sum to fleet busy time.
 
-    The dispatch spans are read as columns; each dispatch's tenants are
-    flattened once into member slots for :func:`_account_slots`. A
-    priority or model key appears only where a contributing amount is
-    non-zero.
+    The dispatch spans are read as int64 columns. Their args are decoded
+    once per row entry (a live batch repeats one entry tick after tick)
+    and reach each dispatch through its ``row`` index; each dispatch's
+    tenants become member slots for :func:`_account_slots`. A priority
+    or model key appears only where a contributing amount is non-zero.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    spans = records.spans.columns
-    dispatch_names = {
-        name for name in set(spans.name) if name.startswith("dispatch[")
-    }
-    rows = list(compress(range(len(spans.name)),
-                        map(dispatch_names.__contains__, spans.name)))
-    args = list(map(spans.args.__getitem__, rows))
-    start, end = (
-        np.fromiter(column, np.int64, len(column))[rows]
-        for column in (spans.start_ns, spans.end_ns)
-    )
+    spans = records.spans
+    names, tracks, entry_args = spans.rows
+    # The dispatch entries, and each dispatch's entry among them.
+    entries = [e for e, name in enumerate(names) if name.startswith("dispatch[")]
+    args = list(map(entry_args.__getitem__, entries))
+    code = np.full(len(names), -1)
+    code[entries] = np.arange(len(entries))
+    row = code[int64(spans.columns.row)]
+    picked = np.flatnonzero(row >= 0)
+    row = row[picked]
+    start, end = (int64(column)[picked]
+                  for column in (spans.columns.start_ns, spans.columns.end_ns))
     duration = end - start
     cold = np.minimum(np.maximum(
-        _to_ns([a.get("cold_s", 0.0) for a in args]), 0), duration)
-    energy = _to_ns([a.get("energy_j", 0.0) for a in args])
-    phases = list(map(str, [a.get("phase") or "batch" for a in args]))
-    tracks = list(map(spans.track.__getitem__, rows))
-    replica_of = {track: track.partition("/")[2] for track in set(tracks)}
-    replicas = list(map(replica_of.__getitem__, tracks))
-    out.ticks = Table(_Tick, _Tick(
-        list(map(spans.span_id.__getitem__, rows)), start.tolist(),
-        end.tolist(), phases, cold.tolist(), energy.tolist(), replicas,
-        [False] * len(rows), [()] * len(rows),
-    ))
+        _to_ns([a.get("cold_s", 0.0) for a in args])[row], 0), duration)
+    energy = _to_ns([a.get("energy_j", 0.0) for a in args])[row]
+    # "cold" is key 0 of the phase rollup; each phase names its own key.
+    phase_names, phase = _factorize(
+        ["cold", *map(str, [a.get("phase") or "batch" for a in args])])
+    phase = phase[1:][row]
+    replica_names, replica = _factorize(
+        [tracks[e].partition("/")[2] for e in entries])
+    replica = replica[row]
+    out.ticks = _ticks(
+        to_array("q", int64(spans.columns.span_id)[picked]),
+        to_array("q", start), to_array("q", end), _names(phase_names, phase),
+        to_array("q", cold), to_array("q", energy),
+        _names(replica_names, replica), [False] * len(row), [()] * len(row),
+    )
     out.busy_ns = int(duration.sum())
     out.energy_nj = int(energy.sum())
 
-    replica_names, replica = _factorize(replicas)
     busy, dispatches, cold_ns = (
         _sum_by(replica, values, len(replica_names)).tolist()
         for values in (duration, np.ones_like(duration), cold)
@@ -523,17 +534,21 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
             "cold_ns": cold_ns[i],
         }
 
-    # One row per member slot.
+    # One row per member slot; an entry's lists are flattened once, and
+    # a slot reads its entry's list at its own position.
     tenant_lists = [a.get("tenants", ()) for a in args]
     priority_lists = [a.get("priorities", ()) for a in args]
-    size = np.fromiter(map(len, tenant_lists), np.int64, len(args))
+    listed = np.fromiter(map(len, tenant_lists), np.int64, len(args))
+    size = listed[row]
     member, slot = _slots(size)
+    entry = row[member]
     # The appended name is the tenantless dispatches' one slot.
-    tenant_names, code = _factorize(
+    tenant_names, codes = _factorize(
         [*chain.from_iterable(tenant_lists), _UNATTRIBUTED], str
     )
-    tenant = np.full(len(member), code[-1])
-    tenant[(size > 0)[member]] = code[:-1]
+    tenant = np.full(len(member), codes[-1])
+    has = (size > 0)[member]
+    tenant[has] = codes[(np.cumsum(listed) - listed)[entry[has]] + slot[has]]
     # A slot's priority is the one listed at its position, else 1; the
     # appended 1 is the unlisted slots' entry.
     count = np.fromiter(map(len, priority_lists), np.int64, len(args))
@@ -541,7 +556,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
         [*chain.from_iterable(priority_lists), 1], lambda p: str(int(p))
     )
     priority = priorities[np.where(
-        slot < count[member], (np.cumsum(count) - count)[member] + slot,
+        slot < count[entry], (np.cumsum(count) - count)[entry] + slot,
         len(priorities) - 1,
     )]
     model_names, model = _factorize(
@@ -549,10 +564,10 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     )
     busy_part = duration - cold
     _account_slots(
-        out.tenants, duration, cold, energy, phases, member, slot, size,
-        (tenant_names, tenant), (priority_names, priority),
-        (model_names, model[member]),
-        ((cold != 0) | (busy_part != 0))[member] & (size[member] > 0),
+        out.tenants, duration, cold, energy, (phase_names, phase), member,
+        slot, size, (tenant_names, tenant), (priority_names, priority),
+        (model_names, model[entry]),
+        ((cold != 0) | (busy_part != 0))[member] & has,
     )
 
     # Request rollups from lifecycle events (ids are per-server, so no
@@ -560,9 +575,9 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     # Service is the rest of the sojourn, so a request's components sum
     # to its latency; an artifact without the stamp rebuilds the arrival
     # from the rounded wait and service.
-    events = records.events.columns
+    events = records.events
     for name, track, ts_ns, args in zip(
-        events.name, events.track, events.ts_ns, events.args
+        *map(events.column, ("name", "track", "ts_ns", "args"))
     ):
         if track != "cluster/requests":
             continue
@@ -605,14 +620,15 @@ def _slots(size: np.ndarray) -> tuple:
     return member, np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
 
 
-def _account_slots(tenants: dict, duration, cold, energy, phases: list,
+def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
                    member, slot, size, tenant: tuple, priority: tuple,
                    model: tuple, present) -> None:
     """Split every tick's time and energy over its member slots and add
     the shares to the ``tenants`` documents.
 
-    Per tick: ``duration``, ``cold`` and ``energy`` amounts, ``phases``
-    and ``size`` (members; a tick with none is one slot). Per slot (see
+    Per tick: ``duration``, ``cold`` and ``energy`` amounts, ``phase``
+    as ``(names, codes)`` with ``"cold"`` name 0, and ``size`` (members;
+    a tick with none is one slot). Per slot (see
     :func:`_slots`): ``tenant``, ``priority`` and ``model`` as ``(names,
     codes)`` pairs, and ``present`` where its priority and model keys
     appear. A slot's share is the exact split's: the floor share, plus
@@ -633,12 +649,11 @@ def _account_slots(tenants: dict, duration, cold, energy, phases: list,
         share, (cold, busy_part, energy)
     )
     tick_share = cold_share + busy_share
-    # "cold" is key 0 of the phase rollup; each phase names its own key.
-    phase_names, phase = _factorize(["cold", *phases])
+    phase_names, phase = phase
     rollups = [("by_phase", phase_names, _rollup(
         rows, len(phase_names),
         np.concatenate([tenant, tenant]),
-        np.concatenate([np.zeros_like(member), phase[1:][member]]),
+        np.concatenate([np.zeros_like(member), phase[member]]),
         np.concatenate([cold_share, busy_share]),
         np.concatenate([cold[member] != 0, busy_part[member] != 0]),
     ))]
@@ -656,6 +671,11 @@ def _account_slots(tenants: dict, duration, cold, energy, phases: list,
         doc["energy_nj"] += energy_nj[t]
         for key, names, rollup in rollups:
             doc[key].update((names[k], total) for k, total in rollup[t])
+
+
+def _names(names: list, codes: np.ndarray) -> list:
+    """The name of each code."""
+    return np.array(names, dtype=object)[codes].tolist()
 
 
 def _to_ns(seconds: list) -> np.ndarray:

@@ -11,12 +11,14 @@ chain of shared breakpoints, ``sum(b[i+1] - b[i]) == b[-1] - b[0]``.
 
 Records are stored like the tracer's rows: two
 :class:`~repro.obs.trace.Table` s, ``spans`` (:class:`SpanRec` rows)
-and ``events`` (:class:`EventRec` rows), one list per field; the
-analyses read the columns and a ``SpanRec`` is built only for a caller
-that indexes or iterates. Three sources produce them:
+and ``events`` (:class:`EventRec` rows), with ids and nanoseconds in
+``array('q')`` columns and a ``row`` index into the ``(name, track,
+args)`` entries; the analyses read ``np.frombuffer`` views of the
+columns and a ``SpanRec`` is built only for a caller that indexes or
+iterates. Three sources produce equal records:
 
 - a live :class:`~repro.obs.trace.Tracer` (in-process analysis), whose
-  ``args`` dicts are shared, not copied;
+  row entries are shared, not copied;
 - the JSONL event log (``repro trace --events-out``) — the primary
   artifact path, full-float-repr timestamps, byte-exact round-trip;
 - a Chrome trace-event document (``repro trace --out``) — ``ts`` there
@@ -30,12 +32,13 @@ that indexes or iterates. Three sources produce them:
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.obs.trace import Table
+from repro.obs.trace import Rows, Table, empty_columns, int64, to_array
 
 #: Nanoseconds per second (the fixed analysis resolution).
 NS_PER_S = 1_000_000_000
@@ -51,17 +54,20 @@ def to_ns(seconds: float) -> int:
     return round(float(seconds) * NS_PER_S)
 
 
-def _by_time(*seconds: list) -> tuple:
+def _by_time(*seconds: array) -> tuple:
     """The stable order of the first column (row ids, ties in id
-    order), then every column in that order as :func:`to_ns` values."""
-    columns = [
-        np.fromiter(column, np.float64, len(column)) for column in seconds
-    ]
-    order = np.argsort(columns[0], kind="stable")
-    return order.tolist(), *(
-        np.rint(column[order] * NS_PER_S).astype(np.int64).tolist()
-        for column in columns
+    order), then every column in that order as :func:`to_ns` values,
+    all as ``array('q')`` columns."""
+    order = np.argsort(np.frombuffer(seconds[0]), kind="stable")
+    return to_array("q", order), *(
+        to_array("q", np.rint(np.frombuffer(column)[order] * NS_PER_S))
+        for column in seconds
     )
+
+
+def _take(column: array, order: array) -> array:
+    """``column`` in ``order``."""
+    return to_array("q", int64(column)[int64(order)])
 
 
 class SpanRec(NamedTuple):
@@ -90,6 +96,30 @@ class EventRec(NamedTuple):
     args: dict
 
 
+class SpanRecColumns(NamedTuple):
+    span_id: array  # 'q'
+    start_ns: array  # 'q'
+    end_ns: array  # 'q'
+    parent_id: array  # 'q', -1: no parent
+    row: array  # 'q', into Rows
+
+
+class EventRecColumns(NamedTuple):
+    event_id: array  # 'q'
+    ts_ns: array  # 'q'
+    row: array  # 'q', into Rows
+
+
+def _spans(columns=None, rows=None) -> Table:
+    return Table(SpanRec, columns or SpanRecColumns(*empty_columns("qqqqq")),
+                 rows or Rows([], [], []))
+
+
+def _events(columns=None, rows=None) -> Table:
+    return Table(EventRec, columns or EventRecColumns(*empty_columns("qqq")),
+                 rows or Rows([], [], []))
+
+
 @dataclass
 class TraceRecords:
     """Normalized spans + events, ready for analysis.
@@ -99,8 +129,8 @@ class TraceRecords:
     :meth:`~repro.obs.trace.Tracer.order` emits).
     """
 
-    spans: Table = field(default_factory=lambda: Table(SpanRec))
-    events: Table = field(default_factory=lambda: Table(EventRec))
+    spans: Table = field(default_factory=_spans)
+    events: Table = field(default_factory=_events)
 
     # ------------------------------------------------------------------
     # constructors
@@ -133,26 +163,19 @@ class TraceRecords:
         each in ``(timestamp, id)`` order — ids are row positions, so a
         stable sort on the timestamp alone gives it.
         """
-        spans, events = tracer.spans.columns, tracer.events.columns
-        order, start_ns, end_ns = _by_time(spans.start_s, spans.end_s)
-        at, ts_ns = _by_time(events.ts_s)
+        spans, events = tracer.spans, tracer.events
+        order, start_ns, end_ns = _by_time(spans.columns.start_s,
+                                           spans.columns.end_s)
+        at, ts_ns = _by_time(events.columns.ts_s)
         return cls(
-            spans=Table(SpanRec, SpanRec(
-                order,
-                list(map(spans.name.__getitem__, order)),
-                list(map(spans.track.__getitem__, order)),
-                start_ns,
-                end_ns,
-                list(map(spans.parent_id.__getitem__, order)),
-                list(map(spans.args.__getitem__, order)),
-            )),
-            events=Table(EventRec, EventRec(
-                at,
-                list(map(events.name.__getitem__, at)),
-                list(map(events.track.__getitem__, at)),
-                ts_ns,
-                list(map(events.args.__getitem__, at)),
-            )),
+            spans=_spans(SpanRecColumns(
+                order, start_ns, end_ns,
+                _take(spans.columns.parent_id, order),
+                _take(spans.columns.row, order),
+            ), spans.rows),
+            events=_events(EventRecColumns(
+                at, ts_ns, _take(events.columns.row, at),
+            ), events.rows),
         )
 
     @classmethod
@@ -235,11 +258,10 @@ class TraceRecords:
 
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""
-        return max(
-            max(self.spans.columns.end_ns, default=0),
-            max(self.events.columns.ts_ns, default=0),
-            0,
-        )
+        return int(max(
+            int64(self.spans.columns.end_ns).max(initial=0),
+            int64(self.events.columns.ts_ns).max(initial=0),
+        ))
 
 
 __all__ = [

@@ -33,6 +33,7 @@ from repro.obs.analyze.critical_path import (
 )
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
+from repro.obs.trace import int64
 
 SCHEMA_VERSION = 1
 
@@ -182,9 +183,7 @@ def _replica_critical_path(ticks) -> CriticalPath:
     :class:`CPNode` s are built for the reported chain only.
     """
     ids = ticks.span_id
-    span_id = np.array(ids, dtype=np.int64)
-    start = np.array(ticks.start_ns, dtype=np.int64)
-    end = np.array(ticks.end_ns, dtype=np.int64)
+    span_id, start, end = map(int64, (ids, ticks.start_ns, ticks.end_ns))
 
     def key(i) -> str:
         return "tick:%08d" % ids[i]
@@ -204,7 +203,7 @@ def _replica_critical_path(ticks) -> CriticalPath:
         i = smallest(reversed_)
         raise ValueError(f"node {key(i)!r} ends at {ticks.end_ns[i]} "
                          f"before start {ticks.start_ns[i]}")
-    if not ids:
+    if not len(ids):
         return CriticalPath()
 
     _, replica = _factorize(ticks.replica)

@@ -11,7 +11,7 @@ Tracer`:
   in microseconds; parent links ride in ``args.parent_id``;
 - each **event** becomes an ``i`` (instant) event with thread scope.
 
-Both exporters read the tracer's columns in :meth:`Tracer.order`.
+Both exporters read the tracer's row views in :meth:`Tracer.order`.
 
 Everything is serialized canonically (sorted keys, fixed separators,
 trailing newline), so a deterministic tracer yields a byte-identical
@@ -58,36 +58,38 @@ def chrome_trace(tracer: Tracer) -> dict:
             "tid": tids[track],
             "args": {"name": track},
         })
-    spans, events = tracer.spans.columns, tracer.events.columns
+    spans, events = tracer.spans, tracer.events
     for is_event, i in tracer.order():
         if is_event:
-            args = dict(events.args[i])
-            if events.span_id[i] is not None:
-                args["span_id"] = events.span_id[i]
+            event = events[i]
+            args = dict(event.args)
+            if event.span_id is not None:
+                args["span_id"] = event.span_id
             trace_events.append({
-                "name": events.name[i],
+                "name": event.name,
                 "ph": "i",
                 "s": "t",
                 "pid": 1,
-                "tid": tids[events.track[i]],
-                "ts": _us(events.ts_s[i]),
+                "tid": tids[event.track],
+                "ts": _us(event.ts_s),
                 "args": args,
             })
             continue
-        args = dict(spans.args[i])
+        span = spans[i]
+        args = dict(span.args)
         args["span_id"] = i
-        if spans.parent_id[i] is not None:
-            args["parent_id"] = spans.parent_id[i]
+        if span.parent_id is not None:
+            args["parent_id"] = span.parent_id
         # ``dur`` spans the two rounded stamps, so ``ts + dur`` is the
         # rounded end (a duration rounded on its own can miss it by 1 ns).
-        start_us = _us(spans.start_s[i])
+        start_us = _us(span.start_s)
         trace_events.append({
-            "name": spans.name[i],
+            "name": span.name,
             "ph": "X",
             "pid": 1,
-            "tid": tids[spans.track[i]],
+            "tid": tids[span.track],
             "ts": start_us,
-            "dur": round(_us(spans.end_s[i]) - start_us, 3),
+            "dur": round(_us(span.end_s) - start_us, 3),
             "args": args,
         })
     return {

@@ -20,7 +20,7 @@ accumulators, priced hw seconds); for layers with no clock of their own
 
 An enabled hook costs the column appends of its one ``Tracer`` call,
 whose keywords become the stored span or event args as they are; a
-cluster dispatch reuses the args dict of an equal earlier dispatch of
+cluster dispatch reuses the row entry of an equal earlier dispatch of
 the same live batch (:meth:`Observer.on_dispatch`), so recorded args
 are read-only.
 """
@@ -47,9 +47,12 @@ class Observer:
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
-        #: Rows of each replica's live batch: replica -> (members,
-        #: {(phase, price, model, ablation): (name, track, args)}).
+        #: Row entries of each replica's live batch: replica -> (tenants,
+        #: priorities, {(phase, price, model, ablation): index into
+        #: spans.rows}).
         self._live_rows: dict = {}
+        #: One object per distinct dispatch name and track string.
+        self._labels: dict = {}
 
     @property
     def metrics(self):
@@ -152,41 +155,56 @@ class Observer:
 
         Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
         writes one span row from it. A live batch repeats its row tick
-        after tick, so each replica keeps the rows of its current
-        members: the first dispatch with a given phase, price, model and
+        after tick, so each replica keeps the row entries of its current
+        batch: the first dispatch with a given phase, price, model and
         ablation builds the span's name, track and args dict, and every
-        later one records the same three objects with its own stamps.
-        A change of members drops the replica's rows, so a drain-mode
-        micro-batch (always new members) keeps nothing extra. Floats key
-        by exact value: the sign rides along, so ``-0.0`` and ``0.0``
-        never share a row.
+        later one records the same entry index with its own stamps. The
+        args read the members only through their tenants and priorities,
+        so the entries last while those do (members may come and go),
+        and the batch's entries share its two lists. A change of tenants
+        or priorities drops the replica's entries, so a drain-mode cell
+        keeps at most one batch's entries per replica. Floats key by
+        exact value: the sign rides along, so ``-0.0`` and ``0.0`` never
+        share a row.
         """
-        members, replica = dispatch.members, dispatch.replica
+        replica = dispatch.replica
+        tenants = [tenant for _, tenant, _ in dispatch.members]
+        priorities = [priority for _, _, priority in dispatch.members]
         live = self._live_rows.get(replica)
-        if live is None or live[0] != members:
-            live = self._live_rows[replica] = (members, {})
+        if live is None or live[0] != tenants or live[1] != priorities:
+            live = self._live_rows[replica] = (tenants, priorities, {})
         cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
         key = (
             dispatch.phase, cold_s, copysign(1.0, cold_s), energy_j,
             copysign(1.0, energy_j), dispatch.model, dispatch.ablation,
         )
-        row = live[1].get(key)
-        if row is None:
-            _, tenants, priorities = zip(*members) if members else ((), (), ())
-            row = live[1][key] = (
-                f"dispatch[{dispatch.model}]", f"replica/{replica}",
-                {
-                    "batch_size": len(tenants), "model": dispatch.model,
-                    "ablation": dispatch.ablation, "phase": dispatch.phase,
-                    "cold_s": cold_s, "energy_j": energy_j,
-                    "tenants": list(tenants),
-                    "priorities": list(priorities),
-                },
+        row = live[2].get(key)
+        if row is not None:
+            self.tracer.record_row(
+                row, dispatch.started_s, dispatch.completion_s,
             )
-        name, track, args = row
-        self.tracer.record_span(
-            name, track, dispatch.started_s, dispatch.completion_s, None, args,
+            return
+        # Another replica running the same tenants and priorities may
+        # hold an equal entry already: its args dict serves this one too.
+        rows = self.tracer.spans.rows
+        args = next((
+            rows.args[other[2][key]] for other in self._live_rows.values()
+            if key in other[2] and other[:2] == live[:2]
+        ), None)
+        if args is None:
+            args = {
+                "batch_size": len(tenants), "model": dispatch.model,
+                "ablation": dispatch.ablation, "phase": dispatch.phase,
+                "cold_s": cold_s, "energy_j": energy_j,
+                "tenants": live[0], "priorities": live[1],
+            }
+        name, track = f"dispatch[{dispatch.model}]", f"replica/{replica}"
+        labels = self._labels
+        span_id = self.tracer.record_span(
+            labels.setdefault(name, name), labels.setdefault(track, track),
+            dispatch.started_s, dispatch.completion_s, None, args,
         )
+        live[2][key] = self.tracer.spans.columns.row[span_id]
 
     def on_replica_utilization(
         self, replica: str, busy_frac: float, ts_s: float

@@ -18,14 +18,17 @@ with a :class:`ValueError` naming the record, so none reaches an
 exporter. Span and event ids are sequence numbers in emission order,
 which the same determinism argument makes stable too.
 
-**Storage is columnar.** Each kind lives in a :class:`Table`: one list
-per field, appended to on every call, so recording a span costs a few
-list appends and no object. The ``args`` keywords are stored as the
-dict the call built (:meth:`Tracer.record_span` stores the dict it is
-given); their keys are sorted only where a record is serialized.
+**Storage is columnar and typed.** Each kind lives in a :class:`Table`:
+timestamps in ``array('d')``, a parent or enclosing span id in
+``array('q')`` (−1 for none), and an ``array('q')`` index into the
+table's :class:`Rows`, the ``(name, track, args)`` entries. An id is
+its row position, so it is stored nowhere; recording a span costs four
+machine words and no object. An entry may back many rows
+(:meth:`Tracer.record_row` repeats one), so recorded ``args`` are
+read-only; their keys are sorted only where a record is serialized.
 :class:`Span` and :class:`Event` are row *views*, built only when a
-caller indexes or iterates ``tracer.spans`` / ``tracer.events``
-(``len()`` reads a column length).
+caller indexes or iterates ``tracer.spans`` / ``tracer.events``;
+vector readers take ``np.frombuffer`` views of the arrays.
 
 The tracer stores; exporters (:mod:`repro.obs.export`) render — Chrome
 trace-event JSON for Perfetto / ``chrome://tracing``, or a flat JSONL
@@ -35,8 +38,11 @@ event log.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 _INF = float("inf")
 
@@ -64,33 +70,108 @@ class Event(NamedTuple):
     args: dict
 
 
+class Rows(NamedTuple):
+    """The ``(name, track, args)`` entries a table's ``row`` column
+    indexes, one list per field. Every entry backs at least one row."""
+
+    name: list
+    track: list
+    args: list
+
+
+class SpanColumns(NamedTuple):
+    start_s: array  # 'd'
+    end_s: array  # 'd'
+    parent_id: array  # 'q', -1: no parent
+    row: array  # 'q', into Rows
+
+
+class EventColumns(NamedTuple):
+    ts_s: array  # 'd'
+    span_id: array  # 'q', -1: no enclosing span
+    row: array  # 'q', into Rows
+
+
+def empty_columns(codes: str) -> list:
+    """One empty column per typecode: ``array(code)``, a list for ``-``."""
+    return [[] if code == "-" else array(code) for code in codes]
+
+
+def int64(column) -> np.ndarray:
+    """A read-only int64 view of an ``array('q')`` column (no copy)."""
+    return np.frombuffer(column, np.int64)
+
+
+def to_array(code: str, values) -> array:
+    """``values`` as a typed column of typecode ``code``."""
+    return array(code, np.asarray(values, code).tobytes())
+
+
 class Table(Sequence):
     """Append-only rows of one ``NamedTuple`` type, stored by column.
 
-    ``columns`` is an instance of the row type whose fields are lists —
-    ``table.columns.start_s`` is the start column. Indexing or iterating
-    builds row views from them.
+    ``columns`` is a ``NamedTuple`` of the stored fields: numbers in
+    typed arrays (an ``*_id`` field stores −1 for ``None``), other
+    values in lists, and, with ``rows``, a ``row`` index into the
+    :class:`Rows` that hold ``name``, ``track`` and ``args``. A row-type
+    field stored nowhere is the row's position: its id. Indexing or
+    iterating builds row views; equal views make equal tables.
     """
 
-    def __init__(self, row_type, columns=None) -> None:
+    def __init__(self, row_type, columns, rows: Optional[Rows] = None) -> None:
         self.row_type = row_type
-        self.columns = columns or row_type._make([] for _ in row_type._fields)
-
-    def append(self, *row) -> None:
-        for column, value in zip(self.columns, row):
-            column.append(value)
+        self.columns = columns
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    def _value(self, field: str, index: int):
+        if field in self.columns._fields:
+            value = getattr(self.columns, field)[index]
+            return None if field.endswith("_id") and value < 0 else value
+        if field in Rows._fields:
+            return getattr(self.rows, field)[self.columns.row[index]]
+        return index
+
+    def column(self, field: str) -> Sequence:
+        """Every row's ``field``, as the row views read it."""
+        if field in self.columns._fields:
+            values = getattr(self.columns, field)
+            if field.endswith("_id"):
+                return [None if value < 0 else value for value in values]
+            return values
+        if field in Rows._fields:
+            return list(map(getattr(self.rows, field).__getitem__,
+                            self.columns.row))
+        return range(len(self))
+
     def __getitem__(self, index: int):
-        return self.row_type._make(column[index] for column in self.columns)
+        index = range(len(self))[index]
+        return self.row_type._make(
+            self._value(field, index) for field in self.row_type._fields
+        )
 
     def __iter__(self):
-        return map(self.row_type._make, zip(*self.columns))
+        return map(self.row_type._make,
+                   zip(*map(self.column, self.row_type._fields)))
+
+    def append(self, *values) -> None:
+        """Append one row given as the row type's fields; with ``rows``,
+        its name, track and args become a new entry."""
+        row = dict(zip(self.row_type._fields, values))
+        if self.rows is not None:
+            row["row"] = len(self.rows.name)
+            for field, entries in zip(Rows._fields, self.rows):
+                entries.append(row[field])
+        for field, column in zip(self.columns._fields, self.columns):
+            value = row[field]
+            column.append(-1 if value is None and field.endswith("_id")
+                          else value)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Table) and self.columns == other.columns
+        return (isinstance(other, Table) and self.row_type is other.row_type
+                and list(self) == list(other))
 
 
 def _sorted_args(args: dict) -> dict:
@@ -101,14 +182,16 @@ def _sorted_args(args: dict) -> dict:
 class Tracer:
     """Accumulates spans and events in deterministic emission order.
 
-    Recorded ``args`` dicts are read-only: one dict may back many rows
-    (the observer shares a live batch's dispatch rows), so a reader
+    Recorded ``args`` dicts are read-only: one entry may back many spans
+    (the observer repeats a live batch's dispatch rows), so a reader
     that edits args copies them first, as the exporters and loaders do.
     """
 
     def __init__(self) -> None:
-        self.spans = Table(Span)
-        self.events = Table(Event)
+        self.spans = Table(Span, SpanColumns(*empty_columns("ddqq")),
+                           Rows([], [], []))
+        self.events = Table(Event, EventColumns(*empty_columns("dqq")),
+                            Rows([], [], []))
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)
@@ -136,30 +219,38 @@ class Tracer:
         args: dict,
     ) -> int:
         """:meth:`span` with its args as a dict, stored as given (not
-        copied), so rows may share one dict."""
+        copied), in a new :class:`Rows` entry."""
         start_s, end_s = float(start_s), float(end_s)
         # One chained test refuses NaN, infinities and reversed stamps.
         if not -_INF < start_s <= end_s < _INF:
-            if not (math.isfinite(start_s) and math.isfinite(end_s)):
-                raise ValueError(
-                    f"span {name!r} on {track!r}: non-finite timestamp "
-                    f"(start {start_s}, end {end_s})"
-                )
-            raise ValueError(
-                f"span {name!r} ends at {end_s} before start {start_s}"
-            )
+            _refuse_span(name, track, start_s, end_s)
+        rows = self.spans.rows
+        row = len(rows.name)
+        rows.name.append(name)
+        rows.track.append(track)
+        rows.args.append(args)
+        return self._append_span(row, start_s, end_s, parent_id)
+
+    def record_row(self, row: int, start_s: float, end_s: float) -> int:
+        """Record a parentless span on the existing entry ``row`` of
+        ``spans.rows`` (the name, track and args of an earlier span) with
+        its own stamps; returns its span id."""
+        start_s, end_s = float(start_s), float(end_s)
+        if not -_INF < start_s <= end_s < _INF:
+            rows = self.spans.rows
+            _refuse_span(rows.name[row], rows.track[row], start_s, end_s)
+        return self._append_span(row, start_s, end_s, None)
+
+    def _append_span(self, row: int, start_s: float, end_s: float,
+                     parent_id: Optional[int]) -> int:
         # One append per column, spelled out: every cluster dispatch
         # records a span, so this is the recording hot path.
         columns = self.spans.columns
-        span_id = len(columns.span_id)
-        columns.span_id.append(span_id)
-        columns.name.append(name)
-        columns.track.append(track)
         columns.start_s.append(start_s)
         columns.end_s.append(end_s)
-        columns.parent_id.append(parent_id)
-        columns.args.append(args)
-        return span_id
+        columns.parent_id.append(-1 if parent_id is None else parent_id)
+        columns.row.append(row)
+        return len(columns.row) - 1
 
     def event(
         self,
@@ -175,16 +266,19 @@ class Tracer:
             raise ValueError(
                 f"event {name!r} on {track!r}: non-finite timestamp {ts_s}"
             )
-        event_id = len(self.events)
-        self.events.append(event_id, name, track, ts_s, span_id, args)
-        return event_id
+        columns, rows = self.events.columns, self.events.rows
+        columns.ts_s.append(ts_s)
+        columns.span_id.append(-1 if span_id is None else span_id)
+        columns.row.append(len(rows.name))
+        rows.name.append(name)
+        rows.track.append(track)
+        rows.args.append(args)
+        return len(columns.row) - 1
 
     # ------------------------------------------------------------------
     def tracks(self) -> list[str]:
         """Every track name seen, sorted (the exporters' row order)."""
-        return sorted(
-            set(self.spans.columns.track) | set(self.events.columns.track)
-        )
+        return sorted(set(self.spans.rows.track) | set(self.events.rows.track))
 
     def order(self) -> list[tuple[bool, int]]:
         """``(is_event, row)`` for every span and event, in global
@@ -193,28 +287,47 @@ class Tracer:
         Sort key is (timestamp, spans-before-events, emission id) so the
         order is total and deterministic even with coincident times.
         """
-        items = [(t, False, i) for i, t in enumerate(self.spans.columns.start_s)]
-        items += [(t, True, i) for i, t in enumerate(self.events.columns.ts_s)]
-        items.sort()
-        return [item[1:] for item in items]
+        spans, events = len(self.spans), len(self.events)
+        position = np.concatenate([np.arange(spans), np.arange(events)])
+        is_event = np.arange(spans + events) >= spans
+        stamp = np.concatenate([np.frombuffer(self.spans.columns.start_s),
+                                np.frombuffer(self.events.columns.ts_s)])
+        order = np.lexsort((position, is_event, stamp))
+        return list(zip(is_event[order].tolist(), position[order].tolist()))
 
     def records(self) -> list[dict]:
         """Every span and event as dicts, in :meth:`order`."""
-        spans, events = self.spans.columns, self.events.columns
+        spans, events = self.spans, self.events
         return [
-            {
-                "type": "event", "event_id": i, "name": events.name[i],
-                "track": events.track[i], "ts_s": events.ts_s[i],
-                "span_id": events.span_id[i],
-                "args": _sorted_args(events.args[i]),
-            } if is_event else {
-                "type": "span", "span_id": i, "name": spans.name[i],
-                "track": spans.track[i], "start_s": spans.start_s[i],
-                "end_s": spans.end_s[i], "parent_id": spans.parent_id[i],
-                "args": _sorted_args(spans.args[i]),
-            }
+            _event_record(events[i]) if is_event else _span_record(spans[i])
             for is_event, i in self.order()
         ]
 
 
-__all__ = ["Event", "Span", "Table", "Tracer"]
+def _span_record(span: Span) -> dict:
+    return {
+        "type": "span", "span_id": span.span_id, "name": span.name,
+        "track": span.track, "start_s": span.start_s, "end_s": span.end_s,
+        "parent_id": span.parent_id, "args": _sorted_args(span.args),
+    }
+
+
+def _event_record(event: Event) -> dict:
+    return {
+        "type": "event", "event_id": event.event_id, "name": event.name,
+        "track": event.track, "ts_s": event.ts_s, "span_id": event.span_id,
+        "args": _sorted_args(event.args),
+    }
+
+
+def _refuse_span(name: str, track: str, start_s: float, end_s: float):
+    """The error for stamps that are non-finite or reversed."""
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ValueError(
+            f"span {name!r} on {track!r}: non-finite timestamp "
+            f"(start {start_s}, end {end_s})"
+        )
+    raise ValueError(f"span {name!r} ends at {end_s} before start {start_s}")
+
+
+__all__ = ["Event", "Rows", "Span", "Table", "Tracer"]

@@ -173,10 +173,10 @@ def test_littles_law_on_integer_ns(cells, continuous):
     stamps. N(t) never goes negative and ends at 0."""
     _, tracer, *_ = cells[continuous]
     records = TraceRecords.from_tracer(tracer)
-    events = records.events.columns
     steps, drop_sojourns = [], []
-    for name, track, ts_ns, args in zip(events.name, events.track,
-                                        events.ts_ns, events.args):
+    for name, track, ts_ns, args in zip(*map(
+        records.events.column, ("name", "track", "ts_ns", "args"),
+    )):
         if track == "cluster/requests" and name == "queued":
             steps.append((ts_ns, 1))
         elif track == "cluster/requests" and name == "served":

@@ -57,11 +57,10 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     the record columns and appends each dispatch to ``ticks`` as a row.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    spans = records.spans.columns
-    for span_id, name, track, start_ns, end_ns, args in zip(
-        spans.span_id, spans.name, spans.track, spans.start_ns,
-        spans.end_ns, spans.args,
-    ):
+    for span_id, name, track, start_ns, end_ns, args in zip(*map(
+        records.spans.column,
+        ("span_id", "name", "track", "start_ns", "end_ns", "args"),
+    )):
         if not name.startswith("dispatch["):
             continue
         duration = end_ns - start_ns
@@ -120,10 +119,9 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
 
     # Request rollups from lifecycle events (ids are per-server, so no
     # cross-joins: served events carry their own wait/service prices).
-    events = records.events.columns
-    for name, track, ts_ns, args in zip(
-        events.name, events.track, events.ts_ns, events.args
-    ):
+    for name, track, ts_ns, args in zip(*map(
+        records.events.column, ("name", "track", "ts_ns", "args"),
+    )):
         if track != "cluster/requests":
             continue
         tenant = str(args.get("tenant", "default"))
@@ -173,7 +171,7 @@ def _documents(attribution) -> tuple:
         path=build_critical_path(attribution),
         slo=evaluate_slos(attribution, default_slos()),
     )
-    return tuple(attribution.ticks.columns), report.to_json()
+    return tuple(map(list, attribution.ticks.columns)), report.to_json()
 
 
 def _assert_matches_oracle(records) -> None:
