@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.serve.request import require_finite
+
 
 @dataclass(frozen=True)
 class SLOPolicy:
@@ -32,6 +34,9 @@ class SLOPolicy:
     max_queue_depth: Optional[int] = None
 
     def __post_init__(self) -> None:
+        require_finite(latency_target_s=self.latency_target_s,
+                       timeout_s=self.timeout_s,
+                       max_queue_depth=self.max_queue_depth)
         if self.latency_target_s is not None and self.latency_target_s <= 0:
             raise ValueError("latency_target_s must be > 0")
         if self.timeout_s is not None and self.timeout_s < 0:

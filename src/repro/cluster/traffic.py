@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.core.config import ExionConfig
+from repro.serve.request import require_finite
 from repro.workloads.generator import as_rng
 from repro.workloads.specs import get_spec
 
@@ -66,6 +67,7 @@ class ClusterRequest:
     deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        require_finite(arrival_s=self.arrival_s, deadline_s=self.deadline_s)
         if self.arrival_s < 0.0:
             raise ValueError("arrival_s must be >= 0")
         if self.deadline_s is not None and self.deadline_s < self.arrival_s:
@@ -100,6 +102,7 @@ class PoissonProcess(ArrivalProcess):
     name = "poisson"
 
     def __init__(self, rate_rps: float) -> None:
+        require_finite(rate_rps=rate_rps)
         if rate_rps <= 0.0:
             raise ValueError("rate_rps must be > 0")
         self.rate_rps = float(rate_rps)
@@ -129,6 +132,8 @@ class MMPPProcess(ArrivalProcess):
         rate_high_rps: float,
         mean_dwell_s: float = 1.0,
     ) -> None:
+        require_finite(rate_low_rps=rate_low_rps, rate_high_rps=rate_high_rps,
+                       mean_dwell_s=mean_dwell_s)
         if rate_low_rps <= 0.0 or rate_high_rps <= 0.0:
             raise ValueError("rates must be > 0")
         if mean_dwell_s <= 0.0:
@@ -181,6 +186,8 @@ class DiurnalProcess(ArrivalProcess):
         peak_rate_rps: float,
         period_s: float = 60.0,
     ) -> None:
+        require_finite(base_rate_rps=base_rate_rps,
+                       peak_rate_rps=peak_rate_rps, period_s=period_s)
         if base_rate_rps <= 0.0 or peak_rate_rps < base_rate_rps:
             raise ValueError("need 0 < base_rate_rps <= peak_rate_rps")
         if period_s <= 0.0:
@@ -269,6 +276,7 @@ def synthesize_trace(
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    require_finite(deadline_s=deadline_s)
     if deadline_s is not None and deadline_s <= 0.0:
         raise ValueError("deadline_s must be > 0")
     mix = mix if mix is not None else WorkloadMix()

@@ -65,7 +65,9 @@ from typing import Callable, Mapping, Optional
 from repro.core.config import ExionConfig
 from repro.program.cache import get_plan_cache
 from repro.serve.cache import ThresholdCache
-from repro.serve.request import GenerationRequest, Priority, RequestResult
+from repro.serve.request import (
+    GenerationRequest, Priority, RequestResult, require_finite,
+)
 from repro.workloads.specs import get_spec
 
 #: Safety bound on deficit top-up rounds within one admission call.
@@ -100,6 +102,11 @@ class ContinuousPolicy:
     drain: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(
+            max_batch_size=self.max_batch_size, quantum=self.quantum,
+            aging_s=self.aging_s, timeout_s=self.timeout_s,
+            min_service_s=self.min_service_s, max_wait_s=self.max_wait_s,
+        )
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_s < 0.0:
@@ -160,6 +167,7 @@ class FairQueue:
     ) -> None:
         self.weights = dict(weights or {})
         for tenant, weight in self.weights.items():
+            require_finite(**{f"tenant {tenant!r} weight": weight})
             if weight <= 0.0:
                 raise ValueError(f"tenant {tenant!r} weight must be > 0")
         self.quantum = quantum

@@ -11,10 +11,19 @@ coalesces requests into micro-batches and returns one
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.pipeline import GenerationResult
+
+
+def require_finite(**values) -> None:
+    """Refuse a NaN or infinite argument with a ValueError naming it;
+    ``None`` (no limit) passes."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class Priority(enum.IntEnum):
