@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from repro.obs.analyze.records import NS_PER_S, TraceRecords, to_ns
-from repro.obs.trace import Table, empty_columns, int64, to_array
+from repro.obs.trace import Table, empty_columns, int64, int64_column
 
 #: Component keys, in reporting order.
 COMPONENTS = (
@@ -156,7 +156,7 @@ class Attribution:
     #: _Tick rows by column (analysis internal; integers in
     #: ``array('q')``), in tick-start order for serve modes and trace
     #: order for cluster dispatches
-    ticks: Table = field(default_factory=lambda: _ticks())
+    ticks: Table = field(default_factory=_ticks)
 
     # ------------------------------------------------------------------
     def fleet_components(self) -> dict:
@@ -516,9 +516,9 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
         [tracks[e].partition("/")[2] for e in entries])
     replica = replica[row]
     out.ticks = _ticks(
-        to_array("q", int64(spans.columns.span_id)[picked]),
-        to_array("q", start), to_array("q", end), _names(phase_names, phase),
-        to_array("q", cold), to_array("q", energy),
+        int64_column(int64(spans.columns.span_id)[picked]),
+        int64_column(start), int64_column(end), _names(phase_names, phase),
+        int64_column(cold), int64_column(energy),
         _names(replica_names, replica), [False] * len(row), [()] * len(row),
     )
     out.busy_ns = int(duration.sum())

@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.obs.trace import Rows, Table, empty_columns, int64, to_array
+from repro.obs.trace import Rows, Table, empty_columns, int64, int64_column
 
 #: Nanoseconds per second (the fixed analysis resolution).
 NS_PER_S = 1_000_000_000
@@ -59,15 +59,15 @@ def _by_time(*seconds: array) -> tuple:
     order), then every column in that order as :func:`to_ns` values,
     all as ``array('q')`` columns."""
     order = np.argsort(np.frombuffer(seconds[0]), kind="stable")
-    return to_array("q", order), *(
-        to_array("q", np.rint(np.frombuffer(column)[order] * NS_PER_S))
+    return int64_column(order), *(
+        int64_column(np.rint(np.frombuffer(column)[order] * NS_PER_S))
         for column in seconds
     )
 
 
 def _take(column: array, order: array) -> array:
     """``column`` in ``order``."""
-    return to_array("q", int64(column)[int64(order)])
+    return int64_column(int64(column)[int64(order)])
 
 
 class SpanRec(NamedTuple):

@@ -29,10 +29,7 @@ import math
 from bisect import bisect_left
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.canon import canonical_json
-from repro.obs.trace import int64
 
 #: Default histogram buckets: powers of two covering batch sizes and
 #: small-count distributions. Callers with latency-like values pass
@@ -103,18 +100,6 @@ class _Child:
     def set(self, value: float) -> None:
         self.value = float(_finite(self.name, value))
 
-    def add_all(self, amounts: np.ndarray) -> None:
-        """:meth:`inc` by each amount in order."""
-        for amount in amounts[~(amounts >= 0) | ~np.isfinite(amounts)][:1].tolist():
-            self.inc(amount)  # raises, as the first bad amount would
-        self.value = _running_sum(self.value, amounts)
-
-
-def _running_sum(total: float, values: np.ndarray) -> float:
-    """``total`` plus each value, left to right: the float sum of the
-    one-at-a-time updates (``np.sum`` adds pairwise)."""
-    return float(np.add.accumulate(np.append(total, values))[-1])
-
 
 class _HistogramChild:
     """One histogram series: bucket counts plus sum/count."""
@@ -134,17 +119,6 @@ class _HistogramChild:
         self.bucket_counts[index] += 1
         self.sum += float(value)
         self.count += 1
-
-    def add_all(self, values: np.ndarray) -> None:
-        """:meth:`observe` of each value in order: the same buckets, and
-        the same float sum."""
-        for value in values[~np.isfinite(values)][:1].tolist():
-            _finite(self.name, value)
-        counts = np.bincount(np.searchsorted(self.buckets, values),
-                             minlength=len(self.bucket_counts)).tolist()
-        self.bucket_counts = [a + b for a, b in zip(self.bucket_counts, counts)]
-        self.sum = _running_sum(self.sum, values)
-        self.count += len(values)
 
 
 class MetricFamily:
@@ -380,41 +354,27 @@ def metrics_from_trace(tracer) -> MetricsRegistry:
                               "Priced hw-timeline seconds by phase and bound resource",
                               ("phase", "bound"))
 
-    # A span's series depend on its row entry only, so each entry is
-    # classified once; the spans then feed each series in emission order.
     spans = tracer.spans
-    fed: dict = {}  # series -> {entry: value per span; None: its seconds}
-    for entry, (name, track, args) in enumerate(zip(*spans.rows)):
+    names, tracks, entry_args = spans.rows
+    for row, start_s, end_s in zip(
+        spans.columns.row, spans.columns.start_s, spans.columns.end_s
+    ):
+        name, track, args = names[row], tracks[row], entry_args[row]
         if track == "serve/batch":
             if name == "batch":
-                series = (batches.labels(), 1.0), (batch_seconds.labels(), None)
+                batches.inc()
+                batch_seconds.observe(end_s - start_s)
             else:
-                series = ((ticks.labels(phase=args["phase"]), 1.0),
-                          (tick_seconds.labels(), None))
-            series += (fill.labels(), args["batch_size"]),
+                ticks.inc(phase=args["phase"])
+                tick_seconds.observe(end_s - start_s)
+            fill.observe(args["batch_size"])
         elif track.startswith("replica/"):
-            series = ((dispatches.labels(replica=track[len("replica/"):]), 1.0),
-                      (fill.labels(), args["batch_size"]))
+            dispatches.inc(replica=track[len("replica/"):])
+            fill.observe(args["batch_size"])
         elif track == "hw/timeline":
-            series = (phase_seconds.labels(phase=args["phase"],
-                                           bound=args["bound"]), None),
-        else:
-            continue
-        for child, value in series:
-            fed.setdefault(child, {})[entry] = value
-    row = int64(spans.columns.row)
-    seconds = (np.frombuffer(spans.columns.end_s)
-               - np.frombuffer(spans.columns.start_s))
-    entries = len(spans.rows.name)
-    for child, by_entry in fed.items():
-        feeds, timed = np.zeros(entries, bool), np.zeros(entries, bool)
-        constant = np.zeros(entries)
-        for entry, value in by_entry.items():
-            feeds[entry], timed[entry] = True, value is None
-            constant[entry] = 0.0 if value is None else value
-        mine = feeds[row]
-        child.add_all(np.where(timed[row[mine]], seconds[mine],
-                                   constant[row[mine]]))
+            phase_seconds.inc(
+                end_s - start_s, phase=args["phase"], bound=args["bound"],
+            )
 
     events = tracer.events
     for name, track, args in zip(*map(events.column, ("name", "track", "args"))):

@@ -161,11 +161,12 @@ class Observer:
         later one records the same entry index with its own stamps. The
         args read the members only through their tenants and priorities,
         so the entries last while those do (members may come and go),
-        and the batch's entries share its two lists. A change of tenants
-        or priorities drops the replica's entries, so a drain-mode cell
-        keeps at most one batch's entries per replica. Floats key by
-        exact value: the sign rides along, so ``-0.0`` and ``0.0`` never
-        share a row.
+        the batch's entries share its two lists, and an equal entry of
+        another replica's live batch lends its args dict. A change of
+        tenants or priorities drops the replica's entries, so a
+        drain-mode cell keeps at most one batch's entries per replica.
+        Floats key by exact value: the sign rides along, so ``-0.0`` and
+        ``0.0`` never share a row.
         """
         replica = dispatch.replica
         tenants = [tenant for _, tenant, _ in dispatch.members]
@@ -184,8 +185,6 @@ class Observer:
                 row, dispatch.started_s, dispatch.completion_s,
             )
             return
-        # Another replica running the same tenants and priorities may
-        # hold an equal entry already: its args dict serves this one too.
         rows = self.tracer.spans.rows
         args = next((
             rows.args[other[2][key]] for other in self._live_rows.values()

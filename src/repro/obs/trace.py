@@ -102,9 +102,9 @@ def int64(column) -> np.ndarray:
     return np.frombuffer(column, np.int64)
 
 
-def to_array(code: str, values) -> array:
-    """``values`` as a typed column of typecode ``code``."""
-    return array(code, np.asarray(values, code).tobytes())
+def int64_column(values) -> array:
+    """``values`` (a numpy array) as an ``array('q')`` column."""
+    return array("q", np.asarray(values, np.int64).tobytes())
 
 
 class Table(Sequence):
