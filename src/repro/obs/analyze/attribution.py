@@ -517,9 +517,11 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     replica = replica[row]
     out.ticks = _ticks(
         int64_column(int64(spans.columns.span_id)[picked]),
-        int64_column(start), int64_column(end), _names(phase_names, phase),
+        int64_column(start), int64_column(end),
+        np.array(phase_names, dtype=object)[phase].tolist(),
         int64_column(cold), int64_column(energy),
-        _names(replica_names, replica), [False] * len(row), [()] * len(row),
+        np.array(replica_names, dtype=object)[replica].tolist(),
+        [False] * len(row), [()] * len(row),
     )
     out.busy_ns = int(duration.sum())
     out.energy_nj = int(energy.sum())
@@ -575,10 +577,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     # Service is the rest of the sojourn, so a request's components sum
     # to its latency; an artifact without the stamp rebuilds the arrival
     # from the rounded wait and service.
-    events = records.events
-    for name, track, ts_ns, args in zip(
-        *map(events.column, ("name", "track", "ts_ns", "args"))
-    ):
+    for _, name, track, ts_ns, args in records.events:
         if track != "cluster/requests":
             continue
         tenant = str(args.get("tenant", "default"))
@@ -671,11 +670,6 @@ def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
         doc["energy_nj"] += energy_nj[t]
         for key, names, rollup in rollups:
             doc[key].update((names[k], total) for k, total in rollup[t])
-
-
-def _names(names: list, codes: np.ndarray) -> list:
-    """The name of each code."""
-    return np.array(names, dtype=object)[codes].tolist()
 
 
 def _to_ns(seconds: list) -> np.ndarray:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -96,27 +97,19 @@ class EventRec(NamedTuple):
     args: dict
 
 
-class SpanRecColumns(NamedTuple):
-    span_id: array  # 'q'
-    start_ns: array  # 'q'
-    end_ns: array  # 'q'
-    parent_id: array  # 'q', -1: no parent
-    row: array  # 'q', into Rows
+#: The stored columns of records, every one ``array('q')``.
+SpanRecColumns = namedtuple("SpanRecColumns",
+                            "span_id start_ns end_ns parent_id row")
+EventRecColumns = namedtuple("EventRecColumns", "event_id ts_ns row")
 
 
-class EventRecColumns(NamedTuple):
-    event_id: array  # 'q'
-    ts_ns: array  # 'q'
-    row: array  # 'q', into Rows
-
-
-def _spans(columns=None, rows=None) -> Table:
-    return Table(SpanRec, columns or SpanRecColumns(*empty_columns("qqqqq")),
+def _spans(*columns, rows=None) -> Table:
+    return Table(SpanRec, SpanRecColumns(*columns or empty_columns("qqqqq")),
                  rows or Rows([], [], []))
 
 
-def _events(columns=None, rows=None) -> Table:
-    return Table(EventRec, columns or EventRecColumns(*empty_columns("qqq")),
+def _events(*columns, rows=None) -> Table:
+    return Table(EventRec, EventRecColumns(*columns or empty_columns("qqq")),
                  rows or Rows([], [], []))
 
 
@@ -168,14 +161,11 @@ class TraceRecords:
                                            spans.columns.end_s)
         at, ts_ns = _by_time(events.columns.ts_s)
         return cls(
-            spans=_spans(SpanRecColumns(
-                order, start_ns, end_ns,
-                _take(spans.columns.parent_id, order),
-                _take(spans.columns.row, order),
-            ), spans.rows),
-            events=_events(EventRecColumns(
-                at, ts_ns, _take(events.columns.row, at),
-            ), events.rows),
+            spans=_spans(order, start_ns, end_ns,
+                         _take(spans.columns.parent_id, order),
+                         _take(spans.columns.row, order), rows=spans.rows),
+            events=_events(at, ts_ns, _take(events.columns.row, at),
+                           rows=events.rows),
         )
 
     @classmethod

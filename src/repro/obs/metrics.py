@@ -376,8 +376,7 @@ def metrics_from_trace(tracer) -> MetricsRegistry:
                 end_s - start_s, phase=args["phase"], bound=args["bound"],
             )
 
-    events = tracer.events
-    for name, track, args in zip(*map(events.column, ("name", "track", "args"))):
+    for _, name, track, _, _, args in tracer.events:
         if track in ("serve/membership", "exec/index_set"):
             membership.inc(kind=name)
         elif track == "cluster/requests":

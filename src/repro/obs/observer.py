@@ -182,7 +182,7 @@ class Observer:
         row = live[2].get(key)
         if row is not None:
             self.tracer.record_row(
-                row, dispatch.started_s, dispatch.completion_s,
+                row, dispatch.started_s, dispatch.completion_s, None,
             )
             return
         rows = self.tracer.spans.rows

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
@@ -79,17 +80,9 @@ class Rows(NamedTuple):
     args: list
 
 
-class SpanColumns(NamedTuple):
-    start_s: array  # 'd'
-    end_s: array  # 'd'
-    parent_id: array  # 'q', -1: no parent
-    row: array  # 'q', into Rows
-
-
-class EventColumns(NamedTuple):
-    ts_s: array  # 'd'
-    span_id: array  # 'q', -1: no enclosing span
-    row: array  # 'q', into Rows
+#: A tracer's stored columns: stamps 'd', ids and ``row`` 'q'.
+SpanColumns = namedtuple("SpanColumns", "start_s end_s parent_id row")
+EventColumns = namedtuple("EventColumns", "ts_s span_id row")
 
 
 def empty_columns(codes: str) -> list:
@@ -110,18 +103,16 @@ def int64_column(values) -> array:
 class Table(Sequence):
     """Append-only rows of one ``NamedTuple`` type, stored by column.
 
-    ``columns`` is a ``NamedTuple`` of the stored fields: numbers in
-    typed arrays (an ``*_id`` field stores −1 for ``None``), other
-    values in lists, and, with ``rows``, a ``row`` index into the
-    :class:`Rows` that hold ``name``, ``track`` and ``args``. A row-type
-    field stored nowhere is the row's position: its id. Indexing or
-    iterating builds row views; equal views make equal tables.
+    ``columns`` is a named tuple of the stored fields: numbers in typed
+    arrays (an ``*_id`` field stores −1 for ``None``), other values in
+    lists, and, with ``rows``, a ``row`` index into the :class:`Rows`
+    that hold ``name``, ``track`` and ``args``. A row-type field stored
+    nowhere is the row's position: its id. Indexing or iterating builds
+    row views; equal views make equal tables.
     """
 
     def __init__(self, row_type, columns, rows: Optional[Rows] = None) -> None:
-        self.row_type = row_type
-        self.columns = columns
-        self.rows = rows
+        self.row_type, self.columns, self.rows = row_type, columns, rows
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -134,27 +125,11 @@ class Table(Sequence):
             return getattr(self.rows, field)[self.columns.row[index]]
         return index
 
-    def column(self, field: str) -> Sequence:
-        """Every row's ``field``, as the row views read it."""
-        if field in self.columns._fields:
-            values = getattr(self.columns, field)
-            if field.endswith("_id"):
-                return [None if value < 0 else value for value in values]
-            return values
-        if field in Rows._fields:
-            return list(map(getattr(self.rows, field).__getitem__,
-                            self.columns.row))
-        return range(len(self))
-
     def __getitem__(self, index: int):
         index = range(len(self))[index]
         return self.row_type._make(
             self._value(field, index) for field in self.row_type._fields
         )
-
-    def __iter__(self):
-        return map(self.row_type._make,
-                   zip(*map(self.column, self.row_type._fields)))
 
     def append(self, *values) -> None:
         """Append one row given as the row type's fields; with ``rows``,
@@ -170,13 +145,28 @@ class Table(Sequence):
                           else value)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Table) and self.row_type is other.row_type
-                and list(self) == list(other))
+        return isinstance(other, Table) and list(self) == list(other)
 
 
 def _sorted_args(args: dict) -> dict:
     """Key-sorted copy, the serialized form's argument order."""
     return {key: args[key] for key in sorted(args)}
+
+
+def _stamps(name: str, track: str, start_s: float, end_s: float) -> tuple:
+    """A span's stamps as floats; NaN, infinities and reversed stamps
+    are refused, in one chained test."""
+    start_s, end_s = float(start_s), float(end_s)
+    if not -_INF < start_s <= end_s < _INF:
+        if not (math.isfinite(start_s) and math.isfinite(end_s)):
+            raise ValueError(
+                f"span {name!r} on {track!r}: non-finite timestamp "
+                f"(start {start_s}, end {end_s})"
+            )
+        raise ValueError(
+            f"span {name!r} ends at {end_s} before start {start_s}"
+        )
+    return start_s, end_s
 
 
 class Tracer:
@@ -220,29 +210,20 @@ class Tracer:
     ) -> int:
         """:meth:`span` with its args as a dict, stored as given (not
         copied), in a new :class:`Rows` entry."""
-        start_s, end_s = float(start_s), float(end_s)
-        # One chained test refuses NaN, infinities and reversed stamps.
-        if not -_INF < start_s <= end_s < _INF:
-            _refuse_span(name, track, start_s, end_s)
+        _stamps(name, track, start_s, end_s)  # refused before the entry
         rows = self.spans.rows
-        row = len(rows.name)
         rows.name.append(name)
         rows.track.append(track)
         rows.args.append(args)
-        return self._append_span(row, start_s, end_s, parent_id)
+        return self.record_row(len(rows.name) - 1, start_s, end_s, parent_id)
 
-    def record_row(self, row: int, start_s: float, end_s: float) -> int:
-        """Record a parentless span on the existing entry ``row`` of
-        ``spans.rows`` (the name, track and args of an earlier span) with
-        its own stamps; returns its span id."""
-        start_s, end_s = float(start_s), float(end_s)
-        if not -_INF < start_s <= end_s < _INF:
-            rows = self.spans.rows
-            _refuse_span(rows.name[row], rows.track[row], start_s, end_s)
-        return self._append_span(row, start_s, end_s, None)
-
-    def _append_span(self, row: int, start_s: float, end_s: float,
-                     parent_id: Optional[int]) -> int:
+    def record_row(self, row: int, start_s: float, end_s: float,
+                   parent_id: Optional[int]) -> int:
+        """Record a span on the existing entry ``row`` of ``spans.rows``
+        (the name, track and args of an earlier span) with its own stamps
+        and parent; returns its span id."""
+        rows = self.spans.rows
+        start_s, end_s = _stamps(rows.name[row], rows.track[row], start_s, end_s)
         # One append per column, spelled out: every cluster dispatch
         # records a span, so this is the recording hot path.
         columns = self.spans.columns
@@ -266,14 +247,9 @@ class Tracer:
             raise ValueError(
                 f"event {name!r} on {track!r}: non-finite timestamp {ts_s}"
             )
-        columns, rows = self.events.columns, self.events.rows
-        columns.ts_s.append(ts_s)
-        columns.span_id.append(-1 if span_id is None else span_id)
-        columns.row.append(len(rows.name))
-        rows.name.append(name)
-        rows.track.append(track)
-        rows.args.append(args)
-        return len(columns.row) - 1
+        # The event id is the row position, so it is not stored.
+        self.events.append(None, name, track, ts_s, span_id, args)
+        return len(self.events) - 1
 
     # ------------------------------------------------------------------
     def tracks(self) -> list[str]:
@@ -287,47 +263,20 @@ class Tracer:
         Sort key is (timestamp, spans-before-events, emission id) so the
         order is total and deterministic even with coincident times.
         """
-        spans, events = len(self.spans), len(self.events)
-        position = np.concatenate([np.arange(spans), np.arange(events)])
-        is_event = np.arange(spans + events) >= spans
-        stamp = np.concatenate([np.frombuffer(self.spans.columns.start_s),
-                                np.frombuffer(self.events.columns.ts_s)])
-        order = np.lexsort((position, is_event, stamp))
-        return list(zip(is_event[order].tolist(), position[order].tolist()))
+        items = [(t, False, i) for i, t in enumerate(self.spans.columns.start_s)]
+        items += [(t, True, i) for i, t in enumerate(self.events.columns.ts_s)]
+        items.sort()
+        return [item[1:] for item in items]
 
     def records(self) -> list[dict]:
-        """Every span and event as dicts, in :meth:`order`."""
-        spans, events = self.spans, self.events
+        """Every span and event as dicts, in :meth:`order`: a view's
+        fields plus ``type``."""
         return [
-            _event_record(events[i]) if is_event else _span_record(spans[i])
+            {"type": "event" if is_event else "span", **view._asdict(),
+             "args": _sorted_args(view.args)}
             for is_event, i in self.order()
+            for view in [(self.events if is_event else self.spans)[i]]
         ]
-
-
-def _span_record(span: Span) -> dict:
-    return {
-        "type": "span", "span_id": span.span_id, "name": span.name,
-        "track": span.track, "start_s": span.start_s, "end_s": span.end_s,
-        "parent_id": span.parent_id, "args": _sorted_args(span.args),
-    }
-
-
-def _event_record(event: Event) -> dict:
-    return {
-        "type": "event", "event_id": event.event_id, "name": event.name,
-        "track": event.track, "ts_s": event.ts_s, "span_id": event.span_id,
-        "args": _sorted_args(event.args),
-    }
-
-
-def _refuse_span(name: str, track: str, start_s: float, end_s: float):
-    """The error for stamps that are non-finite or reversed."""
-    if not (math.isfinite(start_s) and math.isfinite(end_s)):
-        raise ValueError(
-            f"span {name!r} on {track!r}: non-finite timestamp "
-            f"(start {start_s}, end {end_s})"
-        )
-    raise ValueError(f"span {name!r} ends at {end_s} before start {start_s}")
 
 
 __all__ = ["Event", "Rows", "Span", "Table", "Tracer"]

@@ -174,9 +174,7 @@ def test_littles_law_on_integer_ns(cells, continuous):
     _, tracer, *_ = cells[continuous]
     records = TraceRecords.from_tracer(tracer)
     steps, drop_sojourns = [], []
-    for name, track, ts_ns, args in zip(*map(
-        records.events.column, ("name", "track", "ts_ns", "args"),
-    )):
+    for _, name, track, ts_ns, args in records.events:
         if track == "cluster/requests" and name == "queued":
             steps.append((ts_ns, 1))
         elif track == "cluster/requests" and name == "served":

@@ -57,10 +57,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     the record columns and appends each dispatch to ``ticks`` as a row.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    for span_id, name, track, start_ns, end_ns, args in zip(*map(
-        records.spans.column,
-        ("span_id", "name", "track", "start_ns", "end_ns", "args"),
-    )):
+    for span_id, name, track, start_ns, end_ns, _, args in records.spans:
         if not name.startswith("dispatch["):
             continue
         duration = end_ns - start_ns
@@ -119,9 +116,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
 
     # Request rollups from lifecycle events (ids are per-server, so no
     # cross-joins: served events carry their own wait/service prices).
-    for name, track, ts_ns, args in zip(*map(
-        records.events.column, ("name", "track", "ts_ns", "args"),
-    )):
+    for _, name, track, ts_ns, args in records.events:
         if track != "cluster/requests":
             continue
         tenant = str(args.get("tenant", "default"))

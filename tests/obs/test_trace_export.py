@@ -74,7 +74,7 @@ class TestTracer:
         tracer = small_trace()
         assert len(tracer.spans) == 3 and len(tracer.events) == 2
         assert tracer.spans[-1] == tracer.spans[2] == list(tracer.spans)[2]
-        assert list(tracer.spans.column("name")) == [
+        assert [span.name for span in tracer.spans] == [
             "tick[dense]", "tick[sparse]", "pending",
         ]
         # Args are stored as passed; only serialized forms sort them.
