@@ -47,9 +47,9 @@ class Observer:
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
-        #: Row entries of each replica's live batch: replica -> (tenants,
-        #: priorities, {(phase, price, model, ablation): index into
-        #: spans.rows}).
+        #: Row entries of each replica's live batch: replica -> (members,
+        #: tenants, priorities, {(phase, price, model, ablation): index
+        #: into spans.rows}).
         self._live_rows: dict = {}
         #: One object per distinct dispatch name and track string.
         self._labels: dict = {}
@@ -168,18 +168,22 @@ class Observer:
         Floats key by exact value: the sign rides along, so ``-0.0`` and
         ``0.0`` never share a row.
         """
-        replica = dispatch.replica
-        tenants = [tenant for _, tenant, _ in dispatch.members]
-        priorities = [priority for _, _, priority in dispatch.members]
+        members, replica = dispatch.members, dispatch.replica
         live = self._live_rows.get(replica)
-        if live is None or live[0] != tenants or live[1] != priorities:
-            live = self._live_rows[replica] = (tenants, priorities, {})
+        if live is None or live[0] != members:
+            tenants = [tenant for _, tenant, _ in members]
+            priorities = [priority for _, _, priority in members]
+            if live is None or live[1] != tenants or live[2] != priorities:
+                live = (members, tenants, priorities, {})
+            else:  # new members, same tenants and priorities: same rows
+                live = (members, *live[1:])
+            self._live_rows[replica] = live
         cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
         key = (
             dispatch.phase, cold_s, copysign(1.0, cold_s), energy_j,
             copysign(1.0, energy_j), dispatch.model, dispatch.ablation,
         )
-        row = live[2].get(key)
+        row = live[3].get(key)
         if row is not None:
             self.tracer.record_row(
                 row, dispatch.started_s, dispatch.completion_s, None,
@@ -187,15 +191,15 @@ class Observer:
             return
         rows = self.tracer.spans.rows
         args = next((
-            rows.args[other[2][key]] for other in self._live_rows.values()
-            if key in other[2] and other[:2] == live[:2]
+            rows.args[other[3][key]] for other in self._live_rows.values()
+            if key in other[3] and other[1:3] == live[1:3]
         ), None)
         if args is None:
             args = {
-                "batch_size": len(tenants), "model": dispatch.model,
+                "batch_size": len(live[1]), "model": dispatch.model,
                 "ablation": dispatch.ablation, "phase": dispatch.phase,
                 "cold_s": cold_s, "energy_j": energy_j,
-                "tenants": live[0], "priorities": live[1],
+                "tenants": live[1], "priorities": live[2],
             }
         name, track = f"dispatch[{dispatch.model}]", f"replica/{replica}"
         labels = self._labels
@@ -203,7 +207,7 @@ class Observer:
             labels.setdefault(name, name), labels.setdefault(track, track),
             dispatch.started_s, dispatch.completion_s, None, args,
         )
-        live[2][key] = self.tracer.spans.columns.row[span_id]
+        live[3][key] = self.tracer.spans.columns.row[span_id]
 
     def on_replica_utilization(
         self, replica: str, busy_frac: float, ts_s: float

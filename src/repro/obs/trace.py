@@ -153,20 +153,18 @@ def _sorted_args(args: dict) -> dict:
     return {key: args[key] for key in sorted(args)}
 
 
-def _stamps(name: str, track: str, start_s: float, end_s: float) -> tuple:
-    """A span's stamps as floats; NaN, infinities and reversed stamps
-    are refused, in one chained test."""
+def _check_stamps(name: str, track: str, start_s: float, end_s: float):
+    """Refuse NaN, infinite and reversed span stamps, naming the span."""
     start_s, end_s = float(start_s), float(end_s)
-    if not -_INF < start_s <= end_s < _INF:
-        if not (math.isfinite(start_s) and math.isfinite(end_s)):
-            raise ValueError(
-                f"span {name!r} on {track!r}: non-finite timestamp "
-                f"(start {start_s}, end {end_s})"
-            )
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ValueError(
+            f"span {name!r} on {track!r}: non-finite timestamp "
+            f"(start {start_s}, end {end_s})"
+        )
+    if end_s < start_s:
         raise ValueError(
             f"span {name!r} ends at {end_s} before start {start_s}"
         )
-    return start_s, end_s
 
 
 class Tracer:
@@ -210,7 +208,7 @@ class Tracer:
     ) -> int:
         """:meth:`span` with its args as a dict, stored as given (not
         copied), in a new :class:`Rows` entry."""
-        _stamps(name, track, start_s, end_s)  # refused before the entry
+        _check_stamps(name, track, start_s, end_s)  # before the entry
         rows = self.spans.rows
         rows.name.append(name)
         rows.track.append(track)
@@ -222,10 +220,13 @@ class Tracer:
         """Record a span on the existing entry ``row`` of ``spans.rows``
         (the name, track and args of an earlier span) with its own stamps
         and parent; returns its span id."""
-        rows = self.spans.rows
-        start_s, end_s = _stamps(rows.name[row], rows.track[row], start_s, end_s)
-        # One append per column, spelled out: every cluster dispatch
-        # records a span, so this is the recording hot path.
+        start_s, end_s = float(start_s), float(end_s)
+        # One chained test passes every good pair of stamps: every
+        # cluster dispatch records a span, so this is the recording hot
+        # path, and its appends are spelled out.
+        if not -_INF < start_s <= end_s < _INF:
+            rows = self.spans.rows
+            _check_stamps(rows.name[row], rows.track[row], start_s, end_s)
         columns = self.spans.columns
         columns.start_s.append(start_s)
         columns.end_s.append(end_s)
@@ -247,9 +248,14 @@ class Tracer:
             raise ValueError(
                 f"event {name!r} on {track!r}: non-finite timestamp {ts_s}"
             )
-        # The event id is the row position, so it is not stored.
-        self.events.append(None, name, track, ts_s, span_id, args)
-        return len(self.events) - 1
+        columns, rows = self.events.columns, self.events.rows
+        columns.ts_s.append(ts_s)
+        columns.span_id.append(-1 if span_id is None else span_id)
+        columns.row.append(len(rows.name))
+        rows.name.append(name)
+        rows.track.append(track)
+        rows.args.append(args)
+        return len(columns.row) - 1
 
     # ------------------------------------------------------------------
     def tracks(self) -> list[str]:

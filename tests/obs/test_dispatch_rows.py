@@ -214,7 +214,7 @@ class TestSharedRows:
         assert list(spans.columns.row) == rows
         assert len(spans) > 10
         assert {replica: (tenants, priorities, set(entries.values()))
-                for replica, (tenants, priorities, entries)
+                for replica, (_, tenants, priorities, entries)
                 in observer._live_rows.items()} == {
             replica: (tenants, priorities, set(entries.values()))
             for replica, (tenants, priorities, entries) in live.items()
