@@ -82,13 +82,15 @@ def _entries(dispatches) -> tuple:
     """The entry each dispatch should record, by walking the keying
     rule: ``(rows, live)``, a row number per dispatch and each replica's
     live ``(tenants, priorities, {key: row})`` at the end."""
-    live, rows = {}, []
+    live, rows, made = {}, [], 0
     for dispatch in dispatches:
-        batch = _batch(dispatch)
+        batch, key = _batch(dispatch), _key(dispatch)
         if live.get(dispatch.replica, (None, None))[:2] != batch:
             live[dispatch.replica] = (*batch, {})
         entries = live[dispatch.replica][2]
-        rows.append(entries.setdefault(_key(dispatch), len(set(rows))))
+        if key not in entries:
+            entries[key], made = made, made + 1
+        rows.append(entries[key])
     return rows, live
 
 
