@@ -48,11 +48,8 @@ class Observer:
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
         #: Row entries of each replica's live batch: replica -> (members,
-        #: tenants, priorities, {(phase, price, model, ablation): index
-        #: into spans.rows}).
+        #: {(phase, price, model, ablation): index into spans.rows}).
         self._live_rows: dict = {}
-        #: One object per distinct dispatch name and track string.
-        self._labels: dict = {}
 
     @property
     def metrics(self):
@@ -156,58 +153,41 @@ class Observer:
         Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
         writes one span row from it. A live batch repeats its row tick
         after tick, so each replica keeps the row entries of its current
-        batch: the first dispatch with a given phase, price, model and
+        members: the first dispatch with a given phase, price, model and
         ablation builds the span's name, track and args dict, and every
-        later one records the same entry index with its own stamps. The
-        args read the members only through their tenants and priorities,
-        so the entries last while those do (members may come and go),
-        the batch's entries share its two lists, and an equal entry of
-        another replica's live batch lends its args dict. A change of
-        tenants or priorities drops the replica's entries, so a
-        drain-mode cell keeps at most one batch's entries per replica.
-        Floats key by exact value: the sign rides along, so ``-0.0`` and
-        ``0.0`` never share a row.
+        later one records the same entry index with its own stamps.
+        A change of members drops the replica's entries, so a drain-mode
+        micro-batch (always new members) keeps nothing extra. Floats key
+        by exact value: the sign rides along, so ``-0.0`` and ``0.0``
+        never share a row.
         """
         members, replica = dispatch.members, dispatch.replica
         live = self._live_rows.get(replica)
         if live is None or live[0] != members:
-            tenants = [tenant for _, tenant, _ in members]
-            priorities = [priority for _, _, priority in members]
-            if live is None or live[1] != tenants or live[2] != priorities:
-                live = (members, tenants, priorities, {})
-            else:  # new members, same tenants and priorities: same rows
-                live = (members, *live[1:])
-            self._live_rows[replica] = live
+            live = self._live_rows[replica] = (members, {})
         cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
         key = (
             dispatch.phase, cold_s, copysign(1.0, cold_s), energy_j,
             copysign(1.0, energy_j), dispatch.model, dispatch.ablation,
         )
-        row = live[3].get(key)
+        row = live[1].get(key)
         if row is not None:
             self.tracer.record_row(
                 row, dispatch.started_s, dispatch.completion_s, None,
             )
             return
-        rows = self.tracer.spans.rows
-        args = next((
-            rows.args[other[3][key]] for other in self._live_rows.values()
-            if key in other[3] and other[1:3] == live[1:3]
-        ), None)
-        if args is None:
-            args = {
-                "batch_size": len(live[1]), "model": dispatch.model,
+        _, tenants, priorities = zip(*members) if members else ((), (), ())
+        span_id = self.tracer.record_span(
+            f"dispatch[{dispatch.model}]", f"replica/{replica}",
+            dispatch.started_s, dispatch.completion_s, None,
+            {
+                "batch_size": len(tenants), "model": dispatch.model,
                 "ablation": dispatch.ablation, "phase": dispatch.phase,
                 "cold_s": cold_s, "energy_j": energy_j,
-                "tenants": live[1], "priorities": live[2],
-            }
-        name, track = f"dispatch[{dispatch.model}]", f"replica/{replica}"
-        labels = self._labels
-        span_id = self.tracer.record_span(
-            labels.setdefault(name, name), labels.setdefault(track, track),
-            dispatch.started_s, dispatch.completion_s, None, args,
+                "tenants": list(tenants), "priorities": list(priorities),
+            },
         )
-        live[3][key] = self.tracer.spans.columns.row[span_id]
+        live[1][key] = self.tracer.spans.columns.row[span_id]
 
     def on_replica_utilization(
         self, replica: str, busy_frac: float, ts_s: float
