@@ -32,14 +32,16 @@ iterates. Three sources produce equal records:
 from __future__ import annotations
 
 import json
-from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.obs.trace import Rows, Table, empty_columns, int64, int64_column
+
+if TYPE_CHECKING:
+    from array import array
 
 #: Nanoseconds per second (the fixed analysis resolution).
 NS_PER_S = 1_000_000_000
@@ -64,6 +66,18 @@ def _by_time(*seconds: array) -> tuple:
         int64_column(np.rint(np.frombuffer(column)[order] * NS_PER_S))
         for column in seconds
     )
+
+
+def _id(value, field: str, name) -> Optional[int]:
+    """A loaded span or event id: ``None`` (for a parent only) or an int
+    in ``[0, 2**63)``, the range of its ``array('q')`` column; anything
+    else is a ValueError naming the record."""
+    if value is None and field == "parent_id":
+        return None
+    if type(value) is not int or not 0 <= value < 1 << 63:
+        raise ValueError(f"{name!r}: {field} {value!r} is not an int in "
+                         f"[0, 2**63)")
+    return value
 
 
 def _take(column: array, order: array) -> array:
@@ -136,14 +150,19 @@ class TraceRecords:
             if record.get("type") == "span":
                 if record.get("end_s") is None:
                     continue  # open span: nothing to attribute
+                name = record["name"]
                 out.spans.append(
-                    int(record["span_id"]), record["name"], record["track"],
-                    to_ns(record["start_s"]), to_ns(record["end_s"]),
-                    record.get("parent_id"), dict(record.get("args") or {}),
+                    _id(record["span_id"], "span_id", name), name,
+                    record["track"], to_ns(record["start_s"]),
+                    to_ns(record["end_s"]),
+                    _id(record.get("parent_id"), "parent_id", name),
+                    dict(record.get("args") or {}),
                 )
             elif record.get("type") == "event":
+                name = record["name"]
                 out.events.append(
-                    int(record["event_id"]), record["name"], record["track"],
+                    _id(record["event_id"], "event_id", name), name,
+                    record["track"],
                     to_ns(record["ts_s"]), dict(record.get("args") or {}),
                 )
         return out
@@ -204,11 +223,13 @@ class TraceRecords:
             ph = entry.get("ph")
             args = dict(entry.get("args") or {})
             if ph == "X":
-                span_id = args.pop("span_id", len(out.spans))
-                parent_id = args.pop("parent_id", None)
+                name = entry["name"]
+                span_id = _id(args.pop("span_id", len(out.spans)),
+                              "span_id", name)
+                parent_id = _id(args.pop("parent_id", None), "parent_id", name)
                 start_ns = round(float(entry["ts"]) * 1000)
                 out.spans.append(
-                    int(span_id), entry["name"], track_of(entry), start_ns,
+                    span_id, name, track_of(entry), start_ns,
                     start_ns + round(float(entry["dur"]) * 1000), parent_id,
                     args,
                 )
@@ -227,21 +248,23 @@ class TraceRecords:
         A JSON document with a ``traceEvents`` key is a Chrome trace;
         anything else must be the JSONL event log, or ``ValueError``
         names the path and the first line that is not a span or event
-        row. An empty file is an empty trace.
+        row. A record whose id is not an int in ``[0, 2**63)`` is a
+        ``ValueError`` naming the path and the record. An empty file is
+        an empty trace.
         """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        doc = None
+        if text.lstrip().startswith("{"):
             # JSONL lines are JSON objects too, so sniff by parsing the
             # whole document: only a one-document Chrome trace succeeds.
             try:
                 doc = json.loads(text)
             except json.JSONDecodeError:
-                doc = None
+                pass
+        try:
             if isinstance(doc, dict) and "traceEvents" in doc:
                 return cls.from_chrome_trace(doc)
-        try:
             return cls.from_jsonl(text)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
