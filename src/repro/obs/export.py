@@ -11,7 +11,7 @@ Tracer`:
   in microseconds; parent links ride in ``args.parent_id``;
 - each **event** becomes an ``i`` (instant) event with thread scope.
 
-Both exporters render :meth:`Tracer.records`, in :meth:`Tracer.order`.
+Both exporters read the tracer's row views in :meth:`Tracer.order`.
 
 Everything is serialized canonically (sorted keys, fixed separators,
 trailing newline), so a deterministic tracer yields a byte-identical
@@ -58,34 +58,38 @@ def chrome_trace(tracer: Tracer) -> dict:
             "tid": tids[track],
             "args": {"name": track},
         })
-    for record in tracer.records():
-        args = record["args"]  # a fresh copy, key-sorted
-        if record["type"] == "event":
-            if record["span_id"] is not None:
-                args["span_id"] = record["span_id"]
+    spans, events = list(tracer.spans), list(tracer.events)
+    for is_event, i in tracer.order():
+        if is_event:
+            event = events[i]
+            args = dict(event.args)
+            if event.span_id is not None:
+                args["span_id"] = event.span_id
             trace_events.append({
-                "name": record["name"],
+                "name": event.name,
                 "ph": "i",
                 "s": "t",
                 "pid": 1,
-                "tid": tids[record["track"]],
-                "ts": _us(record["ts_s"]),
+                "tid": tids[event.track],
+                "ts": _us(event.ts_s),
                 "args": args,
             })
             continue
-        args["span_id"] = record["span_id"]
-        if record["parent_id"] is not None:
-            args["parent_id"] = record["parent_id"]
+        span = spans[i]
+        args = dict(span.args)
+        args["span_id"] = i
+        if span.parent_id is not None:
+            args["parent_id"] = span.parent_id
         # ``dur`` spans the two rounded stamps, so ``ts + dur`` is the
         # rounded end (a duration rounded on its own can miss it by 1 ns).
-        start_us = _us(record["start_s"])
+        start_us = _us(span.start_s)
         trace_events.append({
-            "name": record["name"],
+            "name": span.name,
             "ph": "X",
             "pid": 1,
-            "tid": tids[record["track"]],
+            "tid": tids[span.track],
             "ts": start_us,
-            "dur": round(_us(record["end_s"]) - start_us, 3),
+            "dur": round(_us(span.end_s) - start_us, 3),
             "args": args,
         })
     return {

@@ -38,12 +38,14 @@ event log.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from array import array
 
 _INF = float("inf")
 
@@ -87,6 +89,10 @@ EventColumns = namedtuple("EventColumns", "ts_s span_id row")
 
 def empty_columns(codes: str) -> list:
     """One empty column per typecode: ``array(code)``, a list for ``-``."""
+    # Imported on first use, so a process that records no trace never
+    # loads the extension module (~0.1 MB of peak RSS).
+    from array import array
+
     return [[] if code == "-" else array(code) for code in codes]
 
 
@@ -97,7 +103,9 @@ def int64(column) -> np.ndarray:
 
 def int64_column(values) -> array:
     """``values`` (a numpy array) as an ``array('q')`` column."""
-    return array("q", np.asarray(values, np.int64).tobytes())
+    column = empty_columns("q")[0]
+    column.frombytes(np.asarray(values, np.int64).tobytes())
+    return column
 
 
 class Table(Sequence):
@@ -130,6 +138,21 @@ class Table(Sequence):
         return self.row_type._make(
             self._value(field, index) for field in self.row_type._fields
         )
+
+    def _values(self, field: str):
+        """Every row's ``field``, in row order: :meth:`_value` by column."""
+        if field in self.columns._fields:
+            column = getattr(self.columns, field)
+            if field.endswith("_id"):
+                return (None if value < 0 else value for value in column)
+            return column
+        if field in Rows._fields:
+            return map(getattr(self.rows, field).__getitem__, self.columns.row)
+        return range(len(self))
+
+    def __iter__(self):
+        return map(self.row_type._make,
+                   zip(*map(self._values, self.row_type._fields)))
 
     def append(self, *values) -> None:
         """Append one row given as the row type's fields; with ``rows``,
@@ -208,7 +231,9 @@ class Tracer:
     ) -> int:
         """:meth:`span` with its args as a dict, stored as given (not
         copied), in a new :class:`Rows` entry."""
-        _check_stamps(name, track, start_s, end_s)  # before the entry
+        start_s, end_s = float(start_s), float(end_s)
+        if not -_INF < start_s <= end_s < _INF:  # before the entry
+            _check_stamps(name, track, start_s, end_s)
         rows = self.spans.rows
         rows.name.append(name)
         rows.track.append(track)
@@ -275,13 +300,21 @@ class Tracer:
         return [item[1:] for item in items]
 
     def records(self) -> list[dict]:
-        """Every span and event as dicts, in :meth:`order`: a view's
-        fields plus ``type``."""
+        """Every span and event as dicts, in :meth:`order`."""
+        spans, events = list(self.spans), list(self.events)
         return [
-            {"type": "event" if is_event else "span", **view._asdict(),
-             "args": _sorted_args(view.args)}
+            {
+                "type": "event", "event_id": i, "name": view.name,
+                "track": view.track, "ts_s": view.ts_s,
+                "span_id": view.span_id, "args": _sorted_args(view.args),
+            } if is_event else {
+                "type": "span", "span_id": i, "name": view.name,
+                "track": view.track, "start_s": view.start_s,
+                "end_s": view.end_s, "parent_id": view.parent_id,
+                "args": _sorted_args(view.args),
+            }
             for is_event, i in self.order()
-            for view in [(self.events if is_event else self.spans)[i]]
+            for view in [(events if is_event else spans)[i]]
         ]
 
 
