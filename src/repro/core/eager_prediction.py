@@ -299,15 +299,19 @@ def _one_key(layer: MultiHeadAttention, v: np.ndarray, tq: int,
     probability exactly 1.0, through the same ``probs @ v`` product.
     Each request's statistics are those of that decision: 0 scores kept,
     0 Q rows and 1 K/V column."""
-    lead = v.shape[:-2]  # (..., heads)
+    one_key_stats(layer, tq, batch_stats, collect_keepmasks)
+    return layer.wo(layer.merge_heads(np.matmul(np.ones((*v.shape[:-2], tq, 1)), v)))
+
+
+def one_key_stats(layer: MultiHeadAttention, tq: int, batch_stats: list,
+                  collect_keepmasks: bool) -> None:
+    """:func:`_one_key`'s statistics alone, for a caller holding its output."""
     for stats in batch_stats:
         _add_step_stats(stats, layer, tq, 1, 0, 0, 1)
         if collect_keepmasks:
             stats.attention_keepmasks.append(
                 np.zeros((layer.num_heads, tq, 1), dtype=bool)
             )
-    attended = np.matmul(np.ones((*lead, tq, 1)), v)
-    return layer.wo(layer.merge_heads(attended))
 
 
 def _ep_attend(layer: MultiHeadAttention, x: np.ndarray,

@@ -71,7 +71,7 @@ class ExionPipeline:
         self.model = model
         self.config = config
         self.threshold_table = threshold_table
-        self.activation_bits = activation_bits
+        self.activation_bits = _check_activation_bits(activation_bits)
         self.collect_masks = collect_masks
         self.compiled = compiled
         self._engines: dict = {}  # vanilla? -> ContinuousExecutor
@@ -220,6 +220,13 @@ class ExionPipeline:
             )
 
         return provider
+
+
+def _check_activation_bits(bits: Optional[int]) -> Optional[int]:
+    """``bits`` when it is None or an int in the quantizer's [2, 32]."""
+    if bits is None or isinstance(bits, (int, np.integer)) and 2 <= bits <= 32:
+        return bits
+    raise ValueError(f"activation_bits must be an int in [2, 32], got {bits!r}")
 
 
 def _fake_quantize(x: np.ndarray, bits: int) -> np.ndarray:

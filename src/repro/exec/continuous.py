@@ -56,6 +56,7 @@ from repro.core.eager_prediction import (
     ep_attention_step,
     ep_attention_step_batched,
     ep_cross_kv,
+    one_key_stats,
 )
 from repro.core.ffn_reuse import (
     FFNPhaseState,
@@ -65,6 +66,7 @@ from repro.core.ffn_reuse import (
 )
 from repro.core.pipeline import (
     GenerationResult,
+    _check_activation_bits,
     _fake_quantize,
     _fake_quantize_batched,
 )
@@ -185,7 +187,7 @@ class ContinuousExecutor:
         self.model = model
         self.config = config
         self.threshold_table = threshold_table
-        self.activation_bits = activation_bits
+        self.activation_bits = _check_activation_bits(activation_bits)
         self.collect_masks = collect_masks
         self.compiled_plan = get_plan_cache().compiled(model.spec, config)
         self._timesteps, self._t_embeds, self._adaln_tables = (
@@ -200,16 +202,22 @@ class ContinuousExecutor:
         self._runs_started = 0
         self._reset_batch_caches(())
 
-    def _reset_batch_caches(self, membership: tuple) -> None:
+    def _reset_batch_caches(self, membership: tuple, contexts: Sequence = ()) -> None:
         """Batch-wide caches, valid only for one membership signature
         (the member runs' serials, in batch order)."""
         self._membership = membership
         #: Per context length, ``(rows, stacked contexts)``: the members
         #: whose conditioning has that many tokens, in batch order.
-        self._contexts: list = []
+        self._contexts = contexts
         self._ffn_batch: dict = {}  # block -> FFNPhaseState
         self._cross_kv: dict = {}  # (block, group) -> EP (kh, k, v)
         self._cross_exact_kv: dict = {}  # (block, group) -> (k, v)
+        #: block -> its latest cross-attention output. Later ticks of the
+        #: membership reuse it when ``_cross_fixed``: one-token contexts under
+        #: EP on unquantized ``x``, where ``_one_key`` never reads ``x``.
+        self._cross_out: dict = {}
+        one_token = all(context.shape[1] == 1 for _, context in contexts)
+        self._cross_fixed = one_token and bool(self._preds) and self.activation_bits is None
 
     # ------------------------------------------------------------------
     # run lifecycle
@@ -326,8 +334,7 @@ class ContinuousExecutor:
                     len(self._membership), len(membership),
                     rebuilt=bool(self._membership),
                 )
-            self._reset_batch_caches(membership)
-            self._contexts = contexts
+            self._reset_batch_caches(membership, contexts)
 
         count_iterations = self.config.enable_ffn_reuse
         # ``np.array`` of equal-shape rows is ``np.stack`` without its
@@ -401,10 +408,12 @@ class ContinuousExecutor:
             block.self_attn, h, None, block_index, runs
         )
         if block.cross_attn is not None and self._contexts:
-            assert block.norm_cross is not None
-            x = x + self._cross_attention(
-                block.cross_attn, block.norm_cross(x), block_index, runs
-            )
+            if self._cross_fixed and block_index in self._cross_out:
+                stats = [run.stats for run in runs]
+                one_key_stats(block.cross_attn, x.shape[1], stats, self.collect_masks)
+            else:
+                self._cross_out[block_index] = self._cross_attention(block, x, block_index, runs)
+            x = x + self._cross_out[block_index]
         x = x + self._ffn(block.ffn, block.norm2(x), block_index, runs)
         return x
 
@@ -412,12 +421,13 @@ class ContinuousExecutor:
     # attention
     # ------------------------------------------------------------------
     def _cross_attention(
-        self, layer, x: np.ndarray, block_index: int, runs: list
+        self, block, x: np.ndarray, block_index: int, runs: list
     ) -> np.ndarray:
         """Cross-attention, one stacked step per context length: each
         request attends its own real tokens, so rows whose contexts
         differ in length run apart and are scattered back in batch
         order. One length is the whole batch: no gather or scatter."""
+        layer, x = block.cross_attn, block.norm_cross(x)
         if len(self._contexts) == 1:
             return self._attention(
                 layer, x, self._contexts[0][1], block_index, runs, group=0

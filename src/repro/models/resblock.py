@@ -8,6 +8,8 @@ them both for correctness of the substrate and for the Fig. 18/19 shapes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.models.activations import silu
@@ -50,24 +52,30 @@ class Conv2d:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Apply to ``(channels, height, width)`` input, or to a stack
         ``(batch, channels, height, width)`` of them (one im2col, one
-        GEMM per map: each map's output is what its own call returns)."""
+        GEMM per map: each map's output is what its own call returns).
+        im2col is one ``take`` through :func:`im2col_index` from a copy
+        of the map behind one zero, which stands for the padding."""
         *batch, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        k = self.kernel_size
-        pad = k // 2
-        padded = np.zeros((*batch, c, h + 2 * pad, w + 2 * pad))
-        padded[..., pad : pad + h, pad : pad + w] = x
-        # im2col: (c*k*k, h*w), rows in (dy, dx, c) order like ``_w_mat``
-        cols = np.empty((*batch, c * k * k, h * w))
-        patches = cols.reshape(*batch, k, k, c, h, w)
-        for dy in range(k):
-            for dx in range(k):
-                patches[..., dy, dx, :, :, :] = padded[
-                    ..., dy : dy + h, dx : dx + w
-                ]
+        flat = np.zeros((*batch, 1 + c * h * w))
+        flat[..., 1:].reshape(x.shape)[...] = x  # a view: splits the last axis
+        cols = flat.take(im2col_index(c, h, w), axis=-1)  # rows as ``_w_mat``
         out = np.matmul(self._w_mat.T, cols)
         return out.reshape(*batch, self.out_channels, h, w)
+
+
+@functools.lru_cache(maxsize=None)
+def im2col_index(c: int, h: int, w: int) -> np.ndarray:
+    """:class:`Conv2d`'s ``(c*9, h*w)`` patch gather, read-only and shared
+    per ``(c, h, w)``: row ``(dy, dx, ci)``, column ``(y, x)`` holds 1 +
+    the flat index of ``(ci, y+dy-1, x+dx-1)``, or 0 outside the map."""
+    dy, dx, ci, y, x = np.ogrid[-1:2, -1:2, :c, :h, :w]
+    y, x = y + dy, x + dx
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    index = np.where(inside, 1 + (ci * h + y) * w + x, 0).reshape(-1, h * w)
+    index.flags.writeable = False
+    return index
 
 
 class GroupNorm:

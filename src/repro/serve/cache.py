@@ -20,8 +20,8 @@ its caller passes (the server that made it), so servers sharing one
 cache never see each other's lookups.
 
 Cached models are shared objects: callers must not mutate their weights —
-quantized serving is expressed with the ``activation_bits`` server knob
-instead.
+quantized generation is expressed with ``ExionPipeline(activation_bits=)``
+or a :class:`~repro.exec.ContinuousExecutor` built with it instead.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.core.thresholds import ThresholdCalibrator
+from repro.exec import ContinuousExecutor
 from repro.workloads.metrics import psnr
 
 
@@ -104,6 +105,24 @@ class TestQuantizedRun:
             seed=2, prompt="a corgi surfing"
         )
         assert np.all(np.isfinite(result.sample))
+
+
+class TestActivationBitsValidation:
+    """An unusable width is refused when the pipeline or the engine is
+    built, not on its first tick."""
+
+    @pytest.mark.parametrize("bits", [0, 1, 40, 2.5, True, "8"])
+    def test_refused_at_construction(self, dit_model, bits):
+        cfg = ExionConfig.for_model("dit")
+        for build in (ExionPipeline, ContinuousExecutor):
+            with pytest.raises(ValueError, match="activation_bits"):
+                build(dit_model, cfg, activation_bits=bits)
+
+    @pytest.mark.parametrize("bits", [2, 32, np.int64(8)])
+    def test_accepted_widths(self, dit_model, bits):
+        cfg = ExionConfig.for_model("dit")
+        for build in (ExionPipeline, ContinuousExecutor):
+            assert build(dit_model, cfg, activation_bits=bits).activation_bits == bits
 
 
 class TestAllBenchmarks:

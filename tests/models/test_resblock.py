@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models.resblock import Conv2d, GroupNorm, ResBlock
+from repro.models.resblock import Conv2d, GroupNorm, ResBlock, im2col_index
 
 
 class TestConv2d:
@@ -78,6 +78,52 @@ class TestConv2d:
         assert np.all(conv.weight == np.round(conv.weight, 1))
         conv.weight[:] = 0.0
         np.testing.assert_array_equal(conv(x), np.zeros((5, 4, 4)))
+
+
+class TestIm2colGather:
+    """The one-``take`` im2col against the zero pad and nine strided
+    slice copies it replaced."""
+
+    @staticmethod
+    def _nine_slices(conv, x):
+        *batch, c, h, w = x.shape
+        k = conv.kernel_size
+        padded = np.zeros((*batch, c, h + 2, w + 2))
+        padded[..., 1 : 1 + h, 1 : 1 + w] = x
+        cols = np.empty((*batch, c * k * k, h * w))
+        patches = cols.reshape(*batch, k, k, c, h, w)
+        for dy in range(k):
+            for dx in range(k):
+                patches[..., dy, dx, :, :, :] = padded[..., dy : dy + h, dx : dx + w]
+        out = np.matmul(conv._w_mat.T, cols)
+        return out.reshape(*batch, conv.out_channels, h, w)
+
+    @pytest.mark.parametrize("side", (1, 2, 4))
+    @pytest.mark.parametrize("batch", ((), (1,), (3,)))
+    def test_byte_equal_to_nine_slice_im2col(self, rng, side, batch):
+        conv = Conv2d(16, 8, rng)
+        x = rng.standard_normal((*batch, 16, side, side))
+        strided = np.swapaxes(rng.standard_normal((*batch, 16, side, side)), -1, -2)
+        for operand in (x, strided, -np.zeros_like(x)):
+            got = conv(operand)
+            assert got.shape == (*batch, 8, side, side)
+            assert got.tobytes() == self._nine_slices(conv, operand).tobytes()
+
+    def test_index_is_shared_read_only_and_built_once_per_shape(self, rng):
+        shape = (5, 3, 2)  # a shape no other test convolves
+        before = im2col_index.cache_info()
+        first, second = Conv2d(5, 2, rng), Conv2d(5, 4, rng)
+        first(rng.standard_normal(shape))
+        second(rng.standard_normal((2, *shape)))
+        after = im2col_index.cache_info()
+        assert after.misses == before.misses + 1
+        assert after.hits == before.hits + 1
+        index = im2col_index(*shape)
+        assert index is im2col_index(*shape)
+        assert index.shape == (5 * 9, 3 * 2)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = 1
 
 
 class TestGroupNorm:

@@ -206,12 +206,8 @@ def test_context_length_groups_survive_a_leaving_member():
         assert solo.stats.summary() == got.stats.summary()
 
 
-def test_one_context_length_is_one_stacked_cross_step(monkeypatch):
-    """A batch whose contexts share a length (every class-label batch)
-    runs each cross-attention layer as one call over the whole batch,
-    with no gather or scatter."""
-    model, config = _mld()
-    executor = ContinuousExecutor(model, config)
+def _count_cross_steps(monkeypatch):
+    """The batch size of every cross-attention step the executor runs."""
     batches = []
     real = ContinuousExecutor._attention
 
@@ -221,13 +217,121 @@ def test_one_context_length_is_one_stacked_cross_step(monkeypatch):
         return real(self, layer, x, context, *args, **kwargs)
 
     monkeypatch.setattr(ContinuousExecutor, "_attention", attention)
+    return batches
+
+
+def _cross_layers(model):
+    return sum(b.cross_attn is not None for b in model.network.blocks)
+
+
+def test_one_context_length_is_one_stacked_cross_step(monkeypatch):
+    """A batch whose contexts share a length (every class-label batch)
+    runs each cross-attention layer as one call over the whole batch,
+    with no gather or scatter. One-token contexts fix that output for
+    the membership, so it runs once per membership and block."""
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    batches = _count_cross_steps(monkeypatch)
     executor.run_batch([
         GenerationRequest(i, seed=i, class_label=i) for i in range(3)
     ])
-    cross_layers = sum(b.cross_attn is not None for b in model.network.blocks)
-    assert batches == [3] * cross_layers * FAST_ITERATIONS
+    assert batches == [3] * _cross_layers(model)
     runs = [executor.start_run(GenerationRequest(i, seed=i, class_label=i))
             for i in range(3)]
     executor.run_tick(runs)
     ((rows, context),) = executor._contexts
     assert rows.tolist() == [0, 1, 2] and context.shape[:2] == (3, 1)
+
+
+# ----------------------------------------------------------------------
+# a one-token cross-attention output is kept per membership
+# ----------------------------------------------------------------------
+def _solo(model, config, request, **kwargs):
+    return ExionPipeline(model, config, compiled=False, **kwargs).generate(
+        seed=request.seed, prompt=request.prompt,
+        class_label=request.class_label,
+    )
+
+
+def test_one_key_output_cache_follows_membership_edits(monkeypatch):
+    """A class-label batch grows 1 -> 3 at a dense boundary, shrinks
+    3 -> 2 when its first member finishes and 2 -> 1 by an eviction at
+    the next dense boundary: each membership computes the cross output
+    once per block, and every finished run equals its solo run."""
+    iterations = 12
+    model = build_model("mld", seed=0, total_iterations=iterations)
+    config = ExionConfig.for_model("mld")
+    executor = ContinuousExecutor(model, config)
+    dense = [i for i, d in enumerate(executor.compiled_plan.dense_flags) if d]
+    assert dense == [0, 10]
+    batches = _count_cross_steps(monkeypatch)
+    requests = [GenerationRequest(i, seed=20 + i, class_label=3 * i)
+                for i in range(3)]
+    first = executor.start_run(requests[0])
+    for _ in range(dense[1]):
+        assert not executor.run_tick([first])
+    runs = [first] + [executor.start_run(r) for r in requests[1:]]
+    while executor.run_tick(runs) != [first]:
+        pass
+    runs.remove(first)
+    while runs[0].cursor < dense[1]:
+        executor.run_tick(runs)
+    del runs[1]  # evicted at a dense boundary
+    while not executor.run_tick(runs):
+        pass
+    layers = _cross_layers(model)
+    assert batches == [1] * layers + [3] * layers + [2] * layers + [1] * layers
+    for run in (first, runs[0]):
+        solo = _solo(model, config, run.request)
+        got = executor.finish_run(run)
+        assert np.array_equal(solo.sample, got.sample)
+        assert solo.stats.summary() == got.stats.summary()
+
+
+def test_one_key_output_cache_records_every_keep_mask():
+    """With ``collect_masks`` each request still records one all-False
+    keep mask per cross-attention step, as its solo run does."""
+    model, config = _mld()
+    requests = [GenerationRequest(i, seed=i, class_label=i) for i in range(2)]
+    results = ContinuousExecutor(model, config, collect_masks=True).run_batch(
+        requests
+    )
+    for request, got in zip(requests, results):
+        cross = [m for m in got.stats.attention_keepmasks if m.shape[-1] == 1]
+        assert len(cross) == _cross_layers(model) * FAST_ITERATIONS
+        assert not any(m.any() for m in cross)
+        want = _solo(model, config, request, collect_masks=True)
+        masks = want.stats.attention_keepmasks
+        assert len(got.stats.attention_keepmasks) == len(masks)
+        for g, w in zip(got.stats.attention_keepmasks, masks):
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("mixed", ["prompt", "activation_bits"])
+def test_one_key_output_cache_needs_one_token_contexts_and_exact_x(
+    monkeypatch, mixed
+):
+    """A membership mixing a prompt with class labels, or one whose
+    activations are quantized, computes cross-attention on every tick."""
+    model, config = _mld()
+    if mixed == "prompt":
+        first = GenerationRequest(0, seed=1, prompt="a person walks")
+        executor = ContinuousExecutor(model, config)
+    else:
+        first = GenerationRequest(0, seed=1, class_label=2)
+        executor = ContinuousExecutor(model, config, activation_bits=12)
+    batches = _count_cross_steps(monkeypatch)
+    requests = [first, GenerationRequest(1, seed=2, class_label=5)]
+    runs = [executor.start_run(r) for r in requests]
+    executor.run_tick(runs)
+    assert not executor._cross_fixed
+    while not executor.run_tick(runs):
+        pass
+    steps = [1, 1] if mixed == "prompt" else [2]
+    assert batches == steps * _cross_layers(model) * FAST_ITERATIONS
+    if mixed == "prompt":
+        for run in runs:
+            solo = _solo(model, config, run.request)
+            got = executor.finish_run(run)
+            assert np.array_equal(solo.sample, got.sample)
+            assert solo.stats.summary() == got.stats.summary()
