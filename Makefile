@@ -72,11 +72,21 @@ cluster-smoke:  ## fleet-simulation scaling bench + CLI demo run
 		--replicas 4 --requests 48 --rate 300 --router jsq \
 		--slo-target 1.0 --metrics-out $(BENCH_OUT)/cluster_metrics.json
 
-explore-smoke:  ## design-space Pareto bench + CLI demo run
+explore-smoke:  ## design-space Pareto bench + CLI demo run twice: warm run all hits, same JSON
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run explore_pareto --out $(BENCH_OUT)
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro explore \
-		--strategy random --budget 8 --iterations 8 --workers 2
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for run in 1 2; do \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro explore \
+			--strategy random --budget 8 --iterations 8 --workers 2 \
+			--cache-dir "$$dir/cache" --json "$$dir/run$$run.json" \
+			> "$$dir/run$$run.log" || { cat "$$dir/run$$run.log"; exit 1; }; \
+		tail -n 2 "$$dir/run$$run.log"; \
+	done && \
+	grep -q "(hit rate 100.0%)" "$$dir/run2.log" || \
+		{ echo "explore-smoke: warm run missed the cache"; exit 1; }; \
+	cmp "$$dir/run1.json" "$$dir/run2.json" || \
+		{ echo "explore-smoke: warm run changed the report"; exit 1; }
 
 cache-smoke:  ## plan-cache interning gate bench + parity tests
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \

@@ -6,8 +6,11 @@ compares the energy model with gating (idle fraction ~4%) against a
 hypothetical ungated design (idle cells burn full power).
 """
 
+from dataclasses import replace
+
 from repro.analysis.report import percent
 from repro.bench import BenchResult, register_bench
+from repro.hw.constants import HARDWARE
 from repro.hw.dsc import DSCModel
 from repro.hw.energy import EnergyModel
 from repro.program.lower import lower_program
@@ -17,7 +20,7 @@ from .conftest import emit_result
 
 
 def sdue_energy(idle_fraction, busy_cycles, activity, idle_cycles):
-    model = EnergyModel(idle_fraction=idle_fraction)
+    model = EnergyModel(replace(HARDWARE, idle_power_fraction=idle_fraction))
     model.record("sdue", busy_cycles, idle_cycles=idle_cycles,
                  activity=activity)
     return model.component_energy_j("sdue")
@@ -37,7 +40,7 @@ def build_clockgate(ctx):
     activity = sparse_cost.sdue_activity
     idle = busy // 2
 
-    gated = sdue_energy(0.04, busy, activity, idle)
+    gated = sdue_energy(HARDWARE.idle_power_fraction, busy, activity, idle)
     ungated = sdue_energy(1.0, busy, 1.0, idle)
     savings = 1.0 - gated / ungated
 

@@ -58,7 +58,7 @@ def _run_sweep() -> None:
     for model in FLEET_MODELS:
         spec = get_spec(model)
         config = ExionConfig.for_model(model)
-        profile = cache.profile(spec)
+        profile = cache.profile(spec, accelerator=accelerator)
         for _ in range(SWEEP_POINTS):
             plan = cache.plan(spec, config=config)
             cache.price(accelerator, plan, profile)
@@ -104,7 +104,7 @@ def build_plan_cache(ctx):
             config = ExionConfig.for_model(model)
             cold_plan = lower_plan(spec, config=config)
             warm_plan = cache.plan(spec, config=config)
-            profile = cache.profile(spec)
+            profile = cache.profile(spec, accelerator=accelerator)
             cold_report = accelerator.simulate_plan(cold_plan, profile)
             warm_report = cache.price(accelerator, warm_plan, profile)
             identical &= plan_json(warm_plan) == plan_json(cold_plan)

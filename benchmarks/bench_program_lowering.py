@@ -28,10 +28,10 @@ from repro.workloads.specs import ALL_MODEL_ORDER, get_spec
 from .conftest import emit_result
 
 
-def _profile_for(ctx, name):
+def _profile_for(ctx, name, acc):
     if name in ctx.profiles:
         return ctx.profiles[name]
-    return estimate_profile(get_spec(name), seed=0)
+    return estimate_profile(get_spec(name), acc.constants, seed=0)
 
 
 @register_bench("program_lowering", tags=("program", "smoke"))
@@ -41,7 +41,7 @@ def build_program_lowering(ctx):
     rows = []
     for name in ALL_MODEL_ORDER:
         spec = get_spec(name)
-        profile = _profile_for(ctx, name)
+        profile = _profile_for(ctx, name, acc)
         plan = lower_plan(spec)
         blob = plan_json(plan)
         digest = plan_digest(plan)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench import BenchResult, register_bench
-from repro.hw.accelerator import DSC_PEAK_TOPS, ExionAccelerator
+from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 
 from .conftest import emit_result
 
@@ -49,7 +50,7 @@ def build_table2(ctx):
                       paper=3.18, direction="two_sided", tolerance=0.01)
     result.add_metric("exion24.peak_power_w", ex24.peak_power_w, unit="W",
                       paper=20.40, direction="two_sided", tolerance=0.01)
-    result.add_metric("dsc_peak_tops", DSC_PEAK_TOPS, unit="TOPS",
+    result.add_metric("dsc_peak_tops", HARDWARE.dsc_peak_tops, unit="TOPS",
                       direction="two_sided", tolerance=0.01)
     return result
 

@@ -11,12 +11,7 @@ import pytest
 from repro.analysis.report import percent
 from repro.bench import BenchResult, register_bench
 from repro.hw.accelerator import ExionAccelerator
-from repro.hw.energy import (
-    DSC_AREA_MM2,
-    DSC_POWER_MW,
-    TOTAL_DSC_AREA_MM2,
-    TOTAL_DSC_POWER_MW,
-)
+from repro.hw.constants import HARDWARE
 from repro.workloads.specs import get_spec
 
 from .conftest import emit_result
@@ -25,13 +20,15 @@ from .conftest import emit_result
 @register_bench("table3_power_area", tags=("table", "hw", "smoke"))
 def build_table3(ctx):
     result = BenchResult("table3_power_area", model="dit")
+    area = dict(HARDWARE.dsc_area_mm2)
+    power = dict(HARDWARE.dsc_power_mw)
+    total_area = HARDWARE.total_dsc_area_mm2
     rows = [
-        [component, f"{DSC_AREA_MM2[component]:.2f}",
-         f"{DSC_POWER_MW[component]:.2f}"]
-        for component in DSC_POWER_MW
+        [component, f"{area[component]:.2f}", f"{power[component]:.2f}"]
+        for component in power
     ]
-    rows.append(["TOTAL", f"{TOTAL_DSC_AREA_MM2:.2f}",
-                 f"{TOTAL_DSC_POWER_MW:.2f}"])
+    rows.append(["TOTAL", f"{total_area:.2f}",
+                 f"{HARDWARE.total_dsc_power_mw:.2f}"])
     result.add_series(
         "Table III — single-DSC breakdown (paper synthesis values)",
         ["component", "area [mm^2]", "power [mW] @800MHz, 0.8V"],
@@ -53,20 +50,18 @@ def build_table3(ctx):
         ],
     )
 
-    result.add_metric("total_dsc_area_mm2", TOTAL_DSC_AREA_MM2, unit="mm^2",
+    result.add_metric("total_dsc_area_mm2", total_area, unit="mm^2",
                       direction="two_sided", tolerance=0.01)
-    result.add_metric("total_dsc_power_mw", TOTAL_DSC_POWER_MW, unit="mW",
-                      direction="two_sided", tolerance=0.01)
-    static_share = (DSC_POWER_MW["epre"] + DSC_POWER_MW["cau"]) / sum(
-        DSC_POWER_MW.values()
-    )
+    result.add_metric("total_dsc_power_mw", HARDWARE.total_dsc_power_mw,
+                      unit="mW", direction="two_sided", tolerance=0.01)
+    static_share = (power["epre"] + power["cau"]) / sum(power.values())
     result.add_metric("sparsity_units_power_share", static_share,
                       direction="two_sided", tolerance=0.06)
     result.add_metric(
-        "cau_area_share", DSC_AREA_MM2["cau"] / TOTAL_DSC_AREA_MM2,
+        "cau_area_share", area["cau"] / total_area,
         direction="two_sided", tolerance=0.25,
     )
-    result.add_metric("exion24_area_mm2", 24 * TOTAL_DSC_AREA_MM2,
+    result.add_metric("exion24_area_mm2", 24 * total_area,
                       unit="mm^2", direction="lower_better", tolerance=0.01)
     return result
 

@@ -23,6 +23,7 @@ from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import EDGE_GPU, SERVER_GPU
 from repro.core.conmerge.cvg import conmerge_tiled
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import profile_from_stats
 
 
@@ -34,7 +35,7 @@ def main(name: str) -> None:
     result = ExionPipeline(
         model, ExionConfig.for_model(name), collect_masks=True
     ).generate(seed=3, prompt="accelerator demo")
-    profile = profile_from_stats(spec, result.stats)
+    profile = profile_from_stats(spec, result.stats, HARDWARE)
     print(f"  FFN sparsity {profile.ffn_sparsity:.1%}, "
           f"attention sparsity {profile.attn_sparsity:.1%} (measured)")
     merged = [conmerge_tiled(mask) for mask in result.stats.ffn_bitmasks]

@@ -21,11 +21,12 @@ class BenchContext:
     def profiles(self) -> dict:
         """Paper-scale sparsity profiles for all benchmark models."""
         if self._profiles is None:
+            from repro.hw.constants import HARDWARE
             from repro.hw.profile import estimate_profile
             from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
             self._profiles = {
-                name: estimate_profile(get_spec(name), seed=0)
+                name: estimate_profile(get_spec(name), HARDWARE, seed=0)
                 for name in BENCHMARK_ORDER
             }
         return self._profiles

@@ -786,8 +786,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.workloads.specs import get_spec
 
     spec = get_spec(args.model)
-    profile = estimate_profile(spec, seed=0)
     acc = make_accelerator(args.accelerator)
+    profile = estimate_profile(spec, acc.constants, seed=0)
     report = acc.simulate(spec, profile, batch=args.batch)
     gpu_spec = EDGE_GPU if args.accelerator == "exion4" else SERVER_GPU
     gpu = GPUModel(gpu_spec).simulate(spec, batch=args.batch)
@@ -1007,8 +1007,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--model-seed", type=int, default=0)
     gen.add_argument("--iterations", type=_count, default=None)
-    gen.add_argument("--prompt", default="a corgi surfing a wave")
-    gen.add_argument("--class-label", type=int, default=None)
+    conditioning = gen.add_mutually_exclusive_group()
+    conditioning.add_argument("--prompt", default="a corgi surfing a wave")
+    conditioning.add_argument("--class-label", type=int, default=None)
     gen.add_argument("--ablation", default="all",
                      choices=_ABLATIONS)
     gen.add_argument("--compare-vanilla", action="store_true")
@@ -1025,8 +1026,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--calibration-seed", type=int, default=0,
                      help="seed of the offline threshold calibration run")
     srv.add_argument("--iterations", type=_count, default=None)
-    srv.add_argument("--prompt", default=None)
-    srv.add_argument("--class-label", type=int, default=None)
+    conditioning = srv.add_mutually_exclusive_group()
+    conditioning.add_argument("--prompt", default=None)
+    conditioning.add_argument("--class-label", type=int, default=None)
     srv.add_argument("--ablation", default="all",
                      choices=_ABLATIONS)
     srv.add_argument("--calibrate", action="store_true",

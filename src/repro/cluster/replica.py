@@ -165,7 +165,9 @@ class ServiceTimeModel:
         # pipeline uses, so priced and executed ablations can't drift.
         config = ExionConfig.for_model(model).ablation(ablation)
         spec = get_spec(model)
-        profile = cache.profile(spec, seed=self.profile_seed)
+        profile = cache.profile(
+            spec, seed=self.profile_seed, accelerator=self.accelerator
+        )
 
         def t(iterations: Optional[int]) -> StepPrice:
             plan = cache.plan(

@@ -464,8 +464,11 @@ def ep_cross_kv(
     predicted-K, exact-K and exact-V head stacks it induces are too.
     ``context`` is ``(batch, tokens, dim)``; a one-run tick of the engine
     passes a batch of one and reads ``[0]`` of each array for
-    :func:`ep_attention_step`.
+    :func:`ep_attention_step`. A one-token context builds V alone: both
+    step forms return at ``tk == 1`` before reading either K.
     """
+    if context.shape[1] == 1:
+        return None, None, layer.split_heads(layer.wv(context))
     c_approx, c_scales = _prepare_per_request(
         context, config.lod_mode, config.prediction_bits
     )

@@ -468,7 +468,7 @@ class ContinuousExecutor:
             if kv is None:
                 kv = ep_cross_kv(layer, context, pred, self.config)
                 if one:
-                    kv = tuple(a[0] for a in kv)
+                    kv = tuple(None if a is None else a[0] for a in kv)
                 self._cross_kv[key] = kv
         if one:
             # The kernel choice by batch size: the 2-D step is the same

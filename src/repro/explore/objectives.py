@@ -34,7 +34,7 @@ The module also implements frontier extraction: :func:`pareto_front`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.core.config import ExionConfig
@@ -178,7 +178,10 @@ class PointEvaluator:
                                  hash=False, repr=False)
 
     def describe(self) -> dict:
-        """Cache/report identity: every field that shapes the numbers."""
+        """Cache identity: every field that shapes the numbers, with the
+        hardware record they are priced on and its pricing revision."""
+        from repro.hw.constants import HARDWARE, PRICING_REVISION
+
         return {
             "kind": "PointEvaluator",
             "objectives": list(self.objectives),
@@ -190,6 +193,8 @@ class PointEvaluator:
             "cluster_requests": self.cluster_requests,
             "cluster_rate_rps": self.cluster_rate_rps,
             "slo_target_s": self.slo_target_s,
+            "hardware": asdict(HARDWARE),
+            "pricing_revision": PRICING_REVISION,
         }
 
     # ------------------------------------------------------------------
@@ -226,12 +231,14 @@ class PointEvaluator:
             iterations=iterations,
             batch=self.batch,
         )
-        # The profile is interned on the spec fields its synthesis reads,
-        # so hardware points sharing algorithm knobs reuse one estimate.
+        # The profile is interned on the spec fields and hardware record its
+        # synthesis reads, so points sharing both reuse one estimate.
+        accelerator = accelerator_from_point(point)
         profile = cache.profile(
-            spec, seed=stable_seed(self.base_seed, "profile", spec.name)
+            spec, seed=stable_seed(self.base_seed, "profile", spec.name),
+            accelerator=accelerator,
         )
-        report = cache.price(accelerator_from_point(point), plan, profile)
+        report = cache.price(accelerator, plan, profile)
         return {
             "latency_s": report.latency_s,
             "energy_j": report.energy_j,

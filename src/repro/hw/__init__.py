@@ -14,7 +14,9 @@ Component map (paper Fig. 10):
   bandwidth/energy model and its banked, row-buffer-aware refinement;
 - :mod:`repro.hw.dsc` / :mod:`repro.hw.accelerator` — the
   diffusion-sparsity-aware core and the multi-DSC EXIONx instances;
-- :mod:`repro.hw.energy` — power/area model seeded with Table III.
+- :mod:`repro.hw.energy` — energy model anchored to Table III;
+- :mod:`repro.hw.constants` — the one record of the numbers every price
+  rests on (Table II/III values and the hand-set ones).
 """
 
 from repro.hw.accelerator import AcceleratorReport, ExionAccelerator
@@ -23,7 +25,7 @@ from repro.hw.cfse import CFSEModel
 from repro.hw.dram import DRAM_TECHNOLOGIES, DRAMModel, GDDR6, HBM2E, LPDDR5, get_dram
 from repro.hw.dram_detail import BankedDRAM, DRAMTimings
 from repro.hw.dsc import DSCModel
-from repro.hw.energy import DSC_AREA_MM2, DSC_POWER_MW, EnergyModel
+from repro.hw.energy import EnergyModel
 from repro.hw.epre import EPREModel
 from repro.hw.sdue import SDUEModel
 from repro.hw.timeline import Timeline, simulate_timeline
@@ -37,8 +39,6 @@ __all__ = [
     "DRAMTimings",
     "DRAM_TECHNOLOGIES",
     "DSCModel",
-    "DSC_AREA_MM2",
-    "DSC_POWER_MW",
     "EPREModel",
     "EnergyModel",
     "ExionAccelerator",

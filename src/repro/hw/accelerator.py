@@ -26,28 +26,14 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.core.config import ExionConfig
+from repro.hw.constants import HARDWARE
 from repro.hw.dram import DRAMModel, GDDR6, HBM2E, LPDDR5, get_dram
 from repro.hw.dsc import DSCModel, IterationCost
-from repro.hw.energy import (
-    CLOCK_HZ,
-    EnergyModel,
-    TOTAL_DSC_POWER_MW,
-    apportion_op_class_energy,
-)
+from repro.hw.energy import EnergyModel, apportion_op_class_energy
 from repro.hw.profile import SparsityProfile
 from repro.program.cache import get_plan_cache
 from repro.program.ir import PhasePlan, PhaseStep
 from repro.workloads.specs import ModelSpec
-
-#: Paper Table II: per-DSC normalized throughput.
-DSC_PEAK_TOPS = 9.8
-
-#: Multi-DSC work-partitioning efficiency (synchronization, load skew).
-SCALING_EFFICIENCY = 0.92
-
-#: GSC capacity per DSC (EXION24 carries 64 MB for 24 DSCs).
-GSC_BYTES_PER_DSC = int(64 * 1024 * 1024 / 24)
-
 
 def _validate_num_dscs(num_dscs) -> int:
     """Shared DSC-count validation for the constructor and ``custom``."""
@@ -107,14 +93,19 @@ class _PricedStep(NamedTuple):
 
 
 class ExionAccelerator:
-    """An EXIONx instance: ``num_dscs`` DSC cores sharing a DRAM channel."""
+    """An EXIONx instance: ``num_dscs`` DSC cores sharing a DRAM channel.
+
+    ``constants`` is the :data:`~repro.hw.constants.HARDWARE` record
+    bound at construction; every price and profile of this instance
+    reads it, and the plan cache keys on it.
+    """
 
     def __init__(
         self,
         num_dscs: int,
         dram: DRAMModel,
         name: Optional[str] = None,
-        gsc_bytes_per_dsc: int = GSC_BYTES_PER_DSC,
+        gsc_bytes_per_dsc: Optional[int] = None,
     ) -> None:
         _validate_num_dscs(num_dscs)
         if not isinstance(dram, DRAMModel):
@@ -122,6 +113,9 @@ class ExionAccelerator:
                 f"dram must be a DRAMModel (or use ExionAccelerator.custom "
                 f"with a technology name), got {dram!r}"
             )
+        self.constants = HARDWARE
+        if gsc_bytes_per_dsc is None:
+            gsc_bytes_per_dsc = self.constants.gsc_bytes_per_dsc
         if gsc_bytes_per_dsc < 0:
             raise ValueError(
                 f"gsc_bytes_per_dsc must be >= 0, got {gsc_bytes_per_dsc!r}"
@@ -129,7 +123,6 @@ class ExionAccelerator:
         self.num_dscs = num_dscs
         self.dram = dram
         self.name = name or f"EXION{num_dscs}"
-        self.clock_hz = CLOCK_HZ
         self.gsc_bytes = gsc_bytes_per_dsc * num_dscs
         self.dsc = DSCModel()
 
@@ -178,9 +171,8 @@ class ExionAccelerator:
                     f"bandwidth_gbps must be positive, got {bandwidth_gbps!r}"
                 )
             model = model.scaled(float(bandwidth_gbps))
-        if gsc_mb is None:
-            gsc_bytes_per_dsc = GSC_BYTES_PER_DSC
-        else:
+        gsc_bytes_per_dsc = None
+        if gsc_mb is not None:
             if gsc_mb < 0:
                 raise ValueError(f"gsc_mb must be >= 0, got {gsc_mb!r}")
             gsc_bytes_per_dsc = int(gsc_mb * 1024 * 1024 / num_dscs)
@@ -193,11 +185,11 @@ class ExionAccelerator:
 
     @property
     def peak_tops(self) -> float:
-        return DSC_PEAK_TOPS * self.num_dscs
+        return self.constants.dsc_peak_tops * self.num_dscs
 
     @property
     def peak_power_w(self) -> float:
-        return TOTAL_DSC_POWER_MW * 1e-3 * self.num_dscs
+        return self.constants.total_dsc_power_mw * 1e-3 * self.num_dscs
 
     # ------------------------------------------------------------------
     # simulation
@@ -221,7 +213,7 @@ class ExionAccelerator:
         """
         cache = get_plan_cache()
         if profile is None:
-            profile = cache.profile(spec)
+            profile = cache.profile(spec, accelerator=self)
         plan = cache.plan(spec, config, iterations=iterations, batch=batch)
         return cache.price(self, plan, profile)
 
@@ -237,7 +229,7 @@ class ExionAccelerator:
         weight-residency annotations. This is the report fold over
         :meth:`_price_steps`; latency and energy accumulate in plan order.
         """
-        energy = EnergyModel(clock_hz=self.clock_hz)
+        energy = EnergyModel(self.constants)
         latency = 0.0
         dense_ops = 0
         computed_ops = 0
@@ -321,30 +313,34 @@ class ExionAccelerator:
         Engines pipeline against each other (paper IV-A: EPRE latency is
         mostly hidden), so the iteration takes the slowest engine's time.
         """
-        scale = self.num_dscs * SCALING_EFFICIENCY
+        constants = self.constants
+        scale = self.num_dscs * constants.scaling_efficiency
         sdue_c = cost.sdue_cycles / scale
         epre_c = cost.epre_cycles / scale
         cfse_c = cost.cfse_cycles / scale
         cau_c = cost.cau_cycles / scale
         # CAU classification overlaps the SDUE; only excess CVG work shows.
-        critical = max(sdue_c, epre_c, cfse_c, cau_c * 0.25)
+        critical = max(sdue_c, epre_c, cfse_c, cau_c * constants.cau_overlap)
         busy = {
             "sdue": cost.sdue_cycles,
             "epre": cost.epre_cycles,
             "cfse": cost.cfse_cycles,
             "cau": cost.cau_cycles,
         }
-        return critical / self.clock_hz, busy
+        return critical / constants.clock_hz, busy
 
     def _record_energy(
         self, energy: EnergyModel, cost: IterationCost, busy: dict, iter_s: float
     ) -> None:
-        iter_cycles_all = int(iter_s * self.clock_hz * self.num_dscs)
+        constants = self.constants
+        iter_cycles_all = int(iter_s * constants.clock_hz * self.num_dscs)
         for component, cycles in busy.items():
             idle = max(iter_cycles_all - int(cycles), 0)
             activity = cost.sdue_activity if component == "sdue" else 1.0
             energy.record(component, int(cycles), idle_cycles=idle,
                           activity=activity)
         # Memories and control are active alongside any engine activity.
-        energy.record("memories", iter_cycles_all, activity=0.4)
-        energy.record("top_dma_etc", iter_cycles_all, activity=0.3)
+        energy.record("memories", iter_cycles_all,
+                      activity=constants.memories_activity)
+        energy.record("top_dma_etc", iter_cycles_all,
+                      activity=constants.top_dma_activity)

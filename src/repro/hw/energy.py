@@ -1,6 +1,7 @@
-"""Power and area model of one DSC, seeded with the paper's Table III.
+"""Energy model of one DSC, anchored to the paper's Table III.
 
-The RTL-synthesis numbers (14 nm, 0.8 V, 800 MHz) are the ground truth the
+The RTL-synthesis numbers (14 nm, 0.8 V, 800 MHz; held in
+:class:`~repro.hw.constants.HardwareConstants`) are the ground truth the
 simulator's energy accounting is anchored to: each component's synthesized
 power is converted to energy-per-busy-cycle, and clock gating scales the
 idle fraction down (paper Section IV-B applies clock gating to all SDUE
@@ -11,34 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Clock frequency of the synthesized design.
-CLOCK_HZ = 800e6
-
-#: Table III area breakdown [mm^2] for a single-DSC EXION.
-DSC_AREA_MM2 = {
-    "sdue": 1.35,
-    "cau": 0.04,
-    "epre": 0.81,
-    "cfse": 0.32,
-    "memories": 1.79,
-    "top_dma_etc": 0.06,
-}
-
-#: Table III power breakdown [mW] at 800 MHz, 0.8 V.
-DSC_POWER_MW = {
-    "sdue": 957.97,
-    "cau": 16.03,
-    "epre": 265.15,
-    "cfse": 160.61,
-    "memories": 60.41,
-    "top_dma_etc": 51.27,
-}
-
-TOTAL_DSC_AREA_MM2 = round(sum(DSC_AREA_MM2.values()), 2)  # 4.37
-TOTAL_DSC_POWER_MW = round(sum(DSC_POWER_MW.values()), 2)  # 1511.44 (~1511.43)
-
-#: Fraction of a component's power still drawn when clock-gated idle.
-IDLE_POWER_FRACTION = 0.04
+from repro.hw.constants import HARDWARE, HardwareConstants
 
 
 @dataclass
@@ -57,11 +31,13 @@ class ComponentActivity:
 class EnergyModel:
     """Accumulates component activity and converts it to energy."""
 
-    clock_hz: float = CLOCK_HZ
-    power_mw: dict = field(default_factory=lambda: dict(DSC_POWER_MW))
-    idle_fraction: float = IDLE_POWER_FRACTION
+    #: Clock, Table III power and idle fraction the energy is priced at.
+    constants: HardwareConstants = HARDWARE
     _activities: dict = field(default_factory=dict)
     dram_energy_j: float = 0.0
+
+    def __post_init__(self) -> None:
+        self._power_mw = dict(self.constants.dsc_power_mw)
 
     def record(
         self,
@@ -70,7 +46,7 @@ class EnergyModel:
         idle_cycles: int = 0,
         activity: float = 1.0,
     ) -> None:
-        if component not in self.power_mw:
+        if component not in self._power_mw:
             raise KeyError(f"unknown component {component!r}")
         if busy_cycles < 0 or idle_cycles < 0:
             raise ValueError("cycle counts must be non-negative")
@@ -92,7 +68,7 @@ class EnergyModel:
         self.dram_energy_j += joules
 
     def _cycle_energy_j(self, component: str) -> float:
-        return (self.power_mw[component] * 1e-3) / self.clock_hz
+        return (self._power_mw[component] * 1e-3) / self.constants.clock_hz
 
     def component_energy_j(self, component: str) -> float:
         """Energy of one component: busy at its activity, idle gated."""
@@ -100,18 +76,19 @@ class EnergyModel:
         if entry is None:
             return 0.0
         per_cycle = self._cycle_energy_j(component)
-        busy_act = max(entry.activity, self.idle_fraction)
+        idle_fraction = self.constants.idle_power_fraction
+        busy_act = max(entry.activity, idle_fraction)
         busy = entry.busy_cycles * per_cycle * busy_act
-        idle = entry.idle_cycles * per_cycle * self.idle_fraction
+        idle = entry.idle_cycles * per_cycle * idle_fraction
         return busy + idle
 
     def total_energy_j(self) -> float:
         """On-chip plus DRAM energy."""
-        on_chip = sum(self.component_energy_j(c) for c in self.power_mw)
+        on_chip = sum(self.component_energy_j(c) for c in self._power_mw)
         return on_chip + self.dram_energy_j
 
     def breakdown_j(self) -> dict:
-        out = {c: self.component_energy_j(c) for c in self.power_mw}
+        out = {c: self.component_energy_j(c) for c in self._power_mw}
         out["dram"] = self.dram_energy_j
         return out
 

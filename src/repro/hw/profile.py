@@ -9,29 +9,16 @@ masks and running real ConMerge passes over sampled tiles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.bitmask import Bitmask
 from repro.core.conmerge.cvg import conmerge_tiled
 from repro.core.sparsity import RunStats
+from repro.hw.constants import HardwareConstants
 from repro.workloads.generator import attention_keepmask, ffn_output_bitmask
 from repro.workloads.specs import ModelSpec
-
-#: Paper Section II-B averages, used when no measured rates are available.
-DEFAULT_Q_SKIP = 0.26
-DEFAULT_KV_SKIP = 0.22
-
-#: Fraction of hidden features fully reusable across all tokens (drives the
-#: condensing behaviour of Fig. 8; Stable Diffusion's measured 77.4%
-#: remaining columns implies roughly a quarter of columns are dead).
-DEFAULT_DEAD_COL_FRACTION = 0.25
-
-#: Rows and columns of the output-matrix sample :func:`estimate_profile`
-#: runs ConMerge over.
-SAMPLE_ROWS = 64
-SAMPLE_COLS = 512
 
 
 @dataclass
@@ -95,29 +82,32 @@ def _conmerge_summary(mask: Bitmask) -> tuple:
     )
 
 
-def estimate_profile(spec: ModelSpec, seed: int = 0) -> SparsityProfile:
+def estimate_profile(
+    spec: ModelSpec, constants: HardwareConstants, seed: int = 0
+) -> SparsityProfile:
     """Paper-scale profile from synthetic masks + real ConMerge passes.
 
     Sampling keeps the pass cheap: ConMerge statistics are per-tile, so a
-    :data:`SAMPLE_ROWS` x :data:`SAMPLE_COLS` sample of the full output
-    matrix estimates them unbiasedly. Projection skip rates are the
-    paper's averages.
+    ``constants.sample_rows`` x ``constants.sample_cols`` sample of the
+    full output matrix estimates them unbiasedly. The FFN masks'
+    dead-column fraction and the projection skip rates come from
+    ``constants`` too.
     """
     rng = np.random.default_rng(seed)
     hidden = spec.paper_ffn_mult * spec.paper_dim
-    rows = min(spec.paper_tokens, SAMPLE_ROWS)
-    cols = min(hidden, SAMPLE_COLS)
+    rows = min(spec.paper_tokens, constants.sample_rows)
+    cols = min(hidden, constants.sample_cols)
     ffn_mask = ffn_output_bitmask(
         rows,
         cols,
         spec.target_inter_sparsity,
-        dead_col_fraction=DEFAULT_DEAD_COL_FRACTION,
+        dead_col_fraction=constants.dead_col_fraction,
         rng=rng,
     )
     ffn_cond, ffn_remain, ffn_util = _conmerge_summary(ffn_mask)
 
-    tq = min(spec.paper_tokens, SAMPLE_ROWS)
-    tk = min(spec.paper_tokens, SAMPLE_COLS)
+    tq = min(spec.paper_tokens, constants.sample_rows)
+    tk = min(spec.paper_tokens, constants.sample_cols)
     attn_mask = attention_keepmask(
         tq,
         tk,
@@ -138,37 +128,29 @@ def estimate_profile(spec: ModelSpec, seed: int = 0) -> SparsityProfile:
         attn_condense_ratio=attn_cond,
         attn_remaining_ratio=attn_remain,
         attn_utilization=attn_util,
-        q_skip=DEFAULT_Q_SKIP,
-        kv_skip=DEFAULT_KV_SKIP,
+        q_skip=constants.q_skip,
+        kv_skip=constants.kv_skip,
     )
 
 
 def profile_from_stats(
     spec: ModelSpec,
     stats: RunStats,
+    constants: HardwareConstants,
 ) -> SparsityProfile:
     """Profile using *measured* sparsities from a simulation-scale run.
 
     ConMerge compaction ratios still come from paper-scale synthetic masks
     (tile structure depends on matrix size), but the element sparsities and
     projection skip rates are the run's own. A rate falls back to the
-    spec's target or the paper's average only when the run recorded
-    nothing for it; a measured 0 stays 0.
+    spec's target or the estimate's (``constants``) only when the run
+    recorded nothing for it; a measured 0 stays 0.
     """
-    base = estimate_profile(spec)
+    base = estimate_profile(spec, constants)
     ffn_s = stats.ffn_output_sparsity if stats.ffn_sparsities else base.ffn_sparsity
     attn_s = stats.attention_output_sparsity if stats.attention_sparsities else base.attn_sparsity
-    return SparsityProfile(
-        name=spec.name,
-        dense_period=spec.dense_period,
-        ffn_sparsity=ffn_s,
-        ffn_condense_ratio=base.ffn_condense_ratio,
-        ffn_remaining_ratio=base.ffn_remaining_ratio,
-        ffn_utilization=base.ffn_utilization,
-        attn_sparsity=attn_s,
-        attn_condense_ratio=base.attn_condense_ratio,
-        attn_remaining_ratio=base.attn_remaining_ratio,
-        attn_utilization=base.attn_utilization,
-        q_skip=stats.q_projection_skip_rate if stats.q_projection.dense else DEFAULT_Q_SKIP,
-        kv_skip=stats.kv_projection_skip_rate if stats.kv_projection.dense else DEFAULT_KV_SKIP,
+    return replace(
+        base, ffn_sparsity=ffn_s, attn_sparsity=attn_s,
+        q_skip=stats.q_projection_skip_rate if stats.q_projection.dense else base.q_skip,
+        kv_skip=stats.kv_projection_skip_rate if stats.kv_projection.dense else base.kv_skip,
     )

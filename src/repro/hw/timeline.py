@@ -107,7 +107,7 @@ def simulate_timeline(
 
     cache = get_plan_cache()
     if profile is None:
-        profile = cache.profile(spec)
+        profile = cache.profile(spec, accelerator=accelerator)
     plan = cache.plan(spec, config, iterations=iterations, batch=batch)
 
     timeline = Timeline(accelerator=accelerator.name, model=spec.name)

@@ -23,6 +23,14 @@ from repro.models.transformer import Executors
 ExecutorProvider = Callable[[int, int], Optional[Executors]]
 
 
+def require_one_input(prompt, class_label) -> None:
+    """Refuse both a prompt and a class label: the model encodes one
+    input, and dropping the other would be silent."""
+    if prompt is not None and class_label is not None:
+        raise ValueError(f"pass prompt or class_label, not both "
+                         f"(prompt={prompt!r}, class_label={class_label!r})")
+
+
 class DiffusionPipeline:
     """Runs the reverse denoising process of paper Fig. 2.
 
@@ -48,6 +56,7 @@ class DiffusionPipeline:
         self, prompt: Optional[str] = None, class_label: Optional[int] = None
     ) -> Optional[np.ndarray]:
         """Encode the conditional input once, as the paper's Fig. 2 shows."""
+        require_one_input(prompt, class_label)
         if self.conditioning is None:
             return None
         if class_label is not None:

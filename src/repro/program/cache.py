@@ -63,14 +63,15 @@ _ENTRIES_KEY = {
 def _accelerator_key(accelerator) -> tuple:
     """Content fingerprint of an accelerator configuration.
 
-    Covers everything :meth:`simulate_plan` reads: the DSC count, clock,
-    GSC capacity and the full DRAM model (a frozen dataclass: bandwidth,
-    per-bit energy, burst latency). Duck-typed so this module never
-    imports ``repro.hw`` at module scope.
+    Covers everything :meth:`simulate_plan` reads: the DSC count, GSC
+    capacity, the full DRAM model (a frozen dataclass: bandwidth, per-bit
+    energy, burst latency) and the hardware-constants record (clock,
+    power, efficiencies). Duck-typed so this module never imports
+    ``repro.hw`` at module scope.
     """
     return (
-        accelerator.name, accelerator.num_dscs, accelerator.clock_hz,
-        accelerator.gsc_bytes, accelerator.dram,
+        accelerator.name, accelerator.num_dscs, accelerator.gsc_bytes,
+        accelerator.dram, accelerator.constants,
     )
 
 
@@ -161,20 +162,25 @@ class PlanCache:
             op_class_energy_j=dict(report.op_class_energy_j),
         )
 
-    def profile(self, spec: ModelSpec, seed: int = 0):
+    def profile(self, spec: ModelSpec, seed: int = 0, accelerator=None):
         """Memoized :func:`~repro.hw.profile.estimate_profile`.
 
         The synthesis (mask generation + real ConMerge passes) dominates
-        cold fleet setup, so equal ``(spec fields, seed)`` share one
-        estimate across every replica and explore point. Returns a copy:
+        cold fleet setup, so equal ``(spec fields, seed, constants)``
+        share one estimate across every replica and explore point. The
+        constants are ``accelerator``'s record (default: the
+        :data:`~repro.hw.constants.HARDWARE` binding), so a price and
+        its profile read one record. Returns a copy:
         :class:`~repro.hw.profile.SparsityProfile` is a mutable dataclass
         and callers may adjust theirs.
         """
+        from repro.hw.constants import HARDWARE
         from repro.hw.profile import estimate_profile
 
+        constants = HARDWARE if accelerator is None else accelerator.constants
         return dataclasses.replace(self._intern(
-            "profile", (spec, seed),
-            lambda: estimate_profile(spec, seed=seed),
+            "profile", (spec, seed, constants),
+            lambda: estimate_profile(spec, constants, seed=seed),
         ))
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.pipeline import GenerationResult
+from repro.models.pipeline import require_one_input
 
 
 def require_finite(**values) -> None:
@@ -59,6 +60,9 @@ class GenerationRequest:
     tenant: str = "default"
     priority: int = Priority.STANDARD
     deadline_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        require_one_input(self.prompt, self.class_label)
 
 
 @dataclass

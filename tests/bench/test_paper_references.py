@@ -17,7 +17,7 @@ import pytest
 
 from repro.baselines.cambricon_d import CambriconDModel
 from repro.bench import BenchContext, discover
-from repro.hw import energy
+from repro.hw.constants import HARDWARE
 from repro.program.cache import fresh_plan_cache
 from repro.workloads.specs import BENCHMARK_ORDER, MODEL_SPECS
 
@@ -49,22 +49,21 @@ class SpecField:
 
 @dataclass(frozen=True)
 class Constant:
-    """A module constant, or one field of a frozen record constant."""
+    """One field of a frozen record constant."""
 
     module: str
     name: str
-    field: str = ""
+    field: str
+
+    def record(self):
+        return getattr(importlib.import_module(self.module), self.name)
 
     def value(self):
-        held = getattr(importlib.import_module(self.module), self.name)
-        return getattr(held, self.field) if self.field else held
+        return getattr(self.record(), self.field)
 
     def scale(self, monkeypatch, factor):
-        held = getattr(importlib.import_module(self.module), self.name)
-        scaled = self.value() * factor
-        _rebind(monkeypatch, self.module, self.name,
-                replace(held, **{self.field: scaled}) if self.field
-                else scaled)
+        _rebind(monkeypatch, self.module, self.name, replace(
+            self.record(), **{self.field: self.value() * factor}))
 
 
 @dataclass(frozen=True)
@@ -82,22 +81,25 @@ class ClassAttribute:
 
 
 @dataclass(frozen=True)
-class TableIII:
-    """Entries of a Table III dict, with the total derived from it."""
+class TableIII(Constant):
+    """Entries of a Table III ``(component, value)`` field of the hardware
+    record. The totals are properties of the record, so they follow."""
 
-    table: str  # "DSC_AREA_MM2" or "DSC_POWER_MW"
     keys: tuple
 
     def value(self):
-        return sum(getattr(energy, self.table)[key] for key in self.keys)
+        table = dict(super().value())
+        return sum(table[key] for key in self.keys)
 
     def scale(self, monkeypatch, factor):
-        table = getattr(energy, self.table)
-        for key in self.keys:
-            monkeypatch.setitem(table, key, table[key] * factor)
-        # energy.py derives the total from the dict once, at import.
-        _rebind(monkeypatch, "repro.hw.energy", f"TOTAL_{self.table}",
-                round(sum(table.values()), 2))
+        pairs = tuple((key, value * factor if key in self.keys else value)
+                      for key, value in super().value())
+        _rebind(monkeypatch, self.module, self.name,
+                replace(self.record(), **{self.field: pairs}))
+
+
+#: The hardware record every Table II and III echo reads.
+RECORD = ("repro.hw.constants", "HARDWARE")
 
 
 def proportional(factor, before):
@@ -123,23 +125,25 @@ ECHOES = {
         (ClassAttribute(CambriconDModel, "transformer_speedup"),
          proportional),
     "table2_specs.dsc_peak_tops":
-        (Constant("repro.hw.accelerator", "DSC_PEAK_TOPS"), proportional),
+        (Constant(*RECORD, "dsc_peak_tops"), proportional),
     "table2_specs.exion4.peak_tops":
-        (Constant("repro.hw.accelerator", "DSC_PEAK_TOPS"), proportional),
+        (Constant(*RECORD, "dsc_peak_tops"), proportional),
     "table2_specs.exion24.peak_tops":
-        (Constant("repro.hw.accelerator", "DSC_PEAK_TOPS"), proportional),
+        (Constant(*RECORD, "dsc_peak_tops"), proportional),
     "table2_specs.exion4.bandwidth_gbps":
         (Constant("repro.hw.dram", "LPDDR5", "bandwidth_gbps"), proportional),
     "table2_specs.exion24.bandwidth_gbps":
         (Constant("repro.hw.dram", "GDDR6", "bandwidth_gbps"), proportional),
     "table3_power_area.total_dsc_area_mm2":
-        (TableIII("DSC_AREA_MM2", tuple(energy.DSC_AREA_MM2)), proportional),
+        (TableIII(*RECORD, "dsc_area_mm2", tuple(dict(HARDWARE.dsc_area_mm2))),
+         proportional),
     "table3_power_area.total_dsc_power_mw":
-        (TableIII("DSC_POWER_MW", tuple(energy.DSC_POWER_MW)), proportional),
+        (TableIII(*RECORD, "dsc_power_mw", tuple(dict(HARDWARE.dsc_power_mw))),
+         proportional),
     "table3_power_area.sparsity_units_power_share":
-        (TableIII("DSC_POWER_MW", ("epre", "cau")), share),
+        (TableIII(*RECORD, "dsc_power_mw", ("epre", "cau")), share),
     "table3_power_area.cau_area_share":
-        (TableIII("DSC_AREA_MM2", ("cau",)), share),
+        (TableIII(*RECORD, "dsc_area_mm2", ("cau",)), share),
 }
 
 SOURCES = sorted({source for source, _ in ECHOES.values()}, key=repr)

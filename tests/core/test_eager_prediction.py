@@ -537,7 +537,7 @@ class TestSingleColumnSkip:
             predictor = EagerPredictor(config, stats=RunStats(),
                                        collect_keepmasks=True)
             context = None if contexts is None else contexts[b]
-            if kv is not None:
+            if v is not None:
                 monkeypatch.setattr(layer, "kv",
                                     lambda _, b=b: (kv[1][b], kv[2][b]))
             out = predictor._run(layer, x, context)
@@ -546,7 +546,8 @@ class TestSingleColumnSkip:
         counts = _count_projections(monkeypatch, [layer])
         for b, x in enumerate(xs):
             context = None if contexts is None else contexts[b]
-            cached = None if kv is None else tuple(a[b] for a in kv)
+            cached = None if kv is None else tuple(
+                None if a is None else a[b] for a in kv)  # no K at tk = 1
             # A cross step without cached K/V projects its own.
             uncached = () if kv is None or v is not None else (None,)
             for step_kv in (cached, *uncached):

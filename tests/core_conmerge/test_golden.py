@@ -18,6 +18,7 @@ from repro.core.bitmask import Bitmask
 from repro.core.conmerge.cvg import _blocks_from_entries, conmerge
 from repro.core.conmerge.merge import try_merge
 from repro.core.conmerge.sortbuffer import ColumnEntry
+from repro.hw.constants import HARDWARE
 from repro.workloads.specs import get_spec
 
 PROFILE_MODELS = ("dit", "mld", "stable_diffusion")
@@ -57,7 +58,7 @@ def _profile_tiles() -> list:
     profile.conmerge_tiled = record
     try:
         for name in PROFILE_MODELS:
-            profile.estimate_profile(get_spec(name))
+            profile.estimate_profile(get_spec(name), HARDWARE)
     finally:
         profile.conmerge_tiled = real
     return [

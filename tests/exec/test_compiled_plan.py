@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.exec.continuous import ContinuousExecutor, build_prediction_tables
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.program import compile_plan, lower_plan
 from repro.models.network import network_stages
@@ -183,7 +184,7 @@ class TestCompilationIsAPureView:
     @pytest.mark.parametrize("table2", sorted(TABLE2))
     def test_pricing_unchanged_by_compilation(self, table2):
         spec = get_spec("dit")
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         acc = TABLE2[table2]()
         plan = lower_plan(spec, config=ExionConfig.for_model("dit"),
                           iterations=10)

@@ -79,8 +79,9 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         # as the single-seed engine does (the batch kernel at a batch of one).
         kvs = [None]
         if cross:
-            kvs.append(tuple(
-                a[0] for a in ep_cross_kv(layer, context[None], pred, config)
+            kvs.append(tuple(  # a one-token context builds no K
+                None if a is None else a[0]
+                for a in ep_cross_kv(layer, context[None], pred, config)
             ))
         for kv in kvs:
             stats = RunStats()

@@ -32,6 +32,10 @@ from repro.workloads.specs import MODEL_SPECS
 
 MODELS = sorted(MODEL_SPECS)
 ABLATIONS = ("base", "ep", "ffnr", "all")
+#: One input each: a multi-token prompt context, or a one-token class label.
+CONDITIONING = pytest.mark.parametrize(
+    "conditioning", ({"prompt": "a corgi"}, {"class_label": 7}),
+    ids=("prompt", "class_label"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -83,13 +87,15 @@ def _requests(seeds, **conditioning):
 class TestEveryModelEveryAblation:
     """The full grid: 9 models × 4 ablations, masks collected."""
 
+    @CONDITIONING
     @pytest.mark.parametrize("model", MODELS)
     @pytest.mark.parametrize("ablation", ABLATIONS)
-    def test_samples_and_stats_byte_identical(self, model, ablation):
+    def test_samples_and_stats_byte_identical(self, model, ablation,
+                                              conditioning):
         config = ExionConfig.for_model(model).ablation(ablation)
         interp, comp = _pipelines(model, config)
-        ri = interp.generate(seed=3, prompt="a corgi", class_label=7)
-        rc = comp.generate(seed=3, prompt="a corgi", class_label=7)
+        ri = interp.generate(seed=3, **conditioning)
+        rc = comp.generate(seed=3, **conditioning)
         _assert_identical(ri, rc)
 
 
@@ -133,15 +139,15 @@ class TestSeededFuzz:
 class TestBatchedParity:
     """The batched engine vs per-seed runs of the interpreted oracle."""
 
+    @CONDITIONING
     @pytest.mark.parametrize("model", ("dit", "stable_diffusion", "mld"))
-    def test_batched_samples_and_stats(self, model):
+    def test_batched_samples_and_stats(self, model, conditioning):
         config = ExionConfig.for_model(model)
         oracle, pipeline = _pipelines(model, config)
         seeds = (1, 2, 3)
-        samples, results = pipeline.generate_batch(
-            seeds, prompt="x", class_label=5)
+        samples, results = pipeline.generate_batch(seeds, **conditioning)
         for b, seed in enumerate(seeds):
-            ref = oracle.generate(seed=seed, prompt="x", class_label=5)
+            ref = oracle.generate(seed=seed, **conditioning)
             assert np.array_equal(samples[b], ref.sample)
             _assert_identical(ref, results[b])
 
@@ -218,27 +224,25 @@ class TestKernelChoice:
                             "ep_attention_step_batched", spy_batched)
         return calls
 
+    @CONDITIONING
     @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
-    def test_one_run_tick_takes_the_2d_kernel(self, model, calls):
+    def test_one_run_tick_takes_the_2d_kernel(self, model, calls,
+                                              conditioning):
         config = ExionConfig.for_model(model)
         oracle, pipeline = _pipelines(model, config)
-        result = pipeline.generate(seed=4, prompt="a corgi", class_label=3)
+        result = pipeline.generate(seed=4, **conditioning)
         assert calls["2-D"] and not calls["batched"]
-        _assert_identical(
-            oracle.generate(seed=4, prompt="a corgi", class_label=3), result
-        )
+        _assert_identical(oracle.generate(seed=4, **conditioning), result)
 
+    @CONDITIONING
     @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
-    def test_two_run_tick_takes_the_batched_kernel(self, model, calls):
+    def test_two_run_tick_takes_the_batched_kernel(self, model, calls,
+                                                   conditioning):
         config = ExionConfig.for_model(model)
         oracle, pipeline = _pipelines(model, config)
-        _, results = pipeline.generate_batch(
-            [4, 5], prompt="a corgi", class_label=3
-        )
+        _, results = pipeline.generate_batch([4, 5], **conditioning)
         assert calls["batched"] and set(calls["batched"]) == {2}
         assert not calls["2-D"]
         for seed, result in zip((4, 5), results):
-            _assert_identical(
-                oracle.generate(seed=seed, prompt="a corgi", class_label=3),
-                result,
-            )
+            _assert_identical(oracle.generate(seed=seed, **conditioning),
+                              result)

@@ -1,5 +1,6 @@
 """Unit tests for the exploration runner: cache, parallelism, determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -129,6 +130,33 @@ class TestCache:
         report = runner.run()
         assert runner.evaluator.calls == runner.stats.evaluated > 0
         assert report.to_json() == _runner(None).run().to_json()
+
+    def test_a_changed_hardware_record_misses_the_disk_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """The hardware record keys the on-disk cache: with one field
+        changed, a warm directory serves nothing and the sweep equals an
+        uncached one."""
+        import repro.hw.accelerator
+        import repro.hw.constants
+
+        def run(cache_dir):
+            evaluator = PointEvaluator(
+                objectives=("latency_s", "energy_j"), iterations=4)
+            runner = ExploreRunner(default_space("dit"), RandomSearch(budget=3),
+                                   evaluator, cache_dir=cache_dir)
+            return runner, runner.run().to_json()
+
+        _, cold = run(tmp_path)
+        warm, again = run(tmp_path)
+        assert (warm.stats.cache_hits, again) == (3, cold)
+        changed = dataclasses.replace(repro.hw.constants.HARDWARE,
+                                      scaling_efficiency=0.46)
+        for module in (repro.hw.constants, repro.hw.accelerator):
+            monkeypatch.setattr(module, "HARDWARE", changed)
+        rerun, report = run(tmp_path)
+        assert rerun.stats.cache_hits == 0
+        assert report == run(None)[1] != cold
 
     def test_no_cache_dir_always_evaluates(self):
         runner = _runner(None)

@@ -6,13 +6,14 @@ import pytest
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import get_spec
 
 
 @pytest.fixture(scope="module")
 def dit_profile():
-    return estimate_profile(get_spec("dit"), seed=0)
+    return estimate_profile(get_spec("dit"), HARDWARE, seed=0)
 
 
 class TestConfigurations:
@@ -48,7 +49,7 @@ class TestCustomConfigurations:
         assert custom.num_dscs == ex24.num_dscs
         assert custom.dram == ex24.dram
         assert custom.gsc_bytes == ex24.gsc_bytes
-        assert custom.clock_hz == ex24.clock_hz
+        assert custom.constants is ex24.constants
         assert custom.name == "EXION24c" != ex24.name
 
     def test_custom_simulation_matches_factory(self, dit_profile):

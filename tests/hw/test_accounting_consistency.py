@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
@@ -21,7 +22,7 @@ def reports():
     out = {}
     for name in ("mld", "dit", "stable_diffusion"):
         spec = get_spec(name)
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         out[name] = {
             (ffnr, ep): acc.simulate(
                 spec, profile, ExionConfig.for_model(name, ffnr, ep),
@@ -116,7 +117,7 @@ class TestAllModelsSimulate:
     @pytest.mark.parametrize("name", BENCHMARK_ORDER)
     def test_every_model_on_every_instance(self, name):
         spec = get_spec(name)
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         for acc in (ExionAccelerator.exion4(), ExionAccelerator.exion42()):
             report = acc.simulate(spec, profile, iterations=5)
             assert report.latency_s > 0

@@ -35,7 +35,7 @@ class TestCAU:
 
     def test_area_share_matches_paper(self):
         """CAU accounts for 0.94% of the DSC area (paper IV-C, Table III)."""
-        from repro.hw.energy import DSC_AREA_MM2
+        from repro.hw.constants import HARDWARE
 
-        total = sum(DSC_AREA_MM2.values())
-        assert DSC_AREA_MM2["cau"] / total == pytest.approx(0.0094, abs=0.002)
+        area = dict(HARDWARE.dsc_area_mm2)
+        assert area["cau"] / sum(area.values()) == pytest.approx(0.0094, abs=0.002)

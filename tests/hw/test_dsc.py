@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hw.dsc import DSCModel
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.program.lower import lower_program
 from repro.workloads.specs import get_spec
@@ -12,7 +13,7 @@ from repro.workloads.specs import get_spec
 def dit_setup():
     spec = get_spec("dit")
     program = lower_program(spec, scale="paper")
-    return program, estimate_profile(spec, seed=0), DSCModel()
+    return program, estimate_profile(spec, HARDWARE, seed=0), DSCModel()
 
 
 class TestIterationCost:
@@ -73,7 +74,7 @@ class TestIterationCost:
         applies no sparsity optimization there, Section V-C)."""
         spec = get_spec("stable_diffusion")
         program = lower_program(spec, scale="paper")
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         dsc = DSCModel()
         base = dsc.iteration_cost(program, profile, False, False, False)
         full = dsc.iteration_cost(program, profile, True, True, sparse_phase=True)
@@ -87,7 +88,7 @@ class TestIterationCost:
         program = lower_program(spec, scale="paper")
         dsc = DSCModel()
         cost = dsc.iteration_cost(
-            program, estimate_profile(spec, seed=0), False, False, False
+            program, estimate_profile(spec, HARDWARE, seed=0), False, False, False
         )
         assert cost.sdue_cycles == sum(
             dsc.sdue.dense_cycles(op.r, op.k, op.c) * op.count

@@ -2,28 +2,26 @@
 
 import pytest
 
-from repro.hw.energy import (
-    DSC_POWER_MW,
-    EnergyModel,
-    TOTAL_DSC_AREA_MM2,
-    TOTAL_DSC_POWER_MW,
-)
+from repro.hw.constants import HARDWARE
+from repro.hw.energy import EnergyModel
+
+POWER_MW = dict(HARDWARE.dsc_power_mw)
 
 
 class TestTableIII:
     def test_total_area(self):
-        assert TOTAL_DSC_AREA_MM2 == pytest.approx(4.37, abs=0.01)
+        assert HARDWARE.total_dsc_area_mm2 == pytest.approx(4.37, abs=0.01)
 
     def test_total_power(self):
-        assert TOTAL_DSC_POWER_MW == pytest.approx(1511.43, abs=0.1)
+        assert HARDWARE.total_dsc_power_mw == pytest.approx(1511.43, abs=0.1)
 
     def test_sdue_dominates_power(self):
-        assert DSC_POWER_MW["sdue"] == max(DSC_POWER_MW.values())
+        assert POWER_MW["sdue"] == max(POWER_MW.values())
 
     def test_sparsity_units_power_share(self):
         """EPRE + CAU consume up to ~18.6% of total power (paper V-D)."""
-        share = (DSC_POWER_MW["epre"] + DSC_POWER_MW["cau"]) / sum(
-            DSC_POWER_MW.values()
+        share = (POWER_MW["epre"] + POWER_MW["cau"]) / sum(
+            POWER_MW.values()
         )
         assert share == pytest.approx(0.186, abs=0.01)
 
@@ -41,7 +39,7 @@ class TestEnergyModel:
         model = EnergyModel()
         model.record("sdue", busy_cycles=0, idle_cycles=800_000_000)
         assert model.component_energy_j("sdue") == pytest.approx(
-            0.958 * model.idle_fraction, rel=0.01
+            0.958 * HARDWARE.idle_power_fraction, rel=0.01
         )
 
     def test_activity_scales_busy_energy(self):

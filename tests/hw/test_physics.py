@@ -63,7 +63,7 @@ def test_every_priced_step_obeys_the_roofline_and_peak_power(model):
                     where
                 assert latency >= accel.dram.transfer_seconds(
                     priced.dram_bytes), where
-                energy = EnergyModel(clock_hz=accel.clock_hz)
+                energy = EnergyModel(accel.constants)
                 accel._record_energy(energy, priced.cost, priced.busy,
                                      latency)
                 on_chip_j = energy.total_energy_j()

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.sparsity import RunStats
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import (
-    DEFAULT_KV_SKIP,
-    DEFAULT_Q_SKIP,
     SparsityProfile,
     estimate_profile,
     one_hot_rate_from_spec,
@@ -30,13 +29,13 @@ class TestOneHotRate:
 
 class TestEstimateProfile:
     def test_fields_in_range(self):
-        profile = estimate_profile(get_spec("stable_diffusion"), seed=0)
+        profile = estimate_profile(get_spec("stable_diffusion"), HARDWARE, seed=0)
         assert 0.0 < profile.ffn_remaining_ratio <= 1.0
         assert profile.ffn_remaining_ratio <= profile.ffn_condense_ratio
         assert 0.0 < profile.ffn_utilization <= 1.0
 
     def test_merging_improves_on_condensing(self):
-        profile = estimate_profile(get_spec("stable_diffusion"), seed=0)
+        profile = estimate_profile(get_spec("stable_diffusion"), HARDWARE, seed=0)
         assert profile.ffn_remaining_ratio < profile.ffn_condense_ratio
 
     def test_validation_rejects_out_of_range(self):
@@ -51,8 +50,8 @@ class TestEstimateProfile:
             )
 
     def test_deterministic_given_seed(self):
-        a = estimate_profile(get_spec("dit"), seed=3)
-        b = estimate_profile(get_spec("dit"), seed=3)
+        a = estimate_profile(get_spec("dit"), HARDWARE, seed=3)
+        b = estimate_profile(get_spec("dit"), HARDWARE, seed=3)
         assert a == b
 
 
@@ -63,18 +62,18 @@ class TestProfileFromStats:
         stats.attention_sparsities.append(0.33)
         stats.q_projection.add(100, 80)
         stats.kv_projection.add(100, 90)
-        profile = profile_from_stats(get_spec("dit"), stats)
+        profile = profile_from_stats(get_spec("dit"), stats, HARDWARE)
         assert profile.ffn_sparsity == pytest.approx(0.77)
         assert profile.attn_sparsity == pytest.approx(0.33)
         assert profile.q_skip == pytest.approx(0.2)
         assert profile.kv_skip == pytest.approx(0.1)
 
     def test_empty_stats_fall_back_to_spec(self):
-        profile = profile_from_stats(get_spec("dit"), RunStats())
+        profile = profile_from_stats(get_spec("dit"), RunStats(), HARDWARE)
         assert profile.ffn_sparsity == get_spec("dit").target_inter_sparsity
         assert profile.attn_sparsity == get_spec("dit").target_intra_sparsity
-        assert profile.q_skip == DEFAULT_Q_SKIP
-        assert profile.kv_skip == DEFAULT_KV_SKIP
+        assert profile.q_skip == HARDWARE.q_skip
+        assert profile.kv_skip == HARDWARE.kv_skip
 
     def test_measured_zero_stays_zero(self):
         """A run that recorded its ops and skipped nothing reports 0, not
@@ -84,7 +83,7 @@ class TestProfileFromStats:
         stats.attention_sparsities.append(0.0)
         stats.q_projection.add(100, 100)
         stats.kv_projection.add(100, 100)
-        profile = profile_from_stats(get_spec("dit"), stats)
+        profile = profile_from_stats(get_spec("dit"), stats, HARDWARE)
         assert profile.ffn_sparsity == 0.0
         assert profile.attn_sparsity == 0.0
         assert profile.q_skip == 0.0

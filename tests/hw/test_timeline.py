@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.hw.timeline import simulate_timeline
 from repro.workloads.specs import get_spec
@@ -15,7 +16,7 @@ def dit_timeline():
     return simulate_timeline(
         ExionAccelerator.exion24(),
         spec,
-        profile=estimate_profile(spec, seed=0),
+        profile=estimate_profile(spec, HARDWARE, seed=0),
         iterations=12,
     )
 
@@ -41,7 +42,7 @@ class TestTimeline:
 
     def test_total_matches_accelerator_simulate(self):
         spec = get_spec("dit")
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         acc = ExionAccelerator.exion24()
         timeline = simulate_timeline(acc, spec, profile, iterations=12)
         report = acc.simulate(spec, profile, iterations=12)
@@ -50,7 +51,7 @@ class TestTimeline:
 
     def test_config_matches_accelerator_simulate(self):
         spec = get_spec("dit")
-        profile = estimate_profile(spec, seed=0)
+        profile = estimate_profile(spec, HARDWARE, seed=0)
         acc = ExionAccelerator.exion24()
         config = ExionConfig.for_model("dit").ablation("ep")
         timeline = simulate_timeline(acc, spec, profile, config,
@@ -73,7 +74,7 @@ class TestTimeline:
         spec = get_spec("dit")
         timeline = simulate_timeline(
             ExionAccelerator.exion24(), spec,
-            estimate_profile(spec, seed=0),
+            estimate_profile(spec, HARDWARE, seed=0),
             ExionConfig.for_model("dit", enable_ffn_reuse=False),
             iterations=6,
         )

@@ -92,11 +92,12 @@ class TestStatsToHardware:
 
     def test_profile_from_run_feeds_accelerator(self, dit_model):
         from repro.hw.accelerator import ExionAccelerator
+        from repro.hw.constants import HARDWARE
         from repro.hw.profile import profile_from_stats
 
         cfg = ExionConfig.for_model("dit")
         result = ExionPipeline(dit_model, cfg).generate(seed=1, class_label=2)
-        profile = profile_from_stats(dit_model.spec, result.stats)
+        profile = profile_from_stats(dit_model.spec, result.stats, HARDWARE)
         report = ExionAccelerator.exion24().simulate(
             dit_model.spec, profile=profile, iterations=12
         )

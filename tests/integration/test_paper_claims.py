@@ -14,6 +14,7 @@ from repro.baselines.specs import A100, EDGE_GPU, SERVER_GPU
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.models.zoo import build_model
 from repro.workloads.metrics import psnr
@@ -23,7 +24,7 @@ from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 @pytest.fixture(scope="module")
 def profiles():
     return {
-        name: estimate_profile(get_spec(name), seed=0)
+        name: estimate_profile(get_spec(name), HARDWARE, seed=0)
         for name in BENCHMARK_ORDER
     }
 

@@ -28,6 +28,13 @@ class TestDiffusionPipeline:
         assert sample.shape == (16, 64)
         assert len(latents) == 9
 
+    def test_prompt_and_class_label_refused(self, sd_model):
+        pipe = sd_model.make_pipeline()
+        with pytest.raises(ValueError, match="prompt or class_label"):
+            pipe.embed_prompt("a corgi", 3)
+        with pytest.raises(ValueError, match="prompt or class_label"):
+            pipe.generate(seed=0, prompt="a corgi", class_label=3)
+
     def test_deterministic_given_seed(self, dit_model):
         pipe = dit_model.make_pipeline()
         a = pipe.generate(seed=3, class_label=1)

@@ -25,6 +25,7 @@ from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import A100, EDGE_GPU, SERVER_GPU
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.program import lower_plan
 from repro.workloads.specs import (
@@ -57,7 +58,7 @@ def baseline():
 @pytest.fixture(scope="module")
 def profiles():
     return {
-        name: estimate_profile(get_spec(name), seed=0)
+        name: estimate_profile(get_spec(name), HARDWARE, seed=0)
         for name in MODEL_SPECS
     }
 

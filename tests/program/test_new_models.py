@@ -16,6 +16,7 @@ from repro.baselines.gpu import GPUModel
 from repro.baselines.specs import SERVER_GPU
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.workloads.specs import EXTENDED_ORDER, get_spec
 
@@ -23,7 +24,7 @@ from repro.workloads.specs import EXTENDED_ORDER, get_spec
 @pytest.fixture(scope="module")
 def profiles():
     return {
-        name: estimate_profile(get_spec(name), seed=0)
+        name: estimate_profile(get_spec(name), HARDWARE, seed=0)
         for name in EXTENDED_ORDER
     }
 

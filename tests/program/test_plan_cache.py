@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.config import ExionConfig
 from repro.hw.accelerator import ExionAccelerator
+from repro.hw.constants import HARDWARE
 from repro.hw.profile import estimate_profile
 from repro.program import (
     compile_plan,
@@ -196,7 +197,7 @@ class TestProfileTierParity:
     @pytest.mark.parametrize("model", ALL_MODEL_ORDER)
     def test_profile_equals_cold_estimate(self, cache, model):
         spec = get_spec(model)
-        cold = estimate_profile(spec)
+        cold = estimate_profile(spec, HARDWARE)
         warm = cache.profile(spec)
         assert warm == cold
 
@@ -206,7 +207,7 @@ class TestProfileTierParity:
         first.ffn_sparsity = 0.0
         second = cache.profile(spec)
         assert second.ffn_sparsity != 0.0
-        assert second == estimate_profile(spec)
+        assert second == estimate_profile(spec, HARDWARE)
 
     def test_seed_keys_the_profile(self, cache):
         spec = get_spec("dit")
@@ -215,6 +216,33 @@ class TestProfileTierParity:
         assert cache.tier_misses["profile"] == 2
         cache.profile(spec)
         assert cache.tier_hits["profile"] == 1
+
+
+class TestHardwareRecordKeys:
+    """Both hardware tiers key on the accelerator's constants record."""
+
+    def test_a_changed_record_field_misses_both_hardware_tiers(self, cache):
+        spec = get_spec("dit")
+        plan = cache.plan(spec)
+        acc = ExionAccelerator.exion24()
+        base = cache.price(acc, plan, cache.profile(spec, accelerator=acc))
+        changed = ExionAccelerator.exion24()
+        changed.constants = dataclasses.replace(
+            changed.constants, scaling_efficiency=0.46)
+        profile = cache.profile(spec, accelerator=changed)
+        report = cache.price(changed, plan, profile)
+        assert cache.tier_misses["profile"] == 2
+        assert cache.tier_misses["pricing"] == 2
+        assert report == changed.simulate_plan(plan, profile)
+        assert report.latency_s != base.latency_s
+
+    def test_the_profile_reads_its_accelerator_record(self, cache):
+        spec = get_spec("dit")
+        acc = ExionAccelerator.exion24()
+        assert cache.profile(spec) == cache.profile(spec, accelerator=acc)
+        assert cache.tier_hits["profile"] == 1
+        acc.constants = dataclasses.replace(acc.constants, q_skip=0.5)
+        assert cache.profile(spec, accelerator=acc).q_skip == 0.5
 
 
 class TestConcurrentReaders:

@@ -100,7 +100,7 @@ class TestHeterogeneousBatch:
         config = ExionConfig.for_model("mld")
         conditioning = [
             ("a person walks", None), ("a person jumps high", None),
-            ("spin", 3), ("a person walks", None), (None, 3),
+            ("spin", None), ("a person walks", None), (None, 3),
         ]
         sequential = oracle(model, config)
         want = [sequential.generate(seed=i, prompt=p, class_label=c)

@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.exec import ContinuousExecutor
+from repro.models.linear import Linear
 from repro.models.zoo import build_model
 from repro.serve import (
     ContinuousPolicy,
@@ -286,6 +287,44 @@ def test_one_key_output_cache_follows_membership_edits(monkeypatch):
         got = executor.finish_run(run)
         assert np.array_equal(solo.sample, got.sample)
         assert solo.stats.summary() == got.stats.summary()
+
+
+def test_a_one_token_context_builds_no_cross_k(monkeypatch):
+    """A class-label context is one token, so its cross blocks project V
+    alone: no K projection and no K prediction, at a batch of one or
+    three. A prompt still builds both, and every run equals its solo
+    run."""
+    import repro.core.eager_prediction as ep_module
+
+    model, config = _mld()
+    executor = ContinuousExecutor(model, config)
+    cross = {id(p["cross"].wk_operand) for p in executor._preds if "cross" in p}
+    cross_wk = {id(b.cross_attn.wk) for b in model.network.blocks
+                if b.cross_attn is not None}
+    calls = {"wk": 0, "predict": 0}
+    real_linear = Linear.__call__
+
+    def linear(self, x):
+        calls["wk"] += id(self) in cross_wk
+        return real_linear(self, x)
+
+    monkeypatch.setattr(Linear, "__call__", linear)
+    real_predict = ep_module._predict_per_request
+
+    def predict(a_approx, a_scales, weight):
+        calls["predict"] += id(weight) in cross
+        return real_predict(a_approx, a_scales, weight)
+
+    monkeypatch.setattr(ep_module, "_predict_per_request", predict)
+    requests = [GenerationRequest(i, seed=i, class_label=i) for i in range(4)]
+    results = executor.run_batch(requests[:3]) + executor.run_batch(requests[3:])
+    assert calls == {"wk": 0, "predict": 0}
+    for request, got in zip(requests, results):
+        solo = _solo(model, config, request)
+        assert np.array_equal(solo.sample, got.sample)
+        assert solo.stats.summary() == got.stats.summary()
+    executor.run_batch([GenerationRequest(4, seed=4, prompt="a person walks")])
+    assert calls["wk"] > 0 and calls["predict"] > 0
 
 
 def test_one_key_output_cache_records_every_keep_mask():

@@ -8,6 +8,7 @@ from repro.core.config import ExionConfig
 from repro.core.pipeline import ExionPipeline
 from repro.models.zoo import build_model
 from repro.serve import ContinuousPolicy, ContinuousServer, Priority, ThresholdCache
+from repro.serve.request import GenerationRequest
 
 FAST_ITERATIONS = 6
 
@@ -36,6 +37,15 @@ class TestServing:
         # Even with an explicit config (which skips for_model lookup).
         with pytest.raises(KeyError):
             ContinuousServer("resnet50", config=ExionConfig.for_model("dit"))
+
+    def test_prompt_and_class_label_refused_at_submit(self):
+        with pytest.raises(ValueError, match="prompt or class_label"):
+            GenerationRequest(0, prompt="a corgi", class_label=3)
+        server = dry_server()
+        with pytest.raises(ValueError, match="prompt or class_label"):
+            server.submit(seed=0, prompt="a corgi", class_label=3)
+        assert server.submit(seed=0, class_label=3) == 0
+        assert [r.request_id for r in server.run_until_drained()] == [0]
 
     def test_results_ordered_and_batched(self):
         server = make_server(policy=drain_policy(max_batch_size=4))

@@ -110,6 +110,14 @@ class TestParser:
         ])
         assert args.set == ["num_dscs=4,24", "dram=gddr6"]
 
+    @pytest.mark.parametrize("command", ["generate", "serve"])
+    def test_prompt_and_class_label_exclude_each_other(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                [command, "--prompt", "x", "--class-label", "3"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench", "--list"])
         assert args.list
