@@ -34,7 +34,7 @@ lint:  ## ruff check (pyflakes + pycodestyle errors)
 		{ echo "ruff is not installed; run: pip install ruff"; exit 1; }
 	$(PYTHON) -m ruff check .
 
-coverage:  ## tier-1 tests with the coverage floor on core+program+exec
+coverage:  ## tier-1 tests with the coverage floor on core+program+exec+serve+cluster+obs+obs.analyze
 	@$(PYTHON) -c "import pytest_cov" 2>/dev/null || \
 		{ echo "pytest-cov is not installed; run: pip install pytest-cov"; \
 		  exit 1; }

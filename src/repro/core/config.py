@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 
@@ -30,14 +31,18 @@ class ExionConfig:
     prediction_bits: int = 12  # integer width of the log-domain operands
 
     def __post_init__(self) -> None:
+        for name in ("sparse_iters_n", "prediction_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.sparse_iters_n < 0:
             raise ValueError("sparse_iters_n must be >= 0")
         if not 0.0 <= self.ffn_target_sparsity < 1.0:
             raise ValueError("ffn_target_sparsity must be in [0, 1)")
         if not 0.0 < self.top_k_ratio <= 1.0:
             raise ValueError("top_k_ratio must be in (0, 1]")
-        if self.q_threshold < 0.0:
-            raise ValueError("q_threshold must be >= 0")
+        if not self.q_threshold >= 0.0:  # NaN fails too
+            raise ValueError(f"q_threshold must be >= 0, got {self.q_threshold!r}")
         if self.lod_mode not in ("lod", "ts_lod", "exact"):
             raise ValueError(f"unknown lod_mode {self.lod_mode!r}")
         if not 2 <= self.prediction_bits <= 16:

@@ -183,14 +183,6 @@ class ExploreRunner:
     # ------------------------------------------------------------------
     # cache
     # ------------------------------------------------------------------
-    def _cache_key(self, point: dict, seed: Optional[int]) -> str:
-        return canonical_sha256({
-            "evaluator": _evaluator_fingerprint(self.evaluator),
-            "objectives": [o.name for o in self.objectives],
-            "point": canonicalize(point),
-            "seed": seed,
-        })
-
     def _cache_load(self, key: str) -> Optional[dict]:
         data = self._store.load(key)
         objectives = data.get("objectives") if data is not None else None
@@ -221,13 +213,19 @@ class ExploreRunner:
     def _evaluate_batch(self, points: list) -> list:
         records = []
         misses = []  # (index into records, cache key, payload)
+        # The evaluator is fixed for the run: describe it once.
+        run_key = {
+            "evaluator": _evaluator_fingerprint(self.evaluator),
+            "objectives": [o.name for o in self.objectives],
+        }
         for point in points:
             point = self.space.normalize(point)
             seed = (
                 stable_seed(self.seed, "point", point_key(point))
                 if self._takes_seed else None
             )
-            key = self._cache_key(point, seed)
+            key = canonical_sha256(
+                {**run_key, "point": canonicalize(point), "seed": seed})
             cached = self._cache_load(key)
             record = EvaluationRecord(
                 point=dict(point),

@@ -4,10 +4,13 @@ The paper runs a transformer conditioning network once per prompt to embed
 text, sound or class labels, then feeds those embeddings to the denoising
 network via cross-attention (Fig. 2). This module provides a deterministic
 pure-numpy equivalent: a hash tokenizer plus a small transformer encoder.
+Conditioned models share one read-only encoder per ``(width, seed)``
+(:func:`make_conditioning`).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -71,10 +74,28 @@ class ConditioningEncoder:
         return self.encode_ids(np.asarray([label]))
 
 
+#: The shared encoder of each ``(context_dim, seed)``, alive while a
+#: model holds it.
+_ENCODERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def make_conditioning(
     context_dim: Optional[int], seed: int = 1234
 ) -> Optional[ConditioningEncoder]:
-    """Build an encoder when the model spec calls for cross-attention."""
+    """The encoder of ``(context_dim, seed)`` when the model spec calls for
+    cross-attention: one object for every model that asks, its arrays
+    read-only, so a write through one model raises instead of changing
+    another."""
     if context_dim is None:
         return None
-    return ConditioningEncoder(context_dim, seed=seed)
+    encoder = _ENCODERS.get((context_dim, seed))
+    if encoder is None:
+        encoder = ConditioningEncoder(context_dim, seed=seed)
+        encoder.embedding.flags.writeable = False
+        for block in encoder.blocks:
+            attn, ffn = block.self_attn, block.ffn
+            for layer in (attn.wq, attn.wk, attn.wv, attn.wo,
+                          ffn.linear1, ffn.linear2):
+                layer.weight.flags.writeable = False
+        _ENCODERS[context_dim, seed] = encoder
+    return encoder

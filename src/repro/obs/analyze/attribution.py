@@ -664,7 +664,7 @@ def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
     ]
     tick_ns = _sum_by(tenant, tick_share, rows).tolist()
     energy_nj = _sum_by(tenant, energy_share, rows).tolist()
-    for t in np.unique(tenant).tolist():
+    for t in sorted(set(tenant.tolist())):  # np.unique imports numpy.ma
         doc = _tenant_doc(tenants, tenant_names[t])
         doc["tick_ns"] += tick_ns[t]
         doc["energy_nj"] += energy_nj[t]

@@ -19,7 +19,10 @@ The cache carries no observer: a lookup is reported to the ``observer``
 its caller passes (the server that made it), so servers sharing one
 cache never see each other's lookups.
 
-Cached models are shared objects: callers must not mutate their weights —
+Cached models are shared objects, and so is the conditioning encoder
+every model of one width and seed holds
+(:func:`repro.models.conditioning.make_conditioning`, its arrays
+read-only): callers must not mutate their weights —
 quantized generation is expressed with ``ExionPipeline(activation_bits=)``
 or a :class:`~repro.exec.ContinuousExecutor` built with it instead.
 """

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.config import ExionConfig
@@ -37,6 +38,21 @@ class TestValidation:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             ExionConfig(prediction_bits=1)
+
+    def test_rejects_nan_qth(self):
+        with pytest.raises(ValueError, match="q_threshold"):
+            ExionConfig(q_threshold=float("nan"))
+
+    @pytest.mark.parametrize("field", ["sparse_iters_n", "prediction_bits"])
+    @pytest.mark.parametrize("value", [2.5, 12.0, True, "4", None])
+    def test_rejects_non_integral_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExionConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_accepts_numpy_integers(self, value):
+        cfg = ExionConfig(sparse_iters_n=value, prediction_bits=value)
+        assert cfg.sparse_iters_n == cfg.prediction_bits == 5
 
 
 class TestForModel:

@@ -158,6 +158,20 @@ class TestCache:
         assert rerun.stats.cache_hits == 0
         assert report == run(None)[1] != cold
 
+    def test_a_run_describes_its_evaluator_once(self, tmp_path, monkeypatch):
+        """The evaluator is fixed for a run, so its fingerprint is built
+        once, not once per point."""
+        calls = []
+        describe = PointEvaluator.describe
+        monkeypatch.setattr(PointEvaluator, "describe",
+                            lambda self: calls.append(1) or describe(self))
+        evaluator = PointEvaluator(objectives=("latency_s", "energy_j"),
+                                   iterations=4)
+        runner = ExploreRunner(default_space("dit"), RandomSearch(budget=6),
+                               evaluator, cache_dir=tmp_path)
+        assert len(runner.run().evaluations) == 6
+        assert len(calls) == 1
+
     def test_no_cache_dir_always_evaluates(self):
         runner = _runner(None)
         runner.run()

@@ -1,5 +1,8 @@
 """Unit tests for the conditioning encoder."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from repro.models.conditioning import (
     hash_tokenize,
     make_conditioning,
 )
+from repro.models.zoo import build_model
 
 
 class TestHashTokenize:
@@ -73,3 +77,63 @@ class TestConditioningEncoder:
     def test_make_conditioning_none_passthrough(self):
         assert make_conditioning(None) is None
         assert make_conditioning(16) is not None
+
+
+def _weights(encoder):
+    """Every array a shared encoder owns, by name."""
+    arrays = {"embedding": encoder.embedding}
+    for i, block in enumerate(encoder.blocks):
+        attn, ffn = block.self_attn, block.ffn
+        for name, layer in (("wq", attn.wq), ("wk", attn.wk), ("wv", attn.wv),
+                            ("wo", attn.wo), ("linear1", ffn.linear1),
+                            ("linear2", ffn.linear2)):
+            arrays[f"blocks[{i}].{name}"] = layer.weight
+    return arrays
+
+
+class TestSharedEncoder:
+    """Conditioned models of one width and seed hold one read-only
+    encoder, which lives while some model holds it."""
+
+    def test_models_of_one_width_and_seed_share_one_encoder(self):
+        first = build_model("stable_diffusion", depth=1).conditioning
+        assert build_model("mld", depth=1).conditioning is first
+        assert build_model("stable_diffusion", depth=1).conditioning is first
+        assert make_conditioning(64, seed=1) is first
+
+    @pytest.mark.parametrize("name", [
+        "embedding", *(f"blocks[{i}].{w}" for i in range(2)
+                       for w in ("wq", "wk", "wv", "wo", "linear1", "linear2"))
+    ])
+    def test_every_shared_array_refuses_writes(self, name):
+        array = _weights(make_conditioning(64, seed=1))[name]
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+        np.testing.assert_array_equal(array, before)
+        # A directly built encoder is untouched: its arrays stay writable.
+        _weights(ConditioningEncoder(64, seed=1))[name][0] = 0.0
+
+    def test_distinct_seeds_get_distinct_encoders(self):
+        one = build_model("stable_diffusion", seed=1, depth=1).conditioning
+        two = build_model("stable_diffusion", seed=2, depth=1).conditioning
+        assert one is not two
+        assert one is build_model("mld", seed=1, depth=1).conditioning
+        assert not np.array_equal(one.embedding, two.embedding)
+
+    def test_the_encoder_dies_with_its_last_holder(self):
+        models = [build_model(name, seed=4321, depth=1)
+                  for name in ("stable_diffusion", "mld")]
+        assert models[0].conditioning is models[1].conditioning
+        ref = weakref.ref(models[0].conditioning)
+        del models
+        gc.collect()
+        assert ref() is None
+
+    def test_shared_contexts_equal_a_directly_built_encoder(self):
+        shared = build_model("stable_diffusion", depth=1).conditioning
+        assert build_model("mld", depth=1).conditioning is shared
+        direct = ConditioningEncoder(64, seed=1)
+        for encode in (lambda e: e.encode("a corgi surfing a wave"),
+                       lambda e: e.encode_class(207)):
+            assert encode(shared).tobytes() == encode(direct).tobytes()

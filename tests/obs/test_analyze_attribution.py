@@ -10,7 +10,11 @@ analyzer drift breaks them immediately.
 
 import functools
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -227,3 +231,30 @@ class TestRoundTrip:
 
     def test_mode_detection(self):
         assert detect_mode(TraceRecords()) == "continuous"
+
+
+def test_cluster_analysis_leaves_numpy_ma_as_it_found_it():
+    """Analysing an observed fleet cell in a fresh interpreter imports no
+    ``numpy.ma`` (plain ``np.unique`` does on numpy 2.4). Comparing before
+    with after keeps the check valid on a numpy that imports it early."""
+    code = (
+        "import sys\n"
+        "from repro.cluster import (PoissonProcess, build_replicas,\n"
+        "    make_router, simulate_cluster, synthesize_trace)\n"
+        "from repro.obs import Observer\n"
+        "from repro.obs.analyze import analyze_tracer\n"
+        "observer = Observer()\n"
+        "simulate_cluster(synthesize_trace(PoissonProcess(300.0), 240, rng=1),\n"
+        "    build_replicas(2, accelerator='exion24', continuous=True),\n"
+        "    make_router('jsq'), observer=observer)\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "analyze_tracer(observer.tracer).to_json()\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    before, after = done.stdout.split()
+    assert after == before
