@@ -23,7 +23,6 @@ from repro.obs.export import (
     events_jsonl,
     validate_chrome_trace,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily, MetricsRegistry
 from repro.obs.observer import Observer
 from repro.obs.scenario import (
     drain_simulated,
@@ -33,10 +32,7 @@ from repro.obs.trace import Event, Span, Tracer
 
 __all__ = [
     "AnalysisReport",
-    "DEFAULT_BUCKETS",
     "Event",
-    "MetricFamily",
-    "MetricsRegistry",
     "Observer",
     "Span",
     "TraceRecords",

@@ -53,7 +53,7 @@ class Observer:
 
     @property
     def metrics(self):
-        """The metrics registry folded from the trace recorded so far."""
+        """The ``repro_*`` metrics folded from the trace recorded so far."""
         return metrics_from_trace(self.tracer)
 
     # ------------------------------------------------------------------

@@ -374,7 +374,7 @@ class ServeReport:
     timing_source: str = "wall_clock"
     cache_info: dict = field(default_factory=dict)
     #: Deterministic nearest-rank latency quantiles, computed by the
-    #: owning server from its histogram (``MetricFamily.quantile``).
+    #: owning server from its histogram (``Histogram.quantile``).
     latency_quantiles: dict = field(default_factory=dict)
     ticks: int = 0
     occupancy_ticks: int = 0  # sum over ticks of live batch size
@@ -552,12 +552,9 @@ class ContinuousServer:
         # Local import: repro.obs.scenario imports this module, so a
         # top-level obs import here would deadlock package init. This
         # runs at construction time, never at import time.
-        from repro.obs.metrics import TIME_BUCKETS, MetricFamily
+        from repro.obs.metrics import TIME_BUCKETS, Histogram
 
-        self._latency_hist = MetricFamily(
-            "serve_latency_seconds", "histogram",
-            "End-to-end request latency", buckets=TIME_BUCKETS,
-        )
+        self._latency_hist = Histogram("serve_latency_seconds", TIME_BUCKETS)
 
     def _build_executor(self):
         from repro.exec.continuous import ContinuousExecutor
@@ -589,14 +586,10 @@ class ContinuousServer:
     ) -> Optional[int]:
         """Enqueue one request; ``None`` when admission control rejects
         a deadline that cannot be met even by the fastest possible
-        service (counted in ``sla_rejects``).
+        service (counted in ``sla_rejects``). A request
+        :class:`GenerationRequest` refuses raises before either.
         """
         now = self._clock()
-        if deadline_s is not None and (
-            deadline_s <= now + self.policy.min_service_s
-        ):
-            self._sla_rejects += 1
-            return None
         request = GenerationRequest(
             request_id=self._next_id,
             seed=seed,
@@ -609,6 +602,11 @@ class ContinuousServer:
             ),
             deadline_s=deadline_s,
         )
+        if deadline_s is not None and (
+            deadline_s <= now + self.policy.min_service_s
+        ):
+            self._sla_rejects += 1
+            return None
         self._next_id += 1
         self.queue.push(QueueEntry(request=request))
         if self.observer is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,8 @@ class GenerationRequest:
     feed the continuous scheduler's fair queuing and preemption;
     ``deadline_s`` is an *absolute* clock reading after which serving the
     request is pointless (SLA admission and boundary expiry both check it).
+    A seed that is not a non-negative integer, or a non-finite deadline,
+    is refused with a ValueError naming the field.
     """
 
     request_id: int
@@ -63,6 +66,12 @@ class GenerationRequest:
 
     def __post_init__(self) -> None:
         require_one_input(self.prompt, self.class_label)
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
+        require_finite(deadline_s=self.deadline_s)
 
 
 @dataclass

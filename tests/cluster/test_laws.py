@@ -24,11 +24,6 @@ from repro.obs import Observer
 from repro.obs.analyze import TraceRecords, analyze_records, to_ns
 
 
-def family(registry, name):
-    """The registered metric family called ``name``."""
-    return next(f for f in registry.families() if f.name == name)
-
-
 @pytest.fixture(scope="module")
 def cells():
     trace = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), 240,
@@ -116,37 +111,33 @@ def test_metrics_agree_with_the_trace(cells, continuous):
     the fleet fills six of the thirteen, the serving and hw ones stay
     empty."""
     report, tracer, replicas, metrics = cells[continuous]
-    assert [f.name for f in metrics.families()] == sorted(FAMILIES)
+    assert [f["name"] for f in metrics.snapshot()["families"]] == sorted(
+        FAMILIES)
     for name in FAMILIES - FLEET_FAMILIES:
-        assert family(metrics, name).children() == []
-
-    def series(name):
-        return {values: child.value
-                for values, child in family(metrics, name).children()}
-
-    dispatched = series("repro_dispatches_total")
+        assert metrics.series[name] == {}
+    dispatched = metrics.series["repro_dispatches_total"]
     for replica in replicas:
         assert dispatched[(replica.name,)] == len(
             _dispatch_spans(tracer, replica))
     spans = [s for s in tracer.spans if s.name.startswith("dispatch[")]
     assert len(spans) == sum(dispatched.values()) > 0
-    ((_, fill),) = family(metrics, "repro_batch_fill").children()
+    ((_, fill),) = metrics.series["repro_batch_fill"].items()
     assert fill.count == len(spans)
     assert fill.sum == sum(span.args["batch_size"] for span in spans)
     stages = Counter(e.name for e in tracer.events
                      if e.track == "cluster/requests")
-    assert series("repro_requests_total") == {
+    assert metrics.series["repro_requests_total"] == {
         (stage,): count for stage, count in stages.items()}
     reasons = Counter(e.name.removeprefix("slo:") for e in tracer.events
                       if e.name.startswith("slo:"))
-    assert series("repro_slo_events_total") == {
+    assert metrics.series["repro_slo_events_total"] == {
         (reason,): count for reason, count in reasons.items()}
-    assert series("repro_replica_utilization") == {
+    assert metrics.series["repro_replica_utilization"] == {
         (row["name"],): row["utilization"] for row in report.replicas}
     depths = {e.name: e.args["depth"] for e in tracer.events
               if e.track == "queue/depth"}
     assert set(depths) == {replica.name for replica in replicas}
-    assert series("repro_queue_depth") == {
+    assert metrics.series["repro_queue_depth"] == {
         (component,): depth for component, depth in depths.items()}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.models.zoo import build_model
+from repro.obs.metrics import FAMILIES
 
 
 @pytest.fixture
@@ -27,3 +28,16 @@ def sd_model():
 def mld_model():
     """A Type-1 (UNet without ResBlocks) model."""
     return build_model("mld", seed=0, total_iterations=10)
+
+
+@pytest.fixture
+def metric():
+    """Read one series of a :class:`repro.obs.metrics.Metrics` fold by
+    label values: a counter or gauge value (0.0 if never fed), or a
+    histogram."""
+
+    def read(metrics, name, **labels):
+        key = tuple(str(labels[label]) for label in FAMILIES[name].labels)
+        return metrics.series[name].get(key, 0.0)
+
+    return read

@@ -1,4 +1,4 @@
-"""Unit tests for the zero-dependency metrics registry."""
+"""Unit tests for the metrics fold and its histogram quantiles."""
 
 import json
 
@@ -6,123 +6,93 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricFamily, histogram_quantile
+from repro.obs import Observer, Tracer
+from repro.obs.metrics import (
+    FAMILIES,
+    Histogram,
+    Metrics,
+    histogram_quantile,
+    metrics_from_trace,
+)
 
 
-class TestFamilies:
-    def test_counter_accumulates_per_label_set(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", labels=("level",))
-        c.inc(level="model")
-        c.inc(2, level="model")
-        c.inc(level="table")
-        assert c.value(level="model") == 3
-        assert c.value(level="table") == 1
-        assert c.value(level="pipeline") == 0.0  # never touched
+class TestFold:
+    def test_an_empty_trace_snapshots_every_family_empty(self):
+        snap = metrics_from_trace(Tracer()).snapshot()
+        assert [f["name"] for f in snap["families"]] == sorted(FAMILIES)
+        assert len(snap["families"]) == 13
+        assert all(f["series"] == [] for f in snap["families"])
 
-    def test_counter_rejects_decrements(self):
-        c = MetricsRegistry().counter("n_total")
-        with pytest.raises(ValueError):
-            c.inc(-1)
+    def test_each_family_matches_its_table_row(self):
+        obs = Observer()
+        obs.on_tick(0.0, 0.5, 2, True, 0)
+        obs.on_batch(0.5, 1.0, 3)
+        obs.on_cache_lookup("table", False)
+        obs.on_queue_depth("replica0", 3, 0.5)
+        for family in obs.metrics.snapshot()["families"]:
+            row = FAMILIES[family["name"]]
+            assert family["kind"] == row.kind
+            assert family["help"] == row.help
+            for entry in family["series"]:
+                assert tuple(entry["labels"]) == row.labels
+        assert {row.kind for row in FAMILIES.values()} == {
+            "counter", "gauge", "histogram"}
+        assert all(bool(row.buckets) == (row.kind == "histogram")
+                   for row in FAMILIES.values())
 
-    def test_gauge_overwrites(self):
-        g = MetricsRegistry().gauge("depth", labels=("q",))
-        g.set(4, q="a")
-        g.set(2, q="a")
-        assert g.value(q="a") == 2.0
+    def test_counters_add_and_gauges_keep_the_last_value(self):
+        m = Metrics()
+        m.add("repro_cache_lookups_total", 1.0, "model", "miss")
+        m.add("repro_cache_lookups_total", 2.0, "model", "miss")
+        m.add("repro_cache_lookups_total", 1.0, "table", "miss")
+        m.set("repro_queue_depth", 4, "a")
+        m.set("repro_queue_depth", 2, "a")
+        assert m.series["repro_cache_lookups_total"] == {
+            ("model", "miss"): 3.0, ("table", "miss"): 1.0}
+        assert m.series["repro_queue_depth"] == {("a",): 2.0}
 
     def test_histogram_buckets_and_sum(self):
-        h = MetricsRegistry().histogram("fill", buckets=(1, 2, 4))
+        h = Histogram("fill", (1, 2, 4))
         for v in (1, 2, 3, 100, 4, -3):
             h.observe(v)
-        ((values, child),) = h.children()
-        assert values == ()
-        assert child.bucket_counts == [2, 1, 2, 1]  # le=1,2,4,+Inf
-        assert child.sum == 107
-        assert child.count == 6
+        assert h.bucket_counts == [2, 1, 2, 1]  # le=1,2,4,+Inf
+        assert h.sum == 107
+        assert h.count == 6
 
-    def test_kind_mismatch_raises(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x_total")
-        with pytest.raises(TypeError):
-            c.set(1.0)
-        with pytest.raises(TypeError):
-            c.observe(1.0)
-        with pytest.raises(TypeError):
-            reg.gauge("g").inc()
-
-    def test_label_schema_enforced(self):
-        c = MetricsRegistry().counter("y_total", labels=("kind",))
-        with pytest.raises(ValueError):
-            c.inc()  # missing label
-        with pytest.raises(ValueError):
-            MetricFamily("bad name", "counter")
-        with pytest.raises(ValueError):
-            MetricFamily("g", "gauge", buckets=(1,))
-
-    @pytest.mark.parametrize("bound", (False, True), ids=("family", "bound"))
-    @pytest.mark.parametrize("kind, update, value", [
-        ("counter", "inc", float("nan")),
-        ("counter", "inc", float("inf")),
-        ("gauge", "set", float("nan")),
-        ("gauge", "set", float("-inf")),
-        ("histogram", "observe", float("nan")),
-        ("histogram", "observe", float("inf")),
+    @pytest.mark.parametrize("fed", (False, True), ids=("empty", "fed"))
+    @pytest.mark.parametrize("update, name, labels, value", [
+        ("add", "repro_batches_total", (), float("nan")),
+        ("add", "repro_batches_total", (), float("inf")),
+        ("set", "repro_queue_depth", ("q",), float("nan")),
+        ("set", "repro_queue_depth", ("q",), float("-inf")),
+        ("observe", "repro_batch_fill", (), float("nan")),
+        ("observe", "repro_batch_fill", (), float("inf")),
     ])
-    def test_non_finite_values_are_refused_by_name(self, kind, update,
-                                                   value, bound):
-        reg = MetricsRegistry()
-        family = getattr(reg, kind)("bad_values")
-        target = family.labels() if bound else family
-        with pytest.raises(ValueError, match="bad_values: non-finite"):
-            getattr(target, update)(value)
-        assert reg.to_json()  # nothing stored that JSON cannot encode
-        if kind == "histogram":
-            assert family.quantile(1.0) == 0.0
-        else:
-            assert family.value() == 0.0
+    def test_non_finite_values_are_refused_by_name(self, update, name,
+                                                   labels, value, fed):
+        m = Metrics()
+        if fed:
+            getattr(m, update)(name, 1.0, *labels)
+        before = m.to_json()
+        with pytest.raises(ValueError, match=f"{name}: non-finite"):
+            getattr(m, update)(name, value, *labels)
+        assert m.to_json() == before  # nothing stored JSON cannot encode
 
-    def test_default_buckets_are_sorted_powers_of_two(self):
-        assert DEFAULT_BUCKETS == tuple(sorted(DEFAULT_BUCKETS))
-
-
-class TestRegistry:
-    def test_reregistration_is_idempotent(self):
-        reg = MetricsRegistry()
-        a = reg.counter("hits_total", labels=("level",))
-        b = reg.counter("hits_total", labels=("level",))
-        assert a is b
-        assert len(reg) == 1
-
-    def test_reregistration_mismatch_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("hits_total", labels=("level",))
-        with pytest.raises(ValueError):
-            reg.gauge("hits_total")
-        with pytest.raises(ValueError):
-            reg.counter("hits_total", labels=("other",))
-
-    def test_snapshot_orders_families_and_children(self):
-        reg = MetricsRegistry()
-        reg.counter("zzz_total").inc()
-        c = reg.counter("aaa_total", labels=("k",))
-        c.inc(k="b")
-        c.inc(k="a")
-        snap = reg.snapshot()
-        assert [f["name"] for f in snap["families"]] == [
-            "aaa_total", "zzz_total",
-        ]
-        assert [s["labels"]["k"] for s in snap["families"][0]["series"]] == [
-            "a", "b",
-        ]
+    def test_snapshot_orders_series_by_label_values(self):
+        m = Metrics()
+        m.add("repro_requests_total", 1.0, "served")
+        m.add("repro_requests_total", 1.0, "queued")
+        (family,) = [f for f in m.snapshot()["families"]
+                     if f["name"] == "repro_requests_total"]
+        assert [s["labels"]["stage"] for s in family["series"]] == [
+            "queued", "served"]
 
     def test_to_json_is_canonical_and_deterministic(self):
         def build():
-            reg = MetricsRegistry()
-            reg.gauge("depth", labels=("component",)).set(3, component="q")
-            reg.histogram("fill").observe(2)
-            return reg
+            obs = Observer()
+            obs.on_queue_depth("q", 3, 0.0)
+            obs.on_batch(0.0, 1.0, 2)
+            return obs.metrics
 
         j1, j2 = build().to_json(), build().to_json()
         assert j1 == j2
@@ -151,16 +121,25 @@ class TestHistogramQuantile:
         with pytest.raises(ValueError):
             histogram_quantile((1.0,), [1, 0], 1.5)
 
-    def test_family_and_registry_helpers(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.1, 1.0))
-        assert h.quantile(0.95) == 0.0  # untouched child
+    def test_histogram_quantile_method(self):
+        h = Histogram("lat", (0.1, 1.0))
+        assert h.quantile(0.95) == 0.0  # nothing observed
         h.observe(0.05)
         h.observe(0.5)
         assert h.quantile(0.5) == 0.1
         assert h.quantile(0.95) == 1.0
-        with pytest.raises(TypeError):
-            reg.counter("c_total").quantile(0.5)
+
+    def test_serve_report_latency_quantiles(self):
+        from repro.serve import ContinuousServer
+
+        server = ContinuousServer("dit", total_iterations=4, dry_run=True)
+        for latency_s in [0.003] * 10 + [0.25] * 8 + [4.0, 100.0]:
+            server._latency_hist.observe(latency_s)
+        assert server.report().latency_quantiles == {
+            "latency_p50_s": 0.01,
+            "latency_p95_s": 5.0,
+            "latency_p99_s": 60.0,  # the +Inf tail clamps
+        }
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -172,8 +151,7 @@ class TestHistogramQuantile:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_quantile_monotone_and_within_bounds(self, values, q):
-        reg = MetricsRegistry()
-        h = reg.histogram("v", buckets=(1.0, 10.0, 50.0))
+        h = Histogram("v", (1.0, 10.0, 50.0))
         for value in values:
             h.observe(value)
         result = h.quantile(q)

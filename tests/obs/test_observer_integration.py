@@ -17,11 +17,6 @@ from repro.serve import ContinuousPolicy, ContinuousServer
 from repro.serve.cache import ThresholdCache
 
 
-def family(registry, name):
-    """The registered metric family called ``name``."""
-    return next(f for f in registry.families() if f.name == name)
-
-
 def small_cluster(observer=None, replicas=2, rate_rps=50.0, timeout_s=0.05):
     requests = synthesize_trace(
         PoissonProcess(rate_rps=rate_rps), 16,
@@ -35,23 +30,24 @@ def small_cluster(observer=None, replicas=2, rate_rps=50.0, timeout_s=0.05):
 
 
 class TestContinuousServing:
-    def test_scenario_emits_membership_and_ticks(self):
+    def test_scenario_emits_membership_and_ticks(self, metric):
         obs = Observer()
         summary = run_trace_scenario(
             model="dit", continuous=True, requests=8, iterations=12,
             observer=obs,
         )
-        membership = family(obs.metrics, "repro_membership_events_total")
-        assert membership.value(kind="join") == summary["joins"]
-        assert membership.value(kind="complete") == (
+        metrics = obs.metrics
+        membership = "repro_membership_events_total"
+        assert metric(metrics, membership, kind="join") == summary["joins"]
+        assert metric(metrics, membership, kind="complete") == (
             summary["requests_served"]
         )
-        assert membership.value(kind="expire") == (
+        assert metric(metrics, membership, kind="expire") == (
             summary["requests_expired"]
         )
-        ticks = family(obs.metrics, "repro_ticks_total")
         assert (
-            ticks.value(phase="dense") + ticks.value(phase="sparse")
+            metric(metrics, "repro_ticks_total", phase="dense")
+            + metric(metrics, "repro_ticks_total", phase="sparse")
             == summary["ticks"]
         )
         # The scenario is adversarial enough to exercise preemption.
@@ -84,7 +80,7 @@ class TestContinuousServing:
             np.testing.assert_array_equal(a.result.sample, b.result.sample)
         assert plain_report.summary() == obs_report.summary()
 
-    def test_executor_index_set_edits_are_traced(self):
+    def test_executor_index_set_edits_are_traced(self, metric):
         obs = Observer()
         server = ContinuousServer(
             "dit",
@@ -100,8 +96,8 @@ class TestContinuousServing:
             e for e in obs.tracer.events if e.name == "index_set_edit"
         ]
         assert edits and all(e.track == "exec/index_set" for e in edits)
-        membership = family(obs.metrics, "repro_membership_events_total")
-        assert membership.value(kind="index_set_edit") == len(edits)
+        assert metric(obs.metrics, "repro_membership_events_total",
+                      kind="index_set_edit") == len(edits)
 
 
 class TestOneBook:
@@ -121,7 +117,7 @@ class TestOneBook:
         assert len(obs.tracer) == 0
         assert obs.metrics.to_json() == Observer().metrics.to_json()
 
-    def test_untraced_signals_are_events_on_their_own_tracks(self):
+    def test_untraced_signals_are_events_on_their_own_tracks(self, metric):
         obs = Observer()
         obs.now = 0.25
         obs.on_cache_lookup("table", False)
@@ -135,41 +131,42 @@ class TestOneBook:
             ("cluster/utilization", "replica0", 1.0, {"utilization": 0.5}),
         ]
         metrics = obs.metrics
-        lookups = family(metrics, "repro_cache_lookups_total")
-        assert lookups.value(level="table", outcome="miss") == 1
+        assert metric(metrics, "repro_cache_lookups_total",
+                      level="table", outcome="miss") == 1
         # A gauge keeps the last value the trace recorded.
-        assert family(metrics, "repro_queue_depth").value(
-            component="replica0") == 1
-        assert family(metrics, "repro_replica_utilization").value(
-            replica="replica0") == 0.5
+        assert metric(metrics, "repro_queue_depth",
+                      component="replica0") == 1
+        assert metric(metrics, "repro_replica_utilization",
+                      replica="replica0") == 0.5
 
-    def test_drain_batches_and_ticks_fold_apart(self):
+    def test_drain_batches_and_ticks_fold_apart(self, metric):
         obs = Observer()
         obs.on_tick(0.0, 0.5, 2, True, 0)
         obs.on_tick(0.5, 0.75, 3, False, 1)
         obs.on_batch(1.0, 3.0, 4)
         metrics = obs.metrics
-        ticks = family(metrics, "repro_ticks_total")
-        assert (ticks.value(phase="dense"), ticks.value(phase="sparse")) == (
+        assert (metric(metrics, "repro_ticks_total", phase="dense"),
+                metric(metrics, "repro_ticks_total", phase="sparse")) == (
             1, 1)
-        tick_s = family(metrics, "repro_tick_seconds").children()[0][1]
+        tick_s = metric(metrics, "repro_tick_seconds")
         assert (tick_s.count, tick_s.sum) == (2, 0.75)
-        assert family(metrics, "repro_batches_total").value() == 1
-        batch_s = family(metrics, "repro_batch_seconds").children()[0][1]
+        assert metric(metrics, "repro_batches_total") == 1
+        batch_s = metric(metrics, "repro_batch_seconds")
         assert (batch_s.count, batch_s.sum) == (1, 2.0)
-        fill = family(metrics, "repro_batch_fill").children()[0][1]
+        fill = metric(metrics, "repro_batch_fill")
         assert (fill.count, fill.sum) == (3, 9.0)
-        assert len(metrics) == 13
+        assert len(metrics.series) == 13
 
 
 class TestThresholdCache:
-    def test_per_level_counts_reach_metrics_and_info(self):
+    def test_per_level_counts_reach_metrics_and_info(self, metric):
         cache, observer = ThresholdCache(), Observer()
         cache.model("dit", 0, 4, None, observer=observer)
         cache.model("dit", 0, 4, None, observer=observer)
-        lookups = family(observer.metrics, "repro_cache_lookups_total")
-        assert lookups.value(level="model", outcome="miss") == 1
-        assert lookups.value(level="model", outcome="hit") == 1
+        lookups = "repro_cache_lookups_total"
+        metrics = observer.metrics
+        assert metric(metrics, lookups, level="model", outcome="miss") == 1
+        assert metric(metrics, lookups, level="model", outcome="hit") == 1
         info = cache.info()
         assert info["model_hits"] == 1
         assert info["model_misses"] == 1
@@ -177,18 +174,20 @@ class TestThresholdCache:
 
 
 class TestCluster:
-    def test_lifecycle_metrics_and_inertness(self):
+    def test_lifecycle_metrics_and_inertness(self, metric):
         obs = Observer()
         observed = small_cluster(observer=obs)
         plain = small_cluster(observer=None)
         # The observer must not perturb the simulation at all.
         assert observed.to_json() == plain.to_json()
 
-        stages = family(obs.metrics, "repro_requests_total")
-        assert stages.value(stage="queued") == observed.submitted
-        assert stages.value(stage="served") == observed.served
-        util = family(obs.metrics, "repro_replica_utilization")
-        assert util.value(replica="replica0") >= 0.0
+        metrics = obs.metrics
+        assert metric(metrics, "repro_requests_total",
+                      stage="queued") == observed.submitted
+        assert metric(metrics, "repro_requests_total",
+                      stage="served") == observed.served
+        assert metric(metrics, "repro_replica_utilization",
+                      replica="replica0") >= 0.0
         dispatch_tracks = {
             s.track for s in obs.tracer.spans
             if s.name.startswith("dispatch[")
@@ -196,7 +195,7 @@ class TestCluster:
         assert dispatch_tracks <= {"replica/replica0", "replica/replica1"}
         assert dispatch_tracks
 
-    def test_slo_drops_are_observed(self):
+    def test_slo_drops_are_observed(self, metric):
         obs = Observer()
         # One replica under a 1000 rps burst with a 1 ms timeout: the
         # simulated service time alone outlasts the timeout, so queued
@@ -206,8 +205,8 @@ class TestCluster:
         )
         drops = report.timeout_drops
         assert drops > 0
-        slo = family(obs.metrics, "repro_slo_events_total")
-        assert slo.value(reason="timeout") == drops
+        assert metric(obs.metrics, "repro_slo_events_total",
+                      reason="timeout") == drops
 
 
 class TestHwTimeline:
@@ -231,8 +230,7 @@ class TestHwTimeline:
         obs = Observer()
         obs.observe_timeline(timeline)
         assert len(obs.tracer.spans) == 8
-        phase_s = family(obs.metrics, "repro_phase_seconds_total")
         total = sum(
-            child.value for _, child in phase_s.children()
+            obs.metrics.series["repro_phase_seconds_total"].values()
         )
         assert total == pytest.approx(total_latency_s)

@@ -10,11 +10,6 @@ from repro.models.zoo import model_cache_key
 from repro.serve import ContinuousServer, ThresholdCache
 
 
-def family(registry, name):
-    """The registered metric family called ``name``."""
-    return next(f for f in registry.families() if f.name == name)
-
-
 FAST = {"total_iterations": 6}
 
 
@@ -114,7 +109,7 @@ class TestServerUse:
         assert server._executor.threshold_table is None
         assert cache.info()["tables"] == 0
 
-    def test_shared_cache_reports_each_lookup_to_its_own_server(self):
+    def test_shared_cache_reports_each_lookup_to_its_own_server(self, metric):
         # Regression: the cache held one observer slot, so a cache shared
         # by two servers reported both servers' lookups to whichever
         # observer was installed last.
@@ -124,10 +119,11 @@ class TestServerUse:
         self.make_server(cache, observer=first)   # model miss
         self.make_server(cache)                   # model hit, unobserved
         self.make_server(cache, observer=second)  # model hit
-        lookups = family(first.metrics, "repro_cache_lookups_total")
-        assert lookups.value(level="model", outcome="miss") == 1
-        assert lookups.value(level="model", outcome="hit") == 0
-        lookups = family(second.metrics, "repro_cache_lookups_total")
-        assert lookups.value(level="model", outcome="miss") == 0
-        assert lookups.value(level="model", outcome="hit") == 1
+        lookups = "repro_cache_lookups_total"
+        assert metric(first.metrics, lookups, level="model", outcome="miss") == 1
+        assert metric(first.metrics, lookups, level="model", outcome="hit") == 0
+        assert metric(second.metrics, lookups, level="model",
+                      outcome="miss") == 0
+        assert metric(second.metrics, lookups, level="model",
+                      outcome="hit") == 1
         assert cache.info()["model_hits"] == 2

@@ -47,6 +47,43 @@ class TestServing:
         assert server.submit(seed=0, class_label=3) == 0
         assert [r.request_id for r in server.run_until_drained()] == [0]
 
+    @pytest.mark.parametrize("seed", (-1, True, 1.5, "1", None))
+    def test_a_seed_that_is_not_a_non_negative_int_is_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            GenerationRequest(0, seed=seed, class_label=0)
+        server = dry_server()
+        with pytest.raises(ValueError, match="seed must be"):
+            server.submit(seed=seed, class_label=0)
+        assert len(server.queue) == 0
+
+    def test_numpy_int_seed_is_accepted(self):
+        assert GenerationRequest(0, seed=np.int64(3), class_label=0).seed == 3
+
+    @pytest.mark.parametrize("deadline_s",
+                             (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_deadline_is_refused(self, deadline_s):
+        with pytest.raises(ValueError, match="deadline_s must be finite"):
+            GenerationRequest(0, class_label=0, deadline_s=deadline_s)
+        server = dry_server()
+        with pytest.raises(ValueError, match="deadline_s must be finite"):
+            server.submit(seed=0, class_label=0, deadline_s=deadline_s)
+        assert len(server.queue) == 0
+        assert server.report().sla_rejects == 0
+
+    def test_a_bad_seed_loses_no_valid_request(self):
+        # A refused seed used to be queued, then raise when its run
+        # started, after the queue had handed over its batch-mates.
+        server = ContinuousServer("dit", total_iterations=FAST_ITERATIONS)
+        for seed in (1, -1, 2):
+            try:
+                server.submit(seed=seed, class_label=0)
+            except ValueError:
+                pass
+        results = server.run_until_drained()
+        assert [r.request.seed for r in results] == [1, 2]
+        assert len(server.queue) == 0
+        assert server.pop_dropped() == []
+
     def test_results_ordered_and_batched(self):
         server = make_server(policy=drain_policy(max_batch_size=4))
         for seed in range(10):
