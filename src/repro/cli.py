@@ -455,7 +455,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     if args.trace is not None:
-        requests = load_trace(args.trace)
+        try:
+            requests = load_trace(args.trace)
+        except ValueError as exc:
+            raise SystemExit(f"bad --trace: {exc}")
         arrival_doc = {"process": "trace_file", "path": str(args.trace)}
     else:
         if args.arrival == "poisson":

@@ -32,7 +32,8 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.core.config import ExionConfig
-from repro.serve.request import require_finite
+from repro.models.pipeline import require_one_input
+from repro.serve.request import require_finite, require_seed
 from repro.workloads.generator import as_rng
 from repro.workloads.specs import get_spec
 
@@ -53,7 +54,8 @@ class ClusterRequest:
     :class:`~repro.serve.continuous.ContinuousServer` expects.
     ``tenant``/``priority``/``deadline_s`` feed its fair queuing,
     preemption, and SLA admission. ``deadline_s`` is absolute simulated
-    time.
+    time. A record the server would refuse (a bad seed, both a prompt
+    and a class label) is refused here, before it reaches a fleet.
     """
 
     arrival_s: float
@@ -68,6 +70,8 @@ class ClusterRequest:
 
     def __post_init__(self) -> None:
         require_finite(arrival_s=self.arrival_s, deadline_s=self.deadline_s)
+        require_seed(self.seed)
+        require_one_input(self.prompt, self.class_label)
         if self.arrival_s < 0.0:
             raise ValueError("arrival_s must be >= 0")
         if self.deadline_s is not None and self.deadline_s < self.arrival_s:
@@ -311,15 +315,22 @@ def save_trace(path, requests: Iterable[ClusterRequest]) -> None:
 
 
 def load_trace(path) -> list:
-    """Read a JSON-lines trace back into :class:`ClusterRequest` records."""
+    """Read a JSON-lines trace back into :class:`ClusterRequest` records.
+
+    A line that is not a valid request is a ValueError prefixed with
+    ``path:line``, raised before any request is returned.
+    """
     path = Path(path)
     requests = []
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            requests.append(ClusterRequest(**json.loads(line)))
+            try:
+                requests.append(ClusterRequest(**json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return sorted(requests, key=lambda r: r.arrival_s)
 
 

@@ -15,7 +15,9 @@ and ``events`` (:class:`EventRec` rows), with ids and nanoseconds in
 ``array('q')`` columns and a ``row`` index into the ``(name, track,
 args)`` entries; the analyses read ``np.frombuffer`` views of the
 columns and a ``SpanRec`` is built only for a caller that indexes or
-iterates. Three sources produce equal records:
+iterates. Rows are flat, as the tracer's: no record links to another,
+and the loaders skip the JSONL's two null link keys. Three sources
+produce equal records:
 
 - a live :class:`~repro.obs.trace.Tracer` (in-process analysis), whose
   row entries are shared, not copied;
@@ -34,7 +36,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -68,12 +70,10 @@ def _by_time(*seconds: array) -> tuple:
     )
 
 
-def _id(value, field: str, name) -> Optional[int]:
-    """A loaded span or event id: ``None`` (for a parent only) or an int
-    in ``[0, 2**63)``, the range of its ``array('q')`` column; anything
-    else is a ValueError naming the record."""
-    if value is None and field == "parent_id":
-        return None
+def _id(value, field: str, name) -> int:
+    """A loaded span or event id: an int in ``[0, 2**63)``, the range
+    of its ``array('q')`` column; anything else is a ValueError naming
+    the record."""
     if type(value) is not int or not 0 <= value < 1 << 63:
         raise ValueError(f"{name!r}: {field} {value!r} is not an int in "
                          f"[0, 2**63)")
@@ -93,7 +93,6 @@ class SpanRec(NamedTuple):
     track: str
     start_ns: int
     end_ns: int
-    parent_id: Optional[int]
     args: dict
 
     @property
@@ -112,13 +111,12 @@ class EventRec(NamedTuple):
 
 
 #: The stored columns of records, every one ``array('q')``.
-SpanRecColumns = namedtuple("SpanRecColumns",
-                            "span_id start_ns end_ns parent_id row")
+SpanRecColumns = namedtuple("SpanRecColumns", "span_id start_ns end_ns row")
 EventRecColumns = namedtuple("EventRecColumns", "event_id ts_ns row")
 
 
 def _spans(*columns, rows=None) -> Table:
-    return Table(SpanRec, SpanRecColumns(*columns or empty_columns("qqqqq")),
+    return Table(SpanRec, SpanRecColumns(*columns or empty_columns("qqqq")),
                  rows or Rows([], [], []))
 
 
@@ -154,9 +152,7 @@ class TraceRecords:
                 out.spans.append(
                     _id(record["span_id"], "span_id", name), name,
                     record["track"], to_ns(record["start_s"]),
-                    to_ns(record["end_s"]),
-                    _id(record.get("parent_id"), "parent_id", name),
-                    dict(record.get("args") or {}),
+                    to_ns(record["end_s"]), dict(record.get("args") or {}),
                 )
             elif record.get("type") == "event":
                 name = record["name"]
@@ -181,7 +177,6 @@ class TraceRecords:
         at, ts_ns = _by_time(events.columns.ts_s)
         return cls(
             spans=_spans(order, start_ns, end_ns,
-                         _take(spans.columns.parent_id, order),
                          _take(spans.columns.row, order), rows=spans.rows),
             events=_events(at, ts_ns, _take(events.columns.row, at),
                            rows=events.rows),
@@ -226,15 +221,12 @@ class TraceRecords:
                 name = entry["name"]
                 span_id = _id(args.pop("span_id", len(out.spans)),
                               "span_id", name)
-                parent_id = _id(args.pop("parent_id", None), "parent_id", name)
                 start_ns = round(float(entry["ts"]) * 1000)
                 out.spans.append(
                     span_id, name, track_of(entry), start_ns,
-                    start_ns + round(float(entry["dur"]) * 1000), parent_id,
-                    args,
+                    start_ns + round(float(entry["dur"]) * 1000), args,
                 )
             elif ph == "i":
-                args.pop("span_id", None)
                 out.events.append(
                     len(out.events), entry["name"], track_of(entry),
                     round(float(entry["ts"]) * 1000), args,

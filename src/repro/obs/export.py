@@ -8,7 +8,7 @@ Tracer`:
 - each **track** becomes one thread row (``pid`` 1, ``tid`` = rank of
   the track name in sorted order), named by an ``M`` (metadata) event;
 - each **span** becomes an ``X`` (complete) event with ``ts`` / ``dur``
-  in microseconds; parent links ride in ``args.parent_id``;
+  in microseconds, its id in ``args.span_id``;
 - each **event** becomes an ``i`` (instant) event with thread scope.
 
 Both exporters read the tracer's row views in :meth:`Tracer.order`.
@@ -62,9 +62,6 @@ def chrome_trace(tracer: Tracer) -> dict:
     for is_event, i in tracer.order():
         if is_event:
             event = events[i]
-            args = dict(event.args)
-            if event.span_id is not None:
-                args["span_id"] = event.span_id
             trace_events.append({
                 "name": event.name,
                 "ph": "i",
@@ -72,14 +69,12 @@ def chrome_trace(tracer: Tracer) -> dict:
                 "pid": 1,
                 "tid": tids[event.track],
                 "ts": _us(event.ts_s),
-                "args": args,
+                "args": dict(event.args),
             })
             continue
         span = spans[i]
         args = dict(span.args)
         args["span_id"] = i
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
         # ``dur`` spans the two rounded stamps, so ``ts + dur`` is the
         # rounded end (a duration rounded on its own can miss it by 1 ns).
         start_us = _us(span.start_s)

@@ -218,7 +218,7 @@ def metrics_from_trace(tracer) -> Metrics:
             m.add("repro_phase_seconds_total", end_s - start_s,
                   str(args["phase"]), str(args["bound"]))
 
-    for _, name, track, _, _, args in tracer.events:
+    for _, name, track, _, args in tracer.events:
         if track in ("serve/membership", "exec/index_set"):
             m.add("repro_membership_events_total", 1.0, name)
         elif track == "cluster/requests":

@@ -172,14 +172,13 @@ class Observer:
         )
         row = live[1].get(key)
         if row is not None:
-            self.tracer.record_row(
-                row, dispatch.started_s, dispatch.completion_s, None,
-            )
+            self.tracer.record_row(row, dispatch.started_s,
+                                   dispatch.completion_s)
             return
         _, tenants, priorities = zip(*members) if members else ((), (), ())
         span_id = self.tracer.record_span(
             f"dispatch[{dispatch.model}]", f"replica/{replica}",
-            dispatch.started_s, dispatch.completion_s, None,
+            dispatch.started_s, dispatch.completion_s,
             {
                 "batch_size": len(tenants), "model": dispatch.model,
                 "ablation": dispatch.ablation, "phase": dispatch.phase,

@@ -3,11 +3,11 @@
 A :class:`Tracer` collects two primitive shapes:
 
 - a *span* — a named interval ``[start_s, end_s)`` on a *track* (one row
-  in the rendered timeline: a replica, the live batch, the hw pipeline),
-  optionally linked to a parent span;
+  in the rendered timeline: a replica, the live batch, the hw pipeline);
 - an *event* — a named instant at ``ts_s`` on a track (a join, an
-  eviction, an SLO violation), optionally linked to the span it happened
-  inside.
+  eviction, an SLO violation).
+
+Rows are flat: neither kind links to another row.
 
 **Time never comes from the tracer.** Every ``span``/``event`` call is
 passed a timestamp by the owning layer — the cluster's
@@ -19,10 +19,9 @@ exporter. Span and event ids are sequence numbers in emission order,
 which the same determinism argument makes stable too.
 
 **Storage is columnar and typed.** Each kind lives in a :class:`Table`:
-timestamps in ``array('d')``, a parent or enclosing span id in
-``array('q')`` (−1 for none), and an ``array('q')`` index into the
+timestamps in ``array('d')`` and an ``array('q')`` index into the
 table's :class:`Rows`, the ``(name, track, args)`` entries. An id is
-its row position, so it is stored nowhere; recording a span costs four
+its row position, so it is stored nowhere; recording a span costs three
 machine words and no object. An entry may back many rows
 (:meth:`Tracer.record_row` repeats one), so recorded ``args`` are
 read-only; their keys are sorted only where a record is serialized.
@@ -58,7 +57,6 @@ class Span(NamedTuple):
     track: str
     start_s: float
     end_s: float
-    parent_id: Optional[int]
     args: dict
 
 
@@ -69,7 +67,6 @@ class Event(NamedTuple):
     name: str
     track: str
     ts_s: float
-    span_id: Optional[int]
     args: dict
 
 
@@ -82,9 +79,9 @@ class Rows(NamedTuple):
     args: list
 
 
-#: A tracer's stored columns: stamps 'd', ids and ``row`` 'q'.
-SpanColumns = namedtuple("SpanColumns", "start_s end_s parent_id row")
-EventColumns = namedtuple("EventColumns", "ts_s span_id row")
+#: A tracer's stored columns: stamps 'd', ``row`` 'q'.
+SpanColumns = namedtuple("SpanColumns", "start_s end_s row")
+EventColumns = namedtuple("EventColumns", "ts_s row")
 
 
 def empty_columns(codes: str) -> list:
@@ -112,10 +109,9 @@ class Table(Sequence):
     """Append-only rows of one ``NamedTuple`` type, stored by column.
 
     ``columns`` is a named tuple of the stored fields: numbers in typed
-    arrays (an ``*_id`` field stores −1 for ``None``), other values in
-    lists, and, with ``rows``, a ``row`` index into the :class:`Rows`
-    that hold ``name``, ``track`` and ``args``. A row-type field stored
-    nowhere is the row's position: its id. Indexing or iterating builds
+    arrays, other values in lists, and, with ``rows``, a ``row`` index
+    into the :class:`Rows` that hold ``name``, ``track`` and ``args``. A
+    row-type field stored nowhere is the row's position: its id. Indexing or iterating builds
     row views; equal views make equal tables.
     """
 
@@ -127,8 +123,7 @@ class Table(Sequence):
 
     def _value(self, field: str, index: int):
         if field in self.columns._fields:
-            value = getattr(self.columns, field)[index]
-            return None if field.endswith("_id") and value < 0 else value
+            return getattr(self.columns, field)[index]
         if field in Rows._fields:
             return getattr(self.rows, field)[self.columns.row[index]]
         return index
@@ -142,10 +137,7 @@ class Table(Sequence):
     def _values(self, field: str):
         """Every row's ``field``, in row order: :meth:`_value` by column."""
         if field in self.columns._fields:
-            column = getattr(self.columns, field)
-            if field.endswith("_id"):
-                return (None if value < 0 else value for value in column)
-            return column
+            return getattr(self.columns, field)
         if field in Rows._fields:
             return map(getattr(self.rows, field).__getitem__, self.columns.row)
         return range(len(self))
@@ -163,9 +155,7 @@ class Table(Sequence):
             for field, entries in zip(Rows._fields, self.rows):
                 entries.append(row[field])
         for field, column in zip(self.columns._fields, self.columns):
-            value = row[field]
-            column.append(-1 if value is None and field.endswith("_id")
-                          else value)
+            column.append(row[field])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Table) and list(self) == list(other)
@@ -199,36 +189,22 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self.spans = Table(Span, SpanColumns(*empty_columns("ddqq")),
+        self.spans = Table(Span, SpanColumns(*empty_columns("ddq")),
                            Rows([], [], []))
-        self.events = Table(Event, EventColumns(*empty_columns("dqq")),
+        self.events = Table(Event, EventColumns(*empty_columns("dq")),
                             Rows([], [], []))
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)
 
     # ------------------------------------------------------------------
-    def span(
-        self,
-        name: str,
-        track: str,
-        start_s: float,
-        end_s: float,
-        parent_id: Optional[int] = None,
-        **args,
-    ) -> int:
+    def span(self, name: str, track: str, start_s: float, end_s: float,
+             **args) -> int:
         """Record a closed interval; returns its span id."""
-        return self.record_span(name, track, start_s, end_s, parent_id, args)
+        return self.record_span(name, track, start_s, end_s, args)
 
-    def record_span(
-        self,
-        name: str,
-        track: str,
-        start_s: float,
-        end_s: float,
-        parent_id: Optional[int],
-        args: dict,
-    ) -> int:
+    def record_span(self, name: str, track: str, start_s: float,
+                    end_s: float, args: dict) -> int:
         """:meth:`span` with its args as a dict, stored as given (not
         copied), in a new :class:`Rows` entry."""
         start_s, end_s = float(start_s), float(end_s)
@@ -238,13 +214,12 @@ class Tracer:
         rows.name.append(name)
         rows.track.append(track)
         rows.args.append(args)
-        return self.record_row(len(rows.name) - 1, start_s, end_s, parent_id)
+        return self.record_row(len(rows.name) - 1, start_s, end_s)
 
-    def record_row(self, row: int, start_s: float, end_s: float,
-                   parent_id: Optional[int]) -> int:
+    def record_row(self, row: int, start_s: float, end_s: float) -> int:
         """Record a span on the existing entry ``row`` of ``spans.rows``
-        (the name, track and args of an earlier span) with its own stamps
-        and parent; returns its span id."""
+        (the name, track and args of an earlier span) with its own
+        stamps; returns its span id."""
         start_s, end_s = float(start_s), float(end_s)
         # One chained test passes every good pair of stamps: every
         # cluster dispatch records a span, so this is the recording hot
@@ -255,18 +230,10 @@ class Tracer:
         columns = self.spans.columns
         columns.start_s.append(start_s)
         columns.end_s.append(end_s)
-        columns.parent_id.append(-1 if parent_id is None else parent_id)
         columns.row.append(row)
         return len(columns.row) - 1
 
-    def event(
-        self,
-        name: str,
-        track: str,
-        ts_s: float,
-        span_id: Optional[int] = None,
-        **args,
-    ) -> int:
+    def event(self, name: str, track: str, ts_s: float, **args) -> int:
         """Record an instant; returns its event id."""
         ts_s = float(ts_s)
         if not math.isfinite(ts_s):
@@ -275,7 +242,6 @@ class Tracer:
             )
         columns, rows = self.events.columns, self.events.rows
         columns.ts_s.append(ts_s)
-        columns.span_id.append(-1 if span_id is None else span_id)
         columns.row.append(len(rows.name))
         rows.name.append(name)
         rows.track.append(track)
@@ -300,17 +266,22 @@ class Tracer:
         return [item[1:] for item in items]
 
     def records(self) -> list[dict]:
-        """Every span and event as dicts, in :meth:`order`."""
+        """Every span and event as dicts, in :meth:`order`.
+
+        The JSONL event-log schema keeps its two link keys, a span's
+        parent and an event's enclosing span; rows are flat, so both
+        are null.
+        """
         spans, events = list(self.spans), list(self.events)
         return [
             {
                 "type": "event", "event_id": i, "name": view.name,
                 "track": view.track, "ts_s": view.ts_s,
-                "span_id": view.span_id, "args": _sorted_args(view.args),
+                "span_id": None, "args": _sorted_args(view.args),
             } if is_event else {
                 "type": "span", "span_id": i, "name": view.name,
                 "track": view.track, "start_s": view.start_s,
-                "end_s": view.end_s, "parent_id": view.parent_id,
+                "end_s": view.end_s, "parent_id": None,
                 "args": _sorted_args(view.args),
             }
             for is_event, i in self.order()

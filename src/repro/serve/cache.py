@@ -42,19 +42,15 @@ class ThresholdCache:
     def __init__(self) -> None:
         self._models: dict = {}
         self._tables: dict = {}
-        self.hits = 0
-        self.misses = 0
         # Per-memo-level hit/miss counts, surfaced through info() (and
-        # therefore ServeReport) and the obs metrics registry.
+        # therefore ServeReport), which sums them into the totals.
         self.level_hits = {"model": 0, "table": 0}
         self.level_misses = {"model": 0, "table": 0}
 
     def _record(self, level: str, hit: bool, observer) -> bool:
         if hit:
-            self.hits += 1
             self.level_hits[level] += 1
         else:
-            self.misses += 1
             self.level_misses[level] += 1
         if observer is not None:
             observer.on_cache_lookup(level, hit)
@@ -121,8 +117,8 @@ class ThresholdCache:
         info = {
             "models": len(self._models),
             "tables": len(self._tables),
-            "hits": self.hits,
-            "misses": self.misses,
+            "hits": sum(self.level_hits.values()),
+            "misses": sum(self.level_misses.values()),
         }
         for level in self.level_hits:
             info[f"{level}_hits"] = self.level_hits[level]

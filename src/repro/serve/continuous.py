@@ -58,6 +58,7 @@ suite in ``tests/serve/test_continuous_property.py``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
@@ -107,7 +108,10 @@ class ContinuousPolicy:
             aging_s=self.aging_s, timeout_s=self.timeout_s,
             min_service_s=self.min_service_s, max_wait_s=self.max_wait_s,
         )
-        if self.max_batch_size < 1:
+        size = self.max_batch_size
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral):
+            raise ValueError(f"max_batch_size must be an integer, got {size!r}")
+        if size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_wait_s < 0.0:
             raise ValueError("max_wait_s must be >= 0")
@@ -743,15 +747,8 @@ class ContinuousServer:
             served.append(record)
             self._wait_s += wait_s
             self._requests_served += 1
-            self.events.append({
-                "kind": "complete", "now": completed_at,
-                "request_id": run.request_id, "batch_size": batch_size,
-            })
-            if observer is not None:
-                observer.on_membership(
-                    "complete", completed_at, run.request_id,
-                    batch_size=batch_size,
-                )
+            self._edit("complete", completed_at, run.request_id,
+                       batch_size=batch_size)
         if observer is not None:
             span_args = {}
             if self.price is not None:
@@ -833,15 +830,21 @@ class ContinuousServer:
             reason = reasons[entry.request.request_id]
             self._dropped.append((entry.request, reason))
             self._expired += 1
-            self.events.append({
-                "kind": "expire", "now": now,
-                "request_id": entry.request.request_id, "reason": reason,
-            })
-            if self.observer is not None:
-                self.observer.on_membership(
-                    "expire", now, entry.request.request_id, reason=reason,
-                )
+            self._edit("expire", now, entry.request.request_id,
+                       reason=reason)
         return [entry.request for entry in dropped]
+
+    def _edit(self, kind: str, now: float, request_id: int,
+              active_cursors: Optional[tuple] = None, **fields) -> None:
+        """Record one membership edit: an :attr:`events` row and, with an
+        observer, a ``serve/membership`` event of the same fields; only
+        the row holds ``active_cursors``."""
+        row = {"kind": kind, "now": now, "request_id": request_id, **fields}
+        if active_cursors is not None:
+            row["active_cursors"] = active_cursors
+        self.events.append(row)
+        if self.observer is not None:
+            self.observer.on_membership(kind, now, request_id, **fields)
 
     def _sla_feasible(self, entry: QueueEntry, now: float) -> bool:
         """Whether ``entry`` could still meet its deadline if seated now."""
@@ -868,16 +871,8 @@ class ContinuousServer:
                 self._joined_at.pop(run.request_id, None)
                 self._deadline_evictions += 1
                 self._dropped.append((run.request, "deadline"))
-                self.events.append({
-                    "kind": "evict", "now": now, "reason": "deadline",
-                    "request_id": run.request_id, "cursor": run.cursor,
-                    "active_cursors": active_cursors,
-                })
-                if self.observer is not None:
-                    self.observer.on_membership(
-                        "evict", now, run.request_id,
-                        reason="deadline", cursor=run.cursor,
-                    )
+                self._edit("evict", now, run.request_id, active_cursors,
+                           reason="deadline", cursor=run.cursor)
 
         # Preemption and joins below both draw on the queue.
         if self.queue.is_empty:
@@ -908,18 +903,9 @@ class ContinuousServer:
                 self.queue.push(QueueEntry(
                     request=victim.request, run=victim,
                 ))
-                self.events.append({
-                    "kind": "evict", "now": now, "reason": "preempt",
-                    "request_id": victim.request_id, "cursor": victim.cursor,
-                    "active_cursors": tuple(
-                        run.cursor for run in self.active
-                    ),
-                })
-                if self.observer is not None:
-                    self.observer.on_membership(
-                        "evict", now, victim.request_id,
-                        reason="preempt", cursor=victim.cursor,
-                    )
+                self._edit("evict", now, victim.request_id,
+                           tuple(run.cursor for run in self.active),
+                           reason="preempt", cursor=victim.cursor)
 
         # Joins: fill free slots under priority + weighted fair queuing,
         # restricted to entries whose schedule aligns with the members'.
@@ -959,17 +945,8 @@ class ContinuousServer:
             cursors.append(run.cursor)
             self._joined_at.setdefault(run.request_id, now)
             self._joins += 1
-            self.events.append({
-                "kind": "join", "now": now,
-                "request_id": run.request_id, "cursor": run.cursor,
-                "resumed": entry.run is not None,
-                "active_cursors": tuple(cursors[:-1]),
-            })
-            if self.observer is not None:
-                self.observer.on_membership(
-                    "join", now, run.request_id,
-                    cursor=run.cursor, resumed=entry.run is not None,
-                )
+            self._edit("join", now, run.request_id, tuple(cursors[:-1]),
+                       cursor=run.cursor, resumed=entry.run is not None)
 
     # ------------------------------------------------------------------
     # reporting

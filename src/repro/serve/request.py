@@ -28,6 +28,14 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer with a
+    ValueError naming it; a bool is refused, a numpy integer passes."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 class Priority(enum.IntEnum):
     """Strict request priority classes, higher value served first.
 
@@ -66,11 +74,7 @@ class GenerationRequest:
 
     def __post_init__(self) -> None:
         require_one_input(self.prompt, self.class_label)
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        require_seed(self.seed)
         require_finite(deadline_s=self.deadline_s)
 
 

@@ -1,5 +1,8 @@
 """Arrival processes, workload mixes and trace files."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -147,3 +150,24 @@ class TestSynthesizeAndTraceFiles:
         assert load_trace(path) == sorted(
             requests, key=lambda r: r.arrival_s
         )
+
+    @pytest.mark.parametrize("row,rule", [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"prompt": "a corgi", "class_label": 3}, "pass prompt or class_label"),
+        ({"colour": "red"}, ".*unexpected keyword argument 'colour'"),
+    ], ids=["negative-seed", "float-seed", "two-inputs", "unknown-key"])
+    def test_a_bad_row_is_refused_at_load_naming_its_line(
+        self, tmp_path, row, rule
+    ):
+        # Such a row used to load, then abort the simulation when its
+        # request arrived, naming neither the file nor the line.
+        with pytest.raises((TypeError, ValueError), match=rule):
+            ClusterRequest(arrival_s=1.0, model="dit", **row)
+        good = {"arrival_s": 0.0, "model": "dit", "class_label": 1}
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps(good) + "\n\n"
+                        + json.dumps({**good, "arrival_s": 1.0, **row}) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}:3: {rule}"):
+            load_trace(path)

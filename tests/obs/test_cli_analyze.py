@@ -119,25 +119,25 @@ class TestBadInput:
             main(["obs", command, "--input", str(path), "--out", str(out)])
         assert not out.exists()
 
-    @pytest.mark.parametrize("parent_id", [1.5, "0", -1, 2**63, True],
+    @pytest.mark.parametrize("span_id", [1.5, "0", -1, 2**63, True],
                              ids=["float", "str", "negative", "2**63", "bool"])
     @pytest.mark.parametrize("artifact", ["jsonl", "chrome"])
-    def test_a_bad_id_is_bad_input(self, tmp_path, artifact, parent_id):
+    def test_a_bad_id_is_bad_input(self, tmp_path, artifact, span_id):
         if artifact == "jsonl":
             text = json.dumps({
-                "type": "span", "span_id": 1, "name": "tick", "track": "t",
-                "start_s": 0.0, "end_s": 1.0, "parent_id": parent_id,
-                "args": {},
+                "type": "span", "span_id": span_id, "name": "tick",
+                "track": "t", "start_s": 0.0, "end_s": 1.0,
+                "parent_id": None, "args": {},
             }) + "\n"
         else:
             text = json.dumps({"traceEvents": [{
                 "name": "tick", "ph": "X", "pid": 1, "tid": 1, "ts": 0.0,
-                "dur": 1.0, "args": {"span_id": 1, "parent_id": parent_id},
+                "dur": 1.0, "args": {"span_id": span_id},
             }]})
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(SystemExit, match=r"^bad --input: .*bad\.json: "
-                           r"'tick': parent_id .* is not an int in"):
+                           r"'tick': span_id .* is not an int in"):
             main(["obs", "analyze", "--input", str(path),
                   "--out", str(tmp_path / "out")])
 

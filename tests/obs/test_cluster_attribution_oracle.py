@@ -57,7 +57,7 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     the record columns and appends each dispatch to ``ticks`` as a row.
     """
     out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    for span_id, name, track, start_ns, end_ns, _, args in records.spans:
+    for span_id, name, track, start_ns, end_ns, args in records.spans:
         if not name.startswith("dispatch["):
             continue
         duration = end_ns - start_ns
@@ -204,7 +204,7 @@ def _dispatch(draw, span_id: int) -> tuple:
     model = args.get("model", "dit")
     replica = draw(st.sampled_from(["r0", "r1", "r2"]))
     return (span_id, f"dispatch[{model}]", f"replica/{replica}", start_ns,
-            start_ns + length_ns, None, args)
+            start_ns + length_ns, args)
 
 
 @st.composite
@@ -214,7 +214,7 @@ def _cluster_trace(draw) -> TraceRecords:
     for span_id in range(count):
         records.spans.append(*draw(_dispatch(span_id)))
     if draw(st.booleans()):  # a non-dispatch span is not attributed
-        records.spans.append(count, "route", "cluster/router", 0, 5, None, {})
+        records.spans.append(count, "route", "cluster/router", 0, 5, {})
     for event_id in range(draw(st.integers(0, 10))):
         served = draw(st.booleans())
         args = {
@@ -246,12 +246,12 @@ class TestColumnarMatchesRowWalk:
         """One trace holding each case the property covers, checked
         against hand-computed shares as well as against the oracle."""
         spans = [
-            (0, "dispatch[dit]", "replica/r0", 0, 10, None,
+            (0, "dispatch[dit]", "replica/r0", 0, 10,
              {"tenants": ["alice", "bob", "alice"], "priorities": [2],
               "cold_s": 1.0, "energy_j": 2500.0, "phase": "dense"}),
-            (1, "dispatch[mld]", "replica/r1", 5, 5, None,
+            (1, "dispatch[mld]", "replica/r1", 5, 5,
              {"tenants": ["carol"], "energy_j": 1.0}),
-            (2, "dispatch[dit]", "replica/r0", 10, 17, None, {}),
+            (2, "dispatch[dit]", "replica/r0", 10, 17, {}),
         ]
         records = TraceRecords()
         for span in spans:

@@ -412,7 +412,7 @@ class _Trace:
 
     def span(self, name, start_ns, end_ns, args, track=_BATCH_TRACK):
         self.records.spans.append(len(self.records.spans), name, track,
-                                  start_ns, end_ns, None, args)
+                                  start_ns, end_ns, args)
 
     def event(self, name, ts_ns, request_id, **args):
         self.records.events.append(

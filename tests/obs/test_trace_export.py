@@ -15,11 +15,10 @@ from repro.obs import (
 
 def small_trace() -> Tracer:
     tracer = Tracer()
-    parent = tracer.span("tick[dense]", "serve/batch", 0.0, 1.0, batch=2)
-    tracer.span("tick[sparse]", "serve/batch", 1.0, 1.5, parent_id=parent)
+    tracer.span("tick[dense]", "serve/batch", 0.0, 1.0, batch=2)
+    tracer.span("tick[sparse]", "serve/batch", 1.0, 1.5)
     tracer.event("join", "serve/membership", 0.0, request_id=0)
-    tracer.event("evict", "serve/membership", 1.0, span_id=parent,
-                 reason="x")
+    tracer.event("evict", "serve/membership", 1.0, reason="x")
     tracer.span("pending", "cluster/requests", 0.5, 0.5)
     return tracer
 
@@ -29,8 +28,6 @@ class TestTracer:
         tracer = small_trace()
         assert [s.span_id for s in tracer.spans] == [0, 1, 2]
         assert [e.event_id for e in tracer.events] == [0, 1]
-        assert tracer.spans[1].parent_id == 0
-        assert tracer.events[1].span_id == 0
 
     def test_span_ending_before_start_raises(self):
         tracer = Tracer()
@@ -107,12 +104,12 @@ class TestChromeExport:
         dense = next(e for e in complete if e["name"] == "tick[dense]")
         assert dense["ts"] == 0.0 and dense["dur"] == 1e6  # microseconds
         sparse = next(e for e in complete if e["name"] == "tick[sparse]")
-        assert sparse["args"] == {"span_id": 1, "parent_id": 0}
+        assert sparse["args"] == {"span_id": 1}
         instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
         assert {e["name"] for e in instants} == {"join", "evict"}
         assert all(e["s"] == "t" for e in instants)
         evict = next(e for e in instants if e["name"] == "evict")
-        assert evict["args"] == {"reason": "x", "span_id": 0}
+        assert evict["args"] == {"reason": "x"}
 
     def test_json_is_canonical_and_deterministic(self):
         j1 = chrome_trace_json(small_trace())
@@ -145,3 +142,14 @@ class TestJsonl:
         assert [json.dumps(p, sort_keys=True, separators=(",", ":"))
                 for p in parsed] == lines
         assert {p["type"] for p in parsed} == {"span", "event"}
+
+    def test_flat_rows_keep_both_link_keys_as_null(self):
+        # The event-log schema keeps both link keys: "parent_id" on
+        # every span and "span_id" on every event, both null.
+        parsed = [json.loads(line)
+                  for line in events_jsonl(small_trace()).splitlines()]
+        spans = [p for p in parsed if p["type"] == "span"]
+        events = [p for p in parsed if p["type"] == "event"]
+        assert [p["parent_id"] for p in spans] == [None] * 3
+        assert [p["span_id"] for p in events] == [None] * 2
+        assert sorted(p["span_id"] for p in spans) == [0, 1, 2]

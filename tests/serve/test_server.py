@@ -59,6 +59,19 @@ class TestServing:
     def test_numpy_int_seed_is_accepted(self):
         assert GenerationRequest(0, seed=np.int64(3), class_label=0).seed == 3
 
+    @pytest.mark.parametrize("size", (2.5, 3.0, True))
+    def test_a_max_batch_size_that_is_not_an_int_is_refused(self, size):
+        # 2.5 used to serve batches of 3, and True batches of 1.
+        with pytest.raises(ValueError,
+                           match="max_batch_size must be an integer"):
+            ContinuousPolicy(max_batch_size=size)
+
+    def test_numpy_int_max_batch_size_is_accepted(self):
+        server = dry_server(max_batch_size=np.int64(3))
+        for seed in range(6):
+            server.submit(seed=seed, class_label=0)
+        assert [r.batch_size for r in server.run_until_drained()] == [3] * 6
+
     @pytest.mark.parametrize("deadline_s",
                              (float("nan"), float("inf"), float("-inf")))
     def test_non_finite_deadline_is_refused(self, deadline_s):

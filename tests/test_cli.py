@@ -210,6 +210,16 @@ class TestCommands:
         assert "Per-replica usage" in out
         assert "replica1" in out
 
+    def test_cluster_exits_on_a_bad_trace_row(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"arrival_s": 0.0, "model": "dit", "seed": 1}\n'
+                        '{"arrival_s": 0.1, "model": "dit", "seed": -1}\n')
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit, match=r"^bad --trace: .*trace\.jsonl:2: "
+                           r"seed must be a non-negative integer, got -1$"):
+            main(["cluster", "--trace", str(path), "--json", str(out)])
+        assert not out.exists()
+
     def test_cluster_json_is_seed_deterministic(self, capsys, tmp_path):
         import json
 
