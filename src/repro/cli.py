@@ -17,11 +17,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import operator
 import sys
 
 from repro.analysis.report import format_table, percent
 from repro.cluster.replica import ACCELERATORS
+from repro.core.config import ABLATIONS
 
 _COMPARISONS = {">=": operator.ge, ">": operator.gt}
 
@@ -47,6 +49,39 @@ def _number(kind: type, op: str, bound: float):
 _count = _number(int, ">=", 1)
 _positive = _number(float, ">", 0)
 _non_negative = _number(float, ">=", 0)
+
+
+def _model(text: str) -> str:
+    """An argparse type: a benchmark model name. An unknown name exits 2
+    with ``argument --model: unknown model 'x'; known models: ...``."""
+    from repro.workloads.specs import get_spec
+
+    try:
+        get_spec(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _models(text: str) -> str:
+    """An argparse type: comma-separated benchmark model names."""
+    for name in text.split(","):
+        _model(name)
+    return text
+
+
+def _read(flag: str, load, path):
+    """``load(path)`` for a file a command reads: a missing, unreadable or
+    malformed file exits ``bad <flag>: <reason>`` instead of a traceback."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bad {flag}: {exc}")
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
@@ -131,14 +166,12 @@ def _cmd_program(args: argparse.Namespace) -> int:
 
 def _print_compiled_plan(plan, as_json: bool = False) -> int:
     """Render ``compile_plan(plan).index_set_stats()`` (``--compile``)."""
-    import json as _json
-
     from repro.program import compile_plan
 
     compiled = compile_plan(plan)
     stats = compiled.index_set_stats()
     if as_json:
-        print(_json.dumps(stats, indent=2, sort_keys=True))
+        print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
 
     shown = compiled.phases[:12]
@@ -455,10 +488,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
 
     if args.trace is not None:
-        try:
-            requests = load_trace(args.trace)
-        except ValueError as exc:
-            raise SystemExit(f"bad --trace: {exc}")
+        requests = _read("--trace", load_trace, args.trace)
         arrival_doc = {"process": "trace_file", "path": str(args.trace)}
     else:
         if args.arrival == "poisson":
@@ -584,10 +614,8 @@ def _obs_build_report(args):
 
     slos = _parse_slo_flags(args.slo)
     if args.input is not None:
-        try:
-            return analyze_path(args.input, slos=slos)
-        except ValueError as exc:
-            raise SystemExit(f"bad --input: {exc}")
+        return _read("--input", lambda path: analyze_path(path, slos=slos),
+                     args.input)
 
     observer, _ = _run_scenario(args, cold_start=args.cold_start)
     report = analyze_tracer(
@@ -653,14 +681,10 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.obs.analyze import diff_analyses
 
-    with open(args.base, encoding="utf-8") as fh:
-        base = _json.load(fh)
-    with open(args.current, encoding="utf-8") as fh:
-        current = _json.load(fh)
+    base = _read("base", _load_json, args.base)
+    current = _read("current", _load_json, args.current)
     diff = diff_analyses(base, current, tolerance=args.tolerance)
 
     for kind in ("regressions", "improvements"):
@@ -689,8 +713,6 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def _parse_set_expression(expression: str) -> tuple:
     """Parse one ``--set DIM=V1[,V2...]`` into ``(name, values)``."""
-    import json as _json
-
     if "=" not in expression:
         raise SystemExit(
             f"--set expects DIM=V1[,V2...], got {expression!r}"
@@ -702,7 +724,7 @@ def _parse_set_expression(expression: str) -> tuple:
         if not token:
             continue
         try:
-            values.append(_json.loads(token))
+            values.append(json.loads(token))
         except ValueError:
             values.append(token)
     if not values:
@@ -711,8 +733,6 @@ def _parse_set_expression(expression: str) -> tuple:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.explore import (
         ExploreRunner,
         GridSearch,
@@ -724,8 +744,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     )
 
     if args.space is not None:
-        with open(args.space, "r", encoding="utf-8") as fh:
-            space = SearchSpace.from_dict(_json.load(fh))
+        space = _read(
+            "--space", lambda path: SearchSpace.from_dict(_load_json(path)),
+            args.space,
+        )
     elif args.cluster:
         space = cluster_space(args.model)
     else:
@@ -785,13 +807,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.baselines.gpu import GPUModel
     from repro.baselines.specs import EDGE_GPU, SERVER_GPU
     from repro.cluster.replica import make_accelerator
-    from repro.hw.profile import estimate_profile
     from repro.workloads.specs import get_spec
 
     spec = get_spec(args.model)
     acc = make_accelerator(args.accelerator)
-    profile = estimate_profile(spec, acc.constants, seed=0)
-    report = acc.simulate(spec, profile, batch=args.batch)
+    report = acc.simulate(spec, batch=args.batch)
     gpu_spec = EDGE_GPU if args.accelerator == "exion4" else SERVER_GPU
     gpu = GPUModel(gpu_spec).simulate(spec, batch=args.batch)
 
@@ -863,7 +883,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     if args.compare:
-        baseline, current = map(load_results, args.compare)
+        baseline, current = (
+            _read("--compare", load_results, path) for path in args.compare
+        )
         report = compare_results(baseline, current, strict=args.strict)
         print(format_report(report))
         print("\n" + _paper_summary_table({"baseline": baseline, "current": current}))
@@ -934,7 +956,6 @@ def _cmd_conmerge(args: argparse.Namespace) -> int:
     return 0
 
 
-_ABLATIONS = ["base", "ep", "ffnr", "all"]
 _ACCELERATORS = sorted(ACCELERATORS)
 
 
@@ -971,8 +992,8 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     """The trace scenario's knobs (``trace`` and ``obs analyze|report``)."""
-    p.add_argument("--model", default="dit")
-    p.add_argument("--ablation", default="all", choices=_ABLATIONS)
+    p.add_argument("--model", type=_model, default="dit")
+    p.add_argument("--ablation", default="all", choices=ABLATIONS)
     p.add_argument("--accelerator", default="exion24",
                    choices=_ACCELERATORS,
                    help="latency model pricing ticks and arrivals")
@@ -1006,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     gen = sub.add_parser("generate", help="run EXION inference")
-    gen.add_argument("--model", default="dit")
+    gen.add_argument("--model", type=_model, default="dit")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--model-seed", type=int, default=0)
     gen.add_argument("--iterations", type=_count, default=None)
@@ -1014,12 +1035,12 @@ def build_parser() -> argparse.ArgumentParser:
     conditioning.add_argument("--prompt", default="a corgi surfing a wave")
     conditioning.add_argument("--class-label", type=int, default=None)
     gen.add_argument("--ablation", default="all",
-                     choices=_ABLATIONS)
+                     choices=ABLATIONS)
     gen.add_argument("--compare-vanilla", action="store_true")
     gen.set_defaults(func=_cmd_generate)
 
     srv = sub.add_parser("serve", help="batched multi-request serving")
-    srv.add_argument("--model", default="dit")
+    srv.add_argument("--model", type=_model, default="dit")
     srv.add_argument("--requests", type=_count, default=8)
     _add_serving_flags(srv)
     srv.add_argument("--seed", type=int, default=0,
@@ -1033,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
     conditioning.add_argument("--prompt", default=None)
     conditioning.add_argument("--class-label", type=int, default=None)
     srv.add_argument("--ablation", default="all",
-                     choices=_ABLATIONS)
+                     choices=ABLATIONS)
     srv.add_argument("--calibrate", action="store_true",
                      help="use an offline-calibrated threshold table")
     srv.add_argument("--compare-sequential", action="store_true")
@@ -1053,10 +1074,10 @@ def build_parser() -> argparse.ArgumentParser:
     clu = sub.add_parser(
         "cluster", help="trace-driven multi-accelerator fleet simulation"
     )
-    clu.add_argument("--models", default="dit",
+    clu.add_argument("--models", type=_models, default="dit",
                      help="comma-separated benchmark models in the mix")
     clu.add_argument("--ablation", default="all",
-                     choices=_ABLATIONS)
+                     choices=ABLATIONS)
     clu.add_argument("--replicas", type=_count, default=4)
     clu.add_argument("--accelerator", default="exion24",
                      choices=_ACCELERATORS)
@@ -1108,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="DIM=V1[,V2...]",
                      help="pin or restrict a dimension inline (repeatable); "
                           "values are parsed as JSON when possible")
-    exp.add_argument("--model", default="dit",
+    exp.add_argument("--model", type=_model, default="dit",
                      help="benchmark model the default space is built for")
     exp.add_argument("--strategy", default="random",
                      choices=["grid", "random"])
@@ -1208,9 +1229,9 @@ def build_parser() -> argparse.ArgumentParser:
         "program",
         help="inspect the lowered iteration-program IR for a model",
     )
-    prg.add_argument("--model", default="dit")
+    prg.add_argument("--model", type=_model, default="dit")
     prg.add_argument("--ablation", default="all",
-                     choices=_ABLATIONS)
+                     choices=ABLATIONS)
     prg.add_argument("--iterations", type=_count, default=None,
                      help="phase-plan length (default: the spec's count)")
     prg.add_argument("--batch", type=_count, default=1)
@@ -1223,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     prg.set_defaults(func=_cmd_program)
 
     sim = sub.add_parser("simulate", help="hardware simulation vs GPU")
-    sim.add_argument("--model", default="dit")
+    sim.add_argument("--model", type=_model, default="dit")
     sim.add_argument("--accelerator", default="exion24",
                      choices=_ACCELERATORS)
     sim.add_argument("--batch", type=_count, default=1)
@@ -1234,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cm = sub.add_parser("conmerge", help="ConMerge compaction demo")
-    cm.add_argument("--model", default="stable_diffusion")
+    cm.add_argument("--model", type=_model, default="stable_diffusion")
     cm.add_argument("--seed", type=int, default=0)
     cm.set_defaults(func=_cmd_conmerge)
 

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from repro.core.config import ExionConfig
+from repro.core.config import require_ablation
 from repro.models.pipeline import require_one_input
 from repro.serve.request import require_finite, require_seed
 from repro.workloads.generator import as_rng
@@ -54,8 +54,9 @@ class ClusterRequest:
     :class:`~repro.serve.continuous.ContinuousServer` expects.
     ``tenant``/``priority``/``deadline_s`` feed its fair queuing,
     preemption, and SLA admission. ``deadline_s`` is absolute simulated
-    time. A record the server would refuse (a bad seed, both a prompt
-    and a class label) is refused here, before it reaches a fleet.
+    time. A record the fleet would refuse (an unknown model or
+    ablation, a bad seed, both a prompt and a class label) is refused
+    here, before it reaches a fleet.
     """
 
     arrival_s: float
@@ -72,6 +73,8 @@ class ClusterRequest:
         require_finite(arrival_s=self.arrival_s, deadline_s=self.deadline_s)
         require_seed(self.seed)
         require_one_input(self.prompt, self.class_label)
+        get_spec(self.model)  # KeyError naming the known models
+        require_ablation(self.ablation)
         if self.arrival_s < 0.0:
             raise ValueError("arrival_s must be >= 0")
         if self.deadline_s is not None and self.deadline_s < self.arrival_s:
@@ -246,7 +249,7 @@ class WorkloadMix:
             raise ValueError("need at least one model")
         for name in self.models:
             get_spec(name)  # raises KeyError for unknown models
-        ExionConfig().ablation(self.ablation)  # ValueError naming it
+        require_ablation(self.ablation)
         if self.weights is not None:
             if len(self.weights) != len(self.models):
                 raise ValueError("weights must match models")
@@ -329,6 +332,8 @@ def load_trace(path) -> list:
                 continue
             try:
                 requests.append(ClusterRequest(**json.loads(line)))
+            except KeyError as exc:  # get_spec's message is its one arg
+                raise ValueError(f"{path}:{number}: {exc.args[0]}") from None
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
     return sorted(requests, key=lambda r: r.arrival_s)

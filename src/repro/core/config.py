@@ -5,6 +5,23 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 
+#: The evaluation's four ablations (Base / EP / FFNR / All), in the order
+#: the paper and the CLI list them: name ->
+#: ``(enable_ffn_reuse, enable_eager_prediction)``.
+ABLATIONS = {
+    "base": (False, False),
+    "ep": (False, True),
+    "ffnr": (True, False),
+    "all": (True, True),
+}
+
+
+def require_ablation(name: str) -> None:
+    """Refuse a name that is not one of :data:`ABLATIONS`."""
+    if name not in ABLATIONS:
+        raise ValueError(
+            f"unknown ablation {name!r}; use {'/'.join(ABLATIONS)}")
+
 
 @dataclass(frozen=True)
 class ExionConfig:
@@ -80,17 +97,16 @@ class ExionConfig:
             lod_mode=lod_mode,
         )
 
+    @property
+    def ablation_name(self) -> str:
+        """Which of :data:`ABLATIONS` this config's enable flags select."""
+        flags = (self.enable_ffn_reuse, self.enable_eager_prediction)
+        return next(name for name, value in ABLATIONS.items() if value == flags)
+
     def ablation(self, which: str) -> "ExionConfig":
         """Return the Base / EP / FFNR / All variant of this config."""
-        variants = {
-            "base": (False, False),
-            "ep": (False, True),
-            "ffnr": (True, False),
-            "all": (True, True),
-        }
-        if which not in variants:
-            raise ValueError(f"unknown ablation {which!r}; use base/ep/ffnr/all")
-        ffnr, ep = variants[which]
+        require_ablation(which)
+        ffnr, ep = ABLATIONS[which]
         return replace(
             self, enable_ffn_reuse=ffnr, enable_eager_prediction=ep
         )

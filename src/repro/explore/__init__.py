@@ -17,9 +17,10 @@ one-command answer:
   score of :mod:`repro.workloads.evaluation` and :mod:`repro.cluster`, plus
   Pareto-frontier extraction (dominated-point pruning and knee-point
   selection);
-- :mod:`repro.explore.runner` — multiprocessing fan-out with explicit
-  per-point seeds and a content-addressed on-disk cache (identical
-  points are never re-evaluated across sweeps; runs resume for free);
+- :mod:`repro.explore.runner` — one ``evaluator(point) -> objectives``
+  call per point, fanned out over worker processes behind a
+  content-addressed on-disk cache (identical points are never
+  re-evaluated across sweeps; runs resume for free);
 - :mod:`repro.explore.report` — the canonical byte-stable JSON artifact,
   a rendered frontier table, and the projection onto the
   :mod:`repro.bench` schema.

@@ -290,11 +290,7 @@ class PointEvaluator:
             synthesize_trace,
         )
 
-        config = config_from_point(model, point)
-        ablation = {
-            (True, True): "all", (True, False): "ffnr",
-            (False, True): "ep", (False, False): "base",
-        }[(config.enable_ffn_reuse, config.enable_eager_prediction)]
+        ablation = config_from_point(model, point).ablation_name
         rate = float(point.get("rate_rps", self.cluster_rate_rps))
         replicas = int(point.get("replicas", 2))
         router = str(point.get("router", "jsq"))

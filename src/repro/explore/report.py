@@ -1,9 +1,8 @@
 """The exploration run's published artifact.
 
 An :class:`ExploreReport` is everything one sweep/search produced —
-space, strategy, objective contract, every evaluation (point, per-point
-seed, objective values), the Pareto frontier and the knee
-point — in plain JSON-serializable types. Serialization is canonical
+space, strategy, objective contract, every evaluation (point and
+objective values), the Pareto frontier and the knee point — in plain JSON-serializable types. Serialization is canonical
 (:meth:`ExploreReport.to_json` sorts keys and fixes separators), and
 execution accounting (cache hits, worker counts, wall time) lives
 *outside* the canonical document on :attr:`ExploreReport.stats`, so two

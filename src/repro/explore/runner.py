@@ -3,16 +3,12 @@
 :class:`ExploreRunner` evaluates the points one search strategy proposes
 over one space:
 
-- evaluators that declare a ``seed`` parameter get an **explicit
-  per-point seed** derived from the runner seed and the point's
-  canonical encoding (:func:`~repro.explore.space.stable_seed`), so
-  results do not depend on evaluation order, worker count, or which
-  points were cache hits. Seedless evaluators (e.g.
-  :class:`~repro.explore.objectives.PointEvaluator`, which derives its
-  streams from its own ``base_seed`` plus the knobs each objective
-  depends on) are called without one, and their records carry
-  ``seed: null`` — so their cache entries are shared across runner
-  seeds instead of being spuriously re-evaluated;
+- an evaluator is one call, ``evaluator(point) -> {objective: value}``;
+  any randomness it needs it derives itself (e.g.
+  :class:`~repro.explore.objectives.PointEvaluator` seeds its streams
+  from its own ``base_seed`` plus the knobs each objective depends on),
+  so a point's values do not depend on evaluation order, worker count,
+  the runner seed, or which points were cache hits;
 - evaluations fan out over worker processes
   (``concurrent.futures.ProcessPoolExecutor``) when ``workers > 1``;
   each worker receives the evaluator once (its in-process memoization,
@@ -20,8 +16,8 @@ over one space:
   ``executor.map`` preserves submission order, so parallel and serial
   runs produce identical reports;
 - with ``cache_dir`` set, each evaluation is stored under the SHA-256 of
-  its full identity — canonical point, per-point seed (when used), and
-  the evaluator's :meth:`describe` fingerprint — so identical
+  its full identity — canonical point and the evaluator's
+  :meth:`describe` fingerprint — so identical
   points are never re-evaluated across sweeps and interrupted runs
   resume for free. Entries live in a :class:`repro.canon.ContentStore`
   (the store under the plan cache's disk tier): atomic writes keep
@@ -31,7 +27,6 @@ over one space:
 
 from __future__ import annotations
 
-import inspect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,33 +34,21 @@ from typing import Callable, Optional
 from repro.canon import ContentStore, canonical_sha256
 from repro.explore.objectives import (
     Objective,
-    PointEvaluator,
     get_objective,
     knee_point,
     pareto_front,
 )
 from repro.explore.report import ExploreReport
-from repro.explore.space import (
-    SearchSpace,
-    canonicalize,
-    point_id,
-    point_key,
-    stable_seed,
-)
+from repro.explore.space import SearchSpace, canonicalize, point_id
 from repro.workloads.generator import as_rng
 
 
 @dataclass
 class EvaluationRecord:
-    """One evaluated point: identity, seed, objective values.
-
-    ``seed`` is ``None`` when the evaluator does not take one (its
-    randomness, if any, is self-managed).
-    """
+    """One evaluated point: identity and objective values."""
 
     point: dict
     id: str
-    seed: Optional[int]
     objectives: dict
 
     def to_dict(self) -> dict:
@@ -73,7 +56,6 @@ class EvaluationRecord:
         return {
             "id": self.id,
             "point": canonicalize(self.point),
-            "seed": self.seed,
             "objectives": {
                 k: float(v) for k, v in sorted(self.objectives.items())
             },
@@ -102,32 +84,16 @@ class RunnerStats:
 #: in-process memoization — e.g. PointEvaluator's per-algorithm-config
 #: accuracy cache — keep working across the points that worker draws.
 _WORKER_EVALUATOR = None
-_WORKER_TAKES_SEED = False
 
 
-def _init_worker(evaluator: Callable, takes_seed: bool) -> None:
-    global _WORKER_EVALUATOR, _WORKER_TAKES_SEED
+def _init_worker(evaluator: Callable) -> None:
+    global _WORKER_EVALUATOR
     _WORKER_EVALUATOR = evaluator
-    _WORKER_TAKES_SEED = takes_seed
 
 
-def _evaluate_in_worker(payload: tuple) -> dict:
+def _evaluate_in_worker(point: dict) -> dict:
     """Worker entry point (top-level so it pickles by module path)."""
-    point, seed = payload
-    if _WORKER_TAKES_SEED:
-        return _WORKER_EVALUATOR(point, seed=seed)
     return _WORKER_EVALUATOR(point)
-
-
-def _accepts_seed(evaluator: Callable) -> bool:
-    """Does the evaluator declare a ``seed`` parameter (or ``**kwargs``)?"""
-    try:
-        parameters = inspect.signature(evaluator).parameters
-    except (TypeError, ValueError):
-        return False
-    return "seed" in parameters or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 def _evaluator_fingerprint(evaluator: Callable) -> dict:
@@ -146,7 +112,7 @@ class ExploreRunner:
         self,
         space: SearchSpace,
         strategy,
-        evaluator: Optional[Callable] = None,
+        evaluator: Callable,
         objectives=None,
         workers: int = 1,
         cache_dir=None,
@@ -156,9 +122,7 @@ class ExploreRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.space = space
         self.strategy = strategy
-        self.evaluator = (
-            evaluator if evaluator is not None else PointEvaluator()
-        )
+        self.evaluator = evaluator
         if objectives is None:
             names = getattr(self.evaluator, "objectives", None)
             if names is None:
@@ -178,7 +142,6 @@ class ExploreRunner:
         self.cache_dir = self._store.root
         self.seed = int(seed)
         self.stats = RunnerStats(workers=workers)
-        self._takes_seed = _accepts_seed(self.evaluator)
 
     # ------------------------------------------------------------------
     # cache
@@ -196,7 +159,6 @@ class ExploreRunner:
         self._store.store(key, {
             "key": key,
             "point": canonicalize(record.point),
-            "seed": record.seed,
             "objectives": {
                 k: float(v) for k, v in sorted(record.objectives.items())
             },
@@ -205,14 +167,9 @@ class ExploreRunner:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    def _evaluate_serial(self, point: dict, seed: Optional[int]) -> dict:
-        if self._takes_seed:
-            return self.evaluator(point, seed=seed)
-        return self.evaluator(point)
-
     def _evaluate_batch(self, points: list) -> list:
         records = []
-        misses = []  # (index into records, cache key, payload)
+        misses = []  # (index into records, cache key, point)
         # The evaluator is fixed for the run: describe it once.
         run_key = {
             "evaluator": _evaluator_fingerprint(self.evaluator),
@@ -220,34 +177,28 @@ class ExploreRunner:
         }
         for point in points:
             point = self.space.normalize(point)
-            seed = (
-                stable_seed(self.seed, "point", point_key(point))
-                if self._takes_seed else None
-            )
-            key = canonical_sha256(
-                {**run_key, "point": canonicalize(point), "seed": seed})
+            key = canonical_sha256({**run_key, "point": canonicalize(point)})
             cached = self._cache_load(key)
             record = EvaluationRecord(
                 point=dict(point),
                 id=point_id(point),
-                seed=seed,
                 objectives=cached or {},
             )
             if cached is None:
-                misses.append((len(records), key, (point, seed)))
+                misses.append((len(records), key, point))
             records.append(record)
 
         if misses:
-            payloads = [payload for _, _, payload in misses]
-            if self.workers > 1 and len(payloads) > 1:
+            pending = [point for _, _, point in misses]
+            if self.workers > 1 and len(pending) > 1:
                 with ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
-                    initargs=(self.evaluator, self._takes_seed),
+                    initargs=(self.evaluator,),
                 ) as pool:
-                    outcomes = list(pool.map(_evaluate_in_worker, payloads))
+                    outcomes = list(pool.map(_evaluate_in_worker, pending))
             else:
-                outcomes = [self._evaluate_serial(*p) for p in payloads]
+                outcomes = [self.evaluator(point) for point in pending]
             for (index, key, _), objectives in zip(misses, outcomes):
                 records[index].objectives = {
                     k: float(v) for k, v in objectives.items()

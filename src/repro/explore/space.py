@@ -242,21 +242,12 @@ class SearchSpace:
         rng = as_rng(rng)
         return [self.sample(rng) for _ in range(n)]
 
-    def grid(self, levels=3) -> list:
-        """Cross product of per-dimension grids, declaration-order-major.
-
-        ``levels`` is an int applied to every range dimension, or a
-        ``{name: levels}`` dict for per-dimension control.
-        """
-        per_dim = []
-        for dim in self.dimensions:
-            if isinstance(levels, dict):
-                dim_levels = levels.get(dim.name, 3)
-            else:
-                dim_levels = levels
-            per_dim.append(dim.grid(dim_levels))
+    def grid(self, levels: int = 3) -> list:
+        """Cross product of per-dimension grids, declaration-order-major;
+        every range dimension gets ``levels`` points."""
         points = [{}]
-        for dim, values in zip(self.dimensions, per_dim):
+        for dim in self.dimensions:
+            values = dim.grid(levels)
             points = [
                 {**point, dim.name: value}
                 for point in points
@@ -317,7 +308,11 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SearchSpace":
-        return cls([dimension_from_dict(d) for d in data["dimensions"]])
+        """Inverse of :meth:`to_dict`; any other layout is a ValueError."""
+        try:
+            return cls([dimension_from_dict(d) for d in data["dimensions"]])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a SearchSpace layout: {exc!r}") from None
 
 
 # ----------------------------------------------------------------------

@@ -12,17 +12,13 @@ from __future__ import annotations
 
 
 class GridSearch:
-    """Exhaustive cross product of per-dimension grids.
-
-    ``levels`` is an int applied to every range dimension or a
-    ``{name: levels}`` dict (see :meth:`repro.explore.space.SearchSpace.grid`).
-    """
+    """Exhaustive cross product of ``levels``-point grids, one per range
+    dimension (see :meth:`repro.explore.space.SearchSpace.grid`)."""
 
     name = "grid"
 
-    def __init__(self, levels=3):
-        counts = levels.values() if isinstance(levels, dict) else [levels]
-        if any(count < 1 for count in counts):
+    def __init__(self, levels: int = 3):
+        if levels < 1:
             raise ValueError(f"levels must be >= 1, got {levels}")
         self.levels = levels
 
@@ -30,10 +26,7 @@ class GridSearch:
         return space.grid(self.levels)
 
     def describe(self) -> dict:
-        levels = self.levels
-        if isinstance(levels, dict):
-            levels = {str(k): int(v) for k, v in sorted(levels.items())}
-        return {"strategy": self.name, "levels": levels}
+        return {"strategy": self.name, "levels": self.levels}
 
 
 class RandomSearch:

@@ -156,14 +156,17 @@ class TestSynthesizeAndTraceFiles:
         ({"seed": 1.5}, "seed must be a non-negative integer"),
         ({"prompt": "a corgi", "class_label": 3}, "pass prompt or class_label"),
         ({"colour": "red"}, ".*unexpected keyword argument 'colour'"),
-    ], ids=["negative-seed", "float-seed", "two-inputs", "unknown-key"])
+        ({"model": "resnet"}, "unknown model 'resnet'; known models: "),
+        ({"ablation": "bogus"}, "unknown ablation 'bogus'; use base/ep/"),
+    ], ids=["negative-seed", "float-seed", "two-inputs", "unknown-key",
+            "unknown-model", "unknown-ablation"])
     def test_a_bad_row_is_refused_at_load_naming_its_line(
         self, tmp_path, row, rule
     ):
         # Such a row used to load, then abort the simulation when its
         # request arrived, naming neither the file nor the line.
-        with pytest.raises((TypeError, ValueError), match=rule):
-            ClusterRequest(arrival_s=1.0, model="dit", **row)
+        with pytest.raises((KeyError, TypeError, ValueError), match=rule):
+            ClusterRequest(**{"arrival_s": 1.0, "model": "dit", **row})
         good = {"arrival_s": 0.0, "model": "dit", "class_label": 1}
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps(good) + "\n\n"

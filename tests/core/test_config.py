@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.config import ExionConfig
+from repro.core.config import ABLATIONS, ExionConfig, require_ablation
 from repro.workloads.specs import BENCHMARK_ORDER, get_spec
 
 
@@ -111,3 +111,12 @@ class TestAblation:
     def test_unknown_ablation(self):
         with pytest.raises(ValueError, match="base/ep/ffnr/all"):
             ExionConfig().ablation("everything")
+
+    def test_the_table_round_trips_every_name(self):
+        """One table maps each name to its enable flags and back, in the
+        order the CLI offers them."""
+        assert list(ABLATIONS) == ["base", "ep", "ffnr", "all"]
+        for name in ABLATIONS:
+            require_ablation(name)
+            config = ExionConfig.for_model("dit").ablation(name)
+            assert config.ablation_name == name

@@ -43,18 +43,6 @@ class CountingEvaluator:
         return {"kind": "counting", "version": 1}
 
 
-class SeededEvaluator(CountingEvaluator):
-    """Opts into the runner's explicit per-point seeds."""
-
-    def __call__(self, point, seed=None):
-        self.calls += 1
-        self.seen_seeds = getattr(self, "seen_seeds", []) + [seed]
-        return {"metric": float(point["x"]) + (seed or 0) * 0.0}
-
-    def describe(self):
-        return {"kind": "seeded-counting", "version": 1}
-
-
 def _runner(tmp_path=None, evaluator=None, strategy=None, seed=0):
     return ExploreRunner(
         SPACE,
@@ -81,20 +69,13 @@ class TestCache:
         assert report2.to_json() == report1.to_json()
 
     def test_seedless_evaluator_shares_cache_across_run_seeds(self, tmp_path):
-        """CountingEvaluator takes no seed, so its numbers cannot depend
-        on the runner seed — a warm cache must be reused."""
+        """An evaluator is called with the point alone, so its numbers
+        cannot depend on the runner seed — a warm cache must be reused."""
         _runner(tmp_path, seed=0).run()
         other = _runner(tmp_path, seed=1)
         other.run()
         assert other.evaluator.calls == 0
         assert other.stats.cache_hits == other.stats.evaluated
-
-    def test_seeded_evaluator_misses_across_run_seeds(self, tmp_path):
-        first = _runner(tmp_path, seed=0, evaluator=SeededEvaluator())
-        first.run()
-        other = _runner(tmp_path, seed=1, evaluator=SeededEvaluator())
-        other.run()
-        assert other.stats.cache_misses == other.stats.evaluated
 
     def test_corrupt_cache_entry_is_reevaluated(self, tmp_path):
         runner = _runner(tmp_path)
@@ -113,7 +94,7 @@ class TestCache:
         entry = json.loads(
             sorted(tmp_path.rglob("*.json"))[0].read_text(encoding="utf-8")
         )
-        assert set(entry) == {"key", "point", "seed", "objectives"}
+        assert set(entry) == {"key", "point", "objectives"}
 
     @pytest.mark.parametrize("how", ["read_only", "not_a_directory"])
     def test_unwritable_cache_dir_keeps_the_sweep(self, tmp_path, how):
@@ -199,20 +180,6 @@ class TestDeterminism:
         assert parallel.to_json() == serial.to_json()
         assert parallel.frontier == serial.frontier
 
-    def test_per_point_seeds_are_stable_and_reach_the_evaluator(self):
-        a_eval, b_eval = SeededEvaluator(), SeededEvaluator()
-        a = _runner(evaluator=a_eval).run()
-        b = _runner(evaluator=b_eval).run()
-        seeds = [e["seed"] for e in a.evaluations]
-        assert seeds == [e["seed"] for e in b.evaluations]
-        assert len(set(seeds)) == len(seeds)
-        # The recorded seeds are the ones the evaluator actually received.
-        assert a_eval.seen_seeds == seeds
-
-    def test_seedless_evaluator_records_null_seed(self):
-        report = _runner().run()
-        assert all(e["seed"] is None for e in report.evaluations)
-
 
 class TestRunnerProtocol:
     def test_grid_report_shape(self):
@@ -227,9 +194,9 @@ class TestRunnerProtocol:
 
     def test_evaluations_carry_no_iteration_budget(self):
         """Every point is evaluated once, at the evaluator's own
-        iteration count: records hold identity, seed and objectives."""
+        iteration count: records hold identity and objectives."""
         report = _runner().run()
-        assert all(set(e) == {"id", "point", "seed", "objectives"}
+        assert all(set(e) == {"id", "point", "objectives"}
                    for e in report.evaluations)
         assert not hasattr(_runner().stats, "rounds")
 

@@ -105,11 +105,6 @@ class TestSearchSpace:
             {"a": 2, "b": "x"}, {"a": 2, "b": "y"},
         ]
 
-    def test_grid_levels_dict(self):
-        space = self.space()
-        grid = space.grid({"num_dscs": 2, "bandwidth_gbps": 2})
-        assert len(grid) == 2 * 2 * 2
-
     def test_validate_errors(self):
         space = self.space()
         good = space.sample(rng=0)
@@ -154,6 +149,14 @@ class TestSearchSpace:
         clone = SearchSpace.from_dict(space.to_dict())
         assert clone.to_dict() == space.to_dict()
         assert clone.grid(2) == space.grid(2)
+
+    @pytest.mark.parametrize("data", [
+        {}, [], {"dimensions": 3}, {"dimensions": [7]},
+        {"dimensions": [{"kind": "int"}]},
+    ])
+    def test_a_foreign_layout_is_a_value_error(self, data):
+        with pytest.raises(ValueError, match="not a SearchSpace layout"):
+            SearchSpace.from_dict(data)
 
 
 class TestCanonicalEncoding:

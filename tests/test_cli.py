@@ -118,6 +118,24 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "resnet"],
+        ["serve", "--model", "resnet"],
+        ["cluster", "--models", "dit,resnet"],
+        ["explore", "--model", "resnet"],
+        ["trace", "--model", "resnet"],
+        ["program", "--model", "resnet"],
+        ["simulate", "--model", "resnet"],
+        ["conmerge", "--model", "resnet"],
+    ], ids=lambda argv: argv[0])
+    def test_an_unknown_model_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument {argv[1]}: unknown model 'resnet'; "
+                "known models: dit, ") in err
+
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench", "--list"])
         assert args.list
@@ -218,6 +236,36 @@ class TestCommands:
         with pytest.raises(SystemExit, match=r"^bad --trace: .*trace\.jsonl:2: "
                            r"seed must be a non-negative integer, got -1$"):
             main(["cluster", "--trace", str(path), "--json", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["cluster", "--trace", "{path}"], "--trace"),
+        (["obs", "analyze", "--input", "{path}", "--out", "{out}"], "--input"),
+        (["obs", "report", "--input", "{path}", "--out", "{out}"], "--input"),
+        (["explore", "--space", "{path}", "--json", "{out}"], "--space"),
+        (["obs", "diff", "{path}", "{good}"], "base"),
+        (["obs", "diff", "{good}", "{path}"], "current"),
+        (["bench", "--compare", "{path}", "{good}"], "--compare"),
+    ], ids=["cluster-trace", "obs-analyze-input", "obs-report-input",
+            "explore-space", "obs-diff-base", "obs-diff-current",
+            "bench-compare"])
+    @pytest.mark.parametrize("kind", ["missing", "malformed"])
+    def test_a_bad_input_file_exits_naming_its_flag(
+        self, tmp_path, argv, flag, kind
+    ):
+        path = tmp_path / "input.json"
+        if kind == "malformed":
+            path.write_text("{ torn\n", encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text("{}", encoding="utf-8")
+        out = tmp_path / "out.json"
+        argv = [arg.format(path=path, good=good, out=out) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        message = exit_info.value.code
+        assert isinstance(message, str) and message.startswith(f"bad {flag}: ")
+        if kind == "missing":
+            assert "No such file or directory" in message
         assert not out.exists()
 
     def test_cluster_json_is_seed_deterministic(self, capsys, tmp_path):
