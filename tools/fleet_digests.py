@@ -61,10 +61,10 @@ def emit_observed(cell: str, observer, trace: bool = True) -> None:
 
 
 def fleet(name, trace, continuous, replicas, router="jsq", slo=None,
-          policy=None, observer=None):
+          policy=None, observer=None, **fleet_kwargs):
     cell = f"{name}/{'continuous' if continuous else 'drain'}"
     members = build_replicas(replicas, accelerator="exion24", policy=policy,
-                             continuous=continuous)
+                             continuous=continuous, **fleet_kwargs)
     report = simulate_cluster(trace, members, make_router(router), slo=slo,
                               observer=observer)
     emit(f"{cell}/report", report.to_json())
@@ -98,7 +98,8 @@ def simulated_server(continuous):
     report = server.report()
     emit(f"serve-simulate/{'continuous' if continuous else 'drain'}/rows",
          json.dumps([rows, server.events, report.busy_s, report.queue_wait_s,
-                     report.latency_quantiles, clock.now], sort_keys=True))
+                     report.latency_quantiles, clock.now, report.summary()],
+                    sort_keys=True))
 
 
 def main() -> int:
@@ -136,6 +137,10 @@ def main() -> int:
               observer=Observer())
     fleet("poisson300-maxwait50ms-jsq4", poisson, False, 4,
           policy=serve.ContinuousPolicy(drain=True, max_batch_size=8, max_wait_s=0.05))
+    # Executing replicas: real numerics on the 4-iteration schedule that
+    # is priced, so the replica counts come from servers that generate.
+    fleet("poisson300-executed4-jsq2", poisson[:4], False, 2, execute=True,
+          execute_iterations=4, iterations=4)
     trace_scenario("scenario/continuous", continuous=True)
     # The pricing seam's other users: the drain scenario, the scenario's
     # cold surcharge, and a serve --simulate style server.
