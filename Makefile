@@ -65,12 +65,15 @@ serve-smoke:  ## continuous-batching goodput bench + CLI demo run
 		--requests 6 --batch-size 4 --iterations 6 \
 		--tenants alice=2,bob=1 --quantum 1.0
 
-cluster-smoke:  ## fleet-simulation scaling bench + CLI demo run
+cluster-smoke:  ## fleet-simulation scaling bench + CLI demo runs (dry and executing)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run cluster_scaling --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cluster \
 		--replicas 4 --requests 48 --rate 300 --router jsq \
 		--slo-target 1.0 --metrics-out $(BENCH_OUT)/cluster_metrics.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cluster --execute \
+		--iterations 4 --requests 4 --replicas 2 \
+		--json $(BENCH_OUT)/cluster_execute.json
 
 explore-smoke:  ## design-space Pareto bench + CLI demo run twice: warm run all hits, same JSON
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \

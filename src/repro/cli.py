@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 
@@ -39,6 +40,8 @@ def _number(kind: type, op: str, bound: float):
             raise argparse.ArgumentTypeError(
                 f"must be {op} {bound}, got {value}"
             )
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
 
     parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
@@ -277,16 +280,26 @@ def _write_obs_outputs(
         print(f"wrote {events_out}")
 
 
-def _parse_tenant_weights(spec):
-    """``"alice=2,bob=1"`` (or bare names, weight 1.0) -> weight dict."""
-    if not spec:
+def _tenants(text: str):
+    """An argparse type: ``"alice=2,bob=1"`` (or bare names, weight 1.0)
+    -> weight dict; each weight a finite number > 0."""
+    if not text:
         return None
     weights = {}
-    for item in spec.split(","):
+    for item in text.split(","):
         name, _, value = item.strip().partition("=")
         if not name:
-            raise SystemExit(f"bad --tenants entry {item!r}")
-        weights[name] = float(value) if value else 1.0
+            raise argparse.ArgumentTypeError(f"bad entry {item!r}")
+        try:
+            weight = float(value) if value else 1.0
+        except ValueError:
+            weight = math.nan
+        if not 0.0 < weight < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"weight of {name!r} must be a finite number > 0, "
+                f"got {value!r}"
+            )
+        weights[name] = weight
     return weights
 
 
@@ -342,12 +355,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 service_model.price, args.model, args.ablation
             ),
         )
-    weights = _parse_tenant_weights(args.tenants)
     server = ContinuousServer(
         args.model,
         config=config,
         policy=_policy_from_args(args, timeout_s=args.timeout, drain=drain),
-        tenant_weights=weights,
+        tenant_weights=args.tenants,
         model_seed=args.model_seed,
         total_iterations=args.iterations,
         calibrate=args.calibrate,
@@ -355,7 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         observer=observer,
         **simulated,
     )
-    tenants = sorted(weights) if weights else ["default"]
+    tenants = sorted(args.tenants) if args.tenants else ["default"]
     now_fn = simulated.get("clock", time.perf_counter)
     for i in range(args.requests):
         server.submit(
@@ -487,6 +499,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         synthesize_trace,
     )
 
+    if args.tenants is not None and not args.continuous:
+        raise SystemExit("bad --tenants: tenant weights need --continuous")
     if args.trace is not None:
         requests = _read("--trace", load_trace, args.trace)
         arrival_doc = {"process": "trace_file", "path": str(args.trace)}
@@ -524,9 +538,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         accelerator=args.accelerator,
         policy=_policy_from_args(args),
         execute=args.execute,
-        execute_iterations=args.iterations,
         continuous=args.continuous,
-        tenant_weights=_parse_tenant_weights(args.tenants),
+        tenant_weights=args.tenants,
         # Price the same (possibly truncated) schedule that is executed,
         # so reported service times match the claimed samples.
         iterations=args.iterations,
@@ -682,9 +695,13 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
     from repro.obs.analyze import diff_analyses
+    from repro.obs.analyze.report import check_analysis
 
-    base = _read("base", _load_json, args.base)
-    current = _read("current", _load_json, args.current)
+    def load(path):
+        return check_analysis(_load_json(path))
+
+    base = _read("base", load, args.base)
+    current = _read("current", load, args.current)
     diff = diff_analyses(base, current, tolerance=args.tolerance)
 
     for kind in ("regressions", "improvements"):
@@ -754,7 +771,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         space = default_space(args.model)
     for expression in args.set or []:
         name, values = _parse_set_expression(expression)
-        space = space.restrict(name, values)
+        try:
+            space = space.restrict(name, values)
+        except (KeyError, ValueError) as exc:
+            raise SystemExit(f"bad --set: {exc.args[0]}")
 
     if args.objectives is not None:
         objectives = tuple(
@@ -972,12 +992,12 @@ def _add_serving_flags(p: argparse.ArgumentParser) -> None:
                         "boundaries instead of drain-and-refill")
     p.add_argument("--quantum", type=_positive, default=1.0,
                    help="fair-queuing deficit credit per round")
-    p.add_argument("--aging", type=float, default=None,
+    p.add_argument("--aging", type=_positive, default=None,
                    help="promote a queued request one priority class "
                         "per this many seconds waited")
     p.add_argument("--no-preempt", action="store_true",
                    help="disable priority preemption at boundaries")
-    p.add_argument("--tenants", default=None,
+    p.add_argument("--tenants", type=_tenants, default=None,
                    help="tenant fair-queuing weights 'alice=2,bob=1'; "
                         "requests are assigned round-robin")
     p.add_argument("--timeout", type=_non_negative, default=None,
@@ -1058,7 +1078,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--calibrate", action="store_true",
                      help="use an offline-calibrated threshold table")
     srv.add_argument("--compare-sequential", action="store_true")
-    srv.add_argument("--deadline", type=float, default=None,
+    srv.add_argument("--deadline", type=_non_negative, default=None,
                      help="relative deadline applied to every request")
     srv.add_argument("--simulate", default=None, metavar="ACCEL",
                      choices=_ACCELERATORS,
@@ -1143,7 +1163,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "mode: samples_per_s,slo_attainment,energy_j)")
     exp.add_argument("--iterations", type=_count, default=12,
                      help="denoising iterations the objectives price")
-    exp.add_argument("--workers", type=int, default=1,
+    exp.add_argument("--workers", type=_count, default=1,
                      help="evaluation worker processes")
     exp.add_argument("--cache-dir", default=None,
                      help="content-addressed evaluation cache directory "

@@ -267,9 +267,12 @@ class Replica:
     drained), picking the due key whose head request waited longest.
 
     Per-generation outputs are the server's responsibility
-    (``execute=True`` runs the real numerics, byte-identical to solo
-    generation); by default servers are ``dry_run`` cursor machines and
-    only the schedule and its prices are simulated.
+    (``execute=True`` runs the real numerics of the schedule
+    ``service_model`` prices, byte-identical to solo generation); by
+    default servers are ``dry_run`` cursor machines and only the
+    schedule and its prices are simulated. The replica counts only
+    ``busy_s`` and ``admission_drops``; :meth:`usage` sums the rest
+    from its servers' reports.
     """
 
     def __init__(
@@ -279,7 +282,6 @@ class Replica:
         service_model: Optional[ServiceTimeModel] = None,
         tenant_weights: Optional[dict] = None,
         execute: bool = False,
-        execute_iterations: Optional[int] = None,
     ) -> None:
         self.index = index
         self.name = f"replica{index}"
@@ -293,7 +295,6 @@ class Replica:
         )
         self.tenant_weights = tenant_weights
         self.execute = execute
-        self.execute_iterations = execute_iterations
         self.clock = SimClock()
         self.cache = ThresholdCache()
         # (model, ablation) -> ContinuousServer, kept in key order by
@@ -304,19 +305,11 @@ class Replica:
         self.busy_until = 0.0
         self._inflight = 0
         self.busy_s = 0.0
-        self.requests_served = 0
-        self.batches_served = 0  # server steps dispatched
         self.admission_drops = 0
-        self.timeout_drops = 0
 
     @property
     def accelerator_name(self) -> str:
         return self.service_model.name
-
-    @property
-    def cold_starts(self) -> int:
-        """Keys whose first step paid the cold-start surcharge."""
-        return sum(server.cold_charged for server in self.servers.values())
 
     def policy_doc(self) -> dict:
         """Scenario fingerprint of this replica's batching policy."""
@@ -366,11 +359,7 @@ class Replica:
                 policy=self.policy,
                 tenant_weights=self.tenant_weights,
                 cache=self.cache,
-                total_iterations=(
-                    self.execute_iterations
-                    if self.execute
-                    else self.service_model.iterations
-                ),
+                total_iterations=self.service_model.iterations,
                 clock=self.clock,
                 price=functools.partial(
                     self.service_model.price, model, ablation
@@ -427,7 +416,6 @@ class Replica:
         # router would keep steering traffic at phantom warmth.
         if not server.has_work and not server.cold_charged:
             self.warm_keys.discard(key)
-        self.timeout_drops += len(stale)
         return [
             DroppedRequest(
                 model=model,
@@ -537,8 +525,6 @@ class Replica:
         self.busy_until = now + tick_s
         self._inflight = len(server.active) + len(served)
         self.busy_s += tick_s
-        self.requests_served += len(served)
-        self.batches_served += 1
         return Dispatch(
             replica=self.name,
             model=model,
@@ -556,33 +542,37 @@ class Replica:
     # reporting
     # ------------------------------------------------------------------
     def usage(self, makespan_s: float) -> dict:
-        """Per-replica accounting row for the cluster report."""
+        """Per-replica accounting row for the cluster report: its
+        servers' report counts, summed, beside the replica's own."""
         reports = [s.report() for s in self.servers.values()]
-        ticks = sum(r.ticks for r in reports)
-        occupancy = sum(r.occupancy_ticks for r in reports)
+
+        def total(name: str) -> int:
+            return sum(getattr(report, name) for report in reports)
+
+        ticks = total("ticks")
         row = {
             "name": self.name,
             "accelerator": self.accelerator_name,
-            "requests_served": self.requests_served,
-            "batches_served": self.batches_served,
-            "mean_batch_size": occupancy / ticks if ticks else 0.0,
+            "requests_served": total("requests_served"),
+            "batches_served": ticks,
+            "mean_batch_size": total("occupancy_ticks") / ticks if ticks else 0.0,
             "busy_s": self.busy_s,
             "utilization": (
                 self.busy_s / makespan_s if makespan_s > 0.0 else 0.0
             ),
-            "cold_starts": self.cold_starts,
+            # Keys whose first step paid the cold-start surcharge.
+            "cold_starts": sum(s.cold_charged for s in self.servers.values()),
             "admission_drops": self.admission_drops,
-            "timeout_drops": self.timeout_drops,
+            # Every record a server's pop_dropped hands over is one of these.
+            "timeout_drops": total("requests_expired") + total("deadline_evictions"),
         }
         if not self.policy.drain:
             row.update(
                 ticks=ticks,
                 mean_occupancy=row["mean_batch_size"],
-                joins=sum(r.joins for r in reports),
-                preemptions=sum(r.preemptions for r in reports),
-                deadline_evictions=sum(
-                    r.deadline_evictions for r in reports
-                ),
+                joins=total("joins"),
+                preemptions=total("preemptions"),
+                deadline_evictions=total("deadline_evictions"),
             )
         return row
 

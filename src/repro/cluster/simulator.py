@@ -193,10 +193,11 @@ class ClusterSimulator:
         horizon: float,
         scenario: Optional[dict],
     ) -> ClusterReport:
+        usage = [r.usage(horizon) for r in self.replicas]
         admission_drops = sum(r.admission_drops for r in self.replicas)
-        timeout_drops = sum(r.timeout_drops for r in self.replicas)
+        timeout_drops = sum(row["timeout_drops"] for row in usage)
         dropped = admission_drops + timeout_drops
-        served = sum(r.requests_served for r in self.replicas)
+        served = sum(row["requests_served"] for row in usage)
         leftover = sum(r.queue_depth() for r in self.replicas)
         if leftover:  # pragma: no cover - progress guarantee above
             raise RuntimeError(
@@ -216,7 +217,6 @@ class ClusterSimulator:
             **self.router.describe(),
             **(scenario or {}),
         }
-        usage = [r.usage(horizon) for r in self.replicas]
         if self.observer is not None:
             for row in usage:
                 self.observer.on_replica_utilization(
@@ -245,7 +245,6 @@ def build_replicas(
     policy=None,
     service_model=None,
     execute: bool = False,
-    execute_iterations: Optional[int] = None,
     continuous: bool = False,
     tenant_weights=None,
     **service_kwargs,
@@ -259,6 +258,7 @@ def build_replicas(
     :class:`~repro.serve.continuous.ContinuousPolicy`): iteration-level
     continuous batching when true — ``tenant_weights`` then configures
     per-tenant fair-queuing weights — else drain-and-refill.
+    ``execute=True`` runs the numerics of the schedule that is priced.
     """
     from repro.cluster.replica import ServiceTimeModel
 
@@ -279,7 +279,6 @@ def build_replicas(
             service_model=service_model,
             tenant_weights=tenant_weights,
             execute=execute,
-            execute_iterations=execute_iterations,
         )
         for i in range(count_)
     ]

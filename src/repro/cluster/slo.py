@@ -52,13 +52,11 @@ class SLOPolicy:
         }
 
 
-def _nearest_rank(ordered: list, q: float) -> float:
-    """Nearest-rank percentile (inclusive) over an already-sorted list;
-    0.0 when it is empty, so empty scenarios still serialize cleanly."""
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n*q/100)
-    return float(ordered[int(rank) - 1])
+def nearest_rank(ordered, q: int):
+    """Nearest-rank ``q``-th percentile of a sorted sequence: its
+    ``ceil(n*q/100)``-th sample, in integer arithmetic; 0.0 when it is
+    empty, so empty scenarios still serialize cleanly."""
+    return ordered[max(1, -(-len(ordered) * q // 100)) - 1] if ordered else 0.0
 
 
 class LatencyAccumulator:
@@ -104,13 +102,13 @@ class LatencyAccumulator:
         n = len(latencies)
         return {
             "count": n,
-            "latency_p50_s": _nearest_rank(latencies, 50),
-            "latency_p95_s": _nearest_rank(latencies, 95),
-            "latency_p99_s": _nearest_rank(latencies, 99),
+            "latency_p50_s": nearest_rank(latencies, 50),
+            "latency_p95_s": nearest_rank(latencies, 95),
+            "latency_p99_s": nearest_rank(latencies, 99),
             "latency_mean_s": (sum(latencies) / n) if n else 0.0,
             "latency_max_s": latencies[-1] if latencies else 0.0,
-            "wait_p50_s": _nearest_rank(waits, 50),
-            "wait_p99_s": _nearest_rank(waits, 99),
+            "wait_p50_s": nearest_rank(waits, 50),
+            "wait_p99_s": nearest_rank(waits, 99),
             "wait_mean_s": (sum(waits) / n) if n else 0.0,
             "service_mean_s": (sum(self.services) / n) if n else 0.0,
         }

@@ -39,6 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.cluster.slo import nearest_rank
 from repro.obs.analyze.records import NS_PER_S, TraceRecords, to_ns
 from repro.obs.trace import Table, empty_columns, int64, int64_column
 
@@ -179,17 +180,11 @@ class Attribution:
         if not served:
             return {"count": 0, "p50_ns": 0, "p95_ns": 0, "p99_ns": 0,
                     "mean_ns": 0, "max_ns": 0}
-
-        def rank(q: float) -> int:
-            # Nearest-rank: the smallest sample covering quantile q.
-            index = max(1, -(-len(served) * q // 100))  # ceil
-            return served[int(index) - 1]
-
         return {
             "count": len(served),
-            "p50_ns": rank(50),
-            "p95_ns": rank(95),
-            "p99_ns": rank(99),
+            "p50_ns": nearest_rank(served, 50),
+            "p95_ns": nearest_rank(served, 95),
+            "p99_ns": nearest_rank(served, 99),
             # Integer mean (floor) keeps the report integral and exact.
             "mean_ns": sum(served) // len(served),
             "max_ns": served[-1],

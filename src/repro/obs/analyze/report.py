@@ -15,7 +15,9 @@ latency/throughput movement to phases and tenants, so a regression in
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -238,99 +240,107 @@ def _replica_critical_path(ticks) -> CriticalPath:
 # ----------------------------------------------------------------------
 # diff
 # ----------------------------------------------------------------------
+def _readings(doc) -> tuple:
+    """What :func:`diff_analyses` compares of one document: ``(metrics,
+    slo compliances, components_ns, tenant tick_ns)``. ValueError unless
+    ``doc`` is an analysis document of this :data:`SCHEMA_VERSION` that
+    holds every one of them, each a number."""
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"not an analysis document: a JSON {type(doc).__name__}"
+        )
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"schema_version {doc.get('schema_version')!r} is not "
+            f"{SCHEMA_VERSION}"
+        )
+    try:
+        latency = doc["fleet"]["latency"]
+        metrics = {  # metric -> (value, sign): +1 lower, -1 higher better
+            **{f"latency.{q}": (latency[q], 1)
+               for q in ("p50_ns", "p95_ns", "p99_ns", "mean_ns", "max_ns")},
+            "served": (latency["count"], -1),
+            "busy_ns": (doc["busy_ns"], 1),
+            "critical_path_ns": (doc["critical_path"]["total_ns"], 1),
+        }
+        slo = {name: entry.get("compliance", 1.0)
+               for name, entry in doc["slo"].items()}
+        components = dict(doc["fleet"]["components_ns"])
+        tenants = {t: entry.get("tick_ns", 0)
+                   for t, entry in doc["tenants"].items()}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(
+            f"malformed analysis document ({type(exc).__name__}: {exc})"
+        ) from None
+    for name, value in chain(
+        ((m, value) for m, (value, _) in metrics.items()),
+        ((f"slo.{n}.compliance", v) for n, v in slo.items()),
+        ((f"fleet.components_ns.{k}", v) for k, v in components.items()),
+        ((f"tenants.{t}.tick_ns", v) for t, v in tenants.items()),
+    ):
+        if not isinstance(value, numbers.Real):
+            raise ValueError(
+                f"malformed analysis document: {name} is {value!r}"
+            )
+    return metrics, slo, components, tenants
+
+
+def check_analysis(doc) -> dict:
+    """``doc`` itself if :func:`diff_analyses` can read it, else the
+    ValueError saying why not."""
+    _readings(doc)
+    return doc
+
+
 def diff_analyses(
     base: dict, current: dict, tolerance: float = 0.0
 ) -> dict:
     """Compare two report documents; attribute movement to phases and
-    tenants.
+    tenants. A document :func:`check_analysis` refuses is a ValueError.
 
     ``tolerance`` is relative: a lower-is-better metric regresses when
     ``current > base * (1 + tolerance)`` (symmetrically for
     higher-is-better). Identical documents always diff clean.
     """
-    checks = []  # (metric, base, current, direction)
-    base_fleet = base.get("fleet", {})
-    cur_fleet = current.get("fleet", {})
-    for quantile in ("p50_ns", "p95_ns", "p99_ns", "mean_ns", "max_ns"):
-        checks.append((
-            f"latency.{quantile}",
-            base_fleet.get("latency", {}).get(quantile, 0),
-            cur_fleet.get("latency", {}).get(quantile, 0),
-            "lower_better",
-        ))
-    checks.append((
-        "served",
-        base_fleet.get("latency", {}).get("count", 0),
-        cur_fleet.get("latency", {}).get("count", 0),
-        "higher_better",
-    ))
-    checks.append((
-        "busy_ns", base.get("busy_ns", 0), current.get("busy_ns", 0),
-        "lower_better",
-    ))
-    checks.append((
-        "critical_path_ns",
-        base.get("critical_path", {}).get("total_ns", 0),
-        current.get("critical_path", {}).get("total_ns", 0),
-        "lower_better",
-    ))
-    for name in sorted(
-        set(base.get("slo", {})) | set(current.get("slo", {}))
-    ):
-        checks.append((
-            f"slo.{name}.compliance",
-            base.get("slo", {}).get(name, {}).get("compliance", 1.0),
-            current.get("slo", {}).get(name, {}).get("compliance", 1.0),
-            "higher_better",
-        ))
+    base_metrics, base_slo, base_components, base_tenants = _readings(base)
+    cur_metrics, cur_slo, cur_components, cur_tenants = _readings(current)
+    checks = [  # (metric, base, current, sign)
+        (metric, value, cur_metrics[metric][0], sign)
+        for metric, (value, sign) in base_metrics.items()
+    ]
+    for name in sorted(set(base_slo) | set(cur_slo)):
+        checks.append((f"slo.{name}.compliance", base_slo.get(name, 1.0),
+                       cur_slo.get(name, 1.0), -1))
 
     regressions = []
     improvements = []
     unchanged = 0
-    for metric, base_value, cur_value, direction in checks:
+    for metric, base_value, cur_value, sign in checks:
         if base_value == cur_value:
             unchanged += 1
             continue
         slack = tolerance * abs(base_value)
         delta = cur_value - base_value
-        worse = (
-            delta > slack if direction == "lower_better"
-            else delta < -slack
-        )
-        better = (
-            delta < -slack if direction == "lower_better"
-            else delta > slack
-        )
         entry = {
             "metric": metric,
             "base": base_value,
             "current": cur_value,
             "delta": delta,
         }
-        if worse:
+        if sign * delta > slack:
             regressions.append(entry)
-        elif better:
+        elif sign * delta < -slack:
             improvements.append(entry)
         else:
             unchanged += 1
 
-    component_deltas = _delta_map(
-        base_fleet.get("components_ns", {}),
-        cur_fleet.get("components_ns", {}),
-    )
-    tenant_deltas = _delta_map(
-        {t: doc.get("tick_ns", 0)
-         for t, doc in base.get("tenants", {}).items()},
-        {t: doc.get("tick_ns", 0)
-         for t, doc in current.get("tenants", {}).items()},
-    )
     return {
         "regressions": regressions,
         "improvements": improvements,
         "unchanged": unchanged,
         "attribution": {
-            "components_ns": component_deltas,
-            "tenants_tick_ns": tenant_deltas,
+            "components_ns": _delta_map(base_components, cur_components),
+            "tenants_tick_ns": _delta_map(base_tenants, cur_tenants),
         },
     }
 

@@ -57,6 +57,7 @@ suite in ``tests/serve/test_continuous_property.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import time
@@ -360,11 +361,15 @@ class FairQueue:
 class ServeReport:
     """Aggregate view of everything a server instance has served.
 
-    ``batches_served`` counts :meth:`ContinuousServer.step` dispatches:
-    one per denoising iteration of the live batch, or one per whole
-    micro-batch under ``drain``. ``mean_occupancy`` is the average number
-    of requests sharing each dispatch — the quantity continuous batching
-    exists to raise. ``timing_source`` records where ``busy_s`` /
+    The server keeps one as its running totals, the only tally of each
+    count. ``batches_served`` equals ``ticks``: one per
+    :meth:`ContinuousServer.step` dispatch, i.e. per denoising iteration
+    of the live batch, or per whole micro-batch under ``drain``.
+    ``mean_occupancy`` is the average number of requests sharing each
+    dispatch — the quantity continuous batching exists to raise. Each
+    record :meth:`ContinuousServer.pop_dropped` hands over is counted
+    once, in ``requests_expired`` or ``deadline_evictions``.
+    ``timing_source`` records where ``busy_s`` /
     ``queue_wait_s`` came from: ``"simulated"`` when a ``price`` hook
     drove the accounting (deterministic across machines — what the
     cluster event loop installs), ``"wall_clock"`` otherwise.
@@ -423,9 +428,7 @@ class ServeReport:
             "mean_wait_s": self.mean_wait_s,
             "samples_per_s": self.samples_per_s,
             "timing_source": self.timing_source,
-            "latency_p50_s": self.latency_quantiles.get("latency_p50_s", 0.0),
-            "latency_p95_s": self.latency_quantiles.get("latency_p95_s", 0.0),
-            "latency_p99_s": self.latency_quantiles.get("latency_p99_s", 0.0),
+            **self.latency_quantiles,
             # Sorted so two runs' summaries diff stably regardless of
             # the order cache_info accumulated its keys.
             **{f"cache_{k}": v for k, v in sorted(self.cache_info.items())},
@@ -542,16 +545,9 @@ class ContinuousServer:
         self._members: Optional[tuple] = None
         self._next_id = 0
         self._joined_at: dict[int, float] = {}
-        self._requests_served = 0
-        self._ticks = 0
-        self._occupancy_ticks = 0
-        self._busy_s = 0.0
-        self._wait_s = 0.0
-        self._joins = 0
-        self._preemptions = 0
-        self._sla_rejects = 0
-        self._expired = 0
-        self._deadline_evictions = 0
+        self._totals = ServeReport(
+            timing_source="simulated" if price is not None else "wall_clock"
+        )
         self._dropped: list[tuple[GenerationRequest, str]] = []
         # Local import: repro.obs.scenario imports this module, so a
         # top-level obs import here would deadlock package init. This
@@ -609,7 +605,7 @@ class ContinuousServer:
         if deadline_s is not None and (
             deadline_s <= now + self.policy.min_service_s
         ):
-            self._sla_rejects += 1
+            self._totals.sla_rejects += 1
             return None
         self._next_id += 1
         self.queue.push(QueueEntry(request=request))
@@ -717,6 +713,7 @@ class ContinuousServer:
             tick_s += cold_s
 
         completed_at = now + tick_s
+        totals = self._totals
         served: list[RequestResult] = []
         if finished:
             self._members = None
@@ -745,8 +742,8 @@ class ContinuousServer:
             if self.retain_results:
                 self.results[run.request_id] = record
             served.append(record)
-            self._wait_s += wait_s
-            self._requests_served += 1
+            totals.queue_wait_s += wait_s
+            totals.requests_served += 1
             self._edit("complete", completed_at, run.request_id,
                        batch_size=batch_size)
         if observer is not None:
@@ -767,9 +764,9 @@ class ContinuousServer:
                     now, completed_at, batch_size, is_dense, cursor,
                     boundary=was_boundary, **span_args,
                 )
-        self._ticks += 1
-        self._occupancy_ticks += batch_size
-        self._busy_s += tick_s
+        totals.ticks += 1
+        totals.occupancy_ticks += batch_size
+        totals.busy_s += tick_s
         self.last_tick_s = tick_s
         self.last_tick_phase = phase
         self.last_tick_members = members
@@ -829,7 +826,7 @@ class ContinuousServer:
         for entry in dropped:
             reason = reasons[entry.request.request_id]
             self._dropped.append((entry.request, reason))
-            self._expired += 1
+            self._totals.requests_expired += 1
             self._edit("expire", now, entry.request.request_id,
                        reason=reason)
         return [entry.request for entry in dropped]
@@ -869,7 +866,7 @@ class ContinuousServer:
             if deadline is not None and now >= deadline:
                 self.active.remove(run)
                 self._joined_at.pop(run.request_id, None)
-                self._deadline_evictions += 1
+                self._totals.deadline_evictions += 1
                 self._dropped.append((run.request, "deadline"))
                 self._edit("evict", now, run.request_id, active_cursors,
                            reason="deadline", cursor=run.cursor)
@@ -899,7 +896,7 @@ class ContinuousServer:
                     break
                 self.active.remove(victim)
                 self._joined_at.pop(victim.request_id, None)
-                self._preemptions += 1
+                self._totals.preemptions += 1
                 self.queue.push(QueueEntry(
                     request=victim.request, run=victim,
                 ))
@@ -944,7 +941,7 @@ class ContinuousServer:
             self.active.append(run)
             cursors.append(run.cursor)
             self._joined_at.setdefault(run.request_id, now)
-            self._joins += 1
+            self._totals.joins += 1
             self._edit("join", now, run.request_id, tuple(cursors[:-1]),
                        cursor=run.cursor, resumed=entry.run is not None)
 
@@ -952,28 +949,14 @@ class ContinuousServer:
     # reporting
     # ------------------------------------------------------------------
     def report(self) -> ServeReport:
-        """Aggregate throughput and scheduling statistics so far."""
-        return ServeReport(
-            requests_served=self._requests_served,
-            batches_served=self._ticks,
-            requests_expired=self._expired,
-            busy_s=self._busy_s,
-            queue_wait_s=self._wait_s,
-            timing_source=(
-                "simulated" if self.price is not None else "wall_clock"
-            ),
+        """Aggregate throughput and scheduling statistics so far: the
+        running totals, with the fields read on demand filled in."""
+        quantile = self._latency_hist.quantile
+        return dataclasses.replace(
+            self._totals, batches_served=self._totals.ticks,
             cache_info=self.cache.info(),
-            latency_quantiles={
-                "latency_p50_s": self._latency_hist.quantile(0.50),
-                "latency_p95_s": self._latency_hist.quantile(0.95),
-                "latency_p99_s": self._latency_hist.quantile(0.99),
-            },
-            ticks=self._ticks,
-            occupancy_ticks=self._occupancy_ticks,
-            joins=self._joins,
-            preemptions=self._preemptions,
-            sla_rejects=self._sla_rejects,
-            deadline_evictions=self._deadline_evictions,
+            latency_quantiles={f"latency_p{q}_s": quantile(q / 100)
+                               for q in (50, 95, 99)},
         )
 
 

@@ -231,7 +231,7 @@ class TestReplica:
         assert first.service_s == pytest.approx(
             base + service_model.calibration_s("dit")
         )
-        assert replica.cold_starts == 1
+        assert replica.usage(second.completion_s)["cold_starts"] == 1
         assert replica.is_warm(("dit", "all"))
         assert not replica.is_warm(("mld", "all"))
 
@@ -249,7 +249,7 @@ class TestReplica:
         assert len(dropped) == 1
         assert dropped[0].reason == "timeout"
         assert dropped[0].waited_s == pytest.approx(6.0)
-        assert replica.timeout_drops == 1
+        assert replica.usage(6.0)["timeout_drops"] == 1
         assert replica.queue_depth() == 1
         assert replica.expire(6.0, timeout_s=None) == []
 
@@ -295,7 +295,7 @@ class TestReplica:
         # Submitted at 0, so the wait is the drop time.
         assert [(d.reason, d.waited_s) for d in dropped] == [
             ("deadline", now)]
-        assert replica.timeout_drops == 1
+        assert replica.usage(now)["timeout_drops"] == 1
 
     def test_expired_key_stays_warm_after_a_dispatch(self, service_model):
         replica = self.make_replica(service_model)

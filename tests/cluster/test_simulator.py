@@ -363,8 +363,9 @@ class TestExecuteMode:
         iterations = 6
         trace = synthesize_trace(PoissonProcess(50.0), 5, rng=4)
         fleet = build_replicas(
-            1, policy=POLICY, service_model=ServiceTimeModel("exion24"),
-            execute=True, execute_iterations=iterations,
+            1, policy=POLICY,
+            service_model=ServiceTimeModel("exion24", iterations=iterations),
+            execute=True,
         )
         report = simulate_cluster(trace, replicas=fleet,
                                   router=make_router("jsq"))

@@ -1,8 +1,25 @@
 """Unit tests for the CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: The smallest document ``obs diff`` reads: every field the diff uses.
+MINIMAL_ANALYSIS = {
+    "schema_version": 1,
+    "busy_ns": 0,
+    "critical_path": {"total_ns": 0},
+    "fleet": {
+        "components_ns": {},
+        "latency": dict.fromkeys(
+            ("count", "p50_ns", "p95_ns", "p99_ns", "mean_ns", "max_ns"), 0
+        ),
+    },
+    "slo": {},
+    "tenants": {},
+}
 
 
 class TestParser:
@@ -80,6 +97,10 @@ class TestParser:
         ("serve", "--quantum", "0", "> 0"),
         ("serve", "--max-wait", "-1", ">= 0"),
         ("cluster", "--rate", "nan", "> 0"),
+        ("serve", "--aging", "-1", "> 0"),
+        ("cluster", "--aging", "-1", "> 0"),
+        ("serve", "--deadline", "nan", ">= 0"),
+        ("explore", "--workers", "0", ">= 1"),
     ))
     def test_bad_numbers_rejected_naming_the_flag(self, command, flag, value,
                                                   rule, capsys):
@@ -89,6 +110,44 @@ class TestParser:
         # A float flag echoes "0" as "0.0": the value is a prefix either way.
         assert f"argument {flag}: must be {rule}, got {value}" in (
             capsys.readouterr().err)
+
+    def test_an_infinite_number_is_rejected_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", "--rate", "inf"])
+        assert exc.value.code == 2
+        assert "argument --rate: must be finite, got inf" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    @pytest.mark.parametrize("spec,tenant,value", [
+        ("a=x", "a", "x"), ("a=-1", "a", "-1"), ("a=2,b=inf", "b", "inf"),
+    ])
+    def test_a_bad_tenant_weight_is_a_usage_error(self, command, spec,
+                                                  tenant, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--continuous", "--tenants", spec])
+        assert exc.value.code == 2
+        assert (f"argument --tenants: weight of {tenant!r} must be a finite "
+                f"number > 0, got {value!r}") in capsys.readouterr().err
+
+    def test_tenant_weights_parse(self):
+        args = build_parser().parse_args(["serve", "--tenants", "a=2,b"])
+        assert args.tenants == {"a": 2.0, "b": 1.0}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cluster", "--tenants", "a=2"],
+         "bad --tenants: tenant weights need --continuous"),
+        (["explore", "--set", "bogus=1"],
+         "bad --set: unknown dimension 'bogus'; known: "),
+        (["explore", "--set", "num_dscs=abc"],
+         "bad --set: value 'abc' is outside dimension 'num_dscs'"),
+    ], ids=["cluster-tenants-drain", "explore-set-dimension",
+            "explore-set-value"])
+    def test_a_refused_flag_exits_naming_it(self, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(message)
 
     def test_explore_defaults(self):
         args = build_parser().parse_args(["explore"])
@@ -257,7 +316,7 @@ class TestCommands:
         if kind == "malformed":
             path.write_text("{ torn\n", encoding="utf-8")
         good = tmp_path / "good.json"
-        good.write_text("{}", encoding="utf-8")
+        good.write_text(json.dumps(MINIMAL_ANALYSIS), encoding="utf-8")
         out = tmp_path / "out.json"
         argv = [arg.format(path=path, good=good, out=out) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
@@ -267,6 +326,44 @@ class TestCommands:
         if kind == "missing":
             assert "No such file or directory" in message
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,reason", [
+        ({}, "schema_version None is not 1"),
+        ([1, 2], "not an analysis document: a JSON list"),
+        ({**MINIMAL_ANALYSIS, "schema_version": 2},
+         "schema_version 2 is not 1"),
+        ({k: v for k, v in MINIMAL_ANALYSIS.items() if k != "busy_ns"},
+         "malformed analysis document (KeyError: 'busy_ns')"),
+        ({**MINIMAL_ANALYSIS, "fleet": {"components_ns": {}, "latency": []}},
+         "malformed analysis document (TypeError: "
+         "list indices must be integers or slices, not str)"),
+        ({**MINIMAL_ANALYSIS, "slo": [1]},
+         "malformed analysis document (AttributeError: "
+         "'list' object has no attribute 'items')"),
+        ({**MINIMAL_ANALYSIS, "busy_ns": "x"},
+         "malformed analysis document: busy_ns is 'x'"),
+        ({**MINIMAL_ANALYSIS, "tenants": {"alice": {"tick_ns": None}}},
+         "malformed analysis document: tenants.alice.tick_ns is None"),
+    ], ids=["empty", "list", "schema-version", "busy-ns", "latency", "slo",
+            "busy-ns-text", "tenant-tick-null"])
+    @pytest.mark.parametrize("side", ["base", "current"])
+    def test_obs_diff_refuses_a_foreign_document(self, tmp_path, doc, reason,
+                                                 side):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(MINIMAL_ANALYSIS), encoding="utf-8")
+        pair = [bad, good] if side == "base" else [good, bad]
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "diff", *map(str, pair)])
+        assert exc.value.code == f"bad {side}: {reason}"
+
+    def test_obs_diff_of_a_minimal_document_is_clean(self, capsys, tmp_path):
+        path = tmp_path / "analysis.json"
+        path.write_text(json.dumps(MINIMAL_ANALYSIS), encoding="utf-8")
+        assert main(["obs", "diff", str(path), str(path)]) == 0
+        assert "0 regressions, 0 improvements, 8 unchanged" in (
+            capsys.readouterr().out)
 
     def test_cluster_json_is_seed_deterministic(self, capsys, tmp_path):
         import json

@@ -140,7 +140,7 @@ def main() -> int:
     # Executing replicas: real numerics on the 4-iteration schedule that
     # is priced, so the replica counts come from servers that generate.
     fleet("poisson300-executed4-jsq2", poisson[:4], False, 2, execute=True,
-          execute_iterations=4, iterations=4)
+          iterations=4)
     trace_scenario("scenario/continuous", continuous=True)
     # The pricing seam's other users: the drain scenario, the scenario's
     # cold surcharge, and a serve --simulate style server.
