@@ -26,7 +26,6 @@ def condensing_ratio(name, seed=0):
         rows=spec.paper_tokens,
         cols=min(spec.paper_ffn_mult * spec.paper_dim, 2048),
         sparsity=spec.target_inter_sparsity,
-        dead_col_fraction=0.25,
         rng=rng,
     )
     return condense(mask).remaining_ratio

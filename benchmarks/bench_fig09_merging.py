@@ -22,7 +22,7 @@ def sd_mask(rows=256, cols=1024, seed=0):
     spec = get_spec("stable_diffusion")
     return ffn_output_bitmask(
         rows, cols, spec.target_inter_sparsity,
-        dead_col_fraction=0.25, rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(seed),
     )
 
 

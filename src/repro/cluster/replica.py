@@ -271,7 +271,7 @@ class Replica:
     ``service_model`` prices, byte-identical to solo generation); by
     default servers are ``dry_run`` cursor machines and only the
     schedule and its prices are simulated. The replica counts only
-    ``busy_s`` and ``admission_drops``; :meth:`usage` sums the rest
+    ``busy_s`` and its own ``depth_drops``; :meth:`usage` sums the rest
     from its servers' reports.
     """
 
@@ -305,7 +305,7 @@ class Replica:
         self.busy_until = 0.0
         self._inflight = 0
         self.busy_s = 0.0
-        self.admission_drops = 0
+        self.depth_drops = 0
 
     @property
     def accelerator_name(self) -> str:
@@ -381,7 +381,7 @@ class Replica:
             max_queue_depth is not None
             and self.queue_depth() >= max_queue_depth
         ):
-            self.admission_drops += 1
+            self.depth_drops += 1
             return False
         self.clock.now = now
         server = self._server(request.model, request.ablation)
@@ -393,8 +393,7 @@ class Replica:
             priority=request.priority,
             deadline_s=request.deadline_s,
         )
-        if accepted is None:  # server-side admission (depth / SLA) reject
-            self.admission_drops += 1
+        if accepted is None:  # an SLA reject; the server counts it (sla_rejects)
             return False
         self.warm_keys.add(request.pipeline_key)
         return True
@@ -562,7 +561,7 @@ class Replica:
             ),
             # Keys whose first step paid the cold-start surcharge.
             "cold_starts": sum(s.cold_charged for s in self.servers.values()),
-            "admission_drops": self.admission_drops,
+            "admission_drops": self.depth_drops + total("sla_rejects"),
             # Every record a server's pop_dropped hands over is one of these.
             "timeout_drops": total("requests_expired") + total("deadline_evictions"),
         }

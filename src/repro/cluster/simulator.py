@@ -194,7 +194,7 @@ class ClusterSimulator:
         scenario: Optional[dict],
     ) -> ClusterReport:
         usage = [r.usage(horizon) for r in self.replicas]
-        admission_drops = sum(r.admission_drops for r in self.replicas)
+        admission_drops = sum(row["admission_drops"] for row in usage)
         timeout_drops = sum(row["timeout_drops"] for row in usage)
         dropped = admission_drops + timeout_drops
         served = sum(row["requests_served"] for row in usage)

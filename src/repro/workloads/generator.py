@@ -22,7 +22,7 @@ stay reproducible, so a forgotten RNG is an error, not a silent default.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -49,17 +49,20 @@ def ffn_output_bitmask(
     rows: int,
     cols: int,
     sparsity: float,
-    dead_col_fraction: float = 0.25,
+    dead_col_fraction: Optional[float] = None,
     *,
     rng: Union[int, np.random.Generator],
 ) -> Bitmask:
     """FFN-Reuse bitmask with column-correlated sparsity.
 
-    ``dead_col_fraction`` of columns are fully sparse (condensable); the
-    remaining columns carry Bernoulli occupancy tuned so the overall
-    element sparsity equals ``sparsity``.
+    ``dead_col_fraction`` of columns (``None``: the ``HARDWARE`` record's)
+    are fully sparse (condensable); the remaining columns carry Bernoulli
+    occupancy tuned so the overall element sparsity equals ``sparsity``.
     """
     rng = as_rng(rng)
+    if dead_col_fraction is None:  # imported here: repro.hw imports this module
+        from repro.hw.constants import HARDWARE
+        dead_col_fraction = HARDWARE.dead_col_fraction
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError("sparsity must be in [0, 1]")
     if not 0.0 <= dead_col_fraction < 1.0:

@@ -236,10 +236,15 @@ class TestReplica:
         assert not replica.is_warm(("mld", "all"))
 
     def test_admission_control(self, service_model):
+        """A depth refusal and an SLA reject each count once in usage()."""
         replica = self.make_replica(service_model)
         assert replica.enqueue(request(0.0), now=0.0, max_queue_depth=1)
         assert not replica.enqueue(request(0.0), now=0.0, max_queue_depth=1)
-        assert replica.admission_drops == 1
+        assert replica.usage(0.0)["admission_drops"] == 1
+        assert not replica.enqueue(replace(request(0.0), deadline_s=0.0), now=0.0)
+        (server,) = replica.servers.values()
+        assert server.report().sla_rejects == 1
+        assert replica.usage(0.0)["admission_drops"] == 2
 
     def test_timeout_expiry(self, service_model):
         replica = self.make_replica(service_model, max_wait_s=10.0)

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from repro.bench import BenchContext, discover
 from repro.hw.accelerator import ExionAccelerator
 from repro.hw.constants import HARDWARE, PRICING_REVISION, HardwareConstants
 from repro.program import fresh_plan_cache
@@ -61,3 +62,20 @@ def test_accelerator_snapshots_the_binding(monkeypatch):
     assert before.constants is HARDWARE
     assert after.constants is changed
     assert after.peak_tops == 2 * before.peak_tops
+
+
+def test_the_condensing_benches_read_the_record(monkeypatch):
+    """fig08 and fig09 draw with the generator's default dead-column
+    fraction, the record's: changing it moves every value they report."""
+    import repro.hw.constants as constants_module
+
+    builds = [discover().get(name).builder for name in ("fig08_condensing", "fig09_merging")]
+
+    def measure():
+        return [m.value for build in builds for m in build(BenchContext()).metrics.values()]
+
+    before = measure()
+    monkeypatch.setattr(constants_module, "HARDWARE",
+                        dataclasses.replace(HARDWARE, dead_col_fraction=0.5))
+    after = measure()
+    assert all(new != old for new, old in zip(after, before)), (before, after)
