@@ -35,11 +35,13 @@ _EPS = 1e-12
 @dataclass
 class CompareReport:
     """All findings of one baseline-vs-current comparison, each a
-    one-line message naming its bench and metric."""
+    one-line message naming its bench and metric, and a count of values
+    that moved within tolerance (passing is not byte identity)."""
 
     regressions: list = field(default_factory=list)
     improvements: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    within_tolerance: int = 0
 
     @property
     def ok(self) -> bool:
@@ -103,6 +105,7 @@ def _compare_metric(bench: str, name: str, old: dict, new: dict,
         improved = False
 
     if not regressed and not improved:
+        report.within_tolerance += new_value != old_value
         return
     unit = f" {old['unit']}" if old.get("unit") else ""
     (report.regressions if regressed else report.improvements).append(
@@ -176,7 +179,8 @@ def format_report(report: CompareReport) -> str:
         lines.append("no differences beyond tolerances")
     counts = [["regressions", len(report.regressions)],
               ["improvements", len(report.improvements)],
-              ["notes", len(report.notes)]]
+              ["notes", len(report.notes)],
+              ["changed within tolerance", report.within_tolerance]]
     lines.append("")
     lines.append(format_table(["severity", "count"], counts,
                               title="bench_compare summary"))

@@ -31,6 +31,7 @@ results then carry real samples and sparsity stats).
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -301,7 +302,7 @@ class Replica:
         # _server() so every sweep below visits keys deterministically.
         self.servers: dict = {}
         self.warm_keys: set = set()
-        self._active_key: Optional[tuple] = None
+        self._active: Optional[tuple] = None  # (key, server) last chosen
         self.busy_until = 0.0
         self._inflight = 0
         self.busy_s = 0.0
@@ -399,16 +400,13 @@ class Replica:
         return True
 
     def _collect_drops(
-        self, key: tuple, server: ContinuousServer, now: float
+        self, key: tuple, server: ContinuousServer, stale: list, now: float
     ) -> list:
-        """Drain the drop records of the one server just swept or stepped.
+        """The drop records of the one server just swept or stepped.
 
         Only a sweep or a step drops a request, and each collects its own
         drops at once, so every other server holds none.
         """
-        stale = server.pop_dropped()
-        if not stale:
-            return []
         model, ablation = key
         # A key whose every request expired before any batch ran never
         # actually warmed: stop advertising affinity for it, or the
@@ -425,43 +423,38 @@ class Replica:
             for request, reason in stale
         ]
 
-    def _timeout(self, timeout_s: Optional[float]) -> Optional[float]:
-        """The queue timeout a sweep applies: the fleet's, else the policy's."""
-        return timeout_s if timeout_s is not None else self.policy.timeout_s
-
     def expire(self, now: float, timeout_s: Optional[float]) -> list:
         """Drop queued requests past the SLO timeout or their deadline.
 
         Only servers with queued entries are swept: an empty queue drops
         nothing, by timeout, deadline or service floor alike.
         """
-        timeout_s = self._timeout(timeout_s)
+        if timeout_s is None:  # the fleet's timeout, else the policy's
+            timeout_s = self.policy.timeout_s
         dropped = []
         for key, server in self.servers.items():
             if not server.queue.is_empty:
-                server.expire_queued(now, timeout_s=timeout_s)
-                dropped += self._collect_drops(key, server, now)
+                server.expire_queued(now, timeout_s)
+                stale = server.pop_dropped()
+                if stale:
+                    dropped += self._collect_drops(key, server, stale, now)
         return dropped
 
-    def _choose_key(self, now: float) -> Optional[tuple]:
-        if self._active_key is not None:
-            server = self.servers[self._active_key]
-            if server.active:
-                return self._active_key  # mid-generation: no model swap
-            if not server.has_work:
-                self._active_key = None
+    def _choose(self, now: float) -> Optional[tuple]:
+        active = self._active
+        if active is not None and active[1].active:
+            return active  # mid-generation: no model swap
         # FIFO across models: the due key whose head waited longest.
         best = None
         for key, server in self.servers.items():
-            if not server.due(now):
-                continue
-            candidate = (now - server.queue.oldest_wait(now), key)
-            if best is None or candidate < best:
-                best = candidate
+            if server.due(now):
+                candidate = (now - server.queue.oldest_wait(now), key)
+                if best is None or candidate < best:
+                    best = candidate
         if best is None:
             return None
-        self._active_key = best[1]
-        return best[1]
+        self._active = (best[1], self.servers[best[1]])
+        return self._active
 
     def next_event_time(
         self, now: float, timeout_s: Optional[float] = None
@@ -474,27 +467,32 @@ class Replica:
         instants are wake-ups too — otherwise a doomed tail request would
         inflate the makespan and drop accounting.
         """
-        servers = [s for s in self.servers.values() if s.has_work]
-        if not servers:
+        # One pass; a busy replica asks no server whether it is due.
+        if timeout_s is None:
+            timeout_s = self.policy.timeout_s
+        busy = self.busy_until > now
+        idle, due = True, busy
+        wait = expiry = math.inf
+        for server in self.servers.values():
+            queue = server.queue
+            if queue.is_empty:
+                if server.active:  # a live batch alone: nothing can expire
+                    idle, due = False, True
+                continue
+            idle = False
+            if not due:
+                if server.due(now):
+                    due = True
+                else:  # pending but not due: its max-wait expiry
+                    wait = min(wait, now - queue.oldest_wait(now)
+                               + self.policy.max_wait_s)
+            next_expiry = queue.next_expiry(timeout_s)
+            if next_expiry is not None:
+                expiry = min(expiry, next_expiry)
+        if idle:
             return None
-        if self.busy_until > now:
-            fire = self.busy_until
-        elif any(server.due(now) for server in servers):
-            fire = now
-        else:
-            # Idle, pending but not due: the earliest max-wait expiry.
-            fire = min(
-                now - s.queue.oldest_wait(now) + self.policy.max_wait_s
-                for s in servers
-            )
-        timeout_s = self._timeout(timeout_s)
-        for server in servers:
-            if server.queue.is_empty:
-                continue  # a live batch alone: nothing queued can expire
-            expiry = server.queue.next_expiry(timeout_s)
-            if expiry is not None:
-                fire = min(fire, expiry)
-        return fire
+        fire = self.busy_until if busy else now if due else wait
+        return min(fire, expiry)
 
     def try_dispatch(
         self, now: float
@@ -507,14 +505,15 @@ class Replica:
         """
         if self.busy_until > now:
             return None, []
-        key = self._choose_key(now)
-        if key is None:
+        chosen = self._choose(now)
+        if chosen is None:
             return None, []
+        key, server = chosen
         model, ablation = key
-        server = self.servers[key]
         self.clock.now = now
-        served = server.step(now=now)
-        dropped = self._collect_drops(key, server, now)
+        served = server.step(now)
+        stale = server.pop_dropped()
+        dropped = self._collect_drops(key, server, stale, now) if stale else []
         phase = server.last_tick_phase
         if not phase:
             # The rebalance admitted nothing (everything expired): no
@@ -525,16 +524,9 @@ class Replica:
         self._inflight = len(server.active) + len(served)
         self.busy_s += tick_s
         return Dispatch(
-            replica=self.name,
-            model=model,
-            ablation=ablation,
-            served=served,
-            started_s=now,
-            service_s=tick_s,
-            phase=phase,
-            cold_s=server.last_tick_cold_s,
-            members=server.last_tick_members,
-            energy_j=server.last_tick_energy_j,
+            self.name, model, ablation, served, now, tick_s, phase,
+            server.last_tick_cold_s, server.last_tick_members,
+            server.last_tick_energy_j,
         ), dropped
 
     # ------------------------------------------------------------------

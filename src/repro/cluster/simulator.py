@@ -20,7 +20,7 @@ and dispatches, however deep the backlog.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import math
 from dataclasses import replace
 from itertools import count
@@ -71,7 +71,7 @@ class ClusterSimulator:
         # number (0..n-1) is its request id: the n-th request the servers
         # see, even when the trace lists one request object n times.
         for request in sorted(requests, key=lambda r: r.arrival_s):
-            heapq.heappush(
+            heappush(
                 events, (request.arrival_s, next(seq), _ARRIVAL, request)
             )
         # The (replica, instant) of every check on the heap. A second
@@ -84,6 +84,7 @@ class ClusterSimulator:
         pending: set = set()
 
         accumulator = LatencyAccumulator(self.slo)
+        timeout_s = self.slo.timeout_s
         horizon = 0.0
 
         # The horizon (makespan) advances only on events that *happen* —
@@ -92,16 +93,14 @@ class ClusterSimulator:
         # filled early); counting their pop times would inflate the
         # makespan and deflate throughput/utilization.
         while events:
-            t, ordinal, kind, payload = heapq.heappop(events)
+            t, ordinal, kind, payload = heappop(events)
             if kind == _ARRIVAL:
                 horizon = max(horizon, t)
                 # Sweep expired waiters fleet-wide first, so routing loads
                 # and admission depths count live requests only (a stale
                 # queue must produce timeout drops, not admission drops).
                 for member in self.replicas:
-                    self._observe_drops(
-                        member.expire(t, self.slo.timeout_s), t
-                    )
+                    self._observe_drops(member.expire(t, timeout_s), t)
                 replica = self.router.choose(payload, self.replicas, t)
                 accepted = replica.enqueue(
                     payload, t, max_queue_depth=self.slo.max_queue_depth
@@ -122,25 +121,26 @@ class ClusterSimulator:
                         replica.name, replica.queue_depth(), t
                     )
                 if accepted:
-                    self._schedule(events, seq, pending, replica, t, bump=False)
+                    self._schedule(events, seq, pending, replica, t, False)
             else:
                 replica = payload
                 pending.discard((replica, t))
-                swept = replica.expire(t, self.slo.timeout_s)
+                swept = replica.expire(t, timeout_s)
                 outcome, dropped = replica.try_dispatch(t)
                 swept += dropped
                 if swept:
                     horizon = max(horizon, t)
                     self._observe_drops(swept, t)
                 if outcome is not None:
-                    horizon = max(horizon, outcome.completion_s)
-                    for record in outcome.served:
-                        accumulator.record(record.wait_s, record.service_s)
+                    completion_s = outcome.completion_s
+                    horizon = max(horizon, completion_s)
                     if observer is not None:
                         observer.on_dispatch(outcome)
-                        for record in outcome.served:
+                    for record in outcome.served:
+                        accumulator.record(record.wait_s, record.service_s)
+                        if observer is not None:
                             observer.on_request_stage(
-                                "served", outcome.completion_s,
+                                "served", completion_s,
                                 record.request_id, replica=replica.name,
                                 submitted_s=record.request.submitted_at,
                                 wait_s=record.wait_s,
@@ -149,7 +149,7 @@ class ClusterSimulator:
                                 priority=int(record.request.priority),
                                 model=outcome.model,
                             )
-                self._schedule(events, seq, pending, replica, t, bump=True)
+                self._schedule(events, seq, pending, replica, t, True)
 
         return self._report(requests, accumulator, horizon, scenario)
 
@@ -169,7 +169,7 @@ class ClusterSimulator:
         bump: bool,
     ) -> None:
         """Queue the replica's next wake-up, unless it is already queued."""
-        when = replica.next_event_time(now, timeout_s=self.slo.timeout_s)
+        when = replica.next_event_time(now, self.slo.timeout_s)
         if when is None:
             return
         if when < now:
@@ -183,7 +183,7 @@ class ClusterSimulator:
         wake = (replica, when)
         if wake not in pending:
             pending.add(wake)
-            heapq.heappush(events, (when, next(seq), _CHECK, replica))
+            heappush(events, (when, next(seq), _CHECK, replica))
 
     # ------------------------------------------------------------------
     def _report(

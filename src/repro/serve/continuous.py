@@ -156,7 +156,8 @@ class FairQueue:
     rule preventing credit hoarding).
 
     The queue counts its entries (a push adds one, a removal or an
-    expiry subtracts what it took), and max-wait and expiry decisions
+    expiry subtracts what it took, and :attr:`is_empty` follows the
+    count), and max-wait and expiry decisions
     read only the oldest submission and the earliest deadline, which the
     queue memoises: a push folds in O(1), a removal drops the memo for
     the next read to rebuild. So ``len``, :attr:`is_empty`,
@@ -181,14 +182,11 @@ class FairQueue:
         self._deficit: dict[str, float] = {}
         self._bounds_memo: Optional[tuple] = None
         self._count = 0
+        self.is_empty = True  # kept with the count: read on every event
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._count
 
     def weight(self, tenant: str) -> float:
         return self.weights.get(tenant, 1.0)
@@ -198,6 +196,7 @@ class FairQueue:
         self._tenants.setdefault(tenant, []).append(entry)
         self._deficit.setdefault(tenant, 0.0)
         self._count += 1
+        self.is_empty = False
         if self._bounds_memo is not None:
             oldest, deadline = self._bounds_memo
             self._bounds_memo = (
@@ -216,23 +215,22 @@ class FairQueue:
         queue = self._tenants[entry.request.tenant]
         queue.remove(entry)
         self._count -= 1
+        self.is_empty = not self._count
         self._bounds_memo = None
         if not queue:
             self._deficit[entry.request.tenant] = 0.0
 
     def _bounds(self) -> tuple:
-        """``(oldest submitted_at, earliest deadline_s)`` over every
-        entry; either is ``None`` when no entry carries one."""
-        if self._bounds_memo is None:
-            requests = [entry.request for entry in self.entries()]
-            self._bounds_memo = (
-                min((r.submitted_at for r in requests), default=None),
-                min(
-                    (r.deadline_s for r in requests
-                     if r.deadline_s is not None),
-                    default=None,
-                ),
-            )
+        """Rebuild the memo: ``(oldest submitted_at, earliest deadline_s)``
+        over every entry; either is ``None`` when no entry carries one."""
+        requests = [entry.request for entry in self.entries()]
+        self._bounds_memo = (
+            min((r.submitted_at for r in requests), default=None),
+            min(
+                (r.deadline_s for r in requests if r.deadline_s is not None),
+                default=None,
+            ),
+        )
         return self._bounds_memo
 
     def effective_priority(self, entry: QueueEntry, now: float) -> int:
@@ -245,12 +243,12 @@ class FairQueue:
 
     def oldest_wait(self, now: float) -> float:
         """Queue time of the longest-waiting entry; 0 when empty."""
-        oldest, _ = self._bounds()
+        oldest, _ = self._bounds_memo or self._bounds()
         return 0.0 if oldest is None else max(0.0, now - oldest)
 
     def next_expiry(self, timeout_s: Optional[float]) -> Optional[float]:
         """Earliest instant :meth:`expire` would drop something, if any."""
-        oldest, due = self._bounds()
+        oldest, due = self._bounds_memo or self._bounds()
         if timeout_s is not None and oldest is not None:
             # Expiry is strict (wait > timeout): one ulp later.
             due = _earlier(
@@ -270,7 +268,7 @@ class FairQueue:
         self, now: float, timeout_s: Optional[float]
     ) -> list[QueueEntry]:
         """Drop entries past the queue-wait timeout or their deadline."""
-        oldest, deadline = self._bounds()
+        oldest, deadline = self._bounds_memo or self._bounds()
         any_timed_out = (
             timeout_s is not None
             and oldest is not None
@@ -300,6 +298,7 @@ class FairQueue:
             if not survivors:
                 self._deficit[tenant] = 0.0
         self._count -= len(dropped)
+        self.is_empty = not self._count
         return dropped
 
     # ------------------------------------------------------------------
@@ -446,11 +445,8 @@ class _DryRun:
 
     def __init__(self, request: GenerationRequest) -> None:
         self.request = request
+        self.request_id = request.request_id
         self.cursor = 0
-
-    @property
-    def request_id(self) -> int:
-        return self.request.request_id
 
 
 class ContinuousServer:
@@ -464,8 +460,10 @@ class ContinuousServer:
     hook: a callable ``(batch_size, phase) -> (seconds, joules)`` pricing
     one step — phase ``"dense"`` / ``"sparse"`` for a tick, ``"batch"``
     for a drained generation — with the hardware model instead of
-    wall-clock measurement; ``cold_start_s`` is a one-time surcharge
-    added to the first step's seconds (model load / calibration).
+    wall-clock measurement. A price is a function of its point: the
+    server asks the hook once per ``(batch_size, phase)`` and keeps the
+    answer. ``cold_start_s`` is a one-time surcharge added to the first
+    step's seconds (model load / calibration).
     """
 
     def __init__(
@@ -522,6 +520,10 @@ class ContinuousServer:
             self._executor = self._build_executor()
             self._executor.observer = observer
             self.plan = self._executor.compiled_plan
+        # plan.is_boundary per cursor; a live run's entry is its dense flag
+        self._boundaries = tuple(
+            map(self.plan.is_boundary, range(self.plan.iterations + 1))
+        )
 
         self.queue = FairQueue(
             weights=tenant_weights,
@@ -555,6 +557,7 @@ class ContinuousServer:
         from repro.obs.metrics import TIME_BUCKETS, Histogram
 
         self._latency_hist = Histogram("serve_latency_seconds", TIME_BUCKETS)
+        self._prices: dict = {}  # (batch_size, phase) -> (seconds, joules)
 
     def _build_executor(self):
         from repro.exec.continuous import ContinuousExecutor
@@ -625,7 +628,11 @@ class ContinuousServer:
         """Whether batch membership may change right now."""
         if self.policy.drain:
             return not self.active
-        return all(self.plan.is_boundary(run.cursor) for run in self.active)
+        boundaries = self._boundaries
+        for run in self.active:
+            if not boundaries[run.cursor]:
+                return False
+        return True
 
     def due(self, now: float) -> bool:
         """Whether a step at ``now`` would run a batch: one is live, a
@@ -640,8 +647,11 @@ class ContinuousServer:
         )
 
     def pop_dropped(self) -> list[tuple[GenerationRequest, str]]:
-        """Drain (request, reason) records of expired/rejected requests."""
-        dropped, self._dropped = self._dropped, []
+        """Drain the (request, reason) drop records; an empty result is the
+        server's own buffer, to read at once."""
+        dropped = self._dropped
+        if dropped:
+            self._dropped = []
         return dropped
 
     # ------------------------------------------------------------------
@@ -669,30 +679,29 @@ class ContinuousServer:
             self._members = None
         if observer is not None:
             observer.on_queue_depth("continuous", len(self.queue), now)
-        if not self.active:
-            self.last_tick_s = 0.0
-            self.last_tick_phase = ""
-            self.last_tick_members = ()
-            self.last_tick_cold_s = 0.0
-            self.last_tick_energy_j = 0.0
+        active = self.active
+        if not active:
+            self.last_tick_s = self.last_tick_cold_s = self.last_tick_energy_j = 0.0
+            self.last_tick_phase, self.last_tick_members = "", ()
             return []
 
         drain = self.policy.drain
-        batch_size = len(self.active)
+        batch_size = len(active)
         members = self._members
         if members is None:
             members = self._members = tuple(
                 (run.request_id, run.request.tenant, int(run.request.priority))
-                for run in self.active
+                for run in active
             )
-        iterations = self.plan.iterations
-        cursor = self.active[0].cursor
-        is_dense = self.plan.steps[cursor].is_dense
+        boundaries = self._boundaries
+        iterations = len(boundaries) - 1
+        cursor = active[0].cursor
+        is_dense = boundaries[cursor]
         phase = "batch" if drain else "dense" if is_dense else "sparse"
         steps = iterations - cursor if drain else 1
         if self.dry_run:
             finished = []
-            for run in self.active:
+            for run in active:
                 run.cursor += steps
                 if run.cursor == iterations:
                     finished.append(run)
@@ -700,12 +709,14 @@ class ContinuousServer:
         else:
             start = self._clock()
             for _ in range(steps):
-                finished = self._executor.run_tick(self.active)
+                finished = self._executor.run_tick(active)
             tick_s = max(0.0, self._clock() - start)
         energy_j = 0.0
         if self.price is not None:
-            seconds, joules = self.price(batch_size, phase)
-            tick_s, energy_j = float(seconds), float(joules)
+            point = (batch_size, phase)
+            if point not in self._prices:
+                self._prices[point] = tuple(map(float, self.price(*point)))
+            tick_s, energy_j = self._prices[point]
         cold_s = 0.0
         if self.cold_start_s is not None and not self.cold_charged:
             cold_s = max(0.0, float(self.cold_start_s))
@@ -718,7 +729,7 @@ class ContinuousServer:
         if finished:
             self._members = None
         for run in finished:
-            self.active.remove(run)
+            active.remove(run)
             generation = (
                 None if self.dry_run else self._executor.finish_run(run)
             )
@@ -804,15 +815,11 @@ class ContinuousServer:
         sweep (the cluster event loop passes the fleet SLO timeout).
         """
         effective = timeout_s if timeout_s is not None else self.policy.timeout_s
-        reasons = {}
-        dropped = self.queue.expire(now, effective)
-        for entry in dropped:
-            reasons[entry.request.request_id] = (
-                "deadline"
-                if entry.request.deadline_s is not None
-                and now >= entry.request.deadline_s
-                else "timeout"
-            )
+        dropped = [
+            (entry.request, "deadline" if entry.request.deadline_s is not None
+             and now >= entry.request.deadline_s else "timeout")
+            for entry in self.queue.expire(now, effective)
+        ]
         # SLA-infeasible entries only get *more* infeasible as they wait:
         # drop them now rather than letting them linger to their deadline
         # (they could never be seated, so keeping them only skews queue
@@ -821,15 +828,12 @@ class ContinuousServer:
             for entry in self.queue.entries():
                 if not self._sla_feasible(entry, now):
                     self.queue.remove(entry)
-                    dropped.append(entry)
-                    reasons[entry.request.request_id] = "sla"
-        for entry in dropped:
-            reason = reasons[entry.request.request_id]
-            self._dropped.append((entry.request, reason))
+                    dropped.append((entry.request, "sla"))
+        for request, reason in dropped:
+            self._dropped.append((request, reason))
             self._totals.requests_expired += 1
-            self._edit("expire", now, entry.request.request_id,
-                       reason=reason)
-        return [entry.request for entry in dropped]
+            self._edit("expire", now, request.request_id, reason=reason)
+        return [request for request, _ in dropped]
 
     def _edit(self, kind: str, now: float, request_id: int,
               active_cursors: Optional[tuple] = None, **fields) -> None:

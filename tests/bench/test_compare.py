@@ -3,10 +3,12 @@
 import copy
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.bench import BenchResult, compare_results, load_results, paper_summary
 from repro.bench.compare import format_report
 from repro.bench.runner import write_results
@@ -39,6 +41,27 @@ class TestCompare:
         assert report.ok
         assert report.exit_code() == 0
         assert "no differences" in format_report(report)
+
+    def test_a_last_bit_drift_is_counted_within_tolerance(
+        self, tmp_path, capsys
+    ):
+        # Passing the gate is not byte identity: a value that moved in its
+        # last bit is counted in the summary, and the compare still exits 0.
+        baseline = result_set()
+        current = copy.deepcopy(baseline)
+        speedup = current["gate_bench"]["metrics"]["speedup"]
+        speedup["value"] = math.nextafter(speedup["value"], math.inf)
+        paths = []
+        for name, results in (("baseline", baseline), ("current", current)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"results": results}))
+        assert cli.main(["bench", "--compare", *map(str, paths),
+                         "--strict"]) == 0
+        (row,) = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("changed within tolerance")]
+        assert row.split()[-1] == "1"
+        assert compare_results(baseline, copy.deepcopy(baseline)
+                               ).within_tolerance == 0
 
     def test_v1_document_with_timing_block_compares_clean(self, tmp_path):
         # An artefact written before schema v2 still carries a clock
