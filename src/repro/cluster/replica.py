@@ -273,7 +273,9 @@ class Replica:
     default servers are ``dry_run`` cursor machines and only the
     schedule and its prices are simulated. The replica counts only
     ``busy_s`` and its own ``depth_drops``; :meth:`usage` sums the rest
-    from its servers' reports.
+    from its servers' reports. ``busy_s`` adds tick seconds in dispatch
+    order across servers: summing the servers' own ``busy_s`` would
+    change the float rounding order, and with it the fleet digests.
     """
 
     def __init__(
@@ -301,7 +303,6 @@ class Replica:
         # (model, ablation) -> ContinuousServer, kept in key order by
         # _server() so every sweep below visits keys deterministically.
         self.servers: dict = {}
-        self.warm_keys: set = set()
         self._active: Optional[tuple] = None  # (key, server) last chosen
         self.busy_until = 0.0
         self._inflight = 0
@@ -344,8 +345,12 @@ class Replica:
         return self.queue_depth() + inflight
 
     def is_warm(self, key: tuple) -> bool:
-        """Whether this replica has (or is about to have) ``key`` cached."""
-        return key in self.warm_keys
+        """Whether this replica has (or is about to have) ``key`` cached:
+        its server paid the cold start or holds work. A key whose every
+        request expired before any step ran never warmed, so the router
+        is not steered at phantom warmth."""
+        server = self.servers.get(key)
+        return server is not None and (server.cold_charged or server.has_work)
 
     # ------------------------------------------------------------------
     # event-loop interface
@@ -369,8 +374,9 @@ class Replica:
                 # (offline threshold calibration), charged by the server.
                 cold_start_s=self.service_model.calibration_s(model),
                 dry_run=not self.execute,
-                # Only execute mode has results worth fetching afterwards;
-                # dry-run sweeps keep memory flat over long traces.
+                # Only execute mode has results and membership rows worth
+                # reading afterwards; dry-run sweeps keep memory flat over
+                # long traces.
                 retain_results=self.execute,
             )
             self.servers = dict(sorted([*self.servers.items(), (key, server)]))
@@ -394,25 +400,16 @@ class Replica:
             priority=request.priority,
             deadline_s=request.deadline_s,
         )
-        if accepted is None:  # an SLA reject; the server counts it (sla_rejects)
-            return False
-        self.warm_keys.add(request.pipeline_key)
-        return True
+        # None is an SLA reject; the server counts it (sla_rejects)
+        return accepted is not None
 
-    def _collect_drops(
-        self, key: tuple, server: ContinuousServer, stale: list, now: float
-    ) -> list:
+    def _collect_drops(self, key: tuple, stale: list, now: float) -> list:
         """The drop records of the one server just swept or stepped.
 
         Only a sweep or a step drops a request, and each collects its own
         drops at once, so every other server holds none.
         """
         model, ablation = key
-        # A key whose every request expired before any batch ran never
-        # actually warmed: stop advertising affinity for it, or the
-        # router would keep steering traffic at phantom warmth.
-        if not server.has_work and not server.cold_charged:
-            self.warm_keys.discard(key)
         return [
             DroppedRequest(
                 model=model,
@@ -437,7 +434,7 @@ class Replica:
                 server.expire_queued(now, timeout_s)
                 stale = server.pop_dropped()
                 if stale:
-                    dropped += self._collect_drops(key, server, stale, now)
+                    dropped += self._collect_drops(key, stale, now)
         return dropped
 
     def _choose(self, now: float) -> Optional[tuple]:
@@ -513,7 +510,7 @@ class Replica:
         self.clock.now = now
         served = server.step(now)
         stale = server.pop_dropped()
-        dropped = self._collect_drops(key, server, stale, now) if stale else []
+        dropped = self._collect_drops(key, stale, now) if stale else []
         phase = server.last_tick_phase
         if not phase:
             # The rebalance admitted nothing (everything expired): no

@@ -15,6 +15,7 @@ latency/throughput movement to phases and tenants, so a regression in
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -300,8 +301,12 @@ def diff_analyses(
 
     ``tolerance`` is relative: a lower-is-better metric regresses when
     ``current > base * (1 + tolerance)`` (symmetrically for
-    higher-is-better). Identical documents always diff clean.
+    higher-is-better). Identical documents always diff clean. A negative
+    or non-finite ``tolerance`` is a ValueError: it would count an
+    improvement as a regression, or pass every regression.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     base_metrics, base_slo, base_components, base_tenants = _readings(base)
     cur_metrics, cur_slo, cur_components, cur_tenants = _readings(current)
     checks = [  # (metric, base, current, sign)

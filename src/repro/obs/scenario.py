@@ -170,7 +170,7 @@ def run_trace_scenario(
         )
     else:
         summary.update(
-            batches_served=report.batches_served,
+            batches_served=report.ticks,
             mean_batch_size=report.mean_batch_size,
         )
     return dict(sorted(summary.items()))

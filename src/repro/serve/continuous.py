@@ -361,9 +361,10 @@ class ServeReport:
     """Aggregate view of everything a server instance has served.
 
     The server keeps one as its running totals, the only tally of each
-    count. ``batches_served`` equals ``ticks``: one per
-    :meth:`ContinuousServer.step` dispatch, i.e. per denoising iteration
-    of the live batch, or per whole micro-batch under ``drain``.
+    count. ``ticks`` counts one per :meth:`ContinuousServer.step`
+    dispatch, i.e. per denoising iteration of the live batch, or per
+    whole micro-batch under ``drain``; :meth:`summary` also reports it
+    as ``batches_served``.
     ``mean_occupancy`` is the average number of requests sharing each
     dispatch — the quantity continuous batching exists to raise. Each
     record :meth:`ContinuousServer.pop_dropped` hands over is counted
@@ -375,7 +376,6 @@ class ServeReport:
     """
 
     requests_served: int = 0
-    batches_served: int = 0
     requests_expired: int = 0  # swept at boundaries (timeout/deadline)
     busy_s: float = 0.0  # time spent inside batched generation
     queue_wait_s: float = 0.0  # summed per-request wait before seating
@@ -393,9 +393,9 @@ class ServeReport:
 
     @property
     def mean_batch_size(self) -> float:
-        if self.batches_served == 0:
+        if self.ticks == 0:
             return 0.0
-        return self.requests_served / self.batches_served
+        return self.requests_served / self.ticks
 
     @property
     def mean_wait_s(self) -> float:
@@ -419,7 +419,7 @@ class ServeReport:
         """Flat dict for report printing."""
         return {
             "requests_served": self.requests_served,
-            "batches_served": self.batches_served,
+            "batches_served": self.ticks,
             "requests_expired": self.requests_expired,
             "mean_batch_size": self.mean_batch_size,
             "busy_s": self.busy_s,
@@ -500,6 +500,8 @@ class ContinuousServer:
         #: Whether the first step ran and paid ``cold_start_s``.
         self.cold_charged = False
         self.dry_run = dry_run
+        #: Whether :attr:`results` and :attr:`events` keep what was served;
+        #: off, the server's memory stays flat over a long trace.
         self.retain_results = retain_results
         # Nil-by-default observability: every hook below is guarded by
         # an `is not None` check, so a server without an observer does
@@ -531,6 +533,8 @@ class ContinuousServer:
             aging_s=self.policy.aging_s,
         )
         self.active: list = []
+        #: One row per join, completion, eviction and expiry (with
+        #: ``retain_results``).
         self.events: list[dict] = []
         self.results: dict[int, RequestResult] = {}
         self.last_tick_s = 0.0
@@ -793,16 +797,6 @@ class ContinuousServer:
             served.extend(self._step(self._clock(), flush=True))
         return sorted(served, key=lambda r: r.request_id)
 
-    def result(self, request_id: int, pop: bool = False) -> RequestResult:
-        """A finished request's result (KeyError if not served yet).
-
-        ``pop=True`` releases the stored result after returning it, so
-        clients that fetch-once can keep the server's memory flat.
-        """
-        if pop:
-            return self.results.pop(request_id)
-        return self.results[request_id]
-
     # ------------------------------------------------------------------
     # membership rebalancing (only at dense-phase boundaries)
     # ------------------------------------------------------------------
@@ -837,13 +831,14 @@ class ContinuousServer:
 
     def _edit(self, kind: str, now: float, request_id: int,
               active_cursors: Optional[tuple] = None, **fields) -> None:
-        """Record one membership edit: an :attr:`events` row and, with an
-        observer, a ``serve/membership`` event of the same fields; only
-        the row holds ``active_cursors``."""
-        row = {"kind": kind, "now": now, "request_id": request_id, **fields}
-        if active_cursors is not None:
-            row["active_cursors"] = active_cursors
-        self.events.append(row)
+        """Record one membership edit: an :attr:`events` row (with
+        ``retain_results``) and, with an observer, a ``serve/membership``
+        event of the same fields; only the row holds ``active_cursors``."""
+        if self.retain_results:
+            row = {"kind": kind, "now": now, "request_id": request_id, **fields}
+            if active_cursors is not None:
+                row["active_cursors"] = active_cursors
+            self.events.append(row)
         if self.observer is not None:
             self.observer.on_membership(kind, now, request_id, **fields)
 
@@ -957,8 +952,7 @@ class ContinuousServer:
         running totals, with the fields read on demand filled in."""
         quantile = self._latency_hist.quantile
         return dataclasses.replace(
-            self._totals, batches_served=self._totals.ticks,
-            cache_info=self.cache.info(),
+            self._totals, cache_info=self.cache.info(),
             latency_quantiles={f"latency_p{q}_s": quantile(q / 100)
                                for q in (50, 95, 99)},
         )

@@ -6,10 +6,11 @@ in one pass over its servers. Two suites pin that:
 
 - an oracle machine: ``hypothesis`` drives a dry-run :class:`Replica`
   with two keys through enqueues, fleet-timeout sweeps, dispatches and
-  clock advances, and after every rule the replica's wake-up and each
-  server's boundary predicate must equal the earlier implementations,
-  kept below verbatim (``next_event_time``'s ``self._timeout(...)`` is
-  the one edit: the helper is a module function here);
+  clock advances, and after every rule the replica's wake-up, each
+  server's boundary predicate and the replica's warmth must equal the
+  earlier implementations, kept below verbatim (``next_event_time``'s
+  ``self._timeout(...)`` is the one edit: the helper is a module
+  function here; the warm-key set is kept by the machine);
 - a count guard over one 100-request continuous cell: the
   re-derivations the tick path dropped stay dropped.
 """
@@ -106,6 +107,17 @@ class _ReplicaMachine(RuleBasedStateMachine):
             tenant_weights={"a": 2.0, "b": 1.0},
         )
         self.now = 0.0
+        # The earlier warm-key set: a key joins on an accepted enqueue
+        # and leaves when collected drops leave its server idle and
+        # uncharged.
+        self.warm_keys = set()
+
+    def _collect(self, drops):
+        for drop in drops:
+            key = (drop.model, drop.ablation)
+            server = self.replica.servers[key]
+            if not server.has_work and not server.cold_charged:
+                self.warm_keys.discard(key)
 
     @rule(
         model=st.sampled_from(KEYS),
@@ -114,19 +126,22 @@ class _ReplicaMachine(RuleBasedStateMachine):
         deadline_in=st.none() | st.floats(min_value=0.0, max_value=1.0),
     )
     def enqueue(self, model, tenant, priority, deadline_in):
-        self.replica.enqueue(ClusterRequest(
+        request = ClusterRequest(
             arrival_s=self.now, model=model, class_label=1, tenant=tenant,
             priority=priority,
             deadline_s=None if deadline_in is None else self.now + deadline_in,
-        ), self.now)
+        )
+        if self.replica.enqueue(request, self.now):
+            self.warm_keys.add(request.pipeline_key)
 
     @rule(timeout_s=st.none() | st.floats(min_value=0.0, max_value=0.5))
     def expire(self, timeout_s):
-        self.replica.expire(self.now, timeout_s)
+        self._collect(self.replica.expire(self.now, timeout_s))
 
     @rule()
     def try_dispatch(self):
-        self.replica.try_dispatch(self.now)
+        _, drops = self.replica.try_dispatch(self.now)
+        self._collect(drops)
 
     @rule(seconds=st.floats(min_value=0.0, max_value=0.5))
     def advance(self, seconds):
@@ -144,6 +159,11 @@ class _ReplicaMachine(RuleBasedStateMachine):
             assert self.replica.next_event_time(self.now, timeout_s) == (
                 next_event_time(self.replica, self.now, timeout_s)
             )
+
+    @invariant()
+    def warmth_matches_the_oracle(self):
+        for key in {*self.replica.servers, *self.warm_keys}:
+            assert self.replica.is_warm(key) == (key in self.warm_keys)
 
     @invariant()
     def boundary_matches_the_oracle(self):

@@ -1,11 +1,12 @@
 """CLI coverage for ``repro obs analyze|report|diff``."""
 
 import json
+import math
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.analyze import TraceRecords
+from repro.obs.analyze import TraceRecords, diff_analyses
 
 SCENARIO = ["--continuous", "--iterations", "12", "--requests", "8"]
 
@@ -186,3 +187,10 @@ class TestDiff:
         out = capsys.readouterr().out
         assert code == 1
         assert "regressions" in out
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_a_negative_or_non_finite_tolerance_is_refused(self, tolerance):
+        # -1 would count an improvement as a regression; nan and inf
+        # would pass every regression.
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            diff_analyses({}, {}, tolerance=tolerance)

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.cli import _run_scenario, build_parser, main
+from repro.cli import build_parser, main
+from repro.cli.obs import _run_scenario
 from repro.obs import validate_chrome_trace
 
 

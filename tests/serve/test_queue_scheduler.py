@@ -138,7 +138,7 @@ class TestBatching:
         assert not server.due(now=1e9)
         assert step_seeds(server, clock, 1e9) == []
         assert server.run_until_drained() == []
-        assert server.report().batches_served == 0
+        assert server.report().ticks == 0
 
     def test_zero_max_wait_dispatches_whatever_is_queued(self):
         # max_wait=0 degenerates to greedy batching: every step with a
@@ -174,7 +174,7 @@ class TestBatching:
         while server.has_work:
             batches.append([r.request.seed for r in server.step()])
         assert batches == [[0, 1, 2], [3, 4, 5], [6]]
-        assert server.report().batches_served == 3
+        assert server.report().ticks == 3
 
     def test_burst_larger_than_max_batch_splits_into_full_batches(self):
         server, clock = make_server(max_batch_size=4, max_wait_s=60.0)
@@ -203,7 +203,7 @@ class TestBatching:
         submit(server, clock, 6)
         order.extend(step_seeds(server, clock, 2.0))
         assert order == list(range(7))
-        assert server.report().batches_served == 3
+        assert server.report().ticks == 3
 
     def test_sweep_runs_before_the_batch_forms(self):
         # Expiry is re-checked at batch formation: a stale request never

@@ -106,7 +106,7 @@ class TestServing:
         assert [r.batch_size for r in results] == [4] * 8 + [2] * 2
         report = server.report()
         assert report.requests_served == 10
-        assert report.batches_served == 3
+        assert report.ticks == 3
         assert report.mean_batch_size == pytest.approx(10 / 3)
         assert report.samples_per_s > 0
 
@@ -128,7 +128,7 @@ class TestServing:
         server = make_server()
         assert server.step() == []
         assert server.run_until_drained() == []
-        assert server.report().batches_served == 0
+        assert server.report().ticks == 0
 
     def test_served_results_match_sequential_generation(self):
         server = make_server(policy=drain_policy(max_batch_size=3))
@@ -149,9 +149,9 @@ class TestServing:
         server = make_server()
         rid = server.submit(seed=3, class_label=1)
         with pytest.raises(KeyError):
-            server.result(rid)
+            server.results[rid]
         server.run_until_drained()
-        assert server.result(rid).request.seed == 3
+        assert server.results[rid].request.seed == 3
 
     def test_stats_isolation_across_requests(self):
         server = make_server(policy=drain_policy(max_batch_size=8))
@@ -181,6 +181,7 @@ class TestServing:
         served = server.run_until_drained()
         assert len(served) == 1
         assert server.results == {}
+        assert server.events == []
         # Aggregates still accumulate incrementally.
         assert server.report().requests_served == 1
 
@@ -188,10 +189,10 @@ class TestServing:
         server = make_server()
         rid = server.submit(seed=0)
         server.run_until_drained()
-        record = server.result(rid, pop=True)
+        record = server.results.pop(rid)
         assert record.request_id == rid
         with pytest.raises(KeyError):
-            server.result(rid)
+            server.results[rid]
         # Report aggregates survive the pop.
         assert server.report().requests_served == 1
 
@@ -259,8 +260,7 @@ class TestServing:
                 server.step()
             server.run_until_drained()
             report = server.report()
-            return (report.busy_s, report.queue_wait_s,
-                    report.batches_served)
+            return (report.busy_s, report.queue_wait_s, report.ticks)
 
         assert run() == run()
 
@@ -296,7 +296,8 @@ class TestServing:
         assert server.last_tick_phase == "batch"
         assert not server.active and server.at_boundary()
         report = server.report()
-        assert (report.batches_served, report.ticks, report.joins) == (1, 1, 2)
+        assert (report.ticks, report.joins) == (1, 2)
+        assert report.summary()["batches_served"] == 1
         assert report.mean_occupancy == 2.0
 
     def test_run_until_drained_ignores_max_wait_on_a_frozen_clock(self):

@@ -101,6 +101,8 @@ class TestParser:
         ("cluster", "--aging", "-1", "> 0"),
         ("serve", "--deadline", "nan", ">= 0"),
         ("explore", "--workers", "0", ">= 1"),
+        ("obs diff a.json b.json", "--tolerance", "nan", ">= 0"),
+        ("obs diff a.json b.json", "--tolerance", "-1", ">= 0"),
     ))
     def test_bad_numbers_rejected_naming_the_flag(self, command, flag, value,
                                                   rule, capsys):
@@ -141,8 +143,12 @@ class TestParser:
          "bad --set: unknown dimension 'bogus'; known: "),
         (["explore", "--set", "num_dscs=abc"],
          "bad --set: value 'abc' is outside dimension 'num_dscs'"),
+        (["explore", "--set", "foo"],
+         "bad --set: expected DIM=V1[,V2...], got 'foo'"),
+        (["explore", "--set", "budget="],
+         "bad --set: budget= needs at least one value"),
     ], ids=["cluster-tenants-drain", "explore-set-dimension",
-            "explore-set-value"])
+            "explore-set-value", "explore-set-no-equals", "explore-set-no-value"])
     def test_a_refused_flag_exits_naming_it(self, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)

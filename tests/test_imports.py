@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BASELINE_PATH = ROOT / "benchmarks" / "baseline" / "BENCH_repro.json"
 PACKAGES = (
     "repro", "repro.cluster", "repro.obs", "repro.obs.analyze", "repro.exec",
-    "repro.serve", "repro.hw", "repro.program",
+    "repro.serve", "repro.hw", "repro.program", "repro.cli",
 )
 ABSENT = ("scipy", "numpy.f2py", "numpy.testing")
 
