@@ -55,7 +55,7 @@ from repro.core.logdomain import (
     prepare_log_operand,
     quantize_symmetric_batched,
 )
-from repro.core.sparsity import RunStats
+from repro.core.sparsity import RunStats, add_attention_step
 from repro.models.activations import softmax
 from repro.models.attention import MultiHeadAttention
 
@@ -68,19 +68,13 @@ class HeadDecision:
     one_hot_rows: np.ndarray  # (tq,) bool: rows collapsed by dominance
     one_hot_cols: np.ndarray  # (tq,) int: argmax column of one-hot rows
 
-    @property
-    def skipped_elements(self) -> int:
-        return int(self.keep.size - self.keep.sum())
-
 
 class EagerPredictor:
     """Builds attention executors implementing eager prediction."""
 
-    def __init__(self, config: ExionConfig, stats: Optional[RunStats] = None,
-                 collect_keepmasks: bool = False) -> None:
+    def __init__(self, config: ExionConfig, stats: Optional[RunStats] = None) -> None:
         self.config = config
         self.stats = stats if stats is not None else RunStats()
-        self.collect_keepmasks = collect_keepmasks
 
     # ------------------------------------------------------------------
     # prediction
@@ -161,7 +155,6 @@ class EagerPredictor:
 
         probs = np.zeros((heads, tq, tk))
         attended = np.zeros((heads, tq, layer.head_dim))
-        skipped = 0
         for h, dec in enumerate(decisions):
             exact = (q[h] @ k[h].T) * layer.scale
             masked = np.where(dec.keep, exact, -np.inf)
@@ -175,33 +168,11 @@ class EagerPredictor:
             # One product over all rows: a collapsed row's probabilities
             # are exactly one-hot, so it reads back v at its argmax column.
             attended[h] = probs[h] @ v[h]
-            skipped += dec.skipped_elements
 
         out = layer.wo(layer.merge_heads(attended))
-
-        # ------------------------------------------------------------------
-        # statistics
-        # ------------------------------------------------------------------
-        total_scores = heads * tq * tk
-        head_dim = layer.head_dim
-        self.stats.attention_scores.add(
-            total_scores * head_dim, (total_scores - skipped) * head_dim
-        )
-        dim_in = layer.wq.in_features
-        self.stats.q_projection.add(
-            tq * dim_in * layer.dim, int(q_row_needed.sum()) * dim_in * layer.dim
-        )
-        self.stats.kv_projection.add(
-            2 * tk * layer.wk.in_features * layer.dim,
-            2 * int(kv_col_needed.sum()) * layer.wk.in_features * layer.dim,
-        )
-        self.stats.attention_sparsities.append(
-            skipped / total_scores if total_scores else 0.0
-        )
-        if self.collect_keepmasks:
-            self.stats.attention_keepmasks.append(
-                np.stack([d.keep for d in decisions])
-            )
+        keep = np.stack([dec.keep for dec in decisions])
+        add_attention_step([self.stats], layer, tq, tk, [keep.sum()],
+                           [q_row_needed.sum()], [kv_col_needed.sum()], [keep])
         return out
 
 
@@ -292,26 +263,16 @@ def _masked_softmax(scores: np.ndarray, attend: np.ndarray) -> np.ndarray:
 
 
 def _one_key(layer: MultiHeadAttention, v: np.ndarray, tq: int,
-             batch_stats: list, collect_keepmasks: bool) -> np.ndarray:
+             batch_stats: list) -> np.ndarray:
     """Both step forms' one-key step, decided ahead of the log-domain
     prediction: the lone key is every row's argmax, so the oracle keeps
     nothing, collapses every row onto it and reads its value back with
     probability exactly 1.0, through the same ``probs @ v`` product.
     Each request's statistics are those of that decision: 0 scores kept,
     0 Q rows and 1 K/V column."""
-    one_key_stats(layer, tq, batch_stats, collect_keepmasks)
+    n = len(batch_stats)
+    add_attention_step(batch_stats, layer, tq, 1, [0] * n, [0] * n, [1] * n, None)
     return layer.wo(layer.merge_heads(np.matmul(np.ones((*v.shape[:-2], tq, 1)), v)))
-
-
-def one_key_stats(layer: MultiHeadAttention, tq: int, batch_stats: list,
-                  collect_keepmasks: bool) -> None:
-    """:func:`_one_key`'s statistics alone, for a caller holding its output."""
-    for stats in batch_stats:
-        _add_step_stats(stats, layer, tq, 1, 0, 0, 1)
-        if collect_keepmasks:
-            stats.attention_keepmasks.append(
-                np.zeros((layer.num_heads, tq, 1), dtype=bool)
-            )
 
 
 def _ep_attend(layer: MultiHeadAttention, x: np.ndarray,
@@ -357,7 +318,6 @@ def ep_attention_step(
     pred: CompiledPrediction,
     config: ExionConfig,
     stats: RunStats,
-    collect_keepmasks: bool = False,
     kv: Optional[tuple] = None,
 ) -> np.ndarray:
     """Step-time half of one EP attention layer, bit-identical to
@@ -382,7 +342,7 @@ def ep_attention_step(
     else:
         kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
     if tk == 1:
-        return _one_key(layer, v, tq, [stats], collect_keepmasks)
+        return _one_key(layer, v, tq, [stats])
 
     x_operand = prepare_log_operand(x, mode, bits)
     qh = layer.split_heads(log_domain_matmul_prepared(x_operand, pred.wq_operand))
@@ -398,37 +358,10 @@ def ep_attention_step(
 
     # A column is needed where some row attends it (kept, or the argmax
     # of a one-hot row); a row where some head is not one-hot needs Q.
-    _add_step_stats(
-        stats, layer, tq, tk, np.count_nonzero(keep),
-        np.count_nonzero(~one_hot_rows.all(axis=0)),
-        np.count_nonzero(attend.any(axis=(0, 1))),
-    )
-    if collect_keepmasks:
-        stats.attention_keepmasks.append(keep)
+    add_attention_step([stats], layer, tq, tk, [np.count_nonzero(keep)],
+                       [np.count_nonzero(~one_hot_rows.all(axis=0))],
+                       [np.count_nonzero(attend.any(axis=(0, 1)))], [keep])
     return out
-
-
-def _add_step_stats(
-    stats: RunStats, layer: MultiHeadAttention, tq: int, tk: int,
-    kept: int, q_rows: int, kv_cols: int,
-) -> None:
-    """One request's statistics of one EP step, the arithmetic of
-    :meth:`EagerPredictor._run`: ``kept`` scores computed exactly, and the
-    Q projection of ``q_rows`` rows and K/V projections of ``kv_cols``
-    columns that ran (paper II-B projection skipping)."""
-    total_scores = layer.num_heads * tq * tk
-    head_dim = layer.head_dim
-    dim_in = layer.wq.in_features
-    kv_in = layer.wk.in_features
-    stats.attention_scores.add(total_scores * head_dim, kept * head_dim)
-    stats.q_projection.add(tq * dim_in * layer.dim, q_rows * dim_in * layer.dim)
-    stats.kv_projection.add(
-        2 * tk * kv_in * layer.dim, 2 * kv_cols * kv_in * layer.dim
-    )
-    skipped = total_scores - kept
-    stats.attention_sparsities.append(
-        skipped / total_scores if total_scores else 0.0
-    )
 
 
 def _prepare_per_request(
@@ -483,7 +416,6 @@ def ep_attention_step_batched(
     pred: CompiledPrediction,
     config: ExionConfig,
     batch_stats: list,
-    collect_keepmasks: bool = False,
     kv: Optional[tuple] = None,
 ) -> np.ndarray:
     """:func:`ep_attention_step` over a leading batch axis: per request,
@@ -500,7 +432,7 @@ def ep_attention_step_batched(
     else:
         kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
     if tk == 1:
-        return _one_key(layer, v, tq, batch_stats, collect_keepmasks)
+        return _one_key(layer, v, tq, batch_stats)
 
     a_approx, a_scales = _prepare_per_request(x, mode, bits)
     qh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wq_operand))
@@ -513,14 +445,8 @@ def ep_attention_step_batched(
         layer, x, kv_input, qh, kh, k, v, config
     )
 
-    # Statistics, per request: the counts of ep_attention_step.
-    kept = keep.reshape(batch, -1).sum(axis=1).tolist()
-    q_rows = (~one_hot_rows.all(axis=1)).sum(axis=1).tolist()
-    kv_cols = attend.any(axis=(1, 2)).sum(axis=1).tolist()
-    for b, stats in enumerate(batch_stats):
-        _add_step_stats(stats, layer, tq, tk, kept[b], q_rows[b], kv_cols[b])
-        if collect_keepmasks:
-            # Copy: a view would pin the whole batch-wide keep array
-            # through any single request's retained stats.
-            stats.attention_keepmasks.append(keep[b].copy())
+    # ep_attention_step's counts per request, as lists: the writer reads ints faster.
+    add_attention_step(batch_stats, layer, tq, tk, keep.reshape(batch, -1).sum(axis=1).tolist(),
+                       (~one_hot_rows.all(axis=1)).sum(axis=1).tolist(),
+                       attend.any(axis=(1, 2)).sum(axis=1).tolist(), keep)
     return out

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
-from repro.core.sparsity import RunStats
+from repro.core.sparsity import RunStats, add_ffn_step
 from repro.core.thresholds import (
     ThresholdTable,
     quantile_threshold,
@@ -64,13 +64,11 @@ class FFNReuse:
         num_blocks: int,
         stats: Optional[RunStats] = None,
         threshold_table: Optional[ThresholdTable] = None,
-        collect_bitmasks: bool = False,
     ) -> None:
         self.config = config
         self.num_blocks = num_blocks
         self.stats = stats if stats is not None else RunStats()
         self.threshold_table = threshold_table
-        self.collect_bitmasks = collect_bitmasks
         self._states: list[Optional[_BlockState]] = [None] * num_blocks
         self._iteration = -1
 
@@ -125,7 +123,6 @@ class FFNReuse:
         return quantile_threshold(hidden, self.config.ffn_target_sparsity)
 
     def _dense_pass(self, layer: FeedForward, x: np.ndarray, block: int):
-        tokens = x.shape[0]
         hidden = layer.nonlinear(layer.linear1(x))
         out = layer.linear2(hidden)
 
@@ -140,18 +137,12 @@ class FFNReuse:
             threshold=threshold,
         )
 
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
-        self.stats.ffn_layer1.add(full_l1, full_l1)
-        self.stats.ffn_layer2.add(full_l2, full_l2)
-        if self.collect_bitmasks:
-            self.stats.ffn_bitmasks.append(bitmask)
+        add_ffn_step([self.stats], layer, x.shape[0], masks=[bitmask.mask])
         return out
 
     def _sparse_pass(self, layer: FeedForward, x: np.ndarray, block: int):
         state = self._states[block]
         assert state is not None
-        tokens = x.shape[0]
         mask = state.bitmask.mask
 
         # 1st FFN layer: only bit-1 elements are recomputed; the numpy
@@ -164,20 +155,7 @@ class FFNReuse:
         # iteration's partial sums.
         updates = (hidden * mask) @ layer.linear2.weight
         out = state.partial_sums + updates
-
-        nnz = state.bitmask.nnz
-        # Per recomputed hidden element the 1st layer runs a length-`dim`
-        # dot product (x2 for GEGLU's value+gate pair).
-        l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
-        computed_l1 = nnz * layer.dim * l1_cols_per_hidden
-        full_l1 = layer.linear1.macs(tokens)
-        # 2nd layer: each recomputed element contributes to `dim` outputs.
-        computed_l2 = nnz * layer.dim
-        full_l2 = layer.linear2.macs(tokens)
-
-        self.stats.ffn_layer1.add(full_l1, computed_l1)
-        self.stats.ffn_layer2.add(full_l2, computed_l2)
-        self.stats.ffn_sparsities.append(state.bitmask.sparsity)
+        add_ffn_step([self.stats], layer, x.shape[0], nnz=[state.bitmask.nnz])
         return out
 
     # ------------------------------------------------------------------

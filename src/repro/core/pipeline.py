@@ -118,7 +118,7 @@ class ExionPipeline:
         """Generate one sample with the configured optimizations."""
         if self.compiled:
             return self._run_compiled(False, [seed], prompt, class_label)[0]
-        stats = RunStats()
+        stats = RunStats(collect_masks=self.collect_masks)
         pipeline = self.model.make_pipeline()
 
         ffn_reuse: Optional[FFNReuse] = None
@@ -128,13 +128,10 @@ class ExionPipeline:
                 num_blocks=self.model.network.num_transformer_blocks,
                 stats=stats,
                 threshold_table=self.threshold_table,
-                collect_bitmasks=self.collect_masks,
             )
         predictor: Optional[EagerPredictor] = None
         if self.config.enable_eager_prediction:
-            predictor = EagerPredictor(
-                self.config, stats=stats, collect_keepmasks=self.collect_masks
-            )
+            predictor = EagerPredictor(self.config, stats=stats)
 
         provider = self._make_provider(ffn_reuse, predictor)
         hook = None

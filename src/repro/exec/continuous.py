@@ -49,14 +49,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.bitmask import Bitmask
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
     CompiledPrediction,
     ep_attention_step,
     ep_attention_step_batched,
     ep_cross_kv,
-    one_key_stats,
 )
 from repro.core.ffn_reuse import (
     FFNPhaseState,
@@ -70,7 +68,7 @@ from repro.core.pipeline import (
     _fake_quantize,
     _fake_quantize_batched,
 )
-from repro.core.sparsity import RunStats
+from repro.core.sparsity import RunStats, add_attention_step, add_ffn_step
 from repro.core.thresholds import ThresholdTable
 from repro.models.ffn import FeedForward
 from repro.models.zoo import BenchmarkModel
@@ -247,13 +245,15 @@ class ContinuousExecutor:
             (network.tokens, network.dim)
         )
         self._runs_started += 1
-        return RequestRun(
+        run = RequestRun(
             request=request,
             x=x,
             context=context,
             num_blocks=network.num_transformer_blocks,
             serial=self._runs_started,
         )
+        run.stats.collect_masks = self.collect_masks
+        return run
 
     def finish_run(self, run: RequestRun) -> GenerationResult:
         """Package a completed run as a :class:`GenerationResult`."""
@@ -409,8 +409,9 @@ class ContinuousExecutor:
         )
         if block.cross_attn is not None and self._contexts:
             if self._cross_fixed and block_index in self._cross_out:
-                stats = [run.stats for run in runs]
-                one_key_stats(block.cross_attn, x.shape[1], stats, self.collect_masks)
+                n = len(runs)
+                add_attention_step([run.stats for run in runs], block.cross_attn,
+                                   x.shape[1], 1, [0] * n, [0] * n, [1] * n, None)
             else:
                 self._cross_out[block_index] = self._cross_attention(block, x, block_index, runs)
             x = x + self._cross_out[block_index]
@@ -475,13 +476,11 @@ class ContinuousExecutor:
             # bytes as the batched one at B = 1, in fewer numpy calls.
             return ep_attention_step(
                 layer, x[0], None if context is None else context[0],
-                pred, self.config, runs[0].stats,
-                collect_keepmasks=self.collect_masks, kv=kv,
+                pred, self.config, runs[0].stats, kv=kv,
             )[None]
         return ep_attention_step_batched(
             layer, x, context, pred, self.config,
-            [run.stats for run in runs],
-            collect_keepmasks=self.collect_masks, kv=kv,
+            [run.stats for run in runs], kv=kv,
         )
 
     # ------------------------------------------------------------------
@@ -498,9 +497,7 @@ class ContinuousExecutor:
             x = _fake_quantize_batched(x, self.activation_bits)
         if not self.config.enable_ffn_reuse:
             return layer.linear2(layer.nonlinear(layer.linear1(x)))
-        tokens = x.shape[1]
-        full_l1 = layer.linear1.macs(tokens)
-        full_l2 = layer.linear2.macs(tokens)
+        batch_stats = [run.stats for run in runs]
         if self._tick_dense:
             dense_indices = np.array([
                 self.compiled_plan.steps[run.cursor].phase for run in runs
@@ -516,27 +513,15 @@ class ContinuousExecutor:
                     partial_sums=batch_state.partial_sums[b],
                     nnz=int(batch_state.nnz_per_request[b]),
                 )
-                run.stats.ffn_layer1.add(full_l1, full_l1)
-                run.stats.ffn_layer2.add(full_l2, full_l2)
-                if self.collect_masks:
-                    run.stats.ffn_bitmasks.append(
-                        Bitmask(batch_state.mask[b])
-                    )
+            add_ffn_step(batch_stats, layer, x.shape[1], masks=batch_state.mask)
             return out
 
         batch_state = self._ffn_batch.get(block_index)
         if batch_state is None:
             batch_state = self._rebuild_ffn_batch(layer, block_index, runs)
         out = ffn_sparse_step(layer, x, batch_state)
-        elements = batch_state.mask.shape[1] * batch_state.mask.shape[2]
-        l1_cols_per_hidden = layer.linear1.out_features // layer.hidden_dim
-        for run in runs:
-            nnz = run.ffn[block_index].nnz
-            run.stats.ffn_layer1.add(
-                full_l1, nnz * layer.dim * l1_cols_per_hidden
-            )
-            run.stats.ffn_layer2.add(full_l2, nnz * layer.dim)
-            run.stats.ffn_sparsities.append(1.0 - nnz / elements)
+        add_ffn_step(batch_stats, layer, x.shape[1],
+                     nnz=batch_state.nnz_per_request.tolist())
         return out
 
     def _rebuild_ffn_batch(

@@ -830,14 +830,15 @@ class ContinuousServer:
         return [request for request, _ in dropped]
 
     def _edit(self, kind: str, now: float, request_id: int,
-              active_cursors: Optional[tuple] = None, **fields) -> None:
+              members: Optional[list] = None, **fields) -> None:
         """Record one membership edit: an :attr:`events` row (with
         ``retain_results``) and, with an observer, a ``serve/membership``
-        event of the same fields; only the row holds ``active_cursors``."""
+        event of the same fields; only the row holds the ``members``'
+        cursors, as ``active_cursors``, built only for a kept row."""
         if self.retain_results:
             row = {"kind": kind, "now": now, "request_id": request_id, **fields}
-            if active_cursors is not None:
-                row["active_cursors"] = active_cursors
+            if members is not None:
+                row["active_cursors"] = tuple(run.cursor for run in members)
             self.events.append(row)
         if self.observer is not None:
             self.observer.on_membership(kind, now, request_id, **fields)
@@ -855,19 +856,20 @@ class ContinuousServer:
     def _rebalance(self, now: float, flush: bool = False) -> None:
         if not self.queue.is_empty:
             self.expire_queued(now)
-        active_cursors = tuple(run.cursor for run in self.active)
 
         # Deadline re-check of *running* requests: a member whose
         # deadline already passed is evicted and dropped — it must not
-        # occupy a batch slot for the rest of the denoising run.
-        for run in list(self.active):
+        # occupy a batch slot for the rest of the denoising run. Every
+        # eviction's row holds the members from before the first one.
+        members = list(self.active)
+        for run in members:
             deadline = run.request.deadline_s
             if deadline is not None and now >= deadline:
                 self.active.remove(run)
                 self._joined_at.pop(run.request_id, None)
                 self._totals.deadline_evictions += 1
                 self._dropped.append((run.request, "deadline"))
-                self._edit("evict", now, run.request_id, active_cursors,
+                self._edit("evict", now, run.request_id, members,
                            reason="deadline", cursor=run.cursor)
 
         # Preemption and joins below both draw on the queue.
@@ -899,8 +901,7 @@ class ContinuousServer:
                 self.queue.push(QueueEntry(
                     request=victim.request, run=victim,
                 ))
-                self._edit("evict", now, victim.request_id,
-                           tuple(run.cursor for run in self.active),
+                self._edit("evict", now, victim.request_id, self.active,
                            reason="preempt", cursor=victim.cursor)
 
         # Joins: fill free slots under priority + weighted fair queuing,
@@ -941,7 +942,7 @@ class ContinuousServer:
             cursors.append(run.cursor)
             self._joined_at.setdefault(run.request_id, now)
             self._totals.joins += 1
-            self._edit("join", now, run.request_id, tuple(cursors[:-1]),
+            self._edit("join", now, run.request_id, self.active[:-1],
                        cursor=run.cursor, resumed=entry.run is not None)
 
     # ------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestDecisions:
         scores = np.zeros((1, 4, 4))
         scores[0, :, :2] = 1.0
         (decision,) = predictor.decide(scores)
-        assert decision.skipped_elements == 8
+        assert np.count_nonzero(~decision.keep) == 8
 
 
 def _ep_decide_reference(predicted, top_k_ratio, q_threshold):
@@ -405,7 +405,7 @@ class TestStatistics:
     def test_keepmasks_collected_when_enabled(self, rng):
         attn = MultiHeadAttention(16, 2, rng)
         config = ExionConfig(top_k_ratio=0.5, q_threshold=1e9)
-        predictor = EagerPredictor(config, collect_keepmasks=True)
+        predictor = EagerPredictor(config, RunStats(collect_masks=True))
         attn(rng.standard_normal((4, 16)), executor=predictor.executor())
         assert len(predictor.stats.attention_keepmasks) == 1
         assert predictor.stats.attention_keepmasks[0].shape == (2, 4, 4)
@@ -509,7 +509,7 @@ def _stats_key(stats):
         (stats.attention_scores.dense, stats.attention_scores.computed),
         (stats.q_projection.dense, stats.q_projection.computed),
         (stats.kv_projection.dense, stats.kv_projection.computed),
-        tuple(stats.attention_sparsities),
+        repr(stats.attention_sparsities),
         tuple(mask.tobytes() for mask in stats.attention_keepmasks),
     )
 
@@ -534,8 +534,7 @@ class TestSingleColumnSkip:
             kv = (kh, k, v_exact if v is None else v)
         want = []
         for b, x in enumerate(xs):
-            predictor = EagerPredictor(config, stats=RunStats(),
-                                       collect_keepmasks=True)
+            predictor = EagerPredictor(config, RunStats(collect_masks=True))
             context = None if contexts is None else contexts[b]
             if v is not None:
                 monkeypatch.setattr(layer, "kv",
@@ -551,15 +550,13 @@ class TestSingleColumnSkip:
             # A cross step without cached K/V projects its own.
             uncached = () if kv is None or v is not None else (None,)
             for step_kv in (cached, *uncached):
-                stats = RunStats()
+                stats = RunStats(collect_masks=True)
                 out = ep_attention_step(layer, x, context, pred, config,
-                                        stats, collect_keepmasks=True,
-                                        kv=step_kv)
+                                        stats, kv=step_kv)
                 assert (out.tobytes(), _stats_key(stats)) == want[b]
-        batch_stats = [RunStats() for _ in xs]
+        batch_stats = [RunStats(collect_masks=True) for _ in xs]
         out = ep_attention_step_batched(layer, xs, contexts, pred, config,
-                                        batch_stats, collect_keepmasks=True,
-                                        kv=kv)
+                                        batch_stats, kv=kv)
         for b, stats in enumerate(batch_stats):
             assert (out[b].tobytes(), _stats_key(stats)) == want[b]
         return counts, out
@@ -623,11 +620,10 @@ class TestSingleColumnSkip:
         xs[1] *= 0.01  # and far below it
         counts, _ = self._all_forms(monkeypatch, layer, config, xs[:1])
         assert counts["wq"] == counts["wk"] == 0
-        stats = [RunStats(), RunStats()]
+        stats = [RunStats(collect_masks=True), RunStats(collect_masks=True)]
         pred = CompiledPrediction.for_layer(layer, config.lod_mode,
                                             config.prediction_bits)
-        ep_attention_step_batched(layer, xs, None, pred, config, stats,
-                                  collect_keepmasks=True)
+        ep_attention_step_batched(layer, xs, None, pred, config, stats)
         keep0, keep1 = (s.attention_keepmasks[0] for s in stats)
         assert not keep0.any() and (keep1.sum(axis=-1) == 2).all()
         counts, _ = self._all_forms(monkeypatch, layer, config, xs)

@@ -199,7 +199,7 @@ class TestGegluSupport:
 class TestBitmaskCollection:
     def test_bitmasks_collected_when_enabled(self, ffn, rng):
         config = ExionConfig(sparse_iters_n=2, ffn_target_sparsity=0.8)
-        mgr = FFNReuse(config, num_blocks=1, collect_bitmasks=True)
+        mgr = FFNReuse(config, num_blocks=1, stats=RunStats(collect_masks=True))
         mgr.begin_iteration(0)
         mgr.executor_for_block(0)(ffn, rng.standard_normal((4, 8)))
         assert len(mgr.stats.ffn_bitmasks) == 1

@@ -37,7 +37,7 @@ def _stats_key(stats):
         (stats.attention_scores.dense, stats.attention_scores.computed),
         (stats.q_projection.dense, stats.q_projection.computed),
         (stats.kv_projection.dense, stats.kv_projection.computed),
-        tuple(stats.attention_sparsities),
+        repr(stats.attention_sparsities),
         tuple(np.asarray(k).tobytes() for k in stats.attention_keepmasks),
     )
 
@@ -62,8 +62,7 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
 
     oracle = []
     for b in range(3):
-        predictor = EagerPredictor(config, stats=RunStats(),
-                                   collect_keepmasks=True)
+        predictor = EagerPredictor(config, stats=RunStats(collect_masks=True))
         context = None if contexts is None else contexts[b]
         out = predictor._run(layer, xs[b], context)
         assert np.isfinite(out).all()
@@ -84,21 +83,20 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
                 for a in ep_cross_kv(layer, context[None], pred, config)
             ))
         for kv in kvs:
-            stats = RunStats()
+            stats = RunStats(collect_masks=True)
             step = ep_attention_step(layer, xs[b], context, pred, config,
-                                     stats, collect_keepmasks=True, kv=kv)
+                                     stats, kv=kv)
             assert step.tobytes() == out.tobytes()
             assert _stats_key(stats) == _stats_key(predictor.stats)
 
     for members in ([1], [0, 1, 2]):
-        batch_stats = [RunStats() for _ in members]
+        batch_stats = [RunStats(collect_masks=True) for _ in members]
         context = kv = None
         if cross:  # the batched step always takes its cross K/V prepared
             context = contexts[members]
             kv = ep_cross_kv(layer, context, pred, config)
         out = ep_attention_step_batched(
-            layer, xs[members], context, pred, config, batch_stats,
-            collect_keepmasks=True, kv=kv,
+            layer, xs[members], context, pred, config, batch_stats, kv=kv,
         )
         for slot, b in enumerate(members):
             assert out[slot].tobytes() == oracle[b][0].tobytes()

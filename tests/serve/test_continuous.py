@@ -298,6 +298,7 @@ class TestDeadlineEviction:
         clock = ManualClock(0.0)
         server = _dry_server(clock=clock)
         server.submit(seed=0, deadline_s=2.0)
+        server.submit(seed=1, deadline_s=2.0)
         server.step(now=0.0)  # join at 0, tick to 1
         clock.now = 3.0  # deadline passes mid-phase
         server.step(now=3.0)  # cursor 1 -> 2: no boundary, still running
@@ -306,10 +307,12 @@ class TestDeadlineEviction:
         server.step(now=3.0)  # boundary at 3: evicted, not served
         assert not server.active
         report = server.report()
-        assert report.deadline_evictions == 1
+        assert report.deadline_evictions == 2
         assert report.requests_served == 0
-        (dropped,) = server.pop_dropped()
-        assert dropped[1] == "deadline"
+        assert [reason for _, reason in server.pop_dropped()] == ["deadline"] * 2
+        # Each row holds the members from before the first eviction.
+        rows = [e["active_cursors"] for e in server.events if e["kind"] == "evict"]
+        assert rows == [(3, 3)] * 2
 
     def test_expired_queued_request_dropped_not_seated(self):
         clock = ManualClock(0.0)

@@ -3,12 +3,14 @@
 
 Each line hashes one sample's bytes and its ``RunStats.summary()`` after
 checking that the interpreted oracle and two calls on the compiled engine
-produced the same ones: a one-seed ``generate``, whose ticks reach the
-2-D EP attention kernel, and a slot of a three-seed ``generate_batch``,
-whose ticks reach the batched one. On a conditioned model one more slot
-must agree: a batch whose other members attend a prompt of another
-length and a class label of its own length, so its cross-attention runs
-in a context-length group apart, shared with a different context.
+produced the same ones, and the same whole ``RunStats`` by ``repr`` (a
+Python ``float`` and an ``np.float64`` differ): a one-seed ``generate``,
+whose ticks reach the 2-D EP attention kernel, and a slot of a three-seed
+``generate_batch``, whose ticks reach the batched one. On a conditioned
+model one more slot must agree: a batch whose other members attend a
+prompt of another length and a class label of its own length, so its
+cross-attention runs in a context-length group apart, shared with a
+different context.
 An unchanged line is a byte-identical sample: a PR that changes a kernel's
 last bit shows the changed hashes in its diff of ``sample_digests.txt``.
 ``--src DIR`` imports another checkout::
@@ -71,11 +73,12 @@ def main() -> int:
                 GenerationRequest(3, seed=SEED + 3, class_label=3),
             ])
             by_engine["mixed-length batch"] = mixed[1]
-        digests = {engine: digest(result) for engine, result in by_engine.items()}
-        if len(set(digests.values())) != 1:
-            print(f"{name}: the engines disagree: {digests}", file=sys.stderr)
+        found = {engine: (digest(r), repr(r.stats)) for engine, r in by_engine.items()}
+        apart = [engine for engine, key in found.items() if key != found["oracle"]]
+        if apart:
+            print(f"{name}: {apart} disagree with the oracle", file=sys.stderr)
             return 1
-        lines.append(f"{digests['oracle']}  {name}/{SEED}")
+        lines.append(f"{found['oracle'][0]}  {name}/{SEED}")
         print(lines[-1])
 
     text = "".join(line + "\n" for line in lines)
