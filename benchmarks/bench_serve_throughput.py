@@ -42,7 +42,7 @@ def build_serve_throughput(ctx):
     model = build_model("dit", seed=0, total_iterations=ITERATIONS)
     config = ExionConfig.for_model("dit")
     # The reference is the interpreted loop; a default pipeline would
-    # loop the compiled 2-D engine instead.
+    # loop the compiled engine at a batch of one instead.
     sequential = ExionPipeline(model, config, compiled=False)
     batched = ContinuousExecutor(model, config)
     seeds = list(range(BATCH))

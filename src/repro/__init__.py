@@ -35,9 +35,9 @@ Quickstart::
     samples, results = pipeline.generate_batch(range(8))
 
 ``ExionPipeline`` is the one generation front door: it runs the compiled
-engines of ``repro.exec`` (the 2-D one for a single seed, the batched one
-for several), byte-identical to the interpreted oracle that
-``compiled=False`` selects.
+engine of ``repro.exec`` (a single seed is a batch of one),
+byte-identical to the interpreted oracle that ``compiled=False``
+selects.
 
 Serving quickstart::
 

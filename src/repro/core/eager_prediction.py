@@ -18,25 +18,23 @@ makes the prediction accurate enough for diffusion models (Fig. 15).
 :class:`EagerPredictor` is the interpreted predictor for one generation
 (the reference oracle); its executor returns the layer output alone and
 writes what it skipped into its :class:`~repro.core.sparsity.RunStats`.
-The plan-compiled step has two forms, and the engine picks one by how
-many runs a tick carries: :func:`ep_attention_step` on one request's 2-D
-operands (a one-run tick) and :func:`ep_attention_step_batched`, which
-applies the same decisions over a leading batch axis with per-request
-quantization scales and statistics, so each request computes exactly
-what a sequential run would. :func:`ep_cross_kv` builds the cross-attention constants of
-either, always along a batch axis. Plan-static in a compiled step: the
-weight operands, the ``(mode, bits)`` approximation table and the
+The plan-compiled step is one function for every batch size:
+:func:`ep_attention_step_batched` applies the oracle's decisions over a
+leading batch axis with per-request quantization scales and statistics,
+so each request computes exactly what a sequential run would, a single
+seed being a batch of one. :func:`ep_cross_kv` builds its
+cross-attention constants. Plan-static in a compiled step: the weight
+operands, the ``(mode, bits)`` approximation table and the
 cross-attention K/V. Per step: one quantize + table lookup per
-activation, then a decide-and-attend both forms share: :func:`ep_decide`
-and one masked softmax, the oracle's bytes from fewer numpy calls. When
-every score row of a step attends a single column (a collapsed row, or
-``keep_count == 1``), that column's probability is exactly 1.0, so the
-step skips the exact Q and K projections, the scores and the softmax
-outright: exact self-attention K is projected only when some row
-attends two or more columns. A step with one key (a one-token
-conditioning context, such as a class label) returns before the
-prediction too: that key is every row's argmax, so there is nothing to
-predict or decide.
+activation, then :func:`ep_decide` and one masked softmax, the oracle's
+bytes from fewer numpy calls. When every score row of a step attends a
+single column (a collapsed row, or ``keep_count == 1``), that column's
+probability is exactly 1.0, so the step skips the exact Q and K
+projections, the scores and the softmax outright: exact self-attention
+K is projected only when some row attends two or more columns. A step
+with one key (a one-token conditioning context, such as a class label)
+returns before the prediction too: that key is every row's argmax, so
+there is nothing to predict or decide.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from repro.core.logdomain import (
     LogOperand,
     approximation_table,
     log_domain_matmul,
-    log_domain_matmul_prepared,
     prepare_log_operand,
     quantize_symmetric_batched,
 )
@@ -210,15 +207,16 @@ def ep_decide(
     only, so each head slice gets exactly the per-head decision. Returns
     ``(keep, one_hot_rows, one_hot_cols)`` shaped ``(..., tq, tk)``,
     ``(..., tq)``, ``(..., tq)``, for ``tk >= 2`` (a one-key step never
-    predicts: :func:`_one_key`). One sort per row gives the dominance gap
-    and the k-th largest score; where the (k+1)-th is smaller the top-k
-    set is unique, ``row >= kth``. Only rows tied there run the oracle's
-    ``argpartition``, which reads each row alone, so its tie order holds.
+    predicts: :func:`ep_attention_step_batched`). One sort per row gives
+    the dominance gap and the k-th largest score; where the (k+1)-th is
+    smaller the top-k set is unique, ``row >= kth``. Only rows tied there
+    run the oracle's ``argpartition``, which reads each row alone, so its
+    tie order holds.
     """
     shape = predicted.shape
     tk = shape[-1]
     keep_count = max(1, int(np.ceil(top_k_ratio * tk)))
-    one_hot_cols = np.argmax(predicted, axis=-1)
+    one_hot_cols = predicted.argmax(axis=-1)
     rows = predicted.reshape(-1, tk)
     ordered = np.sort(rows, axis=-1)
     one_hot_rows = ordered[:, -1] - ordered[:, -2] > q_threshold
@@ -227,7 +225,7 @@ def ep_decide(
     else:
         kth = ordered[:, tk - keep_count]
         keep = rows >= kth[:, None]
-        tied = np.flatnonzero(ordered[:, tk - keep_count - 1] == kth)
+        tied = (ordered[:, tk - keep_count - 1] == kth).nonzero()[0]
         if tied.size:
             # A tied row's ``>= kth`` holds every top-k set; drop what the
             # oracle's introselect placed past the k-th position.
@@ -262,108 +260,6 @@ def _masked_softmax(scores: np.ndarray, attend: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _one_key(layer: MultiHeadAttention, v: np.ndarray, tq: int,
-             batch_stats: list) -> np.ndarray:
-    """Both step forms' one-key step, decided ahead of the log-domain
-    prediction: the lone key is every row's argmax, so the oracle keeps
-    nothing, collapses every row onto it and reads its value back with
-    probability exactly 1.0, through the same ``probs @ v`` product.
-    Each request's statistics are those of that decision: 0 scores kept,
-    0 Q rows and 1 K/V column."""
-    n = len(batch_stats)
-    add_attention_step(batch_stats, layer, tq, 1, [0] * n, [0] * n, [1] * n, None)
-    return layer.wo(layer.merge_heads(np.matmul(np.ones((*v.shape[:-2], tq, 1)), v)))
-
-
-def _ep_attend(layer: MultiHeadAttention, x: np.ndarray,
-               kv_input: np.ndarray, qh: np.ndarray, kh: np.ndarray,
-               k: Optional[np.ndarray], v: np.ndarray,
-               config: ExionConfig) -> tuple:
-    """Both step forms' decide-and-attend (any leading batch shape),
-    returning ``(out, keep, one_hot_rows, attend)``. A collapsed row
-    attends its argmax column alone: one kept score softmaxes to exactly
-    1.0, so one softmax and one product serve every row.
-
-    Every row attends at least one column, so when the step attends as
-    many columns as it has rows, each row attends exactly one and its
-    probabilities are ``attend`` itself; the exact Q and K projections,
-    the scores and the softmax are then skipped. ``k=None`` is the exact
-    K of ``kv_input``, projected only when some row needs scores."""
-    predicted = np.matmul(qh, kh.swapaxes(-1, -2))
-    predicted *= layer.scale
-    keep, one_hot_rows, one_hot_cols = ep_decide(
-        predicted, config.top_k_ratio, config.q_threshold
-    )
-
-    attend = one_hot_cols[..., None] == np.arange(keep.shape[-1])
-    attend &= one_hot_rows[..., None]
-    attend |= keep
-    if np.count_nonzero(attend) == one_hot_rows.size:
-        probs = attend.astype(np.float64)
-    else:
-        if k is None:
-            k = layer.split_heads(layer.wk(kv_input))
-        q = layer.split_heads(layer.wq(x))
-        exact = np.matmul(q, k.swapaxes(-1, -2))
-        exact *= layer.scale
-        probs = _masked_softmax(exact, attend)
-    attended = np.matmul(probs, v)
-    return layer.wo(layer.merge_heads(attended)), keep, one_hot_rows, attend
-
-
-def ep_attention_step(
-    layer: MultiHeadAttention,
-    x: np.ndarray,
-    context: Optional[np.ndarray],
-    pred: CompiledPrediction,
-    config: ExionConfig,
-    stats: RunStats,
-    kv: Optional[tuple] = None,
-) -> np.ndarray:
-    """Step-time half of one EP attention layer, bit-identical to
-    :meth:`EagerPredictor._run` in output and statistics.
-
-    Differences are purely plan-time hoists: the weight operands come
-    prepared in ``pred``; for self-attention the activation is quantized
-    once and shared between the Q and K predictions (both interpreted
-    calls quantize the same ``x``, deterministically); for cross-attention
-    the caller may pass ``kv = (kh_pred, k, v)`` computed once per
-    generation since the context never changes between iterations. The
-    score and value contractions are one stacked ``matmul`` over the
-    heads, byte-equal to the oracle's per-head products
-    (``tests/core/test_eager_prediction.py`` pins that equality).
-    """
-    kv_input = x if context is None else context
-    tq, tk = x.shape[0], kv_input.shape[0]
-    mode, bits = config.lod_mode, config.prediction_bits
-
-    if kv is not None:
-        kh, k, v = kv
-    else:
-        kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
-    if tk == 1:
-        return _one_key(layer, v, tq, [stats])
-
-    x_operand = prepare_log_operand(x, mode, bits)
-    qh = layer.split_heads(log_domain_matmul_prepared(x_operand, pred.wq_operand))
-    if kh is None:
-        k_operand = (
-            x_operand if context is None
-            else prepare_log_operand(kv_input, mode, bits)
-        )
-        kh = layer.split_heads(log_domain_matmul_prepared(k_operand, pred.wk_operand))
-    out, keep, one_hot_rows, attend = _ep_attend(
-        layer, x, kv_input, qh, kh, k, v, config
-    )
-
-    # A column is needed where some row attends it (kept, or the argmax
-    # of a one-hot row); a row where some head is not one-hot needs Q.
-    add_attention_step([stats], layer, tq, tk, [np.count_nonzero(keep)],
-                       [np.count_nonzero(~one_hot_rows.all(axis=0))],
-                       [np.count_nonzero(attend.any(axis=(0, 1)))], [keep])
-    return out
-
-
 def _prepare_per_request(
     x: np.ndarray, mode: str, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -395,17 +291,14 @@ def ep_cross_kv(
 
     The conditioning context is fixed for a whole generation, so the
     predicted-K, exact-K and exact-V head stacks it induces are too.
-    ``context`` is ``(batch, tokens, dim)``; a one-run tick of the engine
-    passes a batch of one and reads ``[0]`` of each array for
-    :func:`ep_attention_step`. A one-token context builds V alone: both
-    step forms return at ``tk == 1`` before reading either K.
+    ``context`` is ``(batch, tokens, dim)``. A one-token context builds V
+    alone: :func:`ep_attention_step_batched` returns at ``tk == 1``
+    before reading either K.
     """
     if context.shape[1] == 1:
         return None, None, layer.split_heads(layer.wv(context))
-    c_approx, c_scales = _prepare_per_request(
-        context, config.lod_mode, config.prediction_bits
-    )
-    k_pred = _predict_per_request(c_approx, c_scales, pred.wk_operand)
+    operand = _prepare_per_request(context, config.lod_mode, config.prediction_bits)
+    k_pred = _predict_per_request(*operand, pred.wk_operand)
     return (layer.split_heads(k_pred), *layer.kv(context))
 
 
@@ -418,10 +311,35 @@ def ep_attention_step_batched(
     batch_stats: list,
     kv: Optional[tuple] = None,
 ) -> np.ndarray:
-    """:func:`ep_attention_step` over a leading batch axis: per request,
-    bit-identical to it, with per-request quantization scales and
-    statistics (``batch_stats[b]`` is request ``b``'s
-    :class:`~repro.core.sparsity.RunStats`)."""
+    """Step-time half of one EP attention layer over a leading batch axis:
+    per request, bit-identical to :meth:`EagerPredictor._run` in output
+    and statistics (``batch_stats[b]`` is request ``b``'s
+    :class:`~repro.core.sparsity.RunStats`), with per-request
+    quantization scales.
+
+    Differences are purely plan-time hoists: the weight operands come
+    prepared in ``pred``; for self-attention the activation is quantized
+    once and shared between the Q and K predictions (both interpreted
+    calls quantize the same ``x``, deterministically); for cross-attention
+    the caller may pass ``kv = (kh_pred, k, v)`` from :func:`ep_cross_kv`,
+    computed once per generation since the context never changes between
+    iterations. The score and value contractions are stacked ``matmul``
+    calls over the batch and the heads, byte-equal to the oracle's
+    per-head products (``tests/core/test_eager_prediction.py`` pins that
+    equality).
+
+    A step with one key returns before the prediction: the lone key is
+    every row's argmax, so the oracle keeps nothing, collapses every row
+    onto it and reads its value back with probability exactly 1.0, here
+    through the same ``probs @ v`` product. Otherwise a collapsed row
+    attends its argmax column alone: one kept score softmaxes to exactly
+    1.0, so one softmax and one product serve every row. Every row
+    attends at least one column, so when the step attends as many columns
+    as it has rows, each row attends exactly one and its probabilities
+    are ``attend`` itself; the exact Q and K projections, the scores and
+    the softmax are then skipped, and an exact K not passed in ``kv`` is
+    never projected.
+    """
     kv_input = x if context is None else context
     batch, tq, _ = x.shape
     tk = kv_input.shape[1]
@@ -432,21 +350,54 @@ def ep_attention_step_batched(
     else:
         kh, k, v = None, None, layer.split_heads(layer.wv(kv_input))
     if tk == 1:
-        return _one_key(layer, v, tq, batch_stats)
+        # The one-key decision's statistics: 0 scores kept, 0 Q rows and
+        # 1 K/V column.
+        add_attention_step(batch_stats, layer, tq, 1, [0] * batch, [0] * batch, [1] * batch,
+                           None)
+        return layer.wo(layer.merge_heads(np.matmul(np.ones((*v.shape[:-2], tq, 1)), v)))
 
-    a_approx, a_scales = _prepare_per_request(x, mode, bits)
-    qh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wq_operand))
+    operand = _prepare_per_request(x, mode, bits)
+    qh = layer.split_heads(_predict_per_request(*operand, pred.wq_operand))
     if kh is None:
-        # Self-attention: both predictions quantize the same x, so the
-        # prepared operand is shared (the interpreted path re-derives the
-        # identical quantization).
-        kh = layer.split_heads(_predict_per_request(a_approx, a_scales, pred.wk_operand))
-    out, keep, one_hot_rows, attend = _ep_attend(
-        layer, x, kv_input, qh, kh, k, v, config
+        # Self-attention shares x's operand (the interpreted path
+        # re-derives the identical quantization); a cross step without
+        # cached K/V prepares its context's own, as the oracle does.
+        if context is not None:
+            operand = _prepare_per_request(context, mode, bits)
+        kh = layer.split_heads(_predict_per_request(*operand, pred.wk_operand))
+    predicted = np.matmul(qh, kh.swapaxes(-1, -2))
+    predicted *= layer.scale
+    keep, one_hot_rows, one_hot_cols = ep_decide(
+        predicted, config.top_k_ratio, config.q_threshold
     )
 
-    # ep_attention_step's counts per request, as lists: the writer reads ints faster.
+    attend = one_hot_cols[..., None] == np.arange(tk)
+    attend &= one_hot_rows[..., None]
+    attend |= keep
+    if np.count_nonzero(attend) == one_hot_rows.size:
+        probs = attend.astype(np.float64)
+    else:
+        if k is None:
+            k = layer.split_heads(layer.wk(kv_input))
+        q = layer.split_heads(layer.wq(x))
+        exact = np.matmul(q, k.swapaxes(-1, -2))
+        exact *= layer.scale
+        probs = _masked_softmax(exact, attend)
+    out = layer.wo(layer.merge_heads(np.matmul(probs, v)))
+
+    # Per request: a column is needed where some row attends it (kept, or
+    # the argmax of a one-hot row); a row where some head is not one-hot
+    # needs Q.
     add_attention_step(batch_stats, layer, tq, tk, keep.reshape(batch, -1).sum(axis=1).tolist(),
                        (~one_hot_rows.all(axis=1)).sum(axis=1).tolist(),
                        attend.any(axis=(1, 2)).sum(axis=1).tolist(), keep)
     return out
+
+
+def ep_attention_step(layer: MultiHeadAttention, x: np.ndarray,
+                      context: Optional[np.ndarray], pred: CompiledPrediction,
+                      config: ExionConfig, stats: RunStats) -> np.ndarray:
+    """:func:`ep_attention_step_batched` on one request's 2-D operands
+    (what perfbench's ``core.ep_attention_step_us`` probe times)."""
+    return ep_attention_step_batched(layer, x[None], None if context is None else context[None],
+                                     pred, config, [stats])[0]

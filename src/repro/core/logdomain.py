@@ -137,11 +137,15 @@ def quantize_symmetric_batched(
         raise ValueError("need at least a (batch, ...) array")
     batch = x.shape[0]
     expand = (slice(None),) + (None,) * (x.ndim - 1)
-    max_abs = np.abs(x).reshape(batch, -1).max(axis=1) if x.size else np.zeros(batch)
-    if not np.isfinite(max_abs).all():
+    # Each request's scale is a Python float, as quantize_symmetric's: a
+    # batch of one pays for no per-request array arithmetic.
+    max_abs = [0.0] * batch
+    if x.size:
+        max_abs = np.maximum.reduce(np.abs(x).reshape(batch, -1), axis=1).tolist()
+    if not all(map(math.isfinite, max_abs)):
         raise ValueError("non-finite operand: x contains NaN or inf")
     qmax = (1 << (bits - 1)) - 1
-    scales = np.where(max_abs == 0.0, 1.0, max_abs / qmax)
+    scales = np.array([m / qmax if m else 1.0 for m in max_abs])
     return _round_clip(x / scales[expand], qmax), scales
 
 

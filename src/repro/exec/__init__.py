@@ -28,9 +28,8 @@ batch axis. :class:`ContinuousExecutor` is the one engine — it advances
 a mutable set of requests one plan step per tick, and a drained
 micro-batch (:meth:`ContinuousExecutor.run_batch`) is that loop with no
 membership edits; :class:`repro.core.pipeline.ExionPipeline` runs every
-generation, one seed or many, as such a batch. The one thing batch size
-picks is the per-step EP attention kernel: a one-run tick calls the 2-D
-:func:`~repro.core.eager_prediction.ep_attention_step`, a larger tick
+generation, one seed or many, as such a batch, and every tick calls the
+one EP attention step,
 :func:`~repro.core.eager_prediction.ep_attention_step_batched`. The
 engine holds no copy of the network's shape: it hands its compiled
 transformer block to

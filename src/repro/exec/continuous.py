@@ -26,11 +26,10 @@ re-tracing (no new thresholds, no new dense compile, no re-quantization).
 The sparse kernels come from :mod:`repro.core.ffn_reuse` and
 :mod:`repro.core.eager_prediction` and the rest of the network (exact
 attention, ResBlocks, pooling) from the batch-agnostic
-:mod:`repro.models`. The one choice made by batch size is the per-step
-EP attention kernel: a step over one run calls the 2-D
-:func:`~repro.core.eager_prediction.ep_attention_step` on its row, a
-larger step :func:`~repro.core.eager_prediction.ep_attention_step_batched`;
-both are byte-identical to the oracle. Cross-attention takes one step per
+:mod:`repro.models`. No step branches on batch size: every tick, a
+one-seed generation's included, calls the one EP attention step
+:func:`~repro.core.eager_prediction.ep_attention_step_batched`, which is
+byte-identical to the oracle. Cross-attention takes one step per
 context length, so every request attends its own real conditioning
 tokens; a batch whose contexts share one length (every class-label
 batch) is one stacked step with no gather or scatter. Per-request
@@ -52,7 +51,6 @@ import numpy as np
 from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
     CompiledPrediction,
-    ep_attention_step,
     ep_attention_step_batched,
     ep_cross_kv,
 )
@@ -135,7 +133,6 @@ class _RunFFNState:
 
     mask: np.ndarray  # (tokens, hidden) bool
     partial_sums: np.ndarray  # (tokens, dim)
-    nnz: int
 
 
 class RequestRun:
@@ -462,22 +459,11 @@ class ContinuousExecutor:
             return layer.attend(x, *cached)
         which = "self" if context is None else "cross"
         pred = self._preds[block_index][which]
-        one = len(runs) == 1
         kv = None
         if context is not None:
             kv = self._cross_kv.get(key)
             if kv is None:
-                kv = ep_cross_kv(layer, context, pred, self.config)
-                if one:
-                    kv = tuple(None if a is None else a[0] for a in kv)
-                self._cross_kv[key] = kv
-        if one:
-            # The kernel choice by batch size: the 2-D step is the same
-            # bytes as the batched one at B = 1, in fewer numpy calls.
-            return ep_attention_step(
-                layer, x[0], None if context is None else context[0],
-                pred, self.config, runs[0].stats, kv=kv,
-            )[None]
+                kv = self._cross_kv[key] = ep_cross_kv(layer, context, pred, self.config)
         return ep_attention_step_batched(
             layer, x, context, pred, self.config,
             [run.stats for run in runs], kv=kv,
@@ -511,7 +497,6 @@ class ContinuousExecutor:
                 run.ffn[block_index] = _RunFFNState(
                     mask=batch_state.mask[b],
                     partial_sums=batch_state.partial_sums[b],
-                    nnz=int(batch_state.nnz_per_request[b]),
                 )
             add_ffn_step(batch_stats, layer, x.shape[1], masks=batch_state.mask)
             return out
@@ -549,7 +534,7 @@ class ContinuousExecutor:
             mask=mask,
             gather_indices=np.flatnonzero(mask.ravel()),
             partial_sums=np.stack([s.partial_sums for s in states]),
-            nnz_per_request=np.array([s.nnz for s in states]),
+            nnz_per_request=mask.reshape(len(states), -1).sum(axis=1),
         )
         attach_geglu_indices(layer, batch_state)
         self._ffn_batch[block_index] = batch_state

@@ -13,7 +13,6 @@ from repro.core.eager_prediction import (
     CompiledPrediction,
     EagerPredictor,
     _masked_softmax,
-    ep_attention_step,
     ep_attention_step_batched,
     ep_cross_kv,
     ep_decide,
@@ -289,12 +288,11 @@ class TestCrossAttentionTies:
             tally[1] += len(ordered)
             return real_decide(predicted, top_k_ratio, q_threshold)
 
-        for name in ("ep_attention_step", "ep_attention_step_batched"):
-            monkeypatch.setattr(continuous_module, name,
-                                wrap_step(getattr(continuous_module, name)))
-        for name in ("prepare_log_operand", "_prepare_per_request"):
-            monkeypatch.setattr(ep_module, name,
-                                wrap_prepare(getattr(ep_module, name)))
+        monkeypatch.setattr(
+            continuous_module, "ep_attention_step_batched",
+            wrap_step(continuous_module.ep_attention_step_batched))
+        monkeypatch.setattr(ep_module, "_prepare_per_request",
+                            wrap_prepare(ep_module._prepare_per_request))
         monkeypatch.setattr(ep_module, "ep_decide", decide)
         return prepared, tallies
 
@@ -306,7 +304,7 @@ class TestCrossAttentionTies:
         model = build_model(name, total_iterations=2)
         assert model.make_pipeline().embed_prompt(None, 3).shape[0] == 1
         pipeline = ExionPipeline(model, ExionConfig.for_model(name))
-        pipeline.generate(seed=7, class_label=3)  # the 2-D step
+        pipeline.generate(seed=7, class_label=3)  # a batch of one
         pipeline.generate_batch([7, 8, 9], class_label=3, batched=True)
         assert prepared["cross"] == 0 and tallies["cross"] == [0, 0]
         assert prepared["self"] and tallies["self"][1]
@@ -522,10 +520,11 @@ class TestSingleColumnSkip:
 
     @staticmethod
     def _all_forms(monkeypatch, layer, config, xs, contexts=None, v=None):
-        """Each request through the oracle, then through the 2-D step and
-        the batched step; asserts all three agree byte for byte,
-        statistics included. Returns the projections the steps ran and
-        the batched output. ``v`` replaces every form's cross V."""
+        """Each request through the oracle, then through the step alone
+        and through the step over the whole batch; asserts they agree
+        byte for byte, statistics included. Returns the projections the
+        steps ran and the batch's output. ``v`` replaces every step's
+        cross V."""
         pred = CompiledPrediction.for_layer(layer, config.lod_mode,
                                             config.prediction_bits)
         kv = None
@@ -546,14 +545,15 @@ class TestSingleColumnSkip:
         for b, x in enumerate(xs):
             context = None if contexts is None else contexts[b]
             cached = None if kv is None else tuple(
-                None if a is None else a[b] for a in kv)  # no K at tk = 1
+                None if a is None else a[b:b + 1] for a in kv)  # no K at tk = 1
             # A cross step without cached K/V projects its own.
             uncached = () if kv is None or v is not None else (None,)
             for step_kv in (cached, *uncached):
                 stats = RunStats(collect_masks=True)
-                out = ep_attention_step(layer, x, context, pred, config,
-                                        stats, kv=step_kv)
-                assert (out.tobytes(), _stats_key(stats)) == want[b]
+                out = ep_attention_step_batched(
+                    layer, x[None], None if context is None else context[None],
+                    pred, config, [stats], kv=step_kv)
+                assert (out[0].tobytes(), _stats_key(stats)) == want[b]
         batch_stats = [RunStats(collect_masks=True) for _ in xs]
         out = ep_attention_step_batched(layer, xs, contexts, pred, config,
                                         batch_stats, kv=kv)
@@ -576,7 +576,7 @@ class TestSingleColumnSkip:
         counts, _ = self._all_forms(monkeypatch, layer, config, xs, contexts)
         assert counts["wq"] == counts["wk"] == 0
         # V is still projected by every step without cached K/V: three
-        # 2-D steps, plus the batched one for self-attention.
+        # one-request steps, plus the whole batch's for self-attention.
         assert counts["wv"] == (3 if cross else 4)
 
     @pytest.mark.parametrize("cross", (False, True))
@@ -627,7 +627,7 @@ class TestSingleColumnSkip:
         keep0, keep1 = (s.attention_keepmasks[0] for s in stats)
         assert not keep0.any() and (keep1.sum(axis=-1) == 2).all()
         counts, _ = self._all_forms(monkeypatch, layer, config, xs)
-        # request 1's own 2-D step and the batch
+        # request 1's own step and the batch's
         assert counts["wq"] == counts["wk"] == 2
 
     @pytest.mark.parametrize("name,skips", [

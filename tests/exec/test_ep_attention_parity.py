@@ -1,10 +1,10 @@
-"""One EP attention layer, three implementations, the same bytes.
+"""One EP attention layer, two implementations, the same bytes.
 
-:meth:`repro.core.eager_prediction.EagerPredictor._run` (the oracle),
-:func:`~repro.core.eager_prediction.ep_attention_step` (the single-seed
-engine's 2-D step, its cross K/V read from
-:func:`~repro.core.eager_prediction.ep_cross_kv` at a batch of one) and
-:func:`~repro.core.eager_prediction.ep_attention_step_batched` all define the
+:meth:`repro.core.eager_prediction.EagerPredictor._run` (the oracle) and
+:func:`~repro.core.eager_prediction.ep_attention_step_batched` (the
+engine's one step, at a batch of one and of three, its cross K/V derived
+in the step or read from
+:func:`~repro.core.eager_prediction.ep_cross_kv`) both define the
 attended output as one ``probs @ v`` over every row, a collapsed row's
 ``probs`` being exactly one-hot. The end-to-end grid next door
 (``test_parity.py``) runs them on the zoo's shapes and Table I knobs;
@@ -22,7 +22,6 @@ from repro.core.config import ExionConfig
 from repro.core.eager_prediction import (
     CompiledPrediction,
     EagerPredictor,
-    ep_attention_step,
     ep_attention_step_batched,
     ep_cross_kv,
 )
@@ -42,14 +41,17 @@ def _stats_key(stats):
     )
 
 
-def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
-    """Run the oracle per request, then both engines, and compare every
-    request's output bytes and statistics. Returns, per request, the
-    oracle's keep mask, collapsed rows and output, and the output of
-    every row attending only its predicted argmax column."""
+def _both_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross,
+               context_dim=12):
+    """Run the oracle per request, then the engine's step on one request
+    and on all three, and compare every request's output bytes and
+    statistics. Returns, per request, the oracle's keep mask, collapsed
+    rows and output, and the output of every row attending only its
+    predicted argmax column."""
     rng = np.random.default_rng(seed)
     dim = heads * HEAD_DIM
-    layer = MultiHeadAttention(dim, heads, rng, context_dim=12 if cross else None)
+    layer = MultiHeadAttention(dim, heads, rng,
+                               context_dim=context_dim if cross else None)
     config = ExionConfig(
         top_k_ratio=top_k_ratio, q_threshold=q_threshold,
         enable_ffn_reuse=False,
@@ -58,7 +60,7 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         layer, config.lod_mode, config.prediction_bits
     )
     xs = rng.standard_normal((3, tq, dim))
-    contexts = rng.standard_normal((3, tk, 12)) if cross else None
+    contexts = rng.standard_normal((3, tk, context_dim)) if cross else None
 
     oracle = []
     for b in range(3):
@@ -74,33 +76,19 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
         picked = layer.wo(layer.merge_heads(np.take_along_axis(v, cols, -2)))
         oracle.append((out, predictor.stats, decisions, picked))
 
-        # Cross-attention K/V: derived in the step, or once per generation
-        # as the single-seed engine does (the batch kernel at a batch of one).
-        kvs = [None]
-        if cross:
-            kvs.append(tuple(  # a one-token context builds no K
-                None if a is None else a[0]
-                for a in ep_cross_kv(layer, context[None], pred, config)
-            ))
-        for kv in kvs:
-            stats = RunStats(collect_masks=True)
-            step = ep_attention_step(layer, xs[b], context, pred, config,
-                                     stats, kv=kv)
-            assert step.tobytes() == out.tobytes()
-            assert _stats_key(stats) == _stats_key(predictor.stats)
-
     for members in ([1], [0, 1, 2]):
-        batch_stats = [RunStats(collect_masks=True) for _ in members]
-        context = kv = None
-        if cross:  # the batched step always takes its cross K/V prepared
-            context = contexts[members]
-            kv = ep_cross_kv(layer, context, pred, config)
-        out = ep_attention_step_batched(
-            layer, xs[members], context, pred, config, batch_stats, kv=kv,
-        )
-        for slot, b in enumerate(members):
-            assert out[slot].tobytes() == oracle[b][0].tobytes()
-            assert _stats_key(batch_stats[slot]) == _stats_key(oracle[b][1])
+        context = None if contexts is None else contexts[members]
+        # Cross-attention K/V: derived in the step, or once per generation
+        # as the engine does.
+        kvs = (None, ep_cross_kv(layer, context, pred, config)) if cross else (None,)
+        for kv in kvs:
+            batch_stats = [RunStats(collect_masks=True) for _ in members]
+            out = ep_attention_step_batched(
+                layer, xs[members], context, pred, config, batch_stats, kv=kv,
+            )
+            for slot, b in enumerate(members):
+                assert out[slot].tobytes() == oracle[b][0].tobytes()
+                assert _stats_key(batch_stats[slot]) == _stats_key(oracle[b][1])
 
     return [
         (stats.attention_keepmasks[0],
@@ -109,7 +97,7 @@ def _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross):
     ]
 
 
-class TestThreeImplementationsAgree:
+class TestStepIsTheOracle:
     @given(
         heads=st.integers(1, 5),
         tq=st.integers(1, 12),
@@ -125,14 +113,14 @@ class TestThreeImplementationsAgree:
     ):
         if not cross:
             tk = tq
-        _three_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross)
+        _both_ways(heads, tq, tk, top_k_ratio, q_threshold, seed, cross)
 
     @pytest.mark.parametrize("cross", (False, True))
     def test_every_row_collapsed(self, cross):
         """``q_threshold = 0``: every row is one-hot, nothing is kept, and
         each row reads back exactly V at its predicted argmax column."""
-        for keep, collapsed, out, picked in _three_ways(3, 7, 7, 0.5, 0.0, 1,
-                                                        cross):
+        for keep, collapsed, out, picked in _both_ways(3, 7, 7, 0.5, 0.0, 1,
+                                                       cross):
             assert not keep.any()
             assert collapsed.all()
             np.testing.assert_array_equal(out, picked)
@@ -141,7 +129,7 @@ class TestThreeImplementationsAgree:
     def test_no_row_collapsed(self, cross):
         """An unreachable ``q_threshold``: every row keeps its top half."""
         tk = 9 if cross else 7
-        for keep, collapsed, _, _ in _three_ways(3, 7, tk, 0.5, 1e9, 2, cross):
+        for keep, collapsed, _, _ in _both_ways(3, 7, tk, 0.5, 1e9, 2, cross):
             assert np.all(keep.sum(axis=-1) == (tk + 1) // 2)
             assert not collapsed.any()
 
@@ -153,7 +141,7 @@ class TestThreeImplementationsAgree:
         Closest reachable neighbour of the oracle's nothing-kept fallback;
         no NaN and no ``RuntimeWarning`` may come out of ``softmax``."""
         with np.errstate(all="raise"):
-            results = _three_ways(2, 6, 11 if cross else 6, 0.01, 1e9, 3, cross)
+            results = _both_ways(2, 6, 11 if cross else 6, 0.01, 1e9, 3, cross)
         for keep, collapsed, out, picked in results:
             assert np.all(keep.sum(axis=-1) == 1)
             assert not collapsed.any()
@@ -161,13 +149,21 @@ class TestThreeImplementationsAgree:
 
     @pytest.mark.parametrize("tq", (1, 5, 16))
     def test_one_key(self, tq):
-        """A one-token context, whatever the knobs: both step forms return
+        """A one-token context, whatever the knobs: the step returns
         before the prediction, and every row still collapses onto the lone
         key exactly as the oracle's decision has it."""
         for q_threshold in (0.0, 1e9):
-            for keep, collapsed, out, picked in _three_ways(
+            for keep, collapsed, out, picked in _both_ways(
                 3, tq, 1, 0.5, q_threshold, 4, True
             ):
                 assert keep.shape == (3, tq, 1) and not keep.any()
                 assert collapsed.all()
                 np.testing.assert_array_equal(out, picked)
+
+    @pytest.mark.parametrize("tk", (7, 10))
+    def test_a_cross_step_predicts_k_from_its_context(self, tk):
+        """Without cached K/V, a cross step predicts K from each request's
+        context, not from ``x``. On a context as wide as ``x`` the wrong
+        operand gave wrong bytes at ``tq == tk`` and a broadcast error at
+        ``tq != tk``."""
+        _both_ways(3, 7, tk, 0.5, 1e9, 5, True, context_dim=3 * HEAD_DIM)

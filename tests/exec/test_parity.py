@@ -187,9 +187,8 @@ class TestBatchedParity:
         assert approximation_table.cache_info().misses == tables_after_first
 
     def test_batched_matches_single_stream(self):
-        """Batch row b == the same seed's one-run batch, whose ticks take
-        the 2-D EP kernel — the same invariant the serve layer holds
-        against the oracle."""
+        """Batch row b == the same seed's one-run batch — the same
+        invariant the serve layer holds against the oracle."""
         config = ExionConfig.for_model("dit")
         pipeline = ExionPipeline(_model("dit"), config)
         sc, _ = pipeline.generate_batch([11, 12], class_label=3)
@@ -198,51 +197,37 @@ class TestBatchedParity:
             assert np.array_equal(sc[b], ref.sample)
 
 
-class TestKernelChoice:
-    """The engine's one batch-size choice: a one-run tick calls the 2-D
-    ``ep_attention_step``, a larger tick ``ep_attention_step_batched``,
-    and either is the oracle's bytes (self- and cross-attention)."""
+class TestOneStep:
+    """Every tick takes the one EP attention step, whatever its batch
+    size: no fork by batch size comes back unseen."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Batch size of every EP step call, by kernel."""
-        calls = {"2-D": [], "batched": []}
-        step = repro.exec.continuous.ep_attention_step
-        batched = repro.exec.continuous.ep_attention_step_batched
+    @CONDITIONING
+    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
+    @pytest.mark.parametrize("seeds", ([4], [4, 5]), ids=("one-run", "two-run"))
+    def test_every_ep_call_is_the_batched_step(self, monkeypatch, model,
+                                               seeds, conditioning):
+        """Each ``_attention`` call of an EP config reaches
+        ``ep_attention_step_batched`` with the whole tick's runs, and every
+        request gets the oracle's bytes (self- and cross-attention)."""
+        attention = ContinuousExecutor._attention
+        step = repro.exec.continuous.ep_attention_step_batched
+        calls, sizes = [], []
+
+        def spy_attention(self, layer, x, *args, **kwargs):
+            calls.append(len(x))
+            return attention(self, layer, x, *args, **kwargs)
 
         def spy_step(layer, x, *args, **kwargs):
-            calls["2-D"].append(1)
+            sizes.append(len(x))
             return step(layer, x, *args, **kwargs)
 
-        def spy_batched(layer, x, *args, **kwargs):
-            calls["batched"].append(len(x))
-            return batched(layer, x, *args, **kwargs)
-
-        monkeypatch.setattr(repro.exec.continuous, "ep_attention_step",
-                            spy_step)
+        monkeypatch.setattr(ContinuousExecutor, "_attention", spy_attention)
         monkeypatch.setattr(repro.exec.continuous,
-                            "ep_attention_step_batched", spy_batched)
-        return calls
-
-    @CONDITIONING
-    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
-    def test_one_run_tick_takes_the_2d_kernel(self, model, calls,
-                                              conditioning):
+                            "ep_attention_step_batched", spy_step)
         config = ExionConfig.for_model(model)
         oracle, pipeline = _pipelines(model, config)
-        result = pipeline.generate(seed=4, **conditioning)
-        assert calls["2-D"] and not calls["batched"]
-        _assert_identical(oracle.generate(seed=4, **conditioning), result)
-
-    @CONDITIONING
-    @pytest.mark.parametrize("model", ("dit", "stable_diffusion"))
-    def test_two_run_tick_takes_the_batched_kernel(self, model, calls,
-                                                   conditioning):
-        config = ExionConfig.for_model(model)
-        oracle, pipeline = _pipelines(model, config)
-        _, results = pipeline.generate_batch([4, 5], **conditioning)
-        assert calls["batched"] and set(calls["batched"]) == {2}
-        assert not calls["2-D"]
-        for seed, result in zip((4, 5), results):
+        _, results = pipeline.generate_batch(seeds, **conditioning)
+        assert calls and sizes == calls == [len(seeds)] * len(calls)
+        for seed, result in zip(seeds, results):
             _assert_identical(oracle.generate(seed=seed, **conditioning),
                               result)

@@ -211,7 +211,7 @@ class TestOptionalPaths:
             seed=3, class_label=1
         )
         pipeline = ExionPipeline(serve_dit_model, dit_config.ablation("base"))
-        # One seed runs the 2-D engine, two the batched one.
+        # One seed runs the engine at a batch of one, two at two.
         for seeds in ([3], [3, 5]):
             samples, results = pipeline.generate_batch(seeds, class_label=1)
             assert np.array_equal(samples[0], want.sample)

@@ -5,8 +5,8 @@ Each line hashes one sample's bytes and its ``RunStats.summary()`` after
 checking that the interpreted oracle and two calls on the compiled engine
 produced the same ones, and the same whole ``RunStats`` by ``repr`` (a
 Python ``float`` and an ``np.float64`` differ): a one-seed ``generate``,
-whose ticks reach the 2-D EP attention kernel, and a slot of a three-seed
-``generate_batch``, whose ticks reach the batched one. On a conditioned
+whose ticks run the EP attention step at a batch of one, and a slot of a
+three-seed ``generate_batch``, whose ticks run it at three. On a conditioned
 model one more slot must agree: a batch whose other members attend a
 prompt of another length and a class label of its own length, so its
 cross-attention runs in a context-length group apart, shared with a
@@ -62,8 +62,8 @@ def main() -> int:
         engines = ExionPipeline(model, config)
         by_engine = {
             "oracle": ExionPipeline(model, config, compiled=False).generate(seed=SEED),
-            "2-D kernel": engines.generate(seed=SEED),
-            "batched kernel": engines.generate_batch([SEED, SEED + 1, SEED + 2])[1][0],
+            "one-seed call": engines.generate(seed=SEED),
+            "three-seed batch": engines.generate_batch([SEED, SEED + 1, SEED + 2])[1][0],
         }
         if model.spec.context_dim:
             mixed = ContinuousExecutor(model, config).run_batch([
