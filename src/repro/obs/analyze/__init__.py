@@ -14,7 +14,6 @@ from repro.obs.analyze.attribution import (
     COMPONENTS,
     RequestAttribution,
     analyze_records,
-    detect_mode,
 )
 from repro.obs.analyze.critical_path import (
     CPNode,
@@ -65,7 +64,6 @@ __all__ = [
     "build_critical_path",
     "critical_path",
     "default_slos",
-    "detect_mode",
     "diff_analyses",
     "evaluate_slos",
     "parse_slo_spec",

@@ -22,6 +22,10 @@ drift. The component vocabulary:
   (structurally zero for simulated runs; absorbs wall-clock noise so
   the sum identity holds unconditionally).
 
+Every step span — a serve tick, a drain batch, a fleet dispatch — is
+read through one column extraction into :attr:`Attribution.ticks`, and
+the same selection decides the mode.
+
 Cost accounting answers a different question — where did the *device's*
 time go, not each requester's — so there each tick's duration is split
 among its members by integer division (remainder to the lowest request
@@ -207,66 +211,100 @@ class Attribution:
 # ----------------------------------------------------------------------
 def analyze_records(records: TraceRecords) -> Attribution:
     """Build the full attribution for one run's trace records."""
-    mode = detect_mode(records)
+    mode, ticks, entry, args = _steps(records)
+    out = Attribution(mode=mode, horizon_ns=records.horizon_ns(), ticks=ticks)
+    columns = ticks.columns
+    start, end, cold, energy = map(int64, (
+        columns.start_ns, columns.end_ns, columns.cold_ns, columns.energy_nj
+    ))
+    out.busy_ns = int((end - start).sum())
+    out.energy_nj = int(energy.sum())
+    # "cold" is key 0 of the phase rollup; each phase names its own key.
+    phase_names, phase = _factorize(["cold", *columns.phase])
+    amounts = (end - start, cold, energy, (phase_names, phase[1:]))
     if mode == "cluster":
-        return _analyze_cluster(records)
-    return _analyze_serve(records, mode)
+        _analyze_cluster(records, out, amounts, entry, args)
+    else:
+        _analyze_serve(records, out, amounts)
+    out.tenants = {
+        tenant: _sorted_tenant(doc)
+        for tenant, doc in sorted(out.tenants.items())
+    }
+    return out
 
 
-def detect_mode(records: TraceRecords) -> str:
-    """Which instrumented layer produced this trace."""
-    rows = records.spans.rows  # every entry names at least one span
-    names = set(rows.name)
-    if any(name.startswith("tick[") for name in names):
-        return "continuous"
-    if any(name.startswith("dispatch[") for name in names):
-        return "cluster"
-    if ("batch", _BATCH_TRACK) in set(zip(rows.name, rows.track)):
-        return "drain"
-    return "continuous"
+def _steps(records: TraceRecords) -> tuple:
+    """``(mode, ticks, entry, args)``: the step spans of ``records`` as a
+    tick table, the mode they imply, each tick's index into ``args`` and
+    the args of the row entries the ticks record.
+
+    A step is a serve ``tick[…]`` or a drain ``batch`` on the serve
+    batch track, or a fleet ``dispatch[…]``. Any tick makes the trace
+    ``continuous``; else any dispatch makes it ``cluster`` and any batch
+    ``drain``; a trace with none is ``continuous``. A cluster trace's
+    ticks are its dispatches, in trace order; any other trace's are its
+    ticks and batches, in ``(start_ns, span_id)`` order.
+
+    The spans are read as int64 columns. Their args are decoded once per
+    row entry (a live batch repeats one entry tick after tick) and reach
+    each tick through its ``row`` index.
+    """
+    spans = records.spans
+    names, tracks, entry_args = spans.rows
+    serve = [track == _BATCH_TRACK for track in tracks]
+    ticks = [s and name.startswith("tick[") for s, name in zip(serve, names)]
+    batches = [s and name == "batch" for s, name in zip(serve, names)]
+    dispatches = [name.startswith("dispatch[") for name in names]
+    mode = ("continuous" if any(ticks) else "cluster" if any(dispatches)
+            else "drain" if any(batches) else "continuous")
+    picked = (dispatches if mode == "cluster"
+              else [t or b for t, b in zip(ticks, batches)])
+    entries = [e for e, step in enumerate(picked) if step]
+    args = list(map(entry_args.__getitem__, entries))
+    code = np.full(len(names), -1)
+    code[entries] = np.arange(len(entries))
+    entry = code[int64(spans.columns.row)]
+    rows = np.flatnonzero(entry >= 0)
+    span_id, start, end = (int64(column) for column in (
+        spans.columns.span_id, spans.columns.start_ns, spans.columns.end_ns
+    ))
+    if mode != "cluster":
+        rows = rows[np.lexsort((span_id[rows], start[rows]))]
+    entry, span_id, start, end = (a[rows] for a in (entry, span_id, start, end))
+    cold = np.minimum(np.maximum(
+        _to_ns([a.get("cold_s", 0.0) for a in args])[entry], 0), end - start)
+    energy = _to_ns([a.get("energy_j", 0.0) for a in args])[entry]
+    picks = entry.tolist()
+    phase, replica, boundary, members = (
+        list(map(values.__getitem__, picks)) for values in (
+            # a batch's phase is "batch"; a tick's or dispatch's its own,
+            # else the tick's name's and "batch"
+            ["batch" if batches[e]
+             else str(a.get("phase") or (names[e][5:-1] if ticks[e] else "batch"))
+             for e, a in zip(entries, args)],
+            [tracks[e].partition("/")[2] if mode == "cluster" else ""
+             for e in entries],
+            [bool(a.get("boundary", False)) for a in args],
+            [tuple(a.get("request_ids", ())) for a in args],
+        )
+    )
+    return mode, _ticks(
+        int64_column(span_id), int64_column(start), int64_column(end), phase,
+        int64_column(cold), int64_column(energy), replica, boundary, members,
+    ), entry, args
 
 
-def _serve_ticks(records: TraceRecords) -> list:
-    ticks = []
-    for span in records.spans:
-        if span.track != _BATCH_TRACK:
-            continue
-        if span.name.startswith("tick["):
-            phase = span.args.get("phase") or span.name[5:-1]
-        elif span.name == "batch":
-            phase = "batch"
-        else:
-            continue
-        duration = span.duration_ns
-        cold_ns = min(max(to_ns(span.args.get("cold_s", 0.0)), 0), duration)
-        ticks.append(_Tick(
-            span_id=span.span_id,
-            start_ns=span.start_ns,
-            end_ns=span.end_ns,
-            phase=phase,
-            cold_ns=cold_ns,
-            energy_nj=round(float(span.args.get("energy_j", 0.0)) * 1e9),
-            replica="",
-            boundary=bool(span.args.get("boundary", False)),
-            members=tuple(span.args.get("request_ids", ())),
-        ))
-    ticks.sort(key=lambda t: (t.start_ns, t.span_id))
-    return ticks
-
-
-def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
-    ticks = _serve_ticks(records)
-    out = Attribution(mode=mode, horizon_ns=records.horizon_ns())
-    for tick in ticks:
-        out.ticks.append(*tick)
-    out.busy_ns = sum(t.duration_ns for t in ticks)
-    out.energy_nj = sum(t.energy_nj for t in ticks)
-
+def _analyze_serve(records: TraceRecords, out: Attribution,
+                   amounts: tuple) -> None:
+    """Each request's exact split, and its ticks' shares by tenant."""
+    columns = out.ticks.columns
     # Membership boundaries: instants at which a queued request could
     # have been (re)considered — tick starts flagged as boundaries plus
     # every membership edit instant (joins/evicts happen only there).
     boundaries = {
-        t.start_ns for t in ticks if t.phase == "batch" or t.boundary
+        start for start, phase, flagged in zip(
+            columns.start_ns, columns.phase, columns.boundary
+        ) if phase == "batch" or flagged
     }
     lifecycle: dict = {}
     for event in records.events:
@@ -283,15 +321,14 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     for rid in sorted(lifecycle):
         events = sorted(lifecycle[rid], key=lambda e: (e.ts_ns, e.event_id))
         out.requests.append(_lifecycle(rid, events, out.horizon_ns))
-    columns = out.ticks.columns
-    members = _member_ticks(out.requests, columns, mode)
+    members = _member_ticks(out.requests, columns, out.mode)
     for request in out.requests:
         _add_components(request, columns, boundary_list)
 
     # One slot per (tick, member): a tick's members in request-id order,
     # so the lowest ids take the split's remainder; a tick with no
     # member is one (unattributed) slot.
-    held: list = [[] for _ in ticks]
+    held: list = [[] for _ in range(len(out.ticks))]
     for rid in sorted(members):
         for position in members[rid]:
             held[position].append(rid)
@@ -301,14 +338,10 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     slots = [by_rid.get(rid, nobody) for rid in
              chain.from_iterable(ids or [None] for ids in held)]
     size = np.fromiter(map(len, held), np.int64, len(held))
-    start, end, cold, energy = map(int64, (
-        columns.start_ns, columns.end_ns, columns.cold_ns, columns.energy_nj
-    ))
     member, slot = _slots(size)
-    phase_names, phase = _factorize(["cold", *columns.phase])
     _account_slots(
-        out.tenants, end - start, cold, energy, (phase_names, phase[1:]),
-        member, slot, size, _factorize([r.tenant for r in slots]),
+        out.tenants, *amounts, member, slot, size,
+        _factorize([r.tenant for r in slots]),
         _factorize([str(r.priority) for r in slots]),
         _factorize([r.model or "?" for r in slots]), (size > 0)[member],
     )
@@ -317,11 +350,6 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
         doc["requests"] += 1
         if request.outcome == "served":
             doc["served"] += 1
-    out.tenants = {
-        tenant: _sorted_tenant(doc)
-        for tenant, doc in sorted(out.tenants.items())
-    }
-    return out
 
 
 def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
@@ -472,55 +500,22 @@ def _sorted_tenant(doc: dict) -> dict:
 # ----------------------------------------------------------------------
 # cluster mode
 # ----------------------------------------------------------------------
-def _analyze_cluster(records: TraceRecords) -> Attribution:
-    """Fleet-level accounting from dispatch spans and lifecycle events.
+def _analyze_cluster(records: TraceRecords, out: Attribution,
+                     amounts: tuple, row, args: list) -> None:
+    """Fleet-level accounting from dispatch ticks and lifecycle events.
 
     Cluster traces identify requests per server, not globally, so this
     mode reports rollups (per tenant/replica/model) rather than
     per-request decompositions; the exact-conservation guarantee here
     is that per-tenant dispatch shares sum to fleet busy time.
 
-    The dispatch spans are read as int64 columns. Their args are decoded
-    once per row entry (a live batch repeats one entry tick after tick)
-    and reach each dispatch through its ``row`` index; each dispatch's
-    tenants become member slots for :func:`_account_slots`. A priority
-    or model key appears only where a contributing amount is non-zero.
+    Each dispatch's tenants become member slots for
+    :func:`_account_slots`, read from the ``args`` entry that ``row``
+    gives each tick. A priority or model key appears only where a
+    contributing amount is non-zero.
     """
-    out = Attribution(mode="cluster", horizon_ns=records.horizon_ns())
-    spans = records.spans
-    names, tracks, entry_args = spans.rows
-    # The dispatch entries, and each dispatch's entry among them.
-    entries = [e for e, name in enumerate(names) if name.startswith("dispatch[")]
-    args = list(map(entry_args.__getitem__, entries))
-    code = np.full(len(names), -1)
-    code[entries] = np.arange(len(entries))
-    row = code[int64(spans.columns.row)]
-    picked = np.flatnonzero(row >= 0)
-    row = row[picked]
-    start, end = (int64(column)[picked]
-                  for column in (spans.columns.start_ns, spans.columns.end_ns))
-    duration = end - start
-    cold = np.minimum(np.maximum(
-        _to_ns([a.get("cold_s", 0.0) for a in args])[row], 0), duration)
-    energy = _to_ns([a.get("energy_j", 0.0) for a in args])[row]
-    # "cold" is key 0 of the phase rollup; each phase names its own key.
-    phase_names, phase = _factorize(
-        ["cold", *map(str, [a.get("phase") or "batch" for a in args])])
-    phase = phase[1:][row]
-    replica_names, replica = _factorize(
-        [tracks[e].partition("/")[2] for e in entries])
-    replica = replica[row]
-    out.ticks = _ticks(
-        int64_column(int64(spans.columns.span_id)[picked]),
-        int64_column(start), int64_column(end),
-        np.array(phase_names, dtype=object)[phase].tolist(),
-        int64_column(cold), int64_column(energy),
-        np.array(replica_names, dtype=object)[replica].tolist(),
-        [False] * len(row), [()] * len(row),
-    )
-    out.busy_ns = int(duration.sum())
-    out.energy_nj = int(energy.sum())
-
+    duration, cold = amounts[:2]
+    replica_names, replica = _factorize(out.ticks.columns.replica)
     busy, dispatches, cold_ns = (
         _sum_by(replica, values, len(replica_names)).tolist()
         for values in (duration, np.ones_like(duration), cold)
@@ -561,8 +556,8 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
     )
     busy_part = duration - cold
     _account_slots(
-        out.tenants, duration, cold, energy, (phase_names, phase), member,
-        slot, size, (tenant_names, tenant), (priority_names, priority),
+        out.tenants, *amounts, member, slot, size,
+        (tenant_names, tenant), (priority_names, priority),
         (model_names, model[entry]),
         ((cold != 0) | (busy_part != 0))[member] & has,
     )
@@ -599,11 +594,6 @@ def _analyze_cluster(records: TraceRecords) -> Attribution:
             request.components["queue_wait_ns"] = wait_ns
             request.components["batch_ns"] = ts_ns - submit_ns - wait_ns
             out.requests.append(request)
-    out.tenants = {
-        tenant: _sorted_tenant(doc)
-        for tenant, doc in sorted(out.tenants.items())
-    }
-    return out
 
 
 def _slots(size: np.ndarray) -> tuple:
@@ -714,5 +704,4 @@ __all__ = [
     "COMPONENTS",
     "RequestAttribution",
     "analyze_records",
-    "detect_mode",
 ]

@@ -95,10 +95,6 @@ class SpanRec(NamedTuple):
     end_ns: int
     args: dict
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 class EventRec(NamedTuple):
     """An instant on a track, in integer nanoseconds."""

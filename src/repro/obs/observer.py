@@ -8,7 +8,9 @@ dict churn — which is what makes the "byte-identical when off" gate in
 
 When enabled, an :class:`Observer` owns a :class:`~repro.obs.trace.Tracer`
 and exposes **named hooks** — one per instrumentation site — so the hot
-layers never touch track names directly. Each hook writes exactly one
+layers never touch track names directly; a server step, whether an
+iteration of the live batch or a drained micro-batch, is the one hook
+:meth:`Observer.on_step`. Each hook writes exactly one
 span or event row, and that row is the only record: :attr:`Observer.
 metrics` is :func:`~repro.obs.metrics.metrics_from_trace` of the tracer,
 so the trace and the metrics cannot disagree. Hook timestamps always
@@ -57,28 +59,30 @@ class Observer:
         return metrics_from_trace(self.tracer)
 
     # ------------------------------------------------------------------
-    # continuous serving (ContinuousServer / ContinuousExecutor)
+    # serving (ContinuousServer / ContinuousExecutor / ThresholdCache)
     # ------------------------------------------------------------------
-    def on_tick(
+    def on_step(
         self,
         start_s: float,
         end_s: float,
+        phase: str,
         batch_size: int,
-        is_dense: bool,
-        cursor: int,
         **args,
     ) -> None:
-        """One denoising iteration of the live continuous batch.
+        """One server step: an iteration of the live batch (a
+        ``tick[dense]`` or ``tick[sparse]`` span, which also records its
+        ``phase``) or, under ``policy.drain``, one whole micro-batch (a
+        ``batch`` span).
 
-        Extra keyword args (``boundary``, ``energy_j``, ``cold_s``,
-        tenancy enrichments) ride into the span so downstream analysis
-        is reproducible from the artifact alone.
+        Extra keyword args (``cursor``, ``boundary``, ``request_ids``,
+        ``energy_j``, ``cold_s``, tenancy enrichments) ride into the span
+        so downstream analysis is reproducible from the artifact alone.
         """
-        phase = "dense" if is_dense else "sparse"
-        self.tracer.span(
-            f"tick[{phase}]", "serve/batch", start_s, end_s,
-            batch_size=batch_size, cursor=cursor, phase=phase, **args,
-        )
+        name = "batch"
+        if phase != "batch":
+            name, args["phase"] = f"tick[{phase}]", phase
+        self.tracer.span(name, "serve/batch", start_s, end_s,
+                         batch_size=batch_size, **args)
 
     def on_membership(
         self,
@@ -109,22 +113,6 @@ class Observer:
     def on_queue_depth(self, component: str, depth: int, ts_s: float) -> None:
         """A scheduler queue's depth, stamped by its owner's clock."""
         self.tracer.event(component, "queue/depth", ts_s, depth=depth)
-
-    # ------------------------------------------------------------------
-    # drain-mode serving (ContinuousServer under policy.drain)
-    # ------------------------------------------------------------------
-    def on_batch(
-        self,
-        start_s: float,
-        end_s: float,
-        batch_size: int,
-        **args,
-    ) -> None:
-        """One micro-batch served end-to-end by the drain-mode server."""
-        self.tracer.span(
-            "batch", "serve/batch", start_s, end_s, batch_size=batch_size,
-            **args,
-        )
 
     def on_cache_lookup(self, level: str, hit: bool) -> None:
         """A memo lookup; timestamped from :attr:`now` (no clock)."""

@@ -700,8 +700,7 @@ class ContinuousServer:
         boundaries = self._boundaries
         iterations = len(boundaries) - 1
         cursor = active[0].cursor
-        is_dense = boundaries[cursor]
-        phase = "batch" if drain else "dense" if is_dense else "sparse"
+        phase = "batch" if drain else "dense" if boundaries[cursor] else "sparse"
         steps = iterations - cursor if drain else 1
         if self.dry_run:
             finished = []
@@ -762,23 +761,16 @@ class ContinuousServer:
             self._edit("complete", completed_at, run.request_id,
                        batch_size=batch_size)
         if observer is not None:
-            span_args = {}
+            span_args = (
+                {"request_ids": [m[0] for m in members],
+                 "tenants": [m[1] for m in members]}
+                if drain else {"cursor": cursor, "boundary": was_boundary}
+            )
             if self.price is not None:
                 span_args["energy_j"] = energy_j
             if cold_s > 0.0:
                 span_args["cold_s"] = cold_s
-            if drain:
-                observer.on_batch(
-                    now, completed_at, batch_size,
-                    request_ids=[m[0] for m in members],
-                    tenants=[m[1] for m in members],
-                    **span_args,
-                )
-            else:
-                observer.on_tick(
-                    now, completed_at, batch_size, is_dense, cursor,
-                    boundary=was_boundary, **span_args,
-                )
+            observer.on_step(now, completed_at, phase, batch_size, **span_args)
         totals.ticks += 1
         totals.occupancy_ticks += batch_size
         totals.busy_s += tick_s

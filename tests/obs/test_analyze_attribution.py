@@ -34,7 +34,6 @@ from repro.obs.analyze import (
     analyze,
     analyze_records,
     analyze_tracer,
-    detect_mode,
 )
 from repro.obs.scenario import run_trace_scenario
 
@@ -230,7 +229,7 @@ class TestRoundTrip:
         assert attribution.tenant_residual_ns() == 0
 
     def test_mode_detection(self):
-        assert detect_mode(TraceRecords()) == "continuous"
+        assert analyze_records(TraceRecords()).mode == "continuous"
 
 
 def test_cluster_analysis_leaves_numpy_ma_as_it_found_it():

@@ -25,8 +25,8 @@ class TestFold:
 
     def test_each_family_matches_its_table_row(self):
         obs = Observer()
-        obs.on_tick(0.0, 0.5, 2, True, 0)
-        obs.on_batch(0.5, 1.0, 3)
+        obs.on_step(0.0, 0.5, "dense", 2, cursor=0)
+        obs.on_step(0.5, 1.0, "batch", 3)
         obs.on_cache_lookup("table", False)
         obs.on_queue_depth("replica0", 3, 0.5)
         for family in obs.metrics.snapshot()["families"]:
@@ -91,7 +91,7 @@ class TestFold:
         def build():
             obs = Observer()
             obs.on_queue_depth("q", 3, 0.0)
-            obs.on_batch(0.0, 1.0, 2)
+            obs.on_step(0.0, 1.0, "batch", 2)
             return obs.metrics
 
         j1, j2 = build().to_json(), build().to_json()

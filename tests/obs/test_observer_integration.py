@@ -104,8 +104,8 @@ class TestOneBook:
     """The trace is the only record: a metric is a fold of its rows."""
 
     @pytest.mark.parametrize("hook, args", (
-        ("on_tick", (1.0, 0.5, 2, True, 0)),  # ends before it starts
-        ("on_batch", (0.0, float("nan"), 2)),
+        ("on_step", (1.0, 0.5, "dense", 2)),  # ends before it starts
+        ("on_step", (0.0, float("nan"), "batch", 2)),
         ("on_membership", ("join", float("inf"), 0)),
         ("on_phase_segment", (2.0, 1.0, "dense", "compute", 0)),
         ("on_queue_depth", ("continuous", 3, float("nan"))),
@@ -141,9 +141,9 @@ class TestOneBook:
 
     def test_drain_batches_and_ticks_fold_apart(self, metric):
         obs = Observer()
-        obs.on_tick(0.0, 0.5, 2, True, 0)
-        obs.on_tick(0.5, 0.75, 3, False, 1)
-        obs.on_batch(1.0, 3.0, 4)
+        obs.on_step(0.0, 0.5, "dense", 2, cursor=0)
+        obs.on_step(0.5, 0.75, "sparse", 3, cursor=1)
+        obs.on_step(1.0, 3.0, "batch", 4)
         metrics = obs.metrics
         assert (metric(metrics, "repro_ticks_total", phase="dense"),
                 metric(metrics, "repro_ticks_total", phase="sparse")) == (

@@ -2,7 +2,8 @@
 
 The functions below are the serve-mode walk that ran before membership
 became one relation (``RequestAttribution.positions``), kept verbatim as
-the reference: ``_analyze_serve``, ``_attribute_request``,
+the reference: ``detect_mode`` and ``_serve_ticks`` (the per-span
+loop the tick columns replaced, condensed), ``_analyze_serve``, ``_attribute_request``,
 ``_split_wait``, ``_account_tenants``, ``_exact_split`` and the serve
 branch of ``build_critical_path``. It decided "which ticks did request r
 share" three ways, one per consumer, each scanning every tick for every
@@ -11,9 +12,9 @@ tick's position instead of counting it, since ``ticks`` is now the
 length of ``positions``.
 
 ``hypothesis`` properties generate serve traces, from the trace
-scenario and by hand, and require the analysis document, the critical
-path and every request's positions to match, byte for byte once
-canonically encoded.
+scenario and by hand, and require the mode, the tick table, the
+analysis document, the critical path and every request's positions to
+match, byte for byte once canonically encoded.
 
 The three old rules agree wherever a request's intervals are disjoint
 and every batch that lists a request lies inside its intervals, which
@@ -39,10 +40,9 @@ from repro.obs.analyze.attribution import (
     _UNATTRIBUTED,
     Attribution,
     RequestAttribution,
-    _serve_ticks,
+    _Tick,
     _sorted_tenant,
     _tenant_doc,
-    detect_mode,
 )
 from repro.obs.analyze.critical_path import CriticalPath, critical_path
 from repro.obs.analyze.records import to_ns
@@ -52,6 +52,32 @@ from repro.obs.analyze.slo import default_slos, evaluate_slos
 # ----------------------------------------------------------------------
 # the reference: the serve walk, verbatim
 # ----------------------------------------------------------------------
+def detect_mode(records: TraceRecords) -> str:
+    """Which instrumented layer produced this trace."""
+    rows = records.spans.rows  # every entry names at least one span
+    if any(name.startswith("tick[") for name in rows.name):
+        return "continuous"
+    if any(name.startswith("dispatch[") for name in rows.name):
+        return "cluster"
+    batches = ("batch", _BATCH_TRACK) in zip(rows.name, rows.track)
+    return "drain" if batches else "continuous"
+
+
+def _serve_ticks(records: TraceRecords) -> list:
+    ticks = []
+    for span_id, name, track, start_ns, end_ns, args in records.spans:
+        if track != _BATCH_TRACK or not (name.startswith("tick[") or name == "batch"):
+            continue
+        phase = "batch" if name == "batch" else args.get("phase") or name[5:-1]
+        cold_ns = min(max(to_ns(args.get("cold_s", 0.0)), 0), end_ns - start_ns)
+        ticks.append(_Tick(
+            span_id, start_ns, end_ns, phase, cold_ns,
+            round(float(args.get("energy_j", 0.0)) * 1e9), "",
+            bool(args.get("boundary", False)), tuple(args.get("request_ids", ())),
+        ))
+    return sorted(ticks, key=lambda t: (t.start_ns, t.span_id))
+
+
 def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     # Serve traces are small: the attribution walks _Tick rows.
     ticks = _serve_ticks(records)
@@ -361,6 +387,7 @@ def _assert_matches_oracle(records) -> None:
     assert mode != "cluster"
     report = analyze(records)
     oracle = _analyze_serve(records, mode)
+    assert (report.attribution.mode, report.attribution.ticks) == (mode, oracle.ticks)
     assert _documents(report.attribution, report.path) == _documents(
         oracle, _serve_critical_path(oracle)
     )
