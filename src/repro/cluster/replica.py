@@ -382,17 +382,19 @@ class Replica:
             self.servers = dict(sorted([*self.servers.items(), (key, server)]))
         return self.servers[key]
 
-    def enqueue(self, request, now: float, max_queue_depth=None) -> bool:
-        """Admit (or reject) one routed request at simulated time ``now``."""
+    def enqueue(self, request, now: float, max_queue_depth=None) -> Optional[int]:
+        """Admit one routed request at simulated time ``now``: its id on
+        the ``(model, ablation)`` key's server, or ``None`` if rejected
+        (a depth refusal, counted here, or an SLA reject, counted by the
+        server as ``sla_rejects``)."""
         if (
             max_queue_depth is not None
             and self.queue_depth() >= max_queue_depth
         ):
             self.depth_drops += 1
-            return False
+            return None
         self.clock.now = now
-        server = self._server(request.model, request.ablation)
-        accepted = server.submit(
+        return self._server(request.model, request.ablation).submit(
             seed=request.seed,
             prompt=request.prompt,
             class_label=request.class_label,
@@ -400,8 +402,6 @@ class Replica:
             priority=request.priority,
             deadline_s=request.deadline_s,
         )
-        # None is an SLA reject; the server counts it (sla_rejects)
-        return accepted is not None
 
     def _collect_drops(self, key: tuple, stale: list, now: float) -> list:
         """The drop records of the one server just swept or stepped.

@@ -83,6 +83,10 @@ class ClusterSimulator:
         # pushing it changes no outcome and no timestamp.
         pending: set = set()
 
+        # An observed run stamps a request's fleet ordinal on every stage:
+        # (replica, model, ablation, id on that key's server) -> ordinal.
+        ordinals: dict = {}
+
         accumulator = LatencyAccumulator(self.slo)
         timeout_s = self.slo.timeout_s
         horizon = 0.0
@@ -102,7 +106,7 @@ class ClusterSimulator:
                 for member in self.replicas:
                     self._observe_drops(member.expire(t, timeout_s), t)
                 replica = self.router.choose(payload, self.replicas, t)
-                accepted = replica.enqueue(
+                server_id = replica.enqueue(
                     payload, t, max_queue_depth=self.slo.max_queue_depth
                 )
                 if observer is not None:
@@ -112,15 +116,18 @@ class ClusterSimulator:
                         tenant=payload.tenant,
                         priority=int(payload.priority),
                     )
-                    if not accepted:
+                    if server_id is None:
                         observer.on_request_stage(
                             "rejected", t, ordinal, model=payload.model,
                             replica=replica.name,
                         )
+                    else:
+                        ordinals[replica, payload.model, payload.ablation,
+                                 server_id] = ordinal
                     observer.on_queue_depth(
                         replica.name, replica.queue_depth(), t
                     )
-                if accepted:
+                if server_id is not None:
                     self._schedule(events, seq, pending, replica, t, False)
             else:
                 replica = payload
@@ -140,8 +147,10 @@ class ClusterSimulator:
                         accumulator.record(record.wait_s, record.service_s)
                         if observer is not None:
                             observer.on_request_stage(
-                                "served", completion_s,
-                                record.request_id, replica=replica.name,
+                                "served", completion_s, ordinals.pop((
+                                    replica, outcome.model, outcome.ablation,
+                                    record.request_id,
+                                )), replica=replica.name,
                                 submitted_s=record.request.submitted_at,
                                 wait_s=record.wait_s,
                                 service_s=record.service_s,

@@ -504,10 +504,12 @@ def _analyze_cluster(records: TraceRecords, out: Attribution,
                      amounts: tuple, row, args: list) -> None:
     """Fleet-level accounting from dispatch ticks and lifecycle events.
 
-    Cluster traces identify requests per server, not globally, so this
-    mode reports rollups (per tenant/replica/model) rather than
-    per-request decompositions; the exact-conservation guarantee here
-    is that per-tenant dispatch shares sum to fleet busy time.
+    Every lifecycle event carries the request's fleet ordinal, but a
+    dispatch lists tenants, not requests, so this mode reports rollups
+    (per tenant/replica/model) and each served request's wait and
+    service rather than per-tick decompositions; the exact-conservation
+    guarantee here is that per-tenant dispatch shares sum to fleet busy
+    time.
 
     Each dispatch's tenants become member slots for
     :func:`_account_slots`, read from the ``args`` entry that ``row``
@@ -562,8 +564,8 @@ def _analyze_cluster(records: TraceRecords, out: Attribution,
         ((cold != 0) | (busy_part != 0))[member] & has,
     )
 
-    # Request rollups from lifecycle events (ids are per-server, so no
-    # cross-joins: served events carry their own arrival stamp and wait).
+    # Request rollups from lifecycle events (no cross-joins: a served
+    # event carries its own arrival stamp and wait).
     # Service is the rest of the sojourn, so a request's components sum
     # to its latency; an artifact without the stamp rebuilds the arrival
     # from the rounded wait and service.

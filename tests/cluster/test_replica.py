@@ -202,8 +202,8 @@ class TestReplica:
 
     def test_enqueue_and_greedy_dispatch(self, service_model):
         replica = self.make_replica(service_model)
-        assert replica.enqueue(request(0.0, seed=1), now=0.0)
-        assert replica.enqueue(request(0.0, seed=2), now=0.0)
+        assert replica.enqueue(request(0.0, seed=1), now=0.0) == 0
+        assert replica.enqueue(request(0.0, seed=2), now=0.0) == 1
         assert replica.queue_depth() == 2
         assert replica.next_event_time(0.0) == 0.0
 
@@ -238,10 +238,10 @@ class TestReplica:
     def test_admission_control(self, service_model):
         """A depth refusal and an SLA reject each count once in usage()."""
         replica = self.make_replica(service_model)
-        assert replica.enqueue(request(0.0), now=0.0, max_queue_depth=1)
-        assert not replica.enqueue(request(0.0), now=0.0, max_queue_depth=1)
+        assert replica.enqueue(request(0.0), now=0.0, max_queue_depth=1) == 0
+        assert replica.enqueue(request(0.0), now=0.0, max_queue_depth=1) is None
         assert replica.usage(0.0)["admission_drops"] == 1
-        assert not replica.enqueue(replace(request(0.0), deadline_s=0.0), now=0.0)
+        assert replica.enqueue(replace(request(0.0), deadline_s=0.0), now=0.0) is None
         (server,) = replica.servers.values()
         assert server.report().sla_rejects == 1
         assert replica.usage(0.0)["admission_drops"] == 2

@@ -326,6 +326,28 @@ class TestRequestIds:
         ]
         assert queued == [0, 1, 2]
 
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_served_ids_are_queued_ids_across_servers(self, service_model, continuous):
+        # Three models on three replicas: nine servers, each counting its
+        # own ids from 0. A served event carried that per-server id.
+        from repro.cluster import WorkloadMix
+        from repro.obs import Observer
+
+        trace = synthesize_trace(PoissonProcess(200.0), 60, WorkloadMix(
+            ("dit", "mld", "stable_diffusion")), rng=11)
+        observer = Observer()
+        report = simulate_cluster(trace, build_replicas(
+            3, policy=POLICY, service_model=service_model, continuous=continuous,
+        ), make_router("jsq"), observer=observer)
+        stages = {"queued": {}, "served": {}}
+        for event in observer.tracer.events:
+            if event.track == "cluster/requests" and event.name in stages:
+                args = event.args
+                stages[event.name].setdefault(args["request_id"], []).append(
+                    (args["model"], args["replica"]))
+        assert report.served == 60 and len(stages["served"]) == 60
+        assert stages["served"] == stages["queued"]
+
 
 class TestTracedPriority:
     def test_batch_request_keeps_its_priority_from_arrival_on(

@@ -131,7 +131,7 @@ class _ReplicaMachine(RuleBasedStateMachine):
             priority=priority,
             deadline_s=None if deadline_in is None else self.now + deadline_in,
         )
-        if self.replica.enqueue(request, self.now):
+        if self.replica.enqueue(request, self.now) is not None:
             self.warm_keys.add(request.pipeline_key)
 
     @rule(timeout_s=st.none() | st.floats(min_value=0.0, max_value=0.5))
