@@ -281,21 +281,15 @@ class Replica:
     def __init__(
         self,
         index: int,
-        policy: Optional[ContinuousPolicy] = None,
-        service_model: Optional[ServiceTimeModel] = None,
+        policy: ContinuousPolicy,
+        service_model: ServiceTimeModel,
         tenant_weights: Optional[dict] = None,
         execute: bool = False,
     ) -> None:
         self.index = index
         self.name = f"replica{index}"
-        self.policy = (
-            policy if policy is not None else ContinuousPolicy(drain=True)
-        )
-        self.service_model = (
-            service_model
-            if service_model is not None
-            else ServiceTimeModel()
-        )
+        self.policy = policy
+        self.service_model = service_model
         self.tenant_weights = tenant_weights
         self.execute = execute
         self.clock = SimClock()
@@ -383,10 +377,9 @@ class Replica:
         return self.servers[key]
 
     def enqueue(self, request, now: float, max_queue_depth=None) -> Optional[int]:
-        """Admit one routed request at simulated time ``now``: its id on
-        the ``(model, ablation)`` key's server, or ``None`` if rejected
-        (a depth refusal, counted here, or an SLA reject, counted by the
-        server as ``sla_rejects``)."""
+        """Admit one routed request at simulated time ``now``: its id on its
+        key's server, or ``None`` for a depth refusal (counted here as
+        ``depth_drops``) or an SLA reject (the server's ``sla_rejects``)."""
         if (
             max_queue_depth is not None
             and self.queue_depth() >= max_queue_depth

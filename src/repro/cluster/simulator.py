@@ -82,10 +82,7 @@ class ClusterSimulator:
         # time) or still not due, and derives the same next wake-up. Not
         # pushing it changes no outcome and no timestamp.
         pending: set = set()
-
-        # An observed run stamps a request's fleet ordinal on every stage:
-        # (replica, model, ablation, id on that key's server) -> ordinal.
-        ordinals: dict = {}
+        ordinals: dict = {}  # observed: (replica, model, ablation, server id) -> ordinal
 
         accumulator = LatencyAccumulator(self.slo)
         timeout_s = self.slo.timeout_s
@@ -122,8 +119,7 @@ class ClusterSimulator:
                             replica=replica.name,
                         )
                     else:
-                        ordinals[replica, payload.model, payload.ablation,
-                                 server_id] = ordinal
+                        ordinals[replica, payload.model, payload.ablation, server_id] = ordinal
                     observer.on_queue_depth(
                         replica.name, replica.queue_depth(), t
                     )
@@ -146,11 +142,9 @@ class ClusterSimulator:
                     for record in outcome.served:
                         accumulator.record(record.wait_s, record.service_s)
                         if observer is not None:
+                            key = (replica, outcome.model, outcome.ablation, record.request_id)
                             observer.on_request_stage(
-                                "served", completion_s, ordinals.pop((
-                                    replica, outcome.model, outcome.ablation,
-                                    record.request_id,
-                                )), replica=replica.name,
+                                "served", completion_s, ordinals.pop(key), replica=replica.name,
                                 submitted_s=record.request.submitted_at,
                                 wait_s=record.wait_s,
                                 service_s=record.service_s,

@@ -81,10 +81,6 @@ class _Tick(NamedTuple):
     #: their members from membership intervals.
     members: tuple
 
-    @property
-    def duration_ns(self) -> int:
-        return self.end_ns - self.start_ns
-
 
 def _ticks(*columns) -> Table:
     """A tick table of ``columns``, or an empty one."""
@@ -236,7 +232,8 @@ def analyze_records(records: TraceRecords) -> Attribution:
 def _steps(records: TraceRecords) -> tuple:
     """``(mode, ticks, entry, args)``: the step spans of ``records`` as a
     tick table, the mode they imply, each tick's index into ``args`` and
-    the args of the row entries the ticks record.
+    the args of the row entries the ticks record, decoded once per entry
+    (a live batch repeats one entry tick after tick).
 
     A step is a serve ``tick[…]`` or a drain ``batch`` on the serve
     batch track, or a fleet ``dispatch[…]``. Any tick makes the trace
@@ -244,10 +241,6 @@ def _steps(records: TraceRecords) -> tuple:
     ``drain``; a trace with none is ``continuous``. A cluster trace's
     ticks are its dispatches, in trace order; any other trace's are its
     ticks and batches, in ``(start_ns, span_id)`` order.
-
-    The spans are read as int64 columns. Their args are decoded once per
-    row entry (a live batch repeats one entry tick after tick) and reach
-    each tick through its ``row`` index.
     """
     spans = records.spans
     names, tracks, entry_args = spans.rows

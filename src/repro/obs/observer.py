@@ -8,14 +8,13 @@ dict churn — which is what makes the "byte-identical when off" gate in
 
 When enabled, an :class:`Observer` owns a :class:`~repro.obs.trace.Tracer`
 and exposes **named hooks** — one per instrumentation site — so the hot
-layers never touch track names directly; a server step, whether an
-iteration of the live batch or a drained micro-batch, is the one hook
-:meth:`Observer.on_step`. Each hook writes exactly one
-span or event row, and that row is the only record: :attr:`Observer.
-metrics` is :func:`~repro.obs.metrics.metrics_from_trace` of the tracer,
-so the trace and the metrics cannot disagree. Hook timestamps always
-come from the owning layer's clock (``SimClock``, simulated tick
-accumulators, priced hw seconds); for layers with no clock of their own
+layers never touch track names directly (a server step, live-batch iteration
+or drained batch, is :meth:`Observer.on_step`). Each hook writes exactly one
+span or event row, and that row is the only record: :attr:`Observer.metrics`
+is :func:`~repro.obs.metrics.metrics_from_trace` of the tracer, so the trace
+and the metrics cannot disagree. Hook timestamps always come from the owning
+layer's clock (``SimClock``, simulated tick accumulators, priced hw
+seconds); for layers with no clock of their own
 (:class:`~repro.exec.continuous.ContinuousExecutor`,
 :class:`~repro.serve.cache.ThresholdCache`), the owner stamps
 :attr:`Observer.now` before delegating.
@@ -69,15 +68,10 @@ class Observer:
         batch_size: int,
         **args,
     ) -> None:
-        """One server step: an iteration of the live batch (a
-        ``tick[dense]`` or ``tick[sparse]`` span, which also records its
-        ``phase``) or, under ``policy.drain``, one whole micro-batch (a
-        ``batch`` span).
-
-        Extra keyword args (``cursor``, ``boundary``, ``request_ids``,
-        ``energy_j``, ``cold_s``, tenancy enrichments) ride into the span
-        so downstream analysis is reproducible from the artifact alone.
-        """
+        """One server step: a ``tick[dense|sparse]`` iteration of the live
+        batch, which also records its ``phase``, or under ``policy.drain``
+        one whole micro-batch (``batch``). Extra keyword args ride into the
+        span, so analysis is reproducible from the artifact alone."""
         name = "batch"
         if phase != "batch":
             name, args["phase"] = f"tick[{phase}]", phase

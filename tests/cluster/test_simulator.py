@@ -9,6 +9,7 @@ from repro.cluster import (
     PoissonProcess,
     ServiceTimeModel,
     SLOPolicy,
+    WorkloadMix,
     build_replicas,
     make_router,
     simulate_cluster,
@@ -328,25 +329,23 @@ class TestRequestIds:
 
     @pytest.mark.parametrize("continuous", [False, True])
     def test_served_ids_are_queued_ids_across_servers(self, service_model, continuous):
-        # Three models on three replicas: nine servers, each counting its
-        # own ids from 0. A served event carried that per-server id.
-        from repro.cluster import WorkloadMix
+        # Nine servers (three models on three replicas) each count ids
+        # from 0; a served event carried that per-server id.
         from repro.obs import Observer
 
         trace = synthesize_trace(PoissonProcess(200.0), 60, WorkloadMix(
             ("dit", "mld", "stable_diffusion")), rng=11)
+        fleet = build_replicas(3, policy=POLICY, service_model=service_model,
+                               continuous=continuous)
         observer = Observer()
-        report = simulate_cluster(trace, build_replicas(
-            3, policy=POLICY, service_model=service_model, continuous=continuous,
-        ), make_router("jsq"), observer=observer)
-        stages = {"queued": {}, "served": {}}
-        for event in observer.tracer.events:
-            if event.track == "cluster/requests" and event.name in stages:
-                args = event.args
-                stages[event.name].setdefault(args["request_id"], []).append(
-                    (args["model"], args["replica"]))
-        assert report.served == 60 and len(stages["served"]) == 60
-        assert stages["served"] == stages["queued"]
+        report = simulate_cluster(trace, fleet, make_router("jsq"), observer=observer)
+        queued, served = (sorted(
+            (e.args["request_id"], e.args["model"], e.args["replica"])
+            for e in observer.tracer.events
+            if e.track == "cluster/requests" and e.name == stage
+        ) for stage in ("queued", "served"))
+        assert report.served == len({rid for rid, _, _ in served}) == 60
+        assert served == queued
 
 
 class TestTracedPriority:

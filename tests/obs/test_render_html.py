@@ -63,7 +63,7 @@ def _timeline_svg_reference(report, doc) -> str:
             color = _PHASE_COLORS.get(tick.phase, _PHASE_COLORS["other"])
             parts.append(
                 f'<rect x="{_pct(tick.start_ns, span_ns)}" y="{y}" '
-                f'width="{_pct(tick.duration_ns, span_ns)}" height="10" '
+                f'width="{_pct(tick.end_ns - tick.start_ns, span_ns)}" height="10" '
                 f'fill="{color}"/>'
             )
     parts.append("</svg>")

@@ -2,14 +2,15 @@
 
 The functions below are the serve-mode walk that ran before membership
 became one relation (``RequestAttribution.positions``), kept verbatim as
-the reference: ``detect_mode`` and ``_serve_ticks`` (the per-span
-loop the tick columns replaced, condensed), ``_analyze_serve``, ``_attribute_request``,
-``_split_wait``, ``_account_tenants``, ``_exact_split`` and the serve
-branch of ``build_critical_path``. It decided "which ticks did request r
-share" three ways, one per consumer, each scanning every tick for every
-request. The one adaptation: ``_attribute_request`` records each member
-tick's position instead of counting it, since ``ticks`` is now the
-length of ``positions``.
+the reference: ``detect_mode`` and ``_serve_ticks`` (the per-span loop
+the tick columns replaced, condensed), ``_analyze_serve``,
+``_attribute_request``, ``_split_wait``, ``_account_tenants``,
+``_exact_split`` and the serve branch of ``build_critical_path``. It
+decided "which ticks did request r share" three ways, one per consumer,
+each scanning every tick for every request. Two adaptations:
+``_attribute_request`` records each member tick's position instead of
+counting it, since ``ticks`` is now the length of ``positions``, and a
+tick's duration is ``end_ns - start_ns``.
 
 ``hypothesis`` properties generate serve traces, from the trace
 scenario and by hand, and require the mode, the tick table, the
@@ -84,7 +85,7 @@ def _analyze_serve(records: TraceRecords, mode: str) -> Attribution:
     out = Attribution(mode=mode, horizon_ns=records.horizon_ns())
     for tick in ticks:
         out.ticks.append(*tick)
-    out.busy_ns = sum(t.duration_ns for t in ticks)
+    out.busy_ns = sum(t.end_ns - t.start_ns for t in ticks)
     out.energy_nj = sum(t.energy_nj for t in ticks)
 
     # Membership boundaries: instants at which a queued request could
@@ -189,8 +190,8 @@ def _attribute_request(
                 cold = tick.cold_ns
                 comp["cold_ns"] += cold
                 key = f"{tick.phase}_ns"
-                comp[key] = comp.get(key, 0) + tick.duration_ns - cold
-                covered += tick.duration_ns
+                comp[key] = comp.get(key, 0) + tick.end_ns - tick.start_ns - cold
+                covered += tick.end_ns - tick.start_ns
                 request.positions.append(position)
         comp["other_ns"] += (leave_ns - join_ns) - covered
         cursor = leave_ns
@@ -244,10 +245,10 @@ def _account_tenants(out: Attribution, ticks: list) -> None:
                 if j <= tick.start_ns and tick.end_ns <= l
             )
         cold_phase = [("cold", tick.cold_ns),
-                      (tick.phase, tick.duration_ns - tick.cold_ns)]
+                      (tick.phase, tick.end_ns - tick.start_ns - tick.cold_ns)]
         if not members:
             doc = _tenant_doc(out.tenants, _UNATTRIBUTED)
-            doc["tick_ns"] += tick.duration_ns
+            doc["tick_ns"] += tick.end_ns - tick.start_ns
             doc["energy_nj"] += tick.energy_nj
             for phase, amount in cold_phase:
                 if amount:
