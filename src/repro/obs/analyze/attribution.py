@@ -207,7 +207,7 @@ class Attribution:
 # ----------------------------------------------------------------------
 def analyze_records(records: TraceRecords) -> Attribution:
     """Build the full attribution for one run's trace records."""
-    mode, ticks, entry, args = _steps(records)
+    mode, ticks, entry, args, phase, replica = _steps(records)
     out = Attribution(mode=mode, horizon_ns=records.horizon_ns(), ticks=ticks)
     columns = ticks.columns
     start, end, cold, energy = map(int64, (
@@ -215,11 +215,9 @@ def analyze_records(records: TraceRecords) -> Attribution:
     ))
     out.busy_ns = int((end - start).sum())
     out.energy_nj = int(energy.sum())
-    # "cold" is key 0 of the phase rollup; each phase names its own key.
-    phase_names, phase = _factorize(["cold", *columns.phase])
-    amounts = (end - start, cold, energy, (phase_names, phase[1:]))
+    amounts = (end - start, cold, energy, phase)
     if mode == "cluster":
-        _analyze_cluster(records, out, amounts, entry, args)
+        _analyze_cluster(records, out, amounts, replica, entry, args)
     else:
         _analyze_serve(records, out, amounts)
     out.tenants = {
@@ -230,10 +228,12 @@ def analyze_records(records: TraceRecords) -> Attribution:
 
 
 def _steps(records: TraceRecords) -> tuple:
-    """``(mode, ticks, entry, args)``: the step spans of ``records`` as a
-    tick table, the mode they imply, each tick's index into ``args`` and
-    the args of the row entries the ticks record, decoded once per entry
-    (a live batch repeats one entry tick after tick).
+    """``(mode, ticks, entry, args, phase, replica)``: the step spans of
+    ``records`` as a tick table, the mode they imply, each tick's index
+    into ``args``, the args of the row entries the ticks record, and the
+    ticks' phases and replicas as ``(names, codes)``, with ``"cold"``
+    phase name 0. Args are decoded once per entry (a live batch repeats
+    one entry tick after tick).
 
     A step is a serve ``tick[…]`` or a drain ``batch`` on the serve
     batch track, or a fleet ``dispatch[…]``. Any tick makes the trace
@@ -244,14 +244,13 @@ def _steps(records: TraceRecords) -> tuple:
     """
     spans = records.spans
     names, tracks, entry_args = spans.rows
-    serve = [track == _BATCH_TRACK for track in tracks]
-    ticks = [s and name.startswith("tick[") for s, name in zip(serve, names)]
-    batches = [s and name == "batch" for s, name in zip(serve, names)]
-    dispatches = [name.startswith("dispatch[") for name in names]
-    mode = ("continuous" if any(ticks) else "cluster" if any(dispatches)
-            else "drain" if any(batches) else "continuous")
-    picked = (dispatches if mode == "cluster"
-              else [t or b for t, b in zip(ticks, batches)])
+    is_tick = [t == _BATCH_TRACK and n.startswith("tick[") for n, t in zip(names, tracks)]
+    is_batch = [t == _BATCH_TRACK and n == "batch" for n, t in zip(names, tracks)]
+    is_dispatch = [name.startswith("dispatch[") for name in names]
+    mode = ("continuous" if any(is_tick) else "cluster" if any(is_dispatch)
+            else "drain" if any(is_batch) else "continuous")
+    picked = (is_dispatch if mode == "cluster"
+              else [t or b for t, b in zip(is_tick, is_batch)])
     entries = [e for e, step in enumerate(picked) if step]
     args = list(map(entry_args.__getitem__, entries))
     code = np.full(len(names), -1)
@@ -267,24 +266,27 @@ def _steps(records: TraceRecords) -> tuple:
     cold = np.minimum(np.maximum(
         _to_ns([a.get("cold_s", 0.0) for a in args])[entry], 0), end - start)
     energy = _to_ns([a.get("energy_j", 0.0) for a in args])[entry]
+    # "cold" is key 0 of the phase rollup; each phase names its own key.
+    phase_names, phase = _factorize(["cold", *(
+        "batch" if is_batch[e]
+        else str(a.get("phase") or (names[e][5:-1] if is_tick[e] else "batch"))
+        for e, a in zip(entries, args)
+    )])
+    replica_names, replica = _factorize([
+        tracks[e].partition("/")[2] if mode == "cluster" else "" for e in entries
+    ])
+    phase, replica = phase[1:][entry], replica[entry]
     picks = entry.tolist()
-    phase, replica, boundary, members = (
-        list(map(values.__getitem__, picks)) for values in (
-            # a batch's phase is "batch"; a tick's or dispatch's its own,
-            # else the tick's name's and "batch"
-            ["batch" if batches[e]
-             else str(a.get("phase") or (names[e][5:-1] if ticks[e] else "batch"))
-             for e, a in zip(entries, args)],
-            [tracks[e].partition("/")[2] if mode == "cluster" else ""
-             for e in entries],
-            [bool(a.get("boundary", False)) for a in args],
-            [tuple(a.get("request_ids", ())) for a in args],
-        )
-    )
+    boundary, members = (list(map(values.__getitem__, picks)) for values in (
+        [bool(a.get("boundary", False)) for a in args],
+        [tuple(a.get("request_ids", ())) for a in args],
+    ))
     return mode, _ticks(
-        int64_column(span_id), int64_column(start), int64_column(end), phase,
-        int64_column(cold), int64_column(energy), replica, boundary, members,
-    ), entry, args
+        int64_column(span_id), int64_column(start), int64_column(end),
+        np.array(phase_names, dtype=object)[phase].tolist(),
+        int64_column(cold), int64_column(energy),
+        np.array(replica_names, dtype=object)[replica].tolist(), boundary, members,
+    ), entry, args, (phase_names, phase), (replica_names, replica)
 
 
 def _analyze_serve(records: TraceRecords, out: Attribution,
@@ -493,8 +495,8 @@ def _sorted_tenant(doc: dict) -> dict:
 # ----------------------------------------------------------------------
 # cluster mode
 # ----------------------------------------------------------------------
-def _analyze_cluster(records: TraceRecords, out: Attribution,
-                     amounts: tuple, row, args: list) -> None:
+def _analyze_cluster(records: TraceRecords, out: Attribution, amounts: tuple,
+                     replica: tuple, row, args: list) -> None:
     """Fleet-level accounting from dispatch ticks and lifecycle events.
 
     Every lifecycle event carries the request's fleet ordinal, but a
@@ -510,7 +512,7 @@ def _analyze_cluster(records: TraceRecords, out: Attribution,
     contributing amount is non-zero.
     """
     duration, cold = amounts[:2]
-    replica_names, replica = _factorize(out.ticks.columns.replica)
+    replica_names, replica = replica
     busy, dispatches, cold_ns = (
         _sum_by(replica, values, len(replica_names)).tolist()
         for values in (duration, np.ones_like(duration), cold)

@@ -329,10 +329,8 @@ class TestRequestIds:
 
     @pytest.mark.parametrize("continuous", [False, True])
     def test_served_ids_are_queued_ids_across_servers(self, service_model, continuous):
-        # Nine servers (three models on three replicas) each count ids
-        # from 0; a served event carried that per-server id.
+        # Nine servers each count ids from 0; served events carried those.
         from repro.obs import Observer
-
         trace = synthesize_trace(PoissonProcess(200.0), 60, WorkloadMix(
             ("dit", "mld", "stable_diffusion")), rng=11)
         fleet = build_replicas(3, policy=POLICY, service_model=service_model,
