@@ -1,12 +1,13 @@
 """Deterministic trace analytics over the observability artifacts.
 
-Consumes PR 8's artifacts — live :class:`~repro.obs.trace.Tracer`
-objects, the JSONL event log, or Chrome trace-event documents — and
-produces byte-stable analyses: per-request wait/service attribution
-(integer-nanosecond exact), per-tenant cost accounting, critical-path
-extraction with per-edge slack, and SLO error-budget evaluation with
-multi-window burn-rate alerts. See :mod:`repro.obs.analyze.report`
-for the top-level entry points.
+Consumes live :class:`~repro.obs.trace.Tracer` objects, the JSONL event
+log, or Chrome trace-event documents and produces byte-stable analyses:
+per-request wait/service attribution (integer-nanosecond exact),
+per-tenant cost accounting, the critical path with per-edge slack (one
+pass over the tick table in every mode: the longest chain of a
+request's wait and ticks, or of a replica's dispatches), and SLO
+error-budget evaluation with multi-window burn-rate alerts. See
+:mod:`repro.obs.analyze.report` for the top-level entry points.
 """
 
 from repro.obs.analyze.attribution import (
@@ -14,11 +15,6 @@ from repro.obs.analyze.attribution import (
     COMPONENTS,
     RequestAttribution,
     analyze_records,
-)
-from repro.obs.analyze.critical_path import (
-    CPNode,
-    CriticalPath,
-    critical_path,
 )
 from repro.obs.analyze.html import render_html
 from repro.obs.analyze.records import (
@@ -30,6 +26,7 @@ from repro.obs.analyze.records import (
 )
 from repro.obs.analyze.report import (
     AnalysisReport,
+    CriticalPath,
     analyze,
     analyze_path,
     analyze_tracer,
@@ -48,7 +45,6 @@ __all__ = [
     "AnalysisReport",
     "Attribution",
     "COMPONENTS",
-    "CPNode",
     "CriticalPath",
     "EventRec",
     "NS_PER_S",
@@ -62,7 +58,6 @@ __all__ = [
     "analyze_records",
     "analyze_tracer",
     "build_critical_path",
-    "critical_path",
     "default_slos",
     "diff_analyses",
     "evaluate_slos",

@@ -29,14 +29,9 @@ from repro.obs.analyze.attribution import (
     _factorize,
     analyze_records,
 )
-from repro.obs.analyze.critical_path import (
-    CPNode,
-    CriticalPath,
-    critical_path,
-)
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
-from repro.obs.trace import int64
+from repro.obs.trace import Table, int64
 
 SCHEMA_VERSION = 1
 
@@ -118,123 +113,176 @@ def analyze_tracer(
 
 
 # ----------------------------------------------------------------------
-# critical-path graph construction
+# critical path
 # ----------------------------------------------------------------------
+@dataclass
+class CriticalPath:
+    """The longest chain of a run, kept as rows of its tick table.
+
+    ``positions`` (int64) are the chain's ticks, after the ``wait``
+    ``(request_id, submit_ns, first_join_ns)`` it starts with, if any.
+    :meth:`to_dict` names the nodes (``tick:%08d`` of a span id,
+    ``wait:%08d`` of a request id) and builds the per-edge slack: the
+    idle gap a predecessor could absorb without moving its successor.
+    """
+
+    total_ns: int
+    #: Full extent of the analyzed graph (max end - min start): the
+    #: upper bound any valid critical path must respect.
+    span_ns: int
+    positions: np.ndarray
+    wait: Optional[tuple]
+    ticks: Table
+
+    def to_dict(self) -> dict:
+        ticks, positions = self.ticks.columns, self.positions.tolist()
+        keys = ["tick:%08d" % ticks.span_id[p] for p in positions]
+        labels = [f"{ticks.replica[p]} {ticks.phase[p]}" if ticks.replica[p]
+                  else ticks.phase[p] for p in positions]
+        start, end = ([column[p] for p in positions]
+                      for column in (ticks.start_ns, ticks.end_ns))
+        if self.wait is not None:
+            rid, submit_ns, join_ns = self.wait
+            keys.insert(0, "wait:%08d" % rid)
+            labels.insert(0, f"wait r{rid}")
+            start.insert(0, submit_ns)
+            end.insert(0, join_ns)
+        return {
+            "total_ns": self.total_ns,
+            "span_ns": self.span_ns,
+            "nodes": [
+                {"key": key, "label": label, "start_ns": start_ns,
+                 "end_ns": end_ns, "duration_ns": end_ns - start_ns}
+                for key, label, start_ns, end_ns in zip(keys, labels, start, end)
+            ],
+            "edges": [
+                {"from": u, "to": v, "slack_ns": start_ns - end_ns}
+                for u, v, start_ns, end_ns in zip(keys, keys[1:], start[1:], end)
+            ],
+        }
+
+
 def build_critical_path(attribution: Attribution) -> CriticalPath:
-    """Dependency graph from the attribution's requests and ticks.
+    """The chain of ticks, longest by summed duration, that bounds the run.
 
-    Serve modes: each request contributes a *wait* node (submission to
-    first join) feeding its first member tick, and every request chains
-    its member ticks (its ``positions``) in time order (covering both
-    same-phase adjacency and preemption bridges). Cluster mode chains
-    dispatches per replica. Edges that a noisy wall-clock trace would render invalid
-    (successor starting before predecessor end) are skipped rather than
-    fatal — the analyzer reports on real artifacts, it does not insist
-    they be ideal.
+    A chain is a sequence of nodes in ``(start_ns, span_id)`` order: in
+    serve modes one per request, its wait (submission to first join,
+    when that is positive) then its member ticks (``positions``); in
+    cluster mode one per replica, its dispatches. Consecutive nodes of a
+    chain are an edge when the later one starts at or after the earlier
+    one's end; a pair a noisy wall-clock trace overlaps is no edge, as
+    the analyzer reports on real artifacts rather than insisting they be
+    ideal. Every tick on a chain and every wait is a node.
+
+    One pass over the ticks in ``(start_ns, span_id)`` order gives each
+    its total, its duration plus the best total among its predecessors,
+    and the path ends at the first maximum in key order. That is the
+    classic CPM answer over those keys (Kahn's order popping the
+    smallest ready key), ties included. A tie between predecessors goes
+    to the one Kahn's pass pops first, the smallest ``(round, wait before
+    tick, key)``: every tick key sorts before every wait key, so waits
+    pop in key order, each opening a round; a wait's round is its rank
+    among the wait keys counting from 1, a tick's the largest round
+    among its predecessors (0 with none), and within a round ticks pop
+    in key order. That holds while tick span ids grow with position and
+    stay below 10**8 (key order is then position order), as in every
+    trace the :class:`~repro.obs.Observer` writes.
+
+    A span id on two ticks of the graph, or a tick that ends before it
+    starts, is a ValueError naming the first such key in key order.
     """
+    ticks = attribution.ticks
+    columns = ticks.columns
+    span_id = columns.span_id
+    count = len(span_id)
+    waits = []  # (request_id, submit_ns, first_join_ns), in key order
     if attribution.mode == "cluster":
-        return _replica_critical_path(attribution.ticks.columns)
+        _, replica = _factorize(columns.replica)
+        sequence = np.lexsort((int64(span_id), int64(columns.start_ns), replica))
+        opens = np.diff(replica[sequence], prepend=-1) != 0
+    else:
+        chains = []  # per request: its wait node, if any, then its ticks
+        for request in sorted(attribution.requests,
+                              key=lambda r: "%08d" % r.request_id):
+            positions = request.positions
+            if not positions:
+                continue
+            join_ns = (request.intervals[0][0] if request.intervals
+                       else columns.start_ns[positions[0]])
+            if join_ns > request.submit_ns:
+                chains.append([count + len(waits), *positions])
+                waits.append((request.request_id, request.submit_ns, join_ns))
+            else:
+                chains.append(positions)
+        sizes = np.fromiter(map(len, chains), np.int64, len(chains))
+        sequence = np.fromiter(chain.from_iterable(chains), np.int64,
+                               int(sizes.sum()))
+        opens = np.zeros(len(sequence), dtype=bool)
+        opens[np.cumsum(sizes) - sizes] = True
+    heads = np.array(waits, dtype=np.int64).reshape(-1, 3)
+    start = np.concatenate([int64(columns.start_ns), heads[:, 1]])
+    end = np.concatenate([int64(columns.end_ns), heads[:, 2]])
 
-    nodes = {}  # key -> (key, start_ns, end_ns, label)
-    edges = set()
+    def key(node: int) -> str:
+        if node < count:
+            return "tick:%08d" % span_id[node]
+        return "wait:%08d" % waits[node - count][0]
 
-    def add_node(key: str, start_ns: int, end_ns: int, label: str) -> None:
-        if key not in nodes:
-            nodes[key] = (key, start_ns, end_ns, label)
+    # the graph: every tick on a chain, every wait, and each consecutive
+    # pair of a chain whose later node starts at or after the other's end
+    on_graph = np.zeros(len(start), dtype=bool)
+    on_graph[sequence] = True
+    on_graph[count:] = True
+    nodes = np.flatnonzero(on_graph)
+    ids = int64(span_id)[nodes[nodes < count]]
+    _, inverse, counts = np.unique(ids, return_inverse=True, return_counts=True)
+    for bad, message in (
+        (nodes[:len(ids)][counts[inverse] > 1], "duplicate node key {!r}"),
+        (nodes[end[nodes] < start[nodes]], "node {!r} ends at {} before start {}"),
+    ):
+        if bad.size:
+            p = min(bad.tolist(), key=key)
+            raise ValueError(message.format(key(p), int(end[p]), int(start[p])))
+    if not nodes.size:
+        return CriticalPath(0, 0, np.zeros(0, np.int64), None, ticks)
+    before, after = sequence[:-1], sequence[1:]
+    linked = ~opens[1:] & (start[after] >= end[before])
+    order = np.lexsort((int64(span_id), int64(columns.start_ns)))
+    visit = np.empty(count, dtype=np.int64)
+    visit[order] = np.arange(count)
+    # one edge per pair, by the successor's visit, then the predecessor
+    pairs = np.sort(visit[after[linked]] * len(start) + before[linked])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    predecessor, successor = pairs % len(start), order[pairs // len(start)]
 
-    def add_edge(u: str, v: str) -> None:
-        if nodes[v][1] >= nodes[u][2]:
-            edges.add((u, v))
+    duration = (end - start).tolist()
+    total, incoming, best_of = list(duration), [-1] * len(start), [-1] * len(start)
+    rounds = [0] * count + list(range(1, len(waits) + 1))
+    for u, v in zip(predecessor.tolist(), successor.tolist()):
+        # the largest total, then the one Kahn's pass pops first
+        if total[u] > incoming[v] or total[u] == incoming[v] and (
+            (rounds[u], u < count, u)
+            < (rounds[best_of[v]], best_of[v] < count, best_of[v])
+        ):
+            incoming[v], best_of[v] = total[u], u
+            total[v] = duration[v] + total[u]
+        if rounds[u] > rounds[v]:
+            rounds[v] = rounds[u]
 
-    ticks = attribution.ticks.columns
-    for request in attribution.requests:
-        chain = request.positions
-        if not chain:
-            continue
-        first_join = (
-            request.intervals[0][0] if request.intervals
-            else ticks.start_ns[chain[0]]
-        )
-        wait_key = f"wait:{request.request_id:08d}"
-        if first_join > request.submit_ns:
-            add_node(wait_key, request.submit_ns, first_join,
-                     f"wait r{request.request_id}")
-        previous = None
-        for position in chain:
-            key = f"tick:{ticks.span_id[position]:08d}"
-            add_node(key, ticks.start_ns[position], ticks.end_ns[position],
-                     ticks.phase[position])
-            if previous is None and wait_key in nodes:
-                add_edge(wait_key, key)
-            elif previous is not None:
-                add_edge(previous, key)
-            previous = key
-    return critical_path(nodes.values(), edges)
-
-
-def _replica_critical_path(ticks) -> CriticalPath:
-    """Cluster mode's critical path by one scan of the tick columns.
-
-    A replica runs one dispatch at a time, so the dependency graph is
-    disjoint chains: each replica's dispatches in ``(start_ns,
-    span_id)`` order (one lexsort), a dispatch linked to the one before
-    it unless it starts before that one ends. A chain's running total
-    is a segment sum of the durations' ``cumsum``; the reported path
-    ends at the first maximum in key order, ``tick:%08d`` strings as
-    :func:`critical_path` orders them (numeric order below 10**8 span
-    ids). Equal to ``critical_path`` over that graph, errors included;
-    :class:`CPNode` s are built for the reported chain only.
-    """
-    ids = ticks.span_id
-    span_id, start, end = map(int64, (ids, ticks.start_ns, ticks.end_ns))
-
-    def key(i) -> str:
-        return "tick:%08d" % ids[i]
-
-    def smallest(positions: np.ndarray) -> int:
-        """The row among ``positions`` whose key sorts first."""
-        return min(positions.tolist(), key=key)
-
-    _, inverse, counts = np.unique(
-        span_id, return_inverse=True, return_counts=True
-    )
-    shared = np.flatnonzero(counts[inverse] > 1)
-    if shared.size:
-        raise ValueError(f"duplicate node key {key(smallest(shared))!r}")
-    reversed_ = np.flatnonzero(end < start)
-    if reversed_.size:
-        i = smallest(reversed_)
-        raise ValueError(f"node {key(i)!r} ends at {ticks.end_ns[i]} "
-                         f"before start {ticks.start_ns[i]}")
-    if not len(ids):
-        return CriticalPath()
-
-    _, replica = _factorize(ticks.replica)
-    order = np.lexsort((span_id, start, replica))
-    head = np.ones(len(order), dtype=bool)  # starts a chain
-    head[1:] = ((replica[order[1:]] != replica[order[:-1]])
-                | (start[order[1:]] < end[order[:-1]]))
-    duration = (end - start)[order]
-    running = np.cumsum(duration)
-    chain_of = np.cumsum(head) - 1
-    total = running - (running - duration)[head][chain_of]
-    best = int(total.max())
-    last = min(np.flatnonzero(total == best).tolist(),
-               key=lambda k: key(order[k]))
-    first = int(np.flatnonzero(head)[chain_of[last]])
-    chain = [
-        CPNode(key(i), ticks.start_ns[i], ticks.end_ns[i],
-               f"{ticks.replica[i]} {ticks.phase[i]}")
-        for i in order[first:last + 1].tolist()
-    ]
+    totals = np.array(total, dtype=np.int64)[nodes]
+    longest = int(totals.max())
+    cursor = min(nodes[totals == longest].tolist(), key=key)
+    path = []
+    while cursor != -1:
+        path.append(cursor)
+        cursor = best_of[cursor]
+    wait = waits[path.pop() - count] if path[-1] >= count else None
     return CriticalPath(
-        total_ns=best,
-        nodes=chain,
-        edges=[
-            {"from": u.key, "to": v.key, "slack_ns": v.start_ns - u.end_ns}
-            for u, v in zip(chain, chain[1:])
-        ],
-        span_ns=int(end.max() - start.min()),
+        total_ns=longest,
+        span_ns=int(end[nodes].max() - start[nodes].min()),
+        positions=np.array(path[::-1], dtype=np.int64),
+        wait=wait,
+        ticks=ticks,
     )
 
 
@@ -364,6 +412,7 @@ def _delta_map(base: dict, current: dict) -> dict:
 
 __all__ = [
     "AnalysisReport",
+    "CriticalPath",
     "SCHEMA_VERSION",
     "analyze",
     "analyze_path",

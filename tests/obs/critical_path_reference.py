@@ -1,5 +1,8 @@
 """Critical-path extraction over span DAGs (classic CPM, integer ns).
 
+The reference ``repro.obs.analyze.build_critical_path`` is held to: the
+general engine it replaced, fed the graph that function describes.
+
 A node is a closed interval; an edge ``u -> v`` asserts that ``v``
 could not start before ``u`` finished (``v.start_ns >= u.end_ns`` —
 validated, because an edge violating it would let the "longest path"
@@ -8,12 +11,17 @@ the largest summed node duration; per-edge **slack** is the idle gap
 ``v.start_ns - u.end_ns`` — how much the predecessor could slip without
 moving its successor.
 
-Everything is deterministic: ties in the DP break toward the smaller
-node key, and the topological order is Kahn's algorithm popping the
-smallest ready key. Singleton nodes are candidate paths too, which
-gives the two properties the hypothesis suite checks: the reported
-length is at least any single span's duration, and (since consecutive
-path nodes never overlap) at most the total extent of the trace.
+Everything is deterministic: the topological order is Kahn's
+algorithm popping the smallest ready key, a tie between a node's
+predecessors goes to the one popped first (on the analysis's graphs the
+smallest ``(round, wait before tick, key)`` that ``build_critical_path``
+describes, which is not always the smaller key), and the path ends at
+the first maximum in key order.
+
+Singleton nodes are candidate paths too, which gives the two properties
+the hypothesis suite checks: the reported length is at least any single
+span's duration, and (since consecutive path nodes never overlap) at
+most the total extent of the trace.
 
 The DP runs on node positions in key order — integer arrays, an
 integer heap — so a graph of one node per span costs no object per

@@ -1,12 +1,13 @@
-"""The cluster critical-path chain scan against the graph it replaced.
+"""The cluster critical path against the CPM graph it replaced.
 
 ``_replica_chains`` below is the graph builder cluster mode fed to the
 general :func:`critical_path` (CPM over string keys, an edge set and a
-heap) before the path became one scan of the tick columns, kept
-verbatim as the reference. A ``hypothesis`` property generates cluster
-tick columns and requires both to give the same path document, or the
-same ``ValueError``; hand cases pin each edge the property draws; a
-last test runs the comparison on real fleet-simulator traces.
+heap, kept in ``critical_path_reference``) before the path became one
+pass over the tick columns, kept verbatim as the reference. A
+``hypothesis`` property generates cluster tick columns and requires
+both to give the same path document, or the same ``ValueError``; hand
+cases pin each edge the property draws; a last test runs the
+comparison on real fleet-simulator traces.
 """
 
 import numpy as np
@@ -24,9 +25,10 @@ from repro.cluster import (
     synthesize_trace,
 )
 from repro.obs import Observer
-from repro.obs.analyze import CriticalPath, analyze_tracer, critical_path
+from repro.obs.analyze import analyze_tracer, build_critical_path
 from repro.obs.analyze.attribution import Attribution, _factorize
-from repro.obs.analyze.report import build_critical_path
+
+from critical_path_reference import critical_path
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +127,7 @@ class TestChainScanMatchesGraph:
 
     def test_no_dispatch_is_the_empty_path(self):
         path = _assert_matches_oracle(_attribution([]))
-        assert path == CriticalPath().to_dict()
+        assert path == {"total_ns": 0, "span_ns": 0, "nodes": [], "edges": []}
 
     def test_one_dispatch_is_its_own_path(self):
         path = _assert_matches_oracle(_attribution([(7, 3, 10, "r0", "dense")]))

@@ -1,10 +1,10 @@
-"""Critical-path extraction: synthetic DAGs plus property checks."""
+"""The reference CPM engine: synthetic DAGs plus property checks."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.analyze import CPNode, critical_path
+from critical_path_reference import CPNode, critical_path
 
 
 def _node(key, start, end, label=""):
@@ -64,8 +64,19 @@ class TestDiamond:
             ("armA", "sink"), ("armB", "sink"),
         ]
         path = critical_path(nodes, edges)
-        # Ties break toward the smaller key, always.
+        # Both arms pop in key order: the first popped wins the tie.
         assert [n.key for n in path.nodes] == ["src", "armA", "sink"]
+
+    def test_a_tie_goes_to_the_first_popped_not_the_smaller_key(self):
+        nodes = [
+            _node("m", 0, 5),
+            _node("a", 5, 10),  # ready only once "m" pops, after "b"
+            _node("b", 0, 10),
+            _node("z", 10, 20),
+        ]
+        path = critical_path(nodes, [("m", "a"), ("a", "z"), ("b", "z")])
+        assert [n.key for n in path.nodes] == ["b", "z"]
+        assert path.total_ns == 20
 
 
 class TestFanOut:

@@ -5,7 +5,8 @@ became one relation (``RequestAttribution.positions``), kept verbatim as
 the reference: ``detect_mode`` and ``_serve_ticks`` (the per-span loop
 the tick columns replaced, condensed), ``_analyze_serve``,
 ``_attribute_request``, ``_split_wait``, ``_account_tenants``,
-``_exact_split`` and the serve branch of ``build_critical_path``. It
+``_exact_split`` and the serve branch of ``build_critical_path`` (its
+graph, fed to the CPM engine of ``critical_path_reference``). It
 decided "which ticks did request r share" three ways, one per consumer,
 each scanning every tick for every request. Two adaptations:
 ``_attribute_request`` records each member tick's position instead of
@@ -30,6 +31,7 @@ lists a request outside that request's intervals.
 from bisect import bisect_left
 from typing import Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -45,10 +47,11 @@ from repro.obs.analyze.attribution import (
     _sorted_tenant,
     _tenant_doc,
 )
-from repro.obs.analyze.critical_path import CriticalPath, critical_path
 from repro.obs.analyze.records import to_ns
 from repro.obs.analyze.report import AnalysisReport
 from repro.obs.analyze.slo import default_slos, evaluate_slos
+
+from critical_path_reference import CriticalPath, critical_path
 
 # ----------------------------------------------------------------------
 # the reference: the serve walk, verbatim
@@ -454,12 +457,19 @@ def _continuous_records(draw) -> TraceRecords:
     """Ticks with jittered wall-clock edges (gaps between them are
     ``other_ns``), some zero-length, and requests whose lifecycles join,
     leave and rejoin at tick edges or anywhere else. A request's
-    membership intervals are disjoint: it rejoins after it leaves."""
+    membership intervals are disjoint: it rejoins after it leaves. Half
+    the traces keep every instant on a 10 ns grid and draw every jitter
+    and duration from {0, 10}, so critical-path totals tie."""
     trace = _Trace()
     edges, cursor = [], 0
+    grid = draw(st.booleans())
     for _ in range(draw(st.integers(1, 30))):
-        start = cursor + draw(st.integers(0, 40))  # jitter
-        end = start + draw(st.one_of(st.just(0), st.integers(1, 1000)))
+        if grid:
+            start = cursor + draw(st.sampled_from([0, 10]))
+            end = start + draw(st.sampled_from([0, 10]))
+        else:
+            start = cursor + draw(st.integers(0, 40))  # jitter
+            end = start + draw(st.one_of(st.just(0), st.integers(1, 1000)))
         phase = draw(st.sampled_from(["dense", "sparse"]))
         args = {"boundary": draw(st.booleans()), **_price_args(draw)}
         if draw(st.booleans()):
@@ -469,7 +479,9 @@ def _continuous_records(draw) -> TraceRecords:
         cursor = end
     if draw(st.booleans()):  # a span on another track is not a tick
         trace.span("iteration", 0, cursor, {}, track="hw/timeline")
-    instants = st.one_of(st.sampled_from(edges), st.integers(0, cursor + 50))
+    anywhere = st.integers(0, cursor + 50)
+    instants = st.one_of(st.sampled_from(edges),
+                         anywhere.map(lambda t: t // 10 * 10) if grid else anywhere)
     for rid in range(draw(st.integers(0, 8))):
         times = sorted(draw(st.lists(instants, min_size=1, max_size=8,
                                      unique=True)))
@@ -607,3 +619,34 @@ class TestWhereTheOldRulesSplit:
         assert request.positions == [0]
         assert attribution.tenants["alice"]["tick_ns"] == 10
         assert request.residual_ns == 0
+
+
+class TestCriticalPathTies:
+    def test_a_wait_of_an_earlier_round_beats_a_smaller_tick_key(self):
+        """Tick 1 ties between wait 0 (round 1) and tick 0 (round 2,
+        after wait 1): Kahn's pass pops wait 0 first, though ``tick:``
+        keys sort before ``wait:`` keys."""
+        trace = _Trace()
+        for rid, join in ((0, 10), (1, 4)):
+            trace.event("submit", 0, rid)
+            trace.event("join", join, rid)
+            trace.event("complete", 20, rid)
+        trace.span("tick[dense]", 4, 10, {})
+        trace.span("tick[sparse]", 10, 20, {})
+        _assert_matches_oracle(trace.records)
+        path = analyze(trace.records).path.to_dict()
+        assert [node["key"] for node in path["nodes"]] == [
+            "wait:00000000", "tick:00000001",
+        ]
+        assert path["total_ns"] == 20
+
+    def test_two_ticks_with_one_span_id_raise(self):
+        trace = _Trace()
+        trace.event("submit", 0, 0)
+        trace.event("join", 0, 0)
+        trace.event("complete", 20, 0)
+        for start in (0, 10):
+            trace.records.spans.append(5, "tick[dense]", _BATCH_TRACK,
+                                       start, start + 10, {})
+        with pytest.raises(ValueError, match="duplicate node key 'tick:00000005'"):
+            analyze(trace.records)
