@@ -215,6 +215,7 @@ class DroppedRequest:
     model: str
     ablation: str
     reason: str  # "timeout" or "deadline"
+    request_id: int  # the request's id on its server
     waited_s: float = 0.0
 
 
@@ -408,6 +409,7 @@ class Replica:
                 model=model,
                 ablation=ablation,
                 reason=reason,
+                request_id=request.request_id,
                 waited_s=max(0.0, now - request.submitted_at),
             )
             for request, reason in stale

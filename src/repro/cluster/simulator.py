@@ -101,7 +101,8 @@ class ClusterSimulator:
                 # and admission depths count live requests only (a stale
                 # queue must produce timeout drops, not admission drops).
                 for member in self.replicas:
-                    self._observe_drops(member.expire(t, timeout_s), t)
+                    self._observe_drops(member, member.expire(t, timeout_s),
+                                        t, ordinals)
                 replica = self.router.choose(payload, self.replicas, t)
                 server_id = replica.enqueue(
                     payload, t, max_queue_depth=self.slo.max_queue_depth
@@ -133,7 +134,7 @@ class ClusterSimulator:
                 swept += dropped
                 if swept:
                     horizon = max(horizon, t)
-                    self._observe_drops(swept, t)
+                    self._observe_drops(replica, swept, t, ordinals)
                 if outcome is not None:
                     completion_s = outcome.completion_s
                     horizon = max(horizon, completion_s)
@@ -156,14 +157,18 @@ class ClusterSimulator:
 
         return self._report(requests, accumulator, horizon, scenario)
 
-    def _observe_drops(self, dropped: list, now: float) -> None:
-        """Record swept requests as SLO events (observer installed only)."""
+    def _observe_drops(self, replica: Replica, dropped: list, now: float,
+                       ordinals: dict) -> None:
+        """Record ``replica``'s swept requests as SLO events stamped with
+        their fleet ordinals, popped from ``ordinals`` (observer installed
+        only)."""
         if self.observer is None:
             return
         for drop in dropped:
+            key = (replica, drop.model, drop.ablation, drop.request_id)
             self.observer.on_slo_event(
-                drop.reason, now, model=drop.model,
-                waited_s=drop.waited_s,
+                drop.reason, now, request_id=ordinals.pop(key),
+                model=drop.model, waited_s=drop.waited_s,
             )
 
     # ------------------------------------------------------------------

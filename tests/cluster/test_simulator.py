@@ -345,6 +345,25 @@ class TestRequestIds:
         assert report.served == len({rid for rid, _, _ in served}) == 60
         assert served == queued
 
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_every_queued_id_ends_once(self, continuous):
+        # Deadline and timeout drops wrote slo:* events with no id.
+        from repro.obs import Observer
+        trace = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0),
+                                 240, rng=2, deadline_s=2.0)
+        observer = Observer()
+        report = simulate_cluster(
+            trace, build_replicas(2, continuous=continuous), make_router("jsq"),
+            slo=SLOPolicy(latency_target_s=2.0), observer=observer,
+        )
+        ends = sorted(
+            e.args["request_id"] for e in observer.tracer.events
+            if e.track == "cluster/slo"
+            or e.track == "cluster/requests" and e.name != "queued"
+        )
+        assert report.dropped > 0
+        assert ends == list(range(240))
+
 
 class TestTracedPriority:
     def test_batch_request_keeps_its_priority_from_arrival_on(
