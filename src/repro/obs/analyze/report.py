@@ -135,12 +135,14 @@ class CriticalPath:
     ticks: Table
 
     def to_dict(self) -> dict:
-        ticks, positions = self.ticks.columns, self.positions.tolist()
-        keys = ["tick:%08d" % ticks.span_id[p] for p in positions]
-        labels = [f"{ticks.replica[p]} {ticks.phase[p]}" if ticks.replica[p]
-                  else ticks.phase[p] for p in positions]
-        start, end = ([column[p] for p in positions]
-                      for column in (ticks.start_ns, ticks.end_ns))
+        ticks, positions = self.ticks.columns, self.positions
+        span_id, start, end = (int64(column)[positions].tolist() for column in
+                               (ticks.span_id, ticks.start_ns, ticks.end_ns))
+        keys = ["tick:%08d" % i for i in span_id]
+        listed = positions.tolist()
+        labels = [f"{replica} {phase}" if replica else phase
+                  for replica, phase in zip(map(ticks.replica.__getitem__, listed),
+                                            map(ticks.phase.__getitem__, listed))]
         if self.wait is not None:
             rid, submit_ns, join_ns = self.wait
             keys.insert(0, "wait:%08d" % rid)
