@@ -111,7 +111,7 @@ trace-smoke:  ## observability gate bench + deterministic Perfetto trace
 		--continuous --iterations 12 --out $(BENCH_OUT)/trace.json \
 		--metrics-out $(BENCH_OUT)/trace_metrics.json
 
-obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run
+obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run, in-process and from JSONL
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run obs_analysis --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs analyze --continuous \
@@ -119,6 +119,15 @@ obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run
 		--html $(BENCH_OUT)/analysis.html
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
 		$(BENCH_OUT)/analysis.json $(BENCH_OUT)/analysis.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro trace --continuous \
+		--iterations 12 --out $(BENCH_OUT)/trace.json \
+		--events-out $(BENCH_OUT)/events.jsonl
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs analyze \
+		--input $(BENCH_OUT)/events.jsonl --out $(BENCH_OUT)/analysis_jsonl.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
+		$(BENCH_OUT)/analysis.json $(BENCH_OUT)/analysis_jsonl.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
+		$(BENCH_OUT)/analysis_jsonl.json $(BENCH_OUT)/analysis.json
 
 examples-smoke:  ## run every examples/*.py script end to end
 	@for example in examples/*.py; do \
