@@ -258,15 +258,15 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     predecessor, successor = pairs % len(start), order[pairs // len(start)]
 
     duration = (end - start).tolist()
-    total, incoming, best_of = list(duration), [-1] * len(start), [-1] * len(start)
+    total, best_of = list(duration), [-1] * len(start)
     rounds = [0] * count + list(range(1, len(waits) + 1))
     for u, v in zip(predecessor.tolist(), successor.tolist()):
         # the largest total, then the one Kahn's pass pops first
-        if total[u] > incoming[v] or total[u] == incoming[v] and (
-            (rounds[u], u < count, u)
-            < (rounds[best_of[v]], best_of[v] < count, best_of[v])
+        best = best_of[v]
+        if best < 0 or total[u] > total[best] or total[u] == total[best] and (
+            (rounds[u], u < count, u) < (rounds[best], best < count, best)
         ):
-            incoming[v], best_of[v] = total[u], u
+            best_of[v] = u
             total[v] = duration[v] + total[u]
         if rounds[u] > rounds[v]:
             rounds[v] = rounds[u]
