@@ -178,7 +178,8 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
 
     One pass over the ticks in ``(start_ns, span_id)`` order gives each
     its total, its duration plus the best total among its predecessors,
-    and the path ends at the first maximum in key order. That is the
+    and the path ends at the first maximum in key order (``tick:%08d``
+    of a span id, ``wait:%08d`` of a request id). That is the
     classic CPM answer over those keys (Kahn's order popping the
     smallest ready key), ties included. A tie between predecessors goes
     to the one Kahn's pass pops first, the smallest ``(round, wait before
