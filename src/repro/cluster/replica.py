@@ -226,9 +226,9 @@ class Dispatch:
     ``phase`` is the tick phase of a continuous dispatch ("dense" /
     "sparse") or ``"batch"`` for a drain-mode micro-batch; ``cold_s``
     is the cold-start surcharge included in ``service_s`` (0 when
-    warm); ``members`` lists ``(request_id, tenant, priority)`` of the
-    batch that actually executed (continuous: live-batch occupancy,
-    which exceeds ``served`` whenever runs continue past this tick);
+    warm); ``members`` lists the server ids of the batch that actually
+    executed (continuous: live-batch occupancy, which exceeds
+    ``served`` whenever runs continue past this tick);
     ``energy_j`` is the simulated energy of the dispatch.
     """
 

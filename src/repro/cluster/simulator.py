@@ -83,6 +83,7 @@ class ClusterSimulator:
         # pushing it changes no outcome and no timestamp.
         pending: set = set()
         ordinals: dict = {}  # observed: (replica, model, ablation, server id) -> ordinal
+        listed: dict = {}  # observed: replica -> (last batch, its ordinals)
 
         accumulator = LatencyAccumulator(self.slo)
         timeout_s = self.slo.timeout_s
@@ -138,8 +139,12 @@ class ClusterSimulator:
                 if outcome is not None:
                     completion_s = outcome.completion_s
                     horizon = max(horizon, completion_s)
-                    if observer is not None:
-                        observer.on_dispatch(outcome)
+                    if observer is not None:  # translated when members change
+                        batch = (replica, outcome.model, outcome.ablation)
+                        if listed.get(replica, (None,))[0] != (*batch, outcome.members):
+                            listed[replica] = (*batch, outcome.members), [
+                                ordinals[(*batch, m)] for m in outcome.members]
+                        observer.on_dispatch(outcome, listed[replica][1])
                     for record in outcome.served:
                         accumulator.record(record.wait_s, record.service_s)
                         if observer is not None:

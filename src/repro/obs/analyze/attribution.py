@@ -22,9 +22,12 @@ drift. The component vocabulary:
   (structurally zero for simulated runs; absorbs wall-clock noise so
   the sum identity holds unconditionally).
 
-Every step span — a serve tick, a drain batch, a fleet dispatch — is
-read through one column extraction into :attr:`Attribution.ticks`, and
-the same selection decides the mode.
+One path serves one server or many. Every step span — a serve tick, a
+drain batch, a fleet dispatch — is read through one column extraction
+into :attr:`Attribution.ticks`, which also decides the mode. A fleet
+request's ``queued``, ``served``, ``rejected`` and ``slo:*`` events are
+its submission, completion, rejection and expiry; having no ``join``
+events, it takes its membership intervals from the dispatches listing it.
 
 Cost accounting answers a different question — where did the *device's*
 time go, not each requester's — so there each tick's duration is split
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,6 +64,9 @@ COMPONENTS = (
 _MEMBERSHIP_TRACK = "serve/membership"
 _BATCH_TRACK = "serve/batch"
 _UNATTRIBUTED = "(unattributed)"
+#: No positions (read-only, so every empty default can share it).
+_NONE = np.zeros(0, dtype=np.int64)
+_NONE.flags.writeable = False
 
 
 class _Tick(NamedTuple):
@@ -75,10 +80,11 @@ class _Tick(NamedTuple):
     cold_ns: int
     energy_nj: int
     replica: str  # cluster dispatches only
-    #: span started at a membership boundary (hook enrichment arg)
+    #: span started at a membership boundary (its ``boundary`` arg, else
+    #: unless it is sparse)
     boundary: bool
-    #: request ids the span lists (drain batches); other ticks recover
-    #: their members from membership intervals.
+    #: request ids the span lists (drain batches, fleet dispatches);
+    #: other ticks recover their members from membership intervals.
     members: tuple
 
 
@@ -95,7 +101,8 @@ class RequestAttribution:
     tenant: str = "default"
     priority: int = 1
     model: str = ""
-    outcome: str = "open"  # served | dropped | expired | open
+    replica: str = ""  # a fleet request's; with the model, its server
+    outcome: str = "open"  # served | dropped | expired | rejected | open
     submit_ns: int = 0
     end_ns: int = 0
     deadline_ns: Optional[int] = None
@@ -103,8 +110,9 @@ class RequestAttribution:
         default_factory=lambda: dict.fromkeys(COMPONENTS, 0)
     )
     intervals: list = field(default_factory=list)  # (join_ns, leave_ns)
-    #: ascending positions of its member ticks in :attr:`Attribution.ticks`
-    positions: list = field(default_factory=list)
+    #: ascending int64 positions of its member ticks in
+    #: :attr:`Attribution.ticks`
+    positions: np.ndarray = field(default_factory=lambda: _NONE)
 
     @property
     def ticks(self) -> int:
@@ -207,7 +215,7 @@ class Attribution:
 # ----------------------------------------------------------------------
 def analyze_records(records: TraceRecords) -> Attribution:
     """Build the full attribution for one run's trace records."""
-    mode, ticks, entry, args, phase, replica = _steps(records)
+    mode, ticks, entry, args, phase, replica, server = _steps(records)
     out = Attribution(mode=mode, horizon_ns=records.horizon_ns(), ticks=ticks)
     columns = ticks.columns
     start, end, cold, energy = map(int64, (
@@ -215,11 +223,17 @@ def analyze_records(records: TraceRecords) -> Attribution:
     ))
     out.busy_ns = int((end - start).sum())
     out.energy_nj = int(energy.sum())
-    amounts = (end - start, cold, energy, phase)
-    if mode == "cluster":
-        _analyze_cluster(records, out, amounts, replica, entry, args)
-    else:
-        _analyze_serve(records, out, amounts)
+    replica_names, codes = replica  # a serve tick names no replica
+    busy, dispatches, cold_ns = (
+        _sum_by(codes, values, len(replica_names)).tolist()
+        for values in (end - start, np.ones_like(codes), cold)
+    )
+    out.replicas = {
+        name: {"busy_ns": busy[i], "dispatches": dispatches[i], "cold_ns": cold_ns[i]}
+        for i, name in sorted(enumerate(replica_names), key=lambda p: p[1]) if name
+    }
+    _analyze_requests(records, out, (end - start, cold, energy, phase),
+                      _listed(entry, args), server)
     out.tenants = {
         tenant: _sorted_tenant(doc)
         for tenant, doc in sorted(out.tenants.items())
@@ -228,19 +242,23 @@ def analyze_records(records: TraceRecords) -> Attribution:
 
 
 def _steps(records: TraceRecords) -> tuple:
-    """``(mode, ticks, entry, args, phase, replica)``: the step spans of
-    ``records`` as a tick table, the mode they imply, each tick's index
-    into ``args``, the args of the row entries the ticks record, and the
-    ticks' phases and replicas as ``(names, codes)``, with ``"cold"``
-    phase name 0. Args are decoded once per entry (a live batch repeats
-    one entry tick after tick).
+    """``(mode, ticks, entry, args, phase, replica, server)``: the step
+    spans of ``records`` as a tick table, the mode they imply, each
+    tick's index into ``args``, the args of the row entries the ticks
+    record, and the ticks' phases, replicas and servers as ``(names,
+    codes)``, with ``"cold"`` phase name 0. A dispatch's server is its
+    ``(replica, model)``; a serve trace's ticks name no replica and
+    share its one server, ``""``. Args are decoded once per entry (a
+    live batch repeats one entry tick after tick).
 
     A step is a serve ``tick[…]`` or a drain ``batch`` on the serve
     batch track, or a fleet ``dispatch[…]``. Any tick makes the trace
     ``continuous``; else any dispatch makes it ``cluster`` and any batch
     ``drain``; a trace with none is ``continuous``. A cluster trace's
     ticks are its dispatches, in trace order; any other trace's are its
-    ticks and batches, in ``(start_ns, span_id)`` order.
+    ticks and batches, in ``(start_ns, span_id)`` order. A step is a
+    membership boundary by its ``boundary`` arg, else unless it is
+    ``sparse``.
     """
     spans = records.spans
     names, tracks, entry_args = spans.rows
@@ -266,19 +284,23 @@ def _steps(records: TraceRecords) -> tuple:
     cold = np.minimum(np.maximum(
         _to_ns([a.get("cold_s", 0.0) for a in args])[entry], 0), end - start)
     energy = _to_ns([a.get("energy_j", 0.0) for a in args])[entry]
-    # "cold" is key 0 of the phase rollup; each phase names its own key.
-    phase_names, phase = _factorize(["cold", *(
+    phases = [
         "batch" if is_batch[e]
         else str(a.get("phase") or (names[e][5:-1] if is_tick[e] else "batch"))
         for e, a in zip(entries, args)
-    )])
-    replica_names, replica = _factorize([
-        tracks[e].partition("/")[2] if mode == "cluster" else "" for e in entries
-    ])
+    ]
+    # "cold" is key 0 of the phase rollup; each phase names its own key.
+    phase_names, phase = _factorize(["cold", *phases])
+    replicas = [tracks[e].partition("/")[2] if mode == "cluster" else ""
+                for e in entries]
+    replica_names, replica = _factorize(replicas)
     phase, replica = phase[1:][entry], replica[entry]
+    server_names, server = _factorize([
+        (r, str(a.get("model", ""))) if r else "" for a, r in zip(args, replicas)
+    ])
     picks = entry.tolist()
     boundary, members = (list(map(values.__getitem__, picks)) for values in (
-        [bool(a.get("boundary", False)) for a in args],
+        [bool(a.get("boundary", p != "sparse")) for a, p in zip(args, phases)],
         [tuple(a.get("request_ids", ())) for a in args],
     ))
     return mode, _ticks(
@@ -286,60 +308,63 @@ def _steps(records: TraceRecords) -> tuple:
         np.array(phase_names, dtype=object)[phase].tolist(),
         int64_column(cold), int64_column(energy),
         np.array(replica_names, dtype=object)[replica].tolist(), boundary, members,
-    ), entry, args, (phase_names, phase), (replica_names, replica)
+    ), entry, args, (phase_names, phase), (replica_names, replica), (
+        server_names, server[entry])
 
 
-def _analyze_serve(records: TraceRecords, out: Attribution,
-                   amounts: tuple) -> None:
+def _listed(entry: np.ndarray, args: list) -> dict:
+    """Request id -> ascending int64 positions of the ticks whose entry
+    lists it (drain batches and fleet dispatches), gathered per entry:
+    a tick has one entry, so one id's runs of ticks are disjoint."""
+    order = np.argsort(entry, kind="stable")
+    bounds = np.searchsorted(entry[order], np.arange(len(args) + 1)).tolist()
+    chunks: dict = {}
+    for e, a in enumerate(args):
+        for rid in dict.fromkeys(map(int, a.get("request_ids", ()))):
+            chunks.setdefault(rid, []).append(order[bounds[e]:bounds[e + 1]])
+    return {rid: np.sort(np.concatenate(parts)) for rid, parts in chunks.items()}
+
+
+#: A fleet request's lifecycle events in the serve membership vocabulary
+#: (every ``cluster/slo`` drop is an expiry).
+_FLEET_KINDS = {"queued": "submit", "served": "complete", "rejected": "rejected"}
+
+
+def _analyze_requests(records: TraceRecords, out: Attribution,
+                      amounts: tuple, listed: dict, server: tuple) -> None:
     """Each request's exact split, and its ticks' shares by tenant."""
     columns = out.ticks.columns
-    # Membership boundaries: instants at which a queued request could
-    # have been (re)considered — tick starts flagged as boundaries plus
-    # every membership edit instant (joins/evicts happen only there).
-    boundaries = {
-        start for start, phase, flagged in zip(
-            columns.start_ns, columns.phase, columns.boundary
-        ) if phase == "batch" or flagged
-    }
     lifecycle: dict = {}
     for event in records.events:
-        if event.track != _MEMBERSHIP_TRACK:
-            continue
+        kind = {_MEMBERSHIP_TRACK: event.name, "cluster/slo": "expire",
+                "cluster/requests": _FLEET_KINDS.get(event.name)}.get(event.track)
         rid = event.args.get("request_id")
-        if rid is None:
-            continue
-        lifecycle.setdefault(int(rid), []).append(event)
-        if event.name in ("join", "evict", "expire"):
-            boundaries.add(event.ts_ns)
-    boundary_list = sorted(boundaries)
-
+        if kind is not None and rid is not None:
+            lifecycle.setdefault(int(rid), []).append(event._replace(name=kind))
     for rid in sorted(lifecycle):
         events = sorted(lifecycle[rid], key=lambda e: (e.ts_ns, e.event_id))
         out.requests.append(_lifecycle(rid, events, out.horizon_ns))
-    members = _member_ticks(out.requests, columns, out.mode)
-    for request in out.requests:
-        _add_components(request, columns, boundary_list)
+    members = _member_ticks(out.requests, columns, listed)
 
-    # One slot per (tick, member): a tick's members in request-id order,
-    # so the lowest ids take the split's remainder; a tick with no
-    # member is one (unattributed) slot.
-    held: list = [[] for _ in range(len(out.ticks))]
-    for rid in sorted(members):
-        for position in members[rid]:
-            held[position].append(rid)
-    # An id no request carries is unattributed, priority 1, no model.
-    by_rid = {r.request_id: r for r in out.requests}
-    nobody = RequestAttribution(request_id=-1, tenant=_UNATTRIBUTED)
-    slots = [by_rid.get(rid, nobody) for rid in
-             chain.from_iterable(ids or [None] for ids in held)]
-    size = np.fromiter(map(len, held), np.int64, len(held))
-    member, slot = _slots(size)
-    _account_slots(
-        out.tenants, *amounts, member, slot, size,
-        _factorize([r.tenant for r in slots]),
-        _factorize([str(r.priority) for r in slots]),
-        _factorize([r.model or "?" for r in slots]), (size > 0)[member],
-    )
+    # Membership boundaries, per server: instants at which a queued
+    # request could have been (re)considered — its server's boundary
+    # tick starts plus every membership edit instant of its requests.
+    server_names, server = server
+    flagged = np.array(columns.boundary, dtype=bool)
+    boundaries = {
+        key: set(int64(columns.start_ns)[flagged & (server == code)].tolist())
+        for code, key in enumerate(server_names)
+    }
+    keys = [(r.replica, r.model) if r.replica else "" for r in out.requests]
+    for key, request in zip(keys, out.requests):
+        boundaries.setdefault(key, set()).update(
+            e.ts_ns for e in lifecycle[request.request_id]
+            if e.name in ("join", "evict", "expire")
+        )
+    boundaries = {key: sorted(instants) for key, instants in boundaries.items()}
+    _add_components(out.requests, amounts, [boundaries[key] for key in keys])
+
+    _account_slots(out.tenants, amounts, members, out.requests)
     for request in out.requests:
         doc = _tenant_doc(out.tenants, request.tenant)
         doc["requests"] += 1
@@ -349,7 +374,7 @@ def _analyze_serve(records: TraceRecords, out: Attribution,
 
 def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
     """A request's submission, membership intervals and outcome, from
-    its membership events in time order."""
+    its lifecycle events in time order."""
     request = RequestAttribution(request_id=rid)
     submit = next((e for e in events if e.name == "submit"), None)
     if submit is not None:
@@ -357,6 +382,7 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
         request.tenant = str(submit.args.get("tenant", "default"))
         request.priority = int(submit.args.get("priority", 1))
         request.model = str(submit.args.get("model", ""))
+        request.replica = str(submit.args.get("replica", ""))
         deadline = submit.args.get("deadline_s")
         if deadline is not None:
             request.deadline_ns = to_ns(deadline)
@@ -378,6 +404,9 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
                 terminal = ("dropped", event.ts_ns)
         elif event.name == "expire":
             terminal = ("expired", event.ts_ns)
+        elif event.name in ("complete", "rejected"):  # a fleet request's
+            terminal = ("served" if event.name == "complete" else "rejected",
+                        event.ts_ns)
     if open_join is not None:
         request.intervals.append((open_join, horizon_ns))
     if terminal is None:
@@ -388,66 +417,92 @@ def _lifecycle(rid: int, events: list, horizon_ns: int) -> RequestAttribution:
     return request
 
 
-def _member_ticks(requests: list, ticks: _Tick, mode: str) -> dict:
-    """The serve membership relation: member id -> ascending positions
+def _member_ticks(requests: list, ticks: _Tick, listed: dict) -> dict:
+    """The membership relation: member id -> ascending int64 positions
     of its ticks, which each request also keeps as ``positions``.
 
-    A tick that lists request ids (a drain batch) has exactly those
-    members; any other tick, the requests whose membership interval
-    contains it (by bisecting the tick starts). A drain request with no
-    join event takes the first batch listing it after its submission.
+    A tick that lists request ids (a drain batch, a fleet dispatch) has
+    exactly those members; any other tick, the requests whose membership
+    interval contains it (by bisecting the tick starts). A request with
+    no ``join`` event (every fleet request) is a member of the ticks
+    listing it, and they are its intervals, broken wherever two
+    consecutive ones do not abut: its server's join and leave instants,
+    a preemption being a gap. Such a request that expired after it was a
+    member was dropped; one with no terminal event whose last tick is a
+    batch was served by it (a batch runs whole generations).
     """
-    relation: dict = {}
-    for position, listed in enumerate(ticks.members):
-        for rid in listed:
-            relation.setdefault(int(rid), []).append(position)
+    relation = dict(listed)
     starts, ends = ticks.start_ns, ticks.end_ns
+    joinless = []
     for request in requests:
-        listed = relation.get(request.request_id, [])
-        if mode == "drain" and not request.intervals:
-            carrier = next(
-                (p for p in listed if starts[p] >= request.submit_ns), None
-            )
-            if carrier is not None:
-                request.intervals = [(starts[carrier], ends[carrier])]
+        positions = relation.get(request.request_id, _NONE)
+        if request.intervals:
+            inside = set(positions.tolist())
+            for join_ns, leave_ns in request.intervals:
+                inside.update(
+                    p for p in range(bisect_left(starts, join_ns),
+                                     bisect_right(starts, leave_ns))
+                    if ends[p] <= leave_ns and not ticks.members[p]
+                )
+            positions = np.array(sorted(inside), dtype=np.int64)
+        else:
+            joinless.append(request)
+        request.positions = relation[request.request_id] = positions
+
+    # The joinless requests' ticks, all at once: an interval opens at a
+    # request's first tick and after every gap.
+    owner, position = _pairs([r.positions for r in joinless])
+    start, end = int64(starts)[position], int64(ends)[position]
+    opens, closes = (np.ones(len(owner), dtype=bool) for _ in range(2))
+    opens[1:] = closes[:-1] = (owner[1:] != owner[:-1]) | (start[1:] != end[:-1])
+    for o, join_ns, leave_ns in zip(owner[opens].tolist(), start[opens].tolist(),
+                                    end[closes].tolist()):
+        joinless[o].intervals.append((join_ns, leave_ns))
+    for request in joinless:
+        if not request.intervals:
+            continue
+        if request.outcome == "expired":
+            request.outcome = "dropped"
+        elif request.outcome == "open":
+            request.end_ns = max(request.end_ns, request.intervals[-1][1])
+            if ticks.phase[request.positions[-1]] == "batch":
                 request.outcome = "served"
-                request.end_ns = ends[carrier]
-        inside = set(listed)
-        for join_ns, leave_ns in request.intervals:
-            inside.update(
-                p for p in range(bisect_left(starts, join_ns),
-                                 bisect_right(starts, leave_ns))
-                if ends[p] <= leave_ns and not ticks.members[p]
-            )
-        request.positions = relation[request.request_id] = sorted(inside)
     return relation
 
 
-def _add_components(request: RequestAttribution, ticks: _Tick,
-                    boundaries: list) -> None:
-    """Fill ``request.components``: its waits from the gaps around its
-    intervals, its member ticks' time by phase and cold share, and the
-    rest of its interval time as ``other_ns``."""
-    comp = request.components
-    cursor = request.submit_ns
-    first_wait = True
-    for join_ns, leave_ns in request.intervals:
-        if join_ns > cursor or first_wait:
-            _split_wait(comp, cursor, join_ns, boundaries, first_wait)
-            first_wait = False
-        comp["other_ns"] += leave_ns - join_ns
-        cursor = leave_ns
-    if request.end_ns > cursor:
-        # Tail wait after the last eviction (requeued then expired), or
-        # a request that never joined at all.
-        _split_wait(comp, cursor, request.end_ns, boundaries, first_wait)
-    for position in request.positions:
-        duration = ticks.end_ns[position] - ticks.start_ns[position]
-        cold = ticks.cold_ns[position]
-        comp["cold_ns"] += cold
-        key = f"{ticks.phase[position]}_ns"
-        comp[key] = comp.get(key, 0) + duration - cold
-        comp["other_ns"] -= duration
+def _add_components(requests: list, amounts: tuple, boundaries: list) -> None:
+    """Fill each request's ``components``: its waits from the gaps
+    around its intervals (split at the request's ``boundaries``), its
+    member ticks' time by phase and cold share, and the rest of its
+    interval time as ``other_ns``. The tick sums are int64 sums over
+    every ``(request, position)`` pair at once."""
+    duration, cold, _, (phase_names, phase) = amounts
+    owner, position = _pairs([r.positions for r in requests])
+    cold_ns, tick_ns = (_sum_by(owner, values[position], len(requests)).tolist()
+                        for values in (cold, duration))
+    by_phase = _rollup(len(requests), len(phase_names), owner, phase[position],
+                       (duration - cold)[position], np.ones(len(owner), bool))
+    for request, instants, cold_total, tick_total, phases in zip(
+            requests, boundaries, cold_ns, tick_ns, by_phase):
+        comp = request.components
+        cursor = request.submit_ns
+        first_wait = True
+        for join_ns, leave_ns in request.intervals:
+            if join_ns > cursor or first_wait:
+                _split_wait(comp, cursor, join_ns, instants, first_wait)
+                first_wait = False
+            comp["other_ns"] += leave_ns - join_ns
+            cursor = leave_ns
+        if request.end_ns > cursor:
+            # Tail wait after the last eviction (requeued then expired), or
+            # a request that never joined at all.
+            _split_wait(comp, cursor, request.end_ns, instants, first_wait)
+        if phases:
+            comp["cold_ns"] += cold_total
+            for code, total in phases:
+                key = f"{phase_names[code]}_ns"
+                comp[key] = comp.get(key, 0) + total
+            comp["other_ns"] -= tick_total
 
 
 def _split_wait(
@@ -492,133 +547,44 @@ def _sorted_tenant(doc: dict) -> dict:
     return dict(sorted(doc.items()))
 
 
-# ----------------------------------------------------------------------
-# cluster mode
-# ----------------------------------------------------------------------
-def _analyze_cluster(records: TraceRecords, out: Attribution, amounts: tuple,
-                     replica: tuple, row, args: list) -> None:
-    """Fleet-level accounting from dispatch ticks and lifecycle events.
-
-    Every lifecycle event carries the request's fleet ordinal, but a
-    dispatch lists tenants, not requests, so this mode reports rollups
-    (per tenant/replica/model) and each served request's wait and
-    service rather than per-tick decompositions; the exact-conservation
-    guarantee here is that per-tenant dispatch shares sum to fleet busy
-    time.
-
-    Each dispatch's tenants become member slots for
-    :func:`_account_slots`, read from the ``args`` entry that ``row``
-    gives each tick. A priority or model key appears only where a
-    contributing amount is non-zero.
-    """
-    duration, cold = amounts[:2]
-    replica_names, replica = replica
-    busy, dispatches, cold_ns = (
-        _sum_by(replica, values, len(replica_names)).tolist()
-        for values in (duration, np.ones_like(duration), cold)
-    )
-    for i in sorted(range(len(replica_names)), key=replica_names.__getitem__):
-        out.replicas[replica_names[i]] = {
-            "busy_ns": busy[i], "dispatches": dispatches[i],
-            "cold_ns": cold_ns[i],
-        }
-
-    # One row per member slot; an entry's lists are flattened once, and
-    # a slot reads its entry's list at its own position.
-    tenant_lists = [a.get("tenants", ()) for a in args]
-    priority_lists = [a.get("priorities", ()) for a in args]
-    listed = np.fromiter(map(len, tenant_lists), np.int64, len(args))
-    size = listed[row]
-    member, slot = _slots(size)
-    entry = row[member]
-    # The appended name is the tenantless dispatches' one slot.
-    tenant_names, codes = _factorize(
-        [*chain.from_iterable(tenant_lists), _UNATTRIBUTED], str
-    )
-    tenant = np.full(len(member), codes[-1])
-    has = (size > 0)[member]
-    tenant[has] = codes[(np.cumsum(listed) - listed)[entry[has]] + slot[has]]
-    # A slot's priority is the one listed at its position, else 1; the
-    # appended 1 is the unlisted slots' entry.
-    count = np.fromiter(map(len, priority_lists), np.int64, len(args))
-    priority_names, priorities = _factorize(
-        [*chain.from_iterable(priority_lists), 1], lambda p: str(int(p))
-    )
-    priority = priorities[np.where(
-        slot < count[entry], (np.cumsum(count) - count)[entry] + slot,
-        len(priorities) - 1,
-    )]
-    model_names, model = _factorize(
-        [a.get("model", "") for a in args], lambda m: str(m) or "?"
-    )
-    busy_part = duration - cold
-    _account_slots(
-        out.tenants, *amounts, member, slot, size,
-        (tenant_names, tenant), (priority_names, priority),
-        (model_names, model[entry]),
-        ((cold != 0) | (busy_part != 0))[member] & has,
-    )
-
-    # Request rollups from lifecycle events (no cross-joins: a served
-    # event carries its own arrival stamp and wait).
-    # Service is the rest of the sojourn, so a request's components sum
-    # to its latency; an artifact without the stamp rebuilds the arrival
-    # from the rounded wait and service.
-    for _, name, track, ts_ns, args in records.events:
-        if track != "cluster/requests":
-            continue
-        tenant = str(args.get("tenant", "default"))
-        doc = _tenant_doc(out.tenants, tenant)
-        if name == "queued":
-            doc["requests"] += 1
-        elif name == "served":
-            doc["served"] += 1
-            wait_ns = to_ns(args.get("wait_s", 0.0))
-            submitted = args.get("submitted_s")
-            submit_ns = (
-                ts_ns - wait_ns - to_ns(args.get("service_s", 0.0))
-                if submitted is None else to_ns(submitted)
-            )
-            request = RequestAttribution(
-                request_id=int(args.get("request_id", -1)),
-                tenant=tenant,
-                priority=int(args.get("priority", 1)),
-                model=str(args.get("model", "")),
-                outcome="served",
-                submit_ns=submit_ns,
-                end_ns=ts_ns,
-            )
-            request.components["queue_wait_ns"] = wait_ns
-            request.components["batch_ns"] = ts_ns - submit_ns - wait_ns
-            out.requests.append(request)
+def _pairs(positions: list) -> tuple:
+    """``(owner, position)``: every position of the ``positions`` arrays
+    beside the index of the array holding it."""
+    return (np.repeat(np.arange(len(positions)), list(map(len, positions))),
+            np.concatenate([_NONE, *positions]))
 
 
-def _slots(size: np.ndarray) -> tuple:
-    """``(member, slot)``: each slot's tick and its place among that
-    tick's ``max(size, 1)`` slots, in tick order."""
-    slots = np.maximum(size, 1)
-    member = np.repeat(np.arange(len(size)), slots)
-    return member, np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
-
-
-def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
-                   member, slot, size, tenant: tuple, priority: tuple,
-                   model: tuple, present) -> None:
+def _account_slots(tenants: dict, amounts: tuple, members: dict,
+                   requests: list) -> None:
     """Split every tick's time and energy over its member slots and add
     the shares to the ``tenants`` documents.
 
-    Per tick: ``duration``, ``cold`` and ``energy`` amounts, ``phase``
-    as ``(names, codes)`` with ``"cold"`` name 0, and ``size`` (members;
-    a tick with none is one slot). Per slot (see
-    :func:`_slots`): ``tenant``, ``priority`` and ``model`` as ``(names,
-    codes)`` pairs, and ``present`` where its priority and model keys
-    appear. A slot's share is the exact split's: the floor share, plus
-    one for slots below the remainder, so a tick's shares sum to its
-    amount. Sums are int64, exact up to 292 years of busy time and
-    9.2 GJ of energy.
+    ``amounts`` are each tick's duration, cold and energy, and its phase
+    as ``(names, codes)`` with ``"cold"`` name 0; ``members`` is the
+    membership relation. A tick's slots are its members in request-id
+    order, or one (unattributed) slot when it has none; an id no request
+    carries is unattributed, priority 1, no model. A slot's share is the
+    exact split's: the floor share, plus one for slots below the
+    remainder (the lowest ids), so a tick's shares sum to its amount. A
+    phase key appears where its amount is non-zero, priority and model
+    keys for every member slot. Sums are int64, exact up to 292 years of
+    busy time and 9.2 GJ of energy.
     """
+    duration, cold, energy, (phase_names, phase) = amounts
+    ids = sorted(members)
+    owner, position = _pairs(list(map(members.__getitem__, ids)))
+    size = np.bincount(position, minlength=len(duration))
     slots = np.maximum(size, 1)
-    tenant_names, tenant = tenant
+    member = np.repeat(np.arange(len(size)), slots)
+    slot = np.arange(len(member)) - (np.cumsum(slots) - slots)[member]
+    present = (size > 0)[member]
+    who = np.full(len(member), len(ids))
+    who[present] = owner[np.argsort(position, kind="stable")]
+    by_rid = {r.request_id: r for r in requests}
+    nobody = RequestAttribution(request_id=-1, tenant=_UNATTRIBUTED)
+    holders = [by_rid.get(rid, nobody) for rid in ids] + [nobody]
+    tenant_names, tenant = _factorize([r.tenant for r in holders])
+    tenant = tenant[who]
     rows = len(tenant_names)
 
     def share(amount):
@@ -630,7 +596,6 @@ def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
         share, (cold, busy_part, energy)
     )
     tick_share = cold_share + busy_share
-    phase_names, phase = phase
     rollups = [("by_phase", phase_names, _rollup(
         rows, len(phase_names),
         np.concatenate([tenant, tenant]),
@@ -639,10 +604,12 @@ def _account_slots(tenants: dict, duration, cold, energy, phase: tuple,
         np.concatenate([cold[member] != 0, busy_part[member] != 0]),
     ))]
     rollups += [
-        (key, names, _rollup(rows, len(names), tenant, codes, tick_share,
+        (key, names, _rollup(rows, len(names), tenant, codes[who], tick_share,
                              present))
-        for key, (names, codes) in (("by_priority", priority),
-                                    ("by_model", model))
+        for key, (names, codes) in (
+            ("by_priority", _factorize([str(r.priority) for r in holders])),
+            ("by_model", _factorize([r.model or "?" for r in holders])),
+        )
     ]
     tick_ns = _sum_by(tenant, tick_share, rows).tolist()
     energy_nj = _sum_by(tenant, energy_share, rows).tolist()
@@ -662,17 +629,12 @@ def _to_ns(seconds: list) -> np.ndarray:
     ).astype(np.int64)
 
 
-def _factorize(values: list, label=None) -> tuple:
+def _factorize(values: list) -> tuple:
     """``(names, codes)``: the distinct values in first-seen order and
-    each value's position among them (an int64 array). With ``label``,
-    the names are the distinct labels of the distinct values, so values
-    with equal labels share a code."""
+    each value's position among them (an int64 array)."""
     index = {value: i for i, value in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), np.int64, len(values))
-    if label is None:
-        return list(index), codes
-    names, relabel = _factorize(list(map(label, index)))
-    return names, relabel[codes]
+    return list(index), np.fromiter(map(index.__getitem__, values), np.int64,
+                                    len(values))
 
 
 def _sum_by(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import html as _html
 from typing import Optional
 
 from repro.obs.analyze.report import AnalysisReport
+from repro.obs.trace import int64
 
 #: Cap on per-request timeline rows / table rows (noted when exceeded).
 MAX_REQUEST_ROWS = 64
@@ -142,6 +143,8 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
     requests = report.attribution.requests[:MAX_REQUEST_ROWS]
     span_ns = max(doc["horizon_ns"], 1)
     ticks = report.attribution.ticks.columns
+    start = int64(ticks.start_ns)
+    duration = int64(ticks.end_ns) - start
     row_h = 14
     height = len(requests) * row_h + 4
     parts = [
@@ -165,15 +168,18 @@ def _timeline_svg(report: AnalysisReport, doc: dict) -> str:
                     f'height="10" fill="{_PHASE_COLORS["preempt"]}"/>'
                 )
             previous_leave = leave_ns
-        for position in request.positions:  # tick order: later overpaints
-            start_ns = ticks.start_ns[position]
-            color = _PHASE_COLORS.get(ticks.phase[position],
-                                      _PHASE_COLORS["other"])
-            parts.append(
-                f'<rect x="{_pct(start_ns, span_ns)}" y="{y}" width="'
-                f'{_pct(ticks.end_ns[position] - start_ns, span_ns)}" '
-                f'height="10" fill="{color}"/>'
+        # member ticks in tick order (later overpaints), as _pct would
+        # place them: the same float quotients, formatted the same way
+        positions = request.positions
+        parts.extend(
+            f'<rect x="{x:.4f}" y="{y}" width="{width:.4f}" height="10" '
+            f'fill="{_PHASE_COLORS.get(phase, _PHASE_COLORS["other"])}"/>'
+            for x, width, phase in zip(
+                (start[positions] / span_ns * 100.0).tolist(),
+                (duration[positions] / span_ns * 100.0).tolist(),
+                map(ticks.phase.__getitem__, positions.tolist()),
             )
+        )
     parts.append("</svg>")
     note = ""
     if len(report.attribution.requests) > MAX_REQUEST_ROWS:

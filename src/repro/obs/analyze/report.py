@@ -208,10 +208,9 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
         for request in sorted(attribution.requests,
                               key=lambda r: "%08d" % r.request_id):
             positions = request.positions
-            if not positions:
+            if not len(positions):
                 continue
-            join_ns = (request.intervals[0][0] if request.intervals
-                       else columns.start_ns[positions[0]])
+            join_ns = request.intervals[0][0]  # a member has an interval
             if join_ns > request.submit_ns:
                 chains.append([count + len(waits), *positions])
                 waits.append((request.request_id, request.submit_ns, join_ns))

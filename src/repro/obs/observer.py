@@ -48,8 +48,8 @@ class Observer:
         #: Timestamp stamped by the owning layer before delegating to a
         #: clock-less layer (the continuous executor, the cache).
         self.now = 0.0
-        #: Row entries of each replica's live batch: replica -> (members,
-        #: {(phase, price, model, ablation): index into spans.rows}).
+        #: Row entries of each replica's live batch: replica -> (request
+        #: ids, {(phase, price, model, ablation): index into spans.rows}).
         self._live_rows: dict = {}
 
     @property
@@ -129,24 +129,25 @@ class Observer:
             stage, "cluster/requests", ts_s, request_id=request_id, **args,
         )
 
-    def on_dispatch(self, dispatch) -> None:
+    def on_dispatch(self, dispatch, request_ids: list) -> None:
         """One priced batch executing on a cluster replica.
 
         Takes the replica's :class:`~repro.cluster.replica.Dispatch` and
-        writes one span row from it. A live batch repeats its row tick
-        after tick, so each replica keeps the row entries of its current
-        members: the first dispatch with a given phase, price, model and
-        ablation builds the span's name, track and args dict, and every
-        later one records the same entry index with its own stamps.
-        A change of members drops the replica's entries, so a drain-mode
-        micro-batch (always new members) keeps nothing extra. Floats key
-        by exact value: the sign rides along, so ``-0.0`` and ``0.0``
-        never share a row.
+        the fleet ordinals of its members, in member order, and writes
+        one span row, which lists them as ``request_ids``. A live batch
+        repeats its row tick after tick, so each replica keeps the row
+        entries of its current members: the first dispatch with a given
+        phase, price, model and ablation builds the span's name, track
+        and args dict, and every later one records the same entry index
+        with its own stamps. A change of members drops the replica's
+        entries, so a drain-mode micro-batch (always new members) keeps
+        nothing extra. Floats key by exact value: the sign rides along,
+        so ``-0.0`` and ``0.0`` never share a row.
         """
-        members, replica = dispatch.members, dispatch.replica
+        replica = dispatch.replica
         live = self._live_rows.get(replica)
-        if live is None or live[0] != members:
-            live = self._live_rows[replica] = (members, {})
+        if live is None or live[0] != request_ids:
+            live = self._live_rows[replica] = (request_ids, {})
         cold_s, energy_j = dispatch.cold_s, dispatch.energy_j
         key = (
             dispatch.phase, cold_s, copysign(1.0, cold_s), energy_j,
@@ -157,15 +158,14 @@ class Observer:
             self.tracer.record_row(row, dispatch.started_s,
                                    dispatch.completion_s)
             return
-        _, tenants, priorities = zip(*members) if members else ((), (), ())
         span_id = self.tracer.record_span(
             f"dispatch[{dispatch.model}]", f"replica/{replica}",
             dispatch.started_s, dispatch.completion_s,
             {
-                "batch_size": len(tenants), "model": dispatch.model,
+                "batch_size": len(request_ids), "model": dispatch.model,
                 "ablation": dispatch.ablation, "phase": dispatch.phase,
                 "cold_s": cold_s, "energy_j": energy_j,
-                "tenants": list(tenants), "priorities": list(priorities),
+                "request_ids": request_ids,
             },
         )
         live[1][key] = self.tracer.spans.columns.row[span_id]

@@ -540,13 +540,13 @@ class ContinuousServer:
         self.last_tick_s = 0.0
         #: The most recent step, as the cluster replica reads it: phase
         #: ("dense"/"sparse", or "batch" under drain; "" = nothing ran),
-        #: (id, tenant, priority) members, the cold surcharge included
-        #: in ``last_tick_s``, and the step's priced energy.
+        #: its members' request ids, the cold surcharge included in
+        #: ``last_tick_s``, and the step's priced energy.
         self.last_tick_phase = ""
         self.last_tick_members: tuple = ()
         self.last_tick_cold_s = 0.0
         self.last_tick_energy_j = 0.0
-        # The live batch's member rows, rebuilt only after membership
+        # The live batch's member ids, rebuilt only after membership
         # changed: at a boundary or when runs finish.
         self._members: Optional[tuple] = None
         self._next_id = 0
@@ -693,10 +693,7 @@ class ContinuousServer:
         batch_size = len(active)
         members = self._members
         if members is None:
-            members = self._members = tuple(
-                (run.request_id, run.request.tenant, int(run.request.priority))
-                for run in active
-            )
+            members = self._members = tuple(run.request_id for run in active)
         boundaries = self._boundaries
         iterations = len(boundaries) - 1
         cursor = active[0].cursor
@@ -725,6 +722,12 @@ class ContinuousServer:
             cold_s = max(0.0, float(self.cold_start_s))
             self.cold_charged = True
             tick_s += cold_s
+        if observer is not None:  # drain lists its batch while it is live
+            span_args = (
+                {"request_ids": list(members),
+                 "tenants": [run.request.tenant for run in active]}
+                if drain else {"cursor": cursor, "boundary": was_boundary}
+            )
 
         completed_at = now + tick_s
         totals = self._totals
@@ -761,11 +764,6 @@ class ContinuousServer:
             self._edit("complete", completed_at, run.request_id,
                        batch_size=batch_size)
         if observer is not None:
-            span_args = (
-                {"request_ids": [m[0] for m in members],
-                 "tenants": [m[1] for m in members]}
-                if drain else {"cursor": cursor, "boundary": was_boundary}
-            )
             if self.price is not None:
                 span_args["energy_j"] = energy_j
             if cold_s > 0.0:

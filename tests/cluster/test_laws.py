@@ -96,7 +96,7 @@ def test_busy_time_is_the_sum_of_dispatched_prices(cells, continuous):
         for span in _dispatch_spans(tracer, replica):
             args = span.args
             busy_s += prices.price(
-                args["model"], args["ablation"], len(args["tenants"]),
+                args["model"], args["ablation"], len(args["request_ids"]),
                 args["phase"],
             ).seconds + args["cold_s"]
             spans += 1
@@ -147,12 +147,13 @@ def test_span_batch_size_is_the_executing_batch(cells, continuous):
     _, tracer, replicas, _ = cells[continuous]
     for replica in replicas:
         for span in _dispatch_spans(tracer, replica):
-            assert span.args["batch_size"] == len(span.args["tenants"])
+            assert span.args["batch_size"] == len(span.args["request_ids"])
 
 
 #: Sum of sojourns minus the integral of N(t), in ns: 0, since the
-#: analysis reads each served arrival from the ``served`` event's
-#: ``submitted_s`` stamp, and the drop sojourns are exact.
+#: analysis reads each served request's arrival from its ``queued``
+#: event and its departure from its ``served`` event, and the drop
+#: sojourns are exact.
 LITTLE_RESIDUAL_NS = {False: 0, True: 0}
 
 

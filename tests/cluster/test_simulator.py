@@ -389,7 +389,7 @@ class TestTracedPriority:
         (dispatch,) = [span for span in observer.tracer.spans
                        if span.name.startswith("dispatch[")]
         assert stages == {"queued": 0, "served": 0}
-        assert dispatch.args["priorities"] == [0]
+        assert dispatch.args["request_ids"] == [0]
 
 
 class TestExecuteMode:

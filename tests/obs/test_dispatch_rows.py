@@ -2,8 +2,9 @@
 
 ``Observer.on_dispatch`` builds a dispatch span's name, track and args
 entry once per ``(phase, cold_s, energy_j, model, ablation)`` while a
-replica's members stay the same, and records later equal dispatches with
-the same entry index; a change of members drops the replica's entries.
+replica's members (the fleet ordinals it lists as ``request_ids``) stay
+the same, and records later equal dispatches with the same entry index;
+a change of members drops the replica's entries.
 These tests pin the sharing on a fleet cell and by hand, the entries a
 drain cell leaves behind, the read-only contract every trace reader
 keeps, and the retained bytes per span of the trace and of its analysis.
@@ -43,9 +44,9 @@ class _Recording(Observer):
         super().__init__()
         self.dispatches = []
 
-    def on_dispatch(self, dispatch) -> None:
-        self.dispatches.append(dispatch)
-        super().on_dispatch(dispatch)
+    def on_dispatch(self, dispatch, request_ids) -> None:
+        self.dispatches.append((dispatch, request_ids))
+        super().on_dispatch(dispatch, request_ids)
 
 
 def _fleet_cell(
@@ -64,8 +65,8 @@ def _fleet_cell(
     )
 
 
-def _key(dispatch) -> tuple:
-    return (dispatch.members, dispatch.phase, dispatch.cold_s,
+def _key(dispatch, request_ids) -> tuple:
+    return (tuple(request_ids), dispatch.phase, dispatch.cold_s,
             dispatch.energy_j, dispatch.model, dispatch.ablation,
             dispatch.replica)
 
@@ -81,7 +82,7 @@ def _dispatch(**changes) -> Dispatch:
     fields = dict(
         replica="r0", model="dit", ablation="all", served=[],
         started_s=1.0, service_s=0.5, phase="sparse", cold_s=0.0,
-        members=((0, "alice", 1), (1, "bob", 2)), energy_j=2.0,
+        members=(0, 1), energy_j=2.0,
     )
     fields.update(changes)
     return Dispatch(**fields)
@@ -93,13 +94,15 @@ class TestSharedRows:
         assert len(spans) == len(cell.dispatches)
         live = {}  # replica -> (members, {key: row}) while its members stay
         owner = {}  # id(args) -> the one dispatch key it records
-        for dispatch, row in zip(cell.dispatches, spans.columns.row):
-            if live.get(dispatch.replica, (None,))[0] != dispatch.members:
-                live[dispatch.replica] = dispatch.members, {}
-            first = live[dispatch.replica][1].setdefault(_key(dispatch), row)
-            assert row == first
+        for (dispatch, ids), row in zip(cell.dispatches, spans.columns.row):
+            if live.get(dispatch.replica, (None,))[0] != ids:
+                live[dispatch.replica] = ids, {}
+            key = _key(dispatch, ids)
+            assert row == live[dispatch.replica][1].setdefault(key, row)
             args = spans.rows.args[row]
-            assert owner.setdefault(id(args), _key(dispatch)) == _key(dispatch)
+            assert owner.setdefault(id(args), key) == key
+            assert args["request_ids"] == ids
+            assert len(ids) == len(dispatch.members) == args["batch_size"]
 
     def test_distinct_rows_are_a_tenth_of_the_spans(self, cell):
         spans = cell.tracer.spans
@@ -108,7 +111,7 @@ class TestSharedRows:
 
     def test_the_row_is_the_dispatch(self):
         observer = Observer()
-        observer.on_dispatch(_dispatch(cold_s=0.25))
+        observer.on_dispatch(_dispatch(cold_s=0.25), [7, 9])
         span = observer.tracer.spans[0]
         assert (span.name, span.track, span.start_s, span.end_s) == (
             "dispatch[dit]", "replica/r0", 1.0, 1.5,
@@ -116,12 +119,12 @@ class TestSharedRows:
         assert span.args == {
             "batch_size": 2, "model": "dit", "ablation": "all",
             "phase": "sparse", "cold_s": 0.25, "energy_j": 2.0,
-            "tenants": ["alice", "bob"], "priorities": [1, 2],
+            "request_ids": [7, 9],
         }
 
     @pytest.mark.parametrize("change", [
-        {"members": ((0, "alice", 1),)},
-        {"members": ((0, "alice", 1), (2, "bob", 2))},
+        {"request_ids": [7]},
+        {"request_ids": [7, 8]},
         {"phase": "dense"},
         {"cold_s": 0.5},
         {"energy_j": 3.0},
@@ -133,9 +136,10 @@ class TestSharedRows:
     ])
     def test_a_changed_key_starts_a_new_row(self, change):
         observer = Observer()
-        observer.on_dispatch(_dispatch(energy_j=0.0))
-        observer.on_dispatch(_dispatch(energy_j=0.0, started_s=2.0))
-        observer.on_dispatch(_dispatch(**{"energy_j": 0.0, **change}))
+        observer.on_dispatch(_dispatch(energy_j=0.0), [7, 9])
+        observer.on_dispatch(_dispatch(energy_j=0.0, started_s=2.0), [7, 9])
+        ids = change.pop("request_ids", [7, 9])
+        observer.on_dispatch(_dispatch(**{"energy_j": 0.0, **change}), ids)
         first, again, changed = observer.tracer.spans.columns.row
         assert again == first
         assert changed != first
@@ -143,17 +147,16 @@ class TestSharedRows:
     def test_a_refused_dispatch_records_nothing(self):
         observer = Observer()
         with pytest.raises(ValueError, match="ends at"):
-            observer.on_dispatch(_dispatch(service_s=-1.0))
+            observer.on_dispatch(_dispatch(service_s=-1.0), [7, 9])
         assert len(observer.tracer.spans) == 0
-        observer.on_dispatch(_dispatch())
+        observer.on_dispatch(_dispatch(), [7, 9])
         assert observer.tracer.spans[0].end_s == 1.5
 
 
     def test_a_change_of_members_drops_the_rows(self):
         observer = Observer()
-        alice, both = ((0, "alice", 1),), ((0, "alice", 1), (1, "bob", 2))
-        for members in (alice, both, alice):
-            observer.on_dispatch(_dispatch(members=members))
+        for ids in ([7], [7, 9], [7]):
+            observer.on_dispatch(_dispatch(members=tuple(ids)), ids)
         first, _, again = observer.tracer.spans.columns.row
         args = observer.tracer.spans.rows.args
         assert args[again] == args[first]
@@ -165,8 +168,8 @@ class TestSharedRows:
         spans = observer.tracer.spans
         args = [spans.rows.args[row] for row in spans.columns.row]
         assert len({id(a) for a in args}) == len(args) > 10
-        last = {d.replica: d.members for d in observer.dispatches}
-        assert {replica: members for replica, (members, _)
+        last = {d.replica: ids for d, ids in observer.dispatches}
+        assert {replica: ids for replica, (ids, _)
                 in observer._live_rows.items()} == last
         assert all(len(rows) == 1 for _, rows in observer._live_rows.values())
 
@@ -205,14 +208,16 @@ class TestRetainedBytes:
 
     A span's columns are three 8-byte array slots; its share of the row
     entries and event dicts makes up the rest. Measured on CPython
-    3.11.7: the trace 64.8 B per span, its analysis 95.6 B per span (the
-    critical path keeps int64 positions into the tick table, not node
-    and edge objects). CPython 3.10 dicts are larger (24-byte entries,
-    3.11 and 3.12 use 16 for str keys): rebuilding the cell's 529 args
-    dicts takes 38 KB more on 3.10.13 than on 3.11.7 (3.12.1: 2 KB
-    less), an estimated 7 B per span on the trace; the trace bound leaves
-    ~5 % over that estimate. The analysis keeps a few dicts per request
-    and tenant, none per span, so its bound of 150 leaves over 50 %.
+    3.11.7: the trace 60.5 B per span (64.8 while dispatches listed
+    tenants and priorities, not request ids), its analysis 111.6 B per
+    span (each request keeps its member ticks, and the critical path its
+    chain, as int64 positions into the tick table; Python lists of ints
+    took 146.6). CPython 3.10 dicts are larger (24-byte entries, 3.11
+    and 3.12 use 16 for str keys): rebuilding the cell's 529 args dicts
+    took 38 KB more on 3.10.13 than on 3.11.7 (3.12.1: 2 KB less), an
+    estimated 7 B per span on the trace; the trace bound leaves ~12 %
+    over that estimate. The analysis keeps a few dicts and one array per
+    request and tenant, none per span, so its bound of 150 leaves 34 %.
     """
 
     def test_a_fleet_cell_keeps_at_most_76_bytes_per_span(self):

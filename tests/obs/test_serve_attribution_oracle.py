@@ -77,7 +77,8 @@ def _serve_ticks(records: TraceRecords) -> list:
         ticks.append(_Tick(
             span_id, start_ns, end_ns, phase, cold_ns,
             round(float(args.get("energy_j", 0.0)) * 1e9), "",
-            bool(args.get("boundary", False)), tuple(args.get("request_ids", ())),
+            bool(args.get("boundary", phase != "sparse")),
+            tuple(args.get("request_ids", ())),
         ))
     return sorted(ticks, key=lambda t: (t.start_ns, t.span_id))
 
@@ -129,6 +130,7 @@ def _attribute_request(
     mode: str,
 ) -> RequestAttribution:
     request = RequestAttribution(request_id=rid)
+    request.positions = []
     submit = next((e for e in events if e.name == "submit"), None)
     if submit is not None:
         request.submit_ns = submit.ts_ns
@@ -383,7 +385,7 @@ def _documents(attribution, path) -> tuple:
         slo=evaluate_slos(attribution, default_slos()),
     )
     return (report.to_json(), path.to_dict(),
-            [r.positions for r in attribution.requests])
+            [list(map(int, r.positions)) for r in attribution.requests])
 
 
 def _assert_matches_oracle(records) -> None:
@@ -579,9 +581,9 @@ class TestOneRelationMatchesRowWalk:
         _assert_matches_oracle(records)
         attribution = analyze(records).attribution
         first, second = attribution.requests
-        assert (first.positions, first.intervals) == ([0], [(8, 21)])
+        assert (first.positions.tolist(), first.intervals) == ([0], [(8, 21)])
         assert first.components["other_ns"] == 3  # 13 ns joined, 10 ticked
-        assert (second.positions, second.intervals) == ([0], [(10, 20)])
+        assert (second.positions.tolist(), second.intervals) == ([0], [(10, 20)])
         assert second.outcome == "served"
         # 10 ns over ids 0, 1 and 7 (no events): shares 4, 3, 3.
         assert attribution.tenants["alice"]["by_priority"] == {"2": 4}
@@ -603,7 +605,7 @@ class TestWhereTheOldRulesSplit:
             trace.span("tick[dense]", start, end, {})
         report = analyze(trace.records)
         (request,) = report.attribution.requests
-        assert request.positions == [0, 1, 2]
+        assert request.positions.tolist() == [0, 1, 2]
         assert request.to_dict()["ticks"] == 3
         assert request.residual_ns == 0
         assert len(report.path.to_dict()["nodes"]) == 3
@@ -616,7 +618,7 @@ class TestWhereTheOldRulesSplit:
         trace.span("batch", 10, 20, {"request_ids": [0]})
         attribution = analyze(trace.records).attribution
         (request,) = attribution.requests
-        assert request.positions == [0]
+        assert request.positions.tolist() == [0]
         assert attribution.tenants["alice"]["tick_ns"] == 10
         assert request.residual_ns == 0
 
