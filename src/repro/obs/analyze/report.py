@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -47,6 +48,13 @@ class AnalysisReport:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
+        """The report document, built on the first call and shared by
+        every later one (:meth:`to_json`, :func:`render_html`): read it,
+        never write it."""
+        return self._document
+
+    @cached_property
+    def _document(self) -> dict:
         attribution = self.attribution
         fleet = attribution.fleet_components()
         return {
