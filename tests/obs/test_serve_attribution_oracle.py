@@ -32,7 +32,7 @@ from bisect import bisect_left
 from typing import Optional
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Observer, run_trace_scenario
@@ -545,6 +545,34 @@ def _drain_records(draw) -> TraceRecords:
     return trace.records
 
 
+def _tied(lifecycles: list, ticks: list) -> TraceRecords:
+    """A hand-built trace from each request's ``(name, ts_ns, args)``
+    events and ``(phase, start_ns, end_ns)`` ticks."""
+    trace = _Trace()
+    for rid, events in enumerate(lifecycles):
+        for name, ts_ns, args in events:
+            trace.event(name, ts_ns, rid, **args)
+    for phase, start, end in ticks:
+        trace.span(f"tick[{phase}]", start, end, {})
+    return trace.records
+
+
+#: Traces whose critical path ties between two predecessors that Kahn's
+#: pass pops in different rounds, so the smaller key is the wrong pick:
+#: a wait of round 1 against a tick of round 2 (tick 1's predecessors),
+#: and a tick of round 2 against a later tick of round 1 (tick 2's).
+_TIES = (
+    _tied([[("submit", 0, {}), ("join", 10, {}), ("complete", 20, {})],
+           [("submit", 0, {}), ("join", 4, {}), ("complete", 20, {})]],
+          [("dense", 4, 10), ("sparse", 10, 20)]),
+    _tied([[("submit", 2, {}), ("join", 4, {}), ("complete", 10, {})],
+           [("submit", 0, {}), ("join", 2, {}),
+            ("evict", 4, {"reason": "preempt"}), ("join", 6, {}),
+            ("complete", 10, {})]],
+          [("dense", 2, 4), ("sparse", 4, 6), ("dense", 6, 10)]),
+)
+
+
 _SETTINGS = settings(max_examples=100, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -557,6 +585,8 @@ class TestOneRelationMatchesRowWalk:
 
     @_SETTINGS
     @given(_continuous_records())
+    @example(records=_TIES[0])
+    @example(records=_TIES[1])
     def test_hand_built_continuous(self, records):
         _assert_matches_oracle(records)
 
