@@ -237,8 +237,10 @@ class TraceRecords:
         anything else must be the JSONL event log, or ``ValueError``
         names the path and the first line that is not a span or event
         row. A record whose id is not an int in ``[0, 2**63)`` is a
-        ``ValueError`` naming the path and the record. An empty file is
-        an empty trace.
+        ``ValueError`` naming the path and the record, and so is a fleet
+        ``dispatch[…]`` span that lists no ``request_ids`` (an artifact
+        written before dispatches listed their members, whose requests
+        the analysis cannot attribute). An empty file is an empty trace.
         """
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -251,11 +253,16 @@ class TraceRecords:
             except json.JSONDecodeError:
                 pass
         try:
-            if isinstance(doc, dict) and "traceEvents" in doc:
-                return cls.from_chrome_trace(doc)
-            return cls.from_jsonl(text)
+            records = (cls.from_chrome_trace(doc)
+                       if isinstance(doc, dict) and "traceEvents" in doc
+                       else cls.from_jsonl(text))
+            for span in records.spans:
+                if span.name.startswith("dispatch[") and "request_ids" not in span.args:
+                    raise ValueError(f"{span.name!r}: span_id {span.span_id} lists no "
+                                     "request_ids (written before dispatches listed them)")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        return records
 
     def horizon_ns(self) -> int:
         """Latest timestamp seen anywhere (0 for an empty trace)."""

@@ -142,6 +142,32 @@ class TestBadInput:
             main(["obs", "analyze", "--input", str(path),
                   "--out", str(tmp_path / "out")])
 
+    @pytest.mark.parametrize("artifact", ["jsonl", "chrome"])
+    def test_a_dispatch_without_members_is_bad_input(self, tmp_path, artifact):
+        """A fleet artifact from before dispatches listed ``request_ids``
+        is refused, naming its first such span."""
+        spans = [("dispatch[dit]", 3, {"request_ids": [0]}),
+                 ("dispatch[mld]", 4, {"tenants": ["alice"]}),
+                 ("dispatch[dit]", 5, {})]
+        if artifact == "jsonl":
+            text = "".join(json.dumps({
+                "type": "span", "span_id": span_id, "name": name,
+                "track": "replica/replica0", "start_s": span_id * 1.0,
+                "end_s": span_id + 1.0, "parent_id": None, "args": args,
+            }) + "\n" for name, span_id, args in spans)
+        else:
+            text = json.dumps({"traceEvents": [{
+                "name": name, "ph": "X", "pid": 1, "tid": 1,
+                "ts": span_id * 1e6, "dur": 1e6,
+                "args": {"span_id": span_id, **args},
+            } for name, span_id, args in spans]})
+        path = tmp_path / "old.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit, match=r"^bad --input: .*old\.json: "
+                           r"'dispatch\[mld\]': span_id 4 lists no request_ids"):
+            main(["obs", "analyze", "--input", str(path),
+                  "--out", str(tmp_path / "out")])
+
     def test_empty_file_is_an_empty_trace(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
