@@ -111,7 +111,7 @@ trace-smoke:  ## observability gate bench + deterministic Perfetto trace
 		--continuous --iterations 12 --out $(BENCH_OUT)/trace.json \
 		--metrics-out $(BENCH_OUT)/trace_metrics.json
 
-obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run, in-process and from JSONL
+obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run, in-process, from JSONL and from a fleet trace
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro bench \
 		--run obs_analysis --out $(BENCH_OUT)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs analyze --continuous \
@@ -128,6 +128,20 @@ obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run, in-pro
 		$(BENCH_OUT)/analysis.json $(BENCH_OUT)/analysis_jsonl.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs diff \
 		$(BENCH_OUT)/analysis_jsonl.json $(BENCH_OUT)/analysis.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro cluster --continuous \
+		--replicas 2 --models dit,mld --arrival mmpp --rate 30 \
+		--requests 120 --seed 3 --timeout 0.5 --json $(BENCH_OUT)/fleet.json \
+		--trace-out $(BENCH_OUT)/fleet_trace.json
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro obs analyze \
+		--input $(BENCH_OUT)/fleet_trace.json \
+		--out $(BENCH_OUT)/fleet_analysis.json
+	$(PYTHON) -c "import json, sys; \
+	report, doc = (json.load(open(path)) for path in sys.argv[1:]); \
+	residual = doc['conservation']['max_request_residual_ns']; \
+	counted, submitted = len(doc['requests']), report['submitted']; \
+	sys.exit(None if residual == 0 and counted == submitted else \
+	f'fleet analysis: residual {residual} ns, {counted} of {submitted} requests')" \
+		$(BENCH_OUT)/fleet.json $(BENCH_OUT)/fleet_analysis.json
 
 examples-smoke:  ## run every examples/*.py script end to end
 	@for example in examples/*.py; do \
