@@ -140,10 +140,10 @@ class ClusterSimulator:
                     completion_s = outcome.completion_s
                     horizon = max(horizon, completion_s)
                     if observer is not None:  # translated when members change
-                        batch = (replica, outcome.model, outcome.ablation)
-                        if listed.get(replica, (None,))[0] != (*batch, outcome.members):
-                            listed[replica] = (*batch, outcome.members), [
-                                ordinals[(*batch, m)] for m in outcome.members]
+                        batch = (replica, outcome.model, outcome.ablation, outcome.members)
+                        if listed.get(replica, (None,))[0] != batch:
+                            listed[replica] = batch, [
+                                ordinals[(*batch[:3], m)] for m in outcome.members]
                         observer.on_dispatch(outcome, listed[replica][1])
                     for record in outcome.served:
                         accumulator.record(record.wait_s, record.service_s)
