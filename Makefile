@@ -139,8 +139,10 @@ obs-analyze-smoke:  ## trace-analytics gate bench + CLI analyze/diff run, in-pro
 	report, doc = (json.load(open(path)) for path in sys.argv[1:]); \
 	residual = doc['conservation']['max_request_residual_ns']; \
 	counted, submitted = len(doc['requests']), report['submitted']; \
-	sys.exit(None if residual == 0 and counted == submitted else \
-	f'fleet analysis: residual {residual} ns, {counted} of {submitted} requests')" \
+	path, extent = doc['critical_path']['total_ns'], doc['critical_path']['span_ns']; \
+	sys.exit(None if residual == 0 and counted == submitted and path <= extent else \
+	f'fleet analysis: residual {residual} ns, {counted} of {submitted} requests, ' \
+	f'critical path {path} ns over a {extent} ns span')" \
 		$(BENCH_OUT)/fleet.json $(BENCH_OUT)/fleet_analysis.json
 
 examples-smoke:  ## run every examples/*.py script end to end

@@ -114,6 +114,7 @@ class ClusterSimulator:
                         replica=replica.name,
                         tenant=payload.tenant,
                         priority=int(payload.priority),
+                        deadline_s=payload.deadline_s,
                     )
                     if server_id is None:
                         observer.on_request_stage(
@@ -151,9 +152,6 @@ class ClusterSimulator:
                             key = (replica, outcome.model, outcome.ablation, record.request_id)
                             observer.on_request_stage(
                                 "served", completion_s, ordinals.pop(key), replica=replica.name,
-                                submitted_s=record.request.submitted_at,
-                                wait_s=record.wait_s,
-                                service_s=record.service_s,
                                 tenant=record.request.tenant,
                                 priority=int(record.request.priority),
                                 model=outcome.model,

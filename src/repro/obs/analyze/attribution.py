@@ -163,8 +163,7 @@ class Attribution:
     tenants: dict = field(default_factory=dict)
     replicas: dict = field(default_factory=dict)
     #: _Tick rows by column (analysis internal; integers in
-    #: ``array('q')``), in tick-start order for serve modes and trace
-    #: order for cluster dispatches
+    #: ``array('q')``), in ``(start_ns, span_id)`` order
     ticks: Table = field(default_factory=_ticks)
 
     # ------------------------------------------------------------------
@@ -255,10 +254,9 @@ def _steps(records: TraceRecords) -> tuple:
     batch track, or a fleet ``dispatch[…]``. Any tick makes the trace
     ``continuous``; else any dispatch makes it ``cluster`` and any batch
     ``drain``; a trace with none is ``continuous``. A cluster trace's
-    ticks are its dispatches, in trace order; any other trace's are its
-    ticks and batches, in ``(start_ns, span_id)`` order. A step is a
-    membership boundary by its ``boundary`` arg, else unless it is
-    ``sparse``.
+    ticks are its dispatches, any other trace's its ticks and batches,
+    in ``(start_ns, span_id)`` order. A step is a membership boundary by
+    its ``boundary`` arg, else unless it is ``sparse``.
     """
     spans = records.spans
     names, tracks, entry_args = spans.rows
@@ -278,8 +276,7 @@ def _steps(records: TraceRecords) -> tuple:
     span_id, start, end = (int64(column) for column in (
         spans.columns.span_id, spans.columns.start_ns, spans.columns.end_ns
     ))
-    if mode != "cluster":
-        rows = rows[np.lexsort((span_id[rows], start[rows]))]
+    rows = rows[np.lexsort((span_id[rows], start[rows]))]
     entry, span_id, start, end = (a[rows] for a in (entry, span_id, start, end))
     cold = np.minimum(np.maximum(
         _to_ns([a.get("cold_s", 0.0) for a in args])[entry], 0), end - start)

@@ -25,11 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.canon import canonical_json
-from repro.obs.analyze.attribution import (
-    Attribution,
-    _factorize,
-    analyze_records,
-)
+from repro.obs.analyze.attribution import Attribution, analyze_records
 from repro.obs.analyze.records import TraceRecords
 from repro.obs.analyze.slo import SLOSpec, default_slos, evaluate_slos
 from repro.obs.trace import Table, int64
@@ -175,14 +171,13 @@ class CriticalPath:
 def build_critical_path(attribution: Attribution) -> CriticalPath:
     """The chain of ticks, longest by summed duration, that bounds the run.
 
-    A chain is a sequence of nodes in ``(start_ns, span_id)`` order: in
-    serve modes one per request, its wait (submission to first join,
-    when that is positive) then its member ticks (``positions``); in
-    cluster mode one per replica, its dispatches. Consecutive nodes of a
-    chain are an edge when the later one starts at or after the earlier
-    one's end; a pair a noisy wall-clock trace overlaps is no edge, as
-    the analyzer reports on real artifacts rather than insisting they be
-    ideal. Every tick on a chain and every wait is a node.
+    A chain is one request's, in every mode: its wait (submission to
+    first join, when that is positive) then its member ticks
+    (``positions``). Consecutive nodes of a chain are an edge when the
+    later one starts at or after the earlier one's end; a pair a noisy
+    wall-clock trace overlaps is no edge, as the analyzer reports on
+    real artifacts rather than insisting they be ideal. Every tick on a
+    chain and every wait is a node.
 
     One pass over the ticks in ``(start_ns, span_id)`` order gives each
     its total, its duration plus the best total among its predecessors,
@@ -207,28 +202,23 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     span_id = columns.span_id
     count = len(span_id)
     waits = []  # (request_id, submit_ns, first_join_ns), in key order
-    if attribution.mode == "cluster":
-        _, replica = _factorize(columns.replica)
-        sequence = np.lexsort((int64(span_id), int64(columns.start_ns), replica))
-        opens = np.diff(replica[sequence], prepend=-1) != 0
-    else:
-        chains = []  # per request: its wait node, if any, then its ticks
-        for request in sorted(attribution.requests,
-                              key=lambda r: "%08d" % r.request_id):
-            positions = request.positions
-            if not len(positions):
-                continue
-            join_ns = request.intervals[0][0]  # a member has an interval
-            if join_ns > request.submit_ns:
-                chains.append([count + len(waits), *positions])
-                waits.append((request.request_id, request.submit_ns, join_ns))
-            else:
-                chains.append(positions)
-        sizes = np.fromiter(map(len, chains), np.int64, len(chains))
-        sequence = np.fromiter(chain.from_iterable(chains), np.int64,
-                               int(sizes.sum()))
-        opens = np.zeros(len(sequence), dtype=bool)
-        opens[np.cumsum(sizes) - sizes] = True
+    chains = []  # per request: its wait node, if any, then its ticks
+    for request in sorted(attribution.requests,
+                          key=lambda r: "%08d" % r.request_id):
+        positions = request.positions
+        if not len(positions):
+            continue
+        join_ns = request.intervals[0][0]  # a member has an interval
+        if join_ns > request.submit_ns:
+            chains.append([count + len(waits), *positions])
+            waits.append((request.request_id, request.submit_ns, join_ns))
+        else:
+            chains.append(positions)
+    sizes = np.fromiter(map(len, chains), np.int64, len(chains))
+    sequence = np.fromiter(chain.from_iterable(chains), np.int64,
+                           int(sizes.sum()))
+    opens = np.zeros(len(sequence), dtype=bool)
+    opens[np.cumsum(sizes) - sizes] = True
     heads = np.array(waits, dtype=np.int64).reshape(-1, 3)
     start = np.concatenate([int64(columns.start_ns), heads[:, 1]])
     end = np.concatenate([int64(columns.end_ns), heads[:, 2]])

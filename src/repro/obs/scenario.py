@@ -9,10 +9,11 @@ and request arrivals are laid out on a fixed grid derived from those
 prices. No wall clock enters anywhere, which is why the exported trace
 and metrics are identical across same-seed runs.
 
-``python -m repro serve --simulate`` installs the same clock and price
-hook on a real (executing) server and drains it with
-:func:`drain_simulated`, advancing the clock through the server's own
-reported step durations.
+One driver, :func:`drain_simulated`, moves every such server: it
+submits each arrival once the clock reaches it and advances the clock
+through the server's own reported step durations. The scenario feeds
+it the grid; ``python -m repro serve --simulate`` installs the same
+clock and price hook on a real (executing) server and drains it.
 """
 
 from __future__ import annotations
@@ -37,21 +38,29 @@ SCENARIO_TENANTS = {"alpha": 2.0, "beta": 1.0}
 _IDLE_ADVANCE_S = 1e-6
 
 
-def _advance(server: ContinuousServer, clock: SimClock) -> None:
-    """Move the clock past the step just taken: by its reported duration,
-    or — nothing ran — past the max-wait window of a pending batch."""
-    clock.now += server.last_tick_s or max(
-        server.policy.max_wait_s, _IDLE_ADVANCE_S
-    )
+def drain_simulated(server: ContinuousServer, clock: SimClock,
+                    arrivals=(), submit=None) -> list:
+    """Drive a simulated-time server until every arrival is submitted
+    and the server is drained; results come back ordered by request id.
 
-
-def drain_simulated(server: ContinuousServer, clock: SimClock) -> list:
-    """Drain a simulated-time server, advancing its clock by its own
-    reported durations; results come back ordered by request id."""
+    ``submit(i)`` runs once ``clock.now >= arrivals[i]`` (ascending
+    instants); an idle server jumps the clock to the next arrival. After
+    each step the clock moves past it: by its reported duration, or —
+    nothing ran — past the max-wait window of a pending batch.
+    """
     results = []
-    while server.has_work:
+    due = 0
+    while due < len(arrivals) or server.has_work:
+        while due < len(arrivals) and arrivals[due] <= clock.now:
+            submit(due)
+            due += 1
+        if not server.has_work:
+            clock.now = arrivals[due]
+            continue
         results.extend(server.step(now=clock.now))
-        _advance(server, clock)
+        clock.now += server.last_tick_s or max(
+            server.policy.max_wait_s, _IDLE_ADVANCE_S
+        )
     return sorted(results, key=lambda r: r.request_id)
 
 
@@ -106,31 +115,18 @@ def run_trace_scenario(
         gap = 2.0 * service_model.price(model, ablation, 1, "dense").seconds
 
     tenants = sorted(SCENARIO_TENANTS)
-    arrivals = [i * gap for i in range(requests)]
-    next_up = 0
 
-    def submit_due() -> None:
-        nonlocal next_up
-        while next_up < len(arrivals) and arrivals[next_up] <= clock.now:
-            i = next_up
-            deadline = (
+    def submit(i: int) -> None:
+        server.submit(
+            seed=seed + i,
+            tenant=tenants[i % len(tenants)],
+            priority=_PRIORITY_CYCLE[i % len(_PRIORITY_CYCLE)],
+            deadline_s=(
                 clock.now + 3.0 * gap if continuous and i % 5 == 4 else None
-            )
-            server.submit(
-                seed=seed + i,
-                tenant=tenants[i % len(tenants)],
-                priority=_PRIORITY_CYCLE[i % len(_PRIORITY_CYCLE)],
-                deadline_s=deadline,
-            )
-            next_up += 1
+            ),
+        )
 
-    while next_up < len(arrivals) or server.has_work:
-        submit_due()
-        if not server.has_work:
-            clock.now = arrivals[next_up]
-            continue
-        server.step(now=clock.now)
-        _advance(server, clock)
+    drain_simulated(server, clock, [i * gap for i in range(requests)], submit)
 
     # The hardware timeline of one generation rides along as its own
     # track: the per-iteration dense/sparse phase segments the paper's

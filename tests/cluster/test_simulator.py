@@ -345,9 +345,10 @@ class TestRequestIds:
         assert report.served == len({rid for rid, _, _ in served}) == 60
         assert served == queued
 
-    @pytest.mark.parametrize("continuous", [False, True])
-    def test_every_queued_id_ends_once(self, continuous):
-        # Deadline and timeout drops wrote slo:* events with no id.
+    @staticmethod
+    def _deadline_cell(continuous):
+        """The observed ``mmpp-deadline2s`` fleet cell of the digests:
+        ``(trace, report, observer)``."""
         from repro.obs import Observer
         trace = synthesize_trace(MMPPProcess(15.0, 60.0, mean_dwell_s=2.0),
                                  240, rng=2, deadline_s=2.0)
@@ -356,6 +357,12 @@ class TestRequestIds:
             trace, build_replicas(2, continuous=continuous), make_router("jsq"),
             slo=SLOPolicy(latency_target_s=2.0), observer=observer,
         )
+        return trace, report, observer
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_every_queued_id_ends_once(self, continuous):
+        # Deadline and timeout drops wrote slo:* events with no id.
+        _, report, observer = self._deadline_cell(continuous)
         ends = sorted(
             e.args["request_id"] for e in observer.tracer.events
             if e.track == "cluster/slo"
@@ -363,6 +370,18 @@ class TestRequestIds:
         )
         assert report.dropped > 0
         assert ends == list(range(240))
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_every_deadline_reaches_the_analysis(self, continuous):
+        # ``queued`` events carried no deadline: no fleet request had a
+        # deadline_ns, and the deadline SLO had no samples.
+        from repro.obs.analyze import analyze_tracer, to_ns
+        trace, _, observer = self._deadline_cell(continuous)
+        analysis = analyze_tracer(observer.tracer)
+        arrivals = sorted(trace, key=lambda r: r.arrival_s)  # ordinal order
+        assert [r.deadline_ns for r in analysis.attribution.requests] == [
+            to_ns(r.deadline_s) for r in arrivals]
+        assert analysis.slo["deadline-hit"]["total"] == len(trace)
 
 
 class TestTracedPriority:

@@ -8,15 +8,21 @@ the tick columns replaced, condensed), ``_analyze_serve``,
 ``_exact_split`` and the serve branch of ``build_critical_path`` (its
 graph, fed to the CPM engine of ``critical_path_reference``). It
 decided "which ticks did request r share" three ways, one per consumer,
-each scanning every tick for every request. Two adaptations:
+each scanning every tick for every request. Four adaptations:
 ``_attribute_request`` records each member tick's position instead of
-counting it, since ``ticks`` is now the length of ``positions``, and a
-tick's duration is ``end_ns - start_ns``.
+counting it, since ``ticks`` is now the length of ``positions``; a
+tick's duration is ``end_ns - start_ns``; the critical path's
+membership is the documented rule, a tick that lists ids has exactly
+those members, so a fleet request's interval never picks up another
+replica's overlapping dispatch; and a dispatch's node is labelled
+``"{replica} {phase}"``.
 
 ``hypothesis`` properties generate serve traces, from the trace
 scenario and by hand, and require the mode, the tick table, the
 analysis document, the critical path and every request's positions to
-match, byte for byte once canonically encoded.
+match, byte for byte once canonically encoded. Fleet traces, generated
+dispatches and real simulator cells, hold the critical path alone to
+the oracle: the row walk never read fleet events.
 
 The three old rules agree wherever a request's intervals are disjoint
 and every batch that lists a request lies inside its intervals, which
@@ -35,8 +41,22 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import (
+    MMPPProcess,
+    SLOPolicy,
+    WorkloadMix,
+    build_replicas,
+    make_router,
+    simulate_cluster,
+    synthesize_trace,
+)
 from repro.obs import Observer, run_trace_scenario
-from repro.obs.analyze import TraceRecords, analyze
+from repro.obs.analyze import (
+    TraceRecords,
+    analyze,
+    analyze_records,
+    build_critical_path,
+)
 from repro.obs.analyze.attribution import (
     _BATCH_TRACK,
     _MEMBERSHIP_TRACK,
@@ -316,7 +336,7 @@ def _exact_split(amount: int, count: int) -> list:
 def _serve_critical_path(attribution: Attribution) -> CriticalPath:
     """Dependency graph from the attribution's requests and ticks.
 
-    Serve modes: each request contributes a *wait* node (submission to
+    Every mode: each request contributes a *wait* node (submission to
     first join) feeding its first member tick, and every request chains
     its member ticks in time order (covering both same-phase adjacency
     and preemption bridges). Edges that a noisy wall-clock trace would render invalid
@@ -345,7 +365,7 @@ def _serve_critical_path(attribution: Attribution) -> CriticalPath:
                 for j, l in request.intervals
             )
             listed = request.request_id in tick.members
-            if in_interval or listed:
+            if listed if tick.members else in_interval:
                 ticks.append(tick)
         if ticks:
             member_ticks[request.request_id] = sorted(
@@ -367,7 +387,8 @@ def _serve_critical_path(attribution: Attribution) -> CriticalPath:
         previous = None
         for tick in chain:
             key = f"tick:{tick.span_id:08d}"
-            add_node(key, tick.start_ns, tick.end_ns, tick.phase)
+            add_node(key, tick.start_ns, tick.end_ns,
+                     f"{tick.replica} {tick.phase}" if tick.replica else tick.phase)
             if previous is None and wait_key in nodes:
                 add_edge(wait_key, key)
             elif previous is not None:
@@ -447,9 +468,9 @@ class _Trace:
         self.records.spans.append(len(self.records.spans), name, track,
                                   start_ns, end_ns, args)
 
-    def event(self, name, ts_ns, request_id, **args):
+    def event(self, name, ts_ns, request_id, track=_MEMBERSHIP_TRACK, **args):
         self.records.events.append(
-            len(self.records.events), name, _MEMBERSHIP_TRACK, ts_ns,
+            len(self.records.events), name, track, ts_ns,
             {"request_id": request_id, **args},
         )
 
@@ -682,3 +703,154 @@ class TestCriticalPathTies:
                                        start, start + 10, {})
         with pytest.raises(ValueError, match="duplicate node key 'tick:00000005'"):
             analyze(trace.records)
+
+
+# ----------------------------------------------------------------------
+# fleet traces: the critical path alone
+# ----------------------------------------------------------------------
+def _fleet(dispatches, submits=()) -> TraceRecords:
+    """A fleet trace of ``dispatches``, each ``(span_id, start_ns, end_ns,
+    replica, request_ids)``: a ``queued`` event per listed request, at its
+    ``submits`` entry (request id -> instant) or its first dispatch's
+    start, and a ``dispatch[dit]`` span on the replica's track."""
+    trace = _Trace()
+    first = {}
+    for span_id, start, end, replica, members in dispatches:
+        trace.records.spans.append(span_id, "dispatch[dit]", f"replica/{replica}",
+                                   start, end, {"phase": "dense",
+                                                "request_ids": members})
+        for rid in members:
+            first[rid] = min(first.get(rid, start), start)
+    for rid, submit in sorted({**first, **dict(submits)}.items()):
+        trace.event("queued", submit, rid, track="cluster/requests")
+    return trace.records
+
+
+def _path_outcome(build, attribution) -> tuple:
+    try:
+        return "path", build(attribution).to_dict()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _fleet_path(records) -> tuple:
+    """The engine's critical path of a fleet trace, or its error, after
+    requiring the oracle's to be the same."""
+    attribution = analyze_records(records)
+    got = _path_outcome(build_critical_path, attribution)
+    assert got == _path_outcome(_serve_critical_path, attribution)
+    return got
+
+
+@st.composite
+def _fleet_records(draw, reversed_ok: bool) -> TraceRecords:
+    """Dispatches on up to three replicas with small starts and lengths
+    (overlaps, gaps, back-to-back, ties), each listing one to three of
+    up to six requests queued at or before their first dispatch. Span
+    ids grow in ``(start_ns, span_id)`` order, as the Observer writes
+    them, from a base of 0 or 10**9."""
+    requests = draw(st.integers(1, 6))
+    shapes = sorted(draw(st.lists(st.tuples(
+        st.integers(0, 60),
+        st.integers(-3 if reversed_ok else 0, 12),
+        st.sampled_from(["r0", "r1", "r2"]),
+        st.lists(st.integers(0, requests - 1), min_size=1, max_size=3,
+                 unique=True),
+    ), max_size=14)))
+    span_id = draw(st.sampled_from([0, 10**9]))
+    dispatches = []
+    for start, length, replica, members in shapes:
+        span_id += draw(st.integers(1, 3))
+        dispatches.append((span_id, start, start + length, replica, members))
+    starts = {}
+    for _, start, _, _, members in dispatches:
+        for rid in members:
+            starts.setdefault(rid, start)
+    return _fleet(dispatches, {rid: draw(st.integers(0, start))
+                               for rid, start in starts.items()})
+
+
+class TestFleetCriticalPath:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fleet_records(reversed_ok=False))
+    def test_generated_dispatches(self, records):
+        _fleet_path(records)
+
+    @_SETTINGS
+    @given(_fleet_records(reversed_ok=True))
+    def test_generated_dispatches_with_reversed_ones(self, records):
+        _fleet_path(records)
+
+    def test_one_dispatch_is_its_own_path(self):
+        _, path = _fleet_path(_fleet([(7, 3, 10, "r0", [0])]))
+        assert [node["key"] for node in path["nodes"]] == ["tick:00000007"]
+        assert (path["total_ns"], path["span_ns"], path["edges"]) == (7, 7, [])
+        assert path["nodes"][0]["label"] == "r0 dense"
+
+    def test_another_replicas_overlapping_dispatch_is_no_member(self):
+        _, path = _fleet_path(_fleet([
+            (0, 0, 10, "r0", [0]),
+            (1, 5, 8, "r1", [1]),  # inside request 0's interval
+            (2, 10, 20, "r0", [0]),
+        ]))
+        assert [node["key"] for node in path["nodes"]] == [
+            "tick:00000000", "tick:00000002",
+        ]
+        assert path["total_ns"] == 20
+
+    def test_zero_length_dispatches_chain(self):
+        _, path = _fleet_path(_fleet([
+            (0, 0, 0, "r0", [0]),
+            (1, 0, 4, "r0", [0]),
+            (2, 4, 4, "r0", [0]),
+            (3, 6, 6, "r1", [1]),
+        ]))
+        # the zero-length tail ties its chain's total: the first key wins
+        assert [node["key"] for node in path["nodes"]] == [
+            "tick:00000000", "tick:00000001",
+        ]
+
+    @pytest.mark.parametrize("ids, winner", [
+        ((5, 3), "tick:00000003"),
+        ((99999999, 100000000), "tick:100000000"),  # string order
+    ])
+    def test_equal_chains_tie_to_the_smallest_key(self, ids, winner):
+        first, second = ids
+        _, path = _fleet_path(_fleet([
+            (first, 0, 10, "r0", [0]),
+            (second, 2, 12, "r1", [1]),
+        ]))
+        assert [node["key"] for node in path["nodes"]] == [winner]
+
+    def test_a_reversed_dispatch_raises(self):
+        outcome = _fleet_path(_fleet([
+            (0, 0, 10, "r0", [0]),
+            (1, 20, 15, "r1", [1]),
+        ]))
+        assert outcome == (
+            "error", "node 'tick:00000001' ends at 15 before start 20")
+
+    def test_a_duplicate_span_id_raises(self):
+        # The oracle merges one key's nodes, so the engine alone is asked.
+        records = _fleet([(4, 0, 10, "r0", [0]), (4, 10, 15, "r1", [1])])
+        with pytest.raises(ValueError, match="duplicate node key 'tick:00000004'"):
+            build_critical_path(analyze_records(records))
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    @pytest.mark.parametrize("seed", [11, 47])
+    def test_fleet_traces(self, seed, continuous):
+        trace = synthesize_trace(
+            MMPPProcess(15.0, 60.0, mean_dwell_s=2.0), 100,
+            WorkloadMix(("dit", "mld", "stable_diffusion")), rng=seed,
+            deadline_s=3.0,
+        )
+        observer = Observer()
+        simulate_cluster(
+            trace, build_replicas(4, accelerator="exion24",
+                                  continuous=continuous),
+            make_router("jsq"), slo=SLOPolicy(latency_target_s=3.0),
+            observer=observer,
+        )
+        _, path = _fleet_path(TraceRecords.from_tracer(observer.tracer))
+        assert len(path["nodes"]) > 1
