@@ -152,9 +152,6 @@ class ClusterSimulator:
                             key = (replica, outcome.model, outcome.ablation, record.request_id)
                             observer.on_request_stage(
                                 "served", completion_s, ordinals.pop(key), replica=replica.name,
-                                tenant=record.request.tenant,
-                                priority=int(record.request.priority),
-                                model=outcome.model,
                             )
                 self._schedule(events, seq, pending, replica, t, True)
 

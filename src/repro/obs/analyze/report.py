@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -179,20 +180,13 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
     real artifacts rather than insisting they be ideal. Every tick on a
     chain and every wait is a node.
 
-    One pass over the ticks in ``(start_ns, span_id)`` order gives each
-    its total, its duration plus the best total among its predecessors,
-    and the path ends at the first maximum in key order (``tick:%08d``
-    of a span id, ``wait:%08d`` of a request id). That is the
-    classic CPM answer over those keys (Kahn's order popping the
-    smallest ready key), ties included. A tie between predecessors goes
-    to the one Kahn's pass pops first, the smallest ``(round, wait before
-    tick, key)``: every tick key sorts before every wait key, so waits
-    pop in key order, each opening a round; a wait's round is its rank
-    among the wait keys counting from 1, a tick's the largest round
-    among its predecessors (0 with none), and within a round ticks pop
-    in key order. That holds while tick span ids grow with position and
-    stay below 10**8 (key order is then position order), as in every
-    trace the :class:`~repro.obs.Observer` writes.
+    Each node's total is its duration plus the best total among its
+    predecessors, in the classic CPM order over the node keys
+    (``tick:%08d`` of a span id, ``wait:%08d`` of a request id): Kahn's
+    pass popping the smallest ready key, a tie between predecessors
+    going to the one popped first, and the path ending at the first
+    maximum in key order. That holds for any span ids, including those
+    of 10**8 and up, whose keys leave numeric order.
 
     A span id on two ticks of the graph, or a tick that ends before it
     starts, is a ValueError naming the first such key in key order.
@@ -245,36 +239,43 @@ def build_critical_path(attribution: Attribution) -> CriticalPath:
             raise ValueError(message.format(key(p), int(end[p]), int(start[p])))
     if not nodes.size:
         return CriticalPath(0, 0, np.zeros(0, np.int64), None, ticks)
+    # relabel the graph by key rank (every tick key sorts before every
+    # wait key, and below 10**8 tick keys sort as their span ids), so a
+    # heap of ranks pops the smallest ready key
+    keys = ids if ids.max() < 10**8 else np.char.mod("%08d", ids)
+    by_key = np.concatenate([nodes[:len(ids)][np.argsort(keys, kind="stable")],
+                             nodes[len(ids):]])
+    size = len(by_key)
+    rank = np.empty(len(start), dtype=np.int64)
+    rank[by_key] = np.arange(size)
     before, after = sequence[:-1], sequence[1:]
     linked = ~opens[1:] & (start[after] >= end[before])
-    order = np.lexsort((int64(span_id), int64(columns.start_ns)))
-    visit = np.empty(count, dtype=np.int64)
-    visit[order] = np.arange(count)
-    # one edge per pair, by the successor's visit, then the predecessor
-    pairs = np.sort(visit[after[linked]] * len(start) + before[linked])
+    pairs = np.sort(rank[before[linked]] * size + rank[after[linked]])
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    predecessor, successor = pairs % len(start), order[pairs // len(start)]
+    predecessor, successor = np.divmod(pairs, size)
+    bounds = np.searchsorted(predecessor, np.arange(size + 1)).tolist()
+    pending = np.bincount(successor, minlength=size)
+    ready = np.flatnonzero(pending == 0).tolist()  # sorted: a heap
+    pending, successor = pending.tolist(), successor.tolist()
 
-    duration = (end - start).tolist()
-    total, best_of = list(duration), [-1] * len(start)
-    rounds = [0] * count + list(range(1, len(waits) + 1))
-    for u, v in zip(predecessor.tolist(), successor.tolist()):
-        # the largest total, then the one Kahn's pass pops first
-        best = best_of[v]
-        if best < 0 or total[u] > total[best] or total[u] == total[best] and (
-            (rounds[u], u < count, u) < (rounds[best], best < count, best)
-        ):
-            best_of[v] = u
-            total[v] = duration[v] + total[u]
-        if rounds[u] > rounds[v]:
-            rounds[v] = rounds[u]
+    duration = (end - start)[by_key].tolist()
+    total, incoming, best_of = [0] * size, [-1] * size, [-1] * size
+    while ready:
+        u = heappop(ready)
+        reach = incoming[u]  # -1 without a predecessor
+        reach = total[u] = duration[u] + (reach if reach > 0 else 0)
+        for v in successor[bounds[u]:bounds[u + 1]]:
+            if reach > incoming[v]:  # a tie keeps the one popped first
+                incoming[v], best_of[v] = reach, u
+            pending[v] -= 1
+            if not pending[v]:
+                heappush(ready, v)
 
-    totals = np.array(total, dtype=np.int64)[nodes]
-    longest = int(totals.max())
-    cursor = min(nodes[totals == longest].tolist(), key=key)
+    longest = max(total)
+    cursor = total.index(longest)
     path = []
     while cursor != -1:
-        path.append(cursor)
+        path.append(int(by_key[cursor]))
         cursor = best_of[cursor]
     wait = waits[path.pop() - count] if path[-1] >= count else None
     return CriticalPath(

@@ -338,12 +338,18 @@ class TestRequestIds:
         observer = Observer()
         report = simulate_cluster(trace, fleet, make_router("jsq"), observer=observer)
         queued, served = (sorted(
-            (e.args["request_id"], e.args["model"], e.args["replica"])
+            (e.args["request_id"], e.args["replica"])
             for e in observer.tracer.events
             if e.track == "cluster/requests" and e.name == stage
         ) for stage in ("queued", "served"))
-        assert report.served == len({rid for rid, _, _ in served}) == 60
+        assert report.served == len({rid for rid, _ in served}) == 60
         assert served == queued
+        models = {e.args["request_id"]: e.args["model"] for e in observer.tracer.events
+                  if e.name == "queued"}
+        for span in observer.tracer.spans:
+            if span.name.startswith("dispatch["):
+                assert {models[rid] for rid in span.args["request_ids"]} == {
+                    span.args["model"]}
 
     @staticmethod
     def _deadline_cell(continuous):
@@ -388,7 +394,7 @@ class TestTracedPriority:
     def test_batch_request_keeps_its_priority_from_arrival_on(
             self, service_model):
         # A priority-0 (BATCH) request was traced ``queued`` as priority 1
-        # (STANDARD) but ``served`` and dispatched as 0.
+        # (STANDARD) but dispatched as 0.
         from repro.cluster.traffic import ClusterRequest
         from repro.obs import Observer
 
@@ -399,16 +405,12 @@ class TestTracedPriority:
                                     service_model=service_model),
             router=make_router("jsq"), observer=observer,
         )
-        stages = {
-            event.name: event.args["priority"]
-            for event in observer.tracer.events
-            if event.track == "cluster/requests"
-            and event.name in ("queued", "served")
-        }
+        (queued,) = [event for event in observer.tracer.events
+                     if event.name == "queued"]
         (dispatch,) = [span for span in observer.tracer.spans
                        if span.name.startswith("dispatch[")]
-        assert stages == {"queued": 0, "served": 0}
-        assert dispatch.args["request_ids"] == [0]
+        assert queued.args["priority"] == 0
+        assert dispatch.args["request_ids"] == [queued.args["request_id"]]
 
 
 class TestExecuteMode:

@@ -13,10 +13,8 @@ moving its successor.
 
 Everything is deterministic: the topological order is Kahn's
 algorithm popping the smallest ready key, a tie between a node's
-predecessors goes to the one popped first (on the analysis's graphs the
-smallest ``(round, wait before tick, key)`` that ``build_critical_path``
-describes, which is not always the smaller key), and the path ends at
-the first maximum in key order.
+predecessors goes to the one popped first (not always the smaller
+key), and the path ends at the first maximum in key order.
 
 Singleton nodes are candidate paths too, which gives the two properties
 the hypothesis suite checks: the reported length is at least any single

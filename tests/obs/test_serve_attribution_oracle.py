@@ -742,30 +742,35 @@ def _fleet_path(records) -> tuple:
     return got
 
 
+_SPAN_IDS = st.one_of(
+    st.integers(0, 40),
+    # across 10**8, where key order stops being numeric order
+    st.integers(10**8 - 3, 10**8 + 3),
+    st.integers(10**9, 10**9 + 2),
+)
+
+
 @st.composite
 def _fleet_records(draw, reversed_ok: bool) -> TraceRecords:
     """Dispatches on up to three replicas with small starts and lengths
     (overlaps, gaps, back-to-back, ties), each listing one to three of
     up to six requests queued at or before their first dispatch. Span
-    ids grow in ``(start_ns, span_id)`` order, as the Observer writes
-    them, from a base of 0 or 10**9."""
+    ids and trace order have no link to start order."""
     requests = draw(st.integers(1, 6))
-    shapes = sorted(draw(st.lists(st.tuples(
-        st.integers(0, 60),
-        st.integers(-3 if reversed_ok else 0, 12),
-        st.sampled_from(["r0", "r1", "r2"]),
-        st.lists(st.integers(0, requests - 1), min_size=1, max_size=3,
-                 unique=True),
-    ), max_size=14)))
-    span_id = draw(st.sampled_from([0, 10**9]))
     dispatches = []
-    for start, length, replica, members in shapes:
-        span_id += draw(st.integers(1, 3))
-        dispatches.append((span_id, start, start + length, replica, members))
+    for span_id in draw(st.lists(_SPAN_IDS, max_size=14, unique=True)):
+        start = draw(st.integers(0, 60))
+        dispatches.append((
+            span_id, start,
+            start + draw(st.integers(-3 if reversed_ok else 0, 12)),
+            draw(st.sampled_from(["r0", "r1", "r2"])),
+            draw(st.lists(st.integers(0, requests - 1), min_size=1,
+                          max_size=3, unique=True)),
+        ))
     starts = {}
     for _, start, _, _, members in dispatches:
         for rid in members:
-            starts.setdefault(rid, start)
+            starts[rid] = min(starts.get(rid, start), start)
     return _fleet(dispatches, {rid: draw(st.integers(0, start))
                                for rid, start in starts.items()})
 
@@ -822,6 +827,29 @@ class TestFleetCriticalPath:
             (second, 2, 12, "r1", [1]),
         ]))
         assert [node["key"] for node in path["nodes"]] == [winner]
+
+    def test_a_predecessor_tie_goes_to_the_one_popped_first(self):
+        # "tick:100000000" sorts before "tick:99999999", so Kahn's pass
+        # pops it first, though its span id is the larger
+        _, path = _fleet_path(_fleet([
+            (99999999, 0, 5, "r0", [0]),
+            (100000000, 0, 5, "r1", [1]),
+            (100000001, 5, 10, "r0", [0, 1]),
+        ]))
+        assert [node["key"] for node in path["nodes"]] == [
+            "tick:100000000", "tick:100000001",
+        ]
+
+    def test_a_chain_follows_start_order_not_trace_order(self):
+        # the later dispatch comes first in the trace, with the smaller id
+        _, path = _fleet_path(_fleet([
+            (0, 10, 20, "r0", [0]),
+            (1, 0, 10, "r0", [0]),
+        ]))
+        assert [node["key"] for node in path["nodes"]] == [
+            "tick:00000001", "tick:00000000",
+        ]
+        assert path["total_ns"] == 20
 
     def test_a_reversed_dispatch_raises(self):
         outcome = _fleet_path(_fleet([
